@@ -11,12 +11,13 @@ COVER_FLOOR = 89.0
 .PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline profile-cpu profile-mem fuzz-short service-bench quickstart tables examples docs-check api-check api-snapshot
 
 # The BenchmarkHot* suite measures the steady state of the arena-backed
-# hot paths with -benchmem; the gate (cmd/benchjson -gate) fails CI when
+# hot paths and of the paper's own layers (translation-table
+# dereference, schedule build, whole inspection) with -benchmem; the gate (cmd/benchjson -gate) fails CI when
 # any of them allocates past the checked-in BENCH_BASELINE.json (5%
 # scheduling-noise headroom, exact for allocation-free kernels) or slows
 # past 1.5x its baseline ns/op. Refresh the baseline with `make
 # bench-baseline` after an intentional perf change and commit the diff.
-BENCH_GATE_CMD = $(GO) test -run '^$$' -bench '^BenchmarkHot' -benchmem -benchtime 10x ./internal/partition ./internal/geocol ./internal/stream
+BENCH_GATE_CMD = $(GO) test -run '^$$' -bench '^BenchmarkHot' -benchmem -benchtime 10x ./internal/partition ./internal/geocol ./internal/stream ./internal/ttable ./internal/schedule ./internal/core
 
 check: build lint analyze test docs-check api-check
 

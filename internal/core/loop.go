@@ -175,6 +175,10 @@ type inspectorState struct {
 	rPlans  []accessPlan
 	wGroups []scatterGroup
 	wPlans  []accessPlan
+	// refs holds every group's whole reference vector (read groups,
+	// then write groups) — the plans slice them — so the next
+	// inspection can recycle the storage.
+	refs [][]int
 }
 
 // NewLoop declares an irregular loop over nIter iterations with the
@@ -270,6 +274,12 @@ func (l *Loop) indDADs() []dist.DAD {
 // communication schedule per access and the buffer-association vectors,
 // then records the loop's DADs and indirection timestamps with the
 // registry. Collective.
+//
+// All its schedule builds share one schedule.Builder that lives for
+// this call only, and the reference vectors of the inspector state
+// being replaced become the storage of the new ones: a re-inspection
+// allocates little beyond the schedules themselves, and the loop
+// retains no scratch between inspections.
 func (l *Loop) Inspect() {
 	l.s.timed(TimerInspector, func() {
 		// Register indirection descriptors with the (possibly
@@ -279,6 +289,32 @@ func (l *Loop) Inspect() {
 		}
 		st := &inspectorState{}
 		nLocal := len(l.iterGl)
+		var b schedule.Builder
+		var cat []int // a fused group's concatenated reference lists
+
+		// build runs the inspector for group gi, whose member accesses
+		// reach arr through the indirection arrays indOf names, and
+		// gives each member's plan its stretch of the reference vector.
+		build := func(gi int, arr *Array, members []int, indOf func(int) *IntArray, plans []accessPlan) *schedule.Schedule {
+			globals := indOf(members[0]).Data
+			if len(members) > 1 {
+				cat = cat[:0]
+				for _, j := range members {
+					cat = append(cat, indOf(j).Data...)
+				}
+				globals = cat
+			}
+			var recycled []int
+			if n := len(st.refs); l.insp != nil && n < len(l.insp.refs) {
+				recycled = l.insp.refs[n]
+			}
+			sch, ref := b.BuildGather(l.s.C, arr.res, len(arr.Data), globals, schedule.Options{}, recycled)
+			st.refs = append(st.refs, ref)
+			for idx, j := range members {
+				plans[j] = accessPlan{group: gi, ref: ref[idx*nLocal : (idx+1)*nLocal]}
+			}
+			return sch
+		}
 
 		// Group read accesses (per array when merging, else one group
 		// per access), then build one schedule per group over the
@@ -304,17 +340,10 @@ func (l *Loop) Inspect() {
 			rMembers[gi] = append(rMembers[gi], j)
 		}
 		st.rPlans = make([]accessPlan, len(l.Reads))
+		readInd := func(j int) *IntArray { return l.Reads[j].Ind }
 		for gi := range st.rGroups {
-			arr := st.rGroups[gi].arr
-			globals := make([]int, 0, nLocal*len(rMembers[gi]))
-			for _, j := range rMembers[gi] {
-				globals = append(globals, l.Reads[j].Ind.Data...)
-			}
-			sch, ref := schedule.BuildGather(l.s.C, arr.res, len(arr.Data), globals, schedule.Options{})
-			st.rGroups[gi].sched = sch
-			for idx, j := range rMembers[gi] {
-				st.rPlans[j] = accessPlan{group: gi, ref: ref[idx*nLocal : (idx+1)*nLocal]}
-			}
+			g := &st.rGroups[gi]
+			g.sched = build(gi, g.arr, rMembers[gi], readInd, st.rPlans)
 		}
 
 		// Same for writes, grouped by (array, reduction operator).
@@ -343,17 +372,10 @@ func (l *Loop) Inspect() {
 			wMembers[gi] = append(wMembers[gi], k)
 		}
 		st.wPlans = make([]accessPlan, len(l.Writes))
+		writeInd := func(k int) *IntArray { return l.Writes[k].Ind }
 		for gi := range st.wGroups {
-			arr := st.wGroups[gi].arr
-			globals := make([]int, 0, nLocal*len(wMembers[gi]))
-			for _, k := range wMembers[gi] {
-				globals = append(globals, l.Writes[k].Ind.Data...)
-			}
-			sch, ref := schedule.BuildGather(l.s.C, arr.res, len(arr.Data), globals, schedule.Options{})
-			st.wGroups[gi].sched = sch
-			for idx, k := range wMembers[gi] {
-				st.wPlans[k] = accessPlan{group: gi, ref: ref[idx*nLocal : (idx+1)*nLocal]}
-			}
+			g := &st.wGroups[gi]
+			g.sched = build(gi, g.arr, wMembers[gi], writeInd, st.wPlans)
 		}
 
 		l.insp = st
@@ -473,13 +495,13 @@ func (l *Loop) PartitionIterations(policy iterpart.Policy) {
 		refOwners := make([][]int, nLocal)
 		lhsOwner := make([]int, nLocal)
 		blockHome := make([]int, nLocal)
-		flat := make([]int, nAcc)
+		flat := make([]int, nLocal*nAcc) // backs every row of refOwners
 		for i := 0; i < nLocal; i++ {
-			row := flat[:0]
-			for _, o := range ownersByAcc {
-				row = append(row, o[i])
+			row := flat[i*nAcc : (i+1)*nAcc : (i+1)*nAcc]
+			for a, o := range ownersByAcc {
+				row[a] = o[i]
 			}
-			refOwners[i] = append([]int(nil), row...)
+			refOwners[i] = row
 			if len(l.Writes) > 0 {
 				lhsOwner[i] = ownersByAcc[len(l.Reads)][i]
 			} else if nAcc > 0 {

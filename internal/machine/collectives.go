@@ -1,6 +1,9 @@
 package machine
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // rendezvous implements an all-ranks exchange: every rank deposits one
 // value, the last arriver snapshots the deposits and the maximum clock,
@@ -33,7 +36,14 @@ func newRendezvous(m *Machine, procs int) *rendezvous {
 	return r
 }
 
-func (r *rendezvous) wake() { r.cond.Broadcast() }
+// wake rouses every waiter so it re-checks for an abort. It takes the
+// lock first: a waiter tests the abort flag and then waits under the
+// same lock, so the broadcast cannot fall between the two and be lost.
+func (r *rendezvous) wake() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.cond.Broadcast()
+}
 
 // exchange deposits x for this rank and returns the slice of all ranks'
 // deposits for the same generation. On return the rank's clock has been
@@ -277,81 +287,95 @@ func (c *Ctx) alltoallCost(nSend, sendBytes, nRecv, recvBytes int) {
 	c.clock += float64(sendBytes+recvBytes) * cfg.ByteTime
 }
 
-// AlltoAllInts performs an irregular all-to-all: out[p] is the slice to
-// deliver to rank p (nil or empty means no message). The result's
-// element [p] is the slice rank p addressed to this rank. Payloads are
-// copied, so callers may reuse out.
-func (c *Ctx) AlltoAllInts(out [][]int) [][]int {
-	if len(out) != c.procs {
-		panic("machine: AlltoAllInts requires one slice per rank")
+// exchangeRows is the one all-to-all body: out[p] is the row addressed
+// to rank p (nil or empty means no message) and the result's element
+// [p] is the row rank p addressed to this rank, nil when there was
+// none. The row headers land in in (one per rank) when it is non-nil,
+// else in a fresh slice.
+//
+// Rows travel by ownership transfer — the sender's out and its rows
+// are deposited as they are, with no sender-side copy — under one
+// rule: a sent payload (out itself and every row) may be overwritten
+// only after the sender has returned from a later collective.
+// Symmetrically, on the Simulated backend a received row is the
+// sender's memory: read-only, and good until the receiver enters its
+// next collective unless the sender gives the payload away for good.
+// The rule is sound because a rank leaves a collective only after all
+// ranks have entered it: every receiver read its rows before entering
+// the later collective (program order), its entry happens-before the
+// sender's return (the rendezvous mutex), and the sender's return
+// happens-before its overwrite (program order). The Real backend
+// clones each row into receiver memory on delivery; the clone is such
+// a read, so the same rule covers it.
+//
+//chaos:hotpath
+func exchangeRows[T int | float64](c *Ctx, out, in [][]T) [][]T {
+	if len(out) != c.procs || (in != nil && len(in) != c.procs) {
+		panic("machine: an all-to-all requires one slice per rank")
 	}
-	dep := make([][]int, c.procs)
 	nSend, sendBytes := 0, 0
 	for p, xs := range out {
-		if len(xs) == 0 {
-			continue
-		}
-		cp := make([]int, len(xs))
-		copy(cp, xs)
-		dep[p] = cp
-		if p != c.rank {
+		if p != c.rank && len(xs) > 0 {
 			nSend++
 			sendBytes += 8 * len(xs)
 		}
 	}
-	vals := c.exchange(dep)
-	in := make([][]int, c.procs)
+	vals := c.exchange(out)
+	if in == nil {
+		in = make([][]T, c.procs)
+	}
 	nRecv, recvBytes := 0, 0
-	for p := 0; p < c.procs; p++ {
-		mat := vals[p].([][]int)
-		row := mat[c.rank]
-		if c.m.real && len(row) > 0 {
-			row = realClone(row).([]int)
+	for p := range in {
+		row := vals[p].([][]T)[c.rank]
+		switch {
+		case len(row) == 0:
+			row = nil
+		case c.m.real:
+			row = slices.Clone(row)
 		}
 		in[p] = row
-		if p != c.rank && len(in[p]) > 0 {
+		if p != c.rank && len(row) > 0 {
 			nRecv++
-			recvBytes += 8 * len(in[p])
+			recvBytes += 8 * len(row)
 		}
 	}
 	c.alltoallCost(nSend, sendBytes, nRecv, recvBytes)
 	return in
 }
 
+// copyRows returns a fresh header whose non-empty rows are copies of
+// out's: the sender-side copy that lets AlltoAll callers reuse out.
+func copyRows[T int | float64](out [][]T) [][]T {
+	dep := make([][]T, len(out))
+	for p, xs := range out {
+		if len(xs) > 0 {
+			dep[p] = slices.Clone(xs)
+		}
+	}
+	return dep
+}
+
+// AlltoAllInts performs an irregular all-to-all: out[p] is the slice to
+// deliver to rank p (nil or empty means no message). The result's
+// element [p] is the slice rank p addressed to this rank. Payloads are
+// copied, so callers may reuse out.
+func (c *Ctx) AlltoAllInts(out [][]int) [][]int {
+	return exchangeRows(c, copyRows(out), nil)
+}
+
 // AlltoAllFloats is AlltoAllInts for float64 payloads.
 func (c *Ctx) AlltoAllFloats(out [][]float64) [][]float64 {
-	if len(out) != c.procs {
-		panic("machine: AlltoAllFloats requires one slice per rank")
-	}
-	dep := make([][]float64, c.procs)
-	nSend, sendBytes := 0, 0
-	for p, xs := range out {
-		if len(xs) == 0 {
-			continue
-		}
-		cp := make([]float64, len(xs))
-		copy(cp, xs)
-		dep[p] = cp
-		if p != c.rank {
-			nSend++
-			sendBytes += 8 * len(xs)
-		}
-	}
-	vals := c.exchange(dep)
-	in := make([][]float64, c.procs)
-	nRecv, recvBytes := 0, 0
-	for p := 0; p < c.procs; p++ {
-		mat := vals[p].([][]float64)
-		row := mat[c.rank]
-		if c.m.real && len(row) > 0 {
-			row = realClone(row).([]float64)
-		}
-		in[p] = row
-		if p != c.rank && len(in[p]) > 0 {
-			nRecv++
-			recvBytes += 8 * len(in[p])
-		}
-	}
-	c.alltoallCost(nSend, sendBytes, nRecv, recvBytes)
-	return in
+	return exchangeRows(c, copyRows(out), nil)
+}
+
+// ExchangeInts is AlltoAllInts without the sender-side copy, for
+// callers that can keep to the ownership rule (see exchangeRows): out
+// and its rows must stay untouched until this rank has returned from a
+// later collective, and on the Simulated backend the received rows are
+// the senders' memory — read-only, and valid until this rank enters
+// its next collective unless the protocol says the sender never reuses
+// them. The received row headers are written to in (len Procs), which
+// is returned; a nil in allocates them.
+func (c *Ctx) ExchangeInts(out, in [][]int) [][]int {
+	return exchangeRows(c, out, in)
 }

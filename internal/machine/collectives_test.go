@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -259,5 +261,71 @@ func TestCollectivesStress(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ExchangeInts moves rows without a sender-side copy: on the Simulated
+// backend the receiver sees the sender's own memory, on the Real
+// backend a clone; either way empty rows arrive as nil, the headers
+// land in the caller's in, and the charge equals AlltoAllInts'.
+func TestExchangeIntsTransfersOwnership(t *testing.T) {
+	const p = 3
+	for _, backend := range []Backend{Simulated, Real} {
+		sent := make([][][]int, p) // sent[r] is rank r's out
+		for r := range sent {
+			sent[r] = make([][]int, p)
+			for d := range sent[r] {
+				if (r+d)%2 == 0 {
+					sent[r][d] = []int{10*r + d, r, d}
+				} else {
+					sent[r][d] = []int{} // no message
+				}
+			}
+		}
+		cfg := IPSC860(p)
+		cfg.Backend = backend
+		err := Run(cfg, func(c *Ctx) {
+			start := c.Clock()
+			want := c.AlltoAllInts(sent[c.Rank()])
+			copyCost := c.Clock() - start
+			c.Barrier()
+
+			start = c.Clock()
+			in := make([][]int, p)
+			got := c.ExchangeInts(sent[c.Rank()], in)
+			if cost := c.Clock() - start; math.Abs(cost-copyCost) > 1e-12 {
+				t.Errorf("%v rank %d: exchange charged %v, AlltoAllInts %v", backend, c.Rank(), cost, copyCost)
+			}
+			if &got[0] != &in[0] {
+				t.Errorf("%v rank %d: result is not the caller's header slice", backend, c.Rank())
+			}
+			for s := 0; s < p; s++ {
+				if !reflect.DeepEqual(got[s], want[s]) {
+					t.Errorf("%v rank %d from %d: got %v, want %v", backend, c.Rank(), s, got[s], want[s])
+				}
+				if len(got[s]) == 0 {
+					if got[s] != nil {
+						t.Errorf("%v rank %d from %d: empty row is not nil", backend, c.Rank(), s)
+					}
+					continue
+				}
+				if shared := &got[s][0] == &sent[s][c.Rank()][0]; shared != (backend == Simulated) {
+					t.Errorf("%v rank %d from %d: row shares the sender's memory = %v", backend, c.Rank(), s, shared)
+				}
+			}
+			c.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestExchangeIntsRejectsShortHeaders(t *testing.T) {
+	err := Run(Zero(2), func(c *Ctx) {
+		c.ExchangeInts(make([][]int, 2), make([][]int, 1))
+	})
+	if err == nil || !strings.Contains(err.Error(), "one slice per rank") {
+		t.Fatalf("short in accepted: %v", err)
 	}
 }

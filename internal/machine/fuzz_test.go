@@ -31,11 +31,14 @@ func a2aCase(data []byte, rank, p int) [][]int {
 	return out
 }
 
-// FuzzAlltoAll drives AlltoAllInts/AlltoAllFloats with fuzzed payload
-// shapes (payload sizes, empty sends, self-sends, max-rank edges) on
-// both backends and checks the transpose property against a locally
-// rebuilt expectation. The seed corpus encodes the shapes of the
-// table-driven cases in collectives_test.go.
+// FuzzAlltoAll drives AlltoAllInts/AlltoAllFloats and the
+// ownership-transfer ExchangeInts with fuzzed payload shapes (payload
+// sizes, empty sends, self-sends, max-rank edges) on both backends and
+// checks the transpose property against a locally rebuilt expectation.
+// ExchangeInts runs twice out of the same send and receive buffers,
+// overwritten in between as its ownership rule allows: after a later
+// collective. The seed corpus encodes the shapes of the table-driven
+// cases in collectives_test.go.
 func FuzzAlltoAll(f *testing.F) {
 	f.Add([]byte{}, byte(0))                       // single rank, empty
 	f.Add([]byte{3, 7, 8, 9}, byte(0))             // single rank self-send
@@ -56,6 +59,30 @@ func FuzzAlltoAll(f *testing.F) {
 					}
 				}
 				fin := c.AlltoAllFloats(fo)
+				xo, xin := a2aCase(data, c.Rank(), p), make([][]int, p)
+				for round := 0; round < 2; round++ {
+					got := c.ExchangeInts(xo, xin)
+					for s := 0; s < p; s++ {
+						want := a2aCase(data, s, p)[c.Rank()]
+						if len(got[s]) != len(want) {
+							t.Errorf("%v: rank %d exchange %d from %d: got %v, want %v",
+								backend, c.Rank(), round, s, got[s], want)
+							continue
+						}
+						for i, x := range want {
+							if got[s][i] != x+round {
+								t.Errorf("%v: rank %d exchange %d from %d slot %d: got %d, want %d",
+									backend, c.Rank(), round, s, i, got[s][i], x+round)
+							}
+						}
+					}
+					c.Barrier() // the later collective: xo is this rank's again
+					for _, xs := range xo {
+						for i := range xs {
+							xs[i]++
+						}
+					}
+				}
 				for s := 0; s < p; s++ {
 					want := a2aCase(data, s, p)[c.Rank()]
 					if len(want) == 0 && len(in[s]) == 0 {

@@ -78,7 +78,11 @@ func (b *mailbox) take(src, tag int) (message, bool) {
 	}
 }
 
+// wake rouses the owner so it re-checks for an abort; under the lock,
+// for the reason given at rendezvous.wake.
 func (b *mailbox) wake() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.cond.Broadcast()
 }
 

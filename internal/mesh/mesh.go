@@ -12,7 +12,9 @@
 package mesh
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"chaos/internal/xrand"
 )
@@ -116,6 +118,28 @@ func GenerateLattice(gx, gy, gz int, seed uint64) *Mesh {
 		}
 	}
 	return m
+}
+
+// Slabs cuts the half-annular shell the generators bend their lattice
+// onto into p angular slabs of equal vertex count and returns each
+// vertex's slab. It is the cheap geometric partition of test and
+// benchmark fixtures: balanced, with neighbours only across slab faces,
+// like the RCB partitions the Euler workloads run on.
+func (m *Mesh) Slabs(p int) []int {
+	byAngle := make([]int, m.NNode)
+	for v := range byAngle {
+		byAngle[v] = v
+	}
+	slices.SortFunc(byAngle, func(a, b int) int {
+		return cmp.Or(
+			cmp.Compare(math.Atan2(m.Y[a], m.X[a]), math.Atan2(m.Y[b], m.X[b])),
+			cmp.Compare(a, b))
+	})
+	owner := make([]int, m.NNode)
+	for i, v := range byAngle {
+		owner[v] = i * p / m.NNode
+	}
+	return owner
 }
 
 // EulerFlux is the per-edge kernel of the unstructured Euler sweep

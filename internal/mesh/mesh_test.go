@@ -130,3 +130,23 @@ func TestGeneratePanicsTooSmall(t *testing.T) {
 	}()
 	Generate(2, 1)
 }
+
+func TestSlabsBalancedAndLocal(t *testing.T) {
+	m := Generate(10000, 3)
+	const p = 8
+	owner := m.Slabs(p)
+	count := make([]int, p)
+	for _, o := range owner {
+		count[o]++ // panics when out of [0, p)
+	}
+	for r, n := range count {
+		if ideal := m.NNode / p; n < ideal || n > ideal+1 {
+			t.Errorf("slab %d holds %d vertices, ideal %d", r, n, ideal)
+		}
+	}
+	for e := range m.E1 {
+		if d := owner[m.E1[e]] - owner[m.E2[e]]; d < -1 || d > 1 {
+			t.Fatalf("edge %d links slabs %d and %d", e, owner[m.E1[e]], owner[m.E2[e]])
+		}
+	}
+}

@@ -1,0 +1,117 @@
+package schedule
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"chaos/internal/machine"
+	"chaos/internal/mesh"
+	"chaos/internal/ttable"
+)
+
+// TestBuilderRecycledUnderDelays is the ownership rule's proof for the
+// inspector: many back-to-back builds through one Builder per rank,
+// each recycling the previous reference vectors, with random per-rank
+// stalls so that ranks leave each exchange far apart. The first
+// schedule is kept and re-run every round: its send lists are the
+// peers' request arrays. A buffer overwritten while a peer still reads
+// it is a data race (run under -race) or a wrong gather.
+func TestBuilderRecycledUnderDelays(t *testing.T) {
+	const n, p, rounds = 64, 4, 150
+	owner := irregularOwners(n, p)
+	stall := func(rng *rand.Rand) {
+		if rng.Intn(4) == 0 {
+			time.Sleep(time.Duration(rng.Intn(100)) * time.Microsecond)
+		}
+	}
+	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
+		cfg := machine.Zero(p)
+		cfg.Backend = backend
+		err := machine.Run(cfg, func(c *machine.Ctx) {
+			mine := ownedBy(owner, c.Rank())
+			local := make([]float64, len(mine))
+			for l, g := range mine {
+				local[l] = 1000 + float64(g)
+			}
+			// check gathers through the schedules and demands that every
+			// reference lands on its global's value.
+			check := func(what string, globals, ref []int, scheds ...*Schedule) {
+				buf := local
+				for _, s := range scheds {
+					ghost := make([]float64, s.NGhost())
+					s.Gather(c, local, ghost)
+					buf = append(buf[:len(buf):len(buf)], ghost...)
+				}
+				for i, g := range globals {
+					if buf[ref[i]] != 1000+float64(g) {
+						t.Errorf("%v rank %d %s: globals[%d]=%d gathered %v", backend, c.Rank(), what, i, g, buf[ref[i]])
+						break // keep up with the other ranks' collectives
+					}
+				}
+			}
+			tab := ttable.Build(c, n, mine)
+			rng := rand.New(rand.NewSource(int64(c.Rank())))
+			firstGlobals := referenceList(rng, owner, mine, c.Rank())
+			first, firstRef := BuildGather(c, tab, len(local), firstGlobals, Options{})
+
+			var b Builder
+			var ref, incRef []int
+			for round := 0; round < rounds; round++ {
+				globals := referenceList(rng, owner, mine, c.Rank())
+				more := referenceList(rng, owner, mine, c.Rank())
+				stall(rng)
+				var s, inc *Schedule
+				s, ref = b.BuildGather(c, tab, len(local), globals, Options{}, ref)
+				stall(rng)
+				inc, incRef = b.BuildIncremental(c, tab, len(local), s, more, Options{}, incRef)
+				stall(rng)
+				check("build", globals, ref, s)
+				check("incremental", more, incRef, s, inc)
+				check("first", firstGlobals, firstRef, first)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHotBuildGather is one schedule build of an Euler inspection
+// on the paper's 10K mesh over 8 ranks: every rank builds the gather
+// schedule of the far endpoints of the edges whose near endpoint it
+// owns, through one recycled Builder and reference vector. Steady state
+// allocates the schedule and what the three exchanges box.
+func BenchmarkHotBuildGather(b *testing.B) {
+	m := mesh.Generate(10000, 1993)
+	const p = 8
+	owner := m.Slabs(p)
+	b.ReportAllocs()
+	err := machine.Run(machine.IPSC860(p), func(c *machine.Ctx) {
+		mine := ownedBy(owner, c.Rank())
+		tab := ttable.Build(c, m.NNode, mine)
+		var refs []int
+		for e, v := range m.E1 {
+			if owner[v] == c.Rank() {
+				refs = append(refs, m.E2[e])
+			}
+		}
+		var bld Builder
+		_, ref := bld.BuildGather(c, tab, len(mine), refs, Options{}, nil) // warm the buffers
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		c.Barrier() // nobody allocates ahead of the reset
+		for i := 0; i < b.N; i++ {
+			_, ref = bld.BuildGather(c, tab, len(mine), refs, Options{}, ref)
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.StopTimer()
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

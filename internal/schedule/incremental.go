@@ -21,37 +21,46 @@ import (
 // pair list) pays communication proportional to the change, while the
 // base schedule keeps serving the old references. Collective.
 func BuildIncremental(c *machine.Ctx, res ttable.Resolver, myLocalSize int, base *Schedule, globals []int, opt Options) (*Schedule, []int) {
+	var b Builder
+	return b.BuildIncremental(c, res, myLocalSize, base, globals, opt, nil)
+}
+
+// BuildIncremental is the package-level BuildIncremental on b's
+// scratch, with the reference vector written into dst's storage when
+// that is large enough (see Builder.BuildGather). Collective.
+//
+//chaos:hotpath
+func (b *Builder) BuildIncremental(c *machine.Ctx, res ttable.Resolver, myLocalSize int, base *Schedule, globals []int, opt Options, dst []int) (*Schedule, []int) {
 	me := c.Rank()
-	owners, locals := res.Resolve(c, globals)
+	owners, locals := res.ResolveInto(c, &b.tt, globals)
 
-	baseSlot := make(map[int]int, base.nGhost)
+	// The first slot mirroring a global serves it.
+	b.seen.reset(len(base.ghostGlobal))
 	for slot, g := range base.ghostGlobal {
-		if _, ok := baseSlot[g]; !ok {
-			baseSlot[g] = slot
+		if e := b.seen.entry(g); e.key1 == 0 {
+			*e = slotEntry{g + 1, slot}
 		}
 	}
 
-	ref := make([]int, len(globals))
-	var newIdx []int
-	for i := range globals {
-		switch slot, covered := baseSlot[globals[i]]; {
-		case owners[i] == me:
+	ref := grow(&dst, len(globals))
+	newIdx, newGlobals := b.newIdx[:0], b.newGlobals[:0]
+	for i, g := range globals {
+		if owners[i] == me {
 			ref[i] = locals[i]
-		case covered:
-			ref[i] = myLocalSize + slot
-		default:
+		} else if e := b.seen.entry(g); e.key1 != 0 {
+			ref[i] = myLocalSize + e.val
+		} else {
 			newIdx = append(newIdx, i)
+			newGlobals = append(newGlobals, g)
 		}
 	}
+	b.newIdx, b.newGlobals = newIdx, newGlobals
 	c.Words(2 * len(globals))
 
 	// Build a fresh schedule over only the uncovered references. This
 	// is collective even when a rank has nothing new (empty list).
-	newGlobals := make([]int, len(newIdx))
-	for k, i := range newIdx {
-		newGlobals[k] = globals[i]
-	}
-	inc, incRef := BuildGather(c, res, myLocalSize, newGlobals, opt)
+	inc, incRef := b.BuildGather(c, res, myLocalSize, newGlobals, opt, b.incRef)
+	b.incRef = incRef
 	offset := base.nGhost
 	for k, i := range newIdx {
 		ref[i] = incRef[k] + offset // all uncovered refs are off-processor

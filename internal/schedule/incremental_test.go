@@ -114,3 +114,42 @@ func TestGhostGlobalsTracksSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An incremental build over a merged base must see both halves' ghosts:
+// Merge once dropped the ghost→global map, and the incremental schedule
+// silently re-fetched every reference.
+func TestIncrementalOverMergedBase(t *testing.T) {
+	const n, p = 40, 4
+	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
+		res, local, d := blockData(c, n)
+		next := (c.Rank() + 1) % p
+		g0 := d.Lo(next)
+		a, _ := BuildGather(c, res, len(local), []int{g0}, Options{})
+		b, _ := BuildGather(c, res, len(local), []int{g0 + 1, g0 + 2}, Options{})
+		base := Merge(a, b)
+		if gg := base.GhostGlobals(); len(gg) != base.NGhost() || gg[0] != g0 || gg[1] != g0+1 || gg[2] != g0+2 {
+			t.Fatalf("merged GhostGlobals = %v, want [%d %d %d]", gg, g0, g0+1, g0+2)
+		}
+		baseGhost := make([]float64, base.NGhost())
+		base.Gather(c, local, baseGhost)
+
+		// Three covered references (one from each half, one repeated)
+		// and one the base does not mirror.
+		globals := []int{g0 + 2, g0, g0 + 3, g0 + 2}
+		inc, ref := BuildIncremental(c, res, len(local), base, globals, Options{})
+		if inc.NGhost() != 1 || inc.GhostGlobals()[0] != g0+3 {
+			t.Errorf("incremental fetches %v, want only [%d]", inc.GhostGlobals(), g0+3)
+		}
+		incGhost := make([]float64, inc.NGhost())
+		inc.Gather(c, local, incGhost)
+		buf := append(append(append([]float64(nil), local...), baseGhost...), incGhost...)
+		for i, g := range globals {
+			if got := buf[ref[i]]; got != 1000+float64(g) {
+				t.Errorf("rank %d: globals[%d]=%d got %v", c.Rank(), i, g, got)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,0 +1,336 @@
+package schedule
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"chaos/internal/dist"
+	"chaos/internal/machine"
+	"chaos/internal/ttable"
+)
+
+// referenceBuildGather is the map-and-sort.Slice BuildGather body this
+// package shipped before the Builder rewrite, kept verbatim as the
+// oracle of the differential test below (the dereference it sits on has
+// its own oracle in package ttable).
+func referenceBuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, globals []int, opt Options) (*Schedule, []int) {
+	p := c.Procs()
+	me := c.Rank()
+	owners, locals := res.Resolve(c, globals)
+
+	ref := make([]int, len(globals))
+
+	// Deduplicate off-processor references. Hash cost charged per
+	// reference; slot order is (owner, global) sorted for
+	// determinism and contiguous per-peer receive buffers.
+	type remote struct{ owner, global, local int }
+	var uniq []remote
+	slotOf := make(map[int]int) // global -> ghost slot
+	if opt.NoDedup {
+		for i := range globals {
+			if owners[i] == me {
+				continue
+			}
+			uniq = append(uniq, remote{owners[i], globals[i], locals[i]})
+		}
+	} else {
+		seen := make(map[int]bool, len(globals))
+		for i := range globals {
+			if owners[i] == me {
+				continue
+			}
+			if !seen[globals[i]] {
+				seen[globals[i]] = true
+				uniq = append(uniq, remote{owners[i], globals[i], locals[i]})
+			}
+		}
+	}
+	c.Words(2 * len(globals)) // hash probes + owner tests
+	sort.Slice(uniq, func(a, b int) bool {
+		if uniq[a].owner != uniq[b].owner {
+			return uniq[a].owner < uniq[b].owner
+		}
+		if uniq[a].global != uniq[b].global {
+			return uniq[a].global < uniq[b].global
+		}
+		return false
+	})
+	c.Words(2 * len(uniq)) // sort traffic (approximate)
+
+	s := &Schedule{procs: p}
+	s.sendLocal = make([][]int, p)
+	s.recvGhost = make([][]int, p)
+	s.nGhost = len(uniq)
+	s.ghostGlobal = make([]int, 0, len(uniq))
+
+	// Assign ghost slots and build per-owner request lists (the
+	// owner's local indices we need).
+	requests := make([][]int, p)
+	if opt.NoDedup {
+		// Slots in reference order; slotOf not usable (duplicates).
+		slot := 0
+		for i := range globals {
+			if owners[i] == me {
+				ref[i] = locals[i]
+			} else {
+				ref[i] = myLocalSize + slot
+				slot++
+			}
+		}
+		// uniq is sorted; rebuild per-slot lists in sorted order and
+		// map slots back. Simpler: iterate references again in order.
+		requests = make([][]int, p)
+		s.recvGhost = make([][]int, p)
+		slot = 0
+		for i := range globals {
+			if owners[i] == me {
+				continue
+			}
+			requests[owners[i]] = append(requests[owners[i]], locals[i])
+			s.recvGhost[owners[i]] = append(s.recvGhost[owners[i]], slot)
+			s.ghostGlobal = append(s.ghostGlobal, globals[i])
+			slot++
+		}
+	} else {
+		s.ghostGlobal = s.ghostGlobal[:0]
+		for slot, r := range uniq {
+			slotOf[r.global] = slot
+			requests[r.owner] = append(requests[r.owner], r.local)
+			s.recvGhost[r.owner] = append(s.recvGhost[r.owner], slot)
+			s.ghostGlobal = append(s.ghostGlobal, r.global)
+		}
+		for i := range globals {
+			if owners[i] == me {
+				ref[i] = locals[i]
+			} else {
+				ref[i] = myLocalSize + slotOf[globals[i]]
+			}
+		}
+	}
+	c.Words(2 * len(globals))
+
+	// Exchange request lists: what I ask of p becomes p's send list
+	// to me.
+	in := c.AlltoAllInts(requests)
+	for src := 0; src < p; src++ {
+		if len(in[src]) > 0 {
+			s.sendLocal[src] = in[src]
+		}
+	}
+	// Validate send-list bounds eagerly so executor failures point at
+	// the inspector.
+	for src, lst := range s.sendLocal {
+		for _, l := range lst {
+			if l < 0 || l >= myLocalSize {
+				panic(fmt.Sprintf("schedule: rank %d requested local index %d of rank %d (size %d)",
+					src, l, me, myLocalSize))
+			}
+		}
+	}
+	return s, ref
+}
+
+// referenceBuildIncremental is the map-based BuildIncremental body, on
+// the reference BuildGather.
+func referenceBuildIncremental(c *machine.Ctx, res ttable.Resolver, myLocalSize int, base *Schedule, globals []int, opt Options) (*Schedule, []int) {
+	me := c.Rank()
+	owners, locals := res.Resolve(c, globals)
+
+	baseSlot := make(map[int]int, base.nGhost)
+	for slot, g := range base.ghostGlobal {
+		if _, ok := baseSlot[g]; !ok {
+			baseSlot[g] = slot
+		}
+	}
+
+	ref := make([]int, len(globals))
+	var newIdx []int
+	for i := range globals {
+		switch slot, covered := baseSlot[globals[i]]; {
+		case owners[i] == me:
+			ref[i] = locals[i]
+		case covered:
+			ref[i] = myLocalSize + slot
+		default:
+			newIdx = append(newIdx, i)
+		}
+	}
+	c.Words(2 * len(globals))
+
+	// Build a fresh schedule over only the uncovered references. This
+	// is collective even when a rank has nothing new (empty list).
+	newGlobals := make([]int, len(newIdx))
+	for k, i := range newIdx {
+		newGlobals[k] = globals[i]
+	}
+	inc, incRef := referenceBuildGather(c, res, myLocalSize, newGlobals, opt)
+	offset := base.nGhost
+	for k, i := range newIdx {
+		ref[i] = incRef[k] + offset // all uncovered refs are off-processor
+	}
+	return inc, ref
+}
+
+// irregularOwners deals the n globals to p ranks at random.
+func irregularOwners(n, p int) []int {
+	owner := make([]int, n)
+	rng := rand.New(rand.NewSource(42))
+	for g := range owner {
+		owner[g] = rng.Intn(p)
+	}
+	return owner
+}
+
+func ownedBy(owner []int, rank int) []int {
+	var out []int
+	for g, o := range owner {
+		if o == rank {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// referenceList draws one rank's reference list of a differential
+// round: empty on some ranks, otherwise uniform draws (mostly remote),
+// only the rank's own elements (all local) or only other ranks' (all
+// remote), with repeats of earlier entries mixed in.
+func referenceList(rng *rand.Rand, owner []int, mine []int, rank int) []int {
+	n := len(owner)
+	if rng.Intn(5) == 0 {
+		return nil
+	}
+	refs := make([]int, rng.Intn(3*n))
+	mode := rng.Intn(3)
+	for i := range refs {
+		switch {
+		case i > 0 && rng.Intn(3) == 0:
+			refs[i] = refs[rng.Intn(i)]
+		case mode == 1 && len(mine) > 0:
+			refs[i] = mine[rng.Intn(len(mine))]
+		case mode == 2 && len(mine) < n:
+			for refs[i] = rng.Intn(n); owner[refs[i]] == rank; {
+				refs[i] = rng.Intn(n)
+			}
+		default:
+			refs[i] = rng.Intn(n)
+		}
+	}
+	return refs
+}
+
+// buildTrace is what one rank built over a run: every schedule, a copy
+// of every reference vector (the builds recycle them) and the rank's
+// clock after every build.
+type buildTrace struct {
+	scheds []*Schedule
+	refs   [][]int
+	clocks []float64
+}
+
+func (tr *buildTrace) add(c *machine.Ctx, s *Schedule, ref []int) {
+	tr.scheds = append(tr.scheds, s)
+	tr.refs = append(tr.refs, slices.Clone(ref))
+	tr.clocks = append(tr.clocks, c.Clock())
+}
+
+// diff names the first difference between two traces, or "".
+func (tr *buildTrace) diff(want *buildTrace) string {
+	for i := range want.clocks {
+		g, w := tr.scheds[i], want.scheds[i]
+		switch {
+		case g.nGhost != w.nGhost:
+			return fmt.Sprintf("build %d: nGhost %d, reference %d", i, g.nGhost, w.nGhost)
+		case !slices.Equal(g.ghostGlobal, w.ghostGlobal):
+			return fmt.Sprintf("build %d: ghostGlobal %v, reference %v", i, g.ghostGlobal, w.ghostGlobal)
+		case !slices.EqualFunc(g.sendLocal, w.sendLocal, slices.Equal[[]int]):
+			return fmt.Sprintf("build %d: sendLocal %v, reference %v", i, g.sendLocal, w.sendLocal)
+		case !slices.EqualFunc(g.recvGhost, w.recvGhost, slices.Equal[[]int]):
+			return fmt.Sprintf("build %d: recvGhost %v, reference %v", i, g.recvGhost, w.recvGhost)
+		case !slices.Equal(tr.refs[i], want.refs[i]):
+			return fmt.Sprintf("build %d: ref %v, reference %v", i, tr.refs[i], want.refs[i])
+		case tr.clocks[i] != want.clocks[i]:
+			return fmt.Sprintf("build %d: clock %v, reference %v", i, tr.clocks[i], want.clocks[i])
+		}
+	}
+	return ""
+}
+
+// TestBuildersMatchReference drives BuildGather and BuildIncremental —
+// through one recycled Builder per rank with recycled reference
+// vectors, and through the one-shot wrappers — and the reference bodies
+// through the same random reference lists, and demands equal schedules,
+// reference vectors and per-rank virtual clocks after every build, on
+// both backends.
+func TestBuildersMatchReference(t *testing.T) {
+	const n, rounds = 61, 6
+	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
+		for _, p := range []int{1, 2, 3, 8} {
+			for _, kind := range []string{"table", "table+cache", "regular"} {
+				for _, opt := range []Options{{}, {NoDedup: true}} {
+					owner := irregularOwners(n, p)
+					if kind == "regular" {
+						d := dist.NewBlock(n, p)
+						for g := range owner {
+							owner[g] = d.Owner(g)
+						}
+					}
+					run := func(reference bool) []buildTrace {
+						traces := make([]buildTrace, p)
+						cfg := machine.IPSC860(p)
+						cfg.Backend = backend
+						err := machine.Run(cfg, func(c *machine.Ctx) {
+							mine := ownedBy(owner, c.Rank())
+							var res ttable.Resolver = ttable.Regular{D: dist.NewBlock(n, p)}
+							if kind != "regular" {
+								tab := ttable.Build(c, n, mine)
+								if kind == "table+cache" {
+									tab.EnableCache()
+								}
+								res = tab
+							}
+							localSize := len(mine)
+							rng := rand.New(rand.NewSource(int64(1000*p + c.Rank())))
+							var b Builder
+							var ref, incRef []int
+							tr := &traces[c.Rank()]
+							for round := 0; round < rounds; round++ {
+								globals := referenceList(rng, owner, mine, c.Rank())
+								more := referenceList(rng, owner, mine, c.Rank())
+								var s, inc *Schedule
+								switch {
+								case reference:
+									s, ref = referenceBuildGather(c, res, localSize, globals, opt)
+									tr.add(c, s, ref)
+									inc, incRef = referenceBuildIncremental(c, res, localSize, s, more, opt)
+								case round%2 == 0:
+									s, ref = BuildGather(c, res, localSize, globals, opt)
+									tr.add(c, s, ref)
+									inc, incRef = BuildIncremental(c, res, localSize, s, more, opt)
+								default:
+									s, ref = b.BuildGather(c, res, localSize, globals, opt, ref)
+									tr.add(c, s, ref)
+									inc, incRef = b.BuildIncremental(c, res, localSize, s, more, opt, incRef)
+								}
+								tr.add(c, inc, incRef)
+							}
+						})
+						if err != nil {
+							t.Fatalf("%v P=%d %s %+v reference=%v: %v", backend, p, kind, opt, reference, err)
+						}
+						return traces
+					}
+					want, got := run(true), run(false)
+					for r := range want {
+						if d := got[r].diff(&want[r]); d != "" {
+							t.Errorf("%v P=%d %s %+v rank %d: %s", backend, p, kind, opt, r, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}

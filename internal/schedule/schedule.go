@@ -10,8 +10,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"chaos/internal/machine"
 	"chaos/internal/ttable"
@@ -77,8 +78,8 @@ func (s *Schedule) RecvCount() int {
 // Messages returns the number of distinct peers this rank exchanges
 // data with per Gather (send side, recv side).
 func (s *Schedule) Messages() (nsend, nrecv int) {
-	for p, l := range s.sendLocal {
-		if p != -1 && len(l) > 0 {
+	for _, l := range s.sendLocal {
+		if len(l) > 0 {
 			nsend++
 		}
 	}
@@ -88,6 +89,77 @@ func (s *Schedule) Messages() (nsend, nrecv int) {
 		}
 	}
 	return
+}
+
+// Builder is the inspector's grow-only workspace: the translation
+// table's dereference buffers, the list of off-processor references,
+// the open-addressing table that deduplicates them, and the per-owner
+// counters of the request lists. The zero value is ready; buffers grow
+// to the largest reference list seen and are reused by every later
+// build, so one Builder shared by all the builds of an inspection makes
+// their scratch a one-time cost. Nothing a build returns points into
+// the Builder.
+type Builder struct {
+	tt ttable.Workspace
+	// offPos lists the positions of the off-processor references.
+	offPos []int
+	// ghosts holds one entry per off-processor reference (NoDedup) or
+	// per distinct one, in ghost-slot order.
+	ghosts []ghostRef
+	seen   slotTable
+	// next is the per-owner fill cursor of the request lists.
+	next []int
+
+	// BuildIncremental's own scratch, live across its inner BuildGather.
+	newIdx, newGlobals, incRef []int
+}
+
+// ghostRef is one off-processor element and where it lives.
+type ghostRef struct{ owner, global, local int }
+
+// slotTable is a flat open-addressing (linear probing) map from global
+// index to a small non-negative int, sized for at most half load.
+type slotTable struct {
+	e     []slotEntry
+	shift uint
+}
+
+// slotEntry holds key+1 so the zero entry means empty.
+type slotEntry struct{ key1, val int }
+
+// reset empties the table and sizes it for n keys.
+func (t *slotTable) reset(n int) {
+	bits := uint(4)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	if cap(t.e) < 1<<bits {
+		t.e = make([]slotEntry, 1<<bits)
+	}
+	t.e = t.e[:1<<bits]
+	clear(t.e)
+	t.shift = 64 - bits
+}
+
+// entry returns the entry of key g, which is empty (key1 == 0) when g
+// is absent; the caller fills it in to insert.
+func (t *slotTable) entry(g int) *slotEntry {
+	mask := len(t.e) - 1
+	for h := int(uint64(g) * 0x9E3779B97F4A7C15 >> t.shift); ; h = (h + 1) & mask {
+		if e := &t.e[h]; e.key1 == 0 || e.key1 == g+1 {
+			return e
+		}
+	}
+}
+
+// grow returns (*buf)[:n], reallocating only when the capacity is
+// exceeded; the contents are unspecified.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // BuildGather runs the inspector for one data array. res resolves the
@@ -104,120 +176,133 @@ func (s *Schedule) Messages() (nsend, nrecv int) {
 //
 // Collective: all ranks must call BuildGather together.
 func BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, globals []int, opt Options) (*Schedule, []int) {
+	var b Builder
+	return b.BuildGather(c, res, myLocalSize, globals, opt, nil)
+}
+
+// BuildGather is the package-level BuildGather on b's scratch. The
+// reference vector is written into dst's storage when that is large
+// enough (dst's contents are dead after the call either way), so an
+// inspector that replaces an old reference vector can recycle it.
+//
+// Off-processor references are collected in one pass, deduplicated
+// through the open-addressing table, and only the distinct ones are
+// sorted into ghost-slot order (owner, global); the per-owner request
+// and slot lists are slices of two flat arrays. The request lists go
+// out by ownership transfer and are never written again, so the
+// receivers keep them as their send lists.
+//
+// Collective.
+//
+//chaos:hotpath
+func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, globals []int, opt Options, dst []int) (*Schedule, []int) {
 	p := c.Procs()
 	me := c.Rank()
-	owners, locals := res.Resolve(c, globals)
+	owners, locals := res.ResolveInto(c, &b.tt, globals)
 
-	ref := make([]int, len(globals))
+	ref := grow(&dst, len(globals))
 
-	// Deduplicate off-processor references. Hash cost charged per
-	// reference; slot order is (owner, global) sorted for
-	// determinism and contiguous per-peer receive buffers.
-	type remote struct{ owner, global, local int }
-	var uniq []remote
-	slotOf := make(map[int]int) // global -> ghost slot
+	// Local references are final; off-processor ones are set aside,
+	// counted first so their lists are sized once.
+	nOff := 0
+	for _, o := range owners {
+		if o != me {
+			nOff++
+		}
+	}
+	offPos := grow(&b.offPos, nOff)[:0]
+	for i, o := range owners {
+		if o == me {
+			ref[i] = locals[i]
+		} else {
+			offPos = append(offPos, i)
+		}
+	}
+
+	ghosts := grow(&b.ghosts, nOff)[:0]
 	if opt.NoDedup {
-		for i := range globals {
-			if owners[i] == me {
-				continue
-			}
-			uniq = append(uniq, remote{owners[i], globals[i], locals[i]})
+		// Every reference gets a slot of its own, in reference order.
+		for k, i := range offPos {
+			ghosts = append(ghosts, ghostRef{owners[i], globals[i], locals[i]})
+			ref[i] = myLocalSize + k
 		}
 	} else {
-		seen := make(map[int]bool, len(globals))
-		for i := range globals {
-			if owners[i] == me {
-				continue
+		// The table keeps the first reference to each element; slot
+		// order is (owner, global) sorted for determinism and contiguous
+		// per-peer receive buffers, and the table then maps an element
+		// to its slot.
+		b.seen.reset(nOff)
+		for _, i := range offPos {
+			if e := b.seen.entry(globals[i]); e.key1 == 0 {
+				e.key1 = globals[i] + 1
+				ghosts = append(ghosts, ghostRef{owners[i], globals[i], locals[i]})
 			}
-			if !seen[globals[i]] {
-				seen[globals[i]] = true
-				uniq = append(uniq, remote{owners[i], globals[i], locals[i]})
-			}
+		}
+		slices.SortFunc(ghosts, cmpGhostRef)
+		for slot, g := range ghosts {
+			b.seen.entry(g.global).val = slot
+		}
+		for _, i := range offPos {
+			ref[i] = myLocalSize + b.seen.entry(globals[i]).val
 		}
 	}
 	c.Words(2 * len(globals)) // hash probes + owner tests
-	sort.Slice(uniq, func(a, b int) bool {
-		if uniq[a].owner != uniq[b].owner {
-			return uniq[a].owner < uniq[b].owner
-		}
-		if uniq[a].global != uniq[b].global {
-			return uniq[a].global < uniq[b].global
-		}
-		return false
-	})
-	c.Words(2 * len(uniq)) // sort traffic (approximate)
+	c.Words(2 * len(ghosts))  // sort traffic (approximate)
 
-	s := &Schedule{procs: p}
-	s.sendLocal = make([][]int, p)
+	// Per-owner request lists (the owner's local indices we need) and
+	// ghost-slot lists, both in slot order: a stable counting sort of
+	// the ghosts by owner into two flat arrays.
+	s := &Schedule{procs: p, nGhost: len(ghosts)}
 	s.recvGhost = make([][]int, p)
-	s.nGhost = len(uniq)
-	s.ghostGlobal = make([]int, 0, len(uniq))
-
-	// Assign ghost slots and build per-owner request lists (the
-	// owner's local indices we need).
+	s.ghostGlobal = make([]int, len(ghosts))
 	requests := make([][]int, p)
-	if opt.NoDedup {
-		// Slots in reference order; slotOf not usable (duplicates).
-		slot := 0
-		for i := range globals {
-			if owners[i] == me {
-				ref[i] = locals[i]
-			} else {
-				ref[i] = myLocalSize + slot
-				slot++
-			}
+	reqs := make([]int, len(ghosts))
+	slots := make([]int, len(ghosts))
+	next := grow(&b.next, p+1)
+	clear(next)
+	for _, g := range ghosts {
+		next[g.owner+1]++
+	}
+	for o := 0; o < p; o++ {
+		next[o+1] += next[o]
+		if next[o+1] > next[o] {
+			requests[o] = reqs[next[o]:next[o+1]]
+			s.recvGhost[o] = slots[next[o]:next[o+1]]
 		}
-		// uniq is sorted; rebuild per-slot lists in sorted order and
-		// map slots back. Simpler: iterate references again in order.
-		requests = make([][]int, p)
-		s.recvGhost = make([][]int, p)
-		slot = 0
-		for i := range globals {
-			if owners[i] == me {
-				continue
-			}
-			requests[owners[i]] = append(requests[owners[i]], locals[i])
-			s.recvGhost[owners[i]] = append(s.recvGhost[owners[i]], slot)
-			s.ghostGlobal = append(s.ghostGlobal, globals[i])
-			slot++
-		}
-	} else {
-		s.ghostGlobal = s.ghostGlobal[:0]
-		for slot, r := range uniq {
-			slotOf[r.global] = slot
-			requests[r.owner] = append(requests[r.owner], r.local)
-			s.recvGhost[r.owner] = append(s.recvGhost[r.owner], slot)
-			s.ghostGlobal = append(s.ghostGlobal, r.global)
-		}
-		for i := range globals {
-			if owners[i] == me {
-				ref[i] = locals[i]
-			} else {
-				ref[i] = myLocalSize + slotOf[globals[i]]
-			}
-		}
+	}
+	for slot, g := range ghosts {
+		k := next[g.owner]
+		next[g.owner]++
+		reqs[k] = g.local
+		slots[k] = slot
+		s.ghostGlobal[slot] = g.global
 	}
 	c.Words(2 * len(globals))
 
 	// Exchange request lists: what I ask of p becomes p's send list
 	// to me.
-	in := c.AlltoAllInts(requests)
-	for src := 0; src < p; src++ {
-		if len(in[src]) > 0 {
-			s.sendLocal[src] = in[src]
-		}
-	}
+	s.sendLocal = c.ExchangeInts(requests, make([][]int, p))
 	// Validate send-list bounds eagerly so executor failures point at
 	// the inspector.
 	for src, lst := range s.sendLocal {
 		for _, l := range lst {
 			if l < 0 || l >= myLocalSize {
-				panic(fmt.Sprintf("schedule: rank %d requested local index %d of rank %d (size %d)",
-					src, l, me, myLocalSize))
+				panicSendRange(src, l, me, myLocalSize)
 			}
 		}
 	}
 	return s, ref
+}
+
+func cmpGhostRef(a, b ghostRef) int {
+	if c := cmp.Compare(a.owner, b.owner); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.global, b.global)
+}
+
+func panicSendRange(src, l, me, size int) {
+	panic(fmt.Sprintf("schedule: rank %d requested local index %d of rank %d (size %d)", src, l, me, size))
 }
 
 // Gather executes the schedule owner→consumer: ghost[slot] receives the
@@ -320,5 +405,6 @@ func Merge(a, b *Schedule) *Schedule {
 		}
 		m.recvGhost[p] = ga
 	}
+	m.ghostGlobal = append(append([]int(nil), a.ghostGlobal...), b.ghostGlobal...)
 	return m
 }

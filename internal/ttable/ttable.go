@@ -24,6 +24,9 @@ type Resolver interface {
 	// rank and the local index there. Must be called by all ranks
 	// collectively if the implementation communicates.
 	Resolve(c *machine.Ctx, globals []int) (owners, locals []int)
+	// ResolveInto is Resolve through a caller-owned workspace: the
+	// returned slices belong to ws and are good until its next use.
+	ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) (owners, locals []int)
 	// Size returns the extent of the index space.
 	Size() int
 	// Kind returns the distribution type for DAD bookkeeping.
@@ -37,8 +40,14 @@ type Regular struct {
 }
 
 func (r Regular) Resolve(c *machine.Ctx, globals []int) ([]int, []int) {
-	owners := make([]int, len(globals))
-	locals := make([]int, len(globals))
+	var ws Workspace
+	return r.ResolveInto(c, &ws, globals)
+}
+
+//chaos:hotpath
+func (r Regular) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int, []int) {
+	owners := grow(&ws.owners, len(globals))
+	locals := grow(&ws.locals, len(globals))
 	for i, g := range globals {
 		owners[i] = r.D.Owner(g)
 		locals[i] = r.D.Local(g)
@@ -128,78 +137,149 @@ func Build(c *machine.Ctx, n int, myGlobals []int) *Table {
 	return t
 }
 
+// Workspace is the grow-only scratch of one rank's dereferences: the
+// result vectors, the queries bucketed by home rank with the query
+// position each came from, the answers to the peers' queries, and the
+// row headers of the two exchanges. The zero value is ready; buffers
+// grow to the largest query list seen and are reused after that.
+// Nothing in a Table points into a Workspace, so dropping the
+// workspace drops all of it.
+type Workspace struct {
+	owners, locals []int
+	// home[pos] is the home rank of globals[pos], or -1 when the
+	// dereference cache answered it.
+	home []int
+	// start[h] is where home rank h's bucket begins in qs and qpos
+	// (len Procs+1); next is the fill cursor of the second pass.
+	start, next []int
+	qs, qpos    []int
+	ans         []int
+	// qout and aout head the query and reply rows. They are two arrays
+	// because each is a sent payload: peers read their row header out of
+	// qout while this rank is already filling aout. in heads the
+	// received rows of both legs; it is this rank's alone.
+	qout, aout, in [][]int
+}
+
+// grow returns (*buf)[:n], reallocating only when the capacity is
+// exceeded. The contents are unspecified: every caller overwrites them.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // Resolve answers global→(owner, local) for each query index, in one
 // all-to-all round trip. Duplicate queries are permitted. Must be
 // called collectively (even when every query hits the local cache, the
 // underlying exchange runs so ranks stay matched).
 func (t *Table) Resolve(c *machine.Ctx, globals []int) ([]int, []int) {
+	var ws Workspace
+	return t.ResolveInto(c, &ws, globals)
+}
+
+// ResolveInto is Resolve on ws's buffers. Queries are bucketed by home
+// rank with a two-pass counting sort (count, prefix-sum, fill), which
+// keeps each bucket in query order; both legs of the round trip are
+// ownership-transfer exchanges (machine.Ctx.ExchangeInts) straight out
+// of ws. That is within the exchange's rule: qs and qout are next
+// written by the next dereference through ws, after this rank returned
+// from the reply exchange, and ans and aout after it returned from
+// that dereference's query exchange; the peers' queries are read
+// before the reply exchange and their replies before ResolveInto
+// returns.
+//
+//chaos:hotpath
+func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int, []int) {
 	p := c.Procs()
 	n := t.home.Size()
 
-	owners := make([]int, len(globals))
-	locals := make([]int, len(globals))
+	owners := grow(&ws.owners, len(globals))
+	locals := grow(&ws.locals, len(globals))
 
-	// Group query positions by home rank, preserving a stable order;
-	// cache hits are answered immediately and skipped.
-	type ref struct{ pos, g int }
-	byHome := make([][]ref, p)
+	// Pass 1: count the queries per home rank; cache hits are answered
+	// immediately and skipped.
+	home := grow(&ws.home, len(globals))
+	start := grow(&ws.start, p+1)
+	clear(start)
 	for pos, g := range globals {
 		if g < 0 || g >= n {
-			panic(fmt.Sprintf("ttable: query index %d out of range [0,%d)", g, n))
+			panicQueryRange(g, n)
 		}
 		if t.cache != nil {
 			if e, ok := t.cache[g]; ok {
 				owners[pos], locals[pos] = e[0], e[1]
+				home[pos] = -1
 				continue
 			}
 		}
 		h := t.home.Owner(g)
-		byHome[h] = append(byHome[h], ref{pos, g})
+		home[pos] = h
+		start[h+1]++
 	}
-	out := make([][]int, p)
-	for h, refs := range byHome {
-		if len(refs) == 0 {
+	for h := 0; h < p; h++ {
+		start[h+1] += start[h]
+	}
+
+	// Pass 2: fill the buckets.
+	next := grow(&ws.next, p)
+	copy(next, start)
+	qs := grow(&ws.qs, start[p])
+	qpos := grow(&ws.qpos, start[p])
+	for pos, h := range home {
+		if h < 0 {
 			continue
 		}
-		qs := make([]int, len(refs))
-		for i, r := range refs {
-			qs[i] = r.g
-		}
-		out[h] = qs
+		k := next[h]
+		next[h]++
+		qs[k] = globals[pos]
+		qpos[k] = pos
+	}
+	qout := grow(&ws.qout, p)
+	for h := range qout {
+		qout[h] = qs[start[h]:start[h+1]]
 	}
 	c.Words(2 * len(globals))
-	queries := c.AlltoAllInts(out)
+	queries := c.ExchangeInts(qout, grow(&ws.in, p))
 
 	// Answer queries against the local table slice.
 	lo := t.home.Lo(c.Rank())
-	ans := make([][]int, p)
-	for src := 0; src < p; src++ {
-		qs := queries[src]
-		if len(qs) == 0 {
-			continue
-		}
-		a := make([]int, 2*len(qs))
-		for i, g := range qs {
+	total := 0
+	for _, q := range queries {
+		total += len(q)
+	}
+	ans := grow(&ws.ans, 2*total)
+	aout := grow(&ws.aout, p)
+	k := 0
+	for src, q := range queries {
+		a := ans[k : k+2*len(q)]
+		for i, g := range q {
 			hl := g - lo
 			a[2*i] = t.owner[hl]
 			a[2*i+1] = t.local[hl]
 		}
-		ans[src] = a
+		aout[src] = a
+		k += len(a)
 	}
 	c.Words(2 * len(globals))
-	replies := c.AlltoAllInts(ans)
+	replies := c.ExchangeInts(aout, ws.in)
 
-	for h, refs := range byHome {
-		rep := replies[h]
-		for i, r := range refs {
-			owners[r.pos] = rep[2*i]
-			locals[r.pos] = rep[2*i+1]
+	for h, rep := range replies {
+		for i, pos := range qpos[start[h]:start[h+1]] {
+			owners[pos] = rep[2*i]
+			locals[pos] = rep[2*i+1]
 			if t.cache != nil {
-				t.cache[r.g] = [2]int{rep[2*i], rep[2*i+1]}
+				t.cache[globals[pos]] = [2]int{rep[2*i], rep[2*i+1]}
 			}
 		}
 	}
 	return owners, locals
+}
+
+func panicQueryRange(g, n int) {
+	panic(fmt.Sprintf("ttable: query index %d out of range [0,%d)", g, n))
 }
 
 // Size returns the extent of the translated index space.
