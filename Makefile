@@ -8,7 +8,7 @@ GO ?= go
 # coverage durably improves.
 COVER_FLOOR = 89.0
 
-.PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline profile-cpu profile-mem fuzz-short service-bench quickstart tables examples docs-check api-check api-snapshot
+.PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline repo-bench repo-bench-pairs profile-cpu profile-mem fuzz-short service-bench quickstart tables examples docs-check api-check api-snapshot
 
 # The BenchmarkHot* suite measures the steady state of the arena-backed
 # hot paths and of the paper's own layers (translation-table
@@ -126,6 +126,40 @@ bench-gate:
 bench-baseline:
 	$(BENCH_GATE_CMD) | $(GO) run ./cmd/benchjson -sha "" -o BENCH_BASELINE.json
 	@echo wrote BENCH_BASELINE.json
+
+# repo-bench runs the repository benchmark (BENCHMARK.json,
+# benchmark/README.md): four ~20 s workloads, end-to-end metrics on both
+# clocks.
+repo-bench:
+	$(GO) run ./benchmark
+
+# repo-bench-pairs is the paired protocol of benchmark/README.md in one
+# command: N runs of WORKLOAD (empty = all four) of the committed BASE
+# and N of the working tree, each side built once, alternating which
+# side goes first, then the medians compared against the bounds of
+# BENCHMARK.json. BASE is unpacked with `git archive` into the
+# git-ignored .bench_build/, so nothing is registered in .git and the
+# base binary runs inside a checkout of its own.
+N ?= 10
+WORKLOAD ?= partition_cold
+BASE ?= HEAD
+repo-bench-pairs:
+	@rm -rf .bench_build && mkdir -p .bench_build/base
+	git archive $(BASE) | tar -x -C .bench_build/base
+	cd .bench_build/base && $(GO) build -o ../bench_base ./benchmark
+	$(GO) build -o .bench_build/bench_change ./benchmark
+	@for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi; \
+		for side in $$order; do \
+			echo "pair $$i/$(N): $$side"; \
+			if [ $$side = base ]; then \
+				(cd .bench_build/base && ../bench_base $(if $(WORKLOAD),-workload $(WORKLOAD)) -out ../base.jsonl >/dev/null) || exit 1; \
+			else \
+				.bench_build/bench_change $(if $(WORKLOAD),-workload $(WORKLOAD)) -out .bench_build/change.jsonl >/dev/null || exit 1; \
+			fi; \
+		done; \
+	done
+	.bench_build/bench_change -compare .bench_build/change.jsonl -against .bench_build/base.jsonl
 
 # profile-cpu / profile-mem run the 21952-node distributed V-cycle
 # benchmark under the Go profiler and drop pprof files under the

@@ -49,6 +49,7 @@ var ctxCollectives = []string{
 	"AllGatherInt", "AllGatherFloat", "AllGatherInts", "AllGatherFloats",
 	"BroadcastInts", "BroadcastFloats",
 	"AlltoAllInts", "AlltoAllFloats", "ExchangeInts",
+	"ShareInts",
 }
 
 var collectiveDocRe = regexp.MustCompile(`\bCollective\b`)

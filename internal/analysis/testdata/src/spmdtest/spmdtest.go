@@ -138,6 +138,27 @@ func deferDivergence(c *machine.Ctx) {
 	}
 }
 
+// shareOnRootOnly shares from inside the root's branch: the other ranks
+// never arrive at the rendezvous. The uncharged share is a collective
+// like any other.
+func shareOnRootOnly(c *machine.Ctx, xs []int) []int {
+	if c.Rank() == 0 {
+		xs = c.ShareInts(0, xs) // want "control-dependent on rank-valued condition"
+	}
+	return xs
+}
+
+// computeOnceThenShare is the sanctioned shape: only the computation
+// sits under the rank condition, every rank reaches the share. Clean.
+func computeOnceThenShare(c *machine.Ctx, xs []int) []int {
+	if c.Rank() == 0 {
+		for i := range xs {
+			xs[i] *= 2
+		}
+	}
+	return c.ShareInts(0, xs)
+}
+
 // goDivergence spawns a collective under a rank branch.
 func goDivergence(c *machine.Ctx) {
 	if c.Rank() == 0 {

@@ -1,9 +1,8 @@
-package geocol_test
+package geocol
 
 import (
 	"testing"
 
-	"chaos/internal/geocol"
 	"chaos/internal/machine"
 )
 
@@ -23,9 +22,16 @@ func fuzzEdges(data []byte, n int) (e1, e2 []int) {
 	return e1, e2
 }
 
-// FuzzGhostExchange builds a fuzzed graph under both backends and
-// checks the full GhostExchange surface against ground truth that is
-// known exactly because each pushed value is the sender's global
+// fuzzScratch is the exchange-pattern scratch of FuzzGhostExchange, one
+// per backend and rank, kept across inputs: every input derives its
+// pattern on whatever the previous ones left behind.
+var fuzzScratch [2][4]GhostScratch
+
+// FuzzGhostExchange builds a fuzzed graph under both backends, checks
+// the graph and its exchange pattern — derived on a scratch recycled
+// across inputs — against the reference bodies (reference_test.go),
+// and checks the full GhostExchange surface against ground truth that
+// is known exactly because each pushed value is the sender's global
 // vertex id: after PushInts, ghost slot i must hold IDs[i]; after an
 // UpdateInts touching every third vertex, exactly those ghosts moved.
 func FuzzGhostExchange(f *testing.F) {
@@ -37,7 +43,7 @@ func FuzzGhostExchange(f *testing.F) {
 		p := 1 + int(pb)%4
 		n := p + int(nb)%24 // at least one vertex per rank
 		e1, e2 := fuzzEdges(data, n)
-		for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
+		for bi, backend := range []machine.Backend{machine.Simulated, machine.Real} {
 			cfg := machine.Zero(p)
 			cfg.Backend = backend
 			err := machine.Run(cfg, func(c *machine.Ctx) {
@@ -49,8 +55,14 @@ func FuzzGhostExchange(f *testing.F) {
 						me2 = append(me2, e2[i])
 					}
 				}
-				g := geocol.Build(c, n, geocol.WithLink(me1, me2))
-				ge := geocol.NewGhostExchange(c, g)
+				g := Build(c, n, WithLink(me1, me2))
+				if d := diffGraphs(g, refBuild(c, n, me1, me2)); d != "" {
+					t.Errorf("%v: rank %d graph: %s", backend, c.Rank(), d)
+				}
+				ge := fuzzScratch[bi][c.Rank()].NewGhostExchange(c, g)
+				if d := diffExchanges(ge, refNewGhostExchange(c, g)); d != "" {
+					t.Errorf("%v: rank %d exchange pattern: %s", backend, c.Rank(), d)
+				}
 
 				lo := g.Home.Lo(c.Rank())
 				localN := g.LocalN(c.Rank())

@@ -1,8 +1,9 @@
 package geocol
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"chaos/internal/dist"
 	"chaos/internal/machine"
@@ -125,55 +126,107 @@ func Build(c *machine.Ctx, n int, opts ...Option) *Graph {
 }
 
 // buildLink routes each edge endpoint to the home rank of the vertex,
-// then assembles the deduplicated local CSR.
+// then assembles the deduplicated local CSR. Both halves are count →
+// prefix-sum → fill over flat arrays: the send rows are slices of one
+// array sized by a counting pass, and the received (u,v) pairs are
+// counting-sorted by u straight into the array that becomes Adj, whose
+// rows are then sorted and deduplicated in place.
+//
+//chaos:hotpath
 func (g *Graph) buildLink(c *machine.Ctx, e1, e2 []int) {
 	p := c.Procs()
-	out := make([][]int, p)
-	emit := func(u, v int) {
+	// own[2i], own[2i+1] are the home ranks of edge i's endpoints (-1
+	// for a self-loop, which carries no dependence); next counts the
+	// words bound for each rank, then becomes the rows' fill cursors.
+	own := make([]int, 2*len(e1))
+	next := make([]int, p+1)
+	for i := range e1 {
+		u, v := e1[i], e2[i]
 		if u < 0 || u >= g.N || v < 0 || v >= g.N {
-			panic(fmt.Sprintf("geocol: LINK edge (%d,%d) out of range [0,%d)", u, v, g.N))
+			panicEdgeRange(u, v, g.N)
 		}
 		if u == v {
-			return // self-loops carry no dependence
+			own[2*i] = -1
+			continue
 		}
-		out[g.Home.Owner(u)] = append(out[g.Home.Owner(u)], u, v)
+		ru, rv := g.Home.Owner(u), g.Home.Owner(v)
+		own[2*i], own[2*i+1] = ru, rv
+		next[ru+1] += 2
+		next[rv+1] += 2
+	}
+	for r := 0; r < p; r++ {
+		next[r+1] += next[r]
+	}
+	words := make([]int, next[p])
+	out := make([][]int, p)
+	for r := 0; r < p; r++ {
+		out[r] = words[next[r]:next[r+1]]
 	}
 	for i := range e1 {
-		emit(e1[i], e2[i])
-		emit(e2[i], e1[i])
+		ru, rv := own[2*i], own[2*i+1]
+		if ru < 0 {
+			continue
+		}
+		k := next[ru]
+		words[k], words[k+1] = e1[i], e2[i]
+		next[ru] = k + 2
+		k = next[rv]
+		words[k], words[k+1] = e2[i], e1[i]
+		next[rv] = k + 2
 	}
 	c.Words(4 * len(e1))
-	in := c.AlltoAllInts(out)
+	// words is never written again, so the rows go out by ownership
+	// transfer (no sender-side copy); the receivers are done with them
+	// before the SumInt below.
+	in := c.ExchangeInts(out, nil)
 
 	localN := g.Home.LocalSize(c.Rank())
 	lo := g.Home.Lo(c.Rank())
-	adj := make([][]int, localN)
-	for src := 0; src < p; src++ {
-		pairs := in[src]
+	// Count the pairs of every home vertex, prefix-sum the counts into
+	// row starts, and fill; the fill advances xadj[l] through row l, so
+	// afterwards xadj[l] is where row l ends.
+	xadj := make([]int, localN+1)
+	for _, pairs := range in {
 		for i := 0; i+1 < len(pairs); i += 2 {
-			u, v := pairs[i], pairs[i+1]
-			adj[u-lo] = append(adj[u-lo], v)
+			xadj[pairs[i]-lo+1]++
 		}
 	}
-	// Sort and dedup each adjacency list for determinism.
-	g.XAdj = make([]int, localN+1)
-	g.Adj = g.Adj[:0]
-	degSum := 0
 	for l := 0; l < localN; l++ {
-		lst := adj[l]
-		sort.Ints(lst)
+		xadj[l+1] += xadj[l]
+	}
+	adj := make([]int, xadj[localN])
+	for _, pairs := range in {
+		for i := 0; i+1 < len(pairs); i += 2 {
+			l := pairs[i] - lo
+			adj[xadj[l]] = pairs[i+1]
+			xadj[l]++
+		}
+	}
+	// Sort and dedup each adjacency list for determinism, compacting in
+	// place: the write cursor degSum never overtakes the row being read.
+	degSum, rowLo := 0, 0
+	for l := 0; l < localN; l++ {
+		row := adj[rowLo:xadj[l]]
+		rowLo = xadj[l]
+		slices.Sort(row)
+		xadj[l] = degSum
 		prev := -1
-		for _, v := range lst {
+		for _, v := range row {
 			if v != prev {
-				g.Adj = append(g.Adj, v)
+				adj[degSum] = v
 				prev = v
 				degSum++
 			}
 		}
-		g.XAdj[l+1] = len(g.Adj)
 	}
+	xadj[localN] = degSum
+	g.XAdj, g.Adj = xadj, adj[:degSum:degSum]
 	c.Words(3 * degSum)
 	g.NEdges = c.SumInt(degSum) / 2
+}
+
+func panicEdgeRange(u, v, n int) {
+	panic(fmt.Sprintf("geocol: LINK edge (%d,%d) out of range [0,%d)", u, v, n))
 }
 
 // Degree returns the degree of home-local vertex l.
@@ -287,6 +340,10 @@ type Contractor struct {
 	mark                 []int     // mark[u] == stamp: u already seen for this cluster
 	stamp                int
 	nbrs                 []int
+	// cadj/cew hold the coarse CSR while it is assembled (its size is
+	// known only at the end); the caller gets exact-size copies.
+	cadj []int
+	cew  []float64
 }
 
 // Contract builds the coarse graph under a clustering. cmap maps each
@@ -314,7 +371,7 @@ func (ct *Contractor) Contract(xadj, adj []int, ew, w []float64, cmap []int, nc 
 
 	// Bucket fine vertices by coarse vertex (counting sort) so each
 	// coarse adjacency list is assembled in one contiguous scan.
-	start := ct.grow(&ct.start, nc+1)
+	start := grow(&ct.start, nc+1)
 	for i := range start {
 		start[i] = 0
 	}
@@ -324,8 +381,8 @@ func (ct *Contractor) Contract(xadj, adj []int, ew, w []float64, cmap []int, nc 
 	for c := 0; c < nc; c++ {
 		start[c+1] += start[c]
 	}
-	members := ct.grow(&ct.members, n)
-	next := ct.grow(&ct.next, nc)
+	members := grow(&ct.members, n)
+	next := grow(&ct.next, nc)
 	copy(next, start[:nc])
 	for v := 0; v < n; v++ {
 		members[next[cmap[v]]] = v
@@ -338,8 +395,8 @@ func (ct *Contractor) Contract(xadj, adj []int, ew, w []float64, cmap []int, nc 
 		ct.stamp = 0
 	}
 	cxadj = make([]int, nc+1)
-	cadj = make([]int, 0, len(adj))
-	cew = make([]float64, 0, len(adj))
+	// A coarse graph has at most as many adjacency slots as the fine one.
+	cadj, cew = grow(&ct.cadj, len(adj))[:0], grow(&ct.cew, len(adj))[:0]
 	for c := 0; c < nc; c++ {
 		ct.stamp++
 		ct.nbrs = ct.nbrs[:0]
@@ -367,15 +424,7 @@ func (ct *Contractor) Contract(xadj, adj []int, ew, w []float64, cmap []int, nc 
 		}
 		cxadj[c+1] = len(cadj)
 	}
-	return cxadj, cadj, cew, cw
-}
-
-// grow returns (*s)[:n], reallocating only when the capacity is short.
-func (ct *Contractor) grow(s *[]int, n int) []int {
-	if cap(*s) < n {
-		*s = make([]int, n)
-	}
-	return (*s)[:n]
+	return cxadj, slices.Clone(cadj), slices.Clone(cew), cw
 }
 
 // Contract is the one-shot convenience form of Contractor.Contract.
@@ -385,52 +434,33 @@ func Contract(xadj, adj []int, ew, w []float64, cmap []int, nc int) (cxadj, cadj
 }
 
 // CoarseAssembler holds the reusable scratch of the distributed
-// contraction (BuildCoarse): the ghost copy of the clustering, the
-// per-rank weight/edge routing tables, and the contribution triples of
-// the local CSR assembly. Like Contractor it is plain per-goroutine
-// state — the zero value is ready, buffers grow to the steady-state
-// high-water mark and are reused across levels and epochs, and nothing
-// the caller retains aliases them (the coarse Graph is always freshly
-// allocated).
+// contraction (BuildCoarse): the ghost copy of the clustering, the flat
+// arrays behind the per-rank weight/edge routing rows, and the
+// contributions of the local CSR assembly. Like Contractor it is plain
+// per-goroutine state — the zero value is ready, buffers grow to the
+// steady-state high-water mark (each is sized by a counting pass before
+// it is filled, so the first, finest level of a ladder sizes them for
+// all the coarser ones) and are reused across levels and epochs, and
+// nothing the caller retains aliases them (the coarse Graph is always
+// freshly allocated).
 type CoarseAssembler struct {
 	ghostC []int
-	wIDs   [][]int
-	wVals  [][]float64
-	eIDs   [][]int
-	eW     [][]float64
-	tris   []coarseContrib
+	// owner[l] is the coarse home rank of local fine vertex l; nv/ne
+	// count, then offset, each rank's weight and edge rows.
+	owner, nv, ne []int
+	// The routing rows are slices of four flat arrays.
+	wIDs, eIDs   []int
+	wVals, eW    []float64
+	rowsI, rowsE [][]int
+	rowsV, rowsW [][]float64
+	tris         []coarseContrib
 }
 
-// coarseContrib is one routed fine-edge contribution: local coarse
-// source, global coarse neighbor, weight.
+// coarseContrib is one routed fine-edge contribution to a local coarse
+// row: global coarse neighbor and weight.
 type coarseContrib struct {
-	l, u int
-	w    float64
-}
-
-// growRankInts sizes a per-rank routing table to procs entries and
-// resets each entry to length zero, keeping every backing array; the
-// float twin below is identical.
-func growRankInts(s *[][]int, procs int) [][]int {
-	if cap(*s) < procs {
-		*s = make([][]int, procs)
-	}
-	*s = (*s)[:procs]
-	for r := range *s {
-		(*s)[r] = (*s)[r][:0]
-	}
-	return *s
-}
-
-func growRankFloats(s *[][]float64, procs int) [][]float64 {
-	if cap(*s) < procs {
-		*s = make([][]float64, procs)
-	}
-	*s = (*s)[:procs]
-	for r := range *s {
-		(*s)[r] = (*s)[r][:0]
-	}
-	return *s
+	u int
+	w float64
 }
 
 // BuildCoarse is the one-shot convenience form of
@@ -478,14 +508,35 @@ func (a *CoarseAssembler) BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 
 	// Route (coarse id, weight) and (coarse src, coarse dst, weight) to
 	// the coarse owner of the (source) coarse vertex. Edge ids and edge
-	// weights travel in two parallel exchanges with matching order.
-	wIDs := growRankInts(&a.wIDs, procs)
-	wVals := growRankFloats(&a.wVals, procs)
-	eIDs := growRankInts(&a.eIDs, procs)
-	eW := growRankFloats(&a.eW, procs)
+	// weights travel in two parallel exchanges with matching order. A
+	// counting pass sizes every rank's rows first — one vertex each, and
+	// at most its degree in edges (intra-cluster edges drop out in the
+	// fill) — so the rows are slices of flat arrays and never grow.
+	owner := grow(&a.owner, localN)
+	nv, ne := grow(&a.nv, procs+1), grow(&a.ne, procs+1)
+	clear(nv)
+	clear(ne)
+	for l, cv := range cmap {
+		r := coarse.Home.Owner(cv)
+		owner[l] = r
+		nv[r+1]++
+		ne[r+1] += g.XAdj[l+1] - g.XAdj[l]
+	}
+	flatWIDs, flatWVals := grow(&a.wIDs, localN), grow(&a.wVals, localN)
+	flatEIDs, flatEW := grow(&a.eIDs, 2*len(g.Adj)), grow(&a.eW, len(g.Adj))
+	wIDs, wVals := grow(&a.rowsI, procs), grow(&a.rowsV, procs)
+	eIDs, eW := grow(&a.rowsE, procs), grow(&a.rowsW, procs)
+	for r := 0; r < procs; r++ {
+		nv[r+1] += nv[r]
+		ne[r+1] += ne[r]
+		wIDs[r] = flatWIDs[nv[r]:nv[r]:nv[r+1]]
+		wVals[r] = flatWVals[nv[r]:nv[r]:nv[r+1]]
+		eIDs[r] = flatEIDs[2*ne[r] : 2*ne[r] : 2*ne[r+1]]
+		eW[r] = flatEW[ne[r]:ne[r]:ne[r+1]]
+	}
 	for l := 0; l < localN; l++ {
 		cv := cmap[l]
-		r := coarse.Home.Owner(cv)
+		r := owner[l]
 		wIDs[r] = append(wIDs[r], cv)
 		wVals[r] = append(wVals[r], g.Weight(l))
 		for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
@@ -524,49 +575,104 @@ func (a *CoarseAssembler) BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 		}
 	}
 
-	// Assemble the local coarse CSR: collect contributions, sort by
-	// (local coarse vertex, neighbor), merge duplicates by summing.
-	tris := a.tris[:0]
+	// Assemble the local coarse CSR. A stable counting sort by local
+	// coarse vertex lays the contributions out row by row in arrival
+	// order (source rank, then position in its message); each row is
+	// then sorted by neighbor id, stably, and equal neighbors merge by
+	// summing. The order in which an (l,u) group's weights are added is
+	// therefore fixed by construction: arrival order.
+	//
+	// That order differs from the one the unstable sort over all
+	// contributions used to produce, and the results are bit-identical
+	// all the same because of an invariant of this runtime: a
+	// CONSTRUCT-built graph has no edge weights (EdgeW nil, every fine
+	// edge counts 1.0), so every coarse edge weight at every level is a
+	// sum of 1.0s — an integer far below 2^53, exact in any order
+	// (TestBuildCoarseWeightsAreCounts pins it). A caller that starts a
+	// ladder from fractional edge weights gets a deterministic result,
+	// not the old one.
+	xadj := make([]int, localN2+1)
+	for r := 0; r < procs; r++ {
+		ids := inEIDs[r]
+		for i := 0; i+1 < len(ids); i += 2 {
+			xadj[ids[i]-lo2+1]++
+		}
+	}
+	for l := 0; l < localN2; l++ {
+		xadj[l+1] += xadj[l]
+	}
+	total := xadj[localN2]
+	tris := grow(&a.tris, total)
+	// The fill advances xadj[l] through row l, so afterwards xadj[l] is
+	// where row l ends.
 	for r := 0; r < procs; r++ {
 		ids, ws := inEIDs[r], inEW[r]
 		for i := 0; i+1 < len(ids); i += 2 {
-			tris = append(tris, coarseContrib{ids[i] - lo2, ids[i+1], ws[i/2]})
+			l := ids[i] - lo2
+			tris[xadj[l]] = coarseContrib{ids[i+1], ws[i/2]}
+			xadj[l]++
 		}
 	}
-	a.tris = tris
-	// sort.Slice, NOT slices.SortFunc: both are unstable, and equal
-	// (l,u) groups below sum their float weights in sort output order —
-	// the exact algorithm is part of the bit-identity contract.
-	sort.Slice(tris, func(a, b int) bool {
-		if tris[a].l != tris[b].l {
-			return tris[a].l < tris[b].l
+	// Sort and merge each row in place (the write cursor degSum never
+	// overtakes the row being read), then copy the merged rows out at
+	// their exact size.
+	degSum, rowLo := 0, 0
+	for l := 0; l < localN2; l++ {
+		row := tris[rowLo:xadj[l]]
+		rowLo = xadj[l]
+		sortContribs(row)
+		xadj[l] = degSum
+		for i := 0; i < len(row); {
+			u, w := row[i].u, 0.0
+			for ; i < len(row) && row[i].u == u; i++ {
+				w += row[i].w
+			}
+			tris[degSum] = coarseContrib{u, w}
+			degSum++
 		}
-		return tris[a].u < tris[b].u
-	})
-	coarse.XAdj = make([]int, localN2+1)
+	}
+	xadj[localN2] = degSum
+	coarse.XAdj = xadj
+	coarse.Adj = make([]int, degSum)
 	// EdgeW stays non-nil even when this rank assembled no edges:
 	// Gather's EdgeW collective is gated on nil-ness, which must be
 	// rank-uniform in a bulk-synchronous machine.
-	coarse.EdgeW = make([]float64, 0, len(tris))
-	degSum := 0
-	for i := 0; i < len(tris); {
-		j := i
-		w := 0.0
-		for ; j < len(tris) && tris[j].l == tris[i].l && tris[j].u == tris[i].u; j++ {
-			w += tris[j].w
-		}
-		coarse.Adj = append(coarse.Adj, tris[i].u)
-		coarse.EdgeW = append(coarse.EdgeW, w)
-		coarse.XAdj[tris[i].l+1] = len(coarse.Adj)
-		degSum++
-		i = j
+	coarse.EdgeW = make([]float64, degSum)
+	for i, t := range tris[:degSum] {
+		coarse.Adj[i], coarse.EdgeW[i] = t.u, t.w
 	}
-	for l := 0; l < localN2; l++ {
-		if coarse.XAdj[l+1] < coarse.XAdj[l] {
-			coarse.XAdj[l+1] = coarse.XAdj[l]
-		}
-	}
-	c.Words(3 * len(tris))
+	c.Words(3 * total)
 	coarse.NEdges = c.SumInt(degSum) / 2
 	return coarse
+}
+
+// sortContribs sorts one coarse row by neighbor id, stably. Rows are a
+// vertex's few routed edges, which a plain insertion sort orders faster
+// than the library's call-per-comparison stable sort; that one takes
+// the rare long row (a hub vertex).
+//
+//chaos:hotpath
+func sortContribs(row []coarseContrib) {
+	if len(row) > 32 {
+		slices.SortStableFunc(row, func(a, b coarseContrib) int { return cmp.Compare(a.u, b.u) })
+		return
+	}
+	for i := 1; i < len(row); i++ {
+		t := row[i]
+		j := i
+		for ; j > 0 && row[j-1].u > t.u; j-- {
+			row[j] = row[j-1]
+		}
+		row[j] = t
+	}
+}
+
+// grow returns (*buf)[:n], reallocating only when the capacity is
+// short; the contents are unspecified.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }

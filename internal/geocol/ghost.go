@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"chaos/internal/machine"
+	"chaos/internal/slottab"
 )
 
 // GhostExchange precomputes the boundary-exchange pattern of a
@@ -81,71 +82,178 @@ func (ge *GhostExchange) Bytes() int {
 	return b
 }
 
-// NewGhostExchange derives the exchange pattern of g; purely local.
+// GhostScratch is the reusable scratch of NewGhostExchange: the table
+// that deduplicates remote endpoints, the distinct ghost ids in
+// first-seen order with their owners, the first-seen → sorted-slot
+// permutation, and the per-rank counters. The zero value is ready;
+// buffers grow to the largest graph seen and nothing a GhostExchange
+// retains aliases them. Plain per-goroutine state, like
+// CoarseAssembler: the partition arena keeps one and derives every
+// level's pattern through it.
+type GhostScratch struct {
+	seen slottab.Table
+	// ids[i] is the i-th distinct remote endpoint met in CSR order,
+	// own[i] its home rank, perm[i] its slot in the sorted IDs.
+	ids, own, perm []int
+	// nsend/nrecv count each rank's send list and ghost run; last[r] is
+	// the latest home vertex put on rank r's send list.
+	nsend, nrecv, last []int
+}
+
+// NewGhostExchange derives the exchange pattern of g; purely local. It
+// is the one-shot form of GhostScratch.NewGhostExchange.
 func NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange {
+	var s GhostScratch
+	return s.NewGhostExchange(c, g)
+}
+
+// NewGhostExchange derives the exchange pattern of g on s's scratch;
+// purely local. One pass over the CSR localizes every adjacency slot —
+// a home neighbor by a range test, a remote one through the
+// open-addressing table, which assigns distinct ghosts provisional
+// numbers in first-seen order and is the only place a home rank is
+// computed (once per distinct ghost) — and counts the send lists. Only
+// the distinct ghost ids are sorted; a second pass rewrites the
+// provisional numbers to sorted slots through one permutation and
+// fills the send lists, which are slices of one exactly-sized array.
+//
+//chaos:hotpath
+func (s *GhostScratch) NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange {
 	me, procs := c.Rank(), c.Procs()
-	ge := &GhostExchange{
-		lo:   g.Home.Lo(me),
-		send: make([][]int, procs),
+	lo, hi := g.Home.Lo(me), g.Home.Hi(me)
+	localN := hi - lo
+	ge := &GhostExchange{lo: lo, Loc: make([]int, len(g.Adj))}
+
+	nsend, nrecv, last := grow(&s.nsend, procs+1), grow(&s.nrecv, procs+1), grow(&s.last, procs)
+	clear(nsend)
+	clear(nrecv)
+	for r := range last {
+		last[r] = -1
 	}
-	localN := g.LocalN(me)
-	// Collect the remote endpoint of every edge, then sort and dedup:
-	// the ghost id list and each rank's send list come out of one flat
-	// pass with no map.
-	remote := make([]int, 0, len(g.Adj))
+	// A rank has at most one ghost per remote endpoint and per vertex
+	// homed elsewhere.
+	maxGhosts := min(len(g.Adj), g.N-localN)
+	s.seen.Reset(maxGhosts)
+	ids, own := grow(&s.ids, maxGhosts)[:0], grow(&s.own, maxGhosts)[:0]
 	for l := 0; l < localN; l++ {
-		for _, v := range g.Neighbors(l) {
-			r := g.Home.Owner(v)
-			if r == me {
+		for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
+			v := g.Adj[k]
+			if lo <= v && v < hi {
+				ge.Loc[k] = v - lo
 				continue
 			}
-			remote = append(remote, v)
-			// l's ascend in the outer loop, so adjacent-duplicate
-			// suppression dedups each rank's send list.
-			if s := ge.send[r]; len(s) == 0 || s[len(s)-1] != l {
-				ge.send[r] = append(ge.send[r], l)
+			e := s.seen.Entry(v)
+			if e.Key1 == 0 {
+				r := g.Home.Owner(v)
+				*e = slottab.Entry{Key1: v + 1, Val: len(ids)}
+				ids, own = append(ids, v), append(own, r) // within maxGhosts
+				nrecv[r+1]++
+			}
+			ge.Loc[k] = -(e.Val + 1)
+			// l ascends, so one remembered vertex per rank dedups its
+			// send list.
+			if r := own[e.Val]; last[r] != l {
+				last[r] = l
+				nsend[r+1]++
 			}
 		}
 	}
-	sort.Ints(remote)
-	for i, v := range remote {
-		if i == 0 || v != remote[i-1] {
-			ge.IDs = append(ge.IDs, v)
-		}
+
+	// Sort the distinct ids; the table still maps an id to its
+	// first-seen number, which gives the permutation.
+	ge.IDs = make([]int, len(ids))
+	radixSortInto(ge.IDs, ids, g.N)
+	perm := grow(&s.perm, len(ids))
+	for slot, v := range ge.IDs {
+		perm[s.seen.Entry(v).Val] = slot
 	}
+	// IDs is sorted and the home distribution is BLOCK, so each rank's
+	// ghosts form one contiguous run: the counts prefix-sum to offsets.
 	ge.recvStart = make([]int, procs+1)
-	r := 0
-	for i, v := range ge.IDs {
-		for owner := g.Home.Owner(v); r < owner; {
-			r++
-			ge.recvStart[r] = i
+	for r := 0; r < procs; r++ {
+		ge.recvStart[r+1] = ge.recvStart[r] + nrecv[r+1]
+		nsend[r+1] += nsend[r]
+	}
+
+	// Second pass: provisional ghost numbers become sorted slots, and
+	// the send lists fill (nsend[r] is rank r's cursor).
+	sends := make([]int, nsend[procs])
+	ge.send = make([][]int, procs)
+	for r := 0; r < procs; r++ {
+		if nsend[r+1] > nsend[r] {
+			ge.send[r] = sends[nsend[r]:nsend[r+1]]
 		}
+		last[r] = -1
 	}
-	for ; r < procs; r++ {
-		ge.recvStart[r+1] = len(ge.IDs)
-	}
-	// Localize the CSR once: every adjacency slot resolves to a home
-	// index or a ghost slot here, never again in the sweeps. The
-	// assembly rides in the same inspector charge as the pattern scan.
-	ge.Loc = make([]int, len(g.Adj))
-	for k, v := range g.Adj {
-		if g.Home.Owner(v) == me {
-			ge.Loc[k] = v - ge.lo
-		} else {
-			ge.Loc[k] = -(sort.SearchInts(ge.IDs, v) + 1)
+	for l := 0; l < localN; l++ {
+		for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
+			loc := ge.Loc[k]
+			if loc >= 0 {
+				continue
+			}
+			i := -loc - 1
+			ge.Loc[k] = -(perm[i] + 1)
+			if r := own[i]; last[r] != l {
+				last[r] = l
+				sends[nsend[r]] = l
+				nsend[r]++
+			}
 		}
 	}
 	c.Words(localN + 2*len(ge.IDs))
+
+	// The fixed-size send buffers mirror the send lists, and the
+	// incremental exchanges' rows start with room for one word per
+	// send-list entry (a full PushMarks), so a cold matching does not
+	// grow them word by word.
+	bufInts, bufFloats := make([]int, len(sends)), make([]float64, len(sends))
+	bufUpd := make([]int, len(sends))
 	ge.sendInts = make([][]int, procs)
 	ge.sendFloats = make([][]float64, procs)
 	ge.updOut = make([][]int, procs)
+	off := 0
 	for r, ls := range ge.send {
-		if len(ls) > 0 {
-			ge.sendInts[r] = make([]int, len(ls))
-			ge.sendFloats[r] = make([]float64, len(ls))
+		if end := off + len(ls); end > off {
+			ge.sendInts[r] = bufInts[off:end:end]
+			ge.sendFloats[r] = bufFloats[off:end:end]
+			ge.updOut[r] = bufUpd[off:off:end]
+			off = end
 		}
 	}
 	return ge
+}
+
+// radixSortInto sorts src, whose values lie in [0, n), ascending into
+// dst (same length; src is clobbered): a least-significant-byte-first
+// radix sort, one counting-sort pass per byte of n-1. Ghost ids are
+// small dense integers, which this orders in two or three linear
+// passes where a comparison sort pays a mispredicted branch per
+// comparison.
+//
+//chaos:hotpath
+func radixSortInto(dst, src []int, n int) {
+	from, to := src, dst
+	passes := 0
+	for shift := 0; shift == 0 || (n-1)>>shift > 0; shift += 8 {
+		var start [257]int
+		for _, v := range from {
+			start[(v>>shift)&0xff+1]++
+		}
+		for b := 0; b < 256; b++ {
+			start[b+1] += start[b]
+		}
+		for _, v := range from {
+			b := (v >> shift) & 0xff
+			to[start[b]] = v
+			start[b]++
+		}
+		from, to = to, from
+		passes++
+	}
+	// The passes alternate direction: an even count ends back in src.
+	if passes%2 == 0 {
+		copy(dst, src)
+	}
 }
 
 // Slot returns the index in IDs of ghost vertex v (which must be a

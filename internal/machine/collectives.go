@@ -272,6 +272,36 @@ func (c *Ctx) BroadcastFloats(root int, xs []float64) []float64 {
 	return out
 }
 
+// ShareInts hands root's slice to every rank without charging the
+// virtual clock: no collectiveCost, and no sender-side copy. It exists
+// for the replicated-cost convention, where the machine being modelled
+// has every rank compute the same value from data it already holds —
+// each rank still charges that computation itself (Flops/Words) — and
+// the host computes it once on root instead of Procs times. xs is
+// ignored on the other ranks.
+//
+// Like every collective it goes through the rendezvous, which advances
+// each clock to the maximum among the ranks; callers that must leave
+// the clocks exactly as replicated computation would (all of them) call
+// it where the clocks are already equal, i.e. straight after a charged
+// synchronizing collective.
+//
+// On the Simulated backend the result is root's memory, on root and on
+// every other rank: read-only, and root may overwrite it only after it
+// has returned from a later collective (the ExchangeInts rule). The
+// Real backend hands each rank a clone.
+func (c *Ctx) ShareInts(root int, xs []int) []int {
+	var dep any
+	if c.rank == root {
+		dep = xs
+	}
+	out := c.exchange(dep)[root].([]int)
+	if c.m.real {
+		out = slices.Clone(out)
+	}
+	return out
+}
+
 // alltoallCost charges the cost of an irregular all-to-all in which
 // this rank sends sendBytes across nSend non-empty messages and
 // receives recvBytes across nRecv messages. The latency term uses the

@@ -329,3 +329,64 @@ func TestExchangeIntsRejectsShortHeaders(t *testing.T) {
 		t.Fatalf("short in accepted: %v", err)
 	}
 }
+
+// TestShareIntsIsUncharged pins the contract of the uncharged share:
+// every rank leaves with root's values; called where the clocks are
+// already equal (straight after a charged collective) it leaves every
+// clock exactly where it was, to the last bit; called with unequal
+// clocks it still synchronizes them to the maximum, like any
+// collective, and adds nothing on top. On Simulated the result is
+// root's own memory on every rank; on Real every rank gets a clone.
+func TestShareIntsIsUncharged(t *testing.T) {
+	for _, backend := range []Backend{Simulated, Real} {
+		for _, p := range []int{1, 2, 5, 8} {
+			root := p / 2
+			var rootData []int
+			clocks := make([][4]float64, p)
+			err := Run(func() Config { c := IPSC860(p); c.Backend = backend; return c }(), func(c *Ctx) {
+				c.Flops(1000 * (c.Rank() + 1)) // unequal clocks
+				c.Barrier()                    // ... made equal by a charged collective
+				clocks[c.Rank()][0] = c.Clock()
+				var xs []int
+				if c.Rank() == root {
+					xs = []int{3, 1, 4, 1, 5, 9, 2, 6}
+					rootData = xs
+				} else {
+					xs = []int{-1} // ignored
+				}
+				got := c.ShareInts(root, xs)
+				clocks[c.Rank()][1] = c.Clock()
+				if !reflect.DeepEqual(got, []int{3, 1, 4, 1, 5, 9, 2, 6}) {
+					t.Errorf("%v P=%d rank %d: shared %v", backend, p, c.Rank(), got)
+				}
+				c.Barrier() // rootData is published: every rank passed the share
+				aliased := &got[0] == &rootData[0]
+				if want := backend == Simulated; aliased != want {
+					t.Errorf("%v P=%d rank %d: result aliases root's slice = %v, want %v", backend, p, c.Rank(), aliased, want)
+				}
+
+				c.Flops(777 * (p - c.Rank())) // unequal again
+				clocks[c.Rank()][2] = c.Clock()
+				c.ShareInts(root, xs)
+				clocks[c.Rank()][3] = c.Clock()
+			})
+			if err != nil {
+				t.Fatalf("%v P=%d: %v", backend, p, err)
+			}
+			latest := 0.0
+			for r := range clocks {
+				latest = math.Max(latest, clocks[r][2])
+			}
+			for r := range clocks {
+				if clocks[r][1] != clocks[r][0] {
+					t.Errorf("%v P=%d rank %d: share moved an already-synchronized clock %v -> %v",
+						backend, p, r, clocks[r][0], clocks[r][1])
+				}
+				if clocks[r][3] != latest {
+					t.Errorf("%v P=%d rank %d: share from unequal clocks ended at %v, want the latest arrival %v and no charge",
+						backend, p, r, clocks[r][3], latest)
+				}
+			}
+		}
+	}
+}

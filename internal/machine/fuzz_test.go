@@ -31,14 +31,19 @@ func a2aCase(data []byte, rank, p int) [][]int {
 	return out
 }
 
-// FuzzAlltoAll drives AlltoAllInts/AlltoAllFloats and the
-// ownership-transfer ExchangeInts with fuzzed payload shapes (payload
-// sizes, empty sends, self-sends, max-rank edges) on both backends and
-// checks the transpose property against a locally rebuilt expectation.
-// ExchangeInts runs twice out of the same send and receive buffers,
-// overwritten in between as its ownership rule allows: after a later
-// collective. The seed corpus encodes the shapes of the table-driven
-// cases in collectives_test.go.
+// FuzzAlltoAll drives AlltoAllInts/AlltoAllFloats, the
+// ownership-transfer ExchangeInts and the uncharged ShareInts with
+// fuzzed payload shapes (payload sizes, empty sends, self-sends,
+// max-rank edges) on both backends and checks the transpose property
+// against a locally rebuilt expectation. ExchangeInts runs twice out of
+// the same send and receive buffers, overwritten in between as its
+// ownership rule allows: after a later collective. ShareInts hands out
+// a fuzz-chosen root's flattened send matrix, which every rank reads
+// once straight away and once more after a later collective (the
+// slice is root's memory on Simulated, a clone on Real, and good for
+// as long as root leaves it alone); it must not move a clock. The
+// seed corpus encodes the shapes of the table-driven cases in
+// collectives_test.go.
 func FuzzAlltoAll(f *testing.F) {
 	f.Add([]byte{}, byte(0))                       // single rank, empty
 	f.Add([]byte{3, 7, 8, 9}, byte(0))             // single rank self-send
@@ -82,6 +87,25 @@ func FuzzAlltoAll(f *testing.F) {
 							xs[i]++
 						}
 					}
+				}
+				root := len(data) % p
+				flat := func(rows [][]int) (xs []int) {
+					for _, row := range rows {
+						xs = append(xs, row...)
+					}
+					return xs
+				}
+				before := c.Clock()
+				shared := c.ShareInts(root, flat(a2aCase(data, c.Rank(), p)))
+				if c.Clock() != before {
+					t.Errorf("%v: rank %d: ShareInts moved the clock %v -> %v", backend, c.Rank(), before, c.Clock())
+				}
+				for round := 0; round < 2; round++ {
+					if want := flat(a2aCase(data, root, p)); !reflect.DeepEqual(shared, want) && len(shared)+len(want) > 0 {
+						t.Errorf("%v: rank %d read %d of the share from %d: got %v, want %v",
+							backend, c.Rank(), round, root, shared, want)
+					}
+					c.Barrier()
 				}
 				for s := 0; s < p; s++ {
 					want := a2aCase(data, s, p)[c.Rank()]

@@ -30,7 +30,31 @@ type arena struct {
 	match matchScratch
 	proj  projScratch
 	asm   geocol.CoarseAssembler
+	ghost geocol.GhostScratch
 	ct    geocol.Contractor
+	// sides are the side vectors the serial V-cycle projects through
+	// (bisect): level l's lives in sides[l%2].
+	sides [2][]bool
+}
+
+// reserve sizes, from the finest level's home vertex count, the scratch
+// that uncoarsening would otherwise regrow at every level (it runs
+// coarsest level first): parallelFM's per-vertex arrays and move log,
+// and projectPart's coarse-id lists. What coarsening
+// uses grows once without help — the finest level comes first there —
+// and the ghost-sized buffers wait for the first exchange pattern to
+// say how many ghosts there are.
+func (ar *arena) reserve(localN int) {
+	fm := &ar.fm
+	growFloats(&fm.cutW, localN)
+	growBools(&fm.boundary, localN)
+	growBools(&fm.dirty, localN)
+	growInts(&fm.stamp, localN)
+	growBools(&fm.locked, localN)
+	growBools(&fm.movedFlag, localN)
+	fm.log = make([]fmMove, 0, localN)
+	growInts(&ar.proj.need, localN)
+	growInts(&ar.proj.val, localN)
 }
 
 // klScratch is the per-bisection scratch of the serial KL/FM refiner
@@ -46,6 +70,10 @@ type klScratch struct {
 	side    []bool
 	visited []bool
 	queue   []int
+	// local is induce's global → subgraph-local scatter array, stamped
+	// per call with bases counted from localBase (never re-cleared).
+	local     []int
+	localBase int
 }
 
 // kwayScratch is the scratch of the serial k-way FM refiner
@@ -101,19 +129,63 @@ type matchScratch struct {
 	ghostMatched []int
 	newly        []bool
 	target       []int
-	props        [][]int
-	notify       [][]int
+	// owner[l] is the home rank of target[l] (matching) or of match[l]
+	// (numbering) when that vertex lives on another rank.
+	owner  []int
+	props  rankRows
+	notify rankRows
 }
 
 // projScratch is the scratch of partition projection and restriction
 // (pmultilevel.go): the sorted coarse-id list, its resolved parts, and
 // the per-rank request/reply routing.
 type projScratch struct {
-	need []int
-	val  []int
-	req  [][]int
-	rep  [][]int
-	out  [][]int
+	need  []int
+	val   []int
+	owner []int // coarse home rank of each fine vertex (restrictPart)
+	req   [][]int
+	rep   rankRows
+	out   rankRows
+}
+
+// rankRows builds the rows of an all-to-all — one int slice per
+// destination rank — inside one flat array: the caller counts what
+// each rank gets, lay carves the array into empty rows of exactly those
+// capacities, and the caller appends into them. No row ever grows, and
+// the flat array grows only when a level outsizes every earlier one
+// (AlltoAll copies payloads before delivery, so the array is free again
+// as soon as the exchange returns).
+type rankRows struct {
+	n    []int
+	flat []int
+	rows [][]int
+}
+
+// counts returns procs zeroed counters; the caller adds to counts[r]
+// the number of ints bound for rank r.
+func (rr *rankRows) counts(procs int) []int {
+	n := growInts(&rr.n, procs)
+	clear(n)
+	return n
+}
+
+// lay returns the rows for the counts just taken: each empty, with
+// exactly its counted capacity.
+//
+//chaos:hotpath
+func (rr *rankRows) lay() [][]int {
+	total := 0
+	for _, k := range rr.n {
+		total += k
+	}
+	flat := growInts(&rr.flat, total)
+	rows := growRows(&rr.rows, len(rr.n))
+	off := 0
+	for r, k := range rr.n {
+		rows[r] = flat[off : off : off+k]
+		off += k
+	}
+	return rows
 }
 
 // growInts returns (*s)[:n] with arbitrary contents, reallocating only
@@ -145,25 +217,24 @@ func growBools(s *[]bool, n int) []bool {
 	return *s
 }
 
-// growRanks sizes a per-rank routing table to procs entries and resets
-// each entry to length zero, keeping every per-rank backing array.
-func growRanks(s *[][]int, procs int) [][]int {
+// growRows sizes a per-rank table of row headers to procs nil entries.
+func growRows(s *[][]int, procs int) [][]int {
 	if cap(*s) < procs {
 		*s = make([][]int, procs)
 	}
 	*s = (*s)[:procs]
-	for r := range *s {
-		(*s)[r] = (*s)[r][:0]
-	}
+	clear(*s)
 	return *s
 }
 
 // ensure readies reusable gain buckets: first use allocates the fixed
-// bucket array, later uses just empty it.
+// bucket array and the slab of starting capacity, later uses just empty
+// the buckets.
 func (fb *fmBuckets) ensure() {
 	if fb.buckets == nil {
 		fb.buckets = make([][]fmCand, 2*fmBucketSpan+1)
 		fb.head = make([]int, 2*fmBucketSpan+1)
+		fb.slab = make([]fmCand, fmSlabBuckets*fmBucketChunk)
 	}
 	fb.reset()
 }

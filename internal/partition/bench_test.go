@@ -139,7 +139,7 @@ func BenchmarkCoarsen(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sg := induce(f, verts)
+		sg := induce(&klScratch{}, f, verts)
 		totalW := sg.totalWeight()
 		var ct geocol.Contractor
 		for cur := sg; cur.n > 100; {

@@ -3,6 +3,7 @@ package partition
 import (
 	"testing"
 
+	"chaos/internal/dist"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
 	"chaos/internal/mesh"
@@ -36,7 +37,7 @@ func hotSubgraph(tb testing.TB) (*subgraph, []bool) {
 	for i := range verts {
 		verts[i] = i
 	}
-	sg := induce(f, verts)
+	sg := induce(&klScratch{}, f, verts)
 	side := make([]bool, sg.n)
 	for i := range side {
 		side[i] = i < sg.n/2
@@ -166,3 +167,45 @@ func BenchmarkHotWarmRepartition(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// coldLattice is the repository benchmark's partition_cold input: a
+// renumbered 16³ lattice (4 096 nodes, 22 800 edges), k = 8.
+func coldLattice() *mesh.Mesh { return mesh.GenerateLattice(16, 16, 16, 1993) }
+
+// benchColdMultilevel is one cold run per op — GeoCoL CONSTRUCT with
+// LINK plus MULTILEVEL into 8 parts on p ranks of the iPSC/860 model,
+// every rank holding a block of the edge list — the calls the
+// partition_cold workload makes. Nothing is warmed: a cold run creates
+// its arena, so allocs/op is what a first-time caller pays.
+func benchColdMultilevel(b *testing.B, p int) {
+	m := coldLattice()
+	edges := dist.NewBlock(m.NEdge(), p)
+	b.ReportAllocs()
+	err := machine.Run(machine.IPSC860(p), func(c *machine.Ctx) {
+		lo, hi := edges.Lo(c.Rank()), edges.Hi(c.Rank())
+		c.SumInt(0)
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			g := geocol.Build(c, m.NNode, geocol.WithLink(m.E1[lo:hi], m.E2[lo:hi]))
+			Multilevel{}.PartitionLadder(c, g, 8)
+		}
+		c.SumInt(0)
+		if c.Rank() == 0 {
+			b.StopTimer()
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkHotColdMultilevelSerial is the cold serial V-cycle: the
+// gathered recursive bisection on one rank.
+func BenchmarkHotColdMultilevelSerial(b *testing.B) { benchColdMultilevel(b, 1) }
+
+// BenchmarkHotColdMultilevelDist8 is the cold distributed V-cycle on 8
+// ranks: ghost exchanges, matching, coarse assembly, the gathered
+// coarse solve with its k-way polish, projection and parallel FM.
+func BenchmarkHotColdMultilevelDist8(b *testing.B) { benchColdMultilevel(b, 8) }

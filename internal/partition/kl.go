@@ -214,7 +214,7 @@ func (KL) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 //
 //chaos:hotpath
 func klBisect(s *klScratch, f *geocol.Full, verts []int, frac float64) (left, right []int, flops int64) {
-	sg := induce(f, verts)
+	sg := induce(s, f, verts)
 	totalW := 0.0
 	for i := 0; i < sg.n; i++ {
 		totalW += sg.w[i]
@@ -264,15 +264,7 @@ func klBisect(s *klScratch, f *geocol.Full, verts []int, frac float64) (left, ri
 
 	klRefine(s, sg, side, target)
 
-	left = make([]int, 0, sg.n)
-	right = make([]int, 0, sg.n)
-	for i := 0; i < sg.n; i++ {
-		if side[i] {
-			left = append(left, sg.orig[i])
-		} else {
-			right = append(right, sg.orig[i])
-		}
-	}
+	left, right = splitSides(sg, side)
 	return left, right, sg.flops
 }
 

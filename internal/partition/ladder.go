@@ -161,7 +161,7 @@ func (ml Multilevel) Repartition(c *machine.Ctx, gNew *geocol.Graph, nparts int,
 		lv := ld.levels[i]
 		part = projectPart(c, &ar.proj, lv.fine, lv.cmap, lv.coarse.Home, part)
 		if i == 0 {
-			ge := geocol.NewGhostExchange(c, gNew)
+			ge := ar.ghost.NewGhostExchange(c, gNew)
 			ml.refineLevel(c, ar, gNew, ge, part, nparts, true)
 		} else {
 			ml.refineLevel(c, ar, lv.fine, lv.ge, part, nparts, false)

@@ -122,7 +122,7 @@ func (ml Multilevel) bisect(ar *arena, f *geocol.Full, verts []int, frac float64
 	if coarsenTo <= 0 {
 		coarsenTo = 100
 	}
-	sg := induce(f, verts)
+	sg := induce(&ar.kl, f, verts)
 	totalW := sg.totalWeight()
 	target := totalW * frac
 
@@ -158,7 +158,9 @@ func (ml Multilevel) bisect(ar *arena, f *geocol.Full, verts []int, frac float64
 	for l := len(levels) - 2; l >= 0; l-- {
 		fine := levels[l]
 		cmap := cmaps[l]
-		fineSide := make([]bool, fine.n)
+		// Two arena buffers alternate between adjacent levels: side (the
+		// coarser level's) is read while fineSide is written.
+		fineSide := growBools(&ar.sides[l%2], fine.n)
 		for v := range fineSide {
 			fineSide[v] = side[cmap[v]]
 		}

@@ -83,10 +83,7 @@ func distHeavyEdgeMatch(c *machine.Ctx, s *matchScratch, g *geocol.Graph, ge *ge
 		ghostMatched[i] = 0
 	}
 	target := growInts(&s.target, localN)
-	// Proposal scratch, reused across rounds and matchings ([:0] reset
-	// keeps the steady-state capacity; AlltoAll copies payloads before
-	// delivery).
-	props := growRanks(&s.props, procs)
+	owner := growInts(&s.owner, localN)
 
 	for round := 0; round < matchRounds; round++ {
 		if round > 0 {
@@ -156,22 +153,29 @@ func distHeavyEdgeMatch(c *machine.Ctx, s *matchScratch, g *geocol.Graph, ge *ge
 		}
 
 		// Same-rank mutual selections match immediately; cross-rank
-		// selections travel as (target, proposer) pairs.
-		for r := range props {
-			props[r] = props[r][:0]
-		}
+		// selections travel as (target, proposer) pairs, in rows counted
+		// first and then filled (rankRows).
+		cnt := s.props.counts(procs)
 		for l := 0; l < localN; l++ {
 			t := target[l]
 			if t < 0 {
 				continue
 			}
-			if g.Home.Owner(t) == me {
+			if lo <= t && t < lo+localN {
+				owner[l] = me
 				if lo+l < t && target[t-lo] == lo+l {
 					match[l], match[t-lo] = t, lo+l
 					newly[l], newly[t-lo] = true, true
 				}
 			} else {
-				props[g.Home.Owner(t)] = append(props[g.Home.Owner(t)], t, lo+l)
+				owner[l] = g.Home.Owner(t)
+				cnt[owner[l]] += 2
+			}
+		}
+		props := s.props.lay()
+		for l := 0; l < localN; l++ {
+			if t := target[l]; t >= 0 && owner[l] != me {
+				props[owner[l]] = append(props[owner[l]], t, lo+l)
 			}
 		}
 		in := c.AlltoAllInts(props)
@@ -235,7 +239,20 @@ func numberCoarse(c *machine.Ctx, s *matchScratch, g *geocol.Graph, match []int)
 	// cmap is retained by the caller's ladder; only the notification
 	// routing is arena scratch.
 	cmap = make([]int, localN)
-	notify := growRanks(&s.notify, procs)
+	// A pair's smaller endpoint numbers it; when the partner lives on
+	// another rank it is told by a (partner, id) pair, in rows counted
+	// first and then filled (rankRows).
+	owner := growInts(&s.owner, localN)
+	cnt := s.notify.counts(procs)
+	for l := 0; l < localN; l++ {
+		if p := match[l]; lo+l < p {
+			if owner[l] = me; p >= lo+localN {
+				owner[l] = g.Home.Owner(p)
+				cnt[owner[l]] += 2
+			}
+		}
+	}
+	notify := s.notify.lay()
 	for l := 0; l < localN; l++ {
 		switch {
 		case match[l] < 0:
@@ -243,11 +260,10 @@ func numberCoarse(c *machine.Ctx, s *matchScratch, g *geocol.Graph, match []int)
 			next++
 		case lo+l < match[l]:
 			cmap[l] = next
-			if p := match[l]; g.Home.Owner(p) == me {
+			if p := match[l]; owner[l] == me {
 				cmap[p-lo] = next
 			} else {
-				r := g.Home.Owner(p)
-				notify[r] = append(notify[r], p, next)
+				notify[owner[l]] = append(notify[owner[l]], p, next)
 			}
 			next++
 		}

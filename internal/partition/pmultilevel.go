@@ -52,6 +52,7 @@ func (ml Multilevel) parallelPartitionLadder(c *machine.Ctx, g *geocol.Graph, np
 	// and every refinement level, then retained in the Ladder so warm
 	// Repartition epochs reuse the grown buffers.
 	ar := &arena{}
+	ar.reserve(g.LocalN(c.Rank()))
 
 	totalW := 0.0
 	for l := 0; l < g.LocalN(c.Rank()); l++ {
@@ -87,6 +88,10 @@ func (ml Multilevel) parallelPartitionLadder(c *machine.Ctx, g *geocol.Graph, np
 	}
 	var ld *Ladder
 	if len(levels) > 0 {
+		// Warm epochs restrict, polish, project and refine but never
+		// coarsen: the matching and contraction scratch is dead weight in
+		// a retained ladder.
+		ar.match, ar.asm = matchScratch{}, geocol.CoarseAssembler{}
 		ld = &Ladder{n: g.N, nparts: nparts, levels: levels, coarsest: cur, ar: ar}
 	}
 	return part, ld
@@ -108,7 +113,7 @@ func buildLadder(c *machine.Ctx, ar *arena, g *geocol.Graph, serialTo int, maxW 
 	// buffer instead of allocating per level.
 	var ghostBuf []int
 	for cur.N > serialTo {
-		ge := geocol.NewGhostExchange(c, cur)
+		ge := ar.ghost.NewGhostExchange(c, cur)
 		var curGhost []int
 		if curPart != nil {
 			curGhost = ge.PushIntsInto(c, curPart, ghostBuf)
@@ -151,13 +156,23 @@ func (ml Multilevel) refineLevel(c *machine.Ctx, ar *arena, fine *geocol.Graph, 
 }
 
 // serialKway gathers a sub-threshold graph and refines its partition
-// with the serial k-way FM (kwayRefine), computed identically on every
-// rank under the replicated-cost convention; each rank then keeps its
-// home slice of the result. Collective.
+// with the serial k-way FM (kwayRefine) under the replicated-cost
+// convention: the machine being modelled has every rank run the same
+// refinement on its gathered copy, and every rank's clock is charged
+// for it. The host runs it once, on rank 0, and hands the refined
+// vector and its flop count to the others through the uncharged
+// ShareInts — whose clock synchronization is a no-op here, because the
+// AllGatherInts just before it left every clock equal. Each rank then
+// keeps its home slice of the result. Collective.
 func serialKway(c *machine.Ctx, ar *arena, g *geocol.Graph, part []int, nparts, passes int, tol float64) {
 	f := g.Gather(c)
 	full := c.AllGatherInts(part)
-	c.Flops(int(kwayRefine(&ar.kway, f.XAdj, f.Adj, f.EdgeW, f.Weights, full, nparts, passes, tol)))
+	if c.Rank() == 0 {
+		flops := kwayRefine(&ar.kway, f.XAdj, f.Adj, f.EdgeW, f.Weights, full, nparts, passes, tol)
+		full = append(full, int(flops))
+	}
+	full = c.ShareInts(0, full)
+	c.Flops(full[len(full)-1])
 	lo := g.Home.Lo(c.Rank())
 	for l := range part {
 		part[l] = full[lo+l]
@@ -183,7 +198,7 @@ func (ml Multilevel) vcycleRefine(c *machine.Ctx, ar *arena, g *geocol.Graph, pa
 	if cur.N < ml.parallelThreshold() {
 		serialKway(c, ar, cur, cpart, nparts, 8, ml.tol())
 	} else {
-		parallelFM(c, &ar.fm, cur, geocol.NewGhostExchange(c, cur), cpart, nparts, 3, ml.tol())
+		parallelFM(c, &ar.fm, cur, ar.ghost.NewGhostExchange(c, cur), cpart, nparts, 3, ml.tol())
 	}
 	for i := len(levels) - 1; i >= 0; i-- {
 		lv := levels[i]
@@ -204,10 +219,15 @@ func (ml Multilevel) vcycleRefine(c *machine.Ctx, ar *arena, g *geocol.Graph, pa
 //chaos:hotpath
 func restrictPart(c *machine.Ctx, s *projScratch, fine *geocol.Graph, cmap []int, coarseHome dist.BlockDist, finePart []int) []int {
 	me, procs := c.Rank(), c.Procs()
-	out := growRanks(&s.out, procs)
+	owner := growInts(&s.owner, len(cmap))
+	cnt := s.out.counts(procs)
 	for l, cv := range cmap {
-		r := coarseHome.Owner(cv)
-		out[r] = append(out[r], cv, finePart[l])
+		owner[l] = coarseHome.Owner(cv)
+		cnt[owner[l]] += 2
+	}
+	out := s.out.lay()
+	for l, cv := range cmap {
+		out[owner[l]] = append(out[owner[l]], cv, finePart[l])
 	}
 	in := c.AlltoAllInts(out)
 	lo2 := coarseHome.Lo(me)
@@ -268,23 +288,34 @@ func projectPart(c *machine.Ctx, s *projScratch, fine *geocol.Graph, cmap []int,
 	sort.Ints(need)
 	need = dedupSorted(need)
 	s.need = need
-	req := growRanks(&s.req, procs)
-	for _, cv := range need {
-		r := coarseHome.Owner(cv)
-		req[r] = append(req[r], cv)
+	// need is sorted and block ownership is monotone in the id, so each
+	// rank's request list is one consecutive run of need: the rows are
+	// slices of it (AlltoAll copies payloads).
+	req := growRows(&s.req, procs)
+	for i := 0; i < len(need); {
+		r := coarseHome.Owner(need[i])
+		j, hi := i+1, coarseHome.Hi(r)
+		for j < len(need) && need[j] < hi {
+			j++
+		}
+		req[r] = need[i:j]
+		i = j
 	}
 	in := c.AlltoAllInts(req)
 	lo2 := coarseHome.Lo(me)
-	rep := growRanks(&s.rep, procs)
+	cnt := s.rep.counts(procs)
+	for r := range cnt {
+		cnt[r] = len(in[r])
+	}
+	rep := s.rep.lay()
 	for r := 0; r < procs; r++ {
 		for _, cv := range in[r] {
 			rep[r] = append(rep[r], coarsePart[cv-lo2])
 		}
 	}
 	back := c.AlltoAllInts(rep)
-	// need is sorted and block ownership is monotone in the id, so the
-	// per-rank request lists are consecutive runs of need: the replies
-	// concatenate into an array parallel to need.
+	// The request lists were consecutive runs of need, in rank order:
+	// the replies concatenate into an array parallel to need.
 	val := growInts(&s.val, len(need))
 	j := 0
 	for r := 0; r < procs; r++ {

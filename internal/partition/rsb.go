@@ -57,7 +57,7 @@ func (r RSB) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 // the Fiedler vector of the induced subgraph, returning the flop count
 // of the solve.
 func spectralBisect(s *klScratch, f *geocol.Full, verts []int, frac float64, refine bool) (left, right []int, flops int64) {
-	sg := induce(f, verts)
+	sg := induce(s, f, verts)
 	side := fiedlerSide(sg, frac)
 	if refine {
 		klRefine(s, sg, side, sg.totalWeight()*frac)
@@ -98,8 +98,16 @@ func fiedlerSide(sg *subgraph, frac float64) []bool {
 }
 
 // splitSides partitions sg's vertices by side, returning original-id
-// lists.
+// lists: two exactly-sized halves of one array.
 func splitSides(sg *subgraph, side []bool) (left, right []int) {
+	nl := 0
+	for _, s := range side[:sg.n] {
+		if s {
+			nl++
+		}
+	}
+	ids := make([]int, sg.n)
+	left, right = ids[:0:nl], ids[nl:nl]
 	for i := 0; i < sg.n; i++ {
 		if side[i] {
 			left = append(left, sg.orig[i])
@@ -110,25 +118,37 @@ func splitSides(sg *subgraph, side []bool) (left, right []int) {
 	return left, right
 }
 
-// induce extracts the subgraph of f induced by verts. The global-to-
-// local translation uses a scatter array rather than a map: bisection
-// induces subgraphs proportional to the whole recursion tree, and the
-// array keeps that linear in practice.
-func induce(f *geocol.Full, verts []int) *subgraph {
-	sg := &subgraph{n: len(verts), orig: append([]int(nil), verts...)}
-	local := make([]int, f.N)
-	for i := range local {
-		local[i] = -1
-	}
+// induce extracts the subgraph of f induced by verts, which the result
+// keeps as its orig (verts must not change while the subgraph lives).
+// The global-to-local translation uses a scatter array rather than a
+// map: bisection induces subgraphs proportional to the whole recursion
+// tree, and the array keeps that linear in practice. The array lives in
+// s and is never re-cleared: every call stamps its entries with a base
+// above anything an earlier call wrote, so stale entries read as
+// absent. The CSR is sized once, by the degree sum of verts in f (edges
+// leaving the group drop out, so it is an upper bound).
+//
+//chaos:hotpath
+func induce(s *klScratch, f *geocol.Full, verts []int) *subgraph {
+	sg := &subgraph{n: len(verts), orig: verts}
+	// local[v] == base+1+i marks v as vertex i of this subgraph.
+	local, base := growInts(&s.local, f.N), s.localBase
+	s.localBase += len(verts)
+	degSum := 0
 	for i, v := range verts {
-		local[v] = i
+		local[v] = base + 1 + i
+		degSum += f.XAdj[v+1] - f.XAdj[v]
 	}
 	sg.xadj = make([]int, sg.n+1)
 	sg.w = make([]float64, sg.n)
+	sg.adj = make([]int, 0, degSum)
+	if f.EdgeW != nil {
+		sg.ew = make([]float64, 0, degSum)
+	}
 	for i, v := range verts {
 		sg.w[i] = f.Weight(v)
 		for k := f.XAdj[v]; k < f.XAdj[v+1]; k++ {
-			if j := local[f.Adj[k]]; j >= 0 {
+			if j := local[f.Adj[k]] - base - 1; j >= 0 {
 				sg.adj = append(sg.adj, j)
 				if f.EdgeW != nil {
 					sg.ew = append(sg.ew, f.EdgeW[k])

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"chaos/internal/machine"
+	"chaos/internal/slottab"
 	"chaos/internal/ttable"
 )
 
@@ -35,10 +36,10 @@ func (b *Builder) BuildIncremental(c *machine.Ctx, res ttable.Resolver, myLocalS
 	owners, locals := res.ResolveInto(c, &b.tt, globals)
 
 	// The first slot mirroring a global serves it.
-	b.seen.reset(len(base.ghostGlobal))
+	b.seen.Reset(len(base.ghostGlobal))
 	for slot, g := range base.ghostGlobal {
-		if e := b.seen.entry(g); e.key1 == 0 {
-			*e = slotEntry{g + 1, slot}
+		if e := b.seen.Entry(g); e.Key1 == 0 {
+			*e = slottab.Entry{Key1: g + 1, Val: slot}
 		}
 	}
 
@@ -47,8 +48,8 @@ func (b *Builder) BuildIncremental(c *machine.Ctx, res ttable.Resolver, myLocalS
 	for i, g := range globals {
 		if owners[i] == me {
 			ref[i] = locals[i]
-		} else if e := b.seen.entry(g); e.key1 != 0 {
-			ref[i] = myLocalSize + e.val
+		} else if e := b.seen.Entry(g); e.Key1 != 0 {
+			ref[i] = myLocalSize + e.Val
 		} else {
 			newIdx = append(newIdx, i)
 			newGlobals = append(newGlobals, g)

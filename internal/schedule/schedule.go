@@ -15,6 +15,7 @@ import (
 	"slices"
 
 	"chaos/internal/machine"
+	"chaos/internal/slottab"
 	"chaos/internal/ttable"
 )
 
@@ -106,7 +107,7 @@ type Builder struct {
 	// ghosts holds one entry per off-processor reference (NoDedup) or
 	// per distinct one, in ghost-slot order.
 	ghosts []ghostRef
-	seen   slotTable
+	seen   slottab.Table
 	// next is the per-owner fill cursor of the request lists.
 	next []int
 
@@ -116,41 +117,6 @@ type Builder struct {
 
 // ghostRef is one off-processor element and where it lives.
 type ghostRef struct{ owner, global, local int }
-
-// slotTable is a flat open-addressing (linear probing) map from global
-// index to a small non-negative int, sized for at most half load.
-type slotTable struct {
-	e     []slotEntry
-	shift uint
-}
-
-// slotEntry holds key+1 so the zero entry means empty.
-type slotEntry struct{ key1, val int }
-
-// reset empties the table and sizes it for n keys.
-func (t *slotTable) reset(n int) {
-	bits := uint(4)
-	for 1<<bits < 2*n {
-		bits++
-	}
-	if cap(t.e) < 1<<bits {
-		t.e = make([]slotEntry, 1<<bits)
-	}
-	t.e = t.e[:1<<bits]
-	clear(t.e)
-	t.shift = 64 - bits
-}
-
-// entry returns the entry of key g, which is empty (key1 == 0) when g
-// is absent; the caller fills it in to insert.
-func (t *slotTable) entry(g int) *slotEntry {
-	mask := len(t.e) - 1
-	for h := int(uint64(g) * 0x9E3779B97F4A7C15 >> t.shift); ; h = (h + 1) & mask {
-		if e := &t.e[h]; e.key1 == 0 || e.key1 == g+1 {
-			return e
-		}
-	}
-}
 
 // grow returns (*buf)[:n], reallocating only when the capacity is
 // exceeded; the contents are unspecified.
@@ -231,19 +197,19 @@ func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize i
 		// order is (owner, global) sorted for determinism and contiguous
 		// per-peer receive buffers, and the table then maps an element
 		// to its slot.
-		b.seen.reset(nOff)
+		b.seen.Reset(nOff)
 		for _, i := range offPos {
-			if e := b.seen.entry(globals[i]); e.key1 == 0 {
-				e.key1 = globals[i] + 1
+			if e := b.seen.Entry(globals[i]); e.Key1 == 0 {
+				e.Key1 = globals[i] + 1
 				ghosts = append(ghosts, ghostRef{owners[i], globals[i], locals[i]})
 			}
 		}
 		slices.SortFunc(ghosts, cmpGhostRef)
 		for slot, g := range ghosts {
-			b.seen.entry(g.global).val = slot
+			b.seen.Entry(g.global).Val = slot
 		}
 		for _, i := range offPos {
-			ref[i] = myLocalSize + b.seen.entry(globals[i]).val
+			ref[i] = myLocalSize + b.seen.Entry(globals[i]).Val
 		}
 	}
 	c.Words(2 * len(globals)) // hash probes + owner tests

@@ -200,8 +200,13 @@ func Copy(w io.Writer, gs GraphStream) (int, error) {
 // truncation surfaces as a wrapped io.ErrUnexpectedEOF — never a
 // panic, never an unbounded allocation.
 type Reader struct {
-	r      io.ReadSeeker
-	br     *bufio.Reader
+	r  io.ReadSeeker
+	br *bufio.Reader
+	// win is the undecoded rest of a window onto br's buffered bytes,
+	// winLen the window's original length; br itself still counts the
+	// whole window as unread until closeWindow.
+	win    []byte
+	winLen int
 	nvert  int
 	nadj   int
 	cursor int // next vertex id expected
@@ -265,13 +270,34 @@ func noEOF(err error) error {
 	return err
 }
 
-// uvarint reads one bounded varint, naming the field in errors.
+// uvarint reads one bounded varint, naming the field in errors. While
+// a longest-possible varint's worth of bytes is left in the window it
+// decodes in place; otherwise — the window's last bytes, the file's
+// tail, a malformed varint — it takes the byte-at-a-time reader, which
+// is also what words every error.
 func (rd *Reader) uvarint(field string) (uint64, error) {
+	if len(rd.win) >= binary.MaxVarintLen64 {
+		if x, n := binary.Uvarint(rd.win); n > 0 {
+			rd.win = rd.win[n:]
+			return x, nil
+		}
+	}
+	rd.closeWindow()
 	x, err := binary.ReadUvarint(rd.br)
 	if err != nil {
 		return 0, fmt.Errorf("stream: reading %s: %w", field, noEOF(err))
 	}
+	// The read may have refilled br: window whatever it holds now.
+	rd.win, _ = rd.br.Peek(rd.br.Buffered()) // buffered: cannot fail
+	rd.winLen = len(rd.win)
 	return x, nil
+}
+
+// closeWindow tells br how far the window was decoded and drops the
+// window; every other use of br comes after it.
+func (rd *Reader) closeWindow() {
+	rd.br.Discard(rd.winLen - len(rd.win)) // buffered: cannot fail
+	rd.win, rd.winLen = nil, 0
 }
 
 // NumVertices returns the header vertex count.
@@ -287,6 +313,7 @@ func (rd *Reader) Reset() error {
 		return fmt.Errorf("stream: reset: %w", err)
 	}
 	rd.br.Reset(rd.r)
+	rd.win, rd.winLen = nil, 0
 	nvert, nadj := rd.nvert, rd.nadj
 	if err := rd.readHeader(); err != nil {
 		return err
@@ -374,6 +401,7 @@ func (rd *Reader) Next(s *Slab) error {
 			if rd.read != rd.nadj {
 				return rd.fail(errAdjCount(rd.read, rd.nadj))
 			}
+			rd.closeWindow()
 			if _, err := rd.br.ReadByte(); err != io.EOF {
 				return rd.fail(errAfterFinal(err))
 			}

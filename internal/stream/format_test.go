@@ -3,7 +3,9 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -269,4 +271,95 @@ func TestReaderRejectsCorruptFiles(t *testing.T) {
 			t.Fatalf("after Reset: %v, want %v", again, first)
 		}
 	})
+}
+
+// oneByteSeeker hands out a file one byte per Read, so a bufio.Reader
+// over it never holds more than one unread byte: Reader.uvarint never
+// finds a window to decode from and takes the byte-at-a-time path for
+// every varint.
+type oneByteSeeker struct{ r *bytes.Reader }
+
+func (o oneByteSeeker) Read(p []byte) (int, error) {
+	if len(p) > 1 {
+		p = p[:1]
+	}
+	return o.r.Read(p)
+}
+
+func (o oneByteSeeker) Seek(off int64, whence int) (int64, error) { return o.r.Seek(off, whence) }
+
+// decodeTrace replays the file twice (Reset in between) and returns
+// what came out: every slab and the error that ended each pass.
+func decodeTrace(r io.ReadSeeker) string {
+	var sb strings.Builder
+	rd, err := NewReader(r)
+	if err != nil {
+		return "open: " + err.Error()
+	}
+	var s Slab
+	for pass := 0; pass < 2; pass++ {
+		for err = rd.Next(&s); err == nil; err = rd.Next(&s) {
+			fmt.Fprintf(&sb, "lo %d xadj %v adj %v\n", s.Lo, s.XAdj, s.Adj)
+		}
+		fmt.Fprintf(&sb, "end: %v (unexpected EOF: %v)\n", err, errors.Is(err, io.ErrUnexpectedEOF))
+		if err := rd.Reset(); err != nil {
+			return sb.String() + "reset: " + err.Error()
+		}
+	}
+	return sb.String()
+}
+
+// TestWindowDecodeMatchesByteReader decodes a file several bufio
+// buffers long, every truncation of it around varint and buffer
+// boundaries, and corruptions that plant over-long and overflowing
+// varints — once through the windowed fast path and once with the fast
+// path starved — and demands identical slabs and identical, identically
+// typed errors.
+func TestWindowDecodeMatchesByteReader(t *testing.T) {
+	raw, _, _ := encodeMesh(t, 11, 5, 64)
+	if len(raw) < 3*4096 {
+		t.Fatalf("test file is %d bytes; want several bufio buffers", len(raw))
+	}
+	check := func(name string, data []byte) {
+		t.Helper()
+		fast := decodeTrace(bytes.NewReader(data))
+		slow := decodeTrace(oneByteSeeker{bytes.NewReader(data)})
+		if fast != slow {
+			t.Errorf("%s: windowed decode differs from byte-at-a-time decode:\n%s\nvs\n%s",
+				name, tail(fast), tail(slow))
+		}
+	}
+	check("intact", raw)
+	if !strings.Contains(decodeTrace(bytes.NewReader(raw)), "end: EOF (") {
+		t.Fatal("intact file did not decode to EOF")
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 9, 10, 11, 4095, 4096, 4097, 8191, 8192, 8193, len(raw) - 11, len(raw) - 10, len(raw) - 9, len(raw) - 2, len(raw) - 1} {
+		check("truncated at "+strconv.Itoa(n), raw[:n])
+	}
+	// A file whose last varint is ten bytes long (the value 0, padded):
+	// the window is decoded to its very end, and the end-of-file probe
+	// must still see that nothing follows.
+	padded := []byte{'c', 's', 1, 2, 2, 2, 2, 1, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}
+	check("padded last varint", padded)
+	if !strings.Contains(decodeTrace(bytes.NewReader(padded)), "end: EOF (") {
+		t.Error("file with a padded last varint did not decode to EOF")
+	}
+	overflow := bytes.Repeat([]byte{0xff}, 11)
+	overlong := []byte{0x81, 0x80, 0x80, 0x00} // the value 1 in four bytes
+	for _, at := range []int{3, 5, 40, 4090, 4096, 9000, len(raw) - 12} {
+		for name, patch := range map[string][]byte{"overflow": overflow, "overlong": overlong} {
+			bad := append([]byte(nil), raw...)
+			copy(bad[at:], patch)
+			check(name+" at "+strconv.Itoa(at), bad)
+		}
+	}
+}
+
+// tail returns the last lines of a decode trace.
+func tail(s string) string {
+	lines := strings.Split(strings.TrimSpace(s), "\n")
+	if len(lines) > 3 {
+		lines = lines[len(lines)-3:]
+	}
+	return strings.Join(lines, "\n")
 }
