@@ -463,6 +463,9 @@ type coarseContrib struct {
 	w float64
 }
 
+// byNeighbor orders the contributions of one coarse row by neighbor id.
+func byNeighbor(a, b coarseContrib) int { return cmp.Compare(a.u, b.u) }
+
 // BuildCoarse is the one-shot convenience form of
 // CoarseAssembler.BuildCoarse.
 func BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchange, cmap []int, coarseN int) *Graph {
@@ -620,7 +623,7 @@ func (a *CoarseAssembler) BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 	for l := 0; l < localN2; l++ {
 		row := tris[rowLo:xadj[l]]
 		rowLo = xadj[l]
-		sortContribs(row)
+		slices.SortStableFunc(row, byNeighbor)
 		xadj[l] = degSum
 		for i := 0; i < len(row); {
 			u, w := row[i].u, 0.0
@@ -644,27 +647,6 @@ func (a *CoarseAssembler) BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 	c.Words(3 * total)
 	coarse.NEdges = c.SumInt(degSum) / 2
 	return coarse
-}
-
-// sortContribs sorts one coarse row by neighbor id, stably. Rows are a
-// vertex's few routed edges, which a plain insertion sort orders faster
-// than the library's call-per-comparison stable sort; that one takes
-// the rare long row (a hub vertex).
-//
-//chaos:hotpath
-func sortContribs(row []coarseContrib) {
-	if len(row) > 32 {
-		slices.SortStableFunc(row, func(a, b coarseContrib) int { return cmp.Compare(a.u, b.u) })
-		return
-	}
-	for i := 1; i < len(row); i++ {
-		t := row[i]
-		j := i
-		for ; j > 0 && row[j-1].u > t.u; j-- {
-			row[j] = row[j-1]
-		}
-		row[j] = t
-	}
 }
 
 // grow returns (*buf)[:n], reallocating only when the capacity is

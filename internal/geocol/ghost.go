@@ -1,6 +1,7 @@
 package geocol
 
 import (
+	"slices"
 	"sort"
 
 	"chaos/internal/machine"
@@ -162,7 +163,8 @@ func (s *GhostScratch) NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange
 	// Sort the distinct ids; the table still maps an id to its
 	// first-seen number, which gives the permutation.
 	ge.IDs = make([]int, len(ids))
-	radixSortInto(ge.IDs, ids, g.N)
+	copy(ge.IDs, ids)
+	slices.Sort(ge.IDs)
 	perm := grow(&s.perm, len(ids))
 	for slot, v := range ge.IDs {
 		perm[s.seen.Entry(v).Val] = slot
@@ -202,12 +204,8 @@ func (s *GhostScratch) NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange
 	}
 	c.Words(localN + 2*len(ge.IDs))
 
-	// The fixed-size send buffers mirror the send lists, and the
-	// incremental exchanges' rows start with room for one word per
-	// send-list entry (a full PushMarks), so a cold matching does not
-	// grow them word by word.
+	// The fixed-size send buffers mirror the send lists.
 	bufInts, bufFloats := make([]int, len(sends)), make([]float64, len(sends))
-	bufUpd := make([]int, len(sends))
 	ge.sendInts = make([][]int, procs)
 	ge.sendFloats = make([][]float64, procs)
 	ge.updOut = make([][]int, procs)
@@ -216,44 +214,10 @@ func (s *GhostScratch) NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange
 		if end := off + len(ls); end > off {
 			ge.sendInts[r] = bufInts[off:end:end]
 			ge.sendFloats[r] = bufFloats[off:end:end]
-			ge.updOut[r] = bufUpd[off:off:end]
 			off = end
 		}
 	}
 	return ge
-}
-
-// radixSortInto sorts src, whose values lie in [0, n), ascending into
-// dst (same length; src is clobbered): a least-significant-byte-first
-// radix sort, one counting-sort pass per byte of n-1. Ghost ids are
-// small dense integers, which this orders in two or three linear
-// passes where a comparison sort pays a mispredicted branch per
-// comparison.
-//
-//chaos:hotpath
-func radixSortInto(dst, src []int, n int) {
-	from, to := src, dst
-	passes := 0
-	for shift := 0; shift == 0 || (n-1)>>shift > 0; shift += 8 {
-		var start [257]int
-		for _, v := range from {
-			start[(v>>shift)&0xff+1]++
-		}
-		for b := 0; b < 256; b++ {
-			start[b+1] += start[b]
-		}
-		for _, v := range from {
-			b := (v >> shift) & 0xff
-			to[start[b]] = v
-			start[b]++
-		}
-		from, to = to, from
-		passes++
-	}
-	// The passes alternate direction: an even count ends back in src.
-	if passes%2 == 0 {
-		copy(dst, src)
-	}
 }
 
 // Slot returns the index in IDs of ghost vertex v (which must be a

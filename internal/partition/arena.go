@@ -228,13 +228,11 @@ func growRows(s *[][]int, procs int) [][]int {
 }
 
 // ensure readies reusable gain buckets: first use allocates the fixed
-// bucket array and the slab of starting capacity, later uses just empty
-// the buckets.
+// bucket array, later uses just empty it.
 func (fb *fmBuckets) ensure() {
 	if fb.buckets == nil {
 		fb.buckets = make([][]fmCand, 2*fmBucketSpan+1)
 		fb.head = make([]int, 2*fmBucketSpan+1)
-		fb.slab = make([]fmCand, fmSlabBuckets*fmBucketChunk)
 	}
 	fb.reset()
 }

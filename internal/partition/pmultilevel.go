@@ -88,10 +88,6 @@ func (ml Multilevel) parallelPartitionLadder(c *machine.Ctx, g *geocol.Graph, np
 	}
 	var ld *Ladder
 	if len(levels) > 0 {
-		// Warm epochs restrict, polish, project and refine but never
-		// coarsen: the matching and contraction scratch is dead weight in
-		// a retained ladder.
-		ar.match, ar.asm = matchScratch{}, geocol.CoarseAssembler{}
 		ld = &Ladder{n: g.N, nparts: nparts, levels: levels, coarsest: cur, ar: ar}
 	}
 	return part, ld

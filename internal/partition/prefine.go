@@ -74,21 +74,9 @@ type fmBuckets struct {
 	head    []int // per-bucket pop cursor (consumed prefix)
 	hi      int   // highest possibly-non-empty bucket index
 	n       int   // live entry count (including stale)
-	// slab is what is left of one array that hands every bucket its
-	// first fmBucketChunk entries of capacity, so a cold run does not
-	// grow each bucket it touches from nothing, one doubling at a time.
-	slab []fmCand
 }
 
-const (
-	fmBucketSpan = 64
-	// fmBucketChunk is a bucket's starting capacity and fmSlabBuckets
-	// how many buckets the slab can start: a level's gains land in a few
-	// dozen buckets around zero; a bucket beyond that, or outgrowing its
-	// chunk, grows by append as before.
-	fmBucketChunk = 32
-	fmSlabBuckets = 48
-)
+const fmBucketSpan = 64
 
 func fmBucketIndex(gain float64) int {
 	b := int(math.Floor(gain))
@@ -104,9 +92,6 @@ func fmBucketIndex(gain float64) int {
 //chaos:hotpath
 func (fb *fmBuckets) push(cand fmCand) {
 	b := fmBucketIndex(cand.gain)
-	if cap(fb.buckets[b]) == 0 && len(fb.slab) >= fmBucketChunk {
-		fb.buckets[b], fb.slab = fb.slab[:0:fmBucketChunk], fb.slab[fmBucketChunk:]
-	}
 	fb.buckets[b] = append(fb.buckets[b], cand)
 	if b > fb.hi {
 		fb.hi = b

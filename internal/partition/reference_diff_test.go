@@ -322,34 +322,3 @@ func TestInduceMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// TestFMBucketsMatchReference drives the gain buckets, whose starting
-// capacity now comes out of a slab, and the parent's through the same
-// random pushes, pops and resets — gains inside, outside and on the
-// edge of the bucket span, fractional ones included, enough of them to
-// exhaust the slab and outgrow its chunks — and demands the same pop
-// sequence.
-func TestFMBucketsMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var fb fmBuckets
-	ref := newRefFMBuckets()
-	fb.ensure()
-	for op := 0; op < 20000; op++ {
-		switch k := rng.Intn(100); {
-		case k < 55:
-			cand := fmCand{l: rng.Intn(500), to: rng.Intn(8), stamp: op,
-				gain: float64(rng.Intn(2*fmBucketSpan+40)-fmBucketSpan-20) + float64(rng.Intn(4))/4}
-			fb.push(cand)
-			ref.push(cand)
-		case k < 99:
-			got, gok := fb.pop()
-			want, wok := ref.pop()
-			if got != want || gok != wok {
-				t.Fatalf("op %d: popped %+v %v, reference %+v %v", op, got, gok, want, wok)
-			}
-		default:
-			fb.reset()
-			ref.reset()
-		}
-	}
-}

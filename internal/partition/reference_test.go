@@ -335,54 +335,3 @@ func refInduce(f *geocol.Full, verts []int) *subgraph {
 	sg.flops += int64(len(sg.adj) + sg.n)
 	return sg
 }
-
-type refFMBuckets struct {
-	buckets [][]fmCand
-	head    []int // per-bucket pop cursor (consumed prefix)
-	hi      int   // highest possibly-non-empty bucket index
-	n       int   // live entry count (including stale)
-}
-
-func newRefFMBuckets() *refFMBuckets {
-	return &refFMBuckets{
-		buckets: make([][]fmCand, 2*fmBucketSpan+1),
-		head:    make([]int, 2*fmBucketSpan+1),
-	}
-}
-
-func (fb *refFMBuckets) push(cand fmCand) {
-	b := fmBucketIndex(cand.gain)
-	fb.buckets[b] = append(fb.buckets[b], cand)
-	if b > fb.hi {
-		fb.hi = b
-	}
-	fb.n++
-}
-
-// pop returns the highest-gain candidate, or false when empty. The
-// consumed prefix is tracked by a cursor, NOT by re-slicing the bucket
-// from the front — front-slicing would strand the popped capacity and
-// make every later push reallocate, defeating the arena.
-func (fb *refFMBuckets) pop() (fmCand, bool) {
-	for fb.hi >= 0 {
-		if b := fb.buckets[fb.hi]; fb.head[fb.hi] < len(b) {
-			cand := b[fb.head[fb.hi]]
-			fb.head[fb.hi]++
-			fb.n--
-			return cand, true
-		}
-		fb.hi--
-	}
-	return fmCand{}, false
-}
-
-// reset empties the buckets keeping their backing arrays, so repeated
-// passes reuse steady-state capacity instead of reallocating.
-func (fb *refFMBuckets) reset() {
-	for i := range fb.buckets {
-		fb.buckets[i] = fb.buckets[i][:0]
-		fb.head[i] = 0
-	}
-	fb.hi = 0
-	fb.n = 0
-}

@@ -139,14 +139,13 @@ func TestStreamAdapterMatchesEngine(t *testing.T) {
 
 // TestStreamQualityMemoryPin is the out-of-core quality contract on
 // the paper's 21952-node mesh: the streaming engine must land within
-// 1.4x of MULTILEVEL's cut while allocating no more than 10 MB — and
-// at least 4x less than the in-memory multilevel run — stay
+// 1.4x of MULTILEVEL's cut while allocating no more than 8.5 MiB — and
+// at least 5x less than the in-memory multilevel run — stay
 // deterministic at a fixed seed, and partition an edge-stream file at
 // least 10x larger than its resident fringe to the identical answer.
-// (The memory pin used to be ">= 10x below MULTILEVEL" and held at
-// 8.5 MB against 85 MB; the serial V-cycle has since shed 40 % of its
-// allocation, so the streaming side is now pinned on its own number
-// and the ratio only guards the order of magnitude.)
+// (The cap is the pin on the streaming engine itself; the ratio's
+// denominator moves whenever MULTILEVEL's own allocation does, so it
+// is tied to the current measurement, 5.4x.)
 func TestStreamQualityMemoryPin(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("heavy quality pin; skipped under -short and -race")
@@ -195,11 +194,11 @@ func TestStreamQualityMemoryPin(t *testing.T) {
 	if float64(cut) > 1.4*mlCut {
 		t.Errorf("STREAM cut %d exceeds 1.4x MULTILEVEL %.0f", cut, mlCut)
 	}
-	if stBytes > 10<<20 {
-		t.Errorf("STREAM allocated %d bytes, want at most 10 MB", stBytes)
+	if stBytes > 17<<19 {
+		t.Errorf("STREAM allocated %d bytes, want at most 8.5 MiB", stBytes)
 	}
-	if stBytes*4 > mlBytes {
-		t.Errorf("STREAM allocated %d bytes, want >=4x below MULTILEVEL's %d", stBytes, mlBytes)
+	if stBytes*5 > mlBytes {
+		t.Errorf("STREAM allocated %d bytes, want >=5x below MULTILEVEL's %d", stBytes, mlBytes)
 	}
 
 	// Deterministic at a fixed seed.
