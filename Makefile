@@ -8,15 +8,17 @@ GO ?= go
 # coverage durably improves.
 COVER_FLOOR = 89.0
 
-.PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline repo-bench repo-bench-pairs profile-cpu profile-mem fuzz-short service-bench quickstart tables examples docs-check api-check api-snapshot
+.PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline repo-bench repo-bench-pairs profile-cpu profile-mem profile-exec fuzz-short service-bench quickstart tables examples docs-check api-check api-snapshot
 
 # The BenchmarkHot* suite measures the steady state of the arena-backed
 # hot paths and of the paper's own layers (translation-table
-# dereference, schedule build, whole inspection) with -benchmem; the gate (cmd/benchjson -gate) fails CI when
-# any of them allocates past the checked-in BENCH_BASELINE.json (5%
-# scheduling-noise headroom, exact for allocation-free kernels) or slows
-# past 1.5x its baseline ns/op. Refresh the baseline with `make
-# bench-baseline` after an intentional perf change and commit the diff.
+# dereference, schedule build, whole inspection, gather/scatter
+# transport, whole reused executor step) with -benchmem; the gate
+# (cmd/benchjson -gate) fails CI when any of them allocates past the
+# checked-in BENCH_BASELINE.json (5% scheduling-noise headroom, exact
+# for allocation-free kernels) or slows past 1.5x its baseline ns/op.
+# Refresh the baseline with `make bench-baseline` after an intentional
+# perf change and commit the diff.
 BENCH_GATE_CMD = $(GO) test -run '^$$' -bench '^BenchmarkHot' -benchmem -benchtime 10x ./internal/partition ./internal/geocol ./internal/stream ./internal/ttable ./internal/schedule ./internal/core
 
 check: build lint analyze test docs-check api-check
@@ -141,7 +143,7 @@ repo-bench:
 # git-ignored .bench_build/, so nothing is registered in .git and the
 # base binary runs inside a checkout of its own.
 N ?= 10
-WORKLOAD ?= partition_cold
+WORKLOAD ?=
 BASE ?= HEAD
 repo-bench-pairs:
 	@rm -rf .bench_build && mkdir -p .bench_build/base
@@ -176,6 +178,20 @@ profile-mem:
 	$(GO) test -run '^$$' -bench BenchmarkParallelMultilevel8 -benchtime 5x -benchmem \
 		-memprofile profiles/mem.out -o profiles/partition.test ./internal/partition
 	@echo "wrote profiles/mem.out; inspect with: go tool pprof -sample_index=alloc_objects profiles/partition.test profiles/mem.out"
+
+# profile-exec profiles one reused executor step (BenchmarkHotExecute:
+# the paper's 53K mesh on 8 ranks, the repository benchmark's
+# euler_reuse op) for CPU and allocations in one run. Read the split
+# between the strip loops (gatherStrip, combineStrip), the kernel, the
+# transport (schedule.move, machine.exchangeRows) and the allocator with
+# `go tool pprof -top profiles/core.test profiles/exec_cpu.out`.
+profile-exec:
+	@mkdir -p profiles
+	$(GO) test -run '^$$' -bench 'BenchmarkHotExecute$$' -benchtime 1500x -benchmem \
+		-cpuprofile profiles/exec_cpu.out -memprofile profiles/exec_mem.out -memprofilerate 1 \
+		-o profiles/core.test ./internal/core
+	@echo "wrote profiles/exec_cpu.out and profiles/exec_mem.out; inspect with: go tool pprof -top profiles/core.test profiles/exec_cpu.out"
+	@echo "                                       and: go tool pprof -sample_index=alloc_objects -top profiles/core.test profiles/exec_mem.out"
 
 # service-bench runs the partitioning-service load study on the short
 # profile: a serial client, then 16 concurrent clients, against a

@@ -55,6 +55,7 @@ var valueResultFuncs = map[string]bool{
 	machinePath + ".Ctx.AlltoAllInts":                   true,
 	machinePath + ".Ctx.AlltoAllFloats":                 true,
 	machinePath + ".Ctx.ExchangeInts":                   true,
+	machinePath + ".Ctx.ExchangeFloats":                 true,
 	machinePath + ".Ctx.ShareInts":                      true,
 	machinePath + ".Ctx.AllGatherInt":                   true,
 	machinePath + ".Ctx.AllGatherFloat":                 true,

@@ -48,7 +48,7 @@ var ctxCollectives = []string{
 	"SumInt", "SumFloat", "MaxInt", "MaxFloat", "MinFloat",
 	"AllGatherInt", "AllGatherFloat", "AllGatherInts", "AllGatherFloats",
 	"BroadcastInts", "BroadcastFloats",
-	"AlltoAllInts", "AlltoAllFloats", "ExchangeInts",
+	"AlltoAllInts", "AlltoAllFloats", "ExchangeInts", "ExchangeFloats",
 	"ShareInts",
 }
 

@@ -155,3 +155,32 @@ func BenchmarkHotInspect(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkHotExecute is one reused executor step of the Euler sweep —
+// the reuse check, two gathers, the strip-mined kernel loop, two
+// scatter-adds — on the paper's 53K mesh over 8 ranks, the shape of the
+// repository benchmark's euler_reuse op.
+func BenchmarkHotExecute(b *testing.B) {
+	m := mesh.Generate(53000, 1993)
+	b.ReportAllocs()
+	err := machine.Run(machine.IPSC860(8), func(c *machine.Ctx) {
+		loop, _ := eulerLoop(c, m)
+		loop.Execute() // inspects
+		loop.Execute() // the schedules' second slabs
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		c.Barrier() // nobody allocates ahead of the reset
+		for i := 0; i < b.N; i++ {
+			loop.Execute()
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.StopTimer()
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

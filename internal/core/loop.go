@@ -146,21 +146,38 @@ type Loop struct {
 
 	rec  registry.LoopRecord
 	insp *inspectorState
+
+	// What every reused step needs and the loop therefore keeps across
+	// steps and across inspections, grow-only: the ghost, accumulation
+	// and operand-block buffers (one slab, carved up by Inspect) and the
+	// two descriptor lists of the reuse check.
+	store             []float64
+	dataDADs, indDADs []dist.DAD
 }
 
+// execBlock is the executor's strip length in iterations: the operand
+// blocks of one strip (execBlock × (reads + writes) floats) stay in L1
+// between the gather, kernel and combine loops that share them.
+const execBlock = 256
+
 // gatherGroup is one fused communication schedule serving one or more
-// read accesses of the same array.
+// read accesses of the same array, and the ghost buffer it fills.
 type gatherGroup struct {
 	arr   *Array
 	sched *schedule.Schedule
+	ghost []float64
 }
 
 // scatterGroup is one fused schedule serving write accesses that share
-// an array and a reduction operator.
+// an array and a reduction operator, and their accumulation buffer:
+// the array's local section followed by the schedule's ghost slots.
 type scatterGroup struct {
-	arr   *Array
-	op    Reduce
-	sched *schedule.Schedule
+	arr     *Array
+	op      Reduce
+	combine func(owned, contrib float64) float64 // op.combine, bound once
+	sched   *schedule.Schedule
+	buf     []float64
+	members []int // the accesses served, in access order
 }
 
 // accessPlan ties one access to its group and its per-iteration
@@ -170,11 +187,17 @@ type accessPlan struct {
 	ref   []int
 }
 
+// inspectorState is what an inspection compiles the loop into: per
+// group a schedule and its buffer, per access a reference vector, and
+// the operand blocks of one strip. The executor only indexes it.
 type inspectorState struct {
 	rGroups []gatherGroup
 	rPlans  []accessPlan
 	wGroups []scatterGroup
 	wPlans  []accessPlan
+	// in and out are the operand blocks, iteration-major: iteration b
+	// of a strip reads in[b*len(Reads):] and fills out[b*len(Writes):].
+	in, out []float64
 	// refs holds every group's whole reference vector (read groups,
 	// then write groups) — the plans slice them — so the next
 	// inspection can recycle the storage.
@@ -248,26 +271,19 @@ func (l *Loop) CommPhases() int {
 	return len(l.insp.rGroups) + len(l.insp.wGroups)
 }
 
-func (l *Loop) dataDADs() []dist.DAD {
-	var ds []dist.DAD
+// dads re-reads the descriptors of the loop's data and indirection
+// arrays (Redistribute and PartitionIterations replace them) into the
+// loop's two scratch lists.
+func (l *Loop) dads() (data, ind []dist.DAD) {
+	data, ind = l.dataDADs[:0], l.indDADs[:0]
 	for _, r := range l.Reads {
-		ds = append(ds, r.Arr.DAD())
+		data, ind = append(data, r.Arr.DAD()), append(ind, r.Ind.DAD())
 	}
 	for _, w := range l.Writes {
-		ds = append(ds, w.Arr.DAD())
+		data, ind = append(data, w.Arr.DAD()), append(ind, w.Ind.DAD())
 	}
-	return ds
-}
-
-func (l *Loop) indDADs() []dist.DAD {
-	var ds []dist.DAD
-	for _, r := range l.Reads {
-		ds = append(ds, r.Ind.DAD())
-	}
-	for _, w := range l.Writes {
-		ds = append(ds, w.Ind.DAD())
-	}
-	return ds
+	l.dataDADs, l.indDADs = data, ind
+	return data, ind
 }
 
 // Inspect runs the Phase D inspector unconditionally: it builds one
@@ -279,12 +295,14 @@ func (l *Loop) indDADs() []dist.DAD {
 // this call only, and the reference vectors of the inspector state
 // being replaced become the storage of the new ones: a re-inspection
 // allocates little beyond the schedules themselves, and the loop
-// retains no scratch between inspections.
+// retains no inspector scratch between inspections — only the buffers
+// every executor step needs (Loop.store).
 func (l *Loop) Inspect() {
 	l.s.timed(TimerInspector, func() {
 		// Register indirection descriptors with the (possibly
 		// tracked) registry before recording timestamps.
-		for _, d := range l.indDADs() {
+		data, ind := l.dads()
+		for _, d := range ind {
 			l.s.Reg.Track(d)
 		}
 		st := &inspectorState{}
@@ -352,7 +370,6 @@ func (l *Loop) Inspect() {
 			op  Reduce
 		}
 		wGroupOf := map[wKey]int{}
-		var wMembers [][]int
 		for k, w := range l.Writes {
 			key := wKey{w.Arr, w.Op}
 			gi := -1
@@ -363,23 +380,48 @@ func (l *Loop) Inspect() {
 			}
 			if gi < 0 {
 				gi = len(st.wGroups)
-				st.wGroups = append(st.wGroups, scatterGroup{arr: w.Arr, op: w.Op})
-				wMembers = append(wMembers, nil)
+				st.wGroups = append(st.wGroups, scatterGroup{arr: w.Arr, op: w.Op, combine: w.Op.combine})
 				if l.MergeAccesses {
 					wGroupOf[key] = gi
 				}
 			}
-			wMembers[gi] = append(wMembers[gi], k)
+			st.wGroups[gi].members = append(st.wGroups[gi].members, k)
 		}
 		st.wPlans = make([]accessPlan, len(l.Writes))
 		writeInd := func(k int) *IntArray { return l.Writes[k].Ind }
 		for gi := range st.wGroups {
 			g := &st.wGroups[gi]
-			g.sched = build(gi, g.arr, wMembers[gi], writeInd, st.wPlans)
+			g.sched = build(gi, g.arr, g.members, writeInd, st.wPlans)
+		}
+
+		// Carve the executor's buffers out of the loop's slab.
+		total := execBlock * (len(l.Reads) + len(l.Writes))
+		for _, g := range st.rGroups {
+			total += g.sched.NGhost()
+		}
+		for _, g := range st.wGroups {
+			total += len(g.arr.Data) + g.sched.NGhost()
+		}
+		if cap(l.store) < total {
+			l.store = make([]float64, total)
+		}
+		rest := l.store[:total]
+		carve := func(n int) []float64 {
+			b := rest[:n:n]
+			rest = rest[n:]
+			return b
+		}
+		st.in, st.out = carve(execBlock*len(l.Reads)), carve(execBlock*len(l.Writes))
+		for gi := range st.rGroups {
+			st.rGroups[gi].ghost = carve(st.rGroups[gi].sched.NGhost())
+		}
+		for gi := range st.wGroups {
+			g := &st.wGroups[gi]
+			g.buf = carve(len(g.arr.Data) + g.sched.NGhost())
 		}
 
 		l.insp = st
-		l.s.Reg.Record(&l.rec, l.dataDADs(), l.indDADs())
+		l.s.Reg.Record(&l.rec, data, ind)
 	})
 }
 
@@ -389,85 +431,157 @@ func (l *Loop) Inspect() {
 func (l *Loop) Execute() {
 	// The reuse check itself is charged: a few descriptor comparisons.
 	l.s.C.Words(2 * (len(l.Reads) + len(l.Writes)))
-	if !l.s.Reg.Check(&l.rec, l.dataDADs(), l.indDADs()) || l.insp == nil {
+	data, ind := l.dads()
+	if !l.s.Reg.Check(&l.rec, data, ind) || l.insp == nil {
 		l.Inspect()
 	}
-	l.s.timed(TimerExecutor, func() { l.executor() })
+	l.s.timed(TimerExecutor, l.executor)
 }
 
 // ExecuteNoReuse forces a fresh inspector before every executor pass —
 // the paper's "no schedule reuse" baseline (Table 1).
 func (l *Loop) ExecuteNoReuse() {
 	l.Inspect()
-	l.s.timed(TimerExecutor, func() { l.executor() })
+	l.s.timed(TimerExecutor, l.executor)
 }
 
-// executor is Phase E: gather ghost values, run the kernel over local
-// iterations, combine write contributions, scatter off-processor
-// contributions back to their owners.
+// executor is Phase E, run strip-mined over what the inspector
+// compiled: gather ghost values, then per strip of execBlock local
+// iterations gather every read's operands into the in block, run the
+// kernel over the strip, and combine every write's contributions out
+// of the out block; finally fold the local contributions and scatter
+// the off-processor ones back to their owners. Each accumulation
+// buffer receives its contributions in iteration order, and within an
+// iteration in access order.
+//
+//chaos:hotpath
 func (l *Loop) executor() {
 	c := l.s.C
 	st := l.insp
 
 	// Gather read operands: one communication phase per group.
-	ghosts := make([][]float64, len(st.rGroups))
-	for gi, g := range st.rGroups {
-		ghosts[gi] = make([]float64, g.sched.NGhost())
-		g.sched.Gather(c, g.arr.Data, ghosts[gi])
+	for gi := range st.rGroups {
+		g := &st.rGroups[gi]
+		g.sched.Gather(c, g.arr.Data, g.ghost)
 	}
 
-	// Prepare write accumulation buffers (local section + ghost
-	// slots), initialized to the reduction identity; one per group.
-	wbufs := make([][]float64, len(st.wGroups))
-	for gi, g := range st.wGroups {
-		buf := make([]float64, len(g.arr.Data)+g.sched.NGhost())
+	// Reset the write accumulation buffers to the reduction identity.
+	for gi := range st.wGroups {
+		g := &st.wGroups[gi]
+		if len(g.buf) != len(g.arr.Data)+g.sched.NGhost() {
+			panicStaleBuffer(l, g)
+		}
 		id := g.op.identity()
-		for i := range buf {
-			buf[i] = id
+		for i := range g.buf {
+			g.buf[i] = id
 		}
-		wbufs[gi] = buf
 	}
 
-	in := make([]float64, len(l.Reads))
-	out := make([]float64, len(l.Writes))
-	for i := range l.iterGl {
-		for j := range l.Reads {
+	nR, nW, kernel := len(l.Reads), len(l.Writes), l.Kernel
+	in, out := st.in, st.out
+	for lo := 0; lo < len(l.iterGl); lo += execBlock {
+		iters := l.iterGl[lo:min(lo+execBlock, len(l.iterGl))]
+		hi := lo + len(iters)
+		for j := range st.rPlans {
 			pl := &st.rPlans[j]
-			data := st.rGroups[pl.group].arr.Data
-			ref := pl.ref[i]
-			if ref < len(data) {
-				in[j] = data[ref]
-			} else {
-				in[j] = ghosts[pl.group][ref-len(data)]
-			}
+			g := &st.rGroups[pl.group]
+			gatherStrip(in[j:], nR, g.arr.Data, g.ghost, pl.ref[lo:hi])
 		}
-		l.Kernel(l.iterGl[i], in, out)
-		for k := range l.Writes {
-			pl := &st.wPlans[k]
-			buf := wbufs[pl.group]
-			buf[pl.ref[i]] = st.wGroups[pl.group].op.combine(buf[pl.ref[i]], out[k])
+		// The capacity limits keep a kernel that appends to its
+		// arguments out of the next iteration's operands.
+		inB, outB := in, out
+		for _, iter := range iters {
+			kernel(iter, inB[:nR:nR], outB[:nW:nW])
+			inB, outB = inB[nR:], outB[nW:]
+		}
+		for gi := range st.wGroups {
+			g := &st.wGroups[gi]
+			if len(g.members) == 1 {
+				k := g.members[0]
+				combineStrip(g.op, g.buf, st.wPlans[k].ref[lo:hi], out[k:], nW)
+				continue
+			}
+			combineShared(g.op, g.buf, st.wPlans, g.members, lo, hi, out, nW)
 		}
 	}
-	c.Flops(len(l.iterGl) * (l.FlopsPerIter + len(l.Writes)))
-	c.Words(len(l.iterGl) * (len(l.Reads) + len(l.Writes)))
+	c.Flops(len(l.iterGl) * (l.FlopsPerIter + nW))
+	c.Words(len(l.iterGl) * (nR + nW))
 
 	// Fold local contributions and scatter ghost contributions, one
 	// communication phase per group.
-	for gi, g := range st.wGroups {
-		buf := wbufs[gi]
-		nLocal := len(g.arr.Data)
-		op := g.op
-		for i := 0; i < nLocal; i++ {
-			g.arr.Data[i] = op.combine(g.arr.Data[i], buf[i])
-		}
-		c.Flops(nLocal)
-		g.sched.ScatterOp(c, g.arr.Data, buf[nLocal:], op.combine)
+	for gi := range st.wGroups {
+		g := &st.wGroups[gi]
+		data := g.arr.Data
+		foldInto(g.op, data, g.buf[:len(data)])
+		c.Flops(len(data))
+		g.sched.ScatterOp(c, data, g.buf[len(data):], g.combine)
 	}
 
 	// One modification event per written array for this loop body.
 	for _, w := range l.Writes {
 		w.Arr.NoteWrite()
 	}
+}
+
+// gatherStrip fills one read's column of the operand block: in[b*stride]
+// is the element ref[b] names in [data | ghost].
+func gatherStrip(in []float64, stride int, data, ghost []float64, ref []int) {
+	for b, r := range ref {
+		if r < len(data) {
+			in[b*stride] = data[r]
+		} else {
+			in[b*stride] = ghost[r-len(data)]
+		}
+	}
+}
+
+// combineStrip combines one write's column of the operand block into
+// its accumulation buffer: out[b*stride] goes to buf[ref[b]].
+func combineStrip(op Reduce, buf []float64, ref []int, out []float64, stride int) {
+	if op == Add {
+		for b, r := range ref {
+			buf[r] += out[b*stride]
+		}
+		return
+	}
+	for b, r := range ref {
+		buf[r] = op.combine(buf[r], out[b*stride])
+	}
+}
+
+// combineShared is combineStrip for several accesses that share buf:
+// iteration-major and within an iteration in access order, so the
+// buffer sees its contributions in the order the loop body lists them.
+func combineShared(op Reduce, buf []float64, plans []accessPlan, members []int, lo, hi int, out []float64, stride int) {
+	for i := lo; i < hi; i++ {
+		for _, k := range members {
+			r := plans[k].ref[i]
+			if op == Add {
+				buf[r] += out[k]
+			} else {
+				buf[r] = op.combine(buf[r], out[k])
+			}
+		}
+		out = out[stride:]
+	}
+}
+
+// foldInto combines src into dst element by element.
+func foldInto(op Reduce, dst, src []float64) {
+	if op == Add {
+		for i, v := range src {
+			dst[i] += v
+		}
+		return
+	}
+	for i, v := range src {
+		dst[i] = op.combine(dst[i], v)
+	}
+}
+
+func panicStaleBuffer(l *Loop, g *scatterGroup) {
+	panic(fmt.Sprintf("core: loop %q: accumulation buffer of %q holds %d elements, array and schedule need %d",
+		l.Name, g.arr.Name, len(g.buf), len(g.arr.Data)+g.sched.NGhost()))
 }
 
 // PartitionIterations runs the paper's Phase B on this loop: every

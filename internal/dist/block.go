@@ -4,16 +4,22 @@ package dist
 // ranks: rank r owns the contiguous chunk [Lo(r), Hi(r)). The n%p
 // remainder elements are spread one apiece over the first n%p ranks, so
 // chunk sizes differ by at most one and low ranks are never more than
-// one element heavier. It is a small value type; copy it freely.
+// one element heavier. It is a small comparable value type; copy it
+// freely.
 type BlockDist struct {
 	n, p int
+	// q = n/p and r = n%p, divided once: ranks below r own q+1 elements,
+	// the rest q. split = r*(q+1) is the first global index of the
+	// size-q region.
+	q, r, split int
 }
 
 // NewBlock returns the BLOCK distribution of an index space of size n
 // over p ranks. It panics if n is negative or p is not positive.
 func NewBlock(n, p int) BlockDist {
 	checkSpace("BLOCK", n, p)
-	return BlockDist{n: n, p: p}
+	q, r := n/p, n%p
+	return BlockDist{n: n, p: p, q: q, r: r, split: r * (q + 1)}
 }
 
 // Procs returns the number of ranks the space is distributed over.
@@ -22,11 +28,10 @@ func (b BlockDist) Procs() int { return b.p }
 // Lo returns the first global index owned by rank (inclusive).
 func (b BlockDist) Lo(rank int) int {
 	checkRank("BLOCK", rank, b.p)
-	q, r := b.n/b.p, b.n%b.p
-	if rank < r {
-		return rank * (q + 1)
+	if rank < b.r {
+		return rank * (b.q + 1)
 	}
-	return rank*q + r
+	return rank*b.q + b.r
 }
 
 // Hi returns one past the last global index owned by rank, so the
@@ -38,12 +43,10 @@ func (b BlockDist) Hi(rank int) int {
 // Owner returns the rank owning global index g.
 func (b BlockDist) Owner(g int) int {
 	checkGlobal("BLOCK", g, b.n)
-	q, r := b.n/b.p, b.n%b.p
-	split := r * (q + 1) // first global index in the size-q region
-	if g < split {
-		return g / (q + 1)
+	if g < b.split {
+		return g / (b.q + 1)
 	}
-	return r + (g-split)/q
+	return b.r + (g-b.split)/b.q
 }
 
 // Local returns the offset of g within its owner's chunk.
@@ -64,11 +67,10 @@ func (b BlockDist) Size() int { return b.n }
 // LocalSize returns the chunk size of rank.
 func (b BlockDist) LocalSize(rank int) int {
 	checkRank("BLOCK", rank, b.p)
-	q, r := b.n/b.p, b.n%b.p
-	if rank < r {
-		return q + 1
+	if rank < b.r {
+		return b.q + 1
 	}
-	return q
+	return b.q
 }
 
 // Kind returns Block.

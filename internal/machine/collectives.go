@@ -6,30 +6,42 @@ import (
 )
 
 // rendezvous implements an all-ranks exchange: every rank deposits one
-// value, the last arriver snapshots the deposits and the maximum clock,
-// and every rank leaves with the full snapshot and a synchronized
-// clock. All collectives are built on it, which makes them
-// deterministic regardless of goroutine scheduling.
+// value, the last arriver takes the maximum clock, and every rank
+// leaves with all the deposits and a synchronized clock. All
+// collectives are built on it, which makes them deterministic
+// regardless of goroutine scheduling.
 type rendezvous struct {
 	m     *Machine
 	mu    sync.Mutex
 	cond  *sync.Cond
 	procs int
 
-	gen    int64
-	count  int
-	vals   []any
-	clocks []float64
-
-	snapVals []any
+	gen   int64
+	count int
+	// vals holds the deposits of two generations, used alternately, so a
+	// collective allocates no snapshot: generation g's deposits are next
+	// overwritten in generation g+2, which no rank enters before every
+	// rank has entered g+1 — after it finished reading g's (the rule a
+	// rank's own two deposit slots follow, see exchangeRows).
+	vals     [2][]deposit
+	clocks   []float64
 	snapTime float64
+}
+
+// deposit is what one rank leaves at a rendezvous. Scalars travel in
+// fields of their own so that no collective boxes one; p carries
+// everything else.
+type deposit struct {
+	i int
+	f float64
+	p any
 }
 
 func newRendezvous(m *Machine, procs int) *rendezvous {
 	r := &rendezvous{
 		m:      m,
 		procs:  procs,
-		vals:   make([]any, procs),
+		vals:   [2][]deposit{make([]deposit, procs), make([]deposit, procs)},
 		clocks: make([]float64, procs),
 	}
 	r.cond = sync.NewCond(&r.mu)
@@ -49,32 +61,31 @@ func (r *rendezvous) wake() {
 // deposits for the same generation. On return the rank's clock has been
 // advanced to the maximum clock among participants (a synchronizing
 // collective). The returned slice is shared between ranks and must be
-// treated as read-only. On the Real backend the rank yields its
-// compute slot for the duration — a rank waiting out a collective must
-// not starve runnable ranks of cores.
-func (c *Ctx) exchange(x any) []any {
+// treated as read-only, and is good until this rank enters its next
+// collective. On the Real backend the rank yields its compute slot for
+// the duration — a rank waiting out a collective must not starve
+// runnable ranks of cores.
+func (c *Ctx) exchange(x deposit) []deposit {
 	c.checkAborted()
 	r := c.m.rdv
 	var (
-		snap []any
+		snap []deposit
 		t    float64
 	)
 	c.yield(func() {
 		r.mu.Lock()
 		gen := r.gen
-		r.vals[c.rank] = x
+		snap = r.vals[gen&1]
+		snap[c.rank] = x
 		r.clocks[c.rank] = c.clock
 		r.count++
 		if r.count == r.procs {
-			sv := make([]any, r.procs)
-			copy(sv, r.vals)
 			maxT := r.clocks[0]
 			for _, ct := range r.clocks[1:] {
 				if ct > maxT {
 					maxT = ct
 				}
 			}
-			r.snapVals = sv
 			r.snapTime = maxT
 			r.count = 0
 			r.gen++
@@ -88,7 +99,6 @@ func (c *Ctx) exchange(x any) []any {
 				r.cond.Wait()
 			}
 		}
-		snap = r.snapVals
 		t = r.snapTime
 		r.mu.Unlock()
 	})
@@ -112,7 +122,7 @@ func (c *Ctx) collectiveCost(bytes int) {
 
 // Barrier synchronizes all ranks and their virtual clocks.
 func (c *Ctx) Barrier() {
-	c.exchange(nil)
+	c.exchange(deposit{})
 	c.collectiveCost(0)
 }
 
@@ -120,10 +130,10 @@ func (c *Ctx) Barrier() {
 // order, so op should be associative and commutative) and returns the
 // result on every rank.
 func (c *Ctx) AllReduceFloat(x float64, op func(a, b float64) float64) float64 {
-	vals := c.exchange(x)
-	acc := vals[0].(float64)
+	vals := c.exchange(deposit{f: x})
+	acc := vals[0].f
 	for _, v := range vals[1:] {
-		acc = op(acc, v.(float64))
+		acc = op(acc, v.f)
 	}
 	c.collectiveCost(8)
 	return acc
@@ -132,10 +142,10 @@ func (c *Ctx) AllReduceFloat(x float64, op func(a, b float64) float64) float64 {
 // AllReduceInt combines one int per rank with op and returns the result
 // on every rank.
 func (c *Ctx) AllReduceInt(x int, op func(a, b int) int) int {
-	vals := c.exchange(x)
-	acc := vals[0].(int)
+	vals := c.exchange(deposit{i: x})
+	acc := vals[0].i
 	for _, v := range vals[1:] {
-		acc = op(acc, v.(int))
+		acc = op(acc, v.i)
 	}
 	c.collectiveCost(8)
 	return acc
@@ -183,10 +193,10 @@ func (c *Ctx) MinFloat(x float64) float64 {
 
 // AllGatherInt gathers one int per rank; result[r] is rank r's value.
 func (c *Ctx) AllGatherInt(x int) []int {
-	vals := c.exchange(x)
+	vals := c.exchange(deposit{i: x})
 	out := make([]int, c.procs)
 	for i, v := range vals {
-		out[i] = v.(int)
+		out[i] = v.i
 	}
 	c.collectiveCost(8 * c.procs)
 	return out
@@ -194,10 +204,10 @@ func (c *Ctx) AllGatherInt(x int) []int {
 
 // AllGatherFloat gathers one float64 per rank.
 func (c *Ctx) AllGatherFloat(x float64) []float64 {
-	vals := c.exchange(x)
+	vals := c.exchange(deposit{f: x})
 	out := make([]float64, c.procs)
 	for i, v := range vals {
-		out[i] = v.(float64)
+		out[i] = v.f
 	}
 	c.collectiveCost(8 * c.procs)
 	return out
@@ -208,14 +218,14 @@ func (c *Ctx) AllGatherFloat(x float64) []float64 {
 func (c *Ctx) AllGatherInts(xs []int) []int {
 	cp := make([]int, len(xs))
 	copy(cp, xs)
-	vals := c.exchange(cp)
+	vals := c.exchange(deposit{p: cp})
 	total := 0
 	for _, v := range vals {
-		total += len(v.([]int))
+		total += len(v.p.([]int))
 	}
 	out := make([]int, 0, total)
 	for _, v := range vals {
-		out = append(out, v.([]int)...)
+		out = append(out, v.p.([]int)...)
 	}
 	c.collectiveCost(8 * total)
 	return out
@@ -225,14 +235,14 @@ func (c *Ctx) AllGatherInts(xs []int) []int {
 func (c *Ctx) AllGatherFloats(xs []float64) []float64 {
 	cp := make([]float64, len(xs))
 	copy(cp, xs)
-	vals := c.exchange(cp)
+	vals := c.exchange(deposit{p: cp})
 	total := 0
 	for _, v := range vals {
-		total += len(v.([]float64))
+		total += len(v.p.([]float64))
 	}
 	out := make([]float64, 0, total)
 	for _, v := range vals {
-		out = append(out, v.([]float64)...)
+		out = append(out, v.p.([]float64)...)
 	}
 	c.collectiveCost(8 * total)
 	return out
@@ -240,14 +250,13 @@ func (c *Ctx) AllGatherFloats(xs []float64) []float64 {
 
 // BroadcastInts sends root's slice to every rank.
 func (c *Ctx) BroadcastInts(root int, xs []int) []int {
-	var dep any
+	var dep deposit
 	if c.rank == root {
 		cp := make([]int, len(xs))
 		copy(cp, xs)
-		dep = cp
+		dep.p = cp
 	}
-	vals := c.exchange(dep)
-	out := vals[root].([]int)
+	out := c.exchange(dep)[root].p.([]int)
 	if c.m.real {
 		out = realClone(out).([]int)
 	}
@@ -257,14 +266,13 @@ func (c *Ctx) BroadcastInts(root int, xs []int) []int {
 
 // BroadcastFloats sends root's slice to every rank.
 func (c *Ctx) BroadcastFloats(root int, xs []float64) []float64 {
-	var dep any
+	var dep deposit
 	if c.rank == root {
 		cp := make([]float64, len(xs))
 		copy(cp, xs)
-		dep = cp
+		dep.p = cp
 	}
-	vals := c.exchange(dep)
-	out := vals[root].([]float64)
+	out := c.exchange(dep)[root].p.([]float64)
 	if c.m.real {
 		out = realClone(out).([]float64)
 	}
@@ -291,11 +299,11 @@ func (c *Ctx) BroadcastFloats(root int, xs []float64) []float64 {
 // has returned from a later collective (the ExchangeInts rule). The
 // Real backend hands each rank a clone.
 func (c *Ctx) ShareInts(root int, xs []int) []int {
-	var dep any
+	var dep deposit
 	if c.rank == root {
-		dep = xs
+		dep.p = xs
 	}
-	out := c.exchange(dep)[root].([]int)
+	out := c.exchange(dep)[root].p.([]int)
 	if c.m.real {
 		out = slices.Clone(out)
 	}
@@ -321,7 +329,8 @@ func (c *Ctx) alltoallCost(nSend, sendBytes, nRecv, recvBytes int) {
 // to rank p (nil or empty means no message) and the result's element
 // [p] is the row rank p addressed to this rank, nil when there was
 // none. The row headers land in in (one per rank) when it is non-nil,
-// else in a fresh slice.
+// else in a fresh slice. slots are the rank-owned cells a header of
+// this element type is deposited through (Ctx.intRows, Ctx.floatRows).
 //
 // Rows travel by ownership transfer — the sender's out and its rows
 // are deposited as they are, with no sender-side copy — under one
@@ -338,8 +347,13 @@ func (c *Ctx) alltoallCost(nSend, sendBytes, nRecv, recvBytes int) {
 // clones each row into receiver memory on delivery; the clone is such
 // a read, so the same rule covers it.
 //
+// A sender that wants to reuse its buffers therefore keeps two and
+// alternates: the one sent in call n is next written for call n+2,
+// after the sender returned from call n+1. Two is the minimum — with
+// one, the write for call n+1 would precede every later collective.
+//
 //chaos:hotpath
-func exchangeRows[T int | float64](c *Ctx, out, in [][]T) [][]T {
+func exchangeRows[T int | float64](c *Ctx, slots *[2][][]T, out, in [][]T) [][]T {
 	if len(out) != c.procs || (in != nil && len(in) != c.procs) {
 		panic("machine: an all-to-all requires one slice per rank")
 	}
@@ -350,13 +364,16 @@ func exchangeRows[T int | float64](c *Ctx, out, in [][]T) [][]T {
 			sendBytes += 8 * len(xs)
 		}
 	}
-	vals := c.exchange(out)
+	c.turn ^= 1
+	slots[c.turn] = out
+	vals := c.exchange(deposit{p: &slots[c.turn]})
+	slots[c.turn^1] = nil // sent before the previous collective: dead, let it go
 	if in == nil {
 		in = make([][]T, c.procs)
 	}
 	nRecv, recvBytes := 0, 0
 	for p := range in {
-		row := vals[p].([][]T)[c.rank]
+		row := (*vals[p].p.(*[][]T))[c.rank]
 		switch {
 		case len(row) == 0:
 			row = nil
@@ -390,12 +407,12 @@ func copyRows[T int | float64](out [][]T) [][]T {
 // element [p] is the slice rank p addressed to this rank. Payloads are
 // copied, so callers may reuse out.
 func (c *Ctx) AlltoAllInts(out [][]int) [][]int {
-	return exchangeRows(c, copyRows(out), nil)
+	return c.ExchangeInts(copyRows(out), nil)
 }
 
 // AlltoAllFloats is AlltoAllInts for float64 payloads.
 func (c *Ctx) AlltoAllFloats(out [][]float64) [][]float64 {
-	return exchangeRows(c, copyRows(out), nil)
+	return c.ExchangeFloats(copyRows(out), nil)
 }
 
 // ExchangeInts is AlltoAllInts without the sender-side copy, for
@@ -407,5 +424,11 @@ func (c *Ctx) AlltoAllFloats(out [][]float64) [][]float64 {
 // them. The received row headers are written to in (len Procs), which
 // is returned; a nil in allocates them.
 func (c *Ctx) ExchangeInts(out, in [][]int) [][]int {
-	return exchangeRows(c, out, in)
+	return exchangeRows(c, &c.intRows, out, in)
+}
+
+// ExchangeFloats is ExchangeInts for float64 payloads, under the same
+// ownership rule.
+func (c *Ctx) ExchangeFloats(out, in [][]float64) [][]float64 {
+	return exchangeRows(c, &c.floatRows, out, in)
 }

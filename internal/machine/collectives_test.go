@@ -2,9 +2,11 @@ package machine
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestAlltoAllIntsTable drives AlltoAllInts through the edge cases the
@@ -261,6 +263,69 @@ func TestCollectivesStress(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRendezvousSlotsUnderDelays is the proof for what the rendezvous
+// and the all-to-all reuse instead of allocating: the two generations
+// of deposit slots and each rank's two header slots. Ranks run
+// collectives back to back with random stalls between leaving one and
+// reading what it delivered, so a fast rank is two collectives ahead of
+// a slow one's reads as often as the rule allows. The all-to-alls send
+// out of two buffers used alternately. A slot recycled too early is a
+// wrong value here or a data race under -race.
+func TestRendezvousSlotsUnderDelays(t *testing.T) {
+	const p, rounds = 4, 300
+	for _, backend := range []Backend{Simulated, Real} {
+		cfg := Zero(p)
+		cfg.Backend = backend
+		err := Run(cfg, func(c *Ctx) {
+			rng := rand.New(rand.NewSource(int64(c.Rank())))
+			stall := func() {
+				if rng.Intn(3) == 0 {
+					time.Sleep(time.Duration(rng.Intn(60)) * time.Microsecond)
+				}
+			}
+			var fout [2][][]float64
+			var iout [2][][]int
+			for b := range fout {
+				fout[b], iout[b] = make([][]float64, p), make([][]int, p)
+				for d := range fout[b] {
+					fout[b][d], iout[b][d] = make([]float64, 2), make([]int, 1)
+				}
+			}
+			fin, iin := make([][]float64, p), make([][]int, p)
+			for r := 0; r < rounds; r++ {
+				for d := 0; d < p; d++ {
+					fout[r%2][d][0], fout[r%2][d][1] = float64(c.Rank()), float64(r*p+d)
+					iout[r%2][d][0] = r*p*p + c.Rank()*p + d
+				}
+				fgot := c.ExchangeFloats(fout[r%2], fin)
+				stall()
+				for s := 0; s < p; s++ {
+					if fgot[s][0] != float64(s) || fgot[s][1] != float64(r*p+c.Rank()) {
+						t.Errorf("%v rank %d round %d: floats from %d are %v", backend, c.Rank(), r, s, fgot[s])
+					}
+				}
+				igot := c.ExchangeInts(iout[r%2], iin)
+				stall()
+				for s := 0; s < p; s++ {
+					if igot[s][0] != r*p*p+s*p+c.Rank() {
+						t.Errorf("%v rank %d round %d: ints from %d are %v", backend, c.Rank(), r, s, igot[s])
+					}
+				}
+				if got, want := c.SumInt(r+c.Rank()), p*r+p*(p-1)/2; got != want {
+					t.Errorf("%v rank %d round %d: SumInt %d, want %d", backend, c.Rank(), r, got, want)
+				}
+				stall()
+				if got := c.MaxFloat(float64(r * c.Rank())); got != float64(r*(p-1)) {
+					t.Errorf("%v rank %d round %d: MaxFloat %v", backend, c.Rank(), r, got)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -32,18 +32,21 @@ func a2aCase(data []byte, rank, p int) [][]int {
 }
 
 // FuzzAlltoAll drives AlltoAllInts/AlltoAllFloats, the
-// ownership-transfer ExchangeInts and the uncharged ShareInts with
-// fuzzed payload shapes (payload sizes, empty sends, self-sends,
-// max-rank edges) on both backends and checks the transpose property
-// against a locally rebuilt expectation. ExchangeInts runs twice out of
-// the same send and receive buffers, overwritten in between as its
-// ownership rule allows: after a later collective. ShareInts hands out
-// a fuzz-chosen root's flattened send matrix, which every rank reads
-// once straight away and once more after a later collective (the
-// slice is root's memory on Simulated, a clone on Real, and good for
-// as long as root leaves it alone); it must not move a clock. The
-// seed corpus encodes the shapes of the table-driven cases in
-// collectives_test.go.
+// ownership-transfer ExchangeInts/ExchangeFloats and the uncharged
+// ShareInts with fuzzed payload shapes (payload sizes, empty sends,
+// self-sends, max-rank edges) on both backends and checks the transpose
+// property against a locally rebuilt expectation. ExchangeInts runs
+// twice out of the same send and receive buffers, overwritten in
+// between as its ownership rule allows: after a later collective.
+// ExchangeFloats runs three times back to back out of two send buffers
+// used alternately — the fewest the rule allows, and what
+// schedule-owned transport does — with no collective of the test's own
+// in between. ShareInts hands out a fuzz-chosen root's flattened send
+// matrix, which every rank reads once straight away and once more
+// after a later collective (the slice is root's memory on Simulated, a
+// clone on Real, and good for as long as root leaves it alone); it must
+// not move a clock. The seed corpus encodes the shapes of the
+// table-driven cases in collectives_test.go.
 func FuzzAlltoAll(f *testing.F) {
 	f.Add([]byte{}, byte(0))                       // single rank, empty
 	f.Add([]byte{3, 7, 8, 9}, byte(0))             // single rank self-send
@@ -85,6 +88,39 @@ func FuzzAlltoAll(f *testing.F) {
 					for _, xs := range xo {
 						for i := range xs {
 							xs[i]++
+						}
+					}
+				}
+				// Two float send buffers, alternated: round r's payload is
+				// the int case's plus r, written just before it is sent.
+				var fxo [2][][]float64
+				for b := range fxo {
+					fxo[b] = make([][]float64, p)
+					for d, xs := range a2aCase(data, c.Rank(), p) {
+						fxo[b][d] = make([]float64, len(xs))
+					}
+				}
+				fxin := make([][]float64, p)
+				for round := 0; round < 3; round++ {
+					out := fxo[round%2]
+					for d, xs := range a2aCase(data, c.Rank(), p) {
+						for i, x := range xs {
+							out[d][i] = float64(x + round)
+						}
+					}
+					got := c.ExchangeFloats(out, fxin)
+					for s := 0; s < p; s++ {
+						want := a2aCase(data, s, p)[c.Rank()]
+						if len(got[s]) != len(want) {
+							t.Errorf("%v: rank %d float exchange %d from %d: got %v, want %v",
+								backend, c.Rank(), round, s, got[s], want)
+							continue
+						}
+						for i, x := range want {
+							if got[s][i] != float64(x+round) {
+								t.Errorf("%v: rank %d float exchange %d from %d slot %d: got %v, want %d",
+									backend, c.Rank(), round, s, i, got[s][i], x+round)
+							}
 						}
 					}
 				}

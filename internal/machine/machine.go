@@ -224,6 +224,15 @@ type Ctx struct {
 	// backend compute slot; only the owning goroutine touches it.
 	holdsSlot bool
 	rng       *xrand.Stream
+
+	// intRows and floatRows are where this rank keeps the all-to-all
+	// headers it deposits: the rendezvous is handed a pointer to a slot,
+	// which costs no allocation where boxing the header would. A slot is
+	// sent payload like the rows it names, hence two per element type,
+	// used alternately (turn; see exchangeRows).
+	intRows   [2][][]int
+	floatRows [2][][]float64
+	turn      int
 }
 
 // Rank returns this processor's rank in [0, Procs).

@@ -36,6 +36,10 @@ type Schedule struct {
 	// ghostGlobal[slot] is the global index a ghost slot mirrors;
 	// used by incremental schedule building and diagnostics.
 	ghostGlobal []int
+
+	// The send buffers of the data movements, per element type.
+	floats transport[float64]
+	ints   transport[int]
 }
 
 // GhostGlobals returns the global index mirrored by each ghost slot
@@ -271,36 +275,111 @@ func panicSendRange(src, l, me, size int) {
 	panic(fmt.Sprintf("schedule: rank %d requested local index %d of rank %d (size %d)", src, l, me, size))
 }
 
+// transport is a schedule's send side for one element type: the slabs
+// its per-peer rows are packed into and the row headers of both
+// directions, allocated on first use and grown only when a wider
+// vector form needs more. There are two slabs and two send headers,
+// used alternately, because a sent payload may be overwritten only
+// after a later collective (machine.Ctx.ExchangeInts): the rows of call
+// n are next written for call n+2, after call n+1's exchange returned,
+// which keeps back-to-back calls on one schedule within the rule.
+type transport[T int | float64] struct {
+	slab [2][]T
+	out  [2][][]T
+	in   [][]T
+	turn int
+}
+
+// move is the one pack → all-to-all → unpack body behind every Gather
+// and Scatter form. With a nil op it runs owner→consumer: the elements
+// sendLocal names are packed from local and land in the ghost slots
+// recvGhost names. With an op it runs consumer→owner: the ghost slots
+// are packed and each arriving value is combined into its owner's
+// element. Elements are ncomp contiguous components wide.
+//
+//chaos:hotpath
+func move[T int | float64](c *machine.Ctx, s *Schedule, x *transport[T], exchange func(*machine.Ctx, [][]T, [][]T) [][]T,
+	name string, local, ghost []T, ncomp int, op func(owned, contrib T) T) {
+	if ncomp < 1 {
+		panic("schedule: " + name + " with ncomp < 1")
+	}
+	if len(ghost) != s.nGhost*ncomp {
+		panicGhostLen(name, len(ghost), s.nGhost*ncomp)
+	}
+	pack, unpack, src, dst := s.sendLocal, s.recvGhost, local, ghost
+	if op != nil {
+		pack, unpack, src, dst = unpack, pack, ghost, local
+	}
+	nPack, nUnpack := 0, 0
+	for p := range pack {
+		nPack += len(pack[p])
+		nUnpack += len(unpack[p])
+	}
+	if x.in == nil {
+		p, hdr := s.procs, make([][]T, 3*s.procs)
+		x.in, x.out[0], x.out[1] = hdr[:p:p], hdr[p:2*p:2*p], hdr[2*p:]
+	}
+	x.turn ^= 1
+	slab, out := grow(&x.slab[x.turn], nPack*ncomp), x.out[x.turn]
+	for p, lst := range pack {
+		row := slab[:len(lst)*ncomp]
+		slab = slab[len(row):]
+		if ncomp == 1 {
+			for i, l := range lst {
+				row[i] = src[l]
+			}
+		} else {
+			for i, l := range lst {
+				copy(row[i*ncomp:(i+1)*ncomp], src[l*ncomp:(l+1)*ncomp])
+			}
+		}
+		out[p] = row
+	}
+	c.Words(nPack * ncomp)
+	in := exchange(c, out, x.in)
+	for p, lst := range unpack {
+		vals := in[p]
+		if len(vals) != len(lst)*ncomp {
+			panicDelivered(name, p, len(vals), len(lst)*ncomp)
+		}
+		switch {
+		case op != nil:
+			for i, l := range lst {
+				for k := 0; k < ncomp; k++ {
+					dst[l*ncomp+k] = op(dst[l*ncomp+k], vals[i*ncomp+k])
+				}
+			}
+		case ncomp == 1:
+			for i, l := range lst {
+				dst[l] = vals[i]
+			}
+		default:
+			for i, l := range lst {
+				copy(dst[l*ncomp:(l+1)*ncomp], vals[i*ncomp:(i+1)*ncomp])
+			}
+		}
+	}
+	if op != nil {
+		c.Flops(nUnpack * ncomp)
+	}
+	c.Words(nUnpack * ncomp)
+}
+
+func panicGhostLen(name string, got, want int) {
+	panic(fmt.Sprintf("schedule: %s: ghost buffer length %d, want %d", name, got, want))
+}
+
+func panicDelivered(name string, p, got, want int) {
+	panic(fmt.Sprintf("schedule: %s from %d delivered %d values, want %d", name, p, got, want))
+}
+
+func addFloat(owned, contrib float64) float64 { return owned + contrib }
+
 // Gather executes the schedule owner→consumer: ghost[slot] receives the
 // current value of the owning rank's element for every ghost slot.
 // ghost must have length NGhost. Collective.
 func (s *Schedule) Gather(c *machine.Ctx, local, ghost []float64) {
-	if len(ghost) != s.nGhost {
-		panic(fmt.Sprintf("schedule: ghost buffer length %d, want %d", len(ghost), s.nGhost))
-	}
-	out := make([][]float64, s.procs)
-	for p, lst := range s.sendLocal {
-		if len(lst) == 0 {
-			continue
-		}
-		buf := make([]float64, len(lst))
-		for i, l := range lst {
-			buf[i] = local[l]
-		}
-		out[p] = buf
-	}
-	c.Words(s.SendCount())
-	in := c.AlltoAllFloats(out)
-	for p, slots := range s.recvGhost {
-		vals := in[p]
-		if len(vals) != len(slots) {
-			panic(fmt.Sprintf("schedule: gather from %d delivered %d values, want %d", p, len(vals), len(slots)))
-		}
-		for i, slot := range slots {
-			ghost[slot] = vals[i]
-		}
-	}
-	c.Words(s.RecvCount())
+	move(c, s, &s.floats, (*machine.Ctx).ExchangeFloats, "Gather", local, ghost, 1, nil)
 }
 
 // ScatterAdd executes the schedule consumer→owner with an addition
@@ -308,40 +387,17 @@ func (s *Schedule) Gather(c *machine.Ctx, local, ghost []float64) {
 // element. This implements the paper's left-hand-side REDUCE(ADD, ...)
 // accumulation. Collective.
 func (s *Schedule) ScatterAdd(c *machine.Ctx, local, ghost []float64) {
-	s.ScatterOp(c, local, ghost, func(a, b float64) float64 { return a + b })
+	s.ScatterOp(c, local, ghost, addFloat)
 }
 
 // ScatterOp is ScatterAdd generalized to any commutative, associative
 // reduction (max, min, multiply, ...). Contributions from different
 // ranks are combined in rank order, so the result is deterministic.
 func (s *Schedule) ScatterOp(c *machine.Ctx, local, ghost []float64, op func(owned, contrib float64) float64) {
-	if len(ghost) != s.nGhost {
-		panic(fmt.Sprintf("schedule: ghost buffer length %d, want %d", len(ghost), s.nGhost))
+	if op == nil {
+		panic("schedule: ScatterOp with a nil op")
 	}
-	out := make([][]float64, s.procs)
-	for p, slots := range s.recvGhost {
-		if len(slots) == 0 {
-			continue
-		}
-		buf := make([]float64, len(slots))
-		for i, slot := range slots {
-			buf[i] = ghost[slot]
-		}
-		out[p] = buf
-	}
-	c.Words(s.RecvCount())
-	in := c.AlltoAllFloats(out)
-	for p, lst := range s.sendLocal {
-		vals := in[p]
-		if len(vals) != len(lst) {
-			panic(fmt.Sprintf("schedule: scatter from %d delivered %d values, want %d", p, len(vals), len(lst)))
-		}
-		for i, l := range lst {
-			local[l] = op(local[l], vals[i])
-		}
-	}
-	c.Flops(s.SendCount())
-	c.Words(s.SendCount())
+	move(c, s, &s.floats, (*machine.Ctx).ExchangeFloats, "Scatter", local, ghost, 1, op)
 }
 
 // Scatter executes the schedule consumer→owner with overwrite

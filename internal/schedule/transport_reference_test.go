@@ -1,0 +1,501 @@
+package schedule
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"chaos/internal/dist"
+	"chaos/internal/machine"
+	"chaos/internal/mesh"
+	"chaos/internal/ttable"
+)
+
+// The five pack → all-to-all → unpack bodies this package shipped
+// before they became one (move), kept verbatim — receivers turned into
+// first arguments — as the oracles of the differential test below.
+
+func referenceGather(s *Schedule, c *machine.Ctx, local, ghost []float64) {
+	if len(ghost) != s.nGhost {
+		panic(fmt.Sprintf("schedule: ghost buffer length %d, want %d", len(ghost), s.nGhost))
+	}
+	out := make([][]float64, s.procs)
+	for p, lst := range s.sendLocal {
+		if len(lst) == 0 {
+			continue
+		}
+		buf := make([]float64, len(lst))
+		for i, l := range lst {
+			buf[i] = local[l]
+		}
+		out[p] = buf
+	}
+	c.Words(s.SendCount())
+	in := c.AlltoAllFloats(out)
+	for p, slots := range s.recvGhost {
+		vals := in[p]
+		if len(vals) != len(slots) {
+			panic(fmt.Sprintf("schedule: gather from %d delivered %d values, want %d", p, len(vals), len(slots)))
+		}
+		for i, slot := range slots {
+			ghost[slot] = vals[i]
+		}
+	}
+	c.Words(s.RecvCount())
+}
+
+func referenceScatterOp(s *Schedule, c *machine.Ctx, local, ghost []float64, op func(owned, contrib float64) float64) {
+	if len(ghost) != s.nGhost {
+		panic(fmt.Sprintf("schedule: ghost buffer length %d, want %d", len(ghost), s.nGhost))
+	}
+	out := make([][]float64, s.procs)
+	for p, slots := range s.recvGhost {
+		if len(slots) == 0 {
+			continue
+		}
+		buf := make([]float64, len(slots))
+		for i, slot := range slots {
+			buf[i] = ghost[slot]
+		}
+		out[p] = buf
+	}
+	c.Words(s.RecvCount())
+	in := c.AlltoAllFloats(out)
+	for p, lst := range s.sendLocal {
+		vals := in[p]
+		if len(vals) != len(lst) {
+			panic(fmt.Sprintf("schedule: scatter from %d delivered %d values, want %d", p, len(vals), len(lst)))
+		}
+		for i, l := range lst {
+			local[l] = op(local[l], vals[i])
+		}
+	}
+	c.Flops(s.SendCount())
+	c.Words(s.SendCount())
+}
+
+func referenceGatherInts(s *Schedule, c *machine.Ctx, local, ghost []int) {
+	if len(ghost) != s.nGhost {
+		panic(fmt.Sprintf("schedule: ghost buffer length %d, want %d", len(ghost), s.nGhost))
+	}
+	out := make([][]int, s.procs)
+	for p, lst := range s.sendLocal {
+		if len(lst) == 0 {
+			continue
+		}
+		buf := make([]int, len(lst))
+		for i, l := range lst {
+			buf[i] = local[l]
+		}
+		out[p] = buf
+	}
+	c.Words(s.SendCount())
+	in := c.AlltoAllInts(out)
+	for p, slots := range s.recvGhost {
+		vals := in[p]
+		if len(vals) != len(slots) {
+			panic(fmt.Sprintf("schedule: gather from %d delivered %d values, want %d", p, len(vals), len(slots)))
+		}
+		for i, slot := range slots {
+			ghost[slot] = vals[i]
+		}
+	}
+	c.Words(s.RecvCount())
+}
+
+func referenceGatherVec(s *Schedule, c *machine.Ctx, local, ghost []float64, ncomp int) {
+	if ncomp < 1 {
+		panic("schedule: GatherVec with ncomp < 1")
+	}
+	if len(ghost) != s.nGhost*ncomp {
+		panic(fmt.Sprintf("schedule: vector ghost length %d, want %d", len(ghost), s.nGhost*ncomp))
+	}
+	out := make([][]float64, s.procs)
+	for p, lst := range s.sendLocal {
+		if len(lst) == 0 {
+			continue
+		}
+		buf := make([]float64, len(lst)*ncomp)
+		for i, l := range lst {
+			copy(buf[i*ncomp:(i+1)*ncomp], local[l*ncomp:(l+1)*ncomp])
+		}
+		out[p] = buf
+	}
+	c.Words(s.SendCount() * ncomp)
+	in := c.AlltoAllFloats(out)
+	for p, slots := range s.recvGhost {
+		vals := in[p]
+		if len(vals) != len(slots)*ncomp {
+			panic(fmt.Sprintf("schedule: vector gather from %d delivered %d values, want %d",
+				p, len(vals), len(slots)*ncomp))
+		}
+		for i, slot := range slots {
+			copy(ghost[slot*ncomp:(slot+1)*ncomp], vals[i*ncomp:(i+1)*ncomp])
+		}
+	}
+	c.Words(s.RecvCount() * ncomp)
+}
+
+func referenceScatterAddVec(s *Schedule, c *machine.Ctx, local, ghost []float64, ncomp int) {
+	if ncomp < 1 {
+		panic("schedule: ScatterAddVec with ncomp < 1")
+	}
+	if len(ghost) != s.nGhost*ncomp {
+		panic(fmt.Sprintf("schedule: vector ghost length %d, want %d", len(ghost), s.nGhost*ncomp))
+	}
+	out := make([][]float64, s.procs)
+	for p, slots := range s.recvGhost {
+		if len(slots) == 0 {
+			continue
+		}
+		buf := make([]float64, len(slots)*ncomp)
+		for i, slot := range slots {
+			copy(buf[i*ncomp:(i+1)*ncomp], ghost[slot*ncomp:(slot+1)*ncomp])
+		}
+		out[p] = buf
+	}
+	c.Words(s.RecvCount() * ncomp)
+	in := c.AlltoAllFloats(out)
+	for p, lst := range s.sendLocal {
+		vals := in[p]
+		if len(vals) != len(lst)*ncomp {
+			panic(fmt.Sprintf("schedule: vector scatter from %d delivered %d values, want %d",
+				p, len(vals), len(lst)*ncomp))
+		}
+		for i, l := range lst {
+			for k := 0; k < ncomp; k++ {
+				local[l*ncomp+k] += vals[i*ncomp+k]
+			}
+		}
+	}
+	c.Flops(s.SendCount() * ncomp)
+	c.Words(s.SendCount() * ncomp)
+}
+
+// clockConfigs are the machines the differential tests run on: the
+// calibrated iPSC/860, whose clocks must agree to the last bit, and
+// three in which a single unit cost is 1 and everything else 0, so
+// that a rank's clock *is* its count of messages sent, messages
+// received, or payload bytes moved.
+func clockConfigs(p int) map[string]machine.Config {
+	sends, recvs, bytes := machine.Zero(p), machine.Zero(p), machine.Zero(p)
+	sends.SendOverhead, recvs.RecvOverhead, bytes.ByteTime = 1, 1, 1
+	return map[string]machine.Config{"ipsc860": machine.IPSC860(p), "sends": sends, "recvs": recvs, "bytes": bytes}
+}
+
+// moveTrace is what one rank saw over a run of data movements: a copy
+// of every buffer and the rank's clock after every call.
+type moveTrace struct {
+	floats [][]float64
+	ints   [][]int
+	clocks []float64
+}
+
+func (tr *moveTrace) add(c *machine.Ctx, floats []float64, ints []int) {
+	tr.floats = append(tr.floats, slices.Clone(floats))
+	tr.ints = append(tr.ints, slices.Clone(ints))
+	tr.clocks = append(tr.clocks, c.Clock())
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// diff names the first difference between two traces, or "".
+func (tr *moveTrace) diff(want *moveTrace) string {
+	if len(tr.clocks) != len(want.clocks) {
+		return fmt.Sprintf("%d calls traced, reference %d", len(tr.clocks), len(want.clocks))
+	}
+	for i := range want.clocks {
+		switch {
+		case !sameBits(tr.floats[i], want.floats[i]):
+			return fmt.Sprintf("call %d: floats %v, reference %v", i, tr.floats[i], want.floats[i])
+		case !slices.Equal(tr.ints[i], want.ints[i]):
+			return fmt.Sprintf("call %d: ints %v, reference %v", i, tr.ints[i], want.ints[i])
+		case tr.clocks[i] != want.clocks[i]:
+			return fmt.Sprintf("call %d: clock %v, reference %v", i, tr.clocks[i], want.clocks[i])
+		}
+	}
+	return ""
+}
+
+// TestTransportMatchesReference drives every Gather and Scatter form
+// and the five reference bodies through the same schedules — random
+// reference lists over an irregular distribution, empty ranks and
+// fewer elements than ranks included, a Merged schedule, every form
+// several times back to back on one schedule and the vector forms at
+// two widths, narrow after wide — and demands bit-identical buffers
+// and per-rank clocks after every call, on both backends and on the
+// counting machines (messages and bytes).
+func TestTransportMatchesReference(t *testing.T) {
+	maxOp := func(a, b float64) float64 { return math.Max(a, b) }
+	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
+		for _, sz := range []struct{ n, p int }{{61, 1}, {61, 3}, {5, 8}, {97, 8}} {
+			n, p := sz.n, sz.p
+			owner := irregularOwners(n, p)
+			for name, cfg := range clockConfigs(p) {
+				cfg.Backend = backend
+				run := func(reference bool) []moveTrace {
+					traces := make([]moveTrace, p)
+					err := machine.Run(cfg, func(c *machine.Ctx) {
+						mine := ownedBy(owner, c.Rank())
+						tab := ttable.Build(c, n, mine)
+						rng := rand.New(rand.NewSource(int64(77*p + c.Rank())))
+						a, _ := BuildGather(c, tab, len(mine), referenceList(rng, owner, mine, c.Rank()), Options{})
+						b, _ := BuildGather(c, tab, len(mine), referenceList(rng, owner, mine, c.Rank()), Options{NoDedup: true})
+						tr := &traces[c.Rank()]
+						for _, s := range []*Schedule{a, b, Merge(a, b)} {
+							for _, ncomp := range []int{1, 3, 2} {
+								local := make([]float64, len(mine)*ncomp)
+								ilocal := make([]int, len(mine))
+								for l, g := range mine {
+									ilocal[l] = 7 * g
+									for k := 0; k < ncomp; k++ {
+										local[l*ncomp+k] = rng.NormFloat64() * math.Pow(10, float64(g%7))
+									}
+								}
+								ghost := make([]float64, s.NGhost()*ncomp)
+								ighost := make([]int, s.NGhost())
+								for round := 0; round < 3; round++ {
+									switch {
+									case reference && ncomp == 1:
+										referenceGather(s, c, local, ghost)
+										tr.add(c, ghost, nil)
+										referenceScatterOp(s, c, local, ghost, addFloat)
+										tr.add(c, local, nil)
+										referenceScatterOp(s, c, local, ghost, maxOp)
+										tr.add(c, local, nil)
+										referenceScatterOp(s, c, local, ghost, func(_, contrib float64) float64 { return contrib })
+										tr.add(c, local, nil)
+										referenceGatherInts(s, c, ilocal, ighost)
+										tr.add(c, nil, ighost)
+									case ncomp == 1:
+										s.Gather(c, local, ghost)
+										tr.add(c, ghost, nil)
+										s.ScatterAdd(c, local, ghost)
+										tr.add(c, local, nil)
+										s.ScatterOp(c, local, ghost, maxOp)
+										tr.add(c, local, nil)
+										s.Scatter(c, local, ghost)
+										tr.add(c, local, nil)
+										s.GatherInts(c, ilocal, ighost)
+										tr.add(c, nil, ighost)
+									case reference:
+										referenceGatherVec(s, c, local, ghost, ncomp)
+										tr.add(c, ghost, nil)
+										referenceScatterAddVec(s, c, local, ghost, ncomp)
+										tr.add(c, local, nil)
+									default:
+										s.GatherVec(c, local, ghost, ncomp)
+										tr.add(c, ghost, nil)
+										s.ScatterAddVec(c, local, ghost, ncomp)
+										tr.add(c, local, nil)
+									}
+								}
+							}
+						}
+					})
+					if err != nil {
+						t.Fatalf("%v N=%d P=%d %s reference=%v: %v", backend, n, p, name, reference, err)
+					}
+					return traces
+				}
+				want, got := run(true), run(false)
+				for r := range want {
+					if d := got[r].diff(&want[r]); d != "" {
+						t.Errorf("%v N=%d P=%d %s rank %d: %s", backend, n, p, name, r, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTransportPanicsSurvive pins the checks the five bodies made and
+// the one body still makes: a ghost buffer of the wrong length in
+// either direction and for either width, and a width below one.
+func TestTransportPanicsSurvive(t *testing.T) {
+	calls := map[string]func(s *Schedule, c *machine.Ctx){
+		"Gather":     func(s *Schedule, c *machine.Ctx) { s.Gather(c, make([]float64, 4), make([]float64, s.NGhost()+1)) },
+		"ScatterAdd": func(s *Schedule, c *machine.Ctx) { s.ScatterAdd(c, make([]float64, 4), make([]float64, s.NGhost()+1)) },
+		"GatherInts": func(s *Schedule, c *machine.Ctx) { s.GatherInts(c, make([]int, 4), make([]int, s.NGhost()+1)) },
+		"GatherVec": func(s *Schedule, c *machine.Ctx) {
+			s.GatherVec(c, make([]float64, 8), make([]float64, s.NGhost()*2+1), 2)
+		},
+		"ScatterAddVec": func(s *Schedule, c *machine.Ctx) {
+			s.ScatterAddVec(c, make([]float64, 8), make([]float64, s.NGhost()), 2)
+		},
+		"GatherVec0":     func(s *Schedule, c *machine.Ctx) { s.GatherVec(c, nil, nil, 0) },
+		"ScatterAddVec0": func(s *Schedule, c *machine.Ctx) { s.ScatterAddVec(c, nil, nil, 0) },
+	}
+	for name, call := range calls {
+		err := machine.Run(machine.Zero(2), func(c *machine.Ctx) {
+			s, _ := BuildGather(c, ttable.Regular{D: dist.NewBlock(8, 2)}, 4, []int{1, 6}, Options{})
+			call(s, c)
+		})
+		if err == nil {
+			t.Errorf("%s: no panic", name)
+		}
+	}
+}
+
+// TestTransportOwnershipUnderDelays is the ownership rule's proof for
+// the schedule-owned send buffers: every form back to back on one
+// schedule — the shape benchmark/euler.go's probes use — on a Merged
+// schedule, and the vector forms at two widths on one schedule (the
+// slabs regrow), with random per-rank stalls so that ranks leave each
+// exchange far apart. A slab overwritten while a peer still reads it
+// is a data race (run under -race) or a wrong value here.
+func TestTransportOwnershipUnderDelays(t *testing.T) {
+	const n, p, rounds = 64, 4, 40
+	owner := irregularOwners(n, p)
+	stall := func(rng *rand.Rand) {
+		if rng.Intn(4) == 0 {
+			time.Sleep(time.Duration(rng.Intn(100)) * time.Microsecond)
+		}
+	}
+	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
+		cfg := machine.Zero(p)
+		cfg.Backend = backend
+		err := machine.Run(cfg, func(c *machine.Ctx) {
+			mine := ownedBy(owner, c.Rank())
+			tab := ttable.Build(c, n, mine)
+			rng := rand.New(rand.NewSource(int64(c.Rank())))
+			ga, gb := referenceList(rng, owner, mine, c.Rank()), referenceList(rng, owner, mine, c.Rank())
+			a, refA := BuildGather(c, tab, len(mine), ga, Options{})
+			b, refB := BuildGather(c, tab, len(mine), gb, Options{})
+			m := Merge(a, b)
+			// value is what component k of global g holds in round r.
+			value := func(g, k, r int) float64 { return float64(1000*r + 10*g + k) }
+			// A rank reports its first failure only, and keeps up with
+			// the other ranks' collectives.
+			failed := false
+			fail := func(format string, args ...any) {
+				if !failed {
+					t.Errorf("%v rank %d: %s", backend, c.Rank(), fmt.Sprintf(format, args...))
+				}
+				failed = true
+			}
+			for round := 0; round < rounds; round++ {
+				for _, ncomp := range []int{1, 4, 2} {
+					local := make([]float64, len(mine)*ncomp)
+					ilocal := make([]int, len(mine))
+					for l, g := range mine {
+						ilocal[l] = int(value(g, 0, round))
+						for k := 0; k < ncomp; k++ {
+							local[l*ncomp+k] = value(g, k, round)
+						}
+					}
+					for _, sc := range []struct {
+						s       *Schedule
+						globals []int
+						ref     []int
+					}{{a, ga, refA}, {m, append(slices.Clone(ga), gb...), append(slices.Clone(refA), shift(refB, len(mine), a.NGhost())...)}} {
+						s := sc.s
+						ghost := make([]float64, s.NGhost()*ncomp)
+						ighost := make([]int, s.NGhost())
+						sums := make([]float64, len(local))
+						for rep := 0; rep < 3; rep++ { // back to back, no collective between
+							stall(rng)
+							if ncomp == 1 {
+								s.Gather(c, local, ghost)
+								stall(rng)
+								s.GatherInts(c, ilocal, ighost)
+								stall(rng)
+								s.ScatterAdd(c, sums, ghost)
+							} else {
+								s.GatherVec(c, local, ghost, ncomp)
+								stall(rng)
+								s.ScatterAddVec(c, sums, ghost, ncomp)
+							}
+						}
+						for i, g := range sc.globals {
+							slot := sc.ref[i] - len(mine)
+							if slot < 0 {
+								continue
+							}
+							for k := 0; k < ncomp; k++ {
+								if got := ghost[slot*ncomp+k]; got != value(g, k, round) {
+									fail("round %d ncomp %d: global %d component %d gathered %v", round, ncomp, g, k, got)
+								}
+							}
+							if ncomp == 1 && ighost[slot] != int(value(g, 0, round)) {
+								fail("round %d: global %d gathered int %d", round, g, ighost[slot])
+							}
+						}
+						// Every ghost copy came back three times: the sums are
+						// whole multiples of the owned values.
+						for l, g := range mine {
+							for k := 0; k < ncomp; k++ {
+								if v := value(g, k, round); v != 0 && math.Mod(sums[l*ncomp+k], 3*v) != 0 {
+									fail("round %d ncomp %d: global %d component %d summed to %v, not a multiple of %v", round, ncomp, g, k, sums[l*ncomp+k], 3*v)
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// shift renumbers the ghost references of a reference vector for a
+// schedule merged behind one with offset ghost slots.
+func shift(ref []int, nLocal, offset int) []int {
+	out := slices.Clone(ref)
+	for i, r := range out {
+		if r >= nLocal {
+			out[i] = r + offset
+		}
+	}
+	return out
+}
+
+// BenchmarkHotGatherScatter is the transport of one Euler executor
+// step on the paper's 10K mesh over 8 ranks: one Gather and one
+// ScatterAdd through the schedule of the edges' far endpoints, out of
+// the schedule's own slabs.
+func BenchmarkHotGatherScatter(b *testing.B) {
+	m := mesh.Generate(10000, 1993)
+	const p = 8
+	owner := m.Slabs(p)
+	b.ReportAllocs()
+	err := machine.Run(machine.IPSC860(p), func(c *machine.Ctx) {
+		mine := ownedBy(owner, c.Rank())
+		tab := ttable.Build(c, m.NNode, mine)
+		var refs []int
+		for e, v := range m.E1 {
+			if owner[v] == c.Rank() {
+				refs = append(refs, m.E2[e])
+			}
+		}
+		s, _ := BuildGather(c, tab, len(mine), refs, Options{})
+		local, ghost := make([]float64, len(mine)), make([]float64, s.NGhost())
+		for i := 0; i < 2; i++ { // both slabs
+			s.Gather(c, local, ghost)
+			s.ScatterAdd(c, local, ghost)
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		c.Barrier() // nobody allocates ahead of the reset
+		for i := 0; i < b.N; i++ {
+			s.Gather(c, local, ghost)
+			s.ScatterAdd(c, local, ghost)
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.StopTimer()
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

@@ -1,10 +1,6 @@
 package schedule
 
-import (
-	"fmt"
-
-	"chaos/internal/machine"
-)
+import "chaos/internal/machine"
 
 // Typed and vector data movement. The CHAOS library moved more than
 // scalar doubles: solvers gather integer connectivity and, most
@@ -17,32 +13,7 @@ import (
 
 // GatherInts executes the schedule owner→consumer for an int array.
 func (s *Schedule) GatherInts(c *machine.Ctx, local, ghost []int) {
-	if len(ghost) != s.nGhost {
-		panic(fmt.Sprintf("schedule: ghost buffer length %d, want %d", len(ghost), s.nGhost))
-	}
-	out := make([][]int, s.procs)
-	for p, lst := range s.sendLocal {
-		if len(lst) == 0 {
-			continue
-		}
-		buf := make([]int, len(lst))
-		for i, l := range lst {
-			buf[i] = local[l]
-		}
-		out[p] = buf
-	}
-	c.Words(s.SendCount())
-	in := c.AlltoAllInts(out)
-	for p, slots := range s.recvGhost {
-		vals := in[p]
-		if len(vals) != len(slots) {
-			panic(fmt.Sprintf("schedule: gather from %d delivered %d values, want %d", p, len(vals), len(slots)))
-		}
-		for i, slot := range slots {
-			ghost[slot] = vals[i]
-		}
-	}
-	c.Words(s.RecvCount())
+	move(c, s, &s.ints, (*machine.Ctx).ExchangeInts, "GatherInts", local, ghost, 1, nil)
 }
 
 // GatherVec executes the schedule for a vector array with ncomp
@@ -50,72 +21,11 @@ func (s *Schedule) GatherInts(c *machine.Ctx, local, ghost []int) {
 // element l lives at local[l*ncomp+k], and likewise for ghost slots.
 // All components of an element travel in one message.
 func (s *Schedule) GatherVec(c *machine.Ctx, local, ghost []float64, ncomp int) {
-	if ncomp < 1 {
-		panic("schedule: GatherVec with ncomp < 1")
-	}
-	if len(ghost) != s.nGhost*ncomp {
-		panic(fmt.Sprintf("schedule: vector ghost length %d, want %d", len(ghost), s.nGhost*ncomp))
-	}
-	out := make([][]float64, s.procs)
-	for p, lst := range s.sendLocal {
-		if len(lst) == 0 {
-			continue
-		}
-		buf := make([]float64, len(lst)*ncomp)
-		for i, l := range lst {
-			copy(buf[i*ncomp:(i+1)*ncomp], local[l*ncomp:(l+1)*ncomp])
-		}
-		out[p] = buf
-	}
-	c.Words(s.SendCount() * ncomp)
-	in := c.AlltoAllFloats(out)
-	for p, slots := range s.recvGhost {
-		vals := in[p]
-		if len(vals) != len(slots)*ncomp {
-			panic(fmt.Sprintf("schedule: vector gather from %d delivered %d values, want %d",
-				p, len(vals), len(slots)*ncomp))
-		}
-		for i, slot := range slots {
-			copy(ghost[slot*ncomp:(slot+1)*ncomp], vals[i*ncomp:(i+1)*ncomp])
-		}
-	}
-	c.Words(s.RecvCount() * ncomp)
+	move(c, s, &s.floats, (*machine.Ctx).ExchangeFloats, "GatherVec", local, ghost, ncomp, nil)
 }
 
 // ScatterAddVec is the consumer→owner reduction for vector arrays: each
 // component of every ghost element is added into the owner's element.
 func (s *Schedule) ScatterAddVec(c *machine.Ctx, local, ghost []float64, ncomp int) {
-	if ncomp < 1 {
-		panic("schedule: ScatterAddVec with ncomp < 1")
-	}
-	if len(ghost) != s.nGhost*ncomp {
-		panic(fmt.Sprintf("schedule: vector ghost length %d, want %d", len(ghost), s.nGhost*ncomp))
-	}
-	out := make([][]float64, s.procs)
-	for p, slots := range s.recvGhost {
-		if len(slots) == 0 {
-			continue
-		}
-		buf := make([]float64, len(slots)*ncomp)
-		for i, slot := range slots {
-			copy(buf[i*ncomp:(i+1)*ncomp], ghost[slot*ncomp:(slot+1)*ncomp])
-		}
-		out[p] = buf
-	}
-	c.Words(s.RecvCount() * ncomp)
-	in := c.AlltoAllFloats(out)
-	for p, lst := range s.sendLocal {
-		vals := in[p]
-		if len(vals) != len(lst)*ncomp {
-			panic(fmt.Sprintf("schedule: vector scatter from %d delivered %d values, want %d",
-				p, len(vals), len(lst)*ncomp))
-		}
-		for i, l := range lst {
-			for k := 0; k < ncomp; k++ {
-				local[l*ncomp+k] += vals[i*ncomp+k]
-			}
-		}
-	}
-	c.Flops(s.SendCount() * ncomp)
-	c.Words(s.SendCount() * ncomp)
+	move(c, s, &s.floats, (*machine.Ctx).ExchangeFloats, "ScatterAddVec", local, ghost, ncomp, addFloat)
 }
