@@ -8,7 +8,7 @@ GO ?= go
 # coverage durably improves.
 COVER_FLOOR = 89.0
 
-.PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline repo-bench repo-bench-pairs profile-cpu profile-mem profile-exec fuzz-short service-bench quickstart tables examples docs-check api-check api-snapshot
+.PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline repo-bench repo-bench-pairs profile-cpu profile-mem profile-exec profile-inspect fuzz-short service-bench quickstart tables examples docs-check api-check api-snapshot
 
 # The BenchmarkHot* suite measures the steady state of the arena-backed
 # hot paths and of the paper's own layers (translation-table
@@ -192,6 +192,22 @@ profile-exec:
 		-o profiles/core.test ./internal/core
 	@echo "wrote profiles/exec_cpu.out and profiles/exec_mem.out; inspect with: go tool pprof -top profiles/core.test profiles/exec_cpu.out"
 	@echo "                                       and: go tool pprof -sample_index=alloc_objects -top profiles/core.test profiles/exec_mem.out"
+
+# profile-inspect profiles one whole re-inspection of the Euler sweep
+# (BenchmarkHotInspect: the paper's 10K mesh on 8 ranks, what every
+# euler_noreuse op pays before its executor step) for CPU and
+# allocations in one run. Read the split between the translation-table
+# dereference (ttable.ResolveInto), duplicate elimination and request
+# exchange (schedule.BuildGather self, slices.SortFunc, ExchangeInts)
+# and the allocator with
+# `go tool pprof -top -cum profiles/core.test profiles/inspect_cpu.out`.
+profile-inspect:
+	@mkdir -p profiles
+	$(GO) test -run '^$$' -bench 'BenchmarkHotInspect$$' -benchtime 500x -benchmem \
+		-cpuprofile profiles/inspect_cpu.out -memprofile profiles/inspect_mem.out -memprofilerate 1 \
+		-o profiles/core.test ./internal/core
+	@echo "wrote profiles/inspect_cpu.out and profiles/inspect_mem.out; inspect with: go tool pprof -top -cum profiles/core.test profiles/inspect_cpu.out"
+	@echo "                                             and: go tool pprof -sample_index=alloc_objects -top profiles/core.test profiles/inspect_mem.out"
 
 # service-bench runs the partitioning-service load study on the short
 # profile: a serial client, then 16 concurrent clients, against a

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"chaos/internal/dist"
 	"chaos/internal/iterpart"
@@ -198,10 +199,53 @@ type inspectorState struct {
 	// in and out are the operand blocks, iteration-major: iteration b
 	// of a strip reads in[b*len(Reads):] and fills out[b*len(Writes):].
 	in, out []float64
-	// refs holds every group's whole reference vector (read groups,
-	// then write groups) — the plans slice them — so the next
-	// inspection can recycle the storage.
+	// refs holds the whole reference vector of every distinct access
+	// pattern, in build order — the plans slice them, groups with the
+	// same pattern the same one — so the next inspection can recycle
+	// the storage.
 	refs [][]int
+}
+
+// pattern is what a schedule and its reference vector depend on (the
+// paper's Section 3): the data array's distribution, its local size,
+// and the indirection arrays it is reached through, in order — never
+// which array's values travel. Inspect builds each distinct pattern
+// once; pattern i owns inspectorState.refs[i].
+type pattern struct {
+	res  ttable.Resolver
+	size int
+	// The indirection arrays are those of these read (or write) accesses.
+	write   bool
+	members []int
+	sched   *schedule.Schedule
+}
+
+// ind returns the indirection array of read (or write) access j.
+func (l *Loop) ind(write bool, j int) *IntArray {
+	if write {
+		return l.Writes[j].Ind
+	}
+	return l.Reads[j].Ind
+}
+
+// sameDistribution reports whether two resolvers place an index space
+// identically: the same translation table, or Regular over equal
+// closed-form distributions. Everything else compares unequal, and no
+// dynamic type that == could panic on is ever compared.
+func sameDistribution(a, b ttable.Resolver) bool {
+	if ta, ok := a.(*ttable.Table); ok {
+		tb, ok := b.(*ttable.Table)
+		return ok && ta == tb
+	}
+	ra, okA := a.(ttable.Regular)
+	rb, okB := b.(ttable.Regular)
+	if okA && okB {
+		switch ra.D.(type) {
+		case dist.BlockDist, dist.CyclicDist, dist.BlockCyclicDist:
+			return ra.D == rb.D
+		}
+	}
+	return false
 }
 
 // NewLoop declares an irregular loop over nIter iterations with the
@@ -245,8 +289,9 @@ func (l *Loop) MyIterations() []int { return l.iterGl }
 
 // GhostCounts returns the ghost-buffer sizes of the saved inspector's
 // schedules, one per gather group then one per scatter group, or nil
-// before the first inspection. Useful for diagnostics and
-// communication-volume studies.
+// before the first inspection. Counts stay per group even when groups
+// share a schedule: each group fills a ghost buffer of its own. Useful
+// for diagnostics and communication-volume studies.
 func (l *Loop) GhostCounts() []int {
 	if l.insp == nil {
 		return nil
@@ -264,6 +309,8 @@ func (l *Loop) GhostCounts() []int {
 // CommPhases returns the number of communication phases one executor
 // iteration performs (gathers + scatters). With MergeAccesses this is
 // the number of distinct arrays rather than the number of accesses.
+// Groups that share a schedule still move their data in a phase each,
+// so sharing changes neither this count nor the messages per step.
 func (l *Loop) CommPhases() int {
 	if l.insp == nil {
 		return 0
@@ -287,9 +334,12 @@ func (l *Loop) dads() (data, ind []dist.DAD) {
 }
 
 // Inspect runs the Phase D inspector unconditionally: it builds one
-// communication schedule per access and the buffer-association vectors,
-// then records the loop's DADs and indirection timestamps with the
-// registry. Collective.
+// communication schedule and buffer-association vector per distinct
+// access pattern — read and write groups that reach the same
+// distribution through the same indirection arrays share them, each
+// with a buffer and a communication phase of its own — then records
+// every access's DADs and indirection timestamps with the registry.
+// Collective.
 //
 // All its schedule builds share one schedule.Builder that lives for
 // this call only, and the reference vectors of the inspector state
@@ -309,34 +359,44 @@ func (l *Loop) Inspect() {
 		nLocal := len(l.iterGl)
 		var b schedule.Builder
 		var cat []int // a fused group's concatenated reference lists
+		pats := make([]pattern, 0, len(l.Reads)+len(l.Writes))
 
-		// build runs the inspector for group gi, whose member accesses
-		// reach arr through the indirection arrays indOf names, and
-		// gives each member's plan its stretch of the reference vector.
-		build := func(gi int, arr *Array, members []int, indOf func(int) *IntArray, plans []accessPlan) *schedule.Schedule {
-			globals := indOf(members[0]).Data
-			if len(members) > 1 {
-				cat = cat[:0]
-				for _, j := range members {
-					cat = append(cat, indOf(j).Data...)
+		// build gives group gi, whose member read (or write) accesses
+		// reach arr, its schedule and each member's plan its stretch of
+		// the reference vector: those of an earlier group with the same
+		// pattern, or else newly inspected.
+		build := func(gi int, arr *Array, write bool, members []int, plans []accessPlan) *schedule.Schedule {
+			pat := pattern{res: arr.res, size: len(arr.Data), write: write, members: members}
+			pi := slices.IndexFunc(pats, func(q pattern) bool {
+				return q.size == pat.size && sameDistribution(q.res, pat.res) &&
+					slices.EqualFunc(q.members, members, func(j, k int) bool { return l.ind(q.write, j) == l.ind(write, k) })
+			})
+			if pi < 0 {
+				globals := l.ind(write, members[0]).Data
+				if len(members) > 1 {
+					cat = cat[:0]
+					for _, j := range members {
+						cat = append(cat, l.ind(write, j).Data...)
+					}
+					globals = cat
 				}
-				globals = cat
+				var recycled []int
+				if n := len(st.refs); l.insp != nil && n < len(l.insp.refs) {
+					recycled = l.insp.refs[n]
+				}
+				var ref []int
+				pat.sched, ref = b.BuildGather(l.s.C, arr.res, pat.size, globals, schedule.Options{}, recycled)
+				pi, pats, st.refs = len(pats), append(pats, pat), append(st.refs, ref)
 			}
-			var recycled []int
-			if n := len(st.refs); l.insp != nil && n < len(l.insp.refs) {
-				recycled = l.insp.refs[n]
-			}
-			sch, ref := b.BuildGather(l.s.C, arr.res, len(arr.Data), globals, schedule.Options{}, recycled)
-			st.refs = append(st.refs, ref)
 			for idx, j := range members {
-				plans[j] = accessPlan{group: gi, ref: ref[idx*nLocal : (idx+1)*nLocal]}
+				plans[j] = accessPlan{group: gi, ref: st.refs[pi][idx*nLocal : (idx+1)*nLocal]}
 			}
-			return sch
+			return pats[pi].sched
 		}
 
 		// Group read accesses (per array when merging, else one group
-		// per access), then build one schedule per group over the
-		// concatenated reference lists and slice the reference vector
+		// per access); a group's schedule is built over its members'
+		// concatenated reference lists and the reference vector sliced
 		// back per access.
 		rGroupOf := map[*Array]int{}
 		var rMembers [][]int
@@ -358,10 +418,9 @@ func (l *Loop) Inspect() {
 			rMembers[gi] = append(rMembers[gi], j)
 		}
 		st.rPlans = make([]accessPlan, len(l.Reads))
-		readInd := func(j int) *IntArray { return l.Reads[j].Ind }
 		for gi := range st.rGroups {
 			g := &st.rGroups[gi]
-			g.sched = build(gi, g.arr, rMembers[gi], readInd, st.rPlans)
+			g.sched = build(gi, g.arr, false, rMembers[gi], st.rPlans)
 		}
 
 		// Same for writes, grouped by (array, reduction operator).
@@ -388,10 +447,9 @@ func (l *Loop) Inspect() {
 			st.wGroups[gi].members = append(st.wGroups[gi].members, k)
 		}
 		st.wPlans = make([]accessPlan, len(l.Writes))
-		writeInd := func(k int) *IntArray { return l.Writes[k].Ind }
 		for gi := range st.wGroups {
 			g := &st.wGroups[gi]
-			g.sched = build(gi, g.arr, g.members, writeInd, st.wPlans)
+			g.sched = build(gi, g.arr, true, g.members, st.wPlans)
 		}
 
 		// Carve the executor's buffers out of the loop's slab.
@@ -595,15 +653,30 @@ func (l *Loop) PartitionIterations(policy iterpart.Policy) {
 	s := l.s
 	s.timed(TimerRemap, func() {
 		c := s.C
+		type access struct {
+			arr *Array
+			ind *IntArray
+		}
 		nAcc := len(l.Reads) + len(l.Writes)
-		ownersByAcc := make([][]int, 0, nAcc)
+		accs := make([]access, 0, nAcc)
 		for _, r := range l.Reads {
-			o, _ := r.Arr.res.Resolve(c, r.Ind.Data)
-			ownersByAcc = append(ownersByAcc, o)
+			accs = append(accs, access{r.Arr, r.Ind})
 		}
 		for _, w := range l.Writes {
-			o, _ := w.Arr.res.Resolve(c, w.Ind.Data)
-			ownersByAcc = append(ownersByAcc, o)
+			accs = append(accs, access{w.Arr, w.Ind})
+		}
+		// Dereference each distinct (distribution, indirection array)
+		// pair once; accesses that repeat one share its owner list.
+		ownersByAcc := make([][]int, nAcc)
+		for a, ac := range accs {
+			b := slices.IndexFunc(accs[:a], func(q access) bool {
+				return q.ind == ac.ind && sameDistribution(q.arr.res, ac.arr.res)
+			})
+			if b >= 0 {
+				ownersByAcc[a] = ownersByAcc[b]
+			} else {
+				ownersByAcc[a], _ = ac.arr.res.Resolve(c, ac.ind.Data)
+			}
 		}
 		nLocal := len(l.iterGl)
 		refOwners := make([][]int, nLocal)
@@ -632,14 +705,8 @@ func (l *Loop) PartitionIterations(policy iterpart.Policy) {
 
 		// Remap each distinct indirection array exactly once.
 		moved := map[*IntArray]bool{}
-		var inds []*IntArray
-		for _, r := range l.Reads {
-			inds = append(inds, r.Ind)
-		}
-		for _, w := range l.Writes {
-			inds = append(inds, w.Ind)
-		}
-		for _, ind := range inds {
+		for _, ac := range accs {
+			ind := ac.ind
 			if moved[ind] {
 				continue
 			}

@@ -6,8 +6,12 @@ import (
 	"slices"
 	"testing"
 
+	"chaos/internal/dist"
 	"chaos/internal/iterpart"
 	"chaos/internal/machine"
+	"chaos/internal/remap"
+	"chaos/internal/schedule"
+	"chaos/internal/ttable"
 	"chaos/internal/xrand"
 )
 
@@ -316,5 +320,568 @@ func TestExecutorRefusesStaleBuffer(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("a resized array ran over its retained accumulation buffer")
+	}
+}
+
+// referenceInspect is the per-access inspector Loop.Inspect was before
+// it built each distinct access pattern once — one BuildGather per
+// group, whatever the groups have in common — kept verbatim as the
+// oracle of TestInspectorMatchesReference.
+func (l *Loop) referenceInspect() {
+	l.s.timed(TimerInspector, func() {
+		// Register indirection descriptors with the (possibly
+		// tracked) registry before recording timestamps.
+		data, ind := l.dads()
+		for _, d := range ind {
+			l.s.Reg.Track(d)
+		}
+		st := &inspectorState{}
+		nLocal := len(l.iterGl)
+		var b schedule.Builder
+		var cat []int // a fused group's concatenated reference lists
+
+		// build runs the inspector for group gi, whose member accesses
+		// reach arr through the indirection arrays indOf names, and
+		// gives each member's plan its stretch of the reference vector.
+		build := func(gi int, arr *Array, members []int, indOf func(int) *IntArray, plans []accessPlan) *schedule.Schedule {
+			globals := indOf(members[0]).Data
+			if len(members) > 1 {
+				cat = cat[:0]
+				for _, j := range members {
+					cat = append(cat, indOf(j).Data...)
+				}
+				globals = cat
+			}
+			var recycled []int
+			if n := len(st.refs); l.insp != nil && n < len(l.insp.refs) {
+				recycled = l.insp.refs[n]
+			}
+			sch, ref := b.BuildGather(l.s.C, arr.res, len(arr.Data), globals, schedule.Options{}, recycled)
+			st.refs = append(st.refs, ref)
+			for idx, j := range members {
+				plans[j] = accessPlan{group: gi, ref: ref[idx*nLocal : (idx+1)*nLocal]}
+			}
+			return sch
+		}
+
+		// Group read accesses (per array when merging, else one group
+		// per access), then build one schedule per group over the
+		// concatenated reference lists and slice the reference vector
+		// back per access.
+		rGroupOf := map[*Array]int{}
+		var rMembers [][]int
+		for j, r := range l.Reads {
+			gi := -1
+			if l.MergeAccesses {
+				if idx, ok := rGroupOf[r.Arr]; ok {
+					gi = idx
+				}
+			}
+			if gi < 0 {
+				gi = len(st.rGroups)
+				st.rGroups = append(st.rGroups, gatherGroup{arr: r.Arr})
+				rMembers = append(rMembers, nil)
+				if l.MergeAccesses {
+					rGroupOf[r.Arr] = gi
+				}
+			}
+			rMembers[gi] = append(rMembers[gi], j)
+		}
+		st.rPlans = make([]accessPlan, len(l.Reads))
+		readInd := func(j int) *IntArray { return l.Reads[j].Ind }
+		for gi := range st.rGroups {
+			g := &st.rGroups[gi]
+			g.sched = build(gi, g.arr, rMembers[gi], readInd, st.rPlans)
+		}
+
+		// Same for writes, grouped by (array, reduction operator).
+		type wKey struct {
+			arr *Array
+			op  Reduce
+		}
+		wGroupOf := map[wKey]int{}
+		for k, w := range l.Writes {
+			key := wKey{w.Arr, w.Op}
+			gi := -1
+			if l.MergeAccesses {
+				if idx, ok := wGroupOf[key]; ok {
+					gi = idx
+				}
+			}
+			if gi < 0 {
+				gi = len(st.wGroups)
+				st.wGroups = append(st.wGroups, scatterGroup{arr: w.Arr, op: w.Op, combine: w.Op.combine})
+				if l.MergeAccesses {
+					wGroupOf[key] = gi
+				}
+			}
+			st.wGroups[gi].members = append(st.wGroups[gi].members, k)
+		}
+		st.wPlans = make([]accessPlan, len(l.Writes))
+		writeInd := func(k int) *IntArray { return l.Writes[k].Ind }
+		for gi := range st.wGroups {
+			g := &st.wGroups[gi]
+			g.sched = build(gi, g.arr, g.members, writeInd, st.wPlans)
+		}
+
+		// Carve the executor's buffers out of the loop's slab.
+		total := execBlock * (len(l.Reads) + len(l.Writes))
+		for _, g := range st.rGroups {
+			total += g.sched.NGhost()
+		}
+		for _, g := range st.wGroups {
+			total += len(g.arr.Data) + g.sched.NGhost()
+		}
+		if cap(l.store) < total {
+			l.store = make([]float64, total)
+		}
+		rest := l.store[:total]
+		carve := func(n int) []float64 {
+			b := rest[:n:n]
+			rest = rest[n:]
+			return b
+		}
+		st.in, st.out = carve(execBlock*len(l.Reads)), carve(execBlock*len(l.Writes))
+		for gi := range st.rGroups {
+			st.rGroups[gi].ghost = carve(st.rGroups[gi].sched.NGhost())
+		}
+		for gi := range st.wGroups {
+			g := &st.wGroups[gi]
+			g.buf = carve(len(g.arr.Data) + g.sched.NGhost())
+		}
+
+		l.insp = st
+		l.s.Reg.Record(&l.rec, data, ind)
+	})
+}
+
+// referencePartitionIterations is Loop.PartitionIterations as it was
+// when it dereferenced once per access, kept verbatim as the oracle's
+// Phase B.
+func (l *Loop) referencePartitionIterations(policy iterpart.Policy) {
+	s := l.s
+	s.timed(TimerRemap, func() {
+		c := s.C
+		nAcc := len(l.Reads) + len(l.Writes)
+		ownersByAcc := make([][]int, 0, nAcc)
+		for _, r := range l.Reads {
+			o, _ := r.Arr.res.Resolve(c, r.Ind.Data)
+			ownersByAcc = append(ownersByAcc, o)
+		}
+		for _, w := range l.Writes {
+			o, _ := w.Arr.res.Resolve(c, w.Ind.Data)
+			ownersByAcc = append(ownersByAcc, o)
+		}
+		nLocal := len(l.iterGl)
+		refOwners := make([][]int, nLocal)
+		lhsOwner := make([]int, nLocal)
+		blockHome := make([]int, nLocal)
+		flat := make([]int, nLocal*nAcc) // backs every row of refOwners
+		for i := 0; i < nLocal; i++ {
+			row := flat[i*nAcc : (i+1)*nAcc : (i+1)*nAcc]
+			for a, o := range ownersByAcc {
+				row[a] = o[i]
+			}
+			refOwners[i] = row
+			if len(l.Writes) > 0 {
+				lhsOwner[i] = ownersByAcc[len(l.Reads)][i]
+			} else if nAcc > 0 {
+				lhsOwner[i] = ownersByAcc[0][i]
+			}
+			blockHome[i] = c.Rank()
+		}
+		dest := iterpart.ChooseAll(refOwners, lhsOwner, blockHome, policy)
+		c.Words(nLocal * (nAcc + 2))
+
+		pl := remap.Build(c, l.iterGl, dest)
+		newGl := append([]int(nil), pl.NewGlobals()...)
+		tab := ttable.Build(c, l.NIter, newGl)
+
+		// Remap each distinct indirection array exactly once.
+		moved := map[*IntArray]bool{}
+		var inds []*IntArray
+		for _, r := range l.Reads {
+			inds = append(inds, r.Ind)
+		}
+		for _, w := range l.Writes {
+			inds = append(inds, w.Ind)
+		}
+		for _, ind := range inds {
+			if moved[ind] {
+				continue
+			}
+			moved[ind] = true
+			ind.Data = pl.MoveInts(c, ind.Data)
+			ind.gl = newGl
+			ind.res = tab
+			ind.dad = s.DADs.New(dist.Irregular, ind.n)
+			s.Reg.NoteRemap(ind.dad)
+		}
+		l.iterGl = newGl
+		l.iterRes = tab
+	})
+}
+
+// inspTrace is what one rank saw over a run of the inspector
+// differential program. Snapshots are compared exactly; at a sync point
+// — after an inspection or an iteration repartition, the two places
+// where the inspector under test may charge less than the per-access
+// one — the rank under test must not be ahead of the reference clock,
+// is advanced to it, and records by how much, so that every clock after
+// it (the executor's above all) can again be compared to the last bit.
+type inspTrace struct {
+	floats [][][]float64 // per step: arrays, ghost and accumulation buffers
+	ints   [][][]int     // per step: reference vectors, iterations, ghost counts
+	clocks []float64
+	syncs  []float64 // the reference clock at each sync point
+	saved  []float64 // under test: reference clock - own clock there
+}
+
+// sync is a sync point; want is the reference run's trace of this rank,
+// nil on the reference side. It reports false when the rank under test
+// was ahead of the reference or could not be put level with it.
+func (tr *inspTrace) sync(c *machine.Ctx, want *inspTrace) bool {
+	if want == nil {
+		tr.syncs = append(tr.syncs, c.Clock())
+		return true
+	}
+	ref := want.syncs[len(tr.saved)]
+	d := ref - c.Clock()
+	tr.saved = append(tr.saved, d)
+	c.AdvanceClock(d)
+	return d >= 0 && c.Clock() == ref
+}
+
+func (tr *inspTrace) snapshot(c *machine.Ctx, l *Loop, arrays []*Array) {
+	var fs [][]float64
+	for _, a := range arrays {
+		fs = append(fs, slices.Clone(a.Data))
+	}
+	for _, g := range l.insp.rGroups {
+		fs = append(fs, slices.Clone(g.ghost))
+	}
+	for _, g := range l.insp.wGroups {
+		fs = append(fs, slices.Clone(g.buf))
+	}
+	is := [][]int{slices.Clone(l.iterGl), l.GhostCounts(), {l.CommPhases()}}
+	for _, pl := range append(slices.Clone(l.insp.rPlans), l.insp.wPlans...) {
+		is = append(is, slices.Clone(pl.ref), []int{pl.group})
+	}
+	tr.floats, tr.ints, tr.clocks = append(tr.floats, fs), append(tr.ints, is), append(tr.clocks, c.Clock())
+}
+
+// diff names the first difference between two traces, or "".
+func (tr *inspTrace) diff(want *inspTrace) string {
+	if len(tr.clocks) != len(want.clocks) || len(tr.saved) != len(want.syncs) {
+		return fmt.Sprintf("%d steps and %d sync points traced, reference %d and %d",
+			len(tr.clocks), len(tr.saved), len(want.clocks), len(want.syncs))
+	}
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for i := range want.clocks {
+		if len(tr.floats[i]) != len(want.floats[i]) || len(tr.ints[i]) != len(want.ints[i]) {
+			return fmt.Sprintf("step %d: %d+%d buffers, reference %d+%d", i,
+				len(tr.floats[i]), len(tr.ints[i]), len(want.floats[i]), len(want.ints[i]))
+		}
+		for b := range want.floats[i] {
+			if !slices.EqualFunc(tr.floats[i][b], want.floats[i][b], sameBits) {
+				return fmt.Sprintf("step %d float buffer %d: %v, reference %v", i, b, tr.floats[i][b], want.floats[i][b])
+			}
+		}
+		for b := range want.ints[i] {
+			if !slices.Equal(tr.ints[i][b], want.ints[i][b]) {
+				return fmt.Sprintf("step %d int vector %d: %v, reference %v", i, b, tr.ints[i][b], want.ints[i][b])
+			}
+		}
+		if tr.clocks[i] != want.clocks[i] {
+			return fmt.Sprintf("step %d: clock %v, reference %v", i, tr.clocks[i], want.clocks[i])
+		}
+	}
+	return ""
+}
+
+// inspProg is one rank's view of an inspector differential program:
+// the session and arrays every case starts from and the steps a case
+// is written in. The reference side (want == nil) inspects and
+// repartitions through the per-access oracles.
+type inspProg struct {
+	t    *testing.T
+	c    *machine.Ctx
+	s    *Session
+	tr   *inspTrace
+	want *inspTrace
+
+	n          int
+	x, y, z    *Array
+	e1, e2, e3 *IntArray
+	loop       *Loop
+	// shares[i] says whether sync point i follows work that reaches
+	// some access pattern more than once.
+	shares []bool
+}
+
+func (p *inspProg) sync(shares bool) {
+	p.shares = append(p.shares, shares)
+	if !p.tr.sync(p.c, p.want) {
+		p.t.Errorf("rank %d sync point %d: clock off the reference's by %v, cannot be put level",
+			p.c.Rank(), len(p.shares)-1, p.tr.saved[len(p.shares)-1])
+	}
+}
+
+// mapping redistributes arrays by g → (g + shift) mod P: for n a
+// multiple of P every rank holds n/P elements whatever the shift.
+func (p *inspProg) redistribute(shift int, arrays ...*Array) {
+	m := p.s.NewIntArray("map", p.n)
+	m.FillByGlobal(func(g int) int { return (g + shift) % p.c.Procs() })
+	p.s.Redistribute(p.s.MappingFromIntArray(m), arrays, nil)
+}
+
+// declare makes rd/wr the loop under test.
+func (p *inspProg) declare(merge bool, rd []Read, wr []Write) {
+	kernel := func(iter int, in, out []float64) {
+		acc := float64(iter%7) - 3
+		for j, v := range in {
+			acc += float64(j+1) * v
+		}
+		for k := range out {
+			out[k] = acc * float64(k+2)
+		}
+	}
+	p.loop = p.s.NewLoop("pattern", p.e1.Size(), rd, wr, 5, kernel)
+	p.loop.MergeAccesses = merge
+}
+
+// step is one Execute (or ExecuteNoReuse). inspects says whether the
+// step must run the inspector — the reuse decision is part of what is
+// checked — and shares whether that inspection revisits a pattern. A
+// reusing step goes through Execute as it is; an inspecting one is
+// Execute's three statements with a sync point between the inspection
+// and the executor.
+func (p *inspProg) step(noReuse, inspects, shares bool) {
+	l := p.loop
+	if !inspects {
+		before := l.insp
+		l.Execute()
+		if l.insp != before {
+			p.t.Errorf("rank %d step %d: inspected, reuse expected", p.c.Rank(), len(p.tr.clocks))
+		}
+	} else {
+		if !noReuse {
+			p.c.Words(2 * (len(l.Reads) + len(l.Writes)))
+			data, ind := l.dads()
+			if p.s.Reg.Check(&l.rec, data, ind) && l.insp != nil {
+				p.t.Errorf("rank %d step %d: reuse check passed, inspection expected", p.c.Rank(), len(p.tr.clocks))
+			}
+		}
+		if p.want == nil {
+			l.referenceInspect()
+		} else {
+			l.Inspect()
+		}
+		p.sync(shares)
+		p.s.timed(TimerExecutor, l.executor)
+	}
+	p.tr.snapshot(p.c, l, []*Array{p.x, p.y, p.z})
+}
+
+func (p *inspProg) partitionIterations(shares bool) {
+	if p.want == nil {
+		p.loop.referencePartitionIterations(iterpart.AlmostOwnerComputes)
+	} else {
+		p.loop.PartitionIterations(iterpart.AlmostOwnerComputes)
+	}
+	p.sync(shares)
+}
+
+// sliceDist is a closed-form-looking distribution of an uncomparable
+// dynamic type: == on two dist.Dist values holding it panics.
+type sliceDist struct {
+	*dist.IrregularDist
+	_ []int
+}
+
+// inspectorCases are the programs of TestInspectorMatchesReference.
+// Every one ends with two forced re-inspections, which recycle the
+// reference vectors of the state they replace.
+var inspectorCases = []struct {
+	name string
+	run  func(p *inspProg)
+}{
+	{"euler", func(p *inspProg) { eulerPatternCase(p, false) }},
+	{"euler merged", func(p *inspProg) { eulerPatternCase(p, true) }},
+	{"reads only", func(p *inspProg) {
+		p.redistribute(1, p.x, p.y, p.z)
+		p.declare(false, []Read{{p.x, p.e1}, {p.y, p.e2}, {p.z, p.e1}}, nil)
+		p.step(false, true, true)
+		p.step(false, false, false)
+	}},
+	{"writes only", func(p *inspProg) {
+		p.redistribute(1, p.x, p.y, p.z)
+		p.declare(false, nil, []Write{{p.x, p.e1, Add}, {p.y, p.e2, Max}, {p.z, p.e1, Add}})
+		p.step(false, true, true)
+		p.step(false, false, false)
+	}},
+	// One pattern, three write groups: the two Add accesses fuse under
+	// MergeAccesses into a pattern of their own, Max and Assign never do.
+	{"other op on a shared pattern", func(p *inspProg) {
+		p.redistribute(2, p.x, p.y)
+		p.declare(false, []Read{{p.x, p.e1}}, []Write{{p.y, p.e1, Add}, {p.y, p.e1, Max}, {p.y, p.e1, Min}})
+		p.step(false, true, true)
+		p.step(false, false, false)
+	}},
+	{"other op on a shared pattern, merged", func(p *inspProg) {
+		p.redistribute(2, p.x, p.y)
+		p.declare(true, []Read{{p.x, p.e1}, {p.x, p.e2}},
+			[]Write{{p.y, p.e1, Add}, {p.y, p.e1, Max}, {p.y, p.e2, Add}, {p.y, p.e2, Max}, {p.z, p.e1, Mul}})
+		p.step(false, true, true)
+		p.step(false, false, false)
+	}},
+	// Merged groups over the same indirection arrays in another order
+	// are another pattern: the reference vector is cut up in member order.
+	{"merged, indirection order differs", func(p *inspProg) {
+		p.redistribute(1, p.x, p.y)
+		p.declare(true, []Read{{p.x, p.e1}, {p.x, p.e2}}, []Write{{p.y, p.e2, Add}, {p.y, p.e1, Add}})
+		p.step(false, true, false)
+		p.step(false, false, false)
+	}},
+	// Equal local sizes, different placements: only the resolver tells.
+	{"separate Redistribute calls", func(p *inspProg) {
+		p.redistribute(1, p.x)
+		p.redistribute(2, p.y)
+		p.declare(false, []Read{{p.x, p.e1}, {p.x, p.e2}}, []Write{{p.y, p.e1, Add}, {p.y, p.e2, Add}})
+		p.step(false, true, false)
+		p.step(false, false, false)
+	}},
+	{"separate Redistribute calls, same mapping", func(p *inspProg) {
+		p.redistribute(1, p.x)
+		p.redistribute(1, p.y)
+		p.declare(true, []Read{{p.x, p.e1}, {p.x, p.e2}}, []Write{{p.y, p.e1, Add}, {p.y, p.e2, Add}})
+		p.step(false, true, false)
+	}},
+	{"BLOCK arrays", func(p *inspProg) {
+		p.declare(false, []Read{{p.x, p.e1}, {p.x, p.e2}}, []Write{{p.y, p.e1, Add}, {p.y, p.e2, Add}})
+		p.step(false, true, true)
+		p.step(false, false, false)
+		p.partitionIterations(true)
+		p.step(false, true, true)
+	}},
+	// Same resolver, another local size (grown behind the runtime's
+	// back, on every rank alike): ghost slots start elsewhere.
+	{"BLOCK arrays, local sizes differ", func(p *inspProg) {
+		p.y.Data = append(p.y.Data, 0)
+		p.declare(false, []Read{{p.x, p.e1}}, []Write{{p.y, p.e1, Add}})
+		p.step(false, true, false)
+		p.step(false, false, false)
+	}},
+	{"Regular over an owner map", func(p *inspProg) {
+		p.redistribute(1, p.x, p.y)
+		irr := p.x.res.(*ttable.Table).Replicated(p.c)
+		p.x.res, p.y.res = ttable.Regular{D: irr}, ttable.Regular{D: irr}
+		p.declare(false, []Read{{p.x, p.e1}}, []Write{{p.y, p.e1, Add}})
+		p.step(false, true, false)
+		p.x.res, p.y.res = ttable.Regular{D: sliceDist{irr, nil}}, ttable.Regular{D: sliceDist{irr, nil}}
+		p.step(true, true, false)
+	}},
+}
+
+// eulerPatternCase is the paper's loop — x and y aligned, both reached
+// through end_pt1 and end_pt2 — taken through everything Section 3
+// lets happen between two executions.
+func eulerPatternCase(p *inspProg, merge bool) {
+	p.redistribute(1, p.x, p.y)
+	p.declare(merge, []Read{{p.x, p.e1}, {p.x, p.e2}}, []Write{{p.y, p.e1, Add}, {p.y, p.e2, Add}})
+	p.step(false, true, true)
+	p.step(false, false, false)
+	p.x.FillByGlobal(func(g int) float64 { return float64(mix(g, 7)%100) / 8 })
+	p.step(false, false, false) // a data write leaves schedules valid
+	p.partitionIterations(true)
+	p.step(false, true, true)
+	p.e2.FillByGlobal(func(g int) int { return mix(g, 8) % p.n }) // condition 3
+	p.step(false, true, true)
+	p.redistribute(2, p.y) // condition 1, for y alone: nothing is shared any more
+	p.step(false, true, false)
+	p.step(false, false, false)
+	p.partitionIterations(false)
+	p.step(false, true, false)
+	p.redistribute(2, p.x)      // same placement as y, which lets Redistribute take both ...
+	p.redistribute(3, p.x, p.y) // ... and align them again
+	p.step(false, true, true)
+}
+
+// TestInspectorMatchesReference runs each of inspectorCases over the
+// pattern-sharing inspector and over the per-access one and demands,
+// after every step, bit-identical arrays, ghost and accumulation
+// buffers, per-access reference vectors and groups, iteration
+// placements, ghost counts, phase counts and — the rank under test
+// having been advanced to the reference clock after each inspection
+// and repartition — per-rank clocks, so the executor is shown to send
+// the same messages and bytes at the same cost. The inspector itself
+// must cost exactly the reference's when no pattern repeats and never
+// more; on the iPSC/860 it must cost less, summed over ranks, wherever
+// one does. Both backends; the calibrated machine and the three
+// counting machines.
+func TestInspectorMatchesReference(t *testing.T) {
+	for _, sh := range []struct{ p, n, nIter int }{{1, 12, 40}, {3, 48, 3*execBlock + 5}, {8, 16, 100}} {
+		for _, tc := range inspectorCases {
+			for name, cfg := range clockConfigs(sh.p) {
+				for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
+					if backend == machine.Real && name != "ipsc860" {
+						continue
+					}
+					cfg.Backend = backend
+					label := fmt.Sprintf("%s: %v %s P=%d N=%d iters=%d", tc.name, backend, name, sh.p, sh.n, sh.nIter)
+					var shares []bool
+					run := func(want []inspTrace) []inspTrace {
+						traces := make([]inspTrace, sh.p)
+						err := machine.Run(cfg, func(c *machine.Ctx) {
+							p := &inspProg{t: t, c: c, s: NewSession(c), tr: &traces[c.Rank()], n: sh.n}
+							if want != nil {
+								p.want = &want[c.Rank()]
+							}
+							p.x, p.y, p.z = p.s.NewArray("x", sh.n), p.s.NewArray("y", sh.n), p.s.NewArray("z", sh.n)
+							for i, a := range []*Array{p.x, p.y, p.z} {
+								a.FillByGlobal(func(g int) float64 {
+									return (float64(mix(g, i)%2000) - 1000) * math.Pow(2, float64(mix(g, i+3)%40-20))
+								})
+							}
+							inds := []**IntArray{&p.e1, &p.e2, &p.e3}
+							for i, ind := range inds {
+								*ind = p.s.NewIntArray(fmt.Sprintf("e%d", i+1), sh.nIter)
+								(*ind).FillByGlobal(func(g int) int { return mix(g, 10+i) % sh.n })
+							}
+							tc.run(p)
+							p.step(true, true, p.shares[len(p.shares)-1])
+							p.step(true, true, p.shares[len(p.shares)-1])
+							if c.Rank() == 0 {
+								shares = p.shares
+							}
+						})
+						if err != nil {
+							t.Fatalf("%s reference=%v: %v", label, want == nil, err)
+						}
+						return traces
+					}
+					want := run(nil)
+					got := run(want)
+					for r := range want {
+						if d := got[r].diff(&want[r]); d != "" {
+							t.Errorf("%s rank %d: %s", label, r, d)
+						}
+					}
+					for i, sharing := range shares {
+						total := 0.0
+						for r := range got {
+							total += got[r].saved[i]
+							if !sharing && got[r].saved[i] != 0 {
+								t.Errorf("%s rank %d sync point %d: no pattern repeats, yet the clock is %v off the reference's",
+									label, r, i, got[r].saved[i])
+							}
+						}
+						if sharing && name == "ipsc860" && total <= 0 {
+							t.Errorf("%s sync point %d: a pattern repeats, yet the inspector saved %v", label, i, total)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -13,8 +13,16 @@ func small() *Workload { return MeshWorkload(1000) }
 
 func TestScheduleReuseWinsBigly(t *testing.T) {
 	// Paper Table 1 shape: no-reuse is an order of magnitude (or
-	// more) slower over repeated executor iterations.
-	base := Config{Procs: 4, Workload: small(), Spec: partition.MustSpec("RCB"), Iters: 20}
+	// more) slower over repeated executor iterations. Run at the
+	// paper's 100 iterations (Config.Iters' default): the ratio is
+	// (fixed + n·(inspector + executor)) / (fixed + inspector +
+	// n·executor) with a fixed partition + remap cost on both sides,
+	// so at a handful of iterations it measures how small the
+	// inspector is against that fixed cost — an inspector that builds
+	// each access pattern once reads 3.7x at 20 and 5.9x at 100 —
+	// where the paper's claim is about the per-iteration cost at its
+	// own count.
+	base := Config{Procs: 4, Workload: small(), Spec: partition.MustSpec("RCB"), Iters: 100}
 	withCfg := base
 	withCfg.Reuse = true
 	withoutCfg := base

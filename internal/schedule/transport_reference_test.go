@@ -347,7 +347,9 @@ func TestTransportPanicsSurvive(t *testing.T) {
 // schedule — the shape benchmark/euler.go's probes use — on a Merged
 // schedule, and the vector forms at two widths on one schedule (the
 // slabs regrow), with random per-rank stalls so that ranks leave each
-// exchange far apart. A slab overwritten while a peer still reads it
+// exchange far apart; then one schedule moved in both directions
+// within a step, as core.Loop moves a schedule that a read group and a
+// write group share. A slab overwritten while a peer still reads it
 // is a data race (run under -race) or a wrong value here.
 func TestTransportOwnershipUnderDelays(t *testing.T) {
 	const n, p, rounds = 64, 4, 40
@@ -435,6 +437,56 @@ func TestTransportOwnershipUnderDelays(t *testing.T) {
 								}
 							}
 						}
+					}
+				}
+			}
+
+			// A schedule shared by groups of one loop: a Gather and a
+			// ScatterOp every step, or (two read groups, one write group)
+			// Gather, ScatterOp, Gather, each group with a buffer of its
+			// own and nothing but the stalls between the moves. Moved
+			// twice a step, each slab serves one direction for good; either
+			// way the slabs are done growing once both have packed both
+			// directions, so a shared schedule retains no more than two
+			// unshared ones did.
+			for _, moves := range []int{2, 3} {
+				s, ref := BuildGather(c, tab, len(mine), ga, Options{})
+				local, sums := make([]float64, len(mine)), make([]float64, len(mine))
+				ghosts := [][]float64{make([]float64, s.NGhost()), make([]float64, s.NGhost()), make([]float64, s.NGhost())}
+				var settled [2]int
+				for step := 0; step < rounds; step++ {
+					for l, g := range mine {
+						local[l] = value(g, 0, step)
+					}
+					clear(sums)
+					for mv := 0; mv < moves; mv++ {
+						stall(rng)
+						if mv == 1 {
+							copy(ghosts[1], ghosts[0])
+							s.ScatterOp(c, sums, ghosts[1], addFloat)
+							continue
+						}
+						s.Gather(c, local, ghosts[mv])
+						for i, g := range ga {
+							if slot := ref[i] - len(mine); slot >= 0 && ghosts[mv][slot] != value(g, 0, step) {
+								fail("shared schedule, %d moves, step %d: global %d gathered %v", moves, step, g, ghosts[mv][slot])
+							}
+						}
+					}
+					for l, g := range mine {
+						if v := value(g, 0, step); v != 0 && math.Mod(sums[l], v) != 0 {
+							fail("shared schedule, %d moves, step %d: global %d summed to %v, not a multiple of %v", moves, step, g, sums[l], v)
+						}
+					}
+					slab := &s.floats.slab
+					if moves == 2 && (cap(slab[1]) != s.SendCount() || cap(slab[0]) != s.RecvCount()) {
+						fail("shared schedule, step %d: slabs hold %d and %d floats, want one per direction (%d sent, %d received)",
+							step, cap(slab[1]), cap(slab[0]), s.SendCount(), s.RecvCount())
+					}
+					if step == 1 {
+						settled = [2]int{cap(slab[0]), cap(slab[1])}
+					} else if step > 1 && settled != [2]int{cap(slab[0]), cap(slab[1])} {
+						fail("shared schedule, %d moves, step %d: slabs grew from %v to %d and %d floats", moves, step, settled, cap(slab[0]), cap(slab[1]))
 					}
 				}
 			}
