@@ -8,7 +8,7 @@ GO ?= go
 # coverage durably improves.
 COVER_FLOOR = 89.0
 
-.PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline repo-bench repo-bench-pairs profile-cpu profile-mem profile-exec profile-inspect fuzz-short service-bench quickstart tables examples docs-check api-check api-snapshot
+.PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline repo-bench repo-bench-pairs profile-cpu profile-mem profile-exec profile-inspect fuzz-short quickstart tables examples docs-check api-check api-snapshot
 
 # The BenchmarkHot* suite measures the steady state of the arena-backed
 # hot paths and of the paper's own layers (translation-table
@@ -30,8 +30,8 @@ vet:
 	$(GO) vet ./...
 
 # analyze runs chaosvet, the project-specific static-analysis suite
-# (internal/analysis): SPMD collective divergence, hot-path allocation,
-# deprecated string-spec usage, and discarded exchange results. See
+# (internal/analysis): SPMD collective divergence, hot-path allocation
+# and discarded exchange results. See
 # docs/ANALYZERS.md for the catalog and the //chaosvet:ignore contract.
 analyze:
 	$(GO) run ./cmd/chaosvet ./...
@@ -208,13 +208,6 @@ profile-inspect:
 		-o profiles/core.test ./internal/core
 	@echo "wrote profiles/inspect_cpu.out and profiles/inspect_mem.out; inspect with: go tool pprof -top -cum profiles/core.test profiles/inspect_cpu.out"
 	@echo "                                             and: go tool pprof -sample_index=alloc_objects -top profiles/core.test profiles/inspect_mem.out"
-
-# service-bench runs the partitioning-service load study on the short
-# profile: a serial client, then 16 concurrent clients, against a
-# fresh in-process chaosd each — failing below a 2x aggregate
-# partitions/sec gain (the CI service job's acceptance gate).
-service-bench:
-	$(GO) run ./cmd/chaosbench -service -quick -min-speedup 2.0
 
 quickstart:
 	$(GO) run ./examples/quickstart

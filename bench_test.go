@@ -48,28 +48,28 @@ func runCell(b *testing.B, cfg experiments.Config) {
 func BenchmarkTable1ScheduleReuse(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: benchProcs, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("RCB"), Reuse: true, Iters: benchIters,
+		Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: benchIters,
 	})
 }
 
 func BenchmarkTable1NoReuse(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: benchProcs, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("RCB"), Reuse: false, Iters: benchIters,
+		Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: false, Iters: benchIters,
 	})
 }
 
 func BenchmarkTable1MDScheduleReuse(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: 4, Workload: experiments.Water648(),
-		Spec: partition.MustSpec("RCB"), Reuse: true, Iters: benchIters,
+		Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: benchIters,
 	})
 }
 
 func BenchmarkTable1MDNoReuse(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: 4, Workload: experiments.Water648(),
-		Spec: partition.MustSpec("RCB"), Reuse: false, Iters: benchIters,
+		Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: false, Iters: benchIters,
 	})
 }
 
@@ -78,42 +78,42 @@ func BenchmarkTable1MDNoReuse(b *testing.B) {
 func BenchmarkTable2RCBCompilerReuse(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: benchProcs, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("RCB"), Reuse: true, Iters: benchIters, Compiler: true,
+		Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: benchIters, Compiler: true,
 	})
 }
 
 func BenchmarkTable2RCBCompilerNoReuse(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: benchProcs, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("RCB"), Reuse: false, Iters: benchIters, Compiler: true,
+		Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: false, Iters: benchIters, Compiler: true,
 	})
 }
 
 func BenchmarkTable2RCBHand(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: benchProcs, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("RCB"), Reuse: true, Iters: benchIters,
+		Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: benchIters,
 	})
 }
 
 func BenchmarkTable2BlockHand(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: benchProcs, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("BLOCK"), Reuse: true, Iters: benchIters,
+		Spec: partition.Spec{Method: partition.MethodBlock}, Reuse: true, Iters: benchIters,
 	})
 }
 
 func BenchmarkTable2RSBCompilerReuse(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: benchProcs, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("RSB"), Reuse: true, Iters: benchIters, Compiler: true,
+		Spec: partition.Spec{Method: partition.MethodRSB}, Reuse: true, Iters: benchIters, Compiler: true,
 	})
 }
 
 func BenchmarkTable2MultilevelCompilerReuse(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: benchProcs, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("MULTILEVEL"), Reuse: true, Iters: benchIters, Compiler: true,
+		Spec: partition.Spec{Method: partition.MethodMultilevel}, Reuse: true, Iters: benchIters, Compiler: true,
 	})
 }
 
@@ -122,14 +122,14 @@ func BenchmarkTable2MultilevelCompilerReuse(b *testing.B) {
 func BenchmarkTable3RCBDetailP4(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: 4, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("RCB"), Reuse: true, Iters: benchIters, Compiler: true,
+		Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: benchIters, Compiler: true,
 	})
 }
 
 func BenchmarkTable3RCBDetailP16(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: 16, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("RCB"), Reuse: true, Iters: benchIters, Compiler: true,
+		Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: benchIters, Compiler: true,
 	})
 }
 
@@ -138,14 +138,14 @@ func BenchmarkTable3RCBDetailP16(b *testing.B) {
 func BenchmarkTable4BlockP4(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: 4, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("BLOCK"), Reuse: true, Iters: benchIters,
+		Spec: partition.Spec{Method: partition.MethodBlock}, Reuse: true, Iters: benchIters,
 	})
 }
 
 func BenchmarkTable4BlockP16(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: 16, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("BLOCK"), Reuse: true, Iters: benchIters,
+		Spec: partition.Spec{Method: partition.MethodBlock}, Reuse: true, Iters: benchIters,
 	})
 }
 
@@ -154,15 +154,14 @@ func BenchmarkTable4BlockP16(b *testing.B) {
 // benchReal runs the RCB pipeline on the Real execution backend and
 // reports both trajectories: host wall time ("wallms", max across
 // ranks) and the virtual time the same run charged ("vsec"). Compare
-// the P=1 and P=8 wallms on a multi-core host for real speedup;
-// cmd/chaosbench -backend=real runs the paper-size grid.
+// the P=1 and P=8 wallms on a host with 8+ cores for real speedup.
 func benchReal(b *testing.B, procs int) {
 	b.Helper()
 	var wall, vsec float64
 	for i := 0; i < b.N; i++ {
 		ph, err := experiments.Run(experiments.Config{
 			Procs: procs, Workload: experiments.MeshWorkload(benchMeshNodes),
-			Spec: partition.MustSpec("RCB"), Reuse: true, Iters: benchIters,
+			Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: benchIters,
 			Backend: machine.Real, Seed: 1993,
 		})
 		if err != nil {
@@ -218,7 +217,7 @@ func benchIterPolicy(b *testing.B, pol iterpart.Policy, skip bool) {
 	b.Helper()
 	runCell(b, experiments.Config{
 		Procs: benchProcs, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("RCB"), Reuse: true, Iters: benchIters,
+		Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: benchIters,
 		IterPolicy: pol, SkipIterPart: skip,
 	})
 }
@@ -238,14 +237,14 @@ func BenchmarkAblationIterBlock(b *testing.B) {
 func BenchmarkAblationRSB(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: benchProcs, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("RSB"), Reuse: true, Iters: benchIters,
+		Spec: partition.Spec{Method: partition.MethodRSB}, Reuse: true, Iters: benchIters,
 	})
 }
 
 func BenchmarkAblationRSBKL(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: benchProcs, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("RSB-KL"), Reuse: true, Iters: benchIters,
+		Spec: partition.Spec{Method: partition.MethodRSBKL}, Reuse: true, Iters: benchIters,
 	})
 }
 
@@ -254,7 +253,7 @@ func BenchmarkAblationRSBKL(b *testing.B) {
 func BenchmarkAblationMultilevel(b *testing.B) {
 	runCell(b, experiments.Config{
 		Procs: benchProcs, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.MustSpec("MULTILEVEL"), Reuse: true, Iters: benchIters,
+		Spec: partition.Spec{Method: partition.MethodMultilevel}, Reuse: true, Iters: benchIters,
 	})
 }
 

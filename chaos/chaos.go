@@ -71,9 +71,9 @@
 // meshes are warm-repartitioned off the retained multilevel coarsening
 // ladder at a fraction of a cold run (see examples/adaptive).
 //
-// The Fortran-D-style string forms remain as deprecated shims:
-// SetByPartitioning(g, "RSB", n) and ParseSpec("MULTILEVEL(...)")
-// produce bit-identical results to the typed path.
+// The Fortran-D-style string form goes through ParseSpec:
+// ParseSpec("MULTILEVEL(...)") followed by SetPartitioning produces
+// bit-identical results to the typed literal.
 // RegisterPartitioner links a custom implementation under its own
 // name.
 package chaos
@@ -107,9 +107,6 @@ type Write = core.Write
 
 // Mapping is a computed irregular distribution (a map array).
 type Mapping = core.Mapping
-
-// MapperRecord caches a CONSTRUCT+PARTITION result for reuse.
-type MapperRecord = core.MapperRecord
 
 // GeoColInput declares the arrays feeding a CONSTRUCT directive.
 type GeoColInput = core.GeoColInput

@@ -88,7 +88,7 @@ func TestQuickstartMeshEndToEnd(t *testing.T) {
 func TestChaosbenchCellSmoke(t *testing.T) {
 	w := experiments.MeshWorkload(200)
 	base := experiments.Config{
-		Procs: 4, Workload: w, Spec: chaos.MustSpec("RCB"), Iters: 4,
+		Procs: 4, Workload: w, Spec: chaos.PartitionSpec{Method: chaos.MethodRCB}, Iters: 4,
 	}
 
 	withReuse := base

@@ -8,10 +8,9 @@ import (
 // PartitionSpec is the typed partitioner selection consumed by
 // Session.SetPartitioning and Session.NewRepartitioner: a Method plus
 // the multilevel tuning knobs (CoarsenTo, ParallelThreshold, FMPasses,
-// VCycle, Seed, Imbalance) that previously required importing
-// internal/partition. The zero value of every option keeps the method
-// default, so PartitionSpec{Method: MethodMultilevel} behaves exactly
-// like the old "MULTILEVEL" string. Specs are validated against the
+// VCycle, Seed, Imbalance). The zero value of every option keeps the
+// method default, so PartitionSpec{Method: MethodMultilevel} behaves
+// exactly like the "MULTILEVEL" string. Specs are validated against the
 // partitioner's declared Capabilities and the GeoCoL graph's
 // components before any work starts.
 type PartitionSpec = partition.Spec
@@ -47,19 +46,10 @@ const (
 // ParseSpec parses the Fortran-D-style string form of a spec: a bare
 // registry name ("MULTILEVEL") or a name with a parenthesized option
 // list ("MULTILEVEL(CoarsenTo=200,VCycle=true)"). PartitionSpec.String
-// is its inverse.
-//
-// Deprecated: construct a typed PartitionSpec literal
-// (PartitionSpec{Method: MethodRCB}) instead. The string form survives
-// for callers holding user-authored spec strings.
+// is its inverse. It is for callers holding user-authored spec
+// strings; code that knows its method writes a typed PartitionSpec
+// literal (PartitionSpec{Method: MethodRCB}).
 func ParseSpec(s string) (PartitionSpec, error) { return partition.ParseSpec(s) }
-
-// MustSpec is ParseSpec for trusted literals; it panics on error.
-//
-// Deprecated: a trusted literal is exactly the case where a typed
-// PartitionSpec literal says the same thing with compile-time checking
-// and nothing to panic on.
-func MustSpec(s string) PartitionSpec { return partition.MustSpec(s) }
 
 // Capabilities describes what a partitioner consumes and supports;
 // see PartitionerV2.
@@ -77,7 +67,7 @@ type PartitionerV2 = partition.PartitionerV2
 func PartitionerCaps(p Partitioner) Capabilities { return partition.Caps(p) }
 
 // Repartitioner is the stateful, reuse-guarded CONSTRUCT+PARTITION
-// handle returned by Session.NewRepartitioner: beyond MapperRecord's
+// handle returned by Session.NewRepartitioner: beyond the
 // unchanged-input guard it retains the MULTILEVEL coarsening ladder
 // and previous partition, warm-starting slightly changed meshes at a
 // fraction of a cold repartition. See examples/adaptive for the

@@ -8,11 +8,11 @@ import (
 	"chaos/internal/mesh"
 )
 
-// TestStringShimBitIdenticalToTypedPath pins the deprecation
-// contract: SetByPartitioning(name) must produce bit-identical
-// partitions to SetPartitioning with the equivalent typed spec, for
+// TestParseSpecBitIdenticalToTypedPath pins the string front end:
+// ParseSpec(name) + SetPartitioning must produce bit-identical
+// partitions to SetPartitioning with the equivalent typed literal, for
 // every built-in method.
-func TestStringShimBitIdenticalToTypedPath(t *testing.T) {
+func TestParseSpecBitIdenticalToTypedPath(t *testing.T) {
 	const procs = 4
 	m := mesh.Generate(600, 42)
 	err := chaos.Run(chaos.IPSC860(procs), func(s *chaos.Session) {
@@ -31,18 +31,22 @@ func TestStringShimBitIdenticalToTypedPath(t *testing.T) {
 			Geometry: []*chaos.Array{xc, yc, zc},
 		})
 
-		for _, name := range []string{"BLOCK", "RANDOM", "RCB", "INERTIAL", "RSB", "RSB-KL", "KL", "MULTILEVEL", "STREAM"} {
-			byName, err := s.SetByPartitioning(g, name, procs)
-			if err != nil {
-				t.Errorf("%s string path: %v", name, err)
-				continue
-			}
+		for _, method := range []chaos.Method{
+			chaos.MethodBlock, chaos.MethodRandom, chaos.MethodRCB, chaos.MethodInertial, chaos.MethodRSB,
+			chaos.MethodRSBKL, chaos.MethodKL, chaos.MethodMultilevel, chaos.MethodStream,
+		} {
+			name := string(method)
 			spec, err := chaos.ParseSpec(name)
 			if err != nil {
 				t.Errorf("%s: %v", name, err)
 				continue
 			}
-			typed, err := s.SetPartitioning(g, spec, procs)
+			byName, err := s.SetPartitioning(g, spec, procs)
+			if err != nil {
+				t.Errorf("%s string path: %v", name, err)
+				continue
+			}
+			typed, err := s.SetPartitioning(g, chaos.PartitionSpec{Method: method}, procs)
 			if err != nil {
 				t.Errorf("%s typed path: %v", name, err)
 				continue

@@ -13,29 +13,6 @@
 // header lines annotate the entries; -sha (defaulting to $GITHUB_SHA)
 // stamps the document. With -o absent or "-", the JSON goes to stdout.
 //
-// -real <file> additionally ingests the "realbench:" lines printed by
-// `chaosbench -backend=real` (one per machine size, key=value
-// format): each becomes an entry of the document's "real" array and
-// the wall-time ratio of the smallest to the largest machine size is
-// stamped as "real_speedup", so the archive carries the real-cores
-// trajectory next to the virtual one.
-//
-// -service <file> likewise ingests the "servicebench:" lines printed
-// by `chaosbench -service` (one per load-generation phase, key=value
-// format): each becomes an entry of the document's "service" array,
-// and the partitions/sec ratio of the last phase (the concurrent
-// fleet) over the first (the serial client) is stamped as
-// "service_speedup" — the daemon's cache-and-batching dividend,
-// archived next to the real-cores and virtual trajectories.
-//
-// -stream <file> likewise ingests the "streambench:" lines printed by
-// `chaosbench -stream` (one per (mesh size, method) cell, key=value
-// format): each becomes an entry of the document's "stream" array, and
-// the largest mesh's STREAM/MULTILEVEL cut ratio and
-// MULTILEVEL/STREAM allocation ratio are stamped as
-// "stream_cut_ratio" and "stream_mem_ratio" — the out-of-core
-// engine's quality price and memory dividend, archived together.
-//
 // -gate <baseline.json> turns benchjson into the CI regression rail:
 // the parsed stdin is compared against the baseline document (itself
 // written by an earlier benchjson run, see `make bench-baseline`) and
@@ -69,45 +46,6 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// RealRun is one "realbench:" line from `chaosbench -backend=real`:
-// the full pipeline on the Real execution backend at one machine
-// size, with host wall time next to the virtual time of the same run.
-type RealRun struct {
-	Workload string  `json:"workload"`
-	Method   string  `json:"method"`
-	Procs    int     `json:"procs"`
-	WallMS   float64 `json:"wall_ms"`
-	VirtualS float64 `json:"virtual_s"`
-}
-
-// ServiceRun is one "servicebench:" line from `chaosbench -service`:
-// one load-generation phase against the partitioning daemon, with
-// aggregate throughput and the served-class mix.
-type ServiceRun struct {
-	Clients   int     `json:"clients"`
-	Requests  int     `json:"requests"`
-	PPS       float64 `json:"pps"`
-	HitRatio  float64 `json:"hit_ratio"`
-	Hits      int     `json:"hits"`
-	Cold      int     `json:"cold"`
-	Warm      int     `json:"warm"`
-	Shared    int     `json:"shared"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-}
-
-// StreamRun is one "streambench:" line from `chaosbench -stream`: one
-// partitioner (STREAM or the in-memory MULTILEVEL baseline) on one
-// mesh size, with the edge cut and the bytes the run allocated.
-type StreamRun struct {
-	Workload string  `json:"workload"`
-	N        int     `json:"n"`
-	Method   string  `json:"method"`
-	Parts    int     `json:"parts"`
-	Cut      int     `json:"cut"`
-	Bytes    uint64  `json:"bytes"`
-	WallMS   float64 `json:"wall_ms"`
-}
-
 // Doc is the archived JSON document.
 type Doc struct {
 	SHA        string      `json:"sha,omitempty"`
@@ -115,24 +53,6 @@ type Doc struct {
 	GoArch     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
-	// Real holds the real-cores study cells, and RealSpeedup the wall
-	// time of its smallest machine divided by its largest (P=1 → P=8
-	// real speedup). Absent when -real was not given.
-	Real        []RealRun `json:"real,omitempty"`
-	RealSpeedup float64   `json:"real_speedup,omitempty"`
-	// Service holds the partitioning-service load-study phases, and
-	// ServiceSpeedup the partitions/sec of its last phase (the
-	// concurrent fleet) divided by its first (the serial client).
-	// Absent when -service was not given.
-	Service        []ServiceRun `json:"service,omitempty"`
-	ServiceSpeedup float64      `json:"service_speedup,omitempty"`
-	// Stream holds the out-of-core study cells; StreamCutRatio is the
-	// largest mesh's STREAM cut over its MULTILEVEL cut (quality price)
-	// and StreamMemRatio the same mesh's MULTILEVEL bytes over its
-	// STREAM bytes (memory dividend). Absent when -stream was not given.
-	Stream         []StreamRun `json:"stream,omitempty"`
-	StreamCutRatio float64     `json:"stream_cut_ratio,omitempty"`
-	StreamMemRatio float64     `json:"stream_mem_ratio,omitempty"`
 }
 
 // parse reads `go test -bench` output and collects the benchmark lines.
@@ -186,184 +106,6 @@ func parseBenchLine(line, pkg string) (*Benchmark, error) {
 		b.Metrics[fields[i+1]] = v
 	}
 	return b, nil
-}
-
-// parseReal reads `chaosbench -backend=real` output and collects the
-// per-machine-size "realbench:" cells, ignoring the human-facing
-// summary lines. The speedup is the wall time of the first cell (the
-// smallest machine) over the last (the largest); zero when fewer than
-// two cells are present.
-func parseReal(r io.Reader) ([]RealRun, float64, error) {
-	var runs []RealRun
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "realbench: ") {
-			continue
-		}
-		rr := RealRun{}
-		for _, kv := range strings.Fields(strings.TrimPrefix(line, "realbench: ")) {
-			eq := strings.IndexByte(kv, '=')
-			if eq < 0 {
-				return nil, 0, fmt.Errorf("benchjson: bad realbench field %q in %q", kv, line)
-			}
-			key, val := kv[:eq], kv[eq+1:]
-			var err error
-			switch key {
-			case "workload":
-				rr.Workload = val
-			case "method":
-				rr.Method = val
-			case "procs":
-				rr.Procs, err = strconv.Atoi(val)
-			case "wall_ms":
-				rr.WallMS, err = strconv.ParseFloat(val, 64)
-			case "virtual_s":
-				rr.VirtualS, err = strconv.ParseFloat(val, 64)
-			default:
-				err = fmt.Errorf("unknown key")
-			}
-			if err != nil {
-				return nil, 0, fmt.Errorf("benchjson: bad realbench field %q in %q", kv, line)
-			}
-		}
-		if rr.Procs <= 0 || rr.WallMS <= 0 {
-			return nil, 0, fmt.Errorf("benchjson: realbench line missing procs or wall_ms: %q", line)
-		}
-		runs = append(runs, rr)
-	}
-	speedup := 0.0
-	if len(runs) >= 2 {
-		speedup = runs[0].WallMS / runs[len(runs)-1].WallMS
-	}
-	return runs, speedup, sc.Err()
-}
-
-// parseService reads `chaosbench -service` output and collects the
-// per-phase "servicebench:" cells, ignoring the summary lines. The
-// speedup is the partitions/sec of the last cell (the concurrent
-// fleet) over the first (the serial client); zero when fewer than two
-// cells are present.
-func parseService(r io.Reader) ([]ServiceRun, float64, error) {
-	var runs []ServiceRun
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "servicebench: ") {
-			continue
-		}
-		sr := ServiceRun{}
-		for _, kv := range strings.Fields(strings.TrimPrefix(line, "servicebench: ")) {
-			eq := strings.IndexByte(kv, '=')
-			if eq < 0 {
-				return nil, 0, fmt.Errorf("benchjson: bad servicebench field %q in %q", kv, line)
-			}
-			key, val := kv[:eq], kv[eq+1:]
-			var err error
-			switch key {
-			case "clients":
-				sr.Clients, err = strconv.Atoi(val)
-			case "requests":
-				sr.Requests, err = strconv.Atoi(val)
-			case "pps":
-				sr.PPS, err = strconv.ParseFloat(val, 64)
-			case "hit_ratio":
-				sr.HitRatio, err = strconv.ParseFloat(val, 64)
-			case "hits":
-				sr.Hits, err = strconv.Atoi(val)
-			case "cold":
-				sr.Cold, err = strconv.Atoi(val)
-			case "warm":
-				sr.Warm, err = strconv.Atoi(val)
-			case "shared":
-				sr.Shared, err = strconv.Atoi(val)
-			case "elapsed_ms":
-				sr.ElapsedMS, err = strconv.ParseFloat(val, 64)
-			default:
-				err = fmt.Errorf("unknown key")
-			}
-			if err != nil {
-				return nil, 0, fmt.Errorf("benchjson: bad servicebench field %q in %q", kv, line)
-			}
-		}
-		if sr.Clients <= 0 || sr.PPS <= 0 {
-			return nil, 0, fmt.Errorf("benchjson: servicebench line missing clients or pps: %q", line)
-		}
-		runs = append(runs, sr)
-	}
-	speedup := 0.0
-	if len(runs) >= 2 && runs[0].PPS > 0 {
-		speedup = runs[len(runs)-1].PPS / runs[0].PPS
-	}
-	return runs, speedup, sc.Err()
-}
-
-// parseStream reads `chaosbench -stream` output and collects the
-// per-(size, method) "streambench:" cells. The ratios come from the
-// largest mesh that carries both methods: STREAM cut over MULTILEVEL
-// cut, and MULTILEVEL bytes over STREAM bytes; both zero when no mesh
-// has the full pair.
-func parseStream(r io.Reader) ([]StreamRun, float64, float64, error) {
-	var runs []StreamRun
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "streambench: ") {
-			continue
-		}
-		sr := StreamRun{}
-		for _, kv := range strings.Fields(strings.TrimPrefix(line, "streambench: ")) {
-			eq := strings.IndexByte(kv, '=')
-			if eq < 0 {
-				return nil, 0, 0, fmt.Errorf("benchjson: bad streambench field %q in %q", kv, line)
-			}
-			key, val := kv[:eq], kv[eq+1:]
-			var err error
-			switch key {
-			case "workload":
-				sr.Workload = val
-			case "n":
-				sr.N, err = strconv.Atoi(val)
-			case "method":
-				sr.Method = val
-			case "parts":
-				sr.Parts, err = strconv.Atoi(val)
-			case "cut":
-				sr.Cut, err = strconv.Atoi(val)
-			case "bytes":
-				sr.Bytes, err = strconv.ParseUint(val, 10, 64)
-			case "ms":
-				sr.WallMS, err = strconv.ParseFloat(val, 64)
-			default:
-				err = fmt.Errorf("unknown key")
-			}
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("benchjson: bad streambench field %q in %q", kv, line)
-			}
-		}
-		if sr.N <= 0 || sr.Method == "" || sr.Bytes == 0 {
-			return nil, 0, 0, fmt.Errorf("benchjson: streambench line missing n, method, or bytes: %q", line)
-		}
-		runs = append(runs, sr)
-	}
-	cutRatio, memRatio := 0.0, 0.0
-	best := 0
-	for _, a := range runs {
-		if a.Method != "STREAM" || a.N < best {
-			continue
-		}
-		for _, b := range runs {
-			if b.Method == "MULTILEVEL" && b.N == a.N && b.Cut > 0 && a.Bytes > 0 {
-				best = a.N
-				cutRatio = float64(a.Cut) / float64(b.Cut)
-				memRatio = float64(b.Bytes) / float64(a.Bytes)
-			}
-		}
-	}
-	return runs, cutRatio, memRatio, sc.Err()
 }
 
 // gateKey identifies a benchmark across machines: package plus name
@@ -423,9 +165,6 @@ func compare(base, cur *Doc, allocTol, nsTol float64) (problems, notes []string)
 func main() {
 	sha := flag.String("sha", os.Getenv("GITHUB_SHA"), "commit sha to stamp the document with")
 	out := flag.String("o", "-", "output file (\"-\" = stdout)")
-	real := flag.String("real", "", "file holding `chaosbench -backend=real` output to merge into the document")
-	svc := flag.String("service", "", "file holding `chaosbench -service` output to merge into the document")
-	strm := flag.String("stream", "", "file holding `chaosbench -stream` output to merge into the document")
 	gate := flag.String("gate", "", "baseline JSON to gate against; exit non-zero on regression")
 	allocTol := flag.Float64("alloc-tol", 0.05, "allocs/op headroom over baseline (scheduling noise; zero baselines stay exact)")
 	nsTol := flag.Float64("ns-tol", 1.5, "ns/op failure threshold as a multiple of baseline")
@@ -437,46 +176,7 @@ func main() {
 		os.Exit(1)
 	}
 	doc.SHA = *sha
-	if *real != "" {
-		f, err := os.Open(*real)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		doc.Real, doc.RealSpeedup, err = parseReal(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *svc != "" {
-		f, err := os.Open(*svc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		doc.Service, doc.ServiceSpeedup, err = parseService(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *strm != "" {
-		f, err := os.Open(*strm)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		doc.Stream, doc.StreamCutRatio, doc.StreamMemRatio, err = parseStream(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if len(doc.Benchmarks) == 0 && len(doc.Real) == 0 && len(doc.Service) == 0 && len(doc.Stream) == 0 {
+	if len(doc.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines found on stdin")
 		os.Exit(1)
 	}

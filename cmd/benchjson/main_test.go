@@ -49,65 +49,6 @@ func TestParseBadMetricValue(t *testing.T) {
 	}
 }
 
-func TestParseReal(t *testing.T) {
-	const out = `realbench: workload=mesh21000 method=RCB procs=1 wall_ms=4200.125 virtual_s=12.3456
-realbench: workload=mesh21000 method=RCB procs=2 wall_ms=2400.500 virtual_s=7.0001
-realbench: workload=mesh21000 method=RCB procs=8 wall_ms=1000.250 virtual_s=3.1415
-realbench-speedup: workload=mesh21000 method=RCB procs=8 vs=1 real=4.20 virtual=3.93
-[real backend on 8 host cores (GOMAXPROCS); real speedup is meaningful on 4+ cores]
-`
-	runs, speedup, err := parseReal(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 3 {
-		t.Fatalf("parsed %d real runs, want 3: %+v", len(runs), runs)
-	}
-	r := runs[0]
-	if r.Workload != "mesh21000" || r.Method != "RCB" || r.Procs != 1 ||
-		r.WallMS != 4200.125 || r.VirtualS != 12.3456 {
-		t.Errorf("runs[0] = %+v", r)
-	}
-	if runs[2].Procs != 8 || runs[2].WallMS != 1000.25 {
-		t.Errorf("runs[2] = %+v", runs[2])
-	}
-	if want := 4200.125 / 1000.25; speedup != want {
-		t.Errorf("speedup = %v, want %v", speedup, want)
-	}
-}
-
-func TestParseRealSingleCell(t *testing.T) {
-	runs, speedup, err := parseReal(strings.NewReader(
-		"realbench: workload=w method=BLOCK procs=4 wall_ms=10 virtual_s=1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 1 || speedup != 0 {
-		t.Errorf("runs = %+v, speedup = %v; want one run and zero speedup", runs, speedup)
-	}
-}
-
-func TestParseRealBadLines(t *testing.T) {
-	for _, in := range []string{
-		"realbench: procs=2 wall_ms=oops\n",          // bad float
-		"realbench: procs=2\n",                       // missing wall_ms
-		"realbench: nonsense\n",                      // no key=value
-		"realbench: bogus=1 procs=2 wall_ms=3\n",     // unknown key
-		"realbench: procs=zero wall_ms=3 method=X\n", // bad int
-	} {
-		if _, _, err := parseReal(strings.NewReader(in)); err == nil {
-			t.Errorf("want error for %q", in)
-		}
-	}
-}
-
-func TestParseRealEmpty(t *testing.T) {
-	runs, speedup, err := parseReal(strings.NewReader("no realbench lines here\n"))
-	if err != nil || len(runs) != 0 || speedup != 0 {
-		t.Errorf("got runs=%v speedup=%v err=%v; want empty", runs, speedup, err)
-	}
-}
-
 func TestParseEmptyInput(t *testing.T) {
 	doc, err := parse(strings.NewReader(""))
 	if err != nil {
@@ -115,138 +56,5 @@ func TestParseEmptyInput(t *testing.T) {
 	}
 	if len(doc.Benchmarks) != 0 {
 		t.Errorf("want no benchmarks, got %+v", doc.Benchmarks)
-	}
-}
-
-func TestParseService(t *testing.T) {
-	in := `chaosd: serving on 127.0.0.1:7850
-servicebench: clients=1 requests=8 pps=198.81 hit_ratio=0.500 hits=4 cold=4 warm=0 shared=0 elapsed_ms=40.2
-servicebench: clients=16 requests=128 pps=2180.71 hit_ratio=0.969 hits=112 cold=4 warm=0 shared=12 elapsed_ms=58.7
-servicebench-speedup: clients=16 vs=1 pps=10.97
-[against an external daemon the phases share its cache]
-`
-	runs, speedup, err := parseService(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 {
-		t.Fatalf("got %d runs, want 2", len(runs))
-	}
-	want0 := ServiceRun{Clients: 1, Requests: 8, PPS: 198.81, HitRatio: 0.5,
-		Hits: 4, Cold: 4, ElapsedMS: 40.2}
-	if runs[0] != want0 {
-		t.Errorf("runs[0] = %+v, want %+v", runs[0], want0)
-	}
-	if runs[1].Clients != 16 || runs[1].Shared != 12 || runs[1].HitRatio != 0.969 {
-		t.Errorf("runs[1] = %+v", runs[1])
-	}
-	if got := 2180.71 / 198.81; speedup != got {
-		t.Errorf("speedup = %v, want %v", speedup, got)
-	}
-}
-
-func TestParseServiceSingleCell(t *testing.T) {
-	runs, speedup, err := parseService(strings.NewReader(
-		"servicebench: clients=1 requests=8 pps=100 hit_ratio=0.5 hits=4 cold=4 warm=0 shared=0 elapsed_ms=40\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 1 || speedup != 0 {
-		t.Errorf("runs = %+v, speedup = %v; want one run and zero speedup", runs, speedup)
-	}
-}
-
-func TestParseServiceBadLines(t *testing.T) {
-	for _, in := range []string{
-		"servicebench: clients=1 pps=oops\n",         // bad float
-		"servicebench: clients=1\n",                  // missing pps
-		"servicebench: nonsense\n",                   // no key=value
-		"servicebench: bogus=1 clients=1 pps=2\n",    // unknown key
-		"servicebench: clients=one pps=2\n",          // bad int
-		"servicebench: clients=0 pps=2 requests=1\n", // non-positive clients
-	} {
-		if _, _, err := parseService(strings.NewReader(in)); err == nil {
-			t.Errorf("want error for %q", in)
-		}
-	}
-}
-
-func TestParseServiceEmpty(t *testing.T) {
-	runs, speedup, err := parseService(strings.NewReader("no servicebench lines here\n"))
-	if err != nil || len(runs) != 0 || speedup != 0 {
-		t.Errorf("got runs=%v speedup=%v err=%v; want empty", runs, speedup, err)
-	}
-}
-
-func TestParseStream(t *testing.T) {
-	in := `streambench: workload=mesh n=4096 method=MULTILEVEL parts=8 cut=2383 bytes=20897400 ms=27.7
-streambench: workload=mesh n=4096 method=STREAM parts=8 cut=3219 bytes=6945672 ms=17.1
-streambench: workload=mesh n=21952 method=MULTILEVEL parts=8 cut=8401 bytes=117414232 ms=210.0
-streambench: workload=mesh n=21952 method=STREAM parts=8 cut=10490 bytes=8443440 ms=35.1
-some human-facing trailer
-`
-	runs, cutRatio, memRatio, err := parseStream(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 4 {
-		t.Fatalf("got %d runs, want 4", len(runs))
-	}
-	want0 := StreamRun{Workload: "mesh", N: 4096, Method: "MULTILEVEL",
-		Parts: 8, Cut: 2383, Bytes: 20897400, WallMS: 27.7}
-	if runs[0] != want0 {
-		t.Errorf("runs[0] = %+v, want %+v", runs[0], want0)
-	}
-	// Ratios come from the largest mesh carrying both methods.
-	if want := 10490.0 / 8401.0; cutRatio != want {
-		t.Errorf("cutRatio = %v, want %v", cutRatio, want)
-	}
-	if want := 117414232.0 / 8443440.0; memRatio != want {
-		t.Errorf("memRatio = %v, want %v", memRatio, want)
-	}
-}
-
-func TestParseStreamUnpairedCell(t *testing.T) {
-	// A STREAM cell with no same-size MULTILEVEL partner yields no
-	// ratios, and does not steal them from a smaller paired mesh.
-	in := `streambench: workload=mesh n=1728 method=MULTILEVEL parts=8 cut=1292 bytes=7998072 ms=45.6
-streambench: workload=mesh n=1728 method=STREAM parts=8 cut=1768 bytes=2314480 ms=6.8
-streambench: workload=mesh n=9261 method=STREAM parts=8 cut=5000 bytes=7000000 ms=20.0
-`
-	runs, cutRatio, memRatio, err := parseStream(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 3 {
-		t.Fatalf("got %d runs, want 3", len(runs))
-	}
-	if want := 1768.0 / 1292.0; cutRatio != want {
-		t.Errorf("cutRatio = %v, want %v (the largest PAIRED mesh)", cutRatio, want)
-	}
-	if want := 7998072.0 / 2314480.0; memRatio != want {
-		t.Errorf("memRatio = %v, want %v", memRatio, want)
-	}
-}
-
-func TestParseStreamBadLines(t *testing.T) {
-	for _, in := range []string{
-		"streambench: n=oops method=STREAM bytes=1\n",      // bad int
-		"streambench: n=10 method=STREAM\n",                // missing bytes
-		"streambench: nonsense\n",                          // no key=value
-		"streambench: bogus=1 n=10 method=S bytes=1\n",     // unknown key
-		"streambench: n=10 bytes=5\n",                      // missing method
-		"streambench: n=10 method=STREAM bytes=notanum\n",  // bad uint
-		"streambench: n=10 method=STREAM bytes=1 ms=zzz\n", // bad float
-	} {
-		if _, _, _, err := parseStream(strings.NewReader(in)); err == nil {
-			t.Errorf("want error for %q", in)
-		}
-	}
-}
-
-func TestParseStreamEmpty(t *testing.T) {
-	runs, cutRatio, memRatio, err := parseStream(strings.NewReader("no stream lines\n"))
-	if err != nil || len(runs) != 0 || cutRatio != 0 || memRatio != 0 {
-		t.Errorf("got runs=%v cut=%v mem=%v err=%v; want empty", runs, cutRatio, memRatio, err)
 	}
 }

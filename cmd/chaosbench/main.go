@@ -6,7 +6,6 @@
 //
 //	chaosbench [-table N] [-quick] [-iters N] [-markdown]
 //	chaosbench -crossover | -adaptive [-quick]
-//	chaosbench -backend=real [-quick] [-iters N]
 //
 // With no -table flag every table (1-4) is produced. -quick runs a
 // scaled-down grid (smaller meshes, fewer processors and iterations)
@@ -28,230 +27,19 @@
 // through a Repartitioner, so warm, ladder-reusing MULTILEVEL runs
 // are compared against same-graph cold runs — the incremental
 // repartitioning column the paper could not afford to run.
-//
-// -backend=real switches from the tables to the real-cores study: the
-// full RCB pipeline runs on the Real execution backend (ranks execute
-// on host cores, payloads physically delivered) at P = 1, 2, 4, 8 on
-// the 21952-node mesh, printing one parseable "realbench:" line per
-// machine size with host wall time next to the virtual time the same
-// run charged, plus a closing speedup summary. cmd/benchjson -real
-// ingests these lines into BENCH_<sha>.json.
-//
-// -stream switches to the out-of-core streaming study: on each mesh
-// size the STREAM engine (buffered bootstrap + restreams, fed slab by
-// slab from the lattice source, adjacency never materialized) is run
-// against the in-memory MULTILEVEL baseline at P=1, printing one
-// parseable "streambench:" line per (size, method) with the edge cut,
-// bytes allocated and host milliseconds. cmd/benchjson -stream ingests
-// the lines into BENCH_<sha>.json as cut/memory ratios.
-//
-// -service switches to the partitioning-service load study: a serial
-// client and then -clients concurrent clients drive a chaosd server
-// (an in-process one on a loopback listener, or the daemon at
-// -connect) through the load generator, printing one parseable
-// "servicebench:" line per phase — partitions/sec, cache-hit ratio
-// and the served-class mix — plus a closing "servicebench-speedup:"
-// line with the concurrent-over-serial throughput ratio.
-// -min-speedup turns that ratio into a gate (exit non-zero below it);
-// cmd/benchjson -service ingests the lines into BENCH_<sha>.json.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"runtime"
 	"time"
 
 	"chaos/internal/experiments"
-	"chaos/internal/geocol"
-	"chaos/internal/machine"
-	"chaos/internal/mesh"
 	"chaos/internal/partition"
 	"chaos/internal/report"
-	"chaos/internal/service"
-	"chaos/internal/stream"
 )
-
-// runRealStudy executes the real-cores speedup study: the RCB
-// pipeline on the Real backend at P = 1, 2, 4, 8, on the 21952-node
-// acceptance mesh (a 3000-node mesh with -quick). RCB keeps the
-// partitioner cheap so the executor sweep — the part that genuinely
-// parallelizes on host cores — dominates the wall time.
-func runRealStudy(quick bool, iters int) {
-	nodes := 21000 // mesh.Generate rounds up to the 28^3 lattice: 21952
-	if iters <= 0 {
-		iters = 20
-	}
-	if quick {
-		nodes = 3000
-	}
-	w := experiments.MeshWorkload(nodes)
-	cells, err := experiments.RealSpeedupStudy(w,
-		partition.Spec{Method: partition.MethodRCB}, []int{1, 2, 4, 8}, iters)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaosbench: %v\n", err)
-		os.Exit(1)
-	}
-	for _, rc := range cells {
-		fmt.Println(rc)
-	}
-	first, last := cells[0], cells[len(cells)-1]
-	fmt.Printf("realbench-speedup: workload=%s method=%s procs=%d vs=%d real=%.2f virtual=%.2f\n",
-		first.Workload, first.Method, last.Procs, first.Procs,
-		first.WallMS/last.WallMS, first.VirtualS/last.VirtualS)
-	fmt.Printf("[real backend on %d host cores (GOMAXPROCS); real speedup is meaningful on 4+ cores]\n",
-		runtime.GOMAXPROCS(0))
-}
-
-// allocDelta runs fn and returns the bytes it allocated (cumulative,
-// so short-lived scratch counts — the honest number for an
-// out-of-core-vs-in-memory comparison) plus its wall time.
-func allocDelta(fn func()) (uint64, time.Duration) {
-	var s0, s1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&s0)
-	start := time.Now()
-	fn()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&s1)
-	return s1.TotalAlloc - s0.TotalAlloc, elapsed
-}
-
-// runStreamStudy compares the STREAM out-of-core engine against the
-// in-memory MULTILEVEL baseline across mesh sizes: same mesh, same
-// part count, cut quality vs bytes allocated. The streaming side reads
-// the lattice source slab by slab — its adjacency never materializes.
-func runStreamStudy(quick bool) {
-	sizes := []int{4096, 9261, 21952}
-	if quick {
-		sizes = []int{1728, 4096}
-	}
-	const nparts = 8
-	const seed = 1993
-	for _, n := range sizes {
-		m := mesh.Generate(n, seed)
-
-		var mlCut float64
-		mlBytes, mlT := allocDelta(func() {
-			cfg := machine.IPSC860(1)
-			cfg.Seed = 42
-			err := machine.Run(cfg, func(c *machine.Ctx) {
-				g := geocol.Build(c, m.NNode, geocol.WithLink(m.E1, m.E2))
-				part := partition.Multilevel{Seed: seed}.Partition(c, g, nparts)
-				mlCut = partition.Cut(c, g, part)
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chaosbench: stream study: %v\n", err)
-				os.Exit(1)
-			}
-		})
-		fmt.Printf("streambench: workload=mesh n=%d method=MULTILEVEL parts=%d cut=%d bytes=%d ms=%.1f\n",
-			m.NNode, nparts, int(mlCut), mlBytes, float64(mlT.Nanoseconds())/1e6)
-
-		side := mesh.SideFor(n)
-		src := mesh.NewLatticeSource(side, side, side, seed)
-		gs := stream.FromSource(src, stream.DefaultSlabVerts)
-		var cut int
-		stBytes, stT := allocDelta(func() {
-			part, err := stream.Partition(gs, nparts, stream.Options{Restreams: 2, Seed: seed})
-			if err == nil {
-				cut, err = stream.Cut(gs, part)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chaosbench: stream study: %v\n", err)
-				os.Exit(1)
-			}
-		})
-		fmt.Printf("streambench: workload=mesh n=%d method=STREAM parts=%d cut=%d bytes=%d ms=%.1f\n",
-			m.NNode, nparts, cut, stBytes, float64(stT.Nanoseconds())/1e6)
-	}
-}
-
-// serviceLine renders one load-generation phase as the parseable
-// "servicebench:" key=value line benchjson ingests.
-func serviceLine(res *service.LoadGenResult) string {
-	return fmt.Sprintf("servicebench: clients=%d requests=%d pps=%.2f hit_ratio=%.3f hits=%d cold=%d warm=%d shared=%d elapsed_ms=%.1f",
-		res.Clients, res.Requests, res.PartsPerSec, res.HitRatio,
-		res.Hits, res.Cold, res.Warm, res.Shared,
-		float64(res.Elapsed.Nanoseconds())/1e6)
-}
-
-// runServiceStudy measures service throughput: the same per-client
-// request stream against a cold daemon, first with one serial client,
-// then with `clients` concurrent ones. The concurrent phase's
-// aggregate partitions/sec over the serial phase's is the service
-// speedup — the cache and singleflight layers are exactly what turns
-// 16 identical request streams into ~one stream of computes.
-func runServiceStudy(connect string, quick bool, clients, requests int, minSpeedup float64) {
-	nnode := 2000
-	if quick {
-		nnode = 600
-	}
-	cfg := service.LoadGenConfig{
-		Requests: requests,
-		Graphs:   4,
-		NNode:    nnode, Degree: 6,
-		NParts: 8, Procs: 4,
-		Spec: partition.Spec{
-			Method:            partition.MethodMultilevel,
-			ParallelThreshold: 256,
-			Seed:              1993,
-		},
-	}
-
-	// phase runs one load-generation pass. Without -connect each phase
-	// gets a fresh in-process daemon on a loopback listener, so both
-	// phases start cold and the comparison is honest; with -connect the
-	// daemon's cache persists across phases (noted on the output).
-	phase := func(nclients int) *service.LoadGenResult {
-		addr := connect
-		var srv *service.Server
-		if connect == "" {
-			srv = service.New(service.Options{})
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chaosbench: %v\n", err)
-				os.Exit(1)
-			}
-			go srv.Serve(l)
-			addr = l.Addr().String()
-		}
-		c := cfg
-		c.Clients = nclients
-		c.Dial = func() (*service.Client, error) { return service.Dial("tcp", addr) }
-		res, err := c.RunLoadGen(context.Background())
-		if srv != nil {
-			srv.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaosbench: service study: %v\n", err)
-			os.Exit(1)
-		}
-		return res
-	}
-
-	serial := phase(1)
-	fmt.Println(serviceLine(serial))
-	conc := phase(clients)
-	fmt.Println(serviceLine(conc))
-
-	speedup := 0.0
-	if serial.PartsPerSec > 0 {
-		speedup = conc.PartsPerSec / serial.PartsPerSec
-	}
-	fmt.Printf("servicebench-speedup: clients=%d vs=1 pps=%.2f\n", clients, speedup)
-	if connect != "" {
-		fmt.Println("[against an external daemon the phases share its cache; run against a fresh daemon for a cold comparison]")
-	}
-	if minSpeedup > 0 && speedup < minSpeedup {
-		fmt.Fprintf(os.Stderr, "chaosbench: service speedup %.2fx below the %.2fx gate\n", speedup, minSpeedup)
-		os.Exit(1)
-	}
-}
 
 func main() {
 	var (
@@ -261,25 +49,8 @@ func main() {
 		markdown  = flag.Bool("markdown", false, "emit markdown tables")
 		crossover = flag.Bool("crossover", false, "partitioner amortization/crossover study instead of tables")
 		adaptive  = flag.Bool("adaptive", false, "adaptive-mesh cold/warm repartition amortization study, emitted as JSON")
-		backend   = flag.String("backend", "sim", "execution backend: sim (virtual-clock tables) or real (real-cores speedup study)")
-
-		strm       = flag.Bool("stream", false, "out-of-core streaming-vs-multilevel study instead of tables")
-		svc        = flag.Bool("service", false, "partitioning-service load study instead of tables")
-		connect    = flag.String("connect", "", "chaosd address for -service (empty = spawn an in-process daemon)")
-		clients    = flag.Int("clients", 16, "concurrent clients for the -service study")
-		requests   = flag.Int("requests", 8, "requests per client for the -service study")
-		minSpeedup = flag.Float64("min-speedup", 0, "fail -service below this concurrent/serial pps ratio (0 = report only)")
 	)
 	flag.Parse()
-
-	if *strm {
-		runStreamStudy(*quick)
-		return
-	}
-	if *svc {
-		runServiceStudy(*connect, *quick, *clients, *requests, *minSpeedup)
-		return
-	}
 
 	grid := experiments.PaperGrid()
 	if *quick {
@@ -287,16 +58,6 @@ func main() {
 	}
 	if *iters > 0 {
 		grid.Iters = *iters
-	}
-
-	be, err := machine.ParseBackend(*backend)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaosbench: %v\n", err)
-		os.Exit(2)
-	}
-	if be == machine.Real {
-		runRealStudy(*quick, *iters)
-		return
 	}
 
 	if *adaptive {

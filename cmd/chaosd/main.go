@@ -20,8 +20,9 @@
 //
 // The daemon serves until SIGINT/SIGTERM, then drains: in-flight
 // computes are cancelled, every waiting client unwinds with a typed
-// error, and the process exits cleanly. cmd/chaosbench -service is
-// the matching load generator.
+// error, and the process exits cleanly. The repository benchmark's
+// service_mix workload (go run ./benchmark -workload service_mix) is
+// the matching client fleet.
 package main
 
 import (

@@ -3,45 +3,64 @@
 package cmd_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestCommandsBuildAndRun builds the five binaries no other test
-// executes and runs each with its quickest flag: it must exit 0 and
-// print something only a working flag set and main would.
+// TestCommandsBuildAndRun builds the binaries no other test executes
+// and runs each with its quickest flag: it must exit with the expected
+// code and print something only a working flag set and main would. The
+// flags of the retired studies must be the flag package's usage error
+// (exit 2), not a silently ignored option.
 func TestCommandsBuildAndRun(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds five binaries")
+		t.Skip("builds six binaries")
 	}
+	const undefined = "flag provided but not defined"
 	runs := []struct {
 		name string
 		args []string
+		exit int
 		want string
 	}{
-		{"chaosbench", []string{"-h"}, "-table"},
-		{"chaosbench", []string{"-quick", "-table", "1"}, "Table 1"},
-		{"chaosd", []string{"-h"}, "-listen"},
-		{"chaosc", []string{"-h"}, "-plan"},
-		{"chaosvet", []string{"-list"}, "spmdcollective"},
-		{"meshgen", []string{"-n", "500"}, "nodes"},
+		{"chaosbench", []string{"-h"}, 0, "-table"},
+		{"chaosbench", []string{"-quick", "-table", "1"}, 0, "Table 1"},
+		{"chaosbench", []string{"-quick", "-adaptive"}, 0, `"epochs"`},
+		{"chaosbench", []string{"-service"}, 2, undefined},
+		{"chaosbench", []string{"-stream"}, 2, undefined},
+		{"chaosbench", []string{"-backend=real"}, 2, undefined},
+		{"benchjson", []string{"-real", "x"}, 2, undefined},
+		{"chaosd", []string{"-h"}, 0, "-listen"},
+		{"chaosc", []string{"-h"}, 0, "-plan"},
+		{"chaosvet", []string{"-list"}, 0, "spmdcollective"},
+		{"meshgen", []string{"-n", "500"}, 0, "nodes"},
 	}
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
-		"./chaosbench", "./chaosd", "./chaosc", "./chaosvet", "./meshgen")
+		"./chaosbench", "./benchjson", "./chaosd", "./chaosc", "./chaosvet", "./meshgen")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	for _, r := range runs {
-		out, err := exec.Command(filepath.Join(bin, r.name), r.args...).CombinedOutput()
-		if err != nil {
-			t.Errorf("%s %s: %v\n%s", r.name, strings.Join(r.args, " "), err, out)
+		cmd := exec.Command(filepath.Join(bin, r.name), r.args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		line := r.name + " " + strings.Join(r.args, " ")
+		if code := cmd.ProcessState.ExitCode(); code != r.exit {
+			t.Errorf("%s: exit %d (%v), want %d\n%s%s", line, code, err, r.exit, stdout.Bytes(), stderr.Bytes())
 			continue
 		}
-		if !strings.Contains(string(out), r.want) {
-			t.Errorf("%s %s: output lacks %q:\n%s", r.name, strings.Join(r.args, " "), r.want, out)
+		if out := stdout.String() + stderr.String(); !strings.Contains(out, r.want) {
+			t.Errorf("%s: output lacks %q:\n%s", line, r.want, out)
+		}
+		if slices.Contains(r.args, "-adaptive") && !json.Valid(stdout.Bytes()) {
+			t.Errorf("%s: stdout is not valid JSON:\n%s", line, stdout.Bytes())
 		}
 	}
 }

@@ -4,8 +4,7 @@
 // loader built on `go list -export` (load.go). It exists because the
 // repository's SPMD runtime has hard invariants `go vet` cannot see —
 // every rank must reach every collective, hot paths must not allocate,
-// the deprecated string-spec surface must not grow new callers, and
-// exchange results must not be dropped — and prose in docs/ does not
+// and exchange results must not be dropped — and prose in docs/ does not
 // fail CI. Each invariant is one Analyzer in this package; cmd/chaosvet
 // runs them all and `make analyze` gates tier-1 on the result.
 //
@@ -43,8 +42,8 @@ type Package struct {
 
 // Analyzer is one named invariant check. Run receives every loaded
 // package at once (not one package at a time) so checks can collect
-// cross-package facts — the "Collective." doc markers and "Deprecated:"
-// tags live in one package while the call sites live in another.
+// cross-package facts — the "Collective." doc markers live in one
+// package while the call sites live in another.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -85,7 +84,6 @@ func (d Diagnostic) String() string {
 var All = []*Analyzer{
 	SPMDCollective,
 	HotAlloc,
-	DeprecatedSpec,
 	ExchangeErr,
 }
 

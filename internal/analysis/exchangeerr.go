@@ -45,9 +45,7 @@ var errResultFuncs = map[string]int{
 var valueResultFuncs = map[string]bool{
 	geocolPath + ".GhostExchange.PushInts":              true,
 	geocolPath + ".GhostExchange.PushIntsInto":          true,
-	geocolPath + ".GhostExchange.PushFloats":            true,
 	geocolPath + ".GhostExchange.PushFloatsInto":        true,
-	geocolPath + ".GhostExchange.UpdateIntsTouched":     true,
 	geocolPath + ".GhostExchange.UpdateIntsTouchedInto": true,
 	machinePath + ".Ctx.Recv":                           true,
 	machinePath + ".Ctx.RecvInts":                       true,

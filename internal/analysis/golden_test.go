@@ -98,7 +98,6 @@ func checkGolden(t *testing.T, analyzer, fixture string) {
 
 func TestSPMDCollectiveGolden(t *testing.T) { checkGolden(t, "spmdcollective", "spmdtest") }
 func TestHotAllocGolden(t *testing.T)       { checkGolden(t, "hotalloc", "hottest") }
-func TestDeprecatedSpecGolden(t *testing.T) { checkGolden(t, "deprecatedspec", "deptest") }
 func TestExchangeErrGolden(t *testing.T)    { checkGolden(t, "exchangeerr", "exchtest") }
 
 // TestSuppression pins the //chaosvet:ignore contract on the suptest

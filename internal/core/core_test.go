@@ -6,6 +6,7 @@ import (
 
 	"chaos/internal/iterpart"
 	"chaos/internal/machine"
+	"chaos/internal/partition"
 	"chaos/internal/xrand"
 )
 
@@ -214,7 +215,7 @@ func TestFullPipelineRCB(t *testing.T) {
 		yc.FillByGlobal(func(g int) float64 { return float64(g / gx) })
 
 		g := s.Construct(n, GeoColInput{Geometry: []*Array{xc, yc}})
-		m, err := s.SetByPartitioning(g, "RCB", p)
+		m, err := s.SetPartitioning(g, partition.Spec{Method: partition.MethodRCB}, p)
 		if err != nil {
 			t.Error(err)
 			return
@@ -251,7 +252,7 @@ func TestFullPipelineRSB(t *testing.T) {
 		s := NewSession(c)
 		x, y, ia, ib, loop := buildEdgeLoop(s, n, e1, e2)
 		g := s.Construct(n, GeoColInput{Link1: ia, Link2: ib})
-		m, err := s.SetByPartitioning(g, "RSB", p)
+		m, err := s.SetPartitioning(g, partition.Spec{Method: partition.MethodRSB}, p)
 		if err != nil {
 			t.Error(err)
 			return
@@ -276,7 +277,7 @@ func TestRedistributePreservesValues(t *testing.T) {
 		// from a trivial GeoCoL graph + BLOCK partitioner on shuffled
 		// geometry; simpler: use RANDOM partitioner.
 		g := s.Construct(n, GeoColInput{})
-		m, err := s.SetByPartitioning(g, "RANDOM", p)
+		m, err := s.SetPartitioning(g, partition.Spec{Method: partition.MethodRandom}, p)
 		if err != nil {
 			t.Error(err)
 			return
@@ -320,7 +321,7 @@ func TestRedistributeAfterLoopInvalidatesSchedule(t *testing.T) {
 		h0, m0 := s.Reg.Stats()
 		// Remap data arrays: condition 1 must now fail.
 		g := s.Construct(n, GeoColInput{})
-		m, err := s.SetByPartitioning(g, "RANDOM", p)
+		m, err := s.SetPartitioning(g, partition.Spec{Method: partition.MethodRandom}, p)
 		if err != nil {
 			t.Error(err)
 			return
@@ -341,50 +342,6 @@ func TestRedistributeAfterLoopInvalidatesSchedule(t *testing.T) {
 			want[g] *= 2 // two executions accumulated
 		}
 		checkY(t, y, want, "after remap")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConstructAndPartitionCaching(t *testing.T) {
-	const n, p = 24, 4
-	err := machine.Run(machine.IPSC860(p), func(c *machine.Ctx) {
-		s := NewSession(c)
-		xc := s.NewArray("xc", n)
-		xc.FillByGlobal(func(g int) float64 { return float64(g) })
-		var mr MapperRecord
-		in := GeoColInput{Geometry: []*Array{xc}}
-		m1, err := s.ConstructAndPartition(&mr, n, in, "RCB", p)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		tPart := s.Timer(TimerPartition)
-		m2, err := s.ConstructAndPartition(&mr, n, in, "RCB", p)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if m2 != m1 {
-			t.Error("cached mapping not returned")
-		}
-		if s.Timer(TimerPartition) != tPart {
-			t.Error("partitioner re-ran despite unchanged inputs")
-		}
-		// Writing the geometry array invalidates the cache.
-		xc.FillByGlobal(func(g int) float64 { return float64(2 * g) })
-		m3, err := s.ConstructAndPartition(&mr, n, in, "RCB", p)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if m3 == m1 {
-			t.Error("stale mapping returned after input write")
-		}
-		if s.Timer(TimerPartition) <= tPart {
-			t.Error("partitioner did not re-run after input write")
-		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +412,7 @@ func TestIterationPartitioningPolicies(t *testing.T) {
 			s := NewSession(c)
 			x, y, _, _, loop := buildEdgeLoop(s, n, e1, e2)
 			g := s.Construct(n, GeoColInput{})
-			m, err := s.SetByPartitioning(g, "RANDOM", p)
+			m, err := s.SetPartitioning(g, partition.Spec{Method: partition.MethodRandom}, p)
 			if err != nil {
 				t.Error(err)
 				return

@@ -4,7 +4,6 @@ import (
 	"chaos/internal/dist"
 	"chaos/internal/geocol"
 	"chaos/internal/partition"
-	"chaos/internal/registry"
 )
 
 // GeoColInput declares the program arrays feeding a CONSTRUCT
@@ -88,61 +87,5 @@ func (s *Session) SetPartitioning(g *geocol.Graph, spec partition.Spec, nparts i
 		part := p.Partition(s.C, g, nparts)
 		m = &Mapping{n: g.N, home: g.Home, part: part}
 	})
-	return m, nil
-}
-
-// SetByPartitioning is the Fortran-D-style string form of
-// SetPartitioning: the partitioner is named by its registry string,
-// optionally with a parenthesized option list (partition.ParseSpec).
-// It produces bit-identical partitions to the typed path.
-//
-// Deprecated: use SetPartitioning with a typed partition.Spec, which
-// exposes the tuning knobs and validates the combination early.
-func (s *Session) SetByPartitioning(g *geocol.Graph, partitioner string, nparts int) (*Mapping, error) {
-	sp, err := partition.ParseSpec(partitioner)
-	if err != nil {
-		return nil, err
-	}
-	return s.SetPartitioning(g, sp, nparts)
-}
-
-// MapperRecord caches the result of a CONSTRUCT + PARTITIONING pair so
-// the runtime can "avoid generating a new GeoCoL graph and carrying out
-// a potentially expensive repartition when no change has occurred"
-// (paper Section 3). The guard is the same conservative DAD/timestamp
-// check used for inspector reuse, applied to the arrays feeding the
-// CONSTRUCT.
-type MapperRecord struct {
-	rec     registry.LoopRecord
-	mapping *Mapping
-}
-
-// Mapping returns the cached mapping (nil before the first build).
-func (mr *MapperRecord) Mapping() *Mapping { return mr.mapping }
-
-// ConstructAndPartition is the reuse-guarded Phase A: if none of the
-// input arrays may have changed since the cached mapping was computed,
-// the cached mapping is returned without rebuilding the GeoCoL graph or
-// re-running the partitioner. Collective.
-//
-// Deprecated: use Session.NewRepartitioner, which adds incremental
-// warm repartitioning (retained multilevel coarsening ladder) on top
-// of the same unchanged-input guard.
-func (s *Session) ConstructAndPartition(mr *MapperRecord, n int, in GeoColInput, partitioner string, nparts int) (*Mapping, error) {
-	inputDADs := in.dads()
-	for _, d := range inputDADs {
-		s.Reg.Track(d)
-	}
-	s.C.Words(2 * len(inputDADs)) // the guard itself is a few comparisons
-	if s.Reg.Check(&mr.rec, nil, inputDADs) && mr.mapping != nil {
-		return mr.mapping, nil
-	}
-	g := s.Construct(n, in)
-	m, err := s.SetByPartitioning(g, partitioner, nparts)
-	if err != nil {
-		return nil, err
-	}
-	mr.mapping = m
-	s.Reg.Record(&mr.rec, nil, inputDADs)
 	return m, nil
 }

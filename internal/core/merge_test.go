@@ -5,6 +5,7 @@ import (
 
 	"chaos/internal/iterpart"
 	"chaos/internal/machine"
+	"chaos/internal/partition"
 )
 
 // TestMergeAccessesEquivalence runs the edge loop with and without
@@ -89,7 +90,7 @@ func TestMergeAccessesFullPipeline(t *testing.T) {
 		x, y, ia, ib, loop := buildEdgeLoop(s, n, e1, e2)
 		loop.MergeAccesses = true
 		g := s.Construct(n, GeoColInput{Link1: ia, Link2: ib})
-		m, err := s.SetByPartitioning(g, "RSB", p)
+		m, err := s.SetPartitioning(g, partition.Spec{Method: partition.MethodRSB}, p)
 		if err != nil {
 			t.Error(err)
 			return

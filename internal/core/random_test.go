@@ -7,6 +7,7 @@ import (
 
 	"chaos/internal/iterpart"
 	"chaos/internal/machine"
+	"chaos/internal/partition"
 	"chaos/internal/xrand"
 )
 
@@ -17,7 +18,7 @@ import (
 // shape, the reduction operators, the partitioner and the iteration
 // policy.
 func TestRandomizedLoopsMatchSerial(t *testing.T) {
-	partitioners := []string{"BLOCK", "RANDOM", "RCB", "RSB", "INERTIAL"}
+	partitioners := []partition.Method{partition.MethodBlock, partition.MethodRandom, partition.MethodRCB, partition.MethodRSB, partition.MethodInertial}
 	policies := []iterpart.Policy{
 		iterpart.AlmostOwnerComputes, iterpart.OwnerComputes, iterpart.BlockIterations,
 	}
@@ -142,9 +143,9 @@ func TestRandomizedLoopsMatchSerial(t *testing.T) {
 				// Partition + redistribute data arrays.
 				var gin GeoColInput
 				switch part {
-				case "RCB", "INERTIAL":
+				case partition.MethodRCB, partition.MethodInertial:
 					gin = GeoColInput{Geometry: []*Array{xc, yc}}
-				case "RSB":
+				case partition.MethodRSB:
 					// Connectivity from the first read/write pair.
 					gin = GeoColInput{Link1: inds[0], Link2: writes[0].Ind}
 				}
@@ -152,7 +153,7 @@ func TestRandomizedLoopsMatchSerial(t *testing.T) {
 				// our indirection arrays live on the iteration space,
 				// which geocol accepts (edges may name any vertices).
 				g := s.Construct(n, gin)
-				m, err := s.SetByPartitioning(g, part, procs)
+				m, err := s.SetPartitioning(g, partition.Spec{Method: part}, procs)
 				if err != nil {
 					panic(err)
 				}

@@ -9,13 +9,13 @@ import (
 )
 
 // Repartitioner is the stateful, reuse-guarded CONSTRUCT+PARTITION
-// handle that subsumes MapperRecord (paper Section 3, extended): it
-// carries the conservative DAD/timestamp guard that skips all work
-// when no input array may have changed, and — for the MULTILEVEL
-// method on the distributed path — the retained coarsening ladder and
-// previous partition, so a *slightly* changed mesh is warm-started by
-// restricting the old partition onto the cached ladder and re-running
-// only refinement (partition.Ladder), a fraction of a cold run.
+// handle (paper Section 3, extended): it carries the conservative
+// DAD/timestamp guard that skips all work when no input array may
+// have changed, and — for the MULTILEVEL method on the distributed
+// path — the retained coarsening ladder and previous partition, so a
+// *slightly* changed mesh is warm-started by restricting the old
+// partition onto the cached ladder and re-running only refinement
+// (partition.Ladder), a fraction of a cold run.
 //
 // Warm reuse is guarded by quality, not by a counter: every warm
 // repartition measures its edge cut against the cut of the last
@@ -121,7 +121,7 @@ func (rp *Repartitioner) Invalidate() {
 // Map is the reuse-guarded Phase A (CONSTRUCT + SET BY PARTITIONING)
 // with incremental warm restarts:
 //
-//   - unchanged inputs (the MapperRecord guard): the cached mapping is
+//   - unchanged inputs (the Section 3 reuse guard): the cached mapping is
 //     returned without rebuilding the GeoCoL graph or repartitioning;
 //   - changed inputs, MULTILEVEL with a retained ladder and matching
 //     shape: the graph is rebuilt (TimerGraphGen) and warm-repartitioned

@@ -303,8 +303,9 @@ func TestRepartitionerStreamFirstTouch(t *testing.T) {
 }
 
 // TestRepartitionerNonMultilevel pins that the handle degrades to the
-// plain guard for methods without ladder support: changed inputs
-// always run cold, never warm.
+// plain guard for methods without ladder support: unchanged inputs
+// return the cached mapping without re-running the partitioner, and
+// changed inputs always run cold, never warm.
 func TestRepartitionerNonMultilevel(t *testing.T) {
 	const n, procs = 128, 4
 	err := machine.Run(machine.IPSC860(procs), func(c *machine.Ctx) {
@@ -314,12 +315,18 @@ func TestRepartitionerNonMultilevel(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		if _, err := rp.Map(n, in, procs); err != nil {
+		m1, err := rp.Map(n, in, procs)
+		if err != nil {
 			panic(err)
 		}
+		tPart := s.Timer(TimerPartition)
+		if m2, err := rp.Map(n, in, procs); err != nil || m2 != m1 || s.Timer(TimerPartition) != tPart {
+			t.Errorf("unchanged inputs: err %v, cached mapping returned %v, partitioner re-ran %v",
+				err, m2 == m1, s.Timer(TimerPartition) != tPart)
+		}
 		e1.FillByGlobal(func(g int) int { return g })
-		if _, err := rp.Map(n, in, procs); err != nil {
-			panic(err)
+		if m3, err := rp.Map(n, in, procs); err != nil || m3 == m1 || s.Timer(TimerPartition) <= tPart {
+			t.Errorf("written input: err %v, stale mapping returned %v", err, m3 == m1)
 		}
 		if st := rp.Stats(); st.Warm != 0 || st.Cold != 2 {
 			t.Errorf("stats %+v, want 2 cold / 0 warm for RSB", st)
@@ -330,21 +337,21 @@ func TestRepartitionerNonMultilevel(t *testing.T) {
 	}
 }
 
-// TestRepartitionerMatchesConstructAndPartition pins the subsumption
-// contract: a cold Repartitioner.Map produces the identical mapping
-// the deprecated ConstructAndPartition path computes.
-func TestRepartitionerMatchesConstructAndPartition(t *testing.T) {
+// TestRepartitionerMatchesSetPartitioning pins that the handle adds
+// nothing to a cold run: a cold Repartitioner.Map produces the
+// identical mapping Construct + SetPartitioning computes.
+func TestRepartitionerMatchesSetPartitioning(t *testing.T) {
 	const n, procs = 256, 4
 	err := machine.Run(machine.IPSC860(procs), func(c *machine.Ctx) {
 		s := NewSession(c)
 		in, _, _ := ringInput(s, n)
 
-		var mr MapperRecord
-		old, err := s.ConstructAndPartition(&mr, n, in, "RSB", procs)
+		spec := partition.Spec{Method: partition.MethodRSB}
+		old, err := s.SetPartitioning(s.Construct(n, in), spec, procs)
 		if err != nil {
 			panic(err)
 		}
-		rp, err := s.NewRepartitioner(partition.Spec{Method: partition.MethodRSB})
+		rp, err := s.NewRepartitioner(spec)
 		if err != nil {
 			panic(err)
 		}

@@ -1,7 +1,7 @@
 // Package core is the heart of the CHAOS-Go runtime: it orchestrates
 // the five phases of the paper's Figure 2 on the simulated machine.
 //
-//	Phase A: build the GeoCoL graph and partition it     (Construct, SetByPartitioning)
+//	Phase A: build the GeoCoL graph and partition it     (Construct, SetPartitioning)
 //	Phase B: partition loop iterations                   (PartitionIterations)
 //	Phase C: remap arrays and loop iterations            (Redistribute)
 //	Phase D: preprocess loops — the inspector            (Loop.Inspect, cached via the registry)

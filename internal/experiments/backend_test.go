@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"chaos/internal/machine"
@@ -68,32 +67,5 @@ func TestBackendPhasesIdentical(t *testing.T) {
 		if sim != re {
 			t.Errorf("compiler=%v: virtual phases diverge across backends:\nsim  %+v\nreal %+v", compiler, sim, re)
 		}
-	}
-}
-
-// TestRealSpeedupStudySmoke checks the study harness that chaosbench
-// -backend=real drives: cells are well-formed and their String form
-// is the stable key=value line cmd/benchjson parses.
-func TestRealSpeedupStudySmoke(t *testing.T) {
-	w := MeshWorkload(2000)
-	cells, err := RealSpeedupStudy(w, partition.Spec{Method: partition.MethodRCB}, []int{1, 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 2 {
-		t.Fatalf("got %d cells, want 2", len(cells))
-	}
-	for i, rc := range cells {
-		if rc.Workload != w.Name || rc.Method != "RCB" || rc.WallMS <= 0 || rc.VirtualS <= 0 {
-			t.Errorf("cell %d malformed: %+v", i, rc)
-		}
-		line := rc.String()
-		if !strings.HasPrefix(line, "realbench: workload=mesh2000 method=RCB procs=") ||
-			!strings.Contains(line, " wall_ms=") || !strings.Contains(line, " virtual_s=") {
-			t.Errorf("cell %d line not parseable: %q", i, line)
-		}
-	}
-	if cells[0].Procs != 1 || cells[1].Procs != 2 {
-		t.Errorf("procs = %d, %d; want 1, 2", cells[0].Procs, cells[1].Procs)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAmortizationDecomposition(t *testing.T) {
-	a, err := MeasureAmortization(4, small(), partition.MustSpec("RCB"), 10)
+	a, err := MeasureAmortization(4, small(), partition.Spec{Method: partition.MethodRCB}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func TestCrossoverArithmetic(t *testing.T) {
 func TestCrossoverBlockVsRCB(t *testing.T) {
 	// RCB's executor is cheaper than BLOCK's, so RCB must overtake
 	// BLOCK within a modest iteration count.
-	blk, err := MeasureAmortization(8, small(), partition.MustSpec("BLOCK"), 10)
+	blk, err := MeasureAmortization(8, small(), partition.Spec{Method: partition.MethodBlock}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcb, err := MeasureAmortization(8, small(), partition.MustSpec("RCB"), 10)
+	rcb, err := MeasureAmortization(8, small(), partition.Spec{Method: partition.MethodRCB}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCrossoverBlockVsRCB(t *testing.T) {
 }
 
 func TestCrossoverReportFormat(t *testing.T) {
-	rep, err := CrossoverReport(4, small(), []partition.Spec{partition.MustSpec("BLOCK"), partition.MustSpec("RCB")}, 5)
+	rep, err := CrossoverReport(4, small(), []partition.Spec{partition.Spec{Method: partition.MethodBlock}, partition.Spec{Method: partition.MethodRCB}}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

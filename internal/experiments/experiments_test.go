@@ -22,7 +22,7 @@ func TestScheduleReuseWinsBigly(t *testing.T) {
 	// each access pattern once reads 3.7x at 20 and 5.9x at 100 —
 	// where the paper's claim is about the per-iteration cost at its
 	// own count.
-	base := Config{Procs: 4, Workload: small(), Spec: partition.MustSpec("RCB"), Iters: 100}
+	base := Config{Procs: 4, Workload: small(), Spec: partition.Spec{Method: partition.MethodRCB}, Iters: 100}
 	withCfg := base
 	withCfg.Reuse = true
 	withoutCfg := base
@@ -47,12 +47,12 @@ func TestScheduleReuseWinsBigly(t *testing.T) {
 func TestIrregularBeatsBlockExecutor(t *testing.T) {
 	// Paper Table 2/4 shape: RCB or RSB executor is 2-3x faster than
 	// BLOCK executor on the renumbered mesh.
-	for _, part := range []string{"RCB", "RSB"} {
-		irr, err := Run(Config{Procs: 8, Workload: small(), Spec: partition.MustSpec(part), Reuse: true, Iters: 10})
+	for _, part := range []partition.Method{partition.MethodRCB, partition.MethodRSB} {
+		irr, err := Run(Config{Procs: 8, Workload: small(), Spec: partition.Spec{Method: part}, Reuse: true, Iters: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		blk, err := Run(Config{Procs: 8, Workload: small(), Spec: partition.MustSpec("BLOCK"), Reuse: true, Iters: 10})
+		blk, err := Run(Config{Procs: 8, Workload: small(), Spec: partition.Spec{Method: partition.MethodBlock}, Reuse: true, Iters: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,11 +67,11 @@ func TestRSBPartitionerCostlierThanRCB(t *testing.T) {
 	// Paper Table 2 shape: spectral bisection pays far more
 	// partitioning time than coordinate bisection (258s vs 1.6s),
 	// with an executor at least as good.
-	rcb, err := Run(Config{Procs: 8, Workload: small(), Spec: partition.MustSpec("RCB"), Reuse: true, Iters: 10})
+	rcb, err := Run(Config{Procs: 8, Workload: small(), Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsb, err := Run(Config{Procs: 8, Workload: small(), Spec: partition.MustSpec("RSB"), Reuse: true, Iters: 10})
+	rsb, err := Run(Config{Procs: 8, Workload: small(), Spec: partition.Spec{Method: partition.MethodRSB}, Reuse: true, Iters: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestRSBPartitionerCostlierThanRCB(t *testing.T) {
 func TestCompilerWithinTenPercentOfHand(t *testing.T) {
 	// The paper's headline: compiler-generated code within about 10%
 	// of the hand-parallelized version.
-	hand, err := Run(Config{Procs: 4, Workload: small(), Spec: partition.MustSpec("RCB"), Reuse: true, Iters: 20})
+	hand, err := Run(Config{Procs: 4, Workload: small(), Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := Run(Config{Procs: 4, Workload: small(), Spec: partition.MustSpec("RCB"), Reuse: true, Iters: 20, Compiler: true})
+	comp, err := Run(Config{Procs: 4, Workload: small(), Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: 20, Compiler: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +106,13 @@ func TestCompilerWithinTenPercentOfHand(t *testing.T) {
 }
 
 func TestCompilerRejectsMDWorkload(t *testing.T) {
-	if _, err := Run(Config{Procs: 2, Workload: Water648(), Spec: partition.MustSpec("RCB"), Reuse: true, Iters: 1, Compiler: true}); err == nil {
+	if _, err := Run(Config{Procs: 2, Workload: Water648(), Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: 1, Compiler: true}); err == nil {
 		t.Fatal("compiler mode accepted MD workload")
 	}
 }
 
 func TestMDWorkloadRuns(t *testing.T) {
-	ph, err := Run(Config{Procs: 4, Workload: Water648(), Spec: partition.MustSpec("RCB"), Reuse: true, Iters: 5})
+	ph, err := Run(Config{Procs: 4, Workload: Water648(), Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestMDWorkloadRuns(t *testing.T) {
 
 func TestScalingWithProcs(t *testing.T) {
 	// Executor time must drop as processors are added.
-	p4, err := Run(Config{Procs: 4, Workload: small(), Spec: partition.MustSpec("RCB"), Reuse: true, Iters: 10})
+	p4, err := Run(Config{Procs: 4, Workload: small(), Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p16, err := Run(Config{Procs: 16, Workload: small(), Spec: partition.MustSpec("RCB"), Reuse: true, Iters: 10})
+	p16, err := Run(Config{Procs: 16, Workload: small(), Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestScalingWithProcs(t *testing.T) {
 }
 
 func TestDeterministicPhases(t *testing.T) {
-	cfg := Config{Procs: 4, Workload: small(), Spec: partition.MustSpec("RCB"), Reuse: true, Iters: 3}
+	cfg := Config{Procs: 4, Workload: small(), Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: 3}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

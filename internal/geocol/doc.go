@@ -23,7 +23,7 @@
 //
 // Three families of helpers serve the multilevel partitioner stack:
 //
-//   - Contractor/Contract build coarse graphs under a clustering,
+//   - Contractor.Contract builds coarse graphs under a clustering,
 //     aggregating vertex weights, merging parallel edges and dropping
 //     intra-cluster edges; BuildCoarse is the distributed form,
 //     contracting a block-distributed Graph collectively without ever
@@ -31,12 +31,12 @@
 //   - GhostExchange precomputes the boundary-exchange pattern of a
 //     distributed Graph — which home vertices each neighbor rank
 //     reads, derived locally thanks to the symmetric CSR — and moves
-//     one value per boundary vertex (PushInts/PushFloats), or only
-//     the changed ones (UpdateInts, PushMarks). UpdateIntsTouched
-//     additionally reports which ghost slots changed, which is what
-//     lets the parallel FM refiner maintain its gain and boundary
-//     caches incrementally instead of rescanning the ghost layer
-//     every round.
+//     one value per boundary vertex (PushInts/PushFloatsInto), or
+//     only the changed ones (UpdateIntsTouchedInto, PushMarks).
+//     UpdateIntsTouchedInto also reports which ghost slots changed,
+//     which is what lets the parallel FM refiner maintain its gain and
+//     boundary caches incrementally instead of rescanning the ghost
+//     layer every round.
 //
 // # Guarantees pinned by tests
 //

@@ -33,7 +33,8 @@ var fuzzScratch [2][4]GhostScratch
 // and checks the full GhostExchange surface against ground truth that
 // is known exactly because each pushed value is the sender's global
 // vertex id: after PushInts, ghost slot i must hold IDs[i]; after an
-// UpdateInts touching every third vertex, exactly those ghosts moved.
+// UpdateIntsTouchedInto touching every third vertex, exactly those
+// ghosts moved.
 func FuzzGhostExchange(f *testing.F) {
 	f.Add([]byte{}, byte(0), byte(0))                             // minimal graph, single rank
 	f.Add([]byte{0, 0, 5, 5}, byte(3), byte(20))                  // self-loops only
@@ -83,7 +84,7 @@ func FuzzGhostExchange(f *testing.F) {
 							backend, c.Rank(), ge.IDs[i], ge.Slot(ge.IDs[i]), i)
 					}
 				}
-				fghost := ge.PushFloats(c, fids)
+				fghost := ge.PushFloatsInto(c, fids, nil)
 				for i, v := range fghost {
 					if v != float64(ge.IDs[i])+0.5 {
 						t.Errorf("%v: rank %d float ghost slot %d: got %v, want %v",
@@ -99,7 +100,7 @@ func FuzzGhostExchange(f *testing.F) {
 						changed[l] = true
 					}
 				}
-				touched := ge.UpdateIntsTouched(c, ids, changed, ghost)
+				touched := ge.UpdateIntsTouchedInto(c, ids, changed, ghost, nil)
 				for i, id := range ge.IDs {
 					want := id
 					if id%3 == 0 {

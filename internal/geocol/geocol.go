@@ -427,12 +427,6 @@ func (ct *Contractor) Contract(xadj, adj []int, ew, w []float64, cmap []int, nc 
 	return cxadj, slices.Clone(cadj), slices.Clone(cew), cw
 }
 
-// Contract is the one-shot convenience form of Contractor.Contract.
-func Contract(xadj, adj []int, ew, w []float64, cmap []int, nc int) (cxadj, cadj []int, cew, cw []float64) {
-	var ct Contractor
-	return ct.Contract(xadj, adj, ew, w, cmap, nc)
-}
-
 // CoarseAssembler holds the reusable scratch of the distributed
 // contraction (BuildCoarse): the ghost copy of the clustering, the flat
 // arrays behind the per-rank weight/edge routing rows, and the

@@ -218,7 +218,7 @@ func TestContractAggregation(t *testing.T) {
 	ew := []float64{1, 1, 2, 2, 3, 3}
 	w := []float64{1, 2, 3, 4}
 	cmap := []int{0, 0, 1, 1}
-	cxadj, cadj, cew, cw := Contract(xadj, adj, ew, w, cmap, 2)
+	cxadj, cadj, cew, cw := new(Contractor).Contract(xadj, adj, ew, w, cmap, 2)
 	if want := []int{0, 1, 2}; !reflect.DeepEqual(cxadj, want) {
 		t.Errorf("cxadj = %v, want %v", cxadj, want)
 	}

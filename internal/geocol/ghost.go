@@ -261,33 +261,25 @@ func (ge *GhostExchange) PushIntsInto(c *machine.Ctx, vals []int, dst []int) []i
 	return res
 }
 
-// UpdateInts is the incremental form of PushInts: only home vertices
-// with changed[l] set are exchanged (as explicit (position, value)
-// pairs), and the receiver applies them in place to its ghost copy from
-// an earlier PushInts. When few values change per round — refinement
-// sweeps move a few percent of the boundary — this replaces a dense
-// boundary exchange with a near-empty one, which matters because the
-// dense exchange's byte volume is what keeps distributed coarsening
-// from scaling on heavily interleaved vertex distributions. Collective.
-func (ge *GhostExchange) UpdateInts(c *machine.Ctx, vals []int, changed []bool, ghost []int) {
-	//chaosvet:ignore exchangeerr UpdateInts is the sanctioned no-touched-list wrapper; the payload lands in ghost, only the slot list is dropped
-	ge.UpdateIntsTouchedInto(c, vals, changed, ghost, nil)
-}
-
-// UpdateIntsTouched is UpdateInts returning the ghost slots whose value
-// actually changed, in ascending slot order (nil when nothing changed).
+// UpdateIntsTouchedInto is the incremental form of PushInts: only home
+// vertices with changed[l] set are exchanged (as explicit (position,
+// value) pairs), and the receiver applies them in place to its ghost
+// copy from an earlier PushInts. When few values change per round —
+// refinement sweeps move a few percent of the boundary — this replaces
+// a dense boundary exchange with a near-empty one, which matters
+// because the dense exchange's byte volume is what keeps distributed
+// coarsening from scaling on heavily interleaved vertex distributions.
+//
+// It returns the ghost slots whose value actually changed, in ascending
+// slot order (nil when nothing changed), accumulated into dst
+// (overwritten, reused when its capacity suffices; nil allocates), so a
+// steady-state refinement sweep allocates nothing for the exchange.
 // Receivers that maintain incremental state keyed on ghost values — the
 // parallel FM refiner keeps per-vertex gain and boundary caches that
 // are only invalidated by a neighbor's part changing — use the touched
 // list to reprocess exactly the affected vertices instead of rescanning
-// the whole ghost layer every round. Collective.
-func (ge *GhostExchange) UpdateIntsTouched(c *machine.Ctx, vals []int, changed []bool, ghost []int) []int {
-	return ge.UpdateIntsTouchedInto(c, vals, changed, ghost, nil)
-}
-
-// UpdateIntsTouchedInto is UpdateIntsTouched accumulating the touched
-// list into dst (overwritten, reused when its capacity suffices), so a
-// steady-state refinement sweep allocates nothing for the exchange.
+// the whole ghost layer every round.
+//
 // The wire format is positional: each sender ships (index within its
 // send list, value), and the receiver converts the index to a ghost
 // slot with one addition — sender r's send list is exactly this rank's
@@ -334,10 +326,10 @@ func (ge *GhostExchange) resetUpdOut() [][]int {
 	return ge.updOut
 }
 
-// PushMarks is the one-bit form of UpdateInts for monotone flags (a
-// matched vertex never unmatches): only the send-list positions of
-// newly marked home vertices travel, and the receiver sets the
-// corresponding ghost flags to 1. Collective.
+// PushMarks is the one-bit form of UpdateIntsTouchedInto for monotone
+// flags (a matched vertex never unmatches): only the send-list
+// positions of newly marked home vertices travel, and the receiver sets
+// the corresponding ghost flags to 1. Collective.
 //
 //chaos:hotpath
 func (ge *GhostExchange) PushMarks(c *machine.Ctx, changed []bool, ghost []int) {
@@ -358,14 +350,9 @@ func (ge *GhostExchange) PushMarks(c *machine.Ctx, changed []bool, ghost []int) 
 	}
 }
 
-// PushFloats is PushInts for float64 values.
-func (ge *GhostExchange) PushFloats(c *machine.Ctx, vals []float64) []float64 {
-	return ge.PushFloatsInto(c, vals, nil)
-}
-
-// PushFloatsInto is PushFloats delivering into dst when it has the
-// capacity (the float twin of PushIntsInto); dst's prior contents are
-// ignored. Collective.
+// PushFloatsInto is PushIntsInto for float64 values: one value per
+// boundary vertex, delivered into dst when it has the capacity (nil
+// allocates); dst's prior contents are ignored. Collective.
 //
 //chaos:hotpath
 func (ge *GhostExchange) PushFloatsInto(c *machine.Ctx, vals []float64, dst []float64) []float64 {

@@ -33,7 +33,7 @@ func TestGhostExchangePush(t *testing.T) {
 			fvals[l] = 0.5 * float64(lo+l)
 		}
 		gi := ge.PushInts(c, vals)
-		gf := ge.PushFloats(c, fvals)
+		gf := ge.PushFloatsInto(c, fvals, nil)
 		for i, id := range ge.IDs {
 			if gi[i] != 10*id {
 				t.Errorf("rank %d ghost int of %d = %d, want %d", c.Rank(), id, gi[i], 10*id)
@@ -48,7 +48,7 @@ func TestGhostExchangePush(t *testing.T) {
 		changed := make([]bool, localN)
 		vals[0] = -7
 		changed[0] = true
-		ge.UpdateInts(c, vals, changed, gi)
+		_ = ge.UpdateIntsTouchedInto(c, vals, changed, gi, nil)
 		for i, id := range ge.IDs {
 			want := 10 * id
 			if id == g.Home.Lo(g.Home.Owner(id)) {
@@ -115,7 +115,7 @@ func TestBuildCoarseMatchesSerialContract(t *testing.T) {
 		for v := range gmap {
 			gmap[v] = v / 2
 		}
-		sxadj, sadj, sew, sw := Contract(f.XAdj, f.Adj, f.EdgeW, f.Weights, gmap, coarseN)
+		sxadj, sadj, sew, sw := new(Contractor).Contract(f.XAdj, f.Adj, f.EdgeW, f.Weights, gmap, coarseN)
 
 		for cv := 0; cv < coarseN; cv++ {
 			if cf.Weights[cv] != sw[cv] {
@@ -217,7 +217,7 @@ func TestUpdateIntsTouched(t *testing.T) {
 		}
 		changed := make([]bool, localN)
 		changed[0] = true
-		touched := ge.UpdateIntsTouched(c, vals, changed, ghost)
+		touched := ge.UpdateIntsTouchedInto(c, vals, changed, ghost, nil)
 		for i, s := range touched {
 			if i > 0 && touched[i-1] >= s {
 				t.Errorf("rank %d touched slots not ascending: %v", c.Rank(), touched)
@@ -242,7 +242,7 @@ func TestUpdateIntsTouched(t *testing.T) {
 		}
 
 		// Re-sending the same value is not a change.
-		if again := ge.UpdateIntsTouched(c, vals, changed, ghost); len(again) != 0 {
+		if again := ge.UpdateIntsTouchedInto(c, vals, changed, ghost, nil); len(again) != 0 {
 			t.Errorf("rank %d unchanged resend reported touched slots %v", c.Rank(), again)
 		}
 	})

@@ -139,7 +139,6 @@ func (st *execState) execStmt(s stmt) error {
 		if !ok {
 			return fmt.Errorf("line %d: SET: GeoCoL %q not constructed", x.ln, x.G)
 		}
-		//chaosvet:ignore deprecatedspec the Fortran-D front end is the designated consumer of user-authored spec strings; everything repo-internal uses typed Spec literals
 		sp, err := partition.ParseSpec(x.Partitioner)
 		if err != nil {
 			return fmt.Errorf("line %d: %w", x.ln, err)

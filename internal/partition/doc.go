@@ -39,8 +39,7 @@
 //     docs/REFINEMENT.md).
 //   - FMPasses (default 0 = 3 passes, 4 at the finest level): pass
 //     budget of the hill-climbing parallel FM refiner (prefine.go)
-//     at each uncoarsening level. Negative selects the legacy greedy
-//     refiner with its original 16*CoarsenTo handoff.
+//     at each uncoarsening level. Must not be negative.
 //   - VCycle (default false): opt-in second, partition-preserving
 //     V-cycle of refinement — a further ~1-2% of cut for roughly
 //     double the distributed partitioning cost.
@@ -53,9 +52,8 @@
 // mesh; parallel_test.go pins the distributed path's virtual time
 // strictly decreasing P=1..8 with cut within 5% of the serial
 // V-cycle, plus balance, determinism and dispatch routing;
-// prefine_test.go pins the refinement stack's contracts (FM beats
-// greedy, improves seeds, holds the balance window, V-cycle
-// refinement never worsens). docs/REFINEMENT.md is the guided tour of
+// prefine_test.go pins the refinement stack's contracts (FM improves
+// seeds, holds the balance window, V-cycle refinement never worsens). docs/REFINEMENT.md is the guided tour of
 // the refinement stack; docs/ARCHITECTURE.md places the package in
 // the paper's Figure 2 pipeline.
 package partition

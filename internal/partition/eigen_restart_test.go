@@ -9,7 +9,7 @@ import (
 
 // contractedMultigraph builds the ill-conditioned input of the
 // restart regression: a fine ring of 2-vertex clusters is contracted
-// (geocol.Contract) so parallel fine edges merge into heavy coarse
+// (geocol.Contractor) so parallel fine edges merge into heavy coarse
 // multi-edges — every 7th ring link carries 4 fine edges, the rest
 // one — yielding a >1000-vertex weighted cycle whose clustered
 // spectrum stalls the depth-capped Lanczos sweep.
@@ -47,7 +47,7 @@ func contractedMultigraph(nc int) *subgraph {
 	for i := range cmap {
 		cmap[i] = i / 2
 	}
-	cxadj, cadj, cew, cw := geocol.Contract(xadj, adj, nil, nil, cmap, nc)
+	cxadj, cadj, cew, cw := new(geocol.Contractor).Contract(xadj, adj, nil, nil, cmap, nc)
 	orig := make([]int, nc)
 	for i := range orig {
 		orig[i] = i

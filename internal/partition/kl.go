@@ -195,7 +195,7 @@ func (KL) Name() string { return "KL" }
 func (KL) Capabilities() Capabilities { return Capabilities{NeedsLink: true} }
 
 func (KL) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
-	checkArgs(g, nparts)
+	checkArgs(nparts)
 	if !g.HasLink {
 		panic("partition: KL requires a GeoCoL LINK component")
 	}

@@ -72,7 +72,7 @@ func (ld *Ladder) Bytes() int {
 // cold run retains a ladder exactly when the distributed path runs.
 // Collective.
 func (ml Multilevel) PartitionLadder(c *machine.Ctx, g *geocol.Graph, nparts int) ([]int, *Ladder) {
-	checkArgs(g, nparts)
+	checkArgs(nparts)
 	if !g.HasLink {
 		panic("partition: MULTILEVEL requires a GeoCoL LINK component")
 	}

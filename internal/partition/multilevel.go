@@ -53,16 +53,14 @@ type Multilevel struct {
 	// FMPasses is the per-level pass budget of the hill-climbing
 	// parallel FM refiner used during distributed uncoarsening
 	// (prefine.go). 0 means the default (3 passes, 4 at the finest
-	// level); negative selects the legacy greedy refiner (distRefine)
-	// with its larger 16×CoarsenTo serial handoff.
+	// level).
 	FMPasses int
 	// VCycle enables a second, partition-preserving V-cycle after
 	// uncoarsening (vcycleRefine): the refined partition is coarsened
 	// again with matching restricted to same-part pairs and refined at
 	// every scale on the way back up. A small cut improvement for
 	// roughly double the distributed partitioning cost; off by
-	// default. Only effective in the FM configuration — with
-	// FMPasses < 0 (legacy greedy refiner) the knob is ignored.
+	// default.
 	VCycle bool
 	// Seed salts the randomized (but symmetric) tie-breaking of the
 	// distributed heavy-edge matching, decorrelating the ladders of

@@ -166,12 +166,9 @@ func serialBisectPartition(c *machine.Ctx, g *geocol.Graph, nparts int,
 }
 
 // checkArgs validates common preconditions.
-func checkArgs(g *geocol.Graph, nparts int) {
+func checkArgs(nparts int) {
 	if nparts < 1 {
 		panic(fmt.Sprintf("partition: nparts = %d", nparts))
-	}
-	if g.N == 0 {
-		return
 	}
 }
 
@@ -185,7 +182,7 @@ func (BlockPartitioner) Name() string { return "BLOCK" }
 func (BlockPartitioner) Capabilities() Capabilities { return Capabilities{Parallel: true} }
 
 func (BlockPartitioner) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
-	checkArgs(g, nparts)
+	checkArgs(nparts)
 	b := dist.NewBlock(g.N, nparts)
 	localN := g.LocalN(c.Rank())
 	lo := g.Home.Lo(c.Rank())
@@ -209,7 +206,7 @@ func (RandomPartitioner) Name() string { return "RANDOM" }
 func (RandomPartitioner) Capabilities() Capabilities { return Capabilities{Parallel: true} }
 
 func (rp RandomPartitioner) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
-	checkArgs(g, nparts)
+	checkArgs(nparts)
 	localN := g.LocalN(c.Rank())
 	lo := g.Home.Lo(c.Rank())
 	part := make([]int, localN)

@@ -71,9 +71,7 @@ func (ml Multilevel) parallelPartitionLadder(c *machine.Ctx, g *geocol.Graph, np
 	// and every edge it removes is an edge no uncoarsening level has to
 	// fight for.
 	part := serialBisectPartition(c, cur, nparts, ml.bisecter(ar))
-	if ml.FMPasses >= 0 {
-		serialKway(c, ar, cur, part, nparts, 8, ml.tol())
-	}
+	serialKway(c, ar, cur, part, nparts, 8, ml.tol())
 
 	// Uncoarsening: pull each home vertex's part from its coarse
 	// vertex's owner, then refine each level in place.
@@ -83,7 +81,7 @@ func (ml Multilevel) parallelPartitionLadder(c *machine.Ctx, g *geocol.Graph, np
 		ml.refineLevel(c, ar, lv.fine, lv.ge, part, nparts, i == 0)
 	}
 
-	if ml.VCycle && ml.FMPasses >= 0 {
+	if ml.VCycle {
 		ml.vcycleRefine(c, ar, g, part, nparts, serialTo, maxW)
 	}
 	var ld *Ladder
@@ -131,11 +129,10 @@ func buildLadder(c *machine.Ctx, ar *arena, g *geocol.Graph, serialTo int, maxW 
 	return levels, cur, curPart
 }
 
-// refineLevel refines one uncoarsening level in place: the
-// hill-climbing parallel FM (prefine.go) by default, the legacy greedy
-// positive-gain pass (distRefine) when FMPasses is negative. Interior
-// levels get a reduced pass budget — their boundary is re-refined at
-// every finer level — while the finest level gets the full one.
+// refineLevel refines one uncoarsening level in place with the
+// hill-climbing parallel FM (prefine.go). Interior levels get a reduced
+// pass budget — their boundary is re-refined at every finer level —
+// while the finest level gets the full one.
 func (ml Multilevel) refineLevel(c *machine.Ctx, ar *arena, fine *geocol.Graph, ge *geocol.GhostExchange, part []int, nparts int, finest bool) {
 	passes := 3
 	if finest {
@@ -144,11 +141,7 @@ func (ml Multilevel) refineLevel(c *machine.Ctx, ar *arena, fine *geocol.Graph, 
 	if ml.FMPasses > 0 {
 		passes = ml.FMPasses
 	}
-	if ml.FMPasses < 0 {
-		distRefine(c, fine, ge, part, nparts, passes, ml.tol())
-	} else {
-		parallelFM(c, &ar.fm, fine, ge, part, nparts, passes, ml.tol())
-	}
+	parallelFM(c, &ar.fm, fine, ge, part, nparts, passes, ml.tol())
 }
 
 // serialKway gathers a sub-threshold graph and refines its partition
@@ -239,28 +232,21 @@ func restrictPart(c *machine.Ctx, s *projScratch, fine *geocol.Graph, cmap []int
 }
 
 // serialTo returns the vertex count below which the ladder hands off
-// to the serial stage. For the FM configuration the handoff is
-// 8×CoarsenTo floored by ParallelThreshold: a graph below the
-// threshold is, by the dispatch rule in Partition, too small to be
-// worth distributing at all, so the ladder stops there and the serial
-// solve (plus k-way polish) takes over — empirically the quality knee:
-// handing off smaller graphs loses more cut in the solve's seed than
-// any amount of distributed refinement wins back (docs/REFINEMENT.md
-// records the measurements). The legacy greedy configuration
-// (FMPasses < 0) keeps its original 16×CoarsenTo handoff.
+// to the serial stage: 8×CoarsenTo floored by ParallelThreshold. A
+// graph below the threshold is, by the dispatch rule in Partition, too
+// small to be worth distributing at all, so the ladder stops there and
+// the serial solve (plus k-way polish) takes over — empirically the
+// quality knee: handing off smaller graphs loses more cut in the
+// solve's seed than any amount of distributed refinement wins back
+// (docs/REFINEMENT.md records the measurements).
 func (ml Multilevel) serialTo(nparts int) int {
 	coarsenTo := ml.CoarsenTo
 	if coarsenTo <= 0 {
 		coarsenTo = 100
 	}
-	var serialTo int
-	if ml.FMPasses < 0 {
-		serialTo = 16 * coarsenTo
-	} else {
-		serialTo = 8 * coarsenTo
-		if thr := ml.parallelThreshold(); serialTo < thr {
-			serialTo = thr
-		}
+	serialTo := 8 * coarsenTo
+	if thr := ml.parallelThreshold(); serialTo < thr {
+		serialTo = thr
 	}
 	if min := 8 * nparts; serialTo < min {
 		serialTo = min
@@ -336,134 +322,4 @@ func dedupSorted(xs []int) []int {
 		}
 	}
 	return out
-}
-
-// distRefine is the distributed k-way boundary refinement run at each
-// uncoarsening level: every rank sweeps its home boundary vertices and
-// greedily moves each to the adjacent part with the best positive
-// edge-cut gain, subject to a balance window. Two guards keep the
-// concurrent greedy moves sane: a sub-pass direction rule (first only
-// moves toward higher part ids, then only toward lower) prevents two
-// neighboring vertices from swapping past each other in one sub-pass,
-// and per-rank weight budgets — each rank may spend at most 1/Procs of
-// a part's remaining balance headroom per sub-pass — bound the
-// overshoot of simultaneous moves into the same part. Part weights are
-// re-synchronized collectively after every sub-pass, and the pass loop
-// exits as soon as a full pass moves nothing anywhere. Collective and
-// deterministic.
-func distRefine(c *machine.Ctx, g *geocol.Graph, ge *geocol.GhostExchange, part []int, nparts, passes int, tol float64) {
-	me, procs := c.Rank(), c.Procs()
-	lo := g.Home.Lo(me)
-	localN := g.LocalN(me)
-
-	partWeights := func() []float64 {
-		w := make([]float64, nparts)
-		for l := 0; l < localN; l++ {
-			w[part[l]] += g.Weight(l)
-		}
-		all := c.AllGatherFloats(w)
-		tot := make([]float64, nparts)
-		for i, v := range all {
-			tot[i%nparts] += v
-		}
-		return tot
-	}
-	W := partWeights()
-	totalW := 0.0
-	for _, w := range W {
-		totalW += w
-	}
-	ideal := totalW / float64(nparts)
-	maxA, minA := ideal*(1+tol), ideal*(1-tol)
-
-	acc := make([]float64, nparts) // edge weight toward each part
-	seen := make([]bool, nparts)
-	var touched []int
-
-	// The ghost part copy is pushed densely once; every later sub-pass
-	// only exchanges the vertices that actually moved (UpdateInts),
-	// which is a few percent of the boundary at most.
-	ghostPart := ge.PushInts(c, part)
-	movedFlag := make([]bool, localN)
-	first := true
-
-	addBudget := make([]float64, nparts)
-	subBudget := make([]float64, nparts)
-	for pass := 0; pass < passes; pass++ {
-		movedGlobal := 0
-		for dir := 0; dir < 2; dir++ {
-			if !first {
-				ge.UpdateInts(c, part, movedFlag, ghostPart)
-				for l := range movedFlag {
-					movedFlag[l] = false
-				}
-			}
-			first = false
-			for q := 0; q < nparts; q++ {
-				addBudget[q] = (maxA - W[q]) / float64(procs)
-				subBudget[q] = (W[q] - minA) / float64(procs)
-			}
-			moved := 0
-			for l := 0; l < localN; l++ {
-				p := part[l]
-				intW := 0.0
-				touched = touched[:0]
-				for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
-					u := g.Adj[k]
-					var q int
-					if g.Home.Owner(u) == me {
-						q = part[u-lo]
-					} else {
-						q = ghostPart[ge.Slot(u)]
-					}
-					ew := 1.0
-					if g.EdgeW != nil {
-						ew = g.EdgeW[k]
-					}
-					if q == p {
-						intW += ew
-						continue
-					}
-					if !seen[q] {
-						seen[q] = true
-						acc[q] = 0
-						touched = append(touched, q)
-					}
-					acc[q] += ew
-				}
-				if len(touched) > 0 {
-					w := g.Weight(l)
-					bestQ := -1
-					bestGain := 0.0
-					for _, q := range touched {
-						if dir == 0 && q < p || dir == 1 && q > p {
-							continue
-						}
-						gain := acc[q] - intW
-						if gain > bestGain || (gain == bestGain && bestQ >= 0 && q < bestQ) {
-							if addBudget[q] >= w {
-								bestQ, bestGain = q, gain
-							}
-						}
-					}
-					if bestQ >= 0 && bestGain > 0 && subBudget[p] >= w {
-						part[l] = bestQ
-						movedFlag[l] = true
-						addBudget[bestQ] -= w
-						subBudget[p] -= w
-						moved++
-					}
-					for _, q := range touched {
-						seen[q] = false
-					}
-				}
-			}
-			c.Flops(2*len(g.Adj) + localN)
-			W = partWeights()
-			movedGlobal += c.SumInt(moved)
-		}
-		if movedGlobal == 0 {
-			break
-		}
-	}
 }

@@ -9,9 +9,9 @@ import (
 
 // This file is the hill-climbing parallel FM refiner of the distributed
 // V-cycle (pmultilevel.go) — the ParMETIS-style move/commit/undo
-// protocol that replaced the greedy positive-gain pass (distRefine) as
-// the default uncoarsening refiner. Each pass runs a fixed number of
-// bulk-synchronous sub-iterations; per sub-iteration every rank
+// protocol run at every uncoarsening level. Each pass runs a fixed
+// number of bulk-synchronous sub-iterations; per sub-iteration every
+// rank
 //
 //  1. selects moves for its boundary vertices from per-rank gain
 //     buckets, highest gain first, spending a bounded budget of
@@ -20,7 +20,7 @@ import (
 //  2. applies the moves speculatively — concurrent moves on other
 //     ranks may invalidate the computed gains — and
 //  3. resolves the conflicts in one batch: the moved parts are
-//     exchanged through geocol.GhostExchange (UpdateIntsTouched), the
+//     exchanged through geocol.GhostExchange (UpdateIntsTouchedInto), the
 //     exact global cut is measured collectively, and the sub-iteration
 //     boundary becomes a consistent global snapshot.
 //
@@ -39,10 +39,10 @@ import (
 // protocol diagram and tuning guidance.
 
 // fmSubIters is the number of bulk-synchronous sub-iterations per FM
-// pass: three direction pairs, mirroring the alternating direction
-// rule of distRefine (even sub-iterations move toward higher part
-// ids only, odd toward lower), which prevents neighboring vertices
-// from swapping past each other inside one batch.
+// pass: three direction pairs under an alternating direction rule
+// (even sub-iterations move toward higher part ids only, odd toward
+// lower), which prevents neighboring vertices from swapping past each
+// other inside one batch.
 const fmSubIters = 6
 
 // fmMove is one entry of the per-rank move log: enough to undo the
@@ -293,11 +293,11 @@ func kwayRefine(s *kwayScratch, xadj, adj []int, ew, w []float64, part []int, np
 // parallelFM runs the hill-climbing distributed k-way FM refinement on
 // a block-distributed graph whose part vector (indexed by home-local
 // vertex) came from projecting a coarser level's partition. Balance is
-// protected exactly as in distRefine: part weights are re-synchronized
-// at every sub-iteration boundary and each rank may spend at most
-// 1/Procs of a part's remaining headroom inside one sub-iteration, so
-// concurrent moves cannot overshoot the window no matter how the
-// speculation resolves. Collective and deterministic.
+// protected by budgets: part weights are re-synchronized at every
+// sub-iteration boundary and each rank may spend at most 1/Procs of a
+// part's remaining headroom inside one sub-iteration, so concurrent
+// moves cannot overshoot the window no matter how the speculation
+// resolves. Collective and deterministic.
 //
 //chaos:hotpath
 func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostExchange, part []int, nparts, passes int, tol float64) {
@@ -451,9 +451,9 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 	subBudget := growFloats(&s.subBudget, nparts)
 
 	// candidate computes l's best direction-eligible move: the adjacent
-	// part maximizing the cut gain (ties toward the smaller part id,
-	// like distRefine). Returns ok=false for non-boundary vertices or
-	// when the direction rule filters every adjacent part.
+	// part maximizing the cut gain (ties toward the smaller part id).
+	// Returns ok=false for non-boundary vertices or when the direction
+	// rule filters every adjacent part.
 	candidate := func(l, dir int) (to int, gain float64, ok bool) {
 		p := part[l]
 		intW := 0.0

@@ -26,7 +26,7 @@ func (RCB) Capabilities() Capabilities {
 }
 
 func (RCB) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
-	checkArgs(g, nparts)
+	checkArgs(nparts)
 	if !g.HasGeom {
 		panic("partition: RCB requires a GeoCoL GEOMETRY component")
 	}
@@ -101,7 +101,7 @@ func (Inertial) Capabilities() Capabilities {
 }
 
 func (Inertial) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
-	checkArgs(g, nparts)
+	checkArgs(nparts)
 	if !g.HasGeom {
 		panic("partition: INERTIAL requires a GeoCoL GEOMETRY component")
 	}

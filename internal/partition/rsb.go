@@ -40,7 +40,7 @@ func (r RSB) Name() string {
 func (RSB) Capabilities() Capabilities { return Capabilities{NeedsLink: true} }
 
 func (r RSB) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
-	checkArgs(g, nparts)
+	checkArgs(nparts)
 	if !g.HasLink {
 		panic("partition: RSB requires a GeoCoL LINK component")
 	}

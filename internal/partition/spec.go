@@ -67,8 +67,8 @@ type Spec struct {
 	// negative forces the serial gather-everything path at any size).
 	ParallelThreshold int
 	// FMPasses is the per-level pass budget of the hill-climbing
-	// parallel FM refiner (0 = default; negative selects the legacy
-	// greedy refiner).
+	// parallel FM refiner (0 = default 3, 4 at the finest level; must
+	// not be negative).
 	FMPasses int
 	// VCycle enables the partition-preserving second V-cycle.
 	VCycle bool
@@ -159,10 +159,9 @@ func (sp Spec) String() string {
 // later — so an unknown method surfaces at Resolve time with the
 // registry's unknown-partitioner error.
 //
-// Deprecated: construct a typed Spec literal (Spec{Method: MethodRCB})
-// instead; it exposes the tuning knobs with compile-time field checks.
-// The string form survives for the Fortran-D front end and for
-// external callers holding user-authored spec strings.
+// This is the entry of the Fortran-D front end and of callers holding
+// user-authored spec strings; Go code that knows its method writes a
+// typed Spec literal (Spec{Method: MethodRCB}) instead.
 func ParseSpec(s string) (Spec, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -222,19 +221,6 @@ func ParseSpec(s string) (Spec, error) {
 	return sp, nil
 }
 
-// MustSpec is ParseSpec for trusted literals; it panics on error.
-//
-// Deprecated: a trusted literal is exactly the case where a typed Spec
-// literal (Spec{Method: MethodRCB}) says the same thing with
-// compile-time checking and nothing to panic on.
-func MustSpec(s string) Spec {
-	sp, err := ParseSpec(s)
-	if err != nil {
-		panic(err)
-	}
-	return sp
-}
-
 // Resolve looks the spec's method up in the registry and applies the
 // tuning options, returning the ready-to-run Partitioner. Option
 // values are range-checked here, and tuning knobs on a method that is
@@ -253,6 +239,9 @@ func (sp Spec) Resolve() (Partitioner, error) {
 	}
 	if sp.CoarsenTo < 0 {
 		return nil, fmt.Errorf("partition: spec %s: CoarsenTo %d is negative", sp.Method, sp.CoarsenTo)
+	}
+	if sp.FMPasses < 0 {
+		return nil, fmt.Errorf("partition: spec %s: FMPasses %d is negative", sp.Method, sp.FMPasses)
 	}
 	ml, isML := p.(Multilevel)
 	if sp.tuned() && !isML {

@@ -97,7 +97,8 @@ func TestSpecResolveErrors(t *testing.T) {
 		{Spec{Method: MethodRSB, VCycle: true}, "does not accept multilevel tuning"},
 		{Spec{Method: MethodBlock, Seed: 3}, "does not accept a Seed"},
 		{Spec{Method: MethodMultilevel, Imbalance: 0.9}, "Imbalance"},
-		{Spec{Method: MethodMultilevel, CoarsenTo: -5}, "negative"},
+		{Spec{Method: MethodMultilevel, CoarsenTo: -5}, "CoarsenTo -5 is negative"},
+		{Spec{Method: MethodMultilevel, FMPasses: -1}, "FMPasses -1 is negative"},
 	}
 	for _, c := range cases {
 		_, err := c.sp.Resolve()

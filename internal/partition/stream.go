@@ -43,7 +43,7 @@ func (Streaming) Capabilities() Capabilities {
 }
 
 func (sp Streaming) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
-	checkArgs(g, nparts)
+	checkArgs(nparts)
 	if !g.HasLink {
 		panic("partition: STREAM requires a GeoCoL LINK component")
 	}
@@ -127,7 +127,7 @@ func Cut(c *machine.Ctx, g *geocol.Graph, part []int) float64 {
 // retained, matching PartitionLadder's convention. The seed must be
 // home-local with nparts parts; it is not modified. Collective.
 func (ml Multilevel) RefineLadder(c *machine.Ctx, g *geocol.Graph, nparts int, seed []int) ([]int, *Ladder) {
-	checkArgs(g, nparts)
+	checkArgs(nparts)
 	if !g.HasLink {
 		panic("partition: MULTILEVEL requires a GeoCoL LINK component")
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 )
@@ -97,4 +98,26 @@ func wrapCtx(ctx context.Context, err error) error {
 // Close tears the connection down.
 func (cl *Client) Close() error {
 	return cl.conn.Close()
+}
+
+// LoadGraph builds synthetic graph variant v deterministically: a ring
+// (guaranteed connectivity) plus seeded chords up to the requested
+// degree. Exposed so tests and benchmark clients construct the same
+// request graphs.
+func LoadGraph(v, nnode, degree int) (e1, e2 []int) {
+	rng := rand.New(rand.NewSource(int64(0x10ad<<16 + v)))
+	e1 = make([]int, 0, nnode*degree/2)
+	e2 = make([]int, 0, cap(e1))
+	for i := 0; i < nnode; i++ {
+		e1 = append(e1, i)
+		e2 = append(e2, (i+1)%nnode)
+	}
+	for i := 0; len(e1) < nnode*degree/2; i++ {
+		a, b := rng.Intn(nnode), rng.Intn(nnode)
+		if a != b {
+			e1 = append(e1, a)
+			e2 = append(e2, b)
+		}
+	}
+	return e1, e2
 }

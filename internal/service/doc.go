@@ -17,7 +17,7 @@
 // in-flight requests keep the daemon well-behaved under load.
 //
 // Entry points: New/Serve/Close for the daemon, Dial/Client.Do for
-// the wire client, Server.Do for in-process use, and LoadGenConfig
-// for the benchmark harness. cmd/chaosd is the daemon binary;
-// cmd/chaosbench -service drives the load generator.
+// the wire client and Server.Do for in-process use. cmd/chaosd is the
+// daemon binary; the repository benchmark's service_mix workload
+// (benchmark/servicemix.go) is its client fleet.
 package service

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"testing"
 
 	"chaos/internal/partition"
@@ -31,6 +32,12 @@ func FuzzWireFrame(f *testing.F) {
 		NNode: 8, NParts: 2, Base: 0xbeef, Delta: []EdgeRewire{{Edge: 1, NewEnd: 5}},
 		Spec: partition.Spec{Method: partition.MethodMultilevel},
 	})))
+	bad := *req
+	bad.Coords = [][]float64{{0, 1, math.NaN(), 3, 4, math.Inf(1), 6, 7}}
+	f.Add(appendFrame(nil, msgPartition, encodeRequest(&bad)))
+	bad = *req
+	bad.VertexWeights = []float64{1, -1, math.Inf(-1), math.NaN(), 1, 1, 1, 1}
+	f.Add(appendFrame(nil, msgPartition, encodeRequest(&bad)))
 	f.Add(appendFrame(nil, msgOK, encodeResponse(&Response{Part: []int{0, 1, 1, 0}, Cut: 2})))
 	f.Add(appendFrame(nil, msgError, encodeError(ErrOverloaded)))
 	f.Add([]byte{})

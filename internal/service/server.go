@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -289,9 +290,19 @@ func (s *Server) admitRequest(req *Request) (*graphContent, resultKey, error) {
 			if len(col) != req.NNode {
 				return fail("coordinate column %d has %d entries, want %d", d, len(col), req.NNode)
 			}
+			for v, x := range col {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					return fail("coordinate column %d, vertex %d is %g, want a finite value", d, v, x)
+				}
+			}
 		}
 		if req.VertexWeights != nil && len(req.VertexWeights) != req.NNode {
 			return fail("vertex weights have %d entries, want %d", len(req.VertexWeights), req.NNode)
+		}
+		for v, w := range req.VertexWeights {
+			if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+				return fail("vertex %d has weight %g, want a finite non-negative value", v, w)
+			}
 		}
 		gc = &graphContent{n: req.NNode, e1: req.E1, e2: req.E2, coords: req.Coords, weights: req.VertexWeights}
 	default:

@@ -3,8 +3,10 @@ package service
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"reflect"
+	"sync"
 	"testing"
 
 	"chaos/internal/machine"
@@ -35,6 +37,16 @@ func testRequest(variant int) *Request {
 		E1:     e1,
 		E2:     e2,
 	}
+}
+
+// onesExcept returns an n-entry column of ones with bad in the middle.
+func onesExcept(n int, bad float64) []float64 {
+	col := make([]float64, n)
+	for i := range col {
+		col[i] = 1
+	}
+	col[n/2] = bad
+	return col
 }
 
 func checkPartition(t *testing.T, resp *Response, req *Request) {
@@ -165,7 +177,19 @@ func TestBadRequests(t *testing.T) {
 		"empty request":    {NNode: 4, NParts: 2, Spec: testSpec()},
 		"needs geometry":   mut(func(r *Request) { r.Spec = partition.Spec{Method: partition.MethodRCB} }),
 		"bad weights len":  mut(func(r *Request) { r.VertexWeights = []float64{1, 2, 3} }),
+		"NaN coordinate":   mut(func(r *Request) { r.Coords = [][]float64{onesExcept(r.NNode, math.NaN())} }),
+		"Inf coordinate":   mut(func(r *Request) { r.Coords = [][]float64{onesExcept(r.NNode, math.Inf(-1))} }),
+		"NaN weight":       mut(func(r *Request) { r.VertexWeights = onesExcept(r.NNode, math.NaN()) }),
+		"Inf weight":       mut(func(r *Request) { r.VertexWeights = onesExcept(r.NNode, math.Inf(1)) }),
+		"negative weight":  mut(func(r *Request) { r.VertexWeights = onesExcept(r.NNode, -1) }),
 	}
+	// The codec carries a negative FMPasses unchanged, so admission is
+	// what must reject it.
+	wired, err := decodeRequest(encodeRequest(mut(func(r *Request) { r.Spec.FMPasses = -1 })))
+	if err != nil || wired.Spec.FMPasses != -1 {
+		t.Fatalf("codec round trip: FMPasses %d, err %v", wired.Spec.FMPasses, err)
+	}
+	cases["wire FMPasses -1"] = wired
 	for name, req := range cases {
 		if _, err := s.Do(context.Background(), req); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)
@@ -241,10 +265,11 @@ func TestDoCancellation(t *testing.T) {
 	}
 }
 
-// TestLoadGen runs the benchmark harness at small scale and checks
-// its accounting: every request answered, the working set computed
-// cold exactly once, everything else reused.
-func TestLoadGen(t *testing.T) {
+// TestSingleflightAccounting drives a 2-graph working set from four
+// concurrent wire clients and checks the cache and singleflight
+// accounting: every request answered, each graph computed cold exactly
+// once, everything else a hit or a share of the in-flight compute.
+func TestSingleflightAccounting(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -253,30 +278,46 @@ func TestLoadGen(t *testing.T) {
 	}
 	go s.Serve(l)
 
-	cfg := LoadGenConfig{
-		Dial:    func() (*Client, error) { return Dial("tcp", l.Addr().String()) },
-		Clients: 4, Requests: 6, Graphs: 2,
-		NNode: testNNode, Degree: testDegree,
-		NParts: testNParts, Procs: testProcs,
-		Spec: testSpec(),
+	const clients, requests, graphs = 4, 6, 2
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		served = map[Served]int{}
+		start  = make(chan struct{})
+	)
+	for i := 0; i < clients; i++ {
+		cl, err := Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatalf("dial client %d: %v", i, err)
+		}
+		defer cl.Close()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			for r := 0; r < requests; r++ {
+				resp, err := cl.Do(context.Background(), testRequest((i+r)%graphs))
+				if err != nil {
+					t.Errorf("client %d request %d: %v", i, r, err)
+					return
+				}
+				mu.Lock()
+				served[resp.Served]++
+				mu.Unlock()
+			}
+		}(i)
 	}
-	res, err := cfg.RunLoadGen(context.Background())
-	if err != nil {
-		t.Fatalf("RunLoadGen: %v", err)
+	close(start)
+	wg.Wait()
+
+	total := served[ServedHit] + served[ServedShared] + served[ServedCold] + served[ServedWarm]
+	if total != clients*requests {
+		t.Fatalf("served classes sum to %d (%v), want %d", total, served, clients*requests)
 	}
-	if res.Requests != 24 {
-		t.Fatalf("completed %d requests, want 24", res.Requests)
+	if served[ServedCold] != graphs {
+		t.Fatalf("%d cold computes for a %d-graph working set (%v)", served[ServedCold], graphs, served)
 	}
-	if res.Cold != 2 {
-		t.Fatalf("%d cold computes for a 2-graph working set, want 2 (hits=%d shared=%d)", res.Cold, res.Hits, res.Shared)
-	}
-	if got := res.Hits + res.Shared + res.Cold + res.Warm; got != res.Requests {
-		t.Fatalf("served classes sum to %d, want %d", got, res.Requests)
-	}
-	if res.HitRatio <= 0.5 {
-		t.Fatalf("hit ratio %.2f, want > 0.5 under a repeating working set", res.HitRatio)
-	}
-	if res.PartsPerSec <= 0 {
-		t.Fatalf("PartsPerSec = %v, want > 0", res.PartsPerSec)
+	if reused := served[ServedHit] + served[ServedShared]; 2*reused <= total {
+		t.Fatalf("%d of %d requests reused prior work, want more than half", reused, total)
 	}
 }
