@@ -16,9 +16,11 @@ COVER_FLOOR = 89.0
 # transport, whole reused executor step) with -benchmem; the gate
 # (cmd/benchjson -gate) fails CI when any of them allocates past the
 # checked-in BENCH_BASELINE.json (5% scheduling-noise headroom, exact
-# for allocation-free kernels) or slows past 1.5x its baseline ns/op.
-# Refresh the baseline with `make bench-baseline` after an intentional
-# perf change and commit the diff.
+# for allocation-free kernels). ns/op is written to the JSON but not
+# gated — a stored wall time drifts with the host; compare time with
+# `make repo-bench-pairs`. Refresh the baseline with `make
+# bench-baseline` after an intentional allocation change and commit
+# the diff.
 BENCH_GATE_CMD = $(GO) test -run '^$$' -bench '^BenchmarkHot' -benchmem -benchtime 10x ./internal/partition ./internal/geocol ./internal/stream ./internal/ttable ./internal/schedule ./internal/core
 
 check: build lint analyze test docs-check api-check

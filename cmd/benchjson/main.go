@@ -19,12 +19,13 @@
 // the process exits non-zero when any baseline benchmark is missing
 // from the input, reports more than (1+alloc-tol)× the baseline
 // allocs/op (exact when the baseline is zero — an allocation-free
-// kernel must stay allocation-free), or exceeds ns-tol× the baseline
-// ns/op. Benchmarks present on stdin but absent from the baseline are
-// noted, not failed, so adding a benchmark does not require a
-// lockstep baseline refresh. Names are matched with the -GOMAXPROCS
-// suffix stripped, keyed by package, so baselines travel across
-// machines with different core counts.
+// kernel must stay allocation-free). ns/op is archived, not gated: a
+// stored wall time says more about the host it was recorded on than
+// about the code. Benchmarks present on stdin but absent from the
+// baseline are noted, not failed, so adding a benchmark does not
+// require a lockstep baseline refresh. Names are matched with the
+// -GOMAXPROCS suffix stripped, keyed by package, so baselines travel
+// across machines with different core counts.
 package main
 
 import (
@@ -122,11 +123,11 @@ func gateKey(b Benchmark) string {
 }
 
 // compare gates cur against base: every baseline benchmark must be
-// present, must not allocate more than (1+allocTol)× its baseline
-// allocs/op (exactly zero when the baseline is zero), and must not run
-// longer than nsTol× its baseline ns/op. Returns the hard failures and
-// the informational notes (benchmarks without a baseline) separately.
-func compare(base, cur *Doc, allocTol, nsTol float64) (problems, notes []string) {
+// present and must not allocate more than (1+allocTol)× its baseline
+// allocs/op (exactly zero when the baseline is zero). Returns the hard
+// failures and the informational notes (benchmarks without a baseline)
+// separately.
+func compare(base, cur *Doc, allocTol float64) (problems, notes []string) {
 	current := make(map[string]Benchmark, len(cur.Benchmarks))
 	for _, b := range cur.Benchmarks {
 		current[gateKey(b)] = b
@@ -148,11 +149,6 @@ func compare(base, cur *Doc, allocTol, nsTol float64) (problems, notes []string)
 				problems = append(problems, fmt.Sprintf("%s: allocs/op %.0f exceeds baseline %.0f (tolerance %.0f%%)", key, curA, baseA, allocTol*100))
 			}
 		}
-		if baseNs, ok := bb.Metrics["ns/op"]; ok && baseNs > 0 {
-			if curNs, ok := cb.Metrics["ns/op"]; ok && curNs > baseNs*nsTol {
-				problems = append(problems, fmt.Sprintf("%s: ns/op %.0f exceeds %.2fx baseline %.0f", key, curNs, nsTol, baseNs))
-			}
-		}
 	}
 	for _, b := range cur.Benchmarks {
 		if key := gateKey(b); !seen[key] {
@@ -167,7 +163,6 @@ func main() {
 	out := flag.String("o", "-", "output file (\"-\" = stdout)")
 	gate := flag.String("gate", "", "baseline JSON to gate against; exit non-zero on regression")
 	allocTol := flag.Float64("alloc-tol", 0.05, "allocs/op headroom over baseline (scheduling noise; zero baselines stay exact)")
-	nsTol := flag.Float64("ns-tol", 1.5, "ns/op failure threshold as a multiple of baseline")
 	flag.Parse()
 
 	doc, err := parse(os.Stdin)
@@ -191,7 +186,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: bad baseline %s: %v\n", *gate, err)
 			os.Exit(1)
 		}
-		problems, notes := compare(base, doc, *allocTol, *nsTol)
+		problems, notes := compare(base, doc, *allocTol)
 		for _, n := range notes {
 			fmt.Fprintf(os.Stderr, "benchjson: note: %s\n", n)
 		}

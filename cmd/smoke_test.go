@@ -35,6 +35,7 @@ func TestCommandsBuildAndRun(t *testing.T) {
 		{"chaosbench", []string{"-stream"}, 2, undefined},
 		{"chaosbench", []string{"-backend=real"}, 2, undefined},
 		{"benchjson", []string{"-real", "x"}, 2, undefined},
+		{"benchjson", []string{"-ns-tol", "2"}, 2, undefined},
 		{"chaosd", []string{"-h"}, 0, "-listen"},
 		{"chaosc", []string{"-h"}, 0, "-plan"},
 		{"chaosvet", []string{"-list"}, 0, "spmdcollective"},

@@ -313,21 +313,3 @@ func docDirective(doc *ast.CommentGroup, directive string) bool {
 	}
 	return false
 }
-
-// firstDocLine returns the first sentence line of a doc comment after
-// the given marker, for quoting in diagnostics.
-func firstDocLine(doc *ast.CommentGroup, marker string) string {
-	if doc == nil {
-		return ""
-	}
-	text := doc.Text()
-	i := strings.Index(text, marker)
-	if i < 0 {
-		return ""
-	}
-	line := text[i+len(marker):]
-	if j := strings.IndexByte(line, '\n'); j >= 0 {
-		line = line[:j]
-	}
-	return strings.TrimSpace(line)
-}

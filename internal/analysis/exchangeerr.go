@@ -13,12 +13,12 @@ import (
 // assignment, or a blank in the error position) silently turns a
 // deadlocked or crashed simulated machine into a green test.
 //
-// Exchanged payloads: the ghost-exchange handshake and the mailbox
-// receive methods consume messages their peers paid to send. A
-// discarded PushInts result or a bare c.Recv(...) statement means data
-// crossed the wire — and advanced every participant's virtual clock —
-// only to be dropped, which is either dead communication (delete the
-// call) or a protocol bug (the value was needed). For AllReduce-family
+// Exchanged payloads: the ghost-exchange handshake and the collectives
+// hand back data their peers paid to send. A discarded PushInts or
+// AlltoAllInts result means data crossed the wire — and advanced every
+// participant's virtual clock — only to be dropped, which is either
+// dead communication (delete the call) or a protocol bug (the value
+// was needed). For AllReduce-family
 // calls used purely as a synchronization point, Barrier is the
 // intention-revealing replacement.
 var ExchangeErr = &Analyzer{
@@ -47,9 +47,6 @@ var valueResultFuncs = map[string]bool{
 	geocolPath + ".GhostExchange.PushIntsInto":          true,
 	geocolPath + ".GhostExchange.PushFloatsInto":        true,
 	geocolPath + ".GhostExchange.UpdateIntsTouchedInto": true,
-	machinePath + ".Ctx.Recv":                           true,
-	machinePath + ".Ctx.RecvInts":                       true,
-	machinePath + ".Ctx.RecvFloats":                     true,
 	machinePath + ".Ctx.AlltoAllInts":                   true,
 	machinePath + ".Ctx.AlltoAllFloats":                 true,
 	machinePath + ".Ctx.ExchangeInts":                   true,

@@ -39,8 +39,6 @@ const machinePath = "chaos/internal/machine"
 
 // ctxCollectives are the all-rank synchronizing methods of machine.Ctx
 // (and the unexported rendezvous primitive they are built on).
-// Point-to-point Send/Recv are deliberately absent: pairing those is a
-// protocol property, not an all-ranks one.
 var ctxCollectives = []string{
 	"exchange",
 	"Barrier",

@@ -75,12 +75,6 @@ func MeshWorkload(n int) *Workload {
 	return w
 }
 
-// Mesh10K and Mesh53K are the paper's two Euler meshes.
-func Mesh10K() *Workload { return MeshWorkload(10000) }
-
-// Mesh53K returns the 53K-node mesh workload.
-func Mesh53K() *Workload { return MeshWorkload(53000) }
-
 // Water648 returns the 648-atom water electrostatic force loop.
 func Water648() *Workload {
 	wlMu.Lock()
@@ -128,9 +122,6 @@ type Config struct {
 	Backend machine.Backend
 	// Seed is the machine's base random seed (Ctx.Rand streams).
 	Seed uint64
-	// NoDedupInspector is reserved for the dedup ablation (uses the
-	// hand path with duplicate ghost slots). Implemented in the
-	// ablation bench directly against the schedule package.
 }
 
 // Phases reports per-phase virtual-time maxima across ranks, in

@@ -7,6 +7,7 @@ import (
 
 	"chaos/internal/dist"
 	"chaos/internal/machine"
+	"chaos/internal/scratch"
 )
 
 // Graph is one rank's slice of a GeoCoL data structure. Vertices are
@@ -371,7 +372,7 @@ func (ct *Contractor) Contract(xadj, adj []int, ew, w []float64, cmap []int, nc 
 
 	// Bucket fine vertices by coarse vertex (counting sort) so each
 	// coarse adjacency list is assembled in one contiguous scan.
-	start := grow(&ct.start, nc+1)
+	start := scratch.Grow(&ct.start, nc+1)
 	for i := range start {
 		start[i] = 0
 	}
@@ -381,8 +382,8 @@ func (ct *Contractor) Contract(xadj, adj []int, ew, w []float64, cmap []int, nc 
 	for c := 0; c < nc; c++ {
 		start[c+1] += start[c]
 	}
-	members := grow(&ct.members, n)
-	next := grow(&ct.next, nc)
+	members := scratch.Grow(&ct.members, n)
+	next := scratch.Grow(&ct.next, nc)
 	copy(next, start[:nc])
 	for v := 0; v < n; v++ {
 		members[next[cmap[v]]] = v
@@ -396,7 +397,7 @@ func (ct *Contractor) Contract(xadj, adj []int, ew, w []float64, cmap []int, nc 
 	}
 	cxadj = make([]int, nc+1)
 	// A coarse graph has at most as many adjacency slots as the fine one.
-	cadj, cew = grow(&ct.cadj, len(adj))[:0], grow(&ct.cew, len(adj))[:0]
+	cadj, cew = scratch.Grow(&ct.cadj, len(adj))[:0], scratch.Grow(&ct.cew, len(adj))[:0]
 	for c := 0; c < nc; c++ {
 		ct.stamp++
 		ct.nbrs = ct.nbrs[:0]
@@ -509,8 +510,8 @@ func (a *CoarseAssembler) BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 	// counting pass sizes every rank's rows first — one vertex each, and
 	// at most its degree in edges (intra-cluster edges drop out in the
 	// fill) — so the rows are slices of flat arrays and never grow.
-	owner := grow(&a.owner, localN)
-	nv, ne := grow(&a.nv, procs+1), grow(&a.ne, procs+1)
+	owner := scratch.Grow(&a.owner, localN)
+	nv, ne := scratch.Grow(&a.nv, procs+1), scratch.Grow(&a.ne, procs+1)
 	clear(nv)
 	clear(ne)
 	for l, cv := range cmap {
@@ -519,10 +520,10 @@ func (a *CoarseAssembler) BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 		nv[r+1]++
 		ne[r+1] += g.XAdj[l+1] - g.XAdj[l]
 	}
-	flatWIDs, flatWVals := grow(&a.wIDs, localN), grow(&a.wVals, localN)
-	flatEIDs, flatEW := grow(&a.eIDs, 2*len(g.Adj)), grow(&a.eW, len(g.Adj))
-	wIDs, wVals := grow(&a.rowsI, procs), grow(&a.rowsV, procs)
-	eIDs, eW := grow(&a.rowsE, procs), grow(&a.rowsW, procs)
+	flatWIDs, flatWVals := scratch.Grow(&a.wIDs, localN), scratch.Grow(&a.wVals, localN)
+	flatEIDs, flatEW := scratch.Grow(&a.eIDs, 2*len(g.Adj)), scratch.Grow(&a.eW, len(g.Adj))
+	wIDs, wVals := scratch.Grow(&a.rowsI, procs), scratch.Grow(&a.rowsV, procs)
+	eIDs, eW := scratch.Grow(&a.rowsE, procs), scratch.Grow(&a.rowsW, procs)
 	for r := 0; r < procs; r++ {
 		nv[r+1] += nv[r]
 		ne[r+1] += ne[r]
@@ -599,7 +600,7 @@ func (a *CoarseAssembler) BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 		xadj[l+1] += xadj[l]
 	}
 	total := xadj[localN2]
-	tris := grow(&a.tris, total)
+	tris := scratch.Grow(&a.tris, total)
 	// The fill advances xadj[l] through row l, so afterwards xadj[l] is
 	// where row l ends.
 	for r := 0; r < procs; r++ {
@@ -641,14 +642,4 @@ func (a *CoarseAssembler) BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 	c.Words(3 * total)
 	coarse.NEdges = c.SumInt(degSum) / 2
 	return coarse
-}
-
-// grow returns (*buf)[:n], reallocating only when the capacity is
-// short; the contents are unspecified.
-func grow[T any](buf *[]T, n int) []T {
-	if cap(*buf) < n {
-		*buf = make([]T, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
 }

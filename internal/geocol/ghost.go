@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"chaos/internal/machine"
+	"chaos/internal/scratch"
 	"chaos/internal/slottab"
 )
 
@@ -125,7 +126,7 @@ func (s *GhostScratch) NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange
 	localN := hi - lo
 	ge := &GhostExchange{lo: lo, Loc: make([]int, len(g.Adj))}
 
-	nsend, nrecv, last := grow(&s.nsend, procs+1), grow(&s.nrecv, procs+1), grow(&s.last, procs)
+	nsend, nrecv, last := scratch.Grow(&s.nsend, procs+1), scratch.Grow(&s.nrecv, procs+1), scratch.Grow(&s.last, procs)
 	clear(nsend)
 	clear(nrecv)
 	for r := range last {
@@ -135,7 +136,7 @@ func (s *GhostScratch) NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange
 	// homed elsewhere.
 	maxGhosts := min(len(g.Adj), g.N-localN)
 	s.seen.Reset(maxGhosts)
-	ids, own := grow(&s.ids, maxGhosts)[:0], grow(&s.own, maxGhosts)[:0]
+	ids, own := scratch.Grow(&s.ids, maxGhosts)[:0], scratch.Grow(&s.own, maxGhosts)[:0]
 	for l := 0; l < localN; l++ {
 		for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
 			v := g.Adj[k]
@@ -165,7 +166,7 @@ func (s *GhostScratch) NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange
 	ge.IDs = make([]int, len(ids))
 	copy(ge.IDs, ids)
 	slices.Sort(ge.IDs)
-	perm := grow(&s.perm, len(ids))
+	perm := scratch.Grow(&s.perm, len(ids))
 	for slot, v := range ge.IDs {
 		perm[s.seen.Entry(v).Val] = slot
 	}

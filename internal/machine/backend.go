@@ -85,10 +85,6 @@ func RunStats(ctx context.Context, cfg Config, body func(*Ctx)) (Stats, error) {
 		elapsed: make([]time.Duration, cfg.Procs),
 		clocks:  make([]float64, cfg.Procs),
 	}
-	m.boxes = make([]*mailbox, cfg.Procs)
-	for i := range m.boxes {
-		m.boxes[i] = newMailbox(m)
-	}
 	m.rdv = newRendezvous(m, cfg.Procs)
 	if m.real {
 		m.slots = make(chan struct{}, workerSlots(cfg))
@@ -211,8 +207,8 @@ func (c *Ctx) releaseSlot() {
 }
 
 // yield runs the blocking operation f without occupying a compute
-// slot, so that a rank waiting on a message or a collective never
-// starves runnable ranks of cores — the property that lets P ranks
+// slot, so that a rank waiting in a collective never starves runnable
+// ranks of cores — the property that lets P ranks
 // share min(GOMAXPROCS, P) slots without deadlock. The slot is
 // re-claimed before control returns to rank code; if the machine
 // aborted meanwhile, re-claiming unwinds instead (the rank is dying

@@ -87,31 +87,6 @@ func TestRealBackendCollectives(t *testing.T) {
 	}
 }
 
-// TestRealBackendRecvCopies pins the point-to-point delivery contract
-// of the Real backend: RecvInts hands back memory the receiver owns
-// even when the sender used the raw reference-delivering Send.
-func TestRealBackendRecvCopies(t *testing.T) {
-	err := Run(realCfg(2), func(c *Ctx) {
-		if c.Rank() == 0 {
-			xs := []int{1, 2, 3}
-			c.Send(1, 0, xs, 24) // raw send: delivered by reference on Simulated
-			c.Barrier()
-			xs[0] = 99
-			c.Barrier()
-		} else {
-			got := c.Recv(0, 0).([]int)
-			c.Barrier()
-			c.Barrier()
-			if got[0] != 1 {
-				t.Errorf("real Recv shares sender memory: %v", got)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRealBackendOversubscribed runs many more ranks than compute
 // slots through a collective-heavy body: with Workers=1 every
 // collective requires blocked ranks to yield their slot, so this
@@ -126,10 +101,10 @@ func TestRealBackendOversubscribed(t *testing.T) {
 			if got := c.SumInt(1); got != p {
 				t.Errorf("SumInt = %d, want %d", got, p)
 			}
-			next := (c.Rank() + 1) % p
 			prev := (c.Rank() + p - 1) % p
-			c.SendInts(next, it, []int{c.Rank(), it})
-			got := c.RecvInts(prev, it)
+			out := make([][]int, p)
+			out[(c.Rank()+1)%p] = []int{c.Rank(), it}
+			got := c.AlltoAllInts(out)[prev]
 			if got[0] != prev || got[1] != it {
 				t.Errorf("ring recv %v from %d", got, prev)
 			}
@@ -314,8 +289,9 @@ func TestCancelStressRandomizedPoints(t *testing.T) {
 					panic("bad SumInt under stress")
 				}
 				if it%3 == 0 {
-					c.SendInts((c.Rank()+1)%p, it, []int{it})
-					c.RecvInts((c.Rank()+p-1)%p, it)
+					out := make([][]int, p)
+					out[(c.Rank()+1)%p] = []int{it}
+					c.AlltoAllInts(out)
 				}
 			}
 		})
@@ -352,28 +328,6 @@ func TestCancelStressRandomizedPoints(t *testing.T) {
 			t.Fatalf("goroutines did not settle: %d now vs %d before the stress loop", n, base)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestCancelUnblocksPointToPoint cancels a run whose ranks are blocked
-// in a bare Recv that no sender will ever satisfy.
-func TestCancelUnblocksPointToPoint(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		errc <- RunReal(ctx, Zero(3), func(c *Ctx) {
-			c.Recv((c.Rank()+1)%3, 77) // nobody sends
-		})
-	}()
-	time.Sleep(20 * time.Millisecond) // let every rank block
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancellation did not unblock Recv")
 	}
 }
 

@@ -258,7 +258,7 @@ func (c *Ctx) BroadcastInts(root int, xs []int) []int {
 	}
 	out := c.exchange(dep)[root].p.([]int)
 	if c.m.real {
-		out = realClone(out).([]int)
+		out = slices.Clone(out)
 	}
 	c.collectiveCost(8 * len(out))
 	return out
@@ -274,7 +274,7 @@ func (c *Ctx) BroadcastFloats(root int, xs []float64) []float64 {
 	}
 	out := c.exchange(dep)[root].p.([]float64)
 	if c.m.real {
-		out = realClone(out).([]float64)
+		out = slices.Clone(out)
 	}
 	c.collectiveCost(8 * len(out))
 	return out

@@ -3,13 +3,14 @@
 //
 // Each simulated processor ("rank") runs the same SPMD body function in
 // its own goroutine and owns a private virtual clock. Communication is
-// explicit message passing: point-to-point Send/Recv plus deterministic
-// collectives (Barrier, AllReduce, AllGather, AlltoAllv, Broadcast).
-// The virtual clock is charged using a LogP-style cost model (per-message
-// send/recv overhead, per-hop latency on the configured topology,
-// per-byte transfer time) plus per-flop and per-word compute charges, so
-// experiments report machine-like "seconds" that are fully deterministic
-// and independent of host scheduling.
+// explicit and collective: deterministic Barrier, AllReduce, AllGather,
+// Broadcast and irregular all-to-alls (AlltoAll*, Exchange*), all built
+// on one blocking rendezvous. The virtual clock is charged using a
+// LogP-style cost model (per-message send/recv overhead, per-hop
+// latency on the configured topology, per-byte transfer time) plus
+// per-flop and per-word compute charges, so experiments report
+// machine-like "seconds" that are fully deterministic and independent
+// of host scheduling.
 //
 // The default cost model is calibrated to the Intel iPSC/860 hypercube
 // used in the paper this repository reproduces (Ponnusamy, Saltz,
@@ -39,18 +40,17 @@ import (
 	"chaos/internal/xrand"
 )
 
-// Topology selects how the per-hop latency term is computed for a
-// point-to-point message.
+// Topology selects the per-message distance of the latency term of an
+// all-to-all.
 type Topology int
 
 const (
 	// FullyConnected charges exactly one hop for every message.
 	FullyConnected Topology = iota
-	// Hypercube charges popcount(src XOR dst) hops, the routing
-	// distance on a binary hypercube (the iPSC/860 interconnect).
+	// Hypercube charges the diameter of a binary hypercube (the
+	// iPSC/860 interconnect), ceil(log2 Procs) hops, as a conservative
+	// per-message distance.
 	Hypercube
-	// Ring charges the minimal ring distance between the two ranks.
-	Ring
 )
 
 func (t Topology) String() string {
@@ -59,8 +59,6 @@ func (t Topology) String() string {
 		return "fully-connected"
 	case Hypercube:
 		return "hypercube"
-	case Ring:
-		return "ring"
 	default:
 		return fmt.Sprintf("Topology(%d)", int(t))
 	}
@@ -71,7 +69,7 @@ func (t Topology) String() string {
 type Config struct {
 	// Procs is the number of simulated processors. Must be >= 1.
 	Procs int
-	// Topology determines per-message hop counts.
+	// Topology determines the per-message hop count of an all-to-all.
 	Topology Topology
 
 	// SendOverhead is the sender CPU time consumed per message.
@@ -96,8 +94,8 @@ type Config struct {
 	Backend Backend
 	// Workers caps the number of concurrently computing ranks on the
 	// Real backend (0 = min(GOMAXPROCS, Procs)). Ranks blocked in a
-	// receive or a collective release their compute slot, so any
-	// positive width is deadlock-free. Ignored by Simulated.
+	// collective release their compute slot, so any positive width is
+	// deadlock-free. Ignored by Simulated.
 	Workers int
 	// Seed is the base of the per-rank random streams returned by
 	// Ctx.Rand. Each rank's stream is split from (Seed, rank) alone —
@@ -129,29 +127,6 @@ func Zero(procs int) Config {
 	return Config{Procs: procs, Topology: FullyConnected}
 }
 
-// Hops returns the routing distance between two ranks under the
-// configured topology.
-func (c Config) Hops(src, dst int) int {
-	if src == dst {
-		return 0
-	}
-	switch c.Topology {
-	case Hypercube:
-		return bits.OnesCount(uint(src ^ dst))
-	case Ring:
-		d := src - dst
-		if d < 0 {
-			d = -d
-		}
-		if alt := c.Procs - d; alt < d {
-			d = alt
-		}
-		return d
-	default:
-		return 1
-	}
-}
-
 // logceil returns ceil(log2(p)) with logceil(1) == 0.
 func logceil(p int) int {
 	if p <= 1 {
@@ -163,9 +138,8 @@ func logceil(p int) int {
 // Machine is one simulated multicomputer instance. It is created by Run
 // and lives only for the duration of the SPMD body.
 type Machine struct {
-	cfg   Config
-	boxes []*mailbox
-	rdv   *rendezvous
+	cfg Config
+	rdv *rendezvous
 
 	// real marks the Real backend: receiver-side payload copies, and
 	// compute gated by the slots semaphore.
@@ -197,9 +171,6 @@ func (m *Machine) abort(err error) {
 		close(m.abortCh)
 	}
 	m.abortMu.Unlock()
-	for _, b := range m.boxes {
-		b.wake()
-	}
 	m.rdv.wake()
 }
 

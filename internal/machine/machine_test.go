@@ -30,87 +30,13 @@ func TestRunInvalidProcs(t *testing.T) {
 	}
 }
 
-func TestSendRecv(t *testing.T) {
-	err := Run(Zero(4), func(c *Ctx) {
-		next := (c.Rank() + 1) % c.Procs()
-		prev := (c.Rank() + c.Procs() - 1) % c.Procs()
-		c.SendInts(next, 7, []int{c.Rank(), 2 * c.Rank()})
-		got := c.RecvInts(prev, 7)
-		if len(got) != 2 || got[0] != prev || got[1] != 2*prev {
-			t.Errorf("rank %d: got %v from %d", c.Rank(), got, prev)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendIsCopied(t *testing.T) {
-	err := Run(Zero(2), func(c *Ctx) {
-		if c.Rank() == 0 {
-			xs := []int{1, 2, 3}
-			c.SendInts(1, 0, xs)
-			xs[0] = 99 // must not affect the receiver
-			c.Barrier()
-		} else {
-			got := c.RecvInts(0, 0)
-			c.Barrier()
-			if got[0] != 1 {
-				t.Errorf("send buffer mutation visible to receiver: %v", got)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMessageOrderingSameSrcTag(t *testing.T) {
-	err := Run(Zero(2), func(c *Ctx) {
-		if c.Rank() == 0 {
-			for i := 0; i < 10; i++ {
-				c.SendInts(1, 3, []int{i})
-			}
-		} else {
-			for i := 0; i < 10; i++ {
-				if got := c.RecvInts(0, 3); got[0] != i {
-					t.Errorf("message %d arrived as %d", i, got[0])
-				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTagsAreIndependent(t *testing.T) {
-	err := Run(Zero(2), func(c *Ctx) {
-		if c.Rank() == 0 {
-			c.SendInts(1, 1, []int{100})
-			c.SendInts(1, 2, []int{200})
-		} else {
-			// Receive in the opposite order of the sends.
-			if got := c.RecvInts(0, 2); got[0] != 200 {
-				t.Errorf("tag 2 got %d", got[0])
-			}
-			if got := c.RecvInts(0, 1); got[0] != 100 {
-				t.Errorf("tag 1 got %d", got[0])
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPanicPropagates(t *testing.T) {
 	err := Run(Zero(4), func(c *Ctx) {
 		if c.Rank() == 2 {
 			panic("boom")
 		}
 		// Other ranks block forever; abort must unwedge them.
-		c.Recv(3, 99)
+		c.Barrier()
 	})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want panic message", err)
@@ -260,17 +186,19 @@ func TestVirtualClockAdvancesOnComm(t *testing.T) {
 		if c.Clock() != 0 {
 			t.Errorf("initial clock %v", c.Clock())
 		}
+		out := make([][]float64, 2)
 		if c.Rank() == 0 {
-			c.SendFloats(1, 0, make([]float64, 1000))
-			if c.Clock() <= cfg.SendOverhead {
-				t.Errorf("send did not charge bytes: %v", c.Clock())
-			}
-		} else {
-			c.RecvFloats(0, 0)
-			// Receiver clock must cover wire time for 8000 bytes.
-			if c.Clock() < 8000*cfg.ByteTime {
-				t.Errorf("recv clock %v too small", c.Clock())
-			}
+			out[1] = make([]float64, 1000)
+		}
+		c.AlltoAllFloats(out)
+		// Sender and receiver clocks must both cover the wire time of
+		// 8000 bytes plus their side's per-message overhead.
+		overhead := cfg.SendOverhead
+		if c.Rank() == 1 {
+			overhead = cfg.RecvOverhead
+		}
+		if c.Clock() < overhead+8000*cfg.ByteTime {
+			t.Errorf("rank %d clock %v too small", c.Rank(), c.Clock())
 		}
 	})
 	if err != nil {
@@ -315,31 +243,6 @@ func TestFlopsAndWordsCharges(t *testing.T) {
 	}
 }
 
-func TestHops(t *testing.T) {
-	hc := Config{Procs: 8, Topology: Hypercube}
-	cases := []struct{ a, b, want int }{
-		{0, 0, 0}, {0, 1, 1}, {0, 7, 3}, {5, 6, 2}, {3, 4, 3},
-	}
-	for _, tc := range cases {
-		if got := hc.Hops(tc.a, tc.b); got != tc.want {
-			t.Errorf("hypercube Hops(%d,%d) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-	ring := Config{Procs: 8, Topology: Ring}
-	ringCases := []struct{ a, b, want int }{
-		{0, 1, 1}, {0, 7, 1}, {0, 4, 4}, {1, 6, 3},
-	}
-	for _, tc := range ringCases {
-		if got := ring.Hops(tc.a, tc.b); got != tc.want {
-			t.Errorf("ring Hops(%d,%d) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-	fc := Config{Procs: 8, Topology: FullyConnected}
-	if got := fc.Hops(0, 5); got != 1 {
-		t.Errorf("fully-connected Hops = %d", got)
-	}
-}
-
 func TestLogceil(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 64: 6}
 	for p, want := range cases {
@@ -351,8 +254,7 @@ func TestLogceil(t *testing.T) {
 
 func TestTopologyString(t *testing.T) {
 	if FullyConnected.String() != "fully-connected" ||
-		Hypercube.String() != "hypercube" ||
-		Ring.String() != "ring" {
+		Hypercube.String() != "hypercube" {
 		t.Error("Topology.String mismatch")
 	}
 	if Topology(42).String() == "" {

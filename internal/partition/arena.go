@@ -2,6 +2,7 @@ package partition
 
 import (
 	"chaos/internal/geocol"
+	"chaos/internal/scratch"
 )
 
 // This file is the scratch arena of the multilevel partitioner: one
@@ -46,15 +47,15 @@ type arena struct {
 // say how many ghosts there are.
 func (ar *arena) reserve(localN int) {
 	fm := &ar.fm
-	growFloats(&fm.cutW, localN)
-	growBools(&fm.boundary, localN)
-	growBools(&fm.dirty, localN)
-	growInts(&fm.stamp, localN)
-	growBools(&fm.locked, localN)
-	growBools(&fm.movedFlag, localN)
+	scratch.Grow(&fm.cutW, localN)
+	scratch.Grow(&fm.boundary, localN)
+	scratch.Grow(&fm.dirty, localN)
+	scratch.Grow(&fm.stamp, localN)
+	scratch.Grow(&fm.locked, localN)
+	scratch.Grow(&fm.movedFlag, localN)
 	fm.log = make([]fmMove, 0, localN)
-	growInts(&ar.proj.need, localN)
-	growInts(&ar.proj.val, localN)
+	scratch.Grow(&ar.proj.need, localN)
+	scratch.Grow(&ar.proj.val, localN)
 }
 
 // klScratch is the per-bisection scratch of the serial KL/FM refiner
@@ -164,7 +165,7 @@ type rankRows struct {
 // counts returns procs zeroed counters; the caller adds to counts[r]
 // the number of ints bound for rank r.
 func (rr *rankRows) counts(procs int) []int {
-	n := growInts(&rr.n, procs)
+	n := scratch.Grow(&rr.n, procs)
 	clear(n)
 	return n
 }
@@ -178,7 +179,7 @@ func (rr *rankRows) lay() [][]int {
 	for _, k := range rr.n {
 		total += k
 	}
-	flat := growInts(&rr.flat, total)
+	flat := scratch.Grow(&rr.flat, total)
 	rows := growRows(&rr.rows, len(rr.n))
 	off := 0
 	for r, k := range rr.n {
@@ -188,43 +189,11 @@ func (rr *rankRows) lay() [][]int {
 	return rows
 }
 
-// growInts returns (*s)[:n] with arbitrary contents, reallocating only
-// when the capacity is short; the float/bool twins below are identical.
-// Callers that need zeroed contents clear explicitly — most hot-path
-// buffers are fully overwritten before use, and making that explicit
-// at the use site is the contract that keeps reuse safe.
-func growInts(s *[]int, n int) []int {
-	if cap(*s) < n {
-		*s = make([]int, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-func growFloats(s *[]float64, n int) []float64 {
-	if cap(*s) < n {
-		*s = make([]float64, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-func growBools(s *[]bool, n int) []bool {
-	if cap(*s) < n {
-		*s = make([]bool, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
 // growRows sizes a per-rank table of row headers to procs nil entries.
 func growRows(s *[][]int, procs int) [][]int {
-	if cap(*s) < procs {
-		*s = make([][]int, procs)
-	}
-	*s = (*s)[:procs]
-	clear(*s)
-	return *s
+	rows := scratch.Grow(s, procs)
+	clear(rows)
+	return rows
 }
 
 // ensure readies reusable gain buckets: first use allocates the fixed

@@ -31,7 +31,8 @@
 //     larger spends more Lanczos time for marginally better seeds.
 //     Safe range ~25-400.
 //   - ParallelThreshold (default 2048): minimum global vertex count
-//     for the distributed V-cycle on multi-rank machines; below it
+//     for the distributed ladder pipeline (cold, V-cycle, seeded and
+//     warm entry points alike; see Multilevel); below it
 //     the gather-everything serial path is cheaper. Negative forces
 //     the serial path at any size. It also floors the parallel
 //     ladder's serial-solve handoff, max(8*CoarsenTo,
@@ -53,7 +54,10 @@
 // strictly decreasing P=1..8 with cut within 5% of the serial
 // V-cycle, plus balance, determinism and dispatch routing;
 // prefine_test.go pins the refinement stack's contracts (FM improves
-// seeds, holds the balance window, V-cycle refinement never worsens). docs/REFINEMENT.md is the guided tour of
-// the refinement stack; docs/ARCHITECTURE.md places the package in
-// the paper's Figure 2 pipeline.
+// seeds, holds the balance window, V-cycle refinement never worsens);
+// pipeline_pin_test.go pins the exact partition and virtual makespan of
+// all four pipeline entry points at P in {1, 3, 8} on both backends.
+// docs/REFINEMENT.md is the guided tour of the refinement stack;
+// docs/ARCHITECTURE.md places the package in the paper's Figure 2
+// pipeline.
 package partition

@@ -5,6 +5,7 @@ import (
 
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
+	"chaos/internal/scratch"
 )
 
 // klMove is one committed move of a klRefineN pass, kept so the tail
@@ -55,8 +56,8 @@ func klRefineN(s *klScratch, sg *subgraph, side []bool, targetLeftW float64, pas
 	// fully overwritten below, so steady-state calls allocate nothing
 	// (gains and locked are recomputed for every vertex at each pass
 	// start; stash and seq are length-reset).
-	gains := growFloats(&s.gains, sg.n)
-	locked := growBools(&s.locked, sg.n)
+	gains := scratch.Grow(&s.gains, sg.n)
+	locked := scratch.Grow(&s.locked, sg.n)
 	stash := s.stash[:0]
 	h := &s.heap
 	h.orig = sg.orig
@@ -221,8 +222,8 @@ func klBisect(s *klScratch, f *geocol.Full, verts []int, frac float64) (left, ri
 	}
 	target := totalW * frac
 
-	side := growBools(&s.side, sg.n)
-	visited := growBools(&s.visited, sg.n)
+	side := scratch.Grow(&s.side, sg.n)
+	visited := scratch.Grow(&s.visited, sg.n)
 	for i := 0; i < sg.n; i++ {
 		side[i], visited[i] = false, false
 	}

@@ -5,17 +5,15 @@ import (
 	"chaos/internal/machine"
 )
 
-// This file is the incremental-repartitioning support of MULTILEVEL:
-// a cold run through PartitionLadder retains its distributed
-// coarsening ladder, and Repartition warm-starts a slightly changed
-// graph from it — the old partition is restricted down the retained
-// ladder, polished k-way on the cached coarsest graph, and projected
-// back up with FM refinement at every level, the finest level running
-// on the NEW graph. The expensive cold-run stages — ghost-exchange
-// construction, the 4-round distributed matching handshake per level,
-// the distributed contraction per level, and the gathered serial
-// V-cycle solve — are all skipped, which is what makes a warm
-// repartition a fraction of a cold one (core.Repartitioner is the
+// This file is the ladder pipeline of MULTILEVEL — coarsen → solve →
+// uncoarsen, each stage existing once — and its four entry points:
+// PartitionLadder (cold; the serial path is its zero-level instance),
+// the VCycle knob and RefineLadder (both refineSeeded, the ladder
+// dropped or kept) and Repartition (warm: no coarsen, the old partition
+// restricted down a retained ladder). A warm run skips the
+// ghost-exchange construction, the 4-round matching handshake and the
+// distributed contraction of every level and the gathered solve, which
+// is what makes it a fraction of a cold one (core.Repartitioner is the
 // runtime handle that drives this; the paper's Section 3 reuse guard
 // extended from "skip when unchanged" to "re-refine when slightly
 // changed").
@@ -62,35 +60,168 @@ func (ld *Ladder) Bytes() int {
 	return b
 }
 
-// PartitionLadder runs Partition and, when the distributed multilevel
-// path was taken, additionally retains the coarsening ladder for
-// incremental reuse; the ladder is nil when the serial
-// gather-everything path ran (single rank, or a graph below
-// ParallelThreshold — there is no k-way ladder to retain in the
-// per-bisection serial V-cycle). This is the single owner of the
-// serial-vs-distributed dispatch rule; Partition delegates here, so a
-// cold run retains a ladder exactly when the distributed path runs.
-// Collective.
-func (ml Multilevel) PartitionLadder(c *machine.Ctx, g *geocol.Graph, nparts int) ([]int, *Ladder) {
-	checkArgs(nparts)
-	if !g.HasLink {
-		panic("partition: MULTILEVEL requires a GeoCoL LINK component")
-	}
-	thr := ml.parallelThreshold()
-	if c.Procs() > 1 && thr > 0 && g.N >= thr && g.N > ml.serialTo(nparts) {
-		return ml.parallelPartitionLadder(c, g, nparts)
-	}
-	// One scratch arena per call on the serial path too: the recursion
-	// tree shares contraction and KL-refinement buffers.
-	ar := &arena{}
-	return serialBisectPartition(c, g, nparts, ml.bisecter(ar)), nil
-}
-
 // Reusable reports whether the ladder can warm-start a repartition of
 // g into nparts parts: the vertex space and part count must match
 // (edges may have changed — that is the point).
 func (ld *Ladder) Reusable(g *geocol.Graph, nparts int) bool {
 	return ld != nil && len(ld.levels) > 0 && ld.n == g.N && ld.nparts == nparts
+}
+
+// retained is what an entry point hands back: the ladder, or nil when
+// matching stalled on the input graph itself and there is no level a
+// warm start could skip.
+func (ld *Ladder) retained() *Ladder {
+	if len(ld.levels) == 0 {
+		return nil
+	}
+	return ld
+}
+
+// distributed is the dispatch rule of every entry point: the ladder
+// runs distributed when the machine has more than one rank and the
+// graph clears both ParallelThreshold and the serial handoff size;
+// otherwise the gather-everything serial path is cheaper (a single
+// rank, a sub-threshold graph, or a negative ParallelThreshold).
+func (ml Multilevel) distributed(c *machine.Ctx, g *geocol.Graph, nparts int) bool {
+	thr := ml.parallelThreshold()
+	return c.Procs() > 1 && thr > 0 && g.N >= thr && g.N > ml.serialTo(nparts)
+}
+
+// clusterCap returns the cluster-weight cap of g's ladders, 1% of the
+// total vertex weight: it keeps every coarse level balanceable within
+// the refiners' window. Collective.
+func clusterCap(c *machine.Ctx, g *geocol.Graph) float64 {
+	totalW := 0.0
+	for l := 0; l < g.LocalN(c.Rank()); l++ {
+		totalW += g.Weight(l)
+	}
+	return c.SumFloat(totalW) * 0.01
+}
+
+// coarsen builds one coarsening ladder of g, down to the serial
+// handoff size or until matching stalls (buildLadder). With a seed the
+// matching is restricted to same-part pairs, so every level inherits
+// the seed exactly, and the second result is the coarsest level's copy
+// of it (nil without a seed). salt decorrelates the ladders one call
+// builds over the same graph. The ladder may have no levels; its
+// coarsest graph is then g itself. Collective.
+func (ml Multilevel) coarsen(c *machine.Ctx, ar *arena, g *geocol.Graph, nparts int, capW float64, salt uint64, seed []int) (*Ladder, []int) {
+	levels, coarsest, cpart := buildLadder(c, ar, g, ml.serialTo(nparts), capW, ml.Seed^salt, seed)
+	return &Ladder{n: g.N, nparts: nparts, levels: levels, coarsest: coarsest, ar: ar}, cpart
+}
+
+// uncoarsen projects the coarsest level's partition back up the ladder
+// — each home vertex pulls its part from its coarse vertex's owner —
+// and refines every level in place. A non-nil finest replaces the
+// ladder's finest graph (the warm path: interior levels refine over
+// the cached graphs, whose edge weights are slightly stale, which is
+// fine for a refinement heuristic, while the last refinement sees the
+// new graph's true connectivity through a fresh ghost exchange).
+// Collective.
+func (ml Multilevel) uncoarsen(c *machine.Ctx, ld *Ladder, part []int, finest *geocol.Graph) []int {
+	ar := ld.ar
+	for i := len(ld.levels) - 1; i >= 0; i-- {
+		lv := ld.levels[i]
+		part = projectPart(c, &ar.proj, lv.fine, lv.cmap, lv.coarse.Home, part)
+		fine, ge := lv.fine, lv.ge
+		if i == 0 && finest != nil {
+			fine, ge = finest, ar.ghost.NewGhostExchange(c, finest)
+		}
+		ml.refineLevel(c, ar, fine, ge, part, ld.nparts, i == 0)
+	}
+	return part
+}
+
+// refineSeeded is multilevel refinement of an existing partition (the
+// kMETIS/ParMETIS trick for escaping single-level local minima):
+// coarsen g with matching restricted to same-part pairs, so every
+// level of the ladder inherits seed exactly, polish the coarsest level
+// and refine back up. At coarse levels a single FM move transfers a
+// whole cluster of fine vertices between parts — the global moves
+// plain boundary refinement cannot compose. The coarsest level follows
+// the dispatch rule: below ParallelThreshold it is gathered for the
+// exact serial k-way FM; at or above it (restricted matching stalled
+// early) it is a graph that must never be gathered, and the
+// distributed FM refines it in place. seed is not modified; the ladder
+// is returned for the caller to keep or drop. Collective.
+func (ml Multilevel) refineSeeded(c *machine.Ctx, ar *arena, g *geocol.Graph, nparts int, capW float64, salt uint64, seed []int) ([]int, *Ladder) {
+	ld, part := ml.coarsen(c, ar, g, nparts, capW, salt, seed)
+	if len(ld.levels) == 0 {
+		// Nothing was restricted: part still aliases the caller's seed.
+		part = append([]int(nil), seed...)
+	}
+	if ld.coarsest.N < ml.parallelThreshold() {
+		serialKway(c, ar, ld.coarsest, part, nparts, 8, ml.tol())
+	} else {
+		parallelFM(c, &ar.fm, ld.coarsest, ar.ghost.NewGhostExchange(c, ld.coarsest), part, nparts, 3, ml.tol())
+	}
+	return ml.uncoarsen(c, ld, part, nil), ld
+}
+
+// PartitionLadder runs Partition and, when the distributed path was
+// taken, additionally retains the coarsening ladder for incremental
+// reuse; the ladder is nil when the serial gather-everything path ran
+// (there is no k-way ladder to retain in the per-bisection serial
+// V-cycle). Partition delegates here, so a cold run retains a ladder
+// exactly when the distributed path runs. Collective.
+func (ml Multilevel) PartitionLadder(c *machine.Ctx, g *geocol.Graph, nparts int) ([]int, *Ladder) {
+	checkArgs(nparts)
+	if !g.HasLink {
+		panic("partition: MULTILEVEL requires a GeoCoL LINK component")
+	}
+	if !ml.distributed(c, g, nparts) {
+		// The zero-level instance: no ladder to climb back up, so the
+		// gathered solve is the answer. Its arena (the recursion tree
+		// shares contraction and KL-refinement buffers) is a site of its
+		// own so that it stays on the stack.
+		return serialBisectPartition(c, g, nparts, ml.bisecter(&arena{})), nil
+	}
+	// One arena per run, threaded through coarsening, the serial solve
+	// and every refinement level, then retained in the Ladder so warm
+	// Repartition epochs reuse the grown buffers.
+	ar := &arena{}
+	ar.reserve(g.LocalN(c.Rank()))
+	capW := clusterCap(c, g)
+	ld, _ := ml.coarsen(c, ar, g, nparts, capW, 0, nil)
+
+	// Coarsest-level solve: the serial recursive-bisection V-cycle on
+	// the gathered coarse graph (weighted vertices and edges preserve
+	// the fine graph's cut and balance exactly), followed by a k-way FM
+	// polish — the recursive bisection only ever refined 2-way inside
+	// each split, the polish is nearly free on the already-small graph,
+	// and every edge it removes is an edge no uncoarsening level has to
+	// fight for.
+	part := serialBisectPartition(c, ld.coarsest, nparts, ml.bisecter(ar))
+	serialKway(c, ar, ld.coarsest, part, nparts, 8, ml.tol())
+	part = ml.uncoarsen(c, ld, part, nil)
+	if ml.VCycle {
+		part, _ = ml.refineSeeded(c, ar, g, nparts, capW, 0x9e3779b97f4a7c15, part)
+	}
+	return part, ld.retained()
+}
+
+// RefineLadder refines a seed partition (e.g. a STREAM first-touch
+// cold start) at every scale and retains the resulting
+// partition-preserving coarsening ladder for incremental warm
+// Repartition — the bridge that lets a cheap streaming partition
+// bootstrap the multilevel warm path without ever paying a full cold
+// MULTILEVEL run. On the serial path (single rank or a sub-threshold
+// graph) the seed is polished by the serial k-way FM and no ladder is
+// retained, matching PartitionLadder's convention. The seed must be
+// home-local with nparts parts; it is not modified. Collective.
+func (ml Multilevel) RefineLadder(c *machine.Ctx, g *geocol.Graph, nparts int, seed []int) ([]int, *Ladder) {
+	checkArgs(nparts)
+	if !g.HasLink {
+		panic("partition: MULTILEVEL requires a GeoCoL LINK component")
+	}
+	ar := &arena{}
+	if !ml.distributed(c, g, nparts) {
+		part := append([]int(nil), seed...)
+		serialKway(c, ar, g, part, nparts, 8, ml.tol())
+		return part, nil
+	}
+	part, ld := ml.refineSeeded(c, ar, g, nparts, clusterCap(c, g), 0xbf58476d1ce4e5b9, seed)
+	return part, ld.retained()
 }
 
 // Repartition warm-starts a repartition of gNew — the same vertex
@@ -105,17 +236,12 @@ func (ld *Ladder) Reusable(g *geocol.Graph, nparts int) bool {
 //     polish — orders of magnitude cheaper than the cold run's
 //     gathered serial V-cycle solve, because the partition to fix up
 //     already exists.
-//  3. Uncoarsen: the partition is projected back up (projectPart) and
-//     refined at every level. Interior levels refine over the cached
-//     fine graphs — their edge weights are slightly stale, which is
-//     fine for a refinement heuristic — while the finest level
-//     refines over gNew with a fresh ghost exchange, so the final
-//     boundary optimization sees the true new connectivity.
+//  3. Uncoarsen: the same uncoarsen as a cold run, its finest level
+//     refining over gNew.
 //
-// The matching handshakes, distributed contractions and the gathered
-// spectral solve of a cold run are all skipped. Falls back to a full
-// cold Partition when the ladder is not reusable for (gNew, nparts).
-// Collective; the returned slice is home-local like Partition's.
+// Falls back to a full cold Partition when the ladder is not reusable
+// for (gNew, nparts). Collective; the returned slice is home-local
+// like Partition's.
 func (ml Multilevel) Repartition(c *machine.Ctx, gNew *geocol.Graph, nparts int, ld *Ladder, oldPart []int) []int {
 	// The fallback decision must itself be collective: Reusable and the
 	// ladder shape are replicated, but the oldPart length check is
@@ -136,36 +262,22 @@ func (ml Multilevel) Repartition(c *machine.Ctx, gNew *geocol.Graph, nparts int,
 		return ml.Partition(c, gNew, nparts)
 	}
 
-	// Warm epochs run on the cold run's retained arena: every scratch
-	// buffer below is already at steady-state capacity. The nil-guard
-	// covers hand-built ladders (tests) that never saw a cold run.
-	ar := ld.ar
-	if ar == nil {
-		ar = &arena{}
-		ld.ar = ar
+	// Warm epochs run on the retained arena: every scratch buffer below
+	// is already at steady-state capacity. A ladder whose arena was
+	// dropped gets a pristine one (TestArenaReuseBitIdentical drops it
+	// before every epoch to prove stale buffer contents decide nothing).
+	if ld.ar == nil {
+		ld.ar = &arena{}
 	}
 
-	// Restrict the previous partition down the retained ladder. Mixed
-	// clusters (boundary clusters whose members ended in different
+	// Mixed clusters (boundary clusters whose members ended in different
 	// parts after fine-level refinement) take one member's part; the
 	// uncoarsening refinement repairs those boundaries.
 	part := append([]int(nil), oldPart...)
 	for i := range ld.levels {
 		lv := ld.levels[i]
-		part = restrictPart(c, &ar.proj, lv.fine, lv.cmap, lv.coarse.Home, part)
+		part = restrictPart(c, &ld.ar.proj, lv.fine, lv.cmap, lv.coarse.Home, part)
 	}
-
-	serialKway(c, ar, ld.coarsest, part, nparts, 8, ml.tol())
-
-	for i := len(ld.levels) - 1; i >= 0; i-- {
-		lv := ld.levels[i]
-		part = projectPart(c, &ar.proj, lv.fine, lv.cmap, lv.coarse.Home, part)
-		if i == 0 {
-			ge := ar.ghost.NewGhostExchange(c, gNew)
-			ml.refineLevel(c, ar, gNew, ge, part, nparts, true)
-		} else {
-			ml.refineLevel(c, ar, lv.fine, lv.ge, part, nparts, false)
-		}
-	}
-	return part
+	serialKway(c, ld.ar, ld.coarsest, part, nparts, 8, ml.tol())
+	return ml.uncoarsen(c, ld, part, gNew)
 }

@@ -3,6 +3,7 @@ package partition
 import (
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
+	"chaos/internal/scratch"
 )
 
 // Multilevel is the multilevel graph partitioner (Hendrickson & Leland's
@@ -29,23 +30,26 @@ import (
 // quality_test.go). Like RSB and KL it consumes LINK connectivity and
 // honors LOAD weights.
 //
-// On a single rank (or below ParallelThreshold) the V-cycle runs
-// serially on the gathered graph with the replicated-cost convention
-// described on RSB. On larger machines the coarsening ladder instead
-// runs distributed over the block-distributed GeoCoL graph
-// (pmultilevel.go): only the coarsest level is gathered for the
-// spectral solve, and the uncoarsening is refined by the
-// hill-climbing parallel FM of prefine.go, so the partitioner's
-// virtual time falls with the rank count instead of staying flat
-// while the cut stays within 5% of the serial V-cycle's. The
-// refinement stack and its tuning knobs are toured in
-// docs/REFINEMENT.md.
+// On a single rank (or below ParallelThreshold) that recursive
+// bisection runs on the gathered graph with the replicated-cost
+// convention described on RSB, and it is the whole partitioner. On
+// larger machines it is the coarsest-level solve of one ladder pipeline
+// (ladder.go: coarsen → solve → uncoarsen): the coarsening ladder runs
+// distributed over the block-distributed GeoCoL graph, only the
+// coarsest level is gathered, and the uncoarsening is refined by the
+// hill-climbing parallel FM of prefine.go, so the partitioner's virtual
+// time falls with the rank count instead of staying flat while the cut
+// stays within 5% of the serial V-cycle's. PartitionLadder, the VCycle
+// knob, RefineLadder and Repartition are that one pipeline entered
+// cold, re-entered from its own result, entered from a caller's seed,
+// and re-entered warm from a retained ladder. docs/REFINEMENT.md tours
+// the refinement stack and its tuning knobs.
 type Multilevel struct {
 	// CoarsenTo stops coarsening once a level has at most this many
 	// vertices (0 means the default of 100).
 	CoarsenTo int
 	// ParallelThreshold is the minimum global vertex count for the
-	// distributed coarsening path (pmultilevel.go), which is the
+	// distributed ladder pipeline (ladder.go), which is the
 	// default whenever the machine has more than one rank and the graph
 	// clears it. 0 means the default of 2048; negative forces the
 	// serial gather-everything path at any size.
@@ -56,7 +60,7 @@ type Multilevel struct {
 	// level).
 	FMPasses int
 	// VCycle enables a second, partition-preserving V-cycle after
-	// uncoarsening (vcycleRefine): the refined partition is coarsened
+	// uncoarsening (refineSeeded): the refined partition is coarsened
 	// again with matching restricted to same-part pairs and refined at
 	// every scale on the way back up. A small cut improvement for
 	// roughly double the distributed partitioning cost; off by
@@ -90,8 +94,7 @@ func (ml Multilevel) tol() float64 {
 }
 
 func (ml Multilevel) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
-	// One dispatch rule for both entry points: PartitionLadder owns the
-	// serial-vs-distributed decision; Partition just drops the ladder.
+	// PartitionLadder is the pipeline; Partition just drops the ladder.
 	part, _ := ml.PartitionLadder(c, g, nparts)
 	return part
 }
@@ -158,7 +161,7 @@ func (ml Multilevel) bisect(ar *arena, f *geocol.Full, verts []int, frac float64
 		cmap := cmaps[l]
 		// Two arena buffers alternate between adjacent levels: side (the
 		// coarser level's) is read while fineSide is written.
-		fineSide := growBools(&ar.sides[l%2], fine.n)
+		fineSide := scratch.Grow(&ar.sides[l%2], fine.n)
 		for v := range fineSide {
 			fineSide[v] = side[cmap[v]]
 		}

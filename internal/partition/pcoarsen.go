@@ -3,6 +3,7 @@ package partition
 import (
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
+	"chaos/internal/scratch"
 	"chaos/internal/xrand"
 )
 
@@ -38,7 +39,7 @@ const matchRounds = 4
 // When part is non-nil the matching is RESTRICTED to same-part pairs
 // (ghostPart must be the ghost copy of part): the resulting clustering
 // preserves the partition, which is what multilevel V-cycle refinement
-// coarsens with (pmultilevel.go vcycleRefine).
+// coarsens with (ladder.go refineSeeded).
 //
 // Returns match[l] = global id of home-local vertex l's partner, or -1
 // for vertices left as singletons. The returned slice is arena scratch:
@@ -54,7 +55,7 @@ func distHeavyEdgeMatch(c *machine.Ctx, s *matchScratch, g *geocol.Graph, ge *ge
 	lo := g.Home.Lo(me)
 	localN := g.LocalN(me)
 
-	homeW := growFloats(&s.homeW, localN)
+	homeW := scratch.Grow(&s.homeW, localN)
 	for l := range homeW {
 		homeW[l] = g.Weight(l)
 	}
@@ -66,7 +67,7 @@ func distHeavyEdgeMatch(c *machine.Ctx, s *matchScratch, g *geocol.Graph, ge *ge
 		s.ghostW = ghostW
 	}
 
-	match := growInts(&s.match, localN)
+	match := scratch.Grow(&s.match, localN)
 	for l := range match {
 		match[l] = -1
 	}
@@ -74,16 +75,16 @@ func distHeavyEdgeMatch(c *machine.Ctx, s *matchScratch, g *geocol.Graph, ge *ge
 	// only the ids newly matched in the previous round (PushMarks): the
 	// first round has nothing to push, and the total flag traffic of a
 	// matching is one boundary's worth instead of one per round.
-	ghostMatched := growInts(&s.ghostMatched, len(ge.IDs))
-	newly := growBools(&s.newly, localN)
+	ghostMatched := scratch.Grow(&s.ghostMatched, len(ge.IDs))
+	newly := scratch.Grow(&s.newly, localN)
 	for l := 0; l < localN; l++ {
 		newly[l] = false
 	}
 	for i := range ghostMatched {
 		ghostMatched[i] = 0
 	}
-	target := growInts(&s.target, localN)
-	owner := growInts(&s.owner, localN)
+	target := scratch.Grow(&s.target, localN)
+	owner := scratch.Grow(&s.owner, localN)
 
 	for round := 0; round < matchRounds; round++ {
 		if round > 0 {
@@ -242,7 +243,7 @@ func numberCoarse(c *machine.Ctx, s *matchScratch, g *geocol.Graph, match []int)
 	// A pair's smaller endpoint numbers it; when the partner lives on
 	// another rank it is told by a (partner, id) pair, in rows counted
 	// first and then filled (rankRows).
-	owner := growInts(&s.owner, localN)
+	owner := scratch.Grow(&s.owner, localN)
 	cnt := s.notify.counts(procs)
 	for l := 0; l < localN; l++ {
 		if p := match[l]; lo+l < p {

@@ -6,17 +6,17 @@ import (
 	"chaos/internal/dist"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
+	"chaos/internal/scratch"
 )
 
-// This file is the parallel V-cycle of the multilevel partitioner: the
-// coarsening ladder runs distributed over the simulated machine
-// (pcoarsen.go + geocol.BuildCoarse), only the coarsest level is
-// gathered for the serial spectral solve (plus a k-way FM polish), and
-// the k-way partition is projected back up level by level with the
-// hill-climbing distributed FM refinement of prefine.go. Matching,
-// contraction, projection and refinement all do O(local graph) work
-// per rank plus AlltoAll exchanges, so — unlike the gather-everything
-// serial path, whose replicated cost is flat in the machine size — the
+// This file is the level machinery of the distributed ladder pipeline
+// (ladder.go): building a coarsening ladder over the simulated machine
+// (pcoarsen.go + geocol.BuildCoarse), restricting a partition down it
+// and projecting one back up, the per-level refinement budget, and the
+// gathered k-way polish of the coarsest level. Matching, contraction,
+// projection and refinement all do O(local graph) work per rank plus
+// AlltoAll exchanges, so — unlike the gather-everything serial path,
+// whose replicated cost is flat in the machine size — the
 // partitioner's virtual time falls as ranks are added (see
 // TestParallelMultilevelTimeScales). docs/REFINEMENT.md is the guided
 // tour of the refinement stack.
@@ -31,70 +31,10 @@ type plevel struct {
 	coarse *geocol.Graph
 }
 
-// parallelPartition runs the distributed V-cycle. The ladder coarsens
-// until the graph fits the serial-solve handoff (or matching stalls),
-// the coarsest graph is handed to the serial recursive-bisection
-// V-cycle via serialBisectPartition and polished k-way — on a graph
-// below ParallelThreshold, whose replicated cost is small — and the
-// resulting part assignment is projected back through the distributed
-// levels, each refined in place (refineLevel). With VCycle set, a
-// second, partition-preserving ladder re-coarsens the refined
-// partition and refines it again at every scale (vcycleRefine).
-// parallelPartitionLadder is the distributed V-cycle with ladder
-// retention: the coarsening ladder (fine graphs, ghost exchanges,
-// fine-to-coarse maps, coarse graphs) is packaged into a Ladder for
-// incremental warm repartitioning (ladder.go). Plain Partition calls
-// simply discard it.
-func (ml Multilevel) parallelPartitionLadder(c *machine.Ctx, g *geocol.Graph, nparts int) ([]int, *Ladder) {
-	serialTo := ml.serialTo(nparts)
-
-	// One arena per run, threaded through coarsening, the serial solve
-	// and every refinement level, then retained in the Ladder so warm
-	// Repartition epochs reuse the grown buffers.
-	ar := &arena{}
-	ar.reserve(g.LocalN(c.Rank()))
-
-	totalW := 0.0
-	for l := 0; l < g.LocalN(c.Rank()); l++ {
-		totalW += g.Weight(l)
-	}
-	totalW = c.SumFloat(totalW)
-	maxW := totalW * 0.01
-
-	levels, cur, _ := buildLadder(c, ar, g, serialTo, maxW, ml.Seed, nil)
-
-	// Coarsest-level solve: the serial multilevel V-cycle on the
-	// gathered coarse graph (weighted vertices and edges preserve the
-	// fine graph's cut and balance exactly), followed by a k-way FM
-	// polish — the recursive bisection only ever refined 2-way inside
-	// each split, the polish is nearly free on the already-small graph,
-	// and every edge it removes is an edge no uncoarsening level has to
-	// fight for.
-	part := serialBisectPartition(c, cur, nparts, ml.bisecter(ar))
-	serialKway(c, ar, cur, part, nparts, 8, ml.tol())
-
-	// Uncoarsening: pull each home vertex's part from its coarse
-	// vertex's owner, then refine each level in place.
-	for i := len(levels) - 1; i >= 0; i-- {
-		lv := levels[i]
-		part = projectPart(c, &ar.proj, lv.fine, lv.cmap, lv.coarse.Home, part)
-		ml.refineLevel(c, ar, lv.fine, lv.ge, part, nparts, i == 0)
-	}
-
-	if ml.VCycle {
-		ml.vcycleRefine(c, ar, g, part, nparts, serialTo, maxW)
-	}
-	var ld *Ladder
-	if len(levels) > 0 {
-		ld = &Ladder{n: g.N, nparts: nparts, levels: levels, coarsest: cur, ar: ar}
-	}
-	return part, ld
-}
-
 // buildLadder builds a distributed coarsening ladder from g down to
 // serialTo vertices (or until matching stalls). When part is non-nil
 // the matching is restricted to same-part pairs — the ladder then
-// PRESERVES the partition, which is what vcycleRefine coarsens with —
+// PRESERVES the partition, which is what refineSeeded coarsens with —
 // and the partition is carried down the ladder (the third return value
 // is the coarsest level's copy; nil in the unrestricted case). seedBase
 // salts the tie-breaking so distinct ladders of one Partition call
@@ -168,36 +108,6 @@ func serialKway(c *machine.Ctx, ar *arena, g *geocol.Graph, part []int, nparts, 
 	}
 }
 
-// vcycleRefine is multilevel V-cycle refinement (the kMETIS/ParMETIS
-// trick for escaping single-level local minima): coarsen the graph
-// AGAIN with matching restricted to same-part pairs, so every level of
-// the new ladder inherits the current partition exactly, then refine
-// back up through the levels. At coarse levels a single FM move
-// transfers a whole cluster of fine vertices between parts — the
-// global moves plain boundary refinement cannot compose — and the
-// gathered coarsest level gets exact serial treatment. The refined
-// partition is written back into part. Roughly doubles the
-// partitioner's distributed cost for a small cut improvement, which is
-// why it sits behind the VCycle knob. Collective.
-func (ml Multilevel) vcycleRefine(c *machine.Ctx, ar *arena, g *geocol.Graph, part []int, nparts, serialTo int, maxW float64) {
-	levels, cur, cpart := buildLadder(c, ar, g, serialTo, maxW, ml.Seed^0x9e3779b97f4a7c15, part)
-	if len(levels) == 0 {
-		return
-	}
-	if cur.N < ml.parallelThreshold() {
-		serialKway(c, ar, cur, cpart, nparts, 8, ml.tol())
-	} else {
-		parallelFM(c, &ar.fm, cur, ar.ghost.NewGhostExchange(c, cur), cpart, nparts, 3, ml.tol())
-	}
-	for i := len(levels) - 1; i >= 0; i-- {
-		lv := levels[i]
-		next := projectPart(c, &ar.proj, lv.fine, lv.cmap, lv.coarse.Home, cpart)
-		ml.refineLevel(c, ar, lv.fine, lv.ge, next, nparts, i == 0)
-		cpart = next
-	}
-	copy(part, cpart)
-}
-
 // restrictPart restricts a fine partition onto the coarse level of a
 // partition-preserving ladder: every member of a coarse cluster holds
 // the same part, so each rank routes one (coarse id, part) pair per
@@ -208,7 +118,7 @@ func (ml Multilevel) vcycleRefine(c *machine.Ctx, ar *arena, g *geocol.Graph, pa
 //chaos:hotpath
 func restrictPart(c *machine.Ctx, s *projScratch, fine *geocol.Graph, cmap []int, coarseHome dist.BlockDist, finePart []int) []int {
 	me, procs := c.Rank(), c.Procs()
-	owner := growInts(&s.owner, len(cmap))
+	owner := scratch.Grow(&s.owner, len(cmap))
 	cnt := s.out.counts(procs)
 	for l, cv := range cmap {
 		owner[l] = coarseHome.Owner(cv)
@@ -298,7 +208,7 @@ func projectPart(c *machine.Ctx, s *projScratch, fine *geocol.Graph, cmap []int,
 	back := c.AlltoAllInts(rep)
 	// The request lists were consecutive runs of need, in rank order:
 	// the replies concatenate into an array parallel to need.
-	val := growInts(&s.val, len(need))
+	val := scratch.Grow(&s.val, len(need))
 	j := 0
 	for r := 0; r < procs; r++ {
 		j += copy(val[j:], back[r])

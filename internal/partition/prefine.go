@@ -5,6 +5,7 @@ import (
 
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
+	"chaos/internal/scratch"
 )
 
 // This file is the hill-climbing parallel FM refiner of the distributed
@@ -163,8 +164,8 @@ func kwayRefine(s *kwayScratch, xadj, adj []int, ew, w []float64, part []int, np
 	// cleared here; locked is reset at every pass start; acc is guarded
 	// by seen; stamp may hold arbitrary values (bucket entries only
 	// compare stamps recorded in this call, and the buckets are reset).
-	W := growFloats(&s.W, nparts)
-	seen := growBools(&s.seen, nparts)
+	W := scratch.Grow(&s.W, nparts)
+	seen := scratch.Grow(&s.seen, nparts)
 	for q := 0; q < nparts; q++ {
 		W[q], seen[q] = 0, false
 	}
@@ -176,12 +177,12 @@ func kwayRefine(s *kwayScratch, xadj, adj []int, ew, w []float64, part []int, np
 	ideal := totalW / float64(nparts)
 	maxA, minA := ideal*(1+tol), ideal*(1-tol)
 
-	acc := growFloats(&s.acc, nparts)
+	acc := scratch.Grow(&s.acc, nparts)
 	touchedParts := s.touchedParts
-	stamp := growInts(&s.stamp, n)
+	stamp := scratch.Grow(&s.stamp, n)
 	fb := &s.fb
 	fb.ensure()
-	locked := growBools(&s.locked, n)
+	locked := scratch.Grow(&s.locked, n)
 	var scanned int64
 
 	candidate := func(v int) (to int, gain float64, ok bool) {
@@ -323,7 +324,7 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 	// changed" into "rescan these vertices". Built once per refine call
 	// in the arena by counting sort, O(local E), allocation-free at
 	// steady state.
-	start := growInts(&s.ghostAdjStart, len(ge.IDs)+1)
+	start := scratch.Grow(&s.ghostAdjStart, len(ge.IDs)+1)
 	for i := range start {
 		start[i] = 0
 	}
@@ -335,7 +336,7 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 	for i := 0; i < len(ge.IDs); i++ {
 		start[i+1] += start[i]
 	}
-	items := growInts(&s.ghostAdj, start[len(ge.IDs)])
+	items := scratch.Grow(&s.ghostAdj, start[len(ge.IDs)])
 	for l := 0; l < localN; l++ {
 		for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
 			if loc := ge.Loc[k]; loc < 0 {
@@ -356,9 +357,9 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 	//   boundary[l] whether l has any cross-part edge
 	// localCut is maintained incrementally from cutW deltas and checked
 	// against a full recomputation at every pass start.
-	cutW := growFloats(&s.cutW, localN)
-	boundary := growBools(&s.boundary, localN)
-	dirty := growBools(&s.dirty, localN)
+	cutW := scratch.Grow(&s.cutW, localN)
+	boundary := scratch.Grow(&s.boundary, localN)
+	dirty := scratch.Grow(&s.dirty, localN)
 	for l := 0; l < localN; l++ {
 		dirty[l] = false
 	}
@@ -395,9 +396,9 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 	// syncState fuses the two collectives every sub-iteration boundary
 	// needs — part weights and exact global cut — into one allgather of
 	// nparts+1 floats per rank.
-	W := growFloats(&s.W, nparts)
+	W := scratch.Grow(&s.W, nparts)
 	var cut float64
-	buf := growFloats(&s.buf, nparts+1)
+	buf := scratch.Grow(&s.buf, nparts+1)
 	syncState := func() {
 		for q := 0; q < nparts; q++ {
 			buf[q] = 0
@@ -431,24 +432,24 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 	// acc is guarded by seen, the budgets are overwritten every
 	// sub-iteration, and stamp may hold arbitrary values (entries only
 	// compare stamps recorded in this call).
-	acc := growFloats(&s.acc, nparts)
-	seen := growBools(&s.seen, nparts)
+	acc := scratch.Grow(&s.acc, nparts)
+	seen := scratch.Grow(&s.seen, nparts)
 	for q := 0; q < nparts; q++ {
 		seen[q] = false
 	}
 	touchedParts := s.touchedParts
-	stamp := growInts(&s.stamp, localN)
+	stamp := scratch.Grow(&s.stamp, localN)
 	fb := &s.fb
 	fb.ensure()
-	locked := growBools(&s.locked, localN)
-	movedFlag := growBools(&s.movedFlag, localN)
+	locked := scratch.Grow(&s.locked, localN)
+	movedFlag := scratch.Grow(&s.movedFlag, localN)
 	for l := 0; l < localN; l++ {
 		movedFlag[l] = false
 	}
 	log := s.log[:0]
 	blocked := s.blocked
-	addBudget := growFloats(&s.addBudget, nparts)
-	subBudget := growFloats(&s.subBudget, nparts)
+	addBudget := scratch.Grow(&s.addBudget, nparts)
+	subBudget := scratch.Grow(&s.subBudget, nparts)
 
 	// candidate computes l's best direction-eligible move: the adjacent
 	// part maximizing the cut gain (ties toward the smaller part id).

@@ -6,6 +6,7 @@ import (
 	"chaos/internal/dist"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
+	"chaos/internal/scratch"
 	"chaos/internal/xrand"
 )
 
@@ -52,7 +53,7 @@ func refDistHeavyEdgeMatch(c *machine.Ctx, s *refMatchScratch, g *geocol.Graph, 
 	lo := g.Home.Lo(me)
 	localN := g.LocalN(me)
 
-	homeW := growFloats(&s.homeW, localN)
+	homeW := scratch.Grow(&s.homeW, localN)
 	for l := range homeW {
 		homeW[l] = g.Weight(l)
 	}
@@ -64,7 +65,7 @@ func refDistHeavyEdgeMatch(c *machine.Ctx, s *refMatchScratch, g *geocol.Graph, 
 		s.ghostW = ghostW
 	}
 
-	match := growInts(&s.match, localN)
+	match := scratch.Grow(&s.match, localN)
 	for l := range match {
 		match[l] = -1
 	}
@@ -72,15 +73,15 @@ func refDistHeavyEdgeMatch(c *machine.Ctx, s *refMatchScratch, g *geocol.Graph, 
 	// only the ids newly matched in the previous round (PushMarks): the
 	// first round has nothing to push, and the total flag traffic of a
 	// matching is one boundary's worth instead of one per round.
-	ghostMatched := growInts(&s.ghostMatched, len(ge.IDs))
-	newly := growBools(&s.newly, localN)
+	ghostMatched := scratch.Grow(&s.ghostMatched, len(ge.IDs))
+	newly := scratch.Grow(&s.newly, localN)
 	for l := 0; l < localN; l++ {
 		newly[l] = false
 	}
 	for i := range ghostMatched {
 		ghostMatched[i] = 0
 	}
-	target := growInts(&s.target, localN)
+	target := scratch.Grow(&s.target, localN)
 	// Proposal scratch, reused across rounds and matchings ([:0] reset
 	// keeps the steady-state capacity; AlltoAll copies payloads before
 	// delivery).
@@ -284,7 +285,7 @@ func refProjectPart(c *machine.Ctx, s *refProjScratch, fine *geocol.Graph, cmap 
 	// need is sorted and block ownership is monotone in the id, so the
 	// per-rank request lists are consecutive runs of need: the replies
 	// concatenate into an array parallel to need.
-	val := growInts(&s.val, len(need))
+	val := scratch.Grow(&s.val, len(need))
 	j := 0
 	for r := 0; r < procs; r++ {
 		j += copy(val[j:], back[r])

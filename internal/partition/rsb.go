@@ -5,6 +5,7 @@ import (
 
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
+	"chaos/internal/scratch"
 )
 
 // RSB is recursive spectral bisection (Simon; the paper's "eigenvalue
@@ -132,7 +133,7 @@ func splitSides(sg *subgraph, side []bool) (left, right []int) {
 func induce(s *klScratch, f *geocol.Full, verts []int) *subgraph {
 	sg := &subgraph{n: len(verts), orig: verts}
 	// local[v] == base+1+i marks v as vertex i of this subgraph.
-	local, base := growInts(&s.local, f.N), s.localBase
+	local, base := scratch.Grow(&s.local, f.N), s.localBase
 	s.localBase += len(verts)
 	degSum := 0
 	for i, v := range verts {

@@ -113,52 +113,3 @@ func Cut(c *machine.Ctx, g *geocol.Graph, part []int) float64 {
 	}
 	return c.SumFloat(w) / 2
 }
-
-// RefineLadder refines a seed partition (e.g. a STREAM first-touch
-// cold start) at every scale and retains the resulting
-// partition-preserving coarsening ladder for incremental warm
-// Repartition — the bridge that lets a cheap streaming partition
-// bootstrap the multilevel warm path without ever paying a full cold
-// MULTILEVEL run. It mirrors vcycleRefine (coarsen with matching
-// restricted to same-part pairs, polish the gathered coarsest level,
-// project and FM-refine back up), but keeps the ladder instead of
-// discarding it. On the serial path (single rank or a sub-threshold
-// graph) the seed is polished by the serial k-way FM and no ladder is
-// retained, matching PartitionLadder's convention. The seed must be
-// home-local with nparts parts; it is not modified. Collective.
-func (ml Multilevel) RefineLadder(c *machine.Ctx, g *geocol.Graph, nparts int, seed []int) ([]int, *Ladder) {
-	checkArgs(nparts)
-	if !g.HasLink {
-		panic("partition: MULTILEVEL requires a GeoCoL LINK component")
-	}
-	part := append([]int(nil), seed...)
-	ar := &arena{}
-	thr := ml.parallelThreshold()
-	if !(c.Procs() > 1 && thr > 0 && g.N >= thr && g.N > ml.serialTo(nparts)) {
-		serialKway(c, ar, g, part, nparts, 8, ml.tol())
-		return part, nil
-	}
-
-	totalW := 0.0
-	for l := 0; l < g.LocalN(c.Rank()); l++ {
-		totalW += g.Weight(l)
-	}
-	totalW = c.SumFloat(totalW)
-	maxW := totalW * 0.01
-
-	serialTo := ml.serialTo(nparts)
-	levels, cur, cpart := buildLadder(c, ar, g, serialTo, maxW, ml.Seed^0xbf58476d1ce4e5b9, part)
-	if len(levels) == 0 {
-		// Matching stalled immediately: refine flat, nothing to retain.
-		ml.refineLevel(c, ar, g, geocol.NewGhostExchange(c, g), part, nparts, true)
-		return part, nil
-	}
-	serialKway(c, ar, cur, cpart, nparts, 8, ml.tol())
-	for i := len(levels) - 1; i >= 0; i-- {
-		lv := levels[i]
-		cpart = projectPart(c, &ar.proj, lv.fine, lv.cmap, lv.coarse.Home, cpart)
-		ml.refineLevel(c, ar, lv.fine, lv.ge, cpart, nparts, i == 0)
-	}
-	ld := &Ladder{n: g.N, nparts: nparts, levels: levels, coarsest: cur, ar: ar}
-	return cpart, ld
-}

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"chaos/internal/machine"
+	"chaos/internal/scratch"
 	"chaos/internal/slottab"
 	"chaos/internal/ttable"
 )
@@ -43,7 +44,7 @@ func (b *Builder) BuildIncremental(c *machine.Ctx, res ttable.Resolver, myLocalS
 		}
 	}
 
-	ref := grow(&dst, len(globals))
+	ref := scratch.Grow(&dst, len(globals))
 	newIdx, newGlobals := b.newIdx[:0], b.newGlobals[:0]
 	for i, g := range globals {
 		if owners[i] == me {

@@ -15,6 +15,7 @@ import (
 	"slices"
 
 	"chaos/internal/machine"
+	"chaos/internal/scratch"
 	"chaos/internal/slottab"
 	"chaos/internal/ttable"
 )
@@ -122,16 +123,6 @@ type Builder struct {
 // ghostRef is one off-processor element and where it lives.
 type ghostRef struct{ owner, global, local int }
 
-// grow returns (*buf)[:n], reallocating only when the capacity is
-// exceeded; the contents are unspecified.
-func grow[T any](buf *[]T, n int) []T {
-	if cap(*buf) < n {
-		*buf = make([]T, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
 // BuildGather runs the inspector for one data array. res resolves the
 // array's global index space; myLocalSize is the length of the calling
 // rank's local section; globals lists every global index the local
@@ -170,7 +161,7 @@ func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize i
 	me := c.Rank()
 	owners, locals := res.ResolveInto(c, &b.tt, globals)
 
-	ref := grow(&dst, len(globals))
+	ref := scratch.Grow(&dst, len(globals))
 
 	// Local references are final; off-processor ones are set aside,
 	// counted first so their lists are sized once.
@@ -180,7 +171,7 @@ func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize i
 			nOff++
 		}
 	}
-	offPos := grow(&b.offPos, nOff)[:0]
+	offPos := scratch.Grow(&b.offPos, nOff)[:0]
 	for i, o := range owners {
 		if o == me {
 			ref[i] = locals[i]
@@ -189,7 +180,7 @@ func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize i
 		}
 	}
 
-	ghosts := grow(&b.ghosts, nOff)[:0]
+	ghosts := scratch.Grow(&b.ghosts, nOff)[:0]
 	if opt.NoDedup {
 		// Every reference gets a slot of its own, in reference order.
 		for k, i := range offPos {
@@ -228,7 +219,7 @@ func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize i
 	requests := make([][]int, p)
 	reqs := make([]int, len(ghosts))
 	slots := make([]int, len(ghosts))
-	next := grow(&b.next, p+1)
+	next := scratch.Grow(&b.next, p+1)
 	clear(next)
 	for _, g := range ghosts {
 		next[g.owner+1]++
@@ -320,7 +311,7 @@ func move[T int | float64](c *machine.Ctx, s *Schedule, x *transport[T], exchang
 		x.in, x.out[0], x.out[1] = hdr[:p:p], hdr[p:2*p:2*p], hdr[2*p:]
 	}
 	x.turn ^= 1
-	slab, out := grow(&x.slab[x.turn], nPack*ncomp), x.out[x.turn]
+	slab, out := scratch.Grow(&x.slab[x.turn], nPack*ncomp), x.out[x.turn]
 	for p, lst := range pack {
 		row := slab[:len(lst)*ncomp]
 		slab = slab[len(row):]

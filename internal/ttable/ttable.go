@@ -10,10 +10,10 @@ package ttable
 
 import (
 	"fmt"
-	"sort"
 
 	"chaos/internal/dist"
 	"chaos/internal/machine"
+	"chaos/internal/scratch"
 )
 
 // Resolver answers batched ownership queries for a distributed index
@@ -46,8 +46,8 @@ func (r Regular) Resolve(c *machine.Ctx, globals []int) ([]int, []int) {
 
 //chaos:hotpath
 func (r Regular) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int, []int) {
-	owners := grow(&ws.owners, len(globals))
-	locals := grow(&ws.locals, len(globals))
+	owners := scratch.Grow(&ws.owners, len(globals))
+	locals := scratch.Grow(&ws.locals, len(globals))
 	for i, g := range globals {
 		owners[i] = r.D.Owner(g)
 		locals[i] = r.D.Local(g)
@@ -161,16 +161,6 @@ type Workspace struct {
 	qout, aout, in [][]int
 }
 
-// grow returns (*buf)[:n], reallocating only when the capacity is
-// exceeded. The contents are unspecified: every caller overwrites them.
-func grow[T any](buf *[]T, n int) []T {
-	if cap(*buf) < n {
-		*buf = make([]T, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
 // Resolve answers global→(owner, local) for each query index, in one
 // all-to-all round trip. Duplicate queries are permitted. Must be
 // called collectively (even when every query hits the local cache, the
@@ -196,13 +186,13 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 	p := c.Procs()
 	n := t.home.Size()
 
-	owners := grow(&ws.owners, len(globals))
-	locals := grow(&ws.locals, len(globals))
+	owners := scratch.Grow(&ws.owners, len(globals))
+	locals := scratch.Grow(&ws.locals, len(globals))
 
 	// Pass 1: count the queries per home rank; cache hits are answered
 	// immediately and skipped.
-	home := grow(&ws.home, len(globals))
-	start := grow(&ws.start, p+1)
+	home := scratch.Grow(&ws.home, len(globals))
+	start := scratch.Grow(&ws.start, p+1)
 	clear(start)
 	for pos, g := range globals {
 		if g < 0 || g >= n {
@@ -224,10 +214,10 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 	}
 
 	// Pass 2: fill the buckets.
-	next := grow(&ws.next, p)
+	next := scratch.Grow(&ws.next, p)
 	copy(next, start)
-	qs := grow(&ws.qs, start[p])
-	qpos := grow(&ws.qpos, start[p])
+	qs := scratch.Grow(&ws.qs, start[p])
+	qpos := scratch.Grow(&ws.qpos, start[p])
 	for pos, h := range home {
 		if h < 0 {
 			continue
@@ -237,12 +227,12 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 		qs[k] = globals[pos]
 		qpos[k] = pos
 	}
-	qout := grow(&ws.qout, p)
+	qout := scratch.Grow(&ws.qout, p)
 	for h := range qout {
 		qout[h] = qs[start[h]:start[h+1]]
 	}
 	c.Words(2 * len(globals))
-	queries := c.ExchangeInts(qout, grow(&ws.in, p))
+	queries := c.ExchangeInts(qout, scratch.Grow(&ws.in, p))
 
 	// Answer queries against the local table slice.
 	lo := t.home.Lo(c.Rank())
@@ -250,8 +240,8 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 	for _, q := range queries {
 		total += len(q)
 	}
-	ans := grow(&ws.ans, 2*total)
-	aout := grow(&ws.aout, p)
+	ans := scratch.Grow(&ws.ans, 2*total)
+	aout := scratch.Grow(&ws.aout, p)
 	k := 0
 	for src, q := range queries {
 		a := ans[k : k+2*len(q)]
@@ -317,12 +307,4 @@ func (t *Table) Replicated(c *machine.Ctx) *dist.IrregularDist {
 	}
 	c.Words(len(owner))
 	return dist.NewIrregular(owner, c.Procs())
-}
-
-// SortedCopy returns a sorted copy of xs (test helper shared by
-// packages; exported to avoid duplication).
-func SortedCopy(xs []int) []int {
-	cp := append([]int(nil), xs...)
-	sort.Ints(cp)
-	return cp
 }
