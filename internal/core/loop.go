@@ -10,6 +10,7 @@ import (
 	"chaos/internal/registry"
 	"chaos/internal/remap"
 	"chaos/internal/schedule"
+	"chaos/internal/scratch"
 	"chaos/internal/ttable"
 )
 
@@ -147,6 +148,9 @@ type Loop struct {
 
 	rec  registry.LoopRecord
 	insp *inspectorState
+	// ws is the inspector's workspace, held only between back-to-back
+	// inspections (see Inspect).
+	ws *schedule.Builder
 
 	// What every reused step needs and the loop therefore keeps across
 	// steps and across inspections, grow-only: the ghost, accumulation
@@ -164,9 +168,10 @@ const execBlock = 256
 // gatherGroup is one fused communication schedule serving one or more
 // read accesses of the same array, and the ghost buffer it fills.
 type gatherGroup struct {
-	arr   *Array
-	sched *schedule.Schedule
-	ghost []float64
+	arr     *Array
+	sched   *schedule.Schedule
+	ghost   []float64
+	members []int // the accesses served, in access order
 }
 
 // scatterGroup is one fused schedule serving write accesses that share
@@ -199,10 +204,11 @@ type inspectorState struct {
 	// in and out are the operand blocks, iteration-major: iteration b
 	// of a strip reads in[b*len(Reads):] and fills out[b*len(Writes):].
 	in, out []float64
-	// refs holds the whole reference vector of every distinct access
-	// pattern, in build order — the plans slice them, groups with the
-	// same pattern the same one — so the next inspection can recycle
-	// the storage.
+	// pats lists the distinct access patterns in build order and refs
+	// the whole reference vector of each — the plans slice them, groups
+	// with the same pattern the same one. The next inspection builds
+	// its i-th pattern into pats[i].sched and refs[i].
+	pats []pattern
 	refs [][]int
 }
 
@@ -210,7 +216,7 @@ type inspectorState struct {
 // paper's Section 3): the data array's distribution, its local size,
 // and the indirection arrays it is reached through, in order — never
 // which array's values travel. Inspect builds each distinct pattern
-// once; pattern i owns inspectorState.refs[i].
+// once; inspectorState.pats[i] owns inspectorState.refs[i].
 type pattern struct {
 	res  ttable.Resolver
 	size int
@@ -341,25 +347,42 @@ func (l *Loop) dads() (data, ind []dist.DAD) {
 // every access's DADs and indirection timestamps with the registry.
 // Collective.
 //
-// All its schedule builds share one schedule.Builder that lives for
-// this call only, and the reference vectors of the inspector state
-// being replaced become the storage of the new ones: a re-inspection
-// allocates little beyond the schedules themselves, and the loop
-// retains no inspector scratch between inspections — only the buffers
-// every executor step needs (Loop.store).
+// A re-inspection rebuilds in place: the previous inspector state's
+// lists are refilled, and each build takes the schedule and reference
+// vector of the same build position last time as its storage
+// (schedule.Builder.BuildGather). The grouping itself is recomputed
+// every time; only its storage is reused. The saved record is
+// invalidated first, so an inspection that does not complete leaves
+// nothing the reuse check would accept.
+//
+// All the schedule builds share one schedule.Builder. A first
+// inspection drops it on return; one that replaced an inspector state
+// keeps it (Loop.ws) for the next, until Execute finds the schedules
+// reusable: a loop under schedule reuse retains no inspector scratch,
+// only the buffers every executor step needs (Loop.store), and a loop
+// that re-inspects step after step stops allocating.
 func (l *Loop) Inspect() {
 	l.s.timed(TimerInspector, func() {
+		l.rec.Invalidate()
 		// Register indirection descriptors with the (possibly
 		// tracked) registry before recording timestamps.
 		data, ind := l.dads()
 		for _, d := range ind {
 			l.s.Reg.Track(d)
 		}
-		st := &inspectorState{}
+		st, b := l.insp, l.ws
+		if b == nil {
+			b = &schedule.Builder{}
+		}
+		if st != nil {
+			l.ws = b // this loop re-inspects: keep the scratch for the next time
+		} else {
+			st = &inspectorState{}
+		}
 		nLocal := len(l.iterGl)
-		var b schedule.Builder
 		var cat []int // a fused group's concatenated reference lists
-		pats := make([]pattern, 0, len(l.Reads)+len(l.Writes))
+		oldPats, oldRefs := st.pats, st.refs
+		st.pats, st.refs = st.pats[:0], st.refs[:0]
 
 		// build gives group gi, whose member read (or write) accesses
 		// reach arr, its schedule and each member's plan its stretch of
@@ -367,7 +390,7 @@ func (l *Loop) Inspect() {
 		// pattern, or else newly inspected.
 		build := func(gi int, arr *Array, write bool, members []int, plans []accessPlan) *schedule.Schedule {
 			pat := pattern{res: arr.res, size: len(arr.Data), write: write, members: members}
-			pi := slices.IndexFunc(pats, func(q pattern) bool {
+			pi := slices.IndexFunc(st.pats, func(q pattern) bool {
 				return q.size == pat.size && sameDistribution(q.res, pat.res) &&
 					slices.EqualFunc(q.members, members, func(j, k int) bool { return l.ind(q.write, j) == l.ind(write, k) })
 			})
@@ -380,76 +403,70 @@ func (l *Loop) Inspect() {
 					}
 					globals = cat
 				}
+				var old *schedule.Schedule
 				var recycled []int
-				if n := len(st.refs); l.insp != nil && n < len(l.insp.refs) {
-					recycled = l.insp.refs[n]
+				if pi = len(st.pats); pi < len(oldPats) {
+					old, recycled = oldPats[pi].sched, oldRefs[pi]
 				}
 				var ref []int
-				pat.sched, ref = b.BuildGather(l.s.C, arr.res, pat.size, globals, schedule.Options{}, recycled)
-				pi, pats, st.refs = len(pats), append(pats, pat), append(st.refs, ref)
+				pat.sched, ref = b.BuildGather(l.s.C, arr.res, pat.size, globals, schedule.Options{}, old, recycled)
+				st.pats, st.refs = append(st.pats, pat), append(st.refs, ref)
 			}
 			for idx, j := range members {
 				plans[j] = accessPlan{group: gi, ref: st.refs[pi][idx*nLocal : (idx+1)*nLocal]}
 			}
-			return pats[pi].sched
+			return st.pats[pi].sched
 		}
 
 		// Group read accesses (per array when merging, else one group
 		// per access); a group's schedule is built over its members'
 		// concatenated reference lists and the reference vector sliced
 		// back per access.
-		rGroupOf := map[*Array]int{}
-		var rMembers [][]int
+		st.rGroups = st.rGroups[:0]
 		for j, r := range l.Reads {
 			gi := -1
 			if l.MergeAccesses {
-				if idx, ok := rGroupOf[r.Arr]; ok {
-					gi = idx
-				}
+				gi = slices.IndexFunc(st.rGroups, func(g gatherGroup) bool { return g.arr == r.Arr })
 			}
 			if gi < 0 {
 				gi = len(st.rGroups)
-				st.rGroups = append(st.rGroups, gatherGroup{arr: r.Arr})
-				rMembers = append(rMembers, nil)
-				if l.MergeAccesses {
-					rGroupOf[r.Arr] = gi
-				}
+				g := extend(&st.rGroups)
+				*g = gatherGroup{arr: r.Arr, members: g.members[:0]}
 			}
-			rMembers[gi] = append(rMembers[gi], j)
+			st.rGroups[gi].members = append(st.rGroups[gi].members, j)
 		}
-		st.rPlans = make([]accessPlan, len(l.Reads))
+		st.rPlans = scratch.Grow(&st.rPlans, len(l.Reads))
 		for gi := range st.rGroups {
 			g := &st.rGroups[gi]
-			g.sched = build(gi, g.arr, false, rMembers[gi], st.rPlans)
+			g.sched = build(gi, g.arr, false, g.members, st.rPlans)
 		}
 
 		// Same for writes, grouped by (array, reduction operator).
-		type wKey struct {
-			arr *Array
-			op  Reduce
-		}
-		wGroupOf := map[wKey]int{}
+		st.wGroups = st.wGroups[:0]
 		for k, w := range l.Writes {
-			key := wKey{w.Arr, w.Op}
 			gi := -1
 			if l.MergeAccesses {
-				if idx, ok := wGroupOf[key]; ok {
-					gi = idx
-				}
+				gi = slices.IndexFunc(st.wGroups, func(g scatterGroup) bool { return g.arr == w.Arr && g.op == w.Op })
 			}
 			if gi < 0 {
 				gi = len(st.wGroups)
-				st.wGroups = append(st.wGroups, scatterGroup{arr: w.Arr, op: w.Op, combine: w.Op.combine})
-				if l.MergeAccesses {
-					wGroupOf[key] = gi
+				g := extend(&st.wGroups)
+				if g.combine == nil || g.op != w.Op {
+					g.combine = w.Op.combine // binding allocates: once per operator
 				}
+				g.arr, g.op, g.members = w.Arr, w.Op, g.members[:0]
 			}
 			st.wGroups[gi].members = append(st.wGroups[gi].members, k)
 		}
-		st.wPlans = make([]accessPlan, len(l.Writes))
+		st.wPlans = scratch.Grow(&st.wPlans, len(l.Writes))
 		for gi := range st.wGroups {
 			g := &st.wGroups[gi]
 			g.sched = build(gi, g.arr, true, g.members, st.wPlans)
+		}
+		// Fewer patterns than last time: let the surplus go.
+		if n := len(st.pats); n < len(oldPats) {
+			clear(oldPats[n:])
+			clear(oldRefs[n:])
 		}
 
 		// Carve the executor's buffers out of the loop's slab.
@@ -483,6 +500,18 @@ func (l *Loop) Inspect() {
 	})
 }
 
+// extend lengthens *s by one element and returns it. Within the
+// capacity that is the element an earlier, longer *s held there, so the
+// caller can take over its storage.
+func extend[T any](s *[]T) *T {
+	if n := len(*s); n < cap(*s) {
+		*s = (*s)[:n+1]
+	} else {
+		*s = append(*s, *new(T))
+	}
+	return &(*s)[len(*s)-1]
+}
+
 // Execute runs one executor iteration of the loop, re-running the
 // inspector only when the registry's conservative check fails (the
 // paper's schedule-reuse mechanism). Collective.
@@ -490,7 +519,9 @@ func (l *Loop) Execute() {
 	// The reuse check itself is charged: a few descriptor comparisons.
 	l.s.C.Words(2 * (len(l.Reads) + len(l.Writes)))
 	data, ind := l.dads()
-	if !l.s.Reg.Check(&l.rec, data, ind) || l.insp == nil {
+	if l.s.Reg.Check(&l.rec, data, ind) && l.insp != nil {
+		l.ws = nil // under reuse the loop holds no inspector scratch
+	} else {
 		l.Inspect()
 	}
 	l.s.timed(TimerExecutor, l.executor)

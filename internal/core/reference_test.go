@@ -356,7 +356,7 @@ func (l *Loop) referenceInspect() {
 			if n := len(st.refs); l.insp != nil && n < len(l.insp.refs) {
 				recycled = l.insp.refs[n]
 			}
-			sch, ref := b.BuildGather(l.s.C, arr.res, len(arr.Data), globals, schedule.Options{}, recycled)
+			sch, ref := b.BuildGather(l.s.C, arr.res, len(arr.Data), globals, schedule.Options{}, nil, recycled)
 			st.refs = append(st.refs, ref)
 			for idx, j := range members {
 				plans[j] = accessPlan{group: gi, ref: ref[idx*nLocal : (idx+1)*nLocal]}
@@ -659,9 +659,9 @@ func (p *inspProg) declare(merge bool, rd []Read, wr []Write) {
 func (p *inspProg) step(noReuse, inspects, shares bool) {
 	l := p.loop
 	if !inspects {
-		before := l.insp
+		_, before := p.s.Reg.Stats()
 		l.Execute()
-		if l.insp != before {
+		if _, misses := p.s.Reg.Stats(); misses != before {
 			p.t.Errorf("rank %d step %d: inspected, reuse expected", p.c.Rank(), len(p.tr.clocks))
 		}
 	} else {
@@ -833,20 +833,9 @@ func TestInspectorMatchesReference(t *testing.T) {
 					run := func(want []inspTrace) []inspTrace {
 						traces := make([]inspTrace, sh.p)
 						err := machine.Run(cfg, func(c *machine.Ctx) {
-							p := &inspProg{t: t, c: c, s: NewSession(c), tr: &traces[c.Rank()], n: sh.n}
+							p := newInspProg(t, c, &traces[c.Rank()], sh.n, sh.nIter)
 							if want != nil {
 								p.want = &want[c.Rank()]
-							}
-							p.x, p.y, p.z = p.s.NewArray("x", sh.n), p.s.NewArray("y", sh.n), p.s.NewArray("z", sh.n)
-							for i, a := range []*Array{p.x, p.y, p.z} {
-								a.FillByGlobal(func(g int) float64 {
-									return (float64(mix(g, i)%2000) - 1000) * math.Pow(2, float64(mix(g, i+3)%40-20))
-								})
-							}
-							inds := []**IntArray{&p.e1, &p.e2, &p.e3}
-							for i, ind := range inds {
-								*ind = p.s.NewIntArray(fmt.Sprintf("e%d", i+1), sh.nIter)
-								(*ind).FillByGlobal(func(g int) int { return mix(g, 10+i) % sh.n })
 							}
 							tc.run(p)
 							p.step(true, true, p.shares[len(p.shares)-1])

@@ -61,7 +61,7 @@ func (b *Builder) BuildIncremental(c *machine.Ctx, res ttable.Resolver, myLocalS
 
 	// Build a fresh schedule over only the uncovered references. This
 	// is collective even when a rank has nothing new (empty list).
-	inc, incRef := b.BuildGather(c, res, myLocalSize, newGlobals, opt, b.incRef)
+	inc, incRef := b.BuildGather(c, res, myLocalSize, newGlobals, opt, nil, b.incRef)
 	b.incRef = incRef
 	offset := base.nGhost
 	for k, i := range newIdx {

@@ -311,7 +311,7 @@ func TestBuildersMatchReference(t *testing.T) {
 									tr.add(c, s, ref)
 									inc, incRef = BuildIncremental(c, res, localSize, s, more, opt)
 								default:
-									s, ref = b.BuildGather(c, res, localSize, globals, opt, ref)
+									s, ref = b.BuildGather(c, res, localSize, globals, opt, nil, ref)
 									tr.add(c, s, ref)
 									inc, incRef = b.BuildIncremental(c, res, localSize, s, more, opt, incRef)
 								}

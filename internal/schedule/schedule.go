@@ -41,6 +41,16 @@ type Schedule struct {
 	// The send buffers of the data movements, per element type.
 	floats transport[float64]
 	ints   transport[int]
+
+	// The build's own storage, kept for the schedule that is built in
+	// this one's place (Builder.BuildGather's old): slots backs the rows
+	// of recvGhost; reqs and requests are the request lists and their
+	// header, which the build gives away to the peers, two of each used
+	// alternately per build (turn) as transport alternates its slabs.
+	slots    []int
+	reqs     [2][]int
+	requests [2][][]int
+	turn     int
 }
 
 // GhostGlobals returns the global index mirrored by each ghost slot
@@ -138,25 +148,41 @@ type ghostRef struct{ owner, global, local int }
 // Collective: all ranks must call BuildGather together.
 func BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, globals []int, opt Options) (*Schedule, []int) {
 	var b Builder
-	return b.BuildGather(c, res, myLocalSize, globals, opt, nil)
+	return b.BuildGather(c, res, myLocalSize, globals, opt, nil, nil)
 }
 
-// BuildGather is the package-level BuildGather on b's scratch. The
-// reference vector is written into dst's storage when that is large
-// enough (dst's contents are dead after the call either way), so an
-// inspector that replaces an old reference vector can recycle it.
+// BuildGather is the package-level BuildGather on b's scratch, for an
+// inspector that replaces what an earlier build returned: the schedule
+// is built into old (nil builds a fresh one) and the reference vector
+// into dst's storage when that is large enough. Both are dead after the
+// call either way, and a rebuilt schedule is equal, field by field, to a
+// fresh one.
+//
+// Passing old asserts that its counterparts are dead on every rank: no
+// rank runs a data movement on the old schedule once any rank has
+// started the rebuild, and every rank passes the schedule of the same
+// earlier build. old's headers, slot array, ghostGlobal and transports
+// are this rank's own and are simply refilled. Its request lists are
+// not: they went to the peers by ownership transfer, and on the
+// Simulated backend the peers' send lists are that memory, read by
+// every Gather and Scatter until the peer's own rebuild replaces them
+// in this build's exchange. A Regular resolver puts no collective
+// between the last scatter's unpack and this build's fill, so the
+// lists of build n are written while a peer may still read those of
+// build n-1: there are two request slabs and two headers, used
+// alternately, and the ones filled here were last read before the
+// peers entered build n-1's exchange, which this rank has returned
+// from (the rule of machine.Ctx.ExchangeInts, as transport keeps it).
 //
 // Off-processor references are collected in one pass, deduplicated
 // through the open-addressing table, and only the distinct ones are
 // sorted into ghost-slot order (owner, global); the per-owner request
-// and slot lists are slices of two flat arrays. The request lists go
-// out by ownership transfer and are never written again, so the
-// receivers keep them as their send lists.
+// and slot lists are slices of two flat arrays.
 //
 // Collective.
 //
 //chaos:hotpath
-func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, globals []int, opt Options, dst []int) (*Schedule, []int) {
+func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, globals []int, opt Options, old *Schedule, dst []int) (*Schedule, []int) {
 	p := c.Procs()
 	me := c.Rank()
 	owners, locals := res.ResolveInto(c, &b.tt, globals)
@@ -213,12 +239,17 @@ func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize i
 	// Per-owner request lists (the owner's local indices we need) and
 	// ghost-slot lists, both in slot order: a stable counting sort of
 	// the ghosts by owner into two flat arrays.
-	s := &Schedule{procs: p, nGhost: len(ghosts)}
-	s.recvGhost = make([][]int, p)
-	s.ghostGlobal = make([]int, len(ghosts))
-	requests := make([][]int, p)
-	reqs := make([]int, len(ghosts))
-	slots := make([]int, len(ghosts))
+	s := old
+	if s == nil {
+		s = &Schedule{}
+	}
+	s.procs, s.nGhost = p, len(ghosts)
+	s.turn ^= 1
+	recvGhost, requests := scratch.Grow(&s.recvGhost, p), scratch.Grow(&s.requests[s.turn], p)
+	clear(recvGhost)
+	clear(requests)
+	ghostGlobal := scratch.Grow(&s.ghostGlobal, len(ghosts))
+	reqs, slots := scratch.Grow(&s.reqs[s.turn], len(ghosts)), scratch.Grow(&s.slots, len(ghosts))
 	next := scratch.Grow(&b.next, p+1)
 	clear(next)
 	for _, g := range ghosts {
@@ -228,7 +259,7 @@ func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize i
 		next[o+1] += next[o]
 		if next[o+1] > next[o] {
 			requests[o] = reqs[next[o]:next[o+1]]
-			s.recvGhost[o] = slots[next[o]:next[o+1]]
+			recvGhost[o] = slots[next[o]:next[o+1]]
 		}
 	}
 	for slot, g := range ghosts {
@@ -236,13 +267,13 @@ func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize i
 		next[g.owner]++
 		reqs[k] = g.local
 		slots[k] = slot
-		s.ghostGlobal[slot] = g.global
+		ghostGlobal[slot] = g.global
 	}
 	c.Words(2 * len(globals))
 
 	// Exchange request lists: what I ask of p becomes p's send list
 	// to me.
-	s.sendLocal = c.ExchangeInts(requests, make([][]int, p))
+	s.sendLocal = c.ExchangeInts(requests, scratch.Grow(&s.sendLocal, p))
 	// Validate send-list bounds eagerly so executor failures point at
 	// the inspector.
 	for src, lst := range s.sendLocal {
@@ -306,7 +337,7 @@ func move[T int | float64](c *machine.Ctx, s *Schedule, x *transport[T], exchang
 		nPack += len(pack[p])
 		nUnpack += len(unpack[p])
 	}
-	if x.in == nil {
+	if len(x.in) != s.procs {
 		p, hdr := s.procs, make([][]T, 3*s.procs)
 		x.in, x.out[0], x.out[1] = hdr[:p:p], hdr[p:2*p:2*p], hdr[2*p:]
 	}

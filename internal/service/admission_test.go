@@ -97,18 +97,35 @@ func TestAdmissionControl(t *testing.T) {
 				}()
 			}
 
-			// Plug every worker with a blocking compute, waiting until
-			// each is actually inside the engine.
+			// eventually polls until pending answers "", and after five
+			// seconds fails the test with what it last answered.
+			eventually := func(pending func() string) {
+				t.Helper()
+				for deadline := time.After(5 * time.Second); ; {
+					msg := pending()
+					if msg == "" {
+						return
+					}
+					select {
+					case <-deadline:
+						t.Fatal(msg)
+					case <-time.After(time.Millisecond):
+					}
+				}
+			}
+
+			// Plug every worker with a blocking compute, one at a time
+			// and waiting until each is actually inside the engine: issued
+			// together, more than queueDepth of them can be queued at once
+			// and the rest are rejected.
 			for v := 0; v < workers; v++ {
 				do(v)
-			}
-			deadline := time.After(5 * time.Second)
-			for len(sc.started()) < workers {
-				select {
-				case <-deadline:
-					t.Fatalf("only %d/%d workers started", len(sc.started()), workers)
-				case <-time.After(time.Millisecond):
-				}
+				eventually(func() string {
+					if n := len(sc.started()); n <= v {
+						return fmt.Sprintf("only %d/%d workers started", n, workers)
+					}
+					return ""
+				})
 			}
 
 			// Fill the queue exactly, one request at a time — waiting for
@@ -119,19 +136,14 @@ func TestAdmissionControl(t *testing.T) {
 			for v := workers; v < workers+queueDepth; v++ {
 				queued = append(queued, tinyRequest(v).fingerprintForTest())
 				do(v)
-				for deadline2 := time.After(5 * time.Second); ; {
+				eventually(func() string {
 					s.mu.Lock()
-					n := len(s.flight)
-					s.mu.Unlock()
-					if n == v+1 {
-						break
+					defer s.mu.Unlock()
+					if n := len(s.flight); n != v+1 {
+						return fmt.Sprintf("flight has %d entries, want %d", n, v+1)
 					}
-					select {
-					case <-deadline2:
-						t.Fatalf("flight has %d entries, want %d", n, v+1)
-					case <-time.After(time.Millisecond):
-					}
-				}
+					return ""
+				})
 			}
 
 			// Beyond capacity: immediate typed rejection, no blocking.
@@ -154,6 +166,18 @@ func TestAdmissionControl(t *testing.T) {
 				_, err := s.Do(context.Background(), tinyRequest(workers))
 				sharedErr <- err
 			}()
+			// Wait until it has joined the queued job: arriving after that
+			// job completed, it would start a compute of its own.
+			eventually(func() string {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				for _, j := range s.flight {
+					if j.key.fp == queued[0] && j.waiters == 2 {
+						return ""
+					}
+				}
+				return "the shared request has not joined the queued job"
+			})
 
 			// Pre-open every queued job's gate, then release exactly one
 			// plugged worker: with its peers still plugged, it alone
@@ -164,13 +188,12 @@ func TestAdmissionControl(t *testing.T) {
 				close(sc.gate(fp))
 			}
 			close(sc.gate(tinyRequest(0).fingerprintForTest()))
-			for deadline3 := time.After(5 * time.Second); len(sc.started()) < workers+queueDepth; {
-				select {
-				case <-deadline3:
-					t.Fatalf("queue did not drain: %d/%d computes started", len(sc.started()), workers+queueDepth)
-				case <-time.After(time.Millisecond):
+			eventually(func() string {
+				if n := len(sc.started()); n < workers+queueDepth {
+					return fmt.Sprintf("queue did not drain: %d/%d computes started", n, workers+queueDepth)
 				}
-			}
+				return ""
+			})
 			got := sc.started()[workers:]
 			if !reflect.DeepEqual(got, queued) {
 				t.Fatalf("queue drained as %v, enqueued as %v", got, queued)
