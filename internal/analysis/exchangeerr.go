@@ -56,6 +56,9 @@ var valueResultFuncs = map[string]bool{
 	machinePath + ".Ctx.AllGatherFloat":                 true,
 	machinePath + ".Ctx.AllGatherInts":                  true,
 	machinePath + ".Ctx.AllGatherFloats":                true,
+	machinePath + ".Ctx.AllGatherFloatsInto":            true,
+	machinePath + ".Ctx.GatherInts":                     true,
+	machinePath + ".Ctx.GatherFloats":                   true,
 	machinePath + ".Ctx.AllReduceInt":                   true,
 	machinePath + ".Ctx.AllReduceFloat":                 true,
 	machinePath + ".Ctx.SumInt":                         true,

@@ -44,7 +44,8 @@ var ctxCollectives = []string{
 	"Barrier",
 	"AllReduceFloat", "AllReduceInt",
 	"SumInt", "SumFloat", "MaxInt", "MaxFloat", "MinFloat",
-	"AllGatherInt", "AllGatherFloat", "AllGatherInts", "AllGatherFloats",
+	"AllGatherInt", "AllGatherFloat", "AllGatherInts", "AllGatherFloats", "AllGatherFloatsInto",
+	"GatherInts", "GatherFloats",
 	"BroadcastInts", "BroadcastFloats",
 	"AlltoAllInts", "AlltoAllFloats", "ExchangeInts", "ExchangeFloats",
 	"ShareInts",

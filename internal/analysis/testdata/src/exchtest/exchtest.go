@@ -29,9 +29,10 @@ func dropRealBackend(ctx context.Context, cfg machine.Config, body func(*machine
 }
 
 func dropPayload(c *machine.Ctx, ge *geocol.GhostExchange, vals []int) {
-	ge.PushInts(c, vals) // want "exchanged result of PushInts discarded"
-	c.SumInt(1)          // want "exchanged result of SumInt discarded"
-	c.ShareInts(0, vals) // want "exchanged result of ShareInts discarded"
+	ge.PushInts(c, vals)  // want "exchanged result of PushInts discarded"
+	c.SumInt(1)           // want "exchanged result of SumInt discarded"
+	c.ShareInts(0, vals)  // want "exchanged result of ShareInts discarded"
+	c.GatherInts(0, vals) // want "exchanged result of GatherInts discarded"
 }
 
 func checkedRun(cfg machine.Config, body func(*machine.Ctx)) error {

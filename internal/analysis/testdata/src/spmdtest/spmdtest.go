@@ -159,6 +159,29 @@ func computeOnceThenShare(c *machine.Ctx, xs []int) []int {
 	return c.ShareInts(0, xs)
 }
 
+// gatherOnRootOnly gathers from inside the root's branch: a root-only
+// gather delivers to one rank, but every rank deposits, so the other
+// ranks never arriving is the same hang.
+func gatherOnRootOnly(c *machine.Ctx, xs []int) []int {
+	if c.Rank() == 0 {
+		return c.GatherInts(0, xs) // want "control-dependent on rank-valued condition"
+	}
+	return nil
+}
+
+// gatherThenUseOnRoot is the sanctioned shape: every rank reaches the
+// gather, only the use of what it delivered sits under the rank
+// condition. Clean.
+func gatherThenUseOnRoot(c *machine.Ctx, xs []int) int {
+	all, sum := c.GatherInts(0, xs), 0
+	if c.Rank() == 0 {
+		for _, x := range all {
+			sum += x
+		}
+	}
+	return sum
+}
+
 // goDivergence spawns a collective under a rank branch.
 func goDivergence(c *machine.Ctx) {
 	if c.Rank() == 0 {

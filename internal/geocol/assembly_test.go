@@ -141,13 +141,6 @@ func diffExchanges(got, want *GhostExchange) string {
 		}
 		return n
 	}
-	flens := func(rows [][]float64) []int {
-		n := make([]int, len(rows))
-		for r, row := range rows {
-			n[r] = len(row)
-		}
-		return n
-	}
 	switch {
 	case !slices.Equal(got.IDs, want.IDs):
 		return fmt.Sprintf("IDs %v, reference %v", got.IDs, want.IDs)
@@ -159,10 +152,10 @@ func diffExchanges(got, want *GhostExchange) string {
 		return fmt.Sprintf("send %v, reference %v", got.send, want.send)
 	case !slices.Equal(got.recvStart, want.recvStart):
 		return fmt.Sprintf("recvStart %v, reference %v", got.recvStart, want.recvStart)
-	case !slices.Equal(lens(got.sendInts), lens(want.sendInts)) || !slices.Equal(flens(got.sendFloats), flens(want.sendFloats)):
+	case !slices.Equal(lens(got.rows[0]), lens(want.rows[0])) || !slices.Equal(lens(got.rows[1]), lens(want.rows[1])):
 		return "send buffer shapes differ"
-	case len(got.updOut) != len(want.updOut):
-		return "updOut shapes differ"
+	case len(got.recv) != len(want.recv):
+		return "receive header shapes differ"
 	case got.Bytes() != want.Bytes():
 		return fmt.Sprintf("Bytes %d, reference %d", got.Bytes(), want.Bytes())
 	}

@@ -19,7 +19,10 @@
 // (WithLink, WithGeometry, WithLoad). The resulting Graph holds one
 // rank's slice — a deduplicated symmetric CSR plus coordinate and
 // weight columns — and Gather replicates it (Full) for partitioners
-// that run serially, charging the communication to the virtual clock.
+// that run serially, charging the communication to the virtual clock;
+// GatherTo charges every rank the same and builds the Full on one rank
+// only, for solves the host runs once under the replicated-cost
+// convention.
 //
 // Three families of helpers serve the multilevel partitioner stack:
 //

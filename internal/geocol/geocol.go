@@ -283,7 +283,16 @@ type Full struct {
 // collective. The communication is charged to the virtual clock, which
 // is part of the paper's "graph generation" cost for connectivity-based
 // partitioners.
-func (g *Graph) Gather(c *machine.Ctx) *Full {
+func (g *Graph) Gather(c *machine.Ctx) *Full { return g.GatherTo(c, machine.AllRanks) }
+
+// GatherTo assembles the complete GeoCoL graph on root alone, for the
+// solves that run once on one rank under the replicated-cost
+// convention; the other ranks get the scalar fields and no arrays.
+// Every rank takes part and is charged exactly what Gather charges it.
+// The graph's own arrays are deposited uncopied (machine.Ctx.GatherInts),
+// which is sound because they are never rewritten. Collective.
+func (g *Graph) GatherTo(c *machine.Ctx, root int) *Full {
+	here := root == machine.AllRanks || root == c.Rank()
 	f := &Full{
 		N: g.N, HasLink: g.HasLink, HasGeom: g.HasGeom, HasLoad: g.HasLoad,
 		Dim: g.Dim, NEdges: g.NEdges,
@@ -295,25 +304,29 @@ func (g *Graph) Gather(c *machine.Ctx) *Full {
 		for l := range degs {
 			degs[l] = g.Degree(l)
 		}
-		allDeg := c.AllGatherInts(degs)
-		f.XAdj = make([]int, g.N+1)
-		for v := 0; v < g.N; v++ {
-			f.XAdj[v+1] = f.XAdj[v] + allDeg[v]
+		allDeg := c.GatherInts(root, degs)
+		if here {
+			f.XAdj = make([]int, g.N+1)
+			for v := 0; v < g.N; v++ {
+				f.XAdj[v+1] = f.XAdj[v] + allDeg[v]
+			}
 		}
-		f.Adj = c.AllGatherInts(g.Adj)
+		f.Adj = c.GatherInts(root, g.Adj)
 		if g.EdgeW != nil {
-			f.EdgeW = c.AllGatherFloats(g.EdgeW)
+			f.EdgeW = c.GatherFloats(root, g.EdgeW)
 		}
-	} else {
+	} else if here {
 		f.XAdj = make([]int, g.N+1)
 	}
 	if g.HasGeom {
 		for _, col := range g.Coords {
-			f.Coords = append(f.Coords, c.AllGatherFloats(col))
+			if all := c.GatherFloats(root, col); here {
+				f.Coords = append(f.Coords, all)
+			}
 		}
 	}
 	if g.HasLoad {
-		f.Weights = c.AllGatherFloats(g.Weights)
+		f.Weights = c.GatherFloats(root, g.Weights)
 	}
 	return f
 }
@@ -443,11 +456,14 @@ type CoarseAssembler struct {
 	// owner[l] is the coarse home rank of local fine vertex l; nv/ne
 	// count, then offset, each rank's weight and edge rows.
 	owner, nv, ne []int
-	// The routing rows are slices of four flat arrays.
+	// The routing rows are slices of four flat arrays; inI/inE/inV/inW
+	// are the receive-header tables of their four exchanges.
 	wIDs, eIDs   []int
 	wVals, eW    []float64
 	rowsI, rowsE [][]int
 	rowsV, rowsW [][]float64
+	inI, inE     [][]int
+	inV, inW     [][]float64
 	tris         []coarseContrib
 }
 
@@ -558,10 +574,15 @@ func (a *CoarseAssembler) BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 		}
 	}
 	c.Words(2*len(g.Adj) + 2*localN)
-	inWIDs := c.AlltoAllInts(wIDs)
-	inWVals := c.AlltoAllFloats(wVals)
-	inEIDs := c.AlltoAllInts(eIDs)
-	inEW := c.AlltoAllFloats(eW)
+	// The four flat arrays and their header tables go out as they are,
+	// by ownership transfer: the next BuildCoarse on this assembler is
+	// the first to write them again, and the SumInt that ends this call
+	// is the later collective the rule asks for — every peer has read
+	// its rows (the assembly below) before it enters that SumInt.
+	inWIDs := c.ExchangeInts(wIDs, scratch.Grow(&a.inI, procs))
+	inWVals := c.ExchangeFloats(wVals, scratch.Grow(&a.inV, procs))
+	inEIDs := c.ExchangeInts(eIDs, scratch.Grow(&a.inE, procs))
+	inEW := c.ExchangeFloats(eW, scratch.Grow(&a.inW, procs))
 
 	lo2 := coarse.Home.Lo(me)
 	localN2 := coarse.Home.LocalSize(me)

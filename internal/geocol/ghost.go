@@ -48,38 +48,37 @@ type GhostExchange struct {
 	// (IDs is sorted and the home distribution is BLOCK, so each rank's
 	// ghosts form one contiguous run).
 	recvStart []int
-	// sendInts/sendFloats are fixed-size per-rank send buffers sized to
-	// the send lists, and updOut is the variable-length send scratch of
-	// the incremental exchanges. All are reused across Push calls, which
-	// run once per matching round or refinement sweep: AlltoAll copies
-	// payloads before delivery, so handing the same backing arrays to
-	// every exchange is safe and keeps the per-sweep allocation count
-	// flat (see //chaos:hotpath).
-	sendInts   [][]int
-	sendFloats [][]float64
-	updOut     [][]int
+	// rows are the two sets of per-rank send buffers of the dense int
+	// push, each mirroring the send lists, and recv is the push's
+	// receive-header table. The rows go out by ownership transfer
+	// (machine.Ctx.ExchangeInts: a sent payload is rewritten only after
+	// the sender has returned from a later collective), so pushes
+	// alternate the two sets (turn): the one sent by push n is next
+	// filled for push n+2, after this rank has returned from push n+1.
+	rows [2][][]int
+	recv [][]int
+	turn int
+	// upd builds the variable-length rows of the incremental exchanges.
+	// It belongs to the GhostScratch the pattern was derived on — every
+	// level of a ladder shares its arena's — and is scratch, not pattern:
+	// Bytes leaves it out, as Ladder.Bytes leaves out the arena.
+	upd *scratch.Rows
 }
 
-// Bytes reports the approximate heap footprint of the exchange
-// pattern's retained index arrays and send buffers, in bytes; the
-// service cache accounts retained ladders (which hold one exchange per
-// level) against its memory cap with it.
+// Bytes reports the heap footprint of the arrays the exchange pattern
+// retains — the index arrays and the two send buffers, by capacity —
+// in bytes; no exchange changes it. The service cache accounts retained
+// ladders (which hold one exchange per level) against its memory cap
+// with it.
 func (ge *GhostExchange) Bytes() int {
 	if ge == nil {
 		return 0
 	}
-	b := 8 * (len(ge.IDs) + len(ge.Loc) + len(ge.recvStart))
-	for _, s := range ge.send {
-		b += 8 * len(s)
-	}
-	for _, s := range ge.sendInts {
-		b += 8 * len(s)
-	}
-	for _, s := range ge.sendFloats {
-		b += 8 * len(s)
-	}
-	for _, s := range ge.updOut {
-		b += 8 * len(s)
+	b := 8 * (cap(ge.IDs) + cap(ge.Loc) + cap(ge.recvStart))
+	for _, rows := range [][][]int{ge.send, ge.rows[0], ge.rows[1]} {
+		for _, s := range rows {
+			b += 8 * cap(s)
+		}
 	}
 	return b
 }
@@ -100,6 +99,9 @@ type GhostScratch struct {
 	// nsend/nrecv count each rank's send list and ghost run; last[r] is
 	// the latest home vertex put on rank r's send list.
 	nsend, nrecv, last []int
+	// upd is the row builder every pattern derived here shares for its
+	// incremental exchanges (GhostExchange.upd), made on first use.
+	upd *scratch.Rows
 }
 
 // NewGhostExchange derives the exchange pattern of g; purely local. It
@@ -184,7 +186,8 @@ func (s *GhostScratch) NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange
 	ge.send = make([][]int, procs)
 	for r := 0; r < procs; r++ {
 		if nsend[r+1] > nsend[r] {
-			ge.send[r] = sends[nsend[r]:nsend[r+1]]
+			// Clipped, so that Bytes counts every word of sends once.
+			ge.send[r] = sends[nsend[r]:nsend[r+1]:nsend[r+1]]
 		}
 		last[r] = -1
 	}
@@ -205,19 +208,22 @@ func (s *GhostScratch) NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange
 	}
 	c.Words(localN + 2*len(ge.IDs))
 
-	// The fixed-size send buffers mirror the send lists.
-	bufInts, bufFloats := make([]int, len(sends)), make([]float64, len(sends))
-	ge.sendInts = make([][]int, procs)
-	ge.sendFloats = make([][]float64, procs)
-	ge.updOut = make([][]int, procs)
+	// The two send buffers mirror the send lists; empty rows stay nil.
+	bufs, hdrs := make([]int, 2*len(sends)), make([][]int, 3*procs)
+	ge.rows[0], ge.rows[1], ge.recv = hdrs[:procs:procs], hdrs[procs:2*procs:2*procs], hdrs[2*procs:]
 	off := 0
-	for r, ls := range ge.send {
-		if end := off + len(ls); end > off {
-			ge.sendInts[r] = bufInts[off:end:end]
-			ge.sendFloats[r] = bufFloats[off:end:end]
-			off = end
+	for b := range ge.rows {
+		for r, ls := range ge.send {
+			if end := off + len(ls); end > off {
+				ge.rows[b][r] = bufs[off:end:end]
+				off = end
+			}
 		}
 	}
+	if s.upd == nil {
+		s.upd = new(scratch.Rows)
+	}
+	ge.upd = s.upd
 	return ge
 }
 
@@ -242,13 +248,15 @@ func (ge *GhostExchange) PushInts(c *machine.Ctx, vals []int) []int {
 //
 //chaos:hotpath
 func (ge *GhostExchange) PushIntsInto(c *machine.Ctx, vals []int, dst []int) []int {
+	ge.turn ^= 1
+	out := ge.rows[ge.turn]
 	for r, ls := range ge.send {
-		buf := ge.sendInts[r]
+		buf := out[r]
 		for i, l := range ls {
 			buf[i] = vals[l]
 		}
 	}
-	in := c.AlltoAllInts(ge.sendInts)
+	in := c.ExchangeInts(out, ge.recv)
 	var res []int
 	if cap(dst) >= len(ge.IDs) {
 		res = dst[:len(ge.IDs)]
@@ -288,7 +296,7 @@ func (ge *GhostExchange) PushIntsInto(c *machine.Ctx, vals []int, dst []int) []i
 //
 //chaos:hotpath
 func (ge *GhostExchange) UpdateIntsTouchedInto(c *machine.Ctx, vals []int, changed []bool, ghost []int, dst []int) []int {
-	out := ge.resetUpdOut()
+	out := ge.layUpd(changed, 2)
 	for r, ls := range ge.send {
 		for i, l := range ls {
 			if changed[l] {
@@ -296,7 +304,7 @@ func (ge *GhostExchange) UpdateIntsTouchedInto(c *machine.Ctx, vals []int, chang
 			}
 		}
 	}
-	in := c.AlltoAllInts(out)
+	in := c.ExchangeInts(out, ge.upd.In())
 	// Senders are visited in rank order and each rank's positions
 	// arrive ascending, so slots (contiguous per rank, ascending
 	// within) come out sorted without an explicit sort.
@@ -318,13 +326,21 @@ func (ge *GhostExchange) UpdateIntsTouchedInto(c *machine.Ctx, vals []int, chang
 	return touched
 }
 
-// resetUpdOut empties the incremental-exchange send scratch keeping its
-// per-rank backing arrays.
-func (ge *GhostExchange) resetUpdOut() [][]int {
-	for r := range ge.updOut {
-		ge.updOut[r] = ge.updOut[r][:0]
+// layUpd lays the send rows of an incremental exchange in the shared
+// row builder: rank r's row is empty with room for exactly per words
+// for every changed vertex on its send list.
+//
+//chaos:hotpath
+func (ge *GhostExchange) layUpd(changed []bool, per int) [][]int {
+	cnt := ge.upd.Counts(len(ge.send))
+	for r, ls := range ge.send {
+		for _, l := range ls {
+			if changed[l] {
+				cnt[r] += per
+			}
+		}
 	}
-	return ge.updOut
+	return ge.upd.Lay()
 }
 
 // PushMarks is the one-bit form of UpdateIntsTouchedInto for monotone
@@ -334,7 +350,7 @@ func (ge *GhostExchange) resetUpdOut() [][]int {
 //
 //chaos:hotpath
 func (ge *GhostExchange) PushMarks(c *machine.Ctx, changed []bool, ghost []int) {
-	out := ge.resetUpdOut()
+	out := ge.layUpd(changed, 1)
 	for r, ls := range ge.send {
 		for i, l := range ls {
 			if changed[l] {
@@ -342,7 +358,7 @@ func (ge *GhostExchange) PushMarks(c *machine.Ctx, changed []bool, ghost []int) 
 			}
 		}
 	}
-	in := c.AlltoAllInts(out)
+	in := c.ExchangeInts(out, ge.upd.In())
 	for r, xs := range in {
 		base := ge.recvStart[r]
 		for _, i := range xs {
@@ -357,13 +373,24 @@ func (ge *GhostExchange) PushMarks(c *machine.Ctx, changed []bool, ghost []int) 
 //
 //chaos:hotpath
 func (ge *GhostExchange) PushFloatsInto(c *machine.Ctx, vals []float64, dst []float64) []float64 {
+	// A float push runs once per ladder level, so its send buffer is
+	// made here and given away for good rather than retained.
+	out := make([][]float64, len(ge.send))
+	n := 0
+	for _, ls := range ge.send {
+		n += len(ls)
+	}
+	buf := make([]float64, n)
 	for r, ls := range ge.send {
-		buf := ge.sendFloats[r]
+		if len(ls) == 0 {
+			continue
+		}
+		out[r], buf = buf[:len(ls):len(ls)], buf[len(ls):]
 		for i, l := range ls {
-			buf[i] = vals[l]
+			out[r][i] = vals[l]
 		}
 	}
-	in := c.AlltoAllFloats(ge.sendFloats)
+	in := c.ExchangeFloats(out, nil)
 	var res []float64
 	if cap(dst) >= len(ge.IDs) {
 		res = dst[:len(ge.IDs)]

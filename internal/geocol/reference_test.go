@@ -6,6 +6,7 @@ import (
 
 	"chaos/internal/dist"
 	"chaos/internal/machine"
+	"chaos/internal/scratch"
 )
 
 // This file keeps the bodies the count → prefix-sum → fill assembly
@@ -128,13 +129,12 @@ func refNewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange {
 		}
 	}
 	c.Words(localN + 2*len(ge.IDs))
-	ge.sendInts = make([][]int, procs)
-	ge.sendFloats = make([][]float64, procs)
-	ge.updOut = make([][]int, procs)
+	ge.IDs, ge.upd = ge.IDs[:len(ge.IDs):len(ge.IDs)], new(scratch.Rows) // Bytes counts capacities: IDs and send are clipped
+	ge.rows[0], ge.rows[1], ge.recv = make([][]int, procs), make([][]int, procs), make([][]int, procs)
 	for r, ls := range ge.send {
 		if len(ls) > 0 {
-			ge.sendInts[r] = make([]int, len(ls))
-			ge.sendFloats[r] = make([]float64, len(ls))
+			ge.send[r] = ls[:len(ls):len(ls)]
+			ge.rows[0][r], ge.rows[1][r] = make([]int, len(ls)), make([]int, len(ls))
 		}
 	}
 	return ge

@@ -213,39 +213,75 @@ func (c *Ctx) AllGatherFloat(x float64) []float64 {
 	return out
 }
 
-// AllGatherInts concatenates each rank's slice in rank order and
-// returns the concatenation on every rank (an allgatherv).
-func (c *Ctx) AllGatherInts(xs []int) []int {
-	cp := make([]int, len(xs))
-	copy(cp, xs)
-	vals := c.exchange(deposit{p: cp})
+// AllRanks is the root of a gather that delivers to every rank.
+const AllRanks = -1
+
+// gatherRows is the one all-gather body: every rank deposits xs, and
+// each rank that concatenates — root alone, or every rank when root is
+// AllRanks — gets the deposits joined in rank order, written into dst
+// when it has the capacity. The other ranks get nil. Every rank is
+// charged the combining tree over the whole payload either way: what a
+// root-only gather saves is host memory, not modelled time.
+//
+// xs travels by ownership transfer under the rule of exchangeRows: it
+// is deposited as it is and may be overwritten only after the sender
+// has returned from a later collective. The readers copy it out before
+// they return, on both backends.
+func gatherRows[T int | float64](c *Ctx, slots *[2][]T, root int, xs, dst []T) []T {
+	c.turn ^= 1
+	slots[c.turn] = xs
+	vals := c.exchange(deposit{p: &slots[c.turn]})
+	slots[c.turn^1] = nil // sent before the previous collective: dead, let it go
 	total := 0
 	for _, v := range vals {
-		total += len(v.p.([]int))
+		total += len(*v.p.(*[]T))
 	}
-	out := make([]int, 0, total)
-	for _, v := range vals {
-		out = append(out, v.p.([]int)...)
+	var out []T
+	if root == AllRanks || root == c.rank {
+		out = dst[:0]
+		if dst == nil || cap(dst) < total {
+			out = make([]T, 0, total)
+		}
+		for _, v := range vals {
+			out = append(out, *v.p.(*[]T)...)
+		}
 	}
 	c.collectiveCost(8 * total)
 	return out
 }
 
+// AllGatherInts concatenates each rank's slice in rank order and
+// returns the concatenation on every rank (an allgatherv). xs is
+// copied, so callers may reuse it.
+func (c *Ctx) AllGatherInts(xs []int) []int {
+	return gatherRows(c, &c.intRow, AllRanks, slices.Clone(xs), nil)
+}
+
 // AllGatherFloats concatenates each rank's slice in rank order.
 func (c *Ctx) AllGatherFloats(xs []float64) []float64 {
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	vals := c.exchange(deposit{p: cp})
-	total := 0
-	for _, v := range vals {
-		total += len(v.p.([]float64))
-	}
-	out := make([]float64, 0, total)
-	for _, v := range vals {
-		out = append(out, v.p.([]float64)...)
-	}
-	c.collectiveCost(8 * total)
-	return out
+	return gatherRows(c, &c.floatRow, AllRanks, slices.Clone(xs), nil)
+}
+
+// AllGatherFloatsInto is AllGatherFloats without the sender-side copy,
+// delivering into dst when it has the capacity, for callers that can
+// keep to the ownership rule (see gatherRows): xs must stay untouched
+// until this rank has returned from a later collective.
+func (c *Ctx) AllGatherFloatsInto(xs, dst []float64) []float64 {
+	return gatherRows(c, &c.floatRow, AllRanks, xs, dst)
+}
+
+// GatherInts concatenates each rank's slice in rank order on root
+// alone (on every rank when root is AllRanks); the other ranks get
+// nil. Every rank is charged exactly what AllGatherInts charges it. xs
+// is not copied: it must stay untouched until this rank has returned
+// from a later collective (see gatherRows).
+func (c *Ctx) GatherInts(root int, xs []int) []int {
+	return gatherRows(c, &c.intRow, root, xs, nil)
+}
+
+// GatherFloats is GatherInts for float64 payloads.
+func (c *Ctx) GatherFloats(root int, xs []float64) []float64 {
+	return gatherRows(c, &c.floatRow, root, xs, nil)
 }
 
 // BroadcastInts sends root's slice to every rank.

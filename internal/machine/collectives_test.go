@@ -455,3 +455,119 @@ func TestShareIntsIsUncharged(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherIsRootOnlyAllGather pins the root-only gather against the
+// all-ranks one, run side by side in two machines from unequal clocks:
+// root gets exactly AllGather's concatenation (empty contributions
+// included), every other rank gets nil, and every rank — root or not —
+// ends on the clock the all-ranks gather leaves it, to the last bit.
+func TestGatherIsRootOnlyAllGather(t *testing.T) {
+	for _, backend := range []Backend{Simulated, Real} {
+		for _, p := range []int{1, 3, 8} {
+			for root := 0; root < p; root += 2 {
+				run := func(rootOnly bool) (ints [][]int, floats [][]float64, clocks []float64) {
+					ints, floats, clocks = make([][]int, p), make([][]float64, p), make([]float64, p)
+					cfg := IPSC860(p)
+					cfg.Backend = backend
+					err := Run(cfg, func(c *Ctx) {
+						r := c.Rank()
+						xs := make([]int, (r*3)%4) // rank 0 (and every fourth) contributes nothing
+						fs := make([]float64, (r+1)%3)
+						for i := range xs {
+							xs[i] = 100*r + i
+						}
+						for i := range fs {
+							fs[i] = float64(r) + float64(i)/8
+						}
+						c.Flops(500 * (r + 1))
+						if rootOnly {
+							ints[r], floats[r] = c.GatherInts(root, xs), c.GatherFloats(root, fs)
+						} else {
+							ints[r], floats[r] = c.AllGatherInts(xs), c.AllGatherFloats(fs)
+						}
+						clocks[r] = c.Clock()
+					})
+					if err != nil {
+						t.Fatalf("%v P=%d: %v", backend, p, err)
+					}
+					return
+				}
+				wantI, wantF, wantClocks := run(false)
+				gotI, gotF, gotClocks := run(true)
+				for r := 0; r < p; r++ {
+					if r != root {
+						wantI[r], wantF[r] = nil, nil
+					}
+					if !reflect.DeepEqual(gotI[r], wantI[r]) || !reflect.DeepEqual(gotF[r], wantF[r]) {
+						t.Errorf("%v P=%d root %d rank %d: gathered %v %v, want %v %v", backend, p, root, r, gotI[r], gotF[r], wantI[r], wantF[r])
+					}
+					if gotClocks[r] != wantClocks[r] {
+						t.Errorf("%v P=%d root %d rank %d: clock %v, all-ranks gather %v", backend, p, root, r, gotClocks[r], wantClocks[r])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGatherDepositsUnderDelays is the ownership rule's proof for the
+// gathers that deposit without a copy (GatherInts, AllGatherFloatsInto):
+// each rank sends out of two buffers used alternately and delivers into
+// one recycled destination, with random stalls between leaving a gather
+// and checking what it delivered. A deposit slot or a buffer recycled
+// too early is a wrong value here or a data race under -race.
+func TestGatherDepositsUnderDelays(t *testing.T) {
+	const p, rounds = 4, 300
+	for _, backend := range []Backend{Simulated, Real} {
+		cfg := Zero(p)
+		cfg.Backend = backend
+		err := Run(cfg, func(c *Ctx) {
+			rng := rand.New(rand.NewSource(int64(c.Rank())))
+			stall := func() {
+				if rng.Intn(3) == 0 {
+					time.Sleep(time.Duration(rng.Intn(60)) * time.Microsecond)
+				}
+			}
+			var fout [2][]float64
+			var iout [2][]int
+			for b := range fout {
+				fout[b], iout[b] = make([]float64, 2), make([]int, 1+c.Rank()%2)
+			}
+			var all []float64
+			// Gathers of one element type run back to back, so a rank's
+			// deposit slot of gather n is the one at stake in gather n+1.
+			for r := 0; r < rounds; r++ {
+				fout[r%2][0], fout[r%2][1] = float64(c.Rank()), float64(r)
+				all = c.AllGatherFloatsInto(fout[r%2], all)
+				stall()
+				for s := 0; s < p; s++ {
+					if all[2*s] != float64(s) || all[2*s+1] != float64(r) {
+						t.Errorf("%v rank %d round %d: floats are %v", backend, c.Rank(), r, all)
+						break
+					}
+				}
+				if r%2 == 0 {
+					continue // two float gathers, then two int gathers
+				}
+				for _, q := range []int{r - 1, r} {
+					iout[q%2][0] = q*p + c.Rank()
+					root := q % p
+					got := c.GatherInts(root, iout[q%2])
+					stall()
+					if (got != nil) != (c.Rank() == root) {
+						t.Errorf("%v rank %d round %d: root %d, gathered %v", backend, c.Rank(), q, root, got)
+					}
+					for s, at := 0, 0; s < p && got != nil; s, at = s+1, at+1+s%2 {
+						if got[at] != q*p+s {
+							t.Errorf("%v rank %d round %d: ints are %v", backend, c.Rank(), q, got)
+							break
+						}
+					}
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

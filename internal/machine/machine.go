@@ -3,10 +3,10 @@
 //
 // Each simulated processor ("rank") runs the same SPMD body function in
 // its own goroutine and owns a private virtual clock. Communication is
-// explicit and collective: deterministic Barrier, AllReduce, AllGather,
-// Broadcast and irregular all-to-alls (AlltoAll*, Exchange*), all built
-// on one blocking rendezvous. The virtual clock is charged using a
-// LogP-style cost model (per-message send/recv overhead, per-hop
+// explicit and collective: deterministic Barrier, AllReduce, AllGather
+// (and the root-only Gather*), Broadcast and irregular all-to-alls
+// (AlltoAll*, Exchange*), all built on one blocking rendezvous. The
+// virtual clock is charged using a LogP-style cost model (per-message send/recv overhead, per-hop
 // latency on the configured topology, per-byte transfer time) plus
 // per-flop and per-word compute charges, so experiments report
 // machine-like "seconds" that are fully deterministic and independent
@@ -200,9 +200,12 @@ type Ctx struct {
 	// headers it deposits: the rendezvous is handed a pointer to a slot,
 	// which costs no allocation where boxing the header would. A slot is
 	// sent payload like the rows it names, hence two per element type,
-	// used alternately (turn; see exchangeRows).
+	// used alternately (turn; see exchangeRows). intRow and floatRow are
+	// the same for the slice a rank deposits in a gather (gatherRows).
 	intRows   [2][][]int
 	floatRows [2][][]float64
+	intRow    [2][]int
+	floatRow  [2][]float64
 	turn      int
 }
 

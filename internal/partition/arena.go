@@ -104,7 +104,8 @@ type fmScratch struct {
 	boundary      []bool
 	dirty         []bool
 	W             []float64
-	buf           []float64
+	buf           []float64 // syncState's deposit
+	all           []float64 // what syncState gathers
 	acc           []float64
 	seen          []bool
 	touchedParts  []int
@@ -121,8 +122,8 @@ type fmScratch struct {
 
 // matchScratch is the scratch of distributed matching and coarse
 // numbering (pcoarsen.go): home/ghost weights, the match and target
-// vectors, monotone matched flags, and the per-rank proposal and
-// notification routing.
+// vectors, monotone matched flags, and the row builder of the per-rank
+// proposal and notification routing.
 type matchScratch struct {
 	homeW        []float64
 	ghostW       []float64
@@ -132,76 +133,19 @@ type matchScratch struct {
 	target       []int
 	// owner[l] is the home rank of target[l] (matching) or of match[l]
 	// (numbering) when that vertex lives on another rank.
-	owner  []int
-	props  rankRows
-	notify rankRows
+	owner []int
+	rows  scratch.Rows
 }
 
 // projScratch is the scratch of partition projection and restriction
 // (pmultilevel.go): the sorted coarse-id list, its resolved parts, and
-// the per-rank request/reply routing.
+// the per-rank request/reply routing — projectPart's request rows (req,
+// slices of need) with their receive headers (in), and the row builder
+// of its replies and of restrictPart's pairs.
 type projScratch struct {
-	need  []int
-	val   []int
-	owner []int // coarse home rank of each fine vertex (restrictPart)
-	req   [][]int
-	rep   rankRows
-	out   rankRows
-}
-
-// rankRows builds the rows of an all-to-all — one int slice per
-// destination rank — inside one flat array: the caller counts what
-// each rank gets, lay carves the array into empty rows of exactly those
-// capacities, and the caller appends into them. No row ever grows, and
-// the flat array grows only when a level outsizes every earlier one
-// (AlltoAll copies payloads before delivery, so the array is free again
-// as soon as the exchange returns).
-type rankRows struct {
-	n    []int
-	flat []int
-	rows [][]int
-}
-
-// counts returns procs zeroed counters; the caller adds to counts[r]
-// the number of ints bound for rank r.
-func (rr *rankRows) counts(procs int) []int {
-	n := scratch.Grow(&rr.n, procs)
-	clear(n)
-	return n
-}
-
-// lay returns the rows for the counts just taken: each empty, with
-// exactly its counted capacity.
-//
-//chaos:hotpath
-func (rr *rankRows) lay() [][]int {
-	total := 0
-	for _, k := range rr.n {
-		total += k
-	}
-	flat := scratch.Grow(&rr.flat, total)
-	rows := growRows(&rr.rows, len(rr.n))
-	off := 0
-	for r, k := range rr.n {
-		rows[r] = flat[off : off : off+k]
-		off += k
-	}
-	return rows
-}
-
-// growRows sizes a per-rank table of row headers to procs nil entries.
-func growRows(s *[][]int, procs int) [][]int {
-	rows := scratch.Grow(s, procs)
-	clear(rows)
-	return rows
-}
-
-// ensure readies reusable gain buckets: first use allocates the fixed
-// bucket array, later uses just empty it.
-func (fb *fmBuckets) ensure() {
-	if fb.buckets == nil {
-		fb.buckets = make([][]fmCand, 2*fmBucketSpan+1)
-		fb.head = make([]int, 2*fmBucketSpan+1)
-	}
-	fb.reset()
+	need    []int
+	val     []int
+	owner   []int // coarse home rank of each fine vertex (restrictPart)
+	req, in [][]int
+	rows    scratch.Rows
 }

@@ -116,13 +116,14 @@ func init() {
 
 // serialBisectPartition is the shared driver of the serial recursive-
 // bisection partitioners (RSB, KL, MULTILEVEL): the GeoCoL graph is
-// gathered (charged as graph-generation cost), rank 0 recursively
-// bisects the vertex set with bisect and broadcasts the map together
-// with the flop count of the solve, and every rank's clock is charged
-// the full cost — the replicated-cost convention explained on RSB.
+// gathered onto rank 0 (every rank is charged the all-ranks gather, as
+// graph-generation cost), rank 0 recursively bisects the vertex set
+// with bisect and broadcasts the map together with the flop count of
+// the solve, and every rank's clock is charged the full cost — the
+// replicated-cost convention explained on RSB.
 func serialBisectPartition(c *machine.Ctx, g *geocol.Graph, nparts int,
 	bisect func(f *geocol.Full, verts []int, frac float64) (left, right []int, flops int64)) []int {
-	f := g.Gather(c)
+	f := g.GatherTo(c, 0)
 
 	var part []int
 	if c.Rank() == 0 {

@@ -9,7 +9,7 @@ import (
 
 // This file implements the distributed half of the multilevel
 // coarsening: heavy-edge matching over the block-distributed GeoCoL
-// graph, with the cross-rank handshake resolved by AlltoAll exchanges,
+// graph, with the cross-rank handshake resolved by all-to-all exchanges,
 // plus the global numbering of the resulting coarse vertices. Together
 // with geocol.BuildCoarse this forms one level of the parallel
 // coarsening ladder (pmultilevel.go) — the per-rank work is
@@ -155,8 +155,8 @@ func distHeavyEdgeMatch(c *machine.Ctx, s *matchScratch, g *geocol.Graph, ge *ge
 
 		// Same-rank mutual selections match immediately; cross-rank
 		// selections travel as (target, proposer) pairs, in rows counted
-		// first and then filled (rankRows).
-		cnt := s.props.counts(procs)
+		// first and then filled (scratch.Rows), which go out uncopied.
+		cnt := s.rows.Counts(procs)
 		for l := 0; l < localN; l++ {
 			t := target[l]
 			if t < 0 {
@@ -173,13 +173,13 @@ func distHeavyEdgeMatch(c *machine.Ctx, s *matchScratch, g *geocol.Graph, ge *ge
 				cnt[owner[l]] += 2
 			}
 		}
-		props := s.props.lay()
+		props := s.rows.Lay()
 		for l := 0; l < localN; l++ {
 			if t := target[l]; t >= 0 && owner[l] != me {
 				props[owner[l]] = append(props[owner[l]], t, lo+l)
 			}
 		}
-		in := c.AlltoAllInts(props)
+		in := c.ExchangeInts(props, s.rows.In())
 		for r := 0; r < procs; r++ {
 			pr := in[r]
 			for i := 0; i+1 < len(pr); i += 2 {
@@ -242,9 +242,9 @@ func numberCoarse(c *machine.Ctx, s *matchScratch, g *geocol.Graph, match []int)
 	cmap = make([]int, localN)
 	// A pair's smaller endpoint numbers it; when the partner lives on
 	// another rank it is told by a (partner, id) pair, in rows counted
-	// first and then filled (rankRows).
+	// first and then filled (scratch.Rows), which go out uncopied.
 	owner := scratch.Grow(&s.owner, localN)
-	cnt := s.notify.counts(procs)
+	cnt := s.rows.Counts(procs)
 	for l := 0; l < localN; l++ {
 		if p := match[l]; lo+l < p {
 			if owner[l] = me; p >= lo+localN {
@@ -253,7 +253,7 @@ func numberCoarse(c *machine.Ctx, s *matchScratch, g *geocol.Graph, match []int)
 			}
 		}
 	}
-	notify := s.notify.lay()
+	notify := s.rows.Lay()
 	for l := 0; l < localN; l++ {
 		switch {
 		case match[l] < 0:
@@ -269,7 +269,7 @@ func numberCoarse(c *machine.Ctx, s *matchScratch, g *geocol.Graph, match []int)
 			next++
 		}
 	}
-	in := c.AlltoAllInts(notify)
+	in := c.ExchangeInts(notify, s.rows.In())
 	for r := 0; r < procs; r++ {
 		ids := in[r]
 		for i := 0; i+1 < len(ids); i += 2 {

@@ -15,7 +15,7 @@ import (
 // and projecting one back up, the per-level refinement budget, and the
 // gathered k-way polish of the coarsest level. Matching, contraction,
 // projection and refinement all do O(local graph) work per rank plus
-// AlltoAll exchanges, so — unlike the gather-everything serial path,
+// all-to-all exchanges, so — unlike the gather-everything serial path,
 // whose replicated cost is flat in the machine size — the
 // partitioner's virtual time falls as ranks are added (see
 // TestParallelMultilevelTimeScales). docs/REFINEMENT.md is the guided
@@ -88,14 +88,17 @@ func (ml Multilevel) refineLevel(c *machine.Ctx, ar *arena, fine *geocol.Graph, 
 // with the serial k-way FM (kwayRefine) under the replicated-cost
 // convention: the machine being modelled has every rank run the same
 // refinement on its gathered copy, and every rank's clock is charged
-// for it. The host runs it once, on rank 0, and hands the refined
+// for it — the gather included. The host gathers onto rank 0 alone
+// (GatherTo, GatherInts: every rank deposits and pays, only rank 0
+// concatenates), runs the refinement there once, and hands the refined
 // vector and its flop count to the others through the uncharged
 // ShareInts — whose clock synchronization is a no-op here, because the
-// AllGatherInts just before it left every clock equal. Each rank then
-// keeps its home slice of the result. Collective.
+// GatherInts just before it left every clock equal. Each rank then
+// keeps its home slice of the result; part, deposited uncopied, is not
+// written before that, after the share. Collective.
 func serialKway(c *machine.Ctx, ar *arena, g *geocol.Graph, part []int, nparts, passes int, tol float64) {
-	f := g.Gather(c)
-	full := c.AllGatherInts(part)
+	f := g.GatherTo(c, 0)
+	full := c.GatherInts(0, part)
 	if c.Rank() == 0 {
 		flops := kwayRefine(&ar.kway, f.XAdj, f.Adj, f.EdgeW, f.Weights, full, nparts, passes, tol)
 		full = append(full, int(flops))
@@ -119,16 +122,16 @@ func serialKway(c *machine.Ctx, ar *arena, g *geocol.Graph, part []int, nparts, 
 func restrictPart(c *machine.Ctx, s *projScratch, fine *geocol.Graph, cmap []int, coarseHome dist.BlockDist, finePart []int) []int {
 	me, procs := c.Rank(), c.Procs()
 	owner := scratch.Grow(&s.owner, len(cmap))
-	cnt := s.out.counts(procs)
+	cnt := s.rows.Counts(procs)
 	for l, cv := range cmap {
 		owner[l] = coarseHome.Owner(cv)
 		cnt[owner[l]] += 2
 	}
-	out := s.out.lay()
+	out := s.rows.Lay()
 	for l, cv := range cmap {
 		out[owner[l]] = append(out[owner[l]], cv, finePart[l])
 	}
-	in := c.AlltoAllInts(out)
+	in := c.ExchangeInts(out, s.rows.In())
 	lo2 := coarseHome.Lo(me)
 	cpart := make([]int, coarseHome.LocalSize(me))
 	for r := 0; r < procs; r++ {
@@ -167,7 +170,7 @@ func (ml Multilevel) serialTo(nparts int) int {
 // projectPart projects a coarse part assignment onto the fine level:
 // each rank requests the part of every coarse vertex its home vertices
 // map to from the coarse vertex's block owner (one request/reply
-// AlltoAll pair), then reads the fine assignment off cmap. The
+// all-to-all pair), then reads the fine assignment off cmap. The
 // resolved parts live in an array parallel to the sorted distinct
 // coarse-id list (binary-searched per fine vertex) — O(local) memory
 // with no map, and all routing scratch is arena-owned. Collective.
@@ -182,8 +185,11 @@ func projectPart(c *machine.Ctx, s *projScratch, fine *geocol.Graph, cmap []int,
 	s.need = need
 	// need is sorted and block ownership is monotone in the id, so each
 	// rank's request list is one consecutive run of need: the rows are
-	// slices of it (AlltoAll copies payloads).
-	req := growRows(&s.req, procs)
+	// slices of it and go out uncopied. need and req are next written by
+	// the next projectPart on this scratch, and the reply exchange below
+	// is the later collective that frees them.
+	req := scratch.Grow(&s.req, procs)
+	clear(req)
 	for i := 0; i < len(need); {
 		r := coarseHome.Owner(need[i])
 		j, hi := i+1, coarseHome.Hi(r)
@@ -193,19 +199,19 @@ func projectPart(c *machine.Ctx, s *projScratch, fine *geocol.Graph, cmap []int,
 		req[r] = need[i:j]
 		i = j
 	}
-	in := c.AlltoAllInts(req)
+	in := c.ExchangeInts(req, scratch.Grow(&s.in, procs))
 	lo2 := coarseHome.Lo(me)
-	cnt := s.rep.counts(procs)
+	cnt := s.rows.Counts(procs)
 	for r := range cnt {
 		cnt[r] = len(in[r])
 	}
-	rep := s.rep.lay()
+	rep := s.rows.Lay()
 	for r := 0; r < procs; r++ {
 		for _, cv := range in[r] {
 			rep[r] = append(rep[r], coarsePart[cv-lo2])
 		}
 	}
-	back := c.AlltoAllInts(rep)
+	back := c.ExchangeInts(rep, s.rows.In())
 	// The request lists were consecutive runs of need, in rank order:
 	// the replies concatenate into an array parallel to need.
 	val := scratch.Grow(&s.val, len(need))

@@ -70,11 +70,22 @@ type fmCand struct {
 // exact in practice; candidates within one bucket pop in push order,
 // which is deterministic because selection scans vertices in ascending
 // local id. Gains outside ±fmBucketSpan clamp to the end buckets.
+//
+// All the buckets live in one slab of entries in push order, each
+// bucket a singly linked FIFO queue threaded through it: head and tail
+// name a bucket's first and last entry and next, parallel to the slab,
+// the entry queued behind each one, all as slab index + 1, so that zero
+// means "none" and the zero value is a ready, empty structure. (next is
+// an array of its own, and narrow, because pops chase it: threaded
+// through the entries it cost the serial k-way kernel 7 %.) The slab
+// only ever grows by append and reset keeps it, so a refiner that keeps
+// its fmBuckets in the arena stops allocating once the slab has held
+// its largest pass.
 type fmBuckets struct {
-	buckets [][]fmCand
-	head    []int // per-bucket pop cursor (consumed prefix)
-	hi      int   // highest possibly-non-empty bucket index
-	n       int   // live entry count (including stale)
+	ents       []fmCand
+	next       []int32 // next[i]: the entry queued behind entry i
+	head, tail [2*fmBucketSpan + 1]int32
+	hi         int // highest possibly-non-empty bucket index
 }
 
 const fmBucketSpan = 64
@@ -93,43 +104,42 @@ func fmBucketIndex(gain float64) int {
 //chaos:hotpath
 func (fb *fmBuckets) push(cand fmCand) {
 	b := fmBucketIndex(cand.gain)
-	fb.buckets[b] = append(fb.buckets[b], cand)
+	fb.ents, fb.next = append(fb.ents, cand), append(fb.next, 0)
+	at := int32(len(fb.ents))
+	if t := fb.tail[b]; t > 0 {
+		fb.next[t-1] = at
+	} else {
+		fb.head[b] = at
+	}
+	fb.tail[b] = at
 	if b > fb.hi {
 		fb.hi = b
 	}
-	fb.n++
 }
 
-// pop returns the highest-gain candidate, or false when empty. The
-// consumed prefix is tracked by a cursor, NOT by re-slicing the bucket
-// from the front — front-slicing would strand the popped capacity and
-// make every later push reallocate, defeating the arena.
+// pop returns the highest-gain candidate, the earliest pushed among
+// equals, or false when empty.
 //
 //chaos:hotpath
 func (fb *fmBuckets) pop() (fmCand, bool) {
 	for fb.hi >= 0 {
-		if b := fb.buckets[fb.hi]; fb.head[fb.hi] < len(b) {
-			cand := b[fb.head[fb.hi]]
-			fb.head[fb.hi]++
-			fb.n--
-			return cand, true
+		if at := fb.head[fb.hi]; at > 0 {
+			if fb.head[fb.hi] = fb.next[at-1]; fb.head[fb.hi] == 0 {
+				fb.tail[fb.hi] = 0
+			}
+			return fb.ents[at-1], true
 		}
 		fb.hi--
 	}
 	return fmCand{}, false
 }
 
-// reset empties the buckets keeping their backing arrays, so repeated
-// passes reuse steady-state capacity instead of reallocating.
-//
-//chaos:hotpath
+// reset empties the buckets keeping the slab, so repeated passes reuse
+// steady-state capacity instead of reallocating.
 func (fb *fmBuckets) reset() {
-	for i := range fb.buckets {
-		fb.buckets[i] = fb.buckets[i][:0]
-		fb.head[i] = 0
-	}
+	fb.ents, fb.next = fb.ents[:0], fb.next[:0]
+	fb.head, fb.tail = [2*fmBucketSpan + 1]int32{}, [2*fmBucketSpan + 1]int32{}
 	fb.hi = 0
-	fb.n = 0
 }
 
 // kwayRefine is the serial k-way FM refiner run (replicated) on
@@ -181,7 +191,6 @@ func kwayRefine(s *kwayScratch, xadj, adj []int, ew, w []float64, part []int, np
 	touchedParts := s.touchedParts
 	stamp := scratch.Grow(&s.stamp, n)
 	fb := &s.fb
-	fb.ensure()
 	locked := scratch.Grow(&s.locked, n)
 	var scanned int64
 
@@ -302,10 +311,8 @@ func kwayRefine(s *kwayScratch, xadj, adj []int, ew, w []float64, part []int, np
 //
 //chaos:hotpath
 func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostExchange, part []int, nparts, passes int, tol float64) {
-	me := c.Rank()
 	procs := c.Procs()
-	lo := g.Home.Lo(me)
-	localN := g.LocalN(me)
+	localN := g.LocalN(c.Rank())
 
 	// The ghost part copy lands in the arena buffer; ge.Loc resolves
 	// every neighbor to part or ghostPart with one array read, so the
@@ -355,8 +362,7 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 	// by a local or remote move in their neighborhood:
 	//   cutW[l]     weighted cut contribution of l's edges
 	//   boundary[l] whether l has any cross-part edge
-	// localCut is maintained incrementally from cutW deltas and checked
-	// against a full recomputation at every pass start.
+	// localCut is maintained incrementally from cutW deltas.
 	cutW := scratch.Grow(&s.cutW, localN)
 	boundary := scratch.Grow(&s.boundary, localN)
 	dirty := scratch.Grow(&s.dirty, localN)
@@ -395,7 +401,11 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 
 	// syncState fuses the two collectives every sub-iteration boundary
 	// needs — part weights and exact global cut — into one allgather of
-	// nparts+1 floats per rank.
+	// nparts+1 floats per rank, summed per column in rank order. buf goes
+	// out uncopied and is next written by the next syncState, which is
+	// always reached through an incremental exchange of the moved parts
+	// (or, on the next call, the dense push above): that is the later
+	// collective the ownership rule asks for.
 	W := scratch.Grow(&s.W, nparts)
 	var cut float64
 	buf := scratch.Grow(&s.buf, nparts+1)
@@ -407,15 +417,19 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 			buf[part[l]] += g.Weight(l)
 		}
 		buf[nparts] = localCut
-		all := c.AllGatherFloats(buf)
-		for q := 0; q <= nparts; q++ {
-			buf[q] = 0
+		s.all = c.AllGatherFloatsInto(buf, s.all)
+		for q := 0; q < nparts; q++ {
+			W[q] = 0
 		}
-		for i, v := range all {
-			buf[i%(nparts+1)] += v
+		cut = 0
+		for i, v := range s.all {
+			if q := i % (nparts + 1); q < nparts {
+				W[q] += v
+			} else {
+				cut += v
+			}
 		}
-		copy(W, buf[:nparts])
-		cut = buf[nparts] / 2 // symmetric CSR: both owners counted each edge
+		cut /= 2 // symmetric CSR: both owners counted each edge
 	}
 
 	refreshAll()
@@ -440,7 +454,6 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 	touchedParts := s.touchedParts
 	stamp := scratch.Grow(&s.stamp, localN)
 	fb := &s.fb
-	fb.ensure()
 	locked := scratch.Grow(&s.locked, localN)
 	movedFlag := scratch.Grow(&s.movedFlag, localN)
 	for l := 0; l < localN; l++ {
@@ -588,11 +601,10 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 				// supersede the stale ones (serial-FM style). Remote
 				// neighbors find out at the sub-iteration boundary.
 				for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
-					u := g.Adj[k]
-					if g.Home.Owner(u) != me {
+					ul := ge.Loc[k]
+					if ul < 0 {
 						continue
 					}
-					ul := u - lo
 					dirty[ul] = true
 					if locked[ul] {
 						continue
@@ -619,8 +631,8 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 				dirty[mv.l] = true
 				moved--
 				for k := g.XAdj[mv.l]; k < g.XAdj[mv.l+1]; k++ {
-					if u := g.Adj[k]; g.Home.Owner(u) == me {
-						dirty[u-lo] = true
+					if ul := ge.Loc[k]; ul >= 0 {
+						dirty[ul] = true
 					}
 				}
 			}
@@ -682,8 +694,8 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 				// boundary; re-mark them exactly as the local batch
 				// rollback does, or later passes measure a stale cut.
 				for k := g.XAdj[mv.l]; k < g.XAdj[mv.l+1]; k++ {
-					if u := g.Adj[k]; g.Home.Owner(u) == me {
-						dirty[u-lo] = true
+					if ul := ge.Loc[k]; ul >= 0 {
+						dirty[ul] = true
 					}
 				}
 			}
