@@ -13,7 +13,8 @@ COVER_FLOOR = 89.0
 # The BenchmarkHot* suite measures the steady state of the arena-backed
 # hot paths and of the paper's own layers (translation-table
 # dereference, schedule build, whole inspection, gather/scatter
-# transport, whole reused executor step) with -benchmem; the gate
+# transport, whole reused executor step) and of chaosd's cache hit
+# (fingerprint, whole in-process hit) with -benchmem; the gate
 # (cmd/benchjson -gate) fails CI when any of them allocates past the
 # checked-in BENCH_BASELINE.json (5% scheduling-noise headroom, exact
 # for allocation-free kernels). ns/op is written to the JSON but not
@@ -21,7 +22,7 @@ COVER_FLOOR = 89.0
 # `make repo-bench-pairs`. Refresh the baseline with `make
 # bench-baseline` after an intentional allocation change and commit
 # the diff.
-BENCH_GATE_CMD = $(GO) test -run '^$$' -bench '^BenchmarkHot' -benchmem -benchtime 10x ./internal/partition ./internal/geocol ./internal/stream ./internal/ttable ./internal/schedule ./internal/core
+BENCH_GATE_CMD = $(GO) test -run '^$$' -bench '^BenchmarkHot' -benchmem -benchtime 10x ./internal/partition ./internal/geocol ./internal/stream ./internal/ttable ./internal/schedule ./internal/core ./internal/service
 
 check: build lint analyze test docs-check api-check
 
@@ -114,6 +115,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzAlltoAll$$' -fuzztime 30s ./internal/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzGhostExchange$$' -fuzztime 30s ./internal/geocol
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime 30s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifiedCache$$' -fuzztime 30s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamDecode$$' -fuzztime 30s ./internal/stream
 
 # bench-json emits the perf-trajectory document CI archives per push.

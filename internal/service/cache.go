@@ -2,9 +2,9 @@ package service
 
 import (
 	"container/list"
-	"encoding/binary"
-	"hash/fnv"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"chaos/internal/partition"
@@ -13,29 +13,34 @@ import (
 // The cache is the paper's schedule-reuse economy lifted to
 // cross-request scope: pay for partitioning (and, for MULTILEVEL, for
 // building the coarsening ladder) once, then amortize across every
-// client of the daemon. It is content-addressed — the key derives from
-// the graph's content hash plus the canonicalized spec — so identical
-// requests from unrelated clients collide on purpose.
+// client of the daemon. Entries are found by name (the fingerprint,
+// which distinct graphs may share) and served by content: nothing is
+// reused until sameContent has compared the request's graph with the
+// one the entry holds. A name is bound to one content while anything is
+// cached under it; a request whose name is taken by other content is
+// answered, not cached, and its response carries Fingerprint 0.
 //
 // Two kinds of entries live side by side under one memory cap:
 //
-//   - graph entries: fingerprint → edge lists (+ coords/weights),
-//     kept so later requests can name the graph by fingerprint and
-//     ship only a churn delta;
-//   - result entries: (fingerprint, spec, nparts, procs) → finished
-//     part vector, stats, and — after a cold distributed MULTILEVEL
-//     run — the per-rank retained coarsening ladders that warm-start
-//     churned descendants of the graph.
+//   - graph entries: name → edge lists (+ coords/weights), kept so
+//     later requests can name the graph and ship only a churn delta;
+//     each owns the result entries computed for its content;
+//   - result entries: (spec, nparts, procs) under a graph entry →
+//     finished part vector, stats, and — after a cold distributed
+//     MULTILEVEL run — the per-rank retained coarsening ladders that
+//     warm-start churned descendants of the graph.
 //
 // Leases protect entries in use: every read or warm-compute against an
-// entry holds a lease (a refcount), and the evictor never removes a
-// leased entry, however far over the cap the cache is — eviction
-// mid-lease would hand a request a part vector or ladder being freed
-// under it. Eviction is LRU over the unleased remainder.
+// entry holds a lease (a refcount; a result's lease also counts on its
+// graph entry), and the evictor never removes a leased entry, however
+// far over the cap the cache is — eviction mid-lease would hand a
+// request a part vector or ladder being freed under it. Eviction is LRU
+// over the unleased remainder; evicting a graph entry drops its results
+// with it, so each cached content is held, and counted, once.
 
-// resultKey identifies one cached partition result. Spec is the
-// canonical Spec.String() form (options sorted, defaults elided), so
-// two specs that mean the same thing hit the same entry.
+// resultKey identifies one partition request shape under a graph name.
+// Spec is the canonical Spec.String() form (options sorted, defaults
+// elided), so two specs that mean the same thing hit the same entry.
 type resultKey struct {
 	fp     Fingerprint
 	spec   string
@@ -44,7 +49,7 @@ type resultKey struct {
 }
 
 // graphContent is the server-side graph payload: the canonical,
-// immutable content a fingerprint addresses.
+// immutable content a fingerprint names.
 type graphContent struct {
 	n       int
 	e1, e2  []int
@@ -61,45 +66,103 @@ func (gc *graphContent) bytes() int64 {
 	return b
 }
 
-// fingerprint computes the stable content address: FNV-1a/64 over a
-// canonical little-endian stream of every component. Deterministic
-// across processes and architectures, so fingerprints are valid
-// cross-client currency.
+// Fingerprint constants: fixed, so every process names a graph alike;
+// fpTag is bumped whenever the function changes.
+const (
+	fpTag = 0x63686165736432 // "chaosd2"
+	fpK0  = 0xa0761d6478bd642f
+	fpK1  = 0xe7037ed1a0b428db
+	fpK2  = 0x8ebc6af09c88c6e3
+	fpK3  = 0x589965cc75374cc3
+)
+
+// fingerprint names the content: a multiply-mix over its canonical
+// 64-bit words — tag, n, edge count, (e1[i], e2[i]) pairs, column count,
+// each column's and the weights' length and bit patterns. It reads
+// values, not memory, so it is the same on every architecture; it is
+// never 0 ("no base" on the wire); and it has no secret, so it is a
+// name, not a proof.
+//
+//chaos:hotpath
 func (gc *graphContent) fingerprint() Fingerprint {
-	h := fnv.New64a()
-	var buf [8]byte
-	wi := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	wi(0x63686165736431) // "chaosd1" domain separator
-	wi(uint64(gc.n))
-	wi(uint64(len(gc.e1)))
-	for i := range gc.e1 {
-		wi(uint64(gc.e1[i]))
-		wi(uint64(gc.e2[i]))
-	}
-	wi(uint64(len(gc.coords)))
+	h := fpMix(fpTag^fpK0, uint64(gc.n)^fpK1)
+	h = fpEdges(h, gc.e1, gc.e2)
+	h = fpMix(h^fpK2, uint64(len(gc.coords))^fpK3)
 	for _, col := range gc.coords {
-		wi(uint64(len(col)))
-		for _, x := range col {
-			wi(math.Float64bits(x))
-		}
+		h = fpFloats(h, col)
 	}
-	wi(uint64(len(gc.weights)))
-	for _, x := range gc.weights {
-		wi(math.Float64bits(x))
+	h = fpFloats(h, gc.weights)
+	if h == 0 {
+		return 1
 	}
-	return Fingerprint(h.Sum64())
+	return Fingerprint(h)
 }
 
-// graphEntry is one cached graph payload.
+// fpMix folds the 128-bit product of a and b to 64 bits.
+func fpMix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// fpEdges absorbs the edge count and the endpoint pairs, four pairs at
+// a time into four independent lanes so the multiplies overlap.
+//
+//chaos:hotpath
+func fpEdges(h uint64, e1, e2 []int) uint64 {
+	n := len(e1)
+	e2 = e2[:n]
+	a := fpMix(h^fpK0, uint64(n)^fpK1)
+	b, c, d := a^fpK1, a^fpK2, a^fpK3
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		a = fpMix(uint64(e1[i])^fpK0, uint64(e2[i])^a)
+		b = fpMix(uint64(e1[i+1])^fpK1, uint64(e2[i+1])^b)
+		c = fpMix(uint64(e1[i+2])^fpK2, uint64(e2[i+2])^c)
+		d = fpMix(uint64(e1[i+3])^fpK3, uint64(e2[i+3])^d)
+	}
+	for ; i < n; i++ {
+		a = fpMix(uint64(e1[i])^fpK0, uint64(e2[i])^a)
+	}
+	return fpMix(fpMix(a, b^fpK0)^c, d^fpK1)
+}
+
+// fpFloats absorbs a length-prefixed float column by bit pattern.
+//
+//chaos:hotpath
+func fpFloats(h uint64, xs []float64) uint64 {
+	h = fpMix(h^fpK0, uint64(len(xs))^fpK1)
+	for _, x := range xs {
+		h = fpMix(math.Float64bits(x)^fpK2, h^fpK3)
+	}
+	return h
+}
+
+// sameContent reports whether a and b are the same graph: equal over
+// exactly the words fingerprint reads, floats by bit pattern, so +0 and
+// -0 differ here just as they do in a fingerprint.
+//
+//chaos:hotpath
+func sameContent(a, b *graphContent) bool {
+	if a == b {
+		return true
+	}
+	return a.n == b.n && slices.Equal(a.e1, b.e1) && slices.Equal(a.e2, b.e2) &&
+		slices.EqualFunc(a.coords, b.coords, sameBits) && sameBits(a.weights, b.weights)
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// graphEntry is one cached graph payload and the results computed for
+// it.
 type graphEntry struct {
-	fp     Fingerprint
-	gc     *graphContent
-	size   int64
-	leases int
-	elem   *list.Element
+	fp      Fingerprint
+	gc      *graphContent
+	results *resultEntry // computed for gc, linked by next
+	size    int64
+	leases  int // its own and its results' leases
+	elem    *list.Element
 }
 
 // resultEntry is one cached partition result. part, cut and the
@@ -107,7 +170,11 @@ type graphEntry struct {
 // scratch-bearing state, so warm computes serialize on warmMu (and
 // hold a lease, so the entry cannot be evicted mid-compute).
 type resultEntry struct {
-	key      resultKey
+	key resultKey
+	// g is the graph entry whose content the result was computed for
+	// (nil for an answer that was not cached); next links g's results.
+	g        *graphEntry
+	next     *resultEntry
 	part     []int
 	cut      int
 	virtualS float64
@@ -170,26 +237,32 @@ func newCache(capBytes int64) *cache {
 	}
 }
 
-// putGraph inserts (or refreshes) a graph payload and returns the
-// entry with one lease held; the caller must releaseGraph it.
+// putGraph returns the graph entry named fp with one lease held,
+// inserting gc under that name when the name is free; the caller must
+// releaseGraph it. It returns nil when fp names different content.
 func (c *cache) putGraph(fp Fingerprint, gc *graphContent) *graphEntry {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ge, ok := c.graphs[fp]; ok {
+	ge, ok := c.graphs[fp]
+	if ok {
 		ge.leases++
 		c.lru.MoveToBack(ge.elem)
-		return ge
+	} else {
+		ge = &graphEntry{fp: fp, gc: gc, size: gc.bytes() + 64, leases: 1}
+		ge.elem = c.lru.PushBack(ge)
+		c.graphs[fp] = ge
+		c.used += ge.size
+		c.evict()
 	}
-	ge := &graphEntry{fp: fp, gc: gc, size: gc.bytes() + 64, leases: 1}
-	ge.elem = c.lru.PushBack(ge)
-	c.graphs[fp] = ge
-	c.used += ge.size
-	c.evict()
+	c.mu.Unlock()
+	if ok && !sameContent(ge.gc, gc) {
+		c.releaseGraph(ge)
+		return nil
+	}
 	return ge
 }
 
-// leaseGraph returns the graph entry for fp with one lease held, or
-// false when the fingerprint is unknown (evicted or never seen).
+// leaseGraph returns the graph entry named fp with one lease held, or
+// false when the name is unknown (evicted or never issued).
 func (c *cache) leaseGraph(fp Fingerprint) (*graphEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -209,23 +282,26 @@ func (c *cache) releaseGraph(ge *graphEntry) {
 	c.evict()
 }
 
-// putResult inserts a finished partition result and returns the
-// canonical entry with one lease held (when an identical key raced in
-// first, the existing entry wins and the new one is dropped — the two
-// are bit-identical by determinism).
-func (c *cache) putResult(e *resultEntry) *resultEntry {
+// putResult caches e as computed for ge's content (the caller holds a
+// lease on ge) and returns the canonical entry with one lease held.
+// When an entry for the same key raced in first, it wins and e is
+// dropped: both are correct partitions of this content.
+func (c *cache) putResult(ge *graphEntry, e *resultEntry) *resultEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.results[e.key]; ok {
 		old.leases++
+		ge.leases++
 		c.lru.MoveToBack(old.elem)
 		return old
 	}
+	e.g, e.next, ge.results = ge, ge.results, e
 	e.size = int64(8*len(e.part)) + 128
 	for _, ld := range e.ladders {
 		e.size += int64(ld.Bytes())
 	}
 	e.leases++
+	ge.leases++
 	e.elem = c.lru.PushBack(e)
 	c.results[e.key] = e
 	c.used += e.size
@@ -233,30 +309,40 @@ func (c *cache) putResult(e *resultEntry) *resultEntry {
 	return e
 }
 
-// leaseResult returns the result entry for key with one lease held.
-func (c *cache) leaseResult(key resultKey) (*resultEntry, bool) {
+// leaseResult returns the result entry for key with one lease held,
+// or nil when there is none or it was computed for content other than
+// gc. The comparison runs outside mu: contents are immutable, and the
+// lease keeps the entry cached meanwhile.
+func (c *cache) leaseResult(key resultKey, gc *graphContent) *resultEntry {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.results[key]
-	if !ok {
-		return nil, false
+	e := c.results[key]
+	if e != nil {
+		e.leases++
+		e.g.leases++
+		c.lru.MoveToBack(e.g.elem)
+		c.lru.MoveToBack(e.elem)
 	}
-	e.leases++
-	c.lru.MoveToBack(e.elem)
-	return e, true
+	c.mu.Unlock()
+	if e != nil && !sameContent(e.g.gc, gc) {
+		c.releaseResult(e)
+		return nil
+	}
+	return e
 }
 
 func (c *cache) releaseResult(e *resultEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e.leases--
+	e.g.leases--
 	c.evict()
 }
 
 // evict walks the LRU from the oldest end, removing unleased entries
 // until the cache fits its cap. Leased entries are skipped — never
 // evicted mid-lease — so the cache can transiently exceed the cap
-// while every resident entry is in use. Caller holds mu.
+// while every resident entry is in use. A graph entry goes with its
+// results (none of which is leased when it is not). Caller holds mu.
 func (c *cache) evict() {
 	if c.capBytes <= 0 {
 		return // unbounded
@@ -266,21 +352,35 @@ func (c *cache) evict() {
 		switch e := el.Value.(type) {
 		case *graphEntry:
 			if e.leases == 0 {
-				c.lru.Remove(el)
+				for r := e.results; r != nil; r = r.next {
+					delete(c.results, r.key)
+					c.drop(r.elem, r.size)
+				}
+				next = el.Next() // a result may have been next
 				delete(c.graphs, e.fp)
-				c.used -= e.size
-				c.evictions++
+				c.drop(el, e.size)
 			}
 		case *resultEntry:
 			if e.leases == 0 {
-				c.lru.Remove(el)
+				for p := &e.g.results; *p != nil; p = &(*p).next {
+					if *p == e {
+						*p = e.next
+						break
+					}
+				}
 				delete(c.results, e.key)
-				c.used -= e.size
-				c.evictions++
+				c.drop(el, e.size)
 			}
 		}
 		el = next
 	}
+}
+
+// drop removes one entry's element and bytes. Caller holds mu.
+func (c *cache) drop(el *list.Element, size int64) {
+	c.lru.Remove(el)
+	c.used -= size
+	c.evictions++
 }
 
 // stats snapshots the cache counters.

@@ -13,24 +13,42 @@ func mkResult(fp Fingerprint, n int) *resultEntry {
 	}
 }
 
+// tiny is the content every test result below is computed for; a
+// graph entry of it costs 64 bytes.
+func tiny() *graphContent { return &graphContent{n: 1} }
+
+// putResult caches a result under a tiny graph named fp and returns it
+// leased, as the server does after a compute.
+func putResult(c *cache, fp Fingerprint, n int) *resultEntry {
+	ge := c.putGraph(fp, tiny())
+	defer c.releaseGraph(ge)
+	return c.putResult(ge, mkResult(fp, n))
+}
+
+// lease looks up the result putResult cached under fp.
+func lease(c *cache, fp Fingerprint) (*resultEntry, bool) {
+	e := c.leaseResult(resultKey{fp: fp, spec: "MULTILEVEL", nparts: 2, procs: 1}, tiny())
+	return e, e != nil
+}
+
 // TestCacheEvictionNeverMidLease pins the lease contract: however far
 // over its cap the cache is pushed, a leased entry survives; the
 // moment its lease drops it becomes fair game.
 func TestCacheEvictionNeverMidLease(t *testing.T) {
-	// Cap fits roughly two 100-part results (928 bytes each).
+	// Cap fits roughly two 100-part results (928 bytes each, plus 64
+	// for the graph each was computed for).
 	c := newCache(2000)
 
-	a := c.putResult(mkResult(1, 100)) // leased by put
-	b := c.putResult(mkResult(2, 100))
+	a := putResult(c, 1, 100) // leased by put
+	b := putResult(c, 2, 100)
 	c.releaseResult(b) // a stays leased; b is evictable
 
 	// Blow past the cap repeatedly. a is leased and must survive every
 	// eviction pass; the filler entries and b go.
 	for fp := Fingerprint(10); fp < 20; fp++ {
-		e := c.putResult(mkResult(fp, 100))
-		c.releaseResult(e)
+		c.releaseResult(putResult(c, fp, 100))
 	}
-	if _, ok := c.leaseResult(a.key); !ok {
+	if _, ok := lease(c, 1); !ok {
 		t.Fatalf("leased entry was evicted")
 	}
 	c.releaseResult(a) // drop the extra lease taken just above
@@ -38,7 +56,7 @@ func TestCacheEvictionNeverMidLease(t *testing.T) {
 	if st := c.stats(); st.Evictions == 0 {
 		t.Fatalf("no evictions despite cap pressure (bytes=%d cap=%d)", st.Bytes, st.CapBytes)
 	}
-	if _, ok := c.leaseResult(resultKey{fp: 2, spec: "MULTILEVEL", nparts: 2, procs: 1}); ok {
+	if _, ok := lease(c, 2); ok {
 		t.Fatalf("unleased older entry survived cap pressure that should have evicted it")
 	}
 
@@ -46,10 +64,9 @@ func TestCacheEvictionNeverMidLease(t *testing.T) {
 	// it like anything else.
 	c.releaseResult(a)
 	for fp := Fingerprint(30); fp < 40; fp++ {
-		e := c.putResult(mkResult(fp, 100))
-		c.releaseResult(e)
+		c.releaseResult(putResult(c, fp, 100))
 	}
-	if _, ok := c.leaseResult(a.key); ok {
+	if _, ok := lease(c, 1); ok {
 		t.Fatalf("released entry survived cap pressure; lease leak?")
 	}
 }
@@ -57,23 +74,23 @@ func TestCacheEvictionNeverMidLease(t *testing.T) {
 // TestCacheLRUOrder pins the eviction order: oldest unleased first,
 // recently-touched entries last.
 func TestCacheLRUOrder(t *testing.T) {
-	c := newCache(3000) // fits three 100-part results
+	c := newCache(3000) // fits three 100-part results with their graphs
 	for fp := Fingerprint(1); fp <= 3; fp++ {
-		c.releaseResult(c.putResult(mkResult(fp, 100)))
+		c.releaseResult(putResult(c, fp, 100))
 	}
 	// Touch entry 1: it becomes most-recent; 2 is now oldest.
-	e, ok := c.leaseResult(resultKey{fp: 1, spec: "MULTILEVEL", nparts: 2, procs: 1})
+	e, ok := lease(c, 1)
 	if !ok {
 		t.Fatalf("entry 1 missing")
 	}
 	c.releaseResult(e)
 
-	c.releaseResult(c.putResult(mkResult(4, 100))) // forces one eviction
-	if _, ok := c.leaseResult(resultKey{fp: 2, spec: "MULTILEVEL", nparts: 2, procs: 1}); ok {
+	c.releaseResult(putResult(c, 4, 100)) // forces one eviction
+	if _, ok := lease(c, 2); ok {
 		t.Fatalf("LRU kept the oldest unleased entry")
 	}
 	for _, fp := range []Fingerprint{1, 3, 4} {
-		e, ok := c.leaseResult(resultKey{fp: fp, spec: "MULTILEVEL", nparts: 2, procs: 1})
+		e, ok := lease(c, fp)
 		if !ok {
 			t.Fatalf("entry %d evicted out of LRU order", fp)
 		}
@@ -82,8 +99,9 @@ func TestCacheLRUOrder(t *testing.T) {
 }
 
 // TestCacheGraphLease covers the graph side: leased graph entries
-// survive cap pressure, deltas keyed on them stay resolvable, and
-// identical uploads dedup onto one entry.
+// survive cap pressure, deltas keyed on them stay resolvable,
+// identical uploads dedup onto one entry, and a name stays bound to
+// the content that took it.
 func TestCacheGraphLease(t *testing.T) {
 	c := newCache(3000)
 	gc := &graphContent{n: 8, e1: make([]int, 100), e2: make([]int, 100)}
@@ -94,9 +112,17 @@ func TestCacheGraphLease(t *testing.T) {
 		t.Fatalf("identical upload did not dedup onto the existing entry")
 	}
 	c.releaseGraph(dup)
+	other := &graphContent{n: 8, e1: make([]int, 100), e2: make([]int, 100)}
+	other.e2[7] = 1
+	if got := c.putGraph(gc.fingerprint(), other); got != nil {
+		t.Fatalf("a name bound to one content was handed out for another")
+	}
 
-	for fp := Fingerprint(100); fp < 110; fp++ {
-		c.releaseResult(c.putResult(mkResult(fp, 100)))
+	// Results under the leased graph: each is evictable on its own.
+	for nparts := 100; nparts < 110; nparts++ {
+		e := mkResult(ge.fp, 100)
+		e.key.nparts = nparts
+		c.releaseResult(c.putResult(ge, e))
 	}
 	if _, ok := c.leaseGraph(gc.fingerprint()); !ok {
 		t.Fatalf("leased graph entry was evicted")
@@ -109,12 +135,47 @@ func TestCacheGraphLease(t *testing.T) {
 	}
 }
 
+// TestCacheGraphOwnsItsResults pins single accounting: a result may be
+// evicted alone, a graph entry is evicted together with the results
+// computed for its content, and the byte count is exactly that of the
+// entries still resident.
+func TestCacheGraphOwnsItsResults(t *testing.T) {
+	c := newCache(4000)
+	edges := func(m int) *graphContent { return &graphContent{n: 1, e1: make([]int, m), e2: make([]int, m)} }
+	ge := c.putGraph(1, edges(200)) // 3 264 bytes
+	for nparts := 2; nparts < 5; nparts++ {
+		e := mkResult(1, 10) // 208 bytes
+		e.key.nparts = nparts
+		c.releaseResult(c.putResult(ge, e))
+	}
+	if st := c.stats(); st.Graphs != 1 || st.Results != 3 || st.Bytes != 3264+3*208 {
+		t.Fatalf("after three results: %+v, want 1 graph, 3 results, %d bytes", st, 3264+3*208)
+	}
+	// 224 more bytes while the graph is leased: its oldest result goes.
+	c.releaseGraph(c.putGraph(2, edges(10)))
+	if st := c.stats(); st.Results != 2 || st.Bytes != 3264+2*208+224 {
+		t.Fatalf("after one result's eviction: %+v, want 2 results, %d bytes", st, 3264+2*208+224)
+	}
+	c.releaseGraph(ge)
+
+	// 864 more bytes: evicting the first graph alone would fit them, but
+	// its results must go with it.
+	c.releaseGraph(c.putGraph(3, edges(50)))
+	st := c.stats()
+	if st.Graphs != 2 || st.Results != 0 || st.Bytes != 224+864 || st.Evictions != 4 {
+		t.Fatalf("after the graph's eviction: %+v, want 2 graphs, no results, %d bytes, 4 evictions", st, 224+864)
+	}
+	if _, ok := lease(c, 1); ok {
+		t.Fatalf("a result outlived the graph it was computed for")
+	}
+}
+
 // TestCacheUnbounded pins the no-cap mode: capBytes <= 0 never
 // evicts.
 func TestCacheUnbounded(t *testing.T) {
 	c := newCache(-1)
 	for fp := Fingerprint(1); fp <= 50; fp++ {
-		c.releaseResult(c.putResult(mkResult(fp, 1000)))
+		c.releaseResult(putResult(c, fp, 1000))
 	}
 	if st := c.stats(); st.Evictions != 0 || st.Results != 50 {
 		t.Fatalf("unbounded cache evicted: %+v", st)

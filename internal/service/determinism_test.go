@@ -2,20 +2,24 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"chaos/internal/machine"
 )
 
-// Pinned content fingerprints of load-generator graph variants 0 and
-// 1 at the test shape. These are the cache's currency across
-// processes — any change to the FNV-1a stream layout breaks every
-// deployed client's delta requests, so a change here must be a
-// deliberate wire-version bump.
+// Pinned fingerprints of load-generator graph variants 0 and 1 at the
+// test shape. A fingerprint is a name the server issues for a graph in
+// its in-memory cache, so changing the function breaks no client: one
+// that kept a name across a restart already gets ErrUnknownGraph and
+// re-uploads. What the pin guards is that the function is the same in
+// every process and on every architecture — identical uploads from
+// unrelated clients must meet under one name.
 const (
-	pinnedFP0 = Fingerprint(0xcddc38ed7772a97a)
-	pinnedFP1 = Fingerprint(0xae784ba8252badd2)
+	pinnedFP0 = Fingerprint(0xa9bb210dea4951b9)
+	pinnedFP1 = Fingerprint(0xd14afb4b3da15a23)
 )
 
 // TestPinnedFingerprints pins the content-hash function itself.
@@ -25,6 +29,54 @@ func TestPinnedFingerprints(t *testing.T) {
 		gc := &graphContent{n: testNNode, e1: e1, e2: e2}
 		if got := gc.fingerprint(); got != want {
 			t.Errorf("variant %d fingerprint = %s, pinned %s", v, got, want)
+		}
+	}
+}
+
+// TestFingerprintSpread checks that the names spread: a small graph,
+// every single-edge rewire of it, and every single-word change to its
+// coordinates and weights (a sign flip of 0 included) fingerprint
+// distinctly and never 0.
+func TestFingerprintSpread(t *testing.T) {
+	const n = 48
+	e1, e2 := LoadGraph(3, n, 4)
+	coords := [][]float64{make([]float64, n), make([]float64, n)}
+	weights := make([]float64, n)
+	for v := 0; v < n; v++ {
+		coords[0][v], coords[1][v], weights[v] = float64(v%7), float64(v)/3, 1
+	}
+	seen := map[Fingerprint]string{}
+	name := func(what string, gc *graphContent) {
+		t.Helper()
+		fp := gc.fingerprint()
+		if fp == 0 {
+			t.Fatalf("%s fingerprints 0", what)
+		}
+		if prev, dup := seen[fp]; dup {
+			t.Fatalf("%s and %s share fingerprint %s", what, prev, fp)
+		}
+		seen[fp] = what
+	}
+	name("bare base", &graphContent{n: n, e1: e1, e2: e2})
+	base := &graphContent{n: n, e1: e1, e2: e2, coords: coords, weights: weights}
+	name("base", base)
+	for i := range e1 {
+		for v := 0; v < n; v++ {
+			if v == e2[i] {
+				continue
+			}
+			gc := applyDelta(base, []EdgeRewire{{Edge: i, NewEnd: v}})
+			name(fmt.Sprintf("rewire %d→%d", i, v), gc)
+		}
+	}
+	for d, col := range append([][]float64{weights}, coords...) {
+		for v := range col {
+			for _, x := range []float64{math.Copysign(0, -1), col[v] + 0.5, -col[v] - 1} {
+				old := col[v]
+				col[v] = x
+				name(fmt.Sprintf("column %d vertex %d = %g", d, v, x), &graphContent{n: n, e1: e1, e2: e2, coords: coords, weights: weights})
+				col[v] = old
+			}
 		}
 	}
 }

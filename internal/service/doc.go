@@ -8,10 +8,13 @@
 // The paper's economics motivate the shape: CHAOS amortizes
 // partitioning and schedule construction across the iterations of one
 // program. The service lifts that amortization across programs — a
-// content-addressed cache keyed by (graph fingerprint, canonical
-// spec, nparts, procs) holds finished partitions and, for MULTILEVEL,
-// the retained coarsening ladders, so one client's cold run
-// warm-starts every other client's churned follow-up. Admission
+// cache keyed by (graph fingerprint, canonical spec, nparts, procs)
+// holds finished partitions and, for MULTILEVEL, the retained
+// coarsening ladders, so one client's cold run warm-starts every other
+// client's churned follow-up. The fingerprint is a fast 64-bit name,
+// not a proof: every reuse is verified by comparing the request's
+// content with the content the cached work was done for, so graphs
+// that share a name are each answered for themselves. Admission
 // control (bounded worker pool over a bounded FIFO queue, typed
 // ErrOverloaded rejection) and singleflight batching of identical
 // in-flight requests keep the daemon well-behaved under load.

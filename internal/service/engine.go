@@ -15,10 +15,13 @@ import (
 // SPMD run on the simulated (or Real) machine — the same
 // geocol.Build → Spec.ValidateFor → Partition pipeline a Session
 // drives, minus the array/loop machinery a pure partitioning service
-// does not need. Results are deterministic functions of (graph
-// content, spec, nparts, procs), which is what makes the
-// content-addressed cache sound: any two computes of the same key are
-// bit-identical, on either backend (the PR 7 determinism contract).
+// does not need. A cold result is a deterministic function of (graph
+// content, spec, nparts, procs), bit-identical on either backend (the
+// machine's determinism contract). A warm result also depends on the base
+// it was warm-started from, and the cache serves whichever correct
+// partition it holds for a content: a later upload of that content
+// hits a warm answer. What makes the cache sound is that every reuse
+// is of work done for exactly the request's content.
 
 // computeResult is the engine's answer for one request.
 type computeResult struct {

@@ -72,3 +72,25 @@ func FuzzWireFrame(f *testing.F) {
 		decodeError(payload)
 	})
 }
+
+// FuzzVerifiedCache decodes a byte string into a short request program
+// over tiny graphs — uploads, repeats, deltas, deltas against unnamed
+// answers, concurrent bursts — and runs it under the 2-bit name
+// function, where unrelated graphs share names constantly. Every answer
+// must be a partition of its request's own content with the recounted
+// cut, every reused answer one that a compute of identical content
+// produced, and a delta against an unnamed answer ErrUnknownGraph.
+func FuzzVerifiedCache(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 0, 3, 1, 4, 0})
+	f.Add([]byte{0, 5, 3, 1, 0, 4, 2, 1, 5, 3, 0, 1, 2, 3})
+	f.Add([]byte{1, 0, 6, 1, 0, 7, 0, 2, 1, 1, 9, 2, 0, 3, 4, 7})
+	ps := newProgramSet(24, 4,
+		shape{spec: partition.Spec{Method: partition.MethodMultilevel, CoarsenTo: 4, Seed: 1}, nparts: 2, procs: 2},
+		shape{spec: partition.Spec{Method: partition.MethodBlock}, nparts: 3, procs: 1})
+	f.Fuzz(func(t *testing.T, program []byte) {
+		s := New(Options{Workers: 2, CacheBytes: -1})
+		defer s.Close()
+		s.fingerprint = twoBitName
+		runProgram(t, s, ps, &chooser{data: program}, 12)
+	})
+}

@@ -19,27 +19,33 @@ import (
 // the Session/Repartitioner machinery behind the wire protocol.
 // Request lifecycle:
 //
-//	validate → fingerprint → cache hit? ──────────────► respond (hit)
-//	                │ miss
+//	validate → fingerprint (the name) → verify: a result under that
+//	                │   name computed for this content? ── yes ──► respond (hit)
+//	                │ no
 //	                ▼
-//	        identical request in flight? ─────────────► wait (shared)
+//	        job for this name and content in flight? ──────────► wait (shared)
 //	                │ no — become the leader
 //	                ▼
-//	        admission: queue slot free? ── no ────────► ErrOverloaded
+//	        admission: queue slot free? ── no ─────────────────► ErrOverloaded
 //	                │ yes (FIFO queue, bounded)
 //	                ▼
-//	        worker: warm ladder available? ── yes ───► Repartition (warm)
-//	                │ no                                     │
-//	                ▼                                        ▼
-//	        cold partition (+ retain ladder) ────────► cache + respond
+//	        worker: name free or bound to this content? ── no ─► compute, respond
+//	                │ yes                                       uncached, Fingerprint 0
+//	                ▼
+//	        warm ladder off the base Base named? ── yes ───────► Repartition (warm)
+//	                │ no                                              │
+//	                ▼                                                 ▼
+//	        cold partition (+ retain ladder) ─────────────────► cache + respond
 //
 // Admission control is a bounded worker pool (Workers) over a bounded
 // FIFO queue (QueueDepth): a request that finds the queue full is
 // rejected immediately with the retryable ErrOverloaded instead of
 // piling onto the daemon, and queued work starts in arrival order.
-// Identical in-flight keys are batched (singleflight): a thundering
+// Identical in-flight requests are batched (singleflight): a thundering
 // herd of equal requests costs one compute, and every follower's
-// response is marked ServedShared.
+// response is marked ServedShared. A panic outside the partitioner
+// fails only its own request (at a worker) or connection, never the
+// daemon.
 type Server struct {
 	opt   Options
 	cache *cache
@@ -61,6 +67,9 @@ type Server struct {
 	// compute is the engine entry point; tests substitute it to make
 	// admission and batching deterministic.
 	compute func(ctx context.Context, gc *graphContent, sp partition.Spec, nparts, procs int, backend machine.Backend, warm *warmSource) (*computeResult, error)
+	// fingerprint names a graph's content; tests substitute it to make
+	// distinct graphs share names.
+	fingerprint func(*graphContent) Fingerprint
 }
 
 // Options configures a Server. The zero value of every field selects
@@ -117,6 +126,7 @@ type serverMetrics struct {
 	warm     atomic.Int64
 	shared   atomic.Int64
 	rejected atomic.Int64
+	panics   atomic.Int64 // contained at a worker or a connection
 }
 
 // Metrics is a point-in-time server counter snapshot.
@@ -135,14 +145,15 @@ func New(opt Options) *Server {
 	opt = opt.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		opt:       opt,
-		cache:     newCache(opt.CacheBytes),
-		ctx:       ctx,
-		cancel:    cancel,
-		flight:    make(map[resultKey]*job),
-		listeners: make(map[net.Listener]struct{}),
-		work:      make(chan *job, opt.QueueDepth),
-		compute:   computePartition,
+		opt:         opt,
+		cache:       newCache(opt.CacheBytes),
+		ctx:         ctx,
+		cancel:      cancel,
+		flight:      make(map[resultKey]*job),
+		listeners:   make(map[net.Listener]struct{}),
+		work:        make(chan *job, opt.QueueDepth),
+		compute:     computePartition,
+		fingerprint: (*graphContent).fingerprint,
 	}
 	for i := 0; i < opt.Workers; i++ {
 		s.workers.Add(1)
@@ -170,6 +181,7 @@ func (s *Server) Metrics() Metrics {
 type job struct {
 	key     resultKey
 	gc      *graphContent
+	base    *graphContent // a churn request's base content; nil for an upload
 	req     *Request
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -190,20 +202,15 @@ func (s *Server) Do(ctx context.Context, req *Request) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	gc, key, err := s.admitRequest(req)
+	gc, base, key, err := s.admitRequest(req)
 	if err != nil {
 		return nil, err
 	}
-
-	// Finished-partition fast path.
-	if e, ok := s.cache.leaseResult(key); ok {
-		resp := responseFrom(e, ServedHit)
-		s.cache.releaseResult(e)
-		s.metrics.hits.Add(1)
+	if resp := s.hit(key, gc); resp != nil {
 		return resp, nil
 	}
 
-	j, leader := s.joinFlight(key, gc, req)
+	j, leader := s.joinFlight(key, gc, base, req)
 	if j == nil {
 		return nil, ErrOverloaded
 	}
@@ -224,12 +231,24 @@ func (s *Server) Do(ctx context.Context, req *Request) (*Response, error) {
 	}
 }
 
-// admitRequest validates req and resolves its canonical cache key. No
-// compute and no cache mutation happens here.
-func (s *Server) admitRequest(req *Request) (*graphContent, resultKey, error) {
-	var zero resultKey
-	fail := func(format string, args ...any) (*graphContent, resultKey, error) {
-		return nil, zero, fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
+// hit answers from the finished-partition cache, or returns nil when
+// no result computed for exactly this content is cached under key.
+func (s *Server) hit(key resultKey, gc *graphContent) *Response {
+	e := s.cache.leaseResult(key, gc)
+	if e == nil {
+		return nil
+	}
+	defer s.cache.releaseResult(e)
+	s.metrics.hits.Add(1)
+	return responseFrom(e, ServedHit)
+}
+
+// admitRequest validates req and resolves its content, the base
+// content of a churn request, and its cache key. No compute and no
+// cache mutation happens here.
+func (s *Server) admitRequest(req *Request) (gc, base *graphContent, key resultKey, err error) {
+	fail := func(format string, args ...any) (*graphContent, *graphContent, resultKey, error) {
+		return nil, nil, key, fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
 	}
 	if req.NNode < 1 || req.NNode > s.opt.MaxVertices {
 		return fail("NNode %d out of range [1, %d]", req.NNode, s.opt.MaxVertices)
@@ -246,21 +265,20 @@ func (s *Server) admitRequest(req *Request) (*graphContent, resultKey, error) {
 	}
 	p, err := req.Spec.Resolve()
 	if err != nil {
-		return nil, zero, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, nil, key, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 
 	hasUpload := len(req.E1) > 0 || len(req.Coords) > 0 || len(req.VertexWeights) > 0
 	hasDelta := req.Base != 0 || len(req.Delta) > 0
-	var gc *graphContent
 	switch {
 	case hasUpload && hasDelta:
 		return fail("request carries both a graph upload and a churn delta")
 	case hasDelta:
 		ge, ok := s.cache.leaseGraph(req.Base)
 		if !ok {
-			return nil, zero, fmt.Errorf("%w %s: re-send the graph as a full upload", ErrUnknownGraph, req.Base)
+			return nil, nil, key, fmt.Errorf("%w %s: re-send the graph as a full upload", ErrUnknownGraph, req.Base)
 		}
-		base := ge.gc
+		base = ge.gc
 		s.cache.releaseGraph(ge) // content is immutable; the lease only pinned the lookup
 		if base.n != req.NNode {
 			return fail("delta base %s has %d vertices, request says %d", req.Base, base.n, req.NNode)
@@ -317,17 +335,18 @@ func (s *Server) admitRequest(req *Request) (*graphContent, resultKey, error) {
 		return fail("%s requires GEOMETRY coordinates, but the request has none", req.Spec.Method)
 	}
 
-	key := resultKey{fp: gc.fingerprint(), spec: req.Spec.String(), nparts: req.NParts, procs: procs}
-	return gc, key, nil
+	key = resultKey{fp: s.fingerprint(gc), spec: req.Spec.String(), nparts: req.NParts, procs: procs}
+	return gc, base, key, nil
 }
 
-// joinFlight attaches the request to the in-flight job for key,
-// creating (and enqueueing) the job when none exists. Returns the job
-// and whether this request is its leader; a nil job means the
-// admission queue rejected the request.
-func (s *Server) joinFlight(key resultKey, gc *graphContent, req *Request) (*job, bool) {
+// joinFlight attaches the request to the in-flight job for key when
+// that job computes the same content, and otherwise creates (and
+// enqueues) a job of its own, which later requests for key join.
+// Returns the job and whether this request is its leader; a nil job
+// means the admission queue rejected the request.
+func (s *Server) joinFlight(key resultKey, gc, base *graphContent, req *Request) (*job, bool) {
 	s.mu.Lock()
-	if j, ok := s.flight[key]; ok {
+	if j, ok := s.flight[key]; ok && sameContent(j.gc, gc) {
 		j.waiters++
 		s.mu.Unlock()
 		return j, false
@@ -340,6 +359,7 @@ func (s *Server) joinFlight(key resultKey, gc *graphContent, req *Request) (*job
 	j := &job{
 		key:     key,
 		gc:      gc,
+		base:    base,
 		req:     req,
 		ctx:     jctx,
 		cancel:  jcancel,
@@ -394,48 +414,41 @@ func (s *Server) worker() {
 	}
 }
 
+// errInternal fails a request whose handling panicked outside the
+// partitioner; it travels as the wire's internal error code.
+var errInternal = errors.New("service: internal error")
+
 // run executes one admitted job end to end.
 func (s *Server) run(j *job) {
-	if err := j.ctx.Err(); err != nil {
-		s.finish(j, nil, fmt.Errorf("service: request abandoned before compute: %w", err))
-		return
-	}
+	resp, err := s.answer(j)
+	s.finish(j, resp, err)
+}
 
-	// The graph becomes addressable-by-fingerprint from here on; the
-	// lease pins it (and, below, the warm base) for the compute's
-	// duration.
-	ge := s.cache.putGraph(j.key.fp, j.gc)
-	defer s.cache.releaseGraph(ge)
-
-	// Warm path: a churn request whose base entry (same spec, nparts
-	// and procs — the key with the base fingerprint swapped in)
-	// retained usable ladders. The base entry stays leased and its
-	// warmMu held for the whole compute: the ladders share per-rank
-	// scratch arenas, so concurrent warm computes must serialize, and
-	// eviction mid-compute must be impossible.
-	var warm *warmSource
-	var baseEntry *resultEntry
-	if len(j.req.Delta) > 0 || j.req.Base != 0 {
-		baseKey := j.key
-		baseKey.fp = j.req.Base
-		if be, ok := s.cache.leaseResult(baseKey); ok {
-			if be.hasLadders(j.gc.n, j.key.nparts, j.key.procs) {
-				baseEntry = be
-				baseEntry.warmMu.Lock()
-				warm = &warmSource{ladders: be.ladders, part: be.part}
-			} else {
-				s.cache.releaseResult(be)
-			}
+// answer computes a job's response. A panic anywhere in it is
+// contained: the deferred releases below give back every lease and
+// warmMu it took, and the job fails with errInternal.
+func (s *Server) answer(j *job) (resp *Response, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.metrics.panics.Add(1)
+			resp, err = nil, fmt.Errorf("%w: %v", errInternal, r)
 		}
+	}()
+	if err := j.ctx.Err(); err != nil {
+		return nil, fmt.Errorf("service: request abandoned before compute: %w", err)
 	}
-	res, err := s.compute(j.ctx, j.gc, j.req.Spec, j.key.nparts, j.key.procs, j.req.Backend, warm)
-	if baseEntry != nil {
-		baseEntry.warmMu.Unlock()
-		s.cache.releaseResult(baseEntry)
+
+	// The graph becomes addressable by its name from here on, and the
+	// lease pins it for the compute's duration — unless the name is
+	// bound to different content, in which case this request is
+	// answered but nothing is cached for it.
+	ge := s.cache.putGraph(j.key.fp, j.gc)
+	if ge != nil {
+		defer s.cache.releaseGraph(ge)
 	}
+	res, err := s.computeFrom(j)
 	if err != nil {
-		s.finish(j, nil, err)
-		return
+		return nil, err
 	}
 
 	e := &resultEntry{
@@ -446,7 +459,10 @@ func (s *Server) run(j *job) {
 		wallMS:   float64(res.stats.Elapsed.Nanoseconds()) / 1e6,
 		ladders:  res.ladders,
 	}
-	e = s.cache.putResult(e)
+	if ge != nil {
+		e = s.cache.putResult(ge, e)
+		defer s.cache.releaseResult(e)
+	}
 	served := ServedCold
 	if res.wasWarm {
 		served = ServedWarm
@@ -454,9 +470,31 @@ func (s *Server) run(j *job) {
 	} else {
 		s.metrics.cold.Add(1)
 	}
-	resp := responseFrom(e, served)
-	s.cache.releaseResult(e)
-	s.finish(j, resp, nil)
+	return responseFrom(e, served), nil
+}
+
+// computeFrom runs the engine for j. A churn request whose base result
+// — the one computed for exactly the content Base named at admission,
+// with the same spec, nparts and procs — retained usable ladders is
+// warm-started off it. The base entry stays leased and its warmMu held
+// for the whole compute: the ladders share per-rank scratch arenas, so
+// concurrent warm computes must serialize, and eviction mid-compute
+// must be impossible.
+func (s *Server) computeFrom(j *job) (*computeResult, error) {
+	var warm *warmSource
+	if j.base != nil {
+		baseKey := j.key
+		baseKey.fp = j.req.Base
+		if be := s.cache.leaseResult(baseKey, j.base); be != nil {
+			defer s.cache.releaseResult(be)
+			if be.hasLadders(j.gc.n, j.key.nparts, j.key.procs) {
+				be.warmMu.Lock()
+				defer be.warmMu.Unlock()
+				warm = &warmSource{ladders: be.ladders, part: be.part}
+			}
+		}
+	}
+	return s.compute(j.ctx, j.gc, j.req.Spec, j.key.nparts, j.key.procs, j.req.Backend, warm)
 }
 
 // finish publishes the job's outcome: the cache (already updated)
@@ -474,19 +512,22 @@ func (s *Server) finish(j *job, resp *Response, err error) {
 	j.cancel()
 }
 
-// responseFrom renders a leased cache entry as a Response. The part
-// vector is copied: entries are shared across requests and may be
-// evicted (and their buffers reused by nothing — but freed) after the
-// lease drops.
+// responseFrom renders a leased cache entry (or an uncached answer) as
+// a Response; an uncached answer carries no name. The part vector is
+// copied: entries are shared across requests and may be evicted (and
+// their buffers reused by nothing — but freed) after the lease drops.
 func responseFrom(e *resultEntry, served Served) *Response {
-	return &Response{
-		Fingerprint: e.key.fp,
-		Served:      served,
-		Cut:         e.cut,
-		VirtualS:    e.virtualS,
-		WallMS:      e.wallMS,
-		Part:        append([]int(nil), e.part...),
+	resp := &Response{
+		Served:   served,
+		Cut:      e.cut,
+		VirtualS: e.virtualS,
+		WallMS:   e.wallMS,
+		Part:     append([]int(nil), e.part...),
 	}
+	if e.g != nil {
+		resp.Fingerprint = e.g.fp
+	}
+	return resp
 }
 
 // Serve accepts connections on l until the listener fails or the
@@ -534,6 +575,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
+	defer s.contain()
 
 	type inFrame struct {
 		t       msgType
@@ -542,6 +584,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	frames := make(chan inFrame, 4)
 	go func() {
 		defer close(frames)
+		defer s.contain()
 		br := bufio.NewReaderSize(conn, 1<<16)
 		for {
 			t, payload, err := readFrame(br, s.opt.MaxFrame)
@@ -586,6 +629,15 @@ func (s *Server) handleConn(conn net.Conn) {
 		if _, werr := conn.Write(out); werr != nil {
 			return
 		}
+	}
+}
+
+// contain is deferred by each goroutine that serves a
+// connection: a panic there (the codec, a hit, admission) is counted
+// and drops that connection, and the daemon keeps serving.
+func (s *Server) contain() {
+	if r := recover(); r != nil {
+		s.metrics.panics.Add(1)
 	}
 }
 

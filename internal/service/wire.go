@@ -63,11 +63,13 @@ const (
 	flagBackend = 1 << 4 // run on the Real backend (default Simulated)
 )
 
-// Fingerprint is the content address of a graph: a stable 64-bit hash
-// over the canonical graph payload (vertex count, edge lists,
-// coordinates, weights). Identical graphs fingerprint identically
-// across clients and processes, which is what lets one client's cold
-// run serve another client's warm request.
+// Fingerprint is the server-issued name of a graph in its cache: a
+// stable 64-bit hash over the canonical graph payload (vertex count,
+// edge lists, coordinates, weights). Identical graphs fingerprint
+// identically across clients and processes, which is what lets one
+// client's cold run serve another client's warm request. Distinct
+// graphs may share a fingerprint; the server verifies content before
+// reusing anything, and 0 names no graph.
 type Fingerprint uint64
 
 func (f Fingerprint) String() string { return fmt.Sprintf("%016x", uint64(f)) }
@@ -144,8 +146,12 @@ func (s Served) String() string {
 
 // Response is the answer to one Request.
 type Response struct {
-	// Fingerprint is the content address of the graph that was
-	// partitioned (after delta application), usable as Request.Base.
+	// Fingerprint names the graph that was partitioned (after delta
+	// application) for use as Request.Base. 0 means this graph has no
+	// name: its fingerprint is bound to a different graph in the
+	// server's cache, so the answer was not cached, and a delta must
+	// re-send the graph as a full upload (a delta against 0 gets
+	// ErrUnknownGraph).
 	Fingerprint Fingerprint
 	// Served reports how the request was satisfied.
 	Served Served
