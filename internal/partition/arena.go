@@ -2,6 +2,7 @@ package partition
 
 import (
 	"chaos/internal/geocol"
+	"chaos/internal/machine"
 	"chaos/internal/scratch"
 )
 
@@ -47,8 +48,7 @@ type arena struct {
 // say how many ghosts there are.
 func (ar *arena) reserve(localN int) {
 	fm := &ar.fm
-	scratch.Grow(&fm.cutW, localN)
-	scratch.Grow(&fm.boundary, localN)
+	scratch.Grow(&fm.vs, localN)
 	scratch.Grow(&fm.dirty, localN)
 	scratch.Grow(&fm.stamp, localN)
 	scratch.Grow(&fm.locked, localN)
@@ -84,7 +84,7 @@ type kwayScratch struct {
 	W, acc       []float64
 	seen         []bool
 	touchedParts []int
-	stamp        []int
+	stamp        []int32
 	locked       []bool
 	log          []fmMove
 	blocked      []fmCand
@@ -94,14 +94,14 @@ type kwayScratch struct {
 // fmScratch is the scratch of the distributed hill-climbing FM refiner
 // (parallelFM). ghostAdj is the flattened (CSR) reverse index from
 // ghost slot to adjacent home-local vertices; ghostPart the reused
-// ghost part copy; touched the reused touched-slot list of the
-// incremental exchanges.
+// ghost part copy; vs the per-vertex cache of cut contributions and
+// best moves; touched the reused touched-slot list of the incremental
+// exchanges.
 type fmScratch struct {
 	ghostPart     []int
 	ghostAdjStart []int
 	ghostAdj      []int
-	cutW          []float64
-	boundary      []bool
+	vs            []fmVertex
 	dirty         []bool
 	W             []float64
 	buf           []float64 // syncState's deposit
@@ -109,7 +109,7 @@ type fmScratch struct {
 	acc           []float64
 	seen          []bool
 	touchedParts  []int
-	stamp         []int
+	stamp         []int32
 	locked        []bool
 	movedFlag     []bool
 	log           []fmMove
@@ -118,6 +118,10 @@ type fmScratch struct {
 	subBudget     []float64
 	touched       []int
 	fb            fmBuckets
+	// audit, nil outside tests, is called with the part vector and the
+	// synced global cut wherever vs must equal a fresh scan: at every
+	// sub-iteration's selection and on return.
+	audit func(c *machine.Ctx, part []int, cut float64)
 }
 
 // matchScratch is the scratch of distributed matching and coarse

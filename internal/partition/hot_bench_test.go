@@ -7,13 +7,14 @@ import (
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
 	"chaos/internal/mesh"
+	"chaos/internal/xrand"
 )
 
 // The BenchmarkHot* family measures the STEADY STATE of the arena-backed
 // hot paths: every benchmark warms its scratch once before the timer, so
 // allocs/op reports exactly what a warm repartition epoch pays. The
-// serial kernels (KL refine, k-way FM) must report 0 allocs/op — their
-// scratch is entirely arena-owned. The distributed benchmarks move their
+// serial kernels (KL refine, k-way FM) and the distributed FM refiner
+// must report 0 allocs/op — their scratch is entirely arena-owned. The distributed benchmarks move their
 // rows by ownership transfer out of arena buffers (scratch.Rows), so
 // what they still allocate on the Simulated backend is what a caller
 // keeps — cmap, part vectors, exchange patterns, freshly allocated by
@@ -216,3 +217,62 @@ func BenchmarkHotColdMultilevelSerial(b *testing.B) { benchColdMultilevel(b, 1) 
 // ranks: ghost exchanges, matching, coarse assembly, the gathered
 // coarse solve with its k-way polish, projection and parallel FM.
 func BenchmarkHotColdMultilevelDist8(b *testing.B) { benchColdMultilevel(b, 8) }
+
+// randomGraph is service.LoadGraph's shape drawn from xrand: a ring
+// through all n vertices plus uniformly random non-loop edges, n*degree/2
+// edges in all.
+func randomGraph(n, degree int, seed uint64) (e1, e2 []int) {
+	rng := xrand.New(seed)
+	for i := 0; i < n; i++ {
+		e1, e2 = append(e1, i), append(e2, (i+1)%n)
+	}
+	for len(e1) < n*degree/2 {
+		if a, b := rng.Intn(n), rng.Intn(n); a != b {
+			e1, e2 = append(e1, a), append(e2, b)
+		}
+	}
+	return e1, e2
+}
+
+// BenchmarkHotParallelFM is the distributed FM refiner at steady state:
+// one 4-pass refinement per op on a 4-rank machine of an 8-part
+// partition of a 4 000-vertex random degree-6 graph, restarted each op
+// from the same projected partition — a cold run's answer restricted to
+// the first coarse level and projected back, the shape of partition a
+// finest-level refinement starts from. Must be 0 allocs/op.
+func BenchmarkHotParallelFM(b *testing.B) {
+	const n, p, nparts = 4000, 4, 8
+	e1, e2 := randomGraph(n, 6, 1993)
+	edges := dist.NewBlock(len(e1), p)
+	b.ReportAllocs()
+	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
+		lo, hi := edges.Lo(c.Rank()), edges.Hi(c.Rank())
+		g := geocol.Build(c, n, geocol.WithLink(e1[lo:hi], e2[lo:hi]))
+		part, ld := Multilevel{Seed: 42}.PartitionLadder(c, g, nparts)
+		if ld == nil {
+			panic("parallel-FM bench: cold run retained no ladder")
+		}
+		lv, proj := ld.levels[0], &ld.ar.proj
+		start := projectPart(c, proj, lv.fine, lv.cmap, lv.coarse.Home, restrictPart(c, proj, lv.fine, lv.cmap, lv.coarse.Home, part))
+		var s fmScratch
+		for warm := 0; warm < 2; warm++ { // both slabs of every row builder
+			copy(part, start)
+			parallelFM(c, &s, lv.fine, lv.ge, part, nparts, 4, 0.07)
+		}
+		c.SumInt(0)
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			copy(part, start)
+			parallelFM(c, &s, lv.fine, lv.ge, part, nparts, 4, 0.07)
+		}
+		c.SumInt(0)
+		if c.Rank() == 0 {
+			b.StopTimer()
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

@@ -138,24 +138,31 @@ func (ml Multilevel) uncoarsen(c *machine.Ctx, ld *Ladder, part []int, finest *g
 // level of the ladder inherits seed exactly, polish the coarsest level
 // and refine back up. At coarse levels a single FM move transfers a
 // whole cluster of fine vertices between parts — the global moves
-// plain boundary refinement cannot compose. The coarsest level follows
-// the dispatch rule: below ParallelThreshold it is gathered for the
-// exact serial k-way FM; at or above it (restricted matching stalled
-// early) it is a graph that must never be gathered, and the
-// distributed FM refines it in place. seed is not modified; the ladder
-// is returned for the caller to keep or drop. Collective.
+// plain boundary refinement cannot compose. The coarsest level gets
+// polishCoarsest. seed is not modified; the ladder is returned for the
+// caller to keep or drop. Collective.
 func (ml Multilevel) refineSeeded(c *machine.Ctx, ar *arena, g *geocol.Graph, nparts int, capW float64, salt uint64, seed []int) ([]int, *Ladder) {
 	ld, part := ml.coarsen(c, ar, g, nparts, capW, salt, seed)
 	if len(ld.levels) == 0 {
 		// Nothing was restricted: part still aliases the caller's seed.
 		part = append([]int(nil), seed...)
 	}
-	if ld.coarsest.N < ml.parallelThreshold() {
-		serialKway(c, ar, ld.coarsest, part, nparts, 8, ml.tol())
-	} else {
-		parallelFM(c, &ar.fm, ld.coarsest, ar.ghost.NewGhostExchange(c, ld.coarsest), part, nparts, 3, ml.tol())
-	}
+	ml.polishCoarsest(c, ar, ld.coarsest, part, nparts)
 	return ml.uncoarsen(c, ld, part, nil), ld
+}
+
+// polishCoarsest refines an existing partition of a ladder's coarsest
+// level by the dispatch rule: below ParallelThreshold the level is
+// gathered for the exact serial k-way FM; at or above it (matching
+// stalled early) it is a graph that must never be gathered, and the
+// distributed FM refines it in place over a fresh ghost exchange.
+// Collective.
+func (ml Multilevel) polishCoarsest(c *machine.Ctx, ar *arena, coarsest *geocol.Graph, part []int, nparts int) {
+	if coarsest.N < ml.parallelThreshold() {
+		serialKway(c, ar, coarsest, part, nparts, 8, ml.tol())
+		return
+	}
+	parallelFM(c, &ar.fm, coarsest, ar.ghost.NewGhostExchange(c, coarsest), part, nparts, 3, ml.tol())
 }
 
 // PartitionLadder runs Partition and, when the distributed path was
@@ -232,10 +239,11 @@ func (ml Multilevel) RefineLadder(c *machine.Ctx, g *geocol.Graph, nparts int, s
 //  1. Restrict: oldPart is restricted down the retained ladder level
 //     by level (restrictPart), giving every cached coarse graph a
 //     partition consistent with the previous answer.
-//  2. Polish: the cached coarsest graph gets the serial k-way FM
-//     polish — orders of magnitude cheaper than the cold run's
-//     gathered serial V-cycle solve, because the partition to fix up
-//     already exists.
+//  2. Polish: the cached coarsest graph gets polishCoarsest — the
+//     serial k-way FM, or the distributed FM where the ladder's
+//     matching stalled at or above ParallelThreshold — orders of
+//     magnitude cheaper than the cold run's gathered serial V-cycle
+//     solve, because the partition to fix up already exists.
 //  3. Uncoarsen: the same uncoarsen as a cold run, its finest level
 //     refining over gNew.
 //
@@ -278,6 +286,6 @@ func (ml Multilevel) Repartition(c *machine.Ctx, gNew *geocol.Graph, nparts int,
 		lv := ld.levels[i]
 		part = restrictPart(c, &ld.ar.proj, lv.fine, lv.cmap, lv.coarse.Home, part)
 	}
-	serialKway(c, ld.ar, ld.coarsest, part, nparts, 8, ml.tol())
+	ml.polishCoarsest(c, ld.ar, ld.coarsest, part, nparts)
 	return ml.uncoarsen(c, ld, part, gNew)
 }

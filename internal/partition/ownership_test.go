@@ -45,7 +45,7 @@ func TestFMBucketsMatchModel(t *testing.T) {
 		var fb fmBuckets // the zero value must be ready
 		var model bucketModel
 		var blocked []fmCand
-		serial := 0
+		serial := int32(0)
 		for step := 0; step < 400; step++ {
 			switch op := rng.Intn(20); {
 			case op == 0:
@@ -61,7 +61,7 @@ func TestFMBucketsMatchModel(t *testing.T) {
 						gain += rng.Float64()
 					}
 					serial++
-					c := fmCand{l: rng.Intn(50), to: rng.Intn(8), gain: gain, stamp: serial}
+					c := fmCand{l: rng.Int31n(50), to: rng.Int31n(8), gain: gain, stamp: serial}
 					fb.push(c)
 					model.push(c)
 				}

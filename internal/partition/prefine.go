@@ -33,11 +33,14 @@ import (
 // Mispredicted speculative moves are therefore never committed — they
 // either get repaired by later sub-iterations or rolled back.
 //
-// All local work after the first scan is proportional to the boundary
-// and to what changed: gains and cut contributions are cached per
-// vertex and only vertices adjacent to a move (local, or remote via
-// the touched-slot list) are rescanned. See docs/REFINEMENT.md for the
-// protocol diagram and tuning guidance.
+// All local work after the first scan is proportional to what changed:
+// every vertex's cut contribution and its best move under each
+// direction rule live in one per-vertex slab (fmVertex, in the arena's
+// fmScratch.vs), rewritten by one neighborhood scan (refresh) only for
+// vertices adjacent to a move — local, or remote via the touched-slot
+// list — so selecting moves reads the slab instead of rescanning the
+// boundary. See docs/REFINEMENT.md for the protocol diagram and tuning
+// guidance.
 
 // fmSubIters is the number of bulk-synchronous sub-iterations per FM
 // pass: three direction pairs under an alternating direction rule
@@ -49,8 +52,8 @@ const fmSubIters = 6
 // fmMove is one entry of the per-rank move log: enough to undo the
 // move during rollback.
 type fmMove struct {
-	l    int // home-local vertex
-	from int // part it left
+	l    int32 // home-local vertex
+	from int32 // part it left
 }
 
 // fmCand is one speculative move candidate in the gain buckets. An
@@ -58,11 +61,27 @@ type fmMove struct {
 // entry is pushed and stale ones are detected on pop by comparing
 // stamps.
 type fmCand struct {
-	l     int
-	to    int
+	l     int32
+	to    int32
 	gain  float64
-	stamp int
+	stamp int32
 }
+
+// fmVertex is parallelFM's cached state of one home vertex, rewritten
+// by refresh whenever its neighborhood changes: the weighted cut of its
+// edges and, per direction rule (0: toward higher part ids, 1: toward
+// lower), the best move's target part and gain, to = -1 where the rule
+// admits no adjacent part.
+type fmVertex struct {
+	cut  float64
+	gain [2]float64
+	to   [2]int32
+}
+
+// boundary reports whether v has a cross-part edge: every foreign
+// adjacent part lies above or below v's own, so some direction has a
+// move.
+func (v *fmVertex) boundary() bool { return v.to[0] >= 0 || v.to[1] >= 0 }
 
 // fmBuckets holds move candidates bucketed by integer-floored gain —
 // the classic FM gain-bucket array. Coarse-graph edge weights are
@@ -234,7 +253,7 @@ func kwayRefine(s *kwayScratch, xadj, adj []int, ew, w []float64, part []int, np
 			locked[v] = false
 			if to, gain, ok := candidate(v); ok {
 				stamp[v]++
-				fb.push(fmCand{l: v, to: to, gain: gain, stamp: stamp[v]})
+				fb.push(fmCand{l: int32(v), to: int32(to), gain: gain, stamp: stamp[v]})
 			}
 		}
 		log = log[:0]
@@ -245,7 +264,7 @@ func kwayRefine(s *kwayScratch, xadj, adj []int, ew, w []float64, part []int, np
 			if !ok {
 				break
 			}
-			v := cand.l
+			v, to := int(cand.l), int(cand.to)
 			if cand.stamp != stamp[v] || locked[v] {
 				continue
 			}
@@ -253,17 +272,17 @@ func kwayRefine(s *kwayScratch, xadj, adj []int, ew, w []float64, part []int, np
 				break
 			}
 			p, wv := part[v], weight(v)
-			if W[cand.to]+wv > maxA || W[p]-wv < minA {
+			if W[to]+wv > maxA || W[p]-wv < minA {
 				// Balance-blocked, not dead: re-offered after the next
 				// committed move frees headroom (klRefine's stash).
 				blocked = append(blocked, cand)
 				continue
 			}
-			part[v] = cand.to
+			part[v] = to
 			locked[v] = true
-			W[cand.to] += wv
+			W[to] += wv
 			W[p] -= wv
-			log = append(log, fmMove{l: v, from: p})
+			log = append(log, fmMove{l: cand.l, from: int32(p)})
 			cum += cand.gain
 			if cum > bestCum {
 				bestCum, bestAt = cum, len(log)
@@ -279,16 +298,16 @@ func kwayRefine(s *kwayScratch, xadj, adj []int, ew, w []float64, part []int, np
 				}
 				if to, gain, ok := candidate(u); ok {
 					stamp[u]++
-					fb.push(fmCand{l: u, to: to, gain: gain, stamp: stamp[u]})
+					fb.push(fmCand{l: int32(u), to: int32(to), gain: gain, stamp: stamp[u]})
 				}
 			}
 		}
 		for i := len(log) - 1; i >= bestAt; i-- {
-			mv := log[i]
-			wv := weight(mv.l)
-			W[part[mv.l]] -= wv
-			W[mv.from] += wv
-			part[mv.l] = mv.from
+			v, from := int(log[i].l), int(log[i].from)
+			wv := weight(v)
+			W[part[v]] -= wv
+			W[from] += wv
+			part[v] = from
 		}
 		scanned += int64(64 * len(log))
 		if bestCum <= 0 {
@@ -358,22 +377,25 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 	start[0] = 0
 	ghostAdj := func(slot int) []int { return items[start[slot]:start[slot+1]] }
 
-	// Cached per-vertex state, refreshed only for vertices marked dirty
-	// by a local or remote move in their neighborhood:
-	//   cutW[l]     weighted cut contribution of l's edges
-	//   boundary[l] whether l has any cross-part edge
-	// localCut is maintained incrementally from cutW deltas.
-	cutW := scratch.Grow(&s.cutW, localN)
-	boundary := scratch.Grow(&s.boundary, localN)
+	// The per-vertex cache (fmVertex), refreshed only for vertices
+	// marked dirty by a local or remote move in their neighborhood;
+	// localCut is maintained incrementally from the cut deltas. refresh
+	// accumulates the edge weight toward each adjacent part (acc, guarded
+	// by seen, which is all false between scans) and picks each
+	// direction's best part: highest gain, the lower part id on a tie.
+	vs := scratch.Grow(&s.vs, localN)
 	dirty := scratch.Grow(&s.dirty, localN)
-	for l := 0; l < localN; l++ {
-		dirty[l] = false
-	}
+	acc := scratch.Grow(&s.acc, nparts)
+	seen := scratch.Grow(&s.seen, nparts)
+	clear(dirty)
+	clear(seen)
+	touchedParts := s.touchedParts
 	localCut := 0.0
 	refresh := func(l int) {
-		old := cutW[l]
-		w, bnd := 0.0, false
+		v := &vs[l]
 		p := part[l]
+		cut, intW := 0.0, 0.0
+		touchedParts = touchedParts[:0]
 		for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
 			q := 0
 			if loc := ge.Loc[k]; loc >= 0 {
@@ -381,19 +403,39 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 			} else {
 				q = ghostPart[-loc-1]
 			}
-			if q != p {
-				w += edgeW(k)
-				bnd = true
+			w := edgeW(k)
+			if q == p {
+				intW += w
+				continue
+			}
+			cut += w
+			if !seen[q] {
+				seen[q] = true
+				acc[q] = 0
+				touchedParts = append(touchedParts, q)
+			}
+			acc[q] += w
+		}
+		localCut += cut - v.cut
+		v.cut = cut
+		v.to = [2]int32{-1, -1}
+		v.gain = [2]float64{math.Inf(-1), math.Inf(-1)}
+		for _, q := range touchedParts {
+			seen[q] = false
+			dir := 0
+			if q < p {
+				dir = 1
+			}
+			if gq := acc[q] - intW; gq > v.gain[dir] || (gq == v.gain[dir] && int32(q) < v.to[dir]) {
+				v.gain[dir], v.to[dir] = gq, int32(q)
 			}
 		}
-		cutW[l], boundary[l] = w, bnd
-		localCut += w - old
 	}
-	scanned := 0 // degree sum of refreshed vertices, for flop charges
+	scanned := 0 // degree sum of looked-up vertices, for flop charges
 	refreshAll := func() {
 		localCut = 0
 		for l := 0; l < localN; l++ {
-			cutW[l] = 0
+			vs[l].cut = 0
 			refresh(l)
 		}
 		scanned += len(g.Adj)
@@ -441,71 +483,34 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 	ideal := totalW / float64(nparts)
 	maxA, minA := ideal*(1+tol), ideal*(1-tol)
 
-	// Per-candidate scratch for the selection scan, all arena-owned:
-	// seen and movedFlag are cleared here, locked is reset per pass,
-	// acc is guarded by seen, the budgets are overwritten every
+	// Per-move scratch, all arena-owned: movedFlag is cleared here,
+	// locked is reset per pass, the budgets are overwritten every
 	// sub-iteration, and stamp may hold arbitrary values (entries only
 	// compare stamps recorded in this call).
-	acc := scratch.Grow(&s.acc, nparts)
-	seen := scratch.Grow(&s.seen, nparts)
-	for q := 0; q < nparts; q++ {
-		seen[q] = false
-	}
-	touchedParts := s.touchedParts
 	stamp := scratch.Grow(&s.stamp, localN)
 	fb := &s.fb
 	locked := scratch.Grow(&s.locked, localN)
 	movedFlag := scratch.Grow(&s.movedFlag, localN)
-	for l := 0; l < localN; l++ {
-		movedFlag[l] = false
-	}
+	clear(movedFlag)
 	log := s.log[:0]
 	blocked := s.blocked
 	addBudget := scratch.Grow(&s.addBudget, nparts)
 	subBudget := scratch.Grow(&s.subBudget, nparts)
 
-	// candidate computes l's best direction-eligible move: the adjacent
-	// part maximizing the cut gain (ties toward the smaller part id).
-	// Returns ok=false for non-boundary vertices or when the direction
-	// rule filters every adjacent part.
-	candidate := func(l, dir int) (to int, gain float64, ok bool) {
-		p := part[l]
-		intW := 0.0
-		touchedParts = touchedParts[:0]
-		for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
-			q := 0
-			if loc := ge.Loc[k]; loc >= 0 {
-				q = part[loc]
-			} else {
-				q = ghostPart[-loc-1]
-			}
-			w := edgeW(k)
-			if q == p {
-				intW += w
-				continue
-			}
-			if !seen[q] {
-				seen[q] = true
-				acc[q] = 0
-				touchedParts = append(touchedParts, q)
-			}
-			acc[q] += w
+	// offer pushes boundary vertex l's cached best move under direction
+	// rule dir, if it has one, into the gain buckets. The modelled
+	// machine is charged l's degree per lookup — the scan that computes
+	// the move — although the host only reads the cache.
+	offer := func(l, dir int) {
+		v := &vs[l]
+		if !v.boundary() {
+			return
 		}
 		scanned += g.Degree(l)
-		best, bestGain := -1, math.Inf(-1)
-		for _, q := range touchedParts {
-			seen[q] = false
-			if dir == 0 && q < p || dir == 1 && q > p {
-				continue
-			}
-			if gq := acc[q] - intW; gq > bestGain || (gq == bestGain && q < best) {
-				best, bestGain = q, gq
-			}
+		if v.to[dir] >= 0 {
+			stamp[l]++
+			fb.push(fmCand{l: int32(l), to: v.to[dir], gain: v.gain[dir], stamp: stamp[l]})
 		}
-		if best < 0 {
-			return 0, 0, false
-		}
-		return best, bestGain, true
 	}
 
 	for pass := 0; pass < passes; pass++ {
@@ -526,16 +531,15 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 			}
 
 			// Selection: seed the gain buckets from the current
-			// boundary. Ascending l keeps within-bucket order (and so
-			// the whole pop sequence) deterministic.
+			// boundary's cached moves. Ascending l keeps within-bucket
+			// order (and so the whole pop sequence) deterministic.
+			if s.audit != nil {
+				s.audit(c, part, cut)
+			}
 			fb.reset()
 			for l := 0; l < localN; l++ {
-				if !boundary[l] || locked[l] {
-					continue
-				}
-				if to, gain, ok := candidate(l, dir); ok {
-					stamp[l]++
-					fb.push(fmCand{l: l, to: to, gain: gain, stamp: stamp[l]})
+				if !locked[l] {
+					offer(l, dir)
 				}
 			}
 
@@ -560,7 +564,7 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 				if !ok {
 					break
 				}
-				l := cand.l
+				l, to := int(cand.l), int(cand.to)
 				if cand.stamp != stamp[l] || locked[l] {
 					continue // superseded by a fresher entry
 				}
@@ -568,25 +572,25 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 					break // climb gone cold past the best prefix
 				}
 				p, w := part[l], g.Weight(l)
-				if addBudget[cand.to] < w || subBudget[p] < w {
+				if addBudget[to] < w || subBudget[p] < w {
 					// Balance-blocked, not dead: re-offered after the
 					// next committed move (klRefine's stash).
 					blocked = append(blocked, cand)
 					continue
 				}
-				part[l] = cand.to
+				part[l] = to
 				locked[l] = true
 				movedFlag[l] = true
 				dirty[l] = true
-				log = append(log, fmMove{l: l, from: p})
+				log = append(log, fmMove{l: cand.l, from: int32(p)})
 				// Net-inflow accounting: the budgets bound each rank's
 				// NET weight movement per part, so an outflow refunds
 				// the headroom it frees — climbs that shuffle weight
 				// through a part are not charged as if they parked it.
-				addBudget[cand.to] -= w
+				addBudget[to] -= w
 				addBudget[p] += w
 				subBudget[p] -= w
-				subBudget[cand.to] += w
+				subBudget[to] += w
 				moved++
 				cum += cand.gain
 				if cum > bestCum {
@@ -611,13 +615,7 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 					}
 					refresh(ul)
 					dirty[ul] = false
-					if !boundary[ul] {
-						continue
-					}
-					if to, gain, ok := candidate(ul, dir); ok {
-						stamp[ul]++
-						fb.push(fmCand{l: ul, to: to, gain: gain, stamp: stamp[ul]})
-					}
+					offer(ul, dir)
 				}
 			}
 			// Local rollback to the batch's best prefix: undone moves
@@ -625,12 +623,12 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 			// rest of the pass (their climb did not pay off), and their
 			// neighborhoods are re-marked dirty for the refresh below.
 			for i := len(log) - 1; i >= bestAt; i-- {
-				mv := log[i]
-				part[mv.l] = mv.from
-				movedFlag[mv.l] = false
-				dirty[mv.l] = true
+				l := int(log[i].l)
+				part[l] = int(log[i].from)
+				movedFlag[l] = false
+				dirty[l] = true
 				moved--
-				for k := g.XAdj[mv.l]; k < g.XAdj[mv.l+1]; k++ {
+				for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
 					if ul := ge.Loc[k]; ul >= 0 {
 						dirty[ul] = true
 					}
@@ -686,14 +684,14 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 		// already at its checkpoint just contributes an empty batch.
 		if cut > bestCut {
 			for i := len(log) - 1; i >= bestLen; i-- {
-				mv := log[i]
-				part[mv.l] = mv.from
-				movedFlag[mv.l] = true
-				dirty[mv.l] = true
-				// Same-rank neighbors cached the undone move in cutW/
-				// boundary; re-mark them exactly as the local batch
+				l := int(log[i].l)
+				part[l] = int(log[i].from)
+				movedFlag[l] = true
+				dirty[l] = true
+				// Same-rank neighbors cached the undone move in their
+				// fmVertex; re-mark them exactly as the local batch
 				// rollback does, or later passes measure a stale cut.
-				for k := g.XAdj[mv.l]; k < g.XAdj[mv.l+1]; k++ {
+				for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
 					if ul := ge.Loc[k]; ul >= 0 {
 						dirty[ul] = true
 					}
@@ -725,6 +723,9 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 		if passMoved == 0 || bestCut >= startCut {
 			break // no progress left for another pass to find
 		}
+	}
+	if s.audit != nil {
+		s.audit(c, part, cut)
 	}
 	// Retain grown capacity for the next call on this arena.
 	s.touchedParts, s.log, s.blocked = touchedParts, log, blocked
