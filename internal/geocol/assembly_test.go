@@ -132,32 +132,63 @@ func diffGraphs(got, want *Graph) string {
 	return ""
 }
 
-// diffExchanges is diffGraphs for exchange patterns.
-func diffExchanges(got, want *GhostExchange) string {
-	lens := func(rows [][]int) []int {
-		n := make([]int, len(rows))
-		for r, row := range rows {
-			n[r] = len(row)
+// specExchange checks the exchange pattern ge of g against its
+// definition, and the clock of the rank that derived it — before it,
+// then now — against the charge the derivation promises. "" means ge
+// is exactly the pattern of g.
+//   - IDs is the sorted set of distinct off-rank neighbours;
+//   - Loc[k] is Adj[k]-lo for a home neighbour, and otherwise encodes
+//     the ghost slot whose id is Adj[k];
+//   - the send list to rank r holds, ascending, the home vertices with
+//     a neighbour homed on r, and recvStart[r] is where r's run of IDs
+//     begins;
+//   - the derivation charges localN + 2·len(IDs) words and nothing else.
+func specExchange(c *machine.Ctx, wordTime float64, g *Graph, ge *GhostExchange, before float64) string {
+	me, procs := c.Rank(), c.Procs()
+	lo, localN := g.Home.Lo(me), g.LocalN(me)
+	home := func(v int) bool { return g.Home.Owner(v) == me }
+	var ids []int
+	send := make([][]int, procs)
+	for l := 0; l < localN; l++ {
+		for _, v := range g.Neighbors(l) {
+			if home(v) {
+				continue
+			}
+			ids = append(ids, v)
+			if r := g.Home.Owner(v); !slices.Contains(send[r], l) {
+				send[r] = append(send[r], l)
+			}
 		}
-		return n
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	recvStart := make([]int, procs+1)
+	for r := range recvStart {
+		recvStart[r] = len(ids)
+		if i := slices.IndexFunc(ids, func(v int) bool { return g.Home.Owner(v) >= r }); i >= 0 {
+			recvStart[r] = i
+		}
 	}
 	switch {
-	case !slices.Equal(got.IDs, want.IDs):
-		return fmt.Sprintf("IDs %v, reference %v", got.IDs, want.IDs)
-	case !slices.Equal(got.Loc, want.Loc):
-		return fmt.Sprintf("Loc %v, reference %v", got.Loc, want.Loc)
-	case got.lo != want.lo:
-		return fmt.Sprintf("lo %d, reference %d", got.lo, want.lo)
-	case !slices.EqualFunc(got.send, want.send, slices.Equal[[]int]):
-		return fmt.Sprintf("send %v, reference %v", got.send, want.send)
-	case !slices.Equal(got.recvStart, want.recvStart):
-		return fmt.Sprintf("recvStart %v, reference %v", got.recvStart, want.recvStart)
-	case !slices.Equal(lens(got.rows[0]), lens(want.rows[0])) || !slices.Equal(lens(got.rows[1]), lens(want.rows[1])):
-		return "send buffer shapes differ"
-	case len(got.recv) != len(want.recv):
-		return "receive header shapes differ"
-	case got.Bytes() != want.Bytes():
-		return fmt.Sprintf("Bytes %d, reference %d", got.Bytes(), want.Bytes())
+	case !slices.Equal(ge.IDs, ids):
+		return fmt.Sprintf("IDs %v, want the distinct off-rank neighbours %v", ge.IDs, ids)
+	case len(ge.Loc) != len(g.Adj):
+		return fmt.Sprintf("%d Loc entries for %d adjacency slots", len(ge.Loc), len(g.Adj))
+	case len(ge.send) != procs || !slices.EqualFunc(ge.send, send, slices.Equal[[]int]):
+		return fmt.Sprintf("send lists %v, want %v", ge.send, send)
+	case !slices.Equal(ge.recvStart, recvStart):
+		return fmt.Sprintf("recvStart %v, want %v", ge.recvStart, recvStart)
+	case c.Clock() != before+float64(localN+2*len(ids))*wordTime:
+		return fmt.Sprintf("the derivation moved the clock from %v to %v, want a charge of %d words", before, c.Clock(), localN+2*len(ids))
+	}
+	for k, v := range g.Adj[:g.XAdj[localN]] {
+		loc := ge.Loc[k]
+		switch {
+		case home(v) && loc != v-lo:
+			return fmt.Sprintf("Loc[%d] = %d for home neighbour %d, want %d", k, loc, v, v-lo)
+		case !home(v) && (loc >= 0 || -loc-1 >= len(ids) || ids[-loc-1] != v):
+			return fmt.Sprintf("Loc[%d] = %d does not name the ghost slot of %d in %v", k, loc, v, ids)
+		}
 	}
 	return ""
 }
@@ -178,7 +209,7 @@ func pairUp(g *Graph, rank int) (cmap []int, coarseN int) {
 type assemblyMode int
 
 const (
-	viaReference assemblyMode = iota // the parent commit's bodies
+	viaReference assemblyMode = iota // the parent commit's bodies; exchange patterns one-shot
 	viaOneShot                       // package-level wrappers, fresh scratch per call
 	viaRecycled                      // one GhostScratch and CoarseAssembler for everything
 )
@@ -186,7 +217,8 @@ const (
 // assembleAll runs, on every family in turn inside one machine run:
 // CONSTRUCT with LINK, the exchange pattern, a contraction, the coarse
 // graph's exchange pattern, and a second contraction (whose input has
-// edge weights) — and returns what each rank assembled.
+// edge weights) — checks every exchange pattern against its
+// specification and returns what each rank assembled.
 func assembleAll(t *testing.T, backend machine.Backend, p int, mode assemblyMode) [][]asmStep {
 	t.Helper()
 	fams := edgeFamilies(p)
@@ -205,13 +237,15 @@ func assembleAll(t *testing.T, backend machine.Backend, p int, mode assemblyMode
 			return Build(c, f.n, WithLink(e1, e2))
 		}
 		exchange := func(g *Graph) *GhostExchange {
-			switch mode {
-			case viaReference:
-				return refNewGhostExchange(c, g)
-			case viaOneShot:
-				return NewGhostExchange(c, g)
+			before, derive := c.Clock(), NewGhostExchange
+			if mode == viaRecycled {
+				derive = gs.NewGhostExchange
 			}
-			return gs.NewGhostExchange(c, g)
+			ge := derive(c, g)
+			if d := specExchange(c, cfg.WordTime, g, ge, before); d != "" {
+				t.Errorf("%v P=%d mode %d rank %d: exchange pattern: %s", backend, p, mode, c.Rank(), d)
+			}
+			return ge
 		}
 		contract := func(g *Graph, ge *GhostExchange) *Graph {
 			cmap, coarseN := pairUp(g, c.Rank())
@@ -247,11 +281,12 @@ func assembleAll(t *testing.T, backend machine.Backend, p int, mode assemblyMode
 }
 
 // TestAssemblyMatchesReference is the differential test of the
-// rewritten assembly: Build's LINK path, NewGhostExchange and
-// BuildCoarse — through the one-shot wrappers and through one recycled
-// scratch per rank — must produce exactly the graphs, exchange
-// patterns, Bytes() and per-rank virtual clocks of the bodies they
-// replaced, on graphs that are not lattices, on both backends.
+// rewritten assembly: Build's LINK path and BuildCoarse — through the
+// one-shot wrappers and through one recycled scratch per rank — must
+// produce exactly the graphs, Bytes() and per-rank virtual clocks of
+// the bodies they replaced, and every exchange pattern between them
+// must meet its specification (specExchange), on graphs that are not
+// lattices, on both backends.
 func TestAssemblyMatchesReference(t *testing.T) {
 	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
 		for _, p := range []int{1, 2, 3, 8} {
@@ -262,11 +297,8 @@ func TestAssemblyMatchesReference(t *testing.T) {
 					for i, w := range want[r] {
 						s := got[r][i]
 						d := ""
-						switch {
-						case w.g != nil:
+						if w.g != nil {
 							d = diffGraphs(s.g, w.g)
-						default:
-							d = diffExchanges(s.ge, w.ge)
 						}
 						if d == "" && s.clock != w.clock {
 							d = fmt.Sprintf("clock %v, reference %v", s.clock, w.clock)

@@ -33,9 +33,13 @@
 //     gathering it.
 //   - GhostExchange precomputes the boundary-exchange pattern of a
 //     distributed Graph — which home vertices each neighbor rank
-//     reads, derived locally thanks to the symmetric CSR — and moves
-//     one value per boundary vertex (PushInts/PushFloatsInto), or
-//     only the changed ones (UpdateIntsTouchedInto, PushMarks).
+//     reads, derived locally thanks to the symmetric CSR, with no
+//     request round — and moves one value per boundary vertex
+//     (PushInts/PushFloatsInto), or only the changed ones
+//     (UpdateIntsTouchedInto, PushMarks). A pattern retains index
+//     arrays only: every exchange lays its send rows in the
+//     scratch.Rows of the GhostScratch the pattern was derived on, so
+//     all the levels of a ladder share one set of send buffers.
 //     UpdateIntsTouchedInto also reports which ghost slots changed,
 //     which is what lets the parallel FM refiner maintain its gain and
 //     boundary caches incrementally instead of rescanning the ghost
@@ -45,8 +49,11 @@
 //
 // geocol_test.go pins CONSTRUCT semantics (dedup, symmetry,
 // self-loop removal, directive validation) and Gather fidelity;
-// ghost_test.go pins the exchange pattern derivation, the dense and
-// incremental pushes, and the touched-slot report;
+// specExchange (assembly_test.go) checks every derived exchange
+// pattern against its definition, on hostile graphs and under
+// FuzzGhostExchange; ghost_test.go and ownership_test.go pin the dense
+// and incremental pushes, the touched-slot report and the send rows'
+// ownership rule;
 // TestBuildCoarseMatchesSerialContract pins the distributed
 // contraction edge-for-edge against the serial Contractor. The
 // structure's role in the paper's pipeline is mapped in

@@ -28,9 +28,9 @@ func fuzzEdges(data []byte, n int) (e1, e2 []int) {
 var fuzzScratch [2][4]GhostScratch
 
 // FuzzGhostExchange builds a fuzzed graph under both backends, checks
-// the graph and its exchange pattern — derived on a scratch recycled
-// across inputs — against the reference bodies (reference_test.go),
-// and checks the full GhostExchange surface against ground truth that
+// the graph against the reference body (reference_test.go) and its
+// exchange pattern — derived on a scratch recycled across inputs —
+// against its specification (specExchange), and checks the full GhostExchange surface against ground truth that
 // is known exactly because each pushed value is the sender's global
 // vertex id: after PushInts, ghost slot i must hold IDs[i]; after an
 // UpdateIntsTouchedInto touching every third vertex, exactly those
@@ -60,8 +60,9 @@ func FuzzGhostExchange(f *testing.F) {
 				if d := diffGraphs(g, refBuild(c, n, me1, me2)); d != "" {
 					t.Errorf("%v: rank %d graph: %s", backend, c.Rank(), d)
 				}
+				before := c.Clock()
 				ge := fuzzScratch[bi][c.Rank()].NewGhostExchange(c, g)
-				if d := diffExchanges(ge, refNewGhostExchange(c, g)); d != "" {
+				if d := specExchange(c, cfg.WordTime, g, ge, before); d != "" {
 					t.Errorf("%v: rank %d exchange pattern: %s", backend, c.Rank(), d)
 				}
 
@@ -79,9 +80,11 @@ func FuzzGhostExchange(f *testing.F) {
 						t.Errorf("%v: rank %d ghost slot %d: got %d, want id %d",
 							backend, c.Rank(), i, v, ge.IDs[i])
 					}
-					if ge.Slot(ge.IDs[i]) != i {
-						t.Errorf("%v: rank %d: Slot(%d) = %d, want %d",
-							backend, c.Rank(), ge.IDs[i], ge.Slot(ge.IDs[i]), i)
+				}
+				for k, loc := range ge.Loc {
+					if loc < 0 && ghost[-loc-1] != g.Adj[k] {
+						t.Errorf("%v: rank %d: adjacency slot %d reads ghost %d through Loc, want %d",
+							backend, c.Rank(), k, ghost[-loc-1], g.Adj[k])
 					}
 				}
 				fghost := ge.PushFloatsInto(c, fids, nil)

@@ -2,7 +2,6 @@ package geocol
 
 import (
 	"slices"
-	"sort"
 
 	"chaos/internal/machine"
 	"chaos/internal/scratch"
@@ -34,8 +33,8 @@ type GhostExchange struct {
 	// Loc localizes the owning graph's CSR: for adjacency slot k,
 	// Loc[k] >= 0 is the home-local index of Adj[k] when this rank owns
 	// it, and Loc[k] < 0 encodes ghost slot -(Loc[k]+1) otherwise.
-	// Indexed exactly like g.Adj; hot loops read it instead of calling
-	// Home.Owner and Slot per edge.
+	// Indexed exactly like g.Adj; hot loops read it instead of an
+	// ownership test and an id search per edge.
 	Loc []int
 	lo  int
 	// send[p] lists the home-local vertices rank p reads, ascending.
@@ -48,37 +47,32 @@ type GhostExchange struct {
 	// (IDs is sorted and the home distribution is BLOCK, so each rank's
 	// ghosts form one contiguous run).
 	recvStart []int
-	// rows are the two sets of per-rank send buffers of the dense int
-	// push, each mirroring the send lists, and recv is the push's
-	// receive-header table. The rows go out by ownership transfer
-	// (machine.Ctx.ExchangeInts: a sent payload is rewritten only after
-	// the sender has returned from a later collective), so pushes
-	// alternate the two sets (turn): the one sent by push n is next
-	// filled for push n+2, after this rank has returned from push n+1.
-	rows [2][][]int
-	recv [][]int
-	turn int
-	// upd builds the variable-length rows of the incremental exchanges.
-	// It belongs to the GhostScratch the pattern was derived on — every
-	// level of a ladder shares its arena's — and is scratch, not pattern:
-	// Bytes leaves it out, as Ladder.Bytes leaves out the arena.
-	upd *scratch.Rows
+	// rows lays the send rows of every exchange. It belongs to the
+	// GhostScratch the pattern was derived on — every level of a ladder
+	// shares its arena's — and is scratch, not pattern: Bytes leaves it
+	// out, as Ladder.Bytes leaves out the arena.
+	rows *ghostRows
 }
 
-// Bytes reports the heap footprint of the arrays the exchange pattern
-// retains — the index arrays and the two send buffers, by capacity —
-// in bytes; no exchange changes it. The service cache accounts retained
-// ladders (which hold one exchange per level) against its memory cap
-// with it.
+// ghostRows lays the send rows of the ghost exchanges, per element
+// type; scratch.Rows states the ownership rule that lets one serve
+// every exchange of every pattern derived on a GhostScratch.
+type ghostRows struct {
+	ints   scratch.Rows[int]
+	floats scratch.Rows[float64]
+}
+
+// Bytes reports the heap footprint of the index arrays the exchange
+// pattern retains, by capacity, in bytes; no exchange changes it. The
+// service cache accounts retained ladders (which hold one exchange per
+// level) against its memory cap with it.
 func (ge *GhostExchange) Bytes() int {
 	if ge == nil {
 		return 0
 	}
 	b := 8 * (cap(ge.IDs) + cap(ge.Loc) + cap(ge.recvStart))
-	for _, rows := range [][][]int{ge.send, ge.rows[0], ge.rows[1]} {
-		for _, s := range rows {
-			b += 8 * cap(s)
-		}
+	for _, s := range ge.send {
+		b += 8 * cap(s)
 	}
 	return b
 }
@@ -86,9 +80,10 @@ func (ge *GhostExchange) Bytes() int {
 // GhostScratch is the reusable scratch of NewGhostExchange: the table
 // that deduplicates remote endpoints, the distinct ghost ids in
 // first-seen order with their owners, the first-seen → sorted-slot
-// permutation, and the per-rank counters. The zero value is ready;
-// buffers grow to the largest graph seen and nothing a GhostExchange
-// retains aliases them. Plain per-goroutine state, like
+// permutation, the per-rank counters, and the send rows of every
+// pattern derived here. The zero value is ready; buffers grow to the
+// largest graph seen, and apart from the send rows nothing a
+// GhostExchange retains aliases them. Plain per-goroutine state, like
 // CoarseAssembler: the partition arena keeps one and derives every
 // level's pattern through it.
 type GhostScratch struct {
@@ -99,9 +94,9 @@ type GhostScratch struct {
 	// nsend/nrecv count each rank's send list and ghost run; last[r] is
 	// the latest home vertex put on rank r's send list.
 	nsend, nrecv, last []int
-	// upd is the row builder every pattern derived here shares for its
-	// incremental exchanges (GhostExchange.upd), made on first use.
-	upd *scratch.Rows
+	// rows lays the send rows of every exchange of every pattern derived
+	// here (GhostExchange.rows), made on first use.
+	rows *ghostRows
 }
 
 // NewGhostExchange derives the exchange pattern of g; purely local. It
@@ -207,31 +202,12 @@ func (s *GhostScratch) NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange
 		}
 	}
 	c.Words(localN + 2*len(ge.IDs))
-
-	// The two send buffers mirror the send lists; empty rows stay nil.
-	bufs, hdrs := make([]int, 2*len(sends)), make([][]int, 3*procs)
-	ge.rows[0], ge.rows[1], ge.recv = hdrs[:procs:procs], hdrs[procs:2*procs:2*procs], hdrs[2*procs:]
-	off := 0
-	for b := range ge.rows {
-		for r, ls := range ge.send {
-			if end := off + len(ls); end > off {
-				ge.rows[b][r] = bufs[off:end:end]
-				off = end
-			}
-		}
+	if s.rows == nil {
+		s.rows = new(ghostRows)
 	}
-	if s.upd == nil {
-		s.upd = new(scratch.Rows)
-	}
-	ge.upd = s.upd
+	ge.rows = s.rows
 	return ge
 }
-
-// Slot returns the index in IDs of ghost vertex v (which must be a
-// ghost of this rank). Hot loops should prefer Loc, which resolves the
-// slot of an adjacency position with one array read; Slot binary-
-// searches the sorted id list.
-func (ge *GhostExchange) Slot(v int) int { return sort.SearchInts(ge.IDs, v) }
 
 // PushInts exchanges one int per boundary vertex: vals is indexed by
 // home-local vertex, and the result is parallel to IDs. Collective.
@@ -248,21 +224,42 @@ func (ge *GhostExchange) PushInts(c *machine.Ctx, vals []int) []int {
 //
 //chaos:hotpath
 func (ge *GhostExchange) PushIntsInto(c *machine.Ctx, vals []int, dst []int) []int {
-	ge.turn ^= 1
-	out := ge.rows[ge.turn]
+	return push(c, ge, &ge.rows.ints, (*machine.Ctx).ExchangeInts, vals, dst)
+}
+
+// PushFloatsInto is PushIntsInto for float64 values: one value per
+// boundary vertex, delivered into dst when it has the capacity (nil
+// allocates); dst's prior contents are ignored. Collective.
+//
+//chaos:hotpath
+func (ge *GhostExchange) PushFloatsInto(c *machine.Ctx, vals []float64, dst []float64) []float64 {
+	return push(c, ge, &ge.rows.floats, (*machine.Ctx).ExchangeFloats, vals, dst)
+}
+
+// push is the one dense exchange body: every send list's values leave
+// in rows of x, and the result is parallel to IDs.
+//
+//chaos:hotpath
+func push[T int | float64](c *machine.Ctx, ge *GhostExchange, x *scratch.Rows[T], exchange func(*machine.Ctx, [][]T, [][]T) [][]T, vals, dst []T) []T {
+	count := x.Counts(len(ge.send))
 	for r, ls := range ge.send {
-		buf := out[r]
-		for i, l := range ls {
-			buf[i] = vals[l]
-		}
+		count[r] = len(ls)
 	}
-	in := c.ExchangeInts(out, ge.recv)
-	var res []int
+	out := x.Lay()
+	for r, ls := range ge.send {
+		row := out[r][:len(ls)]
+		for i, l := range ls {
+			row[i] = vals[l]
+		}
+		out[r] = row
+	}
+	in := exchange(c, out, x.In())
+	var res []T
 	if cap(dst) >= len(ge.IDs) {
 		res = dst[:len(ge.IDs)]
 	} else {
 		//chaosvet:ignore hotalloc grows only when the caller's buffer is short; steady-state sweeps reuse it
-		res = make([]int, len(ge.IDs))
+		res = make([]T, len(ge.IDs))
 	}
 	for r, xs := range in {
 		copy(res[ge.recvStart[r]:ge.recvStart[r+1]], xs)
@@ -304,7 +301,7 @@ func (ge *GhostExchange) UpdateIntsTouchedInto(c *machine.Ctx, vals []int, chang
 			}
 		}
 	}
-	in := c.ExchangeInts(out, ge.upd.In())
+	in := c.ExchangeInts(out, ge.rows.ints.In())
 	// Senders are visited in rank order and each rank's positions
 	// arrive ascending, so slots (contiguous per rank, ascending
 	// within) come out sorted without an explicit sort.
@@ -326,13 +323,13 @@ func (ge *GhostExchange) UpdateIntsTouchedInto(c *machine.Ctx, vals []int, chang
 	return touched
 }
 
-// layUpd lays the send rows of an incremental exchange in the shared
-// row builder: rank r's row is empty with room for exactly per words
-// for every changed vertex on its send list.
+// layUpd lays the send rows of an incremental exchange: rank r's row
+// is empty with room for exactly per words for every changed vertex on
+// its send list.
 //
 //chaos:hotpath
 func (ge *GhostExchange) layUpd(changed []bool, per int) [][]int {
-	cnt := ge.upd.Counts(len(ge.send))
+	cnt := ge.rows.ints.Counts(len(ge.send))
 	for r, ls := range ge.send {
 		for _, l := range ls {
 			if changed[l] {
@@ -340,7 +337,7 @@ func (ge *GhostExchange) layUpd(changed []bool, per int) [][]int {
 			}
 		}
 	}
-	return ge.upd.Lay()
+	return ge.rows.ints.Lay()
 }
 
 // PushMarks is the one-bit form of UpdateIntsTouchedInto for monotone
@@ -358,48 +355,11 @@ func (ge *GhostExchange) PushMarks(c *machine.Ctx, changed []bool, ghost []int) 
 			}
 		}
 	}
-	in := c.ExchangeInts(out, ge.upd.In())
+	in := c.ExchangeInts(out, ge.rows.ints.In())
 	for r, xs := range in {
 		base := ge.recvStart[r]
 		for _, i := range xs {
 			ghost[base+i] = 1
 		}
 	}
-}
-
-// PushFloatsInto is PushIntsInto for float64 values: one value per
-// boundary vertex, delivered into dst when it has the capacity (nil
-// allocates); dst's prior contents are ignored. Collective.
-//
-//chaos:hotpath
-func (ge *GhostExchange) PushFloatsInto(c *machine.Ctx, vals []float64, dst []float64) []float64 {
-	// A float push runs once per ladder level, so its send buffer is
-	// made here and given away for good rather than retained.
-	out := make([][]float64, len(ge.send))
-	n := 0
-	for _, ls := range ge.send {
-		n += len(ls)
-	}
-	buf := make([]float64, n)
-	for r, ls := range ge.send {
-		if len(ls) == 0 {
-			continue
-		}
-		out[r], buf = buf[:len(ls):len(ls)], buf[len(ls):]
-		for i, l := range ls {
-			out[r][i] = vals[l]
-		}
-	}
-	in := c.ExchangeFloats(out, nil)
-	var res []float64
-	if cap(dst) >= len(ge.IDs) {
-		res = dst[:len(ge.IDs)]
-	} else {
-		//chaosvet:ignore hotalloc grows only when the caller's buffer is short; steady-state sweeps reuse it
-		res = make([]float64, len(ge.IDs))
-	}
-	for r, xs := range in {
-		copy(res[ge.recvStart[r]:ge.recvStart[r+1]], xs)
-	}
-	return res
 }

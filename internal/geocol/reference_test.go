@@ -6,12 +6,12 @@ import (
 
 	"chaos/internal/dist"
 	"chaos/internal/machine"
-	"chaos/internal/scratch"
 )
 
 // This file keeps the bodies the count → prefix-sum → fill assembly
 // replaced, word for word, as oracles for the differential tests in
-// assembly_test.go and for FuzzGhostExchange.
+// assembly_test.go and for FuzzGhostExchange. The exchange pattern has
+// a specification instead (specExchange).
 
 // refBuild is Build for a LINK-only CONSTRUCT over refBuildLink.
 func refBuild(c *machine.Ctx, n int, e1, e2 []int) *Graph {
@@ -70,74 +70,6 @@ func (g *Graph) refBuildLink(c *machine.Ctx, e1, e2 []int) {
 	}
 	c.Words(3 * degSum)
 	g.NEdges = c.SumInt(degSum) / 2
-}
-
-// refNewGhostExchange is the parent commit's NewGhostExchange,
-// verbatim: sort.Ints over every remote endpoint, one binary search per
-// adjacency slot.
-func refNewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange {
-	me, procs := c.Rank(), c.Procs()
-	ge := &GhostExchange{
-		lo:   g.Home.Lo(me),
-		send: make([][]int, procs),
-	}
-	localN := g.LocalN(me)
-	// Collect the remote endpoint of every edge, then sort and dedup:
-	// the ghost id list and each rank's send list come out of one flat
-	// pass with no map.
-	remote := make([]int, 0, len(g.Adj))
-	for l := 0; l < localN; l++ {
-		for _, v := range g.Neighbors(l) {
-			r := g.Home.Owner(v)
-			if r == me {
-				continue
-			}
-			remote = append(remote, v)
-			// l's ascend in the outer loop, so adjacent-duplicate
-			// suppression dedups each rank's send list.
-			if s := ge.send[r]; len(s) == 0 || s[len(s)-1] != l {
-				ge.send[r] = append(ge.send[r], l)
-			}
-		}
-	}
-	sort.Ints(remote)
-	for i, v := range remote {
-		if i == 0 || v != remote[i-1] {
-			ge.IDs = append(ge.IDs, v)
-		}
-	}
-	ge.recvStart = make([]int, procs+1)
-	r := 0
-	for i, v := range ge.IDs {
-		for owner := g.Home.Owner(v); r < owner; {
-			r++
-			ge.recvStart[r] = i
-		}
-	}
-	for ; r < procs; r++ {
-		ge.recvStart[r+1] = len(ge.IDs)
-	}
-	// Localize the CSR once: every adjacency slot resolves to a home
-	// index or a ghost slot here, never again in the sweeps. The
-	// assembly rides in the same inspector charge as the pattern scan.
-	ge.Loc = make([]int, len(g.Adj))
-	for k, v := range g.Adj {
-		if g.Home.Owner(v) == me {
-			ge.Loc[k] = v - ge.lo
-		} else {
-			ge.Loc[k] = -(sort.SearchInts(ge.IDs, v) + 1)
-		}
-	}
-	c.Words(localN + 2*len(ge.IDs))
-	ge.IDs, ge.upd = ge.IDs[:len(ge.IDs):len(ge.IDs)], new(scratch.Rows) // Bytes counts capacities: IDs and send are clipped
-	ge.rows[0], ge.rows[1], ge.recv = make([][]int, procs), make([][]int, procs), make([][]int, procs)
-	for r, ls := range ge.send {
-		if len(ls) > 0 {
-			ge.send[r] = ls[:len(ls):len(ls)]
-			ge.rows[0][r], ge.rows[1][r] = make([]int, len(ls)), make([]int, len(ls))
-		}
-	}
-	return ge
 }
 
 // refAssembler is the parent commit's CoarseAssembler, verbatim. It holds the reusable scratch of the distributed

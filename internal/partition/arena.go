@@ -138,7 +138,7 @@ type matchScratch struct {
 	// owner[l] is the home rank of target[l] (matching) or of match[l]
 	// (numbering) when that vertex lives on another rank.
 	owner []int
-	rows  scratch.Rows
+	rows  scratch.Rows[int]
 }
 
 // projScratch is the scratch of partition projection and restriction
@@ -151,5 +151,5 @@ type projScratch struct {
 	val     []int
 	owner   []int // coarse home rank of each fine vertex (restrictPart)
 	req, in [][]int
-	rows    scratch.Rows
+	rows    scratch.Rows[int]
 }

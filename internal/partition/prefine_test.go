@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 
 	"chaos/internal/dist"
@@ -14,7 +15,9 @@ import (
 )
 
 // distCut computes the exact weighted edge cut of a distributed
-// partition (test helper; collective).
+// partition (test helper; collective). It finds a ghost's slot by
+// searching the sorted ids rather than through Loc, which the refiners
+// it checks read.
 func distCut(c *machine.Ctx, g *geocol.Graph, ge *geocol.GhostExchange, part []int) float64 {
 	me := c.Rank()
 	lo := g.Home.Lo(me)
@@ -27,7 +30,7 @@ func distCut(c *machine.Ctx, g *geocol.Graph, ge *geocol.GhostExchange, part []i
 			if g.Home.Owner(u) == me {
 				q = part[u-lo]
 			} else {
-				q = gp[ge.Slot(u)]
+				q = gp[sort.SearchInts(ge.IDs, u)]
 			}
 			if q != part[l] {
 				if g.EdgeW != nil {

@@ -88,19 +88,16 @@ func (sp Streaming) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int
 // ghost exchange; callers refining repeatedly should keep their own.
 // Collective.
 func Cut(c *machine.Ctx, g *geocol.Graph, part []int) float64 {
-	me := c.Rank()
-	lo := g.Home.Lo(me)
 	ge := geocol.NewGhostExchange(c, g)
 	gp := ge.PushInts(c, part)
 	w := 0.0
-	for l := 0; l < g.LocalN(me); l++ {
+	for l := 0; l < g.LocalN(c.Rank()); l++ {
 		for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
-			u := g.Adj[k]
 			var q int
-			if g.Home.Owner(u) == me {
-				q = part[u-lo]
+			if loc := ge.Loc[k]; loc >= 0 {
+				q = part[loc]
 			} else {
-				q = gp[ge.Slot(u)]
+				q = gp[-loc-1]
 			}
 			if q != part[l] {
 				if g.EdgeW != nil {

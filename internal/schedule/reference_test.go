@@ -133,47 +133,6 @@ func referenceBuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, 
 	return s, ref
 }
 
-// referenceBuildIncremental is the map-based BuildIncremental body, on
-// the reference BuildGather.
-func referenceBuildIncremental(c *machine.Ctx, res ttable.Resolver, myLocalSize int, base *Schedule, globals []int, opt Options) (*Schedule, []int) {
-	me := c.Rank()
-	owners, locals := res.Resolve(c, globals)
-
-	baseSlot := make(map[int]int, base.nGhost)
-	for slot, g := range base.ghostGlobal {
-		if _, ok := baseSlot[g]; !ok {
-			baseSlot[g] = slot
-		}
-	}
-
-	ref := make([]int, len(globals))
-	var newIdx []int
-	for i := range globals {
-		switch slot, covered := baseSlot[globals[i]]; {
-		case owners[i] == me:
-			ref[i] = locals[i]
-		case covered:
-			ref[i] = myLocalSize + slot
-		default:
-			newIdx = append(newIdx, i)
-		}
-	}
-	c.Words(2 * len(globals))
-
-	// Build a fresh schedule over only the uncovered references. This
-	// is collective even when a rank has nothing new (empty list).
-	newGlobals := make([]int, len(newIdx))
-	for k, i := range newIdx {
-		newGlobals[k] = globals[i]
-	}
-	inc, incRef := referenceBuildGather(c, res, myLocalSize, newGlobals, opt)
-	offset := base.nGhost
-	for k, i := range newIdx {
-		ref[i] = incRef[k] + offset // all uncovered refs are off-processor
-	}
-	return inc, ref
-}
-
 // irregularOwners deals the n globals to p ranks at random.
 func irregularOwners(n, p int) []int {
 	owner := make([]int, n)
@@ -259,10 +218,10 @@ func (tr *buildTrace) diff(want *buildTrace) string {
 	return ""
 }
 
-// TestBuildersMatchReference drives BuildGather and BuildIncremental —
-// through one recycled Builder per rank with recycled reference
-// vectors, and through the one-shot wrappers — and the reference bodies
-// through the same random reference lists, and demands equal schedules,
+// TestBuildersMatchReference drives BuildGather — through one recycled
+// Builder per rank with recycled reference vectors, and through the
+// one-shot wrapper — and the reference body through the same random
+// reference lists, and demands equal schedules,
 // reference vectors and per-rank virtual clocks after every build, on
 // both backends.
 func TestBuildersMatchReference(t *testing.T) {
@@ -295,27 +254,20 @@ func TestBuildersMatchReference(t *testing.T) {
 							localSize := len(mine)
 							rng := rand.New(rand.NewSource(int64(1000*p + c.Rank())))
 							var b Builder
-							var ref, incRef []int
+							var ref []int
 							tr := &traces[c.Rank()]
-							for round := 0; round < rounds; round++ {
+							for round := 0; round < 2*rounds; round++ {
 								globals := referenceList(rng, owner, mine, c.Rank())
-								more := referenceList(rng, owner, mine, c.Rank())
-								var s, inc *Schedule
+								var s *Schedule
 								switch {
 								case reference:
 									s, ref = referenceBuildGather(c, res, localSize, globals, opt)
-									tr.add(c, s, ref)
-									inc, incRef = referenceBuildIncremental(c, res, localSize, s, more, opt)
-								case round%2 == 0:
+								case round%4 < 2:
 									s, ref = BuildGather(c, res, localSize, globals, opt)
-									tr.add(c, s, ref)
-									inc, incRef = BuildIncremental(c, res, localSize, s, more, opt)
 								default:
 									s, ref = b.BuildGather(c, res, localSize, globals, opt, nil, ref)
-									tr.add(c, s, ref)
-									inc, incRef = b.BuildIncremental(c, res, localSize, s, more, opt, incRef)
 								}
-								tr.add(c, inc, incRef)
+								tr.add(c, s, ref)
 							}
 						})
 						if err != nil {

@@ -34,23 +34,19 @@ type Schedule struct {
 	recvGhost [][]int
 	// nGhost is the size of the ghost buffer.
 	nGhost int
-	// ghostGlobal[slot] is the global index a ghost slot mirrors;
-	// used by incremental schedule building and diagnostics.
+	// ghostGlobal[slot] is the global index a ghost slot mirrors.
 	ghostGlobal []int
 
-	// The send buffers of the data movements, per element type.
-	floats transport[float64]
-	ints   transport[int]
+	// The send rows of the data movements, per element type.
+	floats scratch.Rows[float64]
+	ints   scratch.Rows[int]
 
 	// The build's own storage, kept for the schedule that is built in
 	// this one's place (Builder.BuildGather's old): slots backs the rows
-	// of recvGhost; reqs and requests are the request lists and their
-	// header, which the build gives away to the peers, two of each used
-	// alternately per build (turn) as transport alternates its slabs.
-	slots    []int
-	reqs     [2][]int
-	requests [2][][]int
-	turn     int
+	// of recvGhost, and reqs lays the request lists, which the build
+	// gives away to the peers.
+	slots []int
+	reqs  scratch.Rows[int]
 }
 
 // GhostGlobals returns the global index mirrored by each ghost slot
@@ -108,12 +104,11 @@ func (s *Schedule) Messages() (nsend, nrecv int) {
 }
 
 // Builder is the inspector's grow-only workspace: the translation
-// table's dereference buffers, the list of off-processor references,
-// the open-addressing table that deduplicates them, and the per-owner
-// counters of the request lists. The zero value is ready; buffers grow
-// to the largest reference list seen and are reused by every later
-// build, so one Builder shared by all the builds of an inspection makes
-// their scratch a one-time cost. Nothing a build returns points into
+// table's dereference buffers, the list of off-processor references
+// and the open-addressing table that deduplicates them. The zero value
+// is ready; buffers grow to the largest reference list seen and are
+// reused by every later build, so one Builder shared by all the builds
+// of an inspection makes their scratch a one-time cost. Nothing a build returns points into
 // the Builder.
 type Builder struct {
 	tt ttable.Workspace
@@ -123,11 +118,6 @@ type Builder struct {
 	// per distinct one, in ghost-slot order.
 	ghosts []ghostRef
 	seen   slottab.Table
-	// next is the per-owner fill cursor of the request lists.
-	next []int
-
-	// BuildIncremental's own scratch, live across its inner BuildGather.
-	newIdx, newGlobals, incRef []int
 }
 
 // ghostRef is one off-processor element and where it lives.
@@ -161,23 +151,20 @@ func BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, globals [
 // Passing old asserts that its counterparts are dead on every rank: no
 // rank runs a data movement on the old schedule once any rank has
 // started the rebuild, and every rank passes the schedule of the same
-// earlier build. old's headers, slot array, ghostGlobal and transports
+// earlier build. old's headers, slot array, ghostGlobal and send rows
 // are this rank's own and are simply refilled. Its request lists are
 // not: they went to the peers by ownership transfer, and on the
 // Simulated backend the peers' send lists are that memory, read by
 // every Gather and Scatter until the peer's own rebuild replaces them
-// in this build's exchange. A Regular resolver puts no collective
-// between the last scatter's unpack and this build's fill, so the
-// lists of build n are written while a peer may still read those of
-// build n-1: there are two request slabs and two headers, used
-// alternately, and the ones filled here were last read before the
-// peers entered build n-1's exchange, which this rank has returned
-// from (the rule of machine.Ctx.ExchangeInts, as transport keeps it).
+// in this build's exchange. They are laid by a scratch.Rows, whose
+// rule covers exactly such a reader: the lists filled here were last
+// read before the peers entered the previous build's exchange, which
+// this rank has returned from.
 //
 // Off-processor references are collected in one pass, deduplicated
 // through the open-addressing table, and only the distinct ones are
 // sorted into ghost-slot order (owner, global); the per-owner request
-// and slot lists are slices of two flat arrays.
+// and slot lists are rows of two flat arrays.
 //
 // Collective.
 //
@@ -244,29 +231,23 @@ func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize i
 		s = &Schedule{}
 	}
 	s.procs, s.nGhost = p, len(ghosts)
-	s.turn ^= 1
-	recvGhost, requests := scratch.Grow(&s.recvGhost, p), scratch.Grow(&s.requests[s.turn], p)
-	clear(recvGhost)
-	clear(requests)
-	ghostGlobal := scratch.Grow(&s.ghostGlobal, len(ghosts))
-	reqs, slots := scratch.Grow(&s.reqs[s.turn], len(ghosts)), scratch.Grow(&s.slots, len(ghosts))
-	next := scratch.Grow(&b.next, p+1)
-	clear(next)
+	count := s.reqs.Counts(p)
 	for _, g := range ghosts {
-		next[g.owner+1]++
+		count[g.owner]++
 	}
-	for o := 0; o < p; o++ {
-		next[o+1] += next[o]
-		if next[o+1] > next[o] {
-			requests[o] = reqs[next[o]:next[o+1]]
-			recvGhost[o] = slots[next[o]:next[o+1]]
+	requests, recvGhost := s.reqs.Lay(), scratch.Grow(&s.recvGhost, p)
+	slots, off := scratch.Grow(&s.slots, len(ghosts)), 0
+	for o, k := range count {
+		recvGhost[o] = nil
+		if k > 0 {
+			recvGhost[o] = slots[off : off : off+k]
 		}
+		off += k
 	}
+	ghostGlobal := scratch.Grow(&s.ghostGlobal, len(ghosts))
 	for slot, g := range ghosts {
-		k := next[g.owner]
-		next[g.owner]++
-		reqs[k] = g.local
-		slots[k] = slot
+		requests[g.owner] = append(requests[g.owner], g.local)
+		recvGhost[g.owner] = append(recvGhost[g.owner], slot)
 		ghostGlobal[slot] = g.global
 	}
 	c.Words(2 * len(globals))
@@ -297,30 +278,16 @@ func panicSendRange(src, l, me, size int) {
 	panic(fmt.Sprintf("schedule: rank %d requested local index %d of rank %d (size %d)", src, l, me, size))
 }
 
-// transport is a schedule's send side for one element type: the slabs
-// its per-peer rows are packed into and the row headers of both
-// directions, allocated on first use and grown only when a wider
-// vector form needs more. There are two slabs and two send headers,
-// used alternately, because a sent payload may be overwritten only
-// after a later collective (machine.Ctx.ExchangeInts): the rows of call
-// n are next written for call n+2, after call n+1's exchange returned,
-// which keeps back-to-back calls on one schedule within the rule.
-type transport[T int | float64] struct {
-	slab [2][]T
-	out  [2][][]T
-	in   [][]T
-	turn int
-}
-
 // move is the one pack → all-to-all → unpack body behind every Gather
 // and Scatter form. With a nil op it runs owner→consumer: the elements
 // sendLocal names are packed from local and land in the ghost slots
 // recvGhost names. With an op it runs consumer→owner: the ghost slots
 // are packed and each arriving value is combined into its owner's
-// element. Elements are ncomp contiguous components wide.
+// element. Elements are ncomp contiguous components wide, and the rows
+// go out of x.
 //
 //chaos:hotpath
-func move[T int | float64](c *machine.Ctx, s *Schedule, x *transport[T], exchange func(*machine.Ctx, [][]T, [][]T) [][]T,
+func move[T int | float64](c *machine.Ctx, s *Schedule, x *scratch.Rows[T], exchange func(*machine.Ctx, [][]T, [][]T) [][]T,
 	name string, local, ghost []T, ncomp int, op func(owned, contrib T) T) {
 	if ncomp < 1 {
 		panic("schedule: " + name + " with ncomp < 1")
@@ -332,20 +299,15 @@ func move[T int | float64](c *machine.Ctx, s *Schedule, x *transport[T], exchang
 	if op != nil {
 		pack, unpack, src, dst = unpack, pack, ghost, local
 	}
-	nPack, nUnpack := 0, 0
+	nPack, nUnpack, count := 0, 0, x.Counts(s.procs)
 	for p := range pack {
+		count[p] = len(pack[p]) * ncomp
 		nPack += len(pack[p])
 		nUnpack += len(unpack[p])
 	}
-	if len(x.in) != s.procs {
-		p, hdr := s.procs, make([][]T, 3*s.procs)
-		x.in, x.out[0], x.out[1] = hdr[:p:p], hdr[p:2*p:2*p], hdr[2*p:]
-	}
-	x.turn ^= 1
-	slab, out := scratch.Grow(&x.slab[x.turn], nPack*ncomp), x.out[x.turn]
+	out := x.Lay()
 	for p, lst := range pack {
-		row := slab[:len(lst)*ncomp]
-		slab = slab[len(row):]
+		row := out[p][:len(lst)*ncomp]
 		if ncomp == 1 {
 			for i, l := range lst {
 				row[i] = src[l]
@@ -358,7 +320,7 @@ func move[T int | float64](c *machine.Ctx, s *Schedule, x *transport[T], exchang
 		out[p] = row
 	}
 	c.Words(nPack * ncomp)
-	in := exchange(c, out, x.in)
+	in := exchange(c, out, x.In())
 	for p, lst := range unpack {
 		vals := in[p]
 		if len(vals) != len(lst)*ncomp {
@@ -429,26 +391,4 @@ func (s *Schedule) ScatterOp(c *machine.Ctx, local, ghost []float64, op func(own
 // (deterministic).
 func (s *Schedule) Scatter(c *machine.Ctx, local, ghost []float64) {
 	s.ScatterOp(c, local, ghost, func(_, contrib float64) float64 { return contrib })
-}
-
-// Merge combines two schedules over the same local array into one, so a
-// single communication phase can serve two loops (CHAOS schedule
-// merging). Ghost slots of b are renumbered to follow a's.
-func Merge(a, b *Schedule) *Schedule {
-	if a.procs != b.procs {
-		panic("schedule: Merge across machines")
-	}
-	m := &Schedule{procs: a.procs, nGhost: a.nGhost + b.nGhost}
-	m.sendLocal = make([][]int, a.procs)
-	m.recvGhost = make([][]int, a.procs)
-	for p := 0; p < a.procs; p++ {
-		m.sendLocal[p] = append(append([]int(nil), a.sendLocal[p]...), b.sendLocal[p]...)
-		ga := append([]int(nil), a.recvGhost[p]...)
-		for _, slot := range b.recvGhost[p] {
-			ga = append(ga, a.nGhost+slot)
-		}
-		m.recvGhost[p] = ga
-	}
-	m.ghostGlobal = append(append([]int(nil), a.ghostGlobal...), b.ghostGlobal...)
-	return m
 }

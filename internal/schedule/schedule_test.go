@@ -293,32 +293,23 @@ func TestMessagesAndCounts(t *testing.T) {
 	}
 }
 
-func TestMergeServesBothLoops(t *testing.T) {
+func TestGhostGlobalsTracksSlots(t *testing.T) {
 	const n, p = 24, 4
 	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
-		res, local, _ := blockData(c, n)
-		gA := []int{(c.Rank()*6 + 7) % n}
-		gB := []int{(c.Rank()*6 + 13) % n, (c.Rank()*6 + 14) % n}
-		sA, refA := BuildGather(c, res, len(local), gA, Options{})
-		sB, refB := BuildGather(c, res, len(local), gB, Options{})
-		m := Merge(sA, sB)
-		ghost := make([]float64, m.NGhost())
-		m.Gather(c, local, ghost)
-		check := func(refs, globals []int, off int) {
-			for i, g := range globals {
-				var got float64
-				if refs[i] < len(local) {
-					got = local[refs[i]]
-				} else {
-					got = ghost[off+refs[i]-len(local)]
-				}
-				if got != 1000+float64(g) {
-					t.Errorf("merged gather: g=%d got %v", g, got)
-				}
+		res, local, d := blockData(c, n)
+		next := (c.Rank() + 1) % p
+		globals := []int{d.Lo(next), d.Lo(next) + 1, d.Lo(next)}
+		s, ref := BuildGather(c, res, len(local), globals, Options{})
+		gg := s.GhostGlobals()
+		if len(gg) != s.NGhost() {
+			t.Fatalf("GhostGlobals length %d != NGhost %d", len(gg), s.NGhost())
+		}
+		for i, g := range globals {
+			slot := ref[i] - len(local)
+			if gg[slot] != g {
+				t.Errorf("slot %d mirrors %d, want %d", slot, gg[slot], g)
 			}
 		}
-		check(refA, gA, 0)
-		check(refB, gB, sA.NGhost())
 	})
 	if err != nil {
 		t.Fatal(err)

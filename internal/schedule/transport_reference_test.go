@@ -225,7 +225,7 @@ func (tr *moveTrace) diff(want *moveTrace) string {
 // TestTransportMatchesReference drives every Gather and Scatter form
 // and the five reference bodies through the same schedules — random
 // reference lists over an irregular distribution, empty ranks and
-// fewer elements than ranks included, a Merged schedule, every form
+// fewer elements than ranks included, a NoDedup schedule, every form
 // several times back to back on one schedule and the vector forms at
 // two widths, narrow after wide — and demands bit-identical buffers
 // and per-rank clocks after every call, on both backends and on the
@@ -247,7 +247,7 @@ func TestTransportMatchesReference(t *testing.T) {
 						a, _ := BuildGather(c, tab, len(mine), referenceList(rng, owner, mine, c.Rank()), Options{})
 						b, _ := BuildGather(c, tab, len(mine), referenceList(rng, owner, mine, c.Rank()), Options{NoDedup: true})
 						tr := &traces[c.Rank()]
-						for _, s := range []*Schedule{a, b, Merge(a, b)} {
+						for _, s := range []*Schedule{a, b} {
 							for _, ncomp := range []int{1, 3, 2} {
 								local := make([]float64, len(mine)*ncomp)
 								ilocal := make([]int, len(mine))
@@ -343,9 +343,9 @@ func TestTransportPanicsSurvive(t *testing.T) {
 }
 
 // TestTransportOwnershipUnderDelays is the ownership rule's proof for
-// the schedule-owned send buffers: every form back to back on one
-// schedule — the shape benchmark/euler.go's probes use — on a Merged
-// schedule, and the vector forms at two widths on one schedule (the
+// the schedule-owned send rows: every form back to back on one
+// schedule — the shape benchmark/euler.go's probes use — on two
+// schedules, and the vector forms at two widths on one schedule (the
 // slabs regrow), with random per-rank stalls so that ranks leave each
 // exchange far apart; then one schedule moved in both directions
 // within a step, as core.Loop moves a schedule that a read group and a
@@ -369,7 +369,6 @@ func TestTransportOwnershipUnderDelays(t *testing.T) {
 			ga, gb := referenceList(rng, owner, mine, c.Rank()), referenceList(rng, owner, mine, c.Rank())
 			a, refA := BuildGather(c, tab, len(mine), ga, Options{})
 			b, refB := BuildGather(c, tab, len(mine), gb, Options{})
-			m := Merge(a, b)
 			// value is what component k of global g holds in round r.
 			value := func(g, k, r int) float64 { return float64(1000*r + 10*g + k) }
 			// A rank reports its first failure only, and keeps up with
@@ -395,7 +394,7 @@ func TestTransportOwnershipUnderDelays(t *testing.T) {
 						s       *Schedule
 						globals []int
 						ref     []int
-					}{{a, ga, refA}, {m, append(slices.Clone(ga), gb...), append(slices.Clone(refA), shift(refB, len(mine), a.NGhost())...)}} {
+					}{{a, ga, refA}, {b, gb, refB}} {
 						s := sc.s
 						ghost := make([]float64, s.NGhost()*ncomp)
 						ighost := make([]int, s.NGhost())
@@ -444,16 +443,11 @@ func TestTransportOwnershipUnderDelays(t *testing.T) {
 			// A schedule shared by groups of one loop: a Gather and a
 			// ScatterOp every step, or (two read groups, one write group)
 			// Gather, ScatterOp, Gather, each group with a buffer of its
-			// own and nothing but the stalls between the moves. Moved
-			// twice a step, each slab serves one direction for good; either
-			// way the slabs are done growing once both have packed both
-			// directions, so a shared schedule retains no more than two
-			// unshared ones did.
+			// own and nothing but the stalls between the moves.
 			for _, moves := range []int{2, 3} {
 				s, ref := BuildGather(c, tab, len(mine), ga, Options{})
 				local, sums := make([]float64, len(mine)), make([]float64, len(mine))
 				ghosts := [][]float64{make([]float64, s.NGhost()), make([]float64, s.NGhost()), make([]float64, s.NGhost())}
-				var settled [2]int
 				for step := 0; step < rounds; step++ {
 					for l, g := range mine {
 						local[l] = value(g, 0, step)
@@ -478,16 +472,6 @@ func TestTransportOwnershipUnderDelays(t *testing.T) {
 							fail("shared schedule, %d moves, step %d: global %d summed to %v, not a multiple of %v", moves, step, g, sums[l], v)
 						}
 					}
-					slab := &s.floats.slab
-					if moves == 2 && (cap(slab[1]) != s.SendCount() || cap(slab[0]) != s.RecvCount()) {
-						fail("shared schedule, step %d: slabs hold %d and %d floats, want one per direction (%d sent, %d received)",
-							step, cap(slab[1]), cap(slab[0]), s.SendCount(), s.RecvCount())
-					}
-					if step == 1 {
-						settled = [2]int{cap(slab[0]), cap(slab[1])}
-					} else if step > 1 && settled != [2]int{cap(slab[0]), cap(slab[1])} {
-						fail("shared schedule, %d moves, step %d: slabs grew from %v to %d and %d floats", moves, step, settled, cap(slab[0]), cap(slab[1]))
-					}
 				}
 			}
 		})
@@ -495,18 +479,6 @@ func TestTransportOwnershipUnderDelays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-}
-
-// shift renumbers the ghost references of a reference vector for a
-// schedule merged behind one with offset ghost slots.
-func shift(ref []int, nLocal, offset int) []int {
-	out := slices.Clone(ref)
-	for i, r := range out {
-		if r >= nLocal {
-			out[i] = r + offset
-		}
-	}
-	return out
 }
 
 // BenchmarkHotGatherScatter is the transport of one Euler executor
