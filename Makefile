@@ -8,7 +8,7 @@ GO ?= go
 # coverage durably improves.
 COVER_FLOOR = 89.0
 
-.PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline repo-bench repo-bench-pairs profile-cpu profile-mem profile-exec profile-inspect fuzz-short quickstart tables examples docs-check api-check api-snapshot
+.PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline repo-bench repo-bench-pairs profile-cpu profile-mem profile-exec profile-inspect fuzz-short quickstart tables examples docs-check api-check api-snapshot loc
 
 # The BenchmarkHot* suite measures the steady state of the arena-backed
 # hot paths and of the paper's own layers (translation-table
@@ -219,3 +219,9 @@ quickstart:
 
 tables:
 	$(GO) run ./cmd/chaosbench -quick -markdown
+
+# loc prints the lines of Go in the tree, non-test and test (the size
+# row of ROADMAP.md), leaving out the benchmark's unpacked base checkout.
+loc:
+	@find . -name '*.go' -not -path './.bench_build/*' -not -name '*_test.go' -exec cat {} + | wc -l | awk '{ print "non-test Go lines: " $$1 }'
+	@find . -name '*.go' -not -path './.bench_build/*' -name '*_test.go' -exec cat {} + | wc -l | awk '{ print "test Go lines:     " $$1 }'

@@ -10,7 +10,6 @@ package bench
 import (
 	"testing"
 
-	"chaos/internal/core"
 	"chaos/internal/experiments"
 	"chaos/internal/iterpart"
 	"chaos/internal/machine"
@@ -259,7 +258,7 @@ func BenchmarkAblationMultilevel(b *testing.B) {
 
 // --- Ablation: distributed vs replicated translation table ---
 
-func benchTranslation(b *testing.B, replicated, cached bool) {
+func benchTranslation(b *testing.B, replicated bool) {
 	b.Helper()
 	w := experiments.MeshWorkload(benchMeshNodes)
 	var vsec float64
@@ -273,9 +272,6 @@ func benchTranslation(b *testing.B, replicated, cached bool) {
 				}
 			}
 			tab := ttable.Build(c, w.NNode, mine)
-			if cached {
-				tab.EnableCache()
-			}
 			var res ttable.Resolver = tab
 			if replicated {
 				res = ttable.Regular{D: tab.Replicated(c)}
@@ -298,45 +294,8 @@ func benchTranslation(b *testing.B, replicated, cached bool) {
 	b.ReportMetric(vsec, "vsec")
 }
 
-func BenchmarkAblationTranslationDistributed(b *testing.B) { benchTranslation(b, false, false) }
-func BenchmarkAblationTranslationReplicated(b *testing.B)  { benchTranslation(b, true, false) }
-func BenchmarkAblationTranslationCached(b *testing.B)      { benchTranslation(b, false, true) }
-
-// --- Ablation: schedule fusion (one comm phase per array vs per access) ---
-
-func benchMergeAccesses(b *testing.B, merge bool) {
-	b.Helper()
-	w := experiments.MeshWorkload(benchMeshNodes)
-	var vsec float64
-	for i := 0; i < b.N; i++ {
-		t, err := machine.MaxClock(machine.IPSC860(benchProcs), func(c *machine.Ctx) {
-			s := core.NewSession(c)
-			x := s.NewArray("x", w.NNode)
-			y := s.NewArray("y", w.NNode)
-			x.FillByGlobal(w.Init)
-			e1 := s.NewIntArray("e1", w.NIter)
-			e2 := s.NewIntArray("e2", w.NIter)
-			e1.FillByGlobal(func(g int) int { return w.E1[g] })
-			e2.FillByGlobal(func(g int) int { return w.E2[g] })
-			loop := s.NewLoop("sweep", w.NIter,
-				[]core.Read{{Arr: x, Ind: e1}, {Arr: x, Ind: e2}},
-				[]core.Write{{Arr: y, Ind: e1, Op: core.Add}, {Arr: y, Ind: e2, Op: core.Add}},
-				w.Flops, w.Kernel)
-			loop.MergeAccesses = merge
-			for it := 0; it < benchIters; it++ {
-				loop.Execute()
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		vsec = t
-	}
-	b.ReportMetric(vsec, "vsec")
-}
-
-func BenchmarkAblationSeparateAccesses(b *testing.B) { benchMergeAccesses(b, false) }
-func BenchmarkAblationMergedAccesses(b *testing.B)   { benchMergeAccesses(b, true) }
+func BenchmarkAblationTranslationDistributed(b *testing.B) { benchTranslation(b, false) }
+func BenchmarkAblationTranslationReplicated(b *testing.B)  { benchTranslation(b, true) }
 
 // --- Ablation: reuse-check overhead (the cost of the guard itself) ---
 

@@ -61,9 +61,7 @@
 // meshes too large to hold in memory. Its knobs (Objective,
 // StreamBuffer, Restreams, BalanceSlack) are PartitionSpec fields too,
 // and `meshgen -stream` writes meshes in its bounded-memory edge-
-// stream file format. A Repartitioner with FirstTouch set to
-// MethodStream seeds its first partition out-of-core and hands the
-// result to MULTILEVEL refinement for the warm path.
+// stream file format.
 //
 // Session.NewRepartitioner returns the stateful Repartitioner handle
 // for meshes that change over time: unchanged inputs are served from

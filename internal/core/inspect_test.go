@@ -70,30 +70,27 @@ func TestReinspectRecyclesReferenceVectors(t *testing.T) {
 		want[m.E1[e]] += 3 * out[0]
 		want[m.E2[e]] += 3 * out[1]
 	}
-	for _, merge := range []bool{false, true} {
-		err := machine.Run(machine.Zero(4), func(c *machine.Ctx) {
-			loop, y := eulerLoop(c, m)
-			loop.MergeAccesses = merge
-			loop.Execute()
-			var before []*int
-			for _, ref := range loop.insp.refs {
-				before = append(before, &ref[0])
-			}
-			loop.ExecuteNoReuse()
-			loop.ExecuteNoReuse()
-			if len(loop.insp.refs) != len(before) {
-				t.Fatalf("merge=%v: %d reference vectors, had %d", merge, len(loop.insp.refs), len(before))
-			}
-			for i, ref := range loop.insp.refs {
-				if &ref[0] != before[i] {
-					t.Errorf("merge=%v rank %d: reference vector %d was reallocated", merge, c.Rank(), i)
-				}
-			}
-			checkY(t, y, want, "after two re-inspections")
-		})
-		if err != nil {
-			t.Fatal(err)
+	err := machine.Run(machine.Zero(4), func(c *machine.Ctx) {
+		loop, y := eulerLoop(c, m)
+		loop.Execute()
+		var before []*int
+		for _, ref := range loop.insp.refs {
+			before = append(before, &ref[0])
 		}
+		loop.ExecuteNoReuse()
+		loop.ExecuteNoReuse()
+		if len(loop.insp.refs) != len(before) {
+			t.Fatalf("%d reference vectors, had %d", len(loop.insp.refs), len(before))
+		}
+		for i, ref := range loop.insp.refs {
+			if &ref[0] != before[i] {
+				t.Errorf("rank %d: reference vector %d was reallocated", c.Rank(), i)
+			}
+		}
+		checkY(t, y, want, "after two re-inspections")
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -133,15 +133,6 @@ type Loop struct {
 	// call, charged to the virtual clock.
 	FlopsPerIter int
 
-	// MergeAccesses, when set before the first inspection, fuses all
-	// accesses to the same array (and, for writes, the same reduction
-	// operator) into a single communication schedule, so the executor
-	// issues one gather per array and one scatter per (array, op)
-	// instead of one per access — the CHAOS schedule-fusion
-	// optimization. Results are identical; per-iteration message
-	// counts drop.
-	MergeAccesses bool
-
 	s       *Session
 	iterGl  []int // global iteration ids owned locally
 	iterRes ttable.Resolver
@@ -165,73 +156,55 @@ type Loop struct {
 // between the gather, kernel and combine loops that share them.
 const execBlock = 256
 
-// gatherGroup is one fused communication schedule serving one or more
-// read accesses of the same array, and the ghost buffer it fills.
+// gatherGroup is one read access's communication schedule, the ghost
+// buffer it fills, and its per-iteration reference vector into
+// [local | ghosts].
 type gatherGroup struct {
-	arr     *Array
-	sched   *schedule.Schedule
-	ghost   []float64
-	members []int // the accesses served, in access order
+	arr   *Array
+	sched *schedule.Schedule
+	ghost []float64
+	ref   []int
 }
 
-// scatterGroup is one fused schedule serving write accesses that share
-// an array and a reduction operator, and their accumulation buffer:
-// the array's local section followed by the schedule's ghost slots.
+// scatterGroup is one write access's schedule, its reference vector,
+// and its accumulation buffer: the array's local section followed by
+// the schedule's ghost slots.
 type scatterGroup struct {
 	arr     *Array
 	op      Reduce
 	combine func(owned, contrib float64) float64 // op.combine, bound once
 	sched   *schedule.Schedule
 	buf     []float64
-	members []int // the accesses served, in access order
-}
-
-// accessPlan ties one access to its group and its per-iteration
-// reference vector into [local | group ghosts].
-type accessPlan struct {
-	group int
-	ref   []int
+	ref     []int
 }
 
 // inspectorState is what an inspection compiles the loop into: per
-// group a schedule and its buffer, per access a reference vector, and
-// the operand blocks of one strip. The executor only indexes it.
+// access a schedule, a reference vector and a buffer, and the operand
+// blocks of one strip. The executor only indexes it.
 type inspectorState struct {
-	rGroups []gatherGroup
-	rPlans  []accessPlan
-	wGroups []scatterGroup
-	wPlans  []accessPlan
+	rGroups []gatherGroup  // one per read access
+	wGroups []scatterGroup // one per write access
 	// in and out are the operand blocks, iteration-major: iteration b
 	// of a strip reads in[b*len(Reads):] and fills out[b*len(Writes):].
 	in, out []float64
 	// pats lists the distinct access patterns in build order and refs
-	// the whole reference vector of each — the plans slice them, groups
-	// with the same pattern the same one. The next inspection builds
-	// its i-th pattern into pats[i].sched and refs[i].
+	// the reference vector of each — groups with the same pattern hold
+	// the same one. The next inspection builds its i-th pattern into
+	// pats[i].sched and refs[i].
 	pats []pattern
 	refs [][]int
 }
 
 // pattern is what a schedule and its reference vector depend on (the
 // paper's Section 3): the data array's distribution, its local size,
-// and the indirection arrays it is reached through, in order — never
-// which array's values travel. Inspect builds each distinct pattern
-// once; inspectorState.pats[i] owns inspectorState.refs[i].
+// and the indirection array it is reached through — never which
+// array's values travel. Inspect builds each distinct pattern once;
+// inspectorState.pats[i] owns inspectorState.refs[i].
 type pattern struct {
-	res  ttable.Resolver
-	size int
-	// The indirection arrays are those of these read (or write) accesses.
-	write   bool
-	members []int
-	sched   *schedule.Schedule
-}
-
-// ind returns the indirection array of read (or write) access j.
-func (l *Loop) ind(write bool, j int) *IntArray {
-	if write {
-		return l.Writes[j].Ind
-	}
-	return l.Reads[j].Ind
+	res   ttable.Resolver
+	size  int
+	ind   *IntArray
+	sched *schedule.Schedule
 }
 
 // sameDistribution reports whether two resolvers place an index space
@@ -294,10 +267,10 @@ func (l *Loop) checkAlignment() {
 func (l *Loop) MyIterations() []int { return l.iterGl }
 
 // GhostCounts returns the ghost-buffer sizes of the saved inspector's
-// schedules, one per gather group then one per scatter group, or nil
-// before the first inspection. Counts stay per group even when groups
-// share a schedule: each group fills a ghost buffer of its own. Useful
-// for diagnostics and communication-volume studies.
+// schedules, one per read access then one per write access, or nil
+// before the first inspection. Counts stay per access even when
+// accesses share a schedule: each fills a ghost buffer of its own.
+// Useful for diagnostics and communication-volume studies.
 func (l *Loop) GhostCounts() []int {
 	if l.insp == nil {
 		return nil
@@ -310,18 +283,6 @@ func (l *Loop) GhostCounts() []int {
 		out = append(out, g.sched.NGhost())
 	}
 	return out
-}
-
-// CommPhases returns the number of communication phases one executor
-// iteration performs (gathers + scatters). With MergeAccesses this is
-// the number of distinct arrays rather than the number of accesses.
-// Groups that share a schedule still move their data in a phase each,
-// so sharing changes neither this count nor the messages per step.
-func (l *Loop) CommPhases() int {
-	if l.insp == nil {
-		return 0
-	}
-	return len(l.insp.rGroups) + len(l.insp.wGroups)
 }
 
 // dads re-reads the descriptors of the loop's data and indirection
@@ -341,8 +302,8 @@ func (l *Loop) dads() (data, ind []dist.DAD) {
 
 // Inspect runs the Phase D inspector unconditionally: it builds one
 // communication schedule and buffer-association vector per distinct
-// access pattern — read and write groups that reach the same
-// distribution through the same indirection arrays share them, each
+// access pattern — read and write accesses that reach the same
+// distribution through the same indirection array share them, each
 // with a buffer and a communication phase of its own — then records
 // every access's DADs and indirection timestamps with the registry.
 // Collective.
@@ -350,8 +311,8 @@ func (l *Loop) dads() (data, ind []dist.DAD) {
 // A re-inspection rebuilds in place: the previous inspector state's
 // lists are refilled, and each build takes the schedule and reference
 // vector of the same build position last time as its storage
-// (schedule.Builder.BuildGather). The grouping itself is recomputed
-// every time; only its storage is reused. The saved record is
+// (schedule.Builder.BuildGather). The pattern sharing itself is
+// recomputed every time; only its storage is reused. The saved record is
 // invalidated first, so an inspection that does not complete leaves
 // nothing the reuse check would accept.
 //
@@ -364,12 +325,7 @@ func (l *Loop) dads() (data, ind []dist.DAD) {
 func (l *Loop) Inspect() {
 	l.s.timed(TimerInspector, func() {
 		l.rec.Invalidate()
-		// Register indirection descriptors with the (possibly
-		// tracked) registry before recording timestamps.
 		data, ind := l.dads()
-		for _, d := range ind {
-			l.s.Reg.Track(d)
-		}
 		st, b := l.insp, l.ws
 		if b == nil {
 			b = &schedule.Builder{}
@@ -379,89 +335,44 @@ func (l *Loop) Inspect() {
 		} else {
 			st = &inspectorState{}
 		}
-		nLocal := len(l.iterGl)
-		var cat []int // a fused group's concatenated reference lists
 		oldPats, oldRefs := st.pats, st.refs
 		st.pats, st.refs = st.pats[:0], st.refs[:0]
 
-		// build gives group gi, whose member read (or write) accesses
-		// reach arr, its schedule and each member's plan its stretch of
-		// the reference vector: those of an earlier group with the same
-		// pattern, or else newly inspected.
-		build := func(gi int, arr *Array, write bool, members []int, plans []accessPlan) *schedule.Schedule {
-			pat := pattern{res: arr.res, size: len(arr.Data), write: write, members: members}
+		// build returns the schedule and reference vector of an access
+		// that reaches arr through ind: those of an earlier access with
+		// the same pattern, or else newly inspected.
+		build := func(arr *Array, ind *IntArray) (*schedule.Schedule, []int) {
+			pat := pattern{res: arr.res, size: len(arr.Data), ind: ind}
 			pi := slices.IndexFunc(st.pats, func(q pattern) bool {
-				return q.size == pat.size && sameDistribution(q.res, pat.res) &&
-					slices.EqualFunc(q.members, members, func(j, k int) bool { return l.ind(q.write, j) == l.ind(write, k) })
+				return q.size == pat.size && sameDistribution(q.res, pat.res) && q.ind == ind
 			})
 			if pi < 0 {
-				globals := l.ind(write, members[0]).Data
-				if len(members) > 1 {
-					cat = cat[:0]
-					for _, j := range members {
-						cat = append(cat, l.ind(write, j).Data...)
-					}
-					globals = cat
-				}
 				var old *schedule.Schedule
 				var recycled []int
 				if pi = len(st.pats); pi < len(oldPats) {
 					old, recycled = oldPats[pi].sched, oldRefs[pi]
 				}
 				var ref []int
-				pat.sched, ref = b.BuildGather(l.s.C, arr.res, pat.size, globals, schedule.Options{}, old, recycled)
+				pat.sched, ref = b.BuildGather(l.s.C, arr.res, pat.size, ind.Data, schedule.Options{}, old, recycled)
 				st.pats, st.refs = append(st.pats, pat), append(st.refs, ref)
 			}
-			for idx, j := range members {
-				plans[j] = accessPlan{group: gi, ref: st.refs[pi][idx*nLocal : (idx+1)*nLocal]}
-			}
-			return st.pats[pi].sched
+			return st.pats[pi].sched, st.refs[pi]
 		}
 
-		// Group read accesses (per array when merging, else one group
-		// per access); a group's schedule is built over its members'
-		// concatenated reference lists and the reference vector sliced
-		// back per access.
-		st.rGroups = st.rGroups[:0]
+		st.rGroups = scratch.Grow(&st.rGroups, len(l.Reads))
 		for j, r := range l.Reads {
-			gi := -1
-			if l.MergeAccesses {
-				gi = slices.IndexFunc(st.rGroups, func(g gatherGroup) bool { return g.arr == r.Arr })
-			}
-			if gi < 0 {
-				gi = len(st.rGroups)
-				g := extend(&st.rGroups)
-				*g = gatherGroup{arr: r.Arr, members: g.members[:0]}
-			}
-			st.rGroups[gi].members = append(st.rGroups[gi].members, j)
+			g := &st.rGroups[j]
+			g.arr = r.Arr
+			g.sched, g.ref = build(r.Arr, r.Ind)
 		}
-		st.rPlans = scratch.Grow(&st.rPlans, len(l.Reads))
-		for gi := range st.rGroups {
-			g := &st.rGroups[gi]
-			g.sched = build(gi, g.arr, false, g.members, st.rPlans)
-		}
-
-		// Same for writes, grouped by (array, reduction operator).
-		st.wGroups = st.wGroups[:0]
+		st.wGroups = scratch.Grow(&st.wGroups, len(l.Writes))
 		for k, w := range l.Writes {
-			gi := -1
-			if l.MergeAccesses {
-				gi = slices.IndexFunc(st.wGroups, func(g scatterGroup) bool { return g.arr == w.Arr && g.op == w.Op })
+			g := &st.wGroups[k]
+			if g.combine == nil || g.op != w.Op {
+				g.combine = w.Op.combine // binding allocates: once per operator
 			}
-			if gi < 0 {
-				gi = len(st.wGroups)
-				g := extend(&st.wGroups)
-				if g.combine == nil || g.op != w.Op {
-					g.combine = w.Op.combine // binding allocates: once per operator
-				}
-				g.arr, g.op, g.members = w.Arr, w.Op, g.members[:0]
-			}
-			st.wGroups[gi].members = append(st.wGroups[gi].members, k)
-		}
-		st.wPlans = scratch.Grow(&st.wPlans, len(l.Writes))
-		for gi := range st.wGroups {
-			g := &st.wGroups[gi]
-			g.sched = build(gi, g.arr, true, g.members, st.wPlans)
+			g.arr, g.op = w.Arr, w.Op
+			g.sched, g.ref = build(w.Arr, w.Ind)
 		}
 		// Fewer patterns than last time: let the surplus go.
 		if n := len(st.pats); n < len(oldPats) {
@@ -500,18 +411,6 @@ func (l *Loop) Inspect() {
 	})
 }
 
-// extend lengthens *s by one element and returns it. Within the
-// capacity that is the element an earlier, longer *s held there, so the
-// caller can take over its storage.
-func extend[T any](s *[]T) *T {
-	if n := len(*s); n < cap(*s) {
-		*s = (*s)[:n+1]
-	} else {
-		*s = append(*s, *new(T))
-	}
-	return &(*s)[len(*s)-1]
-}
-
 // Execute runs one executor iteration of the loop, re-running the
 // inspector only when the registry's conservative check fails (the
 // paper's schedule-reuse mechanism). Collective.
@@ -548,7 +447,7 @@ func (l *Loop) executor() {
 	c := l.s.C
 	st := l.insp
 
-	// Gather read operands: one communication phase per group.
+	// Gather read operands: one communication phase per access.
 	for gi := range st.rGroups {
 		g := &st.rGroups[gi]
 		g.sched.Gather(c, g.arr.Data, g.ghost)
@@ -571,10 +470,9 @@ func (l *Loop) executor() {
 	for lo := 0; lo < len(l.iterGl); lo += execBlock {
 		iters := l.iterGl[lo:min(lo+execBlock, len(l.iterGl))]
 		hi := lo + len(iters)
-		for j := range st.rPlans {
-			pl := &st.rPlans[j]
-			g := &st.rGroups[pl.group]
-			gatherStrip(in[j:], nR, g.arr.Data, g.ghost, pl.ref[lo:hi])
+		for j := range st.rGroups {
+			g := &st.rGroups[j]
+			gatherStrip(in[j:], nR, g.arr.Data, g.ghost, g.ref[lo:hi])
 		}
 		// The capacity limits keep a kernel that appends to its
 		// arguments out of the next iteration's operands.
@@ -583,21 +481,16 @@ func (l *Loop) executor() {
 			kernel(iter, inB[:nR:nR], outB[:nW:nW])
 			inB, outB = inB[nR:], outB[nW:]
 		}
-		for gi := range st.wGroups {
-			g := &st.wGroups[gi]
-			if len(g.members) == 1 {
-				k := g.members[0]
-				combineStrip(g.op, g.buf, st.wPlans[k].ref[lo:hi], out[k:], nW)
-				continue
-			}
-			combineShared(g.op, g.buf, st.wPlans, g.members, lo, hi, out, nW)
+		for k := range st.wGroups {
+			g := &st.wGroups[k]
+			combineStrip(g.op, g.buf, g.ref[lo:hi], out[k:], nW)
 		}
 	}
 	c.Flops(len(l.iterGl) * (l.FlopsPerIter + nW))
 	c.Words(len(l.iterGl) * (nR + nW))
 
 	// Fold local contributions and scatter ghost contributions, one
-	// communication phase per group.
+	// communication phase per access.
 	for gi := range st.wGroups {
 		g := &st.wGroups[gi]
 		data := g.arr.Data
@@ -635,23 +528,6 @@ func combineStrip(op Reduce, buf []float64, ref []int, out []float64, stride int
 	}
 	for b, r := range ref {
 		buf[r] = op.combine(buf[r], out[b*stride])
-	}
-}
-
-// combineShared is combineStrip for several accesses that share buf:
-// iteration-major and within an iteration in access order, so the
-// buffer sees its contributions in the order the loop body lists them.
-func combineShared(op Reduce, buf []float64, plans []accessPlan, members []int, lo, hi int, out []float64, stride int) {
-	for i := lo; i < hi; i++ {
-		for _, k := range members {
-			r := plans[k].ref[i]
-			if op == Add {
-				buf[r] += out[k]
-			} else {
-				buf[r] = op.combine(buf[r], out[k])
-			}
-		}
-		out = out[stride:]
 	}
 }
 

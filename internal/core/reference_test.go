@@ -48,20 +48,20 @@ func (l *Loop) referenceExecutor() (ghosts, wbufs [][]float64) {
 	out := make([]float64, len(l.Writes))
 	for i := range l.iterGl {
 		for j := range l.Reads {
-			pl := &st.rPlans[j]
-			data := st.rGroups[pl.group].arr.Data
-			ref := pl.ref[i]
+			g := &st.rGroups[j]
+			data := g.arr.Data
+			ref := g.ref[i]
 			if ref < len(data) {
 				in[j] = data[ref]
 			} else {
-				in[j] = ghosts[pl.group][ref-len(data)]
+				in[j] = ghosts[j][ref-len(data)]
 			}
 		}
 		l.Kernel(l.iterGl[i], in, out)
 		for k := range l.Writes {
-			pl := &st.wPlans[k]
-			buf := wbufs[pl.group]
-			buf[pl.ref[i]] = st.wGroups[pl.group].op.combine(buf[pl.ref[i]], out[k])
+			g := &st.wGroups[k]
+			buf := wbufs[k]
+			buf[g.ref[i]] = g.op.combine(buf[g.ref[i]], out[k])
 		}
 	}
 	c.Flops(len(l.iterGl) * (l.FlopsPerIter + len(l.Writes)))
@@ -179,9 +179,8 @@ func mix(a, b int) int { return int(xrand.Hash64(uint64(a)<<32^uint64(b)) >> 1) 
 // step, an iteration repartition — over the strip-mined executor and
 // over the reference interpreter, and demands bit-identical arrays,
 // ghost buffers, accumulation buffers and per-rank clocks after every
-// step: for all five reductions (Assign fed its NaN sentinel), with
-// MergeAccesses on and off, for loops without reads and without
-// writes, for local iteration counts around the strip length, for
+// step: for all five reductions (Assign fed its NaN sentinel), for
+// loops without reads and without writes, for local iteration counts around the strip length, for
 // empty ranks and arrays with fewer elements than ranks, under a
 // kernel that appends to its arguments, on both backends and on the
 // counting machines (messages and bytes).
@@ -201,33 +200,31 @@ func TestExecutorMatchesReference(t *testing.T) {
 
 	for _, sh := range shapes {
 		for _, v := range variants {
-			for _, merge := range []bool{false, true} {
-				for _, op := range ops {
-					if !v.writes && op != Add {
-						continue // nothing to reduce
-					}
-					for name, cfg := range clockConfigs(sh.p) {
-						for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-							if backend == machine.Real && name != "ipsc860" {
-								continue
+			for _, op := range ops {
+				if !v.writes && op != Add {
+					continue // nothing to reduce
+				}
+				for name, cfg := range clockConfigs(sh.p) {
+					for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
+						if backend == machine.Real && name != "ipsc860" {
+							continue
+						}
+						cfg.Backend = backend
+						label := fmt.Sprintf("%v %s P=%d N=%d iters=%d %s %v", backend, name, sh.p, sh.n, sh.nIter, v.name, op)
+						run := func(reference bool) []execTrace {
+							traces := make([]execTrace, sh.p)
+							err := machine.Run(cfg, func(c *machine.Ctx) {
+								runDifferentialProgram(c, &traces[c.Rank()], sh.n, sh.nIter, v.reads, v.writes, op, reference)
+							})
+							if err != nil {
+								t.Fatalf("%s reference=%v: %v", label, reference, err)
 							}
-							cfg.Backend = backend
-							label := fmt.Sprintf("%v %s P=%d N=%d iters=%d %s merge=%v %v", backend, name, sh.p, sh.n, sh.nIter, v.name, merge, op)
-							run := func(reference bool) []execTrace {
-								traces := make([]execTrace, sh.p)
-								err := machine.Run(cfg, func(c *machine.Ctx) {
-									runDifferentialProgram(c, &traces[c.Rank()], sh.n, sh.nIter, v.reads, v.writes, merge, op, reference)
-								})
-								if err != nil {
-									t.Fatalf("%s reference=%v: %v", label, reference, err)
-								}
-								return traces
-							}
-							want, got := run(true), run(false)
-							for r := range want {
-								if d := got[r].diff(&want[r]); d != "" {
-									t.Errorf("%s rank %d: %s", label, r, d)
-								}
+							return traces
+						}
+						want, got := run(true), run(false)
+						for r := range want {
+							if d := got[r].diff(&want[r]); d != "" {
+								t.Errorf("%s rank %d: %s", label, r, d)
 							}
 						}
 					}
@@ -238,7 +235,7 @@ func TestExecutorMatchesReference(t *testing.T) {
 }
 
 // runDifferentialProgram is the SPMD body of TestExecutorMatchesReference.
-func runDifferentialProgram(c *machine.Ctx, tr *execTrace, n, nIter int, reads, writes, merge bool, op Reduce, reference bool) {
+func runDifferentialProgram(c *machine.Ctx, tr *execTrace, n, nIter int, reads, writes bool, op Reduce, reference bool) {
 	s := NewSession(c)
 	x, y, z := s.NewArray("x", n), s.NewArray("y", n), s.NewArray("z", n)
 	// Magnitudes spread over many binades: any reordering of a sum shows.
@@ -261,8 +258,8 @@ func runDifferentialProgram(c *machine.Ctx, tr *execTrace, n, nIter int, reads, 
 		rd = []Read{{x, inds[0]}, {x, inds[1]}, {z, inds[2]}}
 	}
 	if writes {
-		// Two writes that MergeAccesses fuses into one buffer, and an
-		// Assign (fed NaNs below) on an array the loop also reads.
+		// Two writes to one array, and an Assign (fed NaNs below) on an
+		// array the loop also reads.
 		wr = []Write{{y, inds[0], op}, {y, inds[1], op}, {z, inds[2], Assign}}
 	}
 	kernel := func(iter int, in, out []float64) {
@@ -282,7 +279,6 @@ func runDifferentialProgram(c *machine.Ctx, tr *execTrace, n, nIter int, reads, 
 		_, _ = append(in, 1e300), append(out, -1e300)
 	}
 	loop := s.NewLoop("diff", nIter, rd, wr, 7, kernel)
-	loop.MergeAccesses = merge
 	arrays := []*Array{x, y, z}
 	step := func(noReuse bool) {
 		ghosts, wbufs := loop.step(reference, noReuse)
@@ -325,103 +321,34 @@ func TestExecutorRefusesStaleBuffer(t *testing.T) {
 
 // referenceInspect is the per-access inspector Loop.Inspect was before
 // it built each distinct access pattern once — one BuildGather per
-// group, whatever the groups have in common — kept verbatim as the
-// oracle of TestInspectorMatchesReference.
+// access, whatever the accesses have in common — kept as the oracle of
+// TestInspectorMatchesReference.
 func (l *Loop) referenceInspect() {
 	l.s.timed(TimerInspector, func() {
-		// Register indirection descriptors with the (possibly
-		// tracked) registry before recording timestamps.
 		data, ind := l.dads()
-		for _, d := range ind {
-			l.s.Reg.Track(d)
-		}
 		st := &inspectorState{}
-		nLocal := len(l.iterGl)
 		var b schedule.Builder
-		var cat []int // a fused group's concatenated reference lists
 
-		// build runs the inspector for group gi, whose member accesses
-		// reach arr through the indirection arrays indOf names, and
-		// gives each member's plan its stretch of the reference vector.
-		build := func(gi int, arr *Array, members []int, indOf func(int) *IntArray, plans []accessPlan) *schedule.Schedule {
-			globals := indOf(members[0]).Data
-			if len(members) > 1 {
-				cat = cat[:0]
-				for _, j := range members {
-					cat = append(cat, indOf(j).Data...)
-				}
-				globals = cat
-			}
+		// build runs the inspector for one access that reaches arr
+		// through the indirection array ia.
+		build := func(arr *Array, ia *IntArray) (*schedule.Schedule, []int) {
 			var recycled []int
 			if n := len(st.refs); l.insp != nil && n < len(l.insp.refs) {
 				recycled = l.insp.refs[n]
 			}
-			sch, ref := b.BuildGather(l.s.C, arr.res, len(arr.Data), globals, schedule.Options{}, nil, recycled)
+			sch, ref := b.BuildGather(l.s.C, arr.res, len(arr.Data), ia.Data, schedule.Options{}, nil, recycled)
 			st.refs = append(st.refs, ref)
-			for idx, j := range members {
-				plans[j] = accessPlan{group: gi, ref: ref[idx*nLocal : (idx+1)*nLocal]}
-			}
-			return sch
+			return sch, ref
 		}
-
-		// Group read accesses (per array when merging, else one group
-		// per access), then build one schedule per group over the
-		// concatenated reference lists and slice the reference vector
-		// back per access.
-		rGroupOf := map[*Array]int{}
-		var rMembers [][]int
-		for j, r := range l.Reads {
-			gi := -1
-			if l.MergeAccesses {
-				if idx, ok := rGroupOf[r.Arr]; ok {
-					gi = idx
-				}
-			}
-			if gi < 0 {
-				gi = len(st.rGroups)
-				st.rGroups = append(st.rGroups, gatherGroup{arr: r.Arr})
-				rMembers = append(rMembers, nil)
-				if l.MergeAccesses {
-					rGroupOf[r.Arr] = gi
-				}
-			}
-			rMembers[gi] = append(rMembers[gi], j)
+		for _, r := range l.Reads {
+			g := gatherGroup{arr: r.Arr}
+			g.sched, g.ref = build(r.Arr, r.Ind)
+			st.rGroups = append(st.rGroups, g)
 		}
-		st.rPlans = make([]accessPlan, len(l.Reads))
-		readInd := func(j int) *IntArray { return l.Reads[j].Ind }
-		for gi := range st.rGroups {
-			g := &st.rGroups[gi]
-			g.sched = build(gi, g.arr, rMembers[gi], readInd, st.rPlans)
-		}
-
-		// Same for writes, grouped by (array, reduction operator).
-		type wKey struct {
-			arr *Array
-			op  Reduce
-		}
-		wGroupOf := map[wKey]int{}
-		for k, w := range l.Writes {
-			key := wKey{w.Arr, w.Op}
-			gi := -1
-			if l.MergeAccesses {
-				if idx, ok := wGroupOf[key]; ok {
-					gi = idx
-				}
-			}
-			if gi < 0 {
-				gi = len(st.wGroups)
-				st.wGroups = append(st.wGroups, scatterGroup{arr: w.Arr, op: w.Op, combine: w.Op.combine})
-				if l.MergeAccesses {
-					wGroupOf[key] = gi
-				}
-			}
-			st.wGroups[gi].members = append(st.wGroups[gi].members, k)
-		}
-		st.wPlans = make([]accessPlan, len(l.Writes))
-		writeInd := func(k int) *IntArray { return l.Writes[k].Ind }
-		for gi := range st.wGroups {
-			g := &st.wGroups[gi]
-			g.sched = build(gi, g.arr, g.members, writeInd, st.wPlans)
+		for _, w := range l.Writes {
+			g := scatterGroup{arr: w.Arr, op: w.Op, combine: w.Op.combine}
+			g.sched, g.ref = build(w.Arr, w.Ind)
+			st.wGroups = append(st.wGroups, g)
 		}
 
 		// Carve the executor's buffers out of the loop's slab.
@@ -531,7 +458,7 @@ func (l *Loop) referencePartitionIterations(policy iterpart.Policy) {
 // it (the executor's above all) can again be compared to the last bit.
 type inspTrace struct {
 	floats [][][]float64 // per step: arrays, ghost and accumulation buffers
-	ints   [][][]int     // per step: reference vectors, iterations, ghost counts
+	ints   [][][]int     // per step: iterations, ghost counts, reference vectors
 	clocks []float64
 	syncs  []float64 // the reference clock at each sync point
 	saved  []float64 // under test: reference clock - own clock there
@@ -563,9 +490,12 @@ func (tr *inspTrace) snapshot(c *machine.Ctx, l *Loop, arrays []*Array) {
 	for _, g := range l.insp.wGroups {
 		fs = append(fs, slices.Clone(g.buf))
 	}
-	is := [][]int{slices.Clone(l.iterGl), l.GhostCounts(), {l.CommPhases()}}
-	for _, pl := range append(slices.Clone(l.insp.rPlans), l.insp.wPlans...) {
-		is = append(is, slices.Clone(pl.ref), []int{pl.group})
+	is := [][]int{slices.Clone(l.iterGl), l.GhostCounts()}
+	for _, g := range l.insp.rGroups {
+		is = append(is, slices.Clone(g.ref))
+	}
+	for _, g := range l.insp.wGroups {
+		is = append(is, slices.Clone(g.ref))
 	}
 	tr.floats, tr.ints, tr.clocks = append(tr.floats, fs), append(tr.ints, is), append(tr.clocks, c.Clock())
 }
@@ -636,7 +566,7 @@ func (p *inspProg) redistribute(shift int, arrays ...*Array) {
 }
 
 // declare makes rd/wr the loop under test.
-func (p *inspProg) declare(merge bool, rd []Read, wr []Write) {
+func (p *inspProg) declare(rd []Read, wr []Write) {
 	kernel := func(iter int, in, out []float64) {
 		acc := float64(iter%7) - 3
 		for j, v := range in {
@@ -647,7 +577,6 @@ func (p *inspProg) declare(merge bool, rd []Read, wr []Write) {
 		}
 	}
 	p.loop = p.s.NewLoop("pattern", p.e1.Size(), rd, wr, 5, kernel)
-	p.loop.MergeAccesses = merge
 }
 
 // step is one Execute (or ExecuteNoReuse). inspects says whether the
@@ -706,59 +635,42 @@ var inspectorCases = []struct {
 	name string
 	run  func(p *inspProg)
 }{
-	{"euler", func(p *inspProg) { eulerPatternCase(p, false) }},
-	{"euler merged", func(p *inspProg) { eulerPatternCase(p, true) }},
+	{"euler", eulerPatternCase},
 	{"reads only", func(p *inspProg) {
 		p.redistribute(1, p.x, p.y, p.z)
-		p.declare(false, []Read{{p.x, p.e1}, {p.y, p.e2}, {p.z, p.e1}}, nil)
+		p.declare([]Read{{p.x, p.e1}, {p.y, p.e2}, {p.z, p.e1}}, nil)
 		p.step(false, true, true)
 		p.step(false, false, false)
 	}},
 	{"writes only", func(p *inspProg) {
 		p.redistribute(1, p.x, p.y, p.z)
-		p.declare(false, nil, []Write{{p.x, p.e1, Add}, {p.y, p.e2, Max}, {p.z, p.e1, Add}})
+		p.declare(nil, []Write{{p.x, p.e1, Add}, {p.y, p.e2, Max}, {p.z, p.e1, Add}})
 		p.step(false, true, true)
 		p.step(false, false, false)
 	}},
-	// One pattern, three write groups: the two Add accesses fuse under
-	// MergeAccesses into a pattern of their own, Max and Assign never do.
+	// One pattern behind a read and three writes of three operators.
 	{"other op on a shared pattern", func(p *inspProg) {
 		p.redistribute(2, p.x, p.y)
-		p.declare(false, []Read{{p.x, p.e1}}, []Write{{p.y, p.e1, Add}, {p.y, p.e1, Max}, {p.y, p.e1, Min}})
+		p.declare([]Read{{p.x, p.e1}}, []Write{{p.y, p.e1, Add}, {p.y, p.e1, Max}, {p.y, p.e1, Min}})
 		p.step(false, true, true)
-		p.step(false, false, false)
-	}},
-	{"other op on a shared pattern, merged", func(p *inspProg) {
-		p.redistribute(2, p.x, p.y)
-		p.declare(true, []Read{{p.x, p.e1}, {p.x, p.e2}},
-			[]Write{{p.y, p.e1, Add}, {p.y, p.e1, Max}, {p.y, p.e2, Add}, {p.y, p.e2, Max}, {p.z, p.e1, Mul}})
-		p.step(false, true, true)
-		p.step(false, false, false)
-	}},
-	// Merged groups over the same indirection arrays in another order
-	// are another pattern: the reference vector is cut up in member order.
-	{"merged, indirection order differs", func(p *inspProg) {
-		p.redistribute(1, p.x, p.y)
-		p.declare(true, []Read{{p.x, p.e1}, {p.x, p.e2}}, []Write{{p.y, p.e2, Add}, {p.y, p.e1, Add}})
-		p.step(false, true, false)
 		p.step(false, false, false)
 	}},
 	// Equal local sizes, different placements: only the resolver tells.
 	{"separate Redistribute calls", func(p *inspProg) {
 		p.redistribute(1, p.x)
 		p.redistribute(2, p.y)
-		p.declare(false, []Read{{p.x, p.e1}, {p.x, p.e2}}, []Write{{p.y, p.e1, Add}, {p.y, p.e2, Add}})
+		p.declare([]Read{{p.x, p.e1}, {p.x, p.e2}}, []Write{{p.y, p.e1, Add}, {p.y, p.e2, Add}})
 		p.step(false, true, false)
 		p.step(false, false, false)
 	}},
 	{"separate Redistribute calls, same mapping", func(p *inspProg) {
 		p.redistribute(1, p.x)
 		p.redistribute(1, p.y)
-		p.declare(true, []Read{{p.x, p.e1}, {p.x, p.e2}}, []Write{{p.y, p.e1, Add}, {p.y, p.e2, Add}})
+		p.declare([]Read{{p.x, p.e1}, {p.x, p.e2}}, []Write{{p.y, p.e1, Add}, {p.y, p.e2, Add}})
 		p.step(false, true, false)
 	}},
 	{"BLOCK arrays", func(p *inspProg) {
-		p.declare(false, []Read{{p.x, p.e1}, {p.x, p.e2}}, []Write{{p.y, p.e1, Add}, {p.y, p.e2, Add}})
+		p.declare([]Read{{p.x, p.e1}, {p.x, p.e2}}, []Write{{p.y, p.e1, Add}, {p.y, p.e2, Add}})
 		p.step(false, true, true)
 		p.step(false, false, false)
 		p.partitionIterations(true)
@@ -768,7 +680,7 @@ var inspectorCases = []struct {
 	// back, on every rank alike): ghost slots start elsewhere.
 	{"BLOCK arrays, local sizes differ", func(p *inspProg) {
 		p.y.Data = append(p.y.Data, 0)
-		p.declare(false, []Read{{p.x, p.e1}}, []Write{{p.y, p.e1, Add}})
+		p.declare([]Read{{p.x, p.e1}}, []Write{{p.y, p.e1, Add}})
 		p.step(false, true, false)
 		p.step(false, false, false)
 	}},
@@ -776,7 +688,7 @@ var inspectorCases = []struct {
 		p.redistribute(1, p.x, p.y)
 		irr := p.x.res.(*ttable.Table).Replicated(p.c)
 		p.x.res, p.y.res = ttable.Regular{D: irr}, ttable.Regular{D: irr}
-		p.declare(false, []Read{{p.x, p.e1}}, []Write{{p.y, p.e1, Add}})
+		p.declare([]Read{{p.x, p.e1}}, []Write{{p.y, p.e1, Add}})
 		p.step(false, true, false)
 		p.x.res, p.y.res = ttable.Regular{D: sliceDist{irr, nil}}, ttable.Regular{D: sliceDist{irr, nil}}
 		p.step(true, true, false)
@@ -786,9 +698,9 @@ var inspectorCases = []struct {
 // eulerPatternCase is the paper's loop — x and y aligned, both reached
 // through end_pt1 and end_pt2 — taken through everything Section 3
 // lets happen between two executions.
-func eulerPatternCase(p *inspProg, merge bool) {
+func eulerPatternCase(p *inspProg) {
 	p.redistribute(1, p.x, p.y)
-	p.declare(merge, []Read{{p.x, p.e1}, {p.x, p.e2}}, []Write{{p.y, p.e1, Add}, {p.y, p.e2, Add}})
+	p.declare([]Read{{p.x, p.e1}, {p.x, p.e2}}, []Write{{p.y, p.e1, Add}, {p.y, p.e2, Add}})
 	p.step(false, true, true)
 	p.step(false, false, false)
 	p.x.FillByGlobal(func(g int) float64 { return float64(mix(g, 7)%100) / 8 })
@@ -810,8 +722,8 @@ func eulerPatternCase(p *inspProg, merge bool) {
 // TestInspectorMatchesReference runs each of inspectorCases over the
 // pattern-sharing inspector and over the per-access one and demands,
 // after every step, bit-identical arrays, ghost and accumulation
-// buffers, per-access reference vectors and groups, iteration
-// placements, ghost counts, phase counts and — the rank under test
+// buffers, per-access reference vectors, iteration placements, ghost
+// counts and — the rank under test
 // having been advanced to the reference clock after each inspection
 // and repartition — per-rank clocks, so the executor is shown to send
 // the same messages and bytes at the same cost. The inspector itself

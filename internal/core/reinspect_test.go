@@ -51,7 +51,7 @@ func reinspectProgram(p *inspProg, seed int64, fresh bool, ops int) {
 	hist := make([]string, len(arrays))
 	reads := []Read{{p.x, p.e1}, {p.x, p.e2}, {p.y, p.e2}, {p.z, p.e1}, {p.x, p.e3}}
 	writes := []Write{{p.y, p.e1, Add}, {p.y, p.e2, Add}, {p.z, p.e1, Max}, {p.y, p.e1, Max}, {p.z, p.e3, Add}, {p.x, p.e2, Min}}
-	p.declare(false, reads[:2], writes[:2])
+	p.declare(reads[:2], writes[:2])
 	l := p.loop
 
 	step := func(noReuse bool) {
@@ -92,7 +92,7 @@ func reinspectProgram(p *inspProg, seed int64, fresh bool, ops int) {
 	}
 
 	for op := 0; op < ops; op++ {
-		switch k := ctl.Intn(12); {
+		switch k := ctl.Intn(11); {
 		case k < 4:
 			step(true)
 		case k < 6:
@@ -109,9 +109,7 @@ func reinspectProgram(p *inspProg, seed int64, fresh bool, ops int) {
 					l.Writes = append(l.Writes, w)
 				}
 			}
-		case k == 8:
-			l.MergeAccesses = !l.MergeAccesses
-		case k == 9: // an array moves, alone or with some of those aligned with it
+		case k == 8: // an array moves, alone or with some of those aligned with it
 			a, shift := ctl.Intn(len(arrays)), 1+ctl.Intn(2)
 			var moved []*Array
 			for b := range arrays {
@@ -121,7 +119,7 @@ func reinspectProgram(p *inspProg, seed int64, fresh bool, ops int) {
 				}
 			}
 			p.redistribute(shift, moved...)
-		case k == 10: // condition 3, with reference lists of another spread
+		case k == 9: // condition 3, with reference lists of another spread
 			e, span, salt := inds[ctl.Intn(len(inds))], []int{1, p.n / 4, p.n}[ctl.Intn(3)], ctl.Int()
 			e.FillByGlobal(func(g int) int { return mix(g, salt) % span })
 		default: // Phase B, when it would move every indirection array
@@ -146,13 +144,13 @@ func reinspectProgram(p *inspProg, seed int64, fresh bool, ops int) {
 // TestReinspectInPlaceMatchesFresh is the loop-level differential test
 // of in-place re-inspection, with the fresh inspection as its oracle:
 // random programs of no-reuse and reusing steps between which the
-// access lists grow, shrink and empty, MergeAccesses flips, arrays are
+// access lists grow, shrink and empty, arrays are
 // redistributed alone (patterns stop being shared) and together again
 // (they share anew), indirection arrays are rewritten over narrow and
 // wide index ranges and iterations are repartitioned — starting from
 // BLOCK arrays, whose Regular resolvers put no collective between a
 // step's last scatter and the next build. After every step the arrays,
-// ghost and accumulation buffers, reference vectors, groups, schedule
+// ghost and accumulation buffers, reference vectors, schedule
 // summaries and per-rank virtual clocks of the loop that rebuilds in
 // place equal, bit for bit, those of the loop that builds everything
 // anew. P = 1, 3 and 8, both backends, random per-rank stalls; run under

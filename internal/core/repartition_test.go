@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"chaos/internal/machine"
@@ -153,9 +152,8 @@ func TestRepartitionerModes(t *testing.T) {
 
 // TestRepartitionerDriftRecold pins the quality-guarded warm path at
 // escalating churn: gentle adaptation keeps warming, heavy rewiring
-// pushes the warm cut past DriftTol and forces a cold rebuild in the
-// same Map call, and a disabled guard (DriftTol < 0) accepts any warm
-// result.
+// pushes the warm cut past driftTol and forces a cold rebuild in the
+// same Map call.
 func TestRepartitionerDriftRecold(t *testing.T) {
 	const procs = 4
 	m := mesh.Generate(2048, 11)
@@ -186,7 +184,7 @@ func TestRepartitionerDriftRecold(t *testing.T) {
 		}
 
 		// Heavy churn (half the endpoints rewired): the warm cut
-		// degrades far past DriftTol and the ladder is rebuilt.
+		// degrades far past driftTol and the ladder is rebuilt.
 		fill(0.5)
 		if _, err := rp.Map(m.NNode, in, procs); err != nil {
 			panic(err)
@@ -203,98 +201,6 @@ func TestRepartitionerDriftRecold(t *testing.T) {
 		}
 		if st := rp.Stats(); st.Warm != 2 || st.Recold != 1 {
 			t.Errorf("after re-touch: stats %+v, want 2 warm / 1 recold", st)
-		}
-
-		// DriftTol < 0 disables the guard: the same heavy swing is
-		// served warm without a rebuild.
-		loose, err := s.NewRepartitioner(spec)
-		if err != nil {
-			panic(err)
-		}
-		loose.DriftTol = -1
-		fill(0)
-		if _, err := loose.Map(m.NNode, in, procs); err != nil {
-			panic(err)
-		}
-		fill(0.5)
-		if _, err := loose.Map(m.NNode, in, procs); err != nil {
-			panic(err)
-		}
-		if st := loose.Stats(); st.Warm != 1 || st.Recold != 0 || st.Cold != 1 {
-			t.Errorf("disabled guard: stats %+v, want 1 warm / 0 recold / 1 cold", st)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRepartitionerStreamFirstTouch pins the STREAM -> MULTILEVEL
-// bridge: the first build streams (no ladder cost), the first changed
-// epoch refines that seed through RefineLadder into a retained ladder,
-// and later epochs warm off it like any cold-built ladder.
-func TestRepartitionerStreamFirstTouch(t *testing.T) {
-	const procs = 4
-	m := mesh.Generate(2048, 11)
-	spec := partition.Spec{Method: partition.MethodMultilevel, CoarsenTo: 16,
-		ParallelThreshold: 64, Seed: 3}
-	err := machine.Run(machine.IPSC860(procs), func(c *machine.Ctx) {
-		s := NewSession(c)
-		in, fill := meshInput(s, m)
-
-		rp, err := s.NewRepartitioner(spec)
-		if err != nil {
-			panic(err)
-		}
-		rp.FirstTouch = partition.MethodStream
-
-		m1, err := rp.Map(m.NNode, in, procs)
-		if err != nil {
-			panic(err)
-		}
-		if st := rp.Stats(); st != (RepartitionerStats{Stream: 1}) {
-			t.Errorf("first touch: stats %+v, want 1 stream", st)
-		}
-		for _, p := range m1.LocalPart() {
-			if p < 0 || p >= procs {
-				t.Errorf("stream first touch produced part %d out of range", p)
-			}
-		}
-
-		fill(0.005)
-		if _, err := rp.Map(m.NNode, in, procs); err != nil {
-			panic(err)
-		}
-		if st := rp.Stats(); st.Seeded != 1 || st.Cold != 0 {
-			t.Errorf("seed refine: stats %+v, want 1 seeded / 0 cold", st)
-		}
-
-		fill(0.005)
-		if _, err := rp.Map(m.NNode, in, procs); err != nil {
-			panic(err)
-		}
-		if st := rp.Stats(); st.Warm != 1 {
-			t.Errorf("post-seed epoch: stats %+v, want 1 warm", st)
-		}
-
-		// FirstTouch is only meaningful for MULTILEVEL specs.
-		bad, err := s.NewRepartitioner(partition.Spec{Method: partition.MethodRSB})
-		if err != nil {
-			panic(err)
-		}
-		bad.FirstTouch = partition.MethodStream
-		if _, err := bad.Map(m.NNode, in, procs); err == nil ||
-			!strings.Contains(err.Error(), "MULTILEVEL") {
-			t.Errorf("FirstTouch on RSB: err %v, want MULTILEVEL requirement", err)
-		}
-		worse, err := s.NewRepartitioner(spec)
-		if err != nil {
-			panic(err)
-		}
-		worse.FirstTouch = partition.MethodRCB
-		if _, err := worse.Map(m.NNode, in, procs); err == nil ||
-			!strings.Contains(err.Error(), "not supported") {
-			t.Errorf("FirstTouch=RCB: err %v, want not-supported error", err)
 		}
 	})
 	if err != nil {

@@ -52,21 +52,6 @@ func NewSession(c *machine.Ctx) *Session {
 	}
 }
 
-// NewTrackedSession creates a session whose registry records
-// modification timestamps only for descriptors actually used as
-// indirection arrays (or GeoCoL inputs) — the interprocedural
-// optimization the paper lists as future work. Inspectors register
-// their indirection DADs automatically; semantics are identical to the
-// default registry, with less bookkeeping on data-array writes.
-func NewTrackedSession(c *machine.Ctx) *Session {
-	return &Session{
-		C:      c,
-		DADs:   dist.NewDADAllocator(),
-		Reg:    registry.NewTracked(),
-		timers: make(map[string]float64),
-	}
-}
-
 // timed runs f and attributes the virtual time it consumed to the named
 // phase timer.
 func (s *Session) timed(name string, f func()) {

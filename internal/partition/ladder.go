@@ -6,11 +6,10 @@ import (
 )
 
 // This file is the ladder pipeline of MULTILEVEL — coarsen → solve →
-// uncoarsen, each stage existing once — and its four entry points:
+// uncoarsen, each stage existing once — and its three entry points:
 // PartitionLadder (cold; the serial path is its zero-level instance),
-// the VCycle knob and RefineLadder (both refineSeeded, the ladder
-// dropped or kept) and Repartition (warm: no coarsen, the old partition
-// restricted down a retained ladder). A warm run skips the
+// the VCycle knob (refineSeeded) and Repartition (warm: no coarsen, the
+// old partition restricted down a retained ladder). A warm run skips the
 // ghost-exchange construction, the 4-round matching handshake and the
 // distributed contraction of every level and the gathered solve, which
 // is what makes it a fraction of a cold one (core.Repartitioner is the
@@ -139,16 +138,15 @@ func (ml Multilevel) uncoarsen(c *machine.Ctx, ld *Ladder, part []int, finest *g
 // and refine back up. At coarse levels a single FM move transfers a
 // whole cluster of fine vertices between parts — the global moves
 // plain boundary refinement cannot compose. The coarsest level gets
-// polishCoarsest. seed is not modified; the ladder is returned for the
-// caller to keep or drop. Collective.
-func (ml Multilevel) refineSeeded(c *machine.Ctx, ar *arena, g *geocol.Graph, nparts int, capW float64, salt uint64, seed []int) ([]int, *Ladder) {
+// polishCoarsest. seed is not modified. Collective.
+func (ml Multilevel) refineSeeded(c *machine.Ctx, ar *arena, g *geocol.Graph, nparts int, capW float64, salt uint64, seed []int) []int {
 	ld, part := ml.coarsen(c, ar, g, nparts, capW, salt, seed)
 	if len(ld.levels) == 0 {
 		// Nothing was restricted: part still aliases the caller's seed.
 		part = append([]int(nil), seed...)
 	}
 	ml.polishCoarsest(c, ar, ld.coarsest, part, nparts)
-	return ml.uncoarsen(c, ld, part, nil), ld
+	return ml.uncoarsen(c, ld, part, nil)
 }
 
 // polishCoarsest refines an existing partition of a ladder's coarsest
@@ -202,32 +200,8 @@ func (ml Multilevel) PartitionLadder(c *machine.Ctx, g *geocol.Graph, nparts int
 	serialKway(c, ar, ld.coarsest, part, nparts, 8, ml.tol())
 	part = ml.uncoarsen(c, ld, part, nil)
 	if ml.VCycle {
-		part, _ = ml.refineSeeded(c, ar, g, nparts, capW, 0x9e3779b97f4a7c15, part)
+		part = ml.refineSeeded(c, ar, g, nparts, capW, 0x9e3779b97f4a7c15, part)
 	}
-	return part, ld.retained()
-}
-
-// RefineLadder refines a seed partition (e.g. a STREAM first-touch
-// cold start) at every scale and retains the resulting
-// partition-preserving coarsening ladder for incremental warm
-// Repartition — the bridge that lets a cheap streaming partition
-// bootstrap the multilevel warm path without ever paying a full cold
-// MULTILEVEL run. On the serial path (single rank or a sub-threshold
-// graph) the seed is polished by the serial k-way FM and no ladder is
-// retained, matching PartitionLadder's convention. The seed must be
-// home-local with nparts parts; it is not modified. Collective.
-func (ml Multilevel) RefineLadder(c *machine.Ctx, g *geocol.Graph, nparts int, seed []int) ([]int, *Ladder) {
-	checkArgs(nparts)
-	if !g.HasLink {
-		panic("partition: MULTILEVEL requires a GeoCoL LINK component")
-	}
-	ar := &arena{}
-	if !ml.distributed(c, g, nparts) {
-		part := append([]int(nil), seed...)
-		serialKway(c, ar, g, part, nparts, 8, ml.tol())
-		return part, nil
-	}
-	part, ld := ml.refineSeeded(c, ar, g, nparts, clusterCap(c, g), 0xbf58476d1ce4e5b9, seed)
 	return part, ld.retained()
 }
 

@@ -40,9 +40,8 @@ import (
 // hill-climbing parallel FM of prefine.go, so the partitioner's virtual
 // time falls with the rank count instead of staying flat while the cut
 // stays within 5% of the serial V-cycle's. PartitionLadder, the VCycle
-// knob, RefineLadder and Repartition are that one pipeline entered
-// cold, re-entered from its own result, entered from a caller's seed,
-// and re-entered warm from a retained ladder. docs/REFINEMENT.md tours
+// knob and Repartition are that one pipeline entered cold, re-entered
+// from its own result, and re-entered warm from a retained ladder. docs/REFINEMENT.md tours
 // the refinement stack and its tuning knobs.
 type Multilevel struct {
 	// CoarsenTo stops coarsening once a level has at most this many

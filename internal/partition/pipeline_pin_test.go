@@ -19,11 +19,10 @@ import (
 // deterministic).
 type pipelinePin struct{ hash, clock uint64 }
 
-// pipelineOps are the four entry points of the MULTILEVEL ladder
-// pipeline, each run from a freshly built graph inside one machine run,
-// plus a warm run off a seeded (RefineLadder) ladder. rewired is the
-// same mesh after a further ~2% edge rewire, the input of the warm
-// path.
+// pipelineOps are the three entry points of the MULTILEVEL ladder
+// pipeline, each run from a freshly built graph inside one machine run.
+// rewired is the same mesh after a further ~2% edge rewire, the input
+// of the warm path.
 var pipelineOps = []struct {
 	name string
 	run  func(c *machine.Ctx, ml Multilevel, nparts int, build func(m *mesh.Mesh) *geocol.Graph, m, rewired *mesh.Mesh) []int
@@ -36,20 +35,8 @@ var pipelineOps = []struct {
 		ml.VCycle = true
 		return ml.Partition(c, build(m), nparts)
 	}},
-	{"refine", func(c *machine.Ctx, ml Multilevel, nparts int, build func(*mesh.Mesh) *geocol.Graph, m, _ *mesh.Mesh) []int {
-		g := build(m)
-		seed := Streaming{Restreams: 1, Seed: 7}.Partition(c, g, nparts)
-		part, _ := ml.RefineLadder(c, g, nparts, seed)
-		return part
-	}},
 	{"warm", func(c *machine.Ctx, ml Multilevel, nparts int, build func(*mesh.Mesh) *geocol.Graph, m, rewired *mesh.Mesh) []int {
 		part, ld := ml.PartitionLadder(c, build(m), nparts)
-		return ml.Repartition(c, build(rewired), nparts, ld, part)
-	}},
-	{"refine→warm", func(c *machine.Ctx, ml Multilevel, nparts int, build func(*mesh.Mesh) *geocol.Graph, m, rewired *mesh.Mesh) []int {
-		g := build(m)
-		seed := Streaming{Restreams: 1, Seed: 7}.Partition(c, g, nparts)
-		part, ld := ml.RefineLadder(c, g, nparts, seed)
 		return ml.Repartition(c, build(rewired), nparts, ld, part)
 	}},
 }
@@ -71,18 +58,16 @@ func rewire(m *mesh.Mesh, every int, salt uint64) *mesh.Mesh {
 
 // TestLadderPipelinePins is the characterization test of the ladder
 // pipeline: the exact partition and the exact virtual makespan of the
-// cold, V-cycle, seeded-refinement and warm entry points, on the
-// benchmark's lattice at the default knobs and on a rewired mesh with
-// the knobs lowered so the ladder is several levels deep and restricted
-// matching can stall above ParallelThreshold, at P in {1, 3, 8} on both
-// backends. The constants were recorded at the commit before the four
+// cold, V-cycle and warm entry points, on the benchmark's lattice at
+// the default knobs and on a rewired mesh with the knobs lowered so the
+// ladder is several levels deep and restricted matching can stall above
+// ParallelThreshold, at P in {1, 3, 8} on both backends. The constants were recorded at the commit before the four
 // drivers were folded into one pipeline and are that commit's, except
 // the rewired rows marked below. There matching stalls above the
 // lowered ParallelThreshold — restricted matching at 132 vertices, the
-// cold ladder's at 135-142 — and that level is now refined distributed
-// instead of gathered: by RefineLadder itself (the two refine rows)
-// and by the warm polish of either ladder (the warm and refine→warm
-// rows). Each changed row records its parent value beside it.
+// cold ladder's at 135-142 — and the warm polish now refines that
+// level distributed instead of gathered (the warm rows). Each changed
+// row records its parent value beside it.
 func TestLadderPipelinePins(t *testing.T) {
 	lattice := mesh.GenerateLattice(16, 16, 16, 1993)
 	rewired := rewire(mesh.Generate(3000, 5), 10, 77)
@@ -148,37 +133,25 @@ func TestLadderPipelinePins(t *testing.T) {
 }
 
 var latticePins = map[string]pipelinePin{
-	"1/cold":        {0x80525d094aabb93, 0x3ff80ba4f3a74ad7},
-	"1/vcycle":      {0x80525d094aabb93, 0x3ff80ba4f3a74ad7},
-	"1/refine":      {0xc27341818967491a, 0x3fe6df7b814342d1},
-	"1/warm":        {0x73a5c89865204a57, 0x40086c18784afabb},
-	"3/cold":        {0xe15e194642ab1957, 0x3ffcaa71cf7fedd7},
-	"3/vcycle":      {0xe21e36cf9246ba4b, 0x40045e57de1e722f},
-	"3/refine":      {0xd9cb6f991c99da28, 0x3ff2e747dc48af2a},
-	"3/warm":        {0x3a77075346ffa04d, 0x4002d2e68110549f},
-	"8/cold":        {0xb2a06fbad6a3c6e, 0x3ff803682ea5a63d},
-	"8/vcycle":      {0x84edcf95deb1f93c, 0x40003b63f70be9a2},
-	"8/refine":      {0x514e6f5563be57a8, 0x3febf7d51b2dd176},
-	"8/warm":        {0xa85706c98a6cbad6, 0x3ffdb9f4e6a89c20},
-	"1/refine→warm": {0x73a5c89865204a57, 0x40021e24dec82605},
-	"3/refine→warm": {0xf01d7572a4f85912, 0x3ffb7470493acf37},
-	"8/refine→warm": {0x45ac8c1fcf120c60, 0x3ff306af603abed3},
+	"1/cold":   {0x80525d094aabb93, 0x3ff80ba4f3a74ad7},
+	"1/vcycle": {0x80525d094aabb93, 0x3ff80ba4f3a74ad7},
+	"1/warm":   {0x73a5c89865204a57, 0x40086c18784afabb},
+	"3/cold":   {0xe15e194642ab1957, 0x3ffcaa71cf7fedd7},
+	"3/vcycle": {0xe21e36cf9246ba4b, 0x40045e57de1e722f},
+	"3/warm":   {0x3a77075346ffa04d, 0x4002d2e68110549f},
+	"8/cold":   {0xb2a06fbad6a3c6e, 0x3ff803682ea5a63d},
+	"8/vcycle": {0x84edcf95deb1f93c, 0x40003b63f70be9a2},
+	"8/warm":   {0xa85706c98a6cbad6, 0x3ffdb9f4e6a89c20},
 }
 
 var rewiredPins = map[string]pipelinePin{
-	"1/cold":        {0x8d41e97a2bc640b3, 0x3febed5f138bcdfe},
-	"1/vcycle":      {0x8d41e97a2bc640b3, 0x3febed5f138bcdfe},
-	"1/refine":      {0xa4d160c82dd12ec8, 0x3fd808b29384509a},
-	"1/warm":        {0xa473f8c1a382b279, 0x3ffbfa7254a6f859},
-	"3/cold":        {0xe784cbe297df2494, 0x3ff4e06972ce8dff},
-	"3/vcycle":      {0xc91bd90047311e4e, 0x3ffef39384e9fe4f},
-	"3/refine":      {0xf82c20b82172b8e, 0x3fed5d29a50e26b6},  // parent: {0xe611c2ade60a4b1a, 0x3ff006d428c65b9f}
-	"3/warm":        {0x14cd18720c10c95e, 0x3ffba2f0ef920c59}, // parent: {0x2d7e6b3210f28e98, 0x3ffdc76717d362e8}
-	"8/cold":        {0x509ca01ebf538a72, 0x3ff05cd56259579b},
-	"8/vcycle":      {0x2b849e6f13b54e1f, 0x3ff7e4933e24bac3},
-	"8/refine":      {0xe1758001cd723f5d, 0x3fe57c4295629976}, // parent: {0x71d2383756d98461, 0x3fe826b247c0c9e8}
-	"8/warm":        {0xd7ad209dffe65256, 0x3ff4394a9b765a48}, // parent: {0xc714594e44ed9e75, 0x3ff64dc74286abfe}
-	"1/refine→warm": {0xa473f8c1a382b279, 0x3ff405ef6fc22581},
-	"3/refine→warm": {0x75811fe1349016d0, 0x3ff490297b2dc728}, // parent: {0x155731880ab19b9d, 0x3ff539f6086603d1}
-	"8/refine→warm": {0x1796e9b537af660, 0x3fec462056397dfc},  // parent: {0xb8152ec8328b3c60, 0x3fee665d764eabe4}
+	"1/cold":   {0x8d41e97a2bc640b3, 0x3febed5f138bcdfe},
+	"1/vcycle": {0x8d41e97a2bc640b3, 0x3febed5f138bcdfe},
+	"1/warm":   {0xa473f8c1a382b279, 0x3ffbfa7254a6f859},
+	"3/cold":   {0xe784cbe297df2494, 0x3ff4e06972ce8dff},
+	"3/vcycle": {0xc91bd90047311e4e, 0x3ffef39384e9fe4f},
+	"3/warm":   {0x14cd18720c10c95e, 0x3ffba2f0ef920c59}, // parent: {0x2d7e6b3210f28e98, 0x3ffdc76717d362e8}
+	"8/cold":   {0x509ca01ebf538a72, 0x3ff05cd56259579b},
+	"8/vcycle": {0x2b849e6f13b54e1f, 0x3ff7e4933e24bac3},
+	"8/warm":   {0xd7ad209dffe65256, 0x3ff4394a9b765a48}, // parent: {0xc714594e44ed9e75, 0x3ff64dc74286abfe}
 }

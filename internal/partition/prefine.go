@@ -497,6 +497,31 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 	addBudget := scratch.Grow(&s.addBudget, nparts)
 	subBudget := scratch.Grow(&s.subBudget, nparts)
 
+	// exchange ends a sub-iteration and the rollback: one batched
+	// exchange of the moved parts, whose touched-slot list marks exactly
+	// the vertices whose cached gains a remote move invalidated, then a
+	// refresh of every dirty vertex and syncState. Its scans stay in
+	// scanned for the caller's charge.
+	exchange := func() {
+		touched := ge.UpdateIntsTouchedInto(c, part, movedFlag, ghostPart, s.touched)
+		if touched != nil {
+			s.touched = touched
+		}
+		clear(movedFlag)
+		for _, slot := range touched {
+			for _, l := range ghostAdj(slot) {
+				dirty[l] = true
+			}
+		}
+		for l := 0; l < localN; l++ {
+			if dirty[l] {
+				refresh(l)
+				dirty[l] = false
+			}
+		}
+		syncState()
+	}
+
 	// offer pushes boundary vertex l's cached best move under direction
 	// rule dir, if it has one, into the gain buckets. The modelled
 	// machine is charged l's degree per lookup — the scan that computes
@@ -636,28 +661,8 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 			}
 			log = log[:bestAt]
 
-			// Conflict resolution: one batched exchange of the moved
-			// parts; the touched-slot list marks exactly the vertices
-			// whose cached gains a remote move invalidated.
-			touched := ge.UpdateIntsTouchedInto(c, part, movedFlag, ghostPart, s.touched)
-			if touched != nil {
-				s.touched = touched
-			}
-			for l := range movedFlag {
-				movedFlag[l] = false
-			}
-			for _, slot := range touched {
-				for _, l := range ghostAdj(slot) {
-					dirty[l] = true
-				}
-			}
-			for l := 0; l < localN; l++ {
-				if dirty[l] {
-					refresh(l)
-					dirty[l] = false
-				}
-			}
-			syncState()
+			// Conflict resolution.
+			exchange()
 			c.Flops(2*scanned + localN)
 			scanned = 0
 
@@ -697,25 +702,7 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 					}
 				}
 			}
-			touched := ge.UpdateIntsTouchedInto(c, part, movedFlag, ghostPart, s.touched)
-			if touched != nil {
-				s.touched = touched
-			}
-			for l := range movedFlag {
-				movedFlag[l] = false
-			}
-			for _, slot := range touched {
-				for _, l := range ghostAdj(slot) {
-					dirty[l] = true
-				}
-			}
-			for l := 0; l < localN; l++ {
-				if dirty[l] {
-					refresh(l)
-					dirty[l] = false
-				}
-			}
-			syncState()
+			exchange()
 			c.Flops(2 * scanned)
 			scanned = 0
 		}

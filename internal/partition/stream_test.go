@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -264,52 +263,5 @@ func TestStreamQualityMemoryPin(t *testing.T) {
 		if fpart[v] != part[v] {
 			t.Fatalf("file-backed partition diverges at vertex %d: %d vs %d", v, fpart[v], part[v])
 		}
-	}
-}
-
-// TestStreamRefineLadder pins the STREAM -> MULTILEVEL bridge: a
-// streaming first-touch partition refined through RefineLadder must
-// not lose cut, must stay balanced, and on the parallel path must
-// hand back a reusable ladder for warm repartitions.
-func TestStreamRefineLadder(t *testing.T) {
-	m := mesh.Generate(4096, 7)
-	const nparts, p = 4, 4
-	cfg := machine.IPSC860(p)
-	cfg.Seed = 42
-	err := machine.Run(cfg, func(c *machine.Ctx) {
-		eb := m.NEdge() / p
-		elo, ehi := c.Rank()*eb, (c.Rank()+1)*eb
-		if c.Rank() == p-1 {
-			ehi = m.NEdge()
-		}
-		g := geocol.Build(c, m.NNode, geocol.WithLink(m.E1[elo:ehi], m.E2[elo:ehi]))
-
-		seed := Streaming{Restreams: 1, Seed: 7}.Partition(c, g, nparts)
-		seedCut := Cut(c, g, seed)
-		refined, ladder := Multilevel{Seed: 12345}.RefineLadder(c, g, nparts, seed)
-		refCut := Cut(c, g, refined)
-
-		if len(refined) != g.LocalN(c.Rank()) {
-			panic("refined partition is not home-local")
-		}
-		if refCut > seedCut {
-			panic(fmt.Sprintf("RefineLadder made the cut worse: %.0f -> %.0f", seedCut, refCut))
-		}
-		if ladder == nil {
-			panic("parallel RefineLadder returned no ladder")
-		}
-		if !ladder.Reusable(g, nparts) {
-			panic("retained ladder is not reusable for the same graph")
-		}
-		// The seed must be untouched (callers keep it for diffing).
-		again := Streaming{Restreams: 1, Seed: 7}.Partition(c, g, nparts)
-		for l := range seed {
-			if seed[l] != again[l] {
-				panic("RefineLadder mutated its seed argument")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

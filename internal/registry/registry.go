@@ -32,50 +32,13 @@ type Registry struct {
 	nmod int
 	last map[uint64]int
 
-	// tracked, when non-nil, restricts lastmod bookkeeping to the
-	// descriptors registered through Track — the optimization the
-	// paper sketches as future work: "we could limit ourselves to
-	// recording possible modifications of the sets of arrays that
-	// have the same data access descriptor as an indirection array."
-	tracked map[uint64]bool
-
 	// Statistics for experiments.
 	hits, misses int
 }
 
-// New returns an empty registry with nmod = 0 that tracks every
-// descriptor.
+// New returns an empty registry with nmod = 0.
 func New() *Registry {
 	return &Registry{last: make(map[uint64]int)}
-}
-
-// NewTracked returns a registry that records modification timestamps
-// only for descriptors registered with Track. Writes to untracked
-// descriptors still advance nmod (they are executed code blocks) but
-// skip the lastmod update. Inspectors must Track every indirection
-// descriptor before relying on its timestamps; Track is conservative
-// for late registration (see Track).
-func NewTracked() *Registry {
-	return &Registry{last: make(map[uint64]int), tracked: make(map[uint64]bool)}
-}
-
-// Tracking reports whether the registry restricts bookkeeping to
-// tracked descriptors.
-func (r *Registry) Tracking() bool { return r.tracked != nil }
-
-// Track registers d as an indirection descriptor whose modifications
-// must be recorded. If d was not tracked before, its lastmod is
-// conservatively set to the current nmod — the registry cannot know
-// whether an untracked write already happened, so the first inspector
-// after Track always runs.
-func (r *Registry) Track(d dist.DAD) {
-	if r.tracked == nil {
-		return
-	}
-	if !r.tracked[d.ID] {
-		r.tracked[d.ID] = true
-		r.last[d.ID] = r.nmod
-	}
 }
 
 // Nmod returns the current global timestamp.
@@ -87,9 +50,6 @@ func (r *Registry) Nmod() int { return r.nmod }
 // assignment.
 func (r *Registry) NoteWrite(d dist.DAD) {
 	r.nmod++
-	if r.tracked != nil && !r.tracked[d.ID] {
-		return // untracked descriptor: skip the lastmod update
-	}
 	r.last[d.ID] = r.nmod
 }
 
@@ -98,11 +58,6 @@ func (r *Registry) NoteWrite(d dist.DAD) {
 // lastmod(DAD(a)) = nmod".
 func (r *Registry) NoteRemap(newDAD dist.DAD) {
 	r.nmod++
-	if r.tracked != nil && !r.tracked[newDAD.ID] {
-		// Untracked: if the fresh descriptor is later Tracked, the
-		// conservative lastmod there covers this remap.
-		return
-	}
 	r.last[newDAD.ID] = r.nmod
 }
 

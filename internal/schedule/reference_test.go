@@ -228,7 +228,7 @@ func TestBuildersMatchReference(t *testing.T) {
 	const n, rounds = 61, 6
 	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
 		for _, p := range []int{1, 2, 3, 8} {
-			for _, kind := range []string{"table", "table+cache", "regular"} {
+			for _, kind := range []string{"table", "regular"} {
 				for _, opt := range []Options{{}, {NoDedup: true}} {
 					owner := irregularOwners(n, p)
 					if kind == "regular" {
@@ -246,9 +246,6 @@ func TestBuildersMatchReference(t *testing.T) {
 							var res ttable.Resolver = ttable.Regular{D: dist.NewBlock(n, p)}
 							if kind != "regular" {
 								tab := ttable.Build(c, n, mine)
-								if kind == "table+cache" {
-									tab.EnableCache()
-								}
 								res = tab
 							}
 							localSize := len(mine)

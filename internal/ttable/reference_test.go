@@ -21,19 +21,12 @@ func referenceResolve(t *Table, c *machine.Ctx, globals []int) ([]int, []int) {
 	owners := make([]int, len(globals))
 	locals := make([]int, len(globals))
 
-	// Group query positions by home rank, preserving a stable order;
-	// cache hits are answered immediately and skipped.
+	// Group query positions by home rank, preserving a stable order.
 	type ref struct{ pos, g int }
 	byHome := make([][]ref, p)
 	for pos, g := range globals {
 		if g < 0 || g >= n {
 			panic(fmt.Sprintf("ttable: query index %d out of range [0,%d)", g, n))
-		}
-		if t.cache != nil {
-			if e, ok := t.cache[g]; ok {
-				owners[pos], locals[pos] = e[0], e[1]
-				continue
-			}
 		}
 		h := t.home.Owner(g)
 		byHome[h] = append(byHome[h], ref{pos, g})
@@ -76,9 +69,6 @@ func referenceResolve(t *Table, c *machine.Ctx, globals []int) ([]int, []int) {
 		for i, r := range refs {
 			owners[r.pos] = rep[2*i]
 			locals[r.pos] = rep[2*i+1]
-			if t.cache != nil {
-				t.cache[r.g] = [2]int{rep[2*i], rep[2*i+1]}
-			}
 		}
 	}
 	return owners, locals
@@ -133,7 +123,7 @@ func TestResolveMatchesReference(t *testing.T) {
 	const n, rounds = 97, 6
 	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
 		for _, p := range []int{1, 2, 3, 8} {
-			for _, kind := range []string{"table", "table+cache", "regular"} {
+			for _, kind := range []string{"table", "regular"} {
 				owner := irregularOwner(n, p)
 				run := func(impl string) []resolveTrace {
 					traces := make([]resolveTrace, p)
@@ -142,9 +132,6 @@ func TestResolveMatchesReference(t *testing.T) {
 					err := machine.Run(cfg, func(c *machine.Ctx) {
 						mine := myGlobals(owner, c.Rank())
 						tab := Build(c, n, mine)
-						if kind == "table+cache" {
-							tab.EnableCache()
-						}
 						reg := Regular{D: dist.NewBlock(n, p)}
 						rng := rand.New(rand.NewSource(int64(1000*p + c.Rank())))
 						var ws Workspace

@@ -66,26 +66,7 @@ type Table struct {
 	owner []int // indexed by home-local index
 	local []int
 	mine  []int // global indices owned by this rank, local order
-
-	// cache, when non-nil, memoizes dereference results on the
-	// querying rank (CHAOS's software caching of translation-table
-	// lookups): repeated dereferences of the same globals — the
-	// common case when several loops share indirection arrays — skip
-	// the network round trip.
-	cache map[int][2]int
 }
-
-// EnableCache turns on per-rank memoization of Resolve results. The
-// table is immutable once built, so cached entries never go stale; a
-// redistributed array gets a *new* table, which starts cold.
-func (t *Table) EnableCache() {
-	if t.cache == nil {
-		t.cache = make(map[int][2]int)
-	}
-}
-
-// CacheSize returns the number of memoized dereference entries.
-func (t *Table) CacheSize() int { return len(t.cache) }
 
 // Build constructs the translation table for an irregular distribution
 // of an index space of size n. myGlobals lists the global indices owned
@@ -146,8 +127,7 @@ func Build(c *machine.Ctx, n int, myGlobals []int) *Table {
 // workspace drops all of it.
 type Workspace struct {
 	owners, locals []int
-	// home[pos] is the home rank of globals[pos], or -1 when the
-	// dereference cache answered it.
+	// home[pos] is the home rank of globals[pos].
 	home []int
 	// start[h] is where home rank h's bucket begins in qs and qpos
 	// (len Procs+1); next is the fill cursor of the second pass.
@@ -163,8 +143,7 @@ type Workspace struct {
 
 // Resolve answers global→(owner, local) for each query index, in one
 // all-to-all round trip. Duplicate queries are permitted. Must be
-// called collectively (even when every query hits the local cache, the
-// underlying exchange runs so ranks stay matched).
+// called collectively.
 func (t *Table) Resolve(c *machine.Ctx, globals []int) ([]int, []int) {
 	var ws Workspace
 	return t.ResolveInto(c, &ws, globals)
@@ -189,21 +168,13 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 	owners := scratch.Grow(&ws.owners, len(globals))
 	locals := scratch.Grow(&ws.locals, len(globals))
 
-	// Pass 1: count the queries per home rank; cache hits are answered
-	// immediately and skipped.
+	// Pass 1: count the queries per home rank.
 	home := scratch.Grow(&ws.home, len(globals))
 	start := scratch.Grow(&ws.start, p+1)
 	clear(start)
 	for pos, g := range globals {
 		if g < 0 || g >= n {
 			panicQueryRange(g, n)
-		}
-		if t.cache != nil {
-			if e, ok := t.cache[g]; ok {
-				owners[pos], locals[pos] = e[0], e[1]
-				home[pos] = -1
-				continue
-			}
 		}
 		h := t.home.Owner(g)
 		home[pos] = h
@@ -219,9 +190,6 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 	qs := scratch.Grow(&ws.qs, start[p])
 	qpos := scratch.Grow(&ws.qpos, start[p])
 	for pos, h := range home {
-		if h < 0 {
-			continue
-		}
 		k := next[h]
 		next[h]++
 		qs[k] = globals[pos]
@@ -260,9 +228,6 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 		for i, pos := range qpos[start[h]:start[h+1]] {
 			owners[pos] = rep[2*i]
 			locals[pos] = rep[2*i+1]
-			if t.cache != nil {
-				t.cache[globals[pos]] = [2]int{rep[2*i], rep[2*i+1]}
-			}
 		}
 	}
 	return owners, locals
