@@ -8,14 +8,13 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"chaos/internal/experiments"
-	"chaos/internal/iterpart"
 	"chaos/internal/machine"
 	"chaos/internal/partition"
 	"chaos/internal/registry"
-	"chaos/internal/schedule"
 	"chaos/internal/ttable"
 
 	"chaos/internal/dist"
@@ -161,7 +160,7 @@ func benchReal(b *testing.B, procs int) {
 		ph, err := experiments.Run(experiments.Config{
 			Procs: procs, Workload: experiments.MeshWorkload(benchMeshNodes),
 			Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: benchIters,
-			Backend: machine.Real, Seed: 1993,
+			Backend: machine.Real,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -175,61 +174,6 @@ func benchReal(b *testing.B, procs int) {
 
 func BenchmarkRealBackendMeshP1(b *testing.B) { benchReal(b, 1) }
 func BenchmarkRealBackendMeshP8(b *testing.B) { benchReal(b, 8) }
-
-// --- Ablation: inspector dedup of duplicate off-processor refs ---
-
-func benchDedup(b *testing.B, noDedup bool) {
-	b.Helper()
-	w := experiments.MeshWorkload(benchMeshNodes)
-	var vsec float64
-	for i := 0; i < b.N; i++ {
-		t, err := machine.MaxClock(machine.IPSC860(benchProcs), func(c *machine.Ctx) {
-			d := dist.NewBlock(w.NNode, c.Procs())
-			local := make([]float64, d.LocalSize(c.Rank()))
-			ib := dist.NewBlock(w.NIter, c.Procs())
-			lo, hi := ib.Lo(c.Rank()), ib.Hi(c.Rank())
-			globals := make([]int, 0, 2*(hi-lo))
-			for e := lo; e < hi; e++ {
-				globals = append(globals, w.E1[e], w.E2[e])
-			}
-			sch, _ := schedule.BuildGather(c, ttable.Regular{D: d}, len(local),
-				globals, schedule.Options{NoDedup: noDedup})
-			ghost := make([]float64, sch.NGhost())
-			for it := 0; it < benchIters; it++ {
-				sch.Gather(c, local, ghost)
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		vsec = t
-	}
-	b.ReportMetric(vsec, "vsec")
-}
-
-func BenchmarkAblationDedup(b *testing.B)   { benchDedup(b, false) }
-func BenchmarkAblationNoDedup(b *testing.B) { benchDedup(b, true) }
-
-// --- Ablation: iteration-partitioning policy ---
-
-func benchIterPolicy(b *testing.B, pol iterpart.Policy, skip bool) {
-	b.Helper()
-	runCell(b, experiments.Config{
-		Procs: benchProcs, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: benchIters,
-		IterPolicy: pol, SkipIterPart: skip,
-	})
-}
-
-func BenchmarkAblationIterAlmostOwner(b *testing.B) {
-	benchIterPolicy(b, iterpart.AlmostOwnerComputes, false)
-}
-func BenchmarkAblationIterOwnerComputes(b *testing.B) {
-	benchIterPolicy(b, iterpart.OwnerComputes, false)
-}
-func BenchmarkAblationIterBlock(b *testing.B) {
-	benchIterPolicy(b, iterpart.BlockIterations, true)
-}
 
 // --- Ablation: KL refinement on top of RSB ---
 
@@ -263,7 +207,7 @@ func benchTranslation(b *testing.B, replicated bool) {
 	w := experiments.MeshWorkload(benchMeshNodes)
 	var vsec float64
 	for i := 0; i < b.N; i++ {
-		t, err := machine.MaxClock(machine.IPSC860(benchProcs), func(c *machine.Ctx) {
+		st, err := machine.RunStats(context.Background(), machine.IPSC860(benchProcs), func(c *machine.Ctx) {
 			// An irregular distribution dealt round-robin by hash.
 			var mine []int
 			for g := 0; g < w.NNode; g++ {
@@ -289,7 +233,7 @@ func benchTranslation(b *testing.B, replicated bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		vsec = t
+		vsec = st.MaxClock
 	}
 	b.ReportMetric(vsec, "vsec")
 }

@@ -1,6 +1,6 @@
 // Command chaosvet runs the repository's project-specific static
 // analyzers (internal/analysis) over Go package patterns and reports
-// violations of the SPMD, hot-path, deprecation and exchange-result
+// violations of the SPMD, hot-path, exchange-result and non-test-caller
 // invariants with file:line diagnostics:
 //
 //	go run ./cmd/chaosvet ./...

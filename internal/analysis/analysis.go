@@ -4,8 +4,8 @@
 // loader built on `go list -export` (load.go). It exists because the
 // repository's SPMD runtime has hard invariants `go vet` cannot see —
 // every rank must reach every collective, hot paths must not allocate,
-// and exchange results must not be dropped — and prose in docs/ does not
-// fail CI. Each invariant is one Analyzer in this package; cmd/chaosvet
+// exchange results must not be dropped, and a runtime path needs a
+// non-test caller — and prose in docs/ does not fail CI. Each invariant is one Analyzer in this package; cmd/chaosvet
 // runs them all and `make analyze` gates tier-1 on the result.
 //
 // A diagnostic can be suppressed at a call site that is a reviewed
@@ -38,6 +38,10 @@ type Package struct {
 	Types *types.Package
 	// Info carries the type-checker's per-expression results.
 	Info *types.Info
+
+	// wholeRoot is the import path shared by a load that holds every
+	// package under it, "" for a partial load (see TestOnly).
+	wholeRoot string
 }
 
 // Analyzer is one named invariant check. Run receives every loaded
@@ -85,6 +89,7 @@ var All = []*Analyzer{
 	SPMDCollective,
 	HotAlloc,
 	ExchangeErr,
+	TestOnly,
 }
 
 // ByName returns the analyzers selected by the comma-separated list

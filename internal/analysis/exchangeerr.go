@@ -7,11 +7,11 @@ import (
 // ExchangeErr reports discarded results of the runtime's communication
 // surface. Two families are covered:
 //
-// Error results: the machine entry points (Run, RunReal, RunStats,
-// MaxClock, Elapsed) and chaos.Run/chaos.RunReal return the first rank
-// panic as an error; dropping it (an expression statement, a blank
-// assignment, or a blank in the error position) silently turns a
-// deadlocked or crashed simulated machine into a green test.
+// Error results: the machine entry points (Run, RunStats) and
+// chaos.Run/chaos.RunReal return the first rank panic as an error;
+// dropping it (an expression statement, a blank assignment, or a blank
+// in the error position) silently turns a deadlocked or crashed
+// simulated machine into a green test.
 //
 // Exchanged payloads: the ghost-exchange handshake and the collectives
 // hand back data their peers paid to send. A discarded PushInts or
@@ -33,10 +33,7 @@ const geocolPath = "chaos/internal/geocol"
 // error's index in the result tuple.
 var errResultFuncs = map[string]int{
 	machinePath + ".Run":      0,
-	machinePath + ".RunReal":  0,
 	machinePath + ".RunStats": 1,
-	machinePath + ".MaxClock": 1,
-	machinePath + ".Elapsed":  1,
 	"chaos/chaos.Run":         0,
 	"chaos/chaos.RunReal":     1,
 }
@@ -113,7 +110,7 @@ func checkDiscardedCall(pass *Pass, pkg *Package, e ast.Expr, how string) {
 
 // checkBlankError flags assignments that discard the error position of
 // an error-returning machine entry point: _ = machine.Run(...) and
-// t, _ := machine.MaxClock(...).
+// st, _ := machine.RunStats(...).
 func checkBlankError(pass *Pass, pkg *Package, assign *ast.AssignStmt) {
 	if len(assign.Rhs) != 1 {
 		return

@@ -8,20 +8,22 @@ import (
 	"testing"
 )
 
-// The golden-file tests load one fixture package per analyzer from
-// testdata/src (skipped by ./... wildcards, so `make analyze` never
-// sees the planted violations) and compare the diagnostics against
-// "want" comments: every `// want "regex"` must be matched by exactly
-// one diagnostic on its line, and no diagnostic may lack a want.
+// The golden-file tests load one fixture per analyzer (a package, or
+// for testonly three) from testdata/src (skipped by ./... wildcards, so
+// `make analyze` never sees the planted violations) and compare the
+// diagnostics against "want" comments: every `// want "regex"` must be
+// matched by exactly one diagnostic on its line, and no diagnostic may
+// lack a want.
 
-func loadTestdata(t *testing.T, name string) (*token.FileSet, []*Package) {
+func loadTestdata(t *testing.T, names ...string) (*token.FileSet, []*Package) {
 	t.Helper()
-	fset, pkgs, err := Load(".", "./testdata/src/"+name)
-	if err != nil {
-		t.Fatalf("Load(%s): %v", name, err)
+	patterns := make([]string, len(names))
+	for i, name := range names {
+		patterns[i] = "./testdata/src/" + name
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("Load(%s): got %d packages, want 1", name, len(pkgs))
+	fset, pkgs, err := Load(".", patterns...)
+	if err != nil {
+		t.Fatalf("Load(%s): %v", names, err)
 	}
 	return fset, pkgs
 }
@@ -71,12 +73,17 @@ func parseWants(t *testing.T, fset *token.FileSet, pkgs []*Package) []*expectati
 func checkGolden(t *testing.T, analyzer, fixture string) {
 	t.Helper()
 	fset, pkgs := loadTestdata(t, fixture)
-	wants := parseWants(t, fset, pkgs)
 	sel, err := ByName(analyzer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Run(sel, fset, pkgs) {
+	matchWants(t, fset, pkgs, Run(sel, fset, pkgs))
+}
+
+func matchWants(t *testing.T, fset *token.FileSet, pkgs []*Package, diags []Diagnostic) {
+	t.Helper()
+	wants := parseWants(t, fset, pkgs)
+	for _, d := range diags {
 		found := false
 		for _, w := range wants {
 			if !w.matched && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
@@ -99,6 +106,35 @@ func checkGolden(t *testing.T, analyzer, fixture string) {
 func TestSPMDCollectiveGolden(t *testing.T) { checkGolden(t, "spmdcollective", "spmdtest") }
 func TestHotAllocGolden(t *testing.T)       { checkGolden(t, "hotalloc", "hottest") }
 func TestExchangeErrGolden(t *testing.T)    { checkGolden(t, "exchangeerr", "exchtest") }
+
+// TestTestOnlyGolden loads the onlytest fixture whole (declaring,
+// caller and public package) and matches its want comments; the
+// reasonless directive is reported on its own line, where a want
+// comment cannot sit. A partial load, missing the caller, reports
+// nothing rather than flagging every name the caller uses.
+func TestTestOnlyGolden(t *testing.T) {
+	fset, pkgs := loadTestdata(t, "onlytest/...")
+	var diags []Diagnostic
+	reasonless := 0
+	for _, d := range Run([]*Analyzer{TestOnly}, fset, pkgs) {
+		if d.Analyzer == "chaosvet" && strings.Contains(d.Message, "reason is required") {
+			reasonless++
+			continue
+		}
+		diags = append(diags, d)
+	}
+	if reasonless != 1 {
+		t.Errorf("got %d reasonless-directive diagnostics, want 1", reasonless)
+	}
+	matchWants(t, fset, pkgs, diags)
+
+	fset, pkgs = loadTestdata(t, "onlytest/internal/decl", "onlytest/pub")
+	for _, d := range Run([]*Analyzer{TestOnly}, fset, pkgs) {
+		if d.Analyzer == "testonly" {
+			t.Errorf("partial load reported %s", d)
+		}
+	}
+}
 
 // TestSuppression pins the //chaosvet:ignore contract on the suptest
 // fixture: two reviewed suppressions silence their diagnostics, and the

@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	pathpkg "path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -105,14 +106,42 @@ func Load(dir string, patterns ...string) (*token.FileSet, []*Package, error) {
 	})
 
 	var pkgs []*Package
+	whole := wholeRoot(roots)
 	for _, root := range roots {
 		pkg, err := typeCheck(fset, imp, root)
 		if err != nil {
 			return nil, nil, err
 		}
+		pkg.wholeRoot = whole
 		pkgs = append(pkgs, pkg)
 	}
 	return fset, pkgs, nil
+}
+
+// wholeRoot returns the import path the listed packages share when they
+// are every package under the directory they share, and "" when the
+// load is partial: a whole-module load's root is the module path.
+func wholeRoot(roots []*listPackage) string {
+	path, dir := roots[0].ImportPath, roots[0].Dir
+	loaded := make(map[string]bool)
+	for _, r := range roots {
+		for r.ImportPath != path && !strings.HasPrefix(r.ImportPath, path+"/") {
+			path, dir = pathpkg.Dir(path), filepath.Dir(dir)
+		}
+		loaded[r.ImportPath] = true
+	}
+	cmd := exec.Command("go", "list", "-e", "-find", "./...")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return ""
+	}
+	for _, p := range strings.Fields(string(out)) {
+		if !loaded[p] {
+			return ""
+		}
+	}
+	return path
 }
 
 // typeCheck parses and checks one listed package from source.

@@ -16,14 +16,9 @@ func dropRunError(cfg machine.Config, body func(*machine.Ctx)) {
 	_ = machine.Run(cfg, body) // want "error result of Run assigned to _"
 }
 
-func dropMaxClock(cfg machine.Config, body func(*machine.Ctx)) float64 {
-	t, _ := machine.MaxClock(cfg, body) // want "error result of MaxClock assigned to _"
-	return t
-}
-
-func dropRealBackend(ctx context.Context, cfg machine.Config, body func(*machine.Ctx)) machine.Stats {
-	machine.RunReal(ctx, cfg, body)           // want "error result of RunReal discarded"
-	_, _ = machine.Elapsed(cfg, body)         // want "error result of Elapsed assigned to _"
+func dropRunStats(ctx context.Context, cfg machine.Config, body func(*machine.Ctx)) machine.Stats {
+	machine.RunStats(ctx, cfg, body)          // want "error result of RunStats discarded"
+	_, _ = machine.RunStats(ctx, cfg, body)   // want "error result of RunStats assigned to _"
 	st, _ := machine.RunStats(ctx, cfg, body) // want "error result of RunStats assigned to _"
 	return st
 }

@@ -208,9 +208,9 @@ type pattern struct {
 }
 
 // sameDistribution reports whether two resolvers place an index space
-// identically: the same translation table, or Regular over equal
-// closed-form distributions. Everything else compares unequal, and no
-// dynamic type that == could panic on is ever compared.
+// identically: the same translation table, or Regular over equal BLOCK
+// distributions. Everything else compares unequal, and no dynamic type
+// that == could panic on is ever compared.
 func sameDistribution(a, b ttable.Resolver) bool {
 	if ta, ok := a.(*ttable.Table); ok {
 		tb, ok := b.(*ttable.Table)
@@ -218,13 +218,8 @@ func sameDistribution(a, b ttable.Resolver) bool {
 	}
 	ra, okA := a.(ttable.Regular)
 	rb, okB := b.(ttable.Regular)
-	if okA && okB {
-		switch ra.D.(type) {
-		case dist.BlockDist, dist.CyclicDist, dist.BlockCyclicDist:
-			return ra.D == rb.D
-		}
-	}
-	return false
+	_, block := ra.D.(dist.BlockDist)
+	return okA && okB && block && ra.D == rb.D
 }
 
 // NewLoop declares an irregular loop over nIter iterations with the

@@ -86,8 +86,7 @@ func reinspectProgram(p *inspProg, seed int64, fresh bool, ops int) {
 		last := len(p.tr.ints) - 1
 		for _, pat := range l.insp.pats {
 			ns, nr := pat.sched.Messages()
-			p.tr.ints[last] = append(p.tr.ints[last], slices.Clone(pat.sched.GhostGlobals()),
-				[]int{pat.sched.NGhost(), pat.sched.SendCount(), pat.sched.RecvCount(), ns, nr})
+			p.tr.ints[last] = append(p.tr.ints[last], []int{pat.sched.NGhost(), pat.sched.SendCount(), ns, nr})
 		}
 	}
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"chaos/internal/machine"
@@ -278,4 +280,106 @@ func TestRepartitionerMatchesSetPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRepartitionerIsSound is the model test of the Repartitioner
+// handle, the partition half of the paper's Section 3 reuse guarantee.
+// Each seed runs a random sequence of Map calls over a generated mesh,
+// interleaved with no change, a light rewire, a heavy rewire, a part
+// count change and Invalidate, and checks every call against what the
+// model knows was done: a hit returns the previous mapping, and only
+// when nothing was written, invalidated or re-counted since; a cold
+// result equals, bit for bit, that of a twin handle invalidated before
+// every call; a warm result is a valid partition whose cut is at most
+// driftTol times the cut of the last accepted build; and every call is
+// counted once as a hit, a cold or a warm build.
+func TestRepartitionerIsSound(t *testing.T) {
+	const procs, seeds, calls = 4, 30, 10
+	spec := partition.Spec{Method: partition.MethodMultilevel, CoarsenTo: 16, ParallelThreshold: 64, Seed: 3}
+	var total RepartitionerStats // rank 0's, summed over the seeds
+	for seed := range seeds {
+		m := mesh.Generate(512, uint64(seed)+1)
+		err := machine.Run(machine.IPSC860(procs), func(c *machine.Ctx) {
+			s := NewSession(c)
+			in, fill := meshInput(s, m)
+			rp, err := s.NewRepartitioner(spec)
+			if err != nil {
+				panic(err)
+			}
+			twin, _ := s.NewRepartitioner(spec)
+			failed := false
+			fail := func(call int, format string, args ...any) {
+				if !failed {
+					t.Errorf("seed %d rank %d call %d: %s", seed, c.Rank(), call, fmt.Sprintf(format, args...))
+				}
+				failed = true
+			}
+			ctl := xrand.New(uint64(seed)) // every rank draws the same program
+			var prev *Mapping
+			nparts, clean, baseCut := procs, false, 0.0
+			for call := range calls {
+				switch op := ctl.Intn(5); {
+				case call == 0 || op == 0: // no change
+				case op == 1:
+					fill(0.002 + 0.008*ctl.Float64())
+					clean = false
+				case op == 2:
+					fill(0.3 + 0.2*ctl.Float64())
+					clean = false
+				case op == 3:
+					nparts = procs + procs/2 - nparts // 4 <-> 2
+					clean = false
+				default:
+					rp.Invalidate()
+					clean = false
+				}
+				before := rp.Stats()
+				got, err := rp.Map(m.NNode, in, nparts)
+				if err != nil {
+					panic(err)
+				}
+				twin.Invalidate()
+				want, err := twin.Map(m.NNode, in, nparts)
+				if err != nil {
+					panic(err)
+				}
+				after := rp.Stats()
+				g := s.Construct(m.NNode, in)
+				cut := partition.Cut(c, g, got.part)
+				switch {
+				case after.Hits > before.Hits:
+					if !clean || got != prev {
+						fail(call, "hit with clean=%v, previous mapping returned %v", clean, got == prev)
+					}
+				case clean:
+					fail(call, "clean inputs not served from the cache: stats %+v -> %+v", before, after)
+				case after.Warm > before.Warm:
+					bad := len(got.part) != g.LocalN(c.Rank())
+					for _, q := range got.part {
+						bad = bad || q < 0 || q >= nparts
+					}
+					if bad || cut > driftTol*baseCut {
+						fail(call, "warm result invalid=%v, cut %v against base %v", bad, cut, baseCut)
+					}
+				case !slices.Equal(got.part, want.part):
+					fail(call, "cold result differs from the always-invalidated twin")
+				}
+				if n := after.Hits + after.Cold + after.Warm; n != call+1 {
+					fail(call, "stats %+v count %d calls, want %d", after, n, call+1)
+				}
+				prev, clean, baseCut = got, true, cut
+			}
+			if c.Rank() == 0 {
+				st := rp.Stats()
+				total.Hits, total.Cold, total.Warm, total.Recold = total.Hits+st.Hits, total.Cold+st.Cold, total.Warm+st.Warm, total.Recold+st.Recold
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if total.Hits == 0 || total.Warm == 0 || total.Recold == 0 || total.Cold == total.Recold {
+		t.Errorf("the programs never reached every path: %+v", total)
+	}
+	t.Logf("served over %d seeds: %+v", seeds, total)
 }

@@ -5,12 +5,11 @@
 // A distribution maps a global index space [0, n) onto p processors:
 // every global index g has an owning rank Owner(g) and a local index
 // Local(g) on that rank, and the pair is invertible via Global. The
-// regular families — BLOCK, CYCLIC and BLOCK_CYCLIC, the Fortran D
-// decompositions — have closed forms and resolve without communication;
-// IRREGULAR distributions are given by an explicit owner map, the
-// runtime form of the map array produced by the paper's
-// SET distfmt BY PARTITIONING ... USING ... directive (Phase A) and the
-// thing Phase C's REDISTRIBUTE installs.
+// paper's runtime uses two families: BLOCK, the Fortran D decomposition
+// with a closed form that resolves without communication, and
+// IRREGULAR, an explicit owner map — the runtime form of the map array
+// produced by the paper's SET distfmt BY PARTITIONING ... USING ...
+// directive (Phase A) and the thing Phase C's REDISTRIBUTE installs.
 //
 // The DAD is the descriptor the paper's schedule-reuse check (Section
 // 3) keys on: remapping an array mints a fresh DAD, so descriptor
@@ -31,12 +30,6 @@ const (
 	// Block is the Fortran D BLOCK decomposition: contiguous,
 	// nearly equal chunks in rank order.
 	Block Kind = iota
-	// Cyclic is the Fortran D CYCLIC decomposition: element g lives
-	// on rank g mod p.
-	Cyclic
-	// BlockCyclic is the Fortran D CYCLIC(k) decomposition: blocks
-	// of k consecutive elements dealt round-robin.
-	BlockCyclic
 	// Irregular is an explicit owner map computed at runtime by a
 	// partitioner; it has no closed form and irregular arrays are
 	// translated through the distributed translation table.
@@ -48,10 +41,6 @@ func (k Kind) String() string {
 	switch k {
 	case Block:
 		return "BLOCK"
-	case Cyclic:
-		return "CYCLIC"
-	case BlockCyclic:
-		return "BLOCK_CYCLIC"
 	case Irregular:
 		return "IRREGULAR"
 	default:

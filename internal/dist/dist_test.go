@@ -67,20 +67,6 @@ func TestBlockContract(t *testing.T) {
 	}
 }
 
-func TestCyclicContract(t *testing.T) {
-	for _, tc := range spaceGrid {
-		checkDist(t, NewCyclic(tc.n, tc.p), tc.p)
-	}
-}
-
-func TestBlockCyclicContract(t *testing.T) {
-	for _, tc := range spaceGrid {
-		for _, k := range []int{1, 2, 3, 5, 16} {
-			checkDist(t, NewBlockCyclic(tc.n, tc.p, k), tc.p)
-		}
-	}
-}
-
 func TestIrregularContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range spaceGrid {
@@ -138,67 +124,6 @@ func TestBlockRemainderSpreading(t *testing.T) {
 	}
 }
 
-func TestCyclicDealing(t *testing.T) {
-	c := NewCyclic(7, 3)
-	// 0,3,6 → rank 0; 1,4 → rank 1; 2,5 → rank 2.
-	wantOwner := []int{0, 1, 2, 0, 1, 2, 0}
-	wantLocal := []int{0, 0, 0, 1, 1, 1, 2}
-	for g := range wantOwner {
-		if c.Owner(g) != wantOwner[g] || c.Local(g) != wantLocal[g] {
-			t.Errorf("g=%d: (%d,%d), want (%d,%d)", g, c.Owner(g), c.Local(g), wantOwner[g], wantLocal[g])
-		}
-	}
-	if c.LocalSize(0) != 3 || c.LocalSize(1) != 2 || c.LocalSize(2) != 2 {
-		t.Error("CYCLIC LocalSize wrong")
-	}
-	if c.Procs() != 3 || c.Size() != 7 {
-		t.Error("Procs/Size wrong")
-	}
-}
-
-func TestBlockCyclicDealing(t *testing.T) {
-	bc := NewBlockCyclic(10, 2, 3)
-	// Blocks: [0,3)→0, [3,6)→1, [6,9)→0, [9,10)→1.
-	wantOwner := []int{0, 0, 0, 1, 1, 1, 0, 0, 0, 1}
-	wantLocal := []int{0, 1, 2, 0, 1, 2, 3, 4, 5, 3}
-	for g := range wantOwner {
-		if bc.Owner(g) != wantOwner[g] || bc.Local(g) != wantLocal[g] {
-			t.Errorf("g=%d: (%d,%d), want (%d,%d)", g, bc.Owner(g), bc.Local(g), wantOwner[g], wantLocal[g])
-		}
-	}
-	if bc.LocalSize(0) != 6 || bc.LocalSize(1) != 4 {
-		t.Errorf("LocalSize = (%d,%d), want (6,4)", bc.LocalSize(0), bc.LocalSize(1))
-	}
-	if bc.BlockSize() != 3 || bc.Procs() != 2 || bc.Size() != 10 {
-		t.Error("BlockSize/Procs/Size wrong")
-	}
-}
-
-func TestBlockCyclicOfOneIsCyclic(t *testing.T) {
-	// CYCLIC(1) must agree with CYCLIC everywhere.
-	const n, p = 23, 5
-	bc, c := NewBlockCyclic(n, p, 1), NewCyclic(n, p)
-	for g := 0; g < n; g++ {
-		if bc.Owner(g) != c.Owner(g) || bc.Local(g) != c.Local(g) {
-			t.Fatalf("g=%d: CYCLIC(1) (%d,%d) vs CYCLIC (%d,%d)",
-				g, bc.Owner(g), bc.Local(g), c.Owner(g), c.Local(g))
-		}
-	}
-}
-
-func TestBlockCyclicOfWholeSpaceIsBlockOnRank0(t *testing.T) {
-	// With k ≥ n everything is one block on rank 0.
-	bc := NewBlockCyclic(9, 4, 16)
-	for g := 0; g < 9; g++ {
-		if bc.Owner(g) != 0 || bc.Local(g) != g {
-			t.Fatalf("g=%d: (%d,%d)", g, bc.Owner(g), bc.Local(g))
-		}
-	}
-	if bc.LocalSize(0) != 9 || bc.LocalSize(1) != 0 {
-		t.Error("LocalSize wrong")
-	}
-}
-
 func TestIrregularAscendingGlobalOrder(t *testing.T) {
 	// remap.Build and ttable's replicated form assume local index =
 	// position in the rank's ascending list of globals.
@@ -206,8 +131,8 @@ func TestIrregularAscendingGlobalOrder(t *testing.T) {
 	d := NewIrregular(owner, 3)
 	wantMine := [][]int{{1, 3, 7}, {2, 6}, {0, 4, 5}}
 	for r, mine := range wantMine {
-		if got := d.MyGlobals(r); len(got) != len(mine) {
-			t.Fatalf("rank %d owns %v, want %v", r, got, mine)
+		if d.LocalSize(r) != len(mine) {
+			t.Fatalf("rank %d owns %d globals, want %v", r, d.LocalSize(r), mine)
 		}
 		for l, g := range mine {
 			if d.Global(r, l) != g || d.Local(g) != l || d.Owner(g) != r {
@@ -219,18 +144,16 @@ func TestIrregularAscendingGlobalOrder(t *testing.T) {
 			t.Errorf("LocalSize(%d) = %d", r, d.LocalSize(r))
 		}
 	}
-	if d.Procs() != 3 || d.Size() != len(owner) {
-		t.Error("Procs/Size wrong")
+	if d.Size() != len(owner) {
+		t.Error("Size wrong")
 	}
 }
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
-		Block:       "BLOCK",
-		Cyclic:      "CYCLIC",
-		BlockCyclic: "BLOCK_CYCLIC",
-		Irregular:   "IRREGULAR",
-		Kind(99):    "Kind(99)",
+		Block:     "BLOCK",
+		Irregular: "IRREGULAR",
+		Kind(99):  "Kind(99)",
 	}
 	for k, want := range cases {
 		if k.String() != want {
@@ -241,8 +164,6 @@ func TestKindString(t *testing.T) {
 
 func TestKindsReportedByDists(t *testing.T) {
 	if NewBlock(4, 2).Kind() != Block ||
-		NewCyclic(4, 2).Kind() != Cyclic ||
-		NewBlockCyclic(4, 2, 2).Kind() != BlockCyclic ||
 		NewIrregular([]int{0, 1}, 2).Kind() != Irregular {
 		t.Error("Kind() mismatch")
 	}
@@ -319,10 +240,6 @@ func mustPanic(t *testing.T, want string, f func()) {
 func TestConstructorValidation(t *testing.T) {
 	mustPanic(t, "negative", func() { NewBlock(-1, 2) })
 	mustPanic(t, "processors", func() { NewBlock(10, 0) })
-	mustPanic(t, "negative", func() { NewCyclic(-4, 2) })
-	mustPanic(t, "processors", func() { NewCyclic(4, -1) })
-	mustPanic(t, "block size", func() { NewBlockCyclic(4, 2, 0) })
-	mustPanic(t, "processors", func() { NewBlockCyclic(4, 0, 2) })
 	mustPanic(t, "out of range", func() { NewIrregular([]int{0, 3}, 2) })
 	mustPanic(t, "out of range", func() { NewIrregular([]int{-1}, 2) })
 	mustPanic(t, "processors", func() { NewIrregular(nil, 0) })
@@ -336,25 +253,10 @@ func TestQueryValidation(t *testing.T) {
 	mustPanic(t, "rank", func() { b.LocalSize(-1) })
 	mustPanic(t, "out of range", func() { b.Global(0, 4) })
 
-	c := NewCyclic(10, 3)
-	mustPanic(t, "out of range", func() { c.Owner(10) })
-	mustPanic(t, "out of range", func() { c.Local(-1) })
-	mustPanic(t, "rank", func() { c.Global(3, 0) })
-	mustPanic(t, "out of range", func() { c.Global(0, 4) })
-	mustPanic(t, "rank", func() { c.LocalSize(3) })
-
-	bc := NewBlockCyclic(10, 2, 3)
-	mustPanic(t, "out of range", func() { bc.Owner(10) })
-	mustPanic(t, "out of range", func() { bc.Local(10) })
-	mustPanic(t, "rank", func() { bc.Global(2, 0) })
-	mustPanic(t, "out of range", func() { bc.Global(0, 6) })
-	mustPanic(t, "rank", func() { bc.LocalSize(2) })
-
 	ir := NewIrregular([]int{0, 1, 0}, 2)
 	mustPanic(t, "out of range", func() { ir.Owner(3) })
 	mustPanic(t, "out of range", func() { ir.Local(-1) })
 	mustPanic(t, "rank", func() { ir.Global(2, 0) })
 	mustPanic(t, "out of range", func() { ir.Global(1, 1) })
 	mustPanic(t, "rank", func() { ir.LocalSize(2) })
-	mustPanic(t, "rank", func() { ir.MyGlobals(-1) })
 }

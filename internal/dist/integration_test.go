@@ -55,15 +55,18 @@ func TestIrregularAgreesWithTranslationTable(t *testing.T) {
 	}
 }
 
-// TestRegularResolverOverEveryKind runs every closed-form distribution
-// through the ttable.Regular adapter, which is how loops over
-// regularly distributed arrays resolve ownership without communication.
+// TestRegularResolverOverEveryKind runs every distribution kind through
+// the ttable.Regular adapter, which is how loops over regularly
+// distributed arrays resolve ownership without communication.
 func TestRegularResolverOverEveryKind(t *testing.T) {
 	const n, p = 31, 3
+	owner := make([]int, n)
+	for g := range owner {
+		owner[g] = g * g % p
+	}
 	dists := []dist.Dist{
 		dist.NewBlock(n, p),
-		dist.NewCyclic(n, p),
-		dist.NewBlockCyclic(n, p, 4),
+		dist.NewIrregular(owner, p),
 	}
 	for _, d := range dists {
 		d := d

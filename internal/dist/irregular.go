@@ -43,9 +43,6 @@ func NewIrregular(owner []int, p int) *IrregularDist {
 	return d
 }
 
-// Procs returns the number of ranks the space is distributed over.
-func (d *IrregularDist) Procs() int { return d.p }
-
 // Owner returns the rank owning global index g.
 func (d *IrregularDist) Owner(g int) int {
 	checkGlobal("IRREGULAR", g, len(d.owner))
@@ -73,13 +70,6 @@ func (d *IrregularDist) Size() int { return len(d.owner) }
 func (d *IrregularDist) LocalSize(rank int) int {
 	checkRank("IRREGULAR", rank, d.p)
 	return len(d.mine[rank])
-}
-
-// MyGlobals returns the globals owned by rank in local (ascending
-// global) order. Do not mutate.
-func (d *IrregularDist) MyGlobals(rank int) []int {
-	checkRank("IRREGULAR", rank, d.p)
-	return d.mine[rank]
 }
 
 // Kind returns Irregular.

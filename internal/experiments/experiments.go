@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"chaos/internal/core"
-	"chaos/internal/iterpart"
 	"chaos/internal/machine"
 	"chaos/internal/md"
 	"chaos/internal/mesh"
@@ -111,17 +110,12 @@ type Config struct {
 	Reuse    bool // communication-schedule reuse on/off
 	Iters    int  // executor iterations (paper: 100)
 	Compiler bool // drive through the Fortran-90D front end
-	// IterPolicy defaults to almost-owner-computes.
-	IterPolicy iterpart.Policy
-	// SkipIterPart disables Phase B (ablation).
-	SkipIterPart bool
 	// Backend selects the machine execution backend. The zero value is
 	// the classic virtual-clock simulator; machine.Real runs the same
 	// pipeline on host cores with physical payload delivery, filling
 	// Phases.Wall with authoritative wall time.
+	//chaosvet:ignore testonly TestBackendPhasesIdentical reaches the Real backend (chaos.RunReal's) through it
 	Backend machine.Backend
-	// Seed is the machine's base random seed (Ctx.Rand streams).
-	Seed uint64
 }
 
 // Phases reports per-phase virtual-time maxima across ranks, in
@@ -157,11 +151,10 @@ func Run(cfg Config) (Phases, error) {
 }
 
 // machineConfig builds the iPSC/860 machine of one experiment cell,
-// applying the cell's execution backend and seed.
+// applying the cell's execution backend.
 func machineConfig(cfg Config) machine.Config {
 	mc := machine.IPSC860(cfg.Procs)
 	mc.Backend = cfg.Backend
-	mc.Seed = cfg.Seed
 	return mc
 }
 
@@ -221,9 +214,7 @@ func runHand(cfg Config) (Phases, error) {
 			[]core.Read{{Arr: x, Ind: e1}, {Arr: x, Ind: e2}},
 			[]core.Write{{Arr: y, Ind: e1, Op: core.Add}, {Arr: y, Ind: e2, Op: core.Add}},
 			w.Flops, w.Kernel)
-		if !cfg.SkipIterPart {
-			loop.PartitionIterations(cfg.IterPolicy)
-		}
+		loop.PartitionIterations(core.DefaultIterPolicy)
 		for it := 0; it < cfg.Iters; it++ {
 			if cfg.Reuse {
 				loop.Execute()

@@ -9,21 +9,15 @@ import (
 	"chaos/internal/partition"
 )
 
-// ExternFunc is a host function callable from FORALL expressions; iter
-// is the global iteration number of the calling iteration.
-type ExternFunc func(iter int, args []float64) float64
-
 // Env binds a program to its host environment: initial array contents
-// (the paper's "call read_data(...)"), host functions, and a completion
-// hook for inspecting results. All fields are optional except those the
-// program actually uses.
+// (the paper's "call read_data(...)") and a completion hook for
+// inspecting results. All fields are optional except those the program
+// actually uses.
 type Env struct {
 	// RealData provides READ contents for REAL*8 arrays by global index.
 	RealData map[string]func(g int) float64
 	// IntData provides READ contents for INTEGER arrays by global index.
 	IntData map[string]func(g int) int
-	// Funcs provides host extern functions used in FORALL expressions.
-	Funcs map[string]ExternFunc
 	// OnFinish, when set, runs on every rank after the program's END
 	// with the final distributed arrays.
 	OnFinish func(s *core.Session, reals map[string]*core.Array, ints map[string]*core.IntArray)
@@ -34,15 +28,13 @@ type Env struct {
 }
 
 // forallRuntime is the per-rank, per-FORALL cached state: the CHAOS
-// loop object whose saved inspector the registry guards, the
-// extern-resolved bytecode, and the identity indirection arrays
-// synthesized for directly indexed accesses. It lives in the exec
-// state, not on the shared AST, so one compiled Program can be executed
-// concurrently by every rank.
+// loop object whose saved inspector the registry guards, and the
+// identity indirection arrays synthesized for directly indexed
+// accesses. It lives in the exec state, not on the shared AST, so one
+// compiled Program can be executed concurrently by every rank.
 type forallRuntime struct {
 	loop            *core.Loop
 	iterPartitioned bool
-	codes           [][]instr
 }
 
 // execState is the per-rank interpreter state.
@@ -225,30 +217,15 @@ func (st *execState) execForall(f *forallStmt) error {
 		for _, wr := range f.writes {
 			writes = append(writes, core.Write{Arr: st.reals[wr.ref.Array], Ind: indOf(wr.ref), Op: wr.op})
 		}
-		// Per-rank bytecode copies with extern functions resolved
-		// (the shared AST is never mutated). The virtual-clock charge
-		// per iteration models the CSE'd code a compiler would emit
-		// (see modeledFlops).
+		// The shared bytecode is only read; the operand stack is this
+		// rank's. The virtual-clock charge per iteration models the
+		// CSE'd code a compiler would emit (see modeledFlops).
 		flops := modeledFlops(f.Assigns)
-		maxDepth := 1
-		for _, a := range f.Assigns {
-			code := append([]instr(nil), a.code...)
-			for k := range code {
-				ins := &code[k]
-				if ins.op == opCall && ins.fn == nil {
-					ext, ok := st.env.Funcs[ins.name]
-					if !ok {
-						return fmt.Errorf("line %d: no host binding for function %q", f.ln, ins.name)
-					}
-					ins.fn = ext
-				}
-			}
-			rt.codes = append(rt.codes, code)
-			if d := codeDepth(code); d > maxDepth {
-				maxDepth = d
-			}
+		codes, maxDepth := make([][]instr, len(f.Assigns)), 1
+		for k, a := range f.Assigns {
+			codes[k] = a.code
+			maxDepth = max(maxDepth, codeDepth(a.code))
 		}
-		codes := rt.codes
 		stack := make([]float64, maxDepth)
 		kernel := func(iter int, in, out []float64) {
 			for k := range codes {

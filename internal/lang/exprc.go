@@ -26,15 +26,14 @@ const (
 	opDiv
 	opPow
 	opNeg
-	opCall // builtin or extern function, argc arguments
+	opCall // builtin function, argc arguments
 )
 
 type instr struct {
-	op   opcode
-	i    int     // read slot (opIn) or argc (opCall)
-	f    float64 // constant (opConst)
-	name string  // function name (opCall)
-	fn   func(iter int, args []float64) float64
+	op opcode
+	i  int     // read slot (opIn) or argc (opCall)
+	f  float64 // constant (opConst)
+	fn func(args []float64) float64
 }
 
 // builtin describes an intrinsic function.
@@ -149,12 +148,7 @@ func compileExpr(e expr, slotOf func(arrayRef) int) ([]instr, error) {
 					return err
 				}
 			}
-			ins := instr{op: opCall, i: len(x.args), name: x.name}
-			if bi, ok := builtins[x.name]; ok {
-				fn := bi.fn
-				ins.fn = func(_ int, args []float64) float64 { return fn(args) }
-			}
-			code = append(code, ins)
+			code = append(code, instr{op: opCall, i: len(x.args), fn: builtins[x.name].fn})
 		default:
 			return fmt.Errorf("lang: unknown expression node %T", e)
 		}
@@ -202,7 +196,7 @@ func evalCode(code []instr, iter int, in []float64, stack []float64) float64 {
 			stack[sp-1] = -stack[sp-1]
 		case opCall:
 			sp -= ins.i
-			stack[sp] = ins.fn(iter, stack[sp:sp+ins.i])
+			stack[sp] = ins.fn(stack[sp : sp+ins.i])
 			sp++
 		}
 	}
@@ -214,7 +208,7 @@ func evalCode(code []instr, iter int, in []float64, stack []float64) float64 {
 // assignment bodies: every distinct arithmetic subtree counts once
 // (the node compiler performs common-subexpression elimination across
 // the statements of a FORALL body, exactly as f77 did for the code the
-// paper's Fortran 90D compiler generated), and intrinsic/extern calls
+// paper's Fortran 90D compiler generated), and intrinsic calls
 // are costed at a small fixed weight. This is what the executor charges
 // to the virtual clock; the bytecode interpreter's own (host) overhead
 // is a host-side artifact and deliberately not modeled.

@@ -194,16 +194,16 @@ func TestExternFunction(t *testing.T) {
 	src := `
       PROGRAM md
       PARAMETER (natom = 12, npair = 8)
-      REAL*8 q(natom), f(natom)
+      REAL*8 q(natom), f(natom), invr2(npair)
       INTEGER p1(npair), p2(npair)
       DECOMPOSITION atoms(natom), pairs(npair)
       DISTRIBUTE atoms(BLOCK), pairs(BLOCK)
       ALIGN q, f WITH atoms
-      ALIGN p1, p2 WITH pairs
-      READ p1, p2, q
+      ALIGN p1, p2, invr2 WITH pairs
+      READ p1, p2, q, invr2
       FORALL i = 1, npair
-        REDUCE (ADD, f(p1(i)), q(p1(i))*q(p2(i))*INVR2(i))
-        REDUCE (ADD, f(p2(i)), -q(p1(i))*q(p2(i))*INVR2(i))
+        REDUCE (ADD, f(p1(i)), q(p1(i))*q(p2(i))*invr2(i))
+        REDUCE (ADD, f(p2(i)), -q(p1(i))*q(p2(i))*invr2(i))
       END FORALL
       END
 `
@@ -213,7 +213,7 @@ func TestExternFunction(t *testing.T) {
 	}
 	p1 := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	p2 := []int{11, 10, 9, 8, 7, 6, 5, 4}
-	invr2 := func(iter int, _ []float64) float64 { return 1 / float64(iter+1) }
+	invr2 := func(g int) float64 { return 1 / float64(g+1) }
 	qv := func(g int) float64 { return float64(g%3) - 1 }
 	want := make([]float64, 12)
 	for i := range p1 {
@@ -222,12 +222,11 @@ func TestExternFunction(t *testing.T) {
 		want[p2[i]] -= fval
 	}
 	env := &Env{
-		RealData: map[string]func(int) float64{"Q": qv},
+		RealData: map[string]func(int) float64{"Q": qv, "INVR2": invr2},
 		IntData: map[string]func(int) int{
 			"P1": func(g int) int { return p1[g] },
 			"P2": func(g int) int { return p2[g] },
 		},
-		Funcs: map[string]ExternFunc{"INVR2": invr2},
 		OnFinish: func(_ *core.Session, reals map[string]*core.Array, _ map[string]*core.IntArray) {
 			f := reals["F"]
 			for i, g := range f.MyGlobals() {
@@ -343,6 +342,15 @@ C$    CONSTRUCT G (n)
       END FORALL
       END
 `, "lower bound"},
+		{"unknown function", `
+      PROGRAM p
+      PARAMETER (n = 4)
+      REAL*8 x(n)
+      FORALL i = 1, n
+        x(i) = MYSTERY(i)
+      END FORALL
+      END
+`, "line 6: unknown function MYSTERY"},
 		{"stray character", "      PROGRAM p\n      REAL*8 x(4) @\n      END\n", "unexpected character"},
 	}
 	for _, tc := range cases {
@@ -383,9 +391,10 @@ func TestRuntimeErrors(t *testing.T) {
       PROGRAM p
       PARAMETER (n = 4)
       REAL*8 x(n)
-      FORALL i = 1, n
-        x(i) = MYSTERY(i)
-      END FORALL
+      DECOMPOSITION d(n)
+      DISTRIBUTE d(BLOCK)
+      ALIGN x WITH d
+C$    REDISTRIBUTE d(nosuchmap)
       END
 `
 	prog2, err := Compile(src2)
@@ -394,30 +403,6 @@ func TestRuntimeErrors(t *testing.T) {
 	}
 	err = machine.Run(machine.Zero(1), func(c *machine.Ctx) {
 		if e := prog2.Execute(core.NewSession(c), &Env{}); e == nil ||
-			!strings.Contains(e.Error(), "no host binding for function") {
-			t.Errorf("Execute err = %v", e)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	src3 := `
-      PROGRAM p
-      PARAMETER (n = 4)
-      REAL*8 x(n)
-      DECOMPOSITION d(n)
-      DISTRIBUTE d(BLOCK)
-      ALIGN x WITH d
-C$    REDISTRIBUTE d(nosuchmap)
-      END
-`
-	prog3, err := Compile(src3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = machine.Run(machine.Zero(1), func(c *machine.Ctx) {
-		if e := prog3.Execute(core.NewSession(c), &Env{}); e == nil ||
 			!strings.Contains(e.Error(), "unknown distribution") {
 			t.Errorf("Execute err = %v", e)
 		}

@@ -1004,7 +1004,11 @@ func (p *parser) parsePrimary(f *forallStmt) (expr, error) {
 			}
 			return &refExpr{ref}, nil
 		}
-		// Function call (builtin or host extern).
+		// Builtin function call.
+		bi, ok := builtins[name]
+		if !ok {
+			return nil, p.errf("unknown function %s: neither a builtin nor a declared REAL*8 array", name)
+		}
 		p.ti++
 		if err := p.expect("("); err != nil {
 			return nil, err
@@ -1025,7 +1029,7 @@ func (p *parser) parsePrimary(f *forallStmt) (expr, error) {
 				return nil, err
 			}
 		}
-		if bi, ok := builtins[name]; ok && bi.argc != len(call.args) {
+		if bi.argc != len(call.args) {
 			return nil, p.errf("builtin %s expects %d argument(s), got %d", name, bi.argc, len(call.args))
 		}
 		return call, nil

@@ -35,19 +35,6 @@ func (b Backend) String() string {
 	}
 }
 
-// ParseBackend maps the command-line spellings ("sim", "simulated",
-// "real") to a Backend.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "sim", "simulated":
-		return Simulated, nil
-	case "real":
-		return Real, nil
-	default:
-		return Simulated, fmt.Errorf("machine: unknown backend %q (have sim, real)", s)
-	}
-}
-
 // Stats reports both timing trajectories of one run: the simulated
 // makespan (maximum final virtual clock across ranks) and the real
 // makespan (maximum per-rank wall time). On the simulated backend
@@ -145,23 +132,6 @@ func RunStats(ctx context.Context, cfg Config, body func(*Ctx)) (Stats, error) {
 	}
 	_, err := m.abortedErr()
 	return st, err
-}
-
-// RunReal executes body on the real-cores backend regardless of
-// cfg.Backend: a context-cancellable run whose ranks do real byte
-// movement and real kernel work on host cores (see Backend).
-func RunReal(ctx context.Context, cfg Config, body func(*Ctx)) error {
-	cfg.Backend = Real
-	_, err := RunStats(ctx, cfg, body)
-	return err
-}
-
-// Elapsed runs body like Run and returns the maximum per-rank wall
-// time across ranks in seconds — the real-time counterpart of
-// MaxClock, comparable across backends.
-func Elapsed(cfg Config, body func(*Ctx)) (float64, error) {
-	st, err := RunStats(context.Background(), cfg, body)
-	return st.Elapsed.Seconds(), err
 }
 
 // workerSlots resolves the compute-slot width of a real-backend run:

@@ -28,18 +28,6 @@ func TestBackendString(t *testing.T) {
 	}
 }
 
-func TestParseBackend(t *testing.T) {
-	for s, want := range map[string]Backend{"sim": Simulated, "simulated": Simulated, "real": Real} {
-		got, err := ParseBackend(s)
-		if err != nil || got != want {
-			t.Errorf("ParseBackend(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseBackend("quantum"); err == nil {
-		t.Error("ParseBackend accepted unknown backend")
-	}
-}
-
 // TestRealBackendCollectives drives the full collective surface on the
 // Real backend and checks every result, including the receiver-copy
 // contract: mutating what one rank received must not corrupt another
@@ -139,13 +127,13 @@ func TestRunStatsBothTrajectories(t *testing.T) {
 }
 
 func TestElapsedHelper(t *testing.T) {
-	sec, err := Elapsed(Zero(2), func(c *Ctx) {
+	st, err := RunStats(context.Background(), Zero(2), func(c *Ctx) {
 		time.Sleep(time.Millisecond)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sec < 0.001 {
+	if sec := st.Elapsed.Seconds(); sec < 0.001 {
 		t.Errorf("Elapsed = %v s, want >= 1ms", sec)
 	}
 }
@@ -229,7 +217,7 @@ func TestCancelBeforeRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran int64
-	err := RunReal(ctx, Zero(4), func(c *Ctx) {
+	_, err := RunStats(ctx, realCfg(4), func(c *Ctx) {
 		atomic.AddInt64(&ran, 1)
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -262,7 +250,7 @@ func TestCancelStressRandomizedPoints(t *testing.T) {
 		cancelAt := 1 + rng.Intn(4) // collective round for mode 1
 		ctx, cancel := context.WithCancel(context.Background())
 		var unwound int64
-		err := RunReal(ctx, cfg, func(c *Ctx) {
+		_, err := RunStats(ctx, cfg, func(c *Ctx) {
 			defer func() {
 				if r := recover(); r != nil {
 					atomic.AddInt64(&unwound, 1)
@@ -339,7 +327,7 @@ func TestRealBackendDeterministicClocks(t *testing.T) {
 	run := func() float64 {
 		cfg := IPSC860(8)
 		cfg.Backend = Real
-		v, err := MaxClock(cfg, func(c *Ctx) {
+		st, err := RunStats(context.Background(), cfg, func(c *Ctx) {
 			out := make([][]float64, c.Procs())
 			for p := range out {
 				out[p] = make([]float64, (c.Rank()+1)*(p+1))
@@ -351,7 +339,7 @@ func TestRealBackendDeterministicClocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v
+		return st.MaxClock
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("real-backend virtual time not deterministic: %v vs %v", a, b)

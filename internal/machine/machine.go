@@ -271,10 +271,3 @@ func Run(cfg Config, body func(*Ctx)) error {
 	_, err := RunStats(context.Background(), cfg, body)
 	return err
 }
-
-// MaxClock runs body like Run and additionally returns the maximum
-// final virtual clock across ranks (the simulated makespan).
-func MaxClock(cfg Config, body func(*Ctx)) (float64, error) {
-	st, err := RunStats(context.Background(), cfg, body)
-	return st.MaxClock, err
-}

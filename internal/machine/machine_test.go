@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -263,20 +264,20 @@ func TestTopologyString(t *testing.T) {
 }
 
 func TestMaxClock(t *testing.T) {
-	got, err := MaxClock(Zero(4), func(c *Ctx) {
+	st, err := RunStats(context.Background(), Zero(4), func(c *Ctx) {
 		c.AdvanceClock(float64(c.Rank()) * 2)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 6 {
-		t.Fatalf("MaxClock = %v, want 6", got)
+	if st.MaxClock != 6 {
+		t.Fatalf("MaxClock = %v, want 6", st.MaxClock)
 	}
 }
 
 func TestDeterministicClocks(t *testing.T) {
 	run := func() float64 {
-		t1, err := MaxClock(IPSC860(8), func(c *Ctx) {
+		st, err := RunStats(context.Background(), IPSC860(8), func(c *Ctx) {
 			out := make([][]float64, c.Procs())
 			for p := range out {
 				out[p] = make([]float64, (c.Rank()+1)*(p+1))
@@ -288,7 +289,7 @@ func TestDeterministicClocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return t1
+		return st.MaxClock
 	}
 	a, b := run(), run()
 	if a != b {

@@ -125,6 +125,8 @@ func GenerateLattice(gx, gy, gz int, seed uint64) *Mesh {
 // vertex's slab. It is the cheap geometric partition of test and
 // benchmark fixtures: balanced, with neighbours only across slab faces,
 // like the RCB partitions the Euler workloads run on.
+//
+//chaosvet:ignore testonly the shared fixture partition of the mesh, schedule, ttable, stream and scratch tests and benchmarks
 func (m *Mesh) Slabs(p int) []int {
 	byAngle := make([]int, m.NNode)
 	for v := range byAngle {

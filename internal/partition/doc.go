@@ -16,10 +16,10 @@
 //
 // Lookup selects a registered Partitioner by name ("BLOCK", "RANDOM",
 // "RCB", "INERTIAL", "KL", "RSB", "RSB-KL", "MULTILEVEL"); Register
-// links a custom one. CutEdges counts cut edges of a full map (test
-// and experiment helper). The partitioner types themselves (RCB, RSB,
-// KL, Multilevel, ...) are exported so non-default configurations can
-// be constructed directly or registered under their name.
+// links a custom one. Cut measures the edge cut of a distributed
+// partition. The partitioner types themselves (RCB, RSB, KL,
+// Multilevel, ...) are exported so non-default configurations can be
+// constructed directly or registered under their name.
 //
 // # Tuning the multilevel partitioner
 //

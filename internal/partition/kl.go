@@ -336,17 +336,3 @@ func (h *klHeap) pop() klEntry {
 	}
 	return top
 }
-
-// CutEdges counts edges crossing parts in a full partition map (test
-// and experiment helper; works on the gathered graph).
-func CutEdges(xadj, adj []int, part []int) int {
-	cut := 0
-	for v := 0; v+1 < len(xadj); v++ {
-		for _, u := range adj[xadj[v]:xadj[v+1]] {
-			if part[u] != part[v] {
-				cut++
-			}
-		}
-	}
-	return cut / 2
-}

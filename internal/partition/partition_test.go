@@ -420,3 +420,17 @@ func TestNamesIncludesBuiltins(t *testing.T) {
 		t.Errorf("Names() missing %v (got %v)", want, names)
 	}
 }
+
+// CutEdges counts edges crossing parts in a full partition map (works on
+// the gathered graph).
+func CutEdges(xadj, adj []int, part []int) int {
+	cut := 0
+	for v := 0; v+1 < len(xadj); v++ {
+		for _, u := range adj[xadj[v]:xadj[v+1]] {
+			if part[u] != part[v] {
+				cut++
+			}
+		}
+	}
+	return cut / 2
+}

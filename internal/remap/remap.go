@@ -86,9 +86,6 @@ func Build(c *machine.Ctx, myGlobals, newOwner []int) *Plan {
 // i-th entry has new local index i). Do not mutate.
 func (pl *Plan) NewGlobals() []int { return pl.newGlobals }
 
-// NewCount returns the number of elements owned after the move.
-func (pl *Plan) NewCount() int { return len(pl.newGlobals) }
-
 // MoveFloats redistributes one float64 array aligned with the source
 // distribution. Collective.
 func (pl *Plan) MoveFloats(c *machine.Ctx, data []float64) []float64 {

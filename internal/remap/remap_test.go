@@ -33,8 +33,8 @@ func TestRemapBlockToIrregular(t *testing.T) {
 			dest[l] = newOwnerOf[g]
 		}
 		pl := Build(c, myGlobals, dest)
-		if pl.NewCount() != ref.LocalSize(c.Rank()) {
-			t.Errorf("rank %d NewCount = %d, want %d", c.Rank(), pl.NewCount(), ref.LocalSize(c.Rank()))
+		if len(pl.NewGlobals()) != ref.LocalSize(c.Rank()) {
+			t.Errorf("rank %d owns %d after the move, want %d", c.Rank(), len(pl.NewGlobals()), ref.LocalSize(c.Rank()))
 		}
 		ng := pl.NewGlobals()
 		for i, g := range ng {

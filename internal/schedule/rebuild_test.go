@@ -23,7 +23,6 @@ type rebuildRound struct {
 	ghostGlobal, ref     []int
 	built, moved         float64
 	acc                  []float64
-	ghostInts            []int
 }
 
 func (r *rebuildRound) diff(want *rebuildRound) string {
@@ -46,8 +45,6 @@ func (r *rebuildRound) diff(want *rebuildRound) string {
 		return fmt.Sprintf("clocks %v and %v, fresh %v and %v", r.built, r.moved, want.built, want.moved)
 	case !slices.EqualFunc(r.acc, want.acc, bits):
 		return fmt.Sprintf("scattered %v, fresh %v", r.acc, want.acc)
-	case !slices.Equal(r.ghostInts, want.ghostInts):
-		return fmt.Sprintf("gathered ints %v, fresh %v", r.ghostInts, want.ghostInts)
 	}
 	return ""
 }
@@ -64,7 +61,7 @@ func cloneRows(rows [][]int) [][]int {
 // in-place build, with the fresh build as its oracle: one random
 // program — rounds that each rebuild one of three build positions over
 // a new reference list (growing, shrinking, empty, all local, all
-// remote), with and without duplicate elimination, then mostly gather
+// remote), then mostly gather
 // and scatter-add through every live schedule — run once rebuilding each
 // position into the schedule and reference vector it replaces and once
 // building everything fresh. After every round the schedule must equal
@@ -99,9 +96,9 @@ func TestRebuildInPlaceMatchesFresh(t *testing.T) {
 						if !regular {
 							res = ttable.Build(c, n, mine)
 						}
-						local, localInts := make([]float64, len(mine)), make([]int, len(mine))
+						local := make([]float64, len(mine))
 						for l, g := range mine {
-							local[l], localInts[l] = 1000+float64(g), 7*g
+							local[l] = 1000 + float64(g)
 						}
 						// ctl draws what every rank must agree on, rng this
 						// rank's reference lists, stalls its delays.
@@ -117,7 +114,7 @@ func TestRebuildInPlaceMatchesFresh(t *testing.T) {
 						var scheds [positions]*Schedule
 						var refs [positions][]int
 						for round := 0; round < rounds; round++ {
-							k, opt := ctl.Intn(positions), Options{NoDedup: ctl.Intn(4) == 0}
+							k, opt := ctl.Intn(positions), Options{}
 							globals := referenceList(rng, owner, mine, c.Rank())
 							stall()
 							if inPlace {
@@ -156,10 +153,6 @@ func TestRebuildInPlaceMatchesFresh(t *testing.T) {
 										t.Errorf("%s rank %d round %d: slot %d gathered %v", label, c.Rank(), round, slot, v)
 										break
 									}
-								}
-								if ctl.Intn(2) == 0 {
-									tr.ghostInts = make([]int, s.nGhost)
-									s.GatherInts(c, localInts, tr.ghostInts)
 								}
 								s.ScatterAdd(c, acc, ghost)
 							}

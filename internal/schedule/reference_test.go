@@ -13,8 +13,9 @@ import (
 )
 
 // referenceBuildGather is the map-and-sort.Slice BuildGather body this
-// package shipped before the Builder rewrite, kept verbatim as the
-// oracle of the differential test below (the dereference it sits on has
+// package shipped before the Builder rewrite, kept verbatim but for the
+// branch of the deleted no-deduplication option, as the oracle of the
+// differential test below (the dereference it sits on has
 // its own oracle in package ttable).
 func referenceBuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, globals []int, opt Options) (*Schedule, []int) {
 	p := c.Procs()
@@ -29,23 +30,14 @@ func referenceBuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, 
 	type remote struct{ owner, global, local int }
 	var uniq []remote
 	slotOf := make(map[int]int) // global -> ghost slot
-	if opt.NoDedup {
-		for i := range globals {
-			if owners[i] == me {
-				continue
-			}
-			uniq = append(uniq, remote{owners[i], globals[i], locals[i]})
+	seen := make(map[int]bool, len(globals))
+	for i := range globals {
+		if owners[i] == me {
+			continue
 		}
-	} else {
-		seen := make(map[int]bool, len(globals))
-		for i := range globals {
-			if owners[i] == me {
-				continue
-			}
-			if !seen[globals[i]] {
-				seen[globals[i]] = true
-				uniq = append(uniq, remote{owners[i], globals[i], locals[i]})
-			}
+		if !seen[globals[i]] {
+			seen[globals[i]] = true
+			uniq = append(uniq, remote{owners[i], globals[i], locals[i]})
 		}
 	}
 	c.Words(2 * len(globals)) // hash probes + owner tests
@@ -69,45 +61,17 @@ func referenceBuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, 
 	// Assign ghost slots and build per-owner request lists (the
 	// owner's local indices we need).
 	requests := make([][]int, p)
-	if opt.NoDedup {
-		// Slots in reference order; slotOf not usable (duplicates).
-		slot := 0
-		for i := range globals {
-			if owners[i] == me {
-				ref[i] = locals[i]
-			} else {
-				ref[i] = myLocalSize + slot
-				slot++
-			}
-		}
-		// uniq is sorted; rebuild per-slot lists in sorted order and
-		// map slots back. Simpler: iterate references again in order.
-		requests = make([][]int, p)
-		s.recvGhost = make([][]int, p)
-		slot = 0
-		for i := range globals {
-			if owners[i] == me {
-				continue
-			}
-			requests[owners[i]] = append(requests[owners[i]], locals[i])
-			s.recvGhost[owners[i]] = append(s.recvGhost[owners[i]], slot)
-			s.ghostGlobal = append(s.ghostGlobal, globals[i])
-			slot++
-		}
-	} else {
-		s.ghostGlobal = s.ghostGlobal[:0]
-		for slot, r := range uniq {
-			slotOf[r.global] = slot
-			requests[r.owner] = append(requests[r.owner], r.local)
-			s.recvGhost[r.owner] = append(s.recvGhost[r.owner], slot)
-			s.ghostGlobal = append(s.ghostGlobal, r.global)
-		}
-		for i := range globals {
-			if owners[i] == me {
-				ref[i] = locals[i]
-			} else {
-				ref[i] = myLocalSize + slotOf[globals[i]]
-			}
+	for slot, r := range uniq {
+		slotOf[r.global] = slot
+		requests[r.owner] = append(requests[r.owner], r.local)
+		s.recvGhost[r.owner] = append(s.recvGhost[r.owner], slot)
+		s.ghostGlobal = append(s.ghostGlobal, r.global)
+	}
+	for i := range globals {
+		if owners[i] == me {
+			ref[i] = locals[i]
+		} else {
+			ref[i] = myLocalSize + slotOf[globals[i]]
 		}
 	}
 	c.Words(2 * len(globals))
@@ -229,54 +193,52 @@ func TestBuildersMatchReference(t *testing.T) {
 	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
 		for _, p := range []int{1, 2, 3, 8} {
 			for _, kind := range []string{"table", "regular"} {
-				for _, opt := range []Options{{}, {NoDedup: true}} {
-					owner := irregularOwners(n, p)
-					if kind == "regular" {
-						d := dist.NewBlock(n, p)
-						for g := range owner {
-							owner[g] = d.Owner(g)
-						}
+				owner := irregularOwners(n, p)
+				if kind == "regular" {
+					d := dist.NewBlock(n, p)
+					for g := range owner {
+						owner[g] = d.Owner(g)
 					}
-					run := func(reference bool) []buildTrace {
-						traces := make([]buildTrace, p)
-						cfg := machine.IPSC860(p)
-						cfg.Backend = backend
-						err := machine.Run(cfg, func(c *machine.Ctx) {
-							mine := ownedBy(owner, c.Rank())
-							var res ttable.Resolver = ttable.Regular{D: dist.NewBlock(n, p)}
-							if kind != "regular" {
-								tab := ttable.Build(c, n, mine)
-								res = tab
-							}
-							localSize := len(mine)
-							rng := rand.New(rand.NewSource(int64(1000*p + c.Rank())))
-							var b Builder
-							var ref []int
-							tr := &traces[c.Rank()]
-							for round := 0; round < 2*rounds; round++ {
-								globals := referenceList(rng, owner, mine, c.Rank())
-								var s *Schedule
-								switch {
-								case reference:
-									s, ref = referenceBuildGather(c, res, localSize, globals, opt)
-								case round%4 < 2:
-									s, ref = BuildGather(c, res, localSize, globals, opt)
-								default:
-									s, ref = b.BuildGather(c, res, localSize, globals, opt, nil, ref)
-								}
-								tr.add(c, s, ref)
-							}
-						})
-						if err != nil {
-							t.Fatalf("%v P=%d %s %+v reference=%v: %v", backend, p, kind, opt, reference, err)
+				}
+				run := func(reference bool) []buildTrace {
+					traces := make([]buildTrace, p)
+					cfg := machine.IPSC860(p)
+					cfg.Backend = backend
+					err := machine.Run(cfg, func(c *machine.Ctx) {
+						mine := ownedBy(owner, c.Rank())
+						var res ttable.Resolver = ttable.Regular{D: dist.NewBlock(n, p)}
+						if kind != "regular" {
+							tab := ttable.Build(c, n, mine)
+							res = tab
 						}
-						return traces
+						localSize := len(mine)
+						rng := rand.New(rand.NewSource(int64(1000*p + c.Rank())))
+						var b Builder
+						var ref []int
+						tr := &traces[c.Rank()]
+						for round := 0; round < 2*rounds; round++ {
+							globals := referenceList(rng, owner, mine, c.Rank())
+							var s *Schedule
+							switch {
+							case reference:
+								s, ref = referenceBuildGather(c, res, localSize, globals, Options{})
+							case round%4 < 2:
+								s, ref = BuildGather(c, res, localSize, globals, Options{})
+							default:
+								s, ref = b.BuildGather(c, res, localSize, globals, Options{}, nil, ref)
+							}
+							tr.add(c, s, ref)
+						}
+					})
+					if err != nil {
+						t.Fatalf("%v P=%d %s reference=%v: %v", backend, p, kind, reference, err)
 					}
-					want, got := run(true), run(false)
-					for r := range want {
-						if d := got[r].diff(&want[r]); d != "" {
-							t.Errorf("%v P=%d %s %+v rank %d: %s", backend, p, kind, opt, r, d)
-						}
+					return traces
+				}
+				want, got := run(true), run(false)
+				for r := range want {
+					if d := got[r].diff(&want[r]); d != "" {
+						t.Errorf("%v P=%d %s rank %d: %s", backend, p, kind, r, d)
 					}
 				}
 			}

@@ -5,8 +5,8 @@
 // references, assigns each unique off-processor element a slot in a
 // local ghost ("buffer") area, and exchanges request lists so every
 // rank knows which of its elements to ship where. The resulting
-// Schedule drives the executor-phase Gather, Scatter and ScatterAdd
-// data movements.
+// Schedule drives the executor-phase Gather and ScatterAdd data
+// movements.
 package schedule
 
 import (
@@ -37,9 +37,8 @@ type Schedule struct {
 	// ghostGlobal[slot] is the global index a ghost slot mirrors.
 	ghostGlobal []int
 
-	// The send rows of the data movements, per element type.
+	// The send rows of the data movements.
 	floats scratch.Rows[float64]
-	ints   scratch.Rows[int]
 
 	// The build's own storage, kept for the schedule that is built in
 	// this one's place (Builder.BuildGather's old): slots backs the rows
@@ -49,18 +48,10 @@ type Schedule struct {
 	reqs  scratch.Rows[int]
 }
 
-// GhostGlobals returns the global index mirrored by each ghost slot
-// (do not mutate).
-func (s *Schedule) GhostGlobals() []int { return s.ghostGlobal }
-
-// Options controls inspector behaviour.
-type Options struct {
-	// NoDedup disables duplicate-reference elimination: every
-	// off-processor reference gets its own ghost slot and is
-	// re-fetched on every Gather. Exists for the ablation bench; the
-	// paper's inspector always deduplicates.
-	NoDedup bool
-}
+// Options is the inspector's option set. It has no settings: the
+// paper's inspector always eliminates duplicate references. Callers,
+// the repository benchmark among them, pass Options{}.
+type Options struct{}
 
 // NGhost returns the number of ghost (off-processor copy) slots the
 // schedule requires. Executors index ghost buffers of exactly this
@@ -72,16 +63,6 @@ func (s *Schedule) NGhost() int { return s.nGhost }
 func (s *Schedule) SendCount() int {
 	n := 0
 	for _, l := range s.sendLocal {
-		n += len(l)
-	}
-	return n
-}
-
-// RecvCount returns the total number of ghost values this rank receives
-// per Gather (equal to NGhost for deduplicated schedules).
-func (s *Schedule) RecvCount() int {
-	n := 0
-	for _, l := range s.recvGhost {
 		n += len(l)
 	}
 	return n
@@ -114,8 +95,8 @@ type Builder struct {
 	tt ttable.Workspace
 	// offPos lists the positions of the off-processor references.
 	offPos []int
-	// ghosts holds one entry per off-processor reference (NoDedup) or
-	// per distinct one, in ghost-slot order.
+	// ghosts holds one entry per distinct off-processor reference, in
+	// ghost-slot order.
 	ghosts []ghostRef
 	seen   slottab.Table
 }
@@ -193,32 +174,23 @@ func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize i
 		}
 	}
 
+	// The table keeps the first reference to each element; slot order
+	// is (owner, global) sorted for determinism and contiguous per-peer
+	// receive buffers, and the table then maps an element to its slot.
 	ghosts := scratch.Grow(&b.ghosts, nOff)[:0]
-	if opt.NoDedup {
-		// Every reference gets a slot of its own, in reference order.
-		for k, i := range offPos {
+	b.seen.Reset(nOff)
+	for _, i := range offPos {
+		if e := b.seen.Entry(globals[i]); e.Key1 == 0 {
+			e.Key1 = globals[i] + 1
 			ghosts = append(ghosts, ghostRef{owners[i], globals[i], locals[i]})
-			ref[i] = myLocalSize + k
 		}
-	} else {
-		// The table keeps the first reference to each element; slot
-		// order is (owner, global) sorted for determinism and contiguous
-		// per-peer receive buffers, and the table then maps an element
-		// to its slot.
-		b.seen.Reset(nOff)
-		for _, i := range offPos {
-			if e := b.seen.Entry(globals[i]); e.Key1 == 0 {
-				e.Key1 = globals[i] + 1
-				ghosts = append(ghosts, ghostRef{owners[i], globals[i], locals[i]})
-			}
-		}
-		slices.SortFunc(ghosts, cmpGhostRef)
-		for slot, g := range ghosts {
-			b.seen.Entry(g.global).Val = slot
-		}
-		for _, i := range offPos {
-			ref[i] = myLocalSize + b.seen.Entry(globals[i]).Val
-		}
+	}
+	slices.SortFunc(ghosts, cmpGhostRef)
+	for slot, g := range ghosts {
+		b.seen.Entry(g.global).Val = slot
+	}
+	for _, i := range offPos {
+		ref[i] = myLocalSize + b.seen.Entry(globals[i]).Val
 	}
 	c.Words(2 * len(globals)) // hash probes + owner tests
 	c.Words(2 * len(ghosts))  // sort traffic (approximate)
@@ -278,75 +250,57 @@ func panicSendRange(src, l, me, size int) {
 	panic(fmt.Sprintf("schedule: rank %d requested local index %d of rank %d (size %d)", src, l, me, size))
 }
 
-// move is the one pack → all-to-all → unpack body behind every Gather
-// and Scatter form. With a nil op it runs owner→consumer: the elements
+// move is the one pack → all-to-all → unpack body behind Gather and
+// ScatterOp. With a nil op it runs owner→consumer: the elements
 // sendLocal names are packed from local and land in the ghost slots
 // recvGhost names. With an op it runs consumer→owner: the ghost slots
 // are packed and each arriving value is combined into its owner's
-// element. Elements are ncomp contiguous components wide, and the rows
-// go out of x.
+// element.
 //
 //chaos:hotpath
-func move[T int | float64](c *machine.Ctx, s *Schedule, x *scratch.Rows[T], exchange func(*machine.Ctx, [][]T, [][]T) [][]T,
-	name string, local, ghost []T, ncomp int, op func(owned, contrib T) T) {
-	if ncomp < 1 {
-		panic("schedule: " + name + " with ncomp < 1")
-	}
-	if len(ghost) != s.nGhost*ncomp {
-		panicGhostLen(name, len(ghost), s.nGhost*ncomp)
+func move(c *machine.Ctx, s *Schedule, name string, local, ghost []float64, op func(owned, contrib float64) float64) {
+	if len(ghost) != s.nGhost {
+		panicGhostLen(name, len(ghost), s.nGhost)
 	}
 	pack, unpack, src, dst := s.sendLocal, s.recvGhost, local, ghost
 	if op != nil {
 		pack, unpack, src, dst = unpack, pack, ghost, local
 	}
-	nPack, nUnpack, count := 0, 0, x.Counts(s.procs)
+	nPack, nUnpack, count := 0, 0, s.floats.Counts(s.procs)
 	for p := range pack {
-		count[p] = len(pack[p]) * ncomp
+		count[p] = len(pack[p])
 		nPack += len(pack[p])
 		nUnpack += len(unpack[p])
 	}
-	out := x.Lay()
+	out := s.floats.Lay()
 	for p, lst := range pack {
-		row := out[p][:len(lst)*ncomp]
-		if ncomp == 1 {
-			for i, l := range lst {
-				row[i] = src[l]
-			}
-		} else {
-			for i, l := range lst {
-				copy(row[i*ncomp:(i+1)*ncomp], src[l*ncomp:(l+1)*ncomp])
-			}
+		row := out[p][:len(lst)]
+		for i, l := range lst {
+			row[i] = src[l]
 		}
 		out[p] = row
 	}
-	c.Words(nPack * ncomp)
-	in := exchange(c, out, x.In())
+	c.Words(nPack)
+	in := c.ExchangeFloats(out, s.floats.In())
 	for p, lst := range unpack {
 		vals := in[p]
-		if len(vals) != len(lst)*ncomp {
-			panicDelivered(name, p, len(vals), len(lst)*ncomp)
+		if len(vals) != len(lst) {
+			panicDelivered(name, p, len(vals), len(lst))
 		}
-		switch {
-		case op != nil:
+		if op != nil {
 			for i, l := range lst {
-				for k := 0; k < ncomp; k++ {
-					dst[l*ncomp+k] = op(dst[l*ncomp+k], vals[i*ncomp+k])
-				}
+				dst[l] = op(dst[l], vals[i])
 			}
-		case ncomp == 1:
+		} else {
 			for i, l := range lst {
 				dst[l] = vals[i]
-			}
-		default:
-			for i, l := range lst {
-				copy(dst[l*ncomp:(l+1)*ncomp], vals[i*ncomp:(i+1)*ncomp])
 			}
 		}
 	}
 	if op != nil {
-		c.Flops(nUnpack * ncomp)
+		c.Flops(nUnpack)
 	}
-	c.Words(nUnpack * ncomp)
+	c.Words(nUnpack)
 }
 
 func panicGhostLen(name string, got, want int) {
@@ -363,7 +317,7 @@ func addFloat(owned, contrib float64) float64 { return owned + contrib }
 // current value of the owning rank's element for every ghost slot.
 // ghost must have length NGhost. Collective.
 func (s *Schedule) Gather(c *machine.Ctx, local, ghost []float64) {
-	move(c, s, &s.floats, (*machine.Ctx).ExchangeFloats, "Gather", local, ghost, 1, nil)
+	move(c, s, "Gather", local, ghost, nil)
 }
 
 // ScatterAdd executes the schedule consumer→owner with an addition
@@ -381,14 +335,5 @@ func (s *Schedule) ScatterOp(c *machine.Ctx, local, ghost []float64, op func(own
 	if op == nil {
 		panic("schedule: ScatterOp with a nil op")
 	}
-	move(c, s, &s.floats, (*machine.Ctx).ExchangeFloats, "Scatter", local, ghost, 1, op)
-}
-
-// Scatter executes the schedule consumer→owner with overwrite
-// semantics: the owner's element is replaced by the contributed copy.
-// With deduplicated schedules each element has at most one ghost copy
-// per rank; if several ranks contribute, the highest rank wins
-// (deterministic).
-func (s *Schedule) Scatter(c *machine.Ctx, local, ghost []float64) {
-	s.ScatterOp(c, local, ghost, func(_, contrib float64) float64 { return contrib })
+	move(c, s, "Scatter", local, ghost, op)
 }

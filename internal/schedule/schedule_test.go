@@ -1,8 +1,10 @@
 package schedule
 
 import (
+	"context"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"chaos/internal/dist"
 	"chaos/internal/machine"
@@ -73,18 +75,6 @@ func TestDedupCollapsesDuplicates(t *testing.T) {
 		for i := 1; i < len(ref); i++ {
 			if ref[i] != ref[0] {
 				t.Errorf("duplicate refs map to different slots")
-			}
-		}
-		// Without dedup every reference costs a slot.
-		s2, _ := BuildGather(c, res, len(local), globals, Options{NoDedup: true})
-		if s2.NGhost() != 10 {
-			t.Errorf("NoDedup NGhost = %d, want 10", s2.NGhost())
-		}
-		ghost := make([]float64, s2.NGhost())
-		s2.Gather(c, local, ghost)
-		for _, v := range ghost {
-			if v != 1000+float64(remote) {
-				t.Errorf("NoDedup gather wrong value %v", v)
 			}
 		}
 	})
@@ -204,7 +194,7 @@ func TestScatterOverwrite(t *testing.T) {
 		if c.Rank() == 1 {
 			ghost[ref[0]-len(local)] = 777
 		}
-		s.Scatter(c, local, ghost)
+		s.ScatterOp(c, local, ghost, func(_, contrib float64) float64 { return contrib })
 		if c.Rank() == 0 {
 			if local[d.Local(0)] != 777 {
 				t.Errorf("overwrite scatter got %v", local[d.Local(0)])
@@ -281,8 +271,8 @@ func TestMessagesAndCounts(t *testing.T) {
 		if ns != p-1 || nr != p-1 {
 			t.Errorf("Messages = (%d,%d), want (%d,%d)", ns, nr, p-1, p-1)
 		}
-		if s.RecvCount() != p-1 || s.NGhost() != p-1 {
-			t.Errorf("RecvCount=%d NGhost=%d", s.RecvCount(), s.NGhost())
+		if recvCount(s) != p-1 || s.NGhost() != p-1 {
+			t.Errorf("recvCount=%d NGhost=%d", recvCount(s), s.NGhost())
 		}
 		if s.SendCount() != p-1 { // everyone fetches my Lo element
 			t.Errorf("SendCount=%d", s.SendCount())
@@ -300,9 +290,9 @@ func TestGhostGlobalsTracksSlots(t *testing.T) {
 		next := (c.Rank() + 1) % p
 		globals := []int{d.Lo(next), d.Lo(next) + 1, d.Lo(next)}
 		s, ref := BuildGather(c, res, len(local), globals, Options{})
-		gg := s.GhostGlobals()
+		gg := s.ghostGlobal
 		if len(gg) != s.NGhost() {
-			t.Fatalf("GhostGlobals length %d != NGhost %d", len(gg), s.NGhost())
+			t.Fatalf("ghostGlobal length %d != NGhost %d", len(gg), s.NGhost())
 		}
 		for i, g := range globals {
 			slot := ref[i] - len(local)
@@ -331,7 +321,7 @@ func TestGatherPanicsOnWrongGhostLength(t *testing.T) {
 
 func TestScheduleChargesVirtualTime(t *testing.T) {
 	const n, p = 64, 4
-	maxT, err := machine.MaxClock(machine.IPSC860(p), func(c *machine.Ctx) {
+	st, err := machine.RunStats(context.Background(), machine.IPSC860(p), func(c *machine.Ctx) {
 		res, local, _ := blockData(c, n)
 		globals := make([]int, 32)
 		for i := range globals {
@@ -345,7 +335,44 @@ func TestScheduleChargesVirtualTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if maxT <= 0 {
+	if st.MaxClock <= 0 {
 		t.Fatal("schedule operations charged no time")
+	}
+}
+
+func TestBuildGatherQuickProperty(t *testing.T) {
+	f := func(seed uint64, rawN, rawP uint8, rawRefs []uint8) bool {
+		n := int(rawN)%50 + 2
+		p := int(rawP)%6 + 1
+		refs := make([]int, len(rawRefs))
+		for i, r := range rawRefs {
+			refs[i] = int(r) % n
+		}
+		ok := true
+		err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
+			d := dist.NewBlock(n, p)
+			local := make([]float64, d.LocalSize(c.Rank()))
+			for l := range local {
+				local[l] = float64(7 * d.Global(c.Rank(), l))
+			}
+			s, ref := BuildGather(c, ttable.Regular{D: d}, len(local), refs, Options{})
+			ghost := make([]float64, s.NGhost())
+			s.Gather(c, local, ghost)
+			for i, g := range refs {
+				var got float64
+				if ref[i] < len(local) {
+					got = local[ref[i]]
+				} else {
+					got = ghost[ref[i]-len(local)]
+				}
+				if got != float64(7*g) {
+					ok = false
+				}
+			}
+		})
+		return err == nil && ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -14,9 +14,19 @@ import (
 	"chaos/internal/ttable"
 )
 
-// The five pack → all-to-all → unpack bodies this package shipped
-// before they became one (move), kept verbatim — receivers turned into
-// first arguments — as the oracles of the differential test below.
+// The pack → all-to-all → unpack bodies of Gather and ScatterOp this
+// package shipped before they became one (move), kept verbatim —
+// receivers turned into first arguments, RecvCount into recvCount — as
+// the oracles of the differential test below.
+
+// recvCount is the number of ghost values s receives per Gather.
+func recvCount(s *Schedule) int {
+	n := 0
+	for _, l := range s.recvGhost {
+		n += len(l)
+	}
+	return n
+}
 
 func referenceGather(s *Schedule, c *machine.Ctx, local, ghost []float64) {
 	if len(ghost) != s.nGhost {
@@ -44,7 +54,7 @@ func referenceGather(s *Schedule, c *machine.Ctx, local, ghost []float64) {
 			ghost[slot] = vals[i]
 		}
 	}
-	c.Words(s.RecvCount())
+	c.Words(recvCount(s))
 }
 
 func referenceScatterOp(s *Schedule, c *machine.Ctx, local, ghost []float64, op func(owned, contrib float64) float64) {
@@ -62,7 +72,7 @@ func referenceScatterOp(s *Schedule, c *machine.Ctx, local, ghost []float64, op 
 		}
 		out[p] = buf
 	}
-	c.Words(s.RecvCount())
+	c.Words(recvCount(s))
 	in := c.AlltoAllFloats(out)
 	for p, lst := range s.sendLocal {
 		vals := in[p]
@@ -75,104 +85,6 @@ func referenceScatterOp(s *Schedule, c *machine.Ctx, local, ghost []float64, op 
 	}
 	c.Flops(s.SendCount())
 	c.Words(s.SendCount())
-}
-
-func referenceGatherInts(s *Schedule, c *machine.Ctx, local, ghost []int) {
-	if len(ghost) != s.nGhost {
-		panic(fmt.Sprintf("schedule: ghost buffer length %d, want %d", len(ghost), s.nGhost))
-	}
-	out := make([][]int, s.procs)
-	for p, lst := range s.sendLocal {
-		if len(lst) == 0 {
-			continue
-		}
-		buf := make([]int, len(lst))
-		for i, l := range lst {
-			buf[i] = local[l]
-		}
-		out[p] = buf
-	}
-	c.Words(s.SendCount())
-	in := c.AlltoAllInts(out)
-	for p, slots := range s.recvGhost {
-		vals := in[p]
-		if len(vals) != len(slots) {
-			panic(fmt.Sprintf("schedule: gather from %d delivered %d values, want %d", p, len(vals), len(slots)))
-		}
-		for i, slot := range slots {
-			ghost[slot] = vals[i]
-		}
-	}
-	c.Words(s.RecvCount())
-}
-
-func referenceGatherVec(s *Schedule, c *machine.Ctx, local, ghost []float64, ncomp int) {
-	if ncomp < 1 {
-		panic("schedule: GatherVec with ncomp < 1")
-	}
-	if len(ghost) != s.nGhost*ncomp {
-		panic(fmt.Sprintf("schedule: vector ghost length %d, want %d", len(ghost), s.nGhost*ncomp))
-	}
-	out := make([][]float64, s.procs)
-	for p, lst := range s.sendLocal {
-		if len(lst) == 0 {
-			continue
-		}
-		buf := make([]float64, len(lst)*ncomp)
-		for i, l := range lst {
-			copy(buf[i*ncomp:(i+1)*ncomp], local[l*ncomp:(l+1)*ncomp])
-		}
-		out[p] = buf
-	}
-	c.Words(s.SendCount() * ncomp)
-	in := c.AlltoAllFloats(out)
-	for p, slots := range s.recvGhost {
-		vals := in[p]
-		if len(vals) != len(slots)*ncomp {
-			panic(fmt.Sprintf("schedule: vector gather from %d delivered %d values, want %d",
-				p, len(vals), len(slots)*ncomp))
-		}
-		for i, slot := range slots {
-			copy(ghost[slot*ncomp:(slot+1)*ncomp], vals[i*ncomp:(i+1)*ncomp])
-		}
-	}
-	c.Words(s.RecvCount() * ncomp)
-}
-
-func referenceScatterAddVec(s *Schedule, c *machine.Ctx, local, ghost []float64, ncomp int) {
-	if ncomp < 1 {
-		panic("schedule: ScatterAddVec with ncomp < 1")
-	}
-	if len(ghost) != s.nGhost*ncomp {
-		panic(fmt.Sprintf("schedule: vector ghost length %d, want %d", len(ghost), s.nGhost*ncomp))
-	}
-	out := make([][]float64, s.procs)
-	for p, slots := range s.recvGhost {
-		if len(slots) == 0 {
-			continue
-		}
-		buf := make([]float64, len(slots)*ncomp)
-		for i, slot := range slots {
-			copy(buf[i*ncomp:(i+1)*ncomp], ghost[slot*ncomp:(slot+1)*ncomp])
-		}
-		out[p] = buf
-	}
-	c.Words(s.RecvCount() * ncomp)
-	in := c.AlltoAllFloats(out)
-	for p, lst := range s.sendLocal {
-		vals := in[p]
-		if len(vals) != len(lst)*ncomp {
-			panic(fmt.Sprintf("schedule: vector scatter from %d delivered %d values, want %d",
-				p, len(vals), len(lst)*ncomp))
-		}
-		for i, l := range lst {
-			for k := 0; k < ncomp; k++ {
-				local[l*ncomp+k] += vals[i*ncomp+k]
-			}
-		}
-	}
-	c.Flops(s.SendCount() * ncomp)
-	c.Words(s.SendCount() * ncomp)
 }
 
 // clockConfigs are the machines the differential tests run on: the
@@ -190,13 +102,11 @@ func clockConfigs(p int) map[string]machine.Config {
 // of every buffer and the rank's clock after every call.
 type moveTrace struct {
 	floats [][]float64
-	ints   [][]int
 	clocks []float64
 }
 
-func (tr *moveTrace) add(c *machine.Ctx, floats []float64, ints []int) {
+func (tr *moveTrace) add(c *machine.Ctx, floats []float64) {
 	tr.floats = append(tr.floats, slices.Clone(floats))
-	tr.ints = append(tr.ints, slices.Clone(ints))
 	tr.clocks = append(tr.clocks, c.Clock())
 }
 
@@ -213,8 +123,6 @@ func (tr *moveTrace) diff(want *moveTrace) string {
 		switch {
 		case !sameBits(tr.floats[i], want.floats[i]):
 			return fmt.Sprintf("call %d: floats %v, reference %v", i, tr.floats[i], want.floats[i])
-		case !slices.Equal(tr.ints[i], want.ints[i]):
-			return fmt.Sprintf("call %d: ints %v, reference %v", i, tr.ints[i], want.ints[i])
 		case tr.clocks[i] != want.clocks[i]:
 			return fmt.Sprintf("call %d: clock %v, reference %v", i, tr.clocks[i], want.clocks[i])
 		}
@@ -223,15 +131,15 @@ func (tr *moveTrace) diff(want *moveTrace) string {
 }
 
 // TestTransportMatchesReference drives every Gather and Scatter form
-// and the five reference bodies through the same schedules — random
+// and the reference bodies through the same schedules — random
 // reference lists over an irregular distribution, empty ranks and
-// fewer elements than ranks included, a NoDedup schedule, every form
-// several times back to back on one schedule and the vector forms at
-// two widths, narrow after wide — and demands bit-identical buffers
-// and per-rank clocks after every call, on both backends and on the
-// counting machines (messages and bytes).
+// fewer elements than ranks included, every form several times back to
+// back on one schedule — and demands bit-identical buffers and per-rank
+// clocks after every call, on both backends and on the counting
+// machines (messages and bytes).
 func TestTransportMatchesReference(t *testing.T) {
 	maxOp := func(a, b float64) float64 { return math.Max(a, b) }
+	overwrite := func(_, contrib float64) float64 { return contrib }
 	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
 		for _, sz := range []struct{ n, p int }{{61, 1}, {61, 3}, {5, 8}, {97, 8}} {
 			n, p := sz.n, sz.p
@@ -244,57 +152,32 @@ func TestTransportMatchesReference(t *testing.T) {
 						mine := ownedBy(owner, c.Rank())
 						tab := ttable.Build(c, n, mine)
 						rng := rand.New(rand.NewSource(int64(77*p + c.Rank())))
-						a, _ := BuildGather(c, tab, len(mine), referenceList(rng, owner, mine, c.Rank()), Options{})
-						b, _ := BuildGather(c, tab, len(mine), referenceList(rng, owner, mine, c.Rank()), Options{NoDedup: true})
+						s, _ := BuildGather(c, tab, len(mine), referenceList(rng, owner, mine, c.Rank()), Options{})
 						tr := &traces[c.Rank()]
-						for _, s := range []*Schedule{a, b} {
-							for _, ncomp := range []int{1, 3, 2} {
-								local := make([]float64, len(mine)*ncomp)
-								ilocal := make([]int, len(mine))
-								for l, g := range mine {
-									ilocal[l] = 7 * g
-									for k := 0; k < ncomp; k++ {
-										local[l*ncomp+k] = rng.NormFloat64() * math.Pow(10, float64(g%7))
-									}
-								}
-								ghost := make([]float64, s.NGhost()*ncomp)
-								ighost := make([]int, s.NGhost())
-								for round := 0; round < 3; round++ {
-									switch {
-									case reference && ncomp == 1:
-										referenceGather(s, c, local, ghost)
-										tr.add(c, ghost, nil)
-										referenceScatterOp(s, c, local, ghost, addFloat)
-										tr.add(c, local, nil)
-										referenceScatterOp(s, c, local, ghost, maxOp)
-										tr.add(c, local, nil)
-										referenceScatterOp(s, c, local, ghost, func(_, contrib float64) float64 { return contrib })
-										tr.add(c, local, nil)
-										referenceGatherInts(s, c, ilocal, ighost)
-										tr.add(c, nil, ighost)
-									case ncomp == 1:
-										s.Gather(c, local, ghost)
-										tr.add(c, ghost, nil)
-										s.ScatterAdd(c, local, ghost)
-										tr.add(c, local, nil)
-										s.ScatterOp(c, local, ghost, maxOp)
-										tr.add(c, local, nil)
-										s.Scatter(c, local, ghost)
-										tr.add(c, local, nil)
-										s.GatherInts(c, ilocal, ighost)
-										tr.add(c, nil, ighost)
-									case reference:
-										referenceGatherVec(s, c, local, ghost, ncomp)
-										tr.add(c, ghost, nil)
-										referenceScatterAddVec(s, c, local, ghost, ncomp)
-										tr.add(c, local, nil)
-									default:
-										s.GatherVec(c, local, ghost, ncomp)
-										tr.add(c, ghost, nil)
-										s.ScatterAddVec(c, local, ghost, ncomp)
-										tr.add(c, local, nil)
-									}
-								}
+						local := make([]float64, len(mine))
+						for l, g := range mine {
+							local[l] = rng.NormFloat64() * math.Pow(10, float64(g%7))
+						}
+						ghost := make([]float64, s.NGhost())
+						for round := 0; round < 3; round++ {
+							if reference {
+								referenceGather(s, c, local, ghost)
+								tr.add(c, ghost)
+								referenceScatterOp(s, c, local, ghost, addFloat)
+								tr.add(c, local)
+								referenceScatterOp(s, c, local, ghost, maxOp)
+								tr.add(c, local)
+								referenceScatterOp(s, c, local, ghost, overwrite)
+								tr.add(c, local)
+							} else {
+								s.Gather(c, local, ghost)
+								tr.add(c, ghost)
+								s.ScatterAdd(c, local, ghost)
+								tr.add(c, local)
+								s.ScatterOp(c, local, ghost, maxOp)
+								tr.add(c, local)
+								s.ScatterOp(c, local, ghost, overwrite)
+								tr.add(c, local)
 							}
 						}
 					})
@@ -314,22 +197,13 @@ func TestTransportMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTransportPanicsSurvive pins the checks the five bodies made and
-// the one body still makes: a ghost buffer of the wrong length in
-// either direction and for either width, and a width below one.
+// TestTransportPanicsSurvive pins the check the reference bodies made
+// and the one body still makes: a ghost buffer of the wrong length in
+// either direction.
 func TestTransportPanicsSurvive(t *testing.T) {
 	calls := map[string]func(s *Schedule, c *machine.Ctx){
 		"Gather":     func(s *Schedule, c *machine.Ctx) { s.Gather(c, make([]float64, 4), make([]float64, s.NGhost()+1)) },
 		"ScatterAdd": func(s *Schedule, c *machine.Ctx) { s.ScatterAdd(c, make([]float64, 4), make([]float64, s.NGhost()+1)) },
-		"GatherInts": func(s *Schedule, c *machine.Ctx) { s.GatherInts(c, make([]int, 4), make([]int, s.NGhost()+1)) },
-		"GatherVec": func(s *Schedule, c *machine.Ctx) {
-			s.GatherVec(c, make([]float64, 8), make([]float64, s.NGhost()*2+1), 2)
-		},
-		"ScatterAddVec": func(s *Schedule, c *machine.Ctx) {
-			s.ScatterAddVec(c, make([]float64, 8), make([]float64, s.NGhost()), 2)
-		},
-		"GatherVec0":     func(s *Schedule, c *machine.Ctx) { s.GatherVec(c, nil, nil, 0) },
-		"ScatterAddVec0": func(s *Schedule, c *machine.Ctx) { s.ScatterAddVec(c, nil, nil, 0) },
 	}
 	for name, call := range calls {
 		err := machine.Run(machine.Zero(2), func(c *machine.Ctx) {
@@ -345,8 +219,7 @@ func TestTransportPanicsSurvive(t *testing.T) {
 // TestTransportOwnershipUnderDelays is the ownership rule's proof for
 // the schedule-owned send rows: every form back to back on one
 // schedule — the shape benchmark/euler.go's probes use — on two
-// schedules, and the vector forms at two widths on one schedule (the
-// slabs regrow), with random per-rank stalls so that ranks leave each
+// schedules, with random per-rank stalls so that ranks leave each
 // exchange far apart; then one schedule moved in both directions
 // within a step, as core.Loop moves a schedule that a read group and a
 // write group share. A slab overwritten while a peer still reads it
@@ -369,8 +242,8 @@ func TestTransportOwnershipUnderDelays(t *testing.T) {
 			ga, gb := referenceList(rng, owner, mine, c.Rank()), referenceList(rng, owner, mine, c.Rank())
 			a, refA := BuildGather(c, tab, len(mine), ga, Options{})
 			b, refB := BuildGather(c, tab, len(mine), gb, Options{})
-			// value is what component k of global g holds in round r.
-			value := func(g, k, r int) float64 { return float64(1000*r + 10*g + k) }
+			// value is what global g holds in round r.
+			value := func(g, r int) float64 { return float64(1000*r + 10*g) }
 			// A rank reports its first failure only, and keeps up with
 			// the other ranks' collectives.
 			failed := false
@@ -381,60 +254,34 @@ func TestTransportOwnershipUnderDelays(t *testing.T) {
 				failed = true
 			}
 			for round := 0; round < rounds; round++ {
-				for _, ncomp := range []int{1, 4, 2} {
-					local := make([]float64, len(mine)*ncomp)
-					ilocal := make([]int, len(mine))
-					for l, g := range mine {
-						ilocal[l] = int(value(g, 0, round))
-						for k := 0; k < ncomp; k++ {
-							local[l*ncomp+k] = value(g, k, round)
+				local := make([]float64, len(mine))
+				for l, g := range mine {
+					local[l] = value(g, round)
+				}
+				for _, sc := range []struct {
+					s       *Schedule
+					globals []int
+					ref     []int
+				}{{a, ga, refA}, {b, gb, refB}} {
+					s := sc.s
+					ghost := make([]float64, s.NGhost())
+					sums := make([]float64, len(local))
+					for rep := 0; rep < 3; rep++ { // back to back, no collective between
+						stall(rng)
+						s.Gather(c, local, ghost)
+						stall(rng)
+						s.ScatterAdd(c, sums, ghost)
+					}
+					for i, g := range sc.globals {
+						if slot := sc.ref[i] - len(mine); slot >= 0 && ghost[slot] != value(g, round) {
+							fail("round %d: global %d gathered %v", round, g, ghost[slot])
 						}
 					}
-					for _, sc := range []struct {
-						s       *Schedule
-						globals []int
-						ref     []int
-					}{{a, ga, refA}, {b, gb, refB}} {
-						s := sc.s
-						ghost := make([]float64, s.NGhost()*ncomp)
-						ighost := make([]int, s.NGhost())
-						sums := make([]float64, len(local))
-						for rep := 0; rep < 3; rep++ { // back to back, no collective between
-							stall(rng)
-							if ncomp == 1 {
-								s.Gather(c, local, ghost)
-								stall(rng)
-								s.GatherInts(c, ilocal, ighost)
-								stall(rng)
-								s.ScatterAdd(c, sums, ghost)
-							} else {
-								s.GatherVec(c, local, ghost, ncomp)
-								stall(rng)
-								s.ScatterAddVec(c, sums, ghost, ncomp)
-							}
-						}
-						for i, g := range sc.globals {
-							slot := sc.ref[i] - len(mine)
-							if slot < 0 {
-								continue
-							}
-							for k := 0; k < ncomp; k++ {
-								if got := ghost[slot*ncomp+k]; got != value(g, k, round) {
-									fail("round %d ncomp %d: global %d component %d gathered %v", round, ncomp, g, k, got)
-								}
-							}
-							if ncomp == 1 && ighost[slot] != int(value(g, 0, round)) {
-								fail("round %d: global %d gathered int %d", round, g, ighost[slot])
-							}
-						}
-						// Every ghost copy came back three times: the sums are
-						// whole multiples of the owned values.
-						for l, g := range mine {
-							for k := 0; k < ncomp; k++ {
-								if v := value(g, k, round); v != 0 && math.Mod(sums[l*ncomp+k], 3*v) != 0 {
-									fail("round %d ncomp %d: global %d component %d summed to %v, not a multiple of %v", round, ncomp, g, k, sums[l*ncomp+k], 3*v)
-								}
-							}
+					// Every ghost copy came back three times: the sums are
+					// whole multiples of the owned values.
+					for l, g := range mine {
+						if v := value(g, round); v != 0 && math.Mod(sums[l], 3*v) != 0 {
+							fail("round %d: global %d summed to %v, not a multiple of %v", round, g, sums[l], 3*v)
 						}
 					}
 				}
@@ -450,7 +297,7 @@ func TestTransportOwnershipUnderDelays(t *testing.T) {
 				ghosts := [][]float64{make([]float64, s.NGhost()), make([]float64, s.NGhost()), make([]float64, s.NGhost())}
 				for step := 0; step < rounds; step++ {
 					for l, g := range mine {
-						local[l] = value(g, 0, step)
+						local[l] = value(g, step)
 					}
 					clear(sums)
 					for mv := 0; mv < moves; mv++ {
@@ -462,13 +309,13 @@ func TestTransportOwnershipUnderDelays(t *testing.T) {
 						}
 						s.Gather(c, local, ghosts[mv])
 						for i, g := range ga {
-							if slot := ref[i] - len(mine); slot >= 0 && ghosts[mv][slot] != value(g, 0, step) {
+							if slot := ref[i] - len(mine); slot >= 0 && ghosts[mv][slot] != value(g, step) {
 								fail("shared schedule, %d moves, step %d: global %d gathered %v", moves, step, g, ghosts[mv][slot])
 							}
 						}
 					}
 					for l, g := range mine {
-						if v := value(g, 0, step); v != 0 && math.Mod(sums[l], v) != 0 {
+						if v := value(g, step); v != 0 && math.Mod(sums[l], v) != 0 {
 							fail("shared schedule, %d moves, step %d: global %d summed to %v, not a multiple of %v", moves, step, g, sums[l], v)
 						}
 					}

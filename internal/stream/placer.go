@@ -55,10 +55,6 @@ type Options struct {
 	// Seed salts the deterministic tie-breaking rotation; the same
 	// (stream, Options) pair always yields the same partition.
 	Seed uint64
-	// SlabVerts bounds the resident fringe in vertices per slab for
-	// the convenience entry points that build their own stream
-	// (0 = DefaultSlabVerts).
-	SlabVerts int
 }
 
 // slack resolves the Slack default.
@@ -111,9 +107,6 @@ func NewPlacer(nverts, nedges, nparts int, totalW float64, opt Options) *Placer 
 	}
 	return pl
 }
-
-// Load returns the current load of part q.
-func (pl *Placer) Load(q int) float64 { return pl.loads[q] }
 
 // Add records weight w arriving in part q.
 func (pl *Placer) Add(q int, w float64) { pl.loads[q] += w }

@@ -1,9 +1,6 @@
 package stream
 
-import (
-	"fmt"
-	"io"
-)
+import "io"
 
 // Slab is one bounded chunk of a graph stream: the CSR adjacency of
 // vertices [Lo, Lo+NVerts()) in global vertex order. Neighbors of the
@@ -166,34 +163,4 @@ func (ms *MemStream) Next(s *Slab) error {
 		ms.cursor++
 	}
 	return nil
-}
-
-// Cut streams once over gs and returns the undirected edge cut of
-// part: the number of edges whose endpoints landed in different parts.
-// Unassigned endpoints (part < 0) do not count. One slab resident.
-func Cut(gs GraphStream, part []int) (int, error) {
-	if err := gs.Reset(); err != nil {
-		return 0, err
-	}
-	if len(part) < gs.NumVertices() {
-		return 0, fmt.Errorf("stream: partition has %d entries, want %d", len(part), gs.NumVertices())
-	}
-	var s Slab
-	cut := 0
-	for {
-		if err := gs.Next(&s); err != nil {
-			if err == io.EOF {
-				return cut / 2, nil
-			}
-			return 0, err
-		}
-		for i := 0; i < s.NVerts(); i++ {
-			p := part[s.Lo+i]
-			for _, u := range s.Adj[s.XAdj[i]:s.XAdj[i+1]] {
-				if q := part[u]; q >= 0 && p >= 0 && q != p {
-					cut++
-				}
-			}
-		}
-	}
 }

@@ -56,16 +56,14 @@ func (r Regular) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]in
 	return owners, locals
 }
 
-func (r Regular) Size() int              { return r.D.Size() }
-func (r Regular) LocalSize(rank int) int { return r.D.LocalSize(rank) }
-func (r Regular) Kind() dist.Kind        { return r.D.Kind() }
+func (r Regular) Size() int       { return r.D.Size() }
+func (r Regular) Kind() dist.Kind { return r.D.Kind() }
 
 // Table is one rank's slice of the distributed translation table.
 type Table struct {
 	home  dist.BlockDist
 	owner []int // indexed by home-local index
 	local []int
-	mine  []int // global indices owned by this rank, local order
 }
 
 // Build constructs the translation table for an irregular distribution
@@ -77,7 +75,6 @@ func Build(c *machine.Ctx, n int, myGlobals []int) *Table {
 	p := c.Procs()
 	home := dist.NewBlock(n, p)
 	t := &Table{home: home}
-	t.mine = append([]int(nil), myGlobals...)
 
 	// Route (g, localIndex) to home(g). Payload layout: pairs.
 	out := make([][]int, p)
@@ -243,21 +240,11 @@ func (t *Table) Size() int { return t.home.Size() }
 // Kind returns dist.Irregular.
 func (t *Table) Kind() dist.Kind { return dist.Irregular }
 
-// MyCount returns the number of elements owned by the calling rank.
-func (t *Table) MyCount() int { return len(t.mine) }
-
-// MyGlobals returns the calling rank's owned global indices in local
-// order (do not mutate).
-func (t *Table) MyGlobals() []int { return t.mine }
-
-// CountsAllGather returns every rank's element count; collective.
-func (t *Table) CountsAllGather(c *machine.Ctx) []int {
-	return c.AllGatherInt(len(t.mine))
-}
-
 // Replicated gathers the complete ownership map onto every rank and
-// returns it as an IrregularDist; collective. Intended for tests,
-// ablations (replicated vs distributed translation), and small runs.
+// returns it as an IrregularDist; collective. It is the closed-form
+// oracle the translation-table tests compare against.
+//
+//chaosvet:ignore testonly the oracle of TestReplicated and dist's TestIrregularAgreesWithTranslationTable
 func (t *Table) Replicated(c *machine.Ctx) *dist.IrregularDist {
 	lo := t.home.Lo(c.Rank())
 	// Encode (g, owner) pairs for the home-resident entries.

@@ -1,6 +1,7 @@
 package ttable
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -122,35 +123,14 @@ func TestBuildDetectsDuplicateOwnership(t *testing.T) {
 	}
 }
 
-func TestCountsAllGather(t *testing.T) {
-	const n, p = 40, 4
-	owner := irregularOwner(n, p)
-	ref := dist.NewIrregular(owner, p)
-	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
-		tab := Build(c, n, myGlobals(owner, c.Rank()))
-		counts := tab.CountsAllGather(c)
-		for r := 0; r < p; r++ {
-			if counts[r] != ref.LocalSize(r) {
-				t.Errorf("counts[%d] = %d, want %d", r, counts[r], ref.LocalSize(r))
-			}
-		}
-		if tab.MyCount() != ref.LocalSize(c.Rank()) {
-			t.Errorf("MyCount = %d", tab.MyCount())
-		}
-		if tab.Size() != n || tab.Kind() != dist.Irregular {
-			t.Error("Size/Kind wrong")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReplicated(t *testing.T) {
 	const n, p = 30, 3
 	owner := irregularOwner(n, p)
 	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
 		tab := Build(c, n, myGlobals(owner, c.Rank()))
+		if tab.Size() != n || tab.Kind() != dist.Irregular {
+			t.Error("Size/Kind wrong")
+		}
 		rep := tab.Replicated(c)
 		for g := 0; g < n; g++ {
 			if rep.Owner(g) != owner[g] {
@@ -168,7 +148,7 @@ func TestRegularResolver(t *testing.T) {
 	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
 		d := dist.NewBlock(n, p)
 		r := Regular{D: d}
-		if r.Size() != n || r.Kind() != dist.Block || r.LocalSize(0) != d.LocalSize(0) {
+		if r.Size() != n || r.Kind() != dist.Block {
 			t.Error("Regular metadata wrong")
 		}
 		qs := []int{0, 24, 13, 13}
@@ -187,7 +167,7 @@ func TestRegularResolver(t *testing.T) {
 func TestResolveChargesClock(t *testing.T) {
 	const n, p = 64, 4
 	owner := irregularOwner(n, p)
-	maxT, err := machine.MaxClock(machine.IPSC860(p), func(c *machine.Ctx) {
+	st, err := machine.RunStats(context.Background(), machine.IPSC860(p), func(c *machine.Ctx) {
 		tab := Build(c, n, myGlobals(owner, c.Rank()))
 		qs := make([]int, n)
 		for i := range qs {
@@ -198,7 +178,7 @@ func TestResolveChargesClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if maxT <= 0 {
+	if st.MaxClock <= 0 {
 		t.Fatal("translation table build+resolve charged no virtual time")
 	}
 }
