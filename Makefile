@@ -3,10 +3,10 @@
 GO ?= go
 
 # COVER_FLOOR is the recorded statement-coverage floor of ./internal/...
-# (89.8% measured under -short at the time of recording); `make
-# cover-check` fails when total coverage drops below it. Raise it when
-# coverage durably improves.
-COVER_FLOOR = 89.0
+# (91.5% measured under -short at the time of recording, the floor
+# 0.5 below it); `make cover-check` fails when total coverage drops
+# below it. Raise it when coverage durably improves.
+COVER_FLOOR = 91.0
 
 .PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline repo-bench repo-bench-pairs profile-cpu profile-mem profile-exec profile-inspect fuzz-short quickstart tables examples docs-check api-check api-snapshot loc
 

@@ -51,15 +51,14 @@
 // the block-distributed GeoCoL graph, so — alone in the serial
 // connectivity family — its partitioning time keeps falling as
 // processors are added, and its tuning knobs (CoarsenTo,
-// ParallelThreshold, FMPasses, VCycle, Seed, Imbalance) are
-// PartitionSpec fields. See docs/ARCHITECTURE.md for the trade-offs.
+// ParallelThreshold, Seed, Imbalance) are PartitionSpec fields. See docs/ARCHITECTURE.md for the trade-offs.
 //
 // MethodStream is the out-of-core member of the family: a streaming
-// partitioner (buffered LDG/Fennel with a clustering bootstrap and
-// restream polish, package internal/stream) whose resident state is
-// bounded by the slab granularity rather than the edge count, for
-// meshes too large to hold in memory. Its knobs (Objective,
-// StreamBuffer, Restreams, BalanceSlack) are PartitionSpec fields too,
+// partitioner (linear deterministic greedy with a clustering bootstrap
+// and restream polish, package internal/stream) whose resident state
+// is bounded by the slab granularity rather than the edge count, for
+// meshes too large to hold in memory. Its knobs (Restreams,
+// BalanceSlack) are PartitionSpec fields too,
 // and `meshgen -stream` writes meshes in its bounded-memory edge-
 // stream file format.
 //

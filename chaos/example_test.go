@@ -87,13 +87,13 @@ func ExampleSession_SetPartitioning() {
 // consumes and the typed PartitionSpec, which round-trip through
 // ParseSpec / String.
 func ExampleParseSpec() {
-	sp, err := chaos.ParseSpec("MULTILEVEL(CoarsenTo=200,VCycle=true)")
+	sp, err := chaos.ParseSpec("MULTILEVEL(CoarsenTo=200,Seed=7)")
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(sp.Method, sp.CoarsenTo, sp.VCycle)
+	fmt.Println(sp.Method, sp.CoarsenTo, sp.Seed)
 	fmt.Println(sp.String())
 	// Output:
-	// MULTILEVEL 200 true
-	// MULTILEVEL(CoarsenTo=200,VCycle=true)
+	// MULTILEVEL 200 7
+	// MULTILEVEL(CoarsenTo=200,Seed=7)
 }

@@ -88,17 +88,17 @@ func TestSetPartitioningValidatesEarly(t *testing.T) {
 			!strings.Contains(err.Error(), "unknown partitioner") {
 			t.Errorf("unknown method: %v, want unknown-partitioner error", err)
 		}
-		if _, err := s.NewRepartitioner(chaos.PartitionSpec{Method: chaos.MethodRSB, VCycle: true}); err == nil ||
+		if _, err := s.NewRepartitioner(chaos.PartitionSpec{Method: chaos.MethodRSB, CoarsenTo: 200}); err == nil ||
 			!strings.Contains(err.Error(), "tuning") {
 			t.Errorf("tuned RSB spec: %v, want tuning-options error", err)
 		}
 		if _, err := s.SetPartitioning(g, chaos.PartitionSpec{
-			Method: chaos.MethodMultilevel, Objective: chaos.ObjectiveFennel}, 2); err == nil ||
+			Method: chaos.MethodMultilevel, BalanceSlack: 0.1}, 2); err == nil ||
 			!strings.Contains(err.Error(), "STREAM") {
 			t.Errorf("streaming knobs on MULTILEVEL: %v, want STREAM-only error", err)
 		}
 		if _, err := s.SetPartitioning(g, chaos.PartitionSpec{
-			Method: chaos.MethodStream, Objective: chaos.ObjectiveLDG, Restreams: 1}, 2); err != nil {
+			Method: chaos.MethodStream, Restreams: 1}, 2); err != nil {
 			t.Errorf("typed STREAM spec: %v", err)
 		}
 	})

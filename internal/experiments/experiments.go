@@ -165,7 +165,7 @@ func inputCaps(sp partition.Spec) (partition.Capabilities, error) {
 	if err != nil {
 		return partition.Capabilities{}, err
 	}
-	return partition.Caps(p), nil
+	return p.Capabilities(), nil
 }
 
 // runHand is the hand-parallelized path: direct CHAOS runtime calls,

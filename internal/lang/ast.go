@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"chaos/internal/core"
+	"chaos/internal/partition"
 )
 
 // Program is a compiled source unit: declarations plus an executable
@@ -76,6 +77,8 @@ func (s *constructStmt) planLine() string {
 type setStmt struct {
 	baseStmt
 	Map, G, Partitioner string
+	// spec is Partitioner parsed at compile time.
+	spec partition.Spec
 }
 
 func (s *setStmt) planLine() string {

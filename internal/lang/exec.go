@@ -6,7 +6,6 @@ import (
 	"chaos/internal/core"
 	"chaos/internal/dist"
 	"chaos/internal/geocol"
-	"chaos/internal/partition"
 )
 
 // Env binds a program to its host environment: initial array contents
@@ -131,11 +130,7 @@ func (st *execState) execStmt(s stmt) error {
 		if !ok {
 			return fmt.Errorf("line %d: SET: GeoCoL %q not constructed", x.ln, x.G)
 		}
-		sp, err := partition.ParseSpec(x.Partitioner)
-		if err != nil {
-			return fmt.Errorf("line %d: %w", x.ln, err)
-		}
-		m, err := st.s.SetPartitioning(g, sp, st.s.C.Procs())
+		m, err := st.s.SetPartitioning(g, x.spec, st.s.C.Procs())
 		if err != nil {
 			return fmt.Errorf("line %d: %w", x.ln, err)
 		}

@@ -351,6 +351,22 @@ C$    CONSTRUCT G (n)
       END FORALL
       END
 `, "line 6: unknown function MYSTERY"},
+		{"unknown spec option", `
+      PROGRAM p
+      PARAMETER (n = 4, m = 3)
+      INTEGER e1(m), e2(m)
+C$    CONSTRUCT G (n, LINK(m, e1, e2))
+C$    SET fmt BY PARTITIONING G USING MULTILEVEL(Bogus=8)
+      END
+`, "line 6: partition: unknown spec option"},
+		{"bad spec value", `
+      PROGRAM p
+      PARAMETER (n = 4, m = 3)
+      INTEGER e1(m), e2(m)
+C$    CONSTRUCT G (n, LINK(m, e1, e2))
+C$    SET fmt BY PARTITIONING G USING MULTILEVEL(CoarsenTo=many)
+      END
+`, "line 6: partition: bad value for spec option coarsento"},
 		{"stray character", "      PROGRAM p\n      REAL*8 x(4) @\n      END\n", "unexpected character"},
 	}
 	for _, tc := range cases {
@@ -505,8 +521,8 @@ func TestScheduleReuseThroughDoLoop(t *testing.T) {
 
 // TestSetWithSpecOptions pins the option-list extension of the SET
 // directive: a parenthesized key=value list after the partitioner
-// name travels into partition.ParseSpec, and an unknown key fails at
-// execution with the spec error, not a panic.
+// name travels into partition.ParseSpec and the partitioner runs with
+// it (a bad list is a compile error, see TestParseErrors).
 func TestSetWithSpecOptions(t *testing.T) {
 	src := `
       PROGRAM specopt
@@ -522,7 +538,7 @@ func TestSetWithSpecOptions(t *testing.T) {
         x(i) = 1.0
       END FORALL
 C$    CONSTRUCT G (n, LINK(m, end_pt1, end_pt2))
-C$    SET distfmt BY PARTITIONING G USING MULTILEVEL(CoarsenTo=8, VCycle=TRUE)
+C$    SET distfmt BY PARTITIONING G USING MULTILEVEL(CoarsenTo=8, Seed=7)
 C$    REDISTRIBUTE reg(distfmt)
       END
 `
@@ -541,21 +557,6 @@ C$    REDISTRIBUTE reg(distfmt)
 		s := core.NewSession(c)
 		if err := prog.Execute(s, env); err != nil {
 			t.Error(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// An unknown option key must surface partition.ParseSpec's error.
-	bad, err := Compile(strings.Replace(src, "CoarsenTo=8", "Bogus=8", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = machine.Run(machine.IPSC860(2), func(c *machine.Ctx) {
-		s := core.NewSession(c)
-		if e := bad.Execute(s, env); e == nil || !strings.Contains(e.Error(), "unknown spec option") {
-			t.Errorf("bogus option: %v, want unknown-spec-option error", e)
 		}
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"chaos/internal/core"
+	"chaos/internal/partition"
 )
 
 // Compile lexes, parses and semantically checks a source program,
@@ -603,8 +604,9 @@ func (p *parser) parseSet(ln int) (stmt, error) {
 		pn += "-" + more
 	}
 	// An optional parenthesized option list — USING MULTILEVEL
-	// (CoarsenTo=200, VCycle=TRUE) — travels verbatim into the spec
-	// string; partition.ParseSpec validates the keys at execution.
+	// (CoarsenTo=200, Seed=7) — is part of the spec string, which
+	// partition.ParseSpec checks here, so a misspelled key or a bad
+	// value is a compile error rather than a failure on every rank.
 	if p.accept("(") {
 		body := ""
 		for !p.atEOL() && p.peek().text != ")" {
@@ -616,6 +618,9 @@ func (p *parser) parseSet(ln int) (stmt, error) {
 		pn += "(" + body + ")"
 	}
 	s.Partitioner = pn
+	if s.spec, err = partition.ParseSpec(pn); err != nil {
+		return nil, &parseError{ln, err.Error()}
+	}
 	return s, p.expectEOL()
 }
 

@@ -15,8 +15,9 @@
 // # Public surface
 //
 // Lookup selects a registered Partitioner by name ("BLOCK", "RANDOM",
-// "RCB", "INERTIAL", "KL", "RSB", "RSB-KL", "MULTILEVEL"); Register
-// links a custom one. Cut measures the edge cut of a distributed
+// "RCB", "INERTIAL", "KL", "RSB", "RSB-KL", "MULTILEVEL", "STREAM");
+// Register links a custom one, which declares the GeoCoL components it
+// consumes through Capabilities. Cut measures the edge cut of a distributed
 // partition. The partitioner types themselves (RCB, RSB, KL,
 // Multilevel, ...) are exported so non-default configurations can be
 // constructed directly or registered under their name.
@@ -31,19 +32,19 @@
 //     larger spends more Lanczos time for marginally better seeds.
 //     Safe range ~25-400.
 //   - ParallelThreshold (default 2048): minimum global vertex count
-//     for the distributed ladder pipeline (cold, V-cycle, seeded and
-//     warm entry points alike; see Multilevel); below it
-//     the gather-everything serial path is cheaper. Negative forces
-//     the serial path at any size. It also floors the parallel
-//     ladder's serial-solve handoff, max(8*CoarsenTo,
-//     ParallelThreshold) — the empirical quality knee (see
-//     docs/REFINEMENT.md).
-//   - FMPasses (default 0 = 3 passes, 4 at the finest level): pass
-//     budget of the hill-climbing parallel FM refiner (prefine.go)
-//     at each uncoarsening level. Must not be negative.
-//   - VCycle (default false): opt-in second, partition-preserving
-//     V-cycle of refinement — a further ~1-2% of cut for roughly
-//     double the distributed partitioning cost.
+//     for the distributed ladder pipeline (cold and warm entry points
+//     alike; see Multilevel); below it the gather-everything serial
+//     path is cheaper. Negative forces the serial path at any size.
+//     It also floors the parallel ladder's serial-solve handoff,
+//     max(8*CoarsenTo, ParallelThreshold) — the empirical quality
+//     knee (see docs/REFINEMENT.md).
+//   - Seed (default 0): salts the distributed matching's tie-breaking.
+//   - Imbalance (default 0.07): balance tolerance of the distributed
+//     k-way refinement; must stay below 0.5.
+//
+// The parallel FM refiner (prefine.go) runs a fixed 3 passes per
+// uncoarsening level, 4 at the finest. STREAM takes Restreams and
+// BalanceSlack (Streaming).
 //
 // # Guarantees pinned by tests
 //
@@ -54,9 +55,9 @@
 // strictly decreasing P=1..8 with cut within 5% of the serial
 // V-cycle, plus balance, determinism and dispatch routing;
 // prefine_test.go pins the refinement stack's contracts (FM improves
-// seeds, holds the balance window, V-cycle refinement never worsens);
-// pipeline_pin_test.go pins the exact partition and virtual makespan of
-// all four pipeline entry points at P in {1, 3, 8} on both backends.
+// seeds and holds the balance window); pipeline_pin_test.go pins the
+// exact partition and virtual makespan of the cold and warm pipeline
+// entry points at P in {1, 3, 8} on both backends.
 // docs/REFINEMENT.md is the guided tour of the refinement stack;
 // docs/ARCHITECTURE.md places the package in the paper's Figure 2
 // pipeline.

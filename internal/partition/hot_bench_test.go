@@ -106,7 +106,7 @@ func BenchmarkHotDistMatch(b *testing.B) {
 		ge := geocol.NewGhostExchange(c, g)
 		var s matchScratch
 		for warm := 0; warm < 2; warm++ { // an op lays rows five times: both slabs see every size
-			match := distHeavyEdgeMatch(c, &s, g, ge, 0, 42, nil, nil)
+			match := distHeavyEdgeMatch(c, &s, g, ge, 0, 42)
 			numberCoarse(c, &s, g, match)
 		}
 		c.SumInt(0) // barrier: all ranks warmed before the timer resets
@@ -114,7 +114,7 @@ func BenchmarkHotDistMatch(b *testing.B) {
 			b.ResetTimer()
 		}
 		for i := 0; i < b.N; i++ {
-			match := distHeavyEdgeMatch(c, &s, g, ge, 0, 42, nil, nil)
+			match := distHeavyEdgeMatch(c, &s, g, ge, 0, 42)
 			numberCoarse(c, &s, g, match)
 		}
 		c.SumInt(0)

@@ -191,8 +191,7 @@ type KL struct{}
 
 func (KL) Name() string { return "KL" }
 
-// Capabilities: KL consumes LINK connectivity; its replicated
-// gathered-graph run does not scale with the rank count.
+// Capabilities: KL consumes LINK connectivity.
 func (KL) Capabilities() Capabilities { return Capabilities{NeedsLink: true} }
 
 func (KL) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {

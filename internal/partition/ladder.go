@@ -6,16 +6,15 @@ import (
 )
 
 // This file is the ladder pipeline of MULTILEVEL — coarsen → solve →
-// uncoarsen, each stage existing once — and its three entry points:
-// PartitionLadder (cold; the serial path is its zero-level instance),
-// the VCycle knob (refineSeeded) and Repartition (warm: no coarsen, the
-// old partition restricted down a retained ladder). A warm run skips the
-// ghost-exchange construction, the 4-round matching handshake and the
-// distributed contraction of every level and the gathered solve, which
-// is what makes it a fraction of a cold one (core.Repartitioner is the
-// runtime handle that drives this; the paper's Section 3 reuse guard
-// extended from "skip when unchanged" to "re-refine when slightly
-// changed").
+// uncoarsen, each stage existing once — and its two entry points:
+// PartitionLadder (cold; the serial path is its zero-level instance)
+// and Repartition (warm: no coarsen, the old partition restricted down
+// a retained ladder). A warm run skips the ghost-exchange
+// construction, the 4-round matching handshake and the distributed
+// contraction of every level and the gathered solve, which is what
+// makes it a fraction of a cold one (core.Repartitioner is the runtime
+// handle that drives this; the paper's Section 3 reuse guard extended
+// from "skip when unchanged" to "re-refine when slightly changed").
 
 // Ladder is the retained coarsening ladder of a parallel MULTILEVEL
 // run: per level the fine graph, its ghost-exchange pattern and the
@@ -98,15 +97,11 @@ func clusterCap(c *machine.Ctx, g *geocol.Graph) float64 {
 }
 
 // coarsen builds one coarsening ladder of g, down to the serial
-// handoff size or until matching stalls (buildLadder). With a seed the
-// matching is restricted to same-part pairs, so every level inherits
-// the seed exactly, and the second result is the coarsest level's copy
-// of it (nil without a seed). salt decorrelates the ladders one call
-// builds over the same graph. The ladder may have no levels; its
-// coarsest graph is then g itself. Collective.
-func (ml Multilevel) coarsen(c *machine.Ctx, ar *arena, g *geocol.Graph, nparts int, capW float64, salt uint64, seed []int) (*Ladder, []int) {
-	levels, coarsest, cpart := buildLadder(c, ar, g, ml.serialTo(nparts), capW, ml.Seed^salt, seed)
-	return &Ladder{n: g.N, nparts: nparts, levels: levels, coarsest: coarsest, ar: ar}, cpart
+// handoff size or until matching stalls (buildLadder). The ladder may
+// have no levels; its coarsest graph is then g itself. Collective.
+func (ml Multilevel) coarsen(c *machine.Ctx, ar *arena, g *geocol.Graph, nparts int) *Ladder {
+	levels, coarsest := buildLadder(c, ar, g, ml.serialTo(nparts), clusterCap(c, g), ml.Seed)
+	return &Ladder{n: g.N, nparts: nparts, levels: levels, coarsest: coarsest, ar: ar}
 }
 
 // uncoarsen projects the coarsest level's partition back up the ladder
@@ -129,24 +124,6 @@ func (ml Multilevel) uncoarsen(c *machine.Ctx, ld *Ladder, part []int, finest *g
 		ml.refineLevel(c, ar, fine, ge, part, ld.nparts, i == 0)
 	}
 	return part
-}
-
-// refineSeeded is multilevel refinement of an existing partition (the
-// kMETIS/ParMETIS trick for escaping single-level local minima):
-// coarsen g with matching restricted to same-part pairs, so every
-// level of the ladder inherits seed exactly, polish the coarsest level
-// and refine back up. At coarse levels a single FM move transfers a
-// whole cluster of fine vertices between parts — the global moves
-// plain boundary refinement cannot compose. The coarsest level gets
-// polishCoarsest. seed is not modified. Collective.
-func (ml Multilevel) refineSeeded(c *machine.Ctx, ar *arena, g *geocol.Graph, nparts int, capW float64, salt uint64, seed []int) []int {
-	ld, part := ml.coarsen(c, ar, g, nparts, capW, salt, seed)
-	if len(ld.levels) == 0 {
-		// Nothing was restricted: part still aliases the caller's seed.
-		part = append([]int(nil), seed...)
-	}
-	ml.polishCoarsest(c, ar, ld.coarsest, part, nparts)
-	return ml.uncoarsen(c, ld, part, nil)
 }
 
 // polishCoarsest refines an existing partition of a ladder's coarsest
@@ -186,8 +163,7 @@ func (ml Multilevel) PartitionLadder(c *machine.Ctx, g *geocol.Graph, nparts int
 	// Repartition epochs reuse the grown buffers.
 	ar := &arena{}
 	ar.reserve(g.LocalN(c.Rank()))
-	capW := clusterCap(c, g)
-	ld, _ := ml.coarsen(c, ar, g, nparts, capW, 0, nil)
+	ld := ml.coarsen(c, ar, g, nparts)
 
 	// Coarsest-level solve: the serial recursive-bisection V-cycle on
 	// the gathered coarse graph (weighted vertices and edges preserve
@@ -198,11 +174,7 @@ func (ml Multilevel) PartitionLadder(c *machine.Ctx, g *geocol.Graph, nparts int
 	// fight for.
 	part := serialBisectPartition(c, ld.coarsest, nparts, ml.bisecter(ar))
 	serialKway(c, ar, ld.coarsest, part, nparts, 8, ml.tol())
-	part = ml.uncoarsen(c, ld, part, nil)
-	if ml.VCycle {
-		part = ml.refineSeeded(c, ar, g, nparts, capW, 0x9e3779b97f4a7c15, part)
-	}
-	return part, ld.retained()
+	return ml.uncoarsen(c, ld, part, nil), ld.retained()
 }
 
 // Repartition warm-starts a repartition of gNew — the same vertex

@@ -39,10 +39,10 @@ import (
 // coarsest level is gathered, and the uncoarsening is refined by the
 // hill-climbing parallel FM of prefine.go, so the partitioner's virtual
 // time falls with the rank count instead of staying flat while the cut
-// stays within 5% of the serial V-cycle's. PartitionLadder, the VCycle
-// knob and Repartition are that one pipeline entered cold, re-entered
-// from its own result, and re-entered warm from a retained ladder. docs/REFINEMENT.md tours
-// the refinement stack and its tuning knobs.
+// stays within 5% of the serial V-cycle's. PartitionLadder and
+// Repartition are that one pipeline entered cold and re-entered warm
+// from a retained ladder. docs/REFINEMENT.md tours the refinement stack
+// and its tuning knobs.
 type Multilevel struct {
 	// CoarsenTo stops coarsening once a level has at most this many
 	// vertices (0 means the default of 100).
@@ -53,18 +53,6 @@ type Multilevel struct {
 	// clears it. 0 means the default of 2048; negative forces the
 	// serial gather-everything path at any size.
 	ParallelThreshold int
-	// FMPasses is the per-level pass budget of the hill-climbing
-	// parallel FM refiner used during distributed uncoarsening
-	// (prefine.go). 0 means the default (3 passes, 4 at the finest
-	// level).
-	FMPasses int
-	// VCycle enables a second, partition-preserving V-cycle after
-	// uncoarsening (refineSeeded): the refined partition is coarsened
-	// again with matching restricted to same-part pairs and refined at
-	// every scale on the way back up. A small cut improvement for
-	// roughly double the distributed partitioning cost; off by
-	// default.
-	VCycle bool
 	// Seed salts the randomized (but symmetric) tie-breaking of the
 	// distributed heavy-edge matching, decorrelating the ladders of
 	// repeated runs. 0 keeps the default stream.
@@ -77,12 +65,8 @@ type Multilevel struct {
 
 func (Multilevel) Name() string { return "MULTILEVEL" }
 
-// Capabilities: MULTILEVEL consumes LINK connectivity, coarsens
-// distributedly on multi-rank machines, and accepts the Spec tuning
-// knobs.
-func (Multilevel) Capabilities() Capabilities {
-	return Capabilities{NeedsLink: true, Parallel: true, Tunable: true}
-}
+// Capabilities: MULTILEVEL consumes LINK connectivity.
+func (Multilevel) Capabilities() Capabilities { return Capabilities{NeedsLink: true} }
 
 // tol resolves the Imbalance default for the distributed refiners.
 func (ml Multilevel) tol() float64 {

@@ -98,9 +98,9 @@ func stalled(ops levelOps, seed int64) levelOps {
 		}
 	}
 	return levelOps{
-		match: func(c *machine.Ctx, g *geocol.Graph, ge *geocol.GhostExchange, maxW float64, seed uint64, part, ghostPart []int) []int {
+		match: func(c *machine.Ctx, g *geocol.Graph, ge *geocol.GhostExchange, maxW float64, seed uint64) []int {
 			defer stall()
-			return ops.match(c, g, ge, maxW, seed, part, ghostPart)
+			return ops.match(c, g, ge, maxW, seed)
 		},
 		number: func(c *machine.Ctx, g *geocol.Graph, match []int) ([]int, int) {
 			defer stall()

@@ -13,49 +13,24 @@ import (
 
 // Partitioner maps GeoCoL vertices to parts. Partition returns the
 // part of each home-resident vertex of g, aligned with g's home
-// distribution. Implementations must be deterministic and collective.
+// distribution. Capabilities declares which GeoCoL components it
+// consumes, so a Spec is validated against the graph at the call site
+// (Spec.ValidateFor). Implementations must be deterministic and
+// collective.
 type Partitioner interface {
 	Name() string
 	Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int
+	Capabilities() Capabilities
 }
 
-// Capabilities declares what a partitioner consumes and supports, so a
-// Spec can be validated against the GeoCoL graph at the call site
-// instead of panicking deep inside the library.
+// Capabilities declares which GeoCoL components a partitioner
+// consumes, so a Spec can be validated against the graph at the call
+// site instead of panicking deep inside the library.
 type Capabilities struct {
 	// NeedsGeometry: consumes the GEOMETRY component (coordinates).
 	NeedsGeometry bool
 	// NeedsLink: consumes the LINK component (connectivity).
 	NeedsLink bool
-	// Parallel: the partitioner has a distributed path, so its virtual
-	// time falls (or at least does not grow) with the rank count.
-	Parallel bool
-	// Tunable: accepts the multilevel tuning knobs of Spec (CoarsenTo,
-	// ParallelThreshold, FMPasses, VCycle, Imbalance).
-	Tunable bool
-	// OutOfCore: the partitioner's own working state is bounded
-	// independently of the edge count (streaming contract) — it can
-	// serve graphs whose edge set never fits in memory when fed
-	// through internal/stream's file path.
-	OutOfCore bool
-}
-
-// PartitionerV2 is the v2 registry interface: a Partitioner that also
-// reports its capabilities. All built-in partitioners implement it;
-// legacy custom partitioners registered without capability metadata
-// are treated as declaring no requirements (never rejected early).
-type PartitionerV2 interface {
-	Partitioner
-	Capabilities() Capabilities
-}
-
-// Caps reports p's capabilities, or the zero Capabilities for a legacy
-// v1 partitioner that does not declare any.
-func Caps(p Partitioner) Capabilities {
-	if v2, ok := p.(PartitionerV2); ok {
-		return v2.Capabilities()
-	}
-	return Capabilities{}
 }
 
 var (
@@ -179,8 +154,8 @@ type BlockPartitioner struct{}
 
 func (BlockPartitioner) Name() string { return "BLOCK" }
 
-// Capabilities: BLOCK consumes nothing and is trivially distributed.
-func (BlockPartitioner) Capabilities() Capabilities { return Capabilities{Parallel: true} }
+// Capabilities: BLOCK consumes nothing.
+func (BlockPartitioner) Capabilities() Capabilities { return Capabilities{} }
 
 func (BlockPartitioner) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 	checkArgs(nparts)
@@ -203,8 +178,8 @@ type RandomPartitioner struct {
 
 func (RandomPartitioner) Name() string { return "RANDOM" }
 
-// Capabilities: RANDOM consumes nothing and is trivially distributed.
-func (RandomPartitioner) Capabilities() Capabilities { return Capabilities{Parallel: true} }
+// Capabilities: RANDOM consumes nothing.
+func (RandomPartitioner) Capabilities() Capabilities { return Capabilities{} }
 
 func (rp RandomPartitioner) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 	checkArgs(nparts)

@@ -122,7 +122,8 @@ func TestRegistryLookup(t *testing.T) {
 
 type fakePart struct{}
 
-func (fakePart) Name() string { return "CUSTOM" }
+func (fakePart) Name() string               { return "CUSTOM" }
+func (fakePart) Capabilities() Capabilities { return Capabilities{} }
 func (fakePart) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 	return make([]int, g.LocalN(c.Rank()))
 }

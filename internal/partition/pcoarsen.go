@@ -36,11 +36,6 @@ const matchRounds = 4
 // disables the cap), keeping coarse vertices small enough for the
 // coarsest-level balance slack, exactly like the serial matcher.
 //
-// When part is non-nil the matching is RESTRICTED to same-part pairs
-// (ghostPart must be the ghost copy of part): the resulting clustering
-// preserves the partition, which is what multilevel V-cycle refinement
-// coarsens with (ladder.go refineSeeded).
-//
 // Returns match[l] = global id of home-local vertex l's partner, or -1
 // for vertices left as singletons. The returned slice is arena scratch:
 // it stays valid only until the next matching on the same arena (its
@@ -49,7 +44,7 @@ const matchRounds = 4
 // seeded.
 //
 //chaos:hotpath
-func distHeavyEdgeMatch(c *machine.Ctx, s *matchScratch, g *geocol.Graph, ge *geocol.GhostExchange, maxW float64, seed uint64, part, ghostPart []int) []int {
+func distHeavyEdgeMatch(c *machine.Ctx, s *matchScratch, g *geocol.Graph, ge *geocol.GhostExchange, maxW float64, seed uint64) []int {
 	me := c.Rank()
 	procs := c.Procs()
 	lo := g.Home.Lo(me)
@@ -126,17 +121,6 @@ func distHeavyEdgeMatch(c *machine.Ctx, s *matchScratch, g *geocol.Graph, ge *ge
 				}
 				if uTaken {
 					continue
-				}
-				if part != nil {
-					var q int
-					if loc >= 0 {
-						q = part[loc]
-					} else {
-						q = ghostPart[-loc-1]
-					}
-					if q != part[l] {
-						continue // restricted matching stays inside parts
-					}
 				}
 				if maxW > 0 && homeW[l]+uw > maxW {
 					continue

@@ -32,54 +32,34 @@ type plevel struct {
 }
 
 // buildLadder builds a distributed coarsening ladder from g down to
-// serialTo vertices (or until matching stalls). When part is non-nil
-// the matching is restricted to same-part pairs — the ladder then
-// PRESERVES the partition, which is what refineSeeded coarsens with —
-// and the partition is carried down the ladder (the third return value
-// is the coarsest level's copy; nil in the unrestricted case). seedBase
-// salts the tie-breaking so distinct ladders of one Partition call
-// decorrelate. Collective.
-func buildLadder(c *machine.Ctx, ar *arena, g *geocol.Graph, serialTo int, maxW float64, seedBase uint64, part []int) ([]plevel, *geocol.Graph, []int) {
+// serialTo vertices (or until matching stalls). seedBase salts the
+// matching's tie-breaking (Multilevel.Seed). Collective.
+func buildLadder(c *machine.Ctx, ar *arena, g *geocol.Graph, serialTo int, maxW float64, seedBase uint64) ([]plevel, *geocol.Graph) {
 	var levels []plevel
-	cur, curPart := g, part
-	// ghostBuf is handed back to PushIntsInto every level: the ghost
-	// part copy is only read within the level, so the ladder reuses one
-	// buffer instead of allocating per level.
-	var ghostBuf []int
+	cur := g
 	for cur.N > serialTo {
 		ge := ar.ghost.NewGhostExchange(c, cur)
-		var curGhost []int
-		if curPart != nil {
-			curGhost = ge.PushIntsInto(c, curPart, ghostBuf)
-			ghostBuf = curGhost
-		}
 		seed := seedBase + uint64(len(levels))*0x2545f4914f6cdd1d + uint64(cur.N)
-		match := distHeavyEdgeMatch(c, &ar.match, cur, ge, maxW, seed, curPart, curGhost)
+		match := distHeavyEdgeMatch(c, &ar.match, cur, ge, maxW, seed)
 		cmap, coarseN := numberCoarse(c, &ar.match, cur, match)
 		if coarseN*20 > cur.N*19 {
 			break
 		}
 		next := ar.asm.BuildCoarse(c, cur, ge, cmap, coarseN)
 		levels = append(levels, plevel{fine: cur, ge: ge, cmap: cmap, coarse: next})
-		if curPart != nil {
-			curPart = restrictPart(c, &ar.proj, cur, cmap, next.Home, curPart)
-		}
 		cur = next
 	}
-	return levels, cur, curPart
+	return levels, cur
 }
 
 // refineLevel refines one uncoarsening level in place with the
-// hill-climbing parallel FM (prefine.go). Interior levels get a reduced
-// pass budget — their boundary is re-refined at every finer level —
-// while the finest level gets the full one.
+// hill-climbing parallel FM (prefine.go). Interior levels get 3 passes
+// — their boundary is re-refined at every finer level — while the
+// finest level gets 4.
 func (ml Multilevel) refineLevel(c *machine.Ctx, ar *arena, fine *geocol.Graph, ge *geocol.GhostExchange, part []int, nparts int, finest bool) {
 	passes := 3
 	if finest {
 		passes = 4
-	}
-	if ml.FMPasses > 0 {
-		passes = ml.FMPasses
 	}
 	parallelFM(c, &ar.fm, fine, ge, part, nparts, passes, ml.tol())
 }
@@ -112,11 +92,11 @@ func serialKway(c *machine.Ctx, ar *arena, g *geocol.Graph, part []int, nparts, 
 }
 
 // restrictPart restricts a fine partition onto the coarse level of a
-// partition-preserving ladder: every member of a coarse cluster holds
-// the same part, so each rank routes one (coarse id, part) pair per
-// home fine vertex to the coarse owner. Collective. The per-rank
-// routing buffers come from the arena's projScratch; the returned
-// cpart is a fresh result and stays unpooled.
+// ladder (Repartition's warm start): each rank routes one (coarse id,
+// part) pair per home fine vertex to the coarse owner, and a cluster
+// whose members hold different parts takes one member's. Collective.
+// The per-rank routing buffers come from the arena's projScratch; the
+// returned cpart is a fresh result and stays unpooled.
 //
 //chaos:hotpath
 func restrictPart(c *machine.Ctx, s *projScratch, fine *geocol.Graph, cmap []int, coarseHome dist.BlockDist, finePart []int) []int {

@@ -150,97 +150,6 @@ func TestKwayRefineImprovesSeed(t *testing.T) {
 	}
 }
 
-// TestVCycleRefineNotWorse pins the partition-preserving V-cycle's
-// contract: it starts from the default pipeline's (deterministic)
-// result and every level of its refinement can only keep or improve
-// the cut, so MULTILEVEL with VCycle must never cut more edges than
-// without. Balance must hold as usual.
-func TestVCycleRefineNotWorse(t *testing.T) {
-	m := mesh.Generate(6000, 3)
-	const p, nparts = 4, 4
-	cutAndCounts := func(ml Multilevel) (int, []int) {
-		var cut int
-		var counts []int
-		err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
-			eb := m.NEdge() / p
-			elo, ehi := c.Rank()*eb, (c.Rank()+1)*eb
-			if c.Rank() == p-1 {
-				ehi = m.NEdge()
-			}
-			g := geocol.Build(c, m.NNode, geocol.WithLink(m.E1[elo:ehi], m.E2[elo:ehi]))
-			full := c.AllGatherInts(ml.Partition(c, g, nparts))
-			f := g.Gather(c)
-			if c.Rank() == 0 {
-				cut = CutEdges(f.XAdj, f.Adj, full)
-				counts = make([]int, nparts)
-				for _, q := range full {
-					counts[q]++
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cut, counts
-	}
-	plain, _ := cutAndCounts(Multilevel{})
-	vcycle, counts := cutAndCounts(Multilevel{VCycle: true})
-	t.Logf("default cut %d, with V-cycle refinement %d", plain, vcycle)
-	if vcycle > plain {
-		t.Errorf("V-cycle refinement worsened the cut: %d -> %d", plain, vcycle)
-	}
-	ideal := m.NNode / nparts
-	for q, n := range counts {
-		if n < ideal*9/10 || n > ideal*11/10 {
-			t.Errorf("part %d holds %d vertices, ideal %d", q, n, ideal)
-		}
-	}
-}
-
-// TestRestrictedMatchingPreservesParts checks the V-cycle ladder's
-// foundation: with matching restricted to same-part pairs, every
-// coarse cluster is part-pure, so restricting and then projecting the
-// partition through the ladder reproduces it exactly.
-func TestRestrictedMatchingPreservesParts(t *testing.T) {
-	m := mesh.Generate(3000, 11)
-	const p, nparts = 4, 4
-	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
-		eb := m.NEdge() / p
-		elo, ehi := c.Rank()*eb, (c.Rank()+1)*eb
-		if c.Rank() == p-1 {
-			ehi = m.NEdge()
-		}
-		g := geocol.Build(c, m.NNode, geocol.WithLink(m.E1[elo:ehi], m.E2[elo:ehi]))
-		b := dist.NewBlock(g.N, nparts)
-		lo := g.Home.Lo(c.Rank())
-		part := make([]int, g.LocalN(c.Rank()))
-		for l := range part {
-			part[l] = b.Owner(lo + l)
-		}
-		ar := &arena{}
-		levels, _, _ := buildLadder(c, ar, g, 512, 0, 42, part)
-		if len(levels) == 0 {
-			panic("restricted ladder built no levels")
-		}
-		cpart := part
-		for _, lv := range levels {
-			cpart = restrictPart(c, &ar.proj, lv.fine, lv.cmap, lv.coarse.Home, cpart)
-		}
-		for i := len(levels) - 1; i >= 0; i-- {
-			lv := levels[i]
-			cpart = projectPart(c, &ar.proj, lv.fine, lv.cmap, lv.coarse.Home, cpart)
-		}
-		for l := range part {
-			if cpart[l] != part[l] {
-				panic("restricted ladder did not preserve the partition")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // wedge is one undirected weighted edge of a hand-built CSR.
 type wedge struct {
 	u, v int

@@ -20,10 +20,8 @@ type RCB struct{}
 
 func (RCB) Name() string { return "RCB" }
 
-// Capabilities: RCB consumes GEOMETRY and runs fully distributed.
-func (RCB) Capabilities() Capabilities {
-	return Capabilities{NeedsGeometry: true, Parallel: true}
-}
+// Capabilities: RCB consumes GEOMETRY.
+func (RCB) Capabilities() Capabilities { return Capabilities{NeedsGeometry: true} }
 
 func (RCB) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 	checkArgs(nparts)
@@ -95,10 +93,8 @@ type Inertial struct{}
 
 func (Inertial) Name() string { return "INERTIAL" }
 
-// Capabilities: INERTIAL consumes GEOMETRY and runs fully distributed.
-func (Inertial) Capabilities() Capabilities {
-	return Capabilities{NeedsGeometry: true, Parallel: true}
-}
+// Capabilities: INERTIAL consumes GEOMETRY.
+func (Inertial) Capabilities() Capabilities { return Capabilities{NeedsGeometry: true} }
 
 func (Inertial) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 	checkArgs(nparts)

@@ -101,7 +101,7 @@ type ladderStep struct {
 // levelOps is the per-level machinery of the distributed V-cycle, as
 // rewritten or as the parent commit had it.
 type levelOps struct {
-	match    func(c *machine.Ctx, g *geocol.Graph, ge *geocol.GhostExchange, maxW float64, seed uint64, part, ghostPart []int) []int
+	match    func(c *machine.Ctx, g *geocol.Graph, ge *geocol.GhostExchange, maxW float64, seed uint64) []int
 	number   func(c *machine.Ctx, g *geocol.Graph, match []int) ([]int, int)
 	restrict func(c *machine.Ctx, fine *geocol.Graph, cmap []int, coarse *geocol.Graph, part []int) []int
 	project  func(c *machine.Ctx, fine *geocol.Graph, cmap []int, coarse *geocol.Graph, cpart []int) []int
@@ -114,8 +114,8 @@ func referenceOps() levelOps {
 	var ps refProjScratch
 	ar := &arena{}
 	return levelOps{
-		match: func(c *machine.Ctx, g *geocol.Graph, ge *geocol.GhostExchange, maxW float64, seed uint64, part, ghostPart []int) []int {
-			return refDistHeavyEdgeMatch(c, &ms, g, ge, maxW, seed, part, ghostPart)
+		match: func(c *machine.Ctx, g *geocol.Graph, ge *geocol.GhostExchange, maxW float64, seed uint64) []int {
+			return refDistHeavyEdgeMatch(c, &ms, g, ge, maxW, seed)
 		},
 		number: func(c *machine.Ctx, g *geocol.Graph, match []int) ([]int, int) {
 			return refNumberCoarse(c, &ms, g, match)
@@ -146,9 +146,9 @@ func currentOps(recycled bool) levelOps {
 	// even in the one-shot form: the match vector lives there.
 	var matchArena *arena
 	return levelOps{
-		match: func(c *machine.Ctx, g *geocol.Graph, ge *geocol.GhostExchange, maxW float64, seed uint64, part, ghostPart []int) []int {
+		match: func(c *machine.Ctx, g *geocol.Graph, ge *geocol.GhostExchange, maxW float64, seed uint64) []int {
 			matchArena = ar()
-			return distHeavyEdgeMatch(c, &matchArena.match, g, ge, maxW, seed, part, ghostPart)
+			return distHeavyEdgeMatch(c, &matchArena.match, g, ge, maxW, seed)
 		},
 		number: func(c *machine.Ctx, g *geocol.Graph, match []int) ([]int, int) {
 			return numberCoarse(c, &matchArena.match, g, match)
@@ -166,8 +166,8 @@ func currentOps(recycled bool) levelOps {
 }
 
 // runLevels drives one coarsening level and back over every hostile
-// graph inside one machine run: matching, coarse numbering, a matching
-// restricted to a partition, restriction of that partition to the
+// graph inside one machine run: matching, coarse numbering, a weighted
+// matching of the coarse graph, restriction of a partition to the
 // coarse graph, the replicated k-way polish there, and projection back.
 func runLevels(t *testing.T, backend machine.Backend, p int, ops func() levelOps) [][]ladderStep {
 	t.Helper()
@@ -189,7 +189,7 @@ func runLevels(t *testing.T, backend machine.Backend, p int, ops func() levelOps
 			ge := geocol.NewGhostExchange(c, g)
 			lo := g.Home.Lo(c.Rank())
 
-			match := op.match(c, g, ge, 0, 42, nil, nil)
+			match := op.match(c, g, ge, 0, 42)
 			add("matching", match)
 			cmap, coarseN := op.number(c, g, match)
 			add("coarse numbering", append(slices.Clone(cmap), coarseN))
@@ -199,12 +199,11 @@ func runLevels(t *testing.T, backend machine.Backend, p int, ops func() levelOps
 			for l := range part {
 				part[l] = (lo + l) % nparts
 			}
-			add("restricted matching", op.match(c, g, ge, 4, 7, part, ge.PushInts(c, part)))
 
 			// The coarse graph carries LOAD and edge weights, so this
 			// matching pushes ghost weights and hits the weight cap.
 			cge := geocol.NewGhostExchange(c, coarse)
-			cmatch := op.match(c, coarse, cge, 3, 99, nil, nil)
+			cmatch := op.match(c, coarse, cge, 3, 99)
 			add("weighted matching", cmatch)
 			ccmap, ccN := op.number(c, coarse, cmatch)
 			add("second numbering", append(slices.Clone(ccmap), ccN))

@@ -47,7 +47,7 @@ func refGrowRanks(s *[][]int, procs int) [][]int {
 	return *s
 }
 
-func refDistHeavyEdgeMatch(c *machine.Ctx, s *refMatchScratch, g *geocol.Graph, ge *geocol.GhostExchange, maxW float64, seed uint64, part, ghostPart []int) []int {
+func refDistHeavyEdgeMatch(c *machine.Ctx, s *refMatchScratch, g *geocol.Graph, ge *geocol.GhostExchange, maxW float64, seed uint64) []int {
 	me := c.Rank()
 	procs := c.Procs()
 	lo := g.Home.Lo(me)
@@ -127,17 +127,6 @@ func refDistHeavyEdgeMatch(c *machine.Ctx, s *refMatchScratch, g *geocol.Graph, 
 				}
 				if uTaken {
 					continue
-				}
-				if part != nil {
-					var q int
-					if loc >= 0 {
-						q = part[loc]
-					} else {
-						q = ghostPart[-loc-1]
-					}
-					if q != part[l] {
-						continue // restricted matching stays inside parts
-					}
 				}
 				if maxW > 0 && homeW[l]+uw > maxW {
 					continue

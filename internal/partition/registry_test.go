@@ -12,7 +12,7 @@ import (
 	"chaos/internal/machine"
 )
 
-// racePartitioner is a minimal v2 partitioner for registry tests.
+// racePartitioner is a minimal partitioner for registry tests.
 type racePartitioner struct{ name string }
 
 func (p racePartitioner) Name() string { return p.name }
@@ -22,8 +22,8 @@ func (racePartitioner) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []
 func (racePartitioner) Capabilities() Capabilities { return Capabilities{} }
 
 // TestRegistryConcurrentAccess hammers Register, Lookup and Names from
-// concurrent goroutines; run under -race this pins that the v2
-// registry is actually lock-correct (Names used to read the map
+// concurrent goroutines; run under -race this pins that the registry
+// is actually lock-correct (Names used to read the map
 // without holding the lock).
 func TestRegistryConcurrentAccess(t *testing.T) {
 	const workers = 8
@@ -91,44 +91,25 @@ func TestNamesSorted(t *testing.T) {
 // built-in partitioners.
 func TestBuiltinCapabilities(t *testing.T) {
 	want := map[string]Capabilities{
-		"BLOCK":      {Parallel: true},
-		"RANDOM":     {Parallel: true},
-		"RCB":        {NeedsGeometry: true, Parallel: true},
-		"INERTIAL":   {NeedsGeometry: true, Parallel: true},
+		"BLOCK":      {},
+		"RANDOM":     {},
+		"RCB":        {NeedsGeometry: true},
+		"INERTIAL":   {NeedsGeometry: true},
 		"RSB":        {NeedsLink: true},
 		"RSB-KL":     {NeedsLink: true},
 		"KL":         {NeedsLink: true},
-		"MULTILEVEL": {NeedsLink: true, Parallel: true, Tunable: true},
-		"STREAM":     {NeedsLink: true, OutOfCore: true},
+		"MULTILEVEL": {NeedsLink: true},
+		"STREAM":     {NeedsLink: true},
 	}
 	for name, caps := range want {
 		p, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, ok := p.(PartitionerV2)
-		if !ok {
-			t.Errorf("%s does not implement PartitionerV2", name)
-			continue
-		}
-		if got := v2.Capabilities(); got != caps {
+		if got := p.Capabilities(); got != caps {
 			t.Errorf("%s capabilities %+v, want %+v", name, got, caps)
 		}
-		if got := Caps(p); got != caps {
-			t.Errorf("Caps(%s) = %+v, want %+v", name, got, caps)
-		}
 	}
-	// A legacy v1 partitioner reports the zero capabilities.
-	if got := Caps(legacyPartitioner{}); got != (Capabilities{}) {
-		t.Errorf("legacy partitioner caps %+v, want zero", got)
-	}
-}
-
-type legacyPartitioner struct{}
-
-func (legacyPartitioner) Name() string { return "LEGACY" }
-func (legacyPartitioner) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
-	return nil
 }
 
 // TestValidateForCapabilityMismatch pins the call-site errors the

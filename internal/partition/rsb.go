@@ -36,8 +36,7 @@ func (r RSB) Name() string {
 	return "RSB"
 }
 
-// Capabilities: RSB consumes LINK connectivity; its replicated solve
-// does not scale with the rank count.
+// Capabilities: RSB consumes LINK connectivity.
 func (RSB) Capabilities() Capabilities { return Capabilities{NeedsLink: true} }
 
 func (r RSB) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {

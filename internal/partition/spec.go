@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"chaos/internal/geocol"
-	"chaos/internal/stream"
 )
 
 // Method is the typed identity of a partitioning method — the
@@ -28,19 +27,6 @@ const (
 	MethodKL         Method = "KL"
 	MethodMultilevel Method = "MULTILEVEL"
 	MethodStream     Method = "STREAM"
-)
-
-// StreamObjective names the greedy placement rule of the STREAM
-// method (spec-level counterpart of stream.Objective).
-type StreamObjective string
-
-// STREAM objectives.
-const (
-	// ObjectiveLDG is linear deterministic greedy placement (the
-	// STREAM default).
-	ObjectiveLDG StreamObjective = "LDG"
-	// ObjectiveFennel is the degree-penalized Fennel objective.
-	ObjectiveFennel StreamObjective = "FENNEL"
 )
 
 // Spec is a typed, validated partitioner selection: the method plus
@@ -66,12 +52,6 @@ type Spec struct {
 	// distributed multilevel coarsening path (0 = default 2048;
 	// negative forces the serial gather-everything path at any size).
 	ParallelThreshold int
-	// FMPasses is the per-level pass budget of the hill-climbing
-	// parallel FM refiner (0 = default 3, 4 at the finest level; must
-	// not be negative).
-	FMPasses int
-	// VCycle enables the partition-preserving second V-cycle.
-	VCycle bool
 	// Seed salts randomized tie-breaking: the RANDOM scatter stream
 	// and MULTILEVEL's distributed matching (0 = method default).
 	Seed uint64
@@ -79,11 +59,6 @@ type Spec struct {
 	// refinement (fractional; 0 = default 0.07, must stay below 0.5).
 	Imbalance float64
 
-	// Objective selects the STREAM placement rule ("" = ObjectiveLDG).
-	Objective StreamObjective
-	// StreamBuffer is STREAM's bounded buffer budget in vertices — the
-	// slab/pipeline chunk granularity (0 = stream default 4096).
-	StreamBuffer int
 	// Restreams is STREAM's count of additional buffered re-placement
 	// passes (0 = single pass; at most 16).
 	Restreams int
@@ -97,15 +72,13 @@ type Spec struct {
 // zero (method-default) value. Seed is handled separately because
 // RANDOM accepts it too.
 func (sp Spec) tuned() bool {
-	return sp.CoarsenTo != 0 || sp.ParallelThreshold != 0 ||
-		sp.FMPasses != 0 || sp.VCycle || sp.Imbalance != 0
+	return sp.CoarsenTo != 0 || sp.ParallelThreshold != 0 || sp.Imbalance != 0
 }
 
 // streamTuned reports whether any STREAM tuning knob departs from its
 // zero (method-default) value.
 func (sp Spec) streamTuned() bool {
-	return sp.Objective != "" || sp.StreamBuffer != 0 ||
-		sp.Restreams != 0 || sp.BalanceSlack != 0
+	return sp.Restreams != 0 || sp.BalanceSlack != 0
 }
 
 // String renders the spec in the form ParseSpec accepts: the bare
@@ -119,23 +92,11 @@ func (sp Spec) String() string {
 	if sp.ParallelThreshold != 0 {
 		opts = append(opts, fmt.Sprintf("ParallelThreshold=%d", sp.ParallelThreshold))
 	}
-	if sp.FMPasses != 0 {
-		opts = append(opts, fmt.Sprintf("FMPasses=%d", sp.FMPasses))
-	}
-	if sp.VCycle {
-		opts = append(opts, "VCycle=true")
-	}
 	if sp.Seed != 0 {
 		opts = append(opts, fmt.Sprintf("Seed=%d", sp.Seed))
 	}
 	if sp.Imbalance != 0 {
 		opts = append(opts, fmt.Sprintf("Imbalance=%g", sp.Imbalance))
-	}
-	if sp.Objective != "" {
-		opts = append(opts, fmt.Sprintf("Objective=%s", sp.Objective))
-	}
-	if sp.StreamBuffer != 0 {
-		opts = append(opts, fmt.Sprintf("StreamBuffer=%d", sp.StreamBuffer))
 	}
 	if sp.Restreams != 0 {
 		opts = append(opts, fmt.Sprintf("Restreams=%d", sp.Restreams))
@@ -153,7 +114,7 @@ func (sp Spec) String() string {
 // ParseSpec parses the Fortran-D-style string form of a spec: a bare
 // registry name ("MULTILEVEL", "RCB", ...) or a name followed by a
 // parenthesized, comma-separated option list ("MULTILEVEL(CoarsenTo=
-// 200,VCycle=true)"). Option keys are matched case-insensitively
+// 200,Seed=7)"). Option keys are matched case-insensitively
 // against the Spec fields. The method name itself is not checked
 // against the registry here — registration may legitimately happen
 // later — so an unknown method surfaces at Resolve time with the
@@ -195,24 +156,16 @@ func ParseSpec(s string) (Spec, error) {
 			sp.CoarsenTo, err = strconv.Atoi(val)
 		case "parallelthreshold":
 			sp.ParallelThreshold, err = strconv.Atoi(val)
-		case "fmpasses":
-			sp.FMPasses, err = strconv.Atoi(val)
-		case "vcycle":
-			sp.VCycle, err = strconv.ParseBool(val)
 		case "seed":
 			sp.Seed, err = strconv.ParseUint(val, 10, 64)
 		case "imbalance":
 			sp.Imbalance, err = strconv.ParseFloat(val, 64)
-		case "objective":
-			sp.Objective = StreamObjective(strings.ToUpper(val))
-		case "streambuffer":
-			sp.StreamBuffer, err = strconv.Atoi(val)
 		case "restreams":
 			sp.Restreams, err = strconv.Atoi(val)
 		case "balanceslack":
 			sp.BalanceSlack, err = strconv.ParseFloat(val, 64)
 		default:
-			return Spec{}, fmt.Errorf("partition: unknown spec option %q (have CoarsenTo, ParallelThreshold, FMPasses, VCycle, Seed, Imbalance, Objective, StreamBuffer, Restreams, BalanceSlack)", strings.TrimSpace(kv[:eq]))
+			return Spec{}, fmt.Errorf("partition: unknown spec option %q (have CoarsenTo, ParallelThreshold, Seed, Imbalance, Restreams, BalanceSlack)", strings.TrimSpace(kv[:eq]))
 		}
 		if err != nil {
 			return Spec{}, fmt.Errorf("partition: bad value for spec option %s: %v", key, err)
@@ -223,9 +176,9 @@ func ParseSpec(s string) (Spec, error) {
 
 // Resolve looks the spec's method up in the registry and applies the
 // tuning options, returning the ready-to-run Partitioner. Option
-// values are range-checked here, and tuning knobs on a method that is
-// not Tunable (only MULTILEVEL is, among the built-ins) are rejected
-// rather than silently dropped.
+// values are range-checked here, and tuning knobs on a method that
+// does not take them (multilevel knobs off MULTILEVEL, streaming knobs
+// off STREAM) are rejected rather than silently dropped.
 func (sp Spec) Resolve() (Partitioner, error) {
 	if sp.Method == "" {
 		return nil, fmt.Errorf("partition: spec has no method (have %v)", Names())
@@ -240,36 +193,21 @@ func (sp Spec) Resolve() (Partitioner, error) {
 	if sp.CoarsenTo < 0 {
 		return nil, fmt.Errorf("partition: spec %s: CoarsenTo %d is negative", sp.Method, sp.CoarsenTo)
 	}
-	if sp.FMPasses < 0 {
-		return nil, fmt.Errorf("partition: spec %s: FMPasses %d is negative", sp.Method, sp.FMPasses)
-	}
 	ml, isML := p.(Multilevel)
 	if sp.tuned() && !isML {
-		return nil, fmt.Errorf("partition: method %s does not accept multilevel tuning options (CoarsenTo/ParallelThreshold/FMPasses/VCycle/Imbalance); they apply to %s only", sp.Method, MethodMultilevel)
+		return nil, fmt.Errorf("partition: method %s does not accept multilevel tuning options (CoarsenTo/ParallelThreshold/Imbalance); they apply to %s only", sp.Method, MethodMultilevel)
 	}
 	st, isStream := p.(Streaming)
 	if sp.streamTuned() && !isStream {
-		return nil, fmt.Errorf("partition: method %s does not accept streaming tuning options (Objective/StreamBuffer/Restreams/BalanceSlack); they apply to %s only", sp.Method, MethodStream)
+		return nil, fmt.Errorf("partition: method %s does not accept streaming tuning options (Restreams/BalanceSlack); they apply to %s only", sp.Method, MethodStream)
 	}
 	if isStream {
-		switch sp.Objective {
-		case "", ObjectiveLDG:
-			st.Objective = stream.LDG
-		case ObjectiveFennel:
-			st.Objective = stream.Fennel
-		default:
-			return nil, fmt.Errorf("partition: spec %s: unknown Objective %q (have %s, %s)", sp.Method, sp.Objective, ObjectiveLDG, ObjectiveFennel)
-		}
-		if sp.StreamBuffer < 0 {
-			return nil, fmt.Errorf("partition: spec %s: StreamBuffer %d is negative", sp.Method, sp.StreamBuffer)
-		}
 		if sp.Restreams < 0 || sp.Restreams > 16 {
 			return nil, fmt.Errorf("partition: spec %s: Restreams %d out of range [0, 16]", sp.Method, sp.Restreams)
 		}
 		if sp.BalanceSlack != 0 && (sp.BalanceSlack < 0 || sp.BalanceSlack >= 0.5) {
 			return nil, fmt.Errorf("partition: spec %s: BalanceSlack %g out of range (0, 0.5)", sp.Method, sp.BalanceSlack)
 		}
-		st.Buffer = sp.StreamBuffer
 		st.Restreams = sp.Restreams
 		st.Slack = sp.BalanceSlack
 		st.Seed = sp.Seed
@@ -281,12 +219,6 @@ func (sp Spec) Resolve() (Partitioner, error) {
 		}
 		if sp.ParallelThreshold != 0 {
 			ml.ParallelThreshold = sp.ParallelThreshold
-		}
-		if sp.FMPasses != 0 {
-			ml.FMPasses = sp.FMPasses
-		}
-		if sp.VCycle {
-			ml.VCycle = true
 		}
 		if sp.Seed != 0 {
 			ml.Seed = sp.Seed
@@ -319,7 +251,7 @@ func (sp Spec) ValidateFor(g *geocol.Graph, nparts int) (Partitioner, error) {
 	if nparts < 1 {
 		return nil, fmt.Errorf("partition: spec %s: nparts %d, want >= 1", sp.Method, nparts)
 	}
-	caps := Caps(p)
+	caps := p.Capabilities()
 	if caps.NeedsLink && !g.HasLink {
 		return nil, fmt.Errorf("partition: %s requires LINK connectivity, but the GeoCoL graph was constructed without it — CONSTRUCT with edge endpoint arrays (GeoColInput.Link1/Link2)", sp.Method)
 	}

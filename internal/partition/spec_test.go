@@ -3,6 +3,8 @@ package partition
 import (
 	"strings"
 	"testing"
+
+	"chaos/internal/xrand"
 )
 
 func TestParseSpecBareNames(t *testing.T) {
@@ -21,12 +23,12 @@ func TestParseSpecBareNames(t *testing.T) {
 }
 
 func TestParseSpecOptions(t *testing.T) {
-	sp, err := ParseSpec("MULTILEVEL(CoarsenTo=200, ParallelThreshold=512, FMPasses=2, VCycle=true, Seed=7, Imbalance=0.05)")
+	sp, err := ParseSpec("MULTILEVEL(CoarsenTo=200, ParallelThreshold=512, Seed=7, Imbalance=0.05)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Spec{Method: MethodMultilevel, CoarsenTo: 200, ParallelThreshold: 512,
-		FMPasses: 2, VCycle: true, Seed: 7, Imbalance: 0.05}
+		Seed: 7, Imbalance: 0.05}
 	if sp != want {
 		t.Errorf("parsed %+v, want %+v", sp, want)
 	}
@@ -39,12 +41,42 @@ func TestParseSpecOptions(t *testing.T) {
 		t.Errorf("round trip %+v != %+v", back, sp)
 	}
 	// Keys are case-insensitive (the Fortran-D front end upcases).
-	up, err := ParseSpec("MULTILEVEL(COARSENTO=200,VCYCLE=TRUE)")
+	up, err := ParseSpec("MULTILEVEL(COARSENTO=200,SEED=7)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if up.CoarsenTo != 200 || !up.VCycle {
+	if up.CoarsenTo != 200 || up.Seed != 7 {
 		t.Errorf("upcased options not applied: %+v", up)
+	}
+	// Every field survives String → ParseSpec, whatever its value:
+	// negative knobs (a negative ParallelThreshold is meaningful) and
+	// the full uint64 seed range included.
+	rng := xrand.New(33)
+	methods := []Method{MethodMultilevel, MethodStream, MethodRandom, MethodRSBKL}
+	for i := 0; i < 500; i++ {
+		sp := Spec{Method: methods[rng.Intn(len(methods))]}
+		if rng.Intn(2) == 0 {
+			sp.CoarsenTo = rng.Intn(2001) - 1000
+		}
+		if rng.Intn(2) == 0 {
+			sp.ParallelThreshold = rng.Intn(8193) - 4096
+		}
+		if rng.Intn(2) == 0 {
+			sp.Seed = rng.Uint64()
+		}
+		if rng.Intn(2) == 0 {
+			sp.Imbalance = rng.Float64() - 0.5
+		}
+		if rng.Intn(2) == 0 {
+			sp.Restreams = rng.Intn(41) - 20
+		}
+		if rng.Intn(2) == 0 {
+			sp.BalanceSlack = rng.Float64()
+		}
+		back, err := ParseSpec(sp.String())
+		if err != nil || back != sp {
+			t.Fatalf("round trip of %+v via %q: %+v, %v", sp, sp.String(), back, err)
+		}
 	}
 }
 
@@ -64,7 +96,7 @@ func TestParseSpecErrors(t *testing.T) {
 }
 
 func TestSpecResolveAppliesOptions(t *testing.T) {
-	sp := Spec{Method: MethodMultilevel, CoarsenTo: 250, VCycle: true, Seed: 9, Imbalance: 0.03}
+	sp := Spec{Method: MethodMultilevel, CoarsenTo: 250, ParallelThreshold: -1, Seed: 9, Imbalance: 0.03}
 	p, err := sp.Resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +105,7 @@ func TestSpecResolveAppliesOptions(t *testing.T) {
 	if !ok {
 		t.Fatalf("resolved %T, want Multilevel", p)
 	}
-	if ml.CoarsenTo != 250 || !ml.VCycle || ml.Seed != 9 || ml.Imbalance != 0.03 {
+	if ml.CoarsenTo != 250 || ml.ParallelThreshold != -1 || ml.Seed != 9 || ml.Imbalance != 0.03 {
 		t.Errorf("options not applied: %+v", ml)
 	}
 
@@ -94,11 +126,10 @@ func TestSpecResolveErrors(t *testing.T) {
 		{Spec{}, "no method"},
 		{Spec{Method: "NOPE"}, "unknown partitioner"},
 		{Spec{Method: MethodRCB, CoarsenTo: 10}, "does not accept multilevel tuning"},
-		{Spec{Method: MethodRSB, VCycle: true}, "does not accept multilevel tuning"},
+		{Spec{Method: MethodRSB, ParallelThreshold: -1}, "does not accept multilevel tuning"},
 		{Spec{Method: MethodBlock, Seed: 3}, "does not accept a Seed"},
 		{Spec{Method: MethodMultilevel, Imbalance: 0.9}, "Imbalance"},
 		{Spec{Method: MethodMultilevel, CoarsenTo: -5}, "CoarsenTo -5 is negative"},
-		{Spec{Method: MethodMultilevel, FMPasses: -1}, "FMPasses -1 is negative"},
 	}
 	for _, c := range cases {
 		_, err := c.sp.Resolve()

@@ -9,22 +9,17 @@ import (
 // Streaming is the registry adapter of internal/stream's out-of-core
 // partitioner family (method "STREAM"): the buffered bootstrap
 // (streaming clustering plus an in-memory coarse solve) followed by
-// greedy re-placement passes under the LDG or Fennel objective. Under
+// linear deterministic greedy (LDG) re-placement passes. Under
 // the SPMD machine it follows the replicated-cost convention of the
 // serial methods (see serialBisectPartition): the GeoCoL graph is
 // gathered and every rank runs the identical deterministic pipeline,
 // so the result is bit-for-bit independent of the rank count and
 // backend. Resident state of the pipeline itself is one slab plus the
 // O(nparts) placer and the vertex-proportional bootstrap model — the
-// out-of-core contract Capabilities.OutOfCore declares;
-// stream.Partition is the machine-free entry point that honors it
-// against file streams the machine path never needs.
+// out-of-core contract; stream.Partition is the machine-free entry
+// point that honors it against file streams the machine path never
+// needs.
 type Streaming struct {
-	// Objective selects stream.LDG (default) or stream.Fennel.
-	Objective stream.Objective
-	// Buffer is the resident fringe granularity in vertices per slab
-	// (0 = stream.DefaultSlabVerts).
-	Buffer int
 	// Restreams is the number of additional re-placement passes.
 	Restreams int
 	// Slack is the part-capacity slack fraction (0 = default 0.05).
@@ -35,12 +30,8 @@ type Streaming struct {
 
 func (Streaming) Name() string { return "STREAM" }
 
-// Capabilities: STREAM consumes connectivity only and keeps O(parts)
-// partitioner state per pass — the only registry method that does not
-// need the edge set resident.
-func (Streaming) Capabilities() Capabilities {
-	return Capabilities{NeedsLink: true, OutOfCore: true}
-}
+// Capabilities: STREAM consumes LINK connectivity.
+func (Streaming) Capabilities() Capabilities { return Capabilities{NeedsLink: true} }
 
 func (sp Streaming) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 	checkArgs(nparts)
@@ -48,11 +39,6 @@ func (sp Streaming) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int
 		panic("partition: STREAM requires a GeoCoL LINK component")
 	}
 	f := g.Gather(c)
-
-	chunk := sp.Buffer
-	if chunk <= 0 {
-		chunk = stream.DefaultSlabVerts
-	}
 	var w []float64
 	if f.HasLoad {
 		w = f.Weights
@@ -60,9 +46,8 @@ func (sp Streaming) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int
 	// Every rank runs the identical deterministic pipeline on the
 	// gathered graph; fine-level edges are treated as unit weight (the
 	// edge-stream model carries none).
-	part, err := stream.PartitionWeighted(stream.NewMemStream(f.XAdj, f.Adj, chunk),
+	part, err := stream.PartitionWeighted(stream.NewMemStream(f.XAdj, f.Adj, stream.DefaultSlabVerts),
 		nparts, w, stream.Options{
-			Objective: sp.Objective,
 			Slack:     sp.Slack,
 			Restreams: sp.Restreams,
 			Seed:      sp.Seed,

@@ -42,12 +42,11 @@ func meshCSRFull(m *mesh.Mesh) (xadj, adj []int) {
 }
 
 func TestStreamSpecParseResolve(t *testing.T) {
-	sp, err := ParseSpec("STREAM(Objective=FENNEL, StreamBuffer=512, Restreams=2, BalanceSlack=0.1, Seed=5)")
+	sp, err := ParseSpec("STREAM(Restreams=2, BalanceSlack=0.1, Seed=5)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Spec{Method: MethodStream, Objective: ObjectiveFennel,
-		StreamBuffer: 512, Restreams: 2, BalanceSlack: 0.1, Seed: 5}
+	want := Spec{Method: MethodStream, Restreams: 2, BalanceSlack: 0.1, Seed: 5}
 	if sp != want {
 		t.Fatalf("parsed %+v, want %+v", sp, want)
 	}
@@ -67,8 +66,7 @@ func TestStreamSpecParseResolve(t *testing.T) {
 	if !ok {
 		t.Fatalf("resolved %T, want Streaming", p)
 	}
-	if st.Objective != stream.Fennel || st.Buffer != 512 || st.Restreams != 2 ||
-		st.Slack != 0.1 || st.Seed != 5 {
+	if st.Restreams != 2 || st.Slack != 0.1 || st.Seed != 5 {
 		t.Errorf("options not applied: %+v", st)
 	}
 
@@ -76,11 +74,9 @@ func TestStreamSpecParseResolve(t *testing.T) {
 		sp   Spec
 		frag string
 	}{
-		{Spec{Method: MethodStream, Objective: "BOGUS"}, "Objective"},
 		{Spec{Method: MethodStream, Restreams: -1}, "Restreams"},
 		{Spec{Method: MethodStream, Restreams: 99}, "Restreams"},
 		{Spec{Method: MethodStream, BalanceSlack: 0.9}, "BalanceSlack"},
-		{Spec{Method: MethodStream, StreamBuffer: -4}, "StreamBuffer"},
 		{Spec{Method: MethodMultilevel, Restreams: 2}, "STREAM only"},
 		{Spec{Method: MethodStream, CoarsenTo: 50}, "multilevel tuning"},
 	} {

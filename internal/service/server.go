@@ -327,7 +327,7 @@ func (s *Server) admitRequest(req *Request) (gc, base *graphContent, key resultK
 		return fail("request carries neither a graph upload nor a churn delta")
 	}
 
-	caps := partition.Caps(p)
+	caps := p.Capabilities()
 	if caps.NeedsLink && len(gc.e1) == 0 {
 		return fail("%s requires LINK connectivity, but the request has no edges", req.Spec.Method)
 	}

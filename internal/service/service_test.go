@@ -183,13 +183,13 @@ func TestBadRequests(t *testing.T) {
 		"Inf weight":       mut(func(r *Request) { r.VertexWeights = onesExcept(r.NNode, math.Inf(1)) }),
 		"negative weight":  mut(func(r *Request) { r.VertexWeights = onesExcept(r.NNode, -1) }),
 	}
-	// The codec carries a negative FMPasses unchanged, so admission is
+	// The codec carries a negative CoarsenTo unchanged, so admission is
 	// what must reject it.
-	wired, err := decodeRequest(encodeRequest(mut(func(r *Request) { r.Spec.FMPasses = -1 })))
-	if err != nil || wired.Spec.FMPasses != -1 {
-		t.Fatalf("codec round trip: FMPasses %d, err %v", wired.Spec.FMPasses, err)
+	wired, err := decodeRequest(encodeRequest(mut(func(r *Request) { r.Spec.CoarsenTo = -1 })))
+	if err != nil || wired.Spec.CoarsenTo != -1 {
+		t.Fatalf("codec round trip: CoarsenTo %d, err %v", wired.Spec.CoarsenTo, err)
 	}
-	cases["wire FMPasses -1"] = wired
+	cases["wire CoarsenTo -1"] = wired
 	for name, req := range cases {
 		if _, err := s.Do(context.Background(), req); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)

@@ -30,7 +30,7 @@ import (
 const (
 	magic0      = 0xC4
 	magic1      = 0x05
-	wireVersion = 1
+	wireVersion = 2
 
 	// headerLen is the fixed frame header size.
 	headerLen = 8
@@ -431,16 +431,8 @@ func encodeRequest(req *Request) []byte {
 	w.str(string(sp.Method))
 	w.i64(int64(sp.CoarsenTo))
 	w.i64(int64(sp.ParallelThreshold))
-	w.i64(int64(sp.FMPasses))
-	if sp.VCycle {
-		w.byteVal(1)
-	} else {
-		w.byteVal(0)
-	}
 	w.u64(sp.Seed)
 	w.f64(sp.Imbalance)
-	w.str(string(sp.Objective))
-	w.i64(int64(sp.StreamBuffer))
 	w.i64(int64(sp.Restreams))
 	w.f64(sp.BalanceSlack)
 	if flags&flagEdges != 0 {
@@ -485,12 +477,8 @@ func decodeRequest(p []byte) (*Request, error) {
 		Method:            partition.Method(r.str(maxMethodLen)),
 		CoarsenTo:         int(r.i64()),
 		ParallelThreshold: int(r.i64()),
-		FMPasses:          int(r.i64()),
-		VCycle:            r.byteVal() != 0,
 		Seed:              r.u64(),
 		Imbalance:         r.f64(),
-		Objective:         partition.StreamObjective(r.str(maxMethodLen)),
-		StreamBuffer:      int(r.i64()),
 		Restreams:         int(r.i64()),
 		BalanceSlack:      r.f64(),
 	}

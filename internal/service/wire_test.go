@@ -13,6 +13,7 @@ import (
 
 	"chaos/internal/machine"
 	"chaos/internal/partition"
+	"chaos/internal/xrand"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -20,7 +21,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		"upload full": {
 			NNode: 10, NParts: 3, Procs: 2, Backend: machine.Real,
 			Spec: partition.Spec{Method: partition.MethodMultilevel, CoarsenTo: 50,
-				ParallelThreshold: 256, FMPasses: 3, VCycle: true, Seed: 99, Imbalance: 0.07},
+				ParallelThreshold: 256, Seed: 99, Imbalance: 0.07},
 			E1:            []int{0, 1, 2, 8},
 			E2:            []int{1, 2, 3, 9},
 			Coords:        [][]float64{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {9, 8, 7, 6, 5, 4, 3, 2, 1, 0}},
@@ -39,15 +40,40 @@ func TestRequestRoundTrip(t *testing.T) {
 		},
 		"negative tuning": {
 			NNode: 4, NParts: 2,
-			Spec: partition.Spec{Method: partition.MethodMultilevel, FMPasses: -1, ParallelThreshold: -1},
+			Spec: partition.Spec{Method: partition.MethodMultilevel, CoarsenTo: -1, ParallelThreshold: -1},
 			E1:   []int{0}, E2: []int{1},
 		},
 		"stream knobs": {
 			NNode: 6, NParts: 2,
-			Spec: partition.Spec{Method: partition.MethodStream, Objective: partition.ObjectiveFennel,
-				StreamBuffer: 1024, Restreams: 3, BalanceSlack: 0.1, Seed: 7},
-			E1: []int{0, 1}, E2: []int{1, 2},
+			Spec: partition.Spec{Method: partition.MethodStream, Restreams: 3, BalanceSlack: 0.1, Seed: 7},
+			E1:   []int{0, 1}, E2: []int{1, 2},
 		},
+	}
+	// Every spec field survives the codec, whatever its value: negative
+	// knobs and the full uint64 seed range included.
+	rng := xrand.New(33)
+	methods := []partition.Method{partition.MethodMultilevel, partition.MethodStream, partition.MethodRandom, partition.MethodRSBKL}
+	for i := 0; i < 200; i++ {
+		sp := partition.Spec{Method: methods[rng.Intn(len(methods))]}
+		if rng.Intn(2) == 0 {
+			sp.CoarsenTo = rng.Intn(2001) - 1000
+		}
+		if rng.Intn(2) == 0 {
+			sp.ParallelThreshold = rng.Intn(8193) - 4096
+		}
+		if rng.Intn(2) == 0 {
+			sp.Seed = rng.Uint64()
+		}
+		if rng.Intn(2) == 0 {
+			sp.Imbalance = rng.Float64() - 0.5
+		}
+		if rng.Intn(2) == 0 {
+			sp.Restreams = rng.Intn(41) - 20
+		}
+		if rng.Intn(2) == 0 {
+			sp.BalanceSlack = rng.Float64()
+		}
+		cases[fmt.Sprintf("random spec %d", i)] = &Request{NNode: 2, NParts: 2, Spec: sp, E1: []int{0}, E2: []int{1}}
 	}
 	for name, req := range cases {
 		got, err := decodeRequest(encodeRequest(req))
@@ -121,6 +147,7 @@ func TestReadFrameRejects(t *testing.T) {
 		"short header":     good[:5],
 		"bad magic":        append([]byte{0xff, 0x05}, good[2:]...),
 		"bad version":      {magic0, magic1, 99, byte(msgOK), 0, 0, 0, 0},
+		"version 1":        {magic0, magic1, 1, byte(msgPartition), 0, 0, 0, 0},
 		"bad type":         {magic0, magic1, wireVersion, 77, 0, 0, 0, 0},
 		"truncated body":   good[:len(good)-2],
 		"oversized length": binary.BigEndian.AppendUint32([]byte{magic0, magic1, wireVersion, byte(msgOK)}, 1<<30),
@@ -130,6 +157,12 @@ func TestReadFrameRejects(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: readFrame accepted a malformed frame", name)
 		}
+	}
+	// A version-1 client laid its request out with five more spec
+	// fields; it must get the typed version error, not a misparse.
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(cases["version 1"])), 1<<20); err == nil ||
+		!strings.Contains(err.Error(), "unsupported protocol version 1") {
+		t.Errorf("version-1 frame: err = %v, want unsupported protocol version", err)
 	}
 
 	// And the good frame parses.

@@ -15,7 +15,7 @@ import (
 func BenchmarkHotStreamPass(b *testing.B) {
 	xadj, adj := meshCSR(21, 13)
 	ms := NewMemStream(xadj, adj, DefaultSlabVerts)
-	pl := NewPlacer(ms.NumVertices(), ms.NumEdges(), 16, float64(ms.NumVertices()), Options{Seed: 3})
+	pl := NewPlacer(16, float64(ms.NumVertices()), Options{Seed: 3})
 	part := make([]int, ms.NumVertices())
 	for i := range part {
 		part[i] = -1

@@ -294,14 +294,10 @@ func solveCoarse(cg *coarse, nparts int, capacity float64, opt Options) []int {
 		cur = next
 	}
 
-	// Initial placement: heaviest first (bin packing), scored by the
-	// configured objective through the shared weighted placer core.
+	// Initial placement: heaviest first (bin packing), scored through
+	// the shared weighted placer core.
 	nc := cur.n()
-	var nedges int
-	for _, w := range cur.ew {
-		nedges += int(w)
-	}
-	pl := NewPlacer(nc, nedges/2, nparts, totalW, opt)
+	pl := NewPlacer(nparts, totalW, opt)
 	order := make([]int, nc)
 	for i := range order {
 		order[i] = i
@@ -382,7 +378,8 @@ func bootstrap(gs GraphStream, nparts int, w []float64, totalW float64, opt Opti
 }
 
 // eachSlab replays gs once, calling fn per slab and enforcing the
-// contiguous-coverage contract runPass also checks.
+// contiguous-coverage contract: slabs arrive in vertex order, without
+// gaps, and cover every vertex.
 func eachSlab(gs GraphStream, s *Slab, fn func(*Slab)) error {
 	if err := gs.Reset(); err != nil {
 		return err

@@ -8,8 +8,7 @@
 // This package drops that assumption. A graph arrives as a GraphStream
 // — a replayable sequence of CSR slabs in global vertex order, each
 // bounded by the format's fringe caps — and the pass engine places one
-// vertex at a time with the linear deterministic greedy (LDG) or
-// Fennel objective, keeping only
+// vertex at a time by linear deterministic greedy (LDG), keeping only
 //
 //   - the part assignment vector (the answer itself, 8 bytes/vertex),
 //   - the per-part load table (8 bytes/part), and
@@ -18,8 +17,7 @@
 //
 // resident. Edges stream through and are never stored, so graphs
 // 10-100x larger than memory partition in O(vertices) space — the
-// out-of-core contract Capabilities.OutOfCore declares in the
-// registry. Optional buffered restreaming (Options.Restreams) replays
+// out-of-core contract. Optional buffered restreaming (Options.Restreams) replays
 // the stream and re-places every vertex with full knowledge of its
 // neighbors' assignments, recovering most of the cut quality a
 // single blind pass loses; the quality bar against MULTILEVEL is

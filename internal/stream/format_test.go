@@ -86,7 +86,7 @@ func TestPartitionFromFileMatchesMem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Objective: Fennel, Seed: 8, Restreams: 1}
+	opt := Options{Seed: 8, Restreams: 1}
 	fromFile, err := Partition(rd, 6, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -2,47 +2,14 @@ package stream
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"chaos/internal/xrand"
 )
 
-// Objective selects the greedy placement rule of the streaming pass.
-type Objective int
-
-const (
-	// LDG is linear deterministic greedy (Stanton & Kliot): a vertex
-	// goes to the part holding most of its already-placed neighbors,
-	// discounted multiplicatively by that part's fill fraction —
-	// score(q) = conn(q) * (1 - load(q)/capacity).
-	LDG Objective = iota
-	// Fennel is the degree-penalized objective (Tsourakakis et al.): a
-	// vertex goes to the part maximizing neighbors minus the marginal
-	// occupancy cost — score(q) = conn(q) - alpha*gamma*load(q)^(gamma-1)
-	// with gamma = 1.5 and alpha = m*sqrt(k)/n^1.5. Trades a little
-	// balance slack for better cuts on skewed-degree graphs.
-	Fennel
-)
-
-// fennelGamma is the Fennel occupancy exponent; 1.5 is the paper's
-// recommended setting and keeps the penalty derivative a cheap sqrt.
-const fennelGamma = 1.5
-
-// String returns the spec-level name of the objective.
-func (o Objective) String() string {
-	if o == Fennel {
-		return "FENNEL"
-	}
-	return "LDG"
-}
-
 // Options tunes a streaming partition pass. The zero value is the
-// default configuration: LDG, 5% balance slack, a single pass, seed 0,
-// DefaultSlabVerts fringe granularity.
+// default configuration: 5% balance slack, a single pass, seed 0.
 type Options struct {
-	// Objective selects LDG (default) or Fennel.
-	Objective Objective
 	// Slack is the part-capacity slack fraction: no part may exceed
 	// (1+Slack) x the ideal load (0 = default 0.05; must stay below
 	// 0.5).
@@ -67,31 +34,32 @@ func (o Options) slack() float64 {
 
 // Placer is the bounded-memory core of the streaming pass: the
 // per-part load table plus scoring scratch, placing one vertex at a
-// time against a caller-owned part vector (part[u] < 0 = unassigned).
+// time against a caller-owned part vector (part[u] < 0 = unassigned)
+// by linear deterministic greedy (Stanton & Kliot): a vertex goes to
+// the part holding most of its already-placed neighbors, discounted
+// multiplicatively by that part's fill fraction —
+// score(q) = conn(q) * (1 - load(q)/capacity).
 // Its resident state is O(nparts) — independent of the graph — which
 // is what lets the same core serve both the out-of-core file path and
 // internal/partition's SPMD adapter.
 type Placer struct {
 	nparts  int
-	obj     Objective
 	seed    uint64
 	cap     float64
-	alpha   float64
 	loads   []float64
 	conn    []float64 // edge multiplicity toward each part (scoring scratch)
 	touched []int     // parts with nonzero conn, for O(deg) reset
 }
 
-// NewPlacer sizes a placer for a graph of nverts vertices and nedges
-// undirected edges with total vertex weight totalW (= nverts when
-// unweighted), to be split into nparts parts under opt.
-func NewPlacer(nverts, nedges, nparts int, totalW float64, opt Options) *Placer {
+// NewPlacer sizes a placer for a graph with total vertex weight totalW
+// (= the vertex count when unweighted), to be split into nparts parts
+// under opt.
+func NewPlacer(nparts int, totalW float64, opt Options) *Placer {
 	if nparts < 1 {
 		panic(fmt.Sprintf("stream: nparts = %d", nparts))
 	}
 	pl := &Placer{
 		nparts:  nparts,
-		obj:     opt.Objective,
 		seed:    opt.Seed,
 		loads:   make([]float64, nparts),
 		conn:    make([]float64, nparts),
@@ -100,10 +68,6 @@ func NewPlacer(nverts, nedges, nparts int, totalW float64, opt Options) *Placer 
 	pl.cap = totalW / float64(nparts) * (1 + opt.slack())
 	if pl.cap <= 0 {
 		pl.cap = 1
-	}
-	if nverts > 0 {
-		nf := float64(nverts)
-		pl.alpha = float64(nedges) * math.Sqrt(float64(nparts)) / (nf * math.Sqrt(nf))
 	}
 	return pl
 }
@@ -167,12 +131,7 @@ func (pl *Placer) place(v int, adj []int, ew []float64, part []int) int {
 		if load >= pl.cap {
 			continue // hard capacity: the balance contract
 		}
-		var score float64
-		if pl.obj == Fennel {
-			score = conn[q] - pl.alpha*fennelGamma*math.Sqrt(load)
-		} else {
-			score = conn[q] * (1 - load/pl.cap)
-		}
+		score := conn[q] * (1 - load/pl.cap)
 		if score > bestScore || (score == bestScore && best >= 0 && load < pl.loads[best]) {
 			best, bestScore = q, score
 		}
@@ -230,7 +189,7 @@ func PartitionWeighted(gs GraphStream, nparts int, w []float64, opt Options) ([]
 			totalW += w[v]
 		}
 	}
-	pl := NewPlacer(n, gs.NumEdges(), nparts, totalW, opt)
+	pl := NewPlacer(nparts, totalW, opt)
 
 	part := make([]int, n)
 	seeded := false
@@ -272,21 +231,7 @@ func vertexW(w []float64, v int) float64 {
 // removing and re-placing) every vertex in arrival order. The slab and
 // placer are caller-owned so repeated passes reuse their buffers.
 func runPass(gs GraphStream, s *Slab, pl *Placer, part []int, w []float64, restream bool) error {
-	if err := gs.Reset(); err != nil {
-		return err
-	}
-	expect := 0
-	for {
-		err := gs.Next(s)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if s.Lo != expect {
-			return fmt.Errorf("stream: slab starts at vertex %d, want %d", s.Lo, expect)
-		}
+	return eachSlab(gs, s, func(s *Slab) {
 		for i := 0; i < s.NVerts(); i++ {
 			v := s.Lo + i
 			wt := vertexW(w, v)
@@ -298,10 +243,5 @@ func runPass(gs GraphStream, s *Slab, pl *Placer, part []int, w []float64, restr
 			part[v] = q
 			pl.Add(q, wt)
 		}
-		expect = s.Lo + s.NVerts()
-	}
-	if expect != len(part) {
-		return fmt.Errorf("stream: stream ended at vertex %d of %d", expect, len(part))
-	}
-	return nil
+	})
 }

@@ -128,48 +128,46 @@ func partCounts(t *testing.T, part []int, nparts int) []int {
 func TestPartitionBalanceAndDeterminism(t *testing.T) {
 	xadj, adj := meshCSR(12, 5) // 1728 vertices
 	n := len(xadj) - 1
-	for _, obj := range []Objective{LDG, Fennel} {
-		for _, nparts := range []int{2, 7, 16} {
-			opt := Options{Objective: obj, Seed: 99, Restreams: 1}
-			ms := NewMemStream(xadj, adj, 128)
-			part, err := Partition(ms, nparts, opt)
-			if err != nil {
-				t.Fatal(err)
+	for _, nparts := range []int{2, 7, 16} {
+		opt := Options{Seed: 99, Restreams: 1}
+		ms := NewMemStream(xadj, adj, 128)
+		part, err := Partition(ms, nparts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := partCounts(t, part, nparts)
+		capacity := int(math.Ceil(float64(n) / float64(nparts) * 1.05))
+		for q, c := range counts {
+			if c > capacity {
+				t.Errorf("k=%d: part %d holds %d > cap %d", nparts, q, c, capacity)
 			}
-			counts := partCounts(t, part, nparts)
-			capacity := int(math.Ceil(float64(n) / float64(nparts) * 1.05))
-			for q, c := range counts {
-				if c > capacity {
-					t.Errorf("%v k=%d: part %d holds %d > cap %d", obj, nparts, q, c, capacity)
-				}
+		}
+		// Same inputs, same partition — including across slab sizes:
+		// placement order is global vertex order regardless of fringe
+		// granularity.
+		again, err := Partition(NewMemStream(xadj, adj, 1000), nparts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range part {
+			if part[v] != again[v] {
+				t.Fatalf("k=%d: nondeterministic at vertex %d", nparts, v)
 			}
-			// Same inputs, same partition — including across slab sizes:
-			// placement order is global vertex order regardless of fringe
-			// granularity.
-			again, err := Partition(NewMemStream(xadj, adj, 1000), nparts, opt)
-			if err != nil {
-				t.Fatal(err)
+		}
+		// A different seed must actually change something.
+		opt.Seed = 100
+		other, err := Partition(ms, nparts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := 0
+		for v := range part {
+			if part[v] == other[v] {
+				same++
 			}
-			for v := range part {
-				if part[v] != again[v] {
-					t.Fatalf("%v k=%d: nondeterministic at vertex %d", obj, nparts, v)
-				}
-			}
-			// A different seed must actually change something.
-			opt.Seed = 100
-			other, err := Partition(ms, nparts, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			same := 0
-			for v := range part {
-				if part[v] == other[v] {
-					same++
-				}
-			}
-			if same == n {
-				t.Errorf("%v k=%d: seed has no effect", obj, nparts)
-			}
+		}
+		if same == n {
+			t.Errorf("k=%d: seed has no effect", nparts)
 		}
 	}
 }
