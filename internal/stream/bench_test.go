@@ -68,3 +68,25 @@ func BenchmarkHotStreamDecode(b *testing.B) {
 		drain()
 	}
 }
+
+// BenchmarkHotStreamPartitionFile measures one whole STREAM partition
+// (bootstrap passes, coarse solve, placement pass) of an in-memory
+// edge-stream file of the 16³ lattice into 8 parts: the repository
+// benchmark's partition_cold "stream" op without the OS file.
+func BenchmarkHotStreamPartitionFile(b *testing.B) {
+	var buf bytes.Buffer
+	if _, err := Copy(&buf, FromSource(mesh.NewLatticeSource(16, 16, 16, 1993), 0)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Partition(rd, 8, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
