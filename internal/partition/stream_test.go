@@ -134,7 +134,7 @@ func TestStreamAdapterMatchesEngine(t *testing.T) {
 
 // TestStreamQualityMemoryPin is the out-of-core quality contract on
 // the paper's 21952-node mesh: the streaming engine must land within
-// 1.4x of MULTILEVEL's cut while allocating no more than 8.5 MiB — and
+// 1.4x of MULTILEVEL's cut while allocating no more than 4.0 MiB — and
 // at least 5x less than the in-memory multilevel run — stay
 // deterministic at a fixed seed, and partition an edge-stream file at
 // least 10x larger than its resident fringe to the identical answer.
@@ -142,6 +142,9 @@ func TestStreamAdapterMatchesEngine(t *testing.T) {
 // denominator moves whenever MULTILEVEL's own allocation does, so it
 // is tied to the current measurement, 5.4x.)
 func TestStreamQualityMemoryPin(t *testing.T) {
+	// The measured allocation, 3 793 856 B once the bootstrap
+	// assembled by counting and one slab served every pass, plus 10 %.
+	const streamAllocCap = 3793856 * 11 / 10
 	if raceEnabled || testing.Short() {
 		t.Skip("heavy quality pin; skipped under -short and -race")
 	}
@@ -186,8 +189,8 @@ func TestStreamQualityMemoryPin(t *testing.T) {
 	if float64(cut) > 1.4*mlCut {
 		t.Errorf("STREAM cut %d exceeds 1.4x MULTILEVEL %.0f", cut, mlCut)
 	}
-	if stBytes > 17<<19 {
-		t.Errorf("STREAM allocated %d bytes, want at most 8.5 MiB", stBytes)
+	if stBytes > streamAllocCap {
+		t.Errorf("STREAM allocated %d bytes, want at most %d", stBytes, streamAllocCap)
 	}
 	if stBytes*5 > mlBytes {
 		t.Errorf("STREAM allocated %d bytes, want >=5x below MULTILEVEL's %d", stBytes, mlBytes)

@@ -1,9 +1,13 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"math/bits"
+	"slices"
+
+	"chaos/internal/xrand"
 )
 
 // The buffered bootstrap. A blind greedy pass — even restreamed — is a
@@ -46,20 +50,8 @@ type clusterer struct {
 	cluster []int     // vertex -> cluster (-1 until seen)
 	w       []float64 // cluster weights, grow-only
 	maxW    float64   // cluster capacity
-	conn    map[int]float64
-	cand    []int // first-touch order of conn keys, for determinism
-}
-
-func newClusterer(n int, maxW float64) *clusterer {
-	cl := &clusterer{
-		cluster: make([]int, n),
-		maxW:    maxW,
-		conn:    make(map[int]float64),
-	}
-	for i := range cl.cluster {
-		cl.cluster[i] = -1
-	}
-	return cl
+	conn    []float64 // per cluster, alongside w: neighbors of the vertex being placed
+	cand    []int     // clusters with nonzero conn, first-touch order, for determinism
 }
 
 // assign picks a cluster for vertex v given its neighbor ids: the one
@@ -91,12 +83,13 @@ func (cl *clusterer) assign(v int, adj []int, wv float64) int {
 		}
 	}
 	for _, c := range cand {
-		delete(cl.conn, c)
+		cl.conn[c] = 0
 	}
 	cl.cand = cand
 	if best < 0 {
 		best = len(cl.w)
 		cl.w = append(cl.w, 0)
+		cl.conn = append(cl.conn, 0)
 	}
 	cl.cluster[v] = best
 	cl.w[best] += wv
@@ -113,31 +106,74 @@ type coarse struct {
 
 func (g *coarse) n() int { return len(g.vw) }
 
-// buildCoarse folds a key->weight accumulation of directed
-// cross-cluster edges (key = cv*nc + cu) into a sorted CSR.
-func buildCoarse(nc int, vw []float64, acc map[int64]float64) *coarse {
-	keys := make([]int64, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
+// pairCount counts the directed cross-cluster edges of pass 2 keyed by
+// their (from, to) cluster pair, in an open-addressing table (linear
+// probing, at most half full). Its memory follows the distinct coarse
+// edges, so the model stays vertex-proportional; and unlike a single
+// from*nc+to key, no pair of cluster ids can overflow it.
+type pairCount struct {
+	slots []pairSlot
+	used  int
+}
+
+// pairSlot is one table entry; n == 0 marks a free slot.
+type pairSlot struct{ from, to, n int }
+
+// find returns the slot holding (from, to), or the free slot where it
+// belongs.
+func (pc *pairCount) find(from, to int) *pairSlot {
+	mask := uint64(len(pc.slots) - 1)
+	for i := xrand.Hash64(uint64(from)*0x9e3779b97f4a7c15^uint64(to)) & mask; ; i = (i + 1) & mask {
+		if s := &pc.slots[i]; s.n == 0 || s.from == from && s.to == to {
+			return s
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	g := &coarse{
-		xadj: make([]int, nc+1),
-		adj:  make([]int, len(keys)),
-		ew:   make([]float64, len(keys)),
-		vw:   vw,
+}
+
+// inc counts one edge from cluster from to cluster to.
+func (pc *pairCount) inc(from, to int) {
+	if 2*pc.used >= len(pc.slots) {
+		old := pc.slots
+		pc.slots = make([]pairSlot, max(16, 2*len(old)))
+		for _, o := range old {
+			if o.n > 0 {
+				*pc.find(o.from, o.to) = o
+			}
+		}
 	}
-	for _, k := range keys {
-		g.xadj[k/int64(nc)+1]++
+	s := pc.find(from, to)
+	if s.n == 0 {
+		s.from, s.to = from, to
+		pc.used++
+	}
+	s.n++
+}
+
+// coarse folds the counted edges into a CSR over the len(vw) clusters
+// by counting each row, then sorts every row by neighbor id.
+func (pc *pairCount) coarse(vw []float64) *coarse {
+	nc := len(vw)
+	g := &coarse{xadj: make([]int, nc+1), adj: make([]int, pc.used), ew: make([]float64, pc.used), vw: vw}
+	for _, s := range pc.slots {
+		if s.n > 0 {
+			g.xadj[s.from]++
+		}
+	}
+	for c := 1; c <= nc; c++ {
+		g.xadj[c] += g.xadj[c-1] // the end of row c
+	}
+	for _, s := range pc.slots {
+		if s.n > 0 {
+			g.xadj[s.from]--
+			g.adj[g.xadj[s.from]] = s.to
+		}
 	}
 	for c := 0; c < nc; c++ {
-		g.xadj[c+1] += g.xadj[c]
-	}
-	at := 0
-	for _, k := range keys {
-		g.adj[at] = int(k % int64(nc))
-		g.ew[at] = acc[k]
-		at++
+		lo, hi := g.xadj[c], g.xadj[c+1]
+		slices.Sort(g.adj[lo:hi])
+		for j := lo; j < hi; j++ {
+			g.ew[j] = float64(pc.find(c, g.adj[j]).n)
+		}
 	}
 	return g
 }
@@ -183,19 +219,38 @@ func contract(g *coarse, maxVW float64) (*coarse, []int) {
 			nc++
 		}
 	}
-	vw := make([]float64, nc)
-	acc := make(map[int64]float64, len(g.adj)/2)
+	// Each coarse row merges its leader's and its mate's fine rows;
+	// leaders come in coarse-id order. mark[cu] == c+1 says cu is
+	// already in row c, and acc[cu] holds its weight.
+	mark, acc := make([]int, nc), make([]float64, nc)
+	// A coarse graph never has more entries than the fine one.
+	cg := &coarse{xadj: make([]int, 1, nc+1), vw: make([]float64, nc),
+		adj: make([]int, 0, len(g.adj)), ew: make([]float64, 0, len(g.adj))}
 	for v := 0; v < n; v++ {
-		vw[cmap[v]] += g.vw[v]
-		cv := int64(cmap[v])
-		for j := g.xadj[v]; j < g.xadj[v+1]; j++ {
-			cu := int64(cmap[g.adj[j]])
-			if cu != cv {
-				acc[cv*int64(nc)+cu] += g.ew[j]
+		if match[v] < v {
+			continue // a mate: merged into its leader's row
+		}
+		c, lo := cmap[v], len(cg.adj)
+		// The leader, then its mate if it has one.
+		for _, x := range []int{v, match[v]}[:1+min(1, match[v]-v)] {
+			cg.vw[c] += g.vw[x]
+			for j := g.xadj[x]; j < g.xadj[x+1]; j++ {
+				if cu := cmap[g.adj[j]]; cu != c {
+					if mark[cu] != c+1 {
+						mark[cu], acc[cu] = c+1, 0
+						cg.adj = append(cg.adj, cu)
+					}
+					acc[cu] += g.ew[j]
+				}
 			}
 		}
+		slices.Sort(cg.adj[lo:])
+		for _, cu := range cg.adj[lo:] {
+			cg.ew = append(cg.ew, acc[cu])
+		}
+		cg.xadj = append(cg.xadj, len(cg.adj))
 	}
-	return buildCoarse(nc, vw, acc), cmap
+	return cg, cmap
 }
 
 // lpRefine runs capacity-constrained positive-gain sweeps over the
@@ -302,13 +357,13 @@ func solveCoarse(cg *coarse, nparts int, capacity float64, opt Options) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return cur.vw[order[a]] > cur.vw[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cur.vw[b], cur.vw[a]) })
 	part := make([]int, nc)
 	for i := range part {
 		part[i] = -1
 	}
 	for _, v := range order {
-		q := pl.PlaceWeighted(v, cur.adj[cur.xadj[v]:cur.xadj[v+1]], cur.ew[cur.xadj[v]:cur.xadj[v+1]], part)
+		q := pl.Place(v, cur.adj[cur.xadj[v]:cur.xadj[v+1]], cur.ew[cur.xadj[v]:cur.xadj[v+1]], part)
 		part[v] = q
 		pl.Add(q, cur.vw[v])
 	}
@@ -326,11 +381,13 @@ func solveCoarse(cg *coarse, nparts int, capacity float64, opt Options) []int {
 	return part
 }
 
-// bootstrap runs the clustering and model-build stream passes, solves
-// the coarse model in memory, and returns the projected full partition
-// (every vertex assigned, capacities respected at cluster granularity).
-func bootstrap(gs GraphStream, nparts int, w []float64, totalW float64, opt Options) ([]int, error) {
-	n := gs.NumVertices()
+// bootstrap runs the clustering and model-build stream passes through
+// the caller's slab, solves the coarse model in memory, and writes the
+// projected full partition into part (every vertex assigned,
+// capacities respected at cluster granularity). part, all -1 on
+// entry, holds the cluster vector until the projection overwrites it.
+func bootstrap(gs GraphStream, slab *Slab, part []int, nparts int, w []float64, totalW float64, opt Options) error {
+	n := len(part)
 	capacity := totalW / float64(nparts) * (1 + opt.slack())
 	maxCW := totalW * clusterVerts / float64(n)
 	if maxCW > capacity/4 {
@@ -340,41 +397,38 @@ func bootstrap(gs GraphStream, nparts int, w []float64, totalW float64, opt Opti
 		maxCW = 1
 	}
 
-	cl := newClusterer(n, maxCW)
-	var slab Slab
-	err := eachSlab(gs, &slab, func(s *Slab) {
+	cl := &clusterer{cluster: part, maxW: maxCW}
+	err := eachSlab(gs, slab, func(s *Slab) {
 		for i := 0; i < s.NVerts(); i++ {
 			v := s.Lo + i
 			cl.assign(v, s.Adj[s.XAdj[i]:s.XAdj[i+1]], vertexW(w, v))
 		}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	nc := len(cl.w)
-	acc := make(map[int64]float64)
-	err = eachSlab(gs, &slab, func(s *Slab) {
+	// A lattice cluster has a dozen coarse neighbors: room for 16 each.
+	edges := &pairCount{slots: make([]pairSlot, 1<<bits.Len(uint(32*len(cl.w))))}
+	err = eachSlab(gs, slab, func(s *Slab) {
 		for i := 0; i < s.NVerts(); i++ {
-			cv := int64(cl.cluster[s.Lo+i])
+			cv := cl.cluster[s.Lo+i]
 			for _, u := range s.Adj[s.XAdj[i]:s.XAdj[i+1]] {
-				cu := int64(cl.cluster[u])
-				if cu != cv {
-					acc[cv*int64(nc)+cu]++
+				if cu := cl.cluster[u]; cu != cv {
+					edges.inc(cv, cu)
 				}
 			}
 		}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	cpart := solveCoarse(buildCoarse(nc, cl.w, acc), nparts, capacity, opt)
-	part := make([]int, n)
-	for v := 0; v < n; v++ {
-		part[v] = cpart[cl.cluster[v]]
+	cpart := solveCoarse(edges.coarse(cl.w), nparts, capacity, opt)
+	for v, c := range part {
+		part[v] = cpart[c]
 	}
-	return part, nil
+	return nil
 }
 
 // eachSlab replays gs once, calling fn per slab and enforcing the

@@ -5,9 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
-// Binary edge-stream file format ("css1"): what cmd/meshgen -stream
+// Binary edge-stream file format ("cs v1"): what cmd/meshgen -stream
 // emits and Reader replays. Everything is uvarint-encoded after a
 // fixed 3-byte preamble, and every count is bounds-checked against the
 // caps below before any slab memory grows — the decoder must survive
@@ -207,6 +208,7 @@ type Reader struct {
 	// whole window as unread until closeWindow.
 	win    []byte
 	winLen int
+	size   int64 // the file's length: what bounds any pre-sizing of a slab
 	nvert  int
 	nadj   int
 	cursor int // next vertex id expected
@@ -218,7 +220,14 @@ type Reader struct {
 // NewReader parses the header and positions the stream at the first
 // slab. Reset replays from the start via Seek.
 func NewReader(r io.ReadSeeker) (*Reader, error) {
-	rd := &Reader{r: r, br: bufio.NewReader(r)}
+	size, err := r.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = r.Seek(0, io.SeekStart)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("stream: measuring the file: %w", err)
+	}
+	rd := &Reader{r: r, br: bufio.NewReader(r), size: size}
 	if err := rd.readHeader(); err != nil {
 		return nil, err
 	}
@@ -371,19 +380,18 @@ func errDegreeSum(total, nadj int) error {
 	return fmt.Errorf("stream: slab degrees sum to %d, declared %d", total, nadj)
 }
 
-func errNeighborRange(v int, u uint64, nvert int) error {
-	return fmt.Errorf("stream: vertex %d has neighbor %d outside [0,%d)", v, u, nvert)
-}
-
-func errSelfLoop(v int) error {
-	return fmt.Errorf("stream: vertex %d has a self-loop", v)
-}
-
-func errDupNeighbor(v, u int) error {
-	return fmt.Errorf("stream: vertex %d lists neighbor %d twice", v, u)
-}
-
-func errUnsorted(v, u, prev int) error {
+// errNeighbor words why neighbor u of vertex v (after prev) is
+// rejected: out of range, a self-loop, a repeat or out of order.
+func errNeighbor(v int, u64 uint64, prev, nvert int) error {
+	u := int(u64)
+	switch {
+	case u64 >= uint64(nvert):
+		return fmt.Errorf("stream: vertex %d has neighbor %d outside [0,%d)", v, u64, nvert)
+	case u == v:
+		return fmt.Errorf("stream: vertex %d has a self-loop", v)
+	case u == prev:
+		return fmt.Errorf("stream: vertex %d lists neighbor %d twice", v, u)
+	}
 	return fmt.Errorf("stream: vertex %d neighbors not increasing (%d after %d)", v, u, prev)
 }
 
@@ -433,6 +441,12 @@ func (rd *Reader) Next(s *Slab) error {
 	}
 
 	s.reset(rd.cursor)
+	// Size the slab once, but never past what the file could hold:
+	// every degree and every neighbor id takes at least one byte.
+	if int64(nv)+int64(nadj) <= rd.size {
+		s.XAdj = slices.Grow(s.XAdj, nv)
+		s.Adj = slices.Grow(s.Adj, nadj)
+	}
 	total := 0
 	for i := 0; i < nv; i++ {
 		d64, err := rd.uvarint("degree")
@@ -448,31 +462,35 @@ func (rd *Reader) Next(s *Slab) error {
 	if total != nadj {
 		return rd.fail(errDegreeSum(total, nadj))
 	}
+	// Neighbor ids decode inline while they are 1- or 2-byte varints
+	// wholly inside the window; anything else goes through uvarint,
+	// which keeps every value and every error the byte reader's.
+	win := rd.win
 	for i := 0; i < nv; i++ {
 		v := rd.cursor + i
 		prev := -1
 		for j := s.XAdj[i]; j < s.XAdj[i+1]; j++ {
-			u64, err := rd.uvarint("neighbor")
-			if err != nil {
-				return rd.fail(err)
-			}
-			if u64 >= uint64(rd.nvert) {
-				return rd.fail(errNeighborRange(v, u64, rd.nvert))
+			var u64 uint64
+			if len(win) > 0 && win[0] < 0x80 {
+				u64, win = uint64(win[0]), win[1:]
+			} else if len(win) > 1 && win[1] < 0x80 {
+				u64, win = uint64(win[0]&0x7f)|uint64(win[1])<<7, win[2:]
+			} else {
+				rd.win = win
+				if u64, err = rd.uvarint("neighbor"); err != nil {
+					return rd.fail(err)
+				}
+				win = rd.win
 			}
 			u := int(u64)
-			if u == v {
-				return rd.fail(errSelfLoop(v))
-			}
-			if u == prev {
-				return rd.fail(errDupNeighbor(v, u))
-			}
-			if u < prev {
-				return rd.fail(errUnsorted(v, u, prev))
+			if u64 >= uint64(rd.nvert) || u == v || u <= prev {
+				return rd.fail(errNeighbor(v, u64, prev, rd.nvert))
 			}
 			prev = u
 			s.Adj = append(s.Adj, u)
 		}
 	}
+	rd.win = win
 	rd.cursor += nv
 	rd.read += nadj
 	return nil

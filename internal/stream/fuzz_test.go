@@ -26,6 +26,9 @@ func sameInts(a, b []int) bool {
 // format invariants (contiguous coverage, sorted self-loop-free
 // in-range adjacency, header totals met), and re-encoding them must
 // reproduce the accepted bytes exactly (the format is canonical).
+// Every input, accepted or rejected, must also decode identically —
+// same slabs, same errors — through the windowed fast path and through
+// the byte-at-a-time reader.
 func FuzzStreamDecode(f *testing.F) {
 	// Seed corpus: valid files at two slab granularities, a truncated
 	// file, an over-count slab, and a duplicate-edge slab.
@@ -41,8 +44,35 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add([]byte{'c', 's', 1, 4, 4, 5})             // slab nv beyond header
 	f.Add([]byte{'c', 's', 1, 4, 4, 1, 2, 2, 1, 1}) // duplicate edge
 	f.Add([]byte{'c', 's', 1})
+	// The value 0 as the over-long two-byte varint 0x80 0x00, as a
+	// neighbor id: accepted, and decoded to 0 by both paths.
+	f.Add([]byte{'c', 's', 1, 2, 2, 2, 2, 1, 1, 1, 0x80, 0x00})
+	// Neighbor ids of 128 and up are two-byte varints: a file short
+	// enough to sit in one window, cut so that one straddles the last
+	// ten bytes, and one long enough that some straddle a buffer edge.
+	for _, n := range []int{300, 3000} {
+		var edges [][2]int
+		for v := 0; v < n; v++ {
+			edges = append(edges, [2]int{v, (v + 131) % n})
+		}
+		xadj, adj := edgesCSR(n, edges)
+		var buf bytes.Buffer
+		if _, err := Copy(&buf, NewMemStream(xadj, adj, 97)); err != nil {
+			f.Fatal(err)
+		}
+		raw := buf.Bytes()
+		f.Add(raw)
+		for _, cut := range []int{len(raw) - 11, len(raw) - 10, len(raw) - 9, 4095, 4096, 4097} {
+			if cut < len(raw) {
+				f.Add(raw[:cut])
+			}
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if fast, slow := decodeTrace(bytes.NewReader(data)), decodeTrace(oneByteSeeker{bytes.NewReader(data)}); fast != slow {
+			t.Fatalf("windowed decode differs from byte-at-a-time decode:\n%s\nvs\n%s", tail(fast), tail(slow))
+		}
 		rd, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -79,29 +79,20 @@ func (pl *Placer) Add(q int, w float64) { pl.loads[q] += w }
 // before re-placing it).
 func (pl *Placer) Remove(q int, w float64) { pl.loads[q] -= w }
 
-// Place scores every part for vertex v given its neighbor ids and the
-// current assignment vector, and returns the chosen part. It does not
-// record the choice — the caller assigns part[v] and calls Add, which
-// keeps the weighted and unweighted drivers symmetric. Deterministic:
-// ties break toward the lighter part, then toward the first part in a
-// seed-and-vertex-keyed rotation of the scan order (which is what
-// spreads the early, signal-free placements).
-func (pl *Placer) Place(v int, adj []int, part []int) int {
-	return pl.place(v, adj, nil, part)
-}
-
-// PlaceWeighted is Place with per-edge weights ew aligned with adj —
-// the coarse-graph variant (contracted edges carry multiplicity).
-func (pl *Placer) PlaceWeighted(v int, adj []int, ew []float64, part []int) int {
-	return pl.place(v, adj, ew, part)
-}
-
-// place is the scoring core shared by the unweighted (ew == nil) and
-// weighted paths. This is the per-edge hot loop of the streaming
-// family; it allocates nothing at steady state.
+// Place scores every part for vertex v given its neighbor ids, their
+// edge weights ew (aligned with adj; nil = unit, as on the fine
+// stream, while the coarse model's contracted edges carry
+// multiplicity) and the current assignment vector, and returns the
+// chosen part. It does not record the choice — the caller assigns
+// part[v] and calls Add, which keeps the weighted and unweighted
+// drivers symmetric. Deterministic: ties break toward the lighter
+// part, then toward the first part in a seed-and-vertex-keyed rotation
+// of the scan order (which is what spreads the early, signal-free
+// placements). This is the per-edge hot loop of the streaming family;
+// it allocates nothing at steady state.
 //
 //chaos:hotpath
-func (pl *Placer) place(v int, adj []int, ew []float64, part []int) int {
+func (pl *Placer) Place(v int, adj []int, ew []float64, part []int) int {
 	conn := pl.conn
 	touched := pl.touched[:0]
 	for i, u := range adj {
@@ -191,25 +182,21 @@ func PartitionWeighted(gs GraphStream, nparts int, w []float64, opt Options) ([]
 	}
 	pl := NewPlacer(nparts, totalW, opt)
 
+	var slab Slab // one fringe for every pass
 	part := make([]int, n)
-	seeded := false
-	if n >= bootstrapMin && nparts >= 2 {
-		bp, err := bootstrap(gs, nparts, w, totalW, opt)
-		if err != nil {
+	for i := range part {
+		part[i] = -1
+	}
+	seeded := n >= bootstrapMin && nparts >= 2
+	if seeded {
+		if err := bootstrap(gs, &slab, part, nparts, w, totalW, opt); err != nil {
 			return nil, err
 		}
-		copy(part, bp)
 		for v := 0; v < n; v++ {
 			pl.Add(part[v], vertexW(w, v))
 		}
-		seeded = true
-	} else {
-		for i := range part {
-			part[i] = -1
-		}
 	}
 
-	var slab Slab
 	passes := 1 + opt.Restreams
 	for pass := 0; pass < passes; pass++ {
 		if err := runPass(gs, &slab, pl, part, w, seeded || pass > 0); err != nil {
@@ -239,7 +226,7 @@ func runPass(gs GraphStream, s *Slab, pl *Placer, part []int, w []float64, restr
 				pl.Remove(part[v], wt)
 				part[v] = -1
 			}
-			q := pl.Place(v, s.Adj[s.XAdj[i]:s.XAdj[i+1]], part)
+			q := pl.Place(v, s.Adj[s.XAdj[i]:s.XAdj[i+1]], nil, part)
 			part[v] = q
 			pl.Add(q, wt)
 		}

@@ -155,12 +155,12 @@ func (ms *MemStream) Next(s *Slab) error {
 		s.reset(n)
 		return io.EOF
 	}
-	s.reset(ms.cursor)
-	for ms.cursor < n && s.NVerts() < ms.slabVerts {
-		v := ms.cursor
-		s.Adj = append(s.Adj, ms.adj[ms.xadj[v]:ms.xadj[v+1]]...)
-		s.XAdj = append(s.XAdj, len(s.Adj))
-		ms.cursor++
+	lo, hi := ms.cursor, min(ms.cursor+ms.slabVerts, n)
+	s.reset(lo)
+	s.Adj = append(s.Adj, ms.adj[ms.xadj[lo]:ms.xadj[hi]]...)
+	for v := lo + 1; v <= hi; v++ {
+		s.XAdj = append(s.XAdj, ms.xadj[v]-ms.xadj[lo])
 	}
+	ms.cursor = hi
 	return nil
 }
