@@ -155,7 +155,8 @@ func (ms *MemStream) Next(s *Slab) error {
 		s.reset(n)
 		return io.EOF
 	}
-	lo, hi := ms.cursor, min(ms.cursor+ms.slabVerts, n)
+	lo := ms.cursor
+	hi := lo + min(ms.slabVerts, n-lo)
 	s.reset(lo)
 	s.Adj = append(s.Adj, ms.adj[ms.xadj[lo]:ms.xadj[hi]]...)
 	for v := lo + 1; v <= hi; v++ {
