@@ -20,8 +20,10 @@ func TestPairCountMatchesMap(t *testing.T) {
 		t.Fatalf("from*nc+to keys %d and %d differ; the overflow case is gone", k1, k0)
 	}
 
-	// Keys whose hashes all pick the same home slot of the first
-	// table: find on the empty table returns a key's home.
+	// The keys: (big, 0) and (0, 0), which the old key confused, and
+	// eleven pairs (a, a+1) whose hashes pick the home slot of (big, 0)
+	// in the first table (find on the empty table returns a key's
+	// home), each with its reverse.
 	pc := &pairCount{slots: make([]pairSlot, 16)}
 	target := pc.find(big, 0)
 	keys := [][2]int{{big, 0}, {0, 0}}

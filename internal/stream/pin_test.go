@@ -28,7 +28,7 @@ func edgesCSR(n int, edges [][2]int) (xadj, adj []int) {
 	return xadj, adj
 }
 
-// pinGraphs is the graph axis of TestStreamPartitionsPinned: two
+// pinGraphs is the graph axis of TestStreamPartitionsPinned: three
 // lattice meshes and four hostile families drawn from internal/xrand.
 func pinGraphs() []struct {
 	name      string
