@@ -22,7 +22,7 @@ COVER_FLOOR = 91.0
 # `make repo-bench-pairs`. Refresh the baseline with `make
 # bench-baseline` after an intentional allocation change and commit
 # the diff.
-BENCH_GATE_CMD = $(GO) test -run '^$$' -bench '^BenchmarkHot' -benchmem -benchtime 10x ./internal/partition ./internal/geocol ./internal/stream ./internal/ttable ./internal/schedule ./internal/core ./internal/service
+BENCH_GATE_CMD = $(GO) test -run '^$$' -bench '^BenchmarkHot' -benchmem -benchtime 10x ./internal/partition ./internal/geocol ./internal/stream ./internal/ttable ./internal/schedule ./internal/core ./internal/service ./internal/csr
 
 check: build lint analyze test docs-check api-check
 
@@ -114,6 +114,7 @@ bench:
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzAlltoAll$$' -fuzztime 30s ./internal/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzGhostExchange$$' -fuzztime 30s ./internal/geocol
+	$(GO) test -run '^$$' -fuzz '^FuzzContract$$' -fuzztime 30s ./internal/csr
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime 30s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifiedCache$$' -fuzztime 30s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamDecode$$' -fuzztime 30s ./internal/stream

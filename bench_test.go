@@ -175,7 +175,7 @@ func benchReal(b *testing.B, procs int) {
 func BenchmarkRealBackendMeshP1(b *testing.B) { benchReal(b, 1) }
 func BenchmarkRealBackendMeshP8(b *testing.B) { benchReal(b, 8) }
 
-// --- Ablation: KL refinement on top of RSB ---
+// --- Ablation: multilevel V-cycle vs full spectral bisection ---
 
 func BenchmarkAblationRSB(b *testing.B) {
 	runCell(b, experiments.Config{
@@ -183,15 +183,6 @@ func BenchmarkAblationRSB(b *testing.B) {
 		Spec: partition.Spec{Method: partition.MethodRSB}, Reuse: true, Iters: benchIters,
 	})
 }
-
-func BenchmarkAblationRSBKL(b *testing.B) {
-	runCell(b, experiments.Config{
-		Procs: benchProcs, Workload: experiments.MeshWorkload(benchMeshNodes),
-		Spec: partition.Spec{Method: partition.MethodRSBKL}, Reuse: true, Iters: benchIters,
-	})
-}
-
-// --- Ablation: multilevel V-cycle vs full spectral bisection ---
 
 func BenchmarkAblationMultilevel(b *testing.B) {
 	runCell(b, experiments.Config{

@@ -37,10 +37,11 @@
 // backends at a fixed Config.Seed.
 //
 // SetPartitioning selects from the partitioner library of the paper's
-// Section 4.2 through a typed PartitionSpec: MethodRCB and
-// MethodInertial consume GEOMETRY; MethodRSB, MethodRSBKL, MethodKL
-// and MethodMultilevel consume LINK connectivity; MethodBlock and
-// MethodRandom are baselines. Every built-in partitioner declares its
+// Section 4.2 through a typed PartitionSpec: MethodRCB consumes
+// GEOMETRY; MethodRSB, MethodKL and MethodMultilevel consume LINK
+// connectivity; MethodBlock is the baseline. Any other method plugs in
+// behind the same interface (RegisterPartitioner). Every built-in
+// partitioner declares its
 // requirements as Capabilities, and a spec is validated against them
 // and the graph's components before any work starts, so mismatches
 // fail with a descriptive error at the call site. MULTILEVEL (coarsen

@@ -72,7 +72,7 @@ func TestRegisterPartitionerSurface(t *testing.T) {
 	for _, n := range names {
 		found[n] = true
 	}
-	for _, want := range []string{"BLOCK", "RCB", "RSB", "RSB-KL", "RANDOM", "INERTIAL"} {
+	for _, want := range []string{"BLOCK", "RCB", "RSB"} {
 		if !found[want] {
 			t.Errorf("built-in partitioner %q missing from %v", want, names)
 		}

@@ -19,14 +19,12 @@ type PartitionSpec = partition.Spec
 // Method is the typed identity of a partitioning method.
 type Method = partition.Method
 
-// Built-in partitioning methods (paper Section 4.2 plus MULTILEVEL).
+// Built-in partitioning methods: BLOCK, RCB and RSB of the paper's
+// Section 4.2, KL (the paper's reference [15]), MULTILEVEL and STREAM.
 const (
 	MethodBlock      = partition.MethodBlock
-	MethodRandom     = partition.MethodRandom
 	MethodRCB        = partition.MethodRCB
-	MethodInertial   = partition.MethodInertial
 	MethodRSB        = partition.MethodRSB
-	MethodRSBKL      = partition.MethodRSBKL
 	MethodKL         = partition.MethodKL
 	MethodMultilevel = partition.MethodMultilevel
 	MethodStream     = partition.MethodStream

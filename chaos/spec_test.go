@@ -32,8 +32,8 @@ func TestParseSpecBitIdenticalToTypedPath(t *testing.T) {
 		})
 
 		for _, method := range []chaos.Method{
-			chaos.MethodBlock, chaos.MethodRandom, chaos.MethodRCB, chaos.MethodInertial, chaos.MethodRSB,
-			chaos.MethodRSBKL, chaos.MethodKL, chaos.MethodMultilevel, chaos.MethodStream,
+			chaos.MethodBlock, chaos.MethodRCB, chaos.MethodRSB,
+			chaos.MethodKL, chaos.MethodMultilevel, chaos.MethodStream,
 		} {
 			name := string(method)
 			spec, err := chaos.ParseSpec(name)

@@ -275,9 +275,9 @@ func TestRedistributePreservesValues(t *testing.T) {
 		x.FillByGlobal(func(g int) float64 { return float64(g * g) })
 		// Partition by parity of index using a custom mapping built
 		// from a trivial GeoCoL graph + BLOCK partitioner on shuffled
-		// geometry; simpler: use RANDOM partitioner.
+		// geometry; simpler: use the scatter partitioner.
 		g := s.Construct(n, GeoColInput{})
-		m, err := s.SetPartitioning(g, partition.Spec{Method: partition.MethodRandom}, p)
+		m, err := s.SetPartitioning(g, partition.Spec{Method: methodScatter}, p)
 		if err != nil {
 			t.Error(err)
 			return
@@ -321,7 +321,7 @@ func TestRedistributeAfterLoopInvalidatesSchedule(t *testing.T) {
 		h0, m0 := s.Reg.Stats()
 		// Remap data arrays: condition 1 must now fail.
 		g := s.Construct(n, GeoColInput{})
-		m, err := s.SetPartitioning(g, partition.Spec{Method: partition.MethodRandom}, p)
+		m, err := s.SetPartitioning(g, partition.Spec{Method: methodScatter}, p)
 		if err != nil {
 			t.Error(err)
 			return
@@ -412,7 +412,7 @@ func TestIterationPartitioningPolicies(t *testing.T) {
 			s := NewSession(c)
 			x, y, _, _, loop := buildEdgeLoop(s, n, e1, e2)
 			g := s.Construct(n, GeoColInput{})
-			m, err := s.SetPartitioning(g, partition.Spec{Method: partition.MethodRandom}, p)
+			m, err := s.SetPartitioning(g, partition.Spec{Method: methodScatter}, p)
 			if err != nil {
 				t.Error(err)
 				return

@@ -343,7 +343,7 @@ func TestBuildCoarseWeightsAreCounts(t *testing.T) {
 					}
 					count := map[[2]int]float64{}
 					for v := 0; v < f.n; v++ {
-						for _, u := range fine.Neighbors(v) {
+						for _, u := range fine.Adj[fine.XAdj[v]:fine.XAdj[v+1]] {
 							if top[u] != top[v] {
 								count[[2]int{top[v], top[u]}]++
 							}

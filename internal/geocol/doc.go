@@ -24,13 +24,15 @@
 // only, for solves the host runs once under the replicated-cost
 // convention.
 //
-// Three families of helpers serve the multilevel partitioner stack:
+// Full embeds csr.Graph, the one serial weighted graph of the
+// partitioners, for its LINK and LOAD components; csr.Scratch.Contract
+// is the serial contraction. Two families of helpers serve the
+// distributed multilevel partitioner stack:
 //
-//   - Contractor.Contract builds coarse graphs under a clustering,
-//     aggregating vertex weights, merging parallel edges and dropping
-//     intra-cluster edges; BuildCoarse is the distributed form,
-//     contracting a block-distributed Graph collectively without ever
-//     gathering it.
+//   - BuildCoarse contracts a block-distributed Graph under a
+//     clustering collectively, without ever gathering it, aggregating
+//     vertex weights, merging parallel edges and dropping
+//     intra-cluster edges as the serial contraction does.
 //   - GhostExchange precomputes the boundary-exchange pattern of a
 //     distributed Graph — which home vertices each neighbor rank
 //     reads, derived locally thanks to the symmetric CSR, with no
@@ -55,7 +57,7 @@
 // and incremental pushes, the touched-slot report and the send rows'
 // ownership rule;
 // TestBuildCoarseMatchesSerialContract pins the distributed
-// contraction edge-for-edge against the serial Contractor. The
+// contraction edge-for-edge against the serial csr.Scratch.Contract. The
 // structure's role in the paper's pipeline is mapped in
 // docs/ARCHITECTURE.md.
 package geocol

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"chaos/internal/csr"
 	"chaos/internal/dist"
 	"chaos/internal/machine"
 	"chaos/internal/scratch"
@@ -266,17 +267,16 @@ func (g *Graph) Bytes() int {
 }
 
 // Full is a gathered (replicated) GeoCoL graph used by serial
-// partitioners such as recursive spectral bisection.
+// partitioners such as recursive spectral bisection. Its embedded
+// csr.Graph holds LINK (XAdj, Adj and, for coarse graphs, EdgeW) and
+// LOAD (Weights, nil without a LOAD directive).
 type Full struct {
 	N                         int
 	HasLink, HasGeom, HasLoad bool
-	XAdj, Adj                 []int
-	// EdgeW is the per-edge weight parallel to Adj (nil = unit).
-	EdgeW   []float64
-	Dim     int
-	Coords  [][]float64
-	Weights []float64
-	NEdges  int
+	csr.Graph
+	Dim    int
+	Coords [][]float64
+	NEdges int
 }
 
 // Gather assembles the complete GeoCoL graph on every rank;
@@ -331,120 +331,10 @@ func (g *Graph) GatherTo(c *machine.Ctx, root int) *Full {
 	return f
 }
 
-// Weight returns the LOAD weight of global vertex v (1 when absent).
-func (f *Full) Weight(v int) float64 {
-	if !f.HasLoad {
-		return 1
-	}
-	return f.Weights[v]
-}
-
-// Neighbors returns the neighbors of global vertex v.
-func (f *Full) Neighbors(v int) []int { return f.Adj[f.XAdj[v]:f.XAdj[v+1]] }
-
-// Contractor builds coarse graphs of weighted CSR graphs under a
-// clustering — the coarse-GeoCoL construction step of multilevel
-// partitioning schemes. The zero value is ready to use; reusing one
-// Contractor across the calls of a coarsening ladder amortizes its
-// scratch arrays, which matters because a multilevel partitioner
-// contracts graphs proportional to its entire recursion tree.
-type Contractor struct {
-	start, next, members []int
-	acc                  []float64 // summed weight toward each coarse neighbor
-	mark                 []int     // mark[u] == stamp: u already seen for this cluster
-	stamp                int
-	nbrs                 []int
-	// cadj/cew hold the coarse CSR while it is assembled (its size is
-	// known only at the end); the caller gets exact-size copies.
-	cadj []int
-	cew  []float64
-}
-
-// Contract builds the coarse graph under a clustering. cmap maps each
-// of the len(xadj)-1 fine vertices to a coarse vertex in [0, nc); ew
-// holds per-edge weights parallel to adj and w per-vertex weights
-// (either may be nil, meaning unit weights). The coarse graph
-// aggregates faithfully: coarse vertex weights are the sums of their
-// members' weights, parallel fine edges between two clusters merge
-// into one coarse edge carrying the summed weight, and edges internal
-// to a cluster vanish. Coarse adjacency lists follow first-encounter
-// order over each cluster's members — deterministic (coarsening
-// ladders must replay exactly), though not sorted — and the result
-// keeps the symmetric CSR form the fine graph uses. The returned
-// slices are freshly allocated; only scratch is reused.
-func (ct *Contractor) Contract(xadj, adj []int, ew, w []float64, cmap []int, nc int) (cxadj, cadj []int, cew, cw []float64) {
-	n := len(xadj) - 1
-	cw = make([]float64, nc)
-	for v := 0; v < n; v++ {
-		if w == nil {
-			cw[cmap[v]]++
-		} else {
-			cw[cmap[v]] += w[v]
-		}
-	}
-
-	// Bucket fine vertices by coarse vertex (counting sort) so each
-	// coarse adjacency list is assembled in one contiguous scan.
-	start := scratch.Grow(&ct.start, nc+1)
-	for i := range start {
-		start[i] = 0
-	}
-	for v := 0; v < n; v++ {
-		start[cmap[v]+1]++
-	}
-	for c := 0; c < nc; c++ {
-		start[c+1] += start[c]
-	}
-	members := scratch.Grow(&ct.members, n)
-	next := scratch.Grow(&ct.next, nc)
-	copy(next, start[:nc])
-	for v := 0; v < n; v++ {
-		members[next[cmap[v]]] = v
-		next[cmap[v]]++
-	}
-
-	if len(ct.acc) < nc {
-		ct.acc = make([]float64, nc)
-		ct.mark = make([]int, nc)
-		ct.stamp = 0
-	}
-	cxadj = make([]int, nc+1)
-	// A coarse graph has at most as many adjacency slots as the fine one.
-	cadj, cew = scratch.Grow(&ct.cadj, len(adj))[:0], scratch.Grow(&ct.cew, len(adj))[:0]
-	for c := 0; c < nc; c++ {
-		ct.stamp++
-		ct.nbrs = ct.nbrs[:0]
-		for _, v := range members[start[c]:start[c+1]] {
-			for k := xadj[v]; k < xadj[v+1]; k++ {
-				u := cmap[adj[k]]
-				if u == c {
-					continue // internal edge vanishes
-				}
-				if ct.mark[u] != ct.stamp {
-					ct.mark[u] = ct.stamp
-					ct.acc[u] = 0
-					ct.nbrs = append(ct.nbrs, u)
-				}
-				if ew == nil {
-					ct.acc[u]++
-				} else {
-					ct.acc[u] += ew[k]
-				}
-			}
-		}
-		for _, u := range ct.nbrs {
-			cadj = append(cadj, u)
-			cew = append(cew, ct.acc[u])
-		}
-		cxadj[c+1] = len(cadj)
-	}
-	return cxadj, slices.Clone(cadj), slices.Clone(cew), cw
-}
-
 // CoarseAssembler holds the reusable scratch of the distributed
 // contraction (BuildCoarse): the ghost copy of the clustering, the flat
 // arrays behind the per-rank weight/edge routing rows, and the
-// contributions of the local CSR assembly. Like Contractor it is plain
+// contributions of the local CSR assembly. Like csr.Scratch it is plain
 // per-goroutine state — the zero value is ready, buffers grow to the
 // steady-state high-water mark (each is sized by a counting pass before
 // it is filled, so the first, finest level of a ladder sizes them for
@@ -493,7 +383,7 @@ func BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchange, cmap []int, coarse
 //
 // Every rank routes its fine vertex weights and fine edges to the BLOCK
 // owner of the coarse endpoint, where contributions from all ranks are
-// aggregated exactly as Contractor.Contract does serially: coarse
+// aggregated exactly as csr.Scratch.Contract does serially: coarse
 // vertex weights are the global sums of their members' weights,
 // parallel fine edges between two clusters merge into one coarse edge
 // carrying the summed weight, and intra-cluster edges vanish. Because

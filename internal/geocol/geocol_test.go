@@ -1,7 +1,6 @@
 package geocol
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -139,7 +138,7 @@ func TestGatherMatchesLocal(t *testing.T) {
 			t.Error("Full metadata wrong")
 		}
 		for v := 0; v < n; v++ {
-			nb := f.Neighbors(v)
+			nb := f.Adj[f.XAdj[v]:f.XAdj[v+1]]
 			if len(nb) != 2 {
 				t.Errorf("full degree(%d) = %d", v, len(nb))
 			}
@@ -205,57 +204,5 @@ func TestCombinedGeometryConnectivity(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestContractAggregation(t *testing.T) {
-	// A path 0-1-2-3 with edge weights 1,2,3 and vertex weights
-	// 1,2,3,4; cluster {0,1} and {2,3}. The coarse graph must be a
-	// single edge of weight 2 (the 1-2 edge) between vertices of
-	// weight 3 and 7; the intra-cluster edges vanish.
-	xadj := []int{0, 1, 3, 5, 6}
-	adj := []int{1, 0, 2, 1, 3, 2}
-	ew := []float64{1, 1, 2, 2, 3, 3}
-	w := []float64{1, 2, 3, 4}
-	cmap := []int{0, 0, 1, 1}
-	cxadj, cadj, cew, cw := new(Contractor).Contract(xadj, adj, ew, w, cmap, 2)
-	if want := []int{0, 1, 2}; !reflect.DeepEqual(cxadj, want) {
-		t.Errorf("cxadj = %v, want %v", cxadj, want)
-	}
-	if want := []int{1, 0}; !reflect.DeepEqual(cadj, want) {
-		t.Errorf("cadj = %v, want %v", cadj, want)
-	}
-	if want := []float64{2, 2}; !reflect.DeepEqual(cew, want) {
-		t.Errorf("cew = %v, want %v", cew, want)
-	}
-	if want := []float64{3, 7}; !reflect.DeepEqual(cw, want) {
-		t.Errorf("cw = %v, want %v", cw, want)
-	}
-}
-
-func TestContractUnitWeightsAndReuse(t *testing.T) {
-	// Nil ew/w mean unit weights: a triangle collapsed to an edge gets
-	// vertex weights {2, 1} and the two fine edges between the
-	// clusters merge into one coarse edge of weight 2. Reusing the
-	// Contractor (as coarsening ladders do) must not leak state
-	// between calls.
-	xadj := []int{0, 2, 4, 6}
-	adj := []int{1, 2, 0, 2, 0, 1}
-	cmap := []int{0, 0, 1}
-	var ct Contractor
-	for round := 0; round < 3; round++ {
-		cxadj, cadj, cew, cw := ct.Contract(xadj, adj, nil, nil, cmap, 2)
-		if want := []int{0, 1, 2}; !reflect.DeepEqual(cxadj, want) {
-			t.Fatalf("round %d: cxadj = %v, want %v", round, cxadj, want)
-		}
-		if want := []int{1, 0}; !reflect.DeepEqual(cadj, want) {
-			t.Fatalf("round %d: cadj = %v, want %v", round, cadj, want)
-		}
-		if want := []float64{2, 2}; !reflect.DeepEqual(cew, want) {
-			t.Fatalf("round %d: cew = %v, want %v", round, cew, want)
-		}
-		if want := []float64{2, 1}; !reflect.DeepEqual(cw, want) {
-			t.Fatalf("round %d: cw = %v, want %v", round, cw, want)
-		}
 	}
 }

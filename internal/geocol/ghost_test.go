@@ -3,6 +3,7 @@ package geocol
 import (
 	"testing"
 
+	"chaos/internal/csr"
 	"chaos/internal/machine"
 	"chaos/internal/mesh"
 )
@@ -80,7 +81,7 @@ func TestGhostExchangePush(t *testing.T) {
 }
 
 // TestBuildCoarseMatchesSerialContract pins the distributed build path
-// against the serial Contractor on a real mesh: contracting the
+// against the serial csr.Scratch.Contract on a real mesh: contracting the
 // block-distributed graph under a global clustering and gathering the
 // result must agree edge-for-edge (as weighted neighbor sets; the two
 // paths order adjacency differently) with contracting the gathered
@@ -115,7 +116,8 @@ func TestBuildCoarseMatchesSerialContract(t *testing.T) {
 		for v := range gmap {
 			gmap[v] = v / 2
 		}
-		sxadj, sadj, sew, sw := new(Contractor).Contract(f.XAdj, f.Adj, f.EdgeW, f.Weights, gmap, coarseN)
+		sc := new(csr.Scratch).Contract(&f.Graph, gmap, coarseN)
+		sxadj, sadj, sew, sw := sc.XAdj, sc.Adj, sc.EdgeW, sc.Weights
 
 		for cv := 0; cv < coarseN; cv++ {
 			if cf.Weights[cv] != sw[cv] {

@@ -591,7 +591,8 @@ func (p *parser) parseSet(ln int) (stmt, error) {
 	if err := p.expect("USING"); err != nil {
 		return nil, err
 	}
-	// Partitioner names may contain '-' (RSB-KL): IDENT (- IDENT)*.
+	// Partitioner names may contain '-' (a registered "MY-PART"):
+	// IDENT (- IDENT)*.
 	pn, err := p.ident()
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"chaos/internal/csr"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
 	"chaos/internal/scratch"
@@ -33,7 +34,8 @@ type arena struct {
 	proj  projScratch
 	asm   geocol.CoarseAssembler
 	ghost geocol.GhostScratch
-	ct    geocol.Contractor
+	// cs is the serial V-cycle's induce and contraction scratch.
+	cs csr.Scratch
 	// sides are the side vectors the serial V-cycle projects through
 	// (bisect): level l's lives in sides[l%2].
 	sides [2][]bool
@@ -71,10 +73,6 @@ type klScratch struct {
 	side    []bool
 	visited []bool
 	queue   []int
-	// local is induce's global → subgraph-local scatter array, stamped
-	// per call with bases counted from localBase (never re-cleared).
-	local     []int
-	localBase int
 }
 
 // kwayScratch is the scratch of the serial k-way FM refiner

@@ -16,7 +16,7 @@ import (
 func partitionOn(t *testing.T, m *mesh.Mesh, method string, p, nparts int, backend machine.Backend) []int {
 	t.Helper()
 	sp := Spec{Method: Method(method)}
-	if method == "RANDOM" || method == "MULTILEVEL" {
+	if method == "MULTILEVEL" {
 		sp.Seed = 12345
 	}
 	cfg := machine.IPSC860(p)

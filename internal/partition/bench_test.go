@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"chaos/internal/csr"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
 	"chaos/internal/mesh"
@@ -116,7 +117,6 @@ func benchPartitioner(b *testing.B, name string) {
 
 func BenchmarkMultilevel20K(b *testing.B) { benchPartitioner(b, "MULTILEVEL") }
 func BenchmarkRSB20K(b *testing.B)        { benchPartitioner(b, "RSB") }
-func BenchmarkRSBKL20K(b *testing.B)      { benchPartitioner(b, "RSB-KL") }
 func BenchmarkKL20K(b *testing.B)         { benchPartitioner(b, "KL") }
 func BenchmarkRCB20K(b *testing.B)        { benchPartitioner(b, "RCB") }
 
@@ -139,15 +139,15 @@ func BenchmarkCoarsen(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sg := induce(&klScratch{}, f, verts)
+		var cs csr.Scratch
+		sg := induce(&cs, f, verts)
 		totalW := sg.totalWeight()
-		var ct geocol.Contractor
-		for cur := sg; cur.n > 100; {
+		for cur := sg; cur.Len() > 100; {
 			cmap, nc := heavyEdgeMatch(cur, totalW*0.01)
-			if nc > cur.n*9/10 {
+			if nc > cur.Len()*9/10 {
 				break
 			}
-			cur = contract(&ct, cur, cmap, nc)
+			cur = contract(&cs, cur, cmap, nc)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package partition
 import (
 	"math"
 
-	"chaos/internal/geocol"
+	"chaos/internal/csr"
 )
 
 // This file implements the coarsening half of the multilevel
@@ -25,48 +25,49 @@ import (
 // by original id. Returns the fine-to-coarse vertex map and the coarse
 // vertex count.
 func heavyEdgeMatch(sg *subgraph, maxW float64) (cmap []int, nc int) {
-	cmap = make([]int, sg.n)
+	n, w := sg.Len(), sg.Weights
+	cmap = make([]int, n)
 	for i := range cmap {
 		cmap[i] = -1
 	}
-	cw := make([]float64, 0, sg.n/2+1) // weight of each coarse cluster so far
-	for v := 0; v < sg.n; v++ {
+	cw := make([]float64, 0, n/2+1) // weight of each coarse cluster so far
+	for v := 0; v < n; v++ {
 		if cmap[v] >= 0 {
 			continue
 		}
 		// First choice: the heaviest edge to an unmatched neighbor.
 		best, bestW := -1, math.Inf(-1)
-		for k := sg.xadj[v]; k < sg.xadj[v+1]; k++ {
-			u := sg.adj[k]
+		for k := sg.XAdj[v]; k < sg.XAdj[v+1]; k++ {
+			u := sg.Adj[k]
 			if cmap[u] >= 0 {
 				continue
 			}
-			if maxW > 0 && sg.w[v]+sg.w[u] > maxW {
+			if maxW > 0 && w[v]+w[u] > maxW {
 				continue
 			}
-			ew := sg.edgeW(k)
+			ew := sg.EdgeWeight(k)
 			if ew > bestW || (ew == bestW && sg.orig[u] < sg.orig[best]) {
 				best, bestW = u, ew
 			}
 		}
 		if best >= 0 {
 			cmap[v], cmap[best] = nc, nc
-			cw = append(cw, sg.w[v]+sg.w[best])
+			cw = append(cw, w[v]+w[best])
 			nc++
 			continue
 		}
 		// Fallback: absorb into the heaviest already-formed neighbor
 		// cluster that still has weight headroom.
 		best, bestW = -1, math.Inf(-1)
-		for k := sg.xadj[v]; k < sg.xadj[v+1]; k++ {
-			u := sg.adj[k]
+		for k := sg.XAdj[v]; k < sg.XAdj[v+1]; k++ {
+			u := sg.Adj[k]
 			if cmap[u] < 0 {
 				continue // unmatched but over the pair cap
 			}
-			if maxW > 0 && cw[cmap[u]]+sg.w[v] > maxW {
+			if maxW > 0 && cw[cmap[u]]+w[v] > maxW {
 				continue
 			}
-			ew := sg.edgeW(k)
+			ew := sg.EdgeWeight(k)
 			if ew > bestW || (ew == bestW && sg.orig[u] < sg.orig[best]) {
 				best, bestW = u, ew
 			}
@@ -74,35 +75,32 @@ func heavyEdgeMatch(sg *subgraph, maxW float64) (cmap []int, nc int) {
 		if best >= 0 {
 			c := cmap[best]
 			cmap[v] = c
-			cw[c] += sg.w[v]
+			cw[c] += w[v]
 			continue
 		}
 		cmap[v] = nc
-		cw = append(cw, sg.w[v])
+		cw = append(cw, w[v])
 		nc++
 	}
-	sg.flops += int64(2*len(sg.adj) + sg.n)
+	sg.flops += int64(2*len(sg.Adj) + n)
 	return cmap, nc
 }
 
 // contract builds the coarse subgraph induced by cmap, delegating the
-// CSR and weight aggregation to the geocol Contractor (shared across a
+// CSR and weight aggregation to csr.Scratch.Contract (shared across a
 // ladder so its scratch is amortized). The coarse vertex inherits the
 // smallest original id among its members, keeping the deterministic
 // tie-breaks of the refiner meaningful at every level.
-func contract(ct *geocol.Contractor, sg *subgraph, cmap []int, nc int) *subgraph {
-	cxadj, cadj, cew, cw := ct.Contract(sg.xadj, sg.adj, sg.ew, sg.w, cmap, nc)
-	cs := &subgraph{n: nc, xadj: cxadj, adj: cadj, ew: cew, w: cw}
-	cs.orig = make([]int, nc)
+func contract(s *csr.Scratch, sg *subgraph, cmap []int, nc int) *subgraph {
+	cs := &subgraph{Graph: s.Contract(&sg.Graph, cmap, nc), orig: make([]int, nc)}
 	for i := range cs.orig {
 		cs.orig[i] = -1
 	}
-	for v := 0; v < sg.n; v++ {
-		c := cmap[v]
+	for v, c := range cmap {
 		if cs.orig[c] < 0 || sg.orig[v] < cs.orig[c] {
 			cs.orig[c] = sg.orig[v]
 		}
 	}
-	sg.flops += int64(2*len(sg.adj) + 2*sg.n)
+	sg.flops += int64(2*len(sg.Adj) + 2*len(cmap))
 	return cs
 }

@@ -14,8 +14,8 @@
 //
 // # Public surface
 //
-// Lookup selects a registered Partitioner by name ("BLOCK", "RANDOM",
-// "RCB", "INERTIAL", "KL", "RSB", "RSB-KL", "MULTILEVEL", "STREAM");
+// Lookup selects a registered Partitioner by name ("BLOCK", "RCB",
+// "KL", "RSB", "MULTILEVEL", "STREAM");
 // Register links a custom one, which declares the GeoCoL components it
 // consumes through Capabilities. Cut measures the edge cut of a distributed
 // partition. The partitioner types themselves (RCB, RSB, KL,

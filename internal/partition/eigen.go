@@ -3,40 +3,30 @@ package partition
 import (
 	"math"
 
+	"chaos/internal/csr"
 	"chaos/internal/xrand"
 )
 
-// subgraph is a compact CSR view of an induced subgraph used by the
-// serial spectral and multilevel machinery. Vertex i of the subgraph
-// corresponds to orig[i] in the parent graph.
+// subgraph is the serial spectral and multilevel machinery's view of
+// an induced or contracted graph: a csr.Graph that always carries
+// vertex weights (Induce and Contract fill them), plus the original id
+// of each vertex (vertex i corresponds to orig[i] in the parent graph).
+// Edge weights are nil on an induced uncoarsened graph; coarsened
+// graphs carry the aggregated multiplicity of the fine edges each
+// coarse edge represents.
 type subgraph struct {
-	n    int
-	xadj []int
-	adj  []int // subgraph-local neighbor ids
-	// ew holds per-edge weights parallel to adj; nil means unit
-	// weights. Coarsened graphs carry the aggregated multiplicity of
-	// the fine edges each coarse edge represents.
-	ew   []float64
-	w    []float64
+	csr.Graph
 	orig []int
 	// flops accumulates the floating-point work performed on this
 	// subgraph so the caller can charge the virtual clock.
 	flops int64
 }
 
-// edgeW returns the weight of adjacency slot k (1 when unweighted).
-func (sg *subgraph) edgeW(k int) float64 {
-	if sg.ew == nil {
-		return 1
-	}
-	return sg.ew[k]
-}
-
 // totalWeight sums the vertex weights of the subgraph.
 func (sg *subgraph) totalWeight() float64 {
 	t := 0.0
-	for i := 0; i < sg.n; i++ {
-		t += sg.w[i]
+	for _, w := range sg.Weights {
+		t += w
 	}
 	return t
 }
@@ -44,26 +34,29 @@ func (sg *subgraph) totalWeight() float64 {
 // laplacianMatVec computes y = L x where L = D - A is the (weighted)
 // combinatorial Laplacian of the subgraph.
 func (sg *subgraph) laplacianMatVec(x, y []float64) {
-	if sg.ew == nil {
-		for i := 0; i < sg.n; i++ {
-			deg := float64(sg.xadj[i+1] - sg.xadj[i])
+	n := sg.Len()
+	// The unweighted kernel is not the weighted one with unit weights:
+	// it sums in another order, so each keeps its own loop.
+	if sg.EdgeW == nil {
+		for i := 0; i < n; i++ {
+			deg := float64(sg.XAdj[i+1] - sg.XAdj[i])
 			s := deg * x[i]
-			for _, j := range sg.adj[sg.xadj[i]:sg.xadj[i+1]] {
+			for _, j := range sg.Adj[sg.XAdj[i]:sg.XAdj[i+1]] {
 				s -= x[j]
 			}
 			y[i] = s
 		}
 	} else {
-		for i := 0; i < sg.n; i++ {
+		for i := 0; i < n; i++ {
 			deg, s := 0.0, 0.0
-			for k := sg.xadj[i]; k < sg.xadj[i+1]; k++ {
-				deg += sg.ew[k]
-				s -= sg.ew[k] * x[sg.adj[k]]
+			for k := sg.XAdj[i]; k < sg.XAdj[i+1]; k++ {
+				deg += sg.EdgeW[k]
+				s -= sg.EdgeW[k] * x[sg.Adj[k]]
 			}
 			y[i] = s + deg*x[i]
 		}
 	}
-	sg.flops += int64(2*len(sg.adj) + 2*sg.n)
+	sg.flops += int64(2*len(sg.Adj) + 2*n)
 }
 
 // fiedlerMaxRestarts bounds the implicit-restart iterations of the
@@ -98,7 +91,7 @@ func (sg *subgraph) fiedler(seed uint64) []float64 {
 // maxRestarts = 0 reproduces the historical single-sweep behavior
 // (kept callable for the regression tests).
 func (sg *subgraph) fiedlerRestarted(seed uint64, maxRestarts int) []float64 {
-	n := sg.n
+	n := sg.Len()
 	if n <= 2 {
 		out := make([]float64, n)
 		for i := range out {
@@ -155,7 +148,7 @@ func (sg *subgraph) fiedlerRestarted(seed uint64, maxRestarts int) []float64 {
 // residual-norm estimate ‖L y − θ y‖ ≈ β_m |z_m| used by the restart
 // logic.
 func (sg *subgraph) lanczosSweep(v0 []float64, m int) (out []float64, theta, resid float64) {
-	n := sg.n
+	n := sg.Len()
 
 	basis := make([][]float64, 0, m)
 	alpha := make([]float64, 0, m)

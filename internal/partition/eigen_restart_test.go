@@ -4,12 +4,12 @@ import (
 	"math"
 	"testing"
 
-	"chaos/internal/geocol"
+	"chaos/internal/csr"
 )
 
 // contractedMultigraph builds the ill-conditioned input of the
 // restart regression: a fine ring of 2-vertex clusters is contracted
-// (geocol.Contractor) so parallel fine edges merge into heavy coarse
+// (csr.Scratch.Contract) so parallel fine edges merge into heavy coarse
 // multi-edges — every 7th ring link carries 4 fine edges, the rest
 // one — yielding a >1000-vertex weighted cycle whose clustered
 // spectrum stalls the depth-capped Lanczos sweep.
@@ -47,12 +47,11 @@ func contractedMultigraph(nc int) *subgraph {
 	for i := range cmap {
 		cmap[i] = i / 2
 	}
-	cxadj, cadj, cew, cw := new(geocol.Contractor).Contract(xadj, adj, nil, nil, cmap, nc)
 	orig := make([]int, nc)
 	for i := range orig {
 		orig[i] = i
 	}
-	return &subgraph{n: nc, xadj: cxadj, adj: cadj, ew: cew, w: cw, orig: orig}
+	return &subgraph{Graph: new(csr.Scratch).Contract(&csr.Graph{XAdj: xadj, Adj: adj}, cmap, nc), orig: orig}
 }
 
 // rayleigh returns the Rayleigh quotient of the normalized,
@@ -63,7 +62,7 @@ func rayleigh(sg *subgraph, v []float64) float64 {
 	y := append([]float64(nil), v...)
 	projectOutConstant(y)
 	normalize(y)
-	ly := make([]float64, sg.n)
+	ly := make([]float64, sg.Len())
 	sg.laplacianMatVec(y, ly)
 	return dot(y, ly)
 }
@@ -74,7 +73,7 @@ func relResidual(sg *subgraph, v []float64) float64 {
 	y := append([]float64(nil), v...)
 	projectOutConstant(y)
 	normalize(y)
-	ly := make([]float64, sg.n)
+	ly := make([]float64, sg.Len())
 	sg.laplacianMatVec(y, ly)
 	theta := dot(y, ly)
 	r := 0.0

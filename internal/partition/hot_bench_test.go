@@ -3,6 +3,7 @@ package partition
 import (
 	"testing"
 
+	"chaos/internal/csr"
 	"chaos/internal/dist"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
@@ -40,10 +41,10 @@ func hotSubgraph(tb testing.TB) (*subgraph, []bool) {
 	for i := range verts {
 		verts[i] = i
 	}
-	sg := induce(&klScratch{}, f, verts)
-	side := make([]bool, sg.n)
+	sg := induce(new(csr.Scratch), f, verts)
+	side := make([]bool, sg.Len())
 	for i := range side {
-		side[i] = i < sg.n/2
+		side[i] = i < sg.Len()/2
 	}
 	return sg, side
 }
@@ -72,19 +73,19 @@ func BenchmarkHotKLRefine(b *testing.B) {
 func BenchmarkHotKwayRefine(b *testing.B) {
 	sg, _ := hotSubgraph(b)
 	const nparts = 8
-	part0 := make([]int, sg.n)
+	part0 := make([]int, sg.Len())
 	for v := range part0 {
-		part0[v] = v * nparts / sg.n
+		part0[v] = v * nparts / sg.Len()
 	}
-	part := make([]int, sg.n)
+	part := make([]int, sg.Len())
 	var s kwayScratch
 	copy(part, part0)
-	kwayRefine(&s, sg.xadj, sg.adj, sg.ew, sg.w, part, nparts, 4, 0.07) // warm
+	kwayRefine(&s, &sg.Graph, part, nparts, 4, 0.07) // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(part, part0)
-		kwayRefine(&s, sg.xadj, sg.adj, sg.ew, sg.w, part, nparts, 4, 0.07)
+		kwayRefine(&s, &sg.Graph, part, nparts, 4, 0.07)
 	}
 }
 

@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 
+	"chaos/internal/csr"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
 	"chaos/internal/scratch"
@@ -40,13 +41,14 @@ func klRefineN(s *klScratch, sg *subgraph, side []bool, targetLeftW float64, pas
 	// past its best prefix before giving up on the hill.
 	const plateau = 64
 
+	n, w := sg.Len(), sg.Weights
 	totalW := sg.totalWeight()
 	slack := tol * totalW
 
 	leftW := 0.0
-	for i := 0; i < sg.n; i++ {
+	for i := 0; i < n; i++ {
 		if side[i] {
-			leftW += sg.w[i]
+			leftW += w[i]
 		}
 	}
 
@@ -56,8 +58,8 @@ func klRefineN(s *klScratch, sg *subgraph, side []bool, targetLeftW float64, pas
 	// fully overwritten below, so steady-state calls allocate nothing
 	// (gains and locked are recomputed for every vertex at each pass
 	// start; stash and seq are length-reset).
-	gains := scratch.Grow(&s.gains, sg.n)
-	locked := scratch.Grow(&s.locked, sg.n)
+	gains := scratch.Grow(&s.gains, n)
+	locked := scratch.Grow(&s.locked, n)
 	stash := s.stash[:0]
 	h := &s.heap
 	h.orig = sg.orig
@@ -68,13 +70,13 @@ func klRefineN(s *klScratch, sg *subgraph, side []bool, targetLeftW float64, pas
 		// vertices (gain -2*weighted degree) are never competitive and
 		// join lazily if a neighbor's move puts them on the boundary.
 		h.reset()
-		for v := 0; v < sg.n; v++ {
+		for v := 0; v < n; v++ {
 			g, boundary := 0.0, false
-			for k := sg.xadj[v]; k < sg.xadj[v+1]; k++ {
-				if side[sg.adj[k]] == side[v] {
-					g -= sg.edgeW(k)
+			for k := sg.XAdj[v]; k < sg.XAdj[v+1]; k++ {
+				if side[sg.Adj[k]] == side[v] {
+					g -= sg.EdgeWeight(k)
 				} else {
-					g += sg.edgeW(k)
+					g += sg.EdgeWeight(k)
 					boundary = true
 				}
 			}
@@ -90,7 +92,7 @@ func klRefineN(s *klScratch, sg *subgraph, side []bool, targetLeftW float64, pas
 		cum, best, bestAt := 0.0, 0.0, -1
 		curLeftW := leftW
 
-		for len(seq) < sg.n {
+		for len(seq) < n {
 			// Pop the best live candidate whose move keeps the balance
 			// inside the window; balance-blocked candidates are stashed
 			// and re-offered after the move commits.
@@ -103,9 +105,9 @@ func klRefineN(s *klScratch, sg *subgraph, side []bool, targetLeftW float64, pas
 				}
 				nl := curLeftW
 				if side[e.v] {
-					nl -= sg.w[e.v]
+					nl -= w[e.v]
 				} else {
-					nl += sg.w[e.v]
+					nl += w[e.v]
 				}
 				if nl < targetLeftW-slack || nl > targetLeftW+slack {
 					stash = append(stash, e.v)
@@ -122,21 +124,21 @@ func klRefineN(s *klScratch, sg *subgraph, side []bool, targetLeftW float64, pas
 			}
 			locked[bv] = true
 			if side[bv] {
-				curLeftW -= sg.w[bv]
+				curLeftW -= w[bv]
 			} else {
-				curLeftW += sg.w[bv]
+				curLeftW += w[bv]
 			}
 			side[bv] = !side[bv]
 			// Incremental gain update: every edge at bv flipped
 			// internal<->external, so bv's gain negates and each
 			// neighbor's moves by twice the edge weight.
 			gains[bv] = -gains[bv]
-			for k := sg.xadj[bv]; k < sg.xadj[bv+1]; k++ {
-				u := sg.adj[k]
+			for k := sg.XAdj[bv]; k < sg.XAdj[bv+1]; k++ {
+				u := sg.Adj[k]
 				if side[u] == side[bv] {
-					gains[u] -= 2 * sg.edgeW(k)
+					gains[u] -= 2 * sg.EdgeWeight(k)
 				} else {
-					gains[u] += 2 * sg.edgeW(k)
+					gains[u] += 2 * sg.EdgeWeight(k)
 				}
 				if !locked[u] {
 					h.push(gains[u], u)
@@ -151,24 +153,24 @@ func klRefineN(s *klScratch, sg *subgraph, side []bool, targetLeftW float64, pas
 				break // hill gone cold
 			}
 		}
-		sg.flops += int64(2*len(sg.adj) + len(seq)*64) // gain upkeep + heap ops
+		sg.flops += int64(2*len(sg.Adj) + len(seq)*64) // gain upkeep + heap ops
 
 		// Roll back moves past the best prefix.
 		for i := len(seq) - 1; i > bestAt; i-- {
 			v := seq[i].v
 			if side[v] {
-				leftW -= sg.w[v]
+				leftW -= w[v]
 			}
 			side[v] = !side[v]
 			if side[v] {
-				leftW += sg.w[v]
+				leftW += w[v]
 			}
 		}
 		// Recompute leftW exactly (cheap, avoids drift).
 		leftW = 0
-		for i := 0; i < sg.n; i++ {
+		for i := 0; i < n; i++ {
 			if side[i] {
-				leftW += sg.w[i]
+				leftW += w[i]
 			}
 		}
 		if best <= 0 {
@@ -199,12 +201,14 @@ func (KL) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 	if !g.HasLink {
 		panic("partition: KL requires a GeoCoL LINK component")
 	}
-	// One scratch per Partition call, shared by every bisection of the
-	// recursion tree; each rank runs its own call, so no sharing.
+	// One pair of scratches per Partition call, shared by every
+	// bisection of the recursion tree; each rank runs its own call, so
+	// no sharing.
 	var s klScratch
+	var cs csr.Scratch
 	return serialBisectPartition(c, g, nparts,
 		func(f *geocol.Full, verts []int, frac float64) ([]int, []int, int64) {
-			return klBisect(&s, f, verts, frac)
+			return klBisect(&s, &cs, f, verts, frac)
 		})
 }
 
@@ -213,17 +217,14 @@ func (KL) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 // refines it with klRefine.
 //
 //chaos:hotpath
-func klBisect(s *klScratch, f *geocol.Full, verts []int, frac float64) (left, right []int, flops int64) {
-	sg := induce(s, f, verts)
-	totalW := 0.0
-	for i := 0; i < sg.n; i++ {
-		totalW += sg.w[i]
-	}
-	target := totalW * frac
+func klBisect(s *klScratch, cs *csr.Scratch, f *geocol.Full, verts []int, frac float64) (left, right []int, flops int64) {
+	sg := induce(cs, f, verts)
+	n := sg.Len()
+	target := sg.totalWeight() * frac
 
-	side := scratch.Grow(&s.side, sg.n)
-	visited := scratch.Grow(&s.visited, sg.n)
-	for i := 0; i < sg.n; i++ {
+	side := scratch.Grow(&s.side, n)
+	visited := scratch.Grow(&s.visited, n)
+	for i := 0; i < n; i++ {
 		side[i], visited[i] = false, false
 	}
 	grown := 0.0
@@ -236,10 +237,10 @@ func klBisect(s *klScratch, f *geocol.Full, verts []int, frac float64) (left, ri
 	next := 0
 	for grown < target {
 		if head == len(queue) {
-			for next < sg.n && visited[next] {
+			for next < n && visited[next] {
 				next++
 			}
-			if next >= sg.n {
+			if next >= n {
 				break
 			}
 			queue = append(queue, next)
@@ -251,15 +252,15 @@ func klBisect(s *klScratch, f *geocol.Full, verts []int, frac float64) (left, ri
 			break
 		}
 		side[v] = true
-		grown += sg.w[v]
-		for _, u := range sg.adj[sg.xadj[v]:sg.xadj[v+1]] {
+		grown += sg.Weights[v]
+		for _, u := range sg.Adj[sg.XAdj[v]:sg.XAdj[v+1]] {
 			if !visited[u] {
 				visited[u] = true
 				queue = append(queue, u)
 			}
 		}
 	}
-	sg.flops += int64(sg.n + len(sg.adj))
+	sg.flops += int64(n + len(sg.Adj))
 	s.queue = queue
 
 	klRefine(s, sg, side, target)

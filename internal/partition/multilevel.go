@@ -106,7 +106,7 @@ func (ml Multilevel) bisect(ar *arena, f *geocol.Full, verts []int, frac float64
 	if coarsenTo <= 0 {
 		coarsenTo = 100
 	}
-	sg := induce(&ar.kl, f, verts)
+	sg := induce(&ar.cs, f, verts)
 	totalW := sg.totalWeight()
 	target := totalW * frac
 
@@ -116,12 +116,12 @@ func (ml Multilevel) bisect(ar *arena, f *geocol.Full, verts []int, frac float64
 	// meaningfully (star-like or cap-bound regions).
 	levels := []*subgraph{sg}
 	var cmaps [][]int
-	for cur := sg; cur.n > coarsenTo; {
+	for cur := sg; cur.Len() > coarsenTo; {
 		cmap, nc := heavyEdgeMatch(cur, totalW*0.01)
-		if nc > cur.n*9/10 {
+		if nc > cur.Len()*9/10 {
 			break
 		}
-		next := contract(&ar.ct, cur, cmap, nc)
+		next := contract(&ar.cs, cur, cmap, nc)
 		cmaps = append(cmaps, cmap)
 		levels = append(levels, next)
 		cur = next
@@ -144,11 +144,11 @@ func (ml Multilevel) bisect(ar *arena, f *geocol.Full, verts []int, frac float64
 		cmap := cmaps[l]
 		// Two arena buffers alternate between adjacent levels: side (the
 		// coarser level's) is read while fineSide is written.
-		fineSide := scratch.Grow(&ar.sides[l%2], fine.n)
+		fineSide := scratch.Grow(&ar.sides[l%2], len(cmap))
 		for v := range fineSide {
 			fineSide[v] = side[cmap[v]]
 		}
-		fine.flops += int64(fine.n)
+		fine.flops += int64(len(cmap))
 		passes := 1
 		if l == 0 {
 			passes = 4

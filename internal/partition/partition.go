@@ -8,7 +8,6 @@ import (
 	"chaos/internal/dist"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
-	"chaos/internal/xrand"
 )
 
 // Partitioner maps GeoCoL vertices to parts. Partition returns the
@@ -79,11 +78,8 @@ func namesLocked() []string {
 
 func init() {
 	Register(BlockPartitioner{})
-	Register(RandomPartitioner{Seed: 12345})
 	Register(RCB{})
-	Register(Inertial{})
 	Register(RSB{})
-	Register(RSB{Refine: true})
 	Register(KL{})
 	Register(Multilevel{})
 	Register(Streaming{})
@@ -165,29 +161,6 @@ func (BlockPartitioner) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) [
 	part := make([]int, localN)
 	for l := range part {
 		part[l] = b.Owner(lo + l)
-	}
-	c.Words(localN)
-	return part
-}
-
-// RandomPartitioner scatters vertices pseudo-randomly; the worst
-// reasonable baseline for communication volume.
-type RandomPartitioner struct {
-	Seed uint64
-}
-
-func (RandomPartitioner) Name() string { return "RANDOM" }
-
-// Capabilities: RANDOM consumes nothing.
-func (RandomPartitioner) Capabilities() Capabilities { return Capabilities{} }
-
-func (rp RandomPartitioner) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
-	checkArgs(nparts)
-	localN := g.LocalN(c.Rank())
-	lo := g.Home.Lo(c.Rank())
-	part := make([]int, localN)
-	for l := range part {
-		part[l] = int(xrand.Hash64(uint64(lo+l)^rp.Seed) % uint64(nparts))
 	}
 	c.Words(localN)
 	return part

@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 
+	"chaos/internal/csr"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
 	"chaos/internal/scratch"
@@ -173,21 +174,9 @@ func (fb *fmBuckets) reset() {
 // charge.
 //
 //chaos:hotpath
-func kwayRefine(s *kwayScratch, xadj, adj []int, ew, w []float64, part []int, nparts, passes int, tol float64) int64 {
+func kwayRefine(s *kwayScratch, g *csr.Graph, part []int, nparts, passes int, tol float64) int64 {
 	const plateau = 64
-	n := len(xadj) - 1
-	weight := func(v int) float64 {
-		if w == nil {
-			return 1
-		}
-		return w[v]
-	}
-	ewt := func(k int) float64 {
-		if ew == nil {
-			return 1
-		}
-		return ew[k]
-	}
+	n, xadj, adj := g.Len(), g.XAdj, g.Adj
 
 	// All per-call state comes from the arena scratch. W and seen are
 	// cleared here; locked is reset at every pass start; acc is guarded
@@ -200,8 +189,8 @@ func kwayRefine(s *kwayScratch, xadj, adj []int, ew, w []float64, part []int, np
 	}
 	totalW := 0.0
 	for v := 0; v < n; v++ {
-		W[part[v]] += weight(v)
-		totalW += weight(v)
+		W[part[v]] += g.Weight(v)
+		totalW += g.Weight(v)
 	}
 	ideal := totalW / float64(nparts)
 	maxA, minA := ideal*(1+tol), ideal*(1-tol)
@@ -219,7 +208,7 @@ func kwayRefine(s *kwayScratch, xadj, adj []int, ew, w []float64, part []int, np
 		touchedParts = touchedParts[:0]
 		for k := xadj[v]; k < xadj[v+1]; k++ {
 			q := part[adj[k]]
-			wk := ewt(k)
+			wk := g.EdgeWeight(k)
 			if q == p {
 				intW += wk
 				continue
@@ -271,7 +260,7 @@ func kwayRefine(s *kwayScratch, xadj, adj []int, ew, w []float64, part []int, np
 			if cand.gain <= 0 && len(log)-bestAt >= plateau {
 				break
 			}
-			p, wv := part[v], weight(v)
+			p, wv := part[v], g.Weight(v)
 			if W[to]+wv > maxA || W[p]-wv < minA {
 				// Balance-blocked, not dead: re-offered after the next
 				// committed move frees headroom (klRefine's stash).
@@ -304,7 +293,7 @@ func kwayRefine(s *kwayScratch, xadj, adj []int, ew, w []float64, part []int, np
 		}
 		for i := len(log) - 1; i >= bestAt; i-- {
 			v, from := int(log[i].l), int(log[i].from)
-			wv := weight(v)
+			wv := g.Weight(v)
 			W[part[v]] -= wv
 			W[from] += wv
 			part[v] = from

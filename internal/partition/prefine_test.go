@@ -124,7 +124,7 @@ func TestKwayRefineImprovesSeed(t *testing.T) {
 		part[v] = b.Owner(v)
 	}
 	before := CutEdges(f.XAdj, f.Adj, part)
-	kwayRefine(new(kwayScratch), f.XAdj, f.Adj, nil, nil, part, nparts, 8, 0.07)
+	kwayRefine(new(kwayScratch), &f.Graph, part, nparts, 8, 0.07)
 	after := CutEdges(f.XAdj, f.Adj, part)
 	if after >= before {
 		t.Errorf("kwayRefine did not improve the BLOCK seed: cut %d -> %d", before, after)
@@ -142,7 +142,7 @@ func TestKwayRefineImprovesSeed(t *testing.T) {
 
 	// nparts=1: no boundary, no moves, no panic.
 	one := make([]int, f.N)
-	kwayRefine(new(kwayScratch), f.XAdj, f.Adj, nil, nil, one, 1, 2, 0.07)
+	kwayRefine(new(kwayScratch), &f.Graph, one, 1, 2, 0.07)
 	for v, q := range one {
 		if q != 0 {
 			t.Fatalf("kwayRefine invented a part for vertex %d: %d", v, q)

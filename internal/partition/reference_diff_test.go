@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"chaos/internal/csr"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
 )
@@ -257,16 +258,16 @@ func TestLevelMachineryMatchesReference(t *testing.T) {
 // something where there is an edge to weigh.
 func diffSubgraphs(got, want *subgraph) string {
 	switch {
-	case got.n != want.n:
-		return fmt.Sprintf("n %d, reference %d", got.n, want.n)
-	case !slices.Equal(got.xadj, want.xadj):
-		return fmt.Sprintf("xadj %v, reference %v", got.xadj, want.xadj)
-	case !slices.Equal(got.adj, want.adj):
-		return fmt.Sprintf("adj %v, reference %v", got.adj, want.adj)
-	case len(want.adj) > 0 && (got.ew == nil) != (want.ew == nil) || !slices.Equal(got.ew, want.ew):
-		return fmt.Sprintf("ew %v, reference %v", got.ew, want.ew)
-	case !slices.Equal(got.w, want.w):
-		return fmt.Sprintf("w %v, reference %v", got.w, want.w)
+	case got.Len() != want.Len():
+		return fmt.Sprintf("n %d, reference %d", got.Len(), want.Len())
+	case !slices.Equal(got.XAdj, want.XAdj):
+		return fmt.Sprintf("xadj %v, reference %v", got.XAdj, want.XAdj)
+	case !slices.Equal(got.Adj, want.Adj):
+		return fmt.Sprintf("adj %v, reference %v", got.Adj, want.Adj)
+	case len(want.Adj) > 0 && (got.EdgeW == nil) != (want.EdgeW == nil) || !slices.Equal(got.EdgeW, want.EdgeW):
+		return fmt.Sprintf("ew %v, reference %v", got.EdgeW, want.EdgeW)
+	case !slices.Equal(got.Weights, want.Weights):
+		return fmt.Sprintf("w %v, reference %v", got.Weights, want.Weights)
 	case !slices.Equal(got.orig, want.orig):
 		return fmt.Sprintf("orig %v, reference %v", got.orig, want.orig)
 	case got.flops != want.flops:
@@ -300,7 +301,7 @@ func TestInduceMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	var s klScratch
+	var s csr.Scratch
 	for round := 0; round < 4; round++ {
 		for fi, f := range fulls {
 			for _, frac := range []float64{1, 0.5, 0.1, 0} {
@@ -314,8 +315,8 @@ func TestInduceMatchesReference(t *testing.T) {
 				for _, v := range verts {
 					degSum += f.XAdj[v+1] - f.XAdj[v]
 				}
-				if cap(got.adj) != degSum {
-					t.Fatalf("round %d graph %d subset of %d: adj capacity %d, want the degree sum %d", round, fi, len(verts), cap(got.adj), degSum)
+				if cap(got.Adj) != degSum {
+					t.Fatalf("round %d graph %d subset of %d: adj capacity %d, want the degree sum %d", round, fi, len(verts), cap(got.Adj), degSum)
 				}
 			}
 		}

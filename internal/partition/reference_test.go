@@ -292,7 +292,7 @@ func refProjectPart(c *machine.Ctx, s *refProjScratch, fine *geocol.Graph, cmap 
 func refSerialKway(c *machine.Ctx, ar *arena, g *geocol.Graph, part []int, nparts, passes int, tol float64) {
 	f := g.Gather(c)
 	full := c.AllGatherInts(part)
-	c.Flops(int(kwayRefine(&ar.kway, f.XAdj, f.Adj, f.EdgeW, f.Weights, full, nparts, passes, tol)))
+	c.Flops(int(kwayRefine(&ar.kway, &f.Graph, full, nparts, passes, tol)))
 	lo := g.Home.Lo(c.Rank())
 	for l := range part {
 		part[l] = full[lo+l]
@@ -300,7 +300,8 @@ func refSerialKway(c *machine.Ctx, ar *arena, g *geocol.Graph, part []int, npart
 }
 
 func refInduce(f *geocol.Full, verts []int) *subgraph {
-	sg := &subgraph{n: len(verts), orig: append([]int(nil), verts...)}
+	n := len(verts)
+	sg := &subgraph{orig: append([]int(nil), verts...)}
 	local := make([]int, f.N)
 	for i := range local {
 		local[i] = -1
@@ -308,20 +309,20 @@ func refInduce(f *geocol.Full, verts []int) *subgraph {
 	for i, v := range verts {
 		local[v] = i
 	}
-	sg.xadj = make([]int, sg.n+1)
-	sg.w = make([]float64, sg.n)
+	sg.XAdj = make([]int, n+1)
+	sg.Weights = make([]float64, n)
 	for i, v := range verts {
-		sg.w[i] = f.Weight(v)
+		sg.Weights[i] = f.Weight(v)
 		for k := f.XAdj[v]; k < f.XAdj[v+1]; k++ {
 			if j := local[f.Adj[k]]; j >= 0 {
-				sg.adj = append(sg.adj, j)
+				sg.Adj = append(sg.Adj, j)
 				if f.EdgeW != nil {
-					sg.ew = append(sg.ew, f.EdgeW[k])
+					sg.EdgeW = append(sg.EdgeW, f.EdgeW[k])
 				}
 			}
 		}
-		sg.xadj[i+1] = len(sg.adj)
+		sg.XAdj[i+1] = len(sg.Adj)
 	}
-	sg.flops += int64(len(sg.adj) + sg.n)
+	sg.flops += int64(len(sg.Adj) + n)
 	return sg
 }

@@ -80,23 +80,20 @@ func TestNamesSorted(t *testing.T) {
 		}
 		seen[n] = true
 	}
-	for _, want := range []string{"BLOCK", "RANDOM", "RCB", "INERTIAL", "RSB", "RSB-KL", "KL", "MULTILEVEL", "STREAM"} {
+	for _, want := range []string{"BLOCK", "RCB", "RSB", "KL", "MULTILEVEL", "STREAM"} {
 		if !seen[want] {
 			t.Errorf("built-in %q missing from Names(): %v", want, names)
 		}
 	}
 }
 
-// TestBuiltinCapabilities pins the capability metadata of all nine
+// TestBuiltinCapabilities pins the capability metadata of all six
 // built-in partitioners.
 func TestBuiltinCapabilities(t *testing.T) {
 	want := map[string]Capabilities{
 		"BLOCK":      {},
-		"RANDOM":     {},
 		"RCB":        {NeedsGeometry: true},
-		"INERTIAL":   {NeedsGeometry: true},
 		"RSB":        {NeedsLink: true},
-		"RSB-KL":     {NeedsLink: true},
 		"KL":         {NeedsLink: true},
 		"MULTILEVEL": {NeedsLink: true},
 		"STREAM":     {NeedsLink: true},

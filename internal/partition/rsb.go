@@ -3,9 +3,9 @@ package partition
 import (
 	"sort"
 
+	"chaos/internal/csr"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
-	"chaos/internal/scratch"
 )
 
 // RSB is recursive spectral bisection (Simon; the paper's "eigenvalue
@@ -21,48 +21,33 @@ import (
 // rank's clock — the parallelized eigensolver of the era was memory-
 // and synchronization-bound and did not scale, so the replicated-cost
 // model preserves the paper's partitioner-cost relationship.
-//
-// With Refine set, every bisection is post-processed with a
-// Kernighan-Lin boundary refinement pass (the RSB-KL variant used for
-// the ablation benches).
-type RSB struct {
-	Refine bool
-}
+type RSB struct{}
 
-func (r RSB) Name() string {
-	if r.Refine {
-		return "RSB-KL"
-	}
-	return "RSB"
-}
+func (RSB) Name() string { return "RSB" }
 
 // Capabilities: RSB consumes LINK connectivity.
 func (RSB) Capabilities() Capabilities { return Capabilities{NeedsLink: true} }
 
-func (r RSB) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
+func (RSB) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 	checkArgs(nparts)
 	if !g.HasLink {
 		panic("partition: RSB requires a GeoCoL LINK component")
 	}
-	// One refinement scratch per Partition call, shared by every
-	// bisection of the recursion tree (only used with Refine set).
-	var s klScratch
+	// One scratch per Partition call, shared by every bisection of the
+	// recursion tree.
+	var s csr.Scratch
 	return serialBisectPartition(c, g, nparts,
 		func(f *geocol.Full, verts []int, frac float64) ([]int, []int, int64) {
-			return spectralBisect(&s, f, verts, frac, r.Refine)
+			return spectralBisect(&s, f, verts, frac)
 		})
 }
 
 // spectralBisect splits verts into halves at the weighted median of
 // the Fiedler vector of the induced subgraph, returning the flop count
 // of the solve.
-func spectralBisect(s *klScratch, f *geocol.Full, verts []int, frac float64, refine bool) (left, right []int, flops int64) {
+func spectralBisect(s *csr.Scratch, f *geocol.Full, verts []int, frac float64) (left, right []int, flops int64) {
 	sg := induce(s, f, verts)
-	side := fiedlerSide(sg, frac)
-	if refine {
-		klRefine(s, sg, side, sg.totalWeight()*frac)
-	}
-	left, right = splitSides(sg, side)
+	left, right = splitSides(sg, fiedlerSide(sg, frac))
 	return left, right, sg.flops
 }
 
@@ -71,9 +56,10 @@ func spectralBisect(s *klScratch, f *geocol.Full, verts []int, frac float64, ref
 // value (tie-broken by original id for determinism) and swept until a
 // frac share of the vertex weight is on the left.
 func fiedlerSide(sg *subgraph, frac float64) []bool {
-	fv := sg.fiedler(uint64(sg.n)*2654435761 + uint64(len(sg.adj)))
+	n := sg.Len()
+	fv := sg.fiedler(uint64(n)*2654435761 + uint64(len(sg.Adj)))
 
-	order := make([]int, sg.n)
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
@@ -86,29 +72,30 @@ func fiedlerSide(sg *subgraph, frac float64) []bool {
 	})
 	target := sg.totalWeight() * frac
 	acc := 0.0
-	side := make([]bool, sg.n) // true = left
+	side := make([]bool, n) // true = left
 	for _, i := range order {
 		if acc < target {
 			side[i] = true
-			acc += sg.w[i]
+			acc += sg.Weights[i]
 		}
 	}
-	sg.flops += int64(sg.n * 20) // sort + sweep bookkeeping
+	sg.flops += int64(n * 20) // sort + sweep bookkeeping
 	return side
 }
 
 // splitSides partitions sg's vertices by side, returning original-id
 // lists: two exactly-sized halves of one array.
 func splitSides(sg *subgraph, side []bool) (left, right []int) {
+	n := sg.Len()
 	nl := 0
-	for _, s := range side[:sg.n] {
+	for _, s := range side[:n] {
 		if s {
 			nl++
 		}
 	}
-	ids := make([]int, sg.n)
+	ids := make([]int, n)
 	left, right = ids[:0:nl], ids[nl:nl]
-	for i := 0; i < sg.n; i++ {
+	for i := 0; i < n; i++ {
 		if side[i] {
 			left = append(left, sg.orig[i])
 		} else {
@@ -118,45 +105,11 @@ func splitSides(sg *subgraph, side []bool) (left, right []int) {
 	return left, right
 }
 
-// induce extracts the subgraph of f induced by verts, which the result
-// keeps as its orig (verts must not change while the subgraph lives).
-// The global-to-local translation uses a scatter array rather than a
-// map: bisection induces subgraphs proportional to the whole recursion
-// tree, and the array keeps that linear in practice. The array lives in
-// s and is never re-cleared: every call stamps its entries with a base
-// above anything an earlier call wrote, so stale entries read as
-// absent. The CSR is sized once, by the degree sum of verts in f (edges
-// leaving the group drop out, so it is an upper bound).
-//
-//chaos:hotpath
-func induce(s *klScratch, f *geocol.Full, verts []int) *subgraph {
-	sg := &subgraph{n: len(verts), orig: verts}
-	// local[v] == base+1+i marks v as vertex i of this subgraph.
-	local, base := scratch.Grow(&s.local, f.N), s.localBase
-	s.localBase += len(verts)
-	degSum := 0
-	for i, v := range verts {
-		local[v] = base + 1 + i
-		degSum += f.XAdj[v+1] - f.XAdj[v]
-	}
-	sg.xadj = make([]int, sg.n+1)
-	sg.w = make([]float64, sg.n)
-	sg.adj = make([]int, 0, degSum)
-	if f.EdgeW != nil {
-		sg.ew = make([]float64, 0, degSum)
-	}
-	for i, v := range verts {
-		sg.w[i] = f.Weight(v)
-		for k := f.XAdj[v]; k < f.XAdj[v+1]; k++ {
-			if j := local[f.Adj[k]] - base - 1; j >= 0 {
-				sg.adj = append(sg.adj, j)
-				if f.EdgeW != nil {
-					sg.ew = append(sg.ew, f.EdgeW[k])
-				}
-			}
-		}
-		sg.xadj[i+1] = len(sg.adj)
-	}
-	sg.flops += int64(len(sg.adj) + sg.n)
+// induce extracts the subgraph of f induced by verts
+// (csr.Scratch.Induce), which the result keeps as its orig (verts must
+// not change while the subgraph lives).
+func induce(s *csr.Scratch, f *geocol.Full, verts []int) *subgraph {
+	sg := &subgraph{Graph: s.Induce(&f.Graph, verts), orig: verts}
+	sg.flops += int64(len(sg.Adj) + len(verts))
 	return sg
 }

@@ -16,14 +16,12 @@ import (
 // addressed by Method(p.Name()).
 type Method string
 
-// Built-in partitioning methods (paper Section 4.2 plus MULTILEVEL).
+// Built-in partitioning methods: BLOCK, RCB and RSB of the paper's
+// Section 4.2, KL (the paper's reference [15]), MULTILEVEL and STREAM.
 const (
 	MethodBlock      Method = "BLOCK"
-	MethodRandom     Method = "RANDOM"
 	MethodRCB        Method = "RCB"
-	MethodInertial   Method = "INERTIAL"
 	MethodRSB        Method = "RSB"
-	MethodRSBKL      Method = "RSB-KL"
 	MethodKL         Method = "KL"
 	MethodMultilevel Method = "MULTILEVEL"
 	MethodStream     Method = "STREAM"
@@ -52,8 +50,8 @@ type Spec struct {
 	// distributed multilevel coarsening path (0 = default 2048;
 	// negative forces the serial gather-everything path at any size).
 	ParallelThreshold int
-	// Seed salts randomized tie-breaking: the RANDOM scatter stream
-	// and MULTILEVEL's distributed matching (0 = method default).
+	// Seed salts randomized tie-breaking: MULTILEVEL's distributed
+	// matching and STREAM's placement (0 = method default).
 	Seed uint64
 	// Imbalance is the balance tolerance of the distributed multilevel
 	// refinement (fractional; 0 = default 0.07, must stay below 0.5).
@@ -70,7 +68,7 @@ type Spec struct {
 
 // tuned reports whether any multilevel tuning knob departs from its
 // zero (method-default) value. Seed is handled separately because
-// RANDOM accepts it too.
+// STREAM accepts it too.
 func (sp Spec) tuned() bool {
 	return sp.CoarsenTo != 0 || sp.ParallelThreshold != 0 || sp.Imbalance != 0
 }
@@ -229,12 +227,7 @@ func (sp Spec) Resolve() (Partitioner, error) {
 		return ml, nil
 	}
 	if sp.Seed != 0 {
-		rp, isRandom := p.(RandomPartitioner)
-		if !isRandom {
-			return nil, fmt.Errorf("partition: method %s does not accept a Seed; it applies to %s, %s and %s", sp.Method, MethodRandom, MethodMultilevel, MethodStream)
-		}
-		rp.Seed = sp.Seed
-		return rp, nil
+		return nil, fmt.Errorf("partition: method %s does not accept a Seed; it applies to %s and %s", sp.Method, MethodMultilevel, MethodStream)
 	}
 	return p, nil
 }

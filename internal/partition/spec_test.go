@@ -8,7 +8,7 @@ import (
 )
 
 func TestParseSpecBareNames(t *testing.T) {
-	for _, name := range []string{"BLOCK", "RANDOM", "RCB", "INERTIAL", "RSB", "RSB-KL", "KL", "MULTILEVEL"} {
+	for _, name := range []string{"BLOCK", "RCB", "RSB", "KL", "MULTILEVEL"} {
 		sp, err := ParseSpec(name)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", name, err)
@@ -52,7 +52,7 @@ func TestParseSpecOptions(t *testing.T) {
 	// negative knobs (a negative ParallelThreshold is meaningful) and
 	// the full uint64 seed range included.
 	rng := xrand.New(33)
-	methods := []Method{MethodMultilevel, MethodStream, MethodRandom, MethodRSBKL}
+	methods := []Method{MethodMultilevel, MethodStream, MethodRSB, MethodKL}
 	for i := 0; i < 500; i++ {
 		sp := Spec{Method: methods[rng.Intn(len(methods))]}
 		if rng.Intn(2) == 0 {
@@ -107,14 +107,6 @@ func TestSpecResolveAppliesOptions(t *testing.T) {
 	}
 	if ml.CoarsenTo != 250 || ml.ParallelThreshold != -1 || ml.Seed != 9 || ml.Imbalance != 0.03 {
 		t.Errorf("options not applied: %+v", ml)
-	}
-
-	rp, err := Spec{Method: MethodRandom, Seed: 42}.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.(RandomPartitioner).Seed != 42 {
-		t.Errorf("RANDOM seed not applied: %+v", rp)
 	}
 }
 

@@ -52,7 +52,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	// Every spec field survives the codec, whatever its value: negative
 	// knobs and the full uint64 seed range included.
 	rng := xrand.New(33)
-	methods := []partition.Method{partition.MethodMultilevel, partition.MethodStream, partition.MethodRandom, partition.MethodRSBKL}
+	methods := []partition.Method{partition.MethodMultilevel, partition.MethodStream, partition.MethodRSB, partition.MethodKL}
 	for i := 0; i < 200; i++ {
 		sp := partition.Spec{Method: methods[rng.Intn(len(methods))]}
 		if rng.Intn(2) == 0 {

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"chaos/internal/csr"
 	"chaos/internal/xrand"
 )
 
@@ -96,16 +97,6 @@ func (cl *clusterer) assign(v int, adj []int, wv float64) int {
 	return best
 }
 
-// coarse is a resident weighted CSR — the bootstrap's in-memory model.
-type coarse struct {
-	xadj []int
-	adj  []int
-	ew   []float64 // edge multiplicities
-	vw   []float64 // vertex weights
-}
-
-func (g *coarse) n() int { return len(g.vw) }
-
 // pairCount counts the directed cross-cluster edges of pass 2 keyed by
 // their (from, to) cluster pair, in an open-addressing table (linear
 // probing, at most half full). Its memory follows the distinct coarse
@@ -151,39 +142,35 @@ func (pc *pairCount) inc(from, to int) {
 
 // coarse folds the counted edges into a CSR over the len(vw) clusters
 // by counting each row, then sorts every row by neighbor id.
-func (pc *pairCount) coarse(vw []float64) *coarse {
+func (pc *pairCount) coarse(cs *csr.Scratch, vw []float64) csr.Graph {
 	nc := len(vw)
-	g := &coarse{xadj: make([]int, nc+1), adj: make([]int, pc.used), ew: make([]float64, pc.used), vw: vw}
+	g := csr.Graph{XAdj: make([]int, nc+1), Adj: make([]int, pc.used), EdgeW: make([]float64, pc.used), Weights: vw}
 	for _, s := range pc.slots {
 		if s.n > 0 {
-			g.xadj[s.from]++
+			g.XAdj[s.from]++
 		}
 	}
 	for c := 1; c <= nc; c++ {
-		g.xadj[c] += g.xadj[c-1] // the end of row c
+		g.XAdj[c] += g.XAdj[c-1] // the end of row c
 	}
 	for _, s := range pc.slots {
 		if s.n > 0 {
-			g.xadj[s.from]--
-			g.adj[g.xadj[s.from]] = s.to
+			g.XAdj[s.from]--
+			k := g.XAdj[s.from]
+			g.Adj[k], g.EdgeW[k] = s.to, float64(s.n)
 		}
 	}
-	for c := 0; c < nc; c++ {
-		lo, hi := g.xadj[c], g.xadj[c+1]
-		slices.Sort(g.adj[lo:hi])
-		for j := lo; j < hi; j++ {
-			g.ew[j] = float64(pc.find(c, g.adj[j]).n)
-		}
-	}
+	cs.SortRows(&g)
 	return g
 }
 
 // contract performs one greedy heavy-edge matching level: each
 // unmatched vertex in id order pairs with its heaviest-edge unmatched
 // neighbor whose combined weight stays under maxVW. Returns the
-// contracted graph and the fine-to-coarse map.
-func contract(g *coarse, maxVW float64) (*coarse, []int) {
-	n := g.n()
+// contracted graph, its rows sorted by neighbor id, and the
+// fine-to-coarse map.
+func contract(cs *csr.Scratch, g *csr.Graph, maxVW float64) (csr.Graph, []int) {
+	n := g.Len()
 	match := make([]int, n)
 	for i := range match {
 		match[i] = -1
@@ -193,13 +180,13 @@ func contract(g *coarse, maxVW float64) (*coarse, []int) {
 			continue
 		}
 		best, bw := -1, 0.0
-		for j := g.xadj[v]; j < g.xadj[v+1]; j++ {
-			u := g.adj[j]
-			if match[u] >= 0 || g.vw[v]+g.vw[u] > maxVW {
+		for j := g.XAdj[v]; j < g.XAdj[v+1]; j++ {
+			u := g.Adj[j]
+			if match[u] >= 0 || g.Weights[v]+g.Weights[u] > maxVW {
 				continue
 			}
-			if g.ew[j] > bw || (g.ew[j] == bw && (best < 0 || u < best)) {
-				best, bw = u, g.ew[j]
+			if g.EdgeW[j] > bw || (g.EdgeW[j] == bw && (best < 0 || u < best)) {
+				best, bw = u, g.EdgeW[j]
 			}
 		}
 		if best >= 0 {
@@ -208,6 +195,9 @@ func contract(g *coarse, maxVW float64) (*coarse, []int) {
 			match[v] = v
 		}
 	}
+	// Coarse ids follow the leaders (the lower id of a pair) in order,
+	// so a pair's one bucket lists the leader first and every weight is
+	// summed leader-first.
 	cmap := make([]int, n)
 	nc := 0
 	for v := 0; v < n; v++ {
@@ -219,37 +209,8 @@ func contract(g *coarse, maxVW float64) (*coarse, []int) {
 			nc++
 		}
 	}
-	// Each coarse row merges its leader's and its mate's fine rows;
-	// leaders come in coarse-id order. mark[cu] == c+1 says cu is
-	// already in row c, and acc[cu] holds its weight.
-	mark, acc := make([]int, nc), make([]float64, nc)
-	// A coarse graph never has more entries than the fine one.
-	cg := &coarse{xadj: make([]int, 1, nc+1), vw: make([]float64, nc),
-		adj: make([]int, 0, len(g.adj)), ew: make([]float64, 0, len(g.adj))}
-	for v := 0; v < n; v++ {
-		if match[v] < v {
-			continue // a mate: merged into its leader's row
-		}
-		c, lo := cmap[v], len(cg.adj)
-		// The leader, then its mate if it has one.
-		for _, x := range []int{v, match[v]}[:1+min(1, match[v]-v)] {
-			cg.vw[c] += g.vw[x]
-			for j := g.xadj[x]; j < g.xadj[x+1]; j++ {
-				if cu := cmap[g.adj[j]]; cu != c {
-					if mark[cu] != c+1 {
-						mark[cu], acc[cu] = c+1, 0
-						cg.adj = append(cg.adj, cu)
-					}
-					acc[cu] += g.ew[j]
-				}
-			}
-		}
-		slices.Sort(cg.adj[lo:])
-		for _, cu := range cg.adj[lo:] {
-			cg.ew = append(cg.ew, acc[cu])
-		}
-		cg.xadj = append(cg.xadj, len(cg.adj))
-	}
+	cg := cs.Contract(g, cmap, nc)
+	cs.SortRows(&cg)
 	return cg, cmap
 }
 
@@ -258,11 +219,12 @@ func contract(g *coarse, maxVW float64) (*coarse, []int) {
 // connectivity gain that still has room, ties toward the lighter
 // target. Sweeps alternate direction and stop when a full sweep moves
 // nothing.
-func lpRefine(g *coarse, part []int, nparts int, capacity float64, sweeps int) {
-	n := g.n()
+func lpRefine(g *csr.Graph, part []int, nparts int, capacity float64, sweeps int) {
+	n := g.Len()
+	vw := g.Weights
 	loads := make([]float64, nparts)
 	for v := 0; v < n; v++ {
-		loads[part[v]] += g.vw[v]
+		loads[part[v]] += vw[v]
 	}
 	conn := make([]float64, nparts)
 	touched := make([]int, 0, nparts)
@@ -275,19 +237,19 @@ func lpRefine(g *coarse, part []int, nparts int, capacity float64, sweeps int) {
 			}
 			cur := part[v]
 			touched = touched[:0]
-			for j := g.xadj[v]; j < g.xadj[v+1]; j++ {
-				q := part[g.adj[j]]
+			for j := g.XAdj[v]; j < g.XAdj[v+1]; j++ {
+				q := part[g.Adj[j]]
 				if conn[q] == 0 {
 					touched = append(touched, q)
 				}
-				conn[q] += g.ew[j]
+				conn[q] += g.EdgeW[j]
 			}
 			// Strict total order (gain, load, part id) — the winner must
 			// not depend on adjacency traversal order, or bit-identity
 			// across equivalent graph encodings breaks.
 			best, bestGain := cur, 0.0
 			for _, q := range touched {
-				if q == cur || loads[q]+g.vw[v] > capacity {
+				if q == cur || loads[q]+vw[v] > capacity {
 					continue
 				}
 				gain := conn[q] - conn[cur]
@@ -301,8 +263,8 @@ func lpRefine(g *coarse, part []int, nparts int, capacity float64, sweeps int) {
 				conn[q] = 0
 			}
 			if best != cur {
-				loads[cur] -= g.vw[v]
-				loads[best] += g.vw[v]
+				loads[cur] -= vw[v]
+				loads[best] += vw[v]
 				part[v] = best
 				moved++
 			}
@@ -317,9 +279,9 @@ func lpRefine(g *coarse, part []int, nparts int, capacity float64, sweeps int) {
 // mini-multilevel: match-and-contract down to a few dozen vertices,
 // place the coarsest greedily in decreasing-weight order, then project
 // and lpRefine back up through every level (the input level included).
-func solveCoarse(cg *coarse, nparts int, capacity float64, opt Options) []int {
+func solveCoarse(cs *csr.Scratch, cg csr.Graph, nparts int, capacity float64, opt Options) []int {
 	type level struct {
-		g    *coarse
+		g    csr.Graph
 		cmap []int
 	}
 	var ladder []level
@@ -333,16 +295,16 @@ func solveCoarse(cg *coarse, nparts int, capacity float64, opt Options) []int {
 		coarsenTo = 64
 	}
 	var totalW float64
-	for _, w := range cg.vw {
+	for _, w := range cg.Weights {
 		totalW += w
 	}
 	maxVW := 1.5 * totalW / float64(coarsenTo)
 	if maxVW > capacity/4 {
 		maxVW = capacity / 4
 	}
-	for cur.n() > coarsenTo {
-		next, cmap := contract(cur, maxVW)
-		if next.n()*20 > cur.n()*19 {
+	for cur.Len() > coarsenTo {
+		next, cmap := contract(cs, &cur, maxVW)
+		if next.Len()*20 > cur.Len()*19 {
 			break // matching stalled
 		}
 		ladder = append(ladder, level{cur, cmap})
@@ -351,31 +313,32 @@ func solveCoarse(cg *coarse, nparts int, capacity float64, opt Options) []int {
 
 	// Initial placement: heaviest first (bin packing), scored through
 	// the shared weighted placer core.
-	nc := cur.n()
+	nc := cur.Len()
 	pl := NewPlacer(nparts, totalW, opt)
 	order := make([]int, nc)
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cur.vw[b], cur.vw[a]) })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cur.Weights[b], cur.Weights[a]) })
 	part := make([]int, nc)
 	for i := range part {
 		part[i] = -1
 	}
 	for _, v := range order {
-		q := pl.Place(v, cur.adj[cur.xadj[v]:cur.xadj[v+1]], cur.ew[cur.xadj[v]:cur.xadj[v+1]], part)
+		lo, hi := cur.XAdj[v], cur.XAdj[v+1]
+		q := pl.Place(v, cur.Adj[lo:hi], cur.EdgeW[lo:hi], part)
 		part[v] = q
-		pl.Add(q, cur.vw[v])
+		pl.Add(q, cur.Weights[v])
 	}
-	lpRefine(cur, part, nparts, capacity, 16)
+	lpRefine(&cur, part, nparts, capacity, 16)
 
 	for i := len(ladder) - 1; i >= 0; i-- {
 		lv := ladder[i]
-		fpart := make([]int, lv.g.n())
+		fpart := make([]int, len(lv.cmap))
 		for v := range fpart {
 			fpart[v] = part[lv.cmap[v]]
 		}
-		lpRefine(lv.g, fpart, nparts, capacity, 8)
+		lpRefine(&lv.g, fpart, nparts, capacity, 8)
 		part = fpart
 	}
 	return part
@@ -424,7 +387,9 @@ func bootstrap(gs GraphStream, slab *Slab, part []int, nparts int, w []float64, 
 		return err
 	}
 
-	cpart := solveCoarse(edges.coarse(cl.w), nparts, capacity, opt)
+	// One scratch serves the model's row sort and every contraction.
+	var cs csr.Scratch
+	cpart := solveCoarse(&cs, edges.coarse(&cs, cl.w), nparts, capacity, opt)
 	for v, c := range part {
 		part[v] = cpart[c]
 	}

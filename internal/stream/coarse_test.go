@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"chaos/internal/csr"
 	"chaos/internal/xrand"
 )
 
@@ -70,44 +71,44 @@ func TestPairCountMatchesMap(t *testing.T) {
 
 // buildCoarseOracle is the model build the pair counter replaced: a
 // map keyed by from*nc+to folded into a CSR through a sort of all keys.
-func buildCoarseOracle(nc int, vw []float64, acc map[int64]float64) *coarse {
+func buildCoarseOracle(nc int, vw []float64, acc map[int64]float64) *csr.Graph {
 	keys := make([]int64, 0, len(acc))
 	for k := range acc {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	g := &coarse{xadj: make([]int, nc+1), vw: vw}
+	g := &csr.Graph{XAdj: make([]int, nc+1), Weights: vw}
 	for _, k := range keys {
-		g.xadj[k/int64(nc)+1]++
-		g.adj = append(g.adj, int(k%int64(nc)))
-		g.ew = append(g.ew, acc[k])
+		g.XAdj[k/int64(nc)+1]++
+		g.Adj = append(g.Adj, int(k%int64(nc)))
+		g.EdgeW = append(g.EdgeW, acc[k])
 	}
 	for c := 0; c < nc; c++ {
-		g.xadj[c+1] += g.xadj[c]
+		g.XAdj[c+1] += g.XAdj[c]
 	}
 	return g
 }
 
 // contractOracle is the contraction the stamp-array assembly replaced:
 // accumulate into a map over every fine edge, then buildCoarseOracle.
-func contractOracle(g *coarse, cmap []int, nc int) *coarse {
+func contractOracle(g *csr.Graph, cmap []int, nc int) *csr.Graph {
 	vw := make([]float64, nc)
 	acc := map[int64]float64{}
-	for v := 0; v < g.n(); v++ {
-		vw[cmap[v]] += g.vw[v]
+	for v := 0; v < g.Len(); v++ {
+		vw[cmap[v]] += g.Weights[v]
 		cv := int64(cmap[v])
-		for j := g.xadj[v]; j < g.xadj[v+1]; j++ {
-			if cu := int64(cmap[g.adj[j]]); cu != cv {
-				acc[cv*int64(nc)+cu] += g.ew[j]
+		for j := g.XAdj[v]; j < g.XAdj[v+1]; j++ {
+			if cu := int64(cmap[g.Adj[j]]); cu != cv {
+				acc[cv*int64(nc)+cu] += g.EdgeW[j]
 			}
 		}
 	}
 	return buildCoarseOracle(nc, vw, acc)
 }
 
-func sameCoarse(a, b *coarse) bool {
-	return slices.Equal(a.xadj, b.xadj) && slices.Equal(a.adj, b.adj) &&
-		slices.Equal(a.ew, b.ew) && slices.Equal(a.vw, b.vw)
+func sameCoarse(a, b *csr.Graph) bool {
+	return slices.Equal(a.XAdj, b.XAdj) && slices.Equal(a.Adj, b.Adj) &&
+		slices.Equal(a.EdgeW, b.EdgeW) && slices.Equal(a.Weights, b.Weights)
 }
 
 // TestCoarseAssemblyMatchesOracle builds the coarse model of every
@@ -136,16 +137,17 @@ func TestCoarseAssemblyMatchesOracle(t *testing.T) {
 				}
 			}
 		}
-		g := pc.coarse(cl.w)
-		if !sameCoarse(g, buildCoarseOracle(nc, cl.w, acc)) {
+		var cs csr.Scratch
+		g := pc.coarse(&cs, cl.w)
+		if !sameCoarse(&g, buildCoarseOracle(nc, cl.w, acc)) {
 			t.Fatalf("%s: pair-counted model differs from the map-and-sort oracle", gr.name)
 		}
-		for level := 0; g.n() > 8; level++ {
-			next, cmap := contract(g, 3*cl.maxW)
-			if !sameCoarse(next, contractOracle(g, cmap, next.n())) {
+		for level := 0; g.Len() > 8; level++ {
+			next, cmap := contract(&cs, &g, 3*cl.maxW)
+			if !sameCoarse(&next, contractOracle(&g, cmap, next.Len())) {
 				t.Fatalf("%s level %d: contraction differs from the map-and-sort oracle", gr.name, level)
 			}
-			if next.n() == g.n() {
+			if next.Len() == g.Len() {
 				break
 			}
 			g = next
