@@ -8,7 +8,7 @@ GO ?= go
 # below it. Raise it when coverage durably improves.
 COVER_FLOOR = 91.0
 
-.PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline repo-bench repo-bench-pairs profile-cpu profile-mem profile-exec profile-inspect fuzz-short quickstart tables examples docs-check api-check api-snapshot loc
+.PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline repo-bench repo-bench-pairs kernel-pairs profile-cpu profile-mem profile-exec profile-inspect fuzz-short quickstart tables examples docs-check api-check api-snapshot loc
 
 # The BenchmarkHot* suite measures the steady state of the arena-backed
 # hot paths and of the paper's own layers (translation-table
@@ -168,6 +168,33 @@ repo-bench-pairs:
 		done; \
 	done
 	.bench_build/bench_change -compare .bench_build/change.jsonl -against .bench_build/base.jsonl
+
+# kernel-pairs is the same paired protocol for one `go test -bench`
+# kernel: the test binaries of PKG at the committed BASE (unpacked with
+# `git archive` into the git-ignored .bench_build/kernel/) and of the
+# working tree are built once, then N alternating runs of the benchmarks
+# matching BENCH (a -test.bench regexp; write a literal $ as $$),
+# BENCHTIME each, go to one file per side, and `benchjson -pairs`
+# reports per metric both medians and quartiles, the median shift, the
+# base quartile distance and the pairs won.
+BENCH ?= ^BenchmarkHotColdMultilevelSerial$$
+PKG ?= ./internal/partition
+BENCHTIME ?= 200x
+kernel-pairs:
+	@rm -rf .bench_build/kernel && mkdir -p .bench_build/kernel/base
+	git archive $(BASE) | tar -x -C .bench_build/kernel/base
+	cd .bench_build/kernel/base && $(GO) test -c -o ../base.test $(PKG)
+	$(GO) test -c -o .bench_build/kernel/change.test $(PKG)
+	@for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi; \
+		for side in $$order; do \
+			echo "pair $$i/$(N): $$side"; \
+			if [ $$side = base ]; then dir=.bench_build/kernel/base/$(PKG); else dir=$(PKG); fi; \
+			(cd $$dir && $(CURDIR)/.bench_build/kernel/$$side.test -test.run '^$$' -test.bench '$(BENCH)' \
+				-test.benchtime $(BENCHTIME) -test.benchmem -test.timeout 30m) >> .bench_build/kernel/$$side.txt || exit 1; \
+		done; \
+	done
+	$(GO) run ./cmd/benchjson -pairs .bench_build/kernel/base.txt < .bench_build/kernel/change.txt
 
 # profile-cpu / profile-mem run the 21952-node distributed V-cycle
 # benchmark under the Go profiler and drop pprof files under the

@@ -26,6 +26,14 @@
 // require a lockstep baseline refresh. Names are matched with the
 // -GOMAXPROCS suffix stripped, keyed by package, so baselines travel
 // across machines with different core counts.
+//
+// -pairs <base.txt> is the kernel-level paired comparison behind `make
+// kernel-pairs`: stdin and the named file hold the bench text of two
+// builds run alternately, and the i-th run of a benchmark on each side
+// forms pair i. For every metric it prints both sides' medians and
+// quartiles, the median shift, the base side's quartile distance as a
+// share of its median, and in how many pairs the change side was lower
+// (every `go test -bench` metric is a cost).
 package main
 
 import (
@@ -35,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -158,17 +167,138 @@ func compare(base, cur *Doc, allocTol float64) (problems, notes []string) {
 	return problems, notes
 }
 
+// pairRow is one metric of one benchmark in a paired session: each
+// side's first quartile, median and third quartile, the number of pairs
+// and the pairs in which the change side was lower.
+type pairRow struct {
+	key, metric  string
+	base, change [3]float64
+	pairs, wins  int
+}
+
+// pairs matches the runs of base and change by benchmark and order and
+// summarizes every metric both sides report, in base's benchmark order.
+func pairs(base, change *Doc) []pairRow {
+	byKey := func(d *Doc) (map[string][]Benchmark, []string) {
+		m := map[string][]Benchmark{}
+		var order []string
+		for _, b := range d.Benchmarks {
+			k := gateKey(b)
+			if m[k] == nil {
+				order = append(order, k)
+			}
+			m[k] = append(m[k], b)
+		}
+		return m, order
+	}
+	bm, order := byKey(base)
+	cm, _ := byKey(change)
+	var rows []pairRow
+	for _, k := range order {
+		bs, cs := bm[k], cm[k]
+		n := min(len(bs), len(cs))
+		if n == 0 {
+			continue
+		}
+		var metrics []string
+		for name := range bs[0].Metrics {
+			metrics = append(metrics, name)
+		}
+		slices.Sort(metrics)
+		for _, name := range metrics {
+			r := pairRow{key: k, metric: name}
+			var bv, cv []float64
+			for i := 0; i < n; i++ {
+				b, okb := bs[i].Metrics[name]
+				c, okc := cs[i].Metrics[name]
+				if !okb || !okc {
+					continue
+				}
+				bv, cv = append(bv, b), append(cv, c)
+				if c < b {
+					r.wins++
+				}
+			}
+			if r.pairs = len(bv); r.pairs > 0 {
+				r.base, r.change = quartiles(bv), quartiles(cv)
+				rows = append(rows, r)
+			}
+		}
+	}
+	return rows
+}
+
+// quartiles returns the first quartile, median and third quartile of
+// xs by the exclusive method (Python's statistics.quantiles(n=4), the
+// repository benchmark's -compare): with fewer than two values every
+// quartile is the value itself.
+func quartiles(xs []float64) [3]float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	if len(s) < 2 {
+		return [3]float64{s[0], s[0], s[0]}
+	}
+	var q [3]float64
+	m := len(s) + 1
+	for i := 1; i <= 3; i++ {
+		j := min(max(i*m/4, 1), len(s)-1)
+		delta := float64(i*m - j*4)
+		q[i-1] = (s[j-1]*(4-delta) + s[j]*delta) / 4
+	}
+	return q
+}
+
+// printPairs writes the paired session as a table, one row per metric.
+func printPairs(w io.Writer, rows []pairRow) {
+	width := len("benchmark")
+	for _, r := range rows {
+		width = max(width, len(r.key))
+	}
+	side := func(q [3]float64) string { return fmt.Sprintf("%.4g (%.4g-%.4g)", q[1], q[0], q[2]) }
+	fmt.Fprintf(w, "%-*s  %-9s %5s  %-32s %-32s %8s %8s %6s\n", width, "benchmark", "metric", "pairs",
+		"base median (Q1-Q3)", "change median (Q1-Q3)", "diff", "base IQR", "wins")
+	for _, r := range rows {
+		diff, iqr := 0.0, 0.0
+		if med := r.base[1]; med != 0 {
+			diff, iqr = 100*(r.change[1]-med)/med, 100*(r.base[2]-r.base[0])/med
+		}
+		fmt.Fprintf(w, "%-*s  %-9s %5d  %-32s %-32s %+7.1f%% %7.1f%% %6s\n", width, r.key, r.metric, r.pairs,
+			side(r.base), side(r.change), diff, iqr, fmt.Sprintf("%d/%d", r.wins, r.pairs))
+	}
+}
+
 func main() {
 	sha := flag.String("sha", os.Getenv("GITHUB_SHA"), "commit sha to stamp the document with")
 	out := flag.String("o", "-", "output file (\"-\" = stdout)")
 	gate := flag.String("gate", "", "baseline JSON to gate against; exit non-zero on regression")
 	allocTol := flag.Float64("alloc-tol", 0.05, "allocs/op headroom over baseline (scheduling noise; zero baselines stay exact)")
+	pairsBase := flag.String("pairs", "", "bench text of the base side of a paired session; stdin is the change side")
 	flag.Parse()
 
 	doc, err := parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
+	}
+	if *pairsBase != "" {
+		f, err := os.Open(*pairsBase)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(1)
+		}
+		base, err := parse(f)
+		f.Close()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(1)
+		}
+		rows := pairs(base, doc)
+		if len(rows) == 0 {
+			fmt.Fprintln(os.Stderr, "benchjson: no benchmark runs on both sides")
+			os.Exit(1)
+		}
+		printPairs(os.Stdout, rows)
+		return
 	}
 	doc.SHA = *sha
 	if len(doc.Benchmarks) == 0 {

@@ -140,7 +140,7 @@ func BenchmarkCoarsen(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var cs csr.Scratch
-		sg := induce(&cs, f, verts)
+		sg := induce(&cs, &f.Graph, verts)
 		totalW := sg.totalWeight()
 		for cur := sg; cur.Len() > 100; {
 			cmap, nc := heavyEdgeMatch(cur, totalW*0.01)

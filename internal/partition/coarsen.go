@@ -104,3 +104,27 @@ func contract(s *csr.Scratch, sg *subgraph, cmap []int, nc int) *subgraph {
 	sg.flops += int64(2*len(sg.Adj) + 2*len(cmap))
 	return cs
 }
+
+// coarsenSerial builds the serial coarsening ladder of levels[0]:
+// each next level is the heavy-edge contraction of the last, with
+// cmaps[l] mapping level l onto level l+1, until a level has at most
+// stopAt vertices. The cluster-weight cap (1% of levels[0]'s weight)
+// keeps the coarsest median sweep within klRefine's 2% balance slack;
+// the stall check stops when matching no longer shrinks the graph
+// meaningfully (star-like or cap-bound regions). The caller passes the
+// one-element levels slice so that it can live on the caller's stack.
+func coarsenSerial(s *csr.Scratch, levels []*subgraph, stopAt int) ([]*subgraph, [][]int) {
+	var cmaps [][]int
+	maxW := levels[0].totalWeight() * 0.01
+	for cur := levels[0]; cur.Len() > stopAt; {
+		cmap, nc := heavyEdgeMatch(cur, maxW)
+		if nc > cur.Len()*9/10 {
+			break
+		}
+		next := contract(s, cur, cmap, nc)
+		cmaps = append(cmaps, cmap)
+		levels = append(levels, next)
+		cur = next
+	}
+	return levels, cmaps
+}

@@ -27,8 +27,10 @@
 // Multilevel is the recommended connectivity partitioner for large
 // graphs and carries the package's tuning surface:
 //
-//   - CoarsenTo (default 100): vertex count at which coarsening stops
-//     and the spectral solve runs. Smaller is faster and coarser;
+//   - CoarsenTo (default 100): vertex count at which each bisection
+//     of the coarsest-level solve stops coarsening and runs the
+//     spectral solve; the serial V-cycle's one ladder stops at
+//     max(8*CoarsenTo, 8*nparts). Smaller is faster and coarser;
 //     larger spends more Lanczos time for marginally better seeds.
 //     Safe range ~25-400.
 //   - ParallelThreshold (default 2048): minimum global vertex count
@@ -39,8 +41,8 @@
 //     max(8*CoarsenTo, ParallelThreshold) — the empirical quality
 //     knee (see docs/REFINEMENT.md).
 //   - Seed (default 0): salts the distributed matching's tie-breaking.
-//   - Imbalance (default 0.07): balance tolerance of the distributed
-//     k-way refinement; must stay below 0.5.
+//   - Imbalance (default 0.07): balance tolerance of the k-way
+//     refinement, serial and distributed; must stay below 0.5.
 //
 // The parallel FM refiner (prefine.go) runs a fixed 3 passes per
 // uncoarsening level, 4 at the finest. STREAM takes Restreams and
@@ -52,8 +54,12 @@
 // BLOCK) and MULTILEVEL within 15% of RSB serially; bench_test.go
 // pins MULTILEVEL >= 5x faster than RSB in host time on a 20k-node
 // mesh; parallel_test.go pins the distributed path's virtual time
-// strictly decreasing P=1..8 with cut within 5% of the serial
-// V-cycle, plus balance, determinism and dispatch routing;
+// strictly decreasing P=2..16, and below the serial path's at P=16,
+// with every cut within 5% of the P=2 cut, plus balance, determinism
+// and dispatch routing; TestSerialMultilevelSweep (in package
+// stream's tests, which hold the hostile graph generators) pins the
+// serial path's validity and balance on hostile graph families and
+// its mean lattice cut;
 // prefine_test.go pins the refinement stack's contracts (FM improves
 // seeds and holds the balance window); pipeline_pin_test.go pins the
 // exact partition and virtual makespan of the cold and warm pipeline

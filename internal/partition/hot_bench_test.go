@@ -41,7 +41,7 @@ func hotSubgraph(tb testing.TB) (*subgraph, []bool) {
 	for i := range verts {
 		verts[i] = i
 	}
-	sg := induce(new(csr.Scratch), f, verts)
+	sg := induce(new(csr.Scratch), &f.Graph, verts)
 	side := make([]bool, sg.Len())
 	for i := range side {
 		side[i] = i < sg.Len()/2
@@ -210,8 +210,10 @@ func benchColdMultilevel(b *testing.B, p int) {
 	}
 }
 
-// BenchmarkHotColdMultilevelSerial is the cold serial V-cycle: the
-// gathered recursive bisection on one rank.
+// BenchmarkHotColdMultilevelSerial is the cold serial V-cycle on one
+// rank: one coarsening ladder over the gathered graph, the
+// recursive-bisection solve of its coarsest level, and k-way FM at
+// every level back up.
 func BenchmarkHotColdMultilevelSerial(b *testing.B) { benchColdMultilevel(b, 1) }
 
 // BenchmarkHotColdMultilevelDist8 is the cold distributed V-cycle on 8

@@ -207,8 +207,8 @@ func (KL) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 	var s klScratch
 	var cs csr.Scratch
 	return serialBisectPartition(c, g, nparts,
-		func(f *geocol.Full, verts []int, frac float64) ([]int, []int, int64) {
-			return klBisect(&s, &cs, f, verts, frac)
+		func(g *csr.Graph, verts []int, frac float64) ([]int, []int, int64) {
+			return klBisect(&s, &cs, g, verts, frac)
 		})
 }
 
@@ -217,8 +217,8 @@ func (KL) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 // refines it with klRefine.
 //
 //chaos:hotpath
-func klBisect(s *klScratch, cs *csr.Scratch, f *geocol.Full, verts []int, frac float64) (left, right []int, flops int64) {
-	sg := induce(cs, f, verts)
+func klBisect(s *klScratch, cs *csr.Scratch, g *csr.Graph, verts []int, frac float64) (left, right []int, flops int64) {
+	sg := induce(cs, g, verts)
 	n := sg.Len()
 	target := sg.totalWeight() * frac
 

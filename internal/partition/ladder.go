@@ -7,14 +7,15 @@ import (
 
 // This file is the ladder pipeline of MULTILEVEL — coarsen → solve →
 // uncoarsen, each stage existing once — and its two entry points:
-// PartitionLadder (cold; the serial path is its zero-level instance)
-// and Repartition (warm: no coarsen, the old partition restricted down
-// a retained ladder). A warm run skips the ghost-exchange
-// construction, the 4-round matching handshake and the distributed
-// contraction of every level and the gathered solve, which is what
-// makes it a fraction of a cold one (core.Repartitioner is the runtime
-// handle that drives this; the paper's Section 3 reuse guard extended
-// from "skip when unchanged" to "re-refine when slightly changed").
+// PartitionLadder (cold; below the dispatch threshold the same three
+// stages run serially on rank 0, solveSerial) and Repartition (warm: no
+// coarsen, the old partition restricted down a retained ladder). A warm
+// run skips the ghost-exchange construction, the 4-round matching
+// handshake and the distributed contraction of every level and the
+// gathered solve, which is what makes it a fraction of a cold one
+// (core.Repartitioner is the runtime handle that drives this; the
+// paper's Section 3 reuse guard extended from "skip when unchanged" to
+// "re-refine when slightly changed").
 
 // Ladder is the retained coarsening ladder of a parallel MULTILEVEL
 // run: per level the fine graph, its ghost-exchange pattern and the
@@ -143,20 +144,23 @@ func (ml Multilevel) polishCoarsest(c *machine.Ctx, ar *arena, coarsest *geocol.
 // PartitionLadder runs Partition and, when the distributed path was
 // taken, additionally retains the coarsening ladder for incremental
 // reuse; the ladder is nil when the serial gather-everything path ran
-// (there is no k-way ladder to retain in the per-bisection serial
-// V-cycle). Partition delegates here, so a cold run retains a ladder
-// exactly when the distributed path runs. Collective.
+// (its ladder lives on rank 0 alone, not as the per-rank levels a
+// warm start restricts down). Partition delegates here, so a cold run
+// retains a ladder exactly when the distributed path runs. Collective.
 func (ml Multilevel) PartitionLadder(c *machine.Ctx, g *geocol.Graph, nparts int) ([]int, *Ladder) {
 	checkArgs(nparts)
 	if !g.HasLink {
 		panic("partition: MULTILEVEL requires a GeoCoL LINK component")
 	}
 	if !ml.distributed(c, g, nparts) {
-		// The zero-level instance: no ladder to climb back up, so the
-		// gathered solve is the answer. Its arena (the recursion tree
-		// shares contraction and KL-refinement buffers) is a site of its
-		// own so that it stays on the stack.
-		return serialBisectPartition(c, g, nparts, ml.bisecter(&arena{})), nil
+		// The serial V-cycle on the gathered graph. Its arena (the
+		// ladder, the recursion tree and the k-way refinements share
+		// contraction, KL and FM buffers) is a site of its own so that
+		// it stays on the stack.
+		ar := &arena{}
+		return gatheredSolve(c, g, func(f *geocol.Full) ([]int, int64) {
+			return ml.solveSerial(ar, &f.Graph, nparts)
+		}), nil
 	}
 	// One arena per run, threaded through coarsening, the serial solve
 	// and every refinement level, then retained in the Ladder so warm

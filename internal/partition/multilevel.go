@@ -1,26 +1,28 @@
 package partition
 
 import (
+	"chaos/internal/csr"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
 	"chaos/internal/scratch"
 )
 
 // Multilevel is the multilevel graph partitioner (Hendrickson & Leland's
-// Chaco scheme, later METIS): recursive bisection where every bisection
-// runs a V-cycle instead of solving on the full graph —
+// Chaco scheme, later METIS): one V-cycle over the whole graph —
 //
 //  1. Coarsen: heavy-edge matching collapses the graph level by level
 //     (coarsen.go), aggregating vertex and edge weights so each coarse
-//     graph stays faithful to the finest one.
-//  2. Partition: once the graph is small, the existing RSB/Lanczos
-//     machinery (fiedlerSide) bisects it at the weighted median of its
-//     Fiedler vector. The weighted Laplacian sees the aggregated edge
-//     weights, so the coarse solve approximates the fine spectral cut.
-//  3. Uncoarsen: the bisection is projected back up level by level, and
-//     the existing Kernighan-Lin boundary refiner (klRefine) polishes it
-//     at every level, where a handful of boundary moves recover most of
-//     the quality a full-graph spectral solve would have found.
+//     graph stays faithful to the finest one, until a level has at most
+//     max(8·CoarsenTo, 8·nparts) vertices or matching stalls.
+//  2. Partition: the coarsest graph is split into nparts parts by
+//     recursive bisection, each bisection a small V-cycle of its own
+//     (bisect: coarsen to CoarsenTo, split at the weighted median of the
+//     Fiedler vector, Kernighan-Lin refinement back up), and the k-way
+//     FM refiner (kwayRefine) polishes the result.
+//  3. Uncoarsen: the partition is projected back up level by level, and
+//     kwayRefine polishes it at every level, where a handful of boundary
+//     moves recover most of the quality a full-graph solve would have
+//     found.
 //
 // The payoff is the paper's partitioning bottleneck removed: the Lanczos
 // iteration — the dominant cost in the paper's Table 2 SET BY
@@ -30,19 +32,19 @@ import (
 // quality_test.go). Like RSB and KL it consumes LINK connectivity and
 // honors LOAD weights.
 //
-// On a single rank (or below ParallelThreshold) that recursive
-// bisection runs on the gathered graph with the replicated-cost
-// convention described on RSB, and it is the whole partitioner. On
-// larger machines it is the coarsest-level solve of one ladder pipeline
-// (ladder.go: coarsen → solve → uncoarsen): the coarsening ladder runs
-// distributed over the block-distributed GeoCoL graph, only the
-// coarsest level is gathered, and the uncoarsening is refined by the
-// hill-climbing parallel FM of prefine.go, so the partitioner's virtual
-// time falls with the rank count instead of staying flat while the cut
-// stays within 5% of the serial V-cycle's. PartitionLadder and
-// Repartition are that one pipeline entered cold and re-entered warm
-// from a retained ladder. docs/REFINEMENT.md tours the refinement stack
-// and its tuning knobs.
+// On a single rank (or below ParallelThreshold) the V-cycle runs on the
+// gathered graph with the replicated-cost convention described on RSB
+// (solveSerial). On larger machines the same three stages are one
+// distributed ladder pipeline (ladder.go: coarsen → solve → uncoarsen):
+// the coarsening ladder runs over the block-distributed GeoCoL graph,
+// only the coarsest level is gathered for step 2, and the uncoarsening
+// is refined by the hill-climbing parallel FM of prefine.go. Its
+// virtual time falls with the rank count from P=2 on and drops below
+// the serial path's by 16 ranks, while every distributed cut stays
+// within 5% of the two-rank one (TestParallelMultilevelTimeScales).
+// PartitionLadder and Repartition are that pipeline entered cold and
+// re-entered warm from a retained ladder. docs/REFINEMENT.md tours the
+// refinement stack and its tuning knobs.
 type Multilevel struct {
 	// CoarsenTo stops coarsening once a level has at most this many
 	// vertices (0 means the default of 100).
@@ -57,9 +59,10 @@ type Multilevel struct {
 	// distributed heavy-edge matching, decorrelating the ladders of
 	// repeated runs. 0 keeps the default stream.
 	Seed uint64
-	// Imbalance is the balance tolerance of the distributed k-way
-	// refinement (fractional: 0.07 allows part weights within ±7% of
-	// ideal). 0 means the default of 0.07; it must stay below 0.5.
+	// Imbalance is the balance tolerance of the k-way refinement,
+	// serial and distributed (fractional: 0.07 allows part weights
+	// within ±7% of ideal). 0 means the default of 0.07; it must stay
+	// below 0.5.
 	Imbalance float64
 }
 
@@ -68,7 +71,7 @@ func (Multilevel) Name() string { return "MULTILEVEL" }
 // Capabilities: MULTILEVEL consumes LINK connectivity.
 func (Multilevel) Capabilities() Capabilities { return Capabilities{NeedsLink: true} }
 
-// tol resolves the Imbalance default for the distributed refiners.
+// tol resolves the Imbalance default for the k-way refiners.
 func (ml Multilevel) tol() float64 {
 	if ml.Imbalance == 0 {
 		return 0.07
@@ -90,42 +93,75 @@ func (ml Multilevel) parallelThreshold() int {
 	return ml.ParallelThreshold
 }
 
-// bisecter binds the run's arena to the bisect callback shape
-// serialBisectPartition expects.
-func (ml Multilevel) bisecter(ar *arena) func(f *geocol.Full, verts []int, frac float64) ([]int, []int, int64) {
-	return func(f *geocol.Full, verts []int, frac float64) ([]int, []int, int64) {
-		return ml.bisect(ar, f, verts, frac)
+// coarsenTo resolves the CoarsenTo default.
+func (ml Multilevel) coarsenTo() int {
+	if ml.CoarsenTo <= 0 {
+		return 100
+	}
+	return ml.CoarsenTo
+}
+
+// solveSerial is serial MULTILEVEL on the gathered graph g (rank 0's
+// half of gatheredSolve): coarsen once down to max(8·CoarsenTo,
+// 8·nparts) vertices, solve the coarsest level the way the distributed
+// ladder solves its gathered one (the recursive-bisection V-cycle, then
+// an 8-pass k-way FM polish), and project back up with a kwayRefine
+// at every level — 1 pass on interior levels, whose boundary is
+// re-refined at every finer level, and 4 on the finest. Returns the
+// part of every vertex and the flop count to charge.
+func (ml Multilevel) solveSerial(ar *arena, g *csr.Graph, nparts int) (part []int, flops int64) {
+	n := g.Len()
+	top := &subgraph{Graph: *g, orig: make([]int, n)}
+	for v := range top.orig {
+		top.orig[v] = v
+	}
+	if top.Weights == nil {
+		top.Weights = make([]float64, n)
+		for v := range top.Weights {
+			top.Weights[v] = 1
+		}
+	}
+	levels, cmaps := coarsenSerial(&ar.cs, []*subgraph{top}, max(8*ml.coarsenTo(), 8*nparts))
+
+	coarsest := levels[len(levels)-1]
+	part, flops = recursiveBisect(&coarsest.Graph, nparts, ml.bisecter(ar))
+	flops += kwayRefine(&ar.kway, &coarsest.Graph, part, nparts, 8, ml.tol())
+
+	for l := len(levels) - 2; l >= 0; l-- {
+		fine, cmap := levels[l], cmaps[l]
+		finePart := make([]int, len(cmap))
+		for v, cv := range cmap {
+			finePart[v] = part[cv]
+		}
+		fine.flops += int64(len(cmap))
+		passes := 1
+		if l == 0 {
+			passes = 4
+		}
+		flops += kwayRefine(&ar.kway, &fine.Graph, finePart, nparts, passes, ml.tol())
+		part = finePart
+	}
+	for _, lv := range levels {
+		flops += lv.flops
+	}
+	return part, flops
+}
+
+// bisecter binds the run's arena to the bisectFunc shape
+// recursiveBisect expects.
+func (ml Multilevel) bisecter(ar *arena) bisectFunc {
+	return func(g *csr.Graph, verts []int, frac float64) ([]int, []int, int64) {
+		return ml.bisect(ar, g, verts, frac)
 	}
 }
 
 // bisect runs one coarsen → spectral-bisect → uncoarsen+refine V-cycle
 // on the subgraph induced by verts; ar supplies the contraction and
 // KL-refinement scratch shared across the recursion tree.
-func (ml Multilevel) bisect(ar *arena, f *geocol.Full, verts []int, frac float64) (left, right []int, flops int64) {
-	coarsenTo := ml.CoarsenTo
-	if coarsenTo <= 0 {
-		coarsenTo = 100
-	}
-	sg := induce(&ar.cs, f, verts)
-	totalW := sg.totalWeight()
-	target := totalW * frac
-
-	// Coarsening phase. The cluster-weight cap (1% of the group) keeps
-	// the coarsest median sweep within klRefine's 2% balance slack; the
-	// stall check stops when matching no longer shrinks the graph
-	// meaningfully (star-like or cap-bound regions).
-	levels := []*subgraph{sg}
-	var cmaps [][]int
-	for cur := sg; cur.Len() > coarsenTo; {
-		cmap, nc := heavyEdgeMatch(cur, totalW*0.01)
-		if nc > cur.Len()*9/10 {
-			break
-		}
-		next := contract(&ar.cs, cur, cmap, nc)
-		cmaps = append(cmaps, cmap)
-		levels = append(levels, next)
-		cur = next
-	}
+func (ml Multilevel) bisect(ar *arena, g *csr.Graph, verts []int, frac float64) (left, right []int, flops int64) {
+	sg := induce(&ar.cs, g, verts)
+	target := sg.totalWeight() * frac
+	levels, cmaps := coarsenSerial(&ar.cs, []*subgraph{sg}, ml.coarsenTo())
 
 	// Coarsest-level solve: the spectral split RSB would run, now on a
 	// graph of ~coarsenTo vertices, followed by one refinement pass.

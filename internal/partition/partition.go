@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"chaos/internal/csr"
 	"chaos/internal/dist"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
@@ -85,43 +86,33 @@ func init() {
 	Register(Streaming{})
 }
 
+// bisectFunc splits the vertex subset verts of g (ids of g) so that a
+// frac share of its vertex weight lands in left, and returns the flop
+// count of the split. RSB, KL and MULTILEVEL's V-cycle each supply one.
+type bisectFunc func(g *csr.Graph, verts []int, frac float64) (left, right []int, flops int64)
+
 // serialBisectPartition is the shared driver of the serial recursive-
-// bisection partitioners (RSB, KL, MULTILEVEL): the GeoCoL graph is
-// gathered onto rank 0 (every rank is charged the all-ranks gather, as
-// graph-generation cost), rank 0 recursively bisects the vertex set
-// with bisect and broadcasts the map together with the flop count of
-// the solve, and every rank's clock is charged the full cost — the
-// replicated-cost convention explained on RSB.
-func serialBisectPartition(c *machine.Ctx, g *geocol.Graph, nparts int,
-	bisect func(f *geocol.Full, verts []int, frac float64) (left, right []int, flops int64)) []int {
+// bisection partitioners (RSB, KL) and of the distributed MULTILEVEL
+// ladder's coarsest solve: gatheredSolve around recursiveBisect.
+func serialBisectPartition(c *machine.Ctx, g *geocol.Graph, nparts int, bisect bisectFunc) []int {
+	return gatheredSolve(c, g, func(f *geocol.Full) ([]int, int64) {
+		return recursiveBisect(&f.Graph, nparts, bisect)
+	})
+}
+
+// gatheredSolve runs a serial solve under the replicated-cost
+// convention explained on RSB: the GeoCoL graph is gathered onto rank 0
+// (every rank is charged the all-ranks gather, as graph-generation
+// cost), rank 0 solves it and broadcasts the map together with the
+// flop count of the solve, and every rank's clock is charged the full
+// cost. Returns this rank's home-resident slice. Collective.
+func gatheredSolve(c *machine.Ctx, g *geocol.Graph, solve func(f *geocol.Full) (part []int, flops int64)) []int {
 	f := g.GatherTo(c, 0)
 
 	var part []int
 	if c.Rank() == 0 {
-		part = make([]int, f.N)
 		var flops int64
-		verts := make([]int, f.N)
-		for i := range verts {
-			verts[i] = i
-		}
-		stack := []splitTask{{verts: verts, partLo: 0, nparts: nparts}}
-		for len(stack) > 0 {
-			t := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if t.nparts == 1 {
-				for _, v := range t.verts {
-					part[v] = t.partLo
-				}
-				continue
-			}
-			nl := halves(t.nparts)
-			left, right, fl := bisect(f, t.verts, float64(nl)/float64(t.nparts))
-			flops += fl
-			stack = append(stack,
-				splitTask{verts: right, partLo: t.partLo + nl, nparts: t.nparts - nl},
-				splitTask{verts: left, partLo: t.partLo, nparts: nl},
-			)
-		}
+		part, flops = solve(f)
 		part = append(part, int(flops))
 	}
 	part = c.BroadcastInts(0, part)
@@ -135,6 +126,37 @@ func serialBisectPartition(c *machine.Ctx, g *geocol.Graph, nparts int,
 		out[l] = part[lo+l]
 	}
 	return out
+}
+
+// recursiveBisect divides g's vertices into nparts parts by bisecting
+// recursively with bisect, and returns the part of every vertex and
+// the summed flop count of the bisections.
+func recursiveBisect(g *csr.Graph, nparts int, bisect bisectFunc) (part []int, flops int64) {
+	n := g.Len()
+	part = make([]int, n)
+	verts := make([]int, n)
+	for i := range verts {
+		verts[i] = i
+	}
+	stack := []splitTask{{verts: verts, partLo: 0, nparts: nparts}}
+	for len(stack) > 0 {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if t.nparts == 1 {
+			for _, v := range t.verts {
+				part[v] = t.partLo
+			}
+			continue
+		}
+		nl := halves(t.nparts)
+		left, right, fl := bisect(g, t.verts, float64(nl)/float64(t.nparts))
+		flops += fl
+		stack = append(stack,
+			splitTask{verts: right, partLo: t.partLo + nl, nparts: t.nparts - nl},
+			splitTask{verts: left, partLo: t.partLo, nparts: nl},
+		)
+	}
+	return part, flops
 }
 
 // checkArgs validates common preconditions.

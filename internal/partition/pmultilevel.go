@@ -17,7 +17,8 @@ import (
 // projection and refinement all do O(local graph) work per rank plus
 // all-to-all exchanges, so — unlike the gather-everything serial path,
 // whose replicated cost is flat in the machine size — the
-// partitioner's virtual time falls as ranks are added (see
+// partitioner's virtual time falls as ranks are added from P=2 on,
+// overtaking the serial path's by P=16 (see
 // TestParallelMultilevelTimeScales). docs/REFINEMENT.md is the guided
 // tour of the refinement stack.
 
@@ -133,11 +134,7 @@ func restrictPart(c *machine.Ctx, s *projScratch, fine *geocol.Graph, cmap []int
 // solve's seed than any amount of distributed refinement wins back
 // (docs/REFINEMENT.md records the measurements).
 func (ml Multilevel) serialTo(nparts int) int {
-	coarsenTo := ml.CoarsenTo
-	if coarsenTo <= 0 {
-		coarsenTo = 100
-	}
-	serialTo := 8 * coarsenTo
+	serialTo := 8 * ml.coarsenTo()
 	if thr := ml.parallelThreshold(); serialTo < thr {
 		serialTo = thr
 	}

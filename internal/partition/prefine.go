@@ -162,10 +162,11 @@ func (fb *fmBuckets) reset() {
 	fb.hi = 0
 }
 
-// kwayRefine is the serial k-way FM refiner run (replicated) on
-// gathered coarse levels below ParallelThreshold, where each rank's
-// slice is too small for distributed hill climbs to gain traction and
-// the gather is cheap. It is klRefine generalized to k parts on the
+// kwayRefine is the serial k-way FM refiner: it refines every level of
+// the serial V-cycle (solveSerial), and runs (replicated) on gathered
+// coarse levels below ParallelThreshold, where each rank's slice is too
+// small for distributed hill climbs to gain traction and the gather is
+// cheap. It is klRefine generalized to k parts on the
 // same fmBuckets structure the distributed refiner uses: pop the best
 // move (any adjacent part, no direction rule — the serial view is
 // exact), allow negative-gain moves, keep the best prefix, roll the

@@ -306,7 +306,7 @@ func TestInduceMatchesReference(t *testing.T) {
 		for fi, f := range fulls {
 			for _, frac := range []float64{1, 0.5, 0.1, 0} {
 				verts := rng.Perm(f.N)[:int(frac*float64(f.N))]
-				got, want := induce(&s, f, slices.Clone(verts)), refInduce(f, verts)
+				got, want := induce(&s, &f.Graph, slices.Clone(verts)), refInduce(f, verts)
 				if d := diffSubgraphs(got, want); d != "" {
 					t.Fatalf("round %d graph %d (N=%d) subset of %d: %s", round, fi, f.N, len(verts), d)
 				}

@@ -37,16 +37,16 @@ func (RSB) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 	// recursion tree.
 	var s csr.Scratch
 	return serialBisectPartition(c, g, nparts,
-		func(f *geocol.Full, verts []int, frac float64) ([]int, []int, int64) {
-			return spectralBisect(&s, f, verts, frac)
+		func(g *csr.Graph, verts []int, frac float64) ([]int, []int, int64) {
+			return spectralBisect(&s, g, verts, frac)
 		})
 }
 
 // spectralBisect splits verts into halves at the weighted median of
 // the Fiedler vector of the induced subgraph, returning the flop count
 // of the solve.
-func spectralBisect(s *csr.Scratch, f *geocol.Full, verts []int, frac float64) (left, right []int, flops int64) {
-	sg := induce(s, f, verts)
+func spectralBisect(s *csr.Scratch, g *csr.Graph, verts []int, frac float64) (left, right []int, flops int64) {
+	sg := induce(s, g, verts)
 	left, right = splitSides(sg, fiedlerSide(sg, frac))
 	return left, right, sg.flops
 }
@@ -105,11 +105,11 @@ func splitSides(sg *subgraph, side []bool) (left, right []int) {
 	return left, right
 }
 
-// induce extracts the subgraph of f induced by verts
+// induce extracts the subgraph of g induced by verts
 // (csr.Scratch.Induce), which the result keeps as its orig (verts must
 // not change while the subgraph lives).
-func induce(s *csr.Scratch, f *geocol.Full, verts []int) *subgraph {
-	sg := &subgraph{Graph: s.Induce(&f.Graph, verts), orig: verts}
+func induce(s *csr.Scratch, g *csr.Graph, verts []int) *subgraph {
+	sg := &subgraph{Graph: s.Induce(g, verts), orig: verts}
 	sg.flops += int64(len(sg.Adj) + len(verts))
 	return sg
 }

@@ -53,8 +53,9 @@ type Spec struct {
 	// Seed salts randomized tie-breaking: MULTILEVEL's distributed
 	// matching and STREAM's placement (0 = method default).
 	Seed uint64
-	// Imbalance is the balance tolerance of the distributed multilevel
-	// refinement (fractional; 0 = default 0.07, must stay below 0.5).
+	// Imbalance is the balance tolerance of the multilevel k-way
+	// refinement, serial and distributed (fractional; 0 = default 0.07,
+	// must stay below 0.5).
 	Imbalance float64
 
 	// Restreams is STREAM's count of additional buffered re-placement
