@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -173,6 +174,17 @@ func ParseSpec(s string) (Spec, error) {
 	return sp, nil
 }
 
+// ErrSpecValue is wrapped by every Resolve error that rejects an
+// option's value (as opposed to its method or its presence).
+var ErrSpecValue = errors.New("partition: bad spec option value")
+
+// tolerance reports whether x is a valid fractional tolerance: 0 (the
+// method default) or inside (0, 0.5). NaN is neither, and since
+// comparisons with NaN are false, the check is written so NaN fails it.
+func tolerance(x float64) bool {
+	return x == 0 || (x > 0 && x < 0.5)
+}
+
 // Resolve looks the spec's method up in the registry and applies the
 // tuning options, returning the ready-to-run Partitioner. Option
 // values are range-checked here, and tuning knobs on a method that
@@ -186,11 +198,11 @@ func (sp Spec) Resolve() (Partitioner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sp.Imbalance != 0 && (sp.Imbalance < 0 || sp.Imbalance >= 0.5) {
-		return nil, fmt.Errorf("partition: spec %s: Imbalance %g out of range (0, 0.5)", sp.Method, sp.Imbalance)
+	if !tolerance(sp.Imbalance) {
+		return nil, fmt.Errorf("%w: spec %s: Imbalance %g out of range (0, 0.5)", ErrSpecValue, sp.Method, sp.Imbalance)
 	}
 	if sp.CoarsenTo < 0 {
-		return nil, fmt.Errorf("partition: spec %s: CoarsenTo %d is negative", sp.Method, sp.CoarsenTo)
+		return nil, fmt.Errorf("%w: spec %s: CoarsenTo %d is negative", ErrSpecValue, sp.Method, sp.CoarsenTo)
 	}
 	ml, isML := p.(Multilevel)
 	if sp.tuned() && !isML {
@@ -202,10 +214,10 @@ func (sp Spec) Resolve() (Partitioner, error) {
 	}
 	if isStream {
 		if sp.Restreams < 0 || sp.Restreams > 16 {
-			return nil, fmt.Errorf("partition: spec %s: Restreams %d out of range [0, 16]", sp.Method, sp.Restreams)
+			return nil, fmt.Errorf("%w: spec %s: Restreams %d out of range [0, 16]", ErrSpecValue, sp.Method, sp.Restreams)
 		}
-		if sp.BalanceSlack != 0 && (sp.BalanceSlack < 0 || sp.BalanceSlack >= 0.5) {
-			return nil, fmt.Errorf("partition: spec %s: BalanceSlack %g out of range (0, 0.5)", sp.Method, sp.BalanceSlack)
+		if !tolerance(sp.BalanceSlack) {
+			return nil, fmt.Errorf("%w: spec %s: BalanceSlack %g out of range (0, 0.5)", ErrSpecValue, sp.Method, sp.BalanceSlack)
 		}
 		st.Restreams = sp.Restreams
 		st.Slack = sp.BalanceSlack

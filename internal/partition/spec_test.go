@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -122,6 +124,9 @@ func TestSpecResolveErrors(t *testing.T) {
 		{Spec{Method: MethodBlock, Seed: 3}, "does not accept a Seed"},
 		{Spec{Method: MethodMultilevel, Imbalance: 0.9}, "Imbalance"},
 		{Spec{Method: MethodMultilevel, CoarsenTo: -5}, "CoarsenTo -5 is negative"},
+		{Spec{Method: MethodMultilevel, Imbalance: math.NaN()}, "Imbalance NaN"},
+		{Spec{Method: MethodStream, BalanceSlack: math.NaN()}, "BalanceSlack NaN"},
+		{Spec{Method: MethodStream, BalanceSlack: -0.1}, "BalanceSlack -0.1"},
 	}
 	for _, c := range cases {
 		_, err := c.sp.Resolve()
@@ -131,6 +136,29 @@ func TestSpecResolveErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("Resolve(%+v) error %q does not mention %q", c.sp, err, c.frag)
+		}
+	}
+}
+
+// TestSpecResolveRejectsNaN pins that a NaN tolerance, which passes any
+// "x < lo || x >= hi" range check, fails Resolve with ErrSpecValue on
+// both methods that take one, while -0 still means the default.
+func TestSpecResolveRejectsNaN(t *testing.T) {
+	for _, sp := range []Spec{
+		{Method: MethodMultilevel, Imbalance: math.NaN()},
+		{Method: MethodStream, BalanceSlack: math.NaN()},
+	} {
+		if p, err := sp.Resolve(); !errors.Is(err, ErrSpecValue) {
+			t.Errorf("Resolve(%+v) = %+v, %v; want ErrSpecValue", sp, p, err)
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	for _, sp := range []Spec{
+		{Method: MethodMultilevel, Imbalance: negZero},
+		{Method: MethodStream, BalanceSlack: negZero},
+	} {
+		if _, err := sp.Resolve(); err != nil {
+			t.Errorf("Resolve(%+v): %v; -0 is the default", sp, err)
 		}
 	}
 }

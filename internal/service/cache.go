@@ -37,13 +37,26 @@ import (
 // request a part vector or ladder being freed under it. Eviction is LRU
 // over the unleased remainder; evicting a graph entry drops its results
 // with it, so each cached content is held, and counted, once.
+//
+// A graph entry also remembers, for the last few churn deltas computed
+// against its content, which graph entry holds the content that delta
+// derives (a derivation memo). A churn repeat then resolves to that
+// entry's content and name without applying its delta, fingerprinting
+// the result or comparing it word by word: the content it finds is
+// applyDelta(base, delta) by construction, because base content is
+// immutable and the memo is checked by delta equality. The memo names
+// its target by name and insertion serial, not by pointer, so it keeps
+// no evicted content alive and misses once the target is evicted, even
+// when the name has been re-bound to other content since.
 
 // resultKey identifies one partition request shape under a graph name.
-// Spec is the canonical Spec.String() form (options sorted, defaults
-// elided), so two specs that mean the same thing hit the same entry.
+// The spec is keyed by value: a zero option means its default wherever
+// it is, +0 and -0 are equal keys, and Spec.Resolve rejects NaN (which
+// would equal no key), so two specs that mean the same thing hit the
+// same entry — exactly the specs whose Spec.String forms agree.
 type resultKey struct {
 	fp     Fingerprint
-	spec   string
+	spec   partition.Spec
 	nparts int
 	procs  int
 }
@@ -158,12 +171,29 @@ func sameBits(a, b []float64) bool {
 // it.
 type graphEntry struct {
 	fp      Fingerprint
+	serial  uint64 // insertion serial, unique per entry
 	gc      *graphContent
 	results *resultEntry // computed for gc, linked by next
-	size    int64
-	leases  int // its own and its results' leases
+	derived []derivation // oldest first; at most maxDerivations
+	size    int64        // gc and derived
+	leases  int          // its own and its results' leases
 	elem    *list.Element
 }
+
+// derivation records that applyDelta(gc, delta) of the entry holding
+// it is the content of the graph entry inserted with serial under
+// name, while that entry is resident.
+type derivation struct {
+	delta  []EdgeRewire
+	name   Fingerprint
+	serial uint64
+}
+
+// maxDerivations bounds a graph entry's derivation memo.
+const maxDerivations = 4
+
+// bytes reports the memo footprint of one derivation.
+func (d *derivation) bytes() int64 { return int64(16*len(d.delta)) + 48 }
 
 // resultEntry is one cached partition result. part, cut and the
 // timing figures are immutable after insertion; ladders are mutable
@@ -226,6 +256,7 @@ type cache struct {
 	results   map[resultKey]*resultEntry
 	lru       *list.List // *graphEntry | *resultEntry; front = oldest
 	evictions int64
+	serial    uint64 // last graph entry's insertion serial
 }
 
 func newCache(capBytes int64) *cache {
@@ -247,7 +278,8 @@ func (c *cache) putGraph(fp Fingerprint, gc *graphContent) *graphEntry {
 		ge.leases++
 		c.lru.MoveToBack(ge.elem)
 	} else {
-		ge = &graphEntry{fp: fp, gc: gc, size: gc.bytes() + 64, leases: 1}
+		c.serial++
+		ge = &graphEntry{fp: fp, serial: c.serial, gc: gc, size: gc.bytes() + 64, leases: 1}
 		ge.elem = c.lru.PushBack(ge)
 		c.graphs[fp] = ge
 		c.used += ge.size
@@ -280,6 +312,58 @@ func (c *cache) releaseGraph(ge *graphEntry) {
 	defer c.mu.Unlock()
 	ge.leases--
 	c.evict()
+}
+
+// derivedFrom returns the content applyDelta(base.gc, delta) and its
+// name when base's memo holds delta and the entry it names is still
+// the one recorded; otherwise nil. The caller has range-checked delta
+// against base.gc.
+func (c *cache) derivedFrom(base *graphEntry, delta []EdgeRewire) (*graphContent, Fingerprint) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, d := range base.derived {
+		if !slices.Equal(d.delta, delta) {
+			continue
+		}
+		if ge := c.graphs[d.name]; ge != nil && ge.serial == d.serial {
+			return ge.gc, ge.fp
+		}
+		break
+	}
+	return nil, 0
+}
+
+// derive records in base's memo that child, which the caller leases,
+// holds applyDelta(base.gc, delta), and charges the memo to base. It
+// replaces an earlier record of the same delta and drops the oldest
+// one past maxDerivations. A base no longer resident records nothing:
+// no request could find its memo.
+func (c *cache) derive(base *graphEntry, delta []EdgeRewire, child *graphEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.graphs[base.fp] != base {
+		return
+	}
+	d := derivation{delta: delta, name: child.fp, serial: child.serial}
+	for i := range base.derived {
+		if slices.Equal(base.derived[i].delta, delta) {
+			base.derived[i] = d // same delta, same bytes
+			return
+		}
+	}
+	if len(base.derived) == maxDerivations {
+		c.charge(base, -base.derived[0].bytes())
+		base.derived = slices.Delete(base.derived, 0, 1)
+	}
+	base.derived = append(base.derived, d)
+	c.charge(base, d.bytes())
+	c.evict()
+}
+
+// charge adds b bytes to a resident graph entry. Caller holds mu.
+func (c *cache) charge(ge *graphEntry, b int64) {
+	ge.size += b
+	c.used += b
 }
 
 // putResult caches e as computed for ge's content (the caller holds a

@@ -2,13 +2,15 @@ package service
 
 import (
 	"testing"
+
+	"chaos/internal/partition"
 )
 
 // mkResult builds a result entry whose part vector dominates its
 // size: 8*n bytes + 128 overhead.
 func mkResult(fp Fingerprint, n int) *resultEntry {
 	return &resultEntry{
-		key:  resultKey{fp: fp, spec: "MULTILEVEL", nparts: 2, procs: 1},
+		key:  resultKey{fp: fp, spec: partition.Spec{Method: partition.MethodMultilevel}, nparts: 2, procs: 1},
 		part: make([]int, n),
 	}
 }
@@ -27,7 +29,7 @@ func putResult(c *cache, fp Fingerprint, n int) *resultEntry {
 
 // lease looks up the result putResult cached under fp.
 func lease(c *cache, fp Fingerprint) (*resultEntry, bool) {
-	e := c.leaseResult(resultKey{fp: fp, spec: "MULTILEVEL", nparts: 2, procs: 1}, tiny())
+	e := c.leaseResult(resultKey{fp: fp, spec: partition.Spec{Method: partition.MethodMultilevel}, nparts: 2, procs: 1}, tiny())
 	return e, e != nil
 }
 
@@ -179,5 +181,69 @@ func TestCacheUnbounded(t *testing.T) {
 	}
 	if st := c.stats(); st.Evictions != 0 || st.Results != 50 {
 		t.Fatalf("unbounded cache evicted: %+v", st)
+	}
+}
+
+// TestCacheDerivationAccounting pins the derivation memo's bytes: each
+// recorded delta is charged to its base entry, a repeated delta is not
+// charged twice, the oldest record past maxDerivations is dropped and
+// uncharged, and evicting the base releases what is left; a record
+// whose entry is gone resolves to nothing.
+func TestCacheDerivationAccounting(t *testing.T) {
+	c := newCache(-1)
+	base := c.putGraph(1, tiny())
+	child := c.putGraph(2, &graphContent{n: 2})
+	resident := c.stats().Bytes // 128: two 64-byte graph entries
+	delta := func(i int) []EdgeRewire { return []EdgeRewire{{Edge: i, NewEnd: 0}, {Edge: i, NewEnd: 1}} }
+	const per = 16*2 + 48
+
+	c.derive(base, delta(0), child)
+	c.derive(base, delta(0), child)
+	if got := c.stats().Bytes; got != resident+per || base.size != 64+per {
+		t.Fatalf("one delta recorded twice: %d bytes, base %d; want %d, %d", got, base.size, resident+per, 64+per)
+	}
+	if gc, fp := c.derivedFrom(base, delta(0)); gc != child.gc || fp != 2 {
+		t.Fatalf("recorded delta resolved to %p %v, want the child's content and name", gc, fp)
+	}
+	for i := 1; i <= maxDerivations; i++ {
+		c.derive(base, delta(i), child)
+	}
+	if got := c.stats().Bytes; got != resident+maxDerivations*per || len(base.derived) != maxDerivations {
+		t.Fatalf("after %d deltas: %d bytes, %d records; want %d, %d", maxDerivations+1, got, len(base.derived), resident+maxDerivations*per, maxDerivations)
+	}
+	if gc, _ := c.derivedFrom(base, delta(0)); gc != nil {
+		t.Fatal("the oldest record outlived the bound")
+	}
+
+	// Evicting the child leaves the records charged but unresolvable;
+	// evicting the base releases them.
+	c.releaseGraph(child)
+	c.releaseGraph(base)
+	c.mu.Lock()
+	c.lru.MoveToBack(base.elem)
+	c.capBytes = c.used - 1
+	c.evict()
+	c.mu.Unlock()
+	if gc, _ := c.derivedFrom(base, delta(1)); gc != nil {
+		t.Fatal("a record resolved to an evicted entry")
+	}
+	if got := c.stats().Bytes; got != 64+maxDerivations*per {
+		t.Fatalf("after the child's eviction: %d bytes, want %d", got, 64+maxDerivations*per)
+	}
+	c.mu.Lock()
+	c.capBytes = 1
+	c.evict()
+	c.mu.Unlock()
+	if got := c.stats(); got.Bytes != 0 || got.Graphs != 0 {
+		t.Fatalf("after the base's eviction: %+v, want an empty cache", got)
+	}
+	gone := c.putGraph(3, tiny())
+	c.releaseGraph(gone)
+	c.mu.Lock()
+	c.evict()
+	c.mu.Unlock()
+	c.derive(gone, delta(9), base)
+	if got := c.stats().Bytes; got != 0 || len(gone.derived) != 0 {
+		t.Fatalf("a record on an evicted base was kept (%d) or charged (%d bytes)", len(gone.derived), got)
 	}
 }

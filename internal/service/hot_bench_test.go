@@ -67,9 +67,10 @@ func hotRepeat(b *testing.B, do func(context.Context, *Request) (*Response, erro
 }
 
 // BenchmarkHotCacheHit answers one in-process churn request (a 2 %
-// rewire delta against a cached upload) from the cache. Its 10 allocs
-// per hit: applyDelta's content struct and e2 copy (2), Spec.Resolve
-// (1) and the key's canonical Spec.String (≈ 5), and the response with
+// rewire delta against a cached upload) from the cache. The delta
+// resolves through the base's derivation memo, so the churned graph is
+// neither rebuilt nor fingerprinted, and the key holds the Spec by
+// value. Its 3 allocs per hit: Spec.Resolve (1) and the response with
 // its part copy (2).
 func BenchmarkHotCacheHit(b *testing.B) {
 	s := New(Options{Workers: 1})

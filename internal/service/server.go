@@ -19,7 +19,10 @@ import (
 // the Session/Repartitioner machinery behind the wire protocol.
 // Request lifecycle:
 //
-//	validate → fingerprint (the name) → verify: a result under that
+//	validate → derivation? ─ a churn delta this base was computed for
+//	                │   yes: that content and name ──────────┐
+//	                │ no                                      ▼
+//	          fingerprint (the name) → verify: a result under that
 //	                │   name computed for this content? ── yes ──► respond (hit)
 //	                │ no
 //	                ▼
@@ -181,7 +184,7 @@ func (s *Server) Metrics() Metrics {
 type job struct {
 	key     resultKey
 	gc      *graphContent
-	base    *graphContent // a churn request's base content; nil for an upload
+	base    *graphEntry // a churn request's base as named at admission; nil for an upload
 	req     *Request
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -243,11 +246,13 @@ func (s *Server) hit(key resultKey, gc *graphContent) *Response {
 	return responseFrom(e, ServedHit)
 }
 
-// admitRequest validates req and resolves its content, the base
-// content of a churn request, and its cache key. No compute and no
-// cache mutation happens here.
-func (s *Server) admitRequest(req *Request) (gc, base *graphContent, key resultKey, err error) {
-	fail := func(format string, args ...any) (*graphContent, *graphContent, resultKey, error) {
+// admitRequest validates req and resolves its content, the base entry
+// of a churn request, and its cache key. A churn delta the base entry
+// remembers resolves to the content and name of the entry it derived,
+// without applying the delta or naming the result again. No compute
+// and no cache mutation happens here.
+func (s *Server) admitRequest(req *Request) (gc *graphContent, base *graphEntry, key resultKey, err error) {
+	fail := func(format string, args ...any) (*graphContent, *graphEntry, resultKey, error) {
 		return nil, nil, key, fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
 	}
 	if req.NNode < 1 || req.NNode > s.opt.MaxVertices {
@@ -270,6 +275,7 @@ func (s *Server) admitRequest(req *Request) (gc, base *graphContent, key resultK
 
 	hasUpload := len(req.E1) > 0 || len(req.Coords) > 0 || len(req.VertexWeights) > 0
 	hasDelta := req.Base != 0 || len(req.Delta) > 0
+	var name Fingerprint
 	switch {
 	case hasUpload && hasDelta:
 		return fail("request carries both a graph upload and a churn delta")
@@ -278,20 +284,22 @@ func (s *Server) admitRequest(req *Request) (gc, base *graphContent, key resultK
 		if !ok {
 			return nil, nil, key, fmt.Errorf("%w %s: re-send the graph as a full upload", ErrUnknownGraph, req.Base)
 		}
-		base = ge.gc
+		base = ge
 		s.cache.releaseGraph(ge) // content is immutable; the lease only pinned the lookup
-		if base.n != req.NNode {
-			return fail("delta base %s has %d vertices, request says %d", req.Base, base.n, req.NNode)
+		if base.gc.n != req.NNode {
+			return fail("delta base %s has %d vertices, request says %d", req.Base, base.gc.n, req.NNode)
 		}
 		for _, d := range req.Delta {
-			if d.Edge < 0 || d.Edge >= len(base.e1) {
-				return fail("delta rewires edge %d of a %d-edge graph", d.Edge, len(base.e1))
+			if d.Edge < 0 || d.Edge >= len(base.gc.e1) {
+				return fail("delta rewires edge %d of a %d-edge graph", d.Edge, len(base.gc.e1))
 			}
-			if d.NewEnd < 0 || d.NewEnd >= base.n {
-				return fail("delta endpoint %d out of range [0, %d)", d.NewEnd, base.n)
+			if d.NewEnd < 0 || d.NewEnd >= base.gc.n {
+				return fail("delta endpoint %d out of range [0, %d)", d.NewEnd, base.gc.n)
 			}
 		}
-		gc = applyDelta(base, req.Delta)
+		if gc, name = s.cache.derivedFrom(base, req.Delta); gc == nil {
+			gc = applyDelta(base.gc, req.Delta)
+		}
 	case hasUpload:
 		if len(req.E1) != len(req.E2) {
 			return fail("edge endpoint lists of unequal length %d, %d", len(req.E1), len(req.E2))
@@ -335,7 +343,10 @@ func (s *Server) admitRequest(req *Request) (gc, base *graphContent, key resultK
 		return fail("%s requires GEOMETRY coordinates, but the request has none", req.Spec.Method)
 	}
 
-	key = resultKey{fp: s.fingerprint(gc), spec: req.Spec.String(), nparts: req.NParts, procs: procs}
+	if name == 0 {
+		name = s.fingerprint(gc)
+	}
+	key = resultKey{fp: name, spec: req.Spec, nparts: req.NParts, procs: procs}
 	return gc, base, key, nil
 }
 
@@ -344,7 +355,7 @@ func (s *Server) admitRequest(req *Request) (gc, base *graphContent, key resultK
 // enqueues) a job of its own, which later requests for key join.
 // Returns the job and whether this request is its leader; a nil job
 // means the admission queue rejected the request.
-func (s *Server) joinFlight(key resultKey, gc, base *graphContent, req *Request) (*job, bool) {
+func (s *Server) joinFlight(key resultKey, gc *graphContent, base *graphEntry, req *Request) (*job, bool) {
 	s.mu.Lock()
 	if j, ok := s.flight[key]; ok && sameContent(j.gc, gc) {
 		j.waiters++
@@ -441,10 +452,14 @@ func (s *Server) answer(j *job) (resp *Response, err error) {
 	// The graph becomes addressable by its name from here on, and the
 	// lease pins it for the compute's duration — unless the name is
 	// bound to different content, in which case this request is
-	// answered but nothing is cached for it.
+	// answered but nothing is cached for it. A churn request's base
+	// remembers which entry its delta derived.
 	ge := s.cache.putGraph(j.key.fp, j.gc)
 	if ge != nil {
 		defer s.cache.releaseGraph(ge)
+		if j.base != nil {
+			s.cache.derive(j.base, j.req.Delta, ge)
+		}
 	}
 	res, err := s.computeFrom(j)
 	if err != nil {
@@ -484,8 +499,8 @@ func (s *Server) computeFrom(j *job) (*computeResult, error) {
 	var warm *warmSource
 	if j.base != nil {
 		baseKey := j.key
-		baseKey.fp = j.req.Base
-		if be := s.cache.leaseResult(baseKey, j.base); be != nil {
+		baseKey.fp = j.base.fp
+		if be := s.cache.leaseResult(baseKey, j.base.gc); be != nil {
 			defer s.cache.releaseResult(be)
 			if be.hasLadders(j.gc.n, j.key.nparts, j.key.procs) {
 				be.warmMu.Lock()

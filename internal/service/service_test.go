@@ -237,6 +237,19 @@ func TestWireEndToEnd(t *testing.T) {
 	if _, err := cl.Do(context.Background(), &Request{NNode: -1, NParts: 1, Spec: testSpec()}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("wire bad request: err = %v, want ErrBadRequest", err)
 	}
+
+	// The wire carries tolerances as raw float64 bits, so a NaN arrives
+	// intact; Spec.Resolve is what must reject it.
+	for _, sp := range []partition.Spec{
+		{Method: partition.MethodMultilevel, Imbalance: math.NaN()},
+		{Method: partition.MethodStream, BalanceSlack: math.NaN()},
+	} {
+		req := testRequest(1)
+		req.Spec = sp
+		if _, err := cl.Do(context.Background(), req); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("wire %+v: err = %v, want ErrBadRequest", sp, err)
+		}
+	}
 }
 
 // TestDoCancellation pins the unwinding contract for in-process

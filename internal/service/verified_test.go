@@ -104,11 +104,17 @@ func (c *chooser) pick(n int) int {
 	return int(b) % n
 }
 
-// answered is one successful response and what it answered.
+// answered is one successful response and what it answered; a churn
+// request's also keeps its base name, the content that name was bound
+// to, and its delta.
 type answered struct {
-	gc    *graphContent
-	shape int
-	resp  *Response
+	gc     *graphContent
+	words  string
+	shape  int
+	resp   *Response
+	base   Fingerprint
+	baseGC *graphContent
+	delta  []EdgeRewire
 }
 
 // verifier judges every answer of one program.
@@ -116,14 +122,30 @@ type verifier struct {
 	t       *testing.T
 	mu      sync.Mutex
 	answers []answered
-	names   map[Fingerprint]string // name → content words
+	// names maps a name to the content words it was last issued for.
+	// Under a bounded cache a name is re-bound once its content is
+	// evicted; a name issued for two contents within one burst maps to
+	// "", since the order they were bound in is unknown.
+	names   map[Fingerprint]string
+	evicts  bool // the cache is bounded
+	inBurst bool
+}
+
+// current reports whether name is known to be bound to the content a
+// answered: an unbounded cache never re-binds a name, and under a
+// bounded one the last answer issued it after every other binding.
+func (v *verifier) current(name Fingerprint, words string) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.names[name] == words
 }
 
 // check judges one answer on the spot: a partition of the request's
 // own content whose cut is the recount, under a name bound to no other
-// content.
-func (v *verifier) check(what string, gc *graphContent, sh int, nparts int, resp *Response) {
+// content while anything is cached under it.
+func (v *verifier) check(what string, a answered, nparts int) {
 	v.t.Helper()
+	gc, resp := a.gc, a.resp
 	if len(resp.Part) != gc.n {
 		v.t.Errorf("%s: %d parts for %d vertices", what, len(resp.Part), gc.n)
 		return
@@ -137,15 +159,23 @@ func (v *verifier) check(what string, gc *graphContent, sh int, nparts int, resp
 	if got := cutOf(gc.e1, gc.e2, resp.Part); got != resp.Cut {
 		v.t.Errorf("%s (%v): cut %d, recounted on the request's content %d", what, resp.Served, resp.Cut, got)
 	}
+	a.words = words(gc)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if fp := resp.Fingerprint; fp != 0 {
-		if prev, ok := v.names[fp]; ok && prev != words(gc) {
+		prev, ok := v.names[fp]
+		switch {
+		case !ok || prev == a.words:
+			v.names[fp] = a.words
+		case !v.evicts:
 			v.t.Errorf("%s: name %s issued for two different graphs", what, fp)
+		case v.inBurst:
+			v.names[fp] = ""
+		default:
+			v.names[fp] = a.words
 		}
-		v.names[fp] = words(gc)
 	}
-	v.answers = append(v.answers, answered{gc: gc, shape: sh, resp: resp})
+	v.answers = append(v.answers, a)
 }
 
 // reuseChecked judges every reused answer once the program is over:
@@ -175,13 +205,15 @@ func (v *verifier) reuseChecked() {
 
 // runProgram drives s with up to ops requests drawn by ch from ps —
 // uploads, exact repeats, deltas against named answers (chained ones
-// included), deltas against unnamed answers, and bursts of concurrent
-// identical and colliding uploads — and checks every answer. It
-// returns the verifier for the program's totals.
+// included), repeats of those deltas, deltas against unnamed answers,
+// and bursts of concurrent identical and colliding uploads — and checks
+// every answer. Under a bounded cache a delta whose base was evicted
+// may be answered ErrUnknownGraph. It returns the verifier for the
+// program's totals.
 func runProgram(t *testing.T, s *Server, ps programSet, ch *chooser, ops int) *verifier {
 	t.Helper()
 	ctx := context.Background()
-	v := &verifier{t: t, names: map[Fingerprint]string{}}
+	v := &verifier{t: t, names: map[Fingerprint]string{}, evicts: s.opt.CacheBytes > 0}
 	upload := func(gc *graphContent, sh int) *Request {
 		req := &Request{NNode: gc.n, NParts: ps.shapes[sh].nparts, Procs: ps.shapes[sh].procs, Spec: ps.shapes[sh].spec,
 			E1: append([]int(nil), gc.e1...), E2: append([]int(nil), gc.e2...)}
@@ -196,13 +228,13 @@ func runProgram(t *testing.T, s *Server, ps programSet, ch *chooser, ops int) *v
 			t.Errorf("%s: %v", what, err)
 			return
 		}
-		v.check(what, gc, sh, req.NParts, resp)
+		v.check(what, answered{gc: gc, shape: sh, resp: resp}, req.NParts)
 	}
-	// prior picks an earlier answer whose name is (or is not) zero.
-	prior := func(named bool) (answered, bool) {
+	// pick draws one of the earlier answers that keep.
+	pick := func(keep func(answered) bool) (answered, bool) {
 		var pool []answered
 		for _, a := range v.answers {
-			if (a.resp.Fingerprint != 0) == named {
+			if keep(a) {
 				pool = append(pool, a)
 			}
 		}
@@ -218,26 +250,47 @@ func runProgram(t *testing.T, s *Server, ps programSet, ch *chooser, ops int) *v
 		}
 		return delta
 	}
+	churn := func(what string, base Fingerprint, baseGC *graphContent, sh int, delta []EdgeRewire) {
+		req := &Request{NNode: baseGC.n, NParts: ps.shapes[sh].nparts, Procs: ps.shapes[sh].procs, Spec: ps.shapes[sh].spec,
+			Base: base, Delta: delta}
+		gc := applyDelta(baseGC, delta)
+		resp, err := s.Do(ctx, req)
+		if err != nil {
+			if !(v.evicts && errors.Is(err, ErrUnknownGraph)) {
+				t.Errorf("%s: %v", what, err)
+			}
+			return
+		}
+		v.check(what, answered{gc: gc, shape: sh, resp: resp, base: base, baseGC: baseGC, delta: delta}, req.NParts)
+	}
 	for op := 0; op < ops && ch.more(); op++ {
 		sh := ch.pick(len(ps.shapes))
-		switch ch.pick(6) {
+		switch ch.pick(7) {
 		case 0, 1: // upload, or an exact repeat of one
 			gc := ps.contents[ch.pick(len(ps.contents))]
 			do(fmt.Sprintf("op %d upload", op), gc, sh, upload(gc, sh))
 		case 2, 3: // delta against a named answer; chained when that answer was a delta
-			a, ok := prior(true)
+			a, ok := pick(func(a answered) bool { return a.resp.Fingerprint != 0 && v.current(a.resp.Fingerprint, a.words) })
 			if !ok {
 				continue
 			}
 			if ch.pick(3) > 0 {
 				sh = a.shape // same shape: the base's ladder can warm-start it
 			}
-			delta := rewires(a.gc)
-			req := &Request{NNode: a.gc.n, NParts: ps.shapes[sh].nparts, Procs: ps.shapes[sh].procs, Spec: ps.shapes[sh].spec,
-				Base: a.resp.Fingerprint, Delta: delta}
-			do(fmt.Sprintf("op %d delta", op), applyDelta(a.gc, delta), sh, req)
+			churn(fmt.Sprintf("op %d delta", op), a.resp.Fingerprint, a.gc, sh, rewires(a.gc))
+		case 6: // repeat an earlier delta, in a fresh slice, against the same base
+			a, ok := pick(func(a answered) bool {
+				return a.baseGC != nil && v.current(a.base, words(a.baseGC))
+			})
+			if !ok {
+				continue
+			}
+			if ch.pick(3) > 0 {
+				sh = a.shape // same shape: a hit through the base's derivation memo
+			}
+			churn(fmt.Sprintf("op %d delta repeat", op), a.base, a.baseGC, sh, append([]EdgeRewire(nil), a.delta...))
 		case 4: // delta against an unnamed answer
-			a, ok := prior(false)
+			a, ok := pick(func(a answered) bool { return a.resp.Fingerprint == 0 })
 			if !ok {
 				continue
 			}
@@ -256,6 +309,7 @@ func runProgram(t *testing.T, s *Server, ps programSet, ch *chooser, ops int) *v
 				}
 			}
 			var wg sync.WaitGroup
+			v.inBurst = true
 			for i, gc := range gcs {
 				req := upload(gc, sh)
 				wg.Add(1)
@@ -265,6 +319,7 @@ func runProgram(t *testing.T, s *Server, ps programSet, ch *chooser, ops int) *v
 				}()
 			}
 			wg.Wait()
+			v.inBurst = false
 		}
 	}
 	v.reuseChecked()
@@ -305,6 +360,84 @@ func TestVerifiedCacheUnderCollidingNames(t *testing.T) {
 				}
 			})
 		}
+	}
+	t.Run("memo/rebound-child", testMemoMissesReboundChild)
+}
+
+// testMemoMissesReboundChild pins the derivation memo's lifetime: a
+// churn repeat resolves through its base's memo only while the entry
+// the memo names is the one its delta derived. Here that entry is
+// evicted and its name re-bound to another graph with a result at the
+// same shape; the repeat must then be computed for its own content, as
+// a fresh server computes it, not served the other graph's result.
+func testMemoMissesReboundChild(t *testing.T) {
+	s := New(Options{Workers: 1, CacheBytes: -1})
+	defer s.Close()
+	ctx := context.Background()
+	b, c := testRequest(0), testRequest(1)
+	delta := []EdgeRewire{{Edge: testNNode + 4, NewEnd: 99}, {Edge: testNNode + 9, NewEnd: 7}}
+	contentOf := func(r *Request) *graphContent { return &graphContent{n: r.NNode, e1: r.E1, e2: r.E2} }
+	d := applyDelta(contentOf(b), delta)
+	fpB, fpC, fpD := contentOf(b).fingerprint(), contentOf(c).fingerprint(), d.fingerprint()
+	var named atomic.Int64
+	s.fingerprint = func(gc *graphContent) Fingerprint {
+		named.Add(1)
+		switch gc.fingerprint() {
+		case fpB:
+			return 11
+		case fpC, fpD:
+			return 12 // the child and c share a name
+		}
+		return gc.fingerprint()
+	}
+	churn := func() *Request {
+		return &Request{NNode: testNNode, NParts: testNParts, Procs: testProcs, Spec: testSpec(),
+			Base: 11, Delta: append([]EdgeRewire(nil), delta...)}
+	}
+
+	if up, err := s.Do(ctx, b); err != nil || up.Fingerprint != 11 {
+		t.Fatalf("upload b: fingerprint %v, err %v", up.Fingerprint, err)
+	}
+	if first, err := s.Do(ctx, churn()); err != nil || first.Fingerprint != 12 {
+		t.Fatalf("delta: fingerprint %v, err %v", first.Fingerprint, err)
+	}
+	before := named.Load()
+	if hit, err := s.Do(ctx, churn()); err != nil || hit.Served != ServedHit {
+		t.Fatalf("delta repeat: served %v, err %v; want a hit", hit.Served, err)
+	}
+	if n := named.Load() - before; n != 0 {
+		t.Fatalf("delta repeat named its content %d times; the memo should have resolved it", n)
+	}
+
+	// Evict the child (and every result) while b stays resident, then
+	// bind the child's name to c.
+	ge, _ := s.cache.leaseGraph(11)
+	s.cache.mu.Lock()
+	s.cache.capBytes = 1
+	s.cache.evict()
+	s.cache.capBytes = -1
+	s.cache.mu.Unlock()
+	s.cache.releaseGraph(ge)
+	if _, ok := s.cache.leaseGraph(12); ok {
+		t.Fatal("the child survived eviction")
+	}
+	if up, err := s.Do(ctx, c); err != nil || up.Fingerprint != 12 {
+		t.Fatalf("upload c: fingerprint %v, err %v", up.Fingerprint, err)
+	}
+
+	got, err := s.Do(ctx, churn())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(Options{})
+	defer fresh.Close()
+	want, err := fresh.Do(ctx, &Request{NNode: testNNode, NParts: testNParts, Procs: testProcs, Spec: testSpec(), E1: d.e1, E2: d.e2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Served != ServedCold || got.Fingerprint != 0 || !reflect.DeepEqual(got.Part, want.Part) || got.Cut != want.Cut {
+		t.Fatalf("repeat after the child's name was re-bound: served %v, fingerprint %v, cut %d (fresh compute: cut %d, same part %v); want cold, unnamed, the fresh answer",
+			got.Served, got.Fingerprint, got.Cut, want.Cut, reflect.DeepEqual(got.Part, want.Part))
 	}
 }
 
@@ -372,7 +505,7 @@ func TestWarmBaseIsTheNamedContent(t *testing.T) {
 		t.Fatalf("computing a: ladders %v, err %v", res.ladders != nil, err)
 	}
 	ge := s.cache.putGraph(5, contentOf(a))
-	key := resultKey{fp: 5, spec: testSpec().String(), nparts: testNParts, procs: testProcs}
+	key := resultKey{fp: 5, spec: testSpec(), nparts: testNParts, procs: testProcs}
 	s.cache.releaseResult(s.cache.putResult(ge, &resultEntry{key: key, part: res.part, cut: res.cut, ladders: res.ladders}))
 	s.cache.releaseGraph(ge)
 

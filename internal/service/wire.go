@@ -245,10 +245,25 @@ func (w *wbuf) str(s string) {
 	w.u64(uint64(len(s)))
 	w.b = append(w.b, s...)
 }
+
+// ints writes a length-prefixed run of zigzag varints. The one- and
+// two-byte forms (|x| below 64 and 8 192: part ids, most endpoints) are
+// appended inline; the bytes are exactly binary.AppendVarint's.
 func (w *wbuf) ints(xs []int) {
 	w.u64(uint64(len(xs)))
 	for _, x := range xs {
-		w.i64(int64(x))
+		ux := uint64(x) << 1
+		if x < 0 {
+			ux = ^ux
+		}
+		switch {
+		case ux < 1<<7:
+			w.b = append(w.b, byte(ux))
+		case ux < 1<<14:
+			w.b = append(w.b, byte(ux)|0x80, byte(ux>>7))
+		default:
+			w.b = binary.AppendVarint(w.b, int64(x))
+		}
 	}
 }
 func (w *wbuf) floats(xs []float64) {
@@ -356,6 +371,10 @@ func (r *rbuf) count(minBytes int) int {
 	return int(n)
 }
 
+// ints reads what wbuf.ints wrote. One- and two-byte varints are
+// decoded inline; anything longer, and every malformed input, goes
+// through i64, so values, errors and the final offset are exactly
+// those of a loop over binary.Varint (FuzzIntsCodec pins it).
 func (r *rbuf) ints() []int {
 	n := r.count(1)
 	if r.err != nil || n == 0 {
@@ -363,10 +382,26 @@ func (r *rbuf) ints() []int {
 	}
 	xs := make([]int, n)
 	for i := range xs {
-		xs[i] = int(r.i64())
-	}
-	if r.err != nil {
-		return nil
+		var ux uint64
+		switch b := r.b[r.off:]; {
+		case len(b) > 0 && b[0] < 0x80:
+			ux = uint64(b[0])
+			r.off++
+		case len(b) > 1 && b[1] < 0x80:
+			ux = uint64(b[0]&0x7f) | uint64(b[1])<<7
+			r.off += 2
+		default:
+			xs[i] = int(r.i64())
+			if r.err != nil {
+				return nil
+			}
+			continue
+		}
+		x := int(ux >> 1)
+		if ux&1 != 0 {
+			x = ^x
+		}
+		xs[i] = x
 	}
 	return xs
 }
@@ -404,9 +439,15 @@ func (r *rbuf) done() error {
 
 // --- message encodings ---
 
-// encodeRequest renders req as a msgPartition payload.
+// encodeRequest renders req as a msgPartition payload. The buffer is
+// sized for two-byte endpoints and delta fields up front, so a typical
+// request is written without regrowing it.
 func encodeRequest(req *Request) []byte {
-	var w wbuf
+	size := 64 + len(req.Spec.Method) + 2*(len(req.E1)+len(req.E2)) + 4*len(req.Delta) + 8*len(req.VertexWeights)
+	for _, col := range req.Coords {
+		size += 8 * len(col)
+	}
+	w := wbuf{b: make([]byte, 0, size)}
 	var flags byte
 	if len(req.E1) > 0 || len(req.E2) > 0 {
 		flags |= flagEdges
@@ -520,9 +561,10 @@ func decodeRequest(p []byte) (*Request, error) {
 	return req, nil
 }
 
-// encodeResponse renders resp as a msgOK payload.
+// encodeResponse renders resp as a msgOK payload, in a buffer sized
+// for one-byte part ids.
 func encodeResponse(resp *Response) []byte {
-	var w wbuf
+	w := wbuf{b: make([]byte, 0, 48+len(resp.Part))}
 	w.u64(uint64(resp.Fingerprint))
 	w.byteVal(byte(resp.Served))
 	w.u64(uint64(resp.Cut))
