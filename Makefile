@@ -117,6 +117,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzContract$$' -fuzztime 30s ./internal/csr
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime 30s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifiedCache$$' -fuzztime 30s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzIntsCodec$$' -fuzztime 30s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamDecode$$' -fuzztime 30s ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 30s ./internal/lang
 

@@ -45,10 +45,11 @@
 // requirements as Capabilities, and a spec is validated against them
 // and the graph's components before any work starts, so mismatches
 // fail with a descriptive error at the call site. MULTILEVEL (coarsen
-// with heavy-edge matching, spectral-solve the coarse graph, uncoarsen
-// with KL refinement) matches RSB's cut quality at a small fraction of
-// its cost and is the recommended default for large meshes; on
-// machines with more than one processor it coarsens distributedly over
+// once with heavy-edge matching, split the coarsest graph by spectral
+// recursive bisection, uncoarsen with k-way FM refinement) matches
+// RSB's cut quality at a small fraction of its cost and is the
+// recommended default for large meshes; on machines with more than
+// one processor it coarsens distributedly over
 // the block-distributed GeoCoL graph, so — alone in the serial
 // connectivity family — its partitioning time keeps falling as
 // processors are added, and its tuning knobs (CoarsenTo,

@@ -3,7 +3,7 @@
 // protocol, amortizing partitioning work across every client that
 // connects. Finished partitions and the retained MULTILEVEL
 // coarsening ladders live in a content-addressed cache keyed by
-// (graph fingerprint, canonical spec, nparts, procs), so one client's
+// (graph fingerprint, spec value, nparts, procs), so one client's
 // cold run serves another's identical request from memory and
 // warm-starts churned descendants of the same graph (the CHAOS
 // schedule-reuse economy, lifted from one program's iterations to a

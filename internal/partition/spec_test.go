@@ -114,19 +114,21 @@ func TestSpecResolveAppliesOptions(t *testing.T) {
 
 func TestSpecResolveErrors(t *testing.T) {
 	cases := []struct {
-		sp   Spec
-		frag string
+		sp    Spec
+		frag  string
+		value bool // an option's value is rejected: the error wraps ErrSpecValue
 	}{
-		{Spec{}, "no method"},
-		{Spec{Method: "NOPE"}, "unknown partitioner"},
-		{Spec{Method: MethodRCB, CoarsenTo: 10}, "does not accept multilevel tuning"},
-		{Spec{Method: MethodRSB, ParallelThreshold: -1}, "does not accept multilevel tuning"},
-		{Spec{Method: MethodBlock, Seed: 3}, "does not accept a Seed"},
-		{Spec{Method: MethodMultilevel, Imbalance: 0.9}, "Imbalance"},
-		{Spec{Method: MethodMultilevel, CoarsenTo: -5}, "CoarsenTo -5 is negative"},
-		{Spec{Method: MethodMultilevel, Imbalance: math.NaN()}, "Imbalance NaN"},
-		{Spec{Method: MethodStream, BalanceSlack: math.NaN()}, "BalanceSlack NaN"},
-		{Spec{Method: MethodStream, BalanceSlack: -0.1}, "BalanceSlack -0.1"},
+		{Spec{}, "no method", false},
+		{Spec{Method: "NOPE"}, "unknown partitioner", false},
+		{Spec{Method: MethodRCB, CoarsenTo: 10}, "does not accept multilevel tuning", false},
+		{Spec{Method: MethodRSB, ParallelThreshold: -1}, "does not accept multilevel tuning", false},
+		{Spec{Method: MethodBlock, Seed: 3}, "does not accept a Seed", false},
+		{Spec{Method: MethodMultilevel, Imbalance: 0.9}, "Imbalance", true},
+		{Spec{Method: MethodMultilevel, CoarsenTo: -5}, "CoarsenTo -5 is negative", true},
+		// NaN passes any "x < lo || x >= hi" range check.
+		{Spec{Method: MethodMultilevel, Imbalance: math.NaN()}, "Imbalance NaN", true},
+		{Spec{Method: MethodStream, BalanceSlack: math.NaN()}, "BalanceSlack NaN", true},
+		{Spec{Method: MethodStream, BalanceSlack: -0.1}, "BalanceSlack -0.1", true},
 	}
 	for _, c := range cases {
 		_, err := c.sp.Resolve()
@@ -137,28 +139,8 @@ func TestSpecResolveErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("Resolve(%+v) error %q does not mention %q", c.sp, err, c.frag)
 		}
-	}
-}
-
-// TestSpecResolveRejectsNaN pins that a NaN tolerance, which passes any
-// "x < lo || x >= hi" range check, fails Resolve with ErrSpecValue on
-// both methods that take one, while -0 still means the default.
-func TestSpecResolveRejectsNaN(t *testing.T) {
-	for _, sp := range []Spec{
-		{Method: MethodMultilevel, Imbalance: math.NaN()},
-		{Method: MethodStream, BalanceSlack: math.NaN()},
-	} {
-		if p, err := sp.Resolve(); !errors.Is(err, ErrSpecValue) {
-			t.Errorf("Resolve(%+v) = %+v, %v; want ErrSpecValue", sp, p, err)
-		}
-	}
-	negZero := math.Copysign(0, -1)
-	for _, sp := range []Spec{
-		{Method: MethodMultilevel, Imbalance: negZero},
-		{Method: MethodStream, BalanceSlack: negZero},
-	} {
-		if _, err := sp.Resolve(); err != nil {
-			t.Errorf("Resolve(%+v): %v; -0 is the default", sp, err)
+		if errors.Is(err, ErrSpecValue) != c.value {
+			t.Errorf("Resolve(%+v) error %q: errors.Is(ErrSpecValue) = %v, want %v", c.sp, err, !c.value, c.value)
 		}
 	}
 }

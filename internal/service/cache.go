@@ -195,6 +195,11 @@ const maxDerivations = 4
 // bytes reports the memo footprint of one derivation.
 func (d *derivation) bytes() int64 { return int64(16*len(d.delta)) + 48 }
 
+// find returns the index of delta's record in ge's memo, or -1.
+func (ge *graphEntry) find(delta []EdgeRewire) int {
+	return slices.IndexFunc(ge.derived, func(d derivation) bool { return slices.Equal(d.delta, delta) })
+}
+
 // resultEntry is one cached partition result. part, cut and the
 // timing figures are immutable after insertion; ladders are mutable
 // scratch-bearing state, so warm computes serialize on warmMu (and
@@ -321,14 +326,11 @@ func (c *cache) releaseGraph(ge *graphEntry) {
 func (c *cache) derivedFrom(base *graphEntry, delta []EdgeRewire) (*graphContent, Fingerprint) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, d := range base.derived {
-		if !slices.Equal(d.delta, delta) {
-			continue
-		}
+	if i := base.find(delta); i >= 0 {
+		d := base.derived[i]
 		if ge := c.graphs[d.name]; ge != nil && ge.serial == d.serial {
 			return ge.gc, ge.fp
 		}
-		break
 	}
 	return nil, 0
 }
@@ -345,11 +347,9 @@ func (c *cache) derive(base *graphEntry, delta []EdgeRewire, child *graphEntry) 
 		return
 	}
 	d := derivation{delta: delta, name: child.fp, serial: child.serial}
-	for i := range base.derived {
-		if slices.Equal(base.derived[i].delta, delta) {
-			base.derived[i] = d // same delta, same bytes
-			return
-		}
+	if i := base.find(delta); i >= 0 {
+		base.derived[i] = d // same delta, same bytes
+		return
 	}
 	if len(base.derived) == maxDerivations {
 		c.charge(base, -base.derived[0].bytes())

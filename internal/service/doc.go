@@ -8,13 +8,20 @@
 // The paper's economics motivate the shape: CHAOS amortizes
 // partitioning and schedule construction across the iterations of one
 // program. The service lifts that amortization across programs — a
-// cache keyed by (graph fingerprint, canonical spec, nparts, procs)
+// cache keyed by (graph fingerprint, spec value, nparts, procs)
 // holds finished partitions and, for MULTILEVEL, the retained
 // coarsening ladders, so one client's cold run warm-starts every other
 // client's churned follow-up. The fingerprint is a fast 64-bit name,
 // not a proof: every reuse is verified by comparing the request's
 // content with the content the cached work was done for, so graphs
-// that share a name are each answered for themselves. Admission
+// that share a name are each answered for themselves. A churn repeat
+// (the same Base and an equal Delta) is checked more cheaply and just
+// as exactly: the base graph remembers which cached graph each of its
+// last few deltas derived, so the repeat costs a delta compare and a
+// pointer compare, not a rebuild, a fingerprint and a word-by-word
+// compare of the whole graph. The memo names that graph by name and
+// insertion serial, so once it is evicted the repeat is rebuilt and
+// verified as before. Admission
 // control (bounded worker pool over a bounded FIFO queue, typed
 // ErrOverloaded rejection) and singleflight batching of identical
 // in-flight requests keep the daemon well-behaved under load.

@@ -149,12 +149,12 @@ func FuzzIntsCodec(f *testing.F) {
 		}
 		var w wbuf
 		w.ints(xs)
-		want8 := binary.AppendUvarint(nil, uint64(len(xs)))
+		wantBytes := binary.AppendUvarint(nil, uint64(len(xs)))
 		for _, v := range xs {
-			want8 = binary.AppendVarint(want8, int64(v))
+			wantBytes = binary.AppendVarint(wantBytes, int64(v))
 		}
-		if !bytes.Equal(w.b, want8) {
-			t.Fatalf("wbuf.ints(%v) = % x, binary.AppendVarint: % x", xs, w.b, want8)
+		if !bytes.Equal(w.b, wantBytes) {
+			t.Fatalf("wbuf.ints(%v) = % x, binary.AppendVarint: % x", xs, w.b, wantBytes)
 		}
 		back := &rbuf{b: w.b}
 		if rt := back.ints(); !slices.Equal(rt, xs) || back.done() != nil {

@@ -19,11 +19,11 @@ import (
 // the Session/Repartitioner machinery behind the wire protocol.
 // Request lifecycle:
 //
-//	validate → derivation? ─ a churn delta this base was computed for
-//	                │   yes: that content and name ──────────┐
-//	                │ no                                      ▼
-//	          fingerprint (the name) → verify: a result under that
-//	                │   name computed for this content? ── yes ──► respond (hit)
+//	validate → a churn delta its base remembers? ── yes: the child's
+//	                │ no                            content and name ──┐
+//	                ▼                                                  │
+//	        fingerprint (the name) → verify: a result under ◄──────────┘
+//	                │   the name computed for this content? ── yes ──► respond (hit)
 //	                │ no
 //	                ▼
 //	        job for this name and content in flight? ──────────► wait (shared)

@@ -131,9 +131,10 @@ type verifier struct {
 	inBurst bool
 }
 
-// current reports whether name is known to be bound to the content a
-// answered: an unbounded cache never re-binds a name, and under a
-// bounded one the last answer issued it after every other binding.
+// current reports whether name is known to be bound to the content
+// with these words: an unbounded cache never re-binds a name, and
+// under a bounded one the last answer issued it after every other
+// binding.
 func (v *verifier) current(name Fingerprint, words string) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
