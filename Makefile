@@ -48,9 +48,14 @@ lint:
 	$(GO) vet ./...
 
 # examples runs the testable godoc examples of the public API and the
-# partitioner library.
+# partitioner library, then every program under examples/ once; a
+# non-zero exit fails the target (adaptive and euler run MULTILEVEL).
 examples:
 	$(GO) test -run Example -v ./chaos ./internal/partition
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || { echo "FAIL: ./$$d exited non-zero"; exit 1; }; \
+	done
 
 # docs-check is the documentation gate: the markdown link checker over
 # the README, docs/ and examples/ (cmd/docscheck: relative targets must

@@ -45,8 +45,9 @@
 // requirements as Capabilities, and a spec is validated against them
 // and the graph's components before any work starts, so mismatches
 // fail with a descriptive error at the call site. MULTILEVEL (coarsen
-// once with heavy-edge matching, split the coarsest graph by spectral
-// recursive bisection, uncoarsen with k-way FM refinement) matches
+// once with heavy-edge matching, split the coarsest graph by recursive
+// bisection with greedy graph-grown splits, uncoarsen with k-way FM
+// refinement) matches
 // RSB's cut quality at a small fraction of its cost and is the
 // recommended default for large meshes; on machines with more than
 // one processor it coarsens distributedly over

@@ -15,7 +15,8 @@
 //
 // Table 2 carries one column beyond the paper: "ML Compiler Reuse"
 // runs the MULTILEVEL partitioner (coarsen with heavy-edge matching,
-// spectral-solve the coarse graph, uncoarsen with KL refinement),
+// split the coarse graph by greedy graph growing, uncoarsen with FM
+// refinement),
 // showing near-RSB executor times with the partitioner cost collapsed.
 // On the multi-processor grids MULTILEVEL coarsens distributedly, so
 // its partitioner cell — unlike RSB's replicated solve — also shrinks

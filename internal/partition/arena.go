@@ -69,7 +69,8 @@ type klScratch struct {
 	stash  []int
 	seq    []klMove
 	heap   klHeap
-	// side/visited/queue seed klBisect's region-growing split.
+	// side/visited/queue seed klBisect's region-growing split and
+	// growBest's graph-growing trials.
 	side    []bool
 	visited []bool
 	queue   []int

@@ -20,7 +20,7 @@ import (
 // (and so shortens the ladder) without hurting cut quality. Growing a
 // cluster past maxW vertex weight is forbidden (maxW <= 0 disables the
 // cap): the cap keeps coarse vertices small enough that the coarsest-
-// level median sweep can land within the KL refiner's balance slack.
+// level split can land within the KL refiner's balance slack.
 // Deterministic: vertices are visited in index order and ties broken
 // by original id. Returns the fine-to-coarse vertex map and the coarse
 // vertex count.
@@ -109,7 +109,7 @@ func contract(s *csr.Scratch, sg *subgraph, cmap []int, nc int) *subgraph {
 // each next level is the heavy-edge contraction of the last, with
 // cmaps[l] mapping level l onto level l+1, until a level has at most
 // stopAt vertices. The cluster-weight cap (1% of levels[0]'s weight)
-// keeps the coarsest median sweep within klRefine's 2% balance slack;
+// keeps the coarsest split within klRefine's 2% balance slack;
 // the stall check stops when matching no longer shrinks the graph
 // meaningfully (star-like or cap-bound regions). The caller passes the
 // one-element levels slice so that it can live on the caller's stack.

@@ -28,11 +28,11 @@
 // graphs and carries the package's tuning surface:
 //
 //   - CoarsenTo (default 100): vertex count at which each bisection
-//     of the coarsest-level solve stops coarsening and runs the
-//     spectral solve; the serial V-cycle's one ladder stops at
+//     of the coarsest-level solve stops coarsening and grows its
+//     split; the serial V-cycle's one ladder stops at
 //     max(8*CoarsenTo, 8*nparts). Smaller is faster and coarser;
-//     larger spends more Lanczos time for marginally better seeds.
-//     Safe range ~25-400.
+//     larger spends more growing and refinement time for marginally
+//     better seeds. Safe range ~25-400.
 //   - ParallelThreshold (default 2048): minimum global vertex count
 //     for the distributed ladder pipeline (cold and warm entry points
 //     alike; see Multilevel); below it the gather-everything serial

@@ -43,5 +43,5 @@ func ExampleMultilevel() {
 	if err != nil {
 		panic(err)
 	}
-	// Output: 2744 nodes in 4 parts: sizes [667 717 692 668], cut 1239
+	// Output: 2744 nodes in 4 parts: sizes [723 675 644 702], cut 1211
 }

@@ -8,7 +8,8 @@ import (
 // This file is the ladder pipeline of MULTILEVEL — coarsen → solve →
 // uncoarsen, each stage existing once — and its two entry points:
 // PartitionLadder (cold; below the dispatch threshold the same three
-// stages run serially on rank 0, solveSerial) and Repartition (warm: no
+// stages run serially on rank 0, solveSerial, which is also the solve
+// of the gathered coarsest graph above it) and Repartition (warm: no
 // coarsen, the old partition restricted down a retained ladder). A warm
 // run skips the ghost-exchange construction, the 4-round matching
 // handshake and the distributed contraction of every level and the
@@ -169,15 +170,12 @@ func (ml Multilevel) PartitionLadder(c *machine.Ctx, g *geocol.Graph, nparts int
 	ar.reserve(g.LocalN(c.Rank()))
 	ld := ml.coarsen(c, ar, g, nparts)
 
-	// Coarsest-level solve: the serial recursive-bisection V-cycle on
-	// the gathered coarse graph (weighted vertices and edges preserve
-	// the fine graph's cut and balance exactly), followed by a k-way FM
-	// polish — the recursive bisection only ever refined 2-way inside
-	// each split, the polish is nearly free on the already-small graph,
-	// and every edge it removes is an edge no uncoarsening level has to
-	// fight for.
-	part := serialBisectPartition(c, ld.coarsest, nparts, ml.bisecter(ar))
-	serialKway(c, ar, ld.coarsest, part, nparts, 8, ml.tol())
+	// Coarsest-level solve: serial MULTILEVEL itself (solveSerial) on
+	// the coarse graph, gathered once onto rank 0 — weighted vertices
+	// and edges preserve the fine graph's cut and balance exactly.
+	part := gatheredSolve(c, ld.coarsest, func(f *geocol.Full) ([]int, int64) {
+		return ml.solveSerial(ar, &f.Graph, nparts)
+	})
 	return ml.uncoarsen(c, ld, part, nil), ld.retained()
 }
 

@@ -92,8 +92,8 @@ func init() {
 type bisectFunc func(g *csr.Graph, verts []int, frac float64) (left, right []int, flops int64)
 
 // serialBisectPartition is the shared driver of the serial recursive-
-// bisection partitioners (RSB, KL) and of the distributed MULTILEVEL
-// ladder's coarsest solve: gatheredSolve around recursiveBisect.
+// bisection partitioners (RSB, KL): gatheredSolve around
+// recursiveBisect.
 func serialBisectPartition(c *machine.Ctx, g *geocol.Graph, nparts int, bisect bisectFunc) []int {
 	return gatheredSolve(c, g, func(f *geocol.Full) ([]int, int64) {
 		return recursiveBisect(&f.Graph, nparts, bisect)

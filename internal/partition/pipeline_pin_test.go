@@ -57,16 +57,16 @@ func rewire(m *mesh.Mesh, every int, salt uint64) *mesh.Mesh {
 // cold and warm entry points, on the benchmark's lattice at the default
 // knobs and on a rewired mesh with the knobs lowered so the ladder is
 // several levels deep and matching can stall above ParallelThreshold,
-// at P in {1, 3, 8} on both backends. The constants were recorded at
-// the commit before the four drivers were folded into one pipeline and
-// are that commit's, except the rows marked below. In the rewired P=3
-// and P=8 rows the cold ladder's matching stalls above the lowered
-// ParallelThreshold (at 135-142 vertices) and the warm polish now
-// refines that level distributed instead of gathered (the warm rows).
-// The P=1 rows moved when serial MULTILEVEL stopped running a V-cycle
-// per bisection and began coarsening once (solveSerial); a warm run at
-// P=1 is a cold run, since the serial path retains no ladder. Each
-// changed row records its parent value beside it.
+// at P in {1, 3, 8} on both backends. In the rewired P=3 and P=8 rows
+// the cold ladder's matching stalls above the lowered
+// ParallelThreshold (at 135-142 vertices) and the warm polish refines
+// that level distributed instead of gathered; a warm run at P=1 is a
+// cold run, since the serial path retains no ladder. Every row moved
+// when MULTILEVEL's bisections began splitting their coarsest graph by
+// greedy graph growing instead of a Fiedler vector, the distributed
+// path's gathered solve became serial MULTILEVEL (solveSerial), and
+// kwayRefine stopped keeping stale bucket entries; each records its
+// parent value beside it.
 func TestLadderPipelinePins(t *testing.T) {
 	lattice := mesh.GenerateLattice(16, 16, 16, 1993)
 	rewired := rewire(mesh.Generate(3000, 5), 10, 77)
@@ -132,19 +132,19 @@ func TestLadderPipelinePins(t *testing.T) {
 }
 
 var latticePins = map[string]pipelinePin{
-	"1/cold": {0x380079d13ad5e05, 0x3ff298e88a5b1987},  // parent: {0x80525d094aabb93, 0x3ff80ba4f3a74ad7}
-	"1/warm": {0xcfffaa86d6cdcefb, 0x40039ca9bc30c63d}, // parent: {0x73a5c89865204a57, 0x40086c18784afabb}
-	"3/cold": {0xe15e194642ab1957, 0x3ffcaa71cf7fedd7},
-	"3/warm": {0x3a77075346ffa04d, 0x4002d2e68110549f},
-	"8/cold": {0xb2a06fbad6a3c6e, 0x3ff803682ea5a63d},
-	"8/warm": {0xa85706c98a6cbad6, 0x3ffdb9f4e6a89c20},
+	"1/cold": {0x276b1e65d010040d, 0x3fe6af832e98005b}, // parent: {0x380079d13ad5e05, 0x3ff298e88a5b1987}
+	"1/warm": {0x7692811fa2be865f, 0x3ff7058049999ccd}, // parent: {0xcfffaa86d6cdcefb, 0x40039ca9bc30c63d}
+	"3/cold": {0x7e057871b13e7772, 0x3ff26be98016bc7c}, // parent: {0xe15e194642ab1957, 0x3ffcaa71cf7fedd7}
+	"3/warm": {0xb976d6e35703eb67, 0x3ffa9caa625d6770}, // parent: {0x3a77075346ffa04d, 0x4002d2e68110549f}
+	"8/cold": {0x2e7eddc67eebfe94, 0x3febac644cdd02f9}, // parent: {0xb2a06fbad6a3c6e, 0x3ff803682ea5a63d}
+	"8/warm": {0x1605c3904a915b83, 0x3ff3c6fd651b0cd2}, // parent: {0xa85706c98a6cbad6, 0x3ffdb9f4e6a89c20}
 }
 
 var rewiredPins = map[string]pipelinePin{
-	"1/cold": {0xf86640fa50d4c12, 0x3fecc74c1cf056d7},  // parent: {0x8d41e97a2bc640b3, 0x3febed5f138bcdfe}
-	"1/warm": {0xdcc96eee511a5d3d, 0x3ffc27b09a00dc19}, // parent: {0xa473f8c1a382b279, 0x3ffbfa7254a6f859}
-	"3/cold": {0xe784cbe297df2494, 0x3ff4e06972ce8dff},
-	"3/warm": {0x14cd18720c10c95e, 0x3ffba2f0ef920c59}, // parent: {0x2d7e6b3210f28e98, 0x3ffdc76717d362e8}
-	"8/cold": {0x509ca01ebf538a72, 0x3ff05cd56259579b},
-	"8/warm": {0xd7ad209dffe65256, 0x3ff4394a9b765a48}, // parent: {0xc714594e44ed9e75, 0x3ff64dc74286abfe}
+	"1/cold": {0x328b4cb678f7d1a5, 0x3fe28addb8eab666}, // parent: {0xf86640fa50d4c12, 0x3fecc74c1cf056d7}
+	"1/warm": {0xe0f49141912c4a2f, 0x3ff4598460fa48fd}, // parent: {0xdcc96eee511a5d3d, 0x3ffc27b09a00dc19}
+	"3/cold": {0x88f815f35bb2c339, 0x3ff097e50273370b}, // parent: {0xe784cbe297df2494, 0x3ff4e06972ce8dff}
+	"3/warm": {0x8e998c3e57f51794, 0x3ff7dca978043610}, // parent: {0x14cd18720c10c95e, 0x3ffba2f0ef920c59}
+	"8/cold": {0x8ad23650f4a34821, 0x3fe7b81352597046}, // parent: {0x509ca01ebf538a72, 0x3ff05cd56259579b}
+	"8/warm": {0xed8693886434ac74, 0x3fefc31cab088ab8}, // parent: {0xd7ad209dffe65256, 0x3ff4394a9b765a48}
 }

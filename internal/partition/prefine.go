@@ -286,8 +286,10 @@ func kwayRefine(s *kwayScratch, g *csr.Graph, part []int, nparts, passes int, to
 				if locked[u] {
 					continue
 				}
+				// u's old entries are stale whether or not it still
+				// has a move: bump the stamp before asking.
+				stamp[u]++
 				if to, gain, ok := candidate(u); ok {
-					stamp[u]++
 					fb.push(fmCand{l: int32(u), to: int32(to), gain: gain, stamp: stamp[u]})
 				}
 			}
