@@ -119,6 +119,7 @@ bench:
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzAlltoAll$$' -fuzztime 30s ./internal/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzGhostExchange$$' -fuzztime 30s ./internal/geocol
+	$(GO) test -run '^$$' -fuzz '^FuzzBuildCoarse$$' -fuzztime 30s ./internal/geocol
 	$(GO) test -run '^$$' -fuzz '^FuzzContract$$' -fuzztime 30s ./internal/csr
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime 30s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifiedCache$$' -fuzztime 30s ./internal/service

@@ -4,11 +4,11 @@
 // that derive new graphs from it: contraction under a clustering, the
 // subgraph induced by a vertex subset, and a per-row neighbor sort.
 //
-// The serial partitioners (RSB, KL, serial MULTILEVEL, the gathered
-// k-way polish) and STREAM's resident coarse model all hold their graph
-// as a Graph; geocol.Full embeds one for its LINK and LOAD components.
-// The distributed geocol.Graph is a different structure (one rank's
-// slice, global neighbor ids) and is not a Graph.
+// It is the one graph type of the library. The serial partitioners
+// (RSB, KL, serial MULTILEVEL, the gathered k-way polish) and STREAM's
+// resident coarse model hold their graph as a Graph, and
+// geocol.Graph.Gather returns one. The distributed geocol.Graph embeds
+// one for its home rows, whose neighbor ids are global.
 package csr
 
 import (

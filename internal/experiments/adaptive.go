@@ -105,17 +105,6 @@ func rewireEpochs(m *mesh.Mesh, epochs int, rewire float64, seed uint64) (e1s, e
 	return e1s, e2s
 }
 
-// cutOf counts edges crossing parts under the full (gathered) map.
-func cutOf(e1, e2, full []int) int {
-	cut := 0
-	for i := range e1 {
-		if e1[i] != e2[i] && full[e1[i]] != full[e2[i]] {
-			cut++
-		}
-	}
-	return cut
-}
-
 // AdaptiveStudy runs the adaptive-mesh repartitioning pipeline and
 // returns the per-epoch cold/warm table.
 func AdaptiveStudy(cfg AdaptiveConfig) (*AdaptiveReport, error) {
@@ -216,7 +205,7 @@ func AdaptiveStudy(cfg AdaptiveConfig) (*AdaptiveReport, error) {
 				}
 				coldS = c.MaxFloat(s.Timer(core.TimerPartition) - ct0)
 				coldFull := c.AllGatherInts(cm.LocalPart())
-				coldCut = cutOf(e1s[ep], e2s[ep], coldFull)
+				coldCut = partition.EdgeListCut(e1s[ep], e2s[ep], coldFull)
 			}
 
 			rm0 := s.Timer(core.TimerRemap)
@@ -234,7 +223,7 @@ func AdaptiveStudy(cfg AdaptiveConfig) (*AdaptiveReport, error) {
 				rep.Epochs = append(rep.Epochs, AdaptiveEpoch{
 					Epoch: ep, Mode: mode,
 					PartitionS: partS, ColdPartitionS: coldS,
-					Cut: cutOf(e1s[ep], e2s[ep], full), ColdCut: coldCut,
+					Cut: partition.EdgeListCut(e1s[ep], e2s[ep], full), ColdCut: coldCut,
 					MovedVertices: moved, RemapS: remapS, ExecutorS: exS,
 				})
 				mu.Unlock()

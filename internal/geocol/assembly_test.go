@@ -114,7 +114,7 @@ func diffGraphs(got, want *Graph) string {
 	switch {
 	case got.N != want.N || got.Home != want.Home:
 		return fmt.Sprintf("N/Home %d %v, reference %d %v", got.N, got.Home, want.N, want.Home)
-	case got.HasLink != want.HasLink || got.HasLoad != want.HasLoad || got.HasGeom != want.HasGeom:
+	case got.HasLink != want.HasLink || (got.Weights == nil) != (want.Weights == nil) || got.HasGeom != want.HasGeom:
 		return "directive flags differ"
 	case !slices.Equal(got.XAdj, want.XAdj):
 		return fmt.Sprintf("XAdj %v, reference %v", got.XAdj, want.XAdj)

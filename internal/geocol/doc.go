@@ -17,17 +17,16 @@
 // block-distributed over ranks (the initial default distribution of
 // the paper's Phase A) and the directive keywords supplied as Options
 // (WithLink, WithGeometry, WithLoad). The resulting Graph holds one
-// rank's slice — a deduplicated symmetric CSR plus coordinate and
-// weight columns — and Gather replicates it (Full) for partitioners
-// that run serially, charging the communication to the virtual clock;
-// GatherTo charges every rank the same and builds the Full on one rank
-// only, for solves the host runs once under the replicated-cost
-// convention.
-//
-// Full embeds csr.Graph, the one serial weighted graph of the
-// partitioners, for its LINK and LOAD components; csr.Scratch.Contract
-// is the serial contraction. Two families of helpers serve the
-// distributed multilevel partitioner stack:
+// rank's slice: it embeds csr.Graph, the one weighted graph of the
+// partitioners, for its home rows (a deduplicated symmetric CSR over
+// global neighbor ids, LOAD as Weights) and adds the coordinate
+// columns. Gather replicates LINK and LOAD as a csr.Graph for
+// partitioners that run serially, charging the communication to the
+// virtual clock; GatherTo charges every rank the same and builds the
+// csr.Graph on one rank only, for solves the host runs once under the
+// replicated-cost convention. csr.Scratch.Contract is the serial
+// contraction. Two families of helpers serve the distributed
+// multilevel partitioner stack:
 //
 //   - BuildCoarse contracts a block-distributed Graph under a
 //     clustering collectively, without ever gathering it, aggregating

@@ -1,8 +1,13 @@
 package geocol
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
+	"chaos/internal/csr"
+	"chaos/internal/dist"
 	"chaos/internal/machine"
 )
 
@@ -136,6 +141,99 @@ func FuzzGhostExchange(f *testing.F) {
 					if marks[i] != want {
 						t.Errorf("%v: rank %d mark %d (id %d): got %d, want %d",
 							backend, c.Rank(), i, id, marks[i], want)
+					}
+				}
+			})
+			if err != nil {
+				t.Fatalf("%v: %v", backend, err)
+			}
+		}
+	})
+}
+
+// fuzzClustering maps n vertices onto nc in [1, n] clusters by a
+// salted multiplicative hash; some clusters may stay empty.
+func fuzzClustering(n int, salt byte) (cmap []int, nc int) {
+	nc = 1 + int(salt)%n
+	cmap = make([]int, n)
+	for v := range cmap {
+		h := uint32(salt)*2654435761 + uint32(v)*40503
+		cmap[v] = int(h>>16) % nc
+	}
+	return cmap, nc
+}
+
+// diffCSR names the first difference between two serial graphs, or "";
+// floats must agree bit for bit.
+func diffCSR(got, want *csr.Graph) string {
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	switch {
+	case !slices.Equal(got.XAdj, want.XAdj):
+		return fmt.Sprintf("XAdj %v, want %v", got.XAdj, want.XAdj)
+	case !slices.Equal(got.Adj, want.Adj):
+		return fmt.Sprintf("Adj %v, want %v", got.Adj, want.Adj)
+	case !slices.EqualFunc(got.EdgeW, want.EdgeW, bits):
+		return fmt.Sprintf("EdgeW %v, want %v", got.EdgeW, want.EdgeW)
+	case !slices.EqualFunc(got.Weights, want.Weights, bits):
+		return fmt.Sprintf("Weights %v, want %v", got.Weights, want.Weights)
+	}
+	return ""
+}
+
+// FuzzBuildCoarse contracts a fuzzed graph twice under fuzzed
+// clusterings, under both backends at P = 1..4, and demands of every
+// gathered level exactly what the serial contraction of the gathered
+// finer level gives: csr.Scratch.Contract, then SortRows, bit for bit.
+// The edge list brings self-loops, multi-edges and isolated vertices;
+// LOAD is optional and fractional, so the vertex-weight sums depend on
+// their order; the second level contracts the first level's integer
+// edge weights.
+func FuzzBuildCoarse(f *testing.F) {
+	f.Add([]byte{}, byte(0), byte(0), byte(0), byte(0))                        // one vertex, one rank
+	f.Add([]byte{0, 0, 5, 5, 1, 2, 1, 2}, byte(3), byte(20), byte(7), byte(1)) // self-loops, multi-edge, LOAD
+	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5}, byte(1), byte(6), byte(2), byte(0))
+	f.Add([]byte{0, 9, 9, 0, 3, 7, 3, 7}, byte(3), byte(10), byte(200), byte(3))
+	f.Fuzz(func(t *testing.T, data []byte, pb, nb, cb, lb byte) {
+		p := 1 + int(pb)%4
+		n := p + int(nb)%24 // at least one vertex per rank
+		e1, e2 := fuzzEdges(data, n)
+		var load []float64
+		if lb&1 != 0 {
+			load = make([]float64, n)
+			for v := range load {
+				load[v] = float64(1+(v*int(lb>>1)+v)%7) / 3
+			}
+		}
+		for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
+			cfg := machine.Zero(p)
+			cfg.Backend = backend
+			err := machine.Run(cfg, func(c *machine.Ctx) {
+				var me1, me2 []int
+				for i := range e1 {
+					if i%p == c.Rank() {
+						me1, me2 = append(me1, e1[i]), append(me2, e2[i])
+					}
+				}
+				opts := []Option{WithLink(me1, me2)}
+				if load != nil {
+					home := dist.NewBlock(n, p)
+					lo := home.Lo(c.Rank())
+					opts = append(opts, WithLoad(load[lo:lo+home.LocalSize(c.Rank())]))
+				}
+				g := Build(c, n, opts...)
+				var s csr.Scratch
+				for level, salt := range []byte{cb, cb ^ 0x5a} {
+					cmap, nc := fuzzClustering(g.N, salt)
+					fine := g.Gather(c)
+					lo := g.Home.Lo(c.Rank())
+					g = BuildCoarse(c, g, NewGhostExchange(c, g), cmap[lo:lo+g.LocalN(c.Rank())], nc)
+					want := s.Contract(fine, cmap, nc)
+					s.SortRows(&want)
+					if d := diffCSR(g.Gather(c), &want); d != "" {
+						t.Errorf("%v P=%d rank %d level %d: %s", backend, p, c.Rank(), level, d)
+					}
+					if g.NEdges != len(want.Adj)/2 {
+						t.Errorf("%v P=%d rank %d level %d: NEdges %d, want %d", backend, p, c.Rank(), level, g.NEdges, len(want.Adj)/2)
 					}
 				}
 			})

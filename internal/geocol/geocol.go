@@ -20,19 +20,19 @@ type Graph struct {
 	// Home is the construction distribution of the vertex space.
 	Home dist.BlockDist
 
-	// HasLink, HasGeom, HasLoad report which directives contributed.
-	HasLink, HasGeom, HasLoad bool
+	// HasLink and HasGeom report which directives contributed; LOAD
+	// contributed exactly when Weights is non-nil.
+	HasLink, HasGeom bool
 
-	// XAdj/Adj form a local CSR: neighbors of home-local vertex l are
-	// Adj[XAdj[l]:XAdj[l+1]], as global vertex ids, sorted, with
-	// duplicates and self-loops removed.
-	XAdj []int
-	Adj  []int
-	// EdgeW holds per-edge weights parallel to Adj; nil means unit
-	// weights. A CONSTRUCT-built graph is unweighted; coarse graphs
-	// built by BuildCoarse carry the aggregated multiplicity of the
-	// fine edges each coarse edge represents.
-	EdgeW []float64
+	// Graph holds the home rows: the neighbors of home-local vertex l
+	// are Adj[XAdj[l]:XAdj[l+1]], as global vertex ids, sorted, with
+	// duplicates and self-loops removed. A CONSTRUCT-built graph has no
+	// EdgeW; coarse graphs built by BuildCoarse carry the aggregated
+	// multiplicity of the fine edges each coarse edge represents.
+	// Weights holds LOAD, the computational weight of each home vertex.
+	// The nil-ness of EdgeW and Weights is the same on every rank (it
+	// gates collectives), and Weight and EdgeWeight read nil as unit.
+	csr.Graph
 	// NEdges is the global undirected edge count after dedup.
 	NEdges int
 
@@ -40,11 +40,6 @@ type Graph struct {
 	// home-local vertex l.
 	Dim    int
 	Coords [][]float64
-
-	// Weights holds LOAD: Weights[l] is the computational weight of
-	// home-local vertex l. When no LOAD directive is given, unit
-	// weights are assumed by partitioners.
-	Weights []float64
 }
 
 // Option contributes one directive keyword to a CONSTRUCT.
@@ -109,7 +104,6 @@ func Build(c *machine.Ctx, n int, opts ...Option) *Graph {
 		c.Words(localN * g.Dim)
 	}
 	if s.weights != nil {
-		g.HasLoad = true
 		if len(s.weights) != localN {
 			panic(fmt.Sprintf("geocol: LOAD has %d entries, want %d", len(s.weights), localN))
 		}
@@ -241,15 +235,6 @@ func (g *Graph) Neighbors(l int) []int { return g.Adj[g.XAdj[l]:g.XAdj[l+1]] }
 // LocalN returns the number of home-resident vertices on rank.
 func (g *Graph) LocalN(rank int) int { return g.Home.LocalSize(rank) }
 
-// Weight returns the LOAD weight of home-local vertex l (1 when no
-// LOAD was supplied).
-func (g *Graph) Weight(l int) float64 {
-	if !g.HasLoad {
-		return 1
-	}
-	return g.Weights[l]
-}
-
 // Bytes reports the approximate heap footprint of this rank's slice of
 // the graph — the CSR, edge weights, coordinates and load weights — in
 // bytes. The service layer's cache uses it to account retained
@@ -266,37 +251,22 @@ func (g *Graph) Bytes() int {
 	return b
 }
 
-// Full is a gathered (replicated) GeoCoL graph used by serial
-// partitioners such as recursive spectral bisection. Its embedded
-// csr.Graph holds LINK (XAdj, Adj and, for coarse graphs, EdgeW) and
-// LOAD (Weights, nil without a LOAD directive).
-type Full struct {
-	N                         int
-	HasLink, HasGeom, HasLoad bool
-	csr.Graph
-	Dim    int
-	Coords [][]float64
-	NEdges int
-}
-
-// Gather assembles the complete GeoCoL graph on every rank;
-// collective. The communication is charged to the virtual clock, which
+// Gather assembles the whole graph's LINK and LOAD components on every
+// rank, as the csr.Graph the serial partitioners take; collective. The communication is charged to the virtual clock, which
 // is part of the paper's "graph generation" cost for connectivity-based
 // partitioners.
-func (g *Graph) Gather(c *machine.Ctx) *Full { return g.GatherTo(c, machine.AllRanks) }
+func (g *Graph) Gather(c *machine.Ctx) *csr.Graph { return g.GatherTo(c, machine.AllRanks) }
 
-// GatherTo assembles the complete GeoCoL graph on root alone, for the
-// solves that run once on one rank under the replicated-cost
-// convention; the other ranks get the scalar fields and no arrays.
-// Every rank takes part and is charged exactly what Gather charges it.
-// The graph's own arrays are deposited uncopied (machine.Ctx.GatherInts),
-// which is sound because they are never rewritten. Collective.
-func (g *Graph) GatherTo(c *machine.Ctx, root int) *Full {
+// GatherTo assembles the complete LINK and LOAD components on root
+// alone, for the solves that run once on one rank under the
+// replicated-cost convention; the other ranks get a graph with no
+// arrays. Every rank takes part and is charged exactly what Gather
+// charges it. The graph's own arrays are deposited uncopied
+// (machine.Ctx.GatherInts), which is sound because they are never
+// rewritten. Collective.
+func (g *Graph) GatherTo(c *machine.Ctx, root int) *csr.Graph {
 	here := root == machine.AllRanks || root == c.Rank()
-	f := &Full{
-		N: g.N, HasLink: g.HasLink, HasGeom: g.HasGeom, HasLoad: g.HasLoad,
-		Dim: g.Dim, NEdges: g.NEdges,
-	}
+	f := &csr.Graph{}
 	if g.HasLink {
 		// Degrees then adjacency; home ranges are rank-ordered so
 		// concatenation lines up with global vertex order.
@@ -318,14 +288,7 @@ func (g *Graph) GatherTo(c *machine.Ctx, root int) *Full {
 	} else if here {
 		f.XAdj = make([]int, g.N+1)
 	}
-	if g.HasGeom {
-		for _, col := range g.Coords {
-			if all := c.GatherFloats(root, col); here {
-				f.Coords = append(f.Coords, all)
-			}
-		}
-	}
-	if g.HasLoad {
+	if g.Weights != nil {
 		f.Weights = c.GatherFloats(root, g.Weights)
 	}
 	return f
@@ -404,10 +367,7 @@ func (a *CoarseAssembler) BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 	ghostC := ge.PushIntsInto(c, cmap, a.ghostC)
 	a.ghostC = ghostC
 
-	coarse := &Graph{
-		N: coarseN, Home: dist.NewBlock(coarseN, procs),
-		HasLink: true, HasLoad: true,
-	}
+	coarse := &Graph{N: coarseN, Home: dist.NewBlock(coarseN, procs), HasLink: true}
 	localN := g.LocalN(me)
 
 	// Route (coarse id, weight) and (coarse src, coarse dst, weight) to
@@ -455,12 +415,8 @@ func (a *CoarseAssembler) BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 			if cu == cv {
 				continue // intra-cluster edge vanishes
 			}
-			w := 1.0
-			if g.EdgeW != nil {
-				w = g.EdgeW[k]
-			}
 			eIDs[r] = append(eIDs[r], cv, cu)
-			eW[r] = append(eW[r], w)
+			eW[r] = append(eW[r], g.EdgeWeight(k))
 		}
 	}
 	c.Words(2*len(g.Adj) + 2*localN)

@@ -23,7 +23,7 @@ func TestBuildLinkRing(t *testing.T) {
 	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
 		e1, e2 := ringEdges(n, p, c.Rank())
 		g := Build(c, n, WithLink(e1, e2))
-		if !g.HasLink || g.HasGeom || g.HasLoad {
+		if !g.HasLink || g.HasGeom || g.Weights != nil {
 			t.Error("directive flags wrong")
 		}
 		if g.NEdges != n {
@@ -88,7 +88,7 @@ func TestGeometryAndLoad(t *testing.T) {
 			w[l] = float64(lo+l) * 2
 		}
 		g := Build(c, n, WithGeometry(x, y), WithLoad(w))
-		if !g.HasGeom || !g.HasLoad || g.HasLink {
+		if !g.HasGeom || g.Weights == nil || g.HasLink {
 			t.Error("flags wrong")
 		}
 		if g.Dim != 2 {
@@ -134,16 +134,13 @@ func TestGatherMatchesLocal(t *testing.T) {
 		}
 		g := Build(c, n, WithLink(e1, e2), WithGeometry(x), WithLoad(w))
 		f := g.Gather(c)
-		if f.N != n || f.NEdges != n || !f.HasLink || !f.HasGeom || !f.HasLoad {
-			t.Error("Full metadata wrong")
+		if f.Len() != n || g.NEdges != n || f.Weights == nil {
+			t.Error("gathered graph metadata wrong")
 		}
 		for v := 0; v < n; v++ {
 			nb := f.Adj[f.XAdj[v]:f.XAdj[v+1]]
 			if len(nb) != 2 {
 				t.Errorf("full degree(%d) = %d", v, len(nb))
-			}
-			if f.Coords[0][v] != float64(v) {
-				t.Errorf("full coord(%d) = %v", v, f.Coords[0][v])
 			}
 			if f.Weight(v) != 1+float64(v%3) {
 				t.Errorf("full weight(%d) = %v", v, f.Weight(v))

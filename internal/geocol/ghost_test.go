@@ -112,11 +112,11 @@ func TestBuildCoarseMatchesSerialContract(t *testing.T) {
 		if c.Rank() != 0 {
 			return
 		}
-		gmap := make([]int, f.N)
+		gmap := make([]int, f.Len())
 		for v := range gmap {
 			gmap[v] = v / 2
 		}
-		sc := new(csr.Scratch).Contract(&f.Graph, gmap, coarseN)
+		sc := new(csr.Scratch).Contract(f, gmap, coarseN)
 		sxadj, sadj, sew, sw := sc.XAdj, sc.Adj, sc.EdgeW, sc.Weights
 
 		for cv := 0; cv < coarseN; cv++ {
@@ -144,8 +144,8 @@ func TestBuildCoarseMatchesSerialContract(t *testing.T) {
 		for cv := 0; cv < coarseN; cv++ {
 			deg += sxadj[cv+1] - sxadj[cv]
 		}
-		if cf.NEdges != deg/2 {
-			t.Errorf("coarse NEdges %d, serial %d", cf.NEdges, deg/2)
+		if coarse.NEdges != deg/2 {
+			t.Errorf("coarse NEdges %d, serial %d", coarse.NEdges, deg/2)
 		}
 	})
 	if err != nil {
@@ -183,8 +183,8 @@ func TestBuildCoarseAggregatesWeights(t *testing.T) {
 			}
 			// The ring of clusters keeps one edge between consecutive
 			// clusters (weight 1 each).
-			if cf.NEdges != n/2 {
-				t.Errorf("coarse NEdges %d, want %d", cf.NEdges, n/2)
+			if coarse.NEdges != n/2 {
+				t.Errorf("coarse NEdges %d, want %d", coarse.NEdges, n/2)
 			}
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"chaos/internal/csr"
 	"chaos/internal/machine"
 )
 
@@ -223,8 +224,8 @@ func TestGatherToIsRootOnlyGather(t *testing.T) {
 		for _, p := range []int{1, 3, 8} {
 			fams := edgeFamilies(p)
 			root := p / 2
-			run := func(rootOnly bool) (fulls [][]*Full, clocks []float64) {
-				fulls, clocks = make([][]*Full, p), make([]float64, p)
+			run := func(rootOnly bool) (fulls [][]*csr.Graph, clocks []float64) {
+				fulls, clocks = make([][]*csr.Graph, p), make([]float64, p)
 				cfg := machine.IPSC860(p)
 				cfg.Backend = backend
 				err := machine.Run(cfg, func(c *machine.Ctx) {
@@ -232,7 +233,7 @@ func TestGatherToIsRootOnlyGather(t *testing.T) {
 						c.Flops(100 * (c.Rank() + 1)) // unequal clocks going in
 						f := g.Gather
 						if rootOnly {
-							f = func(c *machine.Ctx) *Full { return g.GatherTo(c, root) }
+							f = func(c *machine.Ctx) *csr.Graph { return g.GatherTo(c, root) }
 						}
 						fulls[c.Rank()] = append(fulls[c.Rank()], f(c))
 					}
@@ -265,7 +266,7 @@ func TestGatherToIsRootOnlyGather(t *testing.T) {
 				for i, f := range got[r] {
 					w := *want[r][i]
 					if r != root {
-						w.XAdj, w.Adj, w.EdgeW, w.Coords, w.Weights = nil, nil, nil, nil, nil
+						w.XAdj, w.Adj, w.EdgeW, w.Weights = nil, nil, nil, nil
 					}
 					if !reflect.DeepEqual(*f, w) {
 						t.Errorf("%v P=%d rank %d, gather %d: %+v, want %+v", backend, p, r, i, *f, w)

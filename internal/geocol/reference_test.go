@@ -150,10 +150,7 @@ func (a *refAssembler) refBuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 	ghostC := ge.PushIntsInto(c, cmap, a.ghostC)
 	a.ghostC = ghostC
 
-	coarse := &Graph{
-		N: coarseN, Home: dist.NewBlock(coarseN, procs),
-		HasLink: true, HasLoad: true,
-	}
+	coarse := &Graph{N: coarseN, Home: dist.NewBlock(coarseN, procs), HasLink: true}
 	localN := g.LocalN(me)
 
 	// Route (coarse id, weight) and (coarse src, coarse dst, weight) to

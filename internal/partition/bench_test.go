@@ -125,7 +125,7 @@ func BenchmarkRCB20K(b *testing.B)        { benchPartitioner(b, "RCB") }
 // default coarsening floor.
 func BenchmarkCoarsen(b *testing.B) {
 	m := bigMesh()
-	var f *geocol.Full
+	var f *csr.Graph
 	err := machine.Run(machine.Zero(1), func(c *machine.Ctx) {
 		g := geocol.Build(c, m.NNode, geocol.WithLink(m.E1, m.E2))
 		f = g.Gather(c)
@@ -133,14 +133,14 @@ func BenchmarkCoarsen(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	verts := make([]int, f.N)
+	verts := make([]int, f.Len())
 	for i := range verts {
 		verts[i] = i
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var cs csr.Scratch
-		sg := induce(&cs, &f.Graph, verts)
+		sg := induce(&cs, f, verts)
 		totalW := sg.totalWeight()
 		for cur := sg; cur.Len() > 100; {
 			cmap, nc := heavyEdgeMatch(cur, totalW*0.01)

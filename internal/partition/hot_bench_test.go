@@ -29,7 +29,7 @@ import (
 func hotSubgraph(tb testing.TB) (*subgraph, []bool) {
 	tb.Helper()
 	m := bigMesh()
-	var f *geocol.Full
+	var f *csr.Graph
 	err := machine.Run(machine.Zero(1), func(c *machine.Ctx) {
 		g := geocol.Build(c, m.NNode, geocol.WithLink(m.E1, m.E2))
 		f = g.Gather(c)
@@ -37,11 +37,11 @@ func hotSubgraph(tb testing.TB) (*subgraph, []bool) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	verts := make([]int, f.N)
+	verts := make([]int, f.Len())
 	for i := range verts {
 		verts[i] = i
 	}
-	sg := induce(new(csr.Scratch), &f.Graph, verts)
+	sg := induce(new(csr.Scratch), f, verts)
 	side := make([]bool, sg.Len())
 	for i := range side {
 		side[i] = i < sg.Len()/2

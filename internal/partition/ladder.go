@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"chaos/internal/csr"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
 )
@@ -159,8 +160,8 @@ func (ml Multilevel) PartitionLadder(c *machine.Ctx, g *geocol.Graph, nparts int
 		// contraction, KL and FM buffers) is a site of its own so that
 		// it stays on the stack.
 		ar := &arena{}
-		return gatheredSolve(c, g, func(f *geocol.Full) ([]int, int64) {
-			return ml.solveSerial(ar, &f.Graph, nparts)
+		return gatheredSolve(c, g, func(f *csr.Graph) ([]int, int64) {
+			return ml.solveSerial(ar, f, nparts)
 		}), nil
 	}
 	// One arena per run, threaded through coarsening, the serial solve
@@ -173,8 +174,8 @@ func (ml Multilevel) PartitionLadder(c *machine.Ctx, g *geocol.Graph, nparts int
 	// Coarsest-level solve: serial MULTILEVEL itself (solveSerial) on
 	// the coarse graph, gathered once onto rank 0 — weighted vertices
 	// and edges preserve the fine graph's cut and balance exactly.
-	part := gatheredSolve(c, ld.coarsest, func(f *geocol.Full) ([]int, int64) {
-		return ml.solveSerial(ar, &f.Graph, nparts)
+	part := gatheredSolve(c, ld.coarsest, func(f *csr.Graph) ([]int, int64) {
+		return ml.solveSerial(ar, f, nparts)
 	})
 	return ml.uncoarsen(c, ld, part, nil), ld.retained()
 }

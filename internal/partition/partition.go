@@ -95,8 +95,8 @@ type bisectFunc func(g *csr.Graph, verts []int, frac float64) (left, right []int
 // bisection partitioners (RSB, KL): gatheredSolve around
 // recursiveBisect.
 func serialBisectPartition(c *machine.Ctx, g *geocol.Graph, nparts int, bisect bisectFunc) []int {
-	return gatheredSolve(c, g, func(f *geocol.Full) ([]int, int64) {
-		return recursiveBisect(&f.Graph, nparts, bisect)
+	return gatheredSolve(c, g, func(f *csr.Graph) ([]int, int64) {
+		return recursiveBisect(f, nparts, bisect)
 	})
 }
 
@@ -106,7 +106,7 @@ func serialBisectPartition(c *machine.Ctx, g *geocol.Graph, nparts int, bisect b
 // cost), rank 0 solves it and broadcasts the map together with the
 // flop count of the solve, and every rank's clock is charged the full
 // cost. Returns this rank's home-resident slice. Collective.
-func gatheredSolve(c *machine.Ctx, g *geocol.Graph, solve func(f *geocol.Full) (part []int, flops int64)) []int {
+func gatheredSolve(c *machine.Ctx, g *geocol.Graph, solve func(f *csr.Graph) (part []int, flops int64)) []int {
 	f := g.GatherTo(c, 0)
 
 	var part []int

@@ -57,7 +57,7 @@ func distHeavyEdgeMatch(c *machine.Ctx, s *matchScratch, g *geocol.Graph, ge *ge
 	// Unit-weight levels (the finest, unless LOAD was given) never hit
 	// the weight cap, so their ghost weights need not travel at all.
 	var ghostW []float64
-	if g.HasLoad && maxW > 0 {
+	if g.Weights != nil && maxW > 0 {
 		ghostW = ge.PushFloatsInto(c, homeW, s.ghostW)
 		s.ghostW = ghostW
 	}
@@ -125,10 +125,7 @@ func distHeavyEdgeMatch(c *machine.Ctx, s *matchScratch, g *geocol.Graph, ge *ge
 				if maxW > 0 && homeW[l]+uw > maxW {
 					continue
 				}
-				ew := 1.0
-				if g.EdgeW != nil {
-					ew = g.EdgeW[k]
-				}
+				ew := g.EdgeWeight(k)
 				s := edgeScore(v, u, salt)
 				if ew > bestW || (ew == bestW && (s > bestS || (s == bestS && u < best))) {
 					best, bestW, bestS = u, ew, s

@@ -81,7 +81,7 @@ func serialKway(c *machine.Ctx, ar *arena, g *geocol.Graph, part []int, nparts, 
 	f := g.GatherTo(c, 0)
 	full := c.GatherInts(0, part)
 	if c.Rank() == 0 {
-		flops := kwayRefine(&ar.kway, &f.Graph, full, nparts, passes, tol)
+		flops := kwayRefine(&ar.kway, f, full, nparts, passes, tol)
 		full = append(full, int(flops))
 	}
 	full = c.ShareInts(0, full)

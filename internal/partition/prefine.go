@@ -330,12 +330,6 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 	// scan loops below carry no ownership test or id lookup.
 	ghostPart := ge.PushIntsInto(c, part, s.ghostPart)
 	s.ghostPart = ghostPart
-	edgeW := func(k int) float64 {
-		if g.EdgeW == nil {
-			return 1
-		}
-		return g.EdgeW[k]
-	}
 
 	// ghostAdj (CSR: start/items) lists the home-local vertices adjacent
 	// to each ghost slot — the reverse index that turns "ghost s
@@ -395,7 +389,7 @@ func parallelFM(c *machine.Ctx, s *fmScratch, g *geocol.Graph, ge *geocol.GhostE
 			} else {
 				q = ghostPart[-loc-1]
 			}
-			w := edgeW(k)
+			w := g.EdgeWeight(k)
 			if q == p {
 				intW += w
 				continue

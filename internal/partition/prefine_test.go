@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"chaos/internal/csr"
 	"chaos/internal/dist"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
@@ -109,7 +110,7 @@ func TestParallelFMImprovesSeed(t *testing.T) {
 // respected, and no-op on a single part.
 func TestKwayRefineImprovesSeed(t *testing.T) {
 	m := mesh.Generate(2000, 5)
-	var f *geocol.Full
+	var f *csr.Graph
 	err := machine.Run(machine.Zero(1), func(c *machine.Ctx) {
 		g := geocol.Build(c, m.NNode, geocol.WithLink(m.E1, m.E2))
 		f = g.Gather(c)
@@ -118,13 +119,13 @@ func TestKwayRefineImprovesSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	const nparts = 4
-	b := dist.NewBlock(f.N, nparts)
-	part := make([]int, f.N)
+	b := dist.NewBlock(f.Len(), nparts)
+	part := make([]int, f.Len())
 	for v := range part {
 		part[v] = b.Owner(v)
 	}
 	before := CutEdges(f.XAdj, f.Adj, part)
-	kwayRefine(new(kwayScratch), &f.Graph, part, nparts, 8, 0.07)
+	kwayRefine(new(kwayScratch), f, part, nparts, 8, 0.07)
 	after := CutEdges(f.XAdj, f.Adj, part)
 	if after >= before {
 		t.Errorf("kwayRefine did not improve the BLOCK seed: cut %d -> %d", before, after)
@@ -133,7 +134,7 @@ func TestKwayRefineImprovesSeed(t *testing.T) {
 	for _, q := range part {
 		counts[q]++
 	}
-	ideal := float64(f.N) / nparts
+	ideal := float64(f.Len()) / nparts
 	for q, n := range counts {
 		if float64(n) < ideal*0.93 || float64(n) > ideal*1.07 {
 			t.Errorf("part %d holds %d vertices, outside the 7%% window around %.0f", q, n, ideal)
@@ -141,8 +142,8 @@ func TestKwayRefineImprovesSeed(t *testing.T) {
 	}
 
 	// nparts=1: no boundary, no moves, no panic.
-	one := make([]int, f.N)
-	kwayRefine(new(kwayScratch), &f.Graph, one, 1, 2, 0.07)
+	one := make([]int, f.Len())
+	kwayRefine(new(kwayScratch), f, one, 1, 2, 0.07)
 	for v, q := range one {
 		if q != 0 {
 			t.Fatalf("kwayRefine invented a part for vertex %d: %d", v, q)
@@ -174,7 +175,7 @@ func csrBlock(c *machine.Ctx, n int, edges []wedge, vw func(v int) float64) *geo
 			add(e.v, e.u, e.w)
 		}
 	}
-	g := &geocol.Graph{N: n, Home: home, HasLink: true, HasLoad: true, XAdj: []int{0}}
+	g := &geocol.Graph{N: n, Home: home, HasLink: true, Graph: csr.Graph{XAdj: []int{0}, Weights: []float64{}}}
 	for l := range adj {
 		g.Adj, g.EdgeW = append(g.Adj, adj[l]...), append(g.EdgeW, ew[l]...)
 		g.XAdj = append(g.XAdj, len(g.Adj))

@@ -282,7 +282,7 @@ func diffSubgraphs(got, want *subgraph) string {
 // scatter array sees graphs growing and shrinking under it — and
 // demands the reference's subgraph every time.
 func TestInduceMatchesReference(t *testing.T) {
-	var fulls []*geocol.Full
+	var fulls []*csr.Graph
 	graphs := hostileGraphs(1)
 	err := machine.Run(machine.Zero(1), func(c *machine.Ctx) {
 		for i := range graphs {
@@ -305,10 +305,10 @@ func TestInduceMatchesReference(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		for fi, f := range fulls {
 			for _, frac := range []float64{1, 0.5, 0.1, 0} {
-				verts := rng.Perm(f.N)[:int(frac*float64(f.N))]
-				got, want := induce(&s, &f.Graph, slices.Clone(verts)), refInduce(f, verts)
+				verts := rng.Perm(f.Len())[:int(frac*float64(f.Len()))]
+				got, want := induce(&s, f, slices.Clone(verts)), refInduce(f, verts)
 				if d := diffSubgraphs(got, want); d != "" {
-					t.Fatalf("round %d graph %d (N=%d) subset of %d: %s", round, fi, f.N, len(verts), d)
+					t.Fatalf("round %d graph %d (N=%d) subset of %d: %s", round, fi, f.Len(), len(verts), d)
 				}
 				// The CSR was sized by the subset's degree sum in f, once.
 				degSum := 0

@@ -3,6 +3,7 @@ package partition
 import (
 	"sort"
 
+	"chaos/internal/csr"
 	"chaos/internal/dist"
 	"chaos/internal/geocol"
 	"chaos/internal/machine"
@@ -60,7 +61,7 @@ func refDistHeavyEdgeMatch(c *machine.Ctx, s *refMatchScratch, g *geocol.Graph, 
 	// Unit-weight levels (the finest, unless LOAD was given) never hit
 	// the weight cap, so their ghost weights need not travel at all.
 	var ghostW []float64
-	if g.HasLoad && maxW > 0 {
+	if g.Weights != nil && maxW > 0 {
 		ghostW = ge.PushFloatsInto(c, homeW, s.ghostW)
 		s.ghostW = ghostW
 	}
@@ -292,17 +293,17 @@ func refProjectPart(c *machine.Ctx, s *refProjScratch, fine *geocol.Graph, cmap 
 func refSerialKway(c *machine.Ctx, ar *arena, g *geocol.Graph, part []int, nparts, passes int, tol float64) {
 	f := g.Gather(c)
 	full := c.AllGatherInts(part)
-	c.Flops(int(kwayRefine(&ar.kway, &f.Graph, full, nparts, passes, tol)))
+	c.Flops(int(kwayRefine(&ar.kway, f, full, nparts, passes, tol)))
 	lo := g.Home.Lo(c.Rank())
 	for l := range part {
 		part[l] = full[lo+l]
 	}
 }
 
-func refInduce(f *geocol.Full, verts []int) *subgraph {
+func refInduce(f *csr.Graph, verts []int) *subgraph {
 	n := len(verts)
 	sg := &subgraph{orig: append([]int(nil), verts...)}
-	local := make([]int, f.N)
+	local := make([]int, f.Len())
 	for i := range local {
 		local[i] = -1
 	}

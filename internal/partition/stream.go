@@ -39,15 +39,11 @@ func (sp Streaming) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int
 		panic("partition: STREAM requires a GeoCoL LINK component")
 	}
 	f := g.Gather(c)
-	var w []float64
-	if f.HasLoad {
-		w = f.Weights
-	}
 	// Every rank runs the identical deterministic pipeline on the
 	// gathered graph; fine-level edges are treated as unit weight (the
 	// edge-stream model carries none).
 	part, err := stream.PartitionWeighted(stream.NewMemStream(f.XAdj, f.Adj, stream.DefaultSlabVerts),
-		nparts, w, stream.Options{
+		nparts, f.Weights, stream.Options{
 			Slack:     sp.Slack,
 			Restreams: sp.Restreams,
 			Seed:      sp.Seed,
@@ -60,7 +56,7 @@ func (sp Streaming) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int
 	// plus a touch per directed edge, once per pass (the bootstrap's
 	// two model passes included).
 	passes := 3 + sp.Restreams
-	c.Flops(passes * (g.N*nparts + 2*f.NEdges))
+	c.Flops(passes * (g.N*nparts + 2*g.NEdges))
 
 	lo := g.Home.Lo(c.Rank())
 	out := make([]int, g.LocalN(c.Rank()))
@@ -85,13 +81,22 @@ func Cut(c *machine.Ctx, g *geocol.Graph, part []int) float64 {
 				q = gp[-loc-1]
 			}
 			if q != part[l] {
-				if g.EdgeW != nil {
-					w += g.EdgeW[k]
-				} else {
-					w++
-				}
+				w += g.EdgeWeight(k)
 			}
 		}
 	}
 	return c.SumFloat(w) / 2
+}
+
+// EdgeListCut counts the edges of the list (e1[i], e2[i]) whose ends
+// lie in different parts of the global part vector: an edge listed
+// twice counts twice, a self-loop never. Serial.
+func EdgeListCut(e1, e2, part []int) int {
+	cut := 0
+	for i := range e1 {
+		if e1[i] != e2[i] && part[e1[i]] != part[e2[i]] {
+			cut++
+		}
+	}
+	return cut
 }

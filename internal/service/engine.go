@@ -127,19 +127,8 @@ func computePartition(ctx context.Context, gc *graphContent, sp partition.Spec, 
 	if len(res.part) != gc.n {
 		return nil, fmt.Errorf("service: internal: partition length %d, want %d", len(res.part), gc.n)
 	}
-	res.cut = cutOf(gc.e1, gc.e2, res.part)
+	res.cut = partition.EdgeListCut(gc.e1, gc.e2, res.part)
 	return res, nil
-}
-
-// cutOf counts edges crossing parts under the full part vector.
-func cutOf(e1, e2, part []int) int {
-	cut := 0
-	for i := range e1 {
-		if e1[i] != e2[i] && part[e1[i]] != part[e2[i]] {
-			cut++
-		}
-	}
-	return cut
 }
 
 // applyDelta materializes a churn request's graph: a copy of base

@@ -62,7 +62,7 @@ func checkPartition(t *testing.T, resp *Response, req *Request) {
 	// The response's cut must be the real cut of the returned vector
 	// over the request's edges, not a stale cached figure.
 	e1, e2 := req.E1, req.E2
-	if got := cutOf(e1, e2, resp.Part); got != resp.Cut {
+	if got := partition.EdgeListCut(e1, e2, resp.Part); got != resp.Cut {
 		t.Fatalf("response cut %d, recomputed %d", resp.Cut, got)
 	}
 }

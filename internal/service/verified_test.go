@@ -157,7 +157,7 @@ func (v *verifier) check(what string, a answered, nparts int) {
 			return
 		}
 	}
-	if got := cutOf(gc.e1, gc.e2, resp.Part); got != resp.Cut {
+	if got := partition.EdgeListCut(gc.e1, gc.e2, resp.Part); got != resp.Cut {
 		v.t.Errorf("%s (%v): cut %d, recounted on the request's content %d", what, resp.Served, resp.Cut, got)
 	}
 	a.words = words(gc)
