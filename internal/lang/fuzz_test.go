@@ -36,16 +36,20 @@ func sourceSeeds(t testing.TB, files ...string) []string {
 
 // FuzzCompile feeds the front end mutations of the programs the other
 // tests compile: any source, however malformed, must compile or come
-// back as an error, never panic, and a compiled program must render
-// its plan.
+// back as a typed front-end error (*lexError or *parseError), never
+// panic, and a compiled program must render its plan.
 func FuzzCompile(f *testing.F) {
 	for _, src := range sourceSeeds(f, "figure3_test.go", "lang_test.go") {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Compile(src)
-		if err == nil {
+		switch err.(type) {
+		case nil:
 			_ = prog.PlanString()
+		case *lexError, *parseError:
+		default:
+			t.Fatalf("Compile returned %T (%v), want *lexError or *parseError", err, err)
 		}
 	})
 }
