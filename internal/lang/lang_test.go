@@ -475,10 +475,7 @@ func TestEvalCodeOperators(t *testing.T) {
 	ps := &parser{prog: &Program{Params: map[string]int{}, RealArrays: map[string]int{}, IntArrays: map[string]int{}}}
 	ps.lines = []srcLine{{num: 1, toks: toks}}
 	ps.toks = toks
-	e, err := ps.parseExpr(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := ps.parseExpr(f)
 	code, err := compileExpr(e, func(arrayRef) int { return 0 })
 	if err != nil {
 		t.Fatal(err)

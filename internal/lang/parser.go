@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"chaos/internal/core"
@@ -10,7 +11,12 @@ import (
 
 // Compile lexes, parses and semantically checks a source program,
 // returning the executable Program (the generated CHAOS plan).
-func Compile(src string) (*Program, error) {
+//
+// Compile is the parser's only error exit: a failed check anywhere in
+// the productions below panics with its *parseError, and the deferred
+// recover here turns it into the returned error. Any other panic is a
+// bug in the front end and is re-raised.
+func Compile(src string) (prog *Program, err error) {
 	lines, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -25,10 +31,18 @@ func Compile(src string) (*Program, error) {
 			AlignsTo:   map[string]string{},
 		},
 	}
-	if err := ps.parse(); err != nil {
-		return nil, err
-	}
-	if err := compileProgram(ps.prog); err != nil {
+	defer func() {
+		if r := recover(); r != nil {
+			pe, ok := r.(*parseError)
+			if !ok {
+				panic(r)
+			}
+			prog, err = nil, pe
+		}
+	}()
+	// Parse every line; the program ends at its END.
+	ps.prog.Body = ps.parseBlock(nil)
+	if err = compileProgram(ps.prog); err != nil {
 		return nil, err
 	}
 	return ps.prog, nil
@@ -49,6 +63,8 @@ type parseError struct {
 
 func (e *parseError) Error() string { return fmt.Sprintf("line %d: %s", e.line, e.msg) }
 
+// errf builds the error for a failed check at the current line; the
+// check panics with it (see Compile).
 func (p *parser) errf(format string, args ...any) error {
 	ln := 0
 	if p.li < len(p.lines) {
@@ -75,232 +91,167 @@ func (p *parser) accept(text string) bool {
 	}
 	return false
 }
-func (p *parser) expect(text string) error {
+func (p *parser) expect(text string) {
 	if !p.accept(text) {
-		return p.errf("expected %q, found %s", text, p.peek())
+		panic(p.errf("expected %q, found %s", text, p.peek()))
 	}
-	return nil
 }
-func (p *parser) ident() (string, error) {
+func (p *parser) ident() string {
 	t := p.peek()
 	if t.kind != tokIdent {
-		return "", p.errf("expected identifier, found %s", t)
+		panic(p.errf("expected identifier, found %s", t))
 	}
 	p.ti++
-	return t.text, nil
+	return t.text
 }
 func (p *parser) atEOL() bool { return p.peek().kind == tokEOL }
-func (p *parser) expectEOL() error {
+func (p *parser) expectEOL() {
 	if !p.atEOL() {
-		return p.errf("unexpected trailing %s", p.peek())
+		panic(p.errf("unexpected trailing %s", p.peek()))
 	}
-	return nil
 }
 
 // intVal parses an integer literal or parameter reference.
-func (p *parser) intVal() (int, error) {
+func (p *parser) intVal() int {
 	t := p.peek()
 	switch t.kind {
 	case tokNumber:
 		p.ti++
 		v, err := strconv.Atoi(t.text)
 		if err != nil {
-			return 0, p.errf("expected integer, found %q", t.text)
+			panic(p.errf("expected integer, found %q", t.text))
 		}
-		return v, nil
+		return v
 	case tokIdent:
 		p.ti++
 		v, ok := p.prog.Params[t.text]
 		if !ok {
-			return 0, p.errf("unknown parameter %q", t.text)
+			panic(p.errf("unknown parameter %q", t.text))
 		}
-		return v, nil
+		return v
 	default:
-		return 0, p.errf("expected integer or parameter, found %s", t)
+		panic(p.errf("expected integer or parameter, found %s", t))
 	}
-}
-
-// parse consumes every line.
-func (p *parser) parse() error {
-	body, err := p.parseBlock(nil)
-	if err != nil {
-		return err
-	}
-	p.prog.Body = body
-	return nil
 }
 
 // parseBlock parses statements until one of the given terminators (or
 // end of input when terminators is nil, requiring a final END).
-func (p *parser) parseBlock(terminators []string) ([]stmt, error) {
+func (p *parser) parseBlock(terminators []string) []stmt {
 	var body []stmt
 	for p.li < len(p.lines) {
 		p.toks = p.lines[p.li].toks
 		p.ti = 0
 		head := p.peek()
-		if head.kind == tokIdent {
-			for _, term := range terminators {
-				if head.text == term {
-					return body, nil
-				}
-			}
+		if head.kind == tokIdent && slices.Contains(terminators, head.text) {
+			return body
 		}
-		s, err := p.parseLine()
-		if err != nil {
-			return nil, err
-		}
+		s := p.parseLine()
 		if s != nil {
 			body = append(body, s)
 		}
 		if s == nil && terminators == nil {
-			return body, nil // END of program
+			return body // END of program
 		}
 	}
 	if terminators != nil {
-		return nil, p.errf("missing %q", terminators[0])
+		panic(p.errf("missing %q", terminators[0]))
 	}
-	return nil, p.errf("missing END")
+	panic(p.errf("missing END"))
 }
 
 // parseLine parses one statement starting at the current line; returns
-// (nil, nil) for the program END.
-func (p *parser) parseLine() (stmt, error) {
+// nil for the program END.
+func (p *parser) parseLine() stmt {
 	ln := p.lines[p.li].num
-	kw, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
+	kw := p.ident()
 	adv := func() { p.li++ }
 	switch kw {
 	case "PROGRAM":
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		p.prog.Name = name
+		p.prog.Name = p.ident()
 		adv()
 		return p.nextStmt()
 	case "PARAMETER":
-		if err := p.parseParameter(); err != nil {
-			return nil, err
-		}
+		p.parseParameter()
 		adv()
 		return p.nextStmt()
 	case "REAL":
 		// REAL*8 decl-list
-		if err := p.expect("*"); err != nil {
-			return nil, err
-		}
-		if _, err := p.intVal(); err != nil {
-			return nil, err
-		}
-		if err := p.parseDecls(p.prog.RealArrays, "REAL*8"); err != nil {
-			return nil, err
-		}
+		p.expect("*")
+		p.intVal()
+		p.parseDecls(p.prog.RealArrays, "REAL*8")
 		adv()
 		return p.nextStmt()
 	case "INTEGER":
-		if err := p.parseDecls(p.prog.IntArrays, "INTEGER"); err != nil {
-			return nil, err
-		}
+		p.parseDecls(p.prog.IntArrays, "INTEGER")
 		adv()
 		return p.nextStmt()
 	case "DYNAMIC":
 		// DYNAMIC, DECOMPOSITION decl-list
-		if err := p.expect(","); err != nil {
-			return nil, err
-		}
-		if err := p.expect("DECOMPOSITION"); err != nil {
-			return nil, err
-		}
-		if err := p.parseDecls(p.prog.Decomps, "DECOMPOSITION"); err != nil {
-			return nil, err
-		}
+		p.expect(",")
+		p.expect("DECOMPOSITION")
+		p.parseDecls(p.prog.Decomps, "DECOMPOSITION")
 		adv()
 		return p.nextStmt()
 	case "DECOMPOSITION":
-		if err := p.parseDecls(p.prog.Decomps, "DECOMPOSITION"); err != nil {
-			return nil, err
-		}
+		p.parseDecls(p.prog.Decomps, "DECOMPOSITION")
 		adv()
 		return p.nextStmt()
 	case "DISTRIBUTE":
-		st, err := p.parseDistribute(ln)
-		if err != nil {
-			return nil, err
-		}
+		st := p.parseDistribute(ln)
 		adv()
 		if st != nil {
-			return st, nil
+			return st
 		}
 		return p.nextStmt()
 	case "ALIGN":
-		if err := p.parseAlign(); err != nil {
-			return nil, err
-		}
+		p.parseAlign()
 		adv()
 		return p.nextStmt()
 	case "READ":
 		s := &readStmt{baseStmt: baseStmt{ln}}
 		for {
-			n, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
+			n := p.ident()
 			if !p.isArray(n) {
-				return nil, p.errf("READ of undeclared array %q", n)
+				panic(p.errf("READ of undeclared array %q", n))
 			}
 			s.Names = append(s.Names, n)
 			if !p.accept(",") {
 				break
 			}
 		}
-		if err := p.expectEOL(); err != nil {
-			return nil, err
-		}
+		p.expectEOL()
 		adv()
-		return s, nil
+		return s
 	case "CONSTRUCT":
-		s, err := p.parseConstruct(ln)
-		if err != nil {
-			return nil, err
-		}
+		s := p.parseConstruct(ln)
 		adv()
-		return s, nil
+		return s
 	case "SET":
-		s, err := p.parseSet(ln)
-		if err != nil {
-			return nil, err
-		}
+		s := p.parseSet(ln)
 		adv()
-		return s, nil
+		return s
 	case "REDISTRIBUTE":
-		s, err := p.parseRedistribute(ln)
-		if err != nil {
-			return nil, err
-		}
+		s := p.parseRedistribute(ln)
 		adv()
-		return s, nil
+		return s
 	case "DO":
 		return p.parseDo(ln)
 	case "FORALL":
 		return p.parseForall(ln)
 	case "END":
-		if err := p.expectEOL(); err != nil {
-			return nil, err
-		}
+		p.expectEOL()
 		adv()
-		return nil, nil
+		return nil
 	default:
-		return nil, p.errf("unexpected statement %q", kw)
+		panic(p.errf("unexpected statement %q", kw))
 	}
 }
 
 // nextStmt continues parsing after a declaration-type line consumed by
 // parseLine.
-func (p *parser) nextStmt() (stmt, error) {
+func (p *parser) nextStmt() stmt {
 	if p.li >= len(p.lines) {
-		return nil, p.errf("missing END")
+		panic(p.errf("missing END"))
 	}
 	p.toks = p.lines[p.li].toks
 	p.ti = 0
@@ -313,62 +264,39 @@ func (p *parser) isArray(n string) bool {
 	return r || i
 }
 
-func (p *parser) parseParameter() error {
-	if err := p.expect("("); err != nil {
-		return err
-	}
+func (p *parser) parseParameter() {
+	p.expect("(")
 	for {
-		n, err := p.ident()
-		if err != nil {
-			return err
-		}
-		if err := p.expect("="); err != nil {
-			return err
-		}
-		v, err := p.intVal()
-		if err != nil {
-			return err
-		}
-		p.prog.Params[n] = v
+		n := p.ident()
+		p.expect("=")
+		p.prog.Params[n] = p.intVal()
 		if !p.accept(",") {
 			break
 		}
 	}
-	if err := p.expect(")"); err != nil {
-		return err
-	}
-	return p.expectEOL()
+	p.expect(")")
+	p.expectEOL()
 }
 
 // parseDecls parses name(extent) {, name(extent)} into dst.
-func (p *parser) parseDecls(dst map[string]int, what string) error {
+func (p *parser) parseDecls(dst map[string]int, what string) {
 	for {
-		n, err := p.ident()
-		if err != nil {
-			return err
-		}
-		if err := p.expect("("); err != nil {
-			return err
-		}
-		ext, err := p.intVal()
-		if err != nil {
-			return err
-		}
-		if err := p.expect(")"); err != nil {
-			return err
-		}
+		n := p.ident()
+		p.expect("(")
+		ext := p.intVal()
+		p.expect(")")
 		if ext < 1 {
-			return p.errf("%s %q has extent %d", what, n, ext)
+			panic(p.errf("%s %q has extent %d", what, n, ext))
 		}
 		if _, dup := dst[n]; dup {
-			return p.errf("duplicate %s declaration %q", what, n)
+			panic(p.errf("duplicate %s declaration %q", what, n))
 		}
 		dst[n] = ext
 		if !p.accept(",") {
 			break
 		}
 	}
-	return p.expectEOL()
+	p.expectEOL()
 }
 
 // parseDistribute handles both declarative BLOCK distributions (the
@@ -376,55 +304,43 @@ func (p *parser) parseDecls(dst map[string]int, what string) error {
 // "DISTRIBUTE irreg(map)" of the paper's Figure 3, which remaps the
 // arrays aligned with the decomposition according to a user-computed
 // map array. The irregular form must be the only item on its line.
-func (p *parser) parseDistribute(ln int) (stmt, error) {
+func (p *parser) parseDistribute(ln int) stmt {
 	entries := 0
 	var irreg *distributeStmt
 	for {
 		entries++
-		n, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
+		n := p.ident()
 		if _, ok := p.prog.Decomps[n]; !ok {
-			return nil, p.errf("DISTRIBUTE of undeclared decomposition %q", n)
+			panic(p.errf("DISTRIBUTE of undeclared decomposition %q", n))
 		}
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
-		kind, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
+		p.expect("(")
+		kind := p.ident()
 		switch {
 		case kind == "BLOCK":
 			// The default initial distribution; nothing to emit.
 		case p.prog.IntArrays[kind] > 0:
 			if p.prog.IntArrays[kind] != p.prog.Decomps[n] {
-				return nil, p.errf("map array %q (extent %d) does not conform to decomposition %q (extent %d)",
-					kind, p.prog.IntArrays[kind], n, p.prog.Decomps[n])
+				panic(p.errf("map array %q (extent %d) does not conform to decomposition %q (extent %d)",
+					kind, p.prog.IntArrays[kind], n, p.prog.Decomps[n]))
 			}
 			if irreg != nil {
-				return nil, p.errf("one irregular DISTRIBUTE per line")
+				panic(p.errf("one irregular DISTRIBUTE per line"))
 			}
 			irreg = &distributeStmt{baseStmt: baseStmt{ln}, Decomp: n, MapArr: kind}
 		default:
-			return nil, p.errf("DISTRIBUTE %s(%s): want BLOCK or an INTEGER map array", n, kind)
+			panic(p.errf("DISTRIBUTE %s(%s): want BLOCK or an INTEGER map array", n, kind))
 		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
+		p.expect(")")
 		if !p.accept(",") {
 			break
 		}
 	}
 	if irreg != nil && entries > 1 {
-		return nil, p.errf("irregular DISTRIBUTE must be the only item on its line")
+		panic(p.errf("irregular DISTRIBUTE must be the only item on its line"))
 	}
-	if err := p.expectEOL(); err != nil {
-		return nil, err
-	}
+	p.expectEOL()
 	if irreg == nil {
-		return nil, nil
+		return nil
 	}
 	// Resolve the aligned array set (declarations precede use).
 	for an, dec := range p.prog.AlignsTo {
@@ -432,38 +348,30 @@ func (p *parser) parseDistribute(ln int) (stmt, error) {
 			irreg.arrays = append(irreg.arrays, an)
 		}
 	}
-	sortStrings(irreg.arrays)
+	slices.Sort(irreg.arrays)
 	if len(irreg.arrays) == 0 {
-		return nil, p.errf("DISTRIBUTE %s(%s): no arrays aligned with %s", irreg.Decomp, irreg.MapArr, irreg.Decomp)
+		panic(p.errf("DISTRIBUTE %s(%s): no arrays aligned with %s", irreg.Decomp, irreg.MapArr, irreg.Decomp))
 	}
-	return irreg, nil
+	return irreg
 }
 
-func (p *parser) parseAlign() error {
+func (p *parser) parseAlign() {
 	var names []string
 	for {
-		n, err := p.ident()
-		if err != nil {
-			return err
-		}
+		n := p.ident()
 		if !p.isArray(n) {
-			return p.errf("ALIGN of undeclared array %q", n)
+			panic(p.errf("ALIGN of undeclared array %q", n))
 		}
 		names = append(names, n)
 		if !p.accept(",") {
 			break
 		}
 	}
-	if err := p.expect("WITH"); err != nil {
-		return err
-	}
-	d, err := p.ident()
-	if err != nil {
-		return err
-	}
+	p.expect("WITH")
+	d := p.ident()
 	ext, ok := p.prog.Decomps[d]
 	if !ok {
-		return p.errf("ALIGN WITH undeclared decomposition %q", d)
+		panic(p.errf("ALIGN WITH undeclared decomposition %q", d))
 	}
 	for _, n := range names {
 		ne := p.prog.RealArrays[n]
@@ -471,138 +379,76 @@ func (p *parser) parseAlign() error {
 			ne = p.prog.IntArrays[n]
 		}
 		if ne != ext {
-			return p.errf("array %q (extent %d) cannot align with decomposition %q (extent %d)", n, ne, d, ext)
+			panic(p.errf("array %q (extent %d) cannot align with decomposition %q (extent %d)", n, ne, d, ext))
 		}
 		p.prog.AlignsTo[n] = d
 	}
-	return p.expectEOL()
+	p.expectEOL()
 }
 
-func (p *parser) parseConstruct(ln int) (stmt, error) {
+func (p *parser) parseConstruct(ln int) stmt {
 	s := &constructStmt{baseStmt: baseStmt{ln}}
-	g, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	s.G = g
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
-	n, err := p.intVal()
-	if err != nil {
-		return nil, err
-	}
-	s.N = n
+	s.G = p.ident()
+	p.expect("(")
+	s.N = p.intVal()
 	for p.accept(",") {
-		kw, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
+		kw := p.ident()
+		p.expect("(")
 		switch kw {
 		case "GEOMETRY":
-			dim, err := p.intVal()
-			if err != nil {
-				return nil, err
-			}
+			dim := p.intVal()
 			for d := 0; d < dim; d++ {
-				if err := p.expect(","); err != nil {
-					return nil, err
-				}
-				a, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
+				p.expect(",")
+				a := p.ident()
 				if p.prog.RealArrays[a] != s.N {
-					return nil, p.errf("GEOMETRY array %q must be REAL*8 of extent %d", a, s.N)
+					panic(p.errf("GEOMETRY array %q must be REAL*8 of extent %d", a, s.N))
 				}
 				s.Geometry = append(s.Geometry, a)
 			}
 		case "LOAD":
-			a, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
+			a := p.ident()
 			if p.prog.RealArrays[a] != s.N {
-				return nil, p.errf("LOAD array %q must be REAL*8 of extent %d", a, s.N)
+				panic(p.errf("LOAD array %q must be REAL*8 of extent %d", a, s.N))
 			}
 			s.Load = a
 		case "LINK":
-			if _, err := p.intVal(); err != nil { // edge count, informational
-				return nil, err
-			}
-			if err := p.expect(","); err != nil {
-				return nil, err
-			}
-			a1, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect(","); err != nil {
-				return nil, err
-			}
-			a2, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
+			p.intVal() // edge count, informational
+			p.expect(",")
+			a1 := p.ident()
+			p.expect(",")
+			a2 := p.ident()
 			if p.prog.IntArrays[a1] == 0 || p.prog.IntArrays[a2] == 0 {
-				return nil, p.errf("LINK arrays %q, %q must be INTEGER arrays", a1, a2)
+				panic(p.errf("LINK arrays %q, %q must be INTEGER arrays", a1, a2))
 			}
 			if p.prog.IntArrays[a1] != p.prog.IntArrays[a2] {
-				return nil, p.errf("LINK arrays %q, %q have different extents", a1, a2)
+				panic(p.errf("LINK arrays %q, %q have different extents", a1, a2))
 			}
 			s.Link1, s.Link2 = a1, a2
 		default:
-			return nil, p.errf("unknown CONSTRUCT clause %q", kw)
+			panic(p.errf("unknown CONSTRUCT clause %q", kw))
 		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
+		p.expect(")")
 	}
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
+	p.expect(")")
 	if len(s.Geometry) == 0 && s.Load == "" && s.Link1 == "" {
-		return nil, p.errf("CONSTRUCT %q has no GEOMETRY, LOAD or LINK clause", s.G)
+		panic(p.errf("CONSTRUCT %q has no GEOMETRY, LOAD or LINK clause", s.G))
 	}
-	return s, p.expectEOL()
+	p.expectEOL()
+	return s
 }
 
-func (p *parser) parseSet(ln int) (stmt, error) {
+func (p *parser) parseSet(ln int) stmt {
 	s := &setStmt{baseStmt: baseStmt{ln}}
-	m, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	s.Map = m
-	if err := p.expect("BY"); err != nil {
-		return nil, err
-	}
-	if err := p.expect("PARTITIONING"); err != nil {
-		return nil, err
-	}
-	g, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	s.G = g
-	if err := p.expect("USING"); err != nil {
-		return nil, err
-	}
+	s.Map = p.ident()
+	p.expect("BY")
+	p.expect("PARTITIONING")
+	s.G = p.ident()
+	p.expect("USING")
 	// Partitioner names may contain '-' (a registered "MY-PART"):
 	// IDENT (- IDENT)*.
-	pn, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
+	pn := p.ident()
 	for p.accept("-") {
-		more, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		pn += "-" + more
+		pn += "-" + p.ident()
 	}
 	// An optional parenthesized option list — USING MULTILEVEL
 	// (CoarsenTo=200, Seed=7) — is part of the spec string, which
@@ -613,173 +459,106 @@ func (p *parser) parseSet(ln int) (stmt, error) {
 		for !p.atEOL() && p.peek().text != ")" {
 			body += p.next().text
 		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
+		p.expect(")")
 		pn += "(" + body + ")"
 	}
 	s.Partitioner = pn
+	var err error
 	if s.spec, err = partition.ParseSpec(pn); err != nil {
-		return nil, &parseError{ln, err.Error()}
+		panic(&parseError{ln, err.Error()})
 	}
-	return s, p.expectEOL()
+	p.expectEOL()
+	return s
 }
 
-func (p *parser) parseRedistribute(ln int) (stmt, error) {
+func (p *parser) parseRedistribute(ln int) stmt {
 	s := &redistributeStmt{baseStmt: baseStmt{ln}}
-	d, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
+	d := p.ident()
 	if _, ok := p.prog.Decomps[d]; !ok {
-		return nil, p.errf("REDISTRIBUTE of undeclared decomposition %q", d)
+		panic(p.errf("REDISTRIBUTE of undeclared decomposition %q", d))
 	}
 	s.Decomp = d
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
-	m, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	s.Map = m
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
+	p.expect("(")
+	s.Map = p.ident()
+	p.expect(")")
 	// Resolve the aligned array set now (declarations precede use).
 	for n, dec := range p.prog.AlignsTo {
 		if dec == d {
 			s.arrays = append(s.arrays, n)
 		}
 	}
-	sortStrings(s.arrays)
-	return s, p.expectEOL()
+	slices.Sort(s.arrays)
+	p.expectEOL()
+	return s
 }
 
-func (p *parser) parseDo(ln int) (stmt, error) {
+func (p *parser) parseDo(ln int) stmt {
 	s := &doStmt{baseStmt: baseStmt{ln}}
-	v, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	s.Var = v
-	if err := p.expect("="); err != nil {
-		return nil, err
-	}
-	lo, err := p.intVal()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(","); err != nil {
-		return nil, err
-	}
-	hi, err := p.intVal()
-	if err != nil {
-		return nil, err
-	}
-	s.Lo, s.Hi = lo, hi
-	if err := p.expectEOL(); err != nil {
-		return nil, err
-	}
+	s.Var = p.ident()
+	p.expect("=")
+	s.Lo = p.intVal()
+	p.expect(",")
+	s.Hi = p.intVal()
+	p.expectEOL()
 	p.li++
-	body, err := p.parseBlock([]string{"END", "ENDDO"})
-	if err != nil {
-		return nil, err
-	}
+	s.Body = p.parseBlock([]string{"END", "ENDDO"})
 	// Consume END DO / ENDDO.
 	p.toks = p.lines[p.li].toks
 	p.ti = 0
-	kw, _ := p.ident()
-	if kw == "END" {
-		if err := p.expect("DO"); err != nil {
-			return nil, err
-		}
+	if p.ident() == "END" {
+		p.expect("DO")
 	}
-	if err := p.expectEOL(); err != nil {
-		return nil, err
-	}
+	p.expectEOL()
 	p.li++
-	s.Body = body
-	return s, nil
+	return s
 }
 
-func (p *parser) parseForall(ln int) (stmt, error) {
+func (p *parser) parseForall(ln int) stmt {
 	s := &forallStmt{baseStmt: baseStmt{ln}}
-	v, err := p.ident()
-	if err != nil {
-		return nil, err
+	s.Var = p.ident()
+	p.expect("=")
+	if p.intVal() != 1 {
+		panic(p.errf("FORALL lower bound must be 1"))
 	}
-	s.Var = v
-	if err := p.expect("="); err != nil {
-		return nil, err
-	}
-	lo, err := p.intVal()
-	if err != nil {
-		return nil, err
-	}
-	if lo != 1 {
-		return nil, p.errf("FORALL lower bound must be 1")
-	}
-	if err := p.expect(","); err != nil {
-		return nil, err
-	}
-	hi, err := p.intVal()
-	if err != nil {
-		return nil, err
-	}
+	p.expect(",")
+	hi := p.intVal()
 	if hi < 1 {
-		return nil, p.errf("FORALL upper bound %d", hi)
+		panic(p.errf("FORALL upper bound %d", hi))
 	}
 	s.N = hi
-	if err := p.expectEOL(); err != nil {
-		return nil, err
-	}
+	p.expectEOL()
 	p.li++
 	// Body: assignment / REDUCE lines until END FORALL.
 	for {
 		if p.li >= len(p.lines) {
-			return nil, p.errf("missing END FORALL")
+			panic(p.errf("missing END FORALL"))
 		}
 		p.toks = p.lines[p.li].toks
 		p.ti = 0
 		if p.peek().kind == tokIdent && (p.peek().text == "END" || p.peek().text == "ENDFORALL") {
-			kw, _ := p.ident()
-			if kw == "END" {
-				if err := p.expect("FORALL"); err != nil {
-					return nil, err
-				}
+			if p.ident() == "END" {
+				p.expect("FORALL")
 			}
-			if err := p.expectEOL(); err != nil {
-				return nil, err
-			}
+			p.expectEOL()
 			p.li++
 			break
 		}
-		a, err := p.parseForallAssign(s)
-		if err != nil {
-			return nil, err
-		}
-		s.Assigns = append(s.Assigns, a)
+		s.Assigns = append(s.Assigns, p.parseForallAssign(s))
 		p.li++
 	}
 	if len(s.Assigns) == 0 {
-		return nil, p.errf("empty FORALL body")
+		panic(p.errf("empty FORALL body"))
 	}
-	return s, nil
+	return s
 }
 
 // parseForallAssign parses `target = expr` or `REDUCE(op, target, expr)`.
-func (p *parser) parseForallAssign(f *forallStmt) (forallAssign, error) {
+func (p *parser) parseForallAssign(f *forallStmt) forallAssign {
 	var a forallAssign
 	if p.peek().kind == tokIdent && p.peek().text == "REDUCE" {
 		p.ti++
-		if err := p.expect("("); err != nil {
-			return a, err
-		}
-		opName, err := p.ident()
-		if err != nil {
-			return a, err
-		}
+		p.expect("(")
+		opName := p.ident()
 		switch opName {
 		case "ADD", "SUM":
 			a.Op = core.Add
@@ -790,263 +569,164 @@ func (p *parser) parseForallAssign(f *forallStmt) (forallAssign, error) {
 		case "MUL", "MULT", "PROD":
 			a.Op = core.Mul
 		default:
-			return a, p.errf("unknown REDUCE operator %q", opName)
+			panic(p.errf("unknown REDUCE operator %q", opName))
 		}
-		if err := p.expect(","); err != nil {
-			return a, err
-		}
-		ref, err := p.parseArrayRef(f)
-		if err != nil {
-			return a, err
-		}
-		a.Target = ref
-		if err := p.expect(","); err != nil {
-			return a, err
-		}
-		e, err := p.parseExpr(f)
-		if err != nil {
-			return a, err
-		}
-		a.Expr = e
-		if err := p.expect(")"); err != nil {
-			return a, err
-		}
-		return a, p.expectEOL()
+		p.expect(",")
+		a.Target = p.parseArrayRef(f)
+		p.expect(",")
+		a.Expr = p.parseExpr(f)
+		p.expect(")")
+		p.expectEOL()
+		return a
 	}
-	ref, err := p.parseArrayRef(f)
-	if err != nil {
-		return a, err
-	}
+	a.Target = p.parseArrayRef(f)
 	a.Op = core.Assign
-	a.Target = ref
-	if err := p.expect("="); err != nil {
-		return a, err
-	}
-	e, err := p.parseExpr(f)
-	if err != nil {
-		return a, err
-	}
-	a.Expr = e
-	return a, p.expectEOL()
+	p.expect("=")
+	a.Expr = p.parseExpr(f)
+	p.expectEOL()
+	return a
 }
 
 // parseArrayRef parses arr(i) or arr(ind(i)) against forall variable i.
-func (p *parser) parseArrayRef(f *forallStmt) (arrayRef, error) {
+func (p *parser) parseArrayRef(f *forallStmt) arrayRef {
 	var r arrayRef
-	name, err := p.ident()
-	if err != nil {
-		return r, err
-	}
-	if err := p.expect("("); err != nil {
-		return r, err
-	}
-	inner, err := p.ident()
-	if err != nil {
-		return r, err
-	}
+	name := p.ident()
+	p.expect("(")
+	inner := p.ident()
 	if inner == f.Var {
-		if err := p.expect(")"); err != nil {
-			return r, err
-		}
+		p.expect(")")
 		r.Array = name
-		return r, p.checkRef(r, f)
+		p.checkRef(r, f)
+		return r
 	}
 	// arr(ind(i))
-	if err := p.expect("("); err != nil {
-		return r, err
+	p.expect("(")
+	if v := p.ident(); v != f.Var {
+		panic(p.errf("indirection %q must be indexed by loop variable %q", inner, f.Var))
 	}
-	v, err := p.ident()
-	if err != nil {
-		return r, err
-	}
-	if v != f.Var {
-		return r, p.errf("indirection %q must be indexed by loop variable %q", inner, f.Var)
-	}
-	if err := p.expect(")"); err != nil {
-		return r, err
-	}
-	if err := p.expect(")"); err != nil {
-		return r, err
-	}
+	p.expect(")")
+	p.expect(")")
 	r.Array = name
 	r.Ind = inner
-	return r, p.checkRef(r, f)
+	p.checkRef(r, f)
+	return r
 }
 
-func (p *parser) checkRef(r arrayRef, f *forallStmt) error {
+func (p *parser) checkRef(r arrayRef, f *forallStmt) {
 	if p.prog.RealArrays[r.Array] == 0 {
-		return p.errf("reference to undeclared REAL*8 array %q", r.Array)
+		panic(p.errf("reference to undeclared REAL*8 array %q", r.Array))
 	}
 	if r.Ind != "" {
 		ext := p.prog.IntArrays[r.Ind]
 		if ext == 0 {
-			return p.errf("indirection array %q is not a declared INTEGER array", r.Ind)
+			panic(p.errf("indirection array %q is not a declared INTEGER array", r.Ind))
 		}
 		if ext != f.N {
-			return p.errf("indirection array %q (extent %d) not aligned with FORALL extent %d", r.Ind, ext, f.N)
+			panic(p.errf("indirection array %q (extent %d) not aligned with FORALL extent %d", r.Ind, ext, f.N))
 		}
 	} else if p.prog.RealArrays[r.Array] != f.N {
-		return p.errf("directly indexed array %q (extent %d) not conformant with FORALL extent %d",
-			r.Array, p.prog.RealArrays[r.Array], f.N)
+		panic(p.errf("directly indexed array %q (extent %d) not conformant with FORALL extent %d",
+			r.Array, p.prog.RealArrays[r.Array], f.N))
 	}
-	return nil
 }
 
 // Expression grammar: expr := term {(+|-) term}; term := factor
 // {(*|/) factor}; factor := unary [** factor]; unary := [+|-] primary;
 // primary := number | loopvar | param | arrayref | call | (expr).
-func (p *parser) parseExpr(f *forallStmt) (expr, error) {
-	l, err := p.parseTerm(f)
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseExpr(f *forallStmt) expr {
+	l := p.parseTerm(f)
 	for {
 		if p.accept("+") {
-			r, err := p.parseTerm(f)
-			if err != nil {
-				return nil, err
-			}
-			l = &binExpr{"+", l, r}
+			l = &binExpr{"+", l, p.parseTerm(f)}
 		} else if p.accept("-") {
-			r, err := p.parseTerm(f)
-			if err != nil {
-				return nil, err
-			}
-			l = &binExpr{"-", l, r}
+			l = &binExpr{"-", l, p.parseTerm(f)}
 		} else {
-			return l, nil
+			return l
 		}
 	}
 }
 
-func (p *parser) parseTerm(f *forallStmt) (expr, error) {
-	l, err := p.parseFactor(f)
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseTerm(f *forallStmt) expr {
+	l := p.parseFactor(f)
 	for {
 		if p.accept("*") {
-			r, err := p.parseFactor(f)
-			if err != nil {
-				return nil, err
-			}
-			l = &binExpr{"*", l, r}
+			l = &binExpr{"*", l, p.parseFactor(f)}
 		} else if p.accept("/") {
-			r, err := p.parseFactor(f)
-			if err != nil {
-				return nil, err
-			}
-			l = &binExpr{"/", l, r}
+			l = &binExpr{"/", l, p.parseFactor(f)}
 		} else {
-			return l, nil
+			return l
 		}
 	}
 }
 
-func (p *parser) parseFactor(f *forallStmt) (expr, error) {
-	l, err := p.parseUnary(f)
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseFactor(f *forallStmt) expr {
+	l := p.parseUnary(f)
 	if p.accept("**") {
-		r, err := p.parseFactor(f) // right associative
-		if err != nil {
-			return nil, err
-		}
-		return &binExpr{"**", l, r}, nil
+		return &binExpr{"**", l, p.parseFactor(f)} // right associative
 	}
-	return l, nil
+	return l
 }
 
-func (p *parser) parseUnary(f *forallStmt) (expr, error) {
+func (p *parser) parseUnary(f *forallStmt) expr {
 	if p.accept("-") {
-		x, err := p.parseUnary(f)
-		if err != nil {
-			return nil, err
-		}
-		return &unExpr{"-", x}, nil
+		return &unExpr{"-", p.parseUnary(f)}
 	}
 	p.accept("+")
 	return p.parsePrimary(f)
 }
 
-func (p *parser) parsePrimary(f *forallStmt) (expr, error) {
+func (p *parser) parsePrimary(f *forallStmt) expr {
 	t := p.peek()
 	switch t.kind {
 	case tokNumber:
 		p.ti++
 		v, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			return nil, p.errf("bad number %q", t.text)
+			panic(p.errf("bad number %q", t.text))
 		}
-		return &numExpr{v}, nil
+		return &numExpr{v}
 	case tokPunct:
 		if t.text == "(" {
 			p.ti++
-			e, err := p.parseExpr(f)
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+			e := p.parseExpr(f)
+			p.expect(")")
+			return e
 		}
 	case tokIdent:
 		name := t.text
 		if name == f.Var {
 			p.ti++
-			return &loopVarExpr{}, nil
+			return &loopVarExpr{}
 		}
 		if v, ok := p.prog.Params[name]; ok {
 			p.ti++
-			return &numExpr{float64(v)}, nil
+			return &numExpr{float64(v)}
 		}
 		if p.prog.RealArrays[name] > 0 {
 			// Re-parse as array reference from the name.
-			ref, err := p.parseArrayRef(f)
-			if err != nil {
-				return nil, err
-			}
-			return &refExpr{ref}, nil
+			return &refExpr{p.parseArrayRef(f)}
 		}
 		// Builtin function call.
 		bi, ok := builtins[name]
 		if !ok {
-			return nil, p.errf("unknown function %s: neither a builtin nor a declared REAL*8 array", name)
+			panic(p.errf("unknown function %s: neither a builtin nor a declared REAL*8 array", name))
 		}
 		p.ti++
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
+		p.expect("(")
 		call := &callExpr{name: name}
 		if !p.accept(")") {
 			for {
-				a, err := p.parseExpr(f)
-				if err != nil {
-					return nil, err
-				}
-				call.args = append(call.args, a)
+				call.args = append(call.args, p.parseExpr(f))
 				if !p.accept(",") {
 					break
 				}
 			}
-			if err := p.expect(")"); err != nil {
-				return nil, err
-			}
+			p.expect(")")
 		}
 		if bi.argc != len(call.args) {
-			return nil, p.errf("builtin %s expects %d argument(s), got %d", name, bi.argc, len(call.args))
+			panic(p.errf("builtin %s expects %d argument(s), got %d", name, bi.argc, len(call.args)))
 		}
-		return call, nil
+		return call
 	}
-	return nil, p.errf("unexpected token %s in expression", t)
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	panic(p.errf("unexpected token %s in expression", t))
 }
