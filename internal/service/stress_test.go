@@ -189,23 +189,39 @@ func TestCloseUnblocksWaiters(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 2})
 	s.compute = sc.fn
 
+	// Start the requests one stage at a time: issued together, all three
+	// can reach admission before the worker dequeues the first, and the
+	// third then finds the queue (depth 2) full.
 	errc := make(chan error, 3)
-	for v := 0; v < 3; v++ {
-		go func(v int) {
+	do := func(v int) {
+		go func() {
 			_, err := s.Do(context.Background(), tinyRequest(v))
 			errc <- err
-		}(v)
+		}()
 	}
-	// Wait until the first compute is running (the other two are
-	// queued or about to be).
-	deadline := time.After(5 * time.Second)
-	for len(sc.started()) == 0 {
-		select {
-		case <-deadline:
-			t.Fatalf("no compute started")
-		case <-time.After(time.Millisecond):
+	// waitFor polls until done answers true, failing the test with what
+	// after five seconds.
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.After(5 * time.Second); !done(); {
+			select {
+			case <-deadline:
+				t.Fatal(what)
+			case <-time.After(time.Millisecond):
+			}
 		}
 	}
+	// Request 0 runs: its compute has started.
+	do(0)
+	waitFor("no compute started", func() bool { return len(sc.started()) == 1 })
+	// Requests 1 and 2 are queued behind it.
+	do(1)
+	do(2)
+	waitFor("requests 1 and 2 not queued", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.flight) == 3 && len(s.work) == 2
+	})
 
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
