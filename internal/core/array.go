@@ -2,60 +2,48 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"chaos/internal/dist"
+	"chaos/internal/machine"
 	"chaos/internal/remap"
 	"chaos/internal/ttable"
 )
 
-// Array is a distributed REAL*8 array. Data holds the local section;
-// local index i corresponds to global index MyGlobals()[i]. The array
-// carries a DAD that the schedule-reuse registry keys on; remapping
-// mints a fresh DAD.
-type Array struct {
+// DistArray is a distributed array of REAL*8 (Array) or INTEGER
+// (IntArray) elements. Data holds the local section; local index i
+// corresponds to global index MyGlobals()[i]. The array carries a DAD
+// that the schedule-reuse registry keys on; remapping mints a fresh
+// DAD.
+type DistArray[T float64 | int] struct {
 	Name string
 	s    *Session
 	n    int
 	dad  dist.DAD
 	res  ttable.Resolver
 	gl   []int
-	Data []float64
+	Data []T
 }
+
+// Array is a distributed REAL*8 array.
+type Array = DistArray[float64]
 
 // IntArray is a distributed INTEGER array, used for indirection arrays
 // and map arrays.
-type IntArray struct {
-	Name string
-	s    *Session
-	n    int
-	dad  dist.DAD
-	res  ttable.Resolver
-	gl   []int
-	Data []int
-}
+type IntArray = DistArray[int]
 
 // NewArray declares a REAL*8 array of n elements with the default BLOCK
 // distribution (the paper's "initially, the distributed arrays are
 // decomposed in a known regular manner").
-func (s *Session) NewArray(name string, n int) *Array {
-	b := dist.NewBlock(n, s.C.Procs())
-	a := &Array{
-		Name: name,
-		s:    s,
-		n:    n,
-		dad:  s.DADs.New(dist.Block, n),
-		res:  ttable.Regular{D: b},
-		gl:   blockGlobals(b, s.C.Rank()),
-	}
-	a.Data = make([]float64, len(a.gl))
-	return a
-}
+func (s *Session) NewArray(name string, n int) *Array { return newDistArray[float64](s, name, n) }
 
 // NewIntArray declares an INTEGER array of n elements with the default
 // BLOCK distribution.
-func (s *Session) NewIntArray(name string, n int) *IntArray {
+func (s *Session) NewIntArray(name string, n int) *IntArray { return newDistArray[int](s, name, n) }
+
+func newDistArray[T float64 | int](s *Session, name string, n int) *DistArray[T] {
 	b := dist.NewBlock(n, s.C.Procs())
-	a := &IntArray{
+	a := &DistArray[T]{
 		Name: name,
 		s:    s,
 		n:    n,
@@ -63,7 +51,7 @@ func (s *Session) NewIntArray(name string, n int) *IntArray {
 		res:  ttable.Regular{D: b},
 		gl:   blockGlobals(b, s.C.Rank()),
 	}
-	a.Data = make([]int, len(a.gl))
+	a.Data = make([]T, len(a.gl))
 	return a
 }
 
@@ -77,22 +65,22 @@ func blockGlobals(b dist.BlockDist, rank int) []int {
 }
 
 // Size returns the global extent of the array.
-func (a *Array) Size() int { return a.n }
+func (a *DistArray[T]) Size() int { return a.n }
 
 // DAD returns the array's current data access descriptor.
-func (a *Array) DAD() dist.DAD { return a.dad }
+func (a *DistArray[T]) DAD() dist.DAD { return a.dad }
 
 // Resolver returns the array's current distribution resolver.
-func (a *Array) Resolver() ttable.Resolver { return a.res }
+func (a *DistArray[T]) Resolver() ttable.Resolver { return a.res }
 
 // MyGlobals returns the global indices of the local section, in local
 // order (do not mutate).
-func (a *Array) MyGlobals() []int { return a.gl }
+func (a *DistArray[T]) MyGlobals() []int { return a.gl }
 
 // FillByGlobal sets every local element from its global index and
 // records the modification with the registry (one write event for the
 // whole fill, per the paper's block-granularity counting).
-func (a *Array) FillByGlobal(f func(g int) float64) {
+func (a *DistArray[T]) FillByGlobal(f func(g int) T) {
 	for i, g := range a.gl {
 		a.Data[i] = f(g)
 	}
@@ -101,33 +89,7 @@ func (a *Array) FillByGlobal(f func(g int) float64) {
 }
 
 // NoteWrite records that a block of code may have modified this array.
-func (a *Array) NoteWrite() { a.s.Reg.NoteWrite(a.dad) }
-
-// Size returns the global extent of the array.
-func (a *IntArray) Size() int { return a.n }
-
-// DAD returns the array's current data access descriptor.
-func (a *IntArray) DAD() dist.DAD { return a.dad }
-
-// Resolver returns the array's current distribution resolver.
-func (a *IntArray) Resolver() ttable.Resolver { return a.res }
-
-// MyGlobals returns the global indices of the local section (do not
-// mutate).
-func (a *IntArray) MyGlobals() []int { return a.gl }
-
-// FillByGlobal sets every local element from its global index and
-// records the modification.
-func (a *IntArray) FillByGlobal(f func(g int) int) {
-	for i, g := range a.gl {
-		a.Data[i] = f(g)
-	}
-	a.s.C.Words(len(a.gl))
-	a.NoteWrite()
-}
-
-// NoteWrite records that a block of code may have modified this array.
-func (a *IntArray) NoteWrite() { a.s.Reg.NoteWrite(a.dad) }
+func (a *DistArray[T]) NoteWrite() { a.s.Reg.NoteWrite(a.dad) }
 
 // Mapping is a computed irregular distribution: the runtime form of the
 // map array produced by SET distfmt BY PARTITIONING ... USING ... .
@@ -228,45 +190,35 @@ func (s *Session) Redistribute(m *Mapping, arrays []*Array, intArrays []*IntArra
 		default:
 			return
 		}
-		for _, a := range arrays {
-			if !sameGlobals(a.gl, gl) {
-				panic(fmt.Sprintf("core: Redistribute of unaligned array %q", a.Name))
-			}
-		}
-		for _, a := range intArrays {
-			if !sameGlobals(a.gl, gl) {
-				panic(fmt.Sprintf("core: Redistribute of unaligned array %q", a.Name))
-			}
-		}
+		checkAligned(arrays, gl)
+		checkAligned(intArrays, gl)
 		dest := m.OwnersOf(s, gl)
 		pl := remap.Build(s.C, gl, dest)
 		newGl := append([]int(nil), pl.NewGlobals()...)
 		tab := ttable.Build(s.C, m.n, newGl)
-		for _, a := range arrays {
-			a.Data = pl.MoveFloats(s.C, a.Data)
-			a.gl = newGl
-			a.res = tab
-			a.dad = s.DADs.New(dist.Irregular, a.n)
-			s.Reg.NoteRemap(a.dad)
-		}
-		for _, a := range intArrays {
-			a.Data = pl.MoveInts(s.C, a.Data)
-			a.gl = newGl
-			a.res = tab
-			a.dad = s.DADs.New(dist.Irregular, a.n)
-			s.Reg.NoteRemap(a.dad)
-		}
+		moveArrays(s, arrays, pl.MoveFloats, newGl, tab)
+		moveArrays(s, intArrays, pl.MoveInts, newGl, tab)
 	})
 }
 
-func sameGlobals(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// checkAligned panics unless every array's local section holds exactly
+// the globals gl.
+func checkAligned[T float64 | int](arrays []*DistArray[T], gl []int) {
+	for _, a := range arrays {
+		if !slices.Equal(a.gl, gl) {
+			panic(fmt.Sprintf("core: Redistribute of unaligned array %q", a.Name))
 		}
 	}
-	return true
+}
+
+// moveArrays moves each array's data with move and gives it the new
+// placement (globals gl, resolver tab) under a fresh DAD.
+func moveArrays[T float64 | int](s *Session, arrays []*DistArray[T], move func(*machine.Ctx, []T) []T, gl []int, tab *ttable.Table) {
+	for _, a := range arrays {
+		a.Data = move(s.C, a.Data)
+		a.gl = gl
+		a.res = tab
+		a.dad = s.DADs.New(dist.Irregular, a.n)
+		s.Reg.NoteRemap(a.dad)
+	}
 }
