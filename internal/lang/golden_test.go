@@ -83,9 +83,6 @@ func TestCompileGolden(t *testing.T) {
 	got := b.String()
 	path := filepath.Join("testdata", "compile.golden")
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,13 @@
 // directives, and FORALL loops with REDUCE statements), compiled into a
 // plan of CHAOS runtime calls — the transformation of the paper's
 // Figure 6 — and executed on the simulated machine.
+//
+// Errors are typed and have one exit. Compile returns a *lexError
+// (line and column) for a scanning problem and a *parseError (line)
+// for a failed syntactic or semantic check. Inside the parser a failed
+// check panics with its *parseError, and a single deferred recover in
+// Compile turns it into the returned error; any other panic is a bug
+// and is re-raised.
 package lang
 
 import (

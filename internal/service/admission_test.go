@@ -73,6 +73,23 @@ func tinyRequest(variant int) *Request {
 	}
 }
 
+// eventually polls until pending answers "", and after five seconds
+// fails the test with what it last answered.
+func eventually(t *testing.T, pending func() string) {
+	t.Helper()
+	for deadline := time.After(5 * time.Second); ; {
+		msg := pending()
+		if msg == "" {
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatal(msg)
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
 // TestAdmissionControl pins the bounded-pool contract across pool
 // widths: with every worker busy and the queue full, the next
 // distinct request is rejected immediately with ErrOverloaded; the
@@ -97,30 +114,13 @@ func TestAdmissionControl(t *testing.T) {
 				}()
 			}
 
-			// eventually polls until pending answers "", and after five
-			// seconds fails the test with what it last answered.
-			eventually := func(pending func() string) {
-				t.Helper()
-				for deadline := time.After(5 * time.Second); ; {
-					msg := pending()
-					if msg == "" {
-						return
-					}
-					select {
-					case <-deadline:
-						t.Fatal(msg)
-					case <-time.After(time.Millisecond):
-					}
-				}
-			}
-
 			// Plug every worker with a blocking compute, one at a time
 			// and waiting until each is actually inside the engine: issued
 			// together, more than queueDepth of them can be queued at once
 			// and the rest are rejected.
 			for v := 0; v < workers; v++ {
 				do(v)
-				eventually(func() string {
+				eventually(t, func() string {
 					if n := len(sc.started()); n <= v {
 						return fmt.Sprintf("only %d/%d workers started", n, workers)
 					}
@@ -136,7 +136,7 @@ func TestAdmissionControl(t *testing.T) {
 			for v := workers; v < workers+queueDepth; v++ {
 				queued = append(queued, tinyRequest(v).fingerprintForTest())
 				do(v)
-				eventually(func() string {
+				eventually(t, func() string {
 					s.mu.Lock()
 					defer s.mu.Unlock()
 					if n := len(s.flight); n != v+1 {
@@ -168,7 +168,7 @@ func TestAdmissionControl(t *testing.T) {
 			}()
 			// Wait until it has joined the queued job: arriving after that
 			// job completed, it would start a compute of its own.
-			eventually(func() string {
+			eventually(t, func() string {
 				s.mu.Lock()
 				defer s.mu.Unlock()
 				for _, j := range s.flight {
@@ -188,7 +188,7 @@ func TestAdmissionControl(t *testing.T) {
 				close(sc.gate(fp))
 			}
 			close(sc.gate(tinyRequest(0).fingerprintForTest()))
-			eventually(func() string {
+			eventually(t, func() string {
 				if n := len(sc.started()); n < workers+queueDepth {
 					return fmt.Sprintf("queue did not drain: %d/%d computes started", n, workers+queueDepth)
 				}

@@ -199,28 +199,24 @@ func TestCloseUnblocksWaiters(t *testing.T) {
 			errc <- err
 		}()
 	}
-	// waitFor polls until done answers true, failing the test with what
-	// after five seconds.
-	waitFor := func(what string, done func() bool) {
-		t.Helper()
-		for deadline := time.After(5 * time.Second); !done(); {
-			select {
-			case <-deadline:
-				t.Fatal(what)
-			case <-time.After(time.Millisecond):
-			}
-		}
-	}
 	// Request 0 runs: its compute has started.
 	do(0)
-	waitFor("no compute started", func() bool { return len(sc.started()) == 1 })
+	eventually(t, func() string {
+		if len(sc.started()) == 0 {
+			return "no compute started"
+		}
+		return ""
+	})
 	// Requests 1 and 2 are queued behind it.
 	do(1)
 	do(2)
-	waitFor("requests 1 and 2 not queued", func() bool {
+	eventually(t, func() string {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.flight) == 3 && len(s.work) == 2
+		if len(s.flight) != 3 || len(s.work) != 2 {
+			return fmt.Sprintf("flight has %d jobs and the queue %d, want 3 and 2", len(s.flight), len(s.work))
+		}
+		return ""
 	})
 
 	closed := make(chan error, 1)
