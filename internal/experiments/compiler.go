@@ -18,8 +18,8 @@ import (
 // option lists), and the CONSTRUCT clause follows the partitioner's
 // declared capabilities. The flux expressions are the same EulerFlux
 // the hand path uses, written in the source language, so the compiler
-// path pays the (slight) interpretation overhead a compiler-generated
-// executor pays relative to hand code.
+// path pays the (slight) overhead a compiler-generated executor pays
+// relative to hand code.
 func meshProgram(w *Workload, sp partition.Spec, iters int) string {
 	clause := "LINK(nedge, end_pt1, end_pt2)"
 	if caps, err := inputCaps(sp); err == nil && caps.NeedsGeometry {

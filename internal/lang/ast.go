@@ -133,14 +133,14 @@ type forallStmt struct {
 	N       int // iterations 1..N
 	Assigns []forallAssign
 
-	// Compiled access classification, filled by the compile pass.
-	reads  []accessRef // unique gathered reads, in slot order
-	writes []writeRef
+	// reads are the unique gathered reads in slot order, filled by
+	// the compile pass.
+	reads []arrayRef
 }
 
 func (s *forallStmt) planLine() string {
 	return fmt.Sprintf("FORALL %s = 1, %d: inspector/executor with %d gathers, %d reductions (schedules cached)",
-		s.Var, s.N, len(s.reads), len(s.writes))
+		s.Var, s.N, len(s.reads), len(s.Assigns))
 }
 
 // forallAssign is one statement inside a FORALL:
@@ -149,7 +149,7 @@ type forallAssign struct {
 	Op     core.Reduce
 	Target arrayRef
 	Expr   expr
-	code   []instr // bytecode, filled by sema
+	eval   evalFn // Expr compiled, filled by the compile pass
 }
 
 // arrayRef is data(index) where index is the loop variable or a
@@ -164,17 +164,6 @@ func (a arrayRef) String() string {
 		return a.Array + "(i)"
 	}
 	return fmt.Sprintf("%s(%s(i))", a.Array, a.Ind)
-}
-
-// accessRef is one gathered read slot.
-type accessRef struct {
-	ref arrayRef
-}
-
-// writeRef is one reduction target.
-type writeRef struct {
-	ref arrayRef
-	op  core.Reduce
 }
 
 // expr is a parsed expression tree.

@@ -205,26 +205,20 @@ func (st *execState) execForall(f *forallStmt) error {
 			return st.ints[r.Ind]
 		}
 		var reads []core.Read
-		for _, ar := range f.reads {
-			reads = append(reads, core.Read{Arr: st.reals[ar.ref.Array], Ind: indOf(ar.ref)})
+		for _, r := range f.reads {
+			reads = append(reads, core.Read{Arr: st.reals[r.Array], Ind: indOf(r)})
 		}
 		var writes []core.Write
-		for _, wr := range f.writes {
-			writes = append(writes, core.Write{Arr: st.reals[wr.ref.Array], Ind: indOf(wr.ref), Op: wr.op})
+		for _, a := range f.Assigns {
+			writes = append(writes, core.Write{Arr: st.reals[a.Target.Array], Ind: indOf(a.Target), Op: a.Op})
 		}
-		// The shared bytecode is only read; the operand stack is this
-		// rank's. The virtual-clock charge per iteration models the
-		// CSE'd code a compiler would emit (see modeledFlops).
+		// The compiled closures are stateless and shared by every rank.
+		// The virtual-clock charge per iteration models the CSE'd code
+		// a compiler would emit (see modeledFlops).
 		flops := modeledFlops(f.Assigns)
-		codes, maxDepth := make([][]instr, len(f.Assigns)), 1
-		for k, a := range f.Assigns {
-			codes[k] = a.code
-			maxDepth = max(maxDepth, codeDepth(a.code))
-		}
-		stack := make([]float64, maxDepth)
 		kernel := func(iter int, in, out []float64) {
-			for k := range codes {
-				out[k] = evalCode(codes[k], iter, in, stack)
+			for k := range f.Assigns {
+				out[k] = f.Assigns[k].eval(iter, in)
 			}
 		}
 		rt.loop = st.s.NewLoop(fmt.Sprintf("forall@%d", f.ln), f.N, reads, writes, flops, kernel)
@@ -246,13 +240,13 @@ func (st *execState) execForall(f *forallStmt) error {
 }
 
 func (st *execState) anyIrregular(f *forallStmt) bool {
-	for _, ar := range f.reads {
-		if st.reals[ar.ref.Array].DAD().Kind == dist.Irregular {
+	for _, r := range f.reads {
+		if st.reals[r.Array].DAD().Kind == dist.Irregular {
 			return true
 		}
 	}
-	for _, wr := range f.writes {
-		if st.reals[wr.ref.Array].DAD().Kind == dist.Irregular {
+	for _, a := range f.Assigns {
+		if st.reals[a.Target.Array].DAD().Kind == dist.Irregular {
 			return true
 		}
 	}

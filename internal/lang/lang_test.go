@@ -465,7 +465,7 @@ func TestBuiltins(t *testing.T) {
 }
 
 func TestEvalCodeOperators(t *testing.T) {
-	// Direct bytecode check: 2**3 - 6/2 + (-1) = 8 - 3 - 1 = 4.
+	// Direct check of a compiled expression: 2**3 - 6/2 + (-1) = 8 - 3 - 1 = 4.
 	f := &forallStmt{Var: "I", N: 1}
 	toks, err := lexLine("2**3 - 6/2 + (-1)", 1)
 	if err != nil {
@@ -476,12 +476,8 @@ func TestEvalCodeOperators(t *testing.T) {
 	ps.lines = []srcLine{{num: 1, toks: toks}}
 	ps.toks = toks
 	e := ps.parseExpr(f)
-	code, err := compileExpr(e, func(arrayRef) int { return 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	stack := make([]float64, codeDepth(code))
-	if got := evalCode(code, 0, nil, stack); got != 4 {
+	eval := compileExpr(e, func(arrayRef) int { return 0 })
+	if got := eval(0, nil); got != 4 {
 		t.Errorf("eval = %v, want 4", got)
 	}
 }

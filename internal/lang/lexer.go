@@ -4,14 +4,19 @@
 // ... BY PARTITIONING ... USING / REDISTRIBUTE mapper-coupling
 // directives, and FORALL loops with REDUCE statements), compiled into a
 // plan of CHAOS runtime calls — the transformation of the paper's
-// Figure 6 — and executed on the simulated machine.
+// Figure 6 — and executed on the simulated machine. Each FORALL body
+// compiles to Go closures, one per expression node, which the
+// executor's kernel calls once per iteration, as the compiler's
+// emitted loop body would run inline.
 //
 // Errors are typed and have one exit. Compile returns a *lexError
 // (line and column) for a scanning problem and a *parseError (line)
 // for a failed syntactic or semantic check. Inside the parser a failed
 // check panics with its *parseError, and a single deferred recover in
 // Compile turns it into the returned error; any other panic is a bug
-// and is re-raised.
+// and is re-raised. The compile pass after the parser cannot fail —
+// the parser has checked every name, operator and argument count — so
+// Compile's two error types hold by construction.
 package lang
 
 import (

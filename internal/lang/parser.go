@@ -42,9 +42,7 @@ func Compile(src string) (prog *Program, err error) {
 	}()
 	// Parse every line; the program ends at its END.
 	ps.prog.Body = ps.parseBlock(nil)
-	if err = compileProgram(ps.prog); err != nil {
-		return nil, err
-	}
+	compileProgram(ps.prog.Body)
 	return ps.prog, nil
 }
 
@@ -723,8 +721,8 @@ func (p *parser) parsePrimary(f *forallStmt) expr {
 			}
 			p.expect(")")
 		}
-		if bi.argc != len(call.args) {
-			panic(p.errf("builtin %s expects %d argument(s), got %d", name, bi.argc, len(call.args)))
+		if bi.argc() != len(call.args) {
+			panic(p.errf("builtin %s expects %d argument(s), got %d", name, bi.argc(), len(call.args)))
 		}
 		return call
 	}
