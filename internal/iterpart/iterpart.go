@@ -57,18 +57,23 @@ func Choose(refOwners []int, lhsOwner, blockHome int, policy Policy) int {
 		// Majority vote over (small) reference lists; ties go to the
 		// LHS owner when it is among the leaders, else the lowest
 		// leading rank, deterministically.
-		counts := map[int]int{}
-		for _, o := range refOwners {
-			counts[o]++
+		count := func(o int) int {
+			n := 0
+			for _, r := range refOwners {
+				if r == o {
+					n++
+				}
+			}
+			return n
 		}
 		best, bestN := -1, -1
-		for _, o := range refOwners { // iterate slice for determinism
-			n := counts[o]
+		for _, o := range refOwners {
+			n := count(o)
 			if n > bestN || (n == bestN && o < best) {
 				best, bestN = o, n
 			}
 		}
-		if counts[lhsOwner] == bestN {
+		if count(lhsOwner) == bestN {
 			return lhsOwner
 		}
 		return best

@@ -221,10 +221,11 @@ func weightedKeySplit(c *machine.Ctx, g *geocol.Graph, verts []int, key []float6
 		span = 1
 	}
 	eps := span * 1e-12 / float64(g.N+1)
-	pkey := make(map[int]float64, len(verts))
+	// pkey[k] is verts[k]'s perturbed key.
+	pkey := make([]float64, len(verts))
 	wsum := 0.0
-	for _, v := range verts {
-		pkey[v] = key[v] + eps*float64(lo+v)
+	for k, v := range verts {
+		pkey[k] = key[v] + eps*float64(lo+v)
 		wsum += g.Weight(v)
 	}
 	totalW := c.SumFloat(wsum)
@@ -234,8 +235,8 @@ func weightedKeySplit(c *machine.Ctx, g *geocol.Graph, verts []int, key []float6
 	for it := 0; it < 64; it++ {
 		mid := (a + b) / 2
 		wl := 0.0
-		for _, v := range verts {
-			if pkey[v] <= mid {
+		for k, v := range verts {
+			if pkey[k] <= mid {
 				wl += g.Weight(v)
 			}
 		}
@@ -247,8 +248,8 @@ func weightedKeySplit(c *machine.Ctx, g *geocol.Graph, verts []int, key []float6
 		}
 	}
 	cut := b
-	for _, v := range verts {
-		if pkey[v] <= cut {
+	for k, v := range verts {
+		if pkey[k] <= cut {
 			left = append(left, v)
 		} else {
 			right = append(right, v)
