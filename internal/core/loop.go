@@ -605,20 +605,14 @@ func (l *Loop) PartitionIterations(policy iterpart.Policy) {
 		newGl := append([]int(nil), pl.NewGlobals()...)
 		tab := ttable.Build(c, l.NIter, newGl)
 
-		// Remap each distinct indirection array exactly once.
-		moved := map[*IntArray]bool{}
+		// Remap each distinct indirection array once, in access order.
+		var inds []*IntArray
 		for _, ac := range accs {
-			ind := ac.ind
-			if moved[ind] {
-				continue
+			if !slices.Contains(inds, ac.ind) {
+				inds = append(inds, ac.ind)
 			}
-			moved[ind] = true
-			ind.Data = pl.MoveInts(c, ind.Data)
-			ind.gl = newGl
-			ind.res = tab
-			ind.dad = s.DADs.New(dist.Irregular, ind.n)
-			s.Reg.NoteRemap(ind.dad)
 		}
+		moveArrays(s, inds, pl.MoveInts, newGl, tab)
 		l.iterGl = newGl
 		l.iterRes = tab
 	})

@@ -89,50 +89,32 @@ func (pl *Plan) NewGlobals() []int { return pl.newGlobals }
 // MoveFloats redistributes one float64 array aligned with the source
 // distribution. Collective.
 func (pl *Plan) MoveFloats(c *machine.Ctx, data []float64) []float64 {
-	out := make([][]float64, pl.procs)
-	for p, pos := range pl.sendPos {
-		if len(pos) == 0 {
-			continue
-		}
-		buf := make([]float64, len(pos))
-		for k, i := range pos {
-			buf[k] = data[i]
-		}
-		out[p] = buf
-	}
-	c.Words(lenAll(pl.sendPos))
-	in := c.AlltoAllFloats(out)
-	res := make([]float64, len(pl.newGlobals))
-	for src, places := range pl.place {
-		vals := in[src]
-		if len(vals) != len(places) {
-			panic(fmt.Sprintf("remap: rank %d delivered %d values, want %d", src, len(vals), len(places)))
-		}
-		for k, pos := range places {
-			res[pos] = vals[k]
-		}
-	}
-	c.Words(len(res))
-	return res
+	return move(pl, c, data, c.AlltoAllFloats)
 }
 
 // MoveInts redistributes one int array aligned with the source
 // distribution. Collective.
 func (pl *Plan) MoveInts(c *machine.Ctx, data []int) []int {
-	out := make([][]int, pl.procs)
+	return move(pl, c, data, c.AlltoAllInts)
+}
+
+// move is MoveFloats and MoveInts: it ships data's elements along the
+// plan with alltoall, c's all-to-all for T.
+func move[T float64 | int](pl *Plan, c *machine.Ctx, data []T, alltoall func([][]T) [][]T) []T {
+	out := make([][]T, pl.procs)
 	for p, pos := range pl.sendPos {
 		if len(pos) == 0 {
 			continue
 		}
-		buf := make([]int, len(pos))
+		buf := make([]T, len(pos))
 		for k, i := range pos {
 			buf[k] = data[i]
 		}
 		out[p] = buf
 	}
 	c.Words(lenAll(pl.sendPos))
-	in := c.AlltoAllInts(out)
-	res := make([]int, len(pl.newGlobals))
+	in := alltoall(out)
+	res := make([]T, len(pl.newGlobals))
 	for src, places := range pl.place {
 		vals := in[src]
 		if len(vals) != len(places) {
