@@ -38,34 +38,20 @@ var errResultFuncs = map[string]int{
 	"chaos/chaos.RunReal":     1,
 }
 
-// valueResultFuncs return exchanged data that must be used.
-var valueResultFuncs = map[string]bool{
-	geocolPath + ".GhostExchange.PushInts":              true,
-	geocolPath + ".GhostExchange.PushIntsInto":          true,
-	geocolPath + ".GhostExchange.PushFloatsInto":        true,
-	geocolPath + ".GhostExchange.UpdateIntsTouchedInto": true,
-	machinePath + ".Ctx.AlltoAllInts":                   true,
-	machinePath + ".Ctx.AlltoAllFloats":                 true,
-	machinePath + ".Ctx.ExchangeInts":                   true,
-	machinePath + ".Ctx.ExchangeFloats":                 true,
-	machinePath + ".Ctx.ShareInts":                      true,
-	machinePath + ".Ctx.AllGatherInt":                   true,
-	machinePath + ".Ctx.AllGatherFloat":                 true,
-	machinePath + ".Ctx.AllGatherInts":                  true,
-	machinePath + ".Ctx.AllGatherFloats":                true,
-	machinePath + ".Ctx.AllGatherFloatsInto":            true,
-	machinePath + ".Ctx.GatherInts":                     true,
-	machinePath + ".Ctx.GatherFloats":                   true,
-	machinePath + ".Ctx.AllReduceInt":                   true,
-	machinePath + ".Ctx.AllReduceFloat":                 true,
-	machinePath + ".Ctx.SumInt":                         true,
-	machinePath + ".Ctx.SumFloat":                       true,
-	machinePath + ".Ctx.MaxInt":                         true,
-	machinePath + ".Ctx.MaxFloat":                       true,
-	machinePath + ".Ctx.MinFloat":                       true,
-	machinePath + ".Ctx.BroadcastInts":                  true,
-	machinePath + ".Ctx.BroadcastFloats":                true,
-}
+// valueResultFuncs return exchanged data that must be used: the ghost
+// exchange's pushes and the payload collectives of machine.Ctx.
+var valueResultFuncs = func() map[string]bool {
+	m := map[string]bool{
+		geocolPath + ".GhostExchange.PushInts":              true,
+		geocolPath + ".GhostExchange.PushIntsInto":          true,
+		geocolPath + ".GhostExchange.PushFloatsInto":        true,
+		geocolPath + ".GhostExchange.UpdateIntsTouchedInto": true,
+	}
+	for _, name := range ctxPayloadCollectives {
+		m[machinePath+".Ctx."+name] = true
+	}
+	return m
+}()
 
 func runExchangeErr(pass *Pass) {
 	for _, pkg := range pass.Packages {

@@ -37,11 +37,10 @@ var SPMDCollective = &Analyzer{
 
 const machinePath = "chaos/internal/machine"
 
-// ctxCollectives are the all-rank synchronizing methods of machine.Ctx
-// (and the unexported rendezvous primitive they are built on).
-var ctxCollectives = []string{
-	"exchange",
-	"Barrier",
+// ctxPayloadCollectives are the all-rank methods of machine.Ctx that
+// return exchanged data. spmdcollective treats each as a rendezvous of
+// every rank; exchangeerr reports a discarded result of one.
+var ctxPayloadCollectives = []string{
 	"AllReduceFloat", "AllReduceInt",
 	"SumInt", "SumFloat", "MaxInt", "MaxFloat", "MinFloat",
 	"AllGatherInt", "AllGatherFloat", "AllGatherInts", "AllGatherFloats", "AllGatherFloatsInto",
@@ -73,7 +72,9 @@ func runSPMDCollective(pass *Pass) {
 // the transitive closure over the loaded call graph.
 func collectCollectiveKeys(pkgs []*Package) map[string]bool {
 	collective := make(map[string]bool)
-	for _, m := range ctxCollectives {
+	// The payload collectives, Barrier, and the unexported rendezvous
+	// primitive they are all built on.
+	for _, m := range append([]string{"exchange", "Barrier"}, ctxPayloadCollectives...) {
 		collective[machinePath+".Ctx."+m] = true
 	}
 	// calls[f] lists the funcKeys f's body references.
