@@ -67,9 +67,8 @@ func compileForall(f *forallStmt) {
 		f.reads = append(f.reads, r)
 		return i
 	}
-	for ai := range f.Assigns {
-		a := &f.Assigns[ai]
-		a.eval = compileExpr(a.Expr, slotOf)
+	for k := range f.Assigns {
+		f.Assigns[k].eval = compileExpr(f.Assigns[k].Expr, slotOf)
 	}
 }
 
