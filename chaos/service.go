@@ -19,16 +19,16 @@ import (
 type ServiceServer = service.Server
 
 // ServiceOptions configures a ServiceServer (pool width, admission
-// queue depth, cache memory cap, request size caps). The zero value
-// selects the documented defaults.
+// queue depth, cache memory cap). The zero value selects the
+// documented defaults.
 type ServiceOptions = service.Options
 
 // ServiceClient speaks the chaosd wire protocol over one connection.
 type ServiceClient = service.Client
 
-// ServiceRequest is one partitioning request: a graph (full upload,
-// or base fingerprint + churn delta) plus a PartitionSpec, part count
-// and machine width.
+// ServiceRequest is one partitioning request: a LINK-only graph (full
+// edge-list upload, or base fingerprint + churn delta) plus a
+// PartitionSpec, part count and machine width.
 type ServiceRequest = service.Request
 
 // ServiceResponse is the answer: the full part vector with cut,

@@ -69,13 +69,11 @@ func main() {
 		// ladder path (the one with retained state) also engages on
 		// the -quick grid's smaller mesh.
 		rep, err := experiments.AdaptiveStudy(experiments.AdaptiveConfig{
-			Procs: grid.Table2Procs, NNode: grid.MeshB,
-			Epochs: 4, Rewire: 0.05, Iters: grid.Iters,
+			Procs: grid.Table2Procs, NNode: grid.MeshB, Iters: grid.Iters,
 			Spec: partition.Spec{
 				Method:            partition.MethodMultilevel,
 				ParallelThreshold: 256,
 			},
-			ColdBaseline: true,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "chaosbench: %v\n", err)

@@ -149,7 +149,7 @@ func (m *Mapping) OwnersOf(s *Session, globals []int) []int {
 		}
 	}
 	c.Words(len(globals))
-	queries := c.AlltoAllInts(out)
+	queries := c.ExchangeInts(out, nil) // out's rows are built here and never written again
 	lo := m.home.Lo(c.Rank())
 	ans := make([][]int, p)
 	for src := 0; src < p; src++ {
@@ -163,7 +163,7 @@ func (m *Mapping) OwnersOf(s *Session, globals []int) []int {
 		ans[src] = a
 	}
 	c.Words(len(globals))
-	replies := c.AlltoAllInts(ans)
+	replies := c.ExchangeInts(ans, nil) // ans's rows are built here and never written again
 	owners := make([]int, len(globals))
 	for h, refs := range byHome {
 		for i, r := range refs {

@@ -19,22 +19,26 @@ import (
 // retained multilevel coarsening ladder and re-run refinement only,
 // and the study reports the warm-vs-cold partition-time and edge-cut
 // comparison per epoch, plus the remap traffic each repartition
-// causes.
+// causes. Every adapted epoch's graph is also partitioned cold
+// (through a second, always-invalidated Repartitioner), so each warm
+// row carries the exact same-graph cold comparison; that roughly
+// doubles the study's partitioning work.
+
+// The study's fixed shape: adaptEpochs mesh adaptations after the
+// initial build, each re-pointing one endpoint of adaptRewire × nedge
+// edges drawn from a stream seeded with adaptSeed.
+const (
+	adaptEpochs = 4
+	adaptRewire = 0.05
+	adaptSeed   = 99
+)
 
 // AdaptiveConfig configures the adaptive-mesh repartitioning study.
 type AdaptiveConfig struct {
-	Procs  int
-	NNode  int
-	Epochs int     // mesh adaptations after the initial build
-	Rewire float64 // fraction of edges rewired per adaptation
-	Iters  int     // executor iterations per epoch
-	Spec   partition.Spec
-	Seed   uint64
-	// ColdBaseline additionally runs a cold partition of every adapted
-	// epoch's graph (through a second, always-invalidated
-	// Repartitioner), so each warm row carries the exact same-graph
-	// cold comparison. Roughly doubles the study's partitioning work.
-	ColdBaseline bool
+	Procs int
+	NNode int
+	Iters int // executor iterations per epoch
+	Spec  partition.Spec
 }
 
 // AdaptiveEpoch is one row of the study: the repartition mode and
@@ -47,7 +51,7 @@ type AdaptiveEpoch struct {
 	// call (max over ranks).
 	PartitionS float64 `json:"partition_s"`
 	// ColdPartitionS is the same-graph cold reference time (0 when
-	// ColdBaseline is off or the epoch itself ran cold).
+	// the epoch itself ran cold).
 	ColdPartitionS float64 `json:"cold_partition_s,omitempty"`
 	// Cut is the global edge cut of the produced partition on this
 	// epoch's connectivity.
@@ -73,7 +77,7 @@ type AdaptiveReport struct {
 	Iters    int             `json:"iters_per_epoch"`
 	Epochs   []AdaptiveEpoch `json:"epochs"`
 	// WarmMeanS / ColdMeanS are the mean warm partition time and the
-	// mean of its same-graph cold references (ColdBaseline only).
+	// mean of its same-graph cold references.
 	WarmMeanS float64 `json:"warm_mean_s,omitempty"`
 	ColdMeanS float64 `json:"cold_mean_s,omitempty"`
 	// WarmOverCold is WarmMeanS / ColdMeanS — the headline incremental
@@ -85,18 +89,18 @@ type AdaptiveReport struct {
 }
 
 // rewireEpochs precomputes the edge lists of every adaptation epoch:
-// each epoch re-points one endpoint of Rewire×nedge random edges, so
-// every rank sees identical "mesh adaptation" results.
-func rewireEpochs(m *mesh.Mesh, epochs int, rewire float64, seed uint64) (e1s, e2s [][]int) {
+// each epoch re-points one endpoint of adaptRewire×nedge random edges,
+// so every rank sees identical "mesh adaptation" results.
+func rewireEpochs(m *mesh.Mesh) (e1s, e2s [][]int) {
 	nedge := m.NEdge()
-	e1s = make([][]int, epochs+1)
-	e2s = make([][]int, epochs+1)
+	e1s = make([][]int, adaptEpochs+1)
+	e2s = make([][]int, adaptEpochs+1)
 	e1s[0], e2s[0] = m.E1, m.E2
-	rng := xrand.New(seed)
-	for ep := 1; ep <= epochs; ep++ {
+	rng := xrand.New(adaptSeed)
+	for ep := 1; ep <= adaptEpochs; ep++ {
 		e1 := append([]int(nil), e1s[ep-1]...)
 		e2 := append([]int(nil), e2s[ep-1]...)
-		for k := 0; k < int(rewire*float64(nedge)); k++ {
+		for k := 0; k < int(adaptRewire*float64(nedge)); k++ {
 			e := rng.Intn(nedge)
 			e2[e] = rng.Intn(m.NNode)
 		}
@@ -111,27 +115,18 @@ func AdaptiveStudy(cfg AdaptiveConfig) (*AdaptiveReport, error) {
 	if cfg.Iters <= 0 {
 		cfg.Iters = 10
 	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 4
-	}
-	if cfg.Rewire <= 0 {
-		cfg.Rewire = 0.05
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 99
-	}
 	if cfg.NNode <= 0 {
 		cfg.NNode = 2000
 	}
 	m := mesh.Generate(cfg.NNode, 1993)
 	nedge := m.NEdge()
-	e1s, e2s := rewireEpochs(m, cfg.Epochs, cfg.Rewire, cfg.Seed)
+	e1s, e2s := rewireEpochs(m)
 
 	rep := &AdaptiveReport{
 		Workload: fmt.Sprintf("mesh%d", m.NNode),
 		Procs:    cfg.Procs,
 		Spec:     cfg.Spec.String(),
-		Rewire:   cfg.Rewire,
+		Rewire:   adaptRewire,
 		Iters:    cfg.Iters,
 	}
 	var mu sync.Mutex
@@ -151,11 +146,9 @@ func AdaptiveStudy(cfg AdaptiveConfig) (*AdaptiveReport, error) {
 		if err != nil {
 			panic(err)
 		}
-		var coldRp *core.Repartitioner
-		if cfg.ColdBaseline {
-			if coldRp, err = s.NewRepartitioner(cfg.Spec); err != nil {
-				panic(err)
-			}
+		coldRp, err := s.NewRepartitioner(cfg.Spec)
+		if err != nil {
+			panic(err)
 		}
 
 		loop := s.NewLoop("sweep", nedge,
@@ -165,7 +158,7 @@ func AdaptiveStudy(cfg AdaptiveConfig) (*AdaptiveReport, error) {
 		loop.PartitionIterations(0)
 
 		var prevFull []int
-		for ep := 0; ep <= cfg.Epochs; ep++ {
+		for ep := 0; ep <= adaptEpochs; ep++ {
 			if ep > 0 {
 				cur1, cur2 := e1s[ep], e2s[ep]
 				e1.FillByGlobal(func(g int) int { return cur1[g] })
@@ -196,7 +189,7 @@ func AdaptiveStudy(cfg AdaptiveConfig) (*AdaptiveReport, error) {
 
 			var coldS float64
 			var coldCut int
-			if coldRp != nil && ep > 0 {
+			if ep > 0 {
 				coldRp.Invalidate()
 				ct0 := s.Timer(core.TimerPartition)
 				cm, err := coldRp.Map(m.NNode, in, cfg.Procs)

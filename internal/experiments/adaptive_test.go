@@ -15,15 +15,14 @@ import (
 // than 1.10x the cold cut.
 func TestAdaptiveWarmRepartitionPays(t *testing.T) {
 	rep, err := AdaptiveStudy(AdaptiveConfig{
-		Procs: 4, NNode: 3000, Epochs: 3, Rewire: 0.05, Iters: 2,
-		Spec:         partition.Spec{Method: partition.MethodMultilevel, ParallelThreshold: 256},
-		ColdBaseline: true,
+		Procs: 4, NNode: 3000, Iters: 2,
+		Spec: partition.Spec{Method: partition.MethodMultilevel, ParallelThreshold: 256},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Epochs) != 4 {
-		t.Fatalf("got %d epochs, want 4", len(rep.Epochs))
+	if len(rep.Epochs) != adaptEpochs+1 {
+		t.Fatalf("got %d epochs, want %d", len(rep.Epochs), adaptEpochs+1)
 	}
 	if rep.Epochs[0].Mode != "cold" {
 		t.Errorf("epoch 0 mode %q, want cold", rep.Epochs[0].Mode)
@@ -69,7 +68,7 @@ func TestAdaptiveWarmRepartitionPays(t *testing.T) {
 // validation error rather than a panic deep in the partitioner.
 func TestAdaptiveRejectsGeometrySpec(t *testing.T) {
 	rep, err := AdaptiveStudy(AdaptiveConfig{
-		Procs: 2, NNode: 500, Epochs: 1, Iters: 1,
+		Procs: 2, NNode: 500, Iters: 1,
 		Spec: partition.Spec{Method: partition.MethodRCB},
 	})
 	if err == nil {

@@ -3,7 +3,6 @@ package machine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -16,11 +15,12 @@ const (
 	// charge going to the virtual clock. Host wall time is incidental;
 	// the virtual clock is the authoritative timing.
 	Simulated Backend = iota
-	// Real is the real-cores mode: ranks execute on a worker pool
-	// capped at GOMAXPROCS compute slots, payloads are physically
-	// copied into receiver memory on delivery, and the authoritative
-	// timing is per-rank wall time (Stats.Elapsed). The virtual clock
-	// is still charged so both trajectories come out of one run.
+	// Real is the real-cores mode: ranks execute concurrently on the
+	// host cores (the Go scheduler runs at most GOMAXPROCS at once),
+	// payloads are physically copied into receiver memory on
+	// delivery, and the authoritative timing is per-rank wall time
+	// (Stats.Elapsed). The virtual clock is still charged so both
+	// trajectories come out of one run.
 	Real
 )
 
@@ -68,14 +68,10 @@ func RunStats(ctx context.Context, cfg Config, body func(*Ctx)) (Stats, error) {
 	m := &Machine{
 		cfg:     cfg,
 		real:    cfg.Backend == Real,
-		abortCh: make(chan struct{}),
 		elapsed: make([]time.Duration, cfg.Procs),
 		clocks:  make([]float64, cfg.Procs),
 	}
 	m.rdv = newRendezvous(m, cfg.Procs)
-	if m.real {
-		m.slots = make(chan struct{}, workerSlots(cfg))
-	}
 	if err := ctx.Err(); err != nil {
 		// Cancelled before launch: pre-abort so every rank unwinds at
 		// its first machine call without doing work.
@@ -105,7 +101,6 @@ func RunStats(ctx context.Context, cfg Config, body func(*Ctx)) (Stats, error) {
 			defer func() {
 				m.elapsed[rank] = time.Since(start)
 				m.clocks[rank] = c.clock
-				c.releaseSlot()
 				if p := recover(); p != nil {
 					if _, ok := p.(abortSignal); ok {
 						return // secondary unwind; original error already recorded
@@ -114,7 +109,6 @@ func RunStats(ctx context.Context, cfg Config, body func(*Ctx)) (Stats, error) {
 				}
 			}()
 			c.checkAborted()
-			c.acquireSlot()
 			body(c)
 		}(r)
 	}
@@ -132,63 +126,4 @@ func RunStats(ctx context.Context, cfg Config, body func(*Ctx)) (Stats, error) {
 	}
 	_, err := m.abortedErr()
 	return st, err
-}
-
-// workerSlots resolves the compute-slot width of a real-backend run:
-// cfg.Workers when positive, else min(GOMAXPROCS, Procs).
-func workerSlots(cfg Config) int {
-	w := cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > cfg.Procs {
-		w = cfg.Procs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// acquireSlot claims a compute slot on the real backend, blocking
-// while all slots are busy. Aborting the machine (rank panic or
-// context cancellation) unwinds blocked acquirers, so a cancelled run
-// never deadlocks on slot starvation. No-op on the simulated backend.
-func (c *Ctx) acquireSlot() {
-	if c.m.slots == nil || c.holdsSlot {
-		return
-	}
-	select {
-	case c.m.slots <- struct{}{}:
-		c.holdsSlot = true
-	case <-c.m.abortCh:
-		panic(abortSignal{})
-	}
-}
-
-// releaseSlot returns this rank's compute slot to the pool. No-op when
-// the rank holds none (simulated backend, or already yielded).
-func (c *Ctx) releaseSlot() {
-	if c.m.slots == nil || !c.holdsSlot {
-		return
-	}
-	<-c.m.slots
-	c.holdsSlot = false
-}
-
-// yield runs the blocking operation f without occupying a compute
-// slot, so that a rank waiting in a collective never starves runnable
-// ranks of cores — the property that lets P ranks
-// share min(GOMAXPROCS, P) slots without deadlock. The slot is
-// re-claimed before control returns to rank code; if the machine
-// aborted meanwhile, re-claiming unwinds instead (the rank is dying
-// and needs no core).
-func (c *Ctx) yield(f func()) {
-	if c.m.slots == nil {
-		f()
-		return
-	}
-	c.releaseSlot()
-	defer c.acquireSlot()
-	f()
 }

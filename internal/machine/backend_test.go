@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -75,31 +76,39 @@ func TestRealBackendCollectives(t *testing.T) {
 	}
 }
 
-// TestRealBackendOversubscribed runs many more ranks than compute
-// slots through a collective-heavy body: with Workers=1 every
-// collective requires blocked ranks to yield their slot, so this
-// deadlocks (and times out) if slot-yielding around blocking waits is
-// ever broken.
+// TestRealBackendOversubscribed runs many more ranks than the Go
+// scheduler runs at once (8×GOMAXPROCS) through a collective-heavy
+// body on the Real backend, and checks every rank's results and
+// virtual clock against the Simulated run of the same body: ranks
+// blocked in a collective must leave the cores to the runnable ones.
 func TestRealBackendOversubscribed(t *testing.T) {
-	const p = 16
-	cfg := realCfg(p)
-	cfg.Workers = 1
-	err := Run(cfg, func(c *Ctx) {
-		for it := 0; it < 20; it++ {
-			if got := c.SumInt(1); got != p {
-				t.Errorf("SumInt = %d, want %d", got, p)
-			}
+	p := 8 * runtime.GOMAXPROCS(0)
+	run := func(backend Backend) ([]int, float64) {
+		cfg := IPSC860(p)
+		cfg.Backend = backend
+		sums := make([]int, p)
+		st, err := RunStats(context.Background(), cfg, func(c *Ctx) {
 			prev := (c.Rank() + p - 1) % p
-			out := make([][]int, p)
-			out[(c.Rank()+1)%p] = []int{c.Rank(), it}
-			got := c.AlltoAllInts(out)[prev]
-			if got[0] != prev || got[1] != it {
-				t.Errorf("ring recv %v from %d", got, prev)
+			for it := 0; it < 20; it++ {
+				out := make([][]int, p)
+				out[(c.Rank()+1)%p] = []int{c.Rank(), it}
+				got := c.AlltoAllInts(out)[prev]
+				if got[0] != prev || got[1] != it {
+					t.Errorf("%v: ring recv %v from %d", backend, got, prev)
+				}
+				sums[c.Rank()] += c.SumInt(got[0] * it)
 			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
+		return sums, st.MaxClock
+	}
+	simSums, simClock := run(Simulated)
+	realSums, realClock := run(Real)
+	if !slices.Equal(simSums, realSums) || simClock != realClock {
+		t.Fatalf("Real at P=%d differs from Simulated: clocks %v vs %v, sums equal %v",
+			p, realClock, simClock, slices.Equal(simSums, realSums))
 	}
 }
 
@@ -192,25 +201,6 @@ func TestCtxRandSplitting(t *testing.T) {
 	}
 }
 
-func TestWorkerSlots(t *testing.T) {
-	gmp := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		workers, procs, want int
-	}{
-		{0, 64, min(gmp, 64)},
-		{3, 8, 3},
-		{8, 2, 2},
-		{-1, 4, min(gmp, 4)},
-	}
-	for _, tc := range cases {
-		cfg := Config{Procs: tc.procs, Workers: tc.workers}
-		if got := workerSlots(cfg); got != tc.want {
-			t.Errorf("workerSlots(workers=%d, procs=%d) = %d, want %d",
-				tc.workers, tc.procs, got, tc.want)
-		}
-	}
-}
-
 // TestCancelBeforeRun pins pre-cancelled contexts: the body must never
 // run and the error must unwrap to context.Canceled.
 func TestCancelBeforeRun(t *testing.T) {
@@ -229,8 +219,7 @@ func TestCancelBeforeRun(t *testing.T) {
 }
 
 // TestCancelStressRandomizedPoints is the race/cancellation gauntlet:
-// 200 short Real-backend runs with randomized worker widths and cancel
-// points — before the first collective, while other ranks sit inside
+// 200 short Real-backend runs with randomized cancel points — before the first collective, while other ranks sit inside
 // one, and after the last — asserting that cancellation never
 // deadlocks, that every rank unwinds with the same cancellation error,
 // and that no goroutines leak once the loop settles.
@@ -243,7 +232,6 @@ func TestCancelStressRandomizedPoints(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < runs; i++ {
 		cfg := realCfg(p)
-		cfg.Workers = 1 + rng.Intn(p) // 1..4 slots
 		cfg.Seed = uint64(i)
 		mode := rng.Intn(3)         // 0 = before first collective, 1 = during, 2 = no cancel
 		canceller := rng.Intn(p)    // which rank calls cancel

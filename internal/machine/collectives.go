@@ -62,46 +62,38 @@ func (r *rendezvous) wake() {
 // advanced to the maximum clock among participants (a synchronizing
 // collective). The returned slice is shared between ranks and must be
 // treated as read-only, and is good until this rank enters its next
-// collective. On the Real backend the rank yields its compute slot for
-// the duration — a rank waiting out a collective must not starve
-// runnable ranks of cores.
+// collective.
 func (c *Ctx) exchange(x deposit) []deposit {
 	c.checkAborted()
 	r := c.m.rdv
-	var (
-		snap []deposit
-		t    float64
-	)
-	c.yield(func() {
-		r.mu.Lock()
-		gen := r.gen
-		snap = r.vals[gen&1]
-		snap[c.rank] = x
-		r.clocks[c.rank] = c.clock
-		r.count++
-		if r.count == r.procs {
-			maxT := r.clocks[0]
-			for _, ct := range r.clocks[1:] {
-				if ct > maxT {
-					maxT = ct
-				}
-			}
-			r.snapTime = maxT
-			r.count = 0
-			r.gen++
-			r.cond.Broadcast()
-		} else {
-			for r.gen == gen {
-				if ab, _ := c.m.abortedErr(); ab {
-					r.mu.Unlock()
-					panic(abortSignal{})
-				}
-				r.cond.Wait()
+	r.mu.Lock()
+	gen := r.gen
+	snap := r.vals[gen&1]
+	snap[c.rank] = x
+	r.clocks[c.rank] = c.clock
+	r.count++
+	if r.count == r.procs {
+		maxT := r.clocks[0]
+		for _, ct := range r.clocks[1:] {
+			if ct > maxT {
+				maxT = ct
 			}
 		}
-		t = r.snapTime
-		r.mu.Unlock()
-	})
+		r.snapTime = maxT
+		r.count = 0
+		r.gen++
+		r.cond.Broadcast()
+	} else {
+		for r.gen == gen {
+			if ab, _ := c.m.abortedErr(); ab {
+				r.mu.Unlock()
+				panic(abortSignal{})
+			}
+			r.cond.Wait()
+		}
+	}
+	t := r.snapTime
+	r.mu.Unlock()
 	if t > c.clock {
 		c.clock = t
 	}

@@ -19,8 +19,8 @@
 // Two execution backends share this machinery (Config.Backend). The
 // default Simulated backend is the classic simulator above. The Real
 // backend (Run with Config.Backend = Real, or RunReal) executes the
-// same SPMD body as a worker pool pinned to min(GOMAXPROCS, Procs)
-// compute slots on the host cores: payloads are physically copied into
+// same SPMD body concurrently on the host cores, as many at once as
+// the Go scheduler runs (GOMAXPROCS): payloads are physically copied into
 // receiver memory, per-rank wall time is measured and max-reduced
 // (Stats.Elapsed, Elapsed), runs are context-cancellable, and per-rank
 // random streams (Ctx.Rand) are split from (Config.Seed, rank) so
@@ -92,11 +92,6 @@ type Config struct {
 	// Backend selects the execution backend (see Backend). The zero
 	// value is Simulated, the classic virtual-clock simulator.
 	Backend Backend
-	// Workers caps the number of concurrently computing ranks on the
-	// Real backend (0 = min(GOMAXPROCS, Procs)). Ranks blocked in a
-	// collective release their compute slot, so any positive width is
-	// deadlock-free. Ignored by Simulated.
-	Workers int
 	// Seed is the base of the per-rank random streams returned by
 	// Ctx.Rand. Each rank's stream is split from (Seed, rank) alone —
 	// never from scheduling order — so draws are reproducible across
@@ -141,16 +136,8 @@ type Machine struct {
 	cfg Config
 	rdv *rendezvous
 
-	// real marks the Real backend: receiver-side payload copies, and
-	// compute gated by the slots semaphore.
+	// real marks the Real backend: receiver-side payload copies.
 	real bool
-	// slots is the compute-slot semaphore of the Real backend (nil on
-	// Simulated): a rank holds a token while running rank code and
-	// yields it while blocked (see Ctx.yield).
-	slots chan struct{}
-	// abortCh is closed on the first abort so slot acquirers and the
-	// context watcher unblock without a condition variable.
-	abortCh chan struct{}
 
 	// elapsed and clocks collect each rank's wall time and final
 	// virtual clock; each rank writes only its own index.
@@ -168,7 +155,6 @@ func (m *Machine) abort(err error) {
 	if !m.aborted {
 		m.aborted = true
 		m.abortErr = err
-		close(m.abortCh)
 	}
 	m.abortMu.Unlock()
 	m.rdv.wake()
@@ -191,10 +177,7 @@ type Ctx struct {
 	procs int
 	m     *Machine
 	clock float64
-	// holdsSlot tracks whether this rank currently occupies a Real-
-	// backend compute slot; only the owning goroutine touches it.
-	holdsSlot bool
-	rng       *xrand.Stream
+	rng   *xrand.Stream
 
 	// intRows and floatRows are where this rank keeps the all-to-all
 	// headers it deposits: the rendezvous is handed a pointer to a slot,
@@ -253,8 +236,8 @@ func (c *Ctx) checkAborted() {
 
 // Rand returns this rank's deterministic random stream, split from
 // (Config.Seed, rank) through SplitMix64. Because the split depends
-// only on the seed and the rank id — never on which worker slot or
-// host core runs the rank, nor on scheduling order — draws are
+// only on the seed and the rank id — never on which host core runs
+// the rank, nor on scheduling order — draws are
 // bit-identical across repeated runs and across backends.
 func (c *Ctx) Rand() *xrand.Stream {
 	if c.rng == nil {

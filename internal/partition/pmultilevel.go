@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"sort"
 
 	"chaos/internal/dist"
@@ -158,7 +159,7 @@ func projectPart(c *machine.Ctx, s *projScratch, fine *geocol.Graph, cmap []int,
 
 	need := append(s.need[:0], cmap...)
 	sort.Ints(need)
-	need = dedupSorted(need)
+	need = slices.Compact(need)
 	s.need = need
 	// need is sorted and block ownership is monotone in the id, so each
 	// rank's request list is one consecutive run of need: the rows are
@@ -204,15 +205,4 @@ func projectPart(c *machine.Ctx, s *projScratch, fine *geocol.Graph, cmap []int,
 	}
 	c.Words(2 * len(cmap))
 	return part
-}
-
-// dedupSorted removes adjacent duplicates in place.
-func dedupSorted(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }

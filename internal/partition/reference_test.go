@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"sort"
 
 	"chaos/internal/csr"
@@ -256,7 +257,7 @@ func refProjectPart(c *machine.Ctx, s *refProjScratch, fine *geocol.Graph, cmap 
 
 	need := append(s.need[:0], cmap...)
 	sort.Ints(need)
-	need = dedupSorted(need)
+	need = slices.Compact(need)
 	s.need = need
 	req := refGrowRanks(&s.req, procs)
 	for _, cv := range need {

@@ -52,7 +52,7 @@ func Build(c *machine.Ctx, myGlobals, newOwner []int) *Plan {
 		out[d] = append(out[d], g)
 	}
 	c.Words(2 * len(myGlobals))
-	in := c.AlltoAllInts(out)
+	in := c.ExchangeInts(out, nil) // out's rows are built here and never written again
 
 	// Sort incoming globals to fix the new local order; remember
 	// where each (src, k) element lands.
@@ -89,18 +89,18 @@ func (pl *Plan) NewGlobals() []int { return pl.newGlobals }
 // MoveFloats redistributes one float64 array aligned with the source
 // distribution. Collective.
 func (pl *Plan) MoveFloats(c *machine.Ctx, data []float64) []float64 {
-	return move(pl, c, data, c.AlltoAllFloats)
+	return move(pl, c, data, c.ExchangeFloats)
 }
 
 // MoveInts redistributes one int array aligned with the source
 // distribution. Collective.
 func (pl *Plan) MoveInts(c *machine.Ctx, data []int) []int {
-	return move(pl, c, data, c.AlltoAllInts)
+	return move(pl, c, data, c.ExchangeInts)
 }
 
 // move is MoveFloats and MoveInts: it ships data's elements along the
-// plan with alltoall, c's all-to-all for T.
-func move[T float64 | int](pl *Plan, c *machine.Ctx, data []T, alltoall func([][]T) [][]T) []T {
+// plan with exchange, c's ownership-transfer all-to-all for T.
+func move[T float64 | int](pl *Plan, c *machine.Ctx, data []T, exchange func(out, in [][]T) [][]T) []T {
 	out := make([][]T, pl.procs)
 	for p, pos := range pl.sendPos {
 		if len(pos) == 0 {
@@ -113,7 +113,7 @@ func move[T float64 | int](pl *Plan, c *machine.Ctx, data []T, alltoall func([][
 		out[p] = buf
 	}
 	c.Words(lenAll(pl.sendPos))
-	in := alltoall(out)
+	in := exchange(out, nil) // out's rows are built here and never written again
 	res := make([]T, len(pl.newGlobals))
 	for src, places := range pl.place {
 		vals := in[src]

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"chaos/internal/machine"
 	"chaos/internal/partition"
 )
 
@@ -39,7 +38,7 @@ func (sc *stubCompute) gate(fp Fingerprint) chan struct{} {
 	return g
 }
 
-func (sc *stubCompute) fn(ctx context.Context, gc *graphContent, sp partition.Spec, nparts, procs int, backend machine.Backend, warm *warmSource) (*computeResult, error) {
+func (sc *stubCompute) fn(ctx context.Context, gc *graphContent, sp partition.Spec, nparts, procs int, warm *warmSource) (*computeResult, error) {
 	fp := gc.fingerprint()
 	sc.mu.Lock()
 	sc.order = append(sc.order, fp)
@@ -214,5 +213,5 @@ func TestAdmissionControl(t *testing.T) {
 // fingerprintForTest exposes the request's content fingerprint to the
 // admission test's gate bookkeeping.
 func (r *Request) fingerprintForTest() Fingerprint {
-	return (&graphContent{n: r.NNode, e1: r.E1, e2: r.E2, coords: r.Coords, weights: r.VertexWeights}).fingerprint()
+	return (&graphContent{n: r.NNode, e1: r.E1, e2: r.E2}).fingerprint()
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"container/list"
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -22,7 +21,7 @@ import (
 //
 // Two kinds of entries live side by side under one memory cap:
 //
-//   - graph entries: name → edge lists (+ coords/weights), kept so
+//   - graph entries: name → edge lists, kept so
 //     later requests can name the graph and ship only a churn delta;
 //     each owns the result entries computed for its content;
 //   - result entries: (spec, nparts, procs) under a graph entry →
@@ -64,25 +63,17 @@ type resultKey struct {
 // graphContent is the server-side graph payload: the canonical,
 // immutable content a fingerprint names.
 type graphContent struct {
-	n       int
-	e1, e2  []int
-	coords  [][]float64
-	weights []float64
+	n      int
+	e1, e2 []int
 }
 
 // bytes reports the heap footprint of the content.
-func (gc *graphContent) bytes() int64 {
-	b := int64(8 * (len(gc.e1) + len(gc.e2) + len(gc.weights)))
-	for _, col := range gc.coords {
-		b += int64(8 * len(col))
-	}
-	return b
-}
+func (gc *graphContent) bytes() int64 { return int64(8 * (len(gc.e1) + len(gc.e2))) }
 
 // Fingerprint constants: fixed, so every process names a graph alike;
 // fpTag is bumped whenever the function changes.
 const (
-	fpTag = 0x63686165736432 // "chaosd2"
+	fpTag = 0x63686165736433 // "chaosd3"
 	fpK0  = 0xa0761d6478bd642f
 	fpK1  = 0xe7037ed1a0b428db
 	fpK2  = 0x8ebc6af09c88c6e3
@@ -90,8 +81,7 @@ const (
 )
 
 // fingerprint names the content: a multiply-mix over its canonical
-// 64-bit words — tag, n, edge count, (e1[i], e2[i]) pairs, column count,
-// each column's and the weights' length and bit patterns. It reads
+// 64-bit words — tag, n, edge count and the (e1[i], e2[i]) pairs. It reads
 // values, not memory, so it is the same on every architecture; it is
 // never 0 ("no base" on the wire); and it has no secret, so it is a
 // name, not a proof.
@@ -100,11 +90,6 @@ const (
 func (gc *graphContent) fingerprint() Fingerprint {
 	h := fpMix(fpTag^fpK0, uint64(gc.n)^fpK1)
 	h = fpEdges(h, gc.e1, gc.e2)
-	h = fpMix(h^fpK2, uint64(len(gc.coords))^fpK3)
-	for _, col := range gc.coords {
-		h = fpFloats(h, col)
-	}
-	h = fpFloats(h, gc.weights)
 	if h == 0 {
 		return 1
 	}
@@ -139,32 +124,15 @@ func fpEdges(h uint64, e1, e2 []int) uint64 {
 	return fpMix(fpMix(a, b^fpK0)^c, d^fpK1)
 }
 
-// fpFloats absorbs a length-prefixed float column by bit pattern.
-//
-//chaos:hotpath
-func fpFloats(h uint64, xs []float64) uint64 {
-	h = fpMix(h^fpK0, uint64(len(xs))^fpK1)
-	for _, x := range xs {
-		h = fpMix(math.Float64bits(x)^fpK2, h^fpK3)
-	}
-	return h
-}
-
 // sameContent reports whether a and b are the same graph: equal over
-// exactly the words fingerprint reads, floats by bit pattern, so +0 and
-// -0 differ here just as they do in a fingerprint.
+// exactly the words fingerprint reads.
 //
 //chaos:hotpath
 func sameContent(a, b *graphContent) bool {
 	if a == b {
 		return true
 	}
-	return a.n == b.n && slices.Equal(a.e1, b.e1) && slices.Equal(a.e2, b.e2) &&
-		slices.EqualFunc(a.coords, b.coords, sameBits) && sameBits(a.weights, b.weights)
-}
-
-func sameBits(a, b []float64) bool {
-	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	return a.n == b.n && slices.Equal(a.e1, b.e1) && slices.Equal(a.e2, b.e2)
 }
 
 // graphEntry is one cached graph payload and the results computed for

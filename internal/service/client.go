@@ -18,8 +18,6 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	out  []byte
-
-	maxFrame int
 }
 
 // Dial connects a Client to a chaosd daemon at addr ("host:port" or,
@@ -36,9 +34,8 @@ func Dial(network, addr string) (*Client, error) {
 // closes it on Close.
 func NewClient(conn net.Conn) *Client {
 	return &Client{
-		conn:     conn,
-		br:       bufio.NewReaderSize(conn, 1<<16),
-		maxFrame: DefaultMaxFrame,
+		conn: conn,
+		br:   bufio.NewReaderSize(conn, 1<<16),
 	}
 }
 
@@ -71,7 +68,7 @@ func (cl *Client) Do(ctx context.Context, req *Request) (*Response, error) {
 	if _, err := cl.conn.Write(cl.out); err != nil {
 		return nil, wrapCtx(ctx, fmt.Errorf("service: send request: %w", err))
 	}
-	t, payload, err := readFrame(cl.br, cl.maxFrame)
+	t, payload, err := readFrame(cl.br, maxFrame)
 	if err != nil {
 		return nil, wrapCtx(ctx, fmt.Errorf("service: read response: %w", err))
 	}

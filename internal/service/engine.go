@@ -12,12 +12,11 @@ import (
 )
 
 // The engine is the service's compute kernel: one request becomes one
-// SPMD run on the simulated (or Real) machine — the same
+// SPMD run on the simulated machine — the same LINK-only
 // geocol.Build → Spec.ValidateFor → Partition pipeline a Session
 // drives, minus the array/loop machinery a pure partitioning service
 // does not need. A cold result is a deterministic function of (graph
-// content, spec, nparts, procs), bit-identical on either backend (the
-// machine's determinism contract). A warm result also depends on the base
+// content, spec, nparts, procs). A warm result also depends on the base
 // it was warm-started from, and the cache serves whichever correct
 // partition it holds for a content: a later upload of that content
 // hits a warm answer. What makes the cache sound is that every reuse
@@ -46,7 +45,7 @@ type warmSource struct {
 // the distributed multilevel path was taken. Cancelling ctx aborts
 // the machine mid-run; every rank unwinds and the returned error
 // wraps ctx.Err().
-func computePartition(ctx context.Context, gc *graphContent, sp partition.Spec, nparts, procs int, backend machine.Backend, warm *warmSource) (*computeResult, error) {
+func computePartition(ctx context.Context, gc *graphContent, sp partition.Spec, nparts, procs int, warm *warmSource) (*computeResult, error) {
 	p, err := sp.Resolve()
 	if err != nil {
 		return nil, err
@@ -57,7 +56,6 @@ func computePartition(ctx context.Context, gc *graphContent, sp partition.Spec, 
 	}
 
 	cfg := machine.IPSC860(procs)
-	cfg.Backend = backend
 	cfg.Seed = sp.Seed
 
 	home := dist.NewBlock(gc.n, procs)
@@ -67,23 +65,8 @@ func computePartition(ctx context.Context, gc *graphContent, sp partition.Spec, 
 
 	st, err := machine.RunStats(ctx, cfg, func(c *machine.Ctx) {
 		me := c.Rank()
-		var opts []geocol.Option
-		if len(gc.e1) > 0 {
-			lo, hi := edges.Lo(me), edges.Hi(me)
-			opts = append(opts, geocol.WithLink(gc.e1[lo:hi], gc.e2[lo:hi]))
-		}
-		lo, hi := home.Lo(me), home.Hi(me)
-		if len(gc.coords) > 0 {
-			local := make([][]float64, len(gc.coords))
-			for d, col := range gc.coords {
-				local[d] = col[lo:hi]
-			}
-			opts = append(opts, geocol.WithGeometry(local...))
-		}
-		if len(gc.weights) > 0 {
-			opts = append(opts, geocol.WithLoad(gc.weights[lo:hi]))
-		}
-		g := geocol.Build(c, gc.n, opts...)
+		lo, hi := edges.Lo(me), edges.Hi(me)
+		g := geocol.Build(c, gc.n, geocol.WithLink(gc.e1[lo:hi], gc.e2[lo:hi]))
 		pp, err := sp.ValidateFor(g, nparts)
 		if err != nil {
 			// The server pre-validates; this is the belt-and-braces
@@ -93,7 +76,7 @@ func computePartition(ctx context.Context, gc *graphContent, sp partition.Spec, 
 		var part []int
 		switch {
 		case warm != nil:
-			part = ml.Repartition(c, g, nparts, warm.ladders[me], warm.part[lo:hi])
+			part = ml.Repartition(c, g, nparts, warm.ladders[me], warm.part[home.Lo(me):home.Hi(me)])
 		case isML:
 			var ld *partition.Ladder
 			part, ld = ml.PartitionLadder(c, g, nparts)
@@ -136,11 +119,9 @@ func computePartition(ctx context.Context, gc *graphContent, sp partition.Spec, 
 // endpoint ranges) happened before the copy.
 func applyDelta(base *graphContent, delta []EdgeRewire) *graphContent {
 	gc := &graphContent{
-		n:       base.n,
-		e1:      base.e1, // endpoints 1 are never rewired; share
-		e2:      append([]int(nil), base.e2...),
-		coords:  base.coords,
-		weights: base.weights,
+		n:  base.n,
+		e1: base.e1, // endpoints 1 are never rewired; share
+		e2: append([]int(nil), base.e2...),
 	}
 	for _, d := range delta {
 		gc.e2[d.Edge] = d.NewEnd

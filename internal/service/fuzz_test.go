@@ -27,26 +27,26 @@ func FuzzWireFrame(f *testing.F) {
 		NNode: 8, NParts: 2, Procs: 2,
 		Spec: partition.Spec{Method: partition.MethodMultilevel, CoarsenTo: 4, Seed: 1},
 		E1:   []int{0, 1, 2}, E2: []int{1, 2, 3},
-		Coords:        [][]float64{{0, 1, 2, 3, 4, 5, 6, 7}},
-		VertexWeights: []float64{1, 1, 1, 1, 1, 1, 1, 1},
 	}
 	f.Add(appendFrame(nil, msgPartition, encodeRequest(req)))
 	f.Add(appendFrame(nil, msgPartition, encodeRequest(&Request{
 		NNode: 8, NParts: 2, Base: 0xbeef, Delta: []EdgeRewire{{Edge: 1, NewEnd: 5}},
 		Spec: partition.Spec{Method: partition.MethodMultilevel},
 	})))
+	// Flag bits this version does not define: version 2's geometry and
+	// backend bits, and the top bit.
+	for _, bit := range []byte{1 << 1, 1 << 4, 1 << 7} {
+		p := encodeRequest(req)
+		p[0] |= bit
+		f.Add(appendFrame(nil, msgPartition, p))
+	}
 	bad := *req
-	bad.Coords = [][]float64{{0, 1, math.NaN(), 3, 4, math.Inf(1), 6, 7}}
-	f.Add(appendFrame(nil, msgPartition, encodeRequest(&bad)))
-	bad = *req
-	bad.VertexWeights = []float64{1, -1, math.Inf(-1), math.NaN(), 1, 1, 1, 1}
-	f.Add(appendFrame(nil, msgPartition, encodeRequest(&bad)))
-	bad = *req
 	bad.Spec.Imbalance = math.NaN()
 	f.Add(appendFrame(nil, msgPartition, encodeRequest(&bad)))
 	f.Add(appendFrame(nil, msgOK, encodeResponse(&Response{Part: []int{0, 1, 1, 0}, Cut: 2})))
 	f.Add(appendFrame(nil, msgError, encodeError(ErrOverloaded)))
 	f.Add([]byte{})
+	f.Add(append([]byte{magic0, magic1, 2}, appendFrame(nil, msgPartition, encodeRequest(req))[3:]...))
 	f.Add([]byte{magic0, magic1, wireVersion, byte(msgPartition), 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{magic0, magic1, wireVersion, byte(msgOK), 0, 0, 0, 4, 1, 2})
 	f.Add(bytes.Repeat([]byte{0xC4}, 64))

@@ -5,13 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"chaos/internal/machine"
 	"chaos/internal/partition"
 )
 
@@ -69,7 +67,7 @@ type Server struct {
 
 	// compute is the engine entry point; tests substitute it to make
 	// admission and batching deterministic.
-	compute func(ctx context.Context, gc *graphContent, sp partition.Spec, nparts, procs int, backend machine.Backend, warm *warmSource) (*computeResult, error)
+	compute func(ctx context.Context, gc *graphContent, sp partition.Spec, nparts, procs int, warm *warmSource) (*computeResult, error)
 	// fingerprint names a graph's content; tests substitute it to make
 	// distinct graphs share names.
 	fingerprint func(*graphContent) Fingerprint
@@ -88,14 +86,15 @@ type Options struct {
 	// CacheBytes caps the content-addressed cache (default 256 MiB;
 	// negative = unbounded).
 	CacheBytes int64
-	// MaxFrame caps wire frame payloads (default DefaultMaxFrame).
-	MaxFrame int
-	// MaxVertices / MaxEdges / MaxProcs bound a single request
-	// (defaults 1<<22 vertices, 1<<24 edges, 64 procs).
-	MaxVertices int
-	MaxEdges    int
-	MaxProcs    int
 }
+
+// Per-request bounds: admitRequest rejects a request past any of them
+// with ErrBadRequest (frames past maxFrame never reach it).
+const (
+	maxVertices = 1 << 22
+	maxEdges    = 1 << 24
+	maxProcs    = 64
+)
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -106,18 +105,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = 256 << 20
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
-	}
-	if o.MaxVertices <= 0 {
-		o.MaxVertices = 1 << 22
-	}
-	if o.MaxEdges <= 0 {
-		o.MaxEdges = 1 << 24
-	}
-	if o.MaxProcs <= 0 {
-		o.MaxProcs = 64
 	}
 	return o
 }
@@ -255,8 +242,8 @@ func (s *Server) admitRequest(req *Request) (gc *graphContent, base *graphEntry,
 	fail := func(format string, args ...any) (*graphContent, *graphEntry, resultKey, error) {
 		return nil, nil, key, fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
 	}
-	if req.NNode < 1 || req.NNode > s.opt.MaxVertices {
-		return fail("NNode %d out of range [1, %d]", req.NNode, s.opt.MaxVertices)
+	if req.NNode < 1 || req.NNode > maxVertices {
+		return fail("NNode %d out of range [1, %d]", req.NNode, maxVertices)
 	}
 	if req.NParts < 1 {
 		return fail("NParts %d, want >= 1", req.NParts)
@@ -265,15 +252,15 @@ func (s *Server) admitRequest(req *Request) (gc *graphContent, base *graphEntry,
 	if procs == 0 {
 		procs = req.NParts
 	}
-	if procs < 1 || procs > s.opt.MaxProcs {
-		return fail("Procs %d out of range [1, %d]", procs, s.opt.MaxProcs)
+	if procs < 1 || procs > maxProcs {
+		return fail("Procs %d out of range [1, %d]", procs, maxProcs)
 	}
 	p, err := req.Spec.Resolve()
 	if err != nil {
 		return nil, nil, key, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 
-	hasUpload := len(req.E1) > 0 || len(req.Coords) > 0 || len(req.VertexWeights) > 0
+	hasUpload := len(req.E1) > 0
 	hasDelta := req.Base != 0 || len(req.Delta) > 0
 	var name Fingerprint
 	switch {
@@ -304,33 +291,15 @@ func (s *Server) admitRequest(req *Request) (gc *graphContent, base *graphEntry,
 		if len(req.E1) != len(req.E2) {
 			return fail("edge endpoint lists of unequal length %d, %d", len(req.E1), len(req.E2))
 		}
-		if len(req.E1) > s.opt.MaxEdges {
-			return fail("%d edges exceed the per-request cap %d", len(req.E1), s.opt.MaxEdges)
+		if len(req.E1) > maxEdges {
+			return fail("%d edges exceed the per-request cap %d", len(req.E1), maxEdges)
 		}
 		for i := range req.E1 {
 			if req.E1[i] < 0 || req.E1[i] >= req.NNode || req.E2[i] < 0 || req.E2[i] >= req.NNode {
 				return fail("edge %d endpoints (%d,%d) out of range [0, %d)", i, req.E1[i], req.E2[i], req.NNode)
 			}
 		}
-		for d, col := range req.Coords {
-			if len(col) != req.NNode {
-				return fail("coordinate column %d has %d entries, want %d", d, len(col), req.NNode)
-			}
-			for v, x := range col {
-				if math.IsNaN(x) || math.IsInf(x, 0) {
-					return fail("coordinate column %d, vertex %d is %g, want a finite value", d, v, x)
-				}
-			}
-		}
-		if req.VertexWeights != nil && len(req.VertexWeights) != req.NNode {
-			return fail("vertex weights have %d entries, want %d", len(req.VertexWeights), req.NNode)
-		}
-		for v, w := range req.VertexWeights {
-			if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-				return fail("vertex %d has weight %g, want a finite non-negative value", v, w)
-			}
-		}
-		gc = &graphContent{n: req.NNode, e1: req.E1, e2: req.E2, coords: req.Coords, weights: req.VertexWeights}
+		gc = &graphContent{n: req.NNode, e1: req.E1, e2: req.E2}
 	default:
 		return fail("request carries neither a graph upload nor a churn delta")
 	}
@@ -339,8 +308,8 @@ func (s *Server) admitRequest(req *Request) (gc *graphContent, base *graphEntry,
 	if caps.NeedsLink && len(gc.e1) == 0 {
 		return fail("%s requires LINK connectivity, but the request has no edges", req.Spec.Method)
 	}
-	if caps.NeedsGeometry && len(gc.coords) == 0 {
-		return fail("%s requires GEOMETRY coordinates, but the request has none", req.Spec.Method)
+	if caps.NeedsGeometry {
+		return fail("%s requires GEOMETRY coordinates, which a request cannot carry", req.Spec.Method)
 	}
 
 	if name == 0 {
@@ -509,7 +478,7 @@ func (s *Server) computeFrom(j *job) (*computeResult, error) {
 			}
 		}
 	}
-	return s.compute(j.ctx, j.gc, j.req.Spec, j.key.nparts, j.key.procs, j.req.Backend, warm)
+	return s.compute(j.ctx, j.gc, j.req.Spec, j.key.nparts, j.key.procs, warm)
 }
 
 // finish publishes the job's outcome: the cache (already updated)
@@ -602,7 +571,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		defer s.contain()
 		br := bufio.NewReaderSize(conn, 1<<16)
 		for {
-			t, payload, err := readFrame(br, s.opt.MaxFrame)
+			t, payload, err := readFrame(br, maxFrame)
 			if err != nil {
 				cancel() // disconnect or garbage: abandon any in-flight request
 				return

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -14,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"chaos/internal/machine"
 	"chaos/internal/partition"
 )
 
@@ -28,7 +26,7 @@ func constantName(*graphContent) Fingerprint { return 7 }
 func twoBitName(gc *graphContent) Fingerprint { return 1 + gc.fingerprint()&3 }
 
 // words is the test's own definition of "the same graph": the
-// canonical word sequence, floats by bit pattern.
+// canonical word sequence.
 func words(gc *graphContent) string {
 	var b []byte
 	w := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
@@ -37,13 +35,6 @@ func words(gc *graphContent) string {
 	for i := range gc.e1 {
 		w(uint64(gc.e1[i]))
 		w(uint64(gc.e2[i]))
-	}
-	w(uint64(len(gc.coords)))
-	for _, col := range append([][]float64{gc.weights}, gc.coords...) {
-		w(uint64(len(col)))
-		for _, x := range col {
-			w(math.Float64bits(x))
-		}
 	}
 	return string(b)
 }
@@ -61,22 +52,21 @@ type programSet struct {
 	shapes   []shape
 }
 
-// newProgramSet builds three edge sets of n vertices, each bare and
-// with two coordinate columns whose first entry is +0 or -0 — nine
-// contents, six of them equal as numbers in pairs and distinct as
-// graphs.
+// newProgramSet builds three edge sets of n vertices, each as it is
+// and with its last edge re-pointed at either of two vertices — nine
+// contents, each of the three that share an edge set differing from
+// the others in one word.
 func newProgramSet(n, degree int, shapes ...shape) programSet {
 	var ps programSet
 	for v := 0; v < 3; v++ {
 		e1, e2 := LoadGraph(v, n, degree)
-		ps.contents = append(ps.contents, &graphContent{n: n, e1: e1, e2: e2})
-		for _, zero := range []float64{0, math.Copysign(0, -1)} {
-			coords := [][]float64{make([]float64, n), make([]float64, n)}
-			for i := 1; i < n; i++ {
-				coords[0][i], coords[1][i] = float64(i%5), float64(i)/7
+		base := &graphContent{n: n, e1: e1, e2: e2}
+		ps.contents = append(ps.contents, base)
+		for _, end := range []int{0, 1} {
+			if end == e2[len(e2)-1] {
+				end = 2
 			}
-			coords[0][0] = zero
-			ps.contents = append(ps.contents, &graphContent{n: n, e1: e1, e2: e2, coords: coords})
+			ps.contents = append(ps.contents, applyDelta(base, []EdgeRewire{{Edge: len(e1) - 1, NewEnd: end}}))
 		}
 	}
 	ps.shapes = shapes
@@ -216,12 +206,8 @@ func runProgram(t *testing.T, s *Server, ps programSet, ch *chooser, ops int) *v
 	ctx := context.Background()
 	v := &verifier{t: t, names: map[Fingerprint]string{}, evicts: s.opt.CacheBytes > 0}
 	upload := func(gc *graphContent, sh int) *Request {
-		req := &Request{NNode: gc.n, NParts: ps.shapes[sh].nparts, Procs: ps.shapes[sh].procs, Spec: ps.shapes[sh].spec,
+		return &Request{NNode: gc.n, NParts: ps.shapes[sh].nparts, Procs: ps.shapes[sh].procs, Spec: ps.shapes[sh].spec,
 			E1: append([]int(nil), gc.e1...), E2: append([]int(nil), gc.e2...)}
-		for _, col := range gc.coords {
-			req.Coords = append(req.Coords, append([]float64(nil), col...))
-		}
-		return req
 	}
 	do := func(what string, gc *graphContent, sh int, req *Request) {
 		resp, err := s.Do(ctx, req)
@@ -461,12 +447,12 @@ func TestWarmBaseIsTheNamedContent(t *testing.T) {
 		return 5 // b and a share a name
 	}
 	inCompute, gate := make(chan struct{}), make(chan struct{})
-	s.compute = func(jctx context.Context, gc *graphContent, sp partition.Spec, nparts, procs int, backend machine.Backend, warm *warmSource) (*computeResult, error) {
+	s.compute = func(jctx context.Context, gc *graphContent, sp partition.Spec, nparts, procs int, warm *warmSource) (*computeResult, error) {
 		if gc.fingerprint() == fpPlug {
 			close(inCompute)
 			<-gate
 		}
-		return computePartition(jctx, gc, sp, nparts, procs, backend, warm)
+		return computePartition(jctx, gc, sp, nparts, procs, warm)
 	}
 
 	if resp, err := s.Do(ctx, b); err != nil || resp.Fingerprint != 5 {
@@ -501,7 +487,7 @@ func TestWarmBaseIsTheNamedContent(t *testing.T) {
 	s.cache.evict()
 	s.cache.capBytes = -1
 	s.cache.mu.Unlock()
-	res, err := computePartition(ctx, contentOf(a), testSpec(), testNParts, testProcs, machine.Simulated, nil)
+	res, err := computePartition(ctx, contentOf(a), testSpec(), testNParts, testProcs, nil)
 	if err != nil || res.ladders == nil {
 		t.Fatalf("computing a: ladders %v, err %v", res.ladders != nil, err)
 	}
@@ -549,11 +535,11 @@ func TestPanicContained(t *testing.T) {
 	}
 	var armed atomic.Bool
 	armed.Store(true)
-	s.compute = func(jctx context.Context, gc *graphContent, sp partition.Spec, nparts, procs int, backend machine.Backend, warm *warmSource) (*computeResult, error) {
+	s.compute = func(jctx context.Context, gc *graphContent, sp partition.Spec, nparts, procs int, warm *warmSource) (*computeResult, error) {
 		if warm != nil && armed.CompareAndSwap(true, false) {
 			panic("injected")
 		}
-		return computePartition(jctx, gc, sp, nparts, procs, backend, warm)
+		return computePartition(jctx, gc, sp, nparts, procs, warm)
 	}
 	churn := func(edge int) *Request {
 		return &Request{NNode: testNNode, NParts: testNParts, Procs: testProcs, Spec: testSpec(),

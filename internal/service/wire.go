@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 
-	"chaos/internal/machine"
 	"chaos/internal/partition"
 )
 
@@ -30,14 +29,14 @@ import (
 const (
 	magic0      = 0xC4
 	magic1      = 0x05
-	wireVersion = 2
+	wireVersion = 3
 
 	// headerLen is the fixed frame header size.
 	headerLen = 8
 
-	// DefaultMaxFrame caps a frame's payload length (64 MiB). Both
-	// sides reject longer frames before allocating.
-	DefaultMaxFrame = 64 << 20
+	// maxFrame caps a frame's payload length (64 MiB). Both sides
+	// reject longer frames before allocating.
+	maxFrame = 64 << 20
 
 	// maxMethodLen bounds the partitioner method name on the wire.
 	maxMethodLen = 128
@@ -54,18 +53,15 @@ const (
 	msgError     msgType = 3 // server → client: typed error
 )
 
-// Request flag bits.
+// Request flag bits; decodeRequest rejects any other bit.
 const (
-	flagEdges   = 1 << 0 // full edge-list upload
-	flagGeom    = 1 << 1 // coordinate columns present
-	flagLoad    = 1 << 2 // vertex weights present
-	flagDelta   = 1 << 3 // churn delta against a base fingerprint
-	flagBackend = 1 << 4 // run on the Real backend (default Simulated)
+	flagEdges = 1 << 0 // full edge-list upload
+	flagDelta = 1 << 3 // churn delta against a base fingerprint
 )
 
 // Fingerprint is the server-issued name of a graph in its cache: a
-// stable 64-bit hash over the canonical graph payload (vertex count,
-// edge lists, coordinates, weights). Identical graphs fingerprint
+// stable 64-bit hash over the canonical graph payload (vertex count
+// and edge lists). Identical graphs fingerprint
 // identically across clients and processes, which is what lets one
 // client's cold run serve another client's warm request. Distinct
 // graphs may share a fingerprint; the server verifies content before
@@ -83,9 +79,10 @@ type EdgeRewire struct {
 }
 
 // Request is one partitioning request. The graph arrives either as a
-// full content upload (E1/E2 and optional Coords/VertexWeights) or as
-// a churn delta against a base fingerprint the server has already
-// seen; the latter is what unlocks the warm, ladder-reusing path.
+// full content upload (E1/E2) or as a churn delta against a base
+// fingerprint the server has already seen; the latter is what unlocks
+// the warm, ladder-reusing path. The graph is LINK-only, so a method
+// that needs GEOMETRY (RCB) is rejected with ErrBadRequest.
 type Request struct {
 	// NNode is the global vertex count of the graph.
 	NNode int
@@ -95,17 +92,11 @@ type Request struct {
 	// (0 = NParts). It is part of the cache key: the distributed
 	// multilevel path's answer depends on it.
 	Procs int
-	// Backend selects the execution backend (Simulated default).
-	Backend machine.Backend
 	// Spec selects and tunes the partitioner.
 	Spec partition.Spec
 
 	// E1/E2 are the edge endpoint lists of a full upload.
 	E1, E2 []int
-	// Coords are optional coordinate columns (len NNode each).
-	Coords [][]float64
-	// VertexWeights are optional LOAD weights (len NNode).
-	VertexWeights []float64
 
 	// Base and Delta describe a churn request: the graph is the one
 	// fingerprinted Base with Delta applied. Mutually exclusive with a
@@ -266,12 +257,6 @@ func (w *wbuf) ints(xs []int) {
 		}
 	}
 }
-func (w *wbuf) floats(xs []float64) {
-	w.u64(uint64(len(xs)))
-	for _, x := range xs {
-		w.f64(x)
-	}
-}
 
 // rbuf is the bounds-checked payload reader: the first failure latches
 // into err and every later read returns a zero value, so decoders read
@@ -406,25 +391,6 @@ func (r *rbuf) ints() []int {
 	return xs
 }
 
-func (r *rbuf) floats() []float64 {
-	n := r.u64()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(r.rem()/8) {
-		r.fail("float count %d exceeds remaining %d bytes", n, r.rem())
-		return nil
-	}
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = r.f64()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return xs
-}
-
 // done reports the latched error, or a trailing-garbage error when the
 // payload was not fully consumed.
 func (r *rbuf) done() error {
@@ -443,26 +409,14 @@ func (r *rbuf) done() error {
 // sized for two-byte endpoints and delta fields up front, so a typical
 // request is written without regrowing it.
 func encodeRequest(req *Request) []byte {
-	size := 64 + len(req.Spec.Method) + 2*(len(req.E1)+len(req.E2)) + 4*len(req.Delta) + 8*len(req.VertexWeights)
-	for _, col := range req.Coords {
-		size += 8 * len(col)
-	}
+	size := 64 + len(req.Spec.Method) + 2*(len(req.E1)+len(req.E2)) + 4*len(req.Delta)
 	w := wbuf{b: make([]byte, 0, size)}
 	var flags byte
 	if len(req.E1) > 0 || len(req.E2) > 0 {
 		flags |= flagEdges
 	}
-	if len(req.Coords) > 0 {
-		flags |= flagGeom
-	}
-	if len(req.VertexWeights) > 0 {
-		flags |= flagLoad
-	}
 	if len(req.Delta) > 0 || req.Base != 0 {
 		flags |= flagDelta
-	}
-	if req.Backend == machine.Real {
-		flags |= flagBackend
 	}
 	w.byteVal(flags)
 	w.u64(uint64(req.NNode))
@@ -488,31 +442,23 @@ func encodeRequest(req *Request) []byte {
 			w.u64(uint64(d.NewEnd))
 		}
 	}
-	if flags&flagGeom != 0 {
-		w.u64(uint64(len(req.Coords)))
-		for _, col := range req.Coords {
-			w.floats(col)
-		}
-	}
-	if flags&flagLoad != 0 {
-		w.floats(req.VertexWeights)
-	}
 	return w.b
 }
 
 // decodeRequest parses a msgPartition payload. Structural validation
 // only — semantic checks (endpoint ranges, capability match) are the
-// server's job.
+// server's job — except that a flag bit this version does not define
+// fails as ErrBadRequest: its payload would be misread.
 func decodeRequest(p []byte) (*Request, error) {
 	r := &rbuf{b: p}
 	flags := r.byteVal()
+	if unknown := flags &^ (flagEdges | flagDelta); unknown != 0 {
+		return nil, fmt.Errorf("%w: unknown request flag bits %#02x", ErrBadRequest, unknown)
+	}
 	req := &Request{
 		NNode:  int(r.u64()),
 		NParts: int(r.u64()),
 		Procs:  int(r.u64()),
-	}
-	if flags&flagBackend != 0 {
-		req.Backend = machine.Real
 	}
 	req.Spec = partition.Spec{
 		Method:            partition.Method(r.str(maxMethodLen)),
@@ -539,21 +485,6 @@ func decodeRequest(p []byte) (*Request, error) {
 				req.Delta[i] = EdgeRewire{Edge: int(r.u64()), NewEnd: int(r.u64())}
 			}
 		}
-	}
-	if flags&flagGeom != 0 {
-		dim := r.count(1)
-		if r.err == nil && dim > 8 {
-			r.fail("geometry dimension %d exceeds 8", dim)
-		}
-		if r.err == nil && dim > 0 {
-			req.Coords = make([][]float64, dim)
-			for d := range req.Coords {
-				req.Coords[d] = r.floats()
-			}
-		}
-	}
-	if flags&flagLoad != 0 {
-		req.VertexWeights = r.floats()
 	}
 	if err := r.done(); err != nil {
 		return nil, err

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"chaos/internal/machine"
 	"chaos/internal/partition"
 	"chaos/internal/xrand"
 )
@@ -19,24 +18,17 @@ import (
 func TestRequestRoundTrip(t *testing.T) {
 	cases := map[string]*Request{
 		"upload full": {
-			NNode: 10, NParts: 3, Procs: 2, Backend: machine.Real,
+			NNode: 10, NParts: 3, Procs: 2,
 			Spec: partition.Spec{Method: partition.MethodMultilevel, CoarsenTo: 50,
 				ParallelThreshold: 256, Seed: 99, Imbalance: 0.07},
-			E1:            []int{0, 1, 2, 8},
-			E2:            []int{1, 2, 3, 9},
-			Coords:        [][]float64{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {9, 8, 7, 6, 5, 4, 3, 2, 1, 0}},
-			VertexWeights: []float64{1, 1, 1, 2, 2, 2, 3, 3, 3, 4},
+			E1: []int{0, 1, 2, 8},
+			E2: []int{1, 2, 3, 9},
 		},
 		"delta": {
 			NNode: 10, NParts: 2, Procs: 2,
 			Spec:  partition.Spec{Method: partition.MethodMultilevel},
 			Base:  Fingerprint(0xfeedface),
 			Delta: []EdgeRewire{{Edge: 3, NewEnd: 7}, {Edge: 0, NewEnd: 9}},
-		},
-		"geometry only": {
-			NNode: 4, NParts: 2,
-			Spec:   partition.Spec{Method: partition.MethodRCB},
-			Coords: [][]float64{{0, 1, 2, 3}},
 		},
 		"negative tuning": {
 			NNode: 4, NParts: 2,
@@ -49,10 +41,26 @@ func TestRequestRoundTrip(t *testing.T) {
 			E1:   []int{0, 1}, E2: []int{1, 2},
 		},
 	}
-	// Every spec field survives the codec, whatever its value: negative
-	// knobs and the full uint64 seed range included.
+	// Every Request field survives the codec, whatever its value:
+	// negative knobs, the full uint64 seed and base range, uploads and
+	// deltas. The generator draws exactly these fields, so a field added
+	// to Request must be added here too.
+	var fields []string
+	for rt, i := reflect.TypeFor[Request](), 0; i < rt.NumField(); i++ {
+		fields = append(fields, rt.Field(i).Name)
+	}
+	if want := []string{"NNode", "NParts", "Procs", "Spec", "E1", "E2", "Base", "Delta"}; !reflect.DeepEqual(fields, want) {
+		t.Fatalf("Request fields %v; the generator below draws %v", fields, want)
+	}
 	rng := xrand.New(33)
 	methods := []partition.Method{partition.MethodMultilevel, partition.MethodStream, partition.MethodRSB, partition.MethodKL}
+	ints := func(n, hi int) []int {
+		xs := make([]int, n)
+		for i := range xs {
+			xs[i] = rng.Intn(hi)
+		}
+		return xs
+	}
 	for i := 0; i < 200; i++ {
 		sp := partition.Spec{Method: methods[rng.Intn(len(methods))]}
 		if rng.Intn(2) == 0 {
@@ -73,7 +81,17 @@ func TestRequestRoundTrip(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			sp.BalanceSlack = rng.Float64()
 		}
-		cases[fmt.Sprintf("random spec %d", i)] = &Request{NNode: 2, NParts: 2, Spec: sp, E1: []int{0}, E2: []int{1}}
+		req := &Request{NNode: 1 + rng.Intn(1<<20), NParts: 1 + rng.Intn(64), Procs: rng.Intn(65), Spec: sp}
+		if rng.Intn(2) == 0 {
+			m := 1 + rng.Intn(40)
+			req.E1, req.E2 = ints(m, req.NNode), ints(m, req.NNode)
+		} else {
+			req.Base = Fingerprint(rng.Uint64())
+			for range rng.Intn(4) {
+				req.Delta = append(req.Delta, EdgeRewire{Edge: rng.Intn(1 << 24), NewEnd: rng.Intn(req.NNode)})
+			}
+		}
+		cases[fmt.Sprintf("random request %d", i)] = req
 	}
 	for name, req := range cases {
 		got, err := decodeRequest(encodeRequest(req))
@@ -148,6 +166,7 @@ func TestReadFrameRejects(t *testing.T) {
 		"bad magic":        append([]byte{0xff, 0x05}, good[2:]...),
 		"bad version":      {magic0, magic1, 99, byte(msgOK), 0, 0, 0, 0},
 		"version 1":        {magic0, magic1, 1, byte(msgPartition), 0, 0, 0, 0},
+		"version 2":        append([]byte{magic0, magic1, 2}, frame(msgPartition, encodeRequest(&Request{NNode: 2, NParts: 2, E1: []int{0}, E2: []int{1}}))[3:]...),
 		"bad type":         {magic0, magic1, wireVersion, 77, 0, 0, 0, 0},
 		"truncated body":   good[:len(good)-2],
 		"oversized length": binary.BigEndian.AppendUint32([]byte{magic0, magic1, wireVersion, byte(msgOK)}, 1<<30),
@@ -159,10 +178,15 @@ func TestReadFrameRejects(t *testing.T) {
 		}
 	}
 	// A version-1 client laid its request out with five more spec
-	// fields; it must get the typed version error, not a misparse.
-	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(cases["version 1"])), 1<<20); err == nil ||
-		!strings.Contains(err.Error(), "unsupported protocol version 1") {
-		t.Errorf("version-1 frame: err = %v, want unsupported protocol version", err)
+	// fields, and a version-2 one could set the geometry, load and
+	// backend flags; each must get the typed version error, not a
+	// misparse.
+	for _, v := range []int{1, 2} {
+		raw := cases[fmt.Sprintf("version %d", v)]
+		if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(raw)), 1<<20); err == nil ||
+			!strings.Contains(err.Error(), fmt.Sprintf("unsupported protocol version %d", v)) {
+			t.Errorf("version-%d frame: err = %v, want unsupported protocol version", v, err)
+		}
 	}
 
 	// And the good frame parses.

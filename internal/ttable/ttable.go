@@ -86,7 +86,7 @@ func Build(c *machine.Ctx, n int, myGlobals []int) *Table {
 		out[h] = append(out[h], g, l)
 	}
 	c.Words(2 * len(myGlobals))
-	in := c.AlltoAllInts(out)
+	in := c.ExchangeInts(out, nil) // out's rows are built here and never written again
 
 	sz := home.LocalSize(c.Rank())
 	t.owner = make([]int, sz)
