@@ -67,6 +67,7 @@ docs-check:
 	$(GO) run ./cmd/docscheck README.md docs examples
 	@$(GO) doc ./internal/partition >/dev/null
 	@$(GO) doc ./internal/geocol >/dev/null
+	@$(GO) doc ./internal/machine >/dev/null
 	@$(GO) doc ./internal/partition Multilevel >/dev/null
 	@echo "docs-check OK"
 

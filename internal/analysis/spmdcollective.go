@@ -43,10 +43,10 @@ const machinePath = "chaos/internal/machine"
 var ctxPayloadCollectives = []string{
 	"AllReduceFloat", "AllReduceInt",
 	"SumInt", "SumFloat", "MaxInt", "MaxFloat", "MinFloat",
-	"AllGatherInt", "AllGatherFloat", "AllGatherInts", "AllGatherFloats", "AllGatherFloatsInto",
+	"AllGatherInt", "AllGatherInts", "AllGatherFloatsInto",
 	"GatherInts", "GatherFloats",
-	"BroadcastInts", "BroadcastFloats",
-	"AlltoAllInts", "AlltoAllFloats", "ExchangeInts", "ExchangeFloats",
+	"BroadcastInts",
+	"AlltoAllInts", "ExchangeInts", "ExchangeFloats",
 	"ShareInts",
 }
 

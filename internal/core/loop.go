@@ -133,9 +133,8 @@ type Loop struct {
 	// call, charged to the virtual clock.
 	FlopsPerIter int
 
-	s       *Session
-	iterGl  []int // global iteration ids owned locally
-	iterRes ttable.Resolver
+	s      *Session
+	iterGl []int // global iteration ids owned locally
 
 	rec  registry.LoopRecord
 	insp *inspectorState
@@ -237,7 +236,6 @@ func (s *Session) NewLoop(name string, nIter int, reads []Read, writes []Write, 
 	}
 	b := dist.NewBlock(nIter, s.C.Procs())
 	l.iterGl = blockGlobals(b, s.C.Rank())
-	l.iterRes = ttable.Regular{D: b}
 	l.checkAlignment()
 	return l
 }
@@ -256,10 +254,6 @@ func (l *Loop) checkAlignment() {
 		}
 	}
 }
-
-// MyIterations returns the global iteration ids executed locally (do
-// not mutate).
-func (l *Loop) MyIterations() []int { return l.iterGl }
 
 // GhostCounts returns the ghost-buffer sizes of the saved inspector's
 // schedules, one per read access then one per write access, or nil
@@ -614,6 +608,5 @@ func (l *Loop) PartitionIterations(policy iterpart.Policy) {
 		}
 		moveArrays(s, inds, pl.MoveInts, newGl, tab)
 		l.iterGl = newGl
-		l.iterRes = tab
 	})
 }

@@ -445,7 +445,6 @@ func (l *Loop) referencePartitionIterations(policy iterpart.Policy) {
 			s.Reg.NoteRemap(ind.dad)
 		}
 		l.iterGl = newGl
-		l.iterRes = tab
 	})
 }
 

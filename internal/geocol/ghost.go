@@ -36,7 +36,6 @@ type GhostExchange struct {
 	// Indexed exactly like g.Adj; hot loops read it instead of an
 	// ownership test and an id search per edge.
 	Loc []int
-	lo  int
 	// send[p] lists the home-local vertices rank p reads, ascending.
 	// By CSR symmetry this is exactly the run of rank p's ghost ids
 	// owned by this rank, in the same (ascending) order — which is what
@@ -121,7 +120,7 @@ func (s *GhostScratch) NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange
 	me, procs := c.Rank(), c.Procs()
 	lo, hi := g.Home.Lo(me), g.Home.Hi(me)
 	localN := hi - lo
-	ge := &GhostExchange{lo: lo, Loc: make([]int, len(g.Adj))}
+	ge := &GhostExchange{Loc: make([]int, len(g.Adj))}
 
 	nsend, nrecv, last := scratch.Grow(&s.nsend, procs+1), scratch.Grow(&s.nrecv, procs+1), scratch.Grow(&s.last, procs)
 	clear(nsend)

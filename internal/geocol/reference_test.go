@@ -187,9 +187,11 @@ func (a *refAssembler) refBuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 	}
 	c.Words(2*len(g.Adj) + 2*localN)
 	inWIDs := c.AlltoAllInts(wIDs)
-	inWVals := c.AlltoAllFloats(wVals)
+	// wVals and eW are next written in the next call, after this call's
+	// SumInt: the later collective the ExchangeFloats rule asks for.
+	inWVals := c.ExchangeFloats(wVals, nil)
 	inEIDs := c.AlltoAllInts(eIDs)
-	inEW := c.AlltoAllFloats(eW)
+	inEW := c.ExchangeFloats(eW, nil)
 
 	lo2 := coarse.Home.Lo(me)
 	localN2 := coarse.Home.LocalSize(me)

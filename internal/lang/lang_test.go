@@ -471,7 +471,7 @@ func TestEvalCodeOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	toks = append(toks, token{kind: tokEOL, line: 1})
+	toks = append(toks, token{kind: tokEOL})
 	ps := &parser{prog: &Program{Params: map[string]int{}, RealArrays: map[string]int{}, IntArrays: map[string]int{}}}
 	ps.lines = []srcLine{{num: 1, toks: toks}}
 	ps.toks = toks

@@ -37,8 +37,6 @@ const (
 type token struct {
 	kind tokKind
 	text string
-	line int
-	col  int
 }
 
 func (t token) String() string {
@@ -50,9 +48,8 @@ func (t token) String() string {
 
 // srcLine is one logical source line with its 1-based line number.
 type srcLine struct {
-	num    int
-	toks   []token
-	direct bool // came from a C$ directive line
+	num  int
+	toks []token
 }
 
 // lexError reports a scanning problem with position.
@@ -67,8 +64,8 @@ func (e *lexError) Error() string {
 
 // lex splits source text into logical lines of tokens. Fortran-style
 // comment lines (leading C/c/! without $) are dropped; `C$` directive
-// lines are marked and lexed like code. Keywords are case-insensitive;
-// identifiers are upper-cased during scanning.
+// lines lose their marker and are lexed like code. Keywords are
+// case-insensitive; identifiers are upper-cased during scanning.
 func lex(src string) ([]srcLine, error) {
 	var out []srcLine
 	for i, raw := range strings.Split(src, "\n") {
@@ -78,10 +75,8 @@ func lex(src string) ([]srcLine, error) {
 		if trimmed == "" {
 			continue
 		}
-		direct := false
 		switch {
 		case strings.HasPrefix(trimmed, "C$") || strings.HasPrefix(trimmed, "c$"):
-			direct = true
 			trimmed = trimmed[2:]
 		case trimmed[0] == '!':
 			continue
@@ -95,8 +90,8 @@ func lex(src string) ([]srcLine, error) {
 		if len(toks) == 0 {
 			continue
 		}
-		toks = append(toks, token{kind: tokEOL, line: lineNo})
-		out = append(out, srcLine{num: lineNo, toks: toks, direct: direct})
+		toks = append(toks, token{kind: tokEOL})
+		out = append(out, srcLine{num: lineNo, toks: toks})
 	}
 	return out, nil
 }
@@ -117,7 +112,7 @@ func lexLine(s string, lineNo int) ([]token, error) {
 			for j < len(s) && (isAlpha(s[j]) || isDigit(s[j]) || s[j] == '_') {
 				j++
 			}
-			toks = append(toks, token{tokIdent, strings.ToUpper(s[i:j]), lineNo, i + 1})
+			toks = append(toks, token{tokIdent, strings.ToUpper(s[i:j])})
 			i = j
 		case isDigit(c) || (c == '.' && i+1 < len(s) && isDigit(s[i+1])):
 			j := i
@@ -150,13 +145,13 @@ func lexLine(s string, lineNo int) ([]token, error) {
 				}
 				return r
 			}, s[i:j])
-			toks = append(toks, token{tokNumber, txt, lineNo, i + 1})
+			toks = append(toks, token{tokNumber, txt})
 			i = j
 		case c == '*' && i+1 < len(s) && s[i+1] == '*':
-			toks = append(toks, token{tokPunct, "**", lineNo, i + 1})
+			toks = append(toks, token{tokPunct, "**"})
 			i += 2
 		case strings.ContainsRune("(),=+-*/:", rune(c)):
-			toks = append(toks, token{tokPunct, string(c), lineNo, i + 1})
+			toks = append(toks, token{tokPunct, string(c)})
 			i++
 		default:
 			return nil, &lexError{lineNo, i + 1, fmt.Sprintf("unexpected character %q", c)}

@@ -66,11 +66,8 @@ func TestLexDirectiveMarked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lines[0].direct {
-		t.Error("C$ line not marked as directive")
-	}
-	if lines[1].direct {
-		t.Error("plain line marked as directive")
+	if len(lines) != 2 || lines[0].toks[0].text != "CONSTRUCT" || lines[1].toks[0].text != "END" {
+		t.Errorf("C$ line not lexed like code after its marker: %v", lines)
 	}
 }
 

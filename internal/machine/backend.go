@@ -71,7 +71,7 @@ func RunStats(ctx context.Context, cfg Config, body func(*Ctx)) (Stats, error) {
 		elapsed: make([]time.Duration, cfg.Procs),
 		clocks:  make([]float64, cfg.Procs),
 	}
-	m.rdv = newRendezvous(m, cfg.Procs)
+	m.rdv = newRendezvous(cfg.Procs)
 	if err := ctx.Err(); err != nil {
 		// Cancelled before launch: pre-abort so every rank unwinds at
 		// its first machine call without doing work.

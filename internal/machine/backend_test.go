@@ -61,7 +61,7 @@ func TestRealBackendCollectives(t *testing.T) {
 		for d := 0; d < p; d++ {
 			fo[d] = []float64{float64(c.Rank()) + 0.5}
 		}
-		fi := c.AlltoAllFloats(fo)
+		fi := c.ExchangeFloats(fo, nil) // fo is never written again
 		for s := 0; s < p; s++ {
 			if fi[s][0] != float64(s)+0.5 {
 				t.Errorf("rank %d floats from %d: %v", c.Rank(), s, fi[s])
@@ -320,7 +320,7 @@ func TestRealBackendDeterministicClocks(t *testing.T) {
 			for p := range out {
 				out[p] = make([]float64, (c.Rank()+1)*(p+1))
 			}
-			c.AlltoAllFloats(out)
+			c.ExchangeFloats(out, nil)
 			c.SumFloat(float64(c.Rank()))
 			c.Barrier()
 		})

@@ -11,7 +11,6 @@ import (
 // collectives are built on it, which makes them deterministic
 // regardless of goroutine scheduling.
 type rendezvous struct {
-	m     *Machine
 	mu    sync.Mutex
 	cond  *sync.Cond
 	procs int
@@ -37,9 +36,8 @@ type deposit struct {
 	p any
 }
 
-func newRendezvous(m *Machine, procs int) *rendezvous {
+func newRendezvous(procs int) *rendezvous {
 	r := &rendezvous{
-		m:      m,
 		procs:  procs,
 		vals:   [2][]deposit{make([]deposit, procs), make([]deposit, procs)},
 		clocks: make([]float64, procs),
@@ -194,17 +192,6 @@ func (c *Ctx) AllGatherInt(x int) []int {
 	return out
 }
 
-// AllGatherFloat gathers one float64 per rank.
-func (c *Ctx) AllGatherFloat(x float64) []float64 {
-	vals := c.exchange(deposit{f: x})
-	out := make([]float64, c.procs)
-	for i, v := range vals {
-		out[i] = v.f
-	}
-	c.collectiveCost(8 * c.procs)
-	return out
-}
-
 // AllRanks is the root of a gather that delivers to every rank.
 const AllRanks = -1
 
@@ -249,15 +236,11 @@ func (c *Ctx) AllGatherInts(xs []int) []int {
 	return gatherRows(c, &c.intRow, AllRanks, slices.Clone(xs), nil)
 }
 
-// AllGatherFloats concatenates each rank's slice in rank order.
-func (c *Ctx) AllGatherFloats(xs []float64) []float64 {
-	return gatherRows(c, &c.floatRow, AllRanks, slices.Clone(xs), nil)
-}
-
-// AllGatherFloatsInto is AllGatherFloats without the sender-side copy,
-// delivering into dst when it has the capacity, for callers that can
-// keep to the ownership rule (see gatherRows): xs must stay untouched
-// until this rank has returned from a later collective.
+// AllGatherFloatsInto is AllGatherInts for float64 payloads, without
+// the sender-side copy and delivering into dst when it has the
+// capacity, for callers that can keep to the ownership rule (see
+// gatherRows): xs must stay untouched until this rank has returned
+// from a later collective.
 func (c *Ctx) AllGatherFloatsInto(xs, dst []float64) []float64 {
 	return gatherRows(c, &c.floatRow, AllRanks, xs, dst)
 }
@@ -285,22 +268,6 @@ func (c *Ctx) BroadcastInts(root int, xs []int) []int {
 		dep.p = cp
 	}
 	out := c.exchange(dep)[root].p.([]int)
-	if c.m.real {
-		out = slices.Clone(out)
-	}
-	c.collectiveCost(8 * len(out))
-	return out
-}
-
-// BroadcastFloats sends root's slice to every rank.
-func (c *Ctx) BroadcastFloats(root int, xs []float64) []float64 {
-	var dep deposit
-	if c.rank == root {
-		cp := make([]float64, len(xs))
-		copy(cp, xs)
-		dep.p = cp
-	}
-	out := c.exchange(dep)[root].p.([]float64)
 	if c.m.real {
 		out = slices.Clone(out)
 	}
@@ -341,13 +308,10 @@ func (c *Ctx) ShareInts(root int, xs []int) []int {
 // alltoallCost charges the cost of an irregular all-to-all in which
 // this rank sends sendBytes across nSend non-empty messages and
 // receives recvBytes across nRecv messages. The latency term uses the
-// topology diameter as a conservative per-message distance.
+// hypercube diameter as a conservative per-message distance.
 func (c *Ctx) alltoallCost(nSend, sendBytes, nRecv, recvBytes int) {
 	cfg := c.m.cfg
 	diam := float64(logceil(c.procs))
-	if cfg.Topology == FullyConnected {
-		diam = 1
-	}
 	c.clock += float64(nSend)*cfg.SendOverhead + float64(nRecv)*cfg.RecvOverhead
 	c.clock += float64(nSend+nRecv) / 2 * diam * cfg.HopLatency
 	c.clock += float64(sendBytes+recvBytes) * cfg.ByteTime
@@ -436,11 +400,6 @@ func copyRows[T int | float64](out [][]T) [][]T {
 // copied, so callers may reuse out.
 func (c *Ctx) AlltoAllInts(out [][]int) [][]int {
 	return c.ExchangeInts(copyRows(out), nil)
-}
-
-// AlltoAllFloats is AlltoAllInts for float64 payloads.
-func (c *Ctx) AlltoAllFloats(out [][]float64) [][]float64 {
-	return c.ExchangeFloats(copyRows(out), nil)
 }
 
 // ExchangeInts is AlltoAllInts without the sender-side copy, for

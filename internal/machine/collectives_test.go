@@ -128,7 +128,8 @@ func TestAlltoAllIntsTable(t *testing.T) {
 }
 
 // TestAlltoAllFloatsTable mirrors the int edge cases for the float
-// payload path.
+// payload path, on ExchangeFloats: each rank's send matrix is built
+// for the call and never written again.
 func TestAlltoAllFloatsTable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -178,7 +179,7 @@ func TestAlltoAllFloatsTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := Run(Zero(tc.p), func(c *Ctx) {
-				in := c.AlltoAllFloats(tc.out(c.Rank(), tc.p))
+				in := c.ExchangeFloats(tc.out(c.Rank(), tc.p), nil)
 				want := tc.want(c.Rank(), tc.p)
 				for r := 0; r < tc.p; r++ {
 					if len(in[r]) == 0 && len(want[r]) == 0 {
@@ -483,7 +484,7 @@ func TestGatherIsRootOnlyAllGather(t *testing.T) {
 						if rootOnly {
 							ints[r], floats[r] = c.GatherInts(root, xs), c.GatherFloats(root, fs)
 						} else {
-							ints[r], floats[r] = c.AllGatherInts(xs), c.AllGatherFloats(fs)
+							ints[r], floats[r] = c.AllGatherInts(xs), c.AllGatherFloatsInto(fs, nil)
 						}
 						clocks[r] = c.Clock()
 					})

@@ -4,13 +4,14 @@
 // Each simulated processor ("rank") runs the same SPMD body function in
 // its own goroutine and owns a private virtual clock. Communication is
 // explicit and collective: deterministic Barrier, AllReduce, AllGather
-// (and the root-only Gather*), Broadcast and irregular all-to-alls
-// (AlltoAll*, Exchange*), all built on one blocking rendezvous. The
-// virtual clock is charged using a LogP-style cost model (per-message send/recv overhead, per-hop
-// latency on the configured topology, per-byte transfer time) plus
-// per-flop and per-word compute charges, so experiments report
-// machine-like "seconds" that are fully deterministic and independent
-// of host scheduling.
+// (and the root-only Gather*), BroadcastInts, the uncharged ShareInts
+// and irregular all-to-alls (AlltoAllInts, Exchange*), all built on one
+// blocking rendezvous. The virtual clock is charged using a LogP-style
+// cost model (per-message send/recv overhead, per-hop latency over the
+// hypercube diameter, per-byte transfer time) plus per-flop and
+// per-word compute charges, so experiments report machine-like
+// "seconds" that are fully deterministic and independent of host
+// scheduling.
 //
 // The default cost model is calibrated to the Intel iPSC/860 hypercube
 // used in the paper this repository reproduces (Ponnusamy, Saltz,
@@ -18,11 +19,11 @@
 //
 // Two execution backends share this machinery (Config.Backend). The
 // default Simulated backend is the classic simulator above. The Real
-// backend (Run with Config.Backend = Real, or RunReal) executes the
+// backend (Run or RunStats with Config.Backend = Real) executes the
 // same SPMD body concurrently on the host cores, as many at once as
-// the Go scheduler runs (GOMAXPROCS): payloads are physically copied into
-// receiver memory, per-rank wall time is measured and max-reduced
-// (Stats.Elapsed, Elapsed), runs are context-cancellable, and per-rank
+// the Go scheduler runs (GOMAXPROCS): payloads are physically copied
+// into receiver memory, per-rank wall time is measured and max-reduced
+// (Stats.Elapsed), runs are context-cancellable, and per-rank
 // random streams (Ctx.Rand) are split from (Config.Seed, rank) so
 // results are bit-identical to the simulated backend and across
 // repeated runs. Both backends drive communication through the same
@@ -32,7 +33,6 @@ package machine
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"sync"
 	"time"
@@ -40,43 +40,20 @@ import (
 	"chaos/internal/xrand"
 )
 
-// Topology selects the per-message distance of the latency term of an
-// all-to-all.
-type Topology int
-
-const (
-	// FullyConnected charges exactly one hop for every message.
-	FullyConnected Topology = iota
-	// Hypercube charges the diameter of a binary hypercube (the
-	// iPSC/860 interconnect), ceil(log2 Procs) hops, as a conservative
-	// per-message distance.
-	Hypercube
-)
-
-func (t Topology) String() string {
-	switch t {
-	case FullyConnected:
-		return "fully-connected"
-	case Hypercube:
-		return "hypercube"
-	default:
-		return fmt.Sprintf("Topology(%d)", int(t))
-	}
-}
-
-// Config describes the simulated machine: its size, interconnect
-// topology, and cost model. All times are in seconds.
+// Config describes the simulated machine: its size and cost model.
+// All times are in seconds.
 type Config struct {
 	// Procs is the number of simulated processors. Must be >= 1.
 	Procs int
-	// Topology determines the per-message hop count of an all-to-all.
-	Topology Topology
 
 	// SendOverhead is the sender CPU time consumed per message.
 	SendOverhead float64
 	// RecvOverhead is the receiver CPU time consumed per message.
 	RecvOverhead float64
-	// HopLatency is the network latency per hop.
+	// HopLatency is the network latency per hop. An all-to-all
+	// charges every message the diameter of a binary hypercube (the
+	// iPSC/860 interconnect), ceil(log2 Procs) hops, as a conservative
+	// per-message distance.
 	HopLatency float64
 	// ByteTime is the transfer time per byte (inverse bandwidth).
 	ByteTime float64
@@ -106,7 +83,6 @@ type Config struct {
 func IPSC860(procs int) Config {
 	return Config{
 		Procs:        procs,
-		Topology:     Hypercube,
 		SendOverhead: 40e-6,
 		RecvOverhead: 30e-6,
 		HopLatency:   5e-6,
@@ -119,7 +95,7 @@ func IPSC860(procs int) Config {
 // Zero returns a config with the given processor count and a cost model
 // in which all charges are zero. Useful for pure-correctness tests.
 func Zero(procs int) Config {
-	return Config{Procs: procs, Topology: FullyConnected}
+	return Config{Procs: procs}
 }
 
 // logceil returns ceil(log2(p)) with logceil(1) == 0.
@@ -197,9 +173,6 @@ func (c *Ctx) Rank() int { return c.rank }
 
 // Procs returns the number of processors in the machine.
 func (c *Ctx) Procs() int { return c.procs }
-
-// Config returns the machine configuration.
-func (c *Ctx) Config() Config { return c.m.cfg }
 
 // Clock returns this rank's current virtual time in seconds.
 func (c *Ctx) Clock() float64 { return c.clock }

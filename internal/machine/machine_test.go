@@ -121,14 +121,6 @@ func TestBroadcast(t *testing.T) {
 		if len(got) != 3 || got[0] != 9 || got[2] != 7 {
 			t.Errorf("rank %d BroadcastInts = %v", c.Rank(), got)
 		}
-		var fs []float64
-		if c.Rank() == 0 {
-			fs = []float64{1.5}
-		}
-		gf := c.BroadcastFloats(0, fs)
-		if len(gf) != 1 || gf[0] != 1.5 {
-			t.Errorf("BroadcastFloats = %v", gf)
-		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,13 +154,15 @@ func TestAlltoAll(t *testing.T) {
 	}
 }
 
+// TestAlltoAllFloats is TestAlltoAll's float leg, on ExchangeFloats:
+// out and its rows are built here and never written again.
 func TestAlltoAllFloats(t *testing.T) {
 	err := Run(Zero(3), func(c *Ctx) {
 		out := make([][]float64, c.Procs())
 		for p := range out {
 			out[p] = []float64{float64(c.Rank()) + float64(p)/10}
 		}
-		in := c.AlltoAllFloats(out)
+		in := c.ExchangeFloats(out, nil)
 		for p := range in {
 			want := float64(p) + float64(c.Rank())/10
 			if math.Abs(in[p][0]-want) > 1e-12 {
@@ -191,7 +185,7 @@ func TestVirtualClockAdvancesOnComm(t *testing.T) {
 		if c.Rank() == 0 {
 			out[1] = make([]float64, 1000)
 		}
-		c.AlltoAllFloats(out)
+		c.ExchangeFloats(out, nil)
 		// Sender and receiver clocks must both cover the wire time of
 		// 8000 bytes plus their side's per-message overhead.
 		overhead := cfg.SendOverhead
@@ -253,16 +247,6 @@ func TestLogceil(t *testing.T) {
 	}
 }
 
-func TestTopologyString(t *testing.T) {
-	if FullyConnected.String() != "fully-connected" ||
-		Hypercube.String() != "hypercube" {
-		t.Error("Topology.String mismatch")
-	}
-	if Topology(42).String() == "" {
-		t.Error("unknown topology should still format")
-	}
-}
-
 func TestMaxClock(t *testing.T) {
 	st, err := RunStats(context.Background(), Zero(4), func(c *Ctx) {
 		c.AdvanceClock(float64(c.Rank()) * 2)
@@ -282,7 +266,7 @@ func TestDeterministicClocks(t *testing.T) {
 			for p := range out {
 				out[p] = make([]float64, (c.Rank()+1)*(p+1))
 			}
-			c.AlltoAllFloats(out)
+			c.ExchangeFloats(out, nil)
 			c.SumFloat(float64(c.Rank()))
 			c.Barrier()
 		})

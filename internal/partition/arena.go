@@ -62,12 +62,13 @@ func (ar *arena) reserve(localN int) {
 
 // klScratch is the per-bisection scratch of the serial KL/FM refiner
 // (klRefineN): gain cache, locks, the balance-blocked stash, the move
-// sequence, and the candidate heap.
+// sequence (the vertices a pass moved, kept so the tail past the best
+// prefix can be rolled back), and the candidate heap.
 type klScratch struct {
 	gains  []float64
 	locked []bool
 	stash  []int
-	seq    []klMove
+	seq    []int
 	heap   klHeap
 	// side/visited/queue seed klBisect's region-growing split and
 	// growBest's graph-growing trials.

@@ -9,13 +9,6 @@ import (
 	"chaos/internal/scratch"
 )
 
-// klMove is one committed move of a klRefineN pass, kept so the tail
-// past the best prefix can be rolled back.
-type klMove struct {
-	v    int
-	gain float64
-}
-
 // klRefine improves a bisection with a Kernighan-Lin / Fiduccia-
 // Mattheyses style boundary pass: repeatedly move the vertex with the
 // best edge-cut gain to the other side, subject to a weight-balance
@@ -145,7 +138,7 @@ func klRefineN(s *klScratch, sg *subgraph, side []bool, targetLeftW float64, pas
 				}
 			}
 			cum += bg
-			seq = append(seq, klMove{bv, bg})
+			seq = append(seq, bv)
 			if cum > best {
 				best, bestAt = cum, len(seq)-1
 			}
@@ -157,7 +150,7 @@ func klRefineN(s *klScratch, sg *subgraph, side []bool, targetLeftW float64, pas
 
 		// Roll back moves past the best prefix.
 		for i := len(seq) - 1; i > bestAt; i-- {
-			v := seq[i].v
+			v := seq[i]
 			if side[v] {
 				leftW -= w[v]
 			}

@@ -11,14 +11,14 @@ import (
 // (streaming clustering plus an in-memory coarse solve) followed by
 // linear deterministic greedy (LDG) re-placement passes. Under
 // the SPMD machine it follows the replicated-cost convention of the
-// serial methods (see serialBisectPartition): the GeoCoL graph is
-// gathered and every rank runs the identical deterministic pipeline,
-// so the result is bit-for-bit independent of the rank count and
-// backend. Resident state of the pipeline itself is one slab plus the
-// O(nparts) placer and the vertex-proportional bootstrap model — the
-// out-of-core contract; stream.Partition is the machine-free entry
-// point that honors it against file streams the machine path never
-// needs.
+// serial methods (see serialBisectPartition): the machine being
+// modelled gathers the GeoCoL graph and runs the identical
+// deterministic pipeline on every rank, so the result is bit-for-bit
+// independent of the rank count and backend. Resident state of the
+// pipeline itself is one slab plus the O(nparts) placer and the
+// vertex-proportional bootstrap model — the out-of-core contract;
+// stream.Partition is the machine-free entry point that honors it
+// against file streams the machine path never needs.
 type Streaming struct {
 	// Restreams is the number of additional re-placement passes.
 	Restreams int
@@ -38,19 +38,27 @@ func (sp Streaming) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int
 	if !g.HasLink {
 		panic("partition: STREAM requires a GeoCoL LINK component")
 	}
-	f := g.Gather(c)
-	// Every rank runs the identical deterministic pipeline on the
-	// gathered graph; fine-level edges are treated as unit weight (the
+	// The host gathers onto rank 0 alone, runs the pipeline there once
+	// and hands the vector to the others through the uncharged
+	// ShareInts (serialKway's convention), whose clock synchronization
+	// is a no-op here: the gather just before it left every clock
+	// equal. Fine-level edges are treated as unit weight (the
 	// edge-stream model carries none).
-	part, err := stream.PartitionWeighted(stream.NewMemStream(f.XAdj, f.Adj, stream.DefaultSlabVerts),
-		nparts, f.Weights, stream.Options{
-			Slack:     sp.Slack,
-			Restreams: sp.Restreams,
-			Seed:      sp.Seed,
-		})
-	if err != nil {
-		panic("partition: STREAM on gathered graph: " + err.Error())
+	f := g.GatherTo(c, 0)
+	var part []int
+	if c.Rank() == 0 {
+		var err error
+		part, err = stream.PartitionWeighted(stream.NewMemStream(f.XAdj, f.Adj, stream.DefaultSlabVerts),
+			nparts, f.Weights, stream.Options{
+				Slack:     sp.Slack,
+				Restreams: sp.Restreams,
+				Seed:      sp.Seed,
+			})
+		if err != nil {
+			panic("partition: STREAM on gathered graph: " + err.Error())
+		}
 	}
+	part = c.ShareInts(0, part)
 
 	// Modeled cost, replicated on every clock: a k-way scan per vertex
 	// plus a touch per directed edge, once per pass (the bootstrap's

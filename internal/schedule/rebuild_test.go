@@ -14,13 +14,14 @@ import (
 )
 
 // rebuildRound is what one rank observed in one round of the rebuild
-// program: the schedule it built, field by field, its reference vector,
+// program: the schedule it built, field by field, its reference vector
+// (which, with the round's globals, fixes the ghost slot → global map),
 // the rank's clock after the build and after the data movements, and
 // what a Gather and a ScatterAdd through every live schedule produced.
 type rebuildRound struct {
 	procs, nGhost        int
 	sendLocal, recvGhost [][]int
-	ghostGlobal, ref     []int
+	ref                  []int
 	built, moved         float64
 	acc                  []float64
 }
@@ -37,8 +38,6 @@ func (r *rebuildRound) diff(want *rebuildRound) string {
 		return fmt.Sprintf("sendLocal %v, fresh %v", r.sendLocal, want.sendLocal)
 	case !rows(r.recvGhost, want.recvGhost):
 		return fmt.Sprintf("recvGhost %v, fresh %v", r.recvGhost, want.recvGhost)
-	case !slices.Equal(r.ghostGlobal, want.ghostGlobal):
-		return fmt.Sprintf("ghostGlobal %v, fresh %v", r.ghostGlobal, want.ghostGlobal)
 	case !slices.Equal(r.ref, want.ref):
 		return fmt.Sprintf("reference vector %v, fresh %v", r.ref, want.ref)
 	case !bits(r.built, want.built) || !bits(r.moved, want.moved):
@@ -112,7 +111,7 @@ func TestRebuildInPlaceMatchesFresh(t *testing.T) {
 						}
 						var b Builder
 						var scheds [positions]*Schedule
-						var refs [positions][]int
+						var refs, ghostOf [positions][]int
 						for round := 0; round < rounds; round++ {
 							k, opt := ctl.Intn(positions), Options{}
 							globals := referenceList(rng, owner, mine, c.Rank())
@@ -126,11 +125,12 @@ func TestRebuildInPlaceMatchesFresh(t *testing.T) {
 							tr := rebuildRound{
 								procs: s.procs, nGhost: s.nGhost,
 								sendLocal: cloneRows(s.sendLocal), recvGhost: cloneRows(s.recvGhost),
-								ghostGlobal: slices.Clone(s.ghostGlobal), ref: slices.Clone(refs[k]),
+								ref:   slices.Clone(refs[k]),
 								built: c.Clock(),
 							}
+							ghostOf[k] = ghostGlobals(t, globals, refs[k], len(mine), s.nGhost)
 							for i, g := range globals {
-								if r := refs[k][i]; r < len(mine) && mine[r] != g || r >= len(mine) && s.ghostGlobal[r-len(mine)] != g {
+								if r := refs[k][i]; r < len(mine) && mine[r] != g {
 									t.Errorf("%s rank %d round %d: globals[%d]=%d referenced as %d", label, c.Rank(), round, i, g, r)
 									break
 								}
@@ -141,7 +141,8 @@ func TestRebuildInPlaceMatchesFresh(t *testing.T) {
 							// follows this one's exchange directly.
 							acc, idle := make([]float64, len(mine)), ctl.Intn(4) == 0
 							for d := 1; d <= positions; d++ {
-								s := scheds[(k+d)%positions]
+								j := (k + d) % positions
+								s := scheds[j]
 								if s == nil || idle {
 									continue
 								}
@@ -149,7 +150,7 @@ func TestRebuildInPlaceMatchesFresh(t *testing.T) {
 								ghost := make([]float64, s.nGhost)
 								s.Gather(c, local, ghost)
 								for slot, v := range ghost {
-									if v != 1000+float64(s.ghostGlobal[slot]) {
+									if v != 1000+float64(ghostOf[j][slot]) {
 										t.Errorf("%s rank %d round %d: slot %d gathered %v", label, c.Rank(), round, slot, v)
 										break
 									}

@@ -34,8 +34,6 @@ type Schedule struct {
 	recvGhost [][]int
 	// nGhost is the size of the ghost buffer.
 	nGhost int
-	// ghostGlobal[slot] is the global index a ghost slot mirrors.
-	ghostGlobal []int
 
 	// The send rows of the data movements.
 	floats scratch.Rows[float64]
@@ -132,8 +130,8 @@ func BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, globals [
 // Passing old asserts that its counterparts are dead on every rank: no
 // rank runs a data movement on the old schedule once any rank has
 // started the rebuild, and every rank passes the schedule of the same
-// earlier build. old's headers, slot array, ghostGlobal and send rows
-// are this rank's own and are simply refilled. Its request lists are
+// earlier build. old's headers, slot array and send rows are this
+// rank's own and are simply refilled. Its request lists are
 // not: they went to the peers by ownership transfer, and on the
 // Simulated backend the peers' send lists are that memory, read by
 // every Gather and Scatter until the peer's own rebuild replaces them
@@ -216,11 +214,9 @@ func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize i
 		}
 		off += k
 	}
-	ghostGlobal := scratch.Grow(&s.ghostGlobal, len(ghosts))
 	for slot, g := range ghosts {
 		requests[g.owner] = append(requests[g.owner], g.local)
 		recvGhost[g.owner] = append(recvGhost[g.owner], slot)
-		ghostGlobal[slot] = g.global
 	}
 	c.Words(2 * len(globals))
 

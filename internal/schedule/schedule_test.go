@@ -283,6 +283,38 @@ func TestMessagesAndCounts(t *testing.T) {
 	}
 }
 
+// ghostGlobals derives a schedule's ghost slot → global map from what
+// BuildGather was given and returned: reference i lands in ghost slot
+// ref[i]-localSize when ref[i] >= localSize. It reports a reference
+// past the ghost buffer, a slot two different globals land in, and a
+// slot no reference lands in.
+func ghostGlobals(t *testing.T, globals, ref []int, localSize, nGhost int) []int {
+	t.Helper()
+	gg := make([]int, nGhost)
+	for slot := range gg {
+		gg[slot] = -1
+	}
+	for i, g := range globals {
+		slot := ref[i] - localSize
+		switch {
+		case slot < 0:
+			continue
+		case slot >= nGhost:
+			t.Errorf("globals[%d]=%d referenced as slot %d of %d", i, g, slot, nGhost)
+		case gg[slot] >= 0 && gg[slot] != g:
+			t.Errorf("slot %d mirrors both %d and %d", slot, gg[slot], g)
+		default:
+			gg[slot] = g
+		}
+	}
+	for slot, g := range gg {
+		if g < 0 {
+			t.Errorf("ghost slot %d of %d mirrors no reference", slot, nGhost)
+		}
+	}
+	return gg
+}
+
 func TestGhostGlobalsTracksSlots(t *testing.T) {
 	const n, p = 24, 4
 	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
@@ -290,14 +322,15 @@ func TestGhostGlobalsTracksSlots(t *testing.T) {
 		next := (c.Rank() + 1) % p
 		globals := []int{d.Lo(next), d.Lo(next) + 1, d.Lo(next)}
 		s, ref := BuildGather(c, res, len(local), globals, Options{})
-		gg := s.ghostGlobal
-		if len(gg) != s.NGhost() {
-			t.Fatalf("ghostGlobal length %d != NGhost %d", len(gg), s.NGhost())
+		if s.NGhost() != 2 {
+			t.Errorf("NGhost %d, want 2", s.NGhost())
 		}
-		for i, g := range globals {
-			slot := ref[i] - len(local)
-			if gg[slot] != g {
-				t.Errorf("slot %d mirrors %d, want %d", slot, gg[slot], g)
+		gg := ghostGlobals(t, globals, ref, len(local), s.NGhost())
+		ghost := make([]float64, s.NGhost())
+		s.Gather(c, local, ghost)
+		for slot, v := range ghost {
+			if v != 1000+float64(gg[slot]) {
+				t.Errorf("slot %d gathered %v, want the value of %d", slot, v, gg[slot])
 			}
 		}
 	})

@@ -44,7 +44,7 @@ func referenceGather(s *Schedule, c *machine.Ctx, local, ghost []float64) {
 		out[p] = buf
 	}
 	c.Words(s.SendCount())
-	in := c.AlltoAllFloats(out)
+	in := c.ExchangeFloats(out, nil) // out is built here and never written again
 	for p, slots := range s.recvGhost {
 		vals := in[p]
 		if len(vals) != len(slots) {
@@ -73,7 +73,7 @@ func referenceScatterOp(s *Schedule, c *machine.Ctx, local, ghost []float64, op 
 		out[p] = buf
 	}
 	c.Words(recvCount(s))
-	in := c.AlltoAllFloats(out)
+	in := c.ExchangeFloats(out, nil) // out is built here and never written again
 	for p, lst := range s.sendLocal {
 		vals := in[p]
 		if len(vals) != len(lst) {

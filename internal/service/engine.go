@@ -84,10 +84,10 @@ func computePartition(ctx context.Context, gc *graphContent, sp partition.Spec, 
 		default:
 			part = pp.Partition(c, g, nparts)
 		}
-		// The home distribution is BLOCK, so the rank-order allgather
-		// concatenation is exactly the global part vector.
-		full := c.AllGatherInts(part)
-		if me == 0 {
+		// The home distribution is BLOCK, so the rank-order gather
+		// concatenation is exactly the global part vector. Only rank 0
+		// keeps it, and part is not written again.
+		if full := c.GatherInts(0, part); me == 0 {
 			mu.Lock()
 			res.part = full
 			mu.Unlock()

@@ -48,7 +48,6 @@ import (
 // fails only its own request (at a worker) or connection, never the
 // daemon.
 type Server struct {
-	opt   Options
 	cache *cache
 
 	ctx    context.Context
@@ -135,7 +134,6 @@ func New(opt Options) *Server {
 	opt = opt.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		opt:         opt,
 		cache:       newCache(opt.CacheBytes),
 		ctx:         ctx,
 		cancel:      cancel,

@@ -204,7 +204,7 @@ func (v *verifier) reuseChecked() {
 func runProgram(t *testing.T, s *Server, ps programSet, ch *chooser, ops int) *verifier {
 	t.Helper()
 	ctx := context.Background()
-	v := &verifier{t: t, names: map[Fingerprint]string{}, evicts: s.opt.CacheBytes > 0}
+	v := &verifier{t: t, names: map[Fingerprint]string{}, evicts: s.cache.capBytes > 0}
 	upload := func(gc *graphContent, sh int) *Request {
 		return &Request{NNode: gc.n, NParts: ps.shapes[sh].nparts, Procs: ps.shapes[sh].procs, Spec: ps.shapes[sh].spec,
 			E1: append([]int(nil), gc.e1...), E2: append([]int(nil), gc.e2...)}
