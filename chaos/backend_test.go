@@ -32,10 +32,12 @@ func ringSweep(t *testing.T, out *[]float64) func(*chaos.Session) {
 		loop := s.NewLoop("ring", n,
 			[]chaos.Read{{Arr: x, Ind: e1}, {Arr: x, Ind: e2}},
 			[]chaos.Write{{Arr: y, Ind: e1, Op: chaos.Add}, {Arr: y, Ind: e2, Op: chaos.Add}},
-			2, func(_ int, in, out []float64) {
-				out[0] = in[0] + in[1]
-				out[1] = in[1] - in[0]
-			})
+			2, chaos.KernelFunc(func(iters []int, in, out []float64) {
+				for b := range iters {
+					out[2*b] = in[2*b] + in[2*b+1]
+					out[2*b+1] = in[2*b+1] - in[2*b]
+				}
+			}))
 		loop.PartitionIterations(chaos.AlmostOwnerComputes)
 		for it := 0; it < 3; it++ {
 			loop.Execute()

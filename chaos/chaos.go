@@ -17,10 +17,16 @@
 //	    m, _ := s.SetPartitioning(g, chaos.PartitionSpec{Method: chaos.MethodRSB}, // C$ SET distfmt BY PARTITIONING G USING RSB
 //	        s.C.Procs())
 //	    s.Redistribute(m, []*chaos.Array{x, y}, nil)                              // C$ REDISTRIBUTE reg(distfmt)
+//	    flux := chaos.KernelFunc(func(iters []int, in, out []float64) {
+//	        for b := range iters { // in[2b], in[2b+1] = x(end_pt1(i)), x(end_pt2(i))
+//	            x1, x2 := in[2*b], in[2*b+1]
+//	            out[2*b], out[2*b+1] = f(x1, x2), g(x1, x2) // REDUCE(ADD, y(end_ptK(i)), ...)
+//	        }
+//	    })
 //	    loop := s.NewLoop("sweep", nedge,
 //	        []chaos.Read{{Arr: x, Ind: e1}, {Arr: x, Ind: e2}},
 //	        []chaos.Write{{Arr: y, Ind: e1, Op: chaos.Add}, {Arr: y, Ind: e2, Op: chaos.Add}},
-//	        8, flux)
+//	        8, flux) // the kernel runs once per strip of up to 256 iterations
 //	    loop.PartitionIterations(chaos.AlmostOwnerComputes)
 //	    for t := 0; t < 100; t++ {
 //	        loop.Execute() // inspector runs once; schedules are reused
@@ -98,6 +104,15 @@ type IntArray = core.IntArray
 
 // Loop is an irregular forall loop handled by inspector/executor.
 type Loop = core.Loop
+
+// Kernel is a loop body run once per strip of iterations: Strip(iters,
+// in, out) reads len(iters)·R gathered operands from in and writes
+// len(iters)·W contributions to out, iteration-major, for a loop of R
+// reads and W writes.
+type Kernel = core.Kernel
+
+// KernelFunc adapts an ordinary function to a Kernel.
+type KernelFunc = core.KernelFunc
 
 // Read is a gathered right-hand-side access Arr(Ind(i)).
 type Read = core.Read

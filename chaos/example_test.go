@@ -59,10 +59,12 @@ func ExampleSession_SetPartitioning() {
 		loop := s.NewLoop("sweep", n,
 			[]chaos.Read{{Arr: x, Ind: e1}, {Arr: x, Ind: e2}},
 			[]chaos.Write{{Arr: y, Ind: e1, Op: chaos.Add}, {Arr: y, Ind: e2, Op: chaos.Add}},
-			2, func(_ int, in, out []float64) {
-				out[0] = in[1] // each endpoint accumulates its neighbor
-				out[1] = in[0]
-			})
+			2, chaos.KernelFunc(func(iters []int, in, out []float64) {
+				for b := range iters { // one kernel call per strip of iterations
+					out[2*b] = in[2*b+1] // each endpoint accumulates its neighbor
+					out[2*b+1] = in[2*b]
+				}
+			}))
 		loop.PartitionIterations(chaos.AlmostOwnerComputes)
 		loop.Execute()
 

@@ -115,25 +115,27 @@ func main() {
 			if st.Cold+st.Warm > st0.Cold+st0.Warm {
 				// A repartition actually ran: redistribute onto the
 				// new mapping and report the epoch.
-				full := s.C.AllGatherInts(mapping.LocalPart())
-				moved := 0
-				if prevFull != nil {
-					for i, p := range full {
-						if prevFull[i] != p {
-							moved++
-						}
-					}
-				}
-				prevFull = full
-				cut := 0
-				for i := range e1s[epoch] {
-					u, v := e1s[epoch][i], e2s[epoch][i]
-					if u != v && full[u] != full[v] {
-						cut++
-					}
-				}
+				// Only rank 0 reports, so the part vector goes to it
+				// alone.
+				full := s.C.GatherInts(0, mapping.LocalPart())
 				s.Redistribute(mapping, []*chaos.Array{x, y}, nil)
 				if s.C.Rank() == 0 {
+					moved := 0
+					if prevFull != nil {
+						for i, p := range full {
+							if prevFull[i] != p {
+								moved++
+							}
+						}
+					}
+					prevFull = full
+					cut := 0
+					for i := range e1s[epoch] {
+						u, v := e1s[epoch][i], e2s[epoch][i]
+						if u != v && full[u] != full[v] {
+							cut++
+						}
+					}
 					mode := "cold"
 					if st.Warm > st0.Warm {
 						mode = "warm"

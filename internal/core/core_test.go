@@ -26,12 +26,27 @@ func gridMesh(gx, gy int) (e1, e2 []int) {
 	return
 }
 
+// perIter makes a strip kernel of a per-iteration body: f(iter, in,
+// out) sees one iteration's operands and fills its contributions, in
+// slices whose length is their capacity.
+func perIter(f func(iter int, in, out []float64)) Kernel {
+	return KernelFunc(func(iters []int, in, out []float64) {
+		if len(iters) == 0 {
+			return
+		}
+		nR, nW := len(in)/len(iters), len(out)/len(iters)
+		for b, iter := range iters {
+			f(iter, in[b*nR:(b+1)*nR:(b+1)*nR], out[b*nW:(b+1)*nW:(b+1)*nW])
+		}
+	})
+}
+
 // edgeKernel is the paper's L2 body: two reductions per edge.
-func edgeKernel(_ int, in, out []float64) {
+var edgeKernel = perIter(func(_ int, in, out []float64) {
 	x1, x2 := in[0], in[1]
 	out[0] = x1*x2 + 1 // f
 	out[1] = x1 - x2   // g
-}
+})
 
 // serialL2 computes the L2 reference result.
 func serialL2(n int, e1, e2 []int, xv []float64) []float64 {
@@ -129,7 +144,7 @@ func TestAssignLoopL1(t *testing.T) {
 		loop := s.NewLoop("L1", nIter,
 			[]Read{{x, ib}, {x, ic}},
 			[]Write{{y, ia, Assign}},
-			1, func(_ int, in, out []float64) { out[0] = in[0] + in[1] })
+			1, perIter(func(_ int, in, out []float64) { out[0] = in[0] + in[1] }))
 		loop.Execute()
 		checkY(t, y, want, "L1")
 	})
@@ -386,7 +401,7 @@ func TestReduceOps(t *testing.T) {
 			loop := s.NewLoop("reduce", nIter,
 				[]Read{{src, idx}},
 				[]Write{{y, ia, tc.op}},
-				1, func(_ int, in, out []float64) { out[0] = in[0] })
+				1, perIter(func(_ int, in, out []float64) { out[0] = in[0] }))
 			loop.Execute()
 			checkY(t, y, want, tc.op.String())
 		})

@@ -112,9 +112,27 @@ type Write struct {
 	Op  Reduce
 }
 
+// Kernel is a loop body run over one strip of iterations at a time.
+// iters holds the strip's global iteration numbers, in the order the
+// executor runs them. in holds len(iters)·R gathered operands and out
+// receives len(iters)·W contributions, both iteration-major for a loop
+// of R reads and W writes: iteration iters[b] reads in[b*R:(b+1)*R]
+// and fills every element of out[b*W:(b+1)*W]. in and out are reused
+// from strip to strip; each argument's length is its capacity, and
+// iters must not be written.
+type Kernel interface {
+	Strip(iters []int, in, out []float64)
+}
+
+// KernelFunc adapts an ordinary function to a Kernel.
+type KernelFunc func(iters []int, in, out []float64)
+
+// Strip calls f(iters, in, out).
+func (f KernelFunc) Strip(iters []int, in, out []float64) { f(iters, in, out) }
+
 // Loop is an irregular forall loop: per iteration i, values
-// Reads[j].Arr(Reads[j].Ind(i)) are gathered into in[j], Kernel
-// computes contributions out[k], and each out[k] is combined into
+// Reads[j].Arr(Reads[j].Ind(i)) are gathered into operand j, Kernel
+// computes contribution k, and each contribution is combined into
 // Writes[k].Arr(Writes[k].Ind(i)) with Writes[k].Op. Indirection
 // arrays are indexed directly by the loop index (single-level
 // indirection), matching the paper's loop model.
@@ -124,13 +142,12 @@ type Loop struct {
 	Reads []Read
 	// Writes lists the reduction targets.
 	Writes []Write
-	// Kernel computes one iteration. iter is the global iteration
-	// number; in has one gathered value per read; out must be filled
-	// with one contribution per write. in and out are reused across
-	// iterations.
-	Kernel func(iter int, in, out []float64)
-	// FlopsPerIter is the modeled floating-point cost of one Kernel
-	// call, charged to the virtual clock.
+	// Kernel computes the loop body over strips of at most 256 locally
+	// owned iterations, called once per strip; see Kernel for the
+	// operand layout.
+	Kernel Kernel
+	// FlopsPerIter is the modeled floating-point cost of the loop body
+	// per iteration, charged to the virtual clock.
 	FlopsPerIter int
 
 	s      *Session
@@ -224,7 +241,7 @@ func sameDistribution(a, b ttable.Resolver) bool {
 // NewLoop declares an irregular loop over nIter iterations with the
 // default BLOCK iteration distribution. Indirection arrays of every
 // access must be aligned with the iteration space.
-func (s *Session) NewLoop(name string, nIter int, reads []Read, writes []Write, flopsPerIter int, kernel func(iter int, in, out []float64)) *Loop {
+func (s *Session) NewLoop(name string, nIter int, reads []Read, writes []Write, flopsPerIter int, kernel Kernel) *Loop {
 	l := &Loop{
 		Name:         name,
 		NIter:        nIter,
@@ -425,8 +442,8 @@ func (l *Loop) ExecuteNoReuse() {
 // executor is Phase E, run strip-mined over what the inspector
 // compiled: gather ghost values, then per strip of execBlock local
 // iterations gather every read's operands into the in block, run the
-// kernel over the strip, and combine every write's contributions out
-// of the out block; finally fold the local contributions and scatter
+// kernel once over the strip, and combine every write's contributions
+// out of the out block; finally fold the local contributions and scatter
 // the off-processor ones back to their owners. Each accumulation
 // buffer receives its contributions in iteration order, and within an
 // iteration in access order.
@@ -457,19 +474,15 @@ func (l *Loop) executor() {
 	nR, nW, kernel := len(l.Reads), len(l.Writes), l.Kernel
 	in, out := st.in, st.out
 	for lo := 0; lo < len(l.iterGl); lo += execBlock {
-		iters := l.iterGl[lo:min(lo+execBlock, len(l.iterGl))]
-		hi := lo + len(iters)
+		hi := min(lo+execBlock, len(l.iterGl))
 		for j := range st.rGroups {
 			g := &st.rGroups[j]
 			gatherStrip(in[j:], nR, g.arr.Data, g.ghost, g.ref[lo:hi])
 		}
-		// The capacity limits keep a kernel that appends to its
-		// arguments out of the next iteration's operands.
-		inB, outB := in, out
-		for _, iter := range iters {
-			kernel(iter, inB[:nR:nR], outB[:nW:nW])
-			inB, outB = inB[nR:], outB[nW:]
-		}
+		// len == cap, so a kernel that appends to its arguments
+		// reallocates instead of writing past the strip.
+		n := hi - lo
+		kernel.Strip(l.iterGl[lo:hi:hi], in[:n*nR:n*nR], out[:n*nW:n*nW])
 		for k := range st.wGroups {
 			g := &st.wGroups[k]
 			combineStrip(g.op, g.buf, g.ref[lo:hi], out[k:], nW)

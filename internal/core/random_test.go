@@ -186,7 +186,7 @@ func TestRandomizedLoopsMatchSerial(t *testing.T) {
 				arrays := append([]*Array{x}, ys...)
 				s.Redistribute(m, arrays, nil)
 
-				loop := s.NewLoop("rand", nIter, reads, writes, 3, kernel)
+				loop := s.NewLoop("rand", nIter, reads, writes, 3, perIter(kernel))
 				loop.PartitionIterations(pol)
 				for rep := 0; rep < repeats; rep++ {
 					loop.Execute()

@@ -57,7 +57,7 @@ func (l *Loop) referenceExecutor() (ghosts, wbufs [][]float64) {
 				in[j] = ghosts[j][ref-len(data)]
 			}
 		}
-		l.Kernel(l.iterGl[i], in, out)
+		l.Kernel.Strip(l.iterGl[i:i+1], in, out)
 		for k := range l.Writes {
 			g := &st.wGroups[k]
 			buf := wbufs[k]
@@ -262,22 +262,26 @@ func runDifferentialProgram(c *machine.Ctx, tr *execTrace, n, nIter int, reads, 
 		// array the loop also reads.
 		wr = []Write{{y, inds[0], op}, {y, inds[1], op}, {z, inds[2], Assign}}
 	}
-	kernel := func(iter int, in, out []float64) {
-		a, b, d := float64(iter%13)-6, 1.0, 0.5
-		if len(in) > 0 {
-			a, b, d = in[0], in[1], in[2]
-		}
-		if len(out) > 0 {
-			out[0] = 1.5*a + b
-			out[1] = b - a*d
-			out[2] = d + float64(iter)
-			if iter%5 == 0 {
-				out[2] = math.NaN() // the untouched sentinel: z keeps its value
+	nR, nW := len(rd), len(wr)
+	kernel := KernelFunc(func(iters []int, in, out []float64) {
+		for i, iter := range iters {
+			a, b, d := float64(iter%13)-6, 1.0, 0.5
+			if nR > 0 {
+				a, b, d = in[i*nR], in[i*nR+1], in[i*nR+2]
+			}
+			if nW > 0 {
+				o := out[i*nW:]
+				o[0] = 1.5*a + b
+				o[1] = b - a*d
+				o[2] = d + float64(iter)
+				if iter%5 == 0 {
+					o[2] = math.NaN() // the untouched sentinel: z keeps its value
+				}
 			}
 		}
-		// Must not reach the neighbouring iteration's operands.
+		// Must not reach past the strip's operands.
 		_, _ = append(in, 1e300), append(out, -1e300)
-	}
+	})
 	loop := s.NewLoop("diff", nIter, rd, wr, 7, kernel)
 	arrays := []*Array{x, y, z}
 	step := func(noReuse bool) {
@@ -309,7 +313,7 @@ func TestExecutorRefusesStaleBuffer(t *testing.T) {
 		ind := s.NewIntArray("ind", 6)
 		ind.FillByGlobal(func(g int) int { return (3 * g) % 10 })
 		loop := s.NewLoop("stale", 6, []Read{{x, ind}}, []Write{{y, ind, Add}}, 1,
-			func(_ int, in, out []float64) { out[0] = in[0] })
+			perIter(func(_ int, in, out []float64) { out[0] = in[0] }))
 		loop.Execute()
 		y.Data = append(y.Data, 0) // behind the registry's back
 		loop.Execute()
@@ -575,7 +579,7 @@ func (p *inspProg) declare(rd []Read, wr []Write) {
 			out[k] = acc * float64(k+2)
 		}
 	}
-	p.loop = p.s.NewLoop("pattern", p.e1.Size(), rd, wr, 5, kernel)
+	p.loop = p.s.NewLoop("pattern", p.e1.Size(), rd, wr, 5, perIter(kernel))
 }
 
 // step is one Execute (or ExecuteNoReuse). inspects says whether the

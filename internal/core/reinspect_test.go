@@ -210,7 +210,7 @@ func TestFailedReinspectionLeavesNoValidRecord(t *testing.T) {
 		armed := false
 		y.res = panicResolver{y.res, &armed}
 		loop := s.NewLoop("fails", 20, []Read{{x, ind}}, []Write{{y, ind, Add}}, 1,
-			func(_ int, in, out []float64) { out[0] = in[0] })
+			perIter(func(_ int, in, out []float64) { out[0] = in[0] }))
 		loops[c.Rank()] = loop
 		loop.Execute()
 		loop.Execute()

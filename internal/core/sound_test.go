@@ -66,10 +66,10 @@ func reuseProgram(c *machine.Ctx, tr *soundTrace, seed uint64, n, nIter, nOps in
 	loop := s.NewLoop("sound", nIter,
 		[]Read{{x, inds[0]}, {x, inds[1]}},
 		[]Write{{y, inds[0], ops[rng.Intn(3)]}, {y, inds[2], ops[rng.Intn(3)]}},
-		4, func(iter int, in, out []float64) {
+		4, perIter(func(iter int, in, out []float64) {
 			out[0] = in[0] - 0.5*in[1] + float64(iter%5)
 			out[1] = 0.25*in[1] + in[0]
-		})
+		}))
 	// access returns the indirection-array field of access a, reads
 	// first. A swap keeps all three arrays in use, so a repartition of
 	// the iterations moves all three and they stay aligned with them.

@@ -176,19 +176,13 @@ func AdaptiveStudy(cfg AdaptiveConfig) (*AdaptiveReport, error) {
 				mode = "warm"
 			}
 
-			full := c.AllGatherInts(mapping.LocalPart())
-			moved := 0
-			if prevFull != nil {
-				for i, p := range full {
-					if prevFull[i] != p {
-						moved++
-					}
-				}
-			}
-			prevFull = full
+			// Only rank 0 records the epoch, so the part vectors go to
+			// it alone; GatherInts charges every rank what AllGatherInts
+			// would.
+			full := c.GatherInts(0, mapping.LocalPart())
 
 			var coldS float64
-			var coldCut int
+			var coldFull []int
 			if ep > 0 {
 				coldRp.Invalidate()
 				ct0 := s.Timer(core.TimerPartition)
@@ -197,8 +191,7 @@ func AdaptiveStudy(cfg AdaptiveConfig) (*AdaptiveReport, error) {
 					panic(err)
 				}
 				coldS = c.MaxFloat(s.Timer(core.TimerPartition) - ct0)
-				coldFull := c.AllGatherInts(cm.LocalPart())
-				coldCut = partition.EdgeListCut(e1s[ep], e2s[ep], coldFull)
+				coldFull = c.GatherInts(0, cm.LocalPart())
 			}
 
 			rm0 := s.Timer(core.TimerRemap)
@@ -212,6 +205,19 @@ func AdaptiveStudy(cfg AdaptiveConfig) (*AdaptiveReport, error) {
 			exS := c.MaxFloat(s.Timer(core.TimerExecutor) - ex0)
 
 			if c.Rank() == 0 {
+				moved := 0
+				if prevFull != nil {
+					for i, p := range full {
+						if prevFull[i] != p {
+							moved++
+						}
+					}
+				}
+				prevFull = full
+				coldCut := 0
+				if ep > 0 {
+					coldCut = partition.EdgeListCut(e1s[ep], e2s[ep], coldFull)
+				}
 				mu.Lock()
 				rep.Epochs = append(rep.Epochs, AdaptiveEpoch{
 					Epoch: ep, Mode: mode,

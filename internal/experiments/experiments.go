@@ -32,9 +32,10 @@ type Workload struct {
 	Z     []float64
 	// Init gives node g's initial state value.
 	Init func(g int) float64
-	// Kernel computes the two reduction contributions per iteration.
-	Kernel func(iter int, in, out []float64)
-	// Flops models one kernel invocation.
+	// Kernel computes the two reduction contributions of every
+	// iteration of a strip.
+	Kernel core.Kernel
+	// Flops models the kernel's cost per iteration.
 	Flops int
 	// HasMDGeometry marks the MD workload (kernel closes over pair
 	// geometry; compiler mode is not available).

@@ -182,6 +182,21 @@ func (st *execState) execStmt(s stmt) error {
 	}
 }
 
+// strip is the FORALL's kernel: for every iteration of the strip it
+// calls each assignment's compiled closure over that iteration's row
+// of the gathered operands.
+//
+//chaos:hotpath
+func (f *forallStmt) strip(iters []int, in, out []float64) {
+	nR, nW := len(f.reads), len(f.Assigns)
+	for b, iter := range iters {
+		row := in[b*nR : (b+1)*nR]
+		for k := range f.Assigns {
+			out[b*nW+k] = f.Assigns[k].eval(iter, row)
+		}
+	}
+}
+
 // execForall realizes the inspector/executor transformation for one
 // FORALL encounter. The loop object is created on first encounter; the
 // registry decides whether its saved inspector can be reused.
@@ -216,12 +231,7 @@ func (st *execState) execForall(f *forallStmt) error {
 		// The virtual-clock charge per iteration models the CSE'd code
 		// a compiler would emit (see modeledFlops).
 		flops := modeledFlops(f.Assigns)
-		kernel := func(iter int, in, out []float64) {
-			for k := range f.Assigns {
-				out[k] = f.Assigns[k].eval(iter, in)
-			}
-		}
-		rt.loop = st.s.NewLoop(fmt.Sprintf("forall@%d", f.ln), f.N, reads, writes, flops, kernel)
+		rt.loop = st.s.NewLoop(fmt.Sprintf("forall@%d", f.ln), f.N, reads, writes, flops, core.KernelFunc(f.strip))
 		st.foralls[f] = rt
 	}
 	// Paper Section 5: "loop iterations are partitioned at runtime

@@ -5,9 +5,10 @@
 // directives, and FORALL loops with REDUCE statements), compiled into a
 // plan of CHAOS runtime calls — the transformation of the paper's
 // Figure 6 — and executed on the simulated machine. Each FORALL body
-// compiles to Go closures, one per expression node, which the
-// executor's kernel calls once per iteration, as the compiler's
-// emitted loop body would run inline.
+// compiles to Go closures, one per expression node. The executor calls
+// the FORALL's kernel once per strip of iterations, and the kernel
+// calls the closures for each iteration of the strip, as the
+// compiler's emitted loop body would run inline.
 //
 // Errors are typed and have one exit. Compile returns a *lexError
 // (line and column) for a scanning problem and a *parseError (line)

@@ -152,19 +152,30 @@ func (s *System) InvR2(p int) float64 {
 	return 1 / r2
 }
 
-// ForceKernel returns the electrostatic force kernel for the system:
-// per pair, the Coulomb force magnitude q_i q_j / r² is accumulated
-// positively into the first endpoint and negatively into the second
-// (Newton's third law), matching the REDUCE(ADD, ...) pattern of loop
-// L2. in[0], in[1] are the gathered charges of the endpoints.
-func (s *System) ForceKernel() func(iter int, in, out []float64) {
-	return func(iter int, in, out []float64) {
-		f := in[0] * in[1] * s.InvR2(iter)
-		out[0] = f
-		out[1] = -f
+// ForceKernel returns the electrostatic force kernel for the system, a
+// strip kernel (core.Kernel): per pair, the Coulomb force magnitude
+// q_i q_j / r² is accumulated positively into the first endpoint and
+// negatively into the second (Newton's third law), matching the
+// REDUCE(ADD, ...) pattern of loop L2.
+func (s *System) ForceKernel() forceKernel { return forceKernel{s} }
+
+// forceKernel is the strip kernel of a System's force loop.
+type forceKernel struct{ s *System }
+
+// Strip computes the force of every pair of a strip: pair pairs[b]
+// reads the gathered endpoint charges in[2b], in[2b+1] and writes
+// out[2b], out[2b+1].
+//
+//chaos:hotpath
+func (k forceKernel) Strip(pairs []int, in, out []float64) {
+	in, out = in[:2*len(pairs)], out[:2*len(pairs)]
+	for b, p := range pairs {
+		f := in[2*b] * in[2*b+1] * k.s.InvR2(p)
+		out[2*b] = f
+		out[2*b+1] = -f
 	}
 }
 
-// ForceFlops is the modeled cost of one ForceKernel call (including
+// ForceFlops is the modeled cost of one pair of ForceKernel (including
 // the pair-geometry factor).
 const ForceFlops = 12

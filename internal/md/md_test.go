@@ -92,7 +92,7 @@ func TestForceKernelAntisymmetric(t *testing.T) {
 	k := s.ForceKernel()
 	in := []float64{-0.8, 0.4}
 	out := make([]float64, 2)
-	k(0, in, out)
+	k.Strip([]int{0}, in, out)
 	if out[0] != -out[1] {
 		t.Errorf("force contributions not antisymmetric: %v", out)
 	}

@@ -144,18 +144,44 @@ func (m *Mesh) Slabs(p int) []int {
 	return owner
 }
 
-// EulerFlux is the per-edge kernel of the unstructured Euler sweep
-// template: a nonlinear two-point flux with distinct contributions to
-// the two endpoint residuals (the f and g of the paper's loop L2).
-func EulerFlux(_ int, in, out []float64) {
-	x1, x2 := in[0], in[1]
-	avg := 0.5 * (x1 + x2)
-	diff := x2 - x1
-	out[0] = avg*avg + 0.5*diff // f(x1, x2), reduced into y(end_pt1)
-	out[1] = avg*avg - 0.5*diff // g(x1, x2), reduced into y(end_pt2)
+// EulerFlux is the kernel of the unstructured Euler sweep template: a
+// nonlinear two-point flux with distinct contributions to the two
+// endpoint residuals (the f and g of the paper's loop L2). Called
+// directly, EulerFlux(e, in, out) computes one edge from in[0], in[1]
+// into out[0], out[1]; its Strip method is the executor's strip kernel
+// (core.Kernel), which runs a whole strip of edges with the same
+// arithmetic inline.
+var EulerFlux eulerFlux = func(_ int, in, out []float64) {
+	out[0], out[1] = flux(in[0], in[1])
 }
 
-// EulerFlops is the modeled floating-point cost of one EulerFlux call.
+// eulerFlux is the type of EulerFlux: a per-edge function that is also
+// a strip kernel.
+type eulerFlux func(e int, in, out []float64)
+
+// Strip computes every edge of a strip: edge b reads in[2b], in[2b+1]
+// and writes out[2b], out[2b+1].
+//
+//chaos:hotpath
+func (eulerFlux) Strip(edges []int, in, out []float64) {
+	in, out = in[:2*len(edges)], out[:2*len(edges)]
+	for len(in) >= 2 && len(out) >= 2 {
+		out[0], out[1] = flux(in[0], in[1])
+		in, out = in[2:], out[2:]
+	}
+}
+
+// flux is the two-point flux of one edge with endpoint values x1, x2.
+func flux(x1, x2 float64) (f, g float64) {
+	avg := 0.5 * (x1 + x2)
+	diff := x2 - x1
+	f = avg*avg + 0.5*diff // reduced into y(end_pt1)
+	g = avg*avg - 0.5*diff // reduced into y(end_pt2)
+	return f, g
+}
+
+// EulerFlops is the modeled floating-point cost of one edge of
+// EulerFlux.
 const EulerFlops = 8
 
 // InitialState gives vertex v's initial solution value (smooth field

@@ -3,6 +3,8 @@ package mesh
 import (
 	"math"
 	"testing"
+
+	"chaos/internal/xrand"
 )
 
 func TestGenerateSizes(t *testing.T) {
@@ -102,6 +104,42 @@ func TestEulerFlux(t *testing.T) {
 	// avg = 2, diff = 2: f = 4+1 = 5, g = 4-1 = 3.
 	if out[0] != 5 || out[1] != 3 {
 		t.Errorf("EulerFlux = %v", out)
+	}
+}
+
+// EulerFlux's strip kernel computes every edge of a strip bit for bit
+// like the per-edge call, over strip lengths around the executor's 256
+// and inputs at the edges of the float64 range.
+func TestEulerFluxStripMatchesEdge(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324,
+		0x1p-1022 - 0x1p-1074, 1e308, -1e308}
+	rng := xrand.New(47)
+	for _, n := range []int{0, 1, 255, 256, 257} {
+		edges := make([]int, n)
+		in := make([]float64, 2*n)
+		for b := range edges {
+			edges[b] = 3 * b
+			switch p := b % 64; {
+			case p < len(special)*len(special): // every pair of specials
+				in[2*b], in[2*b+1] = special[p/len(special)], special[p%len(special)]
+			case p%2 == 0: // any bit pattern
+				in[2*b], in[2*b+1] = math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64())
+			default:
+				in[2*b], in[2*b+1] = 1e3*(rng.Float64()-0.5), 1e3*(rng.Float64()-0.5)
+			}
+		}
+		out := make([]float64, 2*n)
+		EulerFlux.Strip(edges, in, out)
+		want := make([]float64, 2)
+		for b, e := range edges {
+			EulerFlux(e, in[2*b:2*b+2], want)
+			for k := range want {
+				if got := out[2*b+k]; math.Float64bits(got) != math.Float64bits(want[k]) {
+					t.Fatalf("n=%d edge %d out[%d]: strip %v (%#x), per edge %v (%#x), in %v",
+						n, b, k, got, math.Float64bits(got), want[k], math.Float64bits(want[k]), in[2*b:2*b+2])
+				}
+			}
+		}
 	}
 }
 
