@@ -8,14 +8,12 @@
 package bench
 
 import (
-	"context"
 	"testing"
 
 	"chaos/internal/experiments"
 	"chaos/internal/machine"
 	"chaos/internal/partition"
 	"chaos/internal/registry"
-	"chaos/internal/ttable"
 
 	"chaos/internal/dist"
 )
@@ -190,47 +188,6 @@ func BenchmarkAblationMultilevel(b *testing.B) {
 		Spec: partition.Spec{Method: partition.MethodMultilevel}, Reuse: true, Iters: benchIters,
 	})
 }
-
-// --- Ablation: distributed vs replicated translation table ---
-
-func benchTranslation(b *testing.B, replicated bool) {
-	b.Helper()
-	w := experiments.MeshWorkload(benchMeshNodes)
-	var vsec float64
-	for i := 0; i < b.N; i++ {
-		st, err := machine.RunStats(context.Background(), machine.IPSC860(benchProcs), func(c *machine.Ctx) {
-			// An irregular distribution dealt round-robin by hash.
-			var mine []int
-			for g := 0; g < w.NNode; g++ {
-				if int(uint(g*2654435761)>>4)%c.Procs() == c.Rank() {
-					mine = append(mine, g)
-				}
-			}
-			tab := ttable.Build(c, w.NNode, mine)
-			var res ttable.Resolver = tab
-			if replicated {
-				res = ttable.Regular{D: tab.Replicated(c)}
-			}
-			ib := dist.NewBlock(w.NIter, c.Procs())
-			lo, hi := ib.Lo(c.Rank()), ib.Hi(c.Rank())
-			globals := make([]int, 0, 2*(hi-lo))
-			for e := lo; e < hi; e++ {
-				globals = append(globals, w.E1[e], w.E2[e])
-			}
-			for it := 0; it < 5; it++ {
-				res.Resolve(c, globals)
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		vsec = st.MaxClock
-	}
-	b.ReportMetric(vsec, "vsec")
-}
-
-func BenchmarkAblationTranslationDistributed(b *testing.B) { benchTranslation(b, false) }
-func BenchmarkAblationTranslationReplicated(b *testing.B)  { benchTranslation(b, true) }
 
 // --- Ablation: reuse-check overhead (the cost of the guard itself) ---
 

@@ -40,7 +40,7 @@
 // switches to the Real backend, where the same program executes on
 // host cores with physical payload delivery and reports wall time
 // next to the virtual clock; results are bit-identical between
-// backends at a fixed Config.Seed.
+// backends and across repeated runs.
 //
 // SetPartitioning selects from the partitioner library of the paper's
 // Section 4.2 through a typed PartitionSpec: MethodRCB consumes
@@ -194,7 +194,7 @@ func Run(cfg Config, body func(s *Session)) error {
 // carry the host wall time next to the virtual clock the same run
 // charged. Cancelling ctx unwinds every rank — including ranks blocked
 // mid-collective — and returns an error wrapping ctx.Err(). Results
-// are bit-identical to Run with the same Config.Seed.
+// are bit-identical to Run's.
 func RunReal(ctx context.Context, cfg Config, body func(s *Session)) (Stats, error) {
 	cfg.Backend = Real
 	return machine.RunStats(ctx, cfg, func(c *machine.Ctx) {

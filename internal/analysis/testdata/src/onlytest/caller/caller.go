@@ -6,5 +6,7 @@ import "chaos/internal/analysis/testdata/src/onlytest/internal/decl"
 func main() {
 	o := decl.Opts{A: 1}
 	o.B++
-	println(decl.Used()+o.Read(), error(decl.Err{}) != nil)
+	var out decl.Outer
+	out.P = 2
+	println(decl.Used()+o.Read()+out.P, error(decl.Err{}) != nil)
 }

@@ -19,11 +19,14 @@ func (o Opts) Read() int { return o.D } // a read is no write
 type Err struct{}         // named by caller; Error satisfies error
 func (Err) Error() string { return "decl" }
 
-type Aliased struct{ X int }  // pub's Alias makes it, Make and X public
-func (Aliased) Make() *Result { return nil }
+type Aliased struct{ X int }  // want "decl.Aliased.X is written by no non-test code"
+func (Aliased) Make() *Result { return nil } // want "decl.Aliased.Make has no non-test reference"
 
-type Result struct{ Y int } // public through Make's result
-func (*Result) Get() int    { return 0 }
+type Result struct{ Y int } // want "decl.Result.Y is written by no non-test code"
+func (*Result) Get() int    { return 0 } // want "decl.Result.Get has no non-test reference"
+
+type Inner struct{ P int } // caller writes P only through Outer: both fields are written
+type Outer struct{ Inner }
 
 //chaosvet:ignore testonly the closed form decl_test.go compares against
 func Oracle() int { return 1 }

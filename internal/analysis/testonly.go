@@ -10,9 +10,10 @@ import (
 // TestOnly enforces "a runtime path needs a non-test caller": it reports
 // each exported func, method, type, var and const of an internal package
 // that no non-test file references outside its own declaration, and each
-// exported field of an exported type no non-test code writes. Exempt:
-// what a public package's API reaches, and methods that let their type
-// satisfy an interface. A partial load reports nothing. See ANALYZERS.md.
+// exported field of an exported type no non-test code writes (a write
+// through a promoted field writes each embedded field on its path).
+// Exempt: methods that let their type satisfy an interface. A partial
+// load reports nothing. See ANALYZERS.md.
 var TestOnly = &Analyzer{
 	Name: "testonly",
 	Doc:  "report exported internal names that only tests reference (fields: only tests write)",
@@ -27,54 +28,18 @@ func runTestOnly(pass *Pass) {
 	internal := func(p *Package) bool {
 		return strings.Contains("/"+strings.TrimPrefix(p.Path, root)+"/", "/internal/")
 	}
-	public := make(map[string]bool) // what a public package's API reaches
-	var walk func(types.Type)
-	walk = func(t types.Type) {
-		switch t := types.Unalias(t).(type) {
-		case *types.Named:
-			if public[objKey(t.Obj())] {
-				return
-			}
-			public[objKey(t.Obj())] = true
-			for i := range t.NumMethods() {
-				if m := t.Method(i); m.Exported() {
-					public[objKey(m)] = true
-					walk(m.Type())
-				}
-			}
-			for i := 0; structOf(t) != nil && i < structOf(t).NumFields(); i++ {
-				if f := structOf(t).Field(i); f.Exported() {
-					public[fieldKey(t, f.Name())] = true
-					walk(f.Type())
-				}
-			}
-		case interface{ Elem() types.Type }: // pointer, slice, array, chan, map
-			walk(t.Elem())
-		case *types.Signature:
-			for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
-				for i := range tup.Len() {
-					walk(tup.At(i).Type())
-				}
-			}
-		}
-	}
 	// Keys, not objects: importers see a package through export data.
 	cands := make(map[string]types.Object)
 	for _, pkg := range pass.Packages {
 		for _, obj := range pkg.Info.Defs {
-			switch {
-			case obj == nil || !obj.Exported() || objKey(obj) == "":
-			case !internal(pkg):
-				if pkg.Types.Name() != "main" {
-					walk(obj.Type())
-				}
-			default:
-				cands[objKey(obj)] = obj
-				tn, _ := obj.(*types.TypeName)
-				for i := 0; tn != nil && !tn.IsAlias() && structOf(tn.Type()) != nil && i < structOf(tn.Type()).NumFields(); i++ {
-					if f := structOf(tn.Type()).Field(i); f.Exported() {
-						cands[fieldKey(tn.Type(), f.Name())] = f
-					}
+			if obj == nil || !obj.Exported() || objKey(obj) == "" || !internal(pkg) {
+				continue
+			}
+			cands[objKey(obj)] = obj
+			tn, _ := obj.(*types.TypeName)
+			for i := 0; tn != nil && !tn.IsAlias() && structOf(tn.Type()) != nil && i < structOf(tn.Type()).NumFields(); i++ {
+				if f := structOf(tn.Type()).Field(i); f.Exported() {
+					cands[fieldKey(tn.Type(), f.Name())] = f
 				}
 			}
 		}
@@ -122,11 +87,13 @@ func runTestOnly(pass *Pass) {
 					for _, e := range written {
 						x, ok := ast.Unparen(e).(*ast.SelectorExpr)
 						if sel := pkg.Info.Selections[x]; ok && sel != nil && sel.Kind() == types.FieldVal {
-							t := sel.Recv() // walk to the struct that declares a promoted field
-							for _, i := range sel.Index()[:len(sel.Index())-1] {
-								t = structOf(t).Field(i).Type()
+							// A promoted field writes each embedded field on its path.
+							t := sel.Recv()
+							for _, i := range sel.Index() {
+								f := structOf(t).Field(i)
+								used[fieldKey(t, f.Name())] = true
+								t = f.Type()
 							}
-							used[fieldKey(t, x.Sel.Name)] = true
 						}
 					}
 					return true
@@ -144,7 +111,7 @@ func runTestOnly(pass *Pass) {
 
 next:
 	for k, obj := range cands {
-		if used[k] || public[k] {
+		if used[k] {
 			continue
 		}
 		for it := range interfaces { // a method that lets its type satisfy one

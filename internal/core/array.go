@@ -64,9 +64,6 @@ func blockGlobals(b dist.BlockDist, rank int) []int {
 	return gl
 }
 
-// Size returns the global extent of the array.
-func (a *DistArray[T]) Size() int { return a.n }
-
 // DAD returns the array's current data access descriptor.
 func (a *DistArray[T]) DAD() dist.DAD { return a.dad }
 

@@ -225,17 +225,14 @@ type pattern struct {
 
 // sameDistribution reports whether two resolvers place an index space
 // identically: the same translation table, or Regular over equal BLOCK
-// distributions. Everything else compares unequal, and no dynamic type
-// that == could panic on is ever compared.
+// distributions. Any other resolver compares unequal; == only ever
+// meets a comparable dynamic type on the left, so it cannot panic.
 func sameDistribution(a, b ttable.Resolver) bool {
-	if ta, ok := a.(*ttable.Table); ok {
-		tb, ok := b.(*ttable.Table)
-		return ok && ta == tb
+	switch a.(type) {
+	case *ttable.Table, ttable.Regular:
+		return a == b
 	}
-	ra, okA := a.(ttable.Regular)
-	rb, okB := b.(ttable.Regular)
-	_, block := ra.D.(dist.BlockDist)
-	return okA && okB && block && ra.D == rb.D
+	return false
 }
 
 // NewLoop declares an irregular loop over nIter iterations with the
@@ -270,25 +267,6 @@ func (l *Loop) checkAlignment() {
 				l.Name, w.Ind.Name, len(w.Ind.Data), len(l.iterGl)))
 		}
 	}
-}
-
-// GhostCounts returns the ghost-buffer sizes of the saved inspector's
-// schedules, one per read access then one per write access, or nil
-// before the first inspection. Counts stay per access even when
-// accesses share a schedule: each fills a ghost buffer of its own.
-// Useful for diagnostics and communication-volume studies.
-func (l *Loop) GhostCounts() []int {
-	if l.insp == nil {
-		return nil
-	}
-	var out []int
-	for _, g := range l.insp.rGroups {
-		out = append(out, g.sched.NGhost())
-	}
-	for _, g := range l.insp.wGroups {
-		out = append(out, g.sched.NGhost())
-	}
-	return out
 }
 
 // dads re-reads the descriptors of the loop's data and indirection

@@ -75,12 +75,6 @@ func (s *Session) NewRepartitioner(spec partition.Spec) (*Repartitioner, error) 
 	return &Repartitioner{s: s, spec: spec}, nil
 }
 
-// Spec returns the partitioner spec the handle was created with.
-func (rp *Repartitioner) Spec() partition.Spec { return rp.spec }
-
-// Mapping returns the cached mapping (nil before the first Map).
-func (rp *Repartitioner) Mapping() *Mapping { return rp.mapping }
-
 // Stats returns the cumulative serve counts.
 func (rp *Repartitioner) Stats() RepartitionerStats { return rp.stats }
 

@@ -13,8 +13,6 @@
 package core
 
 import (
-	"sort"
-
 	"chaos/internal/dist"
 	"chaos/internal/machine"
 	"chaos/internal/registry"
@@ -63,23 +61,6 @@ func (s *Session) timed(name string, f func()) {
 // Timer returns the accumulated virtual seconds attributed to a phase
 // on this rank.
 func (s *Session) Timer(name string) float64 { return s.timers[name] }
-
-// TimerNames returns the phases with nonzero time, sorted.
-func (s *Session) TimerNames() []string {
-	names := make([]string, 0, len(s.timers))
-	for n := range s.timers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ResetTimers zeroes all phase timers.
-func (s *Session) ResetTimers() {
-	for n := range s.timers {
-		delete(s.timers, n)
-	}
-}
 
 // TimerMax returns the maximum over ranks of the named phase timer —
 // the makespan figure reported in the paper's tables. Collective.

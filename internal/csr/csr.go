@@ -7,7 +7,7 @@
 // It is the one graph type of the library. The serial partitioners
 // (RSB, KL, serial MULTILEVEL, the gathered k-way polish) and STREAM's
 // resident coarse model hold their graph as a Graph, and
-// geocol.Graph.Gather returns one. The distributed geocol.Graph embeds
+// geocol.Graph.GatherTo returns one. The distributed geocol.Graph embeds
 // one for its home rows, whose neighbor ids are global.
 package csr
 

@@ -1,9 +1,6 @@
 package dist
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // BenchmarkBlockOwner measures the closed-form BLOCK ownership query —
 // the fast path the executor takes for every regularly distributed
@@ -14,27 +11,6 @@ func BenchmarkBlockOwner(b *testing.B) {
 	var sink int
 	for i := 0; i < b.N; i++ {
 		g := i % 53961
-		sink += d.Owner(g) + d.Local(g)
-	}
-	_ = sink
-}
-
-// BenchmarkIrregularResolve measures replicated irregular ownership
-// resolution, the comparison point for the distributed translation
-// table ablation.
-func BenchmarkIrregularResolve(b *testing.B) {
-	const n, p = 53961, 64
-	rng := rand.New(rand.NewSource(1))
-	owner := make([]int, n)
-	for g := range owner {
-		owner[g] = rng.Intn(p)
-	}
-	d := NewIrregular(owner, p)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		g := i % n
 		sink += d.Owner(g) + d.Local(g)
 	}
 	_ = sink

@@ -17,17 +17,14 @@ type BlockDist struct {
 // NewBlock returns the BLOCK distribution of an index space of size n
 // over p ranks. It panics if n is negative or p is not positive.
 func NewBlock(n, p int) BlockDist {
-	checkSpace("BLOCK", n, p)
+	checkSpace(n, p)
 	q, r := n/p, n%p
 	return BlockDist{n: n, p: p, q: q, r: r, split: r * (q + 1)}
 }
 
-// Procs returns the number of ranks the space is distributed over.
-func (b BlockDist) Procs() int { return b.p }
-
 // Lo returns the first global index owned by rank (inclusive).
 func (b BlockDist) Lo(rank int) int {
-	checkRank("BLOCK", rank, b.p)
+	checkRank(rank, b.p)
 	if rank < b.r {
 		return rank * (b.q + 1)
 	}
@@ -42,7 +39,7 @@ func (b BlockDist) Hi(rank int) int {
 
 // Owner returns the rank owning global index g.
 func (b BlockDist) Owner(g int) int {
-	checkGlobal("BLOCK", g, b.n)
+	checkGlobal(g, b.n)
 	if g < b.split {
 		return g / (b.q + 1)
 	}
@@ -54,19 +51,12 @@ func (b BlockDist) Local(g int) int {
 	return g - b.Lo(b.Owner(g))
 }
 
-// Global returns the global index at local offset l on rank.
-func (b BlockDist) Global(rank, l int) int {
-	lo, hi := b.Lo(rank), b.Hi(rank)
-	checkLocal("BLOCK", l, hi-lo)
-	return lo + l
-}
-
 // Size returns the extent of the index space.
 func (b BlockDist) Size() int { return b.n }
 
 // LocalSize returns the chunk size of rank.
 func (b BlockDist) LocalSize(rank int) int {
-	checkRank("BLOCK", rank, b.p)
+	checkRank(rank, b.p)
 	if rank < b.r {
 		return b.q + 1
 	}
@@ -75,5 +65,3 @@ func (b BlockDist) LocalSize(rank int) int {
 
 // Kind returns Block.
 func (b BlockDist) Kind() Kind { return Block }
-
-var _ Dist = BlockDist{}

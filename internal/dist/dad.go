@@ -52,6 +52,3 @@ func (a *DADAllocator) New(k Kind, n int) DAD {
 	a.next++
 	return DAD{ID: a.next, Kind: k, N: n}
 }
-
-// Minted returns the number of descriptors issued so far.
-func (a *DADAllocator) Minted() uint64 { return a.next }

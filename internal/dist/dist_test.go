@@ -1,56 +1,36 @@
 package dist
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 )
 
-// checkDist verifies the closed-form contract every Dist must satisfy:
-// Owner/Local/Global round-trip both ways, LocalSize consistent with
-// ownership, and every global owned exactly once.
-func checkDist(t *testing.T, d Dist, p int) {
+// checkBlock verifies the BLOCK contract: Local is the offset of g in
+// its owner's chunk, LocalSize is consistent with ownership, and every
+// global is owned exactly once.
+func checkBlock(t *testing.T, d BlockDist, p int) {
 	t.Helper()
 	n := d.Size()
-	seen := make([]bool, n)
 	perRank := make([]int, p)
 	for g := 0; g < n; g++ {
 		o, l := d.Owner(g), d.Local(g)
 		if o < 0 || o >= p {
 			t.Fatalf("Owner(%d) = %d out of range [0,%d)", g, o, p)
 		}
-		if l < 0 || l >= d.LocalSize(o) {
-			t.Fatalf("Local(%d) = %d out of range [0,%d) on rank %d", g, l, d.LocalSize(o), o)
+		if l != perRank[o] {
+			t.Fatalf("Local(%d) = %d, want %d on rank %d", g, l, perRank[o], o)
 		}
-		if back := d.Global(o, l); back != g {
-			t.Fatalf("Global(%d,%d) = %d, want %d", o, l, back, g)
-		}
-		seen[g] = true
 		perRank[o]++
 	}
 	total := 0
 	for r := 0; r < p; r++ {
-		sz := d.LocalSize(r)
-		if sz != perRank[r] {
+		if sz := d.LocalSize(r); sz != perRank[r] {
 			t.Fatalf("rank %d: LocalSize = %d but owns %d globals", r, sz, perRank[r])
 		}
-		total += sz
-		// Global must enumerate the rank's elements, each mapping back.
-		for l := 0; l < sz; l++ {
-			g := d.Global(r, l)
-			if d.Owner(g) != r || d.Local(g) != l {
-				t.Fatalf("rank %d local %d: Global=%d maps back to (%d,%d)",
-					r, l, g, d.Owner(g), d.Local(g))
-			}
-		}
+		total += perRank[r]
 	}
 	if total != n {
 		t.Fatalf("LocalSize sums to %d, want %d", total, n)
-	}
-	for g, ok := range seen {
-		if !ok {
-			t.Fatalf("global %d never owned", g)
-		}
 	}
 }
 
@@ -63,18 +43,7 @@ var spaceGrid = []struct{ n, p int }{
 
 func TestBlockContract(t *testing.T) {
 	for _, tc := range spaceGrid {
-		checkDist(t, NewBlock(tc.n, tc.p), tc.p)
-	}
-}
-
-func TestIrregularContract(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, tc := range spaceGrid {
-		owner := make([]int, tc.n)
-		for g := range owner {
-			owner[g] = rng.Intn(tc.p)
-		}
-		checkDist(t, NewIrregular(owner, tc.p), tc.p)
+		checkBlock(t, NewBlock(tc.n, tc.p), tc.p)
 	}
 }
 
@@ -119,32 +88,7 @@ func TestBlockRemainderSpreading(t *testing.T) {
 		t.Errorf("bounds: [%d,%d) [%d,%d) [%d,%d) [%d,%d)",
 			b.Lo(0), b.Hi(0), b.Lo(1), b.Hi(1), b.Lo(2), b.Hi(2), b.Lo(3), b.Hi(3))
 	}
-	if b.Procs() != 4 || b.Size() != 10 {
-		t.Error("Procs/Size wrong")
-	}
-}
-
-func TestIrregularAscendingGlobalOrder(t *testing.T) {
-	// remap.Build and ttable's replicated form assume local index =
-	// position in the rank's ascending list of globals.
-	owner := []int{2, 0, 1, 0, 2, 2, 1, 0}
-	d := NewIrregular(owner, 3)
-	wantMine := [][]int{{1, 3, 7}, {2, 6}, {0, 4, 5}}
-	for r, mine := range wantMine {
-		if d.LocalSize(r) != len(mine) {
-			t.Fatalf("rank %d owns %d globals, want %v", r, d.LocalSize(r), mine)
-		}
-		for l, g := range mine {
-			if d.Global(r, l) != g || d.Local(g) != l || d.Owner(g) != r {
-				t.Errorf("rank %d local %d: got global %d, Local(%d)=%d, Owner=%d",
-					r, l, d.Global(r, l), g, d.Local(g), d.Owner(g))
-			}
-		}
-		if d.LocalSize(r) != len(mine) {
-			t.Errorf("LocalSize(%d) = %d", r, d.LocalSize(r))
-		}
-	}
-	if d.Size() != len(owner) {
+	if b.Size() != 10 {
 		t.Error("Size wrong")
 	}
 }
@@ -163,8 +107,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestKindsReportedByDists(t *testing.T) {
-	if NewBlock(4, 2).Kind() != Block ||
-		NewIrregular([]int{0, 1}, 2).Kind() != Irregular {
+	if NewBlock(4, 2).Kind() != Block {
 		t.Error("Kind() mismatch")
 	}
 }
@@ -181,9 +124,6 @@ func TestDADAllocatorMintsUniqueIDs(t *testing.T) {
 			t.Fatalf("duplicate ID %d", d.ID)
 		}
 		seen[d.ID] = true
-	}
-	if a.Minted() != 100 {
-		t.Errorf("Minted = %d, want 100", a.Minted())
 	}
 }
 
@@ -240,9 +180,6 @@ func mustPanic(t *testing.T, want string, f func()) {
 func TestConstructorValidation(t *testing.T) {
 	mustPanic(t, "negative", func() { NewBlock(-1, 2) })
 	mustPanic(t, "processors", func() { NewBlock(10, 0) })
-	mustPanic(t, "out of range", func() { NewIrregular([]int{0, 3}, 2) })
-	mustPanic(t, "out of range", func() { NewIrregular([]int{-1}, 2) })
-	mustPanic(t, "processors", func() { NewIrregular(nil, 0) })
 }
 
 func TestQueryValidation(t *testing.T) {
@@ -251,12 +188,5 @@ func TestQueryValidation(t *testing.T) {
 	mustPanic(t, "out of range", func() { b.Owner(-1) })
 	mustPanic(t, "rank", func() { b.Lo(3) })
 	mustPanic(t, "rank", func() { b.LocalSize(-1) })
-	mustPanic(t, "out of range", func() { b.Global(0, 4) })
-
-	ir := NewIrregular([]int{0, 1, 0}, 2)
-	mustPanic(t, "out of range", func() { ir.Owner(3) })
-	mustPanic(t, "out of range", func() { ir.Local(-1) })
-	mustPanic(t, "rank", func() { ir.Global(2, 0) })
-	mustPanic(t, "out of range", func() { ir.Global(1, 1) })
-	mustPanic(t, "rank", func() { ir.LocalSize(2) })
+	mustPanic(t, "out of range", func() { b.Local(10) })
 }

@@ -150,7 +150,7 @@ func specExchange(c *machine.Ctx, wordTime float64, g *Graph, ge *GhostExchange,
 	var ids []int
 	send := make([][]int, procs)
 	for l := 0; l < localN; l++ {
-		for _, v := range g.Neighbors(l) {
+		for _, v := range neighbors(g, l) {
 			if home(v) {
 				continue
 			}
@@ -329,7 +329,7 @@ func TestBuildCoarseWeightsAreCounts(t *testing.T) {
 				if g.EdgeW != nil {
 					t.Errorf("%s: CONSTRUCT produced edge weights", f.name)
 				}
-				fine := g.Gather(c)
+				fine := g.GatherTo(c, machine.AllRanks)
 				// top[v] is the current-level cluster of finest vertex v.
 				top := make([]int, f.n)
 				for v := range top {
@@ -414,7 +414,7 @@ func TestBuildCoarseSumsInArrivalOrder(t *testing.T) {
 						g.EdgeW[k] = weight(lo+l, g.Adj[k])
 					}
 				}
-				fine, fullCmap := g.Gather(c), c.AllGatherInts(cmap)
+				fine, fullCmap := g.GatherTo(c, machine.AllRanks), c.AllGatherInts(cmap)
 				want := map[[2]int]float64{}
 				for v := 0; v < n; v++ {
 					for k := fine.XAdj[v]; k < fine.XAdj[v+1]; k++ {

@@ -20,11 +20,11 @@
 // rank's slice: it embeds csr.Graph, the one weighted graph of the
 // partitioners, for its home rows (a deduplicated symmetric CSR over
 // global neighbor ids, LOAD as Weights) and adds the coordinate
-// columns. Gather replicates LINK and LOAD as a csr.Graph for
-// partitioners that run serially, charging the communication to the
-// virtual clock; GatherTo charges every rank the same and builds the
-// csr.Graph on one rank only, for solves the host runs once under the
-// replicated-cost convention. csr.Scratch.Contract is the serial
+// columns. GatherTo assembles LINK and LOAD as a csr.Graph for
+// partitioners that run serially, on every rank or on one root alone
+// (for solves the host runs once under the replicated-cost
+// convention), charging every rank the same communication on the
+// virtual clock. csr.Scratch.Contract is the serial
 // contraction. Two families of helpers serve the distributed
 // multilevel partitioner stack:
 //
@@ -49,7 +49,7 @@
 // # Guarantees pinned by tests
 //
 // geocol_test.go pins CONSTRUCT semantics (dedup, symmetry,
-// self-loop removal, directive validation) and Gather fidelity;
+// self-loop removal, directive validation) and GatherTo fidelity;
 // specExchange (assembly_test.go) checks every derived exchange
 // pattern against its definition, on hostile graphs and under
 // FuzzGhostExchange; ghost_test.go and ownership_test.go pin the dense

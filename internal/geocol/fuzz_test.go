@@ -224,12 +224,12 @@ func FuzzBuildCoarse(f *testing.F) {
 				var s csr.Scratch
 				for level, salt := range []byte{cb, cb ^ 0x5a} {
 					cmap, nc := fuzzClustering(g.N, salt)
-					fine := g.Gather(c)
+					fine := g.GatherTo(c, machine.AllRanks)
 					lo := g.Home.Lo(c.Rank())
 					g = BuildCoarse(c, g, NewGhostExchange(c, g), cmap[lo:lo+g.LocalN(c.Rank())], nc)
 					want := s.Contract(fine, cmap, nc)
 					s.SortRows(&want)
-					if d := diffCSR(g.Gather(c), &want); d != "" {
+					if d := diffCSR(g.GatherTo(c, machine.AllRanks), &want); d != "" {
 						t.Errorf("%v P=%d rank %d level %d: %s", backend, p, c.Rank(), level, d)
 					}
 					if g.NEdges != len(want.Adj)/2 {

@@ -228,10 +228,6 @@ func panicEdgeRange(u, v, n int) {
 // Degree returns the degree of home-local vertex l.
 func (g *Graph) Degree(l int) int { return g.XAdj[l+1] - g.XAdj[l] }
 
-// Neighbors returns the sorted global neighbor ids of home-local vertex
-// l (do not mutate).
-func (g *Graph) Neighbors(l int) []int { return g.Adj[g.XAdj[l]:g.XAdj[l+1]] }
-
 // LocalN returns the number of home-resident vertices on rank.
 func (g *Graph) LocalN(rank int) int { return g.Home.LocalSize(rank) }
 
@@ -251,17 +247,14 @@ func (g *Graph) Bytes() int {
 	return b
 }
 
-// Gather assembles the whole graph's LINK and LOAD components on every
-// rank, as the csr.Graph the serial partitioners take; collective. The communication is charged to the virtual clock, which
-// is part of the paper's "graph generation" cost for connectivity-based
-// partitioners.
-func (g *Graph) Gather(c *machine.Ctx) *csr.Graph { return g.GatherTo(c, machine.AllRanks) }
-
-// GatherTo assembles the complete LINK and LOAD components on root
-// alone, for the solves that run once on one rank under the
-// replicated-cost convention; the other ranks get a graph with no
-// arrays. Every rank takes part and is charged exactly what Gather
-// charges it. The graph's own arrays are deposited uncopied
+// GatherTo assembles the whole graph's LINK and LOAD components, as
+// the csr.Graph the serial partitioners take, on root, or on every rank
+// when root is machine.AllRanks; the other ranks get a graph with no
+// arrays. Root-only serves the solves that run once on one rank under
+// the replicated-cost convention, and every rank is charged what the
+// all-ranks gather charges it: the communication is part of the
+// paper's "graph generation" cost for connectivity-based partitioners.
+// The graph's own arrays are deposited uncopied
 // (machine.Ctx.GatherInts), which is sound because they are never
 // rewritten. Collective.
 func (g *Graph) GatherTo(c *machine.Ctx, root int) *csr.Graph {
@@ -500,7 +493,7 @@ func (a *CoarseAssembler) BuildCoarse(c *machine.Ctx, g *Graph, ge *GhostExchang
 	coarse.XAdj = xadj
 	coarse.Adj = make([]int, degSum)
 	// EdgeW stays non-nil even when this rank assembled no edges:
-	// Gather's EdgeW collective is gated on nil-ness, which must be
+	// GatherTo's EdgeW collective is gated on nil-ness, which must be
 	// rank-uniform in a bulk-synchronous machine.
 	coarse.EdgeW = make([]float64, degSum)
 	for i, t := range tris[:degSum] {

@@ -35,7 +35,7 @@ func TestBuildLinkRing(t *testing.T) {
 			if g.Degree(l) != 2 {
 				t.Errorf("degree(%d) = %d, want 2", v, g.Degree(l))
 			}
-			nb := g.Neighbors(l)
+			nb := neighbors(g, l)
 			want1, want2 := (v+n-1)%n, (v+1)%n
 			if want1 > want2 {
 				want1, want2 = want2, want1
@@ -61,8 +61,8 @@ func TestDuplicateEdgesAndSelfLoopsDropped(t *testing.T) {
 			t.Errorf("NEdges = %d, want 1 (dedup + self-loop removal)", g.NEdges)
 		}
 		if c.Rank() == 0 {
-			if g.Degree(0) != 1 || g.Neighbors(0)[0] != 1 {
-				t.Errorf("vertex 0 adjacency = %v", g.Neighbors(0))
+			if g.Degree(0) != 1 || neighbors(g, 0)[0] != 1 {
+				t.Errorf("vertex 0 adjacency = %v", neighbors(g, 0))
 			}
 			if g.Degree(2) != 0 {
 				t.Errorf("self-loop retained on vertex 2")
@@ -133,7 +133,7 @@ func TestGatherMatchesLocal(t *testing.T) {
 			w[l] = 1 + float64((lo+l)%3)
 		}
 		g := Build(c, n, WithLink(e1, e2), WithGeometry(x), WithLoad(w))
-		f := g.Gather(c)
+		f := g.GatherTo(c, machine.AllRanks)
 		if f.Len() != n || g.NEdges != n || f.Weights == nil {
 			t.Error("gathered graph metadata wrong")
 		}
@@ -151,6 +151,10 @@ func TestGatherMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// neighbors returns the sorted global neighbor ids of home-local
+// vertex l.
+func neighbors(g *Graph, l int) []int { return g.Adj[g.XAdj[l]:g.XAdj[l+1]] }
 
 func g0localN(n, p, r int) int {
 	q, rem := n/p, n%p

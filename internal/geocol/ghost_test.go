@@ -107,8 +107,8 @@ func TestBuildCoarseMatchesSerialContract(t *testing.T) {
 		ge := NewGhostExchange(c, g)
 		coarse := BuildCoarse(c, g, ge, cmap, coarseN)
 
-		cf := coarse.Gather(c)
-		f := g.Gather(c)
+		cf := coarse.GatherTo(c, machine.AllRanks)
+		f := g.GatherTo(c, machine.AllRanks)
 		if c.Rank() != 0 {
 			return
 		}
@@ -171,7 +171,7 @@ func TestBuildCoarseAggregatesWeights(t *testing.T) {
 		}
 		ge := NewGhostExchange(c, g)
 		coarse := BuildCoarse(c, g, ge, cmap, n/2)
-		cf := coarse.Gather(c)
+		cf := coarse.GatherTo(c, machine.AllRanks)
 		if c.Rank() == 0 {
 			// Cluster k = {2k+1, 2k+2 mod n}; weight of vertex v is v+1.
 			for k := 0; k < n/2; k++ {

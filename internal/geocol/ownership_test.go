@@ -212,8 +212,8 @@ func TestGhostExchangeBytesCountsWhatIsRetained(t *testing.T) {
 	}
 }
 
-// TestGatherToIsRootOnlyGather pins the root-only gather against
-// Gather, in two machines side by side: root's Full equals Gather's
+// TestGatherToIsRootOnlyGather pins the root-only gather against the
+// all-ranks one, in two machines side by side: root's Full equals theirs
 // field by field, the other ranks hold the scalar fields and no array,
 // and every rank's clock ends where the all-ranks gather leaves it, to
 // the last bit — on graphs with idle and empty ranks, without edge
@@ -231,11 +231,11 @@ func TestGatherToIsRootOnlyGather(t *testing.T) {
 				err := machine.Run(cfg, func(c *machine.Ctx) {
 					gather := func(g *Graph) {
 						c.Flops(100 * (c.Rank() + 1)) // unequal clocks going in
-						f := g.Gather
+						at := machine.AllRanks
 						if rootOnly {
-							f = func(c *machine.Ctx) *csr.Graph { return g.GatherTo(c, root) }
+							at = root
 						}
-						fulls[c.Rank()] = append(fulls[c.Rank()], f(c))
+						fulls[c.Rank()] = append(fulls[c.Rank()], g.GatherTo(c, at))
 					}
 					for i := range fams {
 						f := &fams[i]

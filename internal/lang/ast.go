@@ -30,12 +30,10 @@ type Program struct {
 // stmt is one executable statement or directive.
 type stmt interface {
 	planLine() string
-	line() int
 }
 
+// baseStmt holds a statement's source line, for its errors.
 type baseStmt struct{ ln int }
-
-func (b baseStmt) line() int { return b.ln }
 
 // readStmt pulls array contents from the host environment, standing in
 // for Figure 4's "call read_data(end_pt1, end_pt2, ...)".

@@ -153,54 +153,6 @@ func TestRunStatsInvalidProcs(t *testing.T) {
 	}
 }
 
-// TestCtxRandSplitting pins the per-rank stream contract: splits
-// depend only on (Seed, rank), differ across ranks, repeat across
-// runs, and are identical on both backends.
-func TestCtxRandSplitting(t *testing.T) {
-	draw := func(backend Backend, seed uint64) []uint64 {
-		cfg := Zero(4)
-		cfg.Backend = backend
-		cfg.Seed = seed
-		out := make([]uint64, 4)
-		if err := Run(cfg, func(c *Ctx) {
-			r := c.Rand()
-			v := r.Uint64()
-			if c.Rand() != r {
-				t.Error("Rand() not stable across calls")
-			}
-			got := c.AllGatherInts([]int{int(v >> 1)})
-			if c.Rank() == 0 {
-				for i, x := range got {
-					out[i] = uint64(x)
-				}
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	simA := draw(Simulated, 42)
-	simB := draw(Simulated, 42)
-	realA := draw(Real, 42)
-	other := draw(Simulated, 43)
-	for r := 1; r < 4; r++ {
-		if simA[r] == simA[0] {
-			t.Errorf("ranks 0 and %d drew the same stream", r)
-		}
-	}
-	for r := 0; r < 4; r++ {
-		if simA[r] != simB[r] {
-			t.Errorf("rank %d stream differs across runs", r)
-		}
-		if simA[r] != realA[r] {
-			t.Errorf("rank %d stream differs across backends", r)
-		}
-		if simA[r] == other[r] {
-			t.Errorf("rank %d stream ignores the seed", r)
-		}
-	}
-}
-
 // TestCancelBeforeRun pins pre-cancelled contexts: the body must never
 // run and the error must unwrap to context.Canceled.
 func TestCancelBeforeRun(t *testing.T) {
@@ -232,7 +184,6 @@ func TestCancelStressRandomizedPoints(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < runs; i++ {
 		cfg := realCfg(p)
-		cfg.Seed = uint64(i)
 		mode := rng.Intn(3)         // 0 = before first collective, 1 = during, 2 = no cancel
 		canceller := rng.Intn(p)    // which rank calls cancel
 		cancelAt := 1 + rng.Intn(4) // collective round for mode 1

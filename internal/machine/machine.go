@@ -23,12 +23,10 @@
 // same SPMD body concurrently on the host cores, as many at once as
 // the Go scheduler runs (GOMAXPROCS): payloads are physically copied
 // into receiver memory, per-rank wall time is measured and max-reduced
-// (Stats.Elapsed), runs are context-cancellable, and per-rank
-// random streams (Ctx.Rand) are split from (Config.Seed, rank) so
-// results are bit-identical to the simulated backend and across
-// repeated runs. Both backends drive communication through the same
-// deterministic rendezvous, so a body computes identical results under
-// either; only the authoritative timing differs.
+// (Stats.Elapsed), and runs are context-cancellable. Both backends
+// drive communication through the same deterministic rendezvous, so a
+// body computes identical results under either, and across repeated
+// runs; only the authoritative timing differs.
 package machine
 
 import (
@@ -36,8 +34,6 @@ import (
 	"math/bits"
 	"sync"
 	"time"
-
-	"chaos/internal/xrand"
 )
 
 // Config describes the simulated machine: its size and cost model.
@@ -69,10 +65,10 @@ type Config struct {
 	// Backend selects the execution backend (see Backend). The zero
 	// value is Simulated, the classic virtual-clock simulator.
 	Backend Backend
-	// Seed is the base of the per-rank random streams returned by
-	// Ctx.Rand. Each rank's stream is split from (Seed, rank) alone —
-	// never from scheduling order — so draws are reproducible across
-	// runs and identical on both backends.
+	// Seed has no effect: the machine draws no random numbers (each
+	// partitioner takes a seed of its own). It is kept for the callers
+	// that still set it, the repository benchmark's service_mix
+	// workload among them.
 	Seed uint64
 }
 
@@ -153,7 +149,6 @@ type Ctx struct {
 	procs int
 	m     *Machine
 	clock float64
-	rng   *xrand.Stream
 
 	// intRows and floatRows are where this rank keeps the all-to-all
 	// headers it deposits: the rendezvous is handed a pointer to a slot,
@@ -178,6 +173,8 @@ func (c *Ctx) Procs() int { return c.procs }
 func (c *Ctx) Clock() float64 { return c.clock }
 
 // AdvanceClock adds dt seconds of local work to the virtual clock.
+//
+//chaosvet:ignore testonly core's TestInspectorMatchesReference levels each rank's clock with the reference run's through it (inspTrace.sync)
 func (c *Ctx) AdvanceClock(dt float64) {
 	if dt > 0 {
 		c.clock += dt
@@ -205,18 +202,6 @@ func (c *Ctx) checkAborted() {
 	if ab, _ := c.m.abortedErr(); ab {
 		panic(abortSignal{})
 	}
-}
-
-// Rand returns this rank's deterministic random stream, split from
-// (Config.Seed, rank) through SplitMix64. Because the split depends
-// only on the seed and the rank id — never on which host core runs
-// the rank, nor on scheduling order — draws are
-// bit-identical across repeated runs and across backends.
-func (c *Ctx) Rand() *xrand.Stream {
-	if c.rng == nil {
-		c.rng = xrand.New(xrand.Hash64(c.m.cfg.Seed ^ xrand.Hash64(uint64(c.rank)+1)))
-	}
-	return c.rng
 }
 
 // Run executes body on cfg.Procs processors under the backend selected

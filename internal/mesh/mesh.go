@@ -126,7 +126,7 @@ func GenerateLattice(gx, gy, gz int, seed uint64) *Mesh {
 // benchmark fixtures: balanced, with neighbours only across slab faces,
 // like the RCB partitions the Euler workloads run on.
 //
-//chaosvet:ignore testonly the shared fixture partition of the mesh, schedule, ttable, stream and scratch tests and benchmarks
+//chaosvet:ignore testonly the fixture partition of schedule's BenchmarkHotBuildGather and BenchmarkHotGatherScatter and ttable's BenchmarkHotResolve
 func (m *Mesh) Slabs(p int) []int {
 	byAngle := make([]int, m.NNode)
 	for v := range byAngle {

@@ -29,7 +29,6 @@ func fingerprintColdWarm(t *testing.T, backend machine.Backend, reuseArena bool)
 	var out [3]string
 	cfg := machine.IPSC860(p)
 	cfg.Backend = backend
-	cfg.Seed = 7
 	err := machine.Run(cfg, func(c *machine.Ctx) {
 		eb := m.NEdge() / p
 		elo, ehi := c.Rank()*eb, (c.Rank()+1)*eb
@@ -77,7 +76,7 @@ func perturbEdges(m *mesh.Mesh, epoch int) (e1, e2 []int) {
 // "cut=N hash=H". Collective.
 func fingerprint(c *machine.Ctx, g *geocol.Graph, part []int) string {
 	full := c.AllGatherInts(part)
-	f := g.Gather(c)
+	f := g.GatherTo(c, machine.AllRanks)
 	cut := CutEdges(f.XAdj, f.Adj, full)
 	h := uint64(14695981039346656037)
 	for _, p := range full {

@@ -21,7 +21,6 @@ func partitionOn(t *testing.T, m *mesh.Mesh, method string, p, nparts int, backe
 	}
 	cfg := machine.IPSC860(p)
 	cfg.Backend = backend
-	cfg.Seed = 42
 	var full []int
 	err := machine.Run(cfg, func(c *machine.Ctx) {
 		eb := m.NEdge() / p

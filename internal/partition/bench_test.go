@@ -45,7 +45,7 @@ func timePartition(tb testing.TB, m *mesh.Mesh, name string, nparts int) (time.D
 		start := time.Now()
 		part := pt.Partition(c, g, nparts)
 		elapsed = time.Since(start)
-		f := g.Gather(c)
+		f := g.GatherTo(c, machine.AllRanks)
 		cut = CutEdges(f.XAdj, f.Adj, part)
 	})
 	if err != nil {
@@ -128,7 +128,7 @@ func BenchmarkCoarsen(b *testing.B) {
 	var f *csr.Graph
 	err := machine.Run(machine.Zero(1), func(c *machine.Ctx) {
 		g := geocol.Build(c, m.NNode, geocol.WithLink(m.E1, m.E2))
-		f = g.Gather(c)
+		f = g.GatherTo(c, machine.AllRanks)
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -30,7 +30,7 @@ func ExampleMultilevel() {
 		}
 		g := geocol.Build(c, m.NNode, geocol.WithLink(m.E1[elo:ehi], m.E2[elo:ehi]))
 		part := c.AllGatherInts(ml.Partition(c, g, nparts))
-		f := g.Gather(c)
+		f := g.GatherTo(c, 0)
 		if c.Rank() == 0 {
 			counts := make([]int, nparts)
 			for _, q := range part {

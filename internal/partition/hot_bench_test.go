@@ -32,7 +32,7 @@ func hotSubgraph(tb testing.TB) (*subgraph, []bool) {
 	var f *csr.Graph
 	err := machine.Run(machine.Zero(1), func(c *machine.Ctx) {
 		g := geocol.Build(c, m.NNode, geocol.WithLink(m.E1, m.E2))
-		f = g.Gather(c)
+		f = g.GatherTo(c, machine.AllRanks)
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -28,7 +28,7 @@ func runParallelML(t *testing.T, m *mesh.Mesh, p, nparts int) (virtual float64, 
 		part := pt.Partition(c, g, nparts)
 		dt := c.MaxFloat(c.Clock() - t0)
 		full := c.AllGatherInts(part)
-		f := g.Gather(c)
+		f := g.GatherTo(c, machine.AllRanks)
 		if c.Rank() == 0 {
 			virtual = dt
 			cut = CutEdges(f.XAdj, f.Adj, full)

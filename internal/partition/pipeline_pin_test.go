@@ -90,7 +90,6 @@ func TestLadderPipelinePins(t *testing.T) {
 				for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
 					cfg := machine.IPSC860(p)
 					cfg.Backend = backend
-					cfg.Seed = 42
 					var pin pipelinePin
 					st, err := machine.RunStats(context.Background(), cfg, func(c *machine.Ctx) {
 						build := func(m *mesh.Mesh) *geocol.Graph {

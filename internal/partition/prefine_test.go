@@ -113,7 +113,7 @@ func TestKwayRefineImprovesSeed(t *testing.T) {
 	var f *csr.Graph
 	err := machine.Run(machine.Zero(1), func(c *machine.Ctx) {
 		g := geocol.Build(c, m.NNode, geocol.WithLink(m.E1, m.E2))
-		f = g.Gather(c)
+		f = g.GatherTo(c, machine.AllRanks)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func meshCuts(t *testing.T, m *mesh.Mesh, name string, p int) int {
 			geocol.WithLink(m.E1[elo:ehi], m.E2[elo:ehi]),
 			geocol.WithGeometry(xs, ys, zs))
 		part := c.AllGatherInts(pt.Partition(c, g, p))
-		f := g.Gather(c)
+		f := g.GatherTo(c, machine.AllRanks)
 		if c.Rank() == 0 {
 			cut = CutEdges(f.XAdj, f.Adj, part)
 		}

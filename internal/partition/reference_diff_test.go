@@ -288,13 +288,13 @@ func TestInduceMatchesReference(t *testing.T) {
 		for i := range graphs {
 			h := &graphs[i]
 			g := geocol.Build(c, h.n, geocol.WithLink(h.e1, h.e2))
-			fulls = append(fulls, g.Gather(c))
+			fulls = append(fulls, g.GatherTo(c, machine.AllRanks))
 			cmap := make([]int, h.n)
 			for v := range cmap {
 				cmap[v] = v / 3
 			}
 			coarse := geocol.BuildCoarse(c, g, geocol.NewGhostExchange(c, g), cmap, (h.n+2)/3)
-			fulls = append(fulls, coarse.Gather(c))
+			fulls = append(fulls, coarse.GatherTo(c, machine.AllRanks))
 		}
 	})
 	if err != nil {

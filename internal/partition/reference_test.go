@@ -292,7 +292,7 @@ func refProjectPart(c *machine.Ctx, s *refProjScratch, fine *geocol.Graph, cmap 
 }
 
 func refSerialKway(c *machine.Ctx, ar *arena, g *geocol.Graph, part []int, nparts, passes int, tol float64) {
-	f := g.Gather(c)
+	f := g.GatherTo(c, machine.AllRanks)
 	full := c.AllGatherInts(part)
 	c.Flops(int(kwayRefine(&ar.kway, f, full, nparts, passes, tol)))
 	lo := g.Home.Lo(c.Rank())

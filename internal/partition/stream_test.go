@@ -105,7 +105,6 @@ func TestStreamAdapterMatchesEngine(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 4} {
 		cfg := machine.IPSC860(p)
-		cfg.Seed = 42
 		var full []int
 		err := machine.Run(cfg, func(c *machine.Ctx) {
 			eb := m.NEdge() / p
@@ -160,7 +159,6 @@ func TestStreamQualityMemoryPin(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&s0)
 	cfg := machine.IPSC860(1)
-	cfg.Seed = 42
 	err := machine.Run(cfg, func(c *machine.Ctx) {
 		g := geocol.Build(c, m.NNode, geocol.WithLink(m.E1, m.E2))
 		part := Multilevel{Seed: 12345}.Partition(c, g, nparts)

@@ -41,9 +41,6 @@ func New() *Registry {
 	return &Registry{last: make(map[uint64]int)}
 }
 
-// Nmod returns the current global timestamp.
-func (r *Registry) Nmod() int { return r.nmod }
-
 // NoteWrite records that one block of code (a loop, statement or array
 // intrinsic) may have modified an array with descriptor d. Per the
 // paper this is counted once per executed block, not once per element
@@ -78,9 +75,6 @@ type LoopRecord struct {
 	indDADs   []dist.DAD
 	indStamps []int
 }
-
-// Valid reports whether the record holds a completed inspector.
-func (lr *LoopRecord) Valid() bool { return lr.valid }
 
 // Invalidate discards the record, forcing the next Check to miss.
 func (lr *LoopRecord) Invalidate() { lr.valid = false }

@@ -122,13 +122,13 @@ func TestNmodCountsBlocksNotElements(t *testing.T) {
 	x := a.New(dist.Block, 1000)
 	// One loop writing 1000 elements is ONE modification event.
 	r.NoteWrite(x)
-	if r.Nmod() != 1 {
-		t.Fatalf("nmod = %d, want 1", r.Nmod())
+	if r.nmod != 1 {
+		t.Fatalf("nmod = %d, want 1", r.nmod)
 	}
 	r.NoteWrite(x)
 	r.NoteRemap(a.New(dist.Block, 1000))
-	if r.Nmod() != 3 {
-		t.Fatalf("nmod = %d, want 3", r.Nmod())
+	if r.nmod != 3 {
+		t.Fatalf("nmod = %d, want 3", r.nmod)
 	}
 }
 
@@ -154,11 +154,11 @@ func TestInvalidate(t *testing.T) {
 	x := a.New(dist.Block, 10)
 	var rec LoopRecord
 	r.Record(&rec, []dist.DAD{x}, nil)
-	if !rec.Valid() {
+	if !rec.valid {
 		t.Fatal("record should be valid after Record")
 	}
 	rec.Invalidate()
-	if rec.Valid() || r.Check(&rec, []dist.DAD{x}, nil) {
+	if rec.valid || r.Check(&rec, []dist.DAD{x}, nil) {
 		t.Fatal("invalidated record reused")
 	}
 }

@@ -34,7 +34,8 @@ type Plan struct {
 // Build constructs a redistribution plan. myGlobals lists the calling
 // rank's current elements by global id (local order); newOwner[i] names
 // the destination rank of myGlobals[i]. Collective. New local indices
-// follow ascending global order, matching dist.IrregularDist numbering.
+// follow ascending global order, the numbering the translation table
+// (ttable.Build) records for the redistributed array.
 func Build(c *machine.Ctx, myGlobals, newOwner []int) *Plan {
 	if len(myGlobals) != len(newOwner) {
 		panic(fmt.Sprintf("remap: %d globals but %d owners", len(myGlobals), len(newOwner)))

@@ -17,7 +17,7 @@ func blockData(c *machine.Ctx, n int) (ttable.Resolver, []float64, dist.BlockDis
 	d := dist.NewBlock(n, c.Procs())
 	local := make([]float64, d.LocalSize(c.Rank()))
 	for l := range local {
-		local[l] = 1000 + float64(d.Global(c.Rank(), l))
+		local[l] = 1000 + float64(d.Lo(c.Rank())+l)
 	}
 	return ttable.Regular{D: d}, local, d
 }
@@ -89,7 +89,7 @@ func TestAllLocalReferencesNeedNoComm(t *testing.T) {
 		res, local, d := blockData(c, n)
 		var globals []int
 		for l := 0; l < len(local); l++ {
-			globals = append(globals, d.Global(c.Rank(), l))
+			globals = append(globals, d.Lo(c.Rank())+l)
 		}
 		s, ref := BuildGather(c, res, len(local), globals, Options{})
 		if s.NGhost() != 0 || s.SendCount() != 0 {
@@ -213,7 +213,6 @@ func TestGatherWithIrregularDistribution(t *testing.T) {
 	for g := range owner {
 		owner[g] = rng.Intn(p)
 	}
-	ref := dist.NewIrregular(owner, p)
 	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
 		var mine []int
 		for g, o := range owner {
@@ -242,7 +241,7 @@ func TestGatherWithIrregularDistribution(t *testing.T) {
 				got = ghost[refs[i]-len(local)]
 			}
 			if got != float64(100+g) {
-				t.Errorf("rank %d: g=%d got %v (owner %d)", c.Rank(), g, got, ref.Owner(g))
+				t.Errorf("rank %d: g=%d got %v (owner %d)", c.Rank(), g, got, owner[g])
 			}
 		}
 		// Ghost count: everything not owned locally, deduplicated.
@@ -386,7 +385,7 @@ func TestBuildGatherQuickProperty(t *testing.T) {
 			d := dist.NewBlock(n, p)
 			local := make([]float64, d.LocalSize(c.Rank()))
 			for l := range local {
-				local[l] = float64(7 * d.Global(c.Rank(), l))
+				local[l] = float64(7 * (d.Lo(c.Rank()) + l))
 			}
 			s, ref := BuildGather(c, ttable.Regular{D: d}, len(local), refs, Options{})
 			ghost := make([]float64, s.NGhost())

@@ -56,7 +56,6 @@ func computePartition(ctx context.Context, gc *graphContent, sp partition.Spec, 
 	}
 
 	cfg := machine.IPSC860(procs)
-	cfg.Seed = sp.Seed
 
 	home := dist.NewBlock(gc.n, procs)
 	edges := dist.NewBlock(len(gc.e1), procs)

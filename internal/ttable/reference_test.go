@@ -189,7 +189,7 @@ func TestResolveMatchesReference(t *testing.T) {
 func TestWorkspaceRecycledUnderDelays(t *testing.T) {
 	const n, p, rounds = 64, 4, 200
 	owner := irregularOwner(n, p)
-	want := dist.NewIrregular(owner, p)
+	local := localsOf(owner)
 	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
 		cfg := machine.Zero(p)
 		cfg.Backend = backend
@@ -204,7 +204,7 @@ func TestWorkspaceRecycledUnderDelays(t *testing.T) {
 				owners, locals := tab.ResolveInto(c, &ws, qs)
 				stall(rng)
 				for i, g := range qs {
-					if owners[i] != want.Owner(g) || locals[i] != want.Local(g) {
+					if owners[i] != owner[g] || locals[i] != local[g] {
 						t.Errorf("%v rank %d round %d: wrong answer for %d", backend, c.Rank(), round, g)
 						break // keep up with the other ranks' collectives
 					}

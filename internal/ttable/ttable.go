@@ -5,7 +5,9 @@
 // under a default BLOCK distribution of the index space. Dereference
 // answers batched global→(owner,local) queries with one round trip of
 // all-to-all communication, which is exactly the index-translation step
-// of the paper's Phase D inspector.
+// of the paper's Phase D inspector. The table is the one resolver of an
+// irregular distribution: no rank ever holds the whole owner map. A
+// BLOCK distribution resolves in closed form through Regular.
 package ttable
 
 import (
@@ -33,10 +35,10 @@ type Resolver interface {
 	Kind() dist.Kind
 }
 
-// Regular adapts a closed-form distribution to the Resolver interface;
-// Resolve performs no communication.
+// Regular adapts the closed-form BLOCK distribution to the Resolver
+// interface; Resolve performs no communication.
 type Regular struct {
-	D dist.Dist
+	D dist.BlockDist
 }
 
 func (r Regular) Resolve(c *machine.Ctx, globals []int) ([]int, []int) {
@@ -239,24 +241,3 @@ func (t *Table) Size() int { return t.home.Size() }
 
 // Kind returns dist.Irregular.
 func (t *Table) Kind() dist.Kind { return dist.Irregular }
-
-// Replicated gathers the complete ownership map onto every rank and
-// returns it as an IrregularDist; collective. It is the closed-form
-// oracle the translation-table tests compare against.
-//
-//chaosvet:ignore testonly the oracle of TestReplicated and dist's TestIrregularAgreesWithTranslationTable
-func (t *Table) Replicated(c *machine.Ctx) *dist.IrregularDist {
-	lo := t.home.Lo(c.Rank())
-	// Encode (g, owner) pairs for the home-resident entries.
-	pairs := make([]int, 0, 2*len(t.owner))
-	for hl, o := range t.owner {
-		pairs = append(pairs, lo+hl, o)
-	}
-	all := c.AllGatherInts(pairs)
-	owner := make([]int, t.home.Size())
-	for i := 0; i+1 < len(all); i += 2 {
-		owner[all[i]] = all[i+1]
-	}
-	c.Words(len(owner))
-	return dist.NewIrregular(owner, c.Procs())
-}

@@ -10,8 +10,8 @@ import (
 	"chaos/internal/machine"
 )
 
-// irregularFixture deals global indices to ranks round-robin with a
-// twist so that ownership differs from BLOCK.
+// irregularOwner deals global indices to ranks at random, so that
+// ownership differs from BLOCK.
 func irregularOwner(n, p int) []int {
 	owner := make([]int, n)
 	rng := rand.New(rand.NewSource(42))
@@ -31,12 +31,27 @@ func myGlobals(owner []int, rank int) []int {
 	return out
 }
 
+// localsOf returns each global's local index under owner: its position
+// among its owner's globals in ascending order.
+func localsOf(owner []int) []int {
+	local := make([]int, len(owner))
+	count := map[int]int{}
+	for g, o := range owner {
+		local[g] = count[o]
+		count[o]++
+	}
+	return local
+}
+
 func TestBuildAndResolve(t *testing.T) {
 	const n, p = 100, 4
 	owner := irregularOwner(n, p)
-	ref := dist.NewIrregular(owner, p)
+	local := localsOf(owner)
 	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
 		tab := Build(c, n, myGlobals(owner, c.Rank()))
+		if tab.Size() != n || tab.Kind() != dist.Irregular {
+			t.Error("Size/Kind wrong")
+		}
 		// Every rank queries every global index.
 		qs := make([]int, n)
 		for i := range qs {
@@ -44,11 +59,11 @@ func TestBuildAndResolve(t *testing.T) {
 		}
 		owners, locals := tab.Resolve(c, qs)
 		for g := 0; g < n; g++ {
-			if owners[g] != ref.Owner(g) {
-				t.Errorf("rank %d: owner(%d) = %d, want %d", c.Rank(), g, owners[g], ref.Owner(g))
+			if owners[g] != owner[g] {
+				t.Errorf("rank %d: owner(%d) = %d, want %d", c.Rank(), g, owners[g], owner[g])
 			}
-			if locals[g] != ref.Local(g) {
-				t.Errorf("rank %d: local(%d) = %d, want %d", c.Rank(), g, locals[g], ref.Local(g))
+			if locals[g] != local[g] {
+				t.Errorf("rank %d: local(%d) = %d, want %d", c.Rank(), g, locals[g], local[g])
 			}
 		}
 	})
@@ -60,15 +75,15 @@ func TestBuildAndResolve(t *testing.T) {
 func TestResolveDuplicatesAndSubsets(t *testing.T) {
 	const n, p = 50, 3
 	owner := irregularOwner(n, p)
-	ref := dist.NewIrregular(owner, p)
+	local := localsOf(owner)
 	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
 		tab := Build(c, n, myGlobals(owner, c.Rank()))
 		qs := []int{7, 7, 3, 49, 0, 7, 3}
 		owners, locals := tab.Resolve(c, qs)
 		for i, g := range qs {
-			if owners[i] != ref.Owner(g) || locals[i] != ref.Local(g) {
+			if owners[i] != owner[g] || locals[i] != local[g] {
 				t.Errorf("query %d (g=%d): got (%d,%d) want (%d,%d)",
-					i, g, owners[i], locals[i], ref.Owner(g), ref.Local(g))
+					i, g, owners[i], locals[i], owner[g], local[g])
 			}
 		}
 	})
@@ -120,26 +135,6 @@ func TestBuildDetectsDuplicateOwnership(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "multiple ranks") {
 		t.Fatalf("err = %v, want duplicate-ownership panic", err)
-	}
-}
-
-func TestReplicated(t *testing.T) {
-	const n, p = 30, 3
-	owner := irregularOwner(n, p)
-	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
-		tab := Build(c, n, myGlobals(owner, c.Rank()))
-		if tab.Size() != n || tab.Kind() != dist.Irregular {
-			t.Error("Size/Kind wrong")
-		}
-		rep := tab.Replicated(c)
-		for g := 0; g < n; g++ {
-			if rep.Owner(g) != owner[g] {
-				t.Errorf("replicated owner(%d) = %d, want %d", g, rep.Owner(g), owner[g])
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
