@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"chaos/internal/experiments"
-	"chaos/internal/machine"
 	"chaos/internal/partition"
 	"chaos/internal/registry"
 
@@ -145,20 +144,19 @@ func BenchmarkTable4BlockP16(b *testing.B) {
 	})
 }
 
-// --- Real-cores backend: wall time vs virtual time at P=1 and P=8 ---
+// --- Mesh pipeline: wall time vs virtual time at P=1 and P=8 ---
 
-// benchReal runs the RCB pipeline on the Real execution backend and
-// reports both trajectories: host wall time ("wallms", max across
-// ranks) and the virtual time the same run charged ("vsec"). Compare
-// the P=1 and P=8 wallms on a host with 8+ cores for real speedup.
-func benchReal(b *testing.B, procs int) {
+// benchMesh runs the RCB pipeline and reports both trajectories: host
+// wall time ("wallms", max across ranks) and the virtual time the same
+// run charged ("vsec"). The ranks run on host cores, so compare the P=1
+// and P=8 wallms on a host with 8+ cores for the wall-clock speedup.
+func benchMesh(b *testing.B, procs int) {
 	b.Helper()
 	var wall, vsec float64
 	for i := 0; i < b.N; i++ {
 		ph, err := experiments.Run(experiments.Config{
 			Procs: procs, Workload: experiments.MeshWorkload(benchMeshNodes),
 			Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: benchIters,
-			Backend: machine.Real,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -170,8 +168,8 @@ func benchReal(b *testing.B, procs int) {
 	b.ReportMetric(vsec, "vsec")
 }
 
-func BenchmarkRealBackendMeshP1(b *testing.B) { benchReal(b, 1) }
-func BenchmarkRealBackendMeshP8(b *testing.B) { benchReal(b, 8) }
+func BenchmarkMeshPipelineP1(b *testing.B) { benchMesh(b, 1) }
+func BenchmarkMeshPipelineP8(b *testing.B) { benchMesh(b, 8) }
 
 // --- Ablation: multilevel V-cycle vs full spectral bisection ---
 

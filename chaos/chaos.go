@@ -36,11 +36,8 @@
 // Everything runs on a simulated distributed-memory machine (package
 // internal/machine): each processor is a goroutine with a virtual clock
 // charged by an iPSC/860-calibrated cost model, so experiments report
-// deterministic machine-like times. Config.Backend (or RunReal)
-// switches to the Real backend, where the same program executes on
-// host cores with physical payload delivery and reports wall time
-// next to the virtual clock; results are bit-identical between
-// backends and across repeated runs.
+// deterministic machine-like times. The ranks run concurrently on the
+// host cores, and results are bit-identical across repeated runs.
 //
 // SetPartitioning selects from the partitioner library of the paper's
 // Section 4.2 through a typed PartitionSpec: MethodRCB consumes
@@ -85,8 +82,6 @@
 package chaos
 
 import (
-	"context"
-
 	"chaos/internal/core"
 	"chaos/internal/iterpart"
 	"chaos/internal/machine"
@@ -151,23 +146,6 @@ const (
 // Config describes the simulated machine.
 type Config = machine.Config
 
-// Backend selects the execution backend of a Run: Simulated (the
-// default virtual-clock simulator) or Real (ranks execute on host
-// cores with physical payload delivery). Set it via Config.Backend or
-// use RunReal.
-type Backend = machine.Backend
-
-// Execution backends for Config.Backend.
-const (
-	Simulated = machine.Simulated
-	Real      = machine.Real
-)
-
-// Stats reports both timing trajectories of one run: the simulated
-// makespan (MaxClock, virtual seconds) and the host wall time
-// (Elapsed, max-reduced across ranks).
-type Stats = machine.Stats
-
 // Ctx is the per-rank machine handle (message passing, virtual clock).
 type Ctx = machine.Ctx
 
@@ -184,20 +162,6 @@ func ZeroCost(procs int) Config { return machine.Zero(procs) }
 // panics.
 func Run(cfg Config, body func(s *Session)) error {
 	return machine.Run(cfg, func(c *machine.Ctx) {
-		body(core.NewSession(c))
-	})
-}
-
-// RunReal executes body on the Real backend: ranks run on host cores
-// (at most min(GOMAXPROCS, Procs) computing concurrently), payloads
-// are physically copied into receiver memory, and the returned Stats
-// carry the host wall time next to the virtual clock the same run
-// charged. Cancelling ctx unwinds every rank — including ranks blocked
-// mid-collective — and returns an error wrapping ctx.Err(). Results
-// are bit-identical to Run's.
-func RunReal(ctx context.Context, cfg Config, body func(s *Session)) (Stats, error) {
-	cfg.Backend = Real
-	return machine.RunStats(ctx, cfg, func(c *machine.Ctx) {
 		body(core.NewSession(c))
 	})
 }

@@ -7,11 +7,11 @@ import (
 // ExchangeErr reports discarded results of the runtime's communication
 // surface. Two families are covered:
 //
-// Error results: the machine entry points (Run, RunStats) and
-// chaos.Run/chaos.RunReal return the first rank panic as an error;
-// dropping it (an expression statement, a blank assignment, or a blank
-// in the error position) silently turns a deadlocked or crashed
-// simulated machine into a green test.
+// Error results: the machine entry points (Run, RunStats) and chaos.Run
+// return the first rank panic as an error; dropping it (an expression
+// statement, a blank assignment, or a blank in the error position)
+// silently turns a deadlocked or crashed simulated machine into a green
+// test.
 //
 // Exchanged payloads: the ghost-exchange handshake and the collectives
 // hand back data their peers paid to send. A discarded PushInts or
@@ -35,7 +35,6 @@ var errResultFuncs = map[string]int{
 	machinePath + ".Run":      0,
 	machinePath + ".RunStats": 1,
 	"chaos/chaos.Run":         0,
-	"chaos/chaos.RunReal":     1,
 }
 
 // valueResultFuncs return exchanged data that must be used: the ghost

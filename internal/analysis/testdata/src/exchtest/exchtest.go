@@ -42,11 +42,8 @@ func usedPayload(c *machine.Ctx, ge *geocol.GhostExchange, vals []int) []int {
 	return ghost
 }
 
-func dropPublicRun(ctx context.Context, cfg chaos.Config, body func(*chaos.Session)) {
-	chaos.Run(cfg, body)                   // want "error result of Run discarded"
-	_, _ = chaos.RunReal(ctx, cfg, body)   // want "error result of RunReal assigned to _"
-	st, _ := chaos.RunReal(ctx, cfg, body) // want "error result of RunReal assigned to _"
-	_ = st
+func dropPublicRun(cfg chaos.Config, body func(*chaos.Session)) {
+	chaos.Run(cfg, body) // want "error result of Run discarded"
 }
 
 func dropByGoAndDefer(cfg machine.Config, body func(*machine.Ctx)) {

@@ -8,5 +8,6 @@ func main() {
 	o.B++
 	var out decl.Outer
 	out.P = 2
-	println(decl.Used()+o.Read()+out.P, error(decl.Err{}) != nil)
+	var s decl.Shape = decl.Box{}
+	println(decl.Used()+o.Read()+out.P+s.Volume(), error(decl.Err{}) != nil)
 }

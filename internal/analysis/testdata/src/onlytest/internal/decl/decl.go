@@ -33,3 +33,14 @@ func Oracle() int { return 1 }
 
 //chaosvet:ignore testonly
 func Unexplained() {} // want "decl.Unexplained has no non-test reference"
+
+// Shape is the module's own interface: it exempts a method only if
+// non-test code calls that method through it. caller calls Volume.
+type Shape interface {
+	Volume() int
+	Weight() int // want "decl.Shape.Weight has no non-test reference"
+}
+
+type Box struct{}       // named by caller
+func (Box) Volume() int { return 1 } // called through Shape by caller
+func (Box) Weight() int { return 2 } // want "decl.Box.Weight has no non-test reference"

@@ -12,8 +12,10 @@ import (
 // that no non-test file references outside its own declaration, and each
 // exported field of an exported type no non-test code writes (a write
 // through a promoted field writes each embedded field on its path).
-// Exempt: methods that let their type satisfy an interface. A partial
-// load reports nothing. See ANALYZERS.md.
+// Exempt: methods that let their type satisfy an interface declared
+// outside the module (error, the standard library's), or one declared
+// inside it whose method non-test code calls through the interface. A
+// partial load reports nothing. See ANALYZERS.md.
 var TestOnly = &Analyzer{
 	Name: "testonly",
 	Doc:  "report exported internal names that only tests reference (fields: only tests write)",
@@ -46,8 +48,9 @@ func runTestOnly(pass *Pass) {
 	}
 
 	used := make(map[string]bool) // referenced names and written fields
-	// error and the interfaces the packages declare or import
-	interfaces := map[*types.Interface]bool{types.Universe.Lookup("error").Type().Underlying().(*types.Interface): true}
+	// error and the interfaces the packages declare or import, each
+	// keyed by its pkg.Name when the module declares it, else ""
+	interfaces := map[*types.Interface]string{types.Universe.Lookup("error").Type().Underlying().(*types.Interface): ""}
 	for _, pkg := range pass.Packages {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
@@ -101,9 +104,13 @@ func runTestOnly(pass *Pass) {
 			}
 		}
 		for _, p := range append(pkg.Types.Imports(), pkg.Types) {
+			inModule := p.Path() == root || strings.HasPrefix(p.Path(), root+"/")
 			for _, name := range p.Scope().Names() {
 				if it, ok := p.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok {
-					interfaces[it] = true
+					interfaces[it] = ""
+					if inModule {
+						interfaces[it] = p.Path() + "." + name
+					}
 				}
 			}
 		}
@@ -114,7 +121,10 @@ next:
 		if used[k] {
 			continue
 		}
-		for it := range interfaces { // a method that lets its type satisfy one
+		for it, key := range interfaces { // a method that lets its type satisfy one
+			if key != "" && !used[key+"."+obj.Name()] {
+				continue // the module's own interface, this method never called through it
+			}
 			if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil &&
 				types.NewMethodSet(it).Lookup(obj.Pkg(), obj.Name()) != nil &&
 				(types.Implements(sig.Recv().Type(), it) || types.Implements(types.NewPointer(sig.Recv().Type()), it)) {

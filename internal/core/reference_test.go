@@ -182,8 +182,8 @@ func mix(a, b int) int { return int(xrand.Hash64(uint64(a)<<32^uint64(b)) >> 1) 
 // step: for all five reductions (Assign fed its NaN sentinel), for
 // loops without reads and without writes, for local iteration counts around the strip length, for
 // empty ranks and arrays with fewer elements than ranks, under a
-// kernel that appends to its arguments, on both backends and on the
-// counting machines (messages and bytes).
+// kernel that appends to its arguments, on the calibrated machine and
+// on the counting machines (messages and bytes).
 func TestExecutorMatchesReference(t *testing.T) {
 	const blk = execBlock
 	shapes := []struct{ p, n, nIter int }{
@@ -205,27 +205,21 @@ func TestExecutorMatchesReference(t *testing.T) {
 					continue // nothing to reduce
 				}
 				for name, cfg := range clockConfigs(sh.p) {
-					for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-						if backend == machine.Real && name != "ipsc860" {
-							continue
+					label := fmt.Sprintf("%s P=%d N=%d iters=%d %s %v", name, sh.p, sh.n, sh.nIter, v.name, op)
+					run := func(reference bool) []execTrace {
+						traces := make([]execTrace, sh.p)
+						err := machine.Run(cfg, func(c *machine.Ctx) {
+							runDifferentialProgram(c, &traces[c.Rank()], sh.n, sh.nIter, v.reads, v.writes, op, reference)
+						})
+						if err != nil {
+							t.Fatalf("%s reference=%v: %v", label, reference, err)
 						}
-						cfg.Backend = backend
-						label := fmt.Sprintf("%v %s P=%d N=%d iters=%d %s %v", backend, name, sh.p, sh.n, sh.nIter, v.name, op)
-						run := func(reference bool) []execTrace {
-							traces := make([]execTrace, sh.p)
-							err := machine.Run(cfg, func(c *machine.Ctx) {
-								runDifferentialProgram(c, &traces[c.Rank()], sh.n, sh.nIter, v.reads, v.writes, op, reference)
-							})
-							if err != nil {
-								t.Fatalf("%s reference=%v: %v", label, reference, err)
-							}
-							return traces
-						}
-						want, got := run(true), run(false)
-						for r := range want {
-							if d := got[r].diff(&want[r]); d != "" {
-								t.Errorf("%s rank %d: %s", label, r, d)
-							}
+						return traces
+					}
+					want, got := run(true), run(false)
+					for r := range want {
+						if d := got[r].diff(&want[r]); d != "" {
+							t.Errorf("%s rank %d: %s", label, r, d)
 						}
 					}
 				}
@@ -718,57 +712,50 @@ func eulerPatternCase(p *inspProg) {
 // the same messages and bytes at the same cost. The inspector itself
 // must cost exactly the reference's when no pattern repeats and never
 // more; on the iPSC/860 it must cost less, summed over ranks, wherever
-// one does. Both backends; the calibrated machine and the three
-// counting machines.
+// one does. The calibrated machine and the three counting machines.
 func TestInspectorMatchesReference(t *testing.T) {
 	for _, sh := range []struct{ p, n, nIter int }{{1, 12, 40}, {3, 48, 3*execBlock + 5}, {8, 16, 100}} {
 		for _, tc := range inspectorCases {
 			for name, cfg := range clockConfigs(sh.p) {
-				for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-					if backend == machine.Real && name != "ipsc860" {
-						continue
+				label := fmt.Sprintf("%s: %s P=%d N=%d iters=%d", tc.name, name, sh.p, sh.n, sh.nIter)
+				var shares []bool
+				run := func(want []inspTrace) []inspTrace {
+					traces := make([]inspTrace, sh.p)
+					err := machine.Run(cfg, func(c *machine.Ctx) {
+						p := newInspProg(t, c, &traces[c.Rank()], sh.n, sh.nIter)
+						if want != nil {
+							p.want = &want[c.Rank()]
+						}
+						tc.run(p)
+						p.step(true, true, p.shares[len(p.shares)-1])
+						p.step(true, true, p.shares[len(p.shares)-1])
+						if c.Rank() == 0 {
+							shares = p.shares
+						}
+					})
+					if err != nil {
+						t.Fatalf("%s reference=%v: %v", label, want == nil, err)
 					}
-					cfg.Backend = backend
-					label := fmt.Sprintf("%s: %v %s P=%d N=%d iters=%d", tc.name, backend, name, sh.p, sh.n, sh.nIter)
-					var shares []bool
-					run := func(want []inspTrace) []inspTrace {
-						traces := make([]inspTrace, sh.p)
-						err := machine.Run(cfg, func(c *machine.Ctx) {
-							p := newInspProg(t, c, &traces[c.Rank()], sh.n, sh.nIter)
-							if want != nil {
-								p.want = &want[c.Rank()]
-							}
-							tc.run(p)
-							p.step(true, true, p.shares[len(p.shares)-1])
-							p.step(true, true, p.shares[len(p.shares)-1])
-							if c.Rank() == 0 {
-								shares = p.shares
-							}
-						})
-						if err != nil {
-							t.Fatalf("%s reference=%v: %v", label, want == nil, err)
-						}
-						return traces
+					return traces
+				}
+				want := run(nil)
+				got := run(want)
+				for r := range want {
+					if d := got[r].diff(&want[r]); d != "" {
+						t.Errorf("%s rank %d: %s", label, r, d)
 					}
-					want := run(nil)
-					got := run(want)
-					for r := range want {
-						if d := got[r].diff(&want[r]); d != "" {
-							t.Errorf("%s rank %d: %s", label, r, d)
+				}
+				for i, sharing := range shares {
+					total := 0.0
+					for r := range got {
+						total += got[r].saved[i]
+						if !sharing && got[r].saved[i] != 0 {
+							t.Errorf("%s rank %d sync point %d: no pattern repeats, yet the clock is %v off the reference's",
+								label, r, i, got[r].saved[i])
 						}
 					}
-					for i, sharing := range shares {
-						total := 0.0
-						for r := range got {
-							total += got[r].saved[i]
-							if !sharing && got[r].saved[i] != 0 {
-								t.Errorf("%s rank %d sync point %d: no pattern repeats, yet the clock is %v off the reference's",
-									label, r, i, got[r].saved[i])
-							}
-						}
-						if sharing && name == "ipsc860" && total <= 0 {
-							t.Errorf("%s sync point %d: a pattern repeats, yet the inspector saved %v", label, i, total)
-						}
+					if sharing && name == "ipsc860" && total <= 0 {
+						t.Errorf("%s sync point %d: a pattern repeats, yet the inspector saved %v", label, i, total)
 					}
 				}
 			}

@@ -152,30 +152,26 @@ func reinspectProgram(p *inspProg, seed int64, fresh bool, ops int) {
 // ghost and accumulation buffers, reference vectors, schedule
 // summaries and per-rank virtual clocks of the loop that rebuilds in
 // place equal, bit for bit, those of the loop that builds everything
-// anew. P = 1, 3 and 8, both backends, random per-rank stalls; run under
-// -race.
+// anew. P = 1, 3 and 8, random per-rank stalls; run under -race.
 func TestReinspectInPlaceMatchesFresh(t *testing.T) {
 	for _, sh := range []struct{ p, n, nIter int }{{1, 12, execBlock + 40}, {3, 48, 100}, {8, 48, 100}} {
-		for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-			for seed := int64(1); seed <= 4; seed++ {
-				label := fmt.Sprintf("%v P=%d seed %d", backend, sh.p, seed)
-				run := func(fresh bool) []inspTrace {
-					cfg := machine.IPSC860(sh.p)
-					cfg.Backend = backend
-					traces := make([]inspTrace, sh.p)
-					err := machine.Run(cfg, func(c *machine.Ctx) {
-						reinspectProgram(newInspProg(t, c, &traces[c.Rank()], sh.n, sh.nIter), seed, fresh, 50)
-					})
-					if err != nil {
-						t.Fatalf("%s fresh=%v: %v", label, fresh, err)
-					}
-					return traces
+		for seed := int64(1); seed <= 4; seed++ {
+			label := fmt.Sprintf("P=%d seed %d", sh.p, seed)
+			run := func(fresh bool) []inspTrace {
+				cfg := machine.IPSC860(sh.p)
+				traces := make([]inspTrace, sh.p)
+				err := machine.Run(cfg, func(c *machine.Ctx) {
+					reinspectProgram(newInspProg(t, c, &traces[c.Rank()], sh.n, sh.nIter), seed, fresh, 50)
+				})
+				if err != nil {
+					t.Fatalf("%s fresh=%v: %v", label, fresh, err)
 				}
-				want, got := run(true), run(false)
-				for r := range want {
-					if d := got[r].diff(&want[r]); d != "" {
-						t.Fatalf("%s rank %d: %s", label, r, d)
-					}
+				return traces
+			}
+			want, got := run(true), run(false)
+			for r := range want {
+				if d := got[r].diff(&want[r]); d != "" {
+					t.Fatalf("%s rank %d: %s", label, r, d)
 				}
 			}
 		}
@@ -305,9 +301,9 @@ func TestReuseDropsInspectorWorkspace(t *testing.T) {
 }
 
 // From the third of back-to-back no-reuse steps on, a step allocates
-// nothing on the Simulated backend: the workspace is kept, schedules,
-// reference vectors and inspector state are rebuilt in place, and every
-// transport slab exists. Two objects per rank and step are allowed for
+// nothing: the workspace is kept, schedules, reference vectors and
+// inspector state are rebuilt in place, and every transport slab
+// exists. Two objects per rank and step are allowed for
 // whatever else the process does meanwhile.
 func TestBackToBackNoReuseStepsStopAllocating(t *testing.T) {
 	m := mesh.Generate(10000, 1993)

@@ -108,8 +108,8 @@ func TestRegularResolverOverEveryKind(t *testing.T) {
 				func(g int) int { return owner[g] }, func(g int) int { return local[g] }},
 		}
 		for _, tc := range cases {
-			if tc.res.Size() != n || tc.res.Kind() != tc.kind {
-				t.Errorf("%v: resolver metadata wrong", tc.kind)
+			if tc.res.Kind() != tc.kind {
+				t.Errorf("%v: resolver kind wrong", tc.kind)
 			}
 			qs := []int{0, n - 1, n / 2, n / 2}
 			owners, locals := tc.res.Resolve(c, qs)

@@ -80,7 +80,7 @@ func runCompiler(cfg Config) (Phases, error) {
 		mu  sync.Mutex
 		out Phases
 	)
-	st, err := machine.RunStats(context.Background(), machineConfig(cfg), func(c *machine.Ctx) {
+	st, err := machine.RunStats(context.Background(), machine.IPSC860(cfg.Procs), func(c *machine.Ctx) {
 		s := core.NewSession(c)
 		if e := prog.Execute(s, env); e != nil {
 			panic(e)

@@ -111,12 +111,6 @@ type Config struct {
 	Reuse    bool // communication-schedule reuse on/off
 	Iters    int  // executor iterations (paper: 100)
 	Compiler bool // drive through the Fortran-90D front end
-	// Backend selects the machine execution backend. The zero value is
-	// the classic virtual-clock simulator; machine.Real runs the same
-	// pipeline on host cores with physical payload delivery, filling
-	// Phases.Wall with authoritative wall time.
-	//chaosvet:ignore testonly TestBackendPhasesIdentical reaches the Real backend (chaos.RunReal's) through it
-	Backend machine.Backend
 }
 
 // Phases reports per-phase virtual-time maxima across ranks, in
@@ -128,10 +122,9 @@ type Phases struct {
 	Inspector float64
 	Executor  float64
 	// Wall is the host wall-clock time of the whole cell in seconds,
-	// max-reduced across ranks (machine.Stats.Elapsed). On the Real
-	// backend it is the authoritative timing; on Simulated it merely
-	// records simulator overhead. Not part of Total, which stays the
-	// paper's virtual-seconds row.
+	// max-reduced across ranks (machine.Stats.Elapsed): what the host
+	// spent simulating it. Not part of Total, which stays the paper's
+	// virtual-seconds row.
 	Wall float64
 }
 
@@ -149,14 +142,6 @@ func Run(cfg Config) (Phases, error) {
 		return runCompiler(cfg)
 	}
 	return runHand(cfg)
-}
-
-// machineConfig builds the iPSC/860 machine of one experiment cell,
-// applying the cell's execution backend.
-func machineConfig(cfg Config) machine.Config {
-	mc := machine.IPSC860(cfg.Procs)
-	mc.Backend = cfg.Backend
-	return mc
 }
 
 // inputCaps resolves which GeoCoL components the configured
@@ -181,7 +166,7 @@ func runHand(cfg Config) (Phases, error) {
 	if err != nil {
 		return Phases{}, err
 	}
-	st, err := machine.RunStats(context.Background(), machineConfig(cfg), func(c *machine.Ctx) {
+	st, err := machine.RunStats(context.Background(), machine.IPSC860(cfg.Procs), func(c *machine.Ctx) {
 		s := core.NewSession(c)
 		x := s.NewArray("x", w.NNode)
 		y := s.NewArray("y", w.NNode)

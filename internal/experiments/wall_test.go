@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"chaos/internal/machine"
 	"chaos/internal/partition"
 )
 
@@ -36,36 +35,5 @@ func TestSimulatedElapsedFarBelowVirtual(t *testing.T) {
 	}
 	if ph.Wall >= ph.Total()/4 {
 		t.Errorf("simulated wall time %.3fs not far below virtual total %.3fs", ph.Wall, ph.Total())
-	}
-}
-
-// TestBackendPhasesIdentical pins that the Real backend charges the
-// virtual clock identically to the Simulated backend through the full
-// pipeline — both hand and compiler paths — so one real run yields
-// the simulated trajectory for free.
-func TestBackendPhasesIdentical(t *testing.T) {
-	for _, compiler := range []bool{false, true} {
-		base := Config{
-			Procs: 4, Workload: MeshWorkload(2000),
-			Spec: partition.Spec{Method: partition.MethodRCB}, Reuse: true, Iters: 3,
-			Compiler: compiler,
-		}
-		sim, err := Run(base)
-		if err != nil {
-			t.Fatalf("compiler=%v simulated: %v", compiler, err)
-		}
-		realCfg := base
-		realCfg.Backend = machine.Real
-		re, err := Run(realCfg)
-		if err != nil {
-			t.Fatalf("compiler=%v real: %v", compiler, err)
-		}
-		if sim.Wall <= 0 || re.Wall <= 0 {
-			t.Errorf("compiler=%v: missing wall time (sim %.6f, real %.6f)", compiler, sim.Wall, re.Wall)
-		}
-		sim.Wall, re.Wall = 0, 0
-		if sim != re {
-			t.Errorf("compiler=%v: virtual phases diverge across backends:\nsim  %+v\nreal %+v", compiler, sim, re)
-		}
 	}
 }

@@ -219,12 +219,11 @@ const (
 // graph's exchange pattern, and a second contraction (whose input has
 // edge weights) — checks every exchange pattern against its
 // specification and returns what each rank assembled.
-func assembleAll(t *testing.T, backend machine.Backend, p int, mode assemblyMode) [][]asmStep {
+func assembleAll(t *testing.T, p int, mode assemblyMode) [][]asmStep {
 	t.Helper()
 	fams := edgeFamilies(p)
 	traces := make([][]asmStep, p)
 	cfg := machine.IPSC860(p)
-	cfg.Backend = backend
 	err := machine.Run(cfg, func(c *machine.Ctx) {
 		var gs GhostScratch
 		var asm CoarseAssembler
@@ -243,7 +242,7 @@ func assembleAll(t *testing.T, backend machine.Backend, p int, mode assemblyMode
 			}
 			ge := derive(c, g)
 			if d := specExchange(c, cfg.WordTime, g, ge, before); d != "" {
-				t.Errorf("%v P=%d mode %d rank %d: exchange pattern: %s", backend, p, mode, c.Rank(), d)
+				t.Errorf("P=%d mode %d rank %d: exchange pattern: %s", p, mode, c.Rank(), d)
 			}
 			return ge
 		}
@@ -275,7 +274,7 @@ func assembleAll(t *testing.T, backend machine.Backend, p int, mode assemblyMode
 		}
 	})
 	if err != nil {
-		t.Fatalf("%v P=%d mode %d: %v", backend, p, mode, err)
+		t.Fatalf("P=%d mode %d: %v", p, mode, err)
 	}
 	return traces
 }
@@ -286,26 +285,24 @@ func assembleAll(t *testing.T, backend machine.Backend, p int, mode assemblyMode
 // produce exactly the graphs, Bytes() and per-rank virtual clocks of
 // the bodies they replaced, and every exchange pattern between them
 // must meet its specification (specExchange), on graphs that are not
-// lattices, on both backends.
+// lattices.
 func TestAssemblyMatchesReference(t *testing.T) {
-	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-		for _, p := range []int{1, 2, 3, 8} {
-			want := assembleAll(t, backend, p, viaReference)
-			for _, mode := range []assemblyMode{viaOneShot, viaRecycled} {
-				got := assembleAll(t, backend, p, mode)
-				for r := range want {
-					for i, w := range want[r] {
-						s := got[r][i]
-						d := ""
-						if w.g != nil {
-							d = diffGraphs(s.g, w.g)
-						}
-						if d == "" && s.clock != w.clock {
-							d = fmt.Sprintf("clock %v, reference %v", s.clock, w.clock)
-						}
-						if d != "" {
-							t.Errorf("%v P=%d mode %d rank %d, %s: %s", backend, p, mode, r, w.what, d)
-						}
+	for _, p := range []int{1, 2, 3, 8} {
+		want := assembleAll(t, p, viaReference)
+		for _, mode := range []assemblyMode{viaOneShot, viaRecycled} {
+			got := assembleAll(t, p, mode)
+			for r := range want {
+				for i, w := range want[r] {
+					s := got[r][i]
+					d := ""
+					if w.g != nil {
+						d = diffGraphs(s.g, w.g)
+					}
+					if d == "" && s.clock != w.clock {
+						d = fmt.Sprintf("clock %v, reference %v", s.clock, w.clock)
+					}
+					if d != "" {
+						t.Errorf("P=%d mode %d rank %d, %s: %s", p, mode, r, w.what, d)
 					}
 				}
 			}

@@ -28,16 +28,16 @@ func fuzzEdges(data []byte, n int) (e1, e2 []int) {
 }
 
 // fuzzScratch is the exchange-pattern scratch of FuzzGhostExchange, one
-// per backend and rank, kept across inputs: every input derives its
-// pattern on whatever the previous ones left behind.
-var fuzzScratch [2][4]GhostScratch
+// per rank, kept across inputs: every input derives its pattern on
+// whatever the previous ones left behind.
+var fuzzScratch [4]GhostScratch
 
-// FuzzGhostExchange builds a fuzzed graph under both backends, checks
-// the graph against the reference body (reference_test.go) and its
-// exchange pattern — derived on a scratch recycled across inputs —
-// against its specification (specExchange), and checks the full GhostExchange surface against ground truth that
-// is known exactly because each pushed value is the sender's global
-// vertex id: after PushInts, ghost slot i must hold IDs[i]; after an
+// FuzzGhostExchange builds a fuzzed graph, checks the graph against
+// the reference body (reference_test.go) and its exchange pattern —
+// derived on a scratch recycled across inputs — against its
+// specification (specExchange), and checks the full GhostExchange
+// surface against ground truth that is known exactly because each
+// pushed value is the sender's global vertex id: after PushInts, ghost slot i must hold IDs[i]; after an
 // UpdateIntsTouchedInto touching every third vertex, exactly those
 // ghosts moved.
 func FuzzGhostExchange(f *testing.F) {
@@ -49,104 +49,101 @@ func FuzzGhostExchange(f *testing.F) {
 		p := 1 + int(pb)%4
 		n := p + int(nb)%24 // at least one vertex per rank
 		e1, e2 := fuzzEdges(data, n)
-		for bi, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-			cfg := machine.Zero(p)
-			cfg.Backend = backend
-			err := machine.Run(cfg, func(c *machine.Ctx) {
-				// Each rank contributes a strided slice of the edge list.
-				var me1, me2 []int
-				for i := range e1 {
-					if i%p == c.Rank() {
-						me1 = append(me1, e1[i])
-						me2 = append(me2, e2[i])
-					}
+		cfg := machine.Zero(p)
+		err := machine.Run(cfg, func(c *machine.Ctx) {
+			// Each rank contributes a strided slice of the edge list.
+			var me1, me2 []int
+			for i := range e1 {
+				if i%p == c.Rank() {
+					me1 = append(me1, e1[i])
+					me2 = append(me2, e2[i])
 				}
-				g := Build(c, n, WithLink(me1, me2))
-				if d := diffGraphs(g, refBuild(c, n, me1, me2)); d != "" {
-					t.Errorf("%v: rank %d graph: %s", backend, c.Rank(), d)
-				}
-				before := c.Clock()
-				ge := fuzzScratch[bi][c.Rank()].NewGhostExchange(c, g)
-				if d := specExchange(c, cfg.WordTime, g, ge, before); d != "" {
-					t.Errorf("%v: rank %d exchange pattern: %s", backend, c.Rank(), d)
-				}
-
-				lo := g.Home.Lo(c.Rank())
-				localN := g.LocalN(c.Rank())
-				ids := make([]int, localN)
-				fids := make([]float64, localN)
-				for l := range ids {
-					ids[l] = lo + l
-					fids[l] = float64(lo+l) + 0.5
-				}
-				ghost := ge.PushInts(c, ids)
-				for i, v := range ghost {
-					if v != ge.IDs[i] {
-						t.Errorf("%v: rank %d ghost slot %d: got %d, want id %d",
-							backend, c.Rank(), i, v, ge.IDs[i])
-					}
-				}
-				for k, loc := range ge.Loc {
-					if loc < 0 && ghost[-loc-1] != g.Adj[k] {
-						t.Errorf("%v: rank %d: adjacency slot %d reads ghost %d through Loc, want %d",
-							backend, c.Rank(), k, ghost[-loc-1], g.Adj[k])
-					}
-				}
-				fghost := ge.PushFloatsInto(c, fids, nil)
-				for i, v := range fghost {
-					if v != float64(ge.IDs[i])+0.5 {
-						t.Errorf("%v: rank %d float ghost slot %d: got %v, want %v",
-							backend, c.Rank(), i, v, float64(ge.IDs[i])+0.5)
-					}
-				}
-
-				// Incremental update: every third global vertex moves.
-				changed := make([]bool, localN)
-				for l := range ids {
-					if (lo+l)%3 == 0 {
-						ids[l] += n
-						changed[l] = true
-					}
-				}
-				touched := ge.UpdateIntsTouchedInto(c, ids, changed, ghost, nil)
-				for i, id := range ge.IDs {
-					want := id
-					if id%3 == 0 {
-						want = id + n
-					}
-					if ghost[i] != want {
-						t.Errorf("%v: rank %d updated ghost %d: got %d, want %d",
-							backend, c.Rank(), i, ghost[i], want)
-					}
-				}
-				for k, s := range touched {
-					if ge.IDs[s]%3 != 0 {
-						t.Errorf("%v: rank %d touched slot %d (id %d) never changed",
-							backend, c.Rank(), s, ge.IDs[s])
-					}
-					if k > 0 && touched[k-1] >= s {
-						t.Errorf("%v: rank %d touched list not ascending: %v",
-							backend, c.Rank(), touched)
-					}
-				}
-
-				// Monotone marks: flag the same vertices via PushMarks.
-				marks := make([]int, len(ge.IDs))
-				ge.PushMarks(c, changed, marks)
-				for i, id := range ge.IDs {
-					want := 0
-					if id%3 == 0 {
-						want = 1
-					}
-					if marks[i] != want {
-						t.Errorf("%v: rank %d mark %d (id %d): got %d, want %d",
-							backend, c.Rank(), i, id, marks[i], want)
-					}
-				}
-			})
-			if err != nil {
-				t.Fatalf("%v: %v", backend, err)
 			}
+			g := Build(c, n, WithLink(me1, me2))
+			if d := diffGraphs(g, refBuild(c, n, me1, me2)); d != "" {
+				t.Errorf("rank %d graph: %s", c.Rank(), d)
+			}
+			before := c.Clock()
+			ge := fuzzScratch[c.Rank()].NewGhostExchange(c, g)
+			if d := specExchange(c, cfg.WordTime, g, ge, before); d != "" {
+				t.Errorf("rank %d exchange pattern: %s", c.Rank(), d)
+			}
+
+			lo := g.Home.Lo(c.Rank())
+			localN := g.LocalN(c.Rank())
+			ids := make([]int, localN)
+			fids := make([]float64, localN)
+			for l := range ids {
+				ids[l] = lo + l
+				fids[l] = float64(lo+l) + 0.5
+			}
+			ghost := ge.PushInts(c, ids)
+			for i, v := range ghost {
+				if v != ge.IDs[i] {
+					t.Errorf("rank %d ghost slot %d: got %d, want id %d",
+						c.Rank(), i, v, ge.IDs[i])
+				}
+			}
+			for k, loc := range ge.Loc {
+				if loc < 0 && ghost[-loc-1] != g.Adj[k] {
+					t.Errorf("rank %d: adjacency slot %d reads ghost %d through Loc, want %d",
+						c.Rank(), k, ghost[-loc-1], g.Adj[k])
+				}
+			}
+			fghost := ge.PushFloatsInto(c, fids, nil)
+			for i, v := range fghost {
+				if v != float64(ge.IDs[i])+0.5 {
+					t.Errorf("rank %d float ghost slot %d: got %v, want %v",
+						c.Rank(), i, v, float64(ge.IDs[i])+0.5)
+				}
+			}
+
+			// Incremental update: every third global vertex moves.
+			changed := make([]bool, localN)
+			for l := range ids {
+				if (lo+l)%3 == 0 {
+					ids[l] += n
+					changed[l] = true
+				}
+			}
+			touched := ge.UpdateIntsTouchedInto(c, ids, changed, ghost, nil)
+			for i, id := range ge.IDs {
+				want := id
+				if id%3 == 0 {
+					want = id + n
+				}
+				if ghost[i] != want {
+					t.Errorf("rank %d updated ghost %d: got %d, want %d",
+						c.Rank(), i, ghost[i], want)
+				}
+			}
+			for k, s := range touched {
+				if ge.IDs[s]%3 != 0 {
+					t.Errorf("rank %d touched slot %d (id %d) never changed",
+						c.Rank(), s, ge.IDs[s])
+				}
+				if k > 0 && touched[k-1] >= s {
+					t.Errorf("rank %d touched list not ascending: %v",
+						c.Rank(), touched)
+				}
+			}
+
+			// Monotone marks: flag the same vertices via PushMarks.
+			marks := make([]int, len(ge.IDs))
+			ge.PushMarks(c, changed, marks)
+			for i, id := range ge.IDs {
+				want := 0
+				if id%3 == 0 {
+					want = 1
+				}
+				if marks[i] != want {
+					t.Errorf("rank %d mark %d (id %d): got %d, want %d",
+						c.Rank(), i, id, marks[i], want)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	})
 }
@@ -181,9 +178,8 @@ func diffCSR(got, want *csr.Graph) string {
 }
 
 // FuzzBuildCoarse contracts a fuzzed graph twice under fuzzed
-// clusterings, under both backends at P = 1..4, and demands of every
-// gathered level exactly what the serial contraction of the gathered
-// finer level gives: csr.Scratch.Contract, then SortRows, bit for bit.
+// clusterings at P = 1..4, and demands of every gathered level exactly
+// what the serial contraction of the gathered finer level gives: csr.Scratch.Contract, then SortRows, bit for bit.
 // The edge list brings self-loops, multi-edges and isolated vertices;
 // LOAD is optional and fractional, so the vertex-weight sums depend on
 // their order; the second level contracts the first level's integer
@@ -204,42 +200,39 @@ func FuzzBuildCoarse(f *testing.F) {
 				load[v] = float64(1+(v*int(lb>>1)+v)%7) / 3
 			}
 		}
-		for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-			cfg := machine.Zero(p)
-			cfg.Backend = backend
-			err := machine.Run(cfg, func(c *machine.Ctx) {
-				var me1, me2 []int
-				for i := range e1 {
-					if i%p == c.Rank() {
-						me1, me2 = append(me1, e1[i]), append(me2, e2[i])
-					}
+		cfg := machine.Zero(p)
+		err := machine.Run(cfg, func(c *machine.Ctx) {
+			var me1, me2 []int
+			for i := range e1 {
+				if i%p == c.Rank() {
+					me1, me2 = append(me1, e1[i]), append(me2, e2[i])
 				}
-				opts := []Option{WithLink(me1, me2)}
-				if load != nil {
-					home := dist.NewBlock(n, p)
-					lo := home.Lo(c.Rank())
-					opts = append(opts, WithLoad(load[lo:lo+home.LocalSize(c.Rank())]))
-				}
-				g := Build(c, n, opts...)
-				var s csr.Scratch
-				for level, salt := range []byte{cb, cb ^ 0x5a} {
-					cmap, nc := fuzzClustering(g.N, salt)
-					fine := g.GatherTo(c, machine.AllRanks)
-					lo := g.Home.Lo(c.Rank())
-					g = BuildCoarse(c, g, NewGhostExchange(c, g), cmap[lo:lo+g.LocalN(c.Rank())], nc)
-					want := s.Contract(fine, cmap, nc)
-					s.SortRows(&want)
-					if d := diffCSR(g.GatherTo(c, machine.AllRanks), &want); d != "" {
-						t.Errorf("%v P=%d rank %d level %d: %s", backend, p, c.Rank(), level, d)
-					}
-					if g.NEdges != len(want.Adj)/2 {
-						t.Errorf("%v P=%d rank %d level %d: NEdges %d, want %d", backend, p, c.Rank(), level, g.NEdges, len(want.Adj)/2)
-					}
-				}
-			})
-			if err != nil {
-				t.Fatalf("%v: %v", backend, err)
 			}
+			opts := []Option{WithLink(me1, me2)}
+			if load != nil {
+				home := dist.NewBlock(n, p)
+				lo := home.Lo(c.Rank())
+				opts = append(opts, WithLoad(load[lo:lo+home.LocalSize(c.Rank())]))
+			}
+			g := Build(c, n, opts...)
+			var s csr.Scratch
+			for level, salt := range []byte{cb, cb ^ 0x5a} {
+				cmap, nc := fuzzClustering(g.N, salt)
+				fine := g.GatherTo(c, machine.AllRanks)
+				lo := g.Home.Lo(c.Rank())
+				g = BuildCoarse(c, g, NewGhostExchange(c, g), cmap[lo:lo+g.LocalN(c.Rank())], nc)
+				want := s.Contract(fine, cmap, nc)
+				s.SortRows(&want)
+				if d := diffCSR(g.GatherTo(c, machine.AllRanks), &want); d != "" {
+					t.Errorf("P=%d rank %d level %d: %s", p, c.Rank(), level, d)
+				}
+				if g.NEdges != len(want.Adj)/2 {
+					t.Errorf("P=%d rank %d level %d: NEdges %d, want %d", p, c.Rank(), level, g.NEdges, len(want.Adj)/2)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -11,8 +11,8 @@ import (
 // exchanges on a 4-rank mesh: one dense push plus one sparse
 // incremental update per op, every destination buffer reused. Both
 // send out of buffers the pattern or its scratch keeps, by ownership
-// transfer, so on the Simulated backend an op allocates nothing; the
-// bench-gate baseline pins that.
+// transfer, so an op allocates nothing; the bench-gate baseline pins
+// that.
 func BenchmarkHotGhostExchange(b *testing.B) {
 	m := mesh.Generate(21000, 11)
 	const p = 4

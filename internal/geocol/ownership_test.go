@@ -43,12 +43,11 @@ func a2aPush(c *machine.Ctx, ge *GhostExchange, vals []int, changed []bool, posi
 // through the AlltoAllInts formulation — with random per-rank stalls
 // between leaving an exchange and reading what it delivered, and
 // returns every result with the rank's clock after it.
-func exchangeProgram(t *testing.T, backend machine.Backend, p int, model bool) [][]asmStepInts {
+func exchangeProgram(t *testing.T, p int, model bool) [][]asmStepInts {
 	t.Helper()
 	fams := edgeFamilies(p)
 	traces := make([][]asmStepInts, p)
 	cfg := machine.IPSC860(p)
-	cfg.Backend = backend
 	err := machine.Run(cfg, func(c *machine.Ctx) {
 		rng := rand.New(rand.NewSource(int64(c.Rank())))
 		var gs GhostScratch
@@ -93,7 +92,7 @@ func exchangeProgram(t *testing.T, backend machine.Backend, p int, model bool) [
 				fghost := ge.PushFloatsInto(c, fvals, nil)
 				for s, id := range ge.IDs {
 					if fghost[s] != float64(1000*round+id+3)/4 {
-						t.Errorf("%v P=%d rank %d %s: float ghost of %d is %v", backend, p, c.Rank(), f.name, id, fghost[s])
+						t.Errorf("P=%d rank %d %s: float ghost of %d is %v", p, c.Rank(), f.name, id, fghost[s])
 					}
 				}
 
@@ -131,7 +130,7 @@ func exchangeProgram(t *testing.T, backend machine.Backend, p int, model bool) [
 		}
 	})
 	if err != nil {
-		t.Fatalf("%v P=%d model=%v: %v", backend, p, model, err)
+		t.Fatalf("P=%d model=%v: %v", p, model, err)
 	}
 	return traces
 }
@@ -144,27 +143,24 @@ type asmStepInts struct {
 }
 
 // TestGhostExchangesOwnershipUnderDelays is the ownership rule's proof
-// for the ghost exchanges: back-to-back pushes, updates and marks on one
-// pattern, three rounds so that the buffer of round one is refilled
-// while a stalled peer would still be reading it if fewer than two
-// alternated, on hostile graphs (idle ranks, fewer vertices than
-// ranks), P ∈ {1, 3, 8}, both backends. Every delivered array and every
-// per-rank virtual clock must equal the AlltoAllInts formulation's. A
-// buffer rewritten too early is a difference here or a data race under
-// -race.
+// for the ghost exchanges: back-to-back pushes, updates and marks on
+// one pattern, three rounds so that the buffer of round one is
+// refilled while a stalled peer would still be reading it if fewer
+// than two alternated, on hostile graphs (idle ranks, fewer vertices
+// than ranks), P ∈ {1, 3, 8}. Every delivered array and every per-rank
+// virtual clock must equal the AlltoAllInts formulation's. A buffer
+// rewritten too early is a difference here or a data race under -race.
 func TestGhostExchangesOwnershipUnderDelays(t *testing.T) {
-	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-		for _, p := range []int{1, 3, 8} {
-			want := exchangeProgram(t, backend, p, true)
-			got := exchangeProgram(t, backend, p, false)
-			for r := range want {
-				for i, w := range want[r] {
-					switch s := got[r][i]; {
-					case !slices.Equal(s.ints, w.ints):
-						t.Errorf("%v P=%d rank %d, %s: %v, AlltoAll formulation %v", backend, p, r, w.what, s.ints, w.ints)
-					case s.clock != w.clock:
-						t.Errorf("%v P=%d rank %d, %s: clock %v, AlltoAll formulation %v", backend, p, r, w.what, s.clock, w.clock)
-					}
+	for _, p := range []int{1, 3, 8} {
+		want := exchangeProgram(t, p, true)
+		got := exchangeProgram(t, p, false)
+		for r := range want {
+			for i, w := range want[r] {
+				switch s := got[r][i]; {
+				case !slices.Equal(s.ints, w.ints):
+					t.Errorf("P=%d rank %d, %s: %v, AlltoAll formulation %v", p, r, w.what, s.ints, w.ints)
+				case s.clock != w.clock:
+					t.Errorf("P=%d rank %d, %s: clock %v, AlltoAll formulation %v", p, r, w.what, s.clock, w.clock)
 				}
 			}
 		}
@@ -220,57 +216,54 @@ func TestGhostExchangeBytesCountsWhatIsRetained(t *testing.T) {
 // weights (CONSTRUCT) and with them and LOAD (a contraction), with and
 // without GEOMETRY.
 func TestGatherToIsRootOnlyGather(t *testing.T) {
-	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-		for _, p := range []int{1, 3, 8} {
-			fams := edgeFamilies(p)
-			root := p / 2
-			run := func(rootOnly bool) (fulls [][]*csr.Graph, clocks []float64) {
-				fulls, clocks = make([][]*csr.Graph, p), make([]float64, p)
-				cfg := machine.IPSC860(p)
-				cfg.Backend = backend
-				err := machine.Run(cfg, func(c *machine.Ctx) {
-					gather := func(g *Graph) {
-						c.Flops(100 * (c.Rank() + 1)) // unequal clocks going in
-						at := machine.AllRanks
-						if rootOnly {
-							at = root
-						}
-						fulls[c.Rank()] = append(fulls[c.Rank()], g.GatherTo(c, at))
+	for _, p := range []int{1, 3, 8} {
+		fams := edgeFamilies(p)
+		root := p / 2
+		run := func(rootOnly bool) (fulls [][]*csr.Graph, clocks []float64) {
+			fulls, clocks = make([][]*csr.Graph, p), make([]float64, p)
+			cfg := machine.IPSC860(p)
+			err := machine.Run(cfg, func(c *machine.Ctx) {
+				gather := func(g *Graph) {
+					c.Flops(100 * (c.Rank() + 1)) // unequal clocks going in
+					at := machine.AllRanks
+					if rootOnly {
+						at = root
 					}
-					for i := range fams {
-						f := &fams[i]
-						e1, e2 := f.share(c.Rank(), p)
-						g := Build(c, f.n, WithLink(e1, e2))
-						gather(g)
-						cmap, coarseN := pairUp(g, c.Rank())
-						gather(BuildCoarse(c, g, NewGhostExchange(c, g), cmap, coarseN))
-						xs := make([]float64, g.LocalN(c.Rank()))
-						for l := range xs {
-							xs[l] = float64(g.Home.Lo(c.Rank()) + l)
-						}
-						gather(Build(c, f.n, WithGeometry(xs, xs), WithLoad(xs)))
-					}
-					clocks[c.Rank()] = c.Clock()
-				})
-				if err != nil {
-					t.Fatalf("%v P=%d: %v", backend, p, err)
+					fulls[c.Rank()] = append(fulls[c.Rank()], g.GatherTo(c, at))
 				}
-				return
+				for i := range fams {
+					f := &fams[i]
+					e1, e2 := f.share(c.Rank(), p)
+					g := Build(c, f.n, WithLink(e1, e2))
+					gather(g)
+					cmap, coarseN := pairUp(g, c.Rank())
+					gather(BuildCoarse(c, g, NewGhostExchange(c, g), cmap, coarseN))
+					xs := make([]float64, g.LocalN(c.Rank()))
+					for l := range xs {
+						xs[l] = float64(g.Home.Lo(c.Rank()) + l)
+					}
+					gather(Build(c, f.n, WithGeometry(xs, xs), WithLoad(xs)))
+				}
+				clocks[c.Rank()] = c.Clock()
+			})
+			if err != nil {
+				t.Fatalf("P=%d: %v", p, err)
 			}
-			want, wantClocks := run(false)
-			got, gotClocks := run(true)
-			for r := 0; r < p; r++ {
-				if gotClocks[r] != wantClocks[r] {
-					t.Errorf("%v P=%d rank %d: clock %v, all-ranks gather %v", backend, p, r, gotClocks[r], wantClocks[r])
+			return
+		}
+		want, wantClocks := run(false)
+		got, gotClocks := run(true)
+		for r := 0; r < p; r++ {
+			if gotClocks[r] != wantClocks[r] {
+				t.Errorf("P=%d rank %d: clock %v, all-ranks gather %v", p, r, gotClocks[r], wantClocks[r])
+			}
+			for i, f := range got[r] {
+				w := *want[r][i]
+				if r != root {
+					w.XAdj, w.Adj, w.EdgeW, w.Weights = nil, nil, nil, nil
 				}
-				for i, f := range got[r] {
-					w := *want[r][i]
-					if r != root {
-						w.XAdj, w.Adj, w.EdgeW, w.Weights = nil, nil, nil, nil
-					}
-					if !reflect.DeepEqual(*f, w) {
-						t.Errorf("%v P=%d rank %d, gather %d: %+v, want %+v", backend, p, r, i, *f, w)
-					}
+				if !reflect.DeepEqual(*f, w) {
+					t.Errorf("P=%d rank %d, gather %d: %+v, want %+v", p, r, i, *f, w)
 				}
 			}
 		}
@@ -278,11 +271,11 @@ func TestGatherToIsRootOnlyGather(t *testing.T) {
 }
 
 // TestGhostExchangesAllocateNothingWarm pins the int exchanges'
-// allocation-free steady state on the Simulated backend at the two
-// extremes of the changed set — every boundary vertex and none: once
-// both buffers of the pattern and of its row builder have carried the
-// larger one, a push, an update or a marks exchange allocates nothing
-// (a row counted short would grow by append and show here).
+// allocation-free steady state at the two extremes of the changed set
+// — every boundary vertex and none: once both buffers of the pattern
+// and of its row builder have carried the larger one, a push, an
+// update or a marks exchange allocates nothing (a row counted short
+// would grow by append and show here).
 func TestGhostExchangesAllocateNothingWarm(t *testing.T) {
 	const n, p = 60, 4
 	var before, after runtime.MemStats

@@ -205,7 +205,7 @@ const AllRanks = -1
 // xs travels by ownership transfer under the rule of exchangeRows: it
 // is deposited as it is and may be overwritten only after the sender
 // has returned from a later collective. The readers copy it out before
-// they return, on both backends.
+// they return.
 func gatherRows[T int | float64](c *Ctx, slots *[2][]T, root int, xs, dst []T) []T {
 	c.turn ^= 1
 	slots[c.turn] = xs
@@ -268,9 +268,6 @@ func (c *Ctx) BroadcastInts(root int, xs []int) []int {
 		dep.p = cp
 	}
 	out := c.exchange(dep)[root].p.([]int)
-	if c.m.real {
-		out = slices.Clone(out)
-	}
 	c.collectiveCost(8 * len(out))
 	return out
 }
@@ -289,20 +286,15 @@ func (c *Ctx) BroadcastInts(root int, xs []int) []int {
 // it where the clocks are already equal, i.e. straight after a charged
 // synchronizing collective.
 //
-// On the Simulated backend the result is root's memory, on root and on
-// every other rank: read-only, and root may overwrite it only after it
-// has returned from a later collective (the ExchangeInts rule). The
-// Real backend hands each rank a clone.
+// The result is root's memory, on root and on every other rank:
+// read-only, and root may overwrite it only after it has returned from
+// a later collective (the ExchangeInts rule).
 func (c *Ctx) ShareInts(root int, xs []int) []int {
 	var dep deposit
 	if c.rank == root {
 		dep.p = xs
 	}
-	out := c.exchange(dep)[root].p.([]int)
-	if c.m.real {
-		out = slices.Clone(out)
-	}
-	return out
+	return c.exchange(dep)[root].p.([]int)
 }
 
 // alltoallCost charges the cost of an irregular all-to-all in which
@@ -328,16 +320,14 @@ func (c *Ctx) alltoallCost(nSend, sendBytes, nRecv, recvBytes int) {
 // are deposited as they are, with no sender-side copy — under one
 // rule: a sent payload (out itself and every row) may be overwritten
 // only after the sender has returned from a later collective.
-// Symmetrically, on the Simulated backend a received row is the
-// sender's memory: read-only, and good until the receiver enters its
-// next collective unless the sender gives the payload away for good.
+// Symmetrically, a received row is the sender's memory: read-only,
+// and good until the receiver enters its next collective unless the
+// sender gives the payload away for good.
 // The rule is sound because a rank leaves a collective only after all
 // ranks have entered it: every receiver read its rows before entering
 // the later collective (program order), its entry happens-before the
 // sender's return (the rendezvous mutex), and the sender's return
-// happens-before its overwrite (program order). The Real backend
-// clones each row into receiver memory on delivery; the clone is such
-// a read, so the same rule covers it.
+// happens-before its overwrite (program order).
 //
 // A sender that wants to reuse its buffers therefore keeps two and
 // alternates: the one sent in call n is next written for call n+2,
@@ -366,11 +356,8 @@ func exchangeRows[T int | float64](c *Ctx, slots *[2][][]T, out, in [][]T) [][]T
 	nRecv, recvBytes := 0, 0
 	for p := range in {
 		row := (*vals[p].p.(*[][]T))[c.rank]
-		switch {
-		case len(row) == 0:
+		if len(row) == 0 {
 			row = nil
-		case c.m.real:
-			row = slices.Clone(row)
 		}
 		in[p] = row
 		if p != c.rank && len(row) > 0 {
@@ -405,11 +392,11 @@ func (c *Ctx) AlltoAllInts(out [][]int) [][]int {
 // ExchangeInts is AlltoAllInts without the sender-side copy, for
 // callers that can keep to the ownership rule (see exchangeRows): out
 // and its rows must stay untouched until this rank has returned from a
-// later collective, and on the Simulated backend the received rows are
-// the senders' memory — read-only, and valid until this rank enters
-// its next collective unless the protocol says the sender never reuses
-// them. The received row headers are written to in (len Procs), which
-// is returned; a nil in allocates them.
+// later collective, and the received rows are the senders' memory —
+// read-only, and valid until this rank enters its next collective
+// unless the protocol says the sender never reuses them. The received
+// row headers are written to in (len Procs), which is returned; a nil
+// in allocates them.
 func (c *Ctx) ExchangeInts(out, in [][]int) [][]int {
 	return exchangeRows(c, &c.intRows, out, in)
 }

@@ -17,16 +17,13 @@
 // used in the paper this repository reproduces (Ponnusamy, Saltz,
 // Choudhary; Supercomputing '93).
 //
-// Two execution backends share this machinery (Config.Backend). The
-// default Simulated backend is the classic simulator above. The Real
-// backend (Run or RunStats with Config.Backend = Real) executes the
-// same SPMD body concurrently on the host cores, as many at once as
-// the Go scheduler runs (GOMAXPROCS): payloads are physically copied
-// into receiver memory, per-rank wall time is measured and max-reduced
-// (Stats.Elapsed), and runs are context-cancellable. Both backends
-// drive communication through the same deterministic rendezvous, so a
-// body computes identical results under either, and across repeated
-// runs; only the authoritative timing differs.
+// The ranks run concurrently on the host cores, as many at once as the
+// Go scheduler runs (GOMAXPROCS). Every run also measures each rank's
+// host wall time and max-reduces it (Stats.Elapsed, next to the
+// virtual makespan), and runs are context-cancellable (RunStats).
+// Communication goes through one deterministic rendezvous, so a body
+// computes identical results, and charges identical virtual time,
+// across repeated runs.
 package machine
 
 import (
@@ -62,9 +59,6 @@ type Config struct {
 	// buffer copying and similar inspector work).
 	WordTime float64
 
-	// Backend selects the execution backend (see Backend). The zero
-	// value is Simulated, the classic virtual-clock simulator.
-	Backend Backend
 	// Seed has no effect: the machine draws no random numbers (each
 	// partitioner takes a seed of its own). It is kept for the callers
 	// that still set it, the repository benchmark's service_mix
@@ -107,9 +101,6 @@ func logceil(p int) int {
 type Machine struct {
 	cfg Config
 	rdv *rendezvous
-
-	// real marks the Real backend: receiver-side payload copies.
-	real bool
 
 	// elapsed and clocks collect each rank's wall time and final
 	// virtual clock; each rank writes only its own index.
@@ -204,10 +195,9 @@ func (c *Ctx) checkAborted() {
 	}
 }
 
-// Run executes body on cfg.Procs processors under the backend selected
-// by cfg.Backend and blocks until every rank returns. If any rank
-// panics, Run unblocks the remaining ranks and returns an error
-// describing the first panic.
+// Run executes body on cfg.Procs processors and blocks until every rank
+// returns. If any rank panics, Run unblocks the remaining ranks and
+// returns an error describing the first panic.
 func Run(cfg Config, body func(*Ctx)) error {
 	_, err := RunStats(context.Background(), cfg, body)
 	return err

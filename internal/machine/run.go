@@ -7,39 +7,10 @@ import (
 	"time"
 )
 
-// Backend selects how a machine executes its ranks.
-type Backend int
-
-const (
-	// Simulated is the classic mode: goroutine-per-rank with every
-	// charge going to the virtual clock. Host wall time is incidental;
-	// the virtual clock is the authoritative timing.
-	Simulated Backend = iota
-	// Real is the real-cores mode: ranks execute concurrently on the
-	// host cores (the Go scheduler runs at most GOMAXPROCS at once),
-	// payloads are physically copied into receiver memory on
-	// delivery, and the authoritative timing is per-rank wall time
-	// (Stats.Elapsed). The virtual clock is still charged so both
-	// trajectories come out of one run.
-	Real
-)
-
-func (b Backend) String() string {
-	switch b {
-	case Simulated:
-		return "simulated"
-	case Real:
-		return "real"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
-
 // Stats reports both timing trajectories of one run: the simulated
-// makespan (maximum final virtual clock across ranks) and the real
-// makespan (maximum per-rank wall time). On the simulated backend
-// MaxClock is authoritative and Elapsed merely records what the host
-// happened to spend; on the real backend it is the reverse.
+// makespan (maximum final virtual clock across ranks), which is the
+// authoritative timing, and the host makespan (maximum per-rank wall
+// time), which records what the host spent simulating it.
 type Stats struct {
 	// MaxClock is the maximum final virtual clock across ranks, in
 	// simulated seconds.
@@ -52,12 +23,11 @@ type Stats struct {
 	Elapsed time.Duration
 }
 
-// RunStats executes body like Run under the backend selected by
-// cfg.Backend and returns both timing trajectories. The context
-// cancels the run: cancellation aborts the machine exactly like a rank
-// panic, unwinding every rank at its next machine call (blocked ranks
-// are woken mid-collective), and the returned error wraps ctx.Err().
-// A nil ctx means context.Background().
+// RunStats executes body like Run and returns both timing
+// trajectories. The context cancels the run: cancellation aborts the
+// machine exactly like a rank panic, unwinding every rank at its next
+// machine call (blocked ranks are woken mid-collective), and the
+// returned error wraps ctx.Err(). A nil ctx means context.Background().
 func RunStats(ctx context.Context, cfg Config, body func(*Ctx)) (Stats, error) {
 	if cfg.Procs < 1 {
 		return Stats{}, fmt.Errorf("machine: invalid processor count %d", cfg.Procs)
@@ -67,7 +37,6 @@ func RunStats(ctx context.Context, cfg Config, body func(*Ctx)) (Stats, error) {
 	}
 	m := &Machine{
 		cfg:     cfg,
-		real:    cfg.Backend == Real,
 		elapsed: make([]time.Duration, cfg.Procs),
 		clocks:  make([]float64, cfg.Procs),
 	}

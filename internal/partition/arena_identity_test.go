@@ -12,24 +12,22 @@ import (
 
 // fingerprintColdWarm runs one cold PartitionLadder plus two warm
 // Repartition epochs (each warm epoch perturbs the edge list
-// deterministically) on the given backend and returns a per-epoch
-// fingerprint: the edge cut and an order-sensitive hash of the global
-// partition vector. The fingerprints pin the exact move sequences of
-// the cold V-cycle and of ladder-reusing warm refinement.
+// deterministically) and returns a per-epoch fingerprint: the edge cut
+// and an order-sensitive hash of the global partition vector. The
+// fingerprints pin the exact move sequences of the cold V-cycle and of
+// ladder-reusing warm refinement.
 //
 // With reuseArena false the retained scratch arena is discarded before
 // every warm epoch, so each Repartition rebuilds its buffers from
 // scratch — comparing against the reusing run proves buffer reuse
 // cannot leak state between epochs.
-func fingerprintColdWarm(t *testing.T, backend machine.Backend, reuseArena bool) [3]string {
+func fingerprintColdWarm(t *testing.T, reuseArena bool) [3]string {
 	t.Helper()
 	m := mesh.Generate(4000, 7)
 	const p = 4
 	ml := Multilevel{Seed: 42}
 	var out [3]string
-	cfg := machine.IPSC860(p)
-	cfg.Backend = backend
-	err := machine.Run(cfg, func(c *machine.Ctx) {
+	err := machine.Run(machine.IPSC860(p), func(c *machine.Ctx) {
 		eb := m.NEdge() / p
 		elo, ehi := c.Rank()*eb, (c.Rank()+1)*eb
 		if c.Rank() == p-1 {
@@ -86,26 +84,17 @@ func fingerprint(c *machine.Ctx, g *geocol.Graph, part []int) string {
 }
 
 // TestArenaReuseBitIdentical is the bit-identity gate of the scratch
-// arenas: a cold partition followed by two warm repartition epochs must
-// produce byte-for-byte identical partitions whether the warm epochs
-// reuse the cold run's arena (steady state: buffers carry arbitrary
-// stale contents) or rebuild pristine buffers every epoch — on the
-// Simulated and the Real execution backend, which must also agree with
-// each other. Any scratch buffer whose stale contents influence a
-// single move would break this.
+// arenas: a cold partition followed by two warm repartition epochs
+// must produce byte-for-byte identical partitions whether the warm
+// epochs reuse the cold run's arena (steady state: buffers carry
+// arbitrary stale contents) or rebuild pristine buffers every epoch.
+// Any scratch buffer whose stale contents influence a single move
+// would break this.
 func TestArenaReuseBitIdentical(t *testing.T) {
-	var first [3]string
-	for i, b := range []machine.Backend{machine.Simulated, machine.Real} {
-		reused := fingerprintColdWarm(t, b, true)
-		fresh := fingerprintColdWarm(t, b, false)
-		t.Logf("backend=%v fingerprints: %v", b, reused)
-		if reused != fresh {
-			t.Errorf("backend %v: arena reuse changed the result:\n  reused: %v\n  fresh:  %v", b, reused, fresh)
-		}
-		if i == 0 {
-			first = reused
-		} else if reused != first {
-			t.Errorf("backends disagree:\n  simulated: %v\n  real:      %v", first, reused)
-		}
+	reused := fingerprintColdWarm(t, true)
+	fresh := fingerprintColdWarm(t, false)
+	t.Logf("fingerprints: %v", reused)
+	if reused != fresh {
+		t.Errorf("arena reuse changed the result:\n  reused: %v\n  fresh:  %v", reused, fresh)
 	}
 }

@@ -66,7 +66,7 @@
 // prefine_test.go pins the refinement stack's contracts (FM improves
 // seeds and holds the balance window); pipeline_pin_test.go pins the
 // exact partition and virtual makespan of the cold and warm pipeline
-// entry points at P in {1, 3, 8} on both backends.
+// entry points at P in {1, 3, 8}.
 // docs/REFINEMENT.md is the guided tour of the refinement stack;
 // docs/ARCHITECTURE.md places the package in the paper's Figure 2
 // pipeline.

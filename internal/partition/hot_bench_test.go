@@ -11,18 +11,18 @@ import (
 	"chaos/internal/xrand"
 )
 
-// The BenchmarkHot* family measures the STEADY STATE of the arena-backed
-// hot paths: every benchmark warms its scratch once before the timer, so
-// allocs/op reports exactly what a warm repartition epoch pays. The
-// serial kernels (KL refine, k-way FM) and the distributed FM refiner
-// must report 0 allocs/op — their scratch is entirely arena-owned. The distributed benchmarks move their
-// rows by ownership transfer out of arena buffers (scratch.Rows), so
-// what they still allocate on the Simulated backend is what a caller
-// keeps — cmap, part vectors, exchange patterns, freshly allocated by
-// design — plus one small result per scalar all-gather; it is nonzero
-// but constant, and the bench-gate baseline (BENCH_BASELINE.json) pins
-// all of these so any per-iteration allocation sneaking back into a hot
-// path fails CI.
+// The BenchmarkHot* family measures the STEADY STATE of the
+// arena-backed hot paths: every benchmark warms its scratch once before
+// the timer, so allocs/op reports exactly what a warm repartition epoch
+// pays. The serial kernels (KL refine, k-way FM) and the distributed FM
+// refiner must report 0 allocs/op — their scratch is entirely
+// arena-owned. The distributed benchmarks move their rows by ownership
+// transfer out of arena buffers (scratch.Rows), so what they still
+// allocate is what a caller keeps — cmap, part vectors, exchange
+// patterns, freshly allocated by design — plus one small result per
+// scalar all-gather; it is nonzero but constant, and the bench-gate
+// baseline (BENCH_BASELINE.json) pins all of these so any per-iteration
+// allocation sneaking back into a hot path fails CI.
 
 // hotSubgraph gathers the 21952-node mesh into a serial subgraph with a
 // deterministic half/half side seed.

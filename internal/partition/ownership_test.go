@@ -124,29 +124,26 @@ func stalled(ops levelOps, seed int64) levelOps {
 // TestLevelExchangesOwnershipUnderDelays is the ownership rule's proof
 // for the exchanges of the level machinery — matching proposals, coarse
 // id notifications, restriction pairs, projection requests and replies,
-// the root-only gathers of the k-way polish: one recycled arena per rank
-// carries every hostile graph's three matchings, two numberings,
+// the root-only gathers of the k-way polish: one recycled arena per
+// rank carries every hostile graph's three matchings, two numberings,
 // restriction, polish and projection back to back, so every row
 // builder's first buffer is refilled many times while the ranks drift
 // apart under random stalls. Every result and every per-rank virtual
 // clock must equal the AlltoAllInts formulation's (the parent bodies in
-// reference_test.go, which copy every row), on P ∈ {1, 3, 8} and both
-// backends. A buffer rewritten too early is a difference here or a data
-// race under -race.
+// reference_test.go, which copy every row), on P ∈ {1, 3, 8}. A buffer
+// rewritten too early is a difference here or a data race under -race.
 func TestLevelExchangesOwnershipUnderDelays(t *testing.T) {
-	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-		for _, p := range []int{1, 3, 8} {
-			want := runLevels(t, backend, p, referenceOps)
-			var seed atomic.Int64 // every rank stalls on a sequence of its own
-			got := runLevels(t, backend, p, func() levelOps { return stalled(currentOps(true), seed.Add(1)) })
-			for r := range want {
-				for i, w := range want[r] {
-					switch s := got[r][i]; {
-					case !slices.Equal(s.ints, w.ints):
-						t.Errorf("%v P=%d rank %d, %s: %v, AlltoAll formulation %v", backend, p, r, w.what, s.ints, w.ints)
-					case s.clock != w.clock:
-						t.Errorf("%v P=%d rank %d, %s: clock %v, AlltoAll formulation %v", backend, p, r, w.what, s.clock, w.clock)
-					}
+	for _, p := range []int{1, 3, 8} {
+		want := runLevels(t, p, referenceOps)
+		var seed atomic.Int64 // every rank stalls on a sequence of its own
+		got := runLevels(t, p, func() levelOps { return stalled(currentOps(true), seed.Add(1)) })
+		for r := range want {
+			for i, w := range want[r] {
+				switch s := got[r][i]; {
+				case !slices.Equal(s.ints, w.ints):
+					t.Errorf("P=%d rank %d, %s: %v, AlltoAll formulation %v", p, r, w.what, s.ints, w.ints)
+				case s.clock != w.clock:
+					t.Errorf("P=%d rank %d, %s: clock %v, AlltoAll formulation %v", p, r, w.what, s.clock, w.clock)
 				}
 			}
 		}

@@ -57,16 +57,15 @@ func rewire(m *mesh.Mesh, every int, salt uint64) *mesh.Mesh {
 // cold and warm entry points, on the benchmark's lattice at the default
 // knobs and on a rewired mesh with the knobs lowered so the ladder is
 // several levels deep and matching can stall above ParallelThreshold,
-// at P in {1, 3, 8} on both backends. In the rewired P=3 and P=8 rows
-// the cold ladder's matching stalls above the lowered
-// ParallelThreshold (at 135-142 vertices) and the warm polish refines
-// that level distributed instead of gathered; a warm run at P=1 is a
-// cold run, since the serial path retains no ladder. Every row moved
-// when MULTILEVEL's bisections began splitting their coarsest graph by
-// greedy graph growing instead of a Fiedler vector, the distributed
-// path's gathered solve became serial MULTILEVEL (solveSerial), and
-// kwayRefine stopped keeping stale bucket entries; each records its
-// parent value beside it.
+// at P in {1, 3, 8}. In the rewired P=3 and P=8 rows the cold ladder's
+// matching stalls above the lowered ParallelThreshold (at 135-142
+// vertices) and the warm polish refines that level distributed instead
+// of gathered; a warm run at P=1 is a cold run, since the serial path
+// retains no ladder. Every row moved when MULTILEVEL's bisections began
+// splitting their coarsest graph by greedy graph growing instead of a
+// Fiedler vector, the distributed path's gathered solve became serial
+// MULTILEVEL (solveSerial), and kwayRefine stopped keeping stale bucket
+// entries; each records its parent value beside it.
 func TestLadderPipelinePins(t *testing.T) {
 	lattice := mesh.GenerateLattice(16, 16, 16, 1993)
 	rewired := rewire(mesh.Generate(3000, 5), 10, 77)
@@ -87,45 +86,39 @@ func TestLadderPipelinePins(t *testing.T) {
 		for _, p := range []int{1, 3, 8} {
 			for _, op := range pipelineOps {
 				key := fmt.Sprintf("%d/%s", p, op.name)
-				for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-					cfg := machine.IPSC860(p)
-					cfg.Backend = backend
-					var pin pipelinePin
-					st, err := machine.RunStats(context.Background(), cfg, func(c *machine.Ctx) {
-						build := func(m *mesh.Mesh) *geocol.Graph {
-							eb := m.NEdge() / p
-							elo, ehi := c.Rank()*eb, (c.Rank()+1)*eb
-							if c.Rank() == p-1 {
-								ehi = m.NEdge()
-							}
-							return geocol.Build(c, m.NNode, geocol.WithLink(m.E1[elo:ehi], m.E2[elo:ehi]))
+				var pin pipelinePin
+				st, err := machine.RunStats(context.Background(), machine.IPSC860(p), func(c *machine.Ctx) {
+					build := func(m *mesh.Mesh) *geocol.Graph {
+						eb := m.NEdge() / p
+						elo, ehi := c.Rank()*eb, (c.Rank()+1)*eb
+						if c.Rank() == p-1 {
+							ehi = m.NEdge()
 						}
-						full := c.AllGatherInts(op.run(c, tc.ml, tc.nparts, build, tc.m, warmMesh))
-						if c.Rank() == 0 {
-							h := uint64(14695981039346656037)
-							for _, q := range full {
-								h = (h ^ uint64(q)) * 1099511628211
-							}
-							pin.hash = h
+						return geocol.Build(c, m.NNode, geocol.WithLink(m.E1[elo:ehi], m.E2[elo:ehi]))
+					}
+					full := c.AllGatherInts(op.run(c, tc.ml, tc.nparts, build, tc.m, warmMesh))
+					if c.Rank() == 0 {
+						h := uint64(14695981039346656037)
+						for _, q := range full {
+							h = (h ^ uint64(q)) * 1099511628211
 						}
-					})
-					if err != nil {
-						t.Fatalf("%s %s %v: %v", tc.name, key, backend, err)
+						pin.hash = h
 					}
-					pin.clock = math.Float64bits(st.MaxClock)
-					if backend == machine.Simulated {
-						fmt.Fprintf(&got, "\t%q: {%#x, %#x},\n", key, pin.hash, pin.clock)
-					}
-					if want := tc.want[key]; pin != want {
-						bad = true
-						t.Errorf("%s %s %v: got {%#x, %#x} (%.9g vs), want {%#x, %#x} (%.9g vs)", tc.name, key, backend,
-							pin.hash, pin.clock, st.MaxClock, want.hash, want.clock, math.Float64frombits(want.clock))
-					}
+				})
+				if err != nil {
+					t.Fatalf("%s %s: %v", tc.name, key, err)
+				}
+				pin.clock = math.Float64bits(st.MaxClock)
+				fmt.Fprintf(&got, "\t%q: {%#x, %#x},\n", key, pin.hash, pin.clock)
+				if want := tc.want[key]; pin != want {
+					bad = true
+					t.Errorf("%s %s: got {%#x, %#x} (%.9g vs), want {%#x, %#x} (%.9g vs)", tc.name, key,
+						pin.hash, pin.clock, st.MaxClock, want.hash, want.clock, math.Float64frombits(want.clock))
 				}
 			}
 		}
 		if bad {
-			t.Logf("%s rows as measured (Simulated):\n%s", tc.name, got.String())
+			t.Logf("%s rows as measured:\n%s", tc.name, got.String())
 		}
 	}
 }

@@ -263,56 +263,47 @@ func fmAudit(g *geocol.Graph, fail *string, audits *int) *fmScratch {
 
 // TestParallelFMCacheAudit runs the distributed FM refiner with its
 // audit seam over hostile graphs from random starting partitions, with
-// nparts up to four times a rank's slice, at P ∈ {2, 3, 8} on both
-// backends: every selection must read a cache equal to a fresh scan,
-// the synced cut must equal a recount, and both backends must refine
-// to the same partition.
+// nparts up to four times a rank's slice, at P ∈ {2, 3, 8}: every
+// selection must read a cache equal to a fresh scan and the synced cut
+// must equal a recount.
 func TestParallelFMCacheAudit(t *testing.T) {
 	cases := []struct{ n, nparts int }{{24, 12}, {40, 7}, {120, 5}, {200, 2}, {200, 3}, {400, 4}}
 	audited, changed := 0, 0
 	for seed := uint64(1); seed <= 4; seed++ {
 		for _, tc := range cases {
 			for _, p := range []int{2, 3, 8} {
-				var final [2][]int
-				for b, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-					cfg := machine.Zero(p)
-					cfg.Backend = backend
-					fails, audits := make([]string, p), make([]int, p)
-					var initial []int
-					err := machine.Run(cfg, func(c *machine.Ctx) {
-						g := hostileCSR(c, tc.n, seed)
-						lo := g.Home.Lo(c.Rank())
-						part := make([]int, g.LocalN(c.Rank()))
-						for l := range part {
-							part[l] = int(xrand.Hash64(seed<<40|uint64(lo+l)) % uint64(tc.nparts))
-						}
-						start := c.AllGatherInts(part)
-						r := c.Rank()
-						parallelFM(c, fmAudit(g, &fails[r], &audits[r]), g, geocol.NewGhostExchange(c, g), part, tc.nparts, 6, 0.07)
-						if full := c.AllGatherInts(part); r == 0 {
-							initial, final[b] = start, full
-						}
-					})
-					if err != nil {
-						t.Fatalf("seed %d n=%d P=%d %v: %v", seed, tc.n, p, backend, err)
+				fails, audits := make([]string, p), make([]int, p)
+				var initial, final []int
+				err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
+					g := hostileCSR(c, tc.n, seed)
+					lo := g.Home.Lo(c.Rank())
+					part := make([]int, g.LocalN(c.Rank()))
+					for l := range part {
+						part[l] = int(xrand.Hash64(seed<<40|uint64(lo+l)) % uint64(tc.nparts))
 					}
-					for r, f := range fails {
-						if f != "" {
-							t.Errorf("seed %d n=%d nparts=%d P=%d %v rank %d: %s", seed, tc.n, tc.nparts, p, backend, r, f)
-						}
+					start := c.AllGatherInts(part)
+					r := c.Rank()
+					parallelFM(c, fmAudit(g, &fails[r], &audits[r]), g, geocol.NewGhostExchange(c, g), part, tc.nparts, 6, 0.07)
+					if full := c.AllGatherInts(part); r == 0 {
+						initial, final = start, full
 					}
-					audited += audits[0]
-					if !slices.Equal(initial, final[b]) {
-						changed++
-					}
-					for v, q := range final[b] {
-						if q < 0 || q >= tc.nparts {
-							t.Fatalf("seed %d n=%d P=%d %v: vertex %d in part %d", seed, tc.n, p, backend, v, q)
-						}
+				})
+				if err != nil {
+					t.Fatalf("seed %d n=%d P=%d: %v", seed, tc.n, p, err)
+				}
+				for r, f := range fails {
+					if f != "" {
+						t.Errorf("seed %d n=%d nparts=%d P=%d rank %d: %s", seed, tc.n, tc.nparts, p, r, f)
 					}
 				}
-				if !slices.Equal(final[0], final[1]) {
-					t.Errorf("seed %d n=%d P=%d: Simulated and Real refined to different partitions", seed, tc.n, p)
+				audited += audits[0]
+				if !slices.Equal(initial, final) {
+					changed++
+				}
+				for v, q := range final {
+					if q < 0 || q >= tc.nparts {
+						t.Fatalf("seed %d n=%d P=%d: vertex %d in part %d", seed, tc.n, p, v, q)
+					}
 				}
 			}
 		}
@@ -320,7 +311,7 @@ func TestParallelFMCacheAudit(t *testing.T) {
 	if audited == 0 || changed == 0 {
 		t.Fatalf("vacuous audit: %d checks, %d runs moved a vertex", audited, changed)
 	}
-	t.Logf("%d audits on rank 0; %d of 144 runs moved vertices", audited, changed)
+	t.Logf("%d audits on rank 0; %d of 72 runs moved vertices", audited, changed)
 }
 
 // TestParallelFMGlobalUndoAudit drives the refiner into a global undo
@@ -340,39 +331,35 @@ func TestParallelFMGlobalUndoAudit(t *testing.T) {
 	edges := []wedge{{u, a, 4}, {u, v, 5}, {u, z, 0.5}, {v, b, 1}, {v, y, 1.5}, {m, m2, 1.5}, {m, m3, 1}}
 	weight := []float64{1, 100, 1, 51, 100, 1, 100, 101, 50, 101}
 	start := []int{0, 0, 0, 1, 0, 1, 1, 2, 1, 2}
-	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-		cfg := machine.Zero(2)
-		cfg.Backend = backend
-		var fails [2]string
-		var audits [2]int
-		var moved [2]bool
-		var final []int
-		err := machine.Run(cfg, func(c *machine.Ctx) {
-			r := c.Rank()
-			g := csrBlock(c, len(weight), edges, func(v int) float64 { return weight[v] })
-			lo := g.Home.Lo(r)
-			part := slices.Clone(start[lo : lo+g.LocalN(r)])
-			s := fmAudit(g, &fails[r], &audits[r])
-			check := s.audit
-			s.audit = func(c *machine.Ctx, part []int, cut float64) {
-				check(c, part, cut)
-				moved[r] = moved[r] || !slices.Equal(part, start[lo:lo+len(part)])
-			}
-			parallelFM(c, s, g, geocol.NewGhostExchange(c, g), part, 3, 2, 0.2)
-			if full := c.AllGatherInts(part); r == 0 {
-				final = full
-			}
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", backend, err)
+	var fails [2]string
+	var audits [2]int
+	var moved [2]bool
+	var final []int
+	err := machine.Run(machine.Zero(2), func(c *machine.Ctx) {
+		r := c.Rank()
+		g := csrBlock(c, len(weight), edges, func(v int) float64 { return weight[v] })
+		lo := g.Home.Lo(r)
+		part := slices.Clone(start[lo : lo+g.LocalN(r)])
+		s := fmAudit(g, &fails[r], &audits[r])
+		check := s.audit
+		s.audit = func(c *machine.Ctx, part []int, cut float64) {
+			check(c, part, cut)
+			moved[r] = moved[r] || !slices.Equal(part, start[lo:lo+len(part)])
 		}
-		for r, f := range fails {
-			if f != "" {
-				t.Errorf("%v rank %d: %s", backend, r, f)
-			}
+		parallelFM(c, s, g, geocol.NewGhostExchange(c, g), part, 3, 2, 0.2)
+		if full := c.AllGatherInts(part); r == 0 {
+			final = full
 		}
-		if !moved[0] || !moved[1] || !slices.Equal(final, start) {
-			t.Errorf("%v: no global undo of moved vertices (moved %v, final %v, start %v)", backend, moved, final, start)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, f := range fails {
+		if f != "" {
+			t.Errorf("rank %d: %s", r, f)
 		}
+	}
+	if !moved[0] || !moved[1] || !slices.Equal(final, start) {
+		t.Errorf("no global undo of moved vertices (moved %v, final %v, start %v)", moved, final, start)
 	}
 }

@@ -170,14 +170,12 @@ func currentOps(recycled bool) levelOps {
 // graph inside one machine run: matching, coarse numbering, a weighted
 // matching of the coarse graph, restriction of a partition to the
 // coarse graph, the replicated k-way polish there, and projection back.
-func runLevels(t *testing.T, backend machine.Backend, p int, ops func() levelOps) [][]ladderStep {
+func runLevels(t *testing.T, p int, ops func() levelOps) [][]ladderStep {
 	t.Helper()
 	const nparts = 3
 	graphs := hostileGraphs(p)
 	traces := make([][]ladderStep, p)
-	cfg := machine.IPSC860(p)
-	cfg.Backend = backend
-	err := machine.Run(cfg, func(c *machine.Ctx) {
+	err := machine.Run(machine.IPSC860(p), func(c *machine.Ctx) {
 		op := ops()
 		tr := &traces[c.Rank()]
 		for i := range graphs {
@@ -219,7 +217,7 @@ func runLevels(t *testing.T, backend machine.Backend, p int, ops func() levelOps
 		}
 	})
 	if err != nil {
-		t.Fatalf("%v P=%d: %v", backend, p, err)
+		t.Fatalf("P=%d: %v", p, err)
 	}
 	return traces
 }
@@ -227,25 +225,23 @@ func runLevels(t *testing.T, backend machine.Backend, p int, ops func() levelOps
 // TestLevelMachineryMatchesReference is the differential test of the
 // count → prefix-sum → fill routing (matching proposals, coarse-id
 // notifications, restriction and projection rows) and of the k-way
-// polish computed once and shared: on graphs that are not lattices, on
-// both backends and P ∈ {1,2,3,8}, with a recycled arena and with a
-// fresh one per call, every result and every per-rank virtual clock
-// must equal the parent commit's, to the last bit.
+// polish computed once and shared: on graphs that are not lattices, at
+// P ∈ {1,2,3,8}, with a recycled arena and with a fresh one per call,
+// every result and every per-rank virtual clock must equal the parent
+// commit's, to the last bit.
 func TestLevelMachineryMatchesReference(t *testing.T) {
-	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-		for _, p := range []int{1, 2, 3, 8} {
-			want := runLevels(t, backend, p, referenceOps)
-			for _, recycled := range []bool{false, true} {
-				got := runLevels(t, backend, p, func() levelOps { return currentOps(recycled) })
-				for r := range want {
-					for i, w := range want[r] {
-						s := got[r][i]
-						switch {
-						case !slices.Equal(s.ints, w.ints):
-							t.Errorf("%v P=%d recycled=%v rank %d, %s: %v, reference %v", backend, p, recycled, r, w.what, s.ints, w.ints)
-						case s.clock != w.clock:
-							t.Errorf("%v P=%d recycled=%v rank %d, %s: clock %v, reference %v", backend, p, recycled, r, w.what, s.clock, w.clock)
-						}
+	for _, p := range []int{1, 2, 3, 8} {
+		want := runLevels(t, p, referenceOps)
+		for _, recycled := range []bool{false, true} {
+			got := runLevels(t, p, func() levelOps { return currentOps(recycled) })
+			for r := range want {
+				for i, w := range want[r] {
+					s := got[r][i]
+					switch {
+					case !slices.Equal(s.ints, w.ints):
+						t.Errorf("P=%d recycled=%v rank %d, %s: %v, reference %v", p, recycled, r, w.what, s.ints, w.ints)
+					case s.clock != w.clock:
+						t.Errorf("P=%d recycled=%v rank %d, %s: clock %v, reference %v", p, recycled, r, w.what, s.clock, w.clock)
 					}
 				}
 			}

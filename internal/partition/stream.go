@@ -14,8 +14,8 @@ import (
 // serial methods (see serialBisectPartition): the machine being
 // modelled gathers the GeoCoL graph and runs the identical
 // deterministic pipeline on every rank, so the result is bit-for-bit
-// independent of the rank count and backend. Resident state of the
-// pipeline itself is one slab plus the O(nparts) placer and the
+// independent of the rank count. Resident state of the pipeline
+// itself is one slab plus the O(nparts) placer and the
 // vertex-proportional bootstrap model — the out-of-core contract;
 // stream.Partition is the machine-free entry point that honors it
 // against file streams the machine path never needs.

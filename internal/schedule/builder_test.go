@@ -38,66 +38,63 @@ func TestBuilderRecycledUnderDelays(t *testing.T) {
 				owner[g] = d.Owner(g)
 			}
 		}
-		for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-			cfg := machine.Zero(p)
-			cfg.Backend = backend
-			err := machine.Run(cfg, func(c *machine.Ctx) {
-				mine := ownedBy(owner, c.Rank())
-				local := make([]float64, len(mine))
-				for l, g := range mine {
-					local[l] = 1000 + float64(g)
-				}
-				// check gathers through the schedule and demands that every
-				// reference lands on its global's value, then scatters the
-				// ghosts back and demands that every element summed whole
-				// copies of its own value.
-				check := func(what string, globals, ref []int, s *Schedule) {
-					ghost := make([]float64, s.NGhost())
-					s.Gather(c, local, ghost)
-					buf := append(local[:len(local):len(local)], ghost...)
-					for i, g := range globals {
-						if buf[ref[i]] != 1000+float64(g) {
-							t.Errorf("%v %s rank %d %s: globals[%d]=%d gathered %v", backend, kind, c.Rank(), what, i, g, buf[ref[i]])
-							break // keep up with the other ranks' collectives
-						}
-					}
-					sums := make([]float64, len(local))
-					s.ScatterAdd(c, sums, ghost)
-					for l, g := range mine {
-						if math.Mod(sums[l], 1000+float64(g)) != 0 {
-							t.Errorf("%v %s rank %d %s: global %d summed to %v", backend, kind, c.Rank(), what, g, sums[l])
-							break
-						}
-					}
-				}
-				var res ttable.Resolver = ttable.Regular{D: dist.NewBlock(n, p)}
-				if kind == "table" {
-					res = ttable.Build(c, n, mine)
-				}
-				rng := rand.New(rand.NewSource(int64(c.Rank())))
-				firstGlobals := referenceList(rng, owner, mine, c.Rank())
-				first, firstRef := BuildGather(c, res, len(local), firstGlobals, Options{})
-
-				var b Builder
-				var ref []int
-				more := referenceList(rng, owner, mine, c.Rank())
-				re, reRef := b.BuildGather(c, res, len(local), more, Options{}, nil, nil)
-				for round := 0; round < rounds; round++ {
-					globals := referenceList(rng, owner, mine, c.Rank())
-					stall(rng)
-					var s *Schedule
-					s, ref = b.BuildGather(c, res, len(local), globals, Options{}, nil, ref)
-					stall(rng)
-					check("build", globals, ref, s)
-					check("first", firstGlobals, firstRef, first)
-					check("rebuild", more, reRef, re)
-					more = referenceList(rng, owner, mine, c.Rank())
-					re, reRef = b.BuildGather(c, res, len(local), more, Options{}, re, reRef)
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
+		cfg := machine.Zero(p)
+		err := machine.Run(cfg, func(c *machine.Ctx) {
+			mine := ownedBy(owner, c.Rank())
+			local := make([]float64, len(mine))
+			for l, g := range mine {
+				local[l] = 1000 + float64(g)
 			}
+			// check gathers through the schedule and demands that every
+			// reference lands on its global's value, then scatters the
+			// ghosts back and demands that every element summed whole
+			// copies of its own value.
+			check := func(what string, globals, ref []int, s *Schedule) {
+				ghost := make([]float64, s.NGhost())
+				s.Gather(c, local, ghost)
+				buf := append(local[:len(local):len(local)], ghost...)
+				for i, g := range globals {
+					if buf[ref[i]] != 1000+float64(g) {
+						t.Errorf("%s rank %d %s: globals[%d]=%d gathered %v", kind, c.Rank(), what, i, g, buf[ref[i]])
+						break // keep up with the other ranks' collectives
+					}
+				}
+				sums := make([]float64, len(local))
+				s.ScatterAdd(c, sums, ghost)
+				for l, g := range mine {
+					if math.Mod(sums[l], 1000+float64(g)) != 0 {
+						t.Errorf("%s rank %d %s: global %d summed to %v", kind, c.Rank(), what, g, sums[l])
+						break
+					}
+				}
+			}
+			var res ttable.Resolver = ttable.Regular{D: dist.NewBlock(n, p)}
+			if kind == "table" {
+				res = ttable.Build(c, n, mine)
+			}
+			rng := rand.New(rand.NewSource(int64(c.Rank())))
+			firstGlobals := referenceList(rng, owner, mine, c.Rank())
+			first, firstRef := BuildGather(c, res, len(local), firstGlobals, Options{})
+
+			var b Builder
+			var ref []int
+			more := referenceList(rng, owner, mine, c.Rank())
+			re, reRef := b.BuildGather(c, res, len(local), more, Options{}, nil, nil)
+			for round := 0; round < rounds; round++ {
+				globals := referenceList(rng, owner, mine, c.Rank())
+				stall(rng)
+				var s *Schedule
+				s, ref = b.BuildGather(c, res, len(local), globals, Options{}, nil, ref)
+				stall(rng)
+				check("build", globals, ref, s)
+				check("first", firstGlobals, firstRef, first)
+				check("rebuild", more, reRef, re)
+				more = referenceList(rng, owner, mine, c.Rank())
+				re, reRef = b.BuildGather(c, res, len(local), more, Options{}, re, reRef)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -106,8 +103,7 @@ func TestBuilderRecycledUnderDelays(t *testing.T) {
 // on the paper's 10K mesh over 8 ranks: every rank builds the gather
 // schedule of the far endpoints of the edges whose near endpoint it
 // owns, through one recycled Builder, rebuilding its previous schedule
-// and reference vector in place. Steady state allocates nothing on the
-// Simulated backend.
+// and reference vector in place. Steady state allocates nothing.
 func BenchmarkHotBuildGather(b *testing.B) {
 	m := mesh.Generate(10000, 1993)
 	const p = 8

@@ -60,118 +60,114 @@ func cloneRows(rows [][]int) [][]int {
 // in-place build, with the fresh build as its oracle: one random
 // program — rounds that each rebuild one of three build positions over
 // a new reference list (growing, shrinking, empty, all local, all
-// remote), then mostly gather
-// and scatter-add through every live schedule — run once rebuilding each
-// position into the schedule and reference vector it replaces and once
-// building everything fresh. After every round the schedule must equal
-// the fresh one field by field, the reference vectors, the per-rank
-// virtual clocks (bit for bit) and the moved data likewise. Translation
-// table and Regular resolvers — the second puts no collective between
-// a scatter's unpack and the next build's fill, the case the two
-// request slabs exist for — P = 1, 3 and 8, both backends, with random
-// per-rank stalls so that ranks leave each collective far apart. A
-// buffer rewritten while a peer still reads it is a data race (run
-// under -race) or a wrong round.
+// remote), then mostly gather and scatter-add through every live
+// schedule — run once rebuilding each position into the schedule and
+// reference vector it replaces and once building everything fresh.
+// After every round the schedule must equal the fresh one field by
+// field, the reference vectors, the per-rank virtual clocks (bit for
+// bit) and the moved data likewise. Translation table and Regular
+// resolvers — the second puts no collective between a scatter's unpack
+// and the next build's fill, the case the two request slabs exist for —
+// P = 1, 3 and 8, with random per-rank stalls so that ranks leave each
+// collective far apart. A buffer rewritten while a peer still reads it
+// is a data race (run under -race) or a wrong round.
 func TestRebuildInPlaceMatchesFresh(t *testing.T) {
 	const n, rounds, positions = 64, 60, 3
 	for _, p := range []int{1, 3, 8} {
 		for _, regular := range []bool{false, true} {
-			for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-				label := fmt.Sprintf("P=%d regular=%v %v", p, regular, backend)
-				owner := irregularOwners(n, p)
-				block := dist.NewBlock(n, p)
-				if regular {
-					for g := range owner {
-						owner[g] = block.Owner(g)
-					}
+			label := fmt.Sprintf("P=%d regular=%v", p, regular)
+			owner := irregularOwners(n, p)
+			block := dist.NewBlock(n, p)
+			if regular {
+				for g := range owner {
+					owner[g] = block.Owner(g)
 				}
-				run := func(inPlace bool) [][]rebuildRound {
-					cfg := machine.IPSC860(p)
-					cfg.Backend = backend
-					traces := make([][]rebuildRound, p)
-					err := machine.Run(cfg, func(c *machine.Ctx) {
-						mine := ownedBy(owner, c.Rank())
-						var res ttable.Resolver = ttable.Regular{D: block}
-						if !regular {
-							res = ttable.Build(c, n, mine)
+			}
+			run := func(inPlace bool) [][]rebuildRound {
+				cfg := machine.IPSC860(p)
+				traces := make([][]rebuildRound, p)
+				err := machine.Run(cfg, func(c *machine.Ctx) {
+					mine := ownedBy(owner, c.Rank())
+					var res ttable.Resolver = ttable.Regular{D: block}
+					if !regular {
+						res = ttable.Build(c, n, mine)
+					}
+					local := make([]float64, len(mine))
+					for l, g := range mine {
+						local[l] = 1000 + float64(g)
+					}
+					// ctl draws what every rank must agree on, rng this
+					// rank's reference lists, stalls its delays.
+					ctl := rand.New(rand.NewSource(int64(p)))
+					rng := rand.New(rand.NewSource(int64(100*p + c.Rank())))
+					stalls := rand.New(rand.NewSource(int64(c.Rank())))
+					stall := func() {
+						if stalls.Intn(4) == 0 {
+							time.Sleep(time.Duration(stalls.Intn(100)) * time.Microsecond)
 						}
-						local := make([]float64, len(mine))
-						for l, g := range mine {
-							local[l] = 1000 + float64(g)
+					}
+					var b Builder
+					var scheds [positions]*Schedule
+					var refs, ghostOf [positions][]int
+					for round := 0; round < rounds; round++ {
+						k, opt := ctl.Intn(positions), Options{}
+						globals := referenceList(rng, owner, mine, c.Rank())
+						stall()
+						if inPlace {
+							scheds[k], refs[k] = b.BuildGather(c, res, len(mine), globals, opt, scheds[k], refs[k])
+						} else {
+							scheds[k], refs[k] = BuildGather(c, res, len(mine), globals, opt)
 						}
-						// ctl draws what every rank must agree on, rng this
-						// rank's reference lists, stalls its delays.
-						ctl := rand.New(rand.NewSource(int64(p)))
-						rng := rand.New(rand.NewSource(int64(100*p + c.Rank())))
-						stalls := rand.New(rand.NewSource(int64(c.Rank())))
-						stall := func() {
-							if stalls.Intn(4) == 0 {
-								time.Sleep(time.Duration(stalls.Intn(100)) * time.Microsecond)
+						s := scheds[k]
+						tr := rebuildRound{
+							procs: s.procs, nGhost: s.nGhost,
+							sendLocal: cloneRows(s.sendLocal), recvGhost: cloneRows(s.recvGhost),
+							ref:   slices.Clone(refs[k]),
+							built: c.Clock(),
+						}
+						ghostOf[k] = ghostGlobals(t, globals, refs[k], len(mine), s.nGhost)
+						for i, g := range globals {
+							if r := refs[k][i]; r < len(mine) && mine[r] != g {
+								t.Errorf("%s rank %d round %d: globals[%d]=%d referenced as %d", label, c.Rank(), round, i, g, r)
+								break
 							}
 						}
-						var b Builder
-						var scheds [positions]*Schedule
-						var refs, ghostOf [positions][]int
-						for round := 0; round < rounds; round++ {
-							k, opt := ctl.Intn(positions), Options{}
-							globals := referenceList(rng, owner, mine, c.Rank())
+						// Every live schedule moves data, the one just built
+						// last: its scatter is what the next build follows.
+						// Now and then nothing moves, and the next build
+						// follows this one's exchange directly.
+						acc, idle := make([]float64, len(mine)), ctl.Intn(4) == 0
+						for d := 1; d <= positions; d++ {
+							j := (k + d) % positions
+							s := scheds[j]
+							if s == nil || idle {
+								continue
+							}
 							stall()
-							if inPlace {
-								scheds[k], refs[k] = b.BuildGather(c, res, len(mine), globals, opt, scheds[k], refs[k])
-							} else {
-								scheds[k], refs[k] = BuildGather(c, res, len(mine), globals, opt)
-							}
-							s := scheds[k]
-							tr := rebuildRound{
-								procs: s.procs, nGhost: s.nGhost,
-								sendLocal: cloneRows(s.sendLocal), recvGhost: cloneRows(s.recvGhost),
-								ref:   slices.Clone(refs[k]),
-								built: c.Clock(),
-							}
-							ghostOf[k] = ghostGlobals(t, globals, refs[k], len(mine), s.nGhost)
-							for i, g := range globals {
-								if r := refs[k][i]; r < len(mine) && mine[r] != g {
-									t.Errorf("%s rank %d round %d: globals[%d]=%d referenced as %d", label, c.Rank(), round, i, g, r)
+							ghost := make([]float64, s.nGhost)
+							s.Gather(c, local, ghost)
+							for slot, v := range ghost {
+								if v != 1000+float64(ghostOf[j][slot]) {
+									t.Errorf("%s rank %d round %d: slot %d gathered %v", label, c.Rank(), round, slot, v)
 									break
 								}
 							}
-							// Every live schedule moves data, the one just built
-							// last: its scatter is what the next build follows.
-							// Now and then nothing moves, and the next build
-							// follows this one's exchange directly.
-							acc, idle := make([]float64, len(mine)), ctl.Intn(4) == 0
-							for d := 1; d <= positions; d++ {
-								j := (k + d) % positions
-								s := scheds[j]
-								if s == nil || idle {
-									continue
-								}
-								stall()
-								ghost := make([]float64, s.nGhost)
-								s.Gather(c, local, ghost)
-								for slot, v := range ghost {
-									if v != 1000+float64(ghostOf[j][slot]) {
-										t.Errorf("%s rank %d round %d: slot %d gathered %v", label, c.Rank(), round, slot, v)
-										break
-									}
-								}
-								s.ScatterAdd(c, acc, ghost)
-							}
-							tr.moved, tr.acc = c.Clock(), acc
-							traces[c.Rank()] = append(traces[c.Rank()], tr)
+							s.ScatterAdd(c, acc, ghost)
 						}
-					})
-					if err != nil {
-						t.Fatalf("%s in place=%v: %v", label, inPlace, err)
+						tr.moved, tr.acc = c.Clock(), acc
+						traces[c.Rank()] = append(traces[c.Rank()], tr)
 					}
-					return traces
+				})
+				if err != nil {
+					t.Fatalf("%s in place=%v: %v", label, inPlace, err)
 				}
-				want, got := run(false), run(true)
-				for r := range want {
-					for round := range want[r] {
-						if d := got[r][round].diff(&want[r][round]); d != "" {
-							t.Fatalf("%s rank %d round %d: %s", label, r, round, d)
-						}
+				return traces
+			}
+			want, got := run(false), run(true)
+			for r := range want {
+				for round := range want[r] {
+					if d := got[r][round].diff(&want[r][round]); d != "" {
+						t.Fatalf("%s rank %d round %d: %s", label, r, round, d)
 					}
 				}
 			}

@@ -183,60 +183,56 @@ func (tr *buildTrace) diff(want *buildTrace) string {
 // Builder per rank with recycled reference vectors, and through the
 // one-shot wrapper — and the reference body through the same random
 // reference lists, and demands equal schedules,
-// reference vectors and per-rank virtual clocks after every build, on
-// both backends.
+// reference vectors and per-rank virtual clocks after every build.
 func TestBuildersMatchReference(t *testing.T) {
 	const n, rounds = 61, 6
-	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-		for _, p := range []int{1, 2, 3, 8} {
-			for _, kind := range []string{"table", "regular"} {
-				owner := irregularOwners(n, p)
-				if kind == "regular" {
-					d := dist.NewBlock(n, p)
-					for g := range owner {
-						owner[g] = d.Owner(g)
-					}
+	for _, p := range []int{1, 2, 3, 8} {
+		for _, kind := range []string{"table", "regular"} {
+			owner := irregularOwners(n, p)
+			if kind == "regular" {
+				d := dist.NewBlock(n, p)
+				for g := range owner {
+					owner[g] = d.Owner(g)
 				}
-				run := func(reference bool) []buildTrace {
-					traces := make([]buildTrace, p)
-					cfg := machine.IPSC860(p)
-					cfg.Backend = backend
-					err := machine.Run(cfg, func(c *machine.Ctx) {
-						mine := ownedBy(owner, c.Rank())
-						var res ttable.Resolver = ttable.Regular{D: dist.NewBlock(n, p)}
-						if kind != "regular" {
-							tab := ttable.Build(c, n, mine)
-							res = tab
-						}
-						localSize := len(mine)
-						rng := rand.New(rand.NewSource(int64(1000*p + c.Rank())))
-						var b Builder
-						var ref []int
-						tr := &traces[c.Rank()]
-						for round := 0; round < 2*rounds; round++ {
-							globals := referenceList(rng, owner, mine, c.Rank())
-							var s *Schedule
-							switch {
-							case reference:
-								s, ref = referenceBuildGather(c, res, localSize, globals, Options{})
-							case round%4 < 2:
-								s, ref = BuildGather(c, res, localSize, globals, Options{})
-							default:
-								s, ref = b.BuildGather(c, res, localSize, globals, Options{}, nil, ref)
-							}
-							tr.add(c, s, ref)
-						}
-					})
-					if err != nil {
-						t.Fatalf("%v P=%d %s reference=%v: %v", backend, p, kind, reference, err)
+			}
+			run := func(reference bool) []buildTrace {
+				traces := make([]buildTrace, p)
+				cfg := machine.IPSC860(p)
+				err := machine.Run(cfg, func(c *machine.Ctx) {
+					mine := ownedBy(owner, c.Rank())
+					var res ttable.Resolver = ttable.Regular{D: dist.NewBlock(n, p)}
+					if kind != "regular" {
+						tab := ttable.Build(c, n, mine)
+						res = tab
 					}
-					return traces
+					localSize := len(mine)
+					rng := rand.New(rand.NewSource(int64(1000*p + c.Rank())))
+					var b Builder
+					var ref []int
+					tr := &traces[c.Rank()]
+					for round := 0; round < 2*rounds; round++ {
+						globals := referenceList(rng, owner, mine, c.Rank())
+						var s *Schedule
+						switch {
+						case reference:
+							s, ref = referenceBuildGather(c, res, localSize, globals, Options{})
+						case round%4 < 2:
+							s, ref = BuildGather(c, res, localSize, globals, Options{})
+						default:
+							s, ref = b.BuildGather(c, res, localSize, globals, Options{}, nil, ref)
+						}
+						tr.add(c, s, ref)
+					}
+				})
+				if err != nil {
+					t.Fatalf("P=%d %s reference=%v: %v", p, kind, reference, err)
 				}
-				want, got := run(true), run(false)
-				for r := range want {
-					if d := got[r].diff(&want[r]); d != "" {
-						t.Errorf("%v P=%d %s rank %d: %s", backend, p, kind, r, d)
-					}
+				return traces
+			}
+			want, got := run(true), run(false)
+			for r := range want {
+				if d := got[r].diff(&want[r]); d != "" {
+					t.Errorf("P=%d %s rank %d: %s", p, kind, r, d)
 				}
 			}
 		}

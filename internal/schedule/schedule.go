@@ -131,10 +131,9 @@ func BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, globals [
 // rank runs a data movement on the old schedule once any rank has
 // started the rebuild, and every rank passes the schedule of the same
 // earlier build. old's headers, slot array and send rows are this
-// rank's own and are simply refilled. Its request lists are
-// not: they went to the peers by ownership transfer, and on the
-// Simulated backend the peers' send lists are that memory, read by
-// every Gather and Scatter until the peer's own rebuild replaces them
+// rank's own and are simply refilled. Its request lists are not: they
+// went to the peers by ownership transfer, and the peers' send lists
+// are that memory, read by every Gather and Scatter until the peer's own rebuild replaces them
 // in this build's exchange. They are laid by a scratch.Rows, whose
 // rule covers exactly such a reader: the lists filled here were last
 // read before the peers entered the previous build's exchange, which

@@ -135,62 +135,59 @@ func (tr *moveTrace) diff(want *moveTrace) string {
 // reference lists over an irregular distribution, empty ranks and
 // fewer elements than ranks included, every form several times back to
 // back on one schedule — and demands bit-identical buffers and per-rank
-// clocks after every call, on both backends and on the counting
-// machines (messages and bytes).
+// clocks after every call, on the calibrated machine and on the
+// counting machines (messages and bytes).
 func TestTransportMatchesReference(t *testing.T) {
 	maxOp := func(a, b float64) float64 { return math.Max(a, b) }
 	overwrite := func(_, contrib float64) float64 { return contrib }
-	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-		for _, sz := range []struct{ n, p int }{{61, 1}, {61, 3}, {5, 8}, {97, 8}} {
-			n, p := sz.n, sz.p
-			owner := irregularOwners(n, p)
-			for name, cfg := range clockConfigs(p) {
-				cfg.Backend = backend
-				run := func(reference bool) []moveTrace {
-					traces := make([]moveTrace, p)
-					err := machine.Run(cfg, func(c *machine.Ctx) {
-						mine := ownedBy(owner, c.Rank())
-						tab := ttable.Build(c, n, mine)
-						rng := rand.New(rand.NewSource(int64(77*p + c.Rank())))
-						s, _ := BuildGather(c, tab, len(mine), referenceList(rng, owner, mine, c.Rank()), Options{})
-						tr := &traces[c.Rank()]
-						local := make([]float64, len(mine))
-						for l, g := range mine {
-							local[l] = rng.NormFloat64() * math.Pow(10, float64(g%7))
-						}
-						ghost := make([]float64, s.NGhost())
-						for round := 0; round < 3; round++ {
-							if reference {
-								referenceGather(s, c, local, ghost)
-								tr.add(c, ghost)
-								referenceScatterOp(s, c, local, ghost, addFloat)
-								tr.add(c, local)
-								referenceScatterOp(s, c, local, ghost, maxOp)
-								tr.add(c, local)
-								referenceScatterOp(s, c, local, ghost, overwrite)
-								tr.add(c, local)
-							} else {
-								s.Gather(c, local, ghost)
-								tr.add(c, ghost)
-								s.ScatterAdd(c, local, ghost)
-								tr.add(c, local)
-								s.ScatterOp(c, local, ghost, maxOp)
-								tr.add(c, local)
-								s.ScatterOp(c, local, ghost, overwrite)
-								tr.add(c, local)
-							}
-						}
-					})
-					if err != nil {
-						t.Fatalf("%v N=%d P=%d %s reference=%v: %v", backend, n, p, name, reference, err)
+	for _, sz := range []struct{ n, p int }{{61, 1}, {61, 3}, {5, 8}, {97, 8}} {
+		n, p := sz.n, sz.p
+		owner := irregularOwners(n, p)
+		for name, cfg := range clockConfigs(p) {
+			run := func(reference bool) []moveTrace {
+				traces := make([]moveTrace, p)
+				err := machine.Run(cfg, func(c *machine.Ctx) {
+					mine := ownedBy(owner, c.Rank())
+					tab := ttable.Build(c, n, mine)
+					rng := rand.New(rand.NewSource(int64(77*p + c.Rank())))
+					s, _ := BuildGather(c, tab, len(mine), referenceList(rng, owner, mine, c.Rank()), Options{})
+					tr := &traces[c.Rank()]
+					local := make([]float64, len(mine))
+					for l, g := range mine {
+						local[l] = rng.NormFloat64() * math.Pow(10, float64(g%7))
 					}
-					return traces
+					ghost := make([]float64, s.NGhost())
+					for round := 0; round < 3; round++ {
+						if reference {
+							referenceGather(s, c, local, ghost)
+							tr.add(c, ghost)
+							referenceScatterOp(s, c, local, ghost, addFloat)
+							tr.add(c, local)
+							referenceScatterOp(s, c, local, ghost, maxOp)
+							tr.add(c, local)
+							referenceScatterOp(s, c, local, ghost, overwrite)
+							tr.add(c, local)
+						} else {
+							s.Gather(c, local, ghost)
+							tr.add(c, ghost)
+							s.ScatterAdd(c, local, ghost)
+							tr.add(c, local)
+							s.ScatterOp(c, local, ghost, maxOp)
+							tr.add(c, local)
+							s.ScatterOp(c, local, ghost, overwrite)
+							tr.add(c, local)
+						}
+					}
+				})
+				if err != nil {
+					t.Fatalf("N=%d P=%d %s reference=%v: %v", n, p, name, reference, err)
 				}
-				want, got := run(true), run(false)
-				for r := range want {
-					if d := got[r].diff(&want[r]); d != "" {
-						t.Errorf("%v N=%d P=%d %s rank %d: %s", backend, n, p, name, r, d)
-					}
+				return traces
+			}
+			want, got := run(true), run(false)
+			for r := range want {
+				if d := got[r].diff(&want[r]); d != "" {
+					t.Errorf("N=%d P=%d %s rank %d: %s", n, p, name, r, d)
 				}
 			}
 		}
@@ -232,99 +229,96 @@ func TestTransportOwnershipUnderDelays(t *testing.T) {
 			time.Sleep(time.Duration(rng.Intn(100)) * time.Microsecond)
 		}
 	}
-	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-		cfg := machine.Zero(p)
-		cfg.Backend = backend
-		err := machine.Run(cfg, func(c *machine.Ctx) {
-			mine := ownedBy(owner, c.Rank())
-			tab := ttable.Build(c, n, mine)
-			rng := rand.New(rand.NewSource(int64(c.Rank())))
-			ga, gb := referenceList(rng, owner, mine, c.Rank()), referenceList(rng, owner, mine, c.Rank())
-			a, refA := BuildGather(c, tab, len(mine), ga, Options{})
-			b, refB := BuildGather(c, tab, len(mine), gb, Options{})
-			// value is what global g holds in round r.
-			value := func(g, r int) float64 { return float64(1000*r + 10*g) }
-			// A rank reports its first failure only, and keeps up with
-			// the other ranks' collectives.
-			failed := false
-			fail := func(format string, args ...any) {
-				if !failed {
-					t.Errorf("%v rank %d: %s", backend, c.Rank(), fmt.Sprintf(format, args...))
-				}
-				failed = true
+	cfg := machine.Zero(p)
+	err := machine.Run(cfg, func(c *machine.Ctx) {
+		mine := ownedBy(owner, c.Rank())
+		tab := ttable.Build(c, n, mine)
+		rng := rand.New(rand.NewSource(int64(c.Rank())))
+		ga, gb := referenceList(rng, owner, mine, c.Rank()), referenceList(rng, owner, mine, c.Rank())
+		a, refA := BuildGather(c, tab, len(mine), ga, Options{})
+		b, refB := BuildGather(c, tab, len(mine), gb, Options{})
+		// value is what global g holds in round r.
+		value := func(g, r int) float64 { return float64(1000*r + 10*g) }
+		// A rank reports its first failure only, and keeps up with
+		// the other ranks' collectives.
+		failed := false
+		fail := func(format string, args ...any) {
+			if !failed {
+				t.Errorf("rank %d: %s", c.Rank(), fmt.Sprintf(format, args...))
 			}
-			for round := 0; round < rounds; round++ {
-				local := make([]float64, len(mine))
-				for l, g := range mine {
-					local[l] = value(g, round)
-				}
-				for _, sc := range []struct {
-					s       *Schedule
-					globals []int
-					ref     []int
-				}{{a, ga, refA}, {b, gb, refB}} {
-					s := sc.s
-					ghost := make([]float64, s.NGhost())
-					sums := make([]float64, len(local))
-					for rep := 0; rep < 3; rep++ { // back to back, no collective between
-						stall(rng)
-						s.Gather(c, local, ghost)
-						stall(rng)
-						s.ScatterAdd(c, sums, ghost)
-					}
-					for i, g := range sc.globals {
-						if slot := sc.ref[i] - len(mine); slot >= 0 && ghost[slot] != value(g, round) {
-							fail("round %d: global %d gathered %v", round, g, ghost[slot])
-						}
-					}
-					// Every ghost copy came back three times: the sums are
-					// whole multiples of the owned values.
-					for l, g := range mine {
-						if v := value(g, round); v != 0 && math.Mod(sums[l], 3*v) != 0 {
-							fail("round %d: global %d summed to %v, not a multiple of %v", round, g, sums[l], 3*v)
-						}
-					}
-				}
-			}
-
-			// A schedule shared by groups of one loop: a Gather and a
-			// ScatterOp every step, or (two read groups, one write group)
-			// Gather, ScatterOp, Gather, each group with a buffer of its
-			// own and nothing but the stalls between the moves.
-			for _, moves := range []int{2, 3} {
-				s, ref := BuildGather(c, tab, len(mine), ga, Options{})
-				local, sums := make([]float64, len(mine)), make([]float64, len(mine))
-				ghosts := [][]float64{make([]float64, s.NGhost()), make([]float64, s.NGhost()), make([]float64, s.NGhost())}
-				for step := 0; step < rounds; step++ {
-					for l, g := range mine {
-						local[l] = value(g, step)
-					}
-					clear(sums)
-					for mv := 0; mv < moves; mv++ {
-						stall(rng)
-						if mv == 1 {
-							copy(ghosts[1], ghosts[0])
-							s.ScatterOp(c, sums, ghosts[1], addFloat)
-							continue
-						}
-						s.Gather(c, local, ghosts[mv])
-						for i, g := range ga {
-							if slot := ref[i] - len(mine); slot >= 0 && ghosts[mv][slot] != value(g, step) {
-								fail("shared schedule, %d moves, step %d: global %d gathered %v", moves, step, g, ghosts[mv][slot])
-							}
-						}
-					}
-					for l, g := range mine {
-						if v := value(g, step); v != 0 && math.Mod(sums[l], v) != 0 {
-							fail("shared schedule, %d moves, step %d: global %d summed to %v, not a multiple of %v", moves, step, g, sums[l], v)
-						}
-					}
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
+			failed = true
 		}
+		for round := 0; round < rounds; round++ {
+			local := make([]float64, len(mine))
+			for l, g := range mine {
+				local[l] = value(g, round)
+			}
+			for _, sc := range []struct {
+				s       *Schedule
+				globals []int
+				ref     []int
+			}{{a, ga, refA}, {b, gb, refB}} {
+				s := sc.s
+				ghost := make([]float64, s.NGhost())
+				sums := make([]float64, len(local))
+				for rep := 0; rep < 3; rep++ { // back to back, no collective between
+					stall(rng)
+					s.Gather(c, local, ghost)
+					stall(rng)
+					s.ScatterAdd(c, sums, ghost)
+				}
+				for i, g := range sc.globals {
+					if slot := sc.ref[i] - len(mine); slot >= 0 && ghost[slot] != value(g, round) {
+						fail("round %d: global %d gathered %v", round, g, ghost[slot])
+					}
+				}
+				// Every ghost copy came back three times: the sums are
+				// whole multiples of the owned values.
+				for l, g := range mine {
+					if v := value(g, round); v != 0 && math.Mod(sums[l], 3*v) != 0 {
+						fail("round %d: global %d summed to %v, not a multiple of %v", round, g, sums[l], 3*v)
+					}
+				}
+			}
+		}
+
+		// A schedule shared by groups of one loop: a Gather and a
+		// ScatterOp every step, or (two read groups, one write group)
+		// Gather, ScatterOp, Gather, each group with a buffer of its
+		// own and nothing but the stalls between the moves.
+		for _, moves := range []int{2, 3} {
+			s, ref := BuildGather(c, tab, len(mine), ga, Options{})
+			local, sums := make([]float64, len(mine)), make([]float64, len(mine))
+			ghosts := [][]float64{make([]float64, s.NGhost()), make([]float64, s.NGhost()), make([]float64, s.NGhost())}
+			for step := 0; step < rounds; step++ {
+				for l, g := range mine {
+					local[l] = value(g, step)
+				}
+				clear(sums)
+				for mv := 0; mv < moves; mv++ {
+					stall(rng)
+					if mv == 1 {
+						copy(ghosts[1], ghosts[0])
+						s.ScatterOp(c, sums, ghosts[1], addFloat)
+						continue
+					}
+					s.Gather(c, local, ghosts[mv])
+					for i, g := range ga {
+						if slot := ref[i] - len(mine); slot >= 0 && ghosts[mv][slot] != value(g, step) {
+							fail("shared schedule, %d moves, step %d: global %d gathered %v", moves, step, g, ghosts[mv][slot])
+						}
+					}
+				}
+				for l, g := range mine {
+					if v := value(g, step); v != 0 && math.Mod(sums[l], v) != 0 {
+						fail("shared schedule, %d moves, step %d: global %d summed to %v, not a multiple of %v", moves, step, g, sums[l], v)
+					}
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

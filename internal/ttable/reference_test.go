@@ -117,63 +117,59 @@ type resolveTrace struct {
 // TestResolveMatchesReference drives the counting-sort Resolve (one
 // recycled Workspace per rank, and the one-shot wrapper) and the
 // reference body through the same random query sequences and demands
-// equal answers and equal per-rank virtual clocks after every call, on
-// both backends.
+// equal answers and equal per-rank virtual clocks after every call.
 func TestResolveMatchesReference(t *testing.T) {
 	const n, rounds = 97, 6
-	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-		for _, p := range []int{1, 2, 3, 8} {
-			for _, kind := range []string{"table", "regular"} {
-				owner := irregularOwner(n, p)
-				run := func(impl string) []resolveTrace {
-					traces := make([]resolveTrace, p)
-					cfg := machine.IPSC860(p)
-					cfg.Backend = backend
-					err := machine.Run(cfg, func(c *machine.Ctx) {
-						mine := myGlobals(owner, c.Rank())
-						tab := Build(c, n, mine)
-						reg := Regular{D: dist.NewBlock(n, p)}
-						rng := rand.New(rand.NewSource(int64(1000*p + c.Rank())))
-						var ws Workspace
-						tr := &traces[c.Rank()]
-						for round := 0; round < rounds; round++ {
-							qs := queryList(rng, n, mine)
-							var o, l []int
-							switch {
-							case impl == "reference" && kind == "regular":
-								o, l = referenceRegularResolve(reg, c, qs)
-							case impl == "reference":
-								o, l = referenceResolve(tab, c, qs)
-							case kind == "regular" && round%2 == 0:
-								o, l = reg.Resolve(c, qs)
-							case kind == "regular":
-								o, l = reg.ResolveInto(c, &ws, qs)
-							case round%2 == 0:
-								o, l = tab.Resolve(c, qs)
-							default:
-								o, l = tab.ResolveInto(c, &ws, qs)
-							}
-							tr.owners = append(tr.owners, slices.Clone(o))
-							tr.locals = append(tr.locals, slices.Clone(l))
-							tr.clocks = append(tr.clocks, c.Clock())
+	for _, p := range []int{1, 2, 3, 8} {
+		for _, kind := range []string{"table", "regular"} {
+			owner := irregularOwner(n, p)
+			run := func(impl string) []resolveTrace {
+				traces := make([]resolveTrace, p)
+				cfg := machine.IPSC860(p)
+				err := machine.Run(cfg, func(c *machine.Ctx) {
+					mine := myGlobals(owner, c.Rank())
+					tab := Build(c, n, mine)
+					reg := Regular{D: dist.NewBlock(n, p)}
+					rng := rand.New(rand.NewSource(int64(1000*p + c.Rank())))
+					var ws Workspace
+					tr := &traces[c.Rank()]
+					for round := 0; round < rounds; round++ {
+						qs := queryList(rng, n, mine)
+						var o, l []int
+						switch {
+						case impl == "reference" && kind == "regular":
+							o, l = referenceRegularResolve(reg, c, qs)
+						case impl == "reference":
+							o, l = referenceResolve(tab, c, qs)
+						case kind == "regular" && round%2 == 0:
+							o, l = reg.Resolve(c, qs)
+						case kind == "regular":
+							o, l = reg.ResolveInto(c, &ws, qs)
+						case round%2 == 0:
+							o, l = tab.Resolve(c, qs)
+						default:
+							o, l = tab.ResolveInto(c, &ws, qs)
 						}
-					})
-					if err != nil {
-						t.Fatalf("%v P=%d %s %s: %v", backend, p, kind, impl, err)
+						tr.owners = append(tr.owners, slices.Clone(o))
+						tr.locals = append(tr.locals, slices.Clone(l))
+						tr.clocks = append(tr.clocks, c.Clock())
 					}
-					return traces
+				})
+				if err != nil {
+					t.Fatalf("P=%d %s %s: %v", p, kind, impl, err)
 				}
-				want, got := run("reference"), run("new")
-				for r := range want {
-					for round := range want[r].clocks {
-						if !slices.Equal(got[r].owners[round], want[r].owners[round]) ||
-							!slices.Equal(got[r].locals[round], want[r].locals[round]) {
-							t.Errorf("%v P=%d %s rank %d round %d: answers differ from the reference", backend, p, kind, r, round)
-						}
-						if got[r].clocks[round] != want[r].clocks[round] {
-							t.Errorf("%v P=%d %s rank %d round %d: clock %v, reference %v",
-								backend, p, kind, r, round, got[r].clocks[round], want[r].clocks[round])
-						}
+				return traces
+			}
+			want, got := run("reference"), run("new")
+			for r := range want {
+				for round := range want[r].clocks {
+					if !slices.Equal(got[r].owners[round], want[r].owners[round]) ||
+						!slices.Equal(got[r].locals[round], want[r].locals[round]) {
+						t.Errorf("P=%d %s rank %d round %d: answers differ from the reference", p, kind, r, round)
+					}
+					if got[r].clocks[round] != want[r].clocks[round] {
+						t.Errorf("P=%d %s rank %d round %d: clock %v, reference %v",
+							p, kind, r, round, got[r].clocks[round], want[r].clocks[round])
 					}
 				}
 			}
@@ -190,30 +186,27 @@ func TestWorkspaceRecycledUnderDelays(t *testing.T) {
 	const n, p, rounds = 64, 4, 200
 	owner := irregularOwner(n, p)
 	local := localsOf(owner)
-	for _, backend := range []machine.Backend{machine.Simulated, machine.Real} {
-		cfg := machine.Zero(p)
-		cfg.Backend = backend
-		err := machine.Run(cfg, func(c *machine.Ctx) {
-			mine := myGlobals(owner, c.Rank())
-			tab := Build(c, n, mine)
-			rng := rand.New(rand.NewSource(int64(c.Rank())))
-			var ws Workspace
-			for round := 0; round < rounds; round++ {
-				qs := queryList(rng, n, mine)
-				stall(rng)
-				owners, locals := tab.ResolveInto(c, &ws, qs)
-				stall(rng)
-				for i, g := range qs {
-					if owners[i] != owner[g] || locals[i] != local[g] {
-						t.Errorf("%v rank %d round %d: wrong answer for %d", backend, c.Rank(), round, g)
-						break // keep up with the other ranks' collectives
-					}
+	cfg := machine.Zero(p)
+	err := machine.Run(cfg, func(c *machine.Ctx) {
+		mine := myGlobals(owner, c.Rank())
+		tab := Build(c, n, mine)
+		rng := rand.New(rand.NewSource(int64(c.Rank())))
+		var ws Workspace
+		for round := 0; round < rounds; round++ {
+			qs := queryList(rng, n, mine)
+			stall(rng)
+			owners, locals := tab.ResolveInto(c, &ws, qs)
+			stall(rng)
+			for i, g := range qs {
+				if owners[i] != owner[g] || locals[i] != local[g] {
+					t.Errorf("rank %d round %d: wrong answer for %d", c.Rank(), round, g)
+					break // keep up with the other ranks' collectives
 				}
 			}
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -29,8 +29,6 @@ type Resolver interface {
 	// ResolveInto is Resolve through a caller-owned workspace: the
 	// returned slices belong to ws and are good until its next use.
 	ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) (owners, locals []int)
-	// Size returns the extent of the index space.
-	Size() int
 	// Kind returns the distribution type for DAD bookkeeping.
 	Kind() dist.Kind
 }
@@ -58,7 +56,6 @@ func (r Regular) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]in
 	return owners, locals
 }
 
-func (r Regular) Size() int       { return r.D.Size() }
 func (r Regular) Kind() dist.Kind { return r.D.Kind() }
 
 // Table is one rank's slice of the distributed translation table.
@@ -235,9 +232,6 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 func panicQueryRange(g, n int) {
 	panic(fmt.Sprintf("ttable: query index %d out of range [0,%d)", g, n))
 }
-
-// Size returns the extent of the translated index space.
-func (t *Table) Size() int { return t.home.Size() }
 
 // Kind returns dist.Irregular.
 func (t *Table) Kind() dist.Kind { return dist.Irregular }

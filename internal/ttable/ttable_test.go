@@ -49,7 +49,7 @@ func TestBuildAndResolve(t *testing.T) {
 	local := localsOf(owner)
 	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
 		tab := Build(c, n, myGlobals(owner, c.Rank()))
-		if tab.Size() != n || tab.Kind() != dist.Irregular {
+		if tab.home.Size() != n || tab.Kind() != dist.Irregular {
 			t.Error("Size/Kind wrong")
 		}
 		// Every rank queries every global index.
@@ -143,7 +143,7 @@ func TestRegularResolver(t *testing.T) {
 	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
 		d := dist.NewBlock(n, p)
 		r := Regular{D: d}
-		if r.Size() != n || r.Kind() != dist.Block {
+		if r.D.Size() != n || r.Kind() != dist.Block {
 			t.Error("Regular metadata wrong")
 		}
 		qs := []int{0, 24, 13, 13}
