@@ -190,6 +190,10 @@ type resultEntry struct {
 	// the ladders share one scratch arena per rank, so two concurrent
 	// warm computes against the same base would race on it.
 	warmMu sync.Mutex
+	// frame is the msgOK frame every wire hit on the entry sends, built
+	// once and immutable after.
+	frame     []byte
+	frameOnce sync.Once
 
 	size   int64
 	leases int
@@ -380,6 +384,26 @@ func (c *cache) leaseResult(key resultKey, gc *graphContent) *resultEntry {
 		return nil
 	}
 	return e
+}
+
+// frame returns the msgOK frame every wire hit on e sends. The first
+// call builds it (normally the worker's, once e's answer is out; else
+// a hit that got there first) and charges its bytes to e if e is still
+// cached. No lease is needed: e's part vector and stats are immutable,
+// and so is the frame.
+func (c *cache) frame(e *resultEntry) []byte {
+	e.frameOnce.Do(func() {
+		resp := e.response(ServedHit)
+		e.frame = endFrame(appendResponse(beginFrame(nil, msgOK), &resp))
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.results[e.key] == e {
+			e.size += int64(len(e.frame))
+			c.used += int64(len(e.frame))
+			c.evict()
+		}
+	})
+	return e.frame
 }
 
 func (c *cache) releaseResult(e *resultEntry) {

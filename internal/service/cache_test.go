@@ -76,16 +76,23 @@ func TestCacheEvictionNeverMidLease(t *testing.T) {
 // TestCacheLRUOrder pins the eviction order: oldest unleased first,
 // recently-touched entries last.
 func TestCacheLRUOrder(t *testing.T) {
-	c := newCache(3000) // fits three 100-part results with their graphs
+	// Fits three 100-part results with their graphs (3 × 992 bytes) and
+	// one hit frame (128 bytes).
+	c := newCache(3104)
 	for fp := Fingerprint(1); fp <= 3; fp++ {
 		c.releaseResult(putResult(c, fp, 100))
 	}
-	// Touch entry 1: it becomes most-recent; 2 is now oldest.
+	// Touch entry 1 with a wire hit: it becomes most-recent, and 2 is
+	// now oldest.
 	e, ok := lease(c, 1)
 	if !ok {
 		t.Fatalf("entry 1 missing")
 	}
+	c.frame(e)
 	c.releaseResult(e)
+	if st := c.stats(); st.Bytes != 3104 || st.Results != 3 {
+		t.Fatalf("after a hit: %+v, want 3 results in 3 104 bytes", st)
+	}
 
 	c.releaseResult(putResult(c, 4, 100)) // forces one eviction
 	if _, ok := lease(c, 2); ok {
@@ -140,20 +147,28 @@ func TestCacheGraphLease(t *testing.T) {
 // TestCacheGraphOwnsItsResults pins single accounting: a result may be
 // evicted alone, a graph entry is evicted together with the results
 // computed for its content, and the byte count is exactly that of the
-// entries still resident.
+// entries still resident, hit frames included and the frames of evicted
+// entries not.
 func TestCacheGraphOwnsItsResults(t *testing.T) {
 	c := newCache(4000)
 	edges := func(m int) *graphContent { return &graphContent{n: 1, e1: make([]int, m), e2: make([]int, m)} }
 	ge := c.putGraph(1, edges(200)) // 3 264 bytes
+	var results []*resultEntry
 	for nparts := 2; nparts < 5; nparts++ {
 		e := mkResult(1, 10) // 208 bytes
 		e.key.nparts = nparts
-		c.releaseResult(c.putResult(ge, e))
+		e = c.putResult(ge, e)
+		if nparts == 2 {
+			c.frame(e) // and its 38-byte hit frame
+		}
+		c.releaseResult(e)
+		results = append(results, e)
 	}
-	if st := c.stats(); st.Graphs != 1 || st.Results != 3 || st.Bytes != 3264+3*208 {
-		t.Fatalf("after three results: %+v, want 1 graph, 3 results, %d bytes", st, 3264+3*208)
+	if st := c.stats(); st.Graphs != 1 || st.Results != 3 || st.Bytes != 3264+3*208+38 {
+		t.Fatalf("after three results: %+v, want 1 graph, 3 results, %d bytes", st, 3264+3*208+38)
 	}
-	// 224 more bytes while the graph is leased: its oldest result goes.
+	// 224 more bytes while the graph is leased: its oldest result goes,
+	// and its frame with it.
 	c.releaseGraph(c.putGraph(2, edges(10)))
 	if st := c.stats(); st.Results != 2 || st.Bytes != 3264+2*208+224 {
 		t.Fatalf("after one result's eviction: %+v, want 2 results, %d bytes", st, 3264+2*208+224)
@@ -169,6 +184,10 @@ func TestCacheGraphOwnsItsResults(t *testing.T) {
 	}
 	if _, ok := lease(c, 1); ok {
 		t.Fatalf("a result outlived the graph it was computed for")
+	}
+	// A frame built for an entry already evicted is charged to nothing.
+	if c.frame(results[2]) == nil || c.stats().Bytes != 224+864 {
+		t.Fatalf("a frame built after its entry's eviction: %d bytes, want %d", c.stats().Bytes, 224+864)
 	}
 }
 

@@ -17,7 +17,8 @@ type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
-	out  []byte
+	out  []byte // the request frame, encoded in place
+	in   []byte // the response payload; no decoded Response aliases it
 }
 
 // Dial connects a Client to a chaosd daemon at addr ("host:port" or,
@@ -64,14 +65,15 @@ func (cl *Client) Do(ctx context.Context, req *Request) (*Response, error) {
 		}()
 	}
 
-	cl.out = appendFrame(cl.out[:0], msgPartition, encodeRequest(req))
+	cl.out = endFrame(appendRequest(beginFrame(cl.out[:0], msgPartition), req))
 	if _, err := cl.conn.Write(cl.out); err != nil {
 		return nil, wrapCtx(ctx, fmt.Errorf("service: send request: %w", err))
 	}
-	t, payload, err := readFrame(cl.br, maxFrame)
+	t, payload, err := readFrame(cl.br, maxFrame, cl.in)
 	if err != nil {
 		return nil, wrapCtx(ctx, fmt.Errorf("service: read response: %w", err))
 	}
+	cl.in = payload
 	switch t {
 	case msgOK:
 		return decodeResponse(payload)

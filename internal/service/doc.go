@@ -21,9 +21,14 @@
 // pointer compare, not a rebuild, a fingerprint and a word-by-word
 // compare of the whole graph. The memo names that graph by name and
 // insertion serial, so once it is evicted the repeat is rebuilt and
-// verified as before. Admission
-// control (bounded worker pool over a bounded FIFO queue, typed
-// ErrOverloaded rejection) and singleflight batching of identical
+// verified as before. What is reused is also what is sent: a cached
+// result keeps the wire frame of its hit answer, built once, after its
+// compute has been answered, and counted in the cache's bytes, and
+// every wire hit writes those bytes as they are, with no copy and no
+// encode. The lease covers the compare and the grab of the frame, not
+// the write, so a client that stops reading pins no cache memory.
+// Admission control (bounded worker pool over a bounded FIFO queue,
+// typed ErrOverloaded rejection) and singleflight batching of identical
 // in-flight requests keep the daemon well-behaved under load.
 //
 // Entry points: New/Serve/Close for the daemon, Dial/Client.Do for

@@ -57,7 +57,7 @@ func FuzzWireFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		br := bufio.NewReader(bytes.NewReader(raw))
-		ty, payload, err := readFrame(br, maxFrame)
+		ty, payload, err := readFrame(br, maxFrame, nil)
 		if err != nil {
 			return // rejected at the frame layer: exactly right
 		}
@@ -85,7 +85,8 @@ func FuzzWireFrame(f *testing.F) {
 // the 2-bit name function, where unrelated graphs share names
 // constantly, once with an unbounded cache and once with one that holds
 // a few graphs, so evictions and re-bound names interleave with the
-// derivation memo's lookups. Every answer must be a partition of its
+// derivation memo's lookups, each in-process and over the wire, where
+// hits are sent as stored frames. Every answer must be a partition of its
 // request's own content with the recounted cut, every reused answer one
 // that a compute of identical content produced, and a delta against an
 // unnamed answer ErrUnknownGraph.
@@ -100,10 +101,16 @@ func FuzzVerifiedCache(f *testing.F) {
 		shape{spec: partition.Spec{Method: partition.MethodBlock}, nparts: 3, procs: 1})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		for _, capBytes := range []int64{-1, 4 << 10} {
-			s := New(Options{Workers: 2, CacheBytes: capBytes})
-			s.fingerprint = twoBitName
-			runProgram(t, s, ps, &chooser{data: program}, 12)
-			s.Close()
+			for _, wire := range []bool{false, true} {
+				s := New(Options{Workers: 2, CacheBytes: capBytes})
+				s.fingerprint = twoBitName
+				do := s.Do
+				if wire {
+					do = serveWire(t, s)
+				}
+				runProgram(t, s, do, ps, &chooser{data: program}, 12)
+				s.Close()
+			}
 		}
 	})
 }
@@ -124,6 +131,11 @@ func FuzzIntsCodec(f *testing.F) {
 	for _, x := range []int64{64, -65, 8192, -8193, math.MinInt64, math.MaxInt64} {
 		f.Add([]byte{0}, x)
 	}
+	// A long one-byte run, then a three-byte varint and one more run; a
+	// one-byte run cut off before its declared count.
+	run := bytes.Repeat([]byte{0x7f, 0x00, 0x01}, 40)
+	f.Add(slices.Concat([]byte{0xf1, 0x01}, run, []byte{0x80, 0x80, 0x01}, run[:120]), int64(1))
+	f.Add(slices.Concat([]byte{0x96, 0x01}, run[:70]), int64(-1))
 	f.Fuzz(func(t *testing.T, raw []byte, x int64) {
 		fast, ref := &rbuf{b: raw}, &rbuf{b: raw}
 		got := fast.ints()

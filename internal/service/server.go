@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,7 +22,8 @@ import (
 //	                │ no                            content and name ──┐
 //	                ▼                                                  │
 //	        fingerprint (the name) → verify: a result under ◄──────────┘
-//	                │   the name computed for this content? ── yes ──► respond (hit)
+//	                │   the name computed for this content? ── yes ──► respond (hit;
+//	                │                                            on the wire, its stored frame)
 //	                │ no
 //	                ▼
 //	        job for this name and content in flight? ──────────► wait (shared)
@@ -187,48 +189,50 @@ type job struct {
 // compute itself, once no other request wants it) with an error
 // wrapping ctx.Err().
 func (s *Server) Do(ctx context.Context, req *Request) (*Response, error) {
+	e, resp, err := s.serve(ctx, req)
+	if e != nil {
+		defer s.cache.releaseResult(e)
+		return responseFrom(e, ServedHit), nil
+	}
+	return resp, err
+}
+
+// serve admits req and looks it up in the verified cache. A hit comes
+// back as its result entry with one lease held, for the caller to
+// render and release; anything else is computed, or batched onto an
+// identical compute in flight, and comes back as a response.
+func (s *Server) serve(ctx context.Context, req *Request) (*resultEntry, *Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	gc, base, key, err := s.admitRequest(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if resp := s.hit(key, gc); resp != nil {
-		return resp, nil
+	if e := s.cache.leaseResult(key, gc); e != nil {
+		s.metrics.hits.Add(1)
+		return e, nil, nil
 	}
 
 	j, leader := s.joinFlight(key, gc, base, req)
 	if j == nil {
-		return nil, ErrOverloaded
+		return nil, nil, ErrOverloaded
 	}
 	select {
 	case <-j.done:
 		if j.err != nil {
-			return nil, j.err
+			return nil, nil, j.err
 		}
 		resp := *j.resp
 		if !leader {
 			resp.Served = ServedShared
 			s.metrics.shared.Add(1)
 		}
-		return &resp, nil
+		return nil, &resp, nil
 	case <-ctx.Done():
 		s.leaveFlight(j)
-		return nil, fmt.Errorf("service: request abandoned: %w", ctx.Err())
+		return nil, nil, fmt.Errorf("service: request abandoned: %w", ctx.Err())
 	}
-}
-
-// hit answers from the finished-partition cache, or returns nil when
-// no result computed for exactly this content is cached under key.
-func (s *Server) hit(key resultKey, gc *graphContent) *Response {
-	e := s.cache.leaseResult(key, gc)
-	if e == nil {
-		return nil
-	}
-	defer s.cache.releaseResult(e)
-	s.metrics.hits.Add(1)
-	return responseFrom(e, ServedHit)
 }
 
 // admitRequest validates req and resolves its content, the base entry
@@ -396,24 +400,30 @@ func (s *Server) worker() {
 // partitioner; it travels as the wire's internal error code.
 var errInternal = errors.New("service: internal error")
 
-// run executes one admitted job end to end.
+// run executes one admitted job end to end. Once the answer is
+// published, the worker builds the frame that wire hits on the cached
+// result send, so neither the answer nor the first hit waits for it.
 func (s *Server) run(j *job) {
-	resp, err := s.answer(j)
+	resp, cached, err := s.answer(j)
 	s.finish(j, resp, err)
+	if cached != nil {
+		s.cache.frame(cached)
+	}
 }
 
-// answer computes a job's response. A panic anywhere in it is
+// answer computes a job's response and returns it with the result entry
+// cached for it (nil when nothing was cached). A panic anywhere in it is
 // contained: the deferred releases below give back every lease and
 // warmMu it took, and the job fails with errInternal.
-func (s *Server) answer(j *job) (resp *Response, err error) {
+func (s *Server) answer(j *job) (resp *Response, cached *resultEntry, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.panics.Add(1)
-			resp, err = nil, fmt.Errorf("%w: %v", errInternal, r)
+			resp, cached, err = nil, nil, fmt.Errorf("%w: %v", errInternal, r)
 		}
 	}()
 	if err := j.ctx.Err(); err != nil {
-		return nil, fmt.Errorf("service: request abandoned before compute: %w", err)
+		return nil, nil, fmt.Errorf("service: request abandoned before compute: %w", err)
 	}
 
 	// The graph becomes addressable by its name from here on, and the
@@ -430,7 +440,7 @@ func (s *Server) answer(j *job) (resp *Response, err error) {
 	}
 	res, err := s.computeFrom(j)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	e := &resultEntry{
@@ -444,6 +454,7 @@ func (s *Server) answer(j *job) (resp *Response, err error) {
 	if ge != nil {
 		e = s.cache.putResult(ge, e)
 		defer s.cache.releaseResult(e)
+		cached = e
 	}
 	served := ServedCold
 	if res.wasWarm {
@@ -452,7 +463,7 @@ func (s *Server) answer(j *job) (resp *Response, err error) {
 	} else {
 		s.metrics.cold.Add(1)
 	}
-	return responseFrom(e, served), nil
+	return responseFrom(e, served), cached, nil
 }
 
 // computeFrom runs the engine for j. A churn request whose base result
@@ -499,12 +510,20 @@ func (s *Server) finish(j *job, resp *Response, err error) {
 // copied: entries are shared across requests and may be evicted (and
 // their buffers reused by nothing — but freed) after the lease drops.
 func responseFrom(e *resultEntry, served Served) *Response {
-	resp := &Response{
+	resp := e.response(served)
+	resp.Part = slices.Clone(resp.Part)
+	return &resp
+}
+
+// response renders e as a Response whose Part is e's own part vector,
+// to be encoded, not handed out.
+func (e *resultEntry) response(served Served) Response {
+	resp := Response{
 		Served:   served,
 		Cut:      e.cut,
 		VirtualS: e.virtualS,
 		WallMS:   e.wallMS,
-		Part:     append([]int(nil), e.part...),
+		Part:     e.part,
 	}
 	if e.g != nil {
 		resp.Fingerprint = e.g.fp
@@ -569,7 +588,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		defer s.contain()
 		br := bufio.NewReaderSize(conn, 1<<16)
 		for {
-			t, payload, err := readFrame(br, maxFrame)
+			// Each frame is read into a payload of its own: it crosses to
+			// the responder loop, and the next read would overwrite a
+			// shared buffer under it.
+			t, payload, err := readFrame(br, maxFrame, nil)
 			if err != nil {
 				cancel() // disconnect or garbage: abandon any in-flight request
 				return
@@ -598,17 +620,28 @@ func (s *Server) handleConn(conn net.Conn) {
 			return // protocol violation; drop the connection
 		}
 		req, err := decodeRequest(fr.payload)
+		var e *resultEntry
 		var resp *Response
 		if err == nil {
-			resp, err = s.Do(ctx, req)
+			e, resp, err = s.serve(ctx, req)
 		}
-		out = out[:0]
-		if err != nil {
-			out = appendFrame(out, msgError, encodeError(err))
-		} else {
-			out = appendFrame(out, msgOK, encodeResponse(resp))
+		var frame []byte
+		switch {
+		case e != nil:
+			// The hit's stored frame: no copy and no encode. The lease
+			// is dropped before the write, so a peer that stops reading
+			// pins no cache memory; the frame is immutable, and this
+			// slice keeps it alive even if the entry is evicted.
+			frame = s.cache.frame(e)
+			s.cache.releaseResult(e)
+		case err != nil:
+			out = appendFrame(out[:0], msgError, encodeError(err))
+			frame = out
+		default:
+			out = endFrame(appendResponse(beginFrame(out[:0], msgOK), resp))
+			frame = out
 		}
-		if _, werr := conn.Write(out); werr != nil {
+		if _, werr := conn.Write(frame); werr != nil {
 			return
 		}
 	}

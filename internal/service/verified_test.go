@@ -194,14 +194,15 @@ func (v *verifier) reuseChecked() {
 	}
 }
 
-// runProgram drives s with up to ops requests drawn by ch from ps —
+// runProgram drives s, through do (Server.Do, or a wire client's Do),
+// with up to ops requests drawn by ch from ps —
 // uploads, exact repeats, deltas against named answers (chained ones
 // included), repeats of those deltas, deltas against unnamed answers,
 // and bursts of concurrent identical and colliding uploads — and checks
 // every answer. Under a bounded cache a delta whose base was evicted
 // may be answered ErrUnknownGraph. It returns the verifier for the
 // program's totals.
-func runProgram(t *testing.T, s *Server, ps programSet, ch *chooser, ops int) *verifier {
+func runProgram(t *testing.T, s *Server, do func(context.Context, *Request) (*Response, error), ps programSet, ch *chooser, ops int) *verifier {
 	t.Helper()
 	ctx := context.Background()
 	v := &verifier{t: t, names: map[Fingerprint]string{}, evicts: s.cache.capBytes > 0}
@@ -209,8 +210,8 @@ func runProgram(t *testing.T, s *Server, ps programSet, ch *chooser, ops int) *v
 		return &Request{NNode: gc.n, NParts: ps.shapes[sh].nparts, Procs: ps.shapes[sh].procs, Spec: ps.shapes[sh].spec,
 			E1: append([]int(nil), gc.e1...), E2: append([]int(nil), gc.e2...)}
 	}
-	do := func(what string, gc *graphContent, sh int, req *Request) {
-		resp, err := s.Do(ctx, req)
+	answer := func(what string, gc *graphContent, sh int, req *Request) {
+		resp, err := do(ctx, req)
 		if err != nil {
 			t.Errorf("%s: %v", what, err)
 			return
@@ -241,7 +242,7 @@ func runProgram(t *testing.T, s *Server, ps programSet, ch *chooser, ops int) *v
 		req := &Request{NNode: baseGC.n, NParts: ps.shapes[sh].nparts, Procs: ps.shapes[sh].procs, Spec: ps.shapes[sh].spec,
 			Base: base, Delta: delta}
 		gc := applyDelta(baseGC, delta)
-		resp, err := s.Do(ctx, req)
+		resp, err := do(ctx, req)
 		if err != nil {
 			if !(v.evicts && errors.Is(err, ErrUnknownGraph)) {
 				t.Errorf("%s: %v", what, err)
@@ -255,7 +256,7 @@ func runProgram(t *testing.T, s *Server, ps programSet, ch *chooser, ops int) *v
 		switch ch.pick(7) {
 		case 0, 1: // upload, or an exact repeat of one
 			gc := ps.contents[ch.pick(len(ps.contents))]
-			do(fmt.Sprintf("op %d upload", op), gc, sh, upload(gc, sh))
+			answer(fmt.Sprintf("op %d upload", op), gc, sh, upload(gc, sh))
 		case 2, 3: // delta against a named answer; chained when that answer was a delta
 			a, ok := pick(func(a answered) bool { return a.resp.Fingerprint != 0 && v.current(a.resp.Fingerprint, a.words) })
 			if !ok {
@@ -281,7 +282,7 @@ func runProgram(t *testing.T, s *Server, ps programSet, ch *chooser, ops int) *v
 			if !ok {
 				continue
 			}
-			_, err := s.Do(ctx, &Request{NNode: a.gc.n, NParts: ps.shapes[sh].nparts, Procs: ps.shapes[sh].procs,
+			_, err := do(ctx, &Request{NNode: a.gc.n, NParts: ps.shapes[sh].nparts, Procs: ps.shapes[sh].procs,
 				Spec: ps.shapes[sh].spec, Base: 0, Delta: rewires(a.gc)})
 			if !errors.Is(err, ErrUnknownGraph) {
 				t.Errorf("op %d: delta against an unnamed answer: err = %v, want ErrUnknownGraph", op, err)
@@ -302,7 +303,7 @@ func runProgram(t *testing.T, s *Server, ps programSet, ch *chooser, ops int) *v
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					do(fmt.Sprintf("op %d burst %d", op, i), gc, sh, req)
+					answer(fmt.Sprintf("op %d burst %d", op, i), gc, sh, req)
 				}()
 			}
 			wg.Wait()
@@ -315,7 +316,8 @@ func runProgram(t *testing.T, s *Server, ps programSet, ch *chooser, ops int) *v
 
 // TestVerifiedCacheUnderCollidingNames runs random request programs
 // under a constant and a 2-bit name function on graphs big enough for
-// the warm path, and checks the cache's contract on every answer.
+// the warm path, in-process and over the wire, and checks the cache's
+// contract on every answer.
 func TestVerifiedCacheUnderCollidingNames(t *testing.T) {
 	ps := newProgramSet(testNNode, testDegree,
 		shape{spec: testSpec(), nparts: testNParts, procs: testProcs},
@@ -329,11 +331,15 @@ func TestVerifiedCacheUnderCollidingNames(t *testing.T) {
 		fn   func(*graphContent) Fingerprint
 	}{{"constant", constantName}, {"2-bit", twoBitName}} {
 		for seed := 1; seed <= seeds; seed++ {
-			t.Run(fmt.Sprintf("%s/seed=%d", seam.name, seed), func(t *testing.T) {
+			program := func(t *testing.T, wire bool) {
 				s := New(Options{Workers: 2, CacheBytes: -1})
 				defer s.Close()
 				s.fingerprint = seam.fn
-				v := runProgram(t, s, ps, &chooser{rng: rand.New(rand.NewSource(int64(seed)))}, 40)
+				do := s.Do
+				if wire {
+					do = serveWire(t, s)
+				}
+				v := runProgram(t, s, do, ps, &chooser{rng: rand.New(rand.NewSource(int64(seed)))}, 40)
 				m := s.Metrics()
 				unnamed := 0
 				for _, a := range v.answers {
@@ -345,7 +351,10 @@ func TestVerifiedCacheUnderCollidingNames(t *testing.T) {
 				if m.Hits == 0 || m.Warm == 0 || unnamed == 0 {
 					t.Errorf("program exercised too little: hits=%d warm=%d unnamed=%d", m.Hits, m.Warm, unnamed)
 				}
-			})
+			}
+			name := fmt.Sprintf("%s/seed=%d", seam.name, seed)
+			t.Run(name, func(t *testing.T) { program(t, false) })
+			t.Run(name+"/wire", func(t *testing.T) { program(t, true) })
 		}
 	}
 	t.Run("memo/rebound-child", testMemoMissesReboundChild)

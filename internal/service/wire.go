@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"chaos/internal/partition"
 )
@@ -190,16 +191,32 @@ const (
 
 // appendFrame appends one framed message to dst.
 func appendFrame(dst []byte, t msgType, payload []byte) []byte {
-	dst = append(dst, magic0, magic1, wireVersion, byte(t))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	return append(dst, payload...)
+	start := len(dst)
+	dst = append(beginFrame(dst, t), payload...)
+	endFrame(dst[start:])
+	return dst
+}
+
+// beginFrame appends the header of a type-t frame whose length endFrame
+// fills in once the payload has been appended after it, so a message is
+// encoded straight into its frame instead of apart and then copied in.
+func beginFrame(dst []byte, t msgType) []byte {
+	return append(dst, magic0, magic1, wireVersion, byte(t), 0, 0, 0, 0)
+}
+
+// endFrame patches the payload length into the header of frame, which
+// holds one whole frame.
+func endFrame(frame []byte) []byte {
+	binary.BigEndian.PutUint32(frame[4:], uint32(len(frame)-headerLen))
+	return frame
 }
 
 // readFrame reads one frame from br, enforcing the header invariants
-// and the payload cap before any payload allocation.
-func readFrame(br *bufio.Reader, maxFrame int) (msgType, []byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+// and the payload cap before any payload allocation. The payload is
+// read into buf when it fits and into a new slice otherwise.
+func readFrame(br *bufio.Reader, maxFrame int, buf []byte) (msgType, []byte, error) {
+	hdr, err := br.Peek(headerLen) // in br's buffer: no allocation
+	if err != nil {
 		return 0, nil, err
 	}
 	if hdr[0] != magic0 || hdr[1] != magic1 {
@@ -216,7 +233,12 @@ func readFrame(br *bufio.Reader, maxFrame int) (msgType, []byte, error) {
 	if int64(n) > int64(maxFrame) {
 		return 0, nil, fmt.Errorf("service: frame payload %d bytes exceeds cap %d", n, maxFrame)
 	}
-	payload := make([]byte, n)
+	_, _ = br.Discard(headerLen) // cannot fail: Peek buffered them
+	payload := buf[:0]
+	if cap(buf) < int(n) {
+		payload = make([]byte, n)
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return 0, nil, fmt.Errorf("service: truncated frame (%d-byte payload): %w", n, err)
 	}
@@ -356,37 +378,40 @@ func (r *rbuf) count(minBytes int) int {
 	return int(n)
 }
 
-// ints reads what wbuf.ints wrote. One- and two-byte varints are
-// decoded inline; anything longer, and every malformed input, goes
-// through i64, so values, errors and the final offset are exactly
-// those of a loop over binary.Varint (FuzzIntsCodec pins it).
+// ints reads what wbuf.ints wrote. A run of one-byte varints (part
+// ids, small endpoints) is decoded in a tight loop and a two-byte varint
+// inline; anything longer, and every malformed input, goes through i64,
+// so values, errors and the final offset are exactly those of a loop
+// over binary.Varint (FuzzIntsCodec pins it).
 func (r *rbuf) ints() []int {
 	n := r.count(1)
 	if r.err != nil || n == 0 {
 		return nil
 	}
 	xs := make([]int, n)
-	for i := range xs {
-		var ux uint64
-		switch b := r.b[r.off:]; {
-		case len(b) > 0 && b[0] < 0x80:
-			ux = uint64(b[0])
-			r.off++
-		case len(b) > 1 && b[1] < 0x80:
-			ux = uint64(b[0]&0x7f) | uint64(b[1])<<7
+	for i := 0; i < n; i++ {
+		src, dst := r.b[r.off:], xs[i:]
+		m := min(len(src), len(dst))
+		src, dst = src[:m], dst[:m]
+		k := 0
+		for k < m && src[k] < 0x80 {
+			dst[k] = int(src[k]>>1) ^ -int(src[k]&1)
+			k++
+		}
+		i, r.off = i+k, r.off+k
+		if i == n {
+			break
+		}
+		if b := r.b[r.off:]; len(b) > 1 && b[1] < 0x80 {
+			ux := uint64(b[0]&0x7f) | uint64(b[1])<<7
+			xs[i] = int(ux>>1) ^ -int(ux&1)
 			r.off += 2
-		default:
-			xs[i] = int(r.i64())
-			if r.err != nil {
-				return nil
-			}
 			continue
 		}
-		x := int(ux >> 1)
-		if ux&1 != 0 {
-			x = ^x
+		xs[i] = int(r.i64())
+		if r.err != nil {
+			return nil
 		}
-		xs[i] = x
 	}
 	return xs
 }
@@ -405,12 +430,12 @@ func (r *rbuf) done() error {
 
 // --- message encodings ---
 
-// encodeRequest renders req as a msgPartition payload. The buffer is
-// sized for two-byte endpoints and delta fields up front, so a typical
+// appendRequest appends req's msgPartition payload to dst, which is
+// first grown for two-byte endpoints and delta fields, so a typical
 // request is written without regrowing it.
-func encodeRequest(req *Request) []byte {
+func appendRequest(dst []byte, req *Request) []byte {
 	size := 64 + len(req.Spec.Method) + 2*(len(req.E1)+len(req.E2)) + 4*len(req.Delta)
-	w := wbuf{b: make([]byte, 0, size)}
+	w := wbuf{b: slices.Grow(dst, size)}
 	var flags byte
 	if len(req.E1) > 0 || len(req.E2) > 0 {
 		flags |= flagEdges
@@ -492,10 +517,10 @@ func decodeRequest(p []byte) (*Request, error) {
 	return req, nil
 }
 
-// encodeResponse renders resp as a msgOK payload, in a buffer sized
-// for one-byte part ids.
-func encodeResponse(resp *Response) []byte {
-	w := wbuf{b: make([]byte, 0, 48+len(resp.Part))}
+// appendResponse appends resp's msgOK payload to dst, which is first
+// grown for one-byte part ids.
+func appendResponse(dst []byte, resp *Response) []byte {
+	w := wbuf{b: slices.Grow(dst, 48+len(resp.Part))}
 	w.u64(uint64(resp.Fingerprint))
 	w.byteVal(byte(resp.Served))
 	w.u64(uint64(resp.Cut))

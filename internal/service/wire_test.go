@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -156,6 +157,95 @@ func frame(t msgType, payload []byte) []byte {
 	return appendFrame(nil, t, payload)
 }
 
+// encodeRequest and encodeResponse render one payload on its own, the
+// shape the frame layer copies in.
+func encodeRequest(req *Request) []byte    { return appendRequest(nil, req) }
+func encodeResponse(resp *Response) []byte { return appendResponse(nil, resp) }
+
+// recConn records every Write.
+type recConn struct {
+	net.Conn
+	wrote [][]byte
+}
+
+func (c *recConn) Write(b []byte) (int, error) {
+	c.wrote = append(c.wrote, bytes.Clone(b))
+	return c.Conn.Write(b)
+}
+
+// TestClientFramesInPlace pins the client's in-place request encoding
+// and its reused response buffer. Every request frame it writes is
+// byte for byte a payload encoded apart and then framed, and two of
+// them are the version-3 frames recorded before the client encoded in
+// place. Every response it returns still holds its own values after
+// later, longer and shorter, responses have gone through the buffer.
+func TestClientFramesInPlace(t *testing.T) {
+	e1, e2 := LoadGraph(3, 500, 6)
+	golden := []struct {
+		req *Request
+		hex string
+	}{
+		{&Request{NNode: 300, NParts: 8, Procs: 4, Spec: partition.Spec{Method: partition.MethodMultilevel, Seed: 7, Imbalance: 0.05},
+			E1: []int{0, 1, 299, 64, 8191, 8192}, E2: []int{1, 2, 0, 63, 100, 5}},
+			"c40503010000003801ac0208040a4d554c54494c4556454c0000073fa999999999999a000000000000000000060002d6048001fe7f808001060204007ec8010a"},
+		{&Request{NNode: 500, NParts: 8, Procs: 4, Spec: partition.Spec{Method: partition.MethodMultilevel, Seed: 7}, E1: e1, E2: e2}, ""},
+		{&Request{NNode: 300, NParts: 3, Spec: partition.Spec{Method: partition.MethodStream, Restreams: 2, BalanceSlack: 0.1, CoarsenTo: -1},
+			Base: 0xfeedface12345678, Delta: []EdgeRewire{{Edge: 3, NewEnd: 7}, {Edge: 200, NewEnd: 299}}},
+			"c40503010000003108ac0203000653545245414d0100000000000000000000043fb999999999999af8acd191e1d9fef6fe01020307c801ab02"},
+		{&Request{NNode: 500, NParts: 2, Spec: partition.Spec{Method: partition.MethodBlock}, E1: e1[:7], E2: e2[:7]}, ""},
+	}
+	const wantResp = "c405030200000021bc1500ac023fd00000000000003ff800000000000007000e7e800101fe7f808001"
+	if got := fmt.Sprintf("%x", frame(msgOK, encodeResponse(&Response{Fingerprint: 0xabc, Served: ServedHit, Cut: 300,
+		VirtualS: 0.25, WallMS: 1.5, Part: []int{0, 7, 63, 64, -1, 8191, 8192}}))); got != wantResp {
+		t.Errorf("response frame %s, version 3 wrote %s", got, wantResp)
+	}
+
+	near, far := net.Pipe()
+	rc := &recConn{Conn: near}
+	cl := NewClient(rc)
+	defer cl.Close()
+	// The far end answers request i with a part vector of a length that
+	// goes up and down, so the client's buffer is both grown and reused.
+	lens := []int{2000, 10, 3000, 1}
+	answer := func(i int) *Response {
+		part := make([]int, lens[i])
+		for v := range part {
+			part[v] = (v*7 + i) % 100
+		}
+		return &Response{Fingerprint: Fingerprint(i + 1), Served: Served(i % 4), Cut: i, Part: part}
+	}
+	go func() {
+		br := bufio.NewReader(far)
+		for i := 0; ; i++ {
+			if _, _, err := readFrame(br, maxFrame, nil); err != nil {
+				return
+			}
+			if _, err := far.Write(frame(msgOK, encodeResponse(answer(i)))); err != nil {
+				return
+			}
+		}
+	}()
+	var got []*Response
+	for i, g := range golden {
+		resp, err := cl.Do(context.Background(), g.req)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		got = append(got, resp)
+		if want := frame(msgPartition, encodeRequest(g.req)); !bytes.Equal(rc.wrote[i], want) {
+			t.Errorf("request %d: the client wrote % x, framing the payload apart gives % x", i, rc.wrote[i], want)
+		}
+		if g.hex != "" && fmt.Sprintf("%x", rc.wrote[i]) != g.hex {
+			t.Errorf("request %d: the client wrote %x, version 3 wrote %s", i, rc.wrote[i], g.hex)
+		}
+	}
+	for i, resp := range got {
+		if !reflect.DeepEqual(resp, answer(i)) {
+			t.Errorf("response %d changed after later responses went through the client's buffer", i)
+		}
+	}
+}
+
 // TestReadFrameRejects sweeps the frame-layer error surface:
 // truncated, oversized, and garbage frames all error without panic.
 func TestReadFrameRejects(t *testing.T) {
@@ -172,7 +262,7 @@ func TestReadFrameRejects(t *testing.T) {
 		"oversized length": binary.BigEndian.AppendUint32([]byte{magic0, magic1, wireVersion, byte(msgOK)}, 1<<30),
 	}
 	for name, raw := range cases {
-		_, _, err := readFrame(bufio.NewReader(bytes.NewReader(raw)), 1<<20)
+		_, _, err := readFrame(bufio.NewReader(bytes.NewReader(raw)), 1<<20, nil)
 		if err == nil {
 			t.Errorf("%s: readFrame accepted a malformed frame", name)
 		}
@@ -183,14 +273,14 @@ func TestReadFrameRejects(t *testing.T) {
 	// misparse.
 	for _, v := range []int{1, 2} {
 		raw := cases[fmt.Sprintf("version %d", v)]
-		if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(raw)), 1<<20); err == nil ||
+		if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(raw)), 1<<20, nil); err == nil ||
 			!strings.Contains(err.Error(), fmt.Sprintf("unsupported protocol version %d", v)) {
 			t.Errorf("version-%d frame: err = %v, want unsupported protocol version", v, err)
 		}
 	}
 
 	// And the good frame parses.
-	ty, payload, err := readFrame(bufio.NewReader(bytes.NewReader(good)), 1<<20)
+	ty, payload, err := readFrame(bufio.NewReader(bytes.NewReader(good)), 1<<20, nil)
 	if err != nil || ty != msgOK || !bytes.Equal(payload, []byte{1, 2, 3}) {
 		t.Fatalf("good frame: type=%v payload=%v err=%v", ty, payload, err)
 	}
