@@ -20,7 +20,9 @@
 //
 // The daemon serves until SIGINT/SIGTERM, then drains: in-flight
 // computes are cancelled, every waiting client unwinds with a typed
-// error, and the process exits cleanly. The repository benchmark's
+// error, connections still open after a short drain are closed (a
+// client that stopped reading cannot hold the daemon up), and the
+// process exits cleanly. The repository benchmark's
 // service_mix workload (go run ./benchmark -workload service_mix) is
 // the matching client fleet.
 package main

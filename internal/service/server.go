@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"chaos/internal/partition"
 )
@@ -58,6 +59,7 @@ type Server struct {
 	mu        sync.Mutex
 	flight    map[resultKey]*job
 	listeners map[net.Listener]struct{}
+	live      map[net.Conn]struct{} // accepted connections not yet closed
 	closed    bool
 
 	work    chan *job
@@ -96,6 +98,11 @@ const (
 	maxEdges    = 1 << 24
 	maxProcs    = 64
 )
+
+// closeDrain is how long Close lets connection handlers finish their
+// last write, such as the cancellation error of a request Close cut
+// short, before it closes the connections still open.
+const closeDrain = 500 * time.Millisecond
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -141,6 +148,7 @@ func New(opt Options) *Server {
 		cancel:      cancel,
 		flight:      make(map[resultKey]*job),
 		listeners:   make(map[net.Listener]struct{}),
+		live:        make(map[net.Conn]struct{}),
 		work:        make(chan *job, opt.QueueDepth),
 		compute:     computePartition,
 		fingerprint: (*graphContent).fingerprint,
@@ -559,9 +567,22 @@ func (s *Server) Serve(l net.Listener) error {
 				return err
 			}
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			continue // Close is under way; Accept fails next
+		}
+		s.live[conn] = struct{}{}
 		s.conns.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.conns.Done()
+			defer func() {
+				s.mu.Lock()
+				delete(s.live, conn)
+				s.mu.Unlock()
+			}()
 			s.handleConn(conn)
 		}()
 	}
@@ -658,8 +679,10 @@ func (s *Server) contain() {
 
 // Close shuts the server down: listeners stop accepting, in-flight
 // computes are cancelled (every waiter unwinds with a wrapped
-// context error), workers and connection handlers drain, and the
-// cache is dropped. Idempotent.
+// context error), connection handlers get closeDrain to send those
+// errors and leave, the connections still open after it are closed
+// (a handler blocked writing to a peer that stopped reading returns),
+// workers drain, and the cache is dropped. Idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -677,7 +700,25 @@ func (s *Server) Close() error {
 	for _, l := range ls {
 		l.Close()
 	}
-	s.conns.Wait()
+	drained := make(chan struct{})
+	go func() {
+		s.conns.Wait()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(closeDrain):
+		s.mu.Lock()
+		cs := make([]net.Conn, 0, len(s.live))
+		for c := range s.live {
+			cs = append(cs, c)
+		}
+		s.mu.Unlock()
+		for _, c := range cs {
+			c.Close()
+		}
+		<-drained
+	}
 	s.workers.Wait()
 	return nil
 }

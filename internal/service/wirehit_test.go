@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"slices"
 	"sync"
@@ -291,4 +292,62 @@ func leases(s *Server) int {
 		n += e.leases
 	}
 	return n
+}
+
+// TestCloseWithUnreadHit is Close against a peer that stopped reading:
+// a wire hit whose answer nobody reads leaves its handler blocked in
+// Write, and Close must still return, by closing the connection under
+// it.
+func TestCloseWithUnreadHit(t *testing.T) {
+	s := New(Options{Workers: 1, CacheBytes: -1})
+	l := newPipeListener()
+	go s.Serve(l)
+	rc := dialRaw(t, l)
+	req := testRequest(0)
+	rc.send(req)
+	rc.recv()
+	rc.send(req) // the hit; its answer is never read
+	for deadline := time.Now().Add(5 * time.Second); s.Metrics().Hits != 1 || leases(s) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the unread hit was never served")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not return within 2 s while a handler was blocked writing an unread hit")
+	}
+}
+
+// TestCloseSendsWireWaitersTheirError is the drain half of Close: a
+// wire client whose request is computing when the server closes gets
+// the typed cancellation, not a dropped connection.
+func TestCloseSendsWireWaitersTheirError(t *testing.T) {
+	sc := newStubCompute()
+	s := New(Options{Workers: 1})
+	s.compute = sc.fn
+	do := serveWire(t, s)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := do(context.Background(), tinyRequest(0))
+		errc <- err
+	}()
+	eventually(t, func() string {
+		if len(sc.started()) == 0 {
+			return "no compute started"
+		}
+		return ""
+	})
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the waiting wire client got %v, want the server's wrapped context.Canceled", err)
+	}
 }

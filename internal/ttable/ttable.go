@@ -8,10 +8,21 @@
 // of the paper's Phase D inspector. The table is the one resolver of an
 // irregular distribution: no rank ever holds the whole owner map. A
 // BLOCK distribution resolves in closed form through Regular.
+//
+// The host dereferences distinct first: a rank asks each home rank
+// about each distinct index once, however often it was queried, and
+// copies the answer to every query. The virtual clock charges the
+// paper's inspector, which sends every reference: the exchanged rows
+// keep their per-reference lengths, only a distinct prefix of each
+// is written and read, and a -1 ends a query row's prefix where it is
+// shorter than the row.
+// referenceResolve in reference_test.go is the per-reference body,
+// kept as the oracle that the clocks match to the last bit.
 package ttable
 
 import (
 	"fmt"
+	"math/bits"
 
 	"chaos/internal/dist"
 	"chaos/internal/machine"
@@ -115,21 +126,29 @@ func Build(c *machine.Ctx, n int, myGlobals []int) *Table {
 }
 
 // Workspace is the grow-only scratch of one rank's dereferences: the
-// result vectors, the queries bucketed by home rank with the query
-// position each came from, the answers to the peers' queries, and the
-// row headers of the two exchanges. The zero value is ready; buffers
-// grow to the largest query list seen and are reused after that.
-// Nothing in a Table points into a Workspace, so dropping the
-// workspace drops all of it.
+// result vectors, the bitmap that removes duplicate queries, the query
+// and reply rows, and the row headers of the two exchanges. The zero
+// value is ready; buffers grow to the largest index space and query
+// list seen and are reused after that. Nothing in a Table points into
+// a Workspace, so dropping the workspace drops all of it.
 type Workspace struct {
 	owners, locals []int
-	// home[pos] is the home rank of globals[pos].
-	home []int
-	// start[h] is where home rank h's bucket begins in qs and qpos
-	// (len Procs+1); next is the fill cursor of the second pass.
-	start, next []int
-	qs, qpos    []int
-	ans         []int
+	// marks has one bit per index of [0, n] and dir[w] counts the bits
+	// set in marks[:w]: n/8 + n/16 bytes. Numbering the queried indices
+	// in ascending order, g is number dir[g>>6] + (bits of marks[g>>6]
+	// below g); see rankOf.
+	marks []uint64
+	dir   []uint32
+	// slot[pos] is the number of globals[pos]; mult[d] counts the
+	// queries numbered d, and dans[2d], dans[2d+1] is their answer.
+	slot []uint32
+	mult []int32
+	dans []int
+	// Home rank h's query row is qs[start[h]:start[h+1]], and its
+	// distinct queries are numbers first[h] to first[h+1]-1 (both
+	// len Procs+1).
+	start, first []int
+	qs, ans      []int
 	// qout and aout head the query and reply rows. They are two arrays
 	// because each is a sent payload: peers read their row header out of
 	// qout while this rank is already filling aout. in heads the
@@ -145,16 +164,28 @@ func (t *Table) Resolve(c *machine.Ctx, globals []int) ([]int, []int) {
 	return t.ResolveInto(c, &ws, globals)
 }
 
-// ResolveInto is Resolve on ws's buffers. Queries are bucketed by home
-// rank with a two-pass counting sort (count, prefix-sum, fill), which
-// keeps each bucket in query order; both legs of the round trip are
-// ownership-transfer exchanges (machine.Ctx.ExchangeInts) straight out
-// of ws. That is within the exchange's rule: qs and qout are next
-// written by the next dereference through ws, after this rank returned
-// from the reply exchange, and ans and aout after it returned from
-// that dereference's query exchange; the peers' queries are read
-// before the reply exchange and their replies before ResolveInto
-// returns.
+// ResolveInto is Resolve on ws's buffers. It asks each home rank about
+// each distinct index once, and copies the answer back to every query
+// of it. A bitmap over the index space removes the duplicates; since
+// the home ranks hold consecutive BLOCK ranges, walking it yields each
+// home rank's distinct queries as one ascending run.
+//
+// The virtual clock still charges the paper's inspector, which sends
+// every reference. Both Words charges count len(globals), the row to
+// home rank h is as long as the queries homed there, and the reply is
+// twice as long as the row it answers, so the exchanges charge what
+// the per-reference exchange charged. Only a row's distinct prefix is
+// written and read: a -1 ends the prefix of a query row when it is
+// shorter than the row, and a reply row needs no end mark, because
+// its reader knows how many distinct queries it sent.
+//
+// Both legs of the round trip are ownership-transfer exchanges
+// (machine.Ctx.ExchangeInts) straight out of ws. That is within the
+// exchange's rule: qs and qout are next written by the next
+// dereference through ws, after this rank returned from the reply
+// exchange, and ans and aout after it returned from that dereference's
+// query exchange; the peers' queries are read before the reply
+// exchange and their replies before ResolveInto returns.
 //
 //chaos:hotpath
 func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int, []int) {
@@ -164,41 +195,71 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 	owners := scratch.Grow(&ws.owners, len(globals))
 	locals := scratch.Grow(&ws.locals, len(globals))
 
-	// Pass 1: count the queries per home rank.
-	home := scratch.Grow(&ws.home, len(globals))
-	start := scratch.Grow(&ws.start, p+1)
-	clear(start)
-	for pos, g := range globals {
-		if g < 0 || g >= n {
+	// Mark the queried indices and number them in ascending order.
+	marks := scratch.Grow(&ws.marks, n>>6+1)
+	clear(marks)
+	for _, g := range globals {
+		if uint(g) >= uint(n) {
 			panicQueryRange(g, n)
 		}
-		h := t.home.Owner(g)
-		home[pos] = h
-		start[h+1]++
+		marks[g>>6] |= 1 << (g & 63)
 	}
-	for h := 0; h < p; h++ {
-		start[h+1] += start[h]
+	dir := scratch.Grow(&ws.dir, len(marks))
+	distinct := 0
+	for w, word := range marks {
+		dir[w] = uint32(distinct)
+		distinct += bits.OnesCount64(word)
+	}
+	slot := scratch.Grow(&ws.slot, len(globals))
+	mult := scratch.Grow(&ws.mult, distinct)
+	clear(mult)
+	for pos, g := range globals {
+		d := rankOf(marks, dir, g)
+		slot[pos] = uint32(d)
+		mult[d]++
 	}
 
-	// Pass 2: fill the buckets.
-	next := scratch.Grow(&ws.next, p)
-	copy(next, start)
-	qs := scratch.Grow(&ws.qs, start[p])
-	qpos := scratch.Grow(&ws.qpos, start[p])
-	for pos, h := range home {
-		k := next[h]
-		next[h]++
-		qs[k] = globals[pos]
-		qpos[k] = pos
+	// Lay out the query rows: home rank h's row is as long as its
+	// queries and begins with its distinct ones.
+	start := scratch.Grow(&ws.start, p+1)
+	first := scratch.Grow(&ws.first, p+1)
+	for h := 0; h < p; h++ {
+		first[h] = rankOf(marks, dir, t.home.Lo(h))
+	}
+	first[p] = distinct
+	start[0] = 0
+	for h := 0; h < p; h++ {
+		refs := 0
+		for _, m := range mult[first[h]:first[h+1]] {
+			refs += int(m)
+		}
+		start[h+1] = start[h] + refs
+	}
+	qs := scratch.Grow(&ws.qs, len(globals))
+	h, hi, d := 0, t.home.Hi(0), 0
+	for w, word := range marks {
+		for ; word != 0; word &= word - 1 {
+			g := w<<6 | bits.TrailingZeros64(word)
+			for g >= hi {
+				h++
+				hi = t.home.Hi(h)
+			}
+			qs[start[h]+d-first[h]] = g
+			d++
+		}
 	}
 	qout := scratch.Grow(&ws.qout, p)
 	for h := range qout {
+		if end := start[h] + first[h+1] - first[h]; end < start[h+1] {
+			qs[end] = -1
+		}
 		qout[h] = qs[start[h]:start[h+1]]
 	}
 	c.Words(2 * len(globals))
 	queries := c.ExchangeInts(qout, scratch.Grow(&ws.in, p))
 
-	// Answer queries against the local table slice.
+	// Answer the distinct prefix of every query row against the local
+	// table slice.
 	lo := t.home.Lo(c.Rank())
 	total := 0
 	for _, q := range queries {
@@ -210,6 +271,9 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 	for src, q := range queries {
 		a := ans[k : k+2*len(q)]
 		for i, g := range q {
+			if g < 0 {
+				break
+			}
 			hl := g - lo
 			a[2*i] = t.owner[hl]
 			a[2*i+1] = t.local[hl]
@@ -220,13 +284,22 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 	c.Words(2 * len(globals))
 	replies := c.ExchangeInts(aout, ws.in)
 
+	dans := scratch.Grow(&ws.dans, 2*distinct)
 	for h, rep := range replies {
-		for i, pos := range qpos[start[h]:start[h+1]] {
-			owners[pos] = rep[2*i]
-			locals[pos] = rep[2*i+1]
-		}
+		copy(dans[2*first[h]:2*first[h+1]], rep)
+	}
+	for pos, d := range slot {
+		i := 2 * int(d)
+		owners[pos] = dans[i]
+		locals[pos] = dans[i+1]
 	}
 	return owners, locals
+}
+
+// rankOf is the number of marked indices below g, for g in [0, n].
+func rankOf(marks []uint64, dir []uint32, g int) int {
+	w := g >> 6
+	return int(dir[w]) + bits.OnesCount64(marks[w]&(1<<(g&63)-1))
 }
 
 func panicQueryRange(g, n int) {
