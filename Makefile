@@ -127,11 +127,11 @@ bench:
 # 443 k, FuzzWireFrame 483 k, FuzzCompile 561 k, FuzzContract 921 k;
 # no status interval read 0 execs/sec before the closing line, which Go
 # prints at the deadline over a zero-length interval. FuzzResolve, added
-# later, ran 112 k in its 30 s on the same host.
+# later, ran 112 k in its 30 s on the same host, and FuzzIndexSet 105 k.
 FUZZ_TARGETS = machine:FuzzAlltoAll geocol:FuzzGhostExchange geocol:FuzzBuildCoarse \
 	csr:FuzzContract service:FuzzWireFrame service:FuzzVerifiedCache \
 	service:FuzzIntsCodec stream:FuzzStreamDecode lang:FuzzCompile \
-	ttable:FuzzResolve
+	ttable:FuzzResolve scratch:FuzzIndexSet
 
 fuzz-short:
 	@for pt in $(FUZZ_TARGETS); do \

@@ -553,7 +553,9 @@ func (l *Loop) PartitionIterations(policy iterpart.Policy) {
 			accs = append(accs, access{w.Arr, w.Ind})
 		}
 		// Dereference each distinct (distribution, indirection array)
-		// pair once; accesses that repeat one share its owner list.
+		// pair once, all through one workspace; accesses that repeat one
+		// share its owner list, copied out of the workspace.
+		var ws ttable.Workspace
 		ownersByAcc := make([][]int, nAcc)
 		for a, ac := range accs {
 			b := slices.IndexFunc(accs[:a], func(q access) bool {
@@ -562,7 +564,8 @@ func (l *Loop) PartitionIterations(policy iterpart.Policy) {
 			if b >= 0 {
 				ownersByAcc[a] = ownersByAcc[b]
 			} else {
-				ownersByAcc[a], _ = ac.arr.res.Resolve(c, ac.ind.Data)
+				owners, _ := ac.arr.res.ResolveInto(c, &ws, ac.ind.Data)
+				ownersByAcc[a] = slices.Clone(owners)
 			}
 		}
 		nLocal := len(l.iterGl)

@@ -5,7 +5,6 @@ import (
 
 	"chaos/internal/machine"
 	"chaos/internal/scratch"
-	"chaos/internal/slottab"
 )
 
 // GhostExchange precomputes the boundary-exchange pattern of a
@@ -76,23 +75,21 @@ func (ge *GhostExchange) Bytes() int {
 	return b
 }
 
-// GhostScratch is the reusable scratch of NewGhostExchange: the table
-// that deduplicates remote endpoints, the distinct ghost ids in
-// first-seen order with their owners, the first-seen → sorted-slot
-// permutation, the per-rank counters, and the send rows of every
-// pattern derived here. The zero value is ready; buffers grow to the
-// largest graph seen, and apart from the send rows nothing a
-// GhostExchange retains aliases them. Plain per-goroutine state, like
+// GhostScratch is the reusable scratch of NewGhostExchange: the set
+// that numbers the remote endpoints in ascending order, the home rank
+// of each, the per-rank counters, and the send rows of every pattern
+// derived here. The zero value is ready; buffers grow to the largest
+// graph seen, and apart from the send rows nothing a GhostExchange
+// retains aliases them. Plain per-goroutine state, like
 // CoarseAssembler: the partition arena keeps one and derives every
 // level's pattern through it.
 type GhostScratch struct {
-	seen slottab.Table
-	// ids[i] is the i-th distinct remote endpoint met in CSR order,
-	// own[i] its home rank, perm[i] its slot in the sorted IDs.
-	ids, own, perm []int
-	// nsend/nrecv count each rank's send list and ghost run; last[r] is
-	// the latest home vertex put on rank r's send list.
-	nsend, nrecv, last []int
+	set scratch.IndexSet
+	// own[slot] is the home rank of ghost IDs[slot].
+	own []int
+	// nsend counts each rank's send list; last[r] is the latest home
+	// vertex put on rank r's send list.
+	nsend, last []int
 	// rows lays the send rows of every exchange of every pattern derived
 	// here (GhostExchange.rows), made on first use.
 	rows *ghostRows
@@ -106,14 +103,12 @@ func NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange {
 }
 
 // NewGhostExchange derives the exchange pattern of g on s's scratch;
-// purely local. One pass over the CSR localizes every adjacency slot —
-// a home neighbor by a range test, a remote one through the
-// open-addressing table, which assigns distinct ghosts provisional
-// numbers in first-seen order and is the only place a home rank is
-// computed (once per distinct ghost) — and counts the send lists. Only
-// the distinct ghost ids are sorted; a second pass rewrites the
-// provisional numbers to sorted slots through one permutation and
-// fills the send lists, which are slices of one exactly-sized array.
+// purely local. A first pass over the CSR localizes every home
+// neighbor by a range test and marks every remote one in an IndexSet.
+// Walking the set yields the sorted ghost ids; each one's home rank
+// follows as the BLOCK ranges advance. A second pass gives every remote
+// slot its ghost slot, the id's rank in the set, and counts the send
+// lists; a third fills them, as slices of one exactly-sized array.
 //
 //chaos:hotpath
 func (s *GhostScratch) NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange {
@@ -122,60 +117,55 @@ func (s *GhostScratch) NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange
 	localN := hi - lo
 	ge := &GhostExchange{Loc: make([]int, len(g.Adj))}
 
-	nsend, nrecv, last := scratch.Grow(&s.nsend, procs+1), scratch.Grow(&s.nrecv, procs+1), scratch.Grow(&s.last, procs)
+	s.set.Reset(g.N)
+	for k, v := range g.Adj[:g.XAdj[localN]] {
+		if lo <= v && v < hi {
+			ge.Loc[k] = v - lo
+		} else {
+			s.set.Mark(v)
+		}
+	}
+	ge.IDs = slices.AppendSeq(make([]int, 0, s.set.Number()), s.set.All())
+	// IDs is sorted and the home distribution is BLOCK, so each rank's
+	// ghosts form one contiguous run: the counts prefix-sum to offsets.
+	own := scratch.Grow(&s.own, len(ge.IDs))
+	ge.recvStart = make([]int, procs+1)
+	r, rhi := 0, g.Home.Hi(0)
+	for slot, v := range ge.IDs {
+		for v >= rhi {
+			r++
+			rhi = g.Home.Hi(r)
+		}
+		own[slot] = r
+		ge.recvStart[r+1]++
+	}
+
+	// Second pass: remote slots take their ghost slots, and the send
+	// lists are counted. l ascends, so one remembered vertex per rank
+	// dedups a send list.
+	nsend, last := scratch.Grow(&s.nsend, procs+1), scratch.Grow(&s.last, procs)
 	clear(nsend)
-	clear(nrecv)
 	for r := range last {
 		last[r] = -1
 	}
-	// A rank has at most one ghost per remote endpoint and per vertex
-	// homed elsewhere.
-	maxGhosts := min(len(g.Adj), g.N-localN)
-	s.seen.Reset(maxGhosts)
-	ids, own := scratch.Grow(&s.ids, maxGhosts)[:0], scratch.Grow(&s.own, maxGhosts)[:0]
 	for l := 0; l < localN; l++ {
 		for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
-			v := g.Adj[k]
-			if lo <= v && v < hi {
-				ge.Loc[k] = v - lo
-				continue
-			}
-			e := s.seen.Entry(v)
-			if e.Key1 == 0 {
-				r := g.Home.Owner(v)
-				*e = slottab.Entry{Key1: v + 1, Val: len(ids)}
-				ids, own = append(ids, v), append(own, r) // within maxGhosts
-				nrecv[r+1]++
-			}
-			ge.Loc[k] = -(e.Val + 1)
-			// l ascends, so one remembered vertex per rank dedups its
-			// send list.
-			if r := own[e.Val]; last[r] != l {
-				last[r] = l
-				nsend[r+1]++
+			if v := g.Adj[k]; v < lo || v >= hi {
+				slot := s.set.Rank(v)
+				ge.Loc[k] = -(slot + 1)
+				if r := own[slot]; last[r] != l {
+					last[r] = l
+					nsend[r+1]++
+				}
 			}
 		}
 	}
-
-	// Sort the distinct ids; the table still maps an id to its
-	// first-seen number, which gives the permutation.
-	ge.IDs = make([]int, len(ids))
-	copy(ge.IDs, ids)
-	slices.Sort(ge.IDs)
-	perm := scratch.Grow(&s.perm, len(ids))
-	for slot, v := range ge.IDs {
-		perm[s.seen.Entry(v).Val] = slot
-	}
-	// IDs is sorted and the home distribution is BLOCK, so each rank's
-	// ghosts form one contiguous run: the counts prefix-sum to offsets.
-	ge.recvStart = make([]int, procs+1)
 	for r := 0; r < procs; r++ {
-		ge.recvStart[r+1] = ge.recvStart[r] + nrecv[r+1]
+		ge.recvStart[r+1] += ge.recvStart[r]
 		nsend[r+1] += nsend[r]
 	}
 
-	// Second pass: provisional ghost numbers become sorted slots, and
-	// the send lists fill (nsend[r] is rank r's cursor).
+	// Third pass: the send lists fill (nsend[r] is rank r's cursor).
 	sends := make([]int, nsend[procs])
 	ge.send = make([][]int, procs)
 	for r := 0; r < procs; r++ {
@@ -187,16 +177,12 @@ func (s *GhostScratch) NewGhostExchange(c *machine.Ctx, g *Graph) *GhostExchange
 	}
 	for l := 0; l < localN; l++ {
 		for k := g.XAdj[l]; k < g.XAdj[l+1]; k++ {
-			loc := ge.Loc[k]
-			if loc >= 0 {
-				continue
-			}
-			i := -loc - 1
-			ge.Loc[k] = -(perm[i] + 1)
-			if r := own[i]; last[r] != l {
-				last[r] = l
-				sends[nsend[r]] = l
-				nsend[r]++
+			if loc := ge.Loc[k]; loc < 0 {
+				if r := own[-loc-1]; last[r] != l {
+					last[r] = l
+					sends[nsend[r]] = l
+					nsend[r]++
+				}
 			}
 		}
 	}

@@ -41,14 +41,14 @@ type arena struct {
 	sides [2][]bool
 }
 
-// reserve sizes, from the finest level's home vertex count, the scratch
-// that uncoarsening would otherwise regrow at every level (it runs
-// coarsest level first): parallelFM's per-vertex arrays and move log,
-// and projectPart's coarse-id lists. What coarsening
-// uses grows once without help — the finest level comes first there —
-// and the ghost-sized buffers wait for the first exchange pattern to
-// say how many ghosts there are.
-func (ar *arena) reserve(localN int) {
+// reserve sizes, from the finest level's home and global vertex
+// counts, the scratch that uncoarsening would otherwise regrow at every
+// level (it runs coarsest level first): parallelFM's per-vertex arrays
+// and move log, and projectPart's coarse-id set and lists. What
+// coarsening uses grows once without help — the finest level comes
+// first there — and the ghost-sized buffers wait for the first exchange
+// pattern to say how many ghosts there are.
+func (ar *arena) reserve(localN, n int) {
 	fm := &ar.fm
 	scratch.Grow(&fm.vs, localN)
 	scratch.Grow(&fm.dirty, localN)
@@ -56,6 +56,7 @@ func (ar *arena) reserve(localN int) {
 	scratch.Grow(&fm.locked, localN)
 	scratch.Grow(&fm.movedFlag, localN)
 	fm.log = make([]fmMove, 0, localN)
+	ar.proj.set.Reset(n)
 	scratch.Grow(&ar.proj.need, localN)
 	scratch.Grow(&ar.proj.val, localN)
 }
@@ -142,11 +143,13 @@ type matchScratch struct {
 }
 
 // projScratch is the scratch of partition projection and restriction
-// (pmultilevel.go): the sorted coarse-id list, its resolved parts, and
-// the per-rank request/reply routing — projectPart's request rows (req,
-// slices of need) with their receive headers (in), and the row builder
-// of its replies and of restrictPart's pairs.
+// (pmultilevel.go): the set that numbers the coarse ids, their
+// ascending list need and its resolved parts, and the per-rank
+// request/reply routing — projectPart's request rows (req, slices of
+// need) with their receive headers (in), and the row builder of its
+// replies and of restrictPart's pairs.
 type projScratch struct {
+	set     scratch.IndexSet
 	need    []int
 	val     []int
 	owner   []int // coarse home rank of each fine vertex (restrictPart)

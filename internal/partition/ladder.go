@@ -168,7 +168,7 @@ func (ml Multilevel) PartitionLadder(c *machine.Ctx, g *geocol.Graph, nparts int
 	// and every refinement level, then retained in the Ladder so warm
 	// Repartition epochs reuse the grown buffers.
 	ar := &arena{}
-	ar.reserve(g.LocalN(c.Rank()))
+	ar.reserve(g.LocalN(c.Rank()), g.N)
 	ld := ml.coarsen(c, ar, g, nparts)
 
 	// Coarsest-level solve: serial MULTILEVEL itself (solveSerial) on

@@ -2,7 +2,6 @@ package partition
 
 import (
 	"slices"
-	"sort"
 
 	"chaos/internal/dist"
 	"chaos/internal/geocol"
@@ -148,19 +147,21 @@ func (ml Multilevel) serialTo(nparts int) int {
 // projectPart projects a coarse part assignment onto the fine level:
 // each rank requests the part of every coarse vertex its home vertices
 // map to from the coarse vertex's block owner (one request/reply
-// all-to-all pair), then reads the fine assignment off cmap. The
-// resolved parts live in an array parallel to the sorted distinct
-// coarse-id list (binary-searched per fine vertex) — O(local) memory
+// all-to-all pair), then reads the fine assignment off cmap. An
+// IndexSet over the coarse ids yields need, the ascending distinct ids,
+// and the resolved parts live in an array parallel to it, indexed by an
+// id's rank in the set — O(local) words and 2 bits per coarse id,
 // with no map, and all routing scratch is arena-owned. Collective.
 //
 //chaos:hotpath
 func projectPart(c *machine.Ctx, s *projScratch, fine *geocol.Graph, cmap []int, coarseHome dist.BlockDist, coarsePart []int) []int {
 	me, procs := c.Rank(), c.Procs()
 
-	need := append(s.need[:0], cmap...)
-	sort.Ints(need)
-	need = slices.Compact(need)
-	s.need = need
+	s.set.Reset(coarseHome.Size())
+	for _, cv := range cmap {
+		s.set.Mark(cv)
+	}
+	need := slices.AppendSeq(scratch.Grow(&s.need, s.set.Number())[:0], s.set.All())
 	// need is sorted and block ownership is monotone in the id, so each
 	// rank's request list is one consecutive run of need: the rows are
 	// slices of it and go out uncopied. need and req are next written by
@@ -201,7 +202,7 @@ func projectPart(c *machine.Ctx, s *projScratch, fine *geocol.Graph, cmap []int,
 	// stays freshly allocated.
 	part := make([]int, len(cmap))
 	for l, cv := range cmap {
-		part[l] = val[sort.SearchInts(need, cv)]
+		part[l] = val[s.set.Rank(cv)]
 	}
 	c.Words(2 * len(cmap))
 	return part

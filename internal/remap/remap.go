@@ -10,9 +10,10 @@ package remap
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"chaos/internal/machine"
+	"chaos/internal/scratch"
 )
 
 // Plan is one rank's half of a redistribution. After Build, the calling
@@ -46,8 +47,8 @@ func Build(c *machine.Ctx, myGlobals, newOwner []int) *Plan {
 	out := make([][]int, p)
 	for i, g := range myGlobals {
 		d := newOwner[i]
-		if d < 0 || d >= p {
-			panic(fmt.Sprintf("remap: destination %d out of range", d))
+		if d < 0 || d >= p || g < 0 {
+			panic(fmt.Sprintf("remap: global %d or destination %d out of range", g, d))
 		}
 		pl.sendPos[d] = append(pl.sendPos[d], i)
 		out[d] = append(out[d], g)
@@ -55,31 +56,32 @@ func Build(c *machine.Ctx, myGlobals, newOwner []int) *Plan {
 	c.Words(2 * len(myGlobals))
 	in := c.ExchangeInts(out, nil) // out's rows are built here and never written again
 
-	// Sort incoming globals to fix the new local order; remember
-	// where each (src, k) element lands.
-	type slot struct{ g, src, k int }
-	var slots []slot
-	for src := 0; src < p; src++ {
-		for k, g := range in[src] {
-			slots = append(slots, slot{g, src, k})
+	// Number the incoming globals in ascending order, which fixes the
+	// new local order; remember where each (src, k) element lands.
+	top := 0
+	for _, row := range in {
+		for _, g := range row {
+			top = max(top, g)
 		}
 	}
-	sort.Slice(slots, func(a, b int) bool { return slots[a].g < slots[b].g })
-	for i := 1; i < len(slots); i++ {
-		if slots[i].g == slots[i-1].g {
-			panic(fmt.Sprintf("remap: global %d delivered twice", slots[i].g))
+	var set scratch.IndexSet
+	set.Reset(top)
+	for _, row := range in {
+		for _, g := range row {
+			if set.Mark(g) {
+				panic(fmt.Sprintf("remap: global %d delivered twice", g))
+			}
 		}
 	}
+	pl.newGlobals = slices.AppendSeq(make([]int, 0, set.Number()), set.All())
 	pl.place = make([][]int, p)
-	for src := 0; src < p; src++ {
-		pl.place[src] = make([]int, len(in[src]))
+	for src, row := range in {
+		pl.place[src] = make([]int, len(row))
+		for k, g := range row {
+			pl.place[src][k] = set.Rank(g)
+		}
 	}
-	pl.newGlobals = make([]int, len(slots))
-	for pos, s := range slots {
-		pl.newGlobals[pos] = s.g
-		pl.place[s.src][s.k] = pos
-	}
-	c.Words(3 * len(slots))
+	c.Words(3 * len(pl.newGlobals))
 	return pl
 }
 

@@ -1,6 +1,7 @@
 package remap
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -171,6 +172,39 @@ func TestRemapDetectsDuplicateDelivery(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("err = %v, want duplicate-delivery panic", err)
+	}
+}
+
+// TestRemapDuplicateNamesGlobal sends one global twice — from one
+// sender's row, and from two senders — among distinct neighbors below
+// and above it, and demands the panic name exactly that global.
+func TestRemapDuplicateNamesGlobal(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dup  int
+		send [2][]int // per rank: globals, all bound for rank 0
+	}{
+		{"one sender", 0, [2][]int{{0, 7, 0}, {3}}},
+		{"two senders", 64, [2][]int{{2, 64, 65}, {63, 64}}},
+		{"largest id", 200, [2][]int{{200}, {1, 200}}},
+	} {
+		err := machine.Run(machine.Zero(2), func(c *machine.Ctx) {
+			gl := tc.send[c.Rank()]
+			Build(c, gl, make([]int, len(gl)))
+		})
+		want := fmt.Sprintf("global %d delivered twice", tc.dup)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, want)
+		}
+	}
+}
+
+func TestRemapNegativeGlobalPanics(t *testing.T) {
+	err := machine.Run(machine.Zero(1), func(c *machine.Ctx) {
+		Build(c, []int{3, -1}, []int{0, 0})
+	})
+	if err == nil || !strings.Contains(err.Error(), "global -1 or destination 0 out of range") {
+		t.Fatalf("err = %v, want out-of-range panic", err)
 	}
 }
 

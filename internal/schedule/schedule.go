@@ -10,13 +10,10 @@
 package schedule
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"chaos/internal/machine"
 	"chaos/internal/scratch"
-	"chaos/internal/slottab"
 	"chaos/internal/ttable"
 )
 
@@ -83,24 +80,23 @@ func (s *Schedule) Messages() (nsend, nrecv int) {
 }
 
 // Builder is the inspector's grow-only workspace: the translation
-// table's dereference buffers, the list of off-processor references
-// and the open-addressing table that deduplicates them. The zero value
-// is ready; buffers grow to the largest reference list seen and are
-// reused by every later build, so one Builder shared by all the builds
-// of an inspection makes their scratch a one-time cost. Nothing a build returns points into
-// the Builder.
+// table's dereference buffers, the set that numbers the distinct
+// off-processor references, and what each of them resolved to. The zero
+// value is ready; buffers grow to the largest reference list seen and
+// are reused by every later build, so one Builder shared by all the
+// builds of an inspection makes their scratch a one-time cost. Nothing
+// a build returns points into the Builder.
 type Builder struct {
 	tt ttable.Workspace
 	// offPos lists the positions of the off-processor references.
 	offPos []int
-	// ghosts holds one entry per distinct off-processor reference, in
-	// ghost-slot order.
-	ghosts []ghostRef
-	seen   slottab.Table
+	// set numbers the distinct off-processor elements in ascending
+	// global order. The element numbered d lives at local index loc[d]
+	// of rank own[d] and fills ghost slot slot[d]; next[o] is the ghost
+	// slot that owner o's next element takes.
+	set                  scratch.IndexSet
+	own, loc, slot, next []int
 }
-
-// ghostRef is one off-processor element and where it lives.
-type ghostRef struct{ owner, global, local int }
 
 // BuildGather runs the inspector for one data array. res resolves the
 // array's global index space; myLocalSize is the length of the calling
@@ -139,10 +135,11 @@ func BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, globals [
 // read before the peers entered the previous build's exchange, which
 // this rank has returned from.
 //
-// Off-processor references are collected in one pass, deduplicated
-// through the open-addressing table, and only the distinct ones are
-// sorted into ghost-slot order (owner, global); the per-owner request
-// and slot lists are rows of two flat arrays.
+// Off-processor references are collected in one pass and numbered in
+// ascending global order by an IndexSet; a stable counting sort of the
+// distinct ones by owner then gives the ghost-slot order (owner,
+// global), and the per-owner request and slot lists are rows of two
+// flat arrays.
 //
 // Collective.
 //
@@ -155,67 +152,72 @@ func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize i
 	ref := scratch.Grow(&dst, len(globals))
 
 	// Local references are final; off-processor ones are set aside,
-	// counted first so their lists are sized once.
-	nOff := 0
-	for _, o := range owners {
+	// counted first so their list and the set are sized once.
+	nOff, maxOff := 0, 0
+	for i, o := range owners {
 		if o != me {
 			nOff++
+			maxOff = max(maxOff, globals[i])
 		}
 	}
 	offPos := scratch.Grow(&b.offPos, nOff)[:0]
+	b.set.Reset(maxOff)
 	for i, o := range owners {
 		if o == me {
 			ref[i] = locals[i]
 		} else {
 			offPos = append(offPos, i)
+			b.set.Mark(globals[i])
 		}
 	}
 
-	// The table keeps the first reference to each element; slot order
-	// is (owner, global) sorted for determinism and contiguous per-peer
-	// receive buffers, and the table then maps an element to its slot.
-	ghosts := scratch.Grow(&b.ghosts, nOff)[:0]
-	b.seen.Reset(nOff)
+	// Number the distinct elements in ascending global order, and note
+	// each one's number in ref until its slot is known.
+	nGhost := b.set.Number()
+	own, loc := scratch.Grow(&b.own, nGhost), scratch.Grow(&b.loc, nGhost)
 	for _, i := range offPos {
-		if e := b.seen.Entry(globals[i]); e.Key1 == 0 {
-			e.Key1 = globals[i] + 1
-			ghosts = append(ghosts, ghostRef{owners[i], globals[i], locals[i]})
-		}
+		d := b.set.Rank(globals[i])
+		own[d], loc[d] = owners[i], locals[i]
+		ref[i] = d
 	}
-	slices.SortFunc(ghosts, cmpGhostRef)
-	for slot, g := range ghosts {
-		b.seen.Entry(g.global).Val = slot
-	}
-	for _, i := range offPos {
-		ref[i] = myLocalSize + b.seen.Entry(globals[i]).Val
-	}
+	// The paper's inspector hashes every reference and sorts the
+	// distinct ones; the clock charges that.
 	c.Words(2 * len(globals)) // hash probes + owner tests
-	c.Words(2 * len(ghosts))  // sort traffic (approximate)
+	c.Words(2 * nGhost)       // sort traffic (approximate)
 
-	// Per-owner request lists (the owner's local indices we need) and
-	// ghost-slot lists, both in slot order: a stable counting sort of
-	// the ghosts by owner into two flat arrays.
+	// Slot order is (owner, global), for determinism and contiguous
+	// per-peer receive buffers: a stable counting sort of the numbered
+	// elements by owner, which also fills the per-owner request lists
+	// (the owner's local indices we need) and ghost-slot lists.
 	s := old
 	if s == nil {
 		s = &Schedule{}
 	}
-	s.procs, s.nGhost = p, len(ghosts)
+	s.procs, s.nGhost = p, nGhost
 	count := s.reqs.Counts(p)
-	for _, g := range ghosts {
-		count[g.owner]++
+	for _, o := range own {
+		count[o]++
 	}
 	requests, recvGhost := s.reqs.Lay(), scratch.Grow(&s.recvGhost, p)
-	slots, off := scratch.Grow(&s.slots, len(ghosts)), 0
+	slots, next := scratch.Grow(&s.slots, nGhost), scratch.Grow(&b.next, p)
+	off := 0
 	for o, k := range count {
 		recvGhost[o] = nil
 		if k > 0 {
 			recvGhost[o] = slots[off : off : off+k]
 		}
+		next[o] = off
 		off += k
 	}
-	for slot, g := range ghosts {
-		requests[g.owner] = append(requests[g.owner], g.local)
-		recvGhost[g.owner] = append(recvGhost[g.owner], slot)
+	slot := scratch.Grow(&b.slot, nGhost)
+	for d, o := range own {
+		slot[d] = next[o]
+		next[o]++
+		requests[o] = append(requests[o], loc[d])
+		recvGhost[o] = append(recvGhost[o], slot[d])
+	}
+	for _, i := range offPos {
+		ref[i] = myLocalSize + slot[ref[i]]
 	}
 	c.Words(2 * len(globals))
 
@@ -232,13 +234,6 @@ func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize i
 		}
 	}
 	return s, ref
-}
-
-func cmpGhostRef(a, b ghostRef) int {
-	if c := cmp.Compare(a.owner, b.owner); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.global, b.global)
 }
 
 func panicSendRange(src, l, me, size int) {

@@ -1,7 +1,8 @@
 // Package scratch holds the buffer-reuse idioms of the runtime's
 // caller-owned workspaces (the partition arena, the GeoCoL assembler,
 // the schedule Builder, the translation-table Workspace): Grow for a
-// buffer, Rows for the send rows of an all-to-all.
+// buffer, Rows for the send rows of an all-to-all, IndexSet for the
+// distinct indices of a list and their ascending numbering.
 package scratch
 
 // Grow returns (*buf)[:n], reallocating only when the capacity is

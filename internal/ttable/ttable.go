@@ -22,7 +22,6 @@ package ttable
 
 import (
 	"fmt"
-	"math/bits"
 
 	"chaos/internal/dist"
 	"chaos/internal/machine"
@@ -36,6 +35,7 @@ type Resolver interface {
 	// Resolve returns, for each queried global index, the owning
 	// rank and the local index there. Must be called by all ranks
 	// collectively if the implementation communicates.
+	//chaosvet:ignore testonly the one-shot dereference of the reference inspectors: core's TestInspectorMatchesReference and schedule's TestBuildersMatchReference resolve through it
 	Resolve(c *machine.Ctx, globals []int) (owners, locals []int)
 	// ResolveInto is Resolve through a caller-owned workspace: the
 	// returned slices belong to ws and are good until its next use.
@@ -50,6 +50,7 @@ type Regular struct {
 	D dist.BlockDist
 }
 
+//chaosvet:ignore testonly satisfies Resolver.Resolve, which the reference inspectors of core's TestInspectorMatchesReference and schedule's TestBuildersMatchReference call on BLOCK arrays
 func (r Regular) Resolve(c *machine.Ctx, globals []int) ([]int, []int) {
 	var ws Workspace
 	return r.ResolveInto(c, &ws, globals)
@@ -133,12 +134,8 @@ func Build(c *machine.Ctx, n int, myGlobals []int) *Table {
 // a Workspace, so dropping the workspace drops all of it.
 type Workspace struct {
 	owners, locals []int
-	// marks has one bit per index of [0, n] and dir[w] counts the bits
-	// set in marks[:w]: n/8 + n/16 bytes. Numbering the queried indices
-	// in ascending order, g is number dir[g>>6] + (bits of marks[g>>6]
-	// below g); see rankOf.
-	marks []uint64
-	dir   []uint32
+	// set numbers the queried indices in ascending order.
+	set scratch.IndexSet
 	// slot[pos] is the number of globals[pos]; mult[d] counts the
 	// queries numbered d, and dans[2d], dans[2d+1] is their answer.
 	slot []uint32
@@ -196,25 +193,19 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 	locals := scratch.Grow(&ws.locals, len(globals))
 
 	// Mark the queried indices and number them in ascending order.
-	marks := scratch.Grow(&ws.marks, n>>6+1)
-	clear(marks)
+	ws.set.Reset(n)
 	for _, g := range globals {
 		if uint(g) >= uint(n) {
 			panicQueryRange(g, n)
 		}
-		marks[g>>6] |= 1 << (g & 63)
+		ws.set.Mark(g)
 	}
-	dir := scratch.Grow(&ws.dir, len(marks))
-	distinct := 0
-	for w, word := range marks {
-		dir[w] = uint32(distinct)
-		distinct += bits.OnesCount64(word)
-	}
+	distinct := ws.set.Number()
 	slot := scratch.Grow(&ws.slot, len(globals))
 	mult := scratch.Grow(&ws.mult, distinct)
 	clear(mult)
 	for pos, g := range globals {
-		d := rankOf(marks, dir, g)
+		d := ws.set.Rank(g)
 		slot[pos] = uint32(d)
 		mult[d]++
 	}
@@ -224,7 +215,7 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 	start := scratch.Grow(&ws.start, p+1)
 	first := scratch.Grow(&ws.first, p+1)
 	for h := 0; h < p; h++ {
-		first[h] = rankOf(marks, dir, t.home.Lo(h))
+		first[h] = ws.set.Rank(t.home.Lo(h))
 	}
 	first[p] = distinct
 	start[0] = 0
@@ -237,16 +228,13 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 	}
 	qs := scratch.Grow(&ws.qs, len(globals))
 	h, hi, d := 0, t.home.Hi(0), 0
-	for w, word := range marks {
-		for ; word != 0; word &= word - 1 {
-			g := w<<6 | bits.TrailingZeros64(word)
-			for g >= hi {
-				h++
-				hi = t.home.Hi(h)
-			}
-			qs[start[h]+d-first[h]] = g
-			d++
+	for g := range ws.set.All() {
+		for g >= hi {
+			h++
+			hi = t.home.Hi(h)
 		}
+		qs[start[h]+d-first[h]] = g
+		d++
 	}
 	qout := scratch.Grow(&ws.qout, p)
 	for h := range qout {
@@ -294,12 +282,6 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 		locals[pos] = dans[i+1]
 	}
 	return owners, locals
-}
-
-// rankOf is the number of marked indices below g, for g in [0, n].
-func rankOf(marks []uint64, dir []uint32, g int) int {
-	w := g >> 6
-	return int(dir[w]) + bits.OnesCount64(marks[w]&(1<<(g&63)-1))
 }
 
 func panicQueryRange(g, n int) {
