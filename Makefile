@@ -128,10 +128,11 @@ bench:
 # no status interval read 0 execs/sec before the closing line, which Go
 # prints at the deadline over a zero-length interval. FuzzResolve, added
 # later, ran 112 k in its 30 s on the same host, and FuzzIndexSet 105 k.
+# FuzzSquare, added later still, ran 1 252 k.
 FUZZ_TARGETS = machine:FuzzAlltoAll geocol:FuzzGhostExchange geocol:FuzzBuildCoarse \
 	csr:FuzzContract service:FuzzWireFrame service:FuzzVerifiedCache \
 	service:FuzzIntsCodec stream:FuzzStreamDecode lang:FuzzCompile \
-	ttable:FuzzResolve scratch:FuzzIndexSet
+	ttable:FuzzResolve scratch:FuzzIndexSet lang:FuzzSquare
 
 fuzz-short:
 	@for pt in $(FUZZ_TARGETS); do \
@@ -234,8 +235,10 @@ profile-mem:
 # profile-exec profiles one reused executor step (BenchmarkHotExecute:
 # the paper's 53K mesh on 8 ranks, the repository benchmark's
 # euler_reuse op) for CPU and allocations in one run. Read the split
-# between the strip loops (gatherStrip, combineStrip), the kernel, the
-# transport (schedule.move, machine.exchangeRows) and the allocator with
+# between the fused strip kernel (mesh.eulerFlux.Strip: gather, flux and
+# combine in one loop), the executor's own loops (Loop.executor: buffer
+# reset, foldInto), the transport (schedule.move, machine.exchangeRows)
+# and the allocator with
 # `go tool pprof -top profiles/core.test profiles/exec_cpu.out`.
 profile-exec:
 	@mkdir -p profiles
@@ -250,7 +253,7 @@ profile-exec:
 # euler_noreuse op pays before its executor step) for CPU and
 # allocations in one run. Read the split between the translation-table
 # dereference (ttable.ResolveInto), duplicate elimination and request
-# exchange (schedule.BuildGather self, slices.SortFunc, ExchangeInts)
+# exchange (schedule.BuildGather self, scratch.IndexSet, ExchangeInts)
 # and the allocator with
 # `go tool pprof -top -cum profiles/core.test profiles/inspect_cpu.out`.
 profile-inspect:

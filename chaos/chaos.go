@@ -17,10 +17,12 @@
 //	    m, _ := s.SetPartitioning(g, chaos.PartitionSpec{Method: chaos.MethodRSB}, // C$ SET distfmt BY PARTITIONING G USING RSB
 //	        s.C.Procs())
 //	    s.Redistribute(m, []*chaos.Array{x, y}, nil)                              // C$ REDISTRIBUTE reg(distfmt)
-//	    flux := chaos.KernelFunc(func(iters []int, in, out []float64) {
-//	        for b := range iters { // in[2b], in[2b+1] = x(end_pt1(i)), x(end_pt2(i))
-//	            x1, x2 := in[2*b], in[2*b+1]
-//	            out[2*b], out[2*b+1] = f(x1, x2), g(x1, x2) // REDUCE(ADD, y(end_ptK(i)), ...)
+//	    flux := chaos.KernelFunc(func(st *chaos.Strip) {
+//	        r1, r2, w1, w2 := &st.Reads[0], &st.Reads[1], &st.Writes[0], &st.Writes[1]
+//	        for b := range st.Iters { // iteration st.Iters[b]
+//	            x1, x2 := r1.At(b), r2.At(b)  // x(end_pt1(i)), x(end_pt2(i))
+//	            w1.Combine(b, f(x1, x2))      // REDUCE(ADD, y(end_pt1(i)), f(...))
+//	            w2.Combine(b, g(x1, x2))      // REDUCE(ADD, y(end_pt2(i)), g(...))
 //	        }
 //	    })
 //	    loop := s.NewLoop("sweep", nedge,
@@ -100,14 +102,28 @@ type IntArray = core.IntArray
 // Loop is an irregular forall loop handled by inspector/executor.
 type Loop = core.Loop
 
-// Kernel is a loop body run once per strip of iterations: Strip(iters,
-// in, out) reads len(iters)·R gathered operands from in and writes
-// len(iters)·W contributions to out, iteration-major, for a loop of R
-// reads and W writes.
+// Kernel is a loop body run once per strip of up to 256 iterations:
+// Strip(s) runs, for each iteration b of the strip in order, the
+// gather of its operands (s.Reads[j].At(b)), the body, and the combine
+// of its contributions (s.Writes[k].Combine(b, v)), in one loop.
 type Kernel = core.Kernel
 
 // KernelFunc adapts an ordinary function to a Kernel.
 type KernelFunc = core.KernelFunc
+
+// Strip is what one Kernel call receives: the strip's global iteration
+// numbers, one Source per Read and one Target per Write.
+type Strip = core.Strip
+
+// Source is one Read over a strip: At(b) is iteration b's operand,
+// taken from the array's local section or from the ghost values the
+// step's gather brought in.
+type Source = core.Source
+
+// Target is one Write over a strip: Combine(b, v) combines iteration
+// b's contribution into the access's accumulation buffer with its
+// Reduce operator.
+type Target = core.Target
 
 // Read is a gathered right-hand-side access Arr(Ind(i)).
 type Read = core.Read

@@ -59,10 +59,11 @@ func ExampleSession_SetPartitioning() {
 		loop := s.NewLoop("sweep", n,
 			[]chaos.Read{{Arr: x, Ind: e1}, {Arr: x, Ind: e2}},
 			[]chaos.Write{{Arr: y, Ind: e1, Op: chaos.Add}, {Arr: y, Ind: e2, Op: chaos.Add}},
-			2, chaos.KernelFunc(func(iters []int, in, out []float64) {
-				for b := range iters { // one kernel call per strip of iterations
-					out[2*b] = in[2*b+1] // each endpoint accumulates its neighbor
-					out[2*b+1] = in[2*b]
+			2, chaos.KernelFunc(func(st *chaos.Strip) {
+				for b := range st.Iters { // one kernel call per strip of iterations
+					x1, x2 := st.Reads[0].At(b), st.Reads[1].At(b)
+					st.Writes[0].Combine(b, x2) // each endpoint accumulates its neighbor
+					st.Writes[1].Combine(b, x1)
 				}
 			}))
 		loop.PartitionIterations(chaos.AlmostOwnerComputes)

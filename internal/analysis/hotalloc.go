@@ -28,6 +28,15 @@ import (
 // Setup allocations before the loops are deliberately NOT flagged —
 // hot-path functions may prepare scratch buffers; what they must not do
 // is allocate per iteration.
+//
+// Anywhere in a hot-path function, loop or not, it also flags type
+// assertions to an interface type (x.(I), comma-ok too) and type
+// switches with an interface case. Since Go 1.22 the runtime caches
+// the outcome of such an assertion per site in a table it grows at
+// moments nobody controls, and the growth allocates: on go1.24, 2 M
+// assertions at one site to an interface, over four dynamic types, made
+// 4 heap allocations. Assertions to a concrete type compare type words
+// and never allocate.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "report per-iteration allocations in //chaos:hotpath functions",
@@ -98,6 +107,13 @@ func checkHotFunc(pass *Pass, pkg *Package, fn *ast.FuncDecl) {
 			return
 		case *ast.TypeSwitchStmt:
 			walk(n.Init, inLoop)
+			for _, cc := range n.Body.List {
+				for _, e := range cc.(*ast.CaseClause).List {
+					if t := pkg.Info.TypeOf(e); t != nil && types.IsInterface(t) {
+						pass.Reportf(e.Pos(), "hot path %s: type switch case on interface %s (the runtime's per-site assertion cache may allocate; switch on concrete types)", fn.Name.Name, types.TypeString(t, types.RelativeTo(pkg.Types)))
+					}
+				}
+			}
 			walk(n.Body, inLoop)
 			return
 		case *ast.CaseClause:
@@ -171,6 +187,12 @@ func walkExpr(pass *Pass, pkg *Package, fn *ast.FuncDecl, e ast.Expr, inLoop boo
 			}
 			walk(n.Body, inLoop)
 			return false
+		case *ast.TypeAssertExpr:
+			if n.Type != nil {
+				if t := pkg.Info.TypeOf(n.Type); t != nil && types.IsInterface(t) {
+					pass.Reportf(n.Pos(), "hot path %s: type assertion to interface %s (the runtime's per-site assertion cache may allocate; assert to a concrete type)", fn.Name.Name, types.TypeString(t, types.RelativeTo(pkg.Types)))
+				}
+			}
 		case *ast.CallExpr:
 			checkHotCall(pass, pkg, fn, n, inLoop)
 		case *ast.CompositeLit:

@@ -139,3 +139,30 @@ func hotDecl(n int) int {
 	}
 	return total
 }
+
+// hotAssert asserts to interface types, which may allocate the first
+// time the runtime grows the site's cache, in a loop or not; assertions
+// to concrete types and concrete type switch cases are clean.
+//
+//chaos:hotpath
+func hotAssert(v interface{}, vs []interface{}) int {
+	total := 0
+	if s, ok := v.(namer); ok { // want "type assertion to interface namer"
+		total += len(s.Name())
+	}
+	_ = v.(error) // want "type assertion to interface error"
+	for _, x := range vs {
+		if n, ok := x.(int); ok { // concrete: clean
+			total += n
+		}
+		switch x := x.(type) {
+		case int, nil: // concrete and nil cases: clean
+			_ = x
+		case namer: // want "type switch case on interface namer"
+			total++
+		}
+	}
+	return total
+}
+
+type namer interface{ Name() string }

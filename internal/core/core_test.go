@@ -26,17 +26,22 @@ func gridMesh(gx, gy int) (e1, e2 []int) {
 	return
 }
 
-// perIter makes a strip kernel of a per-iteration body: f(iter, in,
-// out) sees one iteration's operands and fills its contributions, in
-// slices whose length is their capacity.
+// perIter makes a strip kernel of a per-iteration body: for each
+// iteration of the strip, f(iter, in, out) sees the iteration's gathered
+// operands and fills its contributions, in slices whose length is their
+// capacity, and the kernel combines them before the next iteration.
 func perIter(f func(iter int, in, out []float64)) Kernel {
-	return KernelFunc(func(iters []int, in, out []float64) {
-		if len(iters) == 0 {
-			return
-		}
-		nR, nW := len(in)/len(iters), len(out)/len(iters)
-		for b, iter := range iters {
-			f(iter, in[b*nR:(b+1)*nR:(b+1)*nR], out[b*nW:(b+1)*nW:(b+1)*nW])
+	return KernelFunc(func(st *Strip) {
+		nR, nW := len(st.Reads), len(st.Writes)
+		in, out := make([]float64, nR), make([]float64, nW)
+		for b, iter := range st.Iters {
+			for j := range st.Reads {
+				in[j] = st.Reads[j].At(b)
+			}
+			f(iter, in[:nR:nR], out[:nW:nW])
+			for k := range st.Writes {
+				st.Writes[k].Combine(b, out[k])
+			}
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"chaos/internal/dist"
 	"chaos/internal/iterpart"
+	"chaos/internal/kernel"
 	"chaos/internal/registry"
 	"chaos/internal/remap"
 	"chaos/internal/schedule"
@@ -112,39 +113,42 @@ type Write struct {
 	Op  Reduce
 }
 
-// Kernel is a loop body run over one strip of iterations at a time.
-// iters holds the strip's global iteration numbers, in the order the
-// executor runs them. in holds len(iters)·R gathered operands and out
-// receives len(iters)·W contributions, both iteration-major for a loop
-// of R reads and W writes: iteration iters[b] reads in[b*R:(b+1)*R]
-// and fills every element of out[b*W:(b+1)*W]. in and out are reused
-// from strip to strip; each argument's length is its capacity, and
-// iters must not be written.
+// Kernel is a loop body run over one strip of at most 256 locally
+// owned iterations at a time: for each iteration of the strip, in
+// order, it gathers the operands, computes the body and combines the
+// contributions, all in one loop (see Strip).
 type Kernel interface {
-	Strip(iters []int, in, out []float64)
+	Strip(s *Strip)
 }
 
+// Strip is what one kernel call receives; see kernel.Strip.
+type Strip = kernel.Strip
+
+// Source is one read access over a strip; see kernel.Source.
+type Source = kernel.Source
+
+// Target is one write access over a strip; see kernel.Target.
+type Target = kernel.Target
+
 // KernelFunc adapts an ordinary function to a Kernel.
-type KernelFunc func(iters []int, in, out []float64)
+type KernelFunc func(s *Strip)
 
-// Strip calls f(iters, in, out).
-func (f KernelFunc) Strip(iters []int, in, out []float64) { f(iters, in, out) }
+// Strip calls f(s).
+func (f KernelFunc) Strip(s *Strip) { f(s) }
 
-// Loop is an irregular forall loop: per iteration i, values
-// Reads[j].Arr(Reads[j].Ind(i)) are gathered into operand j, Kernel
-// computes contribution k, and each contribution is combined into
-// Writes[k].Arr(Writes[k].Ind(i)) with Writes[k].Op. Indirection
-// arrays are indexed directly by the loop index (single-level
-// indirection), matching the paper's loop model.
+// Loop is an irregular forall loop: per iteration i, Kernel reads
+// operand j from Reads[j].Arr(Reads[j].Ind(i)) and combines
+// contribution k into Writes[k].Arr(Writes[k].Ind(i)) with
+// Writes[k].Op. Indirection arrays are indexed directly by the loop
+// index (single-level indirection), matching the paper's loop model.
 type Loop struct {
 	Name  string
 	NIter int
 	Reads []Read
 	// Writes lists the reduction targets.
 	Writes []Write
-	// Kernel computes the loop body over strips of at most 256 locally
-	// owned iterations, called once per strip; see Kernel for the
-	// operand layout.
+	// Kernel runs the loop body over strips of at most 256 locally
+	// owned iterations, called once per strip.
 	Kernel Kernel
 	// FlopsPerIter is the modeled floating-point cost of the loop body
 	// per iteration, charged to the virtual clock.
@@ -160,16 +164,18 @@ type Loop struct {
 	ws *schedule.Builder
 
 	// What every reused step needs and the loop therefore keeps across
-	// steps and across inspections, grow-only: the ghost, accumulation
-	// and operand-block buffers (one slab, carved up by Inspect) and the
-	// two descriptor lists of the reuse check.
+	// steps and across inspections, grow-only: the ghost and
+	// accumulation buffers (one slab, carved up by Inspect), the two
+	// descriptor lists of the reuse check and the kernel's argument (one
+	// Source per read and one Target per write, re-pointed at every
+	// strip).
 	store             []float64
 	dataDADs, indDADs []dist.DAD
+	strip             Strip
 }
 
-// execBlock is the executor's strip length in iterations: the operand
-// blocks of one strip (execBlock × (reads + writes) floats) stay in L1
-// between the gather, kernel and combine loops that share them.
+// execBlock is the executor's strip length in iterations: how many a
+// kernel call runs.
 const execBlock = 256
 
 // gatherGroup is one read access's communication schedule, the ghost
@@ -195,14 +201,11 @@ type scatterGroup struct {
 }
 
 // inspectorState is what an inspection compiles the loop into: per
-// access a schedule, a reference vector and a buffer, and the operand
-// blocks of one strip. The executor only indexes it.
+// access a schedule, a reference vector and a buffer. The executor only
+// indexes it.
 type inspectorState struct {
 	rGroups []gatherGroup  // one per read access
 	wGroups []scatterGroup // one per write access
-	// in and out are the operand blocks, iteration-major: iteration b
-	// of a strip reads in[b*len(Reads):] and fills out[b*len(Writes):].
-	in, out []float64
 	// pats lists the distinct access patterns in build order and refs
 	// the reference vector of each — groups with the same pattern hold
 	// the same one. The next inspection builds its i-th pattern into
@@ -365,7 +368,7 @@ func (l *Loop) Inspect() {
 		}
 
 		// Carve the executor's buffers out of the loop's slab.
-		total := execBlock * (len(l.Reads) + len(l.Writes))
+		total := 0
 		for _, g := range st.rGroups {
 			total += g.sched.NGhost()
 		}
@@ -381,7 +384,6 @@ func (l *Loop) Inspect() {
 			rest = rest[n:]
 			return b
 		}
-		st.in, st.out = carve(execBlock*len(l.Reads)), carve(execBlock*len(l.Writes))
 		for gi := range st.rGroups {
 			st.rGroups[gi].ghost = carve(st.rGroups[gi].sched.NGhost())
 		}
@@ -419,12 +421,11 @@ func (l *Loop) ExecuteNoReuse() {
 
 // executor is Phase E, run strip-mined over what the inspector
 // compiled: gather ghost values, then per strip of execBlock local
-// iterations gather every read's operands into the in block, run the
-// kernel once over the strip, and combine every write's contributions
-// out of the out block; finally fold the local contributions and scatter
-// the off-processor ones back to their owners. Each accumulation
-// buffer receives its contributions in iteration order, and within an
-// iteration in access order.
+// iterations call the kernel once, which gathers, computes and combines
+// into the accumulation buffers iteration by iteration; finally fold
+// the local contributions and scatter the off-processor ones back to
+// their owners. Each accumulation buffer receives its contributions in
+// iteration order.
 //
 //chaos:hotpath
 func (l *Loop) executor() {
@@ -449,23 +450,25 @@ func (l *Loop) executor() {
 		}
 	}
 
-	nR, nW, kernel := len(l.Reads), len(l.Writes), l.Kernel
-	in, out := st.in, st.out
+	sp, kernel := &l.strip, l.Kernel
+	sp.Reads = scratch.Grow(&sp.Reads, len(st.rGroups))
+	sp.Writes = scratch.Grow(&sp.Writes, len(st.wGroups))
 	for lo := 0; lo < len(l.iterGl); lo += execBlock {
 		hi := min(lo+execBlock, len(l.iterGl))
+		// len == cap, so a kernel that appends to a slice of the strip
+		// reallocates instead of writing past it.
+		sp.Iters = l.iterGl[lo:hi:hi]
 		for j := range st.rGroups {
 			g := &st.rGroups[j]
-			gatherStrip(in[j:], nR, g.arr.Data, g.ghost, g.ref[lo:hi])
+			sp.Reads[j] = Source{Local: g.arr.Data, Ghost: g.ghost, Ref: g.ref[lo:hi:hi]}
 		}
-		// len == cap, so a kernel that appends to its arguments
-		// reallocates instead of writing past the strip.
-		n := hi - lo
-		kernel.Strip(l.iterGl[lo:hi:hi], in[:n*nR:n*nR], out[:n*nW:n*nW])
 		for k := range st.wGroups {
 			g := &st.wGroups[k]
-			combineStrip(g.op, g.buf, g.ref[lo:hi], out[k:], nW)
+			sp.Writes[k] = Target{Buf: g.buf, Ref: g.ref[lo:hi:hi], Add: g.op == Add, Op: g.combine}
 		}
+		kernel.Strip(sp)
 	}
+	nR, nW := len(l.Reads), len(l.Writes)
 	c.Flops(len(l.iterGl) * (l.FlopsPerIter + nW))
 	c.Words(len(l.iterGl) * (nR + nW))
 
@@ -482,32 +485,6 @@ func (l *Loop) executor() {
 	// One modification event per written array for this loop body.
 	for _, w := range l.Writes {
 		w.Arr.NoteWrite()
-	}
-}
-
-// gatherStrip fills one read's column of the operand block: in[b*stride]
-// is the element ref[b] names in [data | ghost].
-func gatherStrip(in []float64, stride int, data, ghost []float64, ref []int) {
-	for b, r := range ref {
-		if r < len(data) {
-			in[b*stride] = data[r]
-		} else {
-			in[b*stride] = ghost[r-len(data)]
-		}
-	}
-}
-
-// combineStrip combines one write's column of the operand block into
-// its accumulation buffer: out[b*stride] goes to buf[ref[b]].
-func combineStrip(op Reduce, buf []float64, ref []int, out []float64, stride int) {
-	if op == Add {
-		for b, r := range ref {
-			buf[r] += out[b*stride]
-		}
-		return
-	}
-	for b, r := range ref {
-		buf[r] = op.combine(buf[r], out[b*stride])
 	}
 }
 

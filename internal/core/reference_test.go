@@ -57,7 +57,7 @@ func (l *Loop) referenceExecutor() (ghosts, wbufs [][]float64) {
 				in[j] = ghosts[j][ref-len(data)]
 			}
 		}
-		l.Kernel.Strip(l.iterGl[i:i+1], in, out)
+		l.Kernel.Strip(oneIterStrip(l.iterGl[i:i+1:i+1], in, out))
 		for k := range l.Writes {
 			g := &st.wGroups[k]
 			buf := wbufs[k]
@@ -85,6 +85,22 @@ func (l *Loop) referenceExecutor() (ghosts, wbufs [][]float64) {
 		w.Arr.NoteWrite()
 	}
 	return ghosts, wbufs
+}
+
+// oneIterStrip adapts referenceExecutor's kernel call to the strip
+// contract: the strip of the one iteration iters[0], whose read j is
+// in[j] and whose write k adds into out[k]. out[k] starts at -0, the
+// additive identity, so it ends as the contribution bit for bit.
+func oneIterStrip(iters []int, in, out []float64) *Strip {
+	st := &Strip{Iters: iters}
+	for j := range in {
+		st.Reads = append(st.Reads, Source{Local: in, Ref: []int{j}})
+	}
+	for k := range out {
+		out[k] = math.Copysign(0, -1)
+		st.Writes = append(st.Writes, Target{Buf: out, Ref: []int{k}, Add: true, Op: Add.combine})
+	}
+	return st
 }
 
 // step runs Execute (or ExecuteNoReuse) over the executor under test
@@ -257,24 +273,30 @@ func runDifferentialProgram(c *machine.Ctx, tr *execTrace, n, nIter int, reads, 
 		wr = []Write{{y, inds[0], op}, {y, inds[1], op}, {z, inds[2], Assign}}
 	}
 	nR, nW := len(rd), len(wr)
-	kernel := KernelFunc(func(iters []int, in, out []float64) {
-		for i, iter := range iters {
+	kernel := KernelFunc(func(st *Strip) {
+		for i, iter := range st.Iters {
 			a, b, d := float64(iter%13)-6, 1.0, 0.5
 			if nR > 0 {
-				a, b, d = in[i*nR], in[i*nR+1], in[i*nR+2]
+				a, b, d = st.Reads[0].At(i), st.Reads[1].At(i), st.Reads[2].At(i)
 			}
 			if nW > 0 {
-				o := out[i*nW:]
-				o[0] = 1.5*a + b
-				o[1] = b - a*d
-				o[2] = d + float64(iter)
+				o2 := d + float64(iter)
 				if iter%5 == 0 {
-					o[2] = math.NaN() // the untouched sentinel: z keeps its value
+					o2 = math.NaN() // the untouched sentinel: z keeps its value
 				}
+				st.Writes[0].Combine(i, 1.5*a+b)
+				st.Writes[1].Combine(i, b-a*d)
+				st.Writes[2].Combine(i, o2)
 			}
 		}
-		// Must not reach past the strip's operands.
-		_, _ = append(in, 1e300), append(out, -1e300)
+		// Must not reach past the strip's iterations or references.
+		_ = append(st.Iters, -1)
+		for j := range st.Reads {
+			_ = append(st.Reads[j].Ref, 0)
+		}
+		for k := range st.Writes {
+			_ = append(st.Writes[k].Ref, 0)
+		}
 	})
 	loop := s.NewLoop("diff", nIter, rd, wr, 7, kernel)
 	arrays := []*Array{x, y, z}
@@ -350,7 +372,7 @@ func (l *Loop) referenceInspect() {
 		}
 
 		// Carve the executor's buffers out of the loop's slab.
-		total := execBlock * (len(l.Reads) + len(l.Writes))
+		total := 0
 		for _, g := range st.rGroups {
 			total += g.sched.NGhost()
 		}
@@ -366,7 +388,6 @@ func (l *Loop) referenceInspect() {
 			rest = rest[n:]
 			return b
 		}
-		st.in, st.out = carve(execBlock*len(l.Reads)), carve(execBlock*len(l.Writes))
 		for gi := range st.rGroups {
 			st.rGroups[gi].ghost = carve(st.rGroups[gi].sched.NGhost())
 		}

@@ -182,17 +182,25 @@ func (st *execState) execStmt(s stmt) error {
 	}
 }
 
-// strip is the FORALL's kernel: for every iteration of the strip it
-// calls each assignment's compiled closure over that iteration's row
-// of the gathered operands.
+// forallKernel is one rank's kernel of a FORALL: for every iteration of
+// the strip it fills the operand row from the gathered reads, calls each
+// assignment's compiled closure over it and combines the results.
+type forallKernel struct {
+	f   *forallStmt
+	row []float64 // one slot per gathered read
+}
+
+// Strip runs one strip of the FORALL.
 //
 //chaos:hotpath
-func (f *forallStmt) strip(iters []int, in, out []float64) {
-	nR, nW := len(f.reads), len(f.Assigns)
-	for b, iter := range iters {
-		row := in[b*nR : (b+1)*nR]
-		for k := range f.Assigns {
-			out[b*nW+k] = f.Assigns[k].eval(iter, row)
+func (k *forallKernel) Strip(s *core.Strip) {
+	row := k.row
+	for b, iter := range s.Iters {
+		for j := range s.Reads {
+			row[j] = s.Reads[j].At(b)
+		}
+		for a := range s.Writes {
+			s.Writes[a].Combine(b, k.f.Assigns[a].eval(iter, row))
 		}
 	}
 }
@@ -231,7 +239,7 @@ func (st *execState) execForall(f *forallStmt) error {
 		// The virtual-clock charge per iteration models the CSE'd code
 		// a compiler would emit (see modeledFlops).
 		flops := modeledFlops(f.Assigns)
-		rt.loop = st.s.NewLoop(fmt.Sprintf("forall@%d", f.ln), f.N, reads, writes, flops, core.KernelFunc(f.strip))
+		rt.loop = st.s.NewLoop(fmt.Sprintf("forall@%d", f.ln), f.N, reads, writes, flops, &forallKernel{f, make([]float64, len(f.reads))})
 		st.foralls[f] = rt
 	}
 	// Paper Section 5: "loop iterations are partitioned at runtime

@@ -101,6 +101,9 @@ func compileExpr(e expr, slotOf func(arrayRef) int) evalFn {
 			return func(iter int, in []float64) float64 { return l(iter, in) / r(iter, in) }
 		}
 		// "**", the parser's only other binary operator.
+		if n, ok := x.r.(*numExpr); ok && n.v == 2 {
+			return func(iter int, in []float64) float64 { return square(l(iter, in)) }
+		}
 		return func(iter int, in []float64) float64 { return math.Pow(l(iter, in), r(iter, in)) }
 	}
 	// A call: the parser has checked its name and argument count.
@@ -112,6 +115,17 @@ func compileExpr(e expr, slotOf func(arrayRef) int) evalFn {
 	}
 	f, b := bi.binary, compileExpr(c.args[1], slotOf)
 	return func(iter int, in []float64) float64 { return f(a(iter, in), b(iter, in)) }
+}
+
+// square is x**2 with exactly math.Pow's bits: x*x where that is a
+// finite normal number, which Pow rounds the same way, and Pow itself
+// for the rest — zero, a subnormal or infinite product, and NaN, whose
+// payload Pow does not keep.
+func square(x float64) float64 {
+	if p := x * x; p >= 0x1p-1022 && p <= math.MaxFloat64 {
+		return p
+	}
+	return math.Pow(x, 2)
 }
 
 // modeledFlops returns the floating-point operation count per

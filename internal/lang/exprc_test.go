@@ -14,7 +14,10 @@ import (
 // subexpression, runs it on 2 ranks of the zero-cost machine, and
 // compares every element's bits with the same Go expression. Each
 // operation of the Go side is wrapped in float64(...), so no
-// multiply-add is fused.
+// multiply-add is fused. A NaN cannot be assigned (it is the executor's
+// untouched sentinel), so the NaN row reduces into the zeroed X
+// instead: REDUCE(ADD, X(i), <expr>), whose two additions of zero keep
+// the NaN's payload.
 func TestCompiledArithmeticBitExact(t *testing.T) {
 	const n = 16
 	yOf := func(g int) float64 { return float64(float64(0.37*float64(g)) - 1.1) }
@@ -27,6 +30,17 @@ func TestCompiledArithmeticBitExact(t *testing.T) {
 		{"mul", "Y(i) * 1.3", func(i, y float64) float64 { return float64(y * 1.3) }},
 		{"div", "Y(i) / 0.7", func(i, y float64) float64 { return float64(y / 0.7) }},
 		{"pow", "i ** 1.5", func(i, y float64) float64 { return math.Pow(i, 1.5) }},
+		{"square", "Y(i) ** 2", func(i, y float64) float64 { return math.Pow(y, 2) }},
+		// Three of these products round twice in Pow (to 53 bits, then
+		// to the subnormal's) and so differ from x*x in the last bit.
+		{"square subnormal", "(Y(i) * 1.668e-155) ** 2", func(i, y float64) float64 { return math.Pow(float64(y*1.668e-155), 2) }},
+		{"square ±0", "(Y(i) * 0) ** 2", func(i, y float64) float64 { return math.Pow(float64(y*0), 2) }},
+		{"square ±Inf", "(Y(i) / 0) ** 2", func(i, y float64) float64 { return math.Pow(float64(y/0), 2) }},
+		{"square overflow", "(Y(i) * 1e200) ** 2", func(i, y float64) float64 { return math.Pow(float64(y*1e200), 2) }},
+		{"square NaN", "(Y(i) / 0 - Y(i) / 0) ** 2", func(i, y float64) float64 {
+			inf := float64(y / 0)
+			return float64(0 + float64(0+math.Pow(float64(inf-inf), 2)))
+		}},
 		{"neg", "-Y(i)", func(i, y float64) float64 { return float64(-y) }},
 		{"SIN", "SIN(Y(i))", func(i, y float64) float64 { return math.Sin(y) }},
 		{"COS", "COS(Y(i))", func(i, y float64) float64 { return math.Cos(y) }},
@@ -48,15 +62,20 @@ func TestCompiledArithmeticBitExact(t *testing.T) {
 				return float64(float64(a-b) + c)
 			}},
 	}
+	reduced := map[string]bool{"square NaN": true} // the rows run as REDUCE(ADD, ...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			stmt := "x(i) = " + tc.expr
+			if reduced[tc.name] {
+				stmt = "REDUCE (ADD, x(i), " + tc.expr + ")"
+			}
 			prog, err := Compile(`
       PROGRAM arith
       PARAMETER (n = 16)
       REAL*8 x(n), y(n)
       READ y
       FORALL i = 1, n
-        x(i) = ` + tc.expr + `
+        ` + stmt + `
       END FORALL
       END
 `)

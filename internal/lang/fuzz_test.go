@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	goparser "go/parser"
 	gotoken "go/token"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -50,6 +51,32 @@ func FuzzCompile(f *testing.F) {
 		case *lexError, *parseError:
 		default:
 			t.Fatalf("Compile returned %T (%v), want *lexError or *parseError", err, err)
+		}
+	})
+}
+
+// FuzzSquare holds the compiled literal "** 2" to math.Pow bit for bit:
+// for any float64 operand, NaN payloads, zeros, subnormals, infinities
+// and products on either side of the normal range included, the
+// closure compileExpr emits returns exactly Pow(x, 2)'s bits.
+func FuzzSquare(f *testing.F) {
+	for _, x := range []float64{0, math.Copysign(0, -1), 1, -1.5, 0x1p-511, 0x1p-512, 0x1.6a09e667f3bcdp-512,
+		5e-324, 1e154, 1.3407807929942596e154, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		f.Add(math.Float64bits(x))
+	}
+	f.Add(uint64(0xfff8000000000000)) // the default NaN of x86 arithmetic
+	f.Add(uint64(0x7ff0000000000001)) // a signaling NaN
+	// Subnormal products that Pow rounds twice, to a last bit other
+	// than x*x's.
+	f.Add(uint64(0x1ffafd3a30c1a3ad))
+	f.Add(uint64(0x1fef53c77b9b8056))
+	sq := compileExpr(&binExpr{op: "**", l: &refExpr{}, r: &numExpr{v: 2}}, func(arrayRef) int { return 0 })
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		x := math.Float64frombits(bits)
+		got, want := sq(0, []float64{x}), math.Pow(x, 2)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v (%#x) ** 2 = %v (%#x), math.Pow gives %v (%#x)",
+				x, bits, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	})
 }

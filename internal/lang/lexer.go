@@ -6,9 +6,10 @@
 // plan of CHAOS runtime calls — the transformation of the paper's
 // Figure 6 — and executed on the simulated machine. Each FORALL body
 // compiles to Go closures, one per expression node. The executor calls
-// the FORALL's kernel once per strip of iterations, and the kernel
-// calls the closures for each iteration of the strip, as the
-// compiler's emitted loop body would run inline.
+// the FORALL's kernel once per strip of iterations, and the kernel, for
+// each iteration of the strip, gathers the operand row, calls the
+// closures and combines their results, as the compiler's emitted loop
+// body would run inline.
 //
 // Errors are typed and have one exit. Compile returns a *lexError
 // (line and column) for a scanning problem and a *parseError (line)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"chaos/internal/kernel"
 	"chaos/internal/xrand"
 )
 
@@ -162,17 +163,17 @@ func (s *System) ForceKernel() forceKernel { return forceKernel{s} }
 // forceKernel is the strip kernel of a System's force loop.
 type forceKernel struct{ s *System }
 
-// Strip computes the force of every pair of a strip: pair pairs[b]
-// reads the gathered endpoint charges in[2b], in[2b+1] and writes
-// out[2b], out[2b+1].
+// Strip runs every pair of a strip: pair s.Iters[b] gathers its
+// endpoint charges through s.Reads[0] and s.Reads[1] and combines f
+// and -f through s.Writes[0] and s.Writes[1].
 //
 //chaos:hotpath
-func (k forceKernel) Strip(pairs []int, in, out []float64) {
-	in, out = in[:2*len(pairs)], out[:2*len(pairs)]
-	for b, p := range pairs {
-		f := in[2*b] * in[2*b+1] * k.s.InvR2(p)
-		out[2*b] = f
-		out[2*b+1] = -f
+func (k forceKernel) Strip(s *kernel.Strip) {
+	r1, r2, w1, w2 := &s.Reads[0], &s.Reads[1], &s.Writes[0], &s.Writes[1]
+	for b, p := range s.Iters {
+		f := r1.At(b) * r2.At(b) * k.s.InvR2(p)
+		w1.Combine(b, f)
+		w2.Combine(b, -f)
 	}
 }
 

@@ -3,6 +3,8 @@ package md
 import (
 	"math"
 	"testing"
+
+	"chaos/internal/kernel"
 )
 
 func TestWater648(t *testing.T) {
@@ -90,9 +92,12 @@ func TestInvR2Positive(t *testing.T) {
 func TestForceKernelAntisymmetric(t *testing.T) {
 	s := Water(27, 4.5, 5)
 	k := s.ForceKernel()
-	in := []float64{-0.8, 0.4}
 	out := make([]float64, 2)
-	k.Strip([]int{0}, in, out)
+	charge := func(r int) kernel.Source {
+		return kernel.Source{Local: []float64{-0.8}, Ghost: []float64{0.4}, Ref: []int{r}}
+	}
+	k.Strip(&kernel.Strip{Iters: []int{0}, Reads: []kernel.Source{charge(0), charge(1)},
+		Writes: []kernel.Target{{Buf: out[:1], Ref: []int{0}, Add: true}, {Buf: out[1:], Ref: []int{0}, Add: true}}})
 	if out[0] != -out[1] {
 		t.Errorf("force contributions not antisymmetric: %v", out)
 	}

@@ -16,6 +16,7 @@ import (
 	"math"
 	"slices"
 
+	"chaos/internal/kernel"
 	"chaos/internal/xrand"
 )
 
@@ -149,8 +150,8 @@ func (m *Mesh) Slabs(p int) []int {
 // endpoint residuals (the f and g of the paper's loop L2). Called
 // directly, EulerFlux(e, in, out) computes one edge from in[0], in[1]
 // into out[0], out[1]; its Strip method is the executor's strip kernel
-// (core.Kernel), which runs a whole strip of edges with the same
-// arithmetic inline.
+// (core.Kernel), which gathers, computes and combines a whole strip of
+// edges with the same arithmetic in one loop.
 var EulerFlux eulerFlux = func(_ int, in, out []float64) {
 	out[0], out[1] = flux(in[0], in[1])
 }
@@ -159,15 +160,41 @@ var EulerFlux eulerFlux = func(_ int, in, out []float64) {
 // a strip kernel.
 type eulerFlux func(e int, in, out []float64)
 
-// Strip computes every edge of a strip: edge b reads in[2b], in[2b+1]
-// and writes out[2b], out[2b+1].
+// Strip runs every edge of a strip: edge b gathers its endpoint values
+// through s.Reads[0] and s.Reads[1] and combines f and g through
+// s.Writes[0] and s.Writes[1]. Under REDUCE(ADD) on both writes the
+// loop is fused by hand, every slice hoisted into a local.
 //
 //chaos:hotpath
-func (eulerFlux) Strip(edges []int, in, out []float64) {
-	in, out = in[:2*len(edges)], out[:2*len(edges)]
-	for len(in) >= 2 && len(out) >= 2 {
-		out[0], out[1] = flux(in[0], in[1])
-		in, out = in[2:], out[2:]
+func (eulerFlux) Strip(s *kernel.Strip) {
+	r1, r2, w1, w2 := &s.Reads[0], &s.Reads[1], &s.Writes[0], &s.Writes[1]
+	if !w1.Add || !w2.Add {
+		for b := range s.Iters {
+			f, g := flux(r1.At(b), r2.At(b))
+			w1.Combine(b, f)
+			w2.Combine(b, g)
+		}
+		return
+	}
+	loc1, gh1, ref1 := r1.Local, r1.Ghost, r1.Ref[:len(s.Iters)]
+	loc2, gh2, ref2 := r2.Local, r2.Ghost, r2.Ref[:len(ref1)]
+	buf1, wref1 := w1.Buf, w1.Ref[:len(ref1)]
+	buf2, wref2 := w2.Buf, w2.Ref[:len(ref1)]
+	for b, r := range ref1 {
+		var x1, x2 float64
+		if r < len(loc1) {
+			x1 = loc1[r]
+		} else {
+			x1 = gh1[r-len(loc1)]
+		}
+		if r := ref2[b]; r < len(loc2) {
+			x2 = loc2[r]
+		} else {
+			x2 = gh2[r-len(loc2)]
+		}
+		f, g := flux(x1, x2)
+		buf1[wref1[b]] += f
+		buf2[wref2[b]] += g
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"chaos/internal/kernel"
 	"chaos/internal/xrand"
 )
 
@@ -107,36 +108,105 @@ func TestEulerFlux(t *testing.T) {
 	}
 }
 
-// EulerFlux's strip kernel computes every edge of a strip bit for bit
-// like the per-edge call, over strip lengths around the executor's 256
-// and inputs at the edges of the float64 range.
+// EulerFlux's strip kernel gathers, computes and combines every edge
+// of a strip bit for bit like the per-edge call followed by the same
+// reductions in edge order: over strip lengths around the executor's
+// 256, operands from the local section and from the ghosts, and both
+// the hand-fused REDUCE(ADD) loop and the general one (MAX). In the
+// first block every edge combines into slots of its own, started at the
+// reduction's identity (-0 for ADD, so a -0 result keeps its sign), so
+// each of its two results is checked on its own: every pair of inputs
+// at the edges of the float64 range, and any bit pattern. In the second
+// block finite inputs combine into a few slots hit repeatedly, which
+// checks the order of accumulation.
 func TestEulerFluxStripMatchesEdge(t *testing.T) {
 	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324,
 		0x1p-1022 - 0x1p-1074, 1e308, -1e308}
+	const nLocal, nGhost, nShared = 40, 24, 16
 	rng := xrand.New(47)
+	edgy := make([]float64, nLocal+nGhost) // [local | ghost]
+	finite := make([]float64, nLocal+nGhost)
+	for i := range edgy {
+		switch {
+		case i%nLocal < len(special): // the specials lead both sections
+			edgy[i] = special[i%nLocal]
+		case i%2 == 0: // any bit pattern
+			edgy[i] = math.Float64frombits(rng.Uint64())
+		default:
+			edgy[i] = 1e3 * (rng.Float64() - 0.5)
+		}
+		finite[i] = 1e3 * (rng.Float64() - 0.5)
+	}
+	ops := []struct {
+		name string
+		id   float64
+		op   func(owned, contrib float64) float64
+	}{
+		{"ADD", math.Copysign(0, -1), func(o, c float64) float64 { return o + c }},
+		{"MAX", math.Inf(-1), func(o, c float64) float64 {
+			if c > o {
+				return c
+			}
+			return o
+		}},
+	}
 	for _, n := range []int{0, 1, 255, 256, 257} {
 		edges := make([]int, n)
-		in := make([]float64, 2*n)
+		var own, shared [4][]int // two reads, two writes
+		for k := range own {
+			own[k], shared[k] = make([]int, n), make([]int, n)
+		}
 		for b := range edges {
 			edges[b] = 3 * b
-			switch p := b % 64; {
-			case p < len(special)*len(special): // every pair of specials
-				in[2*b], in[2*b+1] = special[p/len(special)], special[p%len(special)]
-			case p%2 == 0: // any bit pattern
-				in[2*b], in[2*b+1] = math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64())
-			default:
-				in[2*b], in[2*b+1] = 1e3*(rng.Float64()-0.5), 1e3*(rng.Float64()-0.5)
+			if p := b % 64; p < len(special)*len(special) { // every pair of specials
+				own[0][b], own[1][b] = p/len(special), nLocal+p%len(special)
+			} else {
+				own[0][b], own[1][b] = rng.Intn(nLocal+nGhost), rng.Intn(nLocal+nGhost)
 			}
+			own[2][b], own[3][b] = b, b
+			shared[0][b], shared[1][b] = rng.Intn(nLocal+nGhost), rng.Intn(nLocal+nGhost)
+			shared[2][b], shared[3][b] = rng.Intn(nShared), rng.Intn(nShared)
 		}
-		out := make([]float64, 2*n)
-		EulerFlux.Strip(edges, in, out)
-		want := make([]float64, 2)
-		for b, e := range edges {
-			EulerFlux(e, in[2*b:2*b+2], want)
-			for k := range want {
-				if got := out[2*b+k]; math.Float64bits(got) != math.Float64bits(want[k]) {
-					t.Fatalf("n=%d edge %d out[%d]: strip %v (%#x), per edge %v (%#x), in %v",
-						n, b, k, got, math.Float64bits(got), want[k], math.Float64bits(want[k]), in[2*b:2*b+2])
+		for _, blk := range []struct {
+			name string
+			vals []float64
+			refs [4][]int
+			nBuf int
+		}{{"own slots", edgy, own, n}, {"shared slots", finite, shared, nShared}} {
+			for _, o := range ops {
+				fill := func() []float64 {
+					buf := make([]float64, blk.nBuf)
+					for r := range buf {
+						buf[r] = o.id
+					}
+					return buf
+				}
+				src := func(ref []int) kernel.Source {
+					return kernel.Source{Local: blk.vals[:nLocal], Ghost: blk.vals[nLocal:], Ref: ref}
+				}
+				st := &kernel.Strip{Iters: edges,
+					Reads: []kernel.Source{src(blk.refs[0]), src(blk.refs[1])},
+					Writes: []kernel.Target{
+						{Buf: fill(), Ref: blk.refs[2], Add: o.name == "ADD", Op: o.op},
+						{Buf: fill(), Ref: blk.refs[3], Add: o.name == "ADD", Op: o.op}}}
+				EulerFlux.Strip(st)
+				want := [2][]float64{fill(), fill()}
+				in, out := make([]float64, 2), make([]float64, 2)
+				for b, e := range edges {
+					in[0], in[1] = blk.vals[blk.refs[0][b]], blk.vals[blk.refs[1][b]]
+					EulerFlux(e, in, out)
+					for k := range want {
+						r := blk.refs[2+k][b]
+						want[k][r] = o.op(want[k][r], out[k])
+					}
+				}
+				for k := range want {
+					for r, w := range want[k] {
+						if got := st.Writes[k].Buf[r]; math.Float64bits(got) != math.Float64bits(w) {
+							t.Fatalf("n=%d %s %s write %d slot %d: strip %v (%#x), per edge %v (%#x)",
+								n, blk.name, o.name, k, r, got, math.Float64bits(got), w, math.Float64bits(w))
+						}
+					}
 				}
 			}
 		}

@@ -351,3 +351,63 @@ func TestCloseSendsWireWaitersTheirError(t *testing.T) {
 		t.Fatalf("the waiting wire client got %v, want the server's wrapped context.Canceled", err)
 	}
 }
+
+// TestWireDisconnectCancelsCompute pins the reader goroutine of a
+// connection: a loopback client that hangs up while its request is
+// computing cancels the server's compute context within a bound, and
+// the request holds no lease afterwards. A handler that read frames
+// only between answers would not notice the hang-up until the compute
+// finished on its own, which this one never does.
+func TestWireDisconnectCancelsCompute(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	started, cancelled := make(chan struct{}), make(chan struct{})
+	var startOnce, cancelOnce sync.Once
+	s.compute = func(jctx context.Context, gc *graphContent, sp partition.Spec, nparts, procs int, warm *warmSource) (*computeResult, error) {
+		startOnce.Do(func() { close(started) })
+		<-jctx.Done() // only the disconnect can end this compute
+		cancelOnce.Do(func() { close(cancelled) })
+		return nil, jctx.Err()
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go s.Serve(l)
+	cl, err := Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Do(context.Background(), testRequest(0))
+		done <- err
+	}()
+	const bound = 5 * time.Second
+	select {
+	case <-started:
+	case <-time.After(bound):
+		t.Fatalf("the request did not reach the compute within %v", bound)
+	}
+	cl.Close()
+
+	select {
+	case <-cancelled:
+	case <-time.After(bound):
+		t.Fatalf("the compute context was not cancelled %v after the client hung up", bound)
+	}
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("Do on a closed connection returned an answer")
+		}
+	case <-time.After(bound):
+		t.Fatalf("Do did not return %v after its connection closed", bound)
+	}
+	for deadline := time.Now().Add(bound); leases(s) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the abandoned request still holds %d leases", leases(s))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
