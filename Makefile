@@ -8,7 +8,7 @@ GO ?= go
 # below it. Raise it when coverage durably improves.
 COVER_FLOOR = 91.0
 
-.PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline repo-bench repo-bench-pairs kernel-pairs profile-cpu profile-mem profile-exec profile-inspect fuzz-short quickstart tables examples docs-check api-check api-snapshot loc
+.PHONY: check build vet lint analyze test race cover cover-check bench bench-json bench-gate bench-baseline repo-bench repo-bench-pairs kernel-pairs census profile-cpu profile-mem profile-exec profile-inspect fuzz-short quickstart tables examples docs-check api-check api-snapshot loc
 
 # The BenchmarkHot* suite measures the steady state of the arena-backed
 # hot paths and of the paper's own layers (translation-table
@@ -216,6 +216,35 @@ kernel-pairs:
 	done
 	$(GO) run ./cmd/benchjson -pairs .bench_build/kernel/base.txt < .bench_build/kernel/change.txt
 
+# census is the census of shipped callers checked by execution (see
+# docs/ANALYZERS.md, "census"): the shipped programs are built with
+# coverage of every package of the module, then run — the benchmark at
+# -seconds 2 and again with -trace 1 (so that probe-only callers
+# count), chaosbench with -quick, -quick -markdown, -quick -crossover
+# and -quick -adaptive, chaosvet over the module and every program under
+# examples/ — and the merged profile prints each internal/ function
+# that no run executed. Advisory: it fails only if a run fails, never
+# on what it prints. Takes a few minutes.
+CENSUS = .bench_build/census
+census:
+	@rm -rf $(CENSUS) && mkdir -p $(CENSUS)/bin $(CENSUS)/cov
+	$(GO) build -cover -coverpkg=./... -o $(CENSUS)/bin/ ./benchmark ./cmd/chaosbench ./cmd/chaosvet
+	@for d in examples/*/; do \
+		$(GO) build -cover -coverpkg=./... -o $(CENSUS)/bin/example_$$(basename $$d) ./$$d || exit 1; \
+	done
+	@export GOCOVERDIR=$(CURDIR)/$(CENSUS)/cov; set -e; \
+	$(CENSUS)/bin/benchmark -seconds 2 >/dev/null; \
+	$(CENSUS)/bin/benchmark -seconds 2 -trace 1 >/dev/null; \
+	$(CENSUS)/bin/chaosbench -quick >/dev/null 2>&1; \
+	$(CENSUS)/bin/chaosbench -quick -markdown >/dev/null 2>&1; \
+	$(CENSUS)/bin/chaosbench -quick -crossover >/dev/null 2>&1; \
+	$(CENSUS)/bin/chaosbench -quick -adaptive >/dev/null 2>&1; \
+	$(CENSUS)/bin/chaosvet ./...; \
+	for ex in $(CENSUS)/bin/example_*; do $$ex >/dev/null; done
+	@$(GO) tool covdata textfmt -i=$(CENSUS)/cov -o $(CENSUS)/census.out
+	@echo "internal/ functions no shipped run executed:"
+	@$(GO) tool cover -func=$(CENSUS)/census.out | awk '$$1 ~ /^chaos\/internal\// && $$NF == "0.0%"'
+
 # profile-cpu / profile-mem run the 21952-node distributed V-cycle
 # benchmark under the Go profiler and drop pprof files under the
 # git-ignored profiles/ directory; inspect them with
@@ -235,7 +264,7 @@ profile-mem:
 # profile-exec profiles one reused executor step (BenchmarkHotExecute:
 # the paper's 53K mesh on 8 ranks, the repository benchmark's
 # euler_reuse op) for CPU and allocations in one run. Read the split
-# between the fused strip kernel (mesh.eulerFlux.Strip: gather, flux and
+# between the fused kernel (mesh.eulerFlux.Strip: gather, flux and
 # combine in one loop), the executor's own loops (Loop.executor: buffer
 # reset, foldInto), the transport (schedule.move, machine.exchangeRows)
 # and the allocator with

@@ -28,7 +28,7 @@
 //	    loop := s.NewLoop("sweep", nedge,
 //	        []chaos.Read{{Arr: x, Ind: e1}, {Arr: x, Ind: e2}},
 //	        []chaos.Write{{Arr: y, Ind: e1, Op: chaos.Add}, {Arr: y, Ind: e2, Op: chaos.Add}},
-//	        8, flux) // the kernel runs once per strip of up to 256 iterations
+//	        8, flux) // the kernel runs once per step on the local iterations
 //	    loop.PartitionIterations(chaos.AlmostOwnerComputes)
 //	    for t := 0; t < 100; t++ {
 //	        loop.Execute() // inspector runs once; schedules are reused
@@ -102,8 +102,8 @@ type IntArray = core.IntArray
 // Loop is an irregular forall loop handled by inspector/executor.
 type Loop = core.Loop
 
-// Kernel is a loop body run once per strip of up to 256 iterations:
-// Strip(s) runs, for each iteration b of the strip in order, the
+// Kernel is a loop body run once per executor step on the step's local
+// iterations: Strip(s) runs, for each iteration b of them in order, the
 // gather of its operands (s.Reads[j].At(b)), the body, and the combine
 // of its contributions (s.Writes[k].Combine(b, v)), in one loop.
 type Kernel = core.Kernel
@@ -111,16 +111,17 @@ type Kernel = core.Kernel
 // KernelFunc adapts an ordinary function to a Kernel.
 type KernelFunc = core.KernelFunc
 
-// Strip is what one Kernel call receives: the strip's global iteration
-// numbers, one Source per Read and one Target per Write.
+// Strip is what one Kernel call receives: the global numbers of the
+// step's local iterations, one Source per Read and one Target per
+// Write.
 type Strip = core.Strip
 
-// Source is one Read over a strip: At(b) is iteration b's operand,
+// Source is one Read of a Kernel call: At(b) is iteration b's operand,
 // taken from the array's local section or from the ghost values the
 // step's gather brought in.
 type Source = core.Source
 
-// Target is one Write over a strip: Combine(b, v) combines iteration
+// Target is one Write of a Kernel call: Combine(b, v) combines iteration
 // b's contribution into the access's accumulation buffer with its
 // Reduce operator.
 type Target = core.Target

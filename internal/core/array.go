@@ -106,7 +106,7 @@ func (m *Mapping) Size() int { return m.n }
 // map array must be BLOCK-distributed over the index space it maps
 // (its home distribution), which is how Figure 3 aligns map with reg.
 func (s *Session) MappingFromIntArray(arr *IntArray) *Mapping {
-	if arr.res.Kind() != dist.Block {
+	if arr.dad.Kind != dist.Block {
 		panic(fmt.Sprintf("core: map array %q must be BLOCK-distributed", arr.Name))
 	}
 	p := s.C.Procs()

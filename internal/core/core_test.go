@@ -26,8 +26,8 @@ func gridMesh(gx, gy int) (e1, e2 []int) {
 	return
 }
 
-// perIter makes a strip kernel of a per-iteration body: for each
-// iteration of the strip, f(iter, in, out) sees the iteration's gathered
+// perIter makes a kernel of a per-iteration body: for each local
+// iteration of the step, f(iter, in, out) sees the iteration's gathered
 // operands and fills its contributions, in slices whose length is their
 // capacity, and the kernel combines them before the next iteration.
 func perIter(f func(iter int, in, out []float64)) Kernel {

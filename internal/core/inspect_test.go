@@ -176,7 +176,7 @@ func benchmarkInspect(b *testing.B, aligned bool) {
 }
 
 // BenchmarkHotExecute is one reused executor step of the Euler sweep —
-// the reuse check, two gathers, the strip-mined kernel loop, two
+// the reuse check, two gathers, the one kernel call, two
 // scatter-adds — on the paper's 53K mesh over 8 ranks, the shape of the
 // repository benchmark's euler_reuse op.
 func BenchmarkHotExecute(b *testing.B) {

@@ -113,10 +113,10 @@ type Write struct {
 	Op  Reduce
 }
 
-// Kernel is a loop body run over one strip of at most 256 locally
-// owned iterations at a time: for each iteration of the strip, in
-// order, it gathers the operands, computes the body and combines the
-// contributions, all in one loop (see Strip).
+// Kernel is a loop body, called once per executor step on the step's
+// locally owned iterations: for each of them, in order, it gathers the
+// operands, computes the body and combines the contributions, all in
+// one loop (see Strip).
 type Kernel interface {
 	Strip(s *Strip)
 }
@@ -124,10 +124,10 @@ type Kernel interface {
 // Strip is what one kernel call receives; see kernel.Strip.
 type Strip = kernel.Strip
 
-// Source is one read access over a strip; see kernel.Source.
+// Source is one read access of a kernel call; see kernel.Source.
 type Source = kernel.Source
 
-// Target is one write access over a strip; see kernel.Target.
+// Target is one write access of a kernel call; see kernel.Target.
 type Target = kernel.Target
 
 // KernelFunc adapts an ordinary function to a Kernel.
@@ -147,8 +147,8 @@ type Loop struct {
 	Reads []Read
 	// Writes lists the reduction targets.
 	Writes []Write
-	// Kernel runs the loop body over strips of at most 256 locally
-	// owned iterations, called once per strip.
+	// Kernel runs the loop body, called once per step on the step's
+	// locally owned iterations.
 	Kernel Kernel
 	// FlopsPerIter is the modeled floating-point cost of the loop body
 	// per iteration, charged to the virtual clock.
@@ -168,15 +168,11 @@ type Loop struct {
 	// accumulation buffers (one slab, carved up by Inspect), the two
 	// descriptor lists of the reuse check and the kernel's argument (one
 	// Source per read and one Target per write, re-pointed at every
-	// strip).
+	// step).
 	store             []float64
 	dataDADs, indDADs []dist.DAD
 	strip             Strip
 }
-
-// execBlock is the executor's strip length in iterations: how many a
-// kernel call runs.
-const execBlock = 256
 
 // gatherGroup is one read access's communication schedule, the ghost
 // buffer it fills, and its per-iteration reference vector into
@@ -419,13 +415,12 @@ func (l *Loop) ExecuteNoReuse() {
 	l.s.timed(TimerExecutor, l.executor)
 }
 
-// executor is Phase E, run strip-mined over what the inspector
-// compiled: gather ghost values, then per strip of execBlock local
-// iterations call the kernel once, which gathers, computes and combines
-// into the accumulation buffers iteration by iteration; finally fold
-// the local contributions and scatter the off-processor ones back to
-// their owners. Each accumulation buffer receives its contributions in
-// iteration order.
+// executor is Phase E, run over what the inspector compiled: gather
+// ghost values, then call the kernel once on all local iterations,
+// which gathers, computes and combines into the accumulation buffers
+// iteration by iteration; finally fold the local contributions and
+// scatter the off-processor ones back to their owners. Each
+// accumulation buffer receives its contributions in iteration order.
 //
 //chaos:hotpath
 func (l *Loop) executor() {
@@ -450,23 +445,22 @@ func (l *Loop) executor() {
 		}
 	}
 
-	sp, kernel := &l.strip, l.Kernel
-	sp.Reads = scratch.Grow(&sp.Reads, len(st.rGroups))
-	sp.Writes = scratch.Grow(&sp.Writes, len(st.wGroups))
-	for lo := 0; lo < len(l.iterGl); lo += execBlock {
-		hi := min(lo+execBlock, len(l.iterGl))
-		// len == cap, so a kernel that appends to a slice of the strip
+	if n := len(l.iterGl); n > 0 {
+		sp := &l.strip
+		sp.Reads = scratch.Grow(&sp.Reads, len(st.rGroups))
+		sp.Writes = scratch.Grow(&sp.Writes, len(st.wGroups))
+		// len == cap, so a kernel that appends to a slice of its argument
 		// reallocates instead of writing past it.
-		sp.Iters = l.iterGl[lo:hi:hi]
+		sp.Iters = l.iterGl[:n:n]
 		for j := range st.rGroups {
 			g := &st.rGroups[j]
-			sp.Reads[j] = Source{Local: g.arr.Data, Ghost: g.ghost, Ref: g.ref[lo:hi:hi]}
+			sp.Reads[j] = Source{Local: g.arr.Data, Ghost: g.ghost, Ref: g.ref[:n:n]}
 		}
 		for k := range st.wGroups {
 			g := &st.wGroups[k]
-			sp.Writes[k] = Target{Buf: g.buf, Ref: g.ref[lo:hi:hi], Add: g.op == Add, Op: g.combine}
+			sp.Writes[k] = Target{Buf: g.buf, Ref: g.ref[:n:n], Add: g.op == Add, Op: g.combine}
 		}
-		kernel.Strip(sp)
+		l.Kernel.Strip(sp)
 	}
 	nR, nW := len(l.Reads), len(l.Writes)
 	c.Flops(len(l.iterGl) * (l.FlopsPerIter + nW))

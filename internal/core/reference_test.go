@@ -192,16 +192,16 @@ func mix(a, b int) int { return int(xrand.Hash64(uint64(a)<<32^uint64(b)) >> 1) 
 // TestExecutorMatchesReference runs one program — steps with reuse, a
 // data write, a Redistribute and the re-inspection it forces (the
 // loop's retained buffers are re-carved to other sizes), a no-reuse
-// step, an iteration repartition — over the strip-mined executor and
+// step, an iteration repartition — over the executor and
 // over the reference interpreter, and demands bit-identical arrays,
 // ghost buffers, accumulation buffers and per-rank clocks after every
 // step: for all five reductions (Assign fed its NaN sentinel), for
-// loops without reads and without writes, for local iteration counts around the strip length, for
+// loops without reads and without writes, for local iteration counts around 256, for
 // empty ranks and arrays with fewer elements than ranks, under a
 // kernel that appends to its arguments, on the calibrated machine and
 // on the counting machines (messages and bytes).
 func TestExecutorMatchesReference(t *testing.T) {
-	const blk = execBlock
+	const blk = 256
 	shapes := []struct{ p, n, nIter int }{
 		{1, 40, 0}, {1, 40, 1}, {1, 40, blk - 1}, {1, 40, blk}, {1, 40, blk + 1}, {1, 97, 3*blk + 41},
 		{3, 50, 2}, {3, 50, 3 * (blk - 1)}, {3, 50, 3 * blk}, {3, 50, 3*blk + 1}, {3, 211, 3 * (2*blk + 37)},
@@ -411,11 +411,11 @@ func (l *Loop) referencePartitionIterations(policy iterpart.Policy) {
 		nAcc := len(l.Reads) + len(l.Writes)
 		ownersByAcc := make([][]int, 0, nAcc)
 		for _, r := range l.Reads {
-			o, _ := r.Arr.res.Resolve(c, r.Ind.Data)
+			o, _ := r.Arr.res.ResolveInto(c, new(ttable.Workspace), r.Ind.Data)
 			ownersByAcc = append(ownersByAcc, o)
 		}
 		for _, w := range l.Writes {
-			o, _ := w.Arr.res.Resolve(c, w.Ind.Data)
+			o, _ := w.Arr.res.ResolveInto(c, new(ttable.Workspace), w.Ind.Data)
 			ownersByAcc = append(ownersByAcc, o)
 		}
 		nLocal := len(l.iterGl)
@@ -735,7 +735,7 @@ func eulerPatternCase(p *inspProg) {
 // more; on the iPSC/860 it must cost less, summed over ranks, wherever
 // one does. The calibrated machine and the three counting machines.
 func TestInspectorMatchesReference(t *testing.T) {
-	for _, sh := range []struct{ p, n, nIter int }{{1, 12, 40}, {3, 48, 3*execBlock + 5}, {8, 16, 100}} {
+	for _, sh := range []struct{ p, n, nIter int }{{1, 12, 40}, {3, 48, 773}, {8, 16, 100}} {
 		for _, tc := range inspectorCases {
 			for name, cfg := range clockConfigs(sh.p) {
 				label := fmt.Sprintf("%s: %s P=%d N=%d iters=%d", tc.name, name, sh.p, sh.n, sh.nIter)

@@ -154,7 +154,7 @@ func reinspectProgram(p *inspProg, seed int64, fresh bool, ops int) {
 // place equal, bit for bit, those of the loop that builds everything
 // anew. P = 1, 3 and 8, random per-rank stalls; run under -race.
 func TestReinspectInPlaceMatchesFresh(t *testing.T) {
-	for _, sh := range []struct{ p, n, nIter int }{{1, 12, execBlock + 40}, {3, 48, 100}, {8, 48, 100}} {
+	for _, sh := range []struct{ p, n, nIter int }{{1, 12, 296}, {3, 48, 100}, {8, 48, 100}} {
 		for seed := int64(1); seed <= 4; seed++ {
 			label := fmt.Sprintf("P=%d seed %d", sh.p, seed)
 			run := func(fresh bool) []inspTrace {

@@ -62,10 +62,9 @@ func serialSweep(op Reduce, x, y, z []float64, ia, ib []int, first [2][]bool) {
 }
 
 // Execute is a serial sweep, bit for bit: on P = 1, 3 and 8 ranks,
-// for every reduction, for local iteration counts at the strip edges
-// (0, 1, execBlock−1, execBlock, execBlock+1, 2·execBlock+1), with
-// random references, with every reference pointing at one element and
-// with every reference a ghost (each iteration on rank r reads and
+// for every reduction, for local iteration counts 0, 1, 255, 256, 257
+// and 513, with random references, with every reference pointing at
+// one element and with every reference a ghost (each iteration on rank r reads and
 // writes only elements of rank r+1 mod P), after an inspecting step and
 // after a reusing one, y and z hold exactly the bits of that many
 // serial sweeps over replicated arrays with the same kernel, and x is
@@ -77,7 +76,7 @@ func TestExecutorMatchesSerialSweep(t *testing.T) {
 	const n = 40
 	for _, p := range []int{1, 3, 8} {
 		for _, op := range []Reduce{Assign, Add, Max, Min, Mul} {
-			for _, local := range []int{0, 1, execBlock - 1, execBlock, execBlock + 1, 2*execBlock + 1} {
+			for _, local := range []int{0, 1, 255, 256, 257, 513} {
 				for _, refs := range []string{"random", "one element", "ghosts"} {
 					if refs == "ghosts" && p == 1 {
 						continue // one rank has no ghosts

@@ -62,6 +62,3 @@ func (b BlockDist) LocalSize(rank int) int {
 	}
 	return b.q
 }
-
-// Kind returns Block.
-func (b BlockDist) Kind() Kind { return Block }

@@ -106,12 +106,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestKindsReportedByDists(t *testing.T) {
-	if NewBlock(4, 2).Kind() != Block {
-		t.Error("Kind() mismatch")
-	}
-}
-
 func TestDADAllocatorMintsUniqueIDs(t *testing.T) {
 	a := NewDADAllocator()
 	seen := map[uint64]bool{}

@@ -108,11 +108,8 @@ func TestRegularResolverOverEveryKind(t *testing.T) {
 				func(g int) int { return owner[g] }, func(g int) int { return local[g] }},
 		}
 		for _, tc := range cases {
-			if tc.res.Kind() != tc.kind {
-				t.Errorf("%v: resolver kind wrong", tc.kind)
-			}
 			qs := []int{0, n - 1, n / 2, n / 2}
-			owners, locals := tc.res.Resolve(c, qs)
+			owners, locals := tc.res.ResolveInto(c, new(ttable.Workspace), qs)
 			for i, g := range qs {
 				if owners[i] != tc.owner(g) || locals[i] != tc.local(g) {
 					t.Errorf("%v: resolve(%d) = (%d,%d), want (%d,%d)",

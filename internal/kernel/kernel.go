@@ -1,17 +1,17 @@
 // Package kernel is the contract between the executor (internal/core)
-// and a loop body: what one kernel call receives of a strip of
-// iterations. It sits below core, so workload packages (mesh, md) can
-// write strip kernels without importing the runtime that calls them.
+// and a loop body: what the one kernel call of an executor step
+// receives. It sits below core, so workload packages (mesh, md) can
+// write kernels without importing the runtime that calls them.
 package kernel
 
-// Strip is one kernel call: a strip of locally owned iterations and,
-// per access, where its iterations read from or combine into. The
-// kernel runs the whole strip in one loop: for each iteration b, in
-// order, it gathers operand j as Reads[j].At(b), computes the body for
-// global iteration Iters[b], and combines contribution k with
-// Writes[k].Combine(b, v). Each accumulation buffer thereby receives
-// its contributions in iteration order, which keeps results
-// bit-identical across strip lengths and kernels.
+// Strip is one kernel call: the step's local iterations — every
+// locally owned iteration, in order — and, per access, where they read
+// from or combine into. The kernel runs them all in one loop: for each
+// iteration b, in order, it gathers operand j as Reads[j].At(b),
+// computes the body for global iteration Iters[b], and combines
+// contribution k with Writes[k].Combine(b, v). Each accumulation buffer
+// thereby receives its contributions in iteration order, which keeps
+// results bit-identical across kernels.
 //
 // The executor reuses a Strip from call to call: a kernel must not
 // retain it, and writes nothing through it but Buf elements of its
@@ -22,7 +22,7 @@ type Strip struct {
 	Writes []Target
 }
 
-// Source is one read access over a strip. Its elements form one vector
+// Source is one read access of a kernel call. Its elements form one vector
 // [Local | Ghost] — the array's local section followed by the ghost
 // values this step's gather brought in — and Ref[b] is iteration b's
 // index into it.
@@ -40,7 +40,7 @@ func (s *Source) At(b int) float64 {
 	return s.Ghost[r-len(s.Local)]
 }
 
-// Target is one write access over a strip: its accumulation buffer
+// Target is one write access of a kernel call: its accumulation buffer
 // (the array's local section followed by the schedule's ghost slots,
 // reset to the reduction's identity at the start of each step), Ref[b]
 // iteration b's index into it, and the access's reduction. Op combines

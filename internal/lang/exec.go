@@ -71,7 +71,7 @@ func (p *Program) Execute(s *core.Session, env *Env) error {
 	for name, ext := range p.IntArrays {
 		st.ints[name] = s.NewIntArray(name, ext)
 	}
-	if err := st.execBlock(p.Body); err != nil {
+	if err := st.execStmts(p.Body); err != nil {
 		return err
 	}
 	if env.OnFinish != nil {
@@ -80,7 +80,7 @@ func (p *Program) Execute(s *core.Session, env *Env) error {
 	return nil
 }
 
-func (st *execState) execBlock(body []stmt) error {
+func (st *execState) execStmts(body []stmt) error {
 	for _, s := range body {
 		if err := st.execStmt(s); err != nil {
 			return err
@@ -170,7 +170,7 @@ func (st *execState) execStmt(s stmt) error {
 		return nil
 	case *doStmt:
 		for k := x.Lo; k <= x.Hi; k++ {
-			if err := st.execBlock(x.Body); err != nil {
+			if err := st.execStmts(x.Body); err != nil {
 				return err
 			}
 		}
@@ -182,15 +182,16 @@ func (st *execState) execStmt(s stmt) error {
 	}
 }
 
-// forallKernel is one rank's kernel of a FORALL: for every iteration of
-// the strip it fills the operand row from the gathered reads, calls each
-// assignment's compiled closure over it and combines the results.
+// forallKernel is one rank's kernel of a FORALL: for every local
+// iteration of the step it fills the operand row from the gathered
+// reads, calls each assignment's compiled closure over it and combines
+// the results.
 type forallKernel struct {
 	f   *forallStmt
 	row []float64 // one slot per gathered read
 }
 
-// Strip runs one strip of the FORALL.
+// Strip runs the FORALL's local iterations of one step.
 //
 //chaos:hotpath
 func (k *forallKernel) Strip(s *core.Strip) {

@@ -6,8 +6,8 @@
 // plan of CHAOS runtime calls — the transformation of the paper's
 // Figure 6 — and executed on the simulated machine. Each FORALL body
 // compiles to Go closures, one per expression node. The executor calls
-// the FORALL's kernel once per strip of iterations, and the kernel, for
-// each iteration of the strip, gathers the operand row, calls the
+// the FORALL's kernel once per step on the local iterations, and the
+// kernel, for each of them, gathers the operand row, calls the
 // closures and combines their results, as the compiler's emitted loop
 // body would run inline.
 //

@@ -154,16 +154,16 @@ func (s *System) InvR2(p int) float64 {
 }
 
 // ForceKernel returns the electrostatic force kernel for the system, a
-// strip kernel (core.Kernel): per pair, the Coulomb force magnitude
+// core.Kernel: per pair, the Coulomb force magnitude
 // q_i q_j / r² is accumulated positively into the first endpoint and
 // negatively into the second (Newton's third law), matching the
 // REDUCE(ADD, ...) pattern of loop L2.
 func (s *System) ForceKernel() forceKernel { return forceKernel{s} }
 
-// forceKernel is the strip kernel of a System's force loop.
+// forceKernel is the kernel of a System's force loop.
 type forceKernel struct{ s *System }
 
-// Strip runs every pair of a strip: pair s.Iters[b] gathers its
+// Strip runs every local pair of a step: pair s.Iters[b] gathers its
 // endpoint charges through s.Reads[0] and s.Reads[1] and combines f
 // and -f through s.Writes[0] and s.Writes[1].
 //

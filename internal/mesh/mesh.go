@@ -88,32 +88,18 @@ func GenerateLattice(gx, gy, gz int, seed uint64) *Mesh {
 			}
 		}
 	}
-	addEdge := func(a, b int) {
-		m.E1 = append(m.E1, a)
-		m.E2 = append(m.E2, b)
-	}
 	for z := 0; z < gz; z++ {
 		for y := 0; y < gy; y++ {
 			for x := 0; x < gx; x++ {
 				v := id(x, y, z)
-				if x+1 < gx {
-					addEdge(v, id(x+1, y, z))
-				}
-				if y+1 < gy {
-					addEdge(v, id(x, y+1, z))
-				}
-				if z+1 < gz {
-					addEdge(v, id(x, y, z+1))
-				}
-				// Tetrahedral face diagonals.
-				if x+1 < gx && y+1 < gy {
-					addEdge(v, id(x+1, y+1, z))
-				}
-				if y+1 < gy && z+1 < gz {
-					addEdge(v, id(x, y+1, z+1))
-				}
-				if x+1 < gx && z+1 < gz {
-					addEdge(v, id(x+1, y, z+1))
+				// The even entries of latticeOffsets are the six forward
+				// edges, tetrahedral face diagonals included.
+				for i := 0; i < len(latticeOffsets); i += 2 {
+					d := &latticeOffsets[i]
+					if nx, ny, nz := x+d[0], y+d[1], z+d[2]; nx < gx && ny < gy && nz < gz {
+						m.E1 = append(m.E1, v)
+						m.E2 = append(m.E2, id(nx, ny, nz))
+					}
 				}
 			}
 		}
@@ -149,18 +135,18 @@ func (m *Mesh) Slabs(p int) []int {
 // nonlinear two-point flux with distinct contributions to the two
 // endpoint residuals (the f and g of the paper's loop L2). Called
 // directly, EulerFlux(e, in, out) computes one edge from in[0], in[1]
-// into out[0], out[1]; its Strip method is the executor's strip kernel
-// (core.Kernel), which gathers, computes and combines a whole strip of
-// edges with the same arithmetic in one loop.
+// into out[0], out[1]; its Strip method is the executor's kernel
+// (core.Kernel), which gathers, computes and combines all of a step's
+// local edges with the same arithmetic in one loop.
 var EulerFlux eulerFlux = func(_ int, in, out []float64) {
 	out[0], out[1] = flux(in[0], in[1])
 }
 
 // eulerFlux is the type of EulerFlux: a per-edge function that is also
-// a strip kernel.
+// a kernel.
 type eulerFlux func(e int, in, out []float64)
 
-// Strip runs every edge of a strip: edge b gathers its endpoint values
+// Strip runs every local edge of a step: edge b gathers its endpoint values
 // through s.Reads[0] and s.Reads[1] and combines f and g through
 // s.Writes[0] and s.Writes[1]. Under REDUCE(ADD) on both writes the
 // loop is fused by hand, every slice hoisted into a local.

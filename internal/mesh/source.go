@@ -8,8 +8,9 @@ import (
 )
 
 // latticeOffsets are the 12 undirected neighbor offsets of the
-// tetrahedral lattice: GenerateLattice's six forward edges (+x, +y,
-// +z and the xy/yz/xz face diagonals) plus their reverses.
+// tetrahedral lattice, each forward edge followed by its reverse. The
+// even entries are GenerateLattice's six forward edges in the order it
+// emits them: +x, +y, +z and the xy/yz/xz face diagonals.
 var latticeOffsets = [12][3]int{
 	{1, 0, 0}, {-1, 0, 0},
 	{0, 1, 0}, {0, -1, 0},

@@ -20,7 +20,7 @@ import (
 func referenceBuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, globals []int, opt Options) (*Schedule, []int) {
 	p := c.Procs()
 	me := c.Rank()
-	owners, locals := res.Resolve(c, globals)
+	owners, locals := res.ResolveInto(c, new(ttable.Workspace), globals)
 
 	ref := make([]int, len(globals))
 

@@ -26,10 +26,14 @@ func Grow[T any](buf *[]T, n int) []T {
 // reslices them to their counts and fills by index). No row ever grows,
 // and a flat array grows only when a use outsizes every earlier one.
 //
-// Every send row outside the machine comes from a Rows: the schedule's
-// request lists and data movements, the ghost exchanges, the
+// The send rows that a workspace reuses come from a Rows: the
+// schedule's request lists and data movements, the ghost exchanges, the
 // partitioner's routing. This comment is the one ownership argument
-// they share. The rows and their header table go out as they are, with
+// they share; the translation table's Workspace and geocol's
+// CoarseAssembler state their own beside their rows. The one-shot
+// senders — ttable.Build, remap.Build, remap.move,
+// core.Mapping.OwnersOf and geocol's buildLink — send fresh rows that
+// they never write again, which needs no argument. The rows and their header table go out as they are, with
 // no sender-side copy, so a Rows keeps to the exchange's rule — a sent
 // payload is rewritten only after the sender has returned from a later
 // collective — by alternating two flat arrays and two header tables:

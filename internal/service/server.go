@@ -71,6 +71,8 @@ type Server struct {
 	// compute is the engine entry point; tests substitute it to make
 	// admission and batching deterministic.
 	compute func(ctx context.Context, gc *graphContent, sp partition.Spec, nparts, procs int, warm *warmSource) (*computeResult, error)
+	// writeTimeout bounds each response write; tests lower it.
+	writeTimeout time.Duration
 	// fingerprint names a graph's content; tests substitute it to make
 	// distinct graphs share names.
 	fingerprint func(*graphContent) Fingerprint
@@ -103,6 +105,11 @@ const (
 // last write, such as the cancellation error of a request Close cut
 // short, before it closes the connections still open.
 const closeDrain = 500 * time.Millisecond
+
+// defaultWriteTimeout is how long a response write may block on a peer
+// that stopped reading before the handler drops the connection,
+// freeing itself, its reader goroutine and the frame.
+const defaultWriteTimeout = 5 * time.Second
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -143,15 +150,16 @@ func New(opt Options) *Server {
 	opt = opt.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cache:       newCache(opt.CacheBytes),
-		ctx:         ctx,
-		cancel:      cancel,
-		flight:      make(map[resultKey]*job),
-		listeners:   make(map[net.Listener]struct{}),
-		live:        make(map[net.Conn]struct{}),
-		work:        make(chan *job, opt.QueueDepth),
-		compute:     computePartition,
-		fingerprint: (*graphContent).fingerprint,
+		cache:        newCache(opt.CacheBytes),
+		ctx:          ctx,
+		cancel:       cancel,
+		flight:       make(map[resultKey]*job),
+		listeners:    make(map[net.Listener]struct{}),
+		live:         make(map[net.Conn]struct{}),
+		work:         make(chan *job, opt.QueueDepth),
+		compute:      computePartition,
+		writeTimeout: defaultWriteTimeout,
+		fingerprint:  (*graphContent).fingerprint,
 	}
 	for i := 0; i < opt.Workers; i++ {
 		s.workers.Add(1)
@@ -661,6 +669,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		default:
 			out = endFrame(appendResponse(beginFrame(out[:0], msgOK), resp))
 			frame = out
+		}
+		if conn.SetWriteDeadline(time.Now().Add(s.writeTimeout)) != nil {
+			return
 		}
 		if _, werr := conn.Write(frame); werr != nil {
 			return

@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -322,6 +323,41 @@ func TestCloseWithUnreadHit(t *testing.T) {
 	case <-closed:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not return within 2 s while a handler was blocked writing an unread hit")
+	}
+}
+
+// TestUnreadAnswerTimesOut is a peer that sends a request and never
+// reads the answer, with no Close: the handler's write gives up after
+// the server's write timeout, so the handler and its reader goroutine
+// exit, the connection leaves the live set and no lease is held.
+func TestUnreadAnswerTimesOut(t *testing.T) {
+	s := New(Options{Workers: 1, CacheBytes: -1})
+	t.Cleanup(func() { s.Close() })
+	const timeout = 100 * time.Millisecond
+	s.writeTimeout = timeout
+	l := newPipeListener()
+	t.Cleanup(func() { l.Close() })
+	base := runtime.NumGoroutine()
+	go s.Serve(l)
+	base++ // Serve itself stays
+	rc := dialRaw(t, l)
+	sent := time.Now()
+	rc.send(testRequest(0)) // its answer is never read
+	for deadline := sent.Add(timeout + 5*time.Second); ; {
+		s.mu.Lock()
+		live := len(s.live)
+		s.mu.Unlock()
+		if live == 0 && runtime.NumGoroutine() <= base && leases(s) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%v after the request: %d live connections, %d goroutines (baseline %d), %d leases",
+				time.Since(sent), live, runtime.NumGoroutine(), base, leases(s))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if m := s.Metrics(); m.Cold != 1 {
+		t.Fatalf("served %+v, want the one cold compute", m)
 	}
 }
 

@@ -142,7 +142,7 @@ func TestResolveMatchesReference(t *testing.T) {
 						case impl == "reference":
 							o, l = referenceResolve(tab, c, qs)
 						case kind == "regular" && round%2 == 0:
-							o, l = reg.Resolve(c, qs)
+							o, l = reg.ResolveInto(c, new(Workspace), qs)
 						case kind == "regular":
 							o, l = reg.ResolveInto(c, &ws, qs)
 						case round%2 == 0:

@@ -32,28 +32,18 @@ import (
 // space. Regular distributions resolve locally; irregular ones go
 // through the distributed translation table.
 type Resolver interface {
-	// Resolve returns, for each queried global index, the owning
-	// rank and the local index there. Must be called by all ranks
-	// collectively if the implementation communicates.
-	//chaosvet:ignore testonly the one-shot dereference of the reference inspectors: core's TestInspectorMatchesReference and schedule's TestBuildersMatchReference resolve through it
-	Resolve(c *machine.Ctx, globals []int) (owners, locals []int)
-	// ResolveInto is Resolve through a caller-owned workspace: the
-	// returned slices belong to ws and are good until its next use.
+	// ResolveInto returns, for each queried global index, the owning
+	// rank and the local index there, in slices that belong to the
+	// caller-owned workspace ws and are good until its next use. Must
+	// be called by all ranks collectively if the implementation
+	// communicates.
 	ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) (owners, locals []int)
-	// Kind returns the distribution type for DAD bookkeeping.
-	Kind() dist.Kind
 }
 
 // Regular adapts the closed-form BLOCK distribution to the Resolver
-// interface; Resolve performs no communication.
+// interface; ResolveInto performs no communication.
 type Regular struct {
 	D dist.BlockDist
-}
-
-//chaosvet:ignore testonly satisfies Resolver.Resolve, which the reference inspectors of core's TestInspectorMatchesReference and schedule's TestBuildersMatchReference call on BLOCK arrays
-func (r Regular) Resolve(c *machine.Ctx, globals []int) ([]int, []int) {
-	var ws Workspace
-	return r.ResolveInto(c, &ws, globals)
 }
 
 //chaos:hotpath
@@ -67,8 +57,6 @@ func (r Regular) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]in
 	c.Words(2 * len(globals))
 	return owners, locals
 }
-
-func (r Regular) Kind() dist.Kind { return r.D.Kind() }
 
 // Table is one rank's slice of the distributed translation table.
 type Table struct {
@@ -287,6 +275,3 @@ func (t *Table) ResolveInto(c *machine.Ctx, ws *Workspace, globals []int) ([]int
 func panicQueryRange(g, n int) {
 	panic(fmt.Sprintf("ttable: query index %d out of range [0,%d)", g, n))
 }
-
-// Kind returns dist.Irregular.
-func (t *Table) Kind() dist.Kind { return dist.Irregular }

@@ -49,8 +49,8 @@ func TestBuildAndResolve(t *testing.T) {
 	local := localsOf(owner)
 	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
 		tab := Build(c, n, myGlobals(owner, c.Rank()))
-		if tab.home.Size() != n || tab.Kind() != dist.Irregular {
-			t.Error("Size/Kind wrong")
+		if tab.home.Size() != n {
+			t.Error("Size wrong")
 		}
 		// Every rank queries every global index.
 		qs := make([]int, n)
@@ -143,11 +143,11 @@ func TestRegularResolver(t *testing.T) {
 	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
 		d := dist.NewBlock(n, p)
 		r := Regular{D: d}
-		if r.D.Size() != n || r.Kind() != dist.Block {
+		if r.D.Size() != n {
 			t.Error("Regular metadata wrong")
 		}
 		qs := []int{0, 24, 13, 13}
-		owners, locals := r.Resolve(c, qs)
+		owners, locals := r.ResolveInto(c, new(Workspace), qs)
 		for i, g := range qs {
 			if owners[i] != d.Owner(g) || locals[i] != d.Local(g) {
 				t.Errorf("Regular resolve mismatch at %d", i)
