@@ -117,8 +117,8 @@ type KernelFunc = core.KernelFunc
 type Strip = core.Strip
 
 // Source is one Read of a Kernel call: At(b) is iteration b's operand,
-// taken from the array's local section or from the ghost values the
-// step's gather brought in.
+// one indexed load from the array's own storage (Vals), whose local
+// section is followed by the ghost values the step's gather brought in.
 type Source = core.Source
 
 // Target is one Write of a Kernel call: Combine(b, v) combines iteration

@@ -15,14 +15,24 @@ import (
 // corresponds to global index MyGlobals()[i]. The array carries a DAD
 // that the schedule-reuse registry keys on; remapping mints a fresh
 // DAD.
+//
+// Data is the front of the array's storage: the loops that read the
+// array gather its off-processor copies into a ghost tail behind it,
+// and Data's length and capacity are the local section's. Data moves
+// at a Redistribute, and at an inspection of a loop that reads the
+// array when the tail must grow, so code must not hold a Data slice
+// across Redistribute or Loop.Execute. Resizing or replacing Data is
+// not a write the registry sees: an executor step that finds Data no
+// longer the front of the storage it gathers into panics.
 type DistArray[T float64 | int] struct {
-	Name string
-	s    *Session
-	n    int
-	dad  dist.DAD
-	res  ttable.Resolver
-	gl   []int
-	Data []T
+	Name  string
+	s     *Session
+	n     int
+	dad   dist.DAD
+	res   ttable.Resolver
+	gl    []int
+	Data  []T
+	store []T // Data, then the ghost tail
 }
 
 // Array is a distributed REAL*8 array.
@@ -51,8 +61,38 @@ func newDistArray[T float64 | int](s *Session, name string, n int) *DistArray[T]
 		res:  ttable.Regular{D: b},
 		gl:   blockGlobals(b, s.C.Rank()),
 	}
-	a.Data = make([]T, len(a.gl))
+	a.setStore(make([]T, len(a.gl)))
 	return a
+}
+
+// setStore makes store the array's storage, all of it the local section.
+func (a *DistArray[T]) setStore(store []T) {
+	a.store, a.Data = store, store[:len(store):len(store)]
+}
+
+// storage returns the array's storage up to m elements, and whether
+// Data is still its n-element front with at least m elements behind
+// Data's start.
+func (a *DistArray[T]) storage(n, m int) ([]T, bool) {
+	d := a.Data
+	if len(d) != n || cap(d) != n || len(a.store) < m || (n > 0 && &d[0] != &a.store[0]) {
+		return nil, false
+	}
+	return a.store[:m], true
+}
+
+// reserve makes room for a ghost tail of m elements behind Data. The
+// storage moves, Data with it, when it is too short or Data is no
+// longer its front (then Data's current contents are what moves); it
+// never shrinks, so the tails other loops reserved stay.
+func (a *DistArray[T]) reserve(m int) {
+	n := len(a.Data)
+	if _, ok := a.storage(n, n+m); ok {
+		return
+	}
+	store := make([]T, max(n+m, len(a.store)))
+	copy(store, a.Data)
+	a.store, a.Data = store, store[:n:n]
 }
 
 func blockGlobals(b dist.BlockDist, rank int) []int {
@@ -193,8 +233,8 @@ func (s *Session) Redistribute(m *Mapping, arrays []*Array, intArrays []*IntArra
 		pl := remap.Build(s.C, gl, dest)
 		newGl := append([]int(nil), pl.NewGlobals()...)
 		tab := ttable.Build(s.C, m.n, newGl)
-		moveArrays(s, arrays, pl.MoveFloats, newGl, tab)
-		moveArrays(s, intArrays, pl.MoveInts, newGl, tab)
+		moveArrays(s, arrays, pl, (*remap.Plan).MoveFloats, newGl, tab)
+		moveArrays(s, intArrays, pl, (*remap.Plan).MoveInts, newGl, tab)
 	})
 }
 
@@ -208,11 +248,13 @@ func checkAligned[T float64 | int](arrays []*DistArray[T], gl []int) {
 	}
 }
 
-// moveArrays moves each array's data with move and gives it the new
-// placement (globals gl, resolver tab) under a fresh DAD.
-func moveArrays[T float64 | int](s *Session, arrays []*DistArray[T], move func(*machine.Ctx, []T) []T, gl []int, tab *ttable.Table) {
+// moveArrays moves each array's data along pl with move and gives it
+// the new placement (globals gl, resolver tab) under a fresh DAD. move
+// is a method expression, not a method value, which would be a heap
+// allocation per call wherever moveArrays is not inlined.
+func moveArrays[T float64 | int](s *Session, arrays []*DistArray[T], pl *remap.Plan, move func(*remap.Plan, *machine.Ctx, []T) []T, gl []int, tab *ttable.Table) {
 	for _, a := range arrays {
-		a.Data = move(s.C, a.Data)
+		a.setStore(move(pl, s.C, a.Data))
 		a.gl = gl
 		a.res = tab
 		a.dad = s.DADs.New(dist.Irregular, a.n)

@@ -18,10 +18,11 @@ func same[T any](a, b []T) bool {
 // The executor calls its kernel once per step on a rank that owns
 // iterations, and not at all on one that owns none. The call holds all
 // the locally owned iterations in order and, per access, exactly what
-// the inspector compiled, no copy: a read's Local is the array's local
-// section and its Ghost the buffer the step's gather filled; a write's
-// Buf is its accumulation buffer, Add and Op its reduction; every Ref is
-// the access's whole reference vector. Iters and the Refs are exactly
+// the inspector compiled, no copy: a read's Vals is the array's own
+// storage, Data itself followed by the ghost tail up to the end of the
+// access's ghosts (n + off + NGhost elements); a write's Buf is its
+// accumulation buffer, Add and Op its reduction; every Ref is the
+// access's whole reference vector. Iters and the Refs are exactly
 // len(Iters) long with no spare capacity. On loops with and without
 // reads and writes, under ADD and MAX, and after the iterations are
 // repartitioned.
@@ -69,8 +70,10 @@ func TestKernelStripContract(t *testing.T) {
 						}
 						for j, src := range st.Reads {
 							g := &loop.insp.rGroups[j]
-							if !same(src.Local, x.Data) || !same(src.Ghost, g.ghost) || !refOK(src.Ref, g.ref) {
-								t.Errorf("rank %d %s: read %d is not the local section, ghost buffer and reference vector",
+							nx := len(x.Data)
+							if len(src.Vals) < nx || !same(src.Vals[:nx], x.Data) ||
+								len(src.Vals) != nx+g.off+g.sched.NGhost() || !refOK(src.Ref, g.ref) {
+								t.Errorf("rank %d %s: read %d is not the array's storage up to its ghosts and the reference vector",
 									c.Rank(), phase, j)
 							}
 						}
@@ -110,4 +113,34 @@ func TestKernelStripContract(t *testing.T) {
 			})
 		}
 	}
+}
+
+// The differential oracles compare accesses in the layout the executor
+// had before ghosts sat in the read arrays' tails: a ghost buffer per
+// read and [local | ghost slots] per write, references counted from
+// the end of the local section.
+
+// ghosts is the stretch of the read array's tail that g's gather fills.
+func (g *gatherGroup) ghosts() []float64 {
+	lo, hi := g.n+g.off, g.n+g.off+g.sched.NGhost()
+	return g.arr.store[lo:hi:hi]
+}
+
+// packed is a copy of g's accumulation buffer without the off slots g
+// does not use.
+func (g *scatterGroup) packed() []float64 {
+	n := len(g.buf) - g.off - g.sched.NGhost()
+	return slices.Concat(g.buf[:n], g.buf[n+g.off:])
+}
+
+// unshifted is a copy of ref with off taken out of every reference past
+// the n-element local section.
+func unshifted(ref []int, n, off int) []int {
+	out := slices.Clone(ref)
+	for i, r := range out {
+		if r >= n {
+			out[i] = r - off
+		}
+	}
+	return out
 }

@@ -164,29 +164,31 @@ type Loop struct {
 	ws *schedule.Builder
 
 	// What every reused step needs and the loop therefore keeps across
-	// steps and across inspections, grow-only: the ghost and
-	// accumulation buffers (one slab, carved up by Inspect), the two
-	// descriptor lists of the reuse check and the kernel's argument (one
-	// Source per read and one Target per write, re-pointed at every
-	// step).
+	// steps and across inspections, grow-only: the accumulation buffers
+	// (one slab, carved up by Inspect; the ghosts of the reads live in
+	// the read arrays' own tails), the two descriptor lists of the reuse
+	// check and the kernel's argument (one Source per read and one Target
+	// per write, re-pointed at every step).
 	store             []float64
 	dataDADs, indDADs []dist.DAD
 	strip             Strip
 }
 
-// gatherGroup is one read access's communication schedule, the ghost
-// buffer it fills, and its per-iteration reference vector into
-// [local | ghosts].
+// gatherGroup is one read access's communication schedule and its
+// per-iteration reference vector into the array's storage: n local
+// elements, then the ghost tail, whose elements off through
+// off+NGhost-1 this access's gather fills.
 type gatherGroup struct {
-	arr   *Array
-	sched *schedule.Schedule
-	ghost []float64
-	ref   []int
+	arr    *Array
+	sched  *schedule.Schedule
+	ref    []int
+	n, off int
 }
 
 // scatterGroup is one write access's schedule, its reference vector,
-// and its accumulation buffer: the array's local section followed by
-// the schedule's ghost slots.
+// and its accumulation buffer: the array's local section, off slots the
+// access does not use (its pattern's ghosts sit off behind the local
+// section), then the schedule's ghost slots.
 type scatterGroup struct {
 	arr     *Array
 	op      Reduce
@@ -194,6 +196,7 @@ type scatterGroup struct {
 	sched   *schedule.Schedule
 	buf     []float64
 	ref     []int
+	off     int
 }
 
 // inspectorState is what an inspection compiles the loop into: per
@@ -214,12 +217,17 @@ type inspectorState struct {
 // paper's Section 3): the data array's distribution, its local size,
 // and the indirection array it is reached through — never which
 // array's values travel. Inspect builds each distinct pattern once;
-// inspectorState.pats[i] owns inspectorState.refs[i].
+// inspectorState.pats[i] owns inspectorState.refs[i]. The pattern's
+// ghosts sit off elements behind the local section: a read pattern's
+// off is the sum of NGhost over the read patterns built before it, so
+// that the reads of one array gather into disjoint stretches of its
+// tail; a pattern first built for a write has off 0.
 type pattern struct {
 	res   ttable.Resolver
 	size  int
 	ind   *IntArray
 	sched *schedule.Schedule
+	off   int
 }
 
 // sameDistribution reports whether two resolvers place an index space
@@ -291,6 +299,9 @@ func (l *Loop) dads() (data, ind []dist.DAD) {
 // every access's DADs and indirection timestamps with the registry.
 // Collective.
 //
+// Each read array's storage is given a ghost tail for the reads' gathers
+// (DistArray.reserve), which moves its Data when the tail must grow.
+//
 // A re-inspection rebuilds in place: the previous inspector state's
 // lists are refilled, and each build takes the schedule and reference
 // vector of the same build position last time as its storage
@@ -321,11 +332,12 @@ func (l *Loop) Inspect() {
 		oldPats, oldRefs := st.pats, st.refs
 		st.pats, st.refs = st.pats[:0], st.refs[:0]
 
-		// build returns the schedule and reference vector of an access
-		// that reaches arr through ind: those of an earlier access with
-		// the same pattern, or else newly inspected.
-		build := func(arr *Array, ind *IntArray) (*schedule.Schedule, []int) {
-			pat := pattern{res: arr.res, size: len(arr.Data), ind: ind}
+		// build returns the schedule, reference vector and ghost offset
+		// of an access that reaches arr through ind: those of an earlier
+		// access with the same pattern, or else newly inspected with its
+		// ghosts off elements behind the local section.
+		build := func(arr *Array, ind *IntArray, off int) (*schedule.Schedule, []int, int) {
+			pat := pattern{res: arr.res, size: len(arr.Data), ind: ind, off: off}
 			pi := slices.IndexFunc(st.pats, func(q pattern) bool {
 				return q.size == pat.size && sameDistribution(q.res, pat.res) && q.ind == ind
 			})
@@ -336,17 +348,21 @@ func (l *Loop) Inspect() {
 					old, recycled = oldPats[pi].sched, oldRefs[pi]
 				}
 				var ref []int
-				pat.sched, ref = b.BuildGather(l.s.C, arr.res, pat.size, ind.Data, schedule.Options{}, old, recycled)
+				pat.sched, ref = b.BuildGather(l.s.C, arr.res, pat.size, ind.Data, schedule.Options{GhostOffset: pat.off}, old, recycled)
 				st.pats, st.refs = append(st.pats, pat), append(st.refs, ref)
 			}
-			return st.pats[pi].sched, st.refs[pi]
+			return st.pats[pi].sched, st.refs[pi], st.pats[pi].off
 		}
 
+		// Read patterns take their ghost offsets in build order (see
+		// pattern); tail is where the next one's ghosts begin.
 		st.rGroups = scratch.Grow(&st.rGroups, len(l.Reads))
+		tail := 0
 		for j, r := range l.Reads {
 			g := &st.rGroups[j]
-			g.arr = r.Arr
-			g.sched, g.ref = build(r.Arr, r.Ind)
+			g.arr, g.n = r.Arr, len(r.Arr.Data)
+			g.sched, g.ref, g.off = build(r.Arr, r.Ind, tail)
+			tail = max(tail, g.off+g.sched.NGhost())
 		}
 		st.wGroups = scratch.Grow(&st.wGroups, len(l.Writes))
 		for k, w := range l.Writes {
@@ -355,7 +371,7 @@ func (l *Loop) Inspect() {
 				g.combine = w.Op.combine // binding allocates: once per operator
 			}
 			g.arr, g.op = w.Arr, w.Op
-			g.sched, g.ref = build(w.Arr, w.Ind)
+			g.sched, g.ref, g.off = build(w.Arr, w.Ind, 0)
 		}
 		// Fewer patterns than last time: let the surplus go.
 		if n := len(st.pats); n < len(oldPats) {
@@ -363,13 +379,21 @@ func (l *Loop) Inspect() {
 			clear(oldRefs[n:])
 		}
 
-		// Carve the executor's buffers out of the loop's slab.
-		total := 0
+		// Give each read array the tail its reads gather into.
 		for _, g := range st.rGroups {
-			total += g.sched.NGhost()
+			need := 0
+			for _, h := range st.rGroups {
+				if h.arr == g.arr {
+					need = max(need, h.off+h.sched.NGhost())
+				}
+			}
+			g.arr.reserve(need)
 		}
+
+		// Carve the accumulation buffers out of the loop's slab.
+		total := 0
 		for _, g := range st.wGroups {
-			total += len(g.arr.Data) + g.sched.NGhost()
+			total += len(g.arr.Data) + g.off + g.sched.NGhost()
 		}
 		if cap(l.store) < total {
 			l.store = make([]float64, total)
@@ -380,12 +404,9 @@ func (l *Loop) Inspect() {
 			rest = rest[n:]
 			return b
 		}
-		for gi := range st.rGroups {
-			st.rGroups[gi].ghost = carve(st.rGroups[gi].sched.NGhost())
-		}
 		for gi := range st.wGroups {
 			g := &st.wGroups[gi]
-			g.buf = carve(len(g.arr.Data) + g.sched.NGhost())
+			g.buf = carve(len(g.arr.Data) + g.off + g.sched.NGhost())
 		}
 
 		l.insp = st
@@ -416,50 +437,51 @@ func (l *Loop) ExecuteNoReuse() {
 }
 
 // executor is Phase E, run over what the inspector compiled: gather
-// ghost values, then call the kernel once on all local iterations,
-// which gathers, computes and combines into the accumulation buffers
-// iteration by iteration; finally fold the local contributions and
-// scatter the off-processor ones back to their owners. Each
-// accumulation buffer receives its contributions in iteration order.
+// ghost values into the read arrays' tails, then call the kernel once
+// on all local iterations, which gathers, computes and combines into
+// the accumulation buffers iteration by iteration; finally fold the
+// local contributions and scatter the off-processor ones back to their
+// owners. Each accumulation buffer receives its contributions in
+// iteration order.
 //
 //chaos:hotpath
 func (l *Loop) executor() {
 	c := l.s.C
 	st := l.insp
+	n := len(l.iterGl)
+	sp := &l.strip
+	sp.Reads = scratch.Grow(&sp.Reads, len(st.rGroups))
+	sp.Writes = scratch.Grow(&sp.Writes, len(st.wGroups))
 
-	// Gather read operands: one communication phase per access.
-	for gi := range st.rGroups {
-		g := &st.rGroups[gi]
-		g.sched.Gather(c, g.arr.Data, g.ghost)
+	// Gather read operands: one communication phase per access. Every
+	// Ref has len == cap, so a kernel that appends to a slice of its
+	// argument reallocates instead of writing past it.
+	for j := range st.rGroups {
+		g := &st.rGroups[j]
+		ghost := g.n + g.off
+		vals, ok := g.arr.storage(g.n, ghost+g.sched.NGhost())
+		if !ok {
+			panicStaleOperands(l, g)
+		}
+		g.sched.Gather(c, g.arr.Data, vals[ghost:])
+		sp.Reads[j] = Source{Vals: vals, Ref: g.ref[:n:n]}
 	}
 
 	// Reset the write accumulation buffers to the reduction identity.
-	for gi := range st.wGroups {
-		g := &st.wGroups[gi]
-		if len(g.buf) != len(g.arr.Data)+g.sched.NGhost() {
+	for k := range st.wGroups {
+		g := &st.wGroups[k]
+		if len(g.buf) != len(g.arr.Data)+g.off+g.sched.NGhost() {
 			panicStaleBuffer(l, g)
 		}
 		id := g.op.identity()
 		for i := range g.buf {
 			g.buf[i] = id
 		}
+		sp.Writes[k] = Target{Buf: g.buf, Ref: g.ref[:n:n], Add: g.op == Add, Op: g.combine}
 	}
 
-	if n := len(l.iterGl); n > 0 {
-		sp := &l.strip
-		sp.Reads = scratch.Grow(&sp.Reads, len(st.rGroups))
-		sp.Writes = scratch.Grow(&sp.Writes, len(st.wGroups))
-		// len == cap, so a kernel that appends to a slice of its argument
-		// reallocates instead of writing past it.
+	if n > 0 {
 		sp.Iters = l.iterGl[:n:n]
-		for j := range st.rGroups {
-			g := &st.rGroups[j]
-			sp.Reads[j] = Source{Local: g.arr.Data, Ghost: g.ghost, Ref: g.ref[:n:n]}
-		}
-		for k := range st.wGroups {
-			g := &st.wGroups[k]
-			sp.Writes[k] = Target{Buf: g.buf, Ref: g.ref[:n:n], Add: g.op == Add, Op: g.combine}
-		}
 		l.Kernel.Strip(sp)
 	}
 	nR, nW := len(l.Reads), len(l.Writes)
@@ -473,7 +495,7 @@ func (l *Loop) executor() {
 		data := g.arr.Data
 		foldInto(g.op, data, g.buf[:len(data)])
 		c.Flops(len(data))
-		g.sched.ScatterOp(c, data, g.buf[len(data):], g.combine)
+		g.sched.ScatterOp(c, data, g.buf[len(data)+g.off:], g.combine)
 	}
 
 	// One modification event per written array for this loop body.
@@ -497,7 +519,12 @@ func foldInto(op Reduce, dst, src []float64) {
 
 func panicStaleBuffer(l *Loop, g *scatterGroup) {
 	panic(fmt.Sprintf("core: loop %q: accumulation buffer of %q holds %d elements, array and schedule need %d",
-		l.Name, g.arr.Name, len(g.buf), len(g.arr.Data)+g.sched.NGhost()))
+		l.Name, g.arr.Name, len(g.buf), len(g.arr.Data)+g.off+g.sched.NGhost()))
+}
+
+func panicStaleOperands(l *Loop, g *gatherGroup) {
+	panic(fmt.Sprintf("core: loop %q: %q was resized or replaced through Data since the inspection (local section of %d elements, inspected with %d)",
+		l.Name, g.arr.Name, len(g.arr.Data), g.n))
 }
 
 // PartitionIterations runs the paper's Phase B on this loop: every
@@ -571,7 +598,7 @@ func (l *Loop) PartitionIterations(policy iterpart.Policy) {
 				inds = append(inds, ac.ind)
 			}
 		}
-		moveArrays(s, inds, pl.MoveInts, newGl, tab)
+		moveArrays(s, inds, pl, (*remap.Plan).MoveInts, newGl, tab)
 		l.iterGl = newGl
 	})
 }

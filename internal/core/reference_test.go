@@ -32,11 +32,12 @@ func (l *Loop) referenceExecutor() (ghosts, wbufs [][]float64) {
 		g.sched.Gather(c, g.arr.Data, ghosts[gi])
 	}
 
-	// Prepare write accumulation buffers (local section + ghost
-	// slots), initialized to the reduction identity; one per group.
+	// Prepare write accumulation buffers (local section + off unused
+	// slots + ghost slots), initialized to the reduction identity; one
+	// per group.
 	wbufs = make([][]float64, len(st.wGroups))
 	for gi, g := range st.wGroups {
-		buf := make([]float64, len(g.arr.Data)+g.sched.NGhost())
+		buf := make([]float64, len(g.arr.Data)+g.off+g.sched.NGhost())
 		id := g.op.identity()
 		for i := range buf {
 			buf[i] = id
@@ -54,7 +55,7 @@ func (l *Loop) referenceExecutor() (ghosts, wbufs [][]float64) {
 			if ref < len(data) {
 				in[j] = data[ref]
 			} else {
-				in[j] = ghosts[j][ref-len(data)]
+				in[j] = ghosts[j][ref-len(data)-g.off]
 			}
 		}
 		l.Kernel.Strip(oneIterStrip(l.iterGl[i:i+1:i+1], in, out))
@@ -77,7 +78,7 @@ func (l *Loop) referenceExecutor() (ghosts, wbufs [][]float64) {
 			g.arr.Data[i] = op.combine(g.arr.Data[i], buf[i])
 		}
 		c.Flops(nLocal)
-		g.sched.ScatterOp(c, g.arr.Data, buf[nLocal:], op.combine)
+		g.sched.ScatterOp(c, g.arr.Data, buf[nLocal+g.off:], op.combine)
 	}
 
 	// One modification event per written array for this loop body.
@@ -94,7 +95,7 @@ func (l *Loop) referenceExecutor() (ghosts, wbufs [][]float64) {
 func oneIterStrip(iters []int, in, out []float64) *Strip {
 	st := &Strip{Iters: iters}
 	for j := range in {
-		st.Reads = append(st.Reads, Source{Local: in, Ref: []int{j}})
+		st.Reads = append(st.Reads, Source{Vals: in, Ref: []int{j}})
 	}
 	for k := range out {
 		out[k] = math.Copysign(0, -1)
@@ -114,7 +115,7 @@ func (l *Loop) step(reference, noReuse bool) (ghosts, wbufs [][]float64) {
 			l.Execute()
 		}
 		for _, g := range l.insp.rGroups {
-			ghosts = append(ghosts, g.ghost)
+			ghosts = append(ghosts, g.ghosts())
 		}
 		for _, g := range l.insp.wGroups {
 			wbufs = append(wbufs, g.buf)
@@ -350,32 +351,33 @@ func (l *Loop) referenceInspect() {
 		var b schedule.Builder
 
 		// build runs the inspector for one access that reaches arr
-		// through the indirection array ia.
-		build := func(arr *Array, ia *IntArray) (*schedule.Schedule, []int) {
+		// through the indirection array ia, its ghosts off elements
+		// behind the local section.
+		build := func(arr *Array, ia *IntArray, off int) (*schedule.Schedule, []int) {
 			var recycled []int
 			if n := len(st.refs); l.insp != nil && n < len(l.insp.refs) {
 				recycled = l.insp.refs[n]
 			}
-			sch, ref := b.BuildGather(l.s.C, arr.res, len(arr.Data), ia.Data, schedule.Options{}, nil, recycled)
+			sch, ref := b.BuildGather(l.s.C, arr.res, len(arr.Data), ia.Data, schedule.Options{GhostOffset: off}, nil, recycled)
 			st.refs = append(st.refs, ref)
 			return sch, ref
 		}
+		off := 0
 		for _, r := range l.Reads {
-			g := gatherGroup{arr: r.Arr}
-			g.sched, g.ref = build(r.Arr, r.Ind)
+			g := gatherGroup{arr: r.Arr, n: len(r.Arr.Data), off: off}
+			g.sched, g.ref = build(r.Arr, r.Ind, off)
+			off += g.sched.NGhost()
+			g.arr.reserve(off)
 			st.rGroups = append(st.rGroups, g)
 		}
 		for _, w := range l.Writes {
 			g := scatterGroup{arr: w.Arr, op: w.Op, combine: w.Op.combine}
-			g.sched, g.ref = build(w.Arr, w.Ind)
+			g.sched, g.ref = build(w.Arr, w.Ind, 0)
 			st.wGroups = append(st.wGroups, g)
 		}
 
-		// Carve the executor's buffers out of the loop's slab.
+		// Carve the accumulation buffers out of the loop's slab.
 		total := 0
-		for _, g := range st.rGroups {
-			total += g.sched.NGhost()
-		}
 		for _, g := range st.wGroups {
 			total += len(g.arr.Data) + g.sched.NGhost()
 		}
@@ -387,9 +389,6 @@ func (l *Loop) referenceInspect() {
 			b := rest[:n:n]
 			rest = rest[n:]
 			return b
-		}
-		for gi := range st.rGroups {
-			st.rGroups[gi].ghost = carve(st.rGroups[gi].sched.NGhost())
 		}
 		for gi := range st.wGroups {
 			g := &st.wGroups[gi]
@@ -503,18 +502,18 @@ func (tr *inspTrace) snapshot(c *machine.Ctx, l *Loop, arrays []*Array) {
 		fs = append(fs, slices.Clone(a.Data))
 	}
 	for _, g := range l.insp.rGroups {
-		fs = append(fs, slices.Clone(g.ghost))
+		fs = append(fs, slices.Clone(g.ghosts()))
 	}
 	for _, g := range l.insp.wGroups {
-		fs = append(fs, slices.Clone(g.buf))
+		fs = append(fs, g.packed())
 	}
 	is := [][]int{slices.Clone(l.iterGl)}
 	var ghosts []int // per access, even where accesses share a schedule
 	for _, g := range l.insp.rGroups {
-		is, ghosts = append(is, slices.Clone(g.ref)), append(ghosts, g.sched.NGhost())
+		is, ghosts = append(is, unshifted(g.ref, g.n, g.off)), append(ghosts, g.sched.NGhost())
 	}
 	for _, g := range l.insp.wGroups {
-		is, ghosts = append(is, slices.Clone(g.ref)), append(ghosts, g.sched.NGhost())
+		is, ghosts = append(is, unshifted(g.ref, len(g.arr.Data), g.off)), append(ghosts, g.sched.NGhost())
 	}
 	is = append(is, ghosts)
 	tr.floats, tr.ints, tr.clocks = append(tr.floats, fs), append(tr.ints, is), append(tr.clocks, c.Clock())

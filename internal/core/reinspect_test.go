@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -230,6 +231,39 @@ func TestFailedReinspectionLeavesNoValidRecord(t *testing.T) {
 		if accepted(loop) {
 			t.Errorf("rank %d: the record of a half-finished re-inspection is still valid", r)
 		}
+	}
+}
+
+// A read array resized or replaced through Data behind the registry's
+// back is refused at the next reusing step, with the loop and the array
+// named, instead of having its operands read at the inspected offsets
+// (appending one element would shift every ghost operand by one).
+func TestExecutorRefusesStaleOperands(t *testing.T) {
+	for name, detach := range map[string]func(x *Array){
+		"appended": func(x *Array) { x.Data = append(x.Data, -1) },
+		"shrunk":   func(x *Array) { x.Data = x.Data[:len(x.Data)-1] },
+		"replaced": func(x *Array) { x.Data = slices.Clone(x.Data) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			err := machine.Run(machine.Zero(2), func(c *machine.Ctx) {
+				s := NewSession(c)
+				x, y := s.NewArray("x", 10), s.NewArray("y", 10)
+				x.FillByGlobal(func(g int) float64 { return float64(100 + g) })
+				ind := s.NewIntArray("ind", 10)
+				ind.FillByGlobal(func(g int) int { return (g + 5) % 10 }) // every operand a ghost
+				loop := s.NewLoop("operands", 10, []Read{{x, ind}}, []Write{{y, ind, Add}}, 1,
+					perIter(func(_ int, in, out []float64) { out[0] = in[0] }))
+				loop.Execute()
+				detach(x)
+				loop.Execute()
+			})
+			if err == nil {
+				t.Fatal("the executor read operands of an array resized behind the registry's back")
+			}
+			if msg := err.Error(); !strings.Contains(msg, `loop "operands"`) || !strings.Contains(msg, `"x"`) {
+				t.Errorf("the refusal does not name the loop and the array: %v", err)
+			}
+		})
 	}
 }
 

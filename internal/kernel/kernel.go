@@ -22,27 +22,25 @@ type Strip struct {
 	Writes []Target
 }
 
-// Source is one read access of a kernel call. Its elements form one vector
-// [Local | Ghost] — the array's local section followed by the ghost
-// values this step's gather brought in — and Ref[b] is iteration b's
-// index into it.
+// Source is one read access of a kernel call. Vals is the read array's
+// own storage: its local section, then the ghost tail this step's
+// gather filled (the off-processor copies sit behind the local section,
+// as CHAOS/PARTI's localize lays them out), and Ref[b] is iteration b's
+// index into it. Vals may hold more than this access references (the
+// tails of the array's other reads): a kernel reads it through Ref.
 type Source struct {
-	Local, Ghost []float64
-	Ref          []int
+	Vals []float64
+	Ref  []int
 }
 
 // At returns iteration b's operand.
-func (s *Source) At(b int) float64 {
-	r := s.Ref[b]
-	if r < len(s.Local) {
-		return s.Local[r]
-	}
-	return s.Ghost[r-len(s.Local)]
-}
+func (s *Source) At(b int) float64 { return s.Vals[s.Ref[b]] }
 
 // Target is one write access of a kernel call: its accumulation buffer
-// (the array's local section followed by the schedule's ghost slots,
-// reset to the reduction's identity at the start of each step), Ref[b]
+// (the array's local section, then the schedule's ghost slots where the
+// access's reference vector puts them, which may be some unused
+// elements further on; all reset to the reduction's identity at the
+// start of each step), Ref[b]
 // iteration b's index into it, and the access's reduction. Op combines
 // the value held with a contribution for every reduction; Add reports
 // REDUCE(ADD), which a kernel may apply inline as Buf[Ref[b]] += v.

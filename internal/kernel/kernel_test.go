@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// At reads [Local | Ghost] through Ref: indices below len(Local) from
-// the local section, the rest from the ghosts.
+// At reads Vals through Ref: the local section and the ghost tail
+// behind it alike.
 func TestSourceAt(t *testing.T) {
-	s := Source{Local: []float64{10, 11, 12}, Ghost: []float64{20, 21}, Ref: []int{4, 0, 3, 2}}
+	s := Source{Vals: []float64{10, 11, 12, 20, 21}, Ref: []int{4, 0, 3, 2}}
 	for b, want := range []float64{21, 10, 20, 12} {
 		if got := s.At(b); got != want {
 			t.Errorf("At(%d) = %v, want %v", b, got, want)

@@ -94,7 +94,7 @@ func TestForceKernelAntisymmetric(t *testing.T) {
 	k := s.ForceKernel()
 	out := make([]float64, 2)
 	charge := func(r int) kernel.Source {
-		return kernel.Source{Local: []float64{-0.8}, Ghost: []float64{0.4}, Ref: []int{r}}
+		return kernel.Source{Vals: []float64{-0.8, 0.4}, Ref: []int{r}}
 	}
 	k.Strip(&kernel.Strip{Iters: []int{0}, Reads: []kernel.Source{charge(0), charge(1)},
 		Writes: []kernel.Target{{Buf: out[:1], Ref: []int{0}, Add: true}, {Buf: out[1:], Ref: []int{0}, Add: true}}})

@@ -162,23 +162,12 @@ func (eulerFlux) Strip(s *kernel.Strip) {
 		}
 		return
 	}
-	loc1, gh1, ref1 := r1.Local, r1.Ghost, r1.Ref[:len(s.Iters)]
-	loc2, gh2, ref2 := r2.Local, r2.Ghost, r2.Ref[:len(ref1)]
+	vals1, ref1 := r1.Vals, r1.Ref[:len(s.Iters)]
+	vals2, ref2 := r2.Vals, r2.Ref[:len(ref1)]
 	buf1, wref1 := w1.Buf, w1.Ref[:len(ref1)]
 	buf2, wref2 := w2.Buf, w2.Ref[:len(ref1)]
 	for b, r := range ref1 {
-		var x1, x2 float64
-		if r < len(loc1) {
-			x1 = loc1[r]
-		} else {
-			x1 = gh1[r-len(loc1)]
-		}
-		if r := ref2[b]; r < len(loc2) {
-			x2 = loc2[r]
-		} else {
-			x2 = gh2[r-len(loc2)]
-		}
-		f, g := flux(x1, x2)
+		f, g := flux(vals1[r], vals2[ref2[b]])
 		buf1[wref1[b]] += f
 		buf2[wref2[b]] += g
 	}

@@ -182,7 +182,7 @@ func TestEulerFluxStripMatchesEdge(t *testing.T) {
 					return buf
 				}
 				src := func(ref []int) kernel.Source {
-					return kernel.Source{Local: blk.vals[:nLocal], Ghost: blk.vals[nLocal:], Ref: ref}
+					return kernel.Source{Vals: blk.vals, Ref: ref}
 				}
 				st := &kernel.Strip{Iters: edges,
 					Reads: []kernel.Source{src(blk.refs[0]), src(blk.refs[1])},

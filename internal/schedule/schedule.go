@@ -43,10 +43,16 @@ type Schedule struct {
 	reqs  scratch.Rows[int]
 }
 
-// Options is the inspector's option set. It has no settings: the
-// paper's inspector always eliminates duplicate references. Callers,
-// the repository benchmark among them, pass Options{}.
-type Options struct{}
+// Options is the inspector's option set. The paper's inspector always
+// eliminates duplicate references, so the one setting is where the
+// ghost slots sit in the reference vector's index space.
+type Options struct {
+	// GhostOffset is the number of elements between the end of the
+	// local section and ghost slot 0: off-processor references are
+	// numbered myLocalSize + GhostOffset + slot. Zero, the default,
+	// puts the ghosts right behind the local section.
+	GhostOffset int
+}
 
 // NGhost returns the number of ghost (off-processor copy) slots the
 // schedule requires. Executors index ghost buffers of exactly this
@@ -106,9 +112,10 @@ type Builder struct {
 // It returns the communication schedule and a reference vector ref with
 // len(ref) == len(globals): ref[i] < myLocalSize means globals[i] is
 // locally owned at that local index; otherwise globals[i] is an
-// off-processor element available in ghost slot ref[i]-myLocalSize
-// after a Gather. This is the paper's "information that associates
-// off-processor data copies with on-processor buffer locations".
+// off-processor element available in ghost slot
+// ref[i]-myLocalSize-opt.GhostOffset after a Gather. This is the
+// paper's "information that associates off-processor data copies with
+// on-processor buffer locations".
 //
 // Collective: all ranks must call BuildGather together.
 func BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize int, globals []int, opt Options) (*Schedule, []int) {
@@ -216,8 +223,9 @@ func (b *Builder) BuildGather(c *machine.Ctx, res ttable.Resolver, myLocalSize i
 		requests[o] = append(requests[o], loc[d])
 		recvGhost[o] = append(recvGhost[o], slot[d])
 	}
+	base := myLocalSize + opt.GhostOffset
 	for _, i := range offPos {
-		ref[i] = myLocalSize + slot[ref[i]]
+		ref[i] = base + slot[ref[i]]
 	}
 	c.Words(2 * len(globals))
 

@@ -22,36 +22,41 @@ func blockData(c *machine.Ctx, n int) (ttable.Resolver, []float64, dist.BlockDis
 	return ttable.Regular{D: d}, local, d
 }
 
+// Every reference reads its global's value, from the local section or
+// from the ghost slot the gather filled, with the ghosts right behind
+// the local section or GhostOffset elements further on.
 func TestGatherFetchesCorrectValues(t *testing.T) {
 	const n, p = 40, 4
-	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
-		res, local, d := blockData(c, n)
-		// Each rank references a mix of local and remote globals.
-		rng := rand.New(rand.NewSource(int64(7))) // same on all ranks is fine
-		globals := make([]int, 25)
-		for i := range globals {
-			globals[i] = rng.Intn(n)
-		}
-		s, ref := BuildGather(c, res, len(local), globals, Options{})
-		ghost := make([]float64, s.NGhost())
-		s.Gather(c, local, ghost)
-		for i, g := range globals {
-			var got float64
-			if ref[i] < len(local) {
-				if d.Owner(g) != c.Rank() {
-					t.Errorf("ref %d marked local but owner is %d", i, d.Owner(g))
+	for _, off := range []int{0, 3} {
+		err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
+			res, local, d := blockData(c, n)
+			// Each rank references a mix of local and remote globals.
+			rng := rand.New(rand.NewSource(int64(7))) // same on all ranks is fine
+			globals := make([]int, 25)
+			for i := range globals {
+				globals[i] = rng.Intn(n)
+			}
+			s, ref := BuildGather(c, res, len(local), globals, Options{GhostOffset: off})
+			ghost := make([]float64, s.NGhost())
+			s.Gather(c, local, ghost)
+			for i, g := range globals {
+				var got float64
+				if ref[i] < len(local) {
+					if d.Owner(g) != c.Rank() {
+						t.Errorf("ref %d marked local but owner is %d", i, d.Owner(g))
+					}
+					got = local[ref[i]]
+				} else {
+					got = ghost[ref[i]-len(local)-off]
 				}
-				got = local[ref[i]]
-			} else {
-				got = ghost[ref[i]-len(local)]
+				if got != 1000+float64(g) {
+					t.Errorf("rank %d offset %d: globals[%d]=%d resolved to %v", c.Rank(), off, i, g, got)
+				}
 			}
-			if got != 1000+float64(g) {
-				t.Errorf("rank %d: globals[%d]=%d resolved to %v", c.Rank(), i, g, got)
-			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
