@@ -221,14 +221,15 @@ kernel-pairs:
 # coverage of every package of the module, then run — the benchmark at
 # -seconds 2 and again with -trace 1 (so that probe-only callers
 # count), chaosbench with -quick, -quick -markdown, -quick -crossover
-# and -quick -adaptive, chaosvet over the module and every program under
-# examples/ — and the merged profile prints each internal/ function
-# that no run executed. Advisory: it fails only if a run fails, never
-# on what it prints. Takes a few minutes.
+# and -quick -adaptive, chaosvet over the module, meshgen with its
+# summary only and again writing an edge stream, and every program
+# under examples/ — and the merged profile prints each internal/
+# function that no run executed. Advisory: it fails only if a run
+# fails, never on what it prints. Takes a few minutes.
 CENSUS = .bench_build/census
 census:
 	@rm -rf $(CENSUS) && mkdir -p $(CENSUS)/bin $(CENSUS)/cov
-	$(GO) build -cover -coverpkg=./... -o $(CENSUS)/bin/ ./benchmark ./cmd/chaosbench ./cmd/chaosvet
+	$(GO) build -cover -coverpkg=./... -o $(CENSUS)/bin/ ./benchmark ./cmd/chaosbench ./cmd/chaosvet ./cmd/meshgen
 	@for d in examples/*/; do \
 		$(GO) build -cover -coverpkg=./... -o $(CENSUS)/bin/example_$$(basename $$d) ./$$d || exit 1; \
 	done
@@ -240,6 +241,8 @@ census:
 	$(CENSUS)/bin/chaosbench -quick -crossover >/dev/null 2>&1; \
 	$(CENSUS)/bin/chaosbench -quick -adaptive >/dev/null 2>&1; \
 	$(CENSUS)/bin/chaosvet ./...; \
+	$(CENSUS)/bin/meshgen >/dev/null; \
+	$(CENSUS)/bin/meshgen -stream -o $(CENSUS)/m.cs >/dev/null; \
 	for ex in $(CENSUS)/bin/example_*; do $$ex >/dev/null; done
 	@$(GO) tool covdata textfmt -i=$(CENSUS)/cov -o $(CENSUS)/census.out
 	@echo "internal/ functions no shipped run executed:"

@@ -43,7 +43,7 @@
 //
 // SetPartitioning selects from the partitioner library of the paper's
 // Section 4.2 through a typed PartitionSpec: MethodRCB consumes
-// GEOMETRY; MethodRSB, MethodKL and MethodMultilevel consume LINK
+// GEOMETRY; MethodRSB and MethodMultilevel consume LINK
 // connectivity; MethodBlock is the baseline. Any other method plugs in
 // behind the same interface (RegisterPartitioner). Every built-in
 // partitioner declares its
@@ -153,12 +153,9 @@ const (
 // Policy selects the loop-iteration placement convention.
 type Policy = iterpart.Policy
 
-// Iteration-placement policies.
-const (
-	AlmostOwnerComputes = iterpart.AlmostOwnerComputes
-	OwnerComputes       = iterpart.OwnerComputes
-	BlockIterations     = iterpart.BlockIterations
-)
+// AlmostOwnerComputes is the one iteration-placement policy: each
+// iteration runs where most of its distributed array references live.
+const AlmostOwnerComputes = iterpart.AlmostOwnerComputes
 
 // Config describes the simulated machine.
 type Config = machine.Config

@@ -20,12 +20,11 @@ type PartitionSpec = partition.Spec
 type Method = partition.Method
 
 // Built-in partitioning methods: BLOCK, RCB and RSB of the paper's
-// Section 4.2, KL (the paper's reference [15]), MULTILEVEL and STREAM.
+// Section 4.2, MULTILEVEL and STREAM.
 const (
 	MethodBlock      = partition.MethodBlock
 	MethodRCB        = partition.MethodRCB
 	MethodRSB        = partition.MethodRSB
-	MethodKL         = partition.MethodKL
 	MethodMultilevel = partition.MethodMultilevel
 	MethodStream     = partition.MethodStream
 )

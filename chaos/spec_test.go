@@ -33,7 +33,7 @@ func TestParseSpecBitIdenticalToTypedPath(t *testing.T) {
 
 		for _, method := range []chaos.Method{
 			chaos.MethodBlock, chaos.MethodRCB, chaos.MethodRSB,
-			chaos.MethodKL, chaos.MethodMultilevel, chaos.MethodStream,
+			chaos.MethodMultilevel, chaos.MethodStream,
 		} {
 			name := string(method)
 			spec, err := chaos.ParseSpec(name)

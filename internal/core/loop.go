@@ -15,12 +15,6 @@ import (
 	"chaos/internal/ttable"
 )
 
-// DefaultIterPolicy is the runtime's default iteration-placement
-// convention: "our current default is to employ a scheme that places a
-// loop iteration on the processor that is the home of the largest
-// number of the iteration's distributed array references."
-const DefaultIterPolicy = iterpart.AlmostOwnerComputes
-
 // Reduce names the reduction applied by a write access. The paper
 // allows "left hand side reductions (e.g. addition, accumulation, max,
 // min, etc)" as the only loop-carried dependencies; Assign covers
@@ -566,25 +560,26 @@ func (l *Loop) PartitionIterations(policy iterpart.Policy) {
 				ownersByAcc[a] = slices.Clone(owners)
 			}
 		}
+		// Vote iteration by iteration over one reused row of reference
+		// owners. Ties go to the first write's owner, or to the first
+		// read's in a loop without writes.
+		lhs := 0
+		if len(l.Writes) > 0 {
+			lhs = len(l.Reads)
+		}
 		nLocal := len(l.iterGl)
-		refOwners := make([][]int, nLocal)
-		lhsOwner := make([]int, nLocal)
-		blockHome := make([]int, nLocal)
-		flat := make([]int, nLocal*nAcc) // backs every row of refOwners
-		for i := 0; i < nLocal; i++ {
-			row := flat[i*nAcc : (i+1)*nAcc : (i+1)*nAcc]
+		dest := make([]int, nLocal)
+		row := make([]int, nAcc)
+		for i := range dest {
 			for a, o := range ownersByAcc {
 				row[a] = o[i]
 			}
-			refOwners[i] = row
-			if len(l.Writes) > 0 {
-				lhsOwner[i] = ownersByAcc[len(l.Reads)][i]
-			} else if nAcc > 0 {
-				lhsOwner[i] = ownersByAcc[0][i]
+			lhsOwner := 0
+			if nAcc > 0 {
+				lhsOwner = row[lhs]
 			}
-			blockHome[i] = c.Rank()
+			dest[i] = iterpart.Choose(row, lhsOwner, c.Rank(), policy)
 		}
-		dest := iterpart.ChooseAll(refOwners, lhsOwner, blockHome, policy)
 		c.Words(nLocal * (nAcc + 2))
 
 		pl := remap.Build(c, l.iterGl, dest)

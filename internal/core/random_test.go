@@ -41,13 +41,12 @@ func (scatter) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 // partition, redistribute, iteration partitioning, inspector/executor
 // with reuse) on randomly generated irregular loops and checks every
 // result against a serial evaluation. Each seed draws the problem
-// shape, the reduction operators, the partitioner and the iteration
-// policy.
+// shape, the reduction operators and the partitioner.
 func TestRandomizedLoopsMatchSerial(t *testing.T) {
 	partitioners := []partition.Method{partition.MethodBlock, methodScatter, partition.MethodRCB, partition.MethodRSB}
-	policies := []iterpart.Policy{
-		iterpart.AlmostOwnerComputes, iterpart.OwnerComputes, iterpart.BlockIterations,
-	}
+	// One policy is left, but its draw stays so that every seed keeps
+	// the problem it has always drawn.
+	policies := []iterpart.Policy{iterpart.AlmostOwnerComputes}
 	ops := []Reduce{Add, Max, Min}
 
 	for seed := uint64(1); seed <= 12; seed++ {

@@ -435,7 +435,10 @@ func (l *Loop) referencePartitionIterations(policy iterpart.Policy) {
 			}
 			blockHome[i] = c.Rank()
 		}
-		dest := iterpart.ChooseAll(refOwners, lhsOwner, blockHome, policy)
+		dest := make([]int, nLocal)
+		for i := range dest {
+			dest[i] = iterpart.Choose(refOwners[i], lhsOwner[i], blockHome[i], policy)
+		}
 		c.Words(nLocal * (nAcc + 2))
 
 		pl := remap.Build(c, l.iterGl, dest)

@@ -5,7 +5,7 @@
 // subgraph induced by a vertex subset, and a per-row neighbor sort.
 //
 // It is the one graph type of the library. The serial partitioners
-// (RSB, KL, serial MULTILEVEL, the gathered k-way polish) and STREAM's
+// (RSB, serial MULTILEVEL, the gathered k-way polish) and STREAM's
 // resident coarse model hold their graph as a Graph, and
 // geocol.Graph.GatherTo returns one. The distributed geocol.Graph embeds
 // one for its home rows, whose neighbor ids are global.

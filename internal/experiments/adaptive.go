@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"chaos/internal/core"
+	"chaos/internal/iterpart"
 	"chaos/internal/machine"
 	"chaos/internal/mesh"
 	"chaos/internal/partition"
@@ -155,7 +156,7 @@ func AdaptiveStudy(cfg AdaptiveConfig) (*AdaptiveReport, error) {
 			[]core.Read{{Arr: x, Ind: e1}, {Arr: x, Ind: e2}},
 			[]core.Write{{Arr: y, Ind: e1, Op: core.Add}, {Arr: y, Ind: e2, Op: core.Add}},
 			mesh.EulerFlops, mesh.EulerFlux)
-		loop.PartitionIterations(0)
+		loop.PartitionIterations(iterpart.AlmostOwnerComputes)
 
 		var prevFull []int
 		for ep := 0; ep <= adaptEpochs; ep++ {

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"chaos/internal/core"
+	"chaos/internal/iterpart"
 	"chaos/internal/machine"
 	"chaos/internal/md"
 	"chaos/internal/mesh"
@@ -200,7 +201,7 @@ func runHand(cfg Config) (Phases, error) {
 			[]core.Read{{Arr: x, Ind: e1}, {Arr: x, Ind: e2}},
 			[]core.Write{{Arr: y, Ind: e1, Op: core.Add}, {Arr: y, Ind: e2, Op: core.Add}},
 			w.Flops, w.Kernel)
-		loop.PartitionIterations(core.DefaultIterPolicy)
+		loop.PartitionIterations(iterpart.AlmostOwnerComputes)
 		for it := 0; it < cfg.Iters; it++ {
 			if cfg.Reuse {
 				loop.Execute()

@@ -1,16 +1,11 @@
 // Package iterpart implements the paper's workload (loop-iteration)
 // partitioning phase (Section 4.3). After data arrays are distributed,
-// each loop iteration is assigned to one processor:
+// each loop iteration is assigned to one processor by the runtime's
+// almost-owner-computes rule, which "places a loop iteration on the
+// processor that is the home of the largest number of the iteration's
+// distributed array references."
 //
-//   - AlmostOwnerComputes (the runtime's default, per the paper):
-//     "places a loop iteration on the processor that is the home of the
-//     largest number of the iteration's distributed array references."
-//   - OwnerComputes: the classical convention — the iteration runs on
-//     the owner of the left-hand-side reference.
-//   - BlockIterations: keep the default block assignment (the baseline
-//     that ignores data placement).
-//
-// The decisions are pure and local once reference owners are known;
+// The decision is pure and local once reference owners are known;
 // batching and communication live in the core runtime.
 package iterpart
 
@@ -19,20 +14,14 @@ import "fmt"
 // Policy selects the iteration-placement convention.
 type Policy int
 
-const (
-	AlmostOwnerComputes Policy = iota
-	OwnerComputes
-	BlockIterations
-)
+// AlmostOwnerComputes is the one placement convention: the paper's
+// default and the only one its experiments run.
+const AlmostOwnerComputes Policy = 0
 
 func (p Policy) String() string {
 	switch p {
 	case AlmostOwnerComputes:
 		return "almost-owner-computes"
-	case OwnerComputes:
-		return "owner-computes"
-	case BlockIterations:
-		return "block-iterations"
 	default:
 		return fmt.Sprintf("Policy(%d)", int(p))
 	}
@@ -41,15 +30,11 @@ func (p Policy) String() string {
 // Choose picks the home rank of one iteration. refOwners lists the
 // owning ranks of every distributed-array reference the iteration
 // makes (reads and writes); lhsOwner is the owner of the first
-// left-hand-side reference (used by OwnerComputes and as the
-// almost-owner-computes tie-break); blockHome is the iteration's home
-// under the default block distribution (used by BlockIterations).
+// left-hand-side reference, which wins ties; blockHome is the
+// iteration's home under the default block distribution, kept when
+// the iteration makes no reference.
 func Choose(refOwners []int, lhsOwner, blockHome int, policy Policy) int {
 	switch policy {
-	case OwnerComputes:
-		return lhsOwner
-	case BlockIterations:
-		return blockHome
 	case AlmostOwnerComputes:
 		if len(refOwners) == 0 {
 			return blockHome
@@ -80,15 +65,4 @@ func Choose(refOwners []int, lhsOwner, blockHome int, policy Policy) int {
 	default:
 		panic(fmt.Sprintf("iterpart: unknown policy %d", int(policy)))
 	}
-}
-
-// ChooseAll applies Choose to a batch: refOwners[i] holds iteration i's
-// reference owners, lhsOwner[i] its LHS owner, blockHome[i] its default
-// home.
-func ChooseAll(refOwners [][]int, lhsOwner, blockHome []int, policy Policy) []int {
-	out := make([]int, len(refOwners))
-	for i := range refOwners {
-		out[i] = Choose(refOwners[i], lhsOwner[i], blockHome[i], policy)
-	}
-	return out
 }

@@ -2,18 +2,6 @@ package iterpart
 
 import "testing"
 
-func TestOwnerComputes(t *testing.T) {
-	if got := Choose([]int{1, 2, 2}, 1, 0, OwnerComputes); got != 1 {
-		t.Errorf("OwnerComputes = %d, want 1", got)
-	}
-}
-
-func TestBlockIterations(t *testing.T) {
-	if got := Choose([]int{1, 2, 2}, 1, 3, BlockIterations); got != 3 {
-		t.Errorf("BlockIterations = %d, want 3", got)
-	}
-}
-
 func TestAlmostOwnerComputesMajority(t *testing.T) {
 	// Rank 2 owns most references.
 	if got := Choose([]int{2, 2, 2, 1}, 1, 0, AlmostOwnerComputes); got != 2 {
@@ -45,19 +33,6 @@ func TestAlmostOwnerComputesSingleRef(t *testing.T) {
 	}
 }
 
-func TestChooseAll(t *testing.T) {
-	refs := [][]int{{0, 0, 1}, {1, 1, 0}, {2}}
-	lhs := []int{0, 1, 2}
-	home := []int{9, 9, 9}
-	got := ChooseAll(refs, lhs, home, AlmostOwnerComputes)
-	want := []int{0, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("ChooseAll[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
 func TestChooseDeterministic(t *testing.T) {
 	refs := []int{5, 3, 5, 3, 7}
 	a := Choose(refs, 9, 0, AlmostOwnerComputes)
@@ -78,9 +53,7 @@ func TestUnknownPolicyPanics(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	if AlmostOwnerComputes.String() != "almost-owner-computes" ||
-		OwnerComputes.String() != "owner-computes" ||
-		BlockIterations.String() != "block-iterations" {
+	if AlmostOwnerComputes.String() != "almost-owner-computes" {
 		t.Error("Policy.String mismatch")
 	}
 	if Policy(42).String() == "" {

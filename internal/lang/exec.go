@@ -6,6 +6,7 @@ import (
 	"chaos/internal/core"
 	"chaos/internal/dist"
 	"chaos/internal/geocol"
+	"chaos/internal/iterpart"
 )
 
 // Env binds a program to its host environment: initial array contents
@@ -138,15 +139,7 @@ func (st *execState) execStmt(s stmt) error {
 		return nil
 	case *distributeStmt:
 		m := st.s.MappingFromIntArray(st.ints[x.MapArr])
-		var reals []*core.Array
-		var ints []*core.IntArray
-		for _, n := range x.arrays {
-			if a, ok := st.reals[n]; ok {
-				reals = append(reals, a)
-			} else if a, ok := st.ints[n]; ok {
-				ints = append(ints, a)
-			}
-		}
+		reals, ints := st.splitArrays(x.arrays)
 		st.s.Redistribute(m, reals, ints)
 		return nil
 	case *redistributeStmt:
@@ -154,15 +147,7 @@ func (st *execState) execStmt(s stmt) error {
 		if !ok {
 			return fmt.Errorf("line %d: REDISTRIBUTE: unknown distribution %q", x.ln, x.Map)
 		}
-		var reals []*core.Array
-		var ints []*core.IntArray
-		for _, n := range x.arrays {
-			if a, ok := st.reals[n]; ok {
-				reals = append(reals, a)
-			} else if a, ok := st.ints[n]; ok {
-				ints = append(ints, a)
-			}
-		}
+		reals, ints := st.splitArrays(x.arrays)
 		if len(reals)+len(ints) == 0 {
 			return fmt.Errorf("line %d: REDISTRIBUTE %s: no arrays aligned", x.ln, x.Decomp)
 		}
@@ -206,6 +191,19 @@ func (k *forallKernel) Strip(s *core.Strip) {
 	}
 }
 
+// splitArrays looks the named arrays up, in order, among the REAL*8
+// and the INTEGER arrays; a name bound to neither is skipped.
+func (st *execState) splitArrays(names []string) (reals []*core.Array, ints []*core.IntArray) {
+	for _, n := range names {
+		if a, ok := st.reals[n]; ok {
+			reals = append(reals, a)
+		} else if a, ok := st.ints[n]; ok {
+			ints = append(ints, a)
+		}
+	}
+	return reals, ints
+}
+
 // execForall realizes the inspector/executor transformation for one
 // FORALL encounter. The loop object is created on first encounter; the
 // registry decides whether its saved inspector can be reused.
@@ -247,7 +245,7 @@ func (st *execState) execForall(f *forallStmt) error {
 	// ... whenever a loop accesses at least one irregularly
 	// distributed array."
 	if !rt.iterPartitioned && st.anyIrregular(f) {
-		rt.loop.PartitionIterations(core.DefaultIterPolicy)
+		rt.loop.PartitionIterations(iterpart.AlmostOwnerComputes)
 		rt.iterPartitioned = true
 	}
 	if st.env.DisableScheduleReuse {

@@ -71,8 +71,8 @@ type klScratch struct {
 	stash  []int
 	seq    []int
 	heap   klHeap
-	// side/visited/queue seed klBisect's region-growing split and
-	// growBest's graph-growing trials.
+	// side/visited/queue back growBest's graph-growing trials and
+	// their breadth-first sweeps.
 	side    []bool
 	visited []bool
 	queue   []int

@@ -117,7 +117,6 @@ func benchPartitioner(b *testing.B, name string) {
 
 func BenchmarkMultilevel20K(b *testing.B) { benchPartitioner(b, "MULTILEVEL") }
 func BenchmarkRSB20K(b *testing.B)        { benchPartitioner(b, "RSB") }
-func BenchmarkKL20K(b *testing.B)         { benchPartitioner(b, "KL") }
 func BenchmarkRCB20K(b *testing.B)        { benchPartitioner(b, "RCB") }
 
 // BenchmarkCoarsen isolates the coarsening half of the V-cycle: one

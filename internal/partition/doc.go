@@ -15,10 +15,10 @@
 // # Public surface
 //
 // Lookup selects a registered Partitioner by name ("BLOCK", "RCB",
-// "KL", "RSB", "MULTILEVEL", "STREAM");
+// "RSB", "MULTILEVEL", "STREAM");
 // Register links a custom one, which declares the GeoCoL components it
 // consumes through Capabilities. Cut measures the edge cut of a distributed
-// partition. The partitioner types themselves (RCB, RSB, KL,
+// partition. The partitioner types themselves (RCB, RSB,
 // Multilevel, ...) are exported so non-default configurations can be
 // constructed directly or registered under their name.
 //

@@ -3,9 +3,6 @@ package partition
 import (
 	"math"
 
-	"chaos/internal/csr"
-	"chaos/internal/geocol"
-	"chaos/internal/machine"
 	"chaos/internal/scratch"
 )
 
@@ -171,95 +168,6 @@ func klRefineN(s *klScratch, sg *subgraph, side []bool, targetLeftW float64, pas
 		}
 	}
 	s.stash, s.seq = stash, seq // retain grown capacity for the next call
-}
-
-// KL is a standalone recursive Kernighan-Lin partitioner (Kernighan &
-// Lin, the paper's reference [15]): each group is seeded with a
-// breadth-first region-growing split — which already respects
-// connectivity — and then improved with the boundary-refinement pass
-// klRefine. Purely combinatorial: it needs LINK but neither GEOMETRY
-// nor an eigensolver, making it the cheap connectivity-based
-// alternative to RSB. Like RSB it runs on the gathered graph on rank 0
-// and broadcasts the map; its (much smaller) cost is charged to every
-// rank.
-type KL struct{}
-
-func (KL) Name() string { return "KL" }
-
-// Capabilities: KL consumes LINK connectivity.
-func (KL) Capabilities() Capabilities { return Capabilities{NeedsLink: true} }
-
-func (KL) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
-	checkArgs(nparts)
-	if !g.HasLink {
-		panic("partition: KL requires a GeoCoL LINK component")
-	}
-	// One pair of scratches per Partition call, shared by every
-	// bisection of the recursion tree; each rank runs its own call, so
-	// no sharing.
-	var s klScratch
-	var cs csr.Scratch
-	return serialBisectPartition(c, g, nparts,
-		func(g *csr.Graph, verts []int, frac float64) ([]int, []int, int64) {
-			return klBisect(&s, &cs, g, verts, frac)
-		})
-}
-
-// klBisect seeds a split by breadth-first region growing from the
-// lowest-numbered vertex until the target weight is reached, then
-// refines it with klRefine.
-//
-//chaos:hotpath
-func klBisect(s *klScratch, cs *csr.Scratch, g *csr.Graph, verts []int, frac float64) (left, right []int, flops int64) {
-	sg := induce(cs, g, verts)
-	n := sg.Len()
-	target := sg.totalWeight() * frac
-
-	side := scratch.Grow(&s.side, n)
-	visited := scratch.Grow(&s.visited, n)
-	for i := 0; i < n; i++ {
-		side[i], visited[i] = false, false
-	}
-	grown := 0.0
-	// BFS over possibly disconnected subgraphs, restarting from the
-	// lowest unvisited vertex.
-	queue := s.queue[:0]
-	// head indexes the BFS front instead of re-slicing, so the backing
-	// array survives intact for the next bisection.
-	head := 0
-	next := 0
-	for grown < target {
-		if head == len(queue) {
-			for next < n && visited[next] {
-				next++
-			}
-			if next >= n {
-				break
-			}
-			queue = append(queue, next)
-			visited[next] = true
-		}
-		v := queue[head]
-		head++
-		if grown >= target {
-			break
-		}
-		side[v] = true
-		grown += sg.Weights[v]
-		for _, u := range sg.Adj[sg.XAdj[v]:sg.XAdj[v+1]] {
-			if !visited[u] {
-				visited[u] = true
-				queue = append(queue, u)
-			}
-		}
-	}
-	sg.flops += int64(n + len(sg.Adj))
-	s.queue = queue
-
-	klRefine(s, sg, side, target)
-
-	left, right = splitSides(sg, side)
-	return left, right, sg.flops
 }
 
 // klEntry is one candidate move in the refinement heap. Entries are

@@ -32,7 +32,7 @@ import (
 // PARTITIONING phase — never runs. Every split is grown on a graph of
 // about CoarsenTo vertices and refined on the way up, so MULTILEVEL
 // delivers near-RSB edge cuts at a small fraction of RSB's cost (see
-// partition/bench_test.go and quality_test.go). Like RSB and KL it
+// partition/bench_test.go and quality_test.go). Like RSB it
 // consumes LINK connectivity and honors LOAD weights.
 //
 // On a single rank (or below ParallelThreshold) the V-cycle runs on the

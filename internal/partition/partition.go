@@ -81,24 +81,14 @@ func init() {
 	Register(BlockPartitioner{})
 	Register(RCB{})
 	Register(RSB{})
-	Register(KL{})
 	Register(Multilevel{})
 	Register(Streaming{})
 }
 
 // bisectFunc splits the vertex subset verts of g (ids of g) so that a
 // frac share of its vertex weight lands in left, and returns the flop
-// count of the split. RSB, KL and MULTILEVEL's V-cycle each supply one.
+// count of the split. RSB and MULTILEVEL's V-cycle each supply one.
 type bisectFunc func(g *csr.Graph, verts []int, frac float64) (left, right []int, flops int64)
-
-// serialBisectPartition is the shared driver of the serial recursive-
-// bisection partitioners (RSB, KL): gatheredSolve around
-// recursiveBisect.
-func serialBisectPartition(c *machine.Ctx, g *geocol.Graph, nparts int, bisect bisectFunc) []int {
-	return gatheredSolve(c, g, func(f *csr.Graph) ([]int, int64) {
-		return recursiveBisect(f, nparts, bisect)
-	})
-}
 
 // gatheredSolve runs a serial solve under the replicated-cost
 // convention explained on RSB: the GeoCoL graph is gathered onto rank 0

@@ -64,54 +64,6 @@ func TestMeshCutQualityOrdering(t *testing.T) {
 	}
 }
 
-// TestKLPartitioner checks the standalone Kernighan-Lin partitioner:
-// balanced parts, far better than BLOCK on the renumbered mesh, and
-// consistent across ranks.
-func TestKLPartitioner(t *testing.T) {
-	m := mesh.Generate(2000, 5)
-	const p = 4
-	kl := meshCuts(t, m, "KL", p)
-	blk := meshCuts(t, m, "BLOCK", p)
-	if kl*3 > blk {
-		t.Errorf("KL cut %d not clearly better than BLOCK cut %d", kl, blk)
-	}
-}
-
-func TestKLBalance(t *testing.T) {
-	m := mesh.Generate(1000, 6)
-	const p = 4
-	pt, err := Lookup("KL")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = machine.Run(machine.Zero(p), func(c *machine.Ctx) {
-		home := geocol.Build(c, m.NNode).Home
-		eb := m.NEdge() / p
-		elo, ehi := c.Rank()*eb, (c.Rank()+1)*eb
-		if c.Rank() == p-1 {
-			ehi = m.NEdge()
-		}
-		g := geocol.Build(c, m.NNode, geocol.WithLink(m.E1[elo:ehi], m.E2[elo:ehi]))
-		part := c.AllGatherInts(pt.Partition(c, g, p))
-		if c.Rank() == 0 {
-			counts := make([]int, p)
-			for _, x := range part {
-				counts[x]++
-			}
-			ideal := m.NNode / p
-			for r, n := range counts {
-				if n < ideal*9/10 || n > ideal*11/10 {
-					t.Errorf("part %d holds %d vertices, ideal %d", r, n, ideal)
-				}
-			}
-		}
-		_ = home
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMultilevelCutQuality pins the multilevel tentpole's quality bar:
 // the coarsen → grow → refine V-cycle must stay within 15% of full
 // recursive spectral bisection's edge cut on the reference shell
@@ -211,15 +163,5 @@ func TestMultilevelRequiresLink(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("MULTILEVEL without LINK should fail")
-	}
-}
-
-func TestKLRequiresLink(t *testing.T) {
-	err := machine.Run(machine.Zero(2), func(c *machine.Ctx) {
-		g := geocol.Build(c, 16)
-		KL{}.Partition(c, g, 2)
-	})
-	if err == nil {
-		t.Fatal("KL without LINK should fail")
 	}
 }

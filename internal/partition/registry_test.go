@@ -80,21 +80,20 @@ func TestNamesSorted(t *testing.T) {
 		}
 		seen[n] = true
 	}
-	for _, want := range []string{"BLOCK", "RCB", "RSB", "KL", "MULTILEVEL", "STREAM"} {
+	for _, want := range []string{"BLOCK", "RCB", "RSB", "MULTILEVEL", "STREAM"} {
 		if !seen[want] {
 			t.Errorf("built-in %q missing from Names(): %v", want, names)
 		}
 	}
 }
 
-// TestBuiltinCapabilities pins the capability metadata of all six
+// TestBuiltinCapabilities pins the capability metadata of all five
 // built-in partitioners.
 func TestBuiltinCapabilities(t *testing.T) {
 	want := map[string]Capabilities{
 		"BLOCK":      {},
 		"RCB":        {NeedsGeometry: true},
 		"RSB":        {NeedsLink: true},
-		"KL":         {NeedsLink: true},
 		"MULTILEVEL": {NeedsLink: true},
 		"STREAM":     {NeedsLink: true},
 	}

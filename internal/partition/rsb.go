@@ -36,10 +36,12 @@ func (RSB) Partition(c *machine.Ctx, g *geocol.Graph, nparts int) []int {
 	// One scratch per Partition call, shared by every bisection of the
 	// recursion tree.
 	var s csr.Scratch
-	return serialBisectPartition(c, g, nparts,
-		func(g *csr.Graph, verts []int, frac float64) ([]int, []int, int64) {
-			return spectralBisect(&s, g, verts, frac)
-		})
+	return gatheredSolve(c, g, func(f *csr.Graph) ([]int, int64) {
+		return recursiveBisect(f, nparts,
+			func(g *csr.Graph, verts []int, frac float64) ([]int, []int, int64) {
+				return spectralBisect(&s, g, verts, frac)
+			})
+	})
 }
 
 // spectralBisect splits verts into halves at the weighted median of

@@ -18,12 +18,11 @@ import (
 type Method string
 
 // Built-in partitioning methods: BLOCK, RCB and RSB of the paper's
-// Section 4.2, KL (the paper's reference [15]), MULTILEVEL and STREAM.
+// Section 4.2, MULTILEVEL and STREAM.
 const (
 	MethodBlock      Method = "BLOCK"
 	MethodRCB        Method = "RCB"
 	MethodRSB        Method = "RSB"
-	MethodKL         Method = "KL"
 	MethodMultilevel Method = "MULTILEVEL"
 	MethodStream     Method = "STREAM"
 )

@@ -10,7 +10,7 @@ import (
 )
 
 func TestParseSpecBareNames(t *testing.T) {
-	for _, name := range []string{"BLOCK", "RCB", "RSB", "KL", "MULTILEVEL"} {
+	for _, name := range []string{"BLOCK", "RCB", "RSB", "MULTILEVEL", "STREAM"} {
 		sp, err := ParseSpec(name)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", name, err)
@@ -54,7 +54,7 @@ func TestParseSpecOptions(t *testing.T) {
 	// negative knobs (a negative ParallelThreshold is meaningful) and
 	// the full uint64 seed range included.
 	rng := xrand.New(33)
-	methods := []Method{MethodMultilevel, MethodStream, MethodRSB, MethodKL}
+	methods := []Method{MethodMultilevel, MethodStream, MethodRSB, MethodBlock}
 	for i := 0; i < 500; i++ {
 		sp := Spec{Method: methods[rng.Intn(len(methods))]}
 		if rng.Intn(2) == 0 {
@@ -120,6 +120,8 @@ func TestSpecResolveErrors(t *testing.T) {
 	}{
 		{Spec{}, "no method", false},
 		{Spec{Method: "NOPE"}, "unknown partitioner", false},
+		// KL (the paper's reference [15]) was retired from the registry.
+		{Spec{Method: "KL"}, "unknown partitioner", false},
 		{Spec{Method: MethodRCB, CoarsenTo: 10}, "does not accept multilevel tuning", false},
 		{Spec{Method: MethodRSB, ParallelThreshold: -1}, "does not accept multilevel tuning", false},
 		{Spec{Method: MethodBlock, Seed: 3}, "does not accept a Seed", false},

@@ -11,7 +11,7 @@ import (
 // (streaming clustering plus an in-memory coarse solve) followed by
 // linear deterministic greedy (LDG) re-placement passes. Under
 // the SPMD machine it follows the replicated-cost convention of the
-// serial methods (see serialBisectPartition): the machine being
+// serial methods (see gatheredSolve): the machine being
 // modelled gathers the GeoCoL graph and runs the identical
 // deterministic pipeline on every rank, so the result is bit-for-bit
 // independent of the rank count. Resident state of the pipeline

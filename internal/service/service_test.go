@@ -160,6 +160,7 @@ func TestBadRequests(t *testing.T) {
 		"negative procs":   mut(func(r *Request) { r.Procs = -1 }),
 		"huge procs":       mut(func(r *Request) { r.Procs = 1 << 20 }),
 		"unknown method":   mut(func(r *Request) { r.Spec = partition.Spec{Method: "VOODOO"} }),
+		"retired method":   mut(func(r *Request) { r.Spec = partition.Spec{Method: "KL"} }),
 		"ragged edges":     mut(func(r *Request) { r.E2 = r.E2[:len(r.E2)-1] }),
 		"edge out of rng":  mut(func(r *Request) { e := append([]int(nil), r.E1...); e[0] = r.NNode; r.E1 = e }),
 		"upload and delta": mut(func(r *Request) { r.Delta = []EdgeRewire{{Edge: 0, NewEnd: 1}} }),
@@ -177,6 +178,9 @@ func TestBadRequests(t *testing.T) {
 		if _, err := s.Do(context.Background(), req); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)
 		}
+	}
+	if m := s.Metrics(); m.Hits+m.Cold+m.Warm+m.Shared != 0 {
+		t.Errorf("rejected requests were served: %+v", m)
 	}
 	// A flag bit the codec does not define would have its payload
 	// misread, so decoding fails typed; the wire carries the type.

@@ -54,7 +54,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		t.Fatalf("Request fields %v; the generator below draws %v", fields, want)
 	}
 	rng := xrand.New(33)
-	methods := []partition.Method{partition.MethodMultilevel, partition.MethodStream, partition.MethodRSB, partition.MethodKL}
+	methods := []partition.Method{partition.MethodMultilevel, partition.MethodStream, partition.MethodRSB, partition.MethodBlock}
 	ints := func(n, hi int) []int {
 		xs := make([]int, n)
 		for i := range xs {
